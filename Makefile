@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-skyline bench-topk bench-pivot bench-vector bench-compare bench-vector-compare bench-incremental bench-incremental-compare run-server smoke smoke-restart smoke-chaos bench-fault vet
+.PHONY: build test race fuzz bench run-server smoke smoke-restart smoke-chaos bench-fault vet
 
 build:
 	$(GO) build ./...
@@ -18,91 +18,12 @@ fuzz:
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzQueryHash -fuzztime=10s
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzLGFRoundTrip -fuzztime=10s
 
+# bench runs the repo's benchmark contract (BENCHMARK.json): all four
+# workloads of the end-to-end harness, see benchmark/README.md. The
+# library-level experiments in bench_test.go run with plain
+# `go test -bench=<name> -run=^$ .`.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-skyline reruns experiment E8 (pruned vs unpruned skyline
-# scaling) and records it as BENCH_skyline.json; the raw benchstat-
-# consumable lines are preserved under .benchmarks[].raw. The run and
-# the conversion are separate steps (no pipe) so a failing bench run
-# fails the target instead of being masked; benchjson additionally
-# errors on input with no benchmark lines.
-bench-skyline:
-	@set -e; trap 'rm -f BENCH_skyline.txt' EXIT; \
-	$(GO) test -bench=SkylineScaling -benchmem -run=^$$ . > BENCH_skyline.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_skyline.txt > BENCH_skyline.json
-	@cat BENCH_skyline.json
-
-# bench-topk is the ranked-query analogue of bench-skyline: best-first
-# pruned vs unpruned single-measure top-k scaling, recorded as
-# BENCH_topk.json with evaluated/op + pruned/op metrics.
-bench-topk:
-	@set -e; trap 'rm -f BENCH_topk.txt' EXIT; \
-	$(GO) test -bench=TopKScaling -benchmem -run=^$$ . > BENCH_topk.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_topk.txt > BENCH_topk.json
-	@cat BENCH_topk.json
-
-# bench-pivot records the metric-pivot-tier experiment: signature-only
-# vs pivot vs pivot+memo ranked evaluation on the histogram-blind
-# rewired-family workload, as BENCH_pivot.json.
-bench-pivot:
-	@set -e; trap 'rm -f BENCH_pivot.txt' EXIT; \
-	$(GO) test -bench=PivotScaling -benchmem -run=^$$ . > BENCH_pivot.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_pivot.txt > BENCH_pivot.json
-	@cat BENCH_pivot.json
-
-# bench-vector records the candidate-generation-tier experiment at real
-# collection sizes (n=1k/10k rewired molecule families): signature-only
-# vs pivot vs pivot+vector ranked evaluation, as BENCH_vector.json.
-# candidates_touched/op is the headline metric — the graphs the scan
-# bounded at all; the sig and pivot rows touch the whole collection,
-# the vector rows only the cells the admissible floors could not skip.
-# The iteration count is pinned (setup dominates the wall clock; per-op
-# variance at 20 iterations is already small).
-bench-vector:
-	@set -e; trap 'rm -f BENCH_vector.txt' EXIT; \
-	$(GO) test -bench=VectorScaling -benchmem -benchtime=20x -run=^$$ . > BENCH_vector.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_vector.txt > BENCH_vector.json
-	@cat BENCH_vector.json
-
-# bench-incremental records the delta-maintenance experiment: a 10%
-# mutation mix over warmed cached state (complete tables + ranked
-# answers), cold invalidation vs in-place delta upgrade, at n=1k/10k.
-# queries/sec is the headline metric; delta_applied/delta_fallbacks
-# confirm the delta arm actually maintained rather than fell back.
-# Iterations are pinned like bench-vector (setup dominates wall clock).
-bench-incremental:
-	@set -e; trap 'rm -f BENCH_incremental.txt' EXIT; \
-	$(GO) test -bench=MutationMix -benchmem -benchtime=30x -run=^$$ . > BENCH_incremental.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_incremental.txt > BENCH_incremental.json
-	@cat BENCH_incremental.json
-
-# bench-incremental-compare guards the write-heavy path: re-runs the
-# mutation-mix experiment and fails on a >20% ns/op regression against
-# the committed BENCH_incremental.json (same-machine comparisons only).
-bench-incremental-compare:
-	@set -e; trap 'rm -f BENCH_incremental_new.txt BENCH_incremental_new.json' EXIT; \
-	$(GO) test -bench=MutationMix -benchmem -benchtime=30x -run=^$$ . > BENCH_incremental_new.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_incremental_new.txt > BENCH_incremental_new.json; \
-	$(GO) run ./cmd/benchjson -compare BENCH_incremental.json BENCH_incremental_new.json
-
-# bench-compare re-runs the pivot experiment and fails on a >20% ns/op
-# regression against the committed BENCH_pivot.json (same-machine
-# comparisons only — absolute ns/op is hardware-specific).
-bench-compare:
-	@set -e; trap 'rm -f BENCH_pivot_new.txt BENCH_pivot_new.json' EXIT; \
-	$(GO) test -bench=PivotScaling -benchmem -run=^$$ . > BENCH_pivot_new.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_pivot_new.txt > BENCH_pivot_new.json; \
-	$(GO) run ./cmd/benchjson -compare BENCH_pivot.json BENCH_pivot_new.json
-
-# bench-vector-compare is the vector-tier backslide guard: re-runs the
-# scaling experiment and fails on a >20% ns/op regression against the
-# committed BENCH_vector.json (same-machine comparisons only).
-bench-vector-compare:
-	@set -e; trap 'rm -f BENCH_vector_new.txt BENCH_vector_new.json' EXIT; \
-	$(GO) test -bench=VectorScaling -benchmem -benchtime=20x -run=^$$ . > BENCH_vector_new.txt; \
-	$(GO) run ./cmd/benchjson < BENCH_vector_new.txt > BENCH_vector_new.json; \
-	$(GO) run ./cmd/benchjson -compare BENCH_vector.json BENCH_vector_new.json
+	bash benchmark/run.sh --workload all
 
 run-server:
 	$(GO) run ./cmd/skygraphd -addr :8091 -shards 4 -cache 128

@@ -214,7 +214,7 @@ func BenchmarkTopKScaling(b *testing.B) {
 // different structure, so the histogram bound between family members
 // is 0 regardless of their true distance; think isomer databases).
 // DistEd top-5 queries evaluate best-first with signature bounds alone
-// ("sig", the tiers BENCH_topk.json records) versus with the
+// ("sig", the tiers BenchmarkTopKScaling exercises) versus with the
 // triangle-inequality pivot tier ("pivot") versus pivot plus the
 // cross-query score memo ("pivot+memo", warm after the first
 // iteration). Engines run uncapped (the family graphs are small), so

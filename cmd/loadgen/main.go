@@ -18,15 +18,13 @@
 // graphs (never touching the preloaded corpus) and deletes only ever
 // remove graphs a previous insert of the same run created.
 //
-// The -out report is a cmd/benchjson document — one benchmark entry
-// per query kind plus an aggregate — so regression gating reuses the
-// existing tooling:
-//
-//	loadgen -addr :8091 -duration 30s -out new.json
-//	benchjson -compare old.json new.json
+// The run ends with a per-kind summary on stderr. loadgen is a smoke
+// driver, not a benchmark: it is duration-bound and its numbers do not
+// repeat — reproducible measurement lives in benchmark/ (see
+// benchmark/README.md).
 //
 // Requests go through pkg/client, so failures come back typed and the
-// report breaks errors out by class (429 / 503 / timeout / 5xx / 4xx /
+// summary breaks errors out by class (429 / 503 / timeout / 5xx / 4xx /
 // transport) instead of lumping every non-2xx together — essential for
 // reading a chaos run, where "the server shed load" and "the server
 // lost the disk" are different findings. -retries > 1 turns on the
@@ -38,8 +36,8 @@
 // -mutate-pct is a shorthand for write-heavy runs: it overrides -mix so
 // the given percent of requests are mutations (split evenly between
 // insert and delete) and reads share the remainder 4:3:2:1 across
-// skyline/topk/range/batch. The summary and report then carry the
-// server cache's movement over the run — hit ratio, delta_applied,
+// skyline/topk/range/batch. The summary then carries the server
+// cache's movement over the run — hit ratio, delta_applied,
 // delta_fallbacks — read from /stats before and after, so a run shows
 // directly whether delta maintenance absorbed the writes or the cache
 // thrashed.
@@ -53,7 +51,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -124,7 +121,6 @@ func main() {
 	retries := flag.Int("retries", 1, "client attempts per request, first included (1 = no retries; >1 retries transient failures with backoff, mutations under idempotency keys)")
 	ackLogPath := flag.String("ack-log", "", "append one JSON line per acknowledged mutation here, for post-run durability auditing (empty = disabled)")
 	waitReady := flag.Duration("wait-ready", 30*time.Second, "wait up to this long for /readyz before starting (0 = skip the check)")
-	out := flag.String("out", "", "write the benchjson-compatible JSON report here (empty = stdout)")
 	failOnError := flag.Bool("fail-on-error", false, "exit nonzero when any request failed")
 	flag.Parse()
 
@@ -186,26 +182,7 @@ func main() {
 	elapsed := time.Since(start)
 	cw := cacheDelta(before, serverStats(cl))
 
-	doc := rec.report(base, elapsed, *concurrency, *qps, cw)
-	if *mutatePct >= 0 {
-		doc.Context["mutate-pct"] = fmt.Sprintf("%d", *mutatePct)
-	}
 	rec.printSummary(os.Stderr, elapsed, cw)
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fatalf("writing report: %v", err)
-	}
 	if *failOnError && rec.totalErrors() > 0 {
 		fmt.Fprintf(os.Stderr, "loadgen: %d request(s) failed\n", rec.totalErrors())
 		os.Exit(1)
@@ -700,114 +677,6 @@ func (r *recorder) stats(kind string) kindStats {
 	st.p99 = percentile(lat, 0.99)
 	st.mx = lat[len(lat)-1]
 	return st
-}
-
-// Bench and Doc mirror cmd/benchjson's document shape so reports feed
-// straight into `benchjson -compare`.
-type Bench struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
-	Raw        string             `json:"raw"`
-}
-
-type Doc struct {
-	Context    map[string]string `json:"context"`
-	Benchmarks []Bench           `json:"benchmarks"`
-}
-
-// bench renders one kind's digest as a benchjson entry. ns/op is the
-// mean latency so -compare's regression gate works unchanged.
-func bench(name string, st kindStats, qps float64) Bench {
-	m := map[string]float64{
-		"ns/op":  st.meanMS * 1e6,
-		"p50-ms": st.p50,
-		"p95-ms": st.p95,
-		"p99-ms": st.p99,
-		"max-ms": st.mx,
-		"qps":    qps,
-		"errors": float64(st.errors),
-	}
-	for _, c := range errClasses {
-		if n := st.classes[c]; n > 0 {
-			m["errors-"+c] = float64(n)
-		}
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\t%8d", name, st.count)
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "\t%12.2f %s", m[k], k)
-	}
-	return Bench{Name: name, Iterations: int64(st.count), Metrics: m, Raw: sb.String()}
-}
-
-// report assembles the final benchjson document.
-func (r *recorder) report(base string, elapsed time.Duration, concurrency int, targetQPS float64, cw *cacheWindow) Doc {
-	doc := Doc{Context: map[string]string{
-		"target":      base,
-		"mode":        map[bool]string{true: "open", false: "closed"}[targetQPS > 0],
-		"concurrency": fmt.Sprintf("%d", concurrency),
-		"duration":    elapsed.String(),
-	}}
-	if targetQPS > 0 {
-		doc.Context["target-qps"] = fmt.Sprintf("%g", targetQPS)
-	}
-	if r.dropped > 0 {
-		doc.Context["dropped"] = fmt.Sprintf("%d", r.dropped)
-	}
-	var all kindStats
-	all.classes = map[string]int{}
-	allLat := []float64{}
-	r.mu.Lock()
-	for _, lat := range r.lat {
-		allLat = append(allLat, lat...)
-	}
-	for _, e := range r.errs {
-		all.errors += e
-	}
-	for _, byClass := range r.classes {
-		for c, n := range byClass {
-			all.classes[c] += n
-		}
-	}
-	r.mu.Unlock()
-	sort.Float64s(allLat)
-	all.count = len(allLat)
-	if all.count > 0 {
-		sum := 0.0
-		for _, v := range allLat {
-			sum += v
-		}
-		all.meanMS = sum / float64(all.count)
-		all.p50 = percentile(allLat, 0.50)
-		all.p95 = percentile(allLat, 0.95)
-		all.p99 = percentile(allLat, 0.99)
-		all.mx = allLat[len(allLat)-1]
-	}
-	secs := elapsed.Seconds()
-	aggregate := bench("BenchmarkLoadgen/all", all, float64(all.count)/secs)
-	if cw != nil {
-		// Server-side cache movement rides on the aggregate entry so
-		// `benchjson -compare` tracks hit ratio and delta effectiveness
-		// alongside latency.
-		aggregate.Metrics["cache-hit-ratio"] = cw.hitRatio()
-		aggregate.Metrics["delta-applied"] = float64(cw.deltaApplied)
-		aggregate.Metrics["delta-fallbacks"] = float64(cw.deltaFallbacks)
-	}
-	doc.Benchmarks = append(doc.Benchmarks, aggregate)
-	for _, kind := range opKinds {
-		st := r.stats(kind)
-		if st.count == 0 && st.errors == 0 {
-			continue
-		}
-		doc.Benchmarks = append(doc.Benchmarks, bench("BenchmarkLoadgen/"+kind, st, float64(st.count)/secs))
-	}
-	return doc
 }
 
 // classBreakdown renders "429=2 503=5" from a class→count map, in the

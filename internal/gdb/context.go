@@ -25,19 +25,7 @@ func (db *DB) SkylineQueryContext(ctx context.Context, q *graph.Graph, opts Quer
 	return SkylineResult{
 		Skyline: t.Skyline(opts.Algorithm),
 		All:     t.Points,
-		Stats: QueryStats{
-			Evaluated:       len(t.Points),
-			Pruned:          t.Pruned,
-			Inexact:         t.Inexact,
-			PivotDists:      t.PivotDists,
-			PivotPruned:     t.PivotPruned,
-			MemoHits:        t.MemoHits,
-			MemoMisses:      t.MemoMisses,
-			VectorCells:     t.VectorCells,
-			VectorSkipped:   t.VectorSkipped,
-			VectorFallbacks: t.VectorFallbacks,
-			Duration:        time.Since(start),
-		},
+		Stats:   QueryStats{Work: t.Work, Inexact: t.Inexact, Duration: time.Since(start)},
 	}, nil
 }
 

@@ -214,10 +214,17 @@ func (ec *evalCtx) computeFull(g, q *graph.Graph, seq uint64, eval measure.Optio
 	return ps
 }
 
-// counters folds the per-query counters into stats fields.
-func (ec *evalCtx) counters() (pivotDists, memoHits, memoMisses int) {
+// work reports the per-query counters the context itself maintains:
+// the pivot tier's distance runs and skyline-path attributions, and the
+// score-memo lookups.
+func (ec *evalCtx) work() Work {
 	if ec == nil {
-		return 0, 0, 0
+		return Work{}
 	}
-	return ec.pivotDists, int(ec.memoHits.Load()), int(ec.memoMisses.Load())
+	return Work{
+		PivotDists:  ec.pivotDists,
+		PivotPruned: int(ec.pivotPruned.Load()),
+		MemoHits:    int(ec.memoHits.Load()),
+		MemoMisses:  int(ec.memoMisses.Load()),
+	}
 }

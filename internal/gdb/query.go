@@ -71,57 +71,74 @@ func (o QueryOptions) withDefaults() QueryOptions {
 	return o
 }
 
-// QueryStats reports work done by a query.
-type QueryStats struct {
+// Work is the one definition of the per-evaluation work counters: the
+// exact pairs an evaluation paid for and what each cascade tier spared
+// (the cost model of GSS(D, q), Definition 12). Every layer carries
+// this type instead of re-declaring its fields — table builds, ranked
+// scans, QueryStats, the serving layer's wire stats (which embed it, so
+// the JSON tags below ARE the wire keys), its lifetime totals and its
+// /metrics families. The counters describe fresh work only: an answer
+// served from a cache reports the zero Work.
+//
+// Each graph a pruned evaluation does not score is attributed to
+// exactly one tier (see trace.go), so the pivot and vector tiers'
+// shares of Pruned are disjoint.
+type Work struct {
 	// Evaluated counts graphs whose exact answer contribution was
 	// computed: the full GCS vector for skyline queries, the exact
-	// ranking score for top-k and range queries.
-	Evaluated int
-	// Pruned counts graphs skipped via index bounds under
-	// QueryOptions.Prune: the signature/bipartite interval filter for
-	// skyline queries, and for top-k and range queries the best-first
-	// threshold cutoff plus the threshold-fed engine decision runs.
-	Pruned int
+	// ranking score for top-k and range queries (score-memo replays
+	// included — the value is exact either way).
+	Evaluated int `json:"evaluated"`
+	// Pruned counts graphs excluded without exact evaluation under
+	// QueryOptions.Prune: the interval filter for skyline queries; the
+	// best-first threshold cutoff and the threshold-fed engine decision
+	// runs for top-k and range queries; whole vector-tier cells for both.
+	Pruned int `json:"pruned"`
+	// PivotPruned counts graphs (within Pruned) whose exclusion needed
+	// the pivot tier's triangle bounds — the signature bounds alone
+	// would have let them through. PivotDists counts the query-to-pivot
+	// distance computations the tier paid for (P per freshly scanned
+	// shard with a live index).
+	PivotPruned int `json:"pivot_pruned"`
+	PivotDists  int `json:"pivot_dists"`
+	// MemoHits and MemoMisses count cross-query score-memo lookups;
+	// hits replayed recorded engine results instead of running engines.
+	MemoHits   int `json:"memo_hits"`
+	MemoMisses int `json:"memo_misses"`
+	// VectorCells counts partition cells the vector tier probed (bounded
+	// and offered to the scan). VectorSkipped counts graphs (within
+	// Pruned) in cells the tier proved out wholesale — by the admissible
+	// cell floor on ranked scans, by cell-floor dominance on the skyline
+	// path — whose per-graph bounds were never even computed.
+	// VectorFallbacks counts snapshots where an attached vector index
+	// could not serve the query (stale generation) and the plain bound
+	// order ran instead.
+	VectorCells     int `json:"vector_cells_probed"`
+	VectorSkipped   int `json:"vector_skipped"`
+	VectorFallbacks int `json:"vector_fallbacks"`
+}
+
+// Add folds o into w.
+func (w *Work) Add(o Work) {
+	w.Evaluated += o.Evaluated
+	w.Pruned += o.Pruned
+	w.PivotPruned += o.PivotPruned
+	w.PivotDists += o.PivotDists
+	w.MemoHits += o.MemoHits
+	w.MemoMisses += o.MemoMisses
+	w.VectorCells += o.VectorCells
+	w.VectorSkipped += o.VectorSkipped
+	w.VectorFallbacks += o.VectorFallbacks
+}
+
+// QueryStats reports work done by a query.
+type QueryStats struct {
+	Work
 	// Inexact counts pairs where a capped engine returned a bound rather
 	// than the exact value.
 	Inexact int
-	// PivotDists counts query-to-pivot distance computations the pivot
-	// tier paid for (P per freshly scanned shard with a live index).
-	PivotDists int
-	// PivotPruned counts graphs whose exclusion needed the pivot
-	// tier's triangle bounds — the signature bounds alone would not
-	// have excluded them.
-	PivotPruned int
-	// MemoHits and MemoMisses count cross-query score-memo lookups;
-	// hits replayed recorded engine results instead of running engines.
-	MemoHits   int
-	MemoMisses int
-	// VectorCells counts partition cells the vector tier probed
-	// (bounded and offered to the scan); VectorSkipped counts graphs in
-	// cells the tier proved out wholesale — their per-graph bounds were
-	// never even computed. VectorFallbacks counts snapshots where a
-	// vector index was attached but could not serve the query (stale
-	// generation, partition not built yet) and the scan fell back to
-	// the plain bound order.
-	VectorCells     int
-	VectorSkipped   int
-	VectorFallbacks int
 	// Duration is the wall-clock query time.
 	Duration time.Duration
-}
-
-// addRanked folds one database's ranked-scan contribution in.
-func (s *QueryStats) addRanked(o RankedStats) {
-	s.Evaluated += o.Evaluated
-	s.Pruned += o.Pruned
-	s.Inexact += o.Inexact
-	s.PivotDists += o.PivotDists
-	s.PivotPruned += o.PivotPruned
-	s.MemoHits += o.MemoHits
-	s.MemoMisses += o.MemoMisses
-	s.VectorCells += o.VectorCells
-	s.VectorSkipped += o.VectorSkipped
-	s.VectorFallbacks += o.VectorFallbacks
 }
 
 // SkylineResult is the answer to a similarity skyline query.
@@ -175,19 +192,18 @@ func (db *DB) TopKQueryContext(ctx context.Context, q *graph.Graph, m measure.Me
 	var items []topk.Item
 	if opts.Prune && measure.Rankable(m) {
 		run := NewRankedTopK(m, k)
-		rs, err := run.EvalDB(ctx, db, q, opts)
-		if err != nil {
+		var err error
+		if stats, err = run.EvalDB(ctx, db, q, opts); err != nil {
 			return TopKResult{}, err
 		}
-		stats.addRanked(rs)
 		items = run.Items()
 	} else {
 		all, inexact, ec, err := db.scanScores(ctx, q, m, opts)
 		if err != nil {
 			return TopKResult{}, err
 		}
-		stats.Evaluated, stats.Inexact = len(all), inexact
-		stats.PivotDists, stats.MemoHits, stats.MemoMisses = ec.counters()
+		stats = QueryStats{Work: ec.work(), Inexact: inexact}
+		stats.Evaluated = len(all)
 		// The whole unpruned scan is exact-stage work: every pair runs
 		// the engines (or replays the memo), nothing is bounded away.
 		opts.Trace.Observe(StageExact, time.Since(start), len(all), 0)
@@ -228,11 +244,10 @@ func (db *DB) RangeQueryContext(ctx context.Context, q *graph.Graph, m measure.M
 		run := NewRankedRange(m, radius)
 		qsig := run.querySig(q)
 		ec := db.newEvalCtx(q, qsig, opts, true)
-		rs, err := evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, opts, ec), run.coll)
-		if err != nil {
+		var err error
+		if stats, err = evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, opts, ec), run.coll); err != nil {
 			return RangeResult{}, err
 		}
-		stats.addRanked(rs)
 		items = append(items, run.Items()...)
 		sortItemsBySnapshot(items, sn.graphs)
 	} else {
@@ -240,8 +255,8 @@ func (db *DB) RangeQueryContext(ctx context.Context, q *graph.Graph, m measure.M
 		if err != nil {
 			return RangeResult{}, err
 		}
-		stats.Evaluated, stats.Inexact = len(all), inexact
-		stats.PivotDists, stats.MemoHits, stats.MemoMisses = ec.counters()
+		stats = QueryStats{Work: ec.work(), Inexact: inexact}
+		stats.Evaluated = len(all)
 		opts.Trace.Observe(StageExact, time.Since(start), len(all), 0)
 		for _, it := range all {
 			if it.Score <= radius {

@@ -152,50 +152,6 @@ func (c *rangeCollector) items() []topk.Item {
 	return append([]topk.Item{}, c.list...)
 }
 
-// RankedStats reports the work one database contributed to a ranked
-// evaluation.
-type RankedStats struct {
-	// Evaluated counts graphs whose exact score was computed (memo
-	// replays included — the score is exact either way).
-	Evaluated int
-	// Pruned counts graphs excluded without an exact score: best-first
-	// cutoff, interval filter, or an engine decision run.
-	Pruned int
-	// Inexact counts evaluated graphs whose score came from a capped
-	// engine bound.
-	Inexact int
-	// PivotDists counts query-to-pivot engine runs; PivotPruned counts
-	// excluded graphs that only the pivot tier's bound condemns at the
-	// final threshold (the signature bound alone would have let them
-	// through to the engines).
-	PivotDists  int
-	PivotPruned int
-	// MemoHits/MemoMisses count score-memo lookups during the scan.
-	MemoHits   int
-	MemoMisses int
-	// VectorCells counts partition cells probed by the vector tier;
-	// VectorSkipped counts candidates in cells the tier's admissible
-	// floor proved out wholesale (their bounds were never computed);
-	// VectorFallbacks counts snapshots where an attached vector index
-	// could not serve the scan and the plain order ran instead.
-	VectorCells     int
-	VectorSkipped   int
-	VectorFallbacks int
-}
-
-func (s *RankedStats) add(o RankedStats) {
-	s.Evaluated += o.Evaluated
-	s.Pruned += o.Pruned
-	s.Inexact += o.Inexact
-	s.PivotDists += o.PivotDists
-	s.PivotPruned += o.PivotPruned
-	s.MemoHits += o.MemoHits
-	s.MemoMisses += o.MemoMisses
-	s.VectorCells += o.VectorCells
-	s.VectorSkipped += o.VectorSkipped
-	s.VectorFallbacks += o.VectorFallbacks
-}
-
 // Ranked is one in-progress best-first ranked query: the shared
 // collector and its live threshold. Shards of a sharded database (and
 // cached per-shard answers) evaluate against a single Ranked value so
@@ -249,7 +205,7 @@ func (r *Ranked) queryHash(q *graph.Graph) string {
 // the shared threshold. opts.Workers bounds the scan's parallelism
 // (resolved by the caller); opts.Eval caps the exact engines exactly as
 // on the full-scan path, so included scores match it byte for byte.
-func (r *Ranked) EvalDB(ctx context.Context, db *DB, q *graph.Graph, opts QueryOptions) (RankedStats, error) {
+func (r *Ranked) EvalDB(ctx context.Context, db *DB, q *graph.Graph, opts QueryOptions) (QueryStats, error) {
 	sn := db.snapshot()
 	qsig := r.querySig(q)
 	if opts.QueryHash == "" && db.Memo() != nil {
@@ -280,14 +236,17 @@ func (r *Ranked) EvalDB(ctx context.Context, db *DB, q *graph.Graph, opts QueryO
 // single signature. Exclusion always carries a proof (the floor is
 // admissible for every member), so the answer — scores and tie-order —
 // is byte-identical to the plain scan.
-func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx, vs *vecState, coll rankedCollector) (RankedStats, error) {
+//
+// The returned stats carry the scan's Work and Inexact; Duration is the
+// caller's to stamp.
+func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx, vs *vecState, coll rankedCollector) (QueryStats, error) {
 	n := len(sn.graphs)
 	if n == 0 {
-		return RankedStats{}, nil
+		return QueryStats{}, nil
 	}
 
 	trace := opts.Trace
-	var stats RankedStats
+	var stats QueryStats
 
 	// Tier −1: the probe plan. With a live vector state the batches are
 	// the partition's cells in ascending (floor, centroid distance)
@@ -320,29 +279,34 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	// accumulates their pessimistic corners for threshold seeding.
 	probed := make([]bool, n)
 	allHis := make([]float64, 0, n)
+	// fate records how each claimed candidate left the scan. An element
+	// is written only by the one worker that claimed the candidate and
+	// read after the pool has drained, so plain bytes suffice.
+	const (
+		fateOpen     uint8 = iota // never claimed (or never even bounded)
+		fateScored                // exact score computed or replayed
+		fateInexact               // scored, from a capped engine's bound
+		fateExcluded              // an engine decision run proved it out
+	)
+	fate := make([]uint8, n)
 
 	needGED, needMCS := measure.EngineNeeds(m)
 	useMemo := ec != nil && ec.memo != nil && (needGED || needMCS)
-	scored := make([]atomic.Bool, n)
 
 	var (
-		statsMu     sync.Mutex
-		pivotDur    time.Duration
-		exactPruned atomic.Int64 // decision-run exclusions, for stage attribution
-		canceled    bool
+		pivotDur time.Duration
+		canceled bool
 	)
 	for b := range batches {
 		if ctx.Err() != nil {
-			return RankedStats{}, ctx.Err()
+			return QueryStats{}, ctx.Err()
 		}
 		// The admissibility guard: every member of this cell is provably
 		// at least floor away, and batches ascend by floor — once the
 		// live threshold drops below it, this cell and every remaining
-		// one hold nothing that can enter the answer.
+		// one hold nothing that can enter the answer. Their members stay
+		// unprobed, which is how the attribution pass recognizes them.
 		if batches[b].floor > coll.threshold() {
-			for _, rest := range batches[b:] {
-				stats.VectorSkipped += len(rest.members)
-			}
 			break
 		}
 		if vsActive {
@@ -406,7 +370,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		if trace != nil {
 			// Bounding, ordering and threshold seeding are bound-stage
 			// work; the stage's pruned count (threshold cutoff plus
-			// candidates the signature bound condemns) is derived after
+			// candidates the signature bound condemns) is counted after
 			// the scan.
 			trace.Observe(StageBound, time.Since(tierStart)-batchPivot, len(mem), 0)
 		}
@@ -428,15 +392,18 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				var local RankedStats
-				defer func() {
-					statsMu.Lock()
-					stats.add(local)
-					statsMu.Unlock()
-				}()
 				for {
+					// stopped only says "claim no more", so it is read
+					// BEFORE claiming: a candidate already claimed when a
+					// later, more hopeless claim trips the flag bounds
+					// lower than that one and still gets its own
+					// threshold check below — dropping it unchecked would
+					// lose a possible answer.
+					if stopped.Load() {
+						return
+					}
 					k := int(cursor.Add(1)) - 1
-					if k >= len(order) || stopped.Load() {
+					if k >= len(order) {
 						return
 					}
 					if ctx.Err() != nil {
@@ -465,11 +432,10 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 					if useMemo {
 						if r, ok := ec.memoGet(name, sn.seqs[i], needGED, needMCS); ok {
 							ps := measure.PairStatsFrom(sn.sigs[i], qsig, r)
-							local.Evaluated++
+							fate[i] = fateScored
 							if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
-								local.Inexact++
+								fate[i] = fateInexact
 							}
-							scored[i].Store(true)
 							coll.offer(topk.Item{ID: name, Score: m.FromStats(ps)})
 							if trace != nil {
 								trace.Observe(StageExact, time.Since(t0), 1, 0)
@@ -488,20 +454,19 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 					hints := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig, Witness: wit}
 					// Tier 2: threshold-fed evaluation — an engine decision
 					// run excludes, or a plain exact run scores.
-					score, got, excluded, inexact := measure.ComputeRankResults(sn.graphs[i], q, m, coll.threshold(), bounds[i], opts.Eval, hints)
+					score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, coll.threshold(), bounds[i], opts.Eval, hints)
 					if excluded {
+						fate[i] = fateExcluded
 						if trace != nil {
-							exactPruned.Add(1)
 							trace.Observe(StageExact, time.Since(t0), 1, 1)
 						}
 						continue
 					}
 					ec.memoPublish(name, sn.seqs[i], got)
-					local.Evaluated++
-					if inexact {
-						local.Inexact++
+					fate[i] = fateScored
+					if capped {
+						fate[i] = fateInexact
 					}
-					scored[i].Store(true)
 					coll.offer(topk.Item{ID: name, Score: score})
 					if trace != nil {
 						trace.Observe(StageExact, time.Since(t0), 1, 0)
@@ -516,23 +481,40 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		}
 	}
 	if canceled {
-		return RankedStats{}, ctx.Err()
+		return QueryStats{}, ctx.Err()
 	}
-	stats.Pruned = n - stats.Evaluated
-	if attribute {
-		// Attribute exclusions the pivot tier alone explains: at the
-		// final threshold the merged optimistic bound condemns the
-		// candidate but the signature bound would have let it through.
-		// Candidates a skipped cell covers were never bounded at all —
-		// they are the vector tier's, not the pivot tier's.
-		th := coll.threshold()
-		for i := 0; i < n; i++ {
-			if probed[i] && !scored[i].Load() && los[i] > th && sigLos[i] <= th {
-				stats.PivotPruned++
+	// Attribution by counting: every candidate has exactly one fate, so
+	// Pruned, its pivot and vector shares and every stage's pruned count
+	// are sums over the same partition of the snapshot. A candidate that
+	// was not scored was, in this order: never bounded (a skipped cell —
+	// the vector tier's), excluded by an engine decision run (the exact
+	// stage's, observed on the trace as it happened), condemned at the
+	// final threshold by the merged optimistic bound where the signature
+	// bound alone would have let it through (the pivot tier's), or
+	// otherwise cut off by the signature bound and the best-first
+	// threshold (the bound stage's).
+	th := coll.threshold()
+	boundPruned := 0
+	for i := range fate {
+		if fate[i] == fateScored || fate[i] == fateInexact {
+			stats.Evaluated++
+			if fate[i] == fateInexact {
+				stats.Inexact++
 			}
+			continue
+		}
+		stats.Pruned++
+		switch {
+		case !probed[i]:
+			stats.VectorSkipped++
+		case fate[i] == fateExcluded:
+		case attribute && los[i] > th && sigLos[i] <= th:
+			stats.PivotPruned++
+		default:
+			boundPruned++
 		}
 	}
-	stats.PivotDists, stats.MemoHits, stats.MemoMisses = ec.counters()
+	stats.Work.Add(ec.work())
 	if trace != nil {
 		if vs != nil {
 			trace.Observe(StageVector, vs.planDur, n, stats.VectorSkipped)
@@ -540,11 +522,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		if attribute {
 			trace.Observe(StagePivot, pivotDur, n, stats.PivotPruned)
 		}
-		// Whatever was excluded without reaching the engines — the
-		// best-first cutoff or a signature-bound condemnation — is the
-		// bound stage's doing, minus the vector and pivot tiers'
-		// attributed shares.
-		trace.Observe(StageBound, 0, 0, stats.Pruned-int(exactPruned.Load())-stats.PivotPruned-stats.VectorSkipped)
+		trace.Observe(StageBound, 0, 0, boundPruned)
 	}
 	return stats, nil
 }

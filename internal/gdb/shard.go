@@ -563,16 +563,8 @@ func tableRows(tables []*VectorTable) int {
 func mergedStats(tables []*VectorTable, start time.Time) QueryStats {
 	s := QueryStats{Duration: time.Since(start)}
 	for _, t := range tables {
-		s.Evaluated += len(t.Points)
-		s.Pruned += t.Pruned
+		s.Work.Add(t.Work)
 		s.Inexact += t.Inexact
-		s.PivotDists += t.PivotDists
-		s.PivotPruned += t.PivotPruned
-		s.MemoHits += t.MemoHits
-		s.MemoMisses += t.MemoMisses
-		s.VectorCells += t.VectorCells
-		s.VectorSkipped += t.VectorSkipped
-		s.VectorFallbacks += t.VectorFallbacks
 	}
 	return s
 }
@@ -698,7 +690,7 @@ func (sh *Sharded) RangeQueryContext(ctx context.Context, q *graph.Graph, m meas
 // GOMAXPROCS across the shards, mirroring VectorTables.
 func (sh *Sharded) evalRankedShards(ctx context.Context, run *Ranked, q *graph.Graph, opts QueryOptions) (QueryStats, error) {
 	opts.Workers = sh.shardedWorkers(opts.Workers)
-	stats := make([]RankedStats, len(sh.shards))
+	stats := make([]QueryStats, len(sh.shards))
 	errs := make([]error, len(sh.shards))
 	var wg sync.WaitGroup
 	for i, db := range sh.shards {
@@ -716,7 +708,8 @@ func (sh *Sharded) evalRankedShards(ctx context.Context, run *Ranked, q *graph.G
 	}
 	total := QueryStats{}
 	for _, s := range stats {
-		total.addRanked(s)
+		total.Work.Add(s.Work)
+		total.Inexact += s.Inexact
 	}
 	return total, nil
 }

@@ -25,34 +25,17 @@ type VectorTable struct {
 	// order: every database graph for a complete table, only the
 	// filter-phase survivors for a pruned one.
 	Points []skyline.Point
-	// Pruned counts graphs the filter phase excluded without exact
-	// evaluation (0 for complete tables).
-	Pruned int
+	// Work is what the cold build paid: Evaluated == len(Points) and
+	// Pruned counts the graphs the filter phase excluded (0 for complete
+	// tables), with the pivot, memo and vector tiers' shares alongside.
+	// Delta patches leave it untouched — Deltas counts those.
+	Work
 	// Complete reports whether Points covers every database graph.
 	// Pruned tables answer skyline queries exactly but cannot serve
 	// top-k or range queries.
 	Complete bool
 	// Inexact counts pairs where a capped engine returned a bound.
 	Inexact int
-	// PivotDists counts query-to-pivot engine runs the pivot tier paid
-	// for while building the table; PivotPruned counts graphs whose
-	// tier-0 exclusion needed the pivot tier's triangle bounds (they
-	// survive the signature bounds alone).
-	PivotDists  int
-	PivotPruned int
-	// MemoHits and MemoMisses count score-memo lookups during the
-	// build; hits replayed recorded engine results instead of running
-	// the engines.
-	MemoHits   int
-	MemoMisses int
-	// VectorCells, VectorSkipped and VectorFallbacks report the vector
-	// tier's pre-selection on a pruned build: partition cells probed,
-	// graphs dropped wholesale because a probed survivor's pessimistic
-	// corner strictly dominates their cell's floor vector, and
-	// snapshots an attached index could not serve (stale generation).
-	VectorCells     int
-	VectorSkipped   int
-	VectorFallbacks int
 	// Deltas counts the incremental patches applied since the table was
 	// cold-built (see DeltaRow / WithInsert / WithDelete): each one
 	// advanced Generation by exactly one mutation without re-evaluating
@@ -116,14 +99,14 @@ func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 		// The vector tier narrows the snapshot first: whole cells whose
 		// floor vector is strictly dominated by an already-probed
 		// survivor never even reach the signature bounds.
-		psn, vst := db.vectorPreselect(sn, qsig, q, opts, ec)
+		psn, vw := db.vectorPreselect(sn, qsig, q, opts, ec)
 		pts, pruned, inexact, err := evalPruned(ctx, psn, q, qsig, ec, opts)
 		if err != nil {
 			return nil, err
 		}
-		pruned += vst.Skipped
-		t.Points, t.Pruned, t.Inexact, t.Complete = pts, pruned, inexact, pruned == 0
-		t.VectorCells, t.VectorSkipped, t.VectorFallbacks = vst.Cells, vst.Skipped, vst.Fallbacks
+		t.Work = vw
+		t.Pruned = pruned + vw.VectorSkipped
+		t.Points, t.Inexact, t.Complete = pts, inexact, t.Pruned == 0
 	} else {
 		// Stored signatures spare the per-pair histogram/degree rebuild
 		// even on the unpruned path; the query's is computed once. The
@@ -144,10 +127,8 @@ func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 		// engines (or replays the memo), nothing is bounded away.
 		opts.Trace.Observe(StageExact, time.Since(start), len(sn.graphs), 0)
 	}
-	t.PivotDists, t.MemoHits, t.MemoMisses = ec.counters()
-	if ec != nil {
-		t.PivotPruned = int(ec.pivotPruned.Load())
-	}
+	t.Evaluated = len(t.Points)
+	t.Work.Add(ec.work())
 	t.Duration = time.Since(start)
 	return t, nil
 }

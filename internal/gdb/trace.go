@@ -24,14 +24,24 @@ import (
 //	merge   combining per-shard answers (skyline merge, top-k heap
 //	        merge, range concatenation) — recorded by the serving layer
 //
-// Counts are exact work attribution: summed over stages, Pruned equals
-// the query's reported pruned count, and the exact stage's Pairs minus
-// its Pruned equals the reported evaluated count (on ranked scans the
-// exact stage both scores candidates and, via engine decision runs,
-// excludes them). Durations are summed across
-// shards and workers, so on a parallel evaluation they can exceed the
-// request's wall-clock time — they answer "where did the work go", not
-// "what was the critical path".
+// Counts are exact work attribution under one rule: every candidate a
+// pruned evaluation does not score has exactly ONE fate, and each
+// stage's Pruned is the number of candidates whose fate it was —
+// counted per candidate, never derived as a difference between other
+// stages' totals. On a ranked scan the fates are, in order: never
+// bounded because its cell was skipped (vector), excluded by an engine
+// decision run (exact), condemned at the final threshold only thanks to
+// the triangle bound (pivot), otherwise cut off by the signature bound
+// and the best-first threshold (bound). On the skyline path the stages
+// prune in nested, monotone IntervalPrune passes, so a candidate's fate
+// is the first pass that excluded it. Hence, summed over stages, Pruned
+// equals the query's Work.Pruned; the pivot and vector stages' Pruned
+// are the pivot_pruned and vector_skipped counters; and the exact
+// stage's Pairs minus its Pruned equals Work.Evaluated. No count is ever
+// negative. Durations are summed across shards and workers, so on a
+// parallel evaluation they can exceed the request's wall-clock time —
+// they answer "where did the work go", not "what was the critical
+// path".
 //
 // All methods are nil-safe and concurrency-safe: one QueryTrace is
 // shared by every shard (and every evaluation worker) of one query.

@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"skygraph/internal/gdb"
+	"skygraph/internal/graph"
 	"skygraph/internal/measure"
 	"skygraph/internal/pivot"
 	"skygraph/internal/testutil"
+	"skygraph/internal/vector"
 )
 
 // stageSums folds a trace's wire form into totals for assertions.
@@ -85,32 +87,56 @@ func TestTraceSkylineConsistent(t *testing.T) {
 
 // TestTraceRankedConsistent: the same invariant on best-first top-k and
 // range scans, where the exact stage also excludes candidates via
-// threshold-fed decision runs.
+// threshold-fed decision runs. The NoisyFamily rows put every tier on
+// over tiny shards, where many candidates an engine decision run
+// excludes are also condemned by the pivot bound: each must count for
+// exactly one stage (attributing them twice drove the bound stage's
+// count negative).
 func TestTraceRankedConsistent(t *testing.T) {
-	gs := testutil.SeededGraphs(9, 30)
-	queries := testutil.SeededQueries(109, gs, 3)
+	seeded := testutil.SeededGraphs(9, 30)
+	family25, familyQueries := testutil.NoisyFamily(25)
+	family12, _ := testutil.NoisyFamily(12)
 	m := measure.DistEd{}
-	for _, shards := range []int{1, 3} {
-		sh := testutil.NewSharded(t, shards, gs)
-		sh.EnablePivots(pivot.Config{Pivots: 3})
-		sh.WaitPivots()
-		for qi, q := range queries {
-			tr := gdb.NewQueryTrace()
-			opts := prunedOpts(true)
-			opts.Trace = tr
-			res, err := sh.TopKQueryContext(context.Background(), q, m, 5, opts)
-			if err != nil {
-				t.Fatalf("topk shards=%d q=%d: %v", shards, qi, err)
+	for _, tc := range []struct {
+		name    string
+		gs      []*graph.Graph
+		queries []*graph.Graph
+		shards  []int
+		pivots  int
+		tiers   bool // score memo + vector tier as well
+		opts    gdb.QueryOptions
+	}{
+		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), []int{1, 3}, 3, false, prunedOpts(true)},
+		{"family25", family25, familyQueries, []int{2}, 8, true, gdb.QueryOptions{Prune: true}},
+		{"family12", family12, familyQueries, []int{7}, 8, true, gdb.QueryOptions{Prune: true}},
+	} {
+		for _, shards := range tc.shards {
+			sh := testutil.NewSharded(t, shards, tc.gs)
+			sh.EnablePivots(pivot.Config{Pivots: tc.pivots})
+			if tc.tiers {
+				sh.EnableScoreMemo(1000)
+				sh.EnableVector(vector.Config{Cells: 4})
 			}
-			requireTraceConsistent(t, fmt.Sprintf("topk shards=%d q=%d", shards, qi), tr, res.Stats, len(gs))
+			sh.WaitPivots()
+			sh.WaitVector()
+			for qi, q := range tc.queries {
+				tr := gdb.NewQueryTrace()
+				opts := tc.opts
+				opts.Trace = tr
+				res, err := sh.TopKQueryContext(context.Background(), q, m, 5, opts)
+				if err != nil {
+					t.Fatalf("%s topk shards=%d q=%d: %v", tc.name, shards, qi, err)
+				}
+				requireTraceConsistent(t, fmt.Sprintf("%s topk shards=%d q=%d", tc.name, shards, qi), tr, res.Stats, len(tc.gs))
 
-			tr = gdb.NewQueryTrace()
-			opts.Trace = tr
-			rres, err := sh.RangeQueryContext(context.Background(), q, m, 6, opts)
-			if err != nil {
-				t.Fatalf("range shards=%d q=%d: %v", shards, qi, err)
+				tr = gdb.NewQueryTrace()
+				opts.Trace = tr
+				rres, err := sh.RangeQueryContext(context.Background(), q, m, 6, opts)
+				if err != nil {
+					t.Fatalf("%s range shards=%d q=%d: %v", tc.name, shards, qi, err)
+				}
+				requireTraceConsistent(t, fmt.Sprintf("%s range shards=%d q=%d", tc.name, shards, qi), tr, rres.Stats, len(tc.gs))
 			}
-			requireTraceConsistent(t, fmt.Sprintf("range shards=%d q=%d", shards, qi), tr, rres.Stats, len(gs))
 		}
 	}
 }

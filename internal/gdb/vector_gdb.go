@@ -185,14 +185,6 @@ func cellFloor(part *vector.Partition, cell *vector.Cell, qsig *measure.Signatur
 	})
 }
 
-// vecSkyStats reports the vector tier's pre-selection work on a pruned
-// skyline build.
-type vecSkyStats struct {
-	Cells     int
-	Skipped   int
-	Fallbacks int
-}
-
 // maxSkyFilters bounds the skyline pre-selection's filter set: the
 // pessimistic corners retained to dominate later cells. Small on
 // purpose — domination tests run per cell, not per graph.
@@ -207,10 +199,12 @@ const maxSkyFilters = 128
 // cell (corner >= its true vector componentwise; floor <= every
 // member's true vector componentwise; strict in at least one basis
 // dimension), so the Pareto front provably contains none of them.
-// Returns the (possibly compacted) snapshot to evaluate; when the tier
-// is off or nothing was skipped the input snapshot comes back as is.
-func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, opts QueryOptions, ec *evalCtx) (snap, vecSkyStats) {
-	var st vecSkyStats
+// Returns the (possibly compacted) snapshot to evaluate — when the tier
+// is off or nothing was skipped the input snapshot comes back as is —
+// and the tier's own counters (cells probed, graphs skipped,
+// fallbacks).
+func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, opts QueryOptions, ec *evalCtx) (snap, Work) {
+	var st Work
 	if opts.NoVector {
 		return sn, st
 	}
@@ -224,7 +218,7 @@ func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, 
 		return sn, st
 	}
 	if part.Gen != sn.gen || part.N != len(sn.graphs) {
-		st.Fallbacks = 1
+		st.VectorFallbacks = 1
 		opts.Trace.Observe(StageVector, time.Since(start), len(sn.graphs), 0)
 		return sn, st
 	}
@@ -255,10 +249,10 @@ func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, 
 			}
 		}
 		if dominated {
-			st.Skipped += len(cell.Members)
+			st.VectorSkipped += len(cell.Members)
 			continue
 		}
-		st.Cells++
+		st.VectorCells++
 		keep = append(keep, cell.Members...)
 		// Feed the filter set from the probed members' signature-only
 		// pessimistic corners (no pivot tighten — this must stay cheap).
@@ -287,8 +281,8 @@ func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, 
 			}
 		}
 	}
-	opts.Trace.Observe(StageVector, time.Since(start), len(sn.graphs), st.Skipped)
-	if st.Skipped == 0 {
+	opts.Trace.Observe(StageVector, time.Since(start), len(sn.graphs), st.VectorSkipped)
+	if st.VectorSkipped == 0 {
 		return sn, st
 	}
 	// Compact the snapshot to the kept members, preserving insertion

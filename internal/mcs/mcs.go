@@ -4,14 +4,13 @@
 // the paper consumes |mcs| = the number of common *edges* (Definitions
 // 9–10), the search maximizes the number of common edges.
 //
-// Three engines are provided:
+// Two engines are provided:
 //
 //   - Exact: a McGregor-style branch-and-bound over vertex correspondences
 //     that grows a connected common edge subgraph (the default for the
 //     paper-scale graphs).
 //   - Greedy: a randomized best-first heuristic with restarts, for large
 //     inputs.
-//   - Clique-based induced MCS lives in internal/product as an ablation.
 package mcs
 
 import (

@@ -6,10 +6,13 @@
 // index (internal/pivot); no external client library is pulled in.
 //
 // Metrics are registered once (registration panics on invalid names,
-// duplicate names, or kind mismatches — all programmer errors) and
-// observed lock-free on the hot path: scalar cells are atomic float64
-// bits, histogram buckets are atomic counters. Rendering takes a
-// consistent-enough snapshot without blocking writers.
+// duplicate names, or kind mismatches — all programmer errors at
+// start-up) and observed lock-free on the hot path: scalar cells are
+// atomic float64 bits, histogram buckets are atomic counters. Observing
+// never panics — a counter handed a negative or NaN delta drops it and
+// counts the drop on skygraph_obs_rejected_adds_total, which every
+// registry carries. Rendering takes a consistent-enough snapshot
+// without blocking writers.
 //
 // Labelled families hand out children on demand:
 //
@@ -64,11 +67,19 @@ type Registry struct {
 	mu     sync.RWMutex
 	fams   []*family
 	byName map[string]*family
+	// rejected counts Counter.Add calls dropped for a negative or NaN
+	// delta, across every counter of the registry.
+	rejected atomic.Uint64
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns a registry holding only its own
+// skygraph_obs_rejected_adds_total counter.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
+	r := &Registry{byName: make(map[string]*family)}
+	r.CounterFunc("skygraph_obs_rejected_adds_total",
+		"Counter adds dropped because the delta was negative or NaN.",
+		func() float64 { return float64(r.rejected.Load()) })
+	return r
 }
 
 // family is one named metric with its children (one per label-value
@@ -79,6 +90,7 @@ type family struct {
 	kind    Kind
 	labels  []string
 	buckets []float64 // histogram families only
+	reg     *Registry
 
 	mu       sync.RWMutex
 	children map[string]*child
@@ -87,6 +99,7 @@ type family struct {
 // child is one concrete series: either a scalar cell (atomic float64
 // bits, or a callback) or a histogram.
 type child struct {
+	fam         *family
 	labelValues []string
 	bits        atomic.Uint64
 	fn          func() float64
@@ -134,6 +147,7 @@ func (r *Registry) register(name, help string, kind Kind, buckets []float64, lab
 		kind:     kind,
 		labels:   labels,
 		buckets:  buckets,
+		reg:      r,
 		children: make(map[string]*child),
 	}
 	r.fams = append(r.fams, f)
@@ -161,7 +175,7 @@ func (f *family) child(values []string) *child {
 	if c, ok := f.children[key]; ok {
 		return c
 	}
-	c = &child{labelValues: append([]string(nil), values...)}
+	c = &child{fam: f, labelValues: append([]string(nil), values...)}
 	if f.kind == KindHistogram {
 		c.hist = newHistogram(f.buckets)
 	}
@@ -196,10 +210,14 @@ type Counter struct{ c *child }
 // Inc adds one.
 func (c Counter) Inc() { c.c.add(1) }
 
-// Add adds v, which must be non-negative (counters are monotone).
+// Add adds v, which must be non-negative (counters are monotone). A
+// negative or NaN v is a bug in the caller's arithmetic, but Add runs
+// on request paths, so it is dropped and counted on the registry's
+// skygraph_obs_rejected_adds_total instead of panicking.
 func (c Counter) Add(v float64) {
-	if v < 0 {
-		panic("obs: counter decrement")
+	if !(v >= 0) {
+		c.c.fam.reg.rejected.Add(1)
+		return
 	}
 	c.c.add(v)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,10 @@ func TestWriteTextGolden(t *testing.T) {
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP requests_total Requests served.
+	want := `# HELP skygraph_obs_rejected_adds_total Counter adds dropped because the delta was negative or NaN.
+# TYPE skygraph_obs_rejected_adds_total counter
+skygraph_obs_rejected_adds_total 0
+# HELP requests_total Requests served.
 # TYPE requests_total counter
 requests_total 3
 # HELP pairs_total Pair evaluations.
@@ -87,10 +91,29 @@ func TestRegistrationPanics(t *testing.T) {
 	mustPanic("duplicate", func() { r.Gauge("ok_total", "x") })
 	mustPanic("bad metric name", func() { r.Counter("bad-name", "x") })
 	mustPanic("bad label name", func() { r.CounterVec("ok2_total", "x", "bad-label") })
-	mustPanic("counter decrement", func() { r.Counter("ok3_total", "x").Add(-1) })
 	mustPanic("label arity", func() { r.CounterVec("ok4_total", "x", "a").With("v1", "v2") })
 	mustPanic("unsorted buckets", func() { r.Histogram("h1", "x", []float64{1, 1}) })
 	mustPanic("empty buckets", func() { r.Histogram("h2", "x", []float64{}) })
+}
+
+// TestCounterRejectsBadDelta: Add runs on request paths, so a negative
+// or NaN delta is dropped and counted, never a panic.
+func TestCounterRejectsBadDelta(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("work_total", "x")
+	c.Add(2)
+	c.Add(-1)
+	r.CounterVec("kinds_total", "x", "kind").With("topk").Add(math.NaN())
+	if got := c.Value(); got != 2 {
+		t.Errorf("counter = %v after a rejected add; want 2", got)
+	}
+	var sb strings.Builder
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "skygraph_obs_rejected_adds_total 2\n") {
+		t.Errorf("rejected adds not counted:\n%s", sb.String())
+	}
 }
 
 func TestCounterFuncAndVecFunc(t *testing.T) {

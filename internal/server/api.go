@@ -78,43 +78,16 @@ type QueryRequest struct {
 
 // QueryStats reports the work a request caused.
 type QueryStats struct {
-	// Evaluated counts pair evaluations performed for this request;
-	// it is 0 when every shard table came from the cache.
-	Evaluated int `json:"evaluated"`
-	// Pruned counts database graphs the filter-and-refine machinery
-	// excluded without exact evaluation for this request: the interval
-	// filter while building pruned skyline tables, the best-first
-	// threshold cutoff and engine decision runs on the ranked paths.
-	// Like Evaluated it is 0 for cache hits, so Evaluated + Pruned is
-	// the total size of the freshly evaluated shards.
-	Pruned int `json:"pruned"`
+	// Work counts the fresh evaluation work of this request — exact
+	// pairs, pruned graphs and each tier's share, under gdb.Work's JSON
+	// keys. It is all 0 when every shard answer came from a cache, so
+	// Evaluated + Pruned is the total size of the freshly evaluated
+	// shards; the pivot, memo and vector counters stay 0 on a daemon
+	// running without -pivots, -memo or -vector-cells.
+	gdb.Work
 	// Inexact counts table pairs where a capped engine returned a bound
 	// (a property of the answer, whether cached or fresh).
 	Inexact int `json:"inexact"`
-	// PivotPruned counts graphs (within Pruned) whose exclusion needed
-	// the pivot tier's triangle-inequality bounds; PivotDists counts
-	// the query-to-pivot distance computations the tier paid for. Both
-	// are 0 when the daemon runs without -pivots, and 0 for cache hits
-	// (like Evaluated/Pruned, they count work this request caused).
-	PivotPruned int `json:"pivot_pruned"`
-	PivotDists  int `json:"pivot_dists"`
-	// MemoHits and MemoMisses count cross-query score-memo lookups
-	// during this request's fresh evaluations; hits replayed recorded
-	// engine results instead of running the exact engines. Both 0
-	// without -memo.
-	MemoHits   int `json:"memo_hits"`
-	MemoMisses int `json:"memo_misses"`
-	// VectorCells counts partition cells the vector tier probed for this
-	// request's fresh evaluations; VectorSkipped counts graphs (within
-	// Pruned) it excluded wholesale — by the admissible cell floor on the
-	// ranked paths, by cell-floor dominance on the skyline path — without
-	// even a signature bound; VectorFallbacks counts shard snapshots an
-	// attached vector index could not serve (stale partition), which fell
-	// back to the plain scan. All 0 without -vector-cells and for cache
-	// hits.
-	VectorCells     int `json:"vector_cells_probed"`
-	VectorSkipped   int `json:"vector_skipped"`
-	VectorFallbacks int `json:"vector_fallbacks"`
 	// DeltaPatched counts the in-place delta upgrades the cached state
 	// serving this answer has absorbed since it was cold-built (0 for
 	// fresh evaluations and for caches maintained only by invalidation).
@@ -225,23 +198,9 @@ type BatchStats struct {
 	Queries int `json:"queries"`
 	// Errors counts items that failed.
 	Errors int `json:"errors"`
-	// Evaluated counts pair evaluations across the batch; coalesced and
-	// cached items contribute 0.
-	Evaluated int `json:"evaluated"`
-	// Pruned counts graphs the bound filter excluded across the batch's
-	// answers.
-	Pruned int `json:"pruned"`
-	// PivotPruned, PivotDists, MemoHits and MemoMisses aggregate the
-	// per-item pivot-tier and score-memo counters (see QueryStats).
-	PivotPruned int `json:"pivot_pruned"`
-	PivotDists  int `json:"pivot_dists"`
-	MemoHits    int `json:"memo_hits"`
-	MemoMisses  int `json:"memo_misses"`
-	// VectorCells, VectorSkipped and VectorFallbacks aggregate the
-	// per-item vector-tier counters (see QueryStats).
-	VectorCells     int `json:"vector_cells_probed"`
-	VectorSkipped   int `json:"vector_skipped"`
-	VectorFallbacks int `json:"vector_fallbacks"`
+	// Work sums the per-item work counters (see QueryStats); coalesced
+	// and cached items contribute 0.
+	gdb.Work
 	// DeltaPatched aggregates the per-item delta-upgrade counts (see
 	// QueryStats).
 	DeltaPatched int `json:"delta_patched"`
@@ -449,23 +408,16 @@ type ReqStats struct {
 	Inserts uint64 `json:"inserts"`
 	Deletes uint64 `json:"deletes"`
 	Errors  uint64 `json:"errors"`
-	// PairEvals counts exact pair evaluations across all table builds
-	// and best-first ranked scans; PairsPruned counts pairs the bound
-	// filter and threshold cutoffs spared.
-	PairEvals   uint64 `json:"pair_evals"`
-	PairsPruned uint64 `json:"pairs_pruned"`
-	// PivotPruned counts pairs (within PairsPruned) only the pivot
-	// tier's triangle bounds excluded; PivotDists counts query-to-pivot
-	// distance computations. MemoHits/MemoMisses total the score-memo
-	// lookups the query paths performed.
-	PivotPruned uint64 `json:"pivot_pruned"`
-	PivotDists  uint64 `json:"pivot_dists"`
-	MemoHits    uint64 `json:"memo_hits"`
-	MemoMisses  uint64 `json:"memo_misses"`
-	// VectorCells, VectorSkipped and VectorFallbacks total the vector
-	// tier's activity across all fresh evaluations: partition cells
-	// probed, candidates excluded wholesale by cell floors, and shard
-	// snapshots a stale partition could not serve.
+	// The lifetime sum of gdb.Work over every table build and
+	// best-first ranked scan (see there for each counter), under the
+	// keys /stats has always used: Evaluated and Pruned appear as
+	// pair_evals and pairs_pruned.
+	PairEvals        uint64 `json:"pair_evals"`
+	PairsPruned      uint64 `json:"pairs_pruned"`
+	PivotPruned      uint64 `json:"pivot_pruned"`
+	PivotDists       uint64 `json:"pivot_dists"`
+	MemoHits         uint64 `json:"memo_hits"`
+	MemoMisses       uint64 `json:"memo_misses"`
 	VectorCells      uint64 `json:"vector_cells_probed"`
 	VectorSkipped    uint64 `json:"vector_skipped"`
 	VectorFallbacks  uint64 `json:"vector_fallbacks"`

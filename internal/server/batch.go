@@ -146,15 +146,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		qs := res.stats()
-		stats.Evaluated += qs.Evaluated
-		stats.Pruned += qs.Pruned
-		stats.PivotPruned += qs.PivotPruned
-		stats.PivotDists += qs.PivotDists
-		stats.MemoHits += qs.MemoHits
-		stats.MemoMisses += qs.MemoMisses
-		stats.VectorCells += qs.VectorCells
-		stats.VectorSkipped += qs.VectorSkipped
-		stats.VectorFallbacks += qs.VectorFallbacks
+		stats.Work.Add(qs.Work)
 		stats.DeltaPatched += qs.DeltaPatched
 		stats.ShardHits += qs.ShardHits
 	}

@@ -28,13 +28,9 @@ type metrics struct {
 	httpInflight obs.GaugeVec
 
 	// Query cascade, labelled by query kind (skyline/topk/range).
+	// queryWork[i] is the family of workFamilies[i].
 	queryLatency  obs.HistogramVec
-	pairsEval     obs.CounterVec
-	pairsPruned   obs.CounterVec
-	pivotPruned   obs.CounterVec
-	memoHits      obs.CounterVec
-	memoMisses    obs.CounterVec
-	vectorSkipped obs.CounterVec
+	queryWork     [len(workFamilies)]obs.CounterVec
 	queryCacheHit obs.CounterVec
 
 	// Cascade stages, labelled by trace stage name.
@@ -43,6 +39,34 @@ type metrics struct {
 	stagePruned  obs.CounterVec
 
 	slowQueries obs.Counter
+}
+
+// workFamilies is the one ordered table the per-kind query-work families
+// are registered and fed from: one row per gdb.Work counter. Every
+// answered query (batch items included) adds its wire stats' Work, so a
+// cached answer adds zeros.
+var workFamilies = [...]struct {
+	name, help string
+	get        func(*gdb.Work) int
+}{
+	{"skygraph_query_pairs_evaluated_total", "Exact pair evaluations caused by queries, by query kind.",
+		func(w *gdb.Work) int { return w.Evaluated }},
+	{"skygraph_query_pairs_pruned_total", "Pairs excluded without exact evaluation, by query kind.",
+		func(w *gdb.Work) int { return w.Pruned }},
+	{"skygraph_query_pivot_pruned_total", "Pairs (within pruned) excluded only thanks to the pivot tier, by query kind.",
+		func(w *gdb.Work) int { return w.PivotPruned }},
+	{"skygraph_query_pivot_dists_total", "Query-to-pivot distance computations, by query kind.",
+		func(w *gdb.Work) int { return w.PivotDists }},
+	{"skygraph_query_memo_hits_total", "Score-memo lookups that replayed a recorded result, by query kind.",
+		func(w *gdb.Work) int { return w.MemoHits }},
+	{"skygraph_query_memo_misses_total", "Score-memo lookups that missed, by query kind.",
+		func(w *gdb.Work) int { return w.MemoMisses }},
+	{"skygraph_query_vector_cells_probed_total", "Partition cells the vector tier probed, by query kind.",
+		func(w *gdb.Work) int { return w.VectorCells }},
+	{"skygraph_query_vector_skipped_total", "Candidates the vector tier excluded wholesale via cell floors, by query kind.",
+		func(w *gdb.Work) int { return w.VectorSkipped }},
+	{"skygraph_query_vector_fallbacks_total", "Shard snapshots a stale vector partition could not serve, by query kind.",
+		func(w *gdb.Work) int { return w.VectorFallbacks }},
 }
 
 // newMetrics builds the registry for one Server. Call once, after the
@@ -61,18 +85,9 @@ func newMetrics(s *Server) *metrics {
 
 	m.queryLatency = reg.HistogramVec("skygraph_query_duration_seconds",
 		"Server-side query latency by query kind (batch items counted individually).", nil, "kind")
-	m.pairsEval = reg.CounterVec("skygraph_query_pairs_evaluated_total",
-		"Exact pair evaluations caused by queries, by query kind.", "kind")
-	m.pairsPruned = reg.CounterVec("skygraph_query_pairs_pruned_total",
-		"Pairs excluded without exact evaluation, by query kind.", "kind")
-	m.pivotPruned = reg.CounterVec("skygraph_query_pivot_pruned_total",
-		"Pairs (within pruned) excluded only thanks to the pivot tier, by query kind.", "kind")
-	m.memoHits = reg.CounterVec("skygraph_query_memo_hits_total",
-		"Score-memo lookups that replayed a recorded result, by query kind.", "kind")
-	m.memoMisses = reg.CounterVec("skygraph_query_memo_misses_total",
-		"Score-memo lookups that missed, by query kind.", "kind")
-	m.vectorSkipped = reg.CounterVec("skygraph_query_vector_skipped_total",
-		"Candidates the vector tier excluded wholesale via cell floors, by query kind.", "kind")
+	for i, f := range workFamilies {
+		m.queryWork[i] = reg.CounterVec(f.name, f.help, "kind")
+	}
 	m.queryCacheHit = reg.CounterVec("skygraph_query_cache_hits_total",
 		"Queries answered entirely from the table or ranked cache, by query kind.", "kind")
 
@@ -100,11 +115,11 @@ func newMetrics(s *Server) *metrics {
 	reg.CounterFunc("skygraph_query_timeouts_total", "Queries that hit their deadline.",
 		func() float64 { return float64(s.timeouts.Load()) })
 	reg.CounterFunc("skygraph_vector_cells_probed_total", "Partition cells the vector tier probed across fresh evaluations.",
-		func() float64 { return float64(s.vectorCells.Load()) })
+		func() float64 { return float64(s.work.load().VectorCells) })
 	reg.CounterFunc("skygraph_vector_skipped_total", "Candidates the vector tier excluded wholesale via cell floors.",
-		func() float64 { return float64(s.vectorSkipped.Load()) })
+		func() float64 { return float64(s.work.load().VectorSkipped) })
 	reg.CounterFunc("skygraph_vector_fallbacks_total", "Shard snapshots a stale vector partition could not serve.",
-		func() float64 { return float64(s.vectorFallbacks.Load()) })
+		func() float64 { return float64(s.work.load().VectorFallbacks) })
 	reg.CounterFunc("skygraph_inflight_rejected_total", "Evaluations rejected at the inflight limit.",
 		func() float64 { return float64(s.rejected.Load()) })
 	reg.CounterFunc("skygraph_load_shed_total", "Queries refused with 429 at the inflight-query cap.",
@@ -307,12 +322,9 @@ func buildInfo() BuildInfo {
 // queries and each batch item alike.
 func (m *metrics) observeQuery(kind string, qs QueryStats, stages []gdb.TraceStage) {
 	m.queryLatency.With(kind).Observe(qs.DurationMS / 1e3)
-	m.pairsEval.With(kind).Add(float64(qs.Evaluated))
-	m.pairsPruned.With(kind).Add(float64(qs.Pruned))
-	m.pivotPruned.With(kind).Add(float64(qs.PivotPruned))
-	m.memoHits.With(kind).Add(float64(qs.MemoHits))
-	m.memoMisses.With(kind).Add(float64(qs.MemoMisses))
-	m.vectorSkipped.With(kind).Add(float64(qs.VectorSkipped))
+	for i, f := range workFamilies {
+		m.queryWork[i].With(kind).Add(float64(f.get(&qs.Work)))
+	}
 	if qs.CacheHit {
 		m.queryCacheHit.With(kind).Inc()
 	}

@@ -15,6 +15,9 @@ import (
 
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
+	"skygraph/internal/pivot"
+	"skygraph/internal/testutil"
+	"skygraph/internal/vector"
 )
 
 // traceSums folds a wire trace into the totals the acceptance
@@ -99,6 +102,55 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(raw, &quiet); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTraceTinyShards drives the NoisyFamily collection — 25 close
+// relatives over 2 shards, every tier on — through POST /query/topk. On
+// shards this small many candidates an engine decision run excludes are
+// also condemned by the pivot bound; counting them for both stages once
+// drove the bound stage's count to -2, which panicked the per-stage
+// counter and dropped the connection. Every query must answer 200 with
+// a consistent trace, and no counter add may have been rejected.
+func TestTraceTinyShards(t *testing.T) {
+	gs, queries := testutil.NoisyFamily(25)
+	db := gdb.NewSharded(2)
+	if err := db.InsertAll(gs); err != nil {
+		t.Fatal(err)
+	}
+	db.EnablePivots(pivot.Config{Pivots: 8})
+	db.EnableScoreMemo(1000)
+	db.EnableVector(vector.Config{Cells: 4})
+	db.WaitPivots()
+	db.WaitVector()
+	ts := httptest.NewServer(New(db, Config{CacheSize: 16}).Handler())
+	t.Cleanup(ts.Close)
+
+	for qi, q := range queries {
+		var tk TopKResponse
+		r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5, Measure: "DistEd", Trace: true}, &tk)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("topk q=%d: status %d", qi, r.StatusCode)
+		}
+		requireWireTraceConsistent(t, fmt.Sprintf("topk q=%d", qi), tk.Trace, tk.Stats)
+	}
+	if text := scrapeMetrics(t, ts.URL); !strings.Contains(text, "\nskygraph_obs_rejected_adds_total 0\n") {
+		t.Fatalf("a counter add was rejected (or the guard family is missing):\n%s", text)
+	}
+}
+
+// scrapeMetrics returns the /metrics exposition text.
+func scrapeMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 func mustGraphJSON(t *testing.T) string {

@@ -24,18 +24,9 @@ import (
 type rankedAnswer struct {
 	items   []topk.Item
 	inexact int
-	// evaluated and pruned count pair decisions this request caused
-	// (0 when the whole answer came from a cache), with the pivot-tier
-	// and score-memo activity of the fresh shard scans alongside.
-	evaluated       int
-	pruned          int
-	pivotPruned     int
-	pivotDists      int
-	memoHits        int
-	memoMisses      int
-	vectorCells     int
-	vectorSkipped   int
-	vectorFallbacks int
+	// work is what this request's fresh shard scans cost (the zero Work
+	// when the whole answer came from a cache).
+	work gdb.Work
 	// shardHits counts shards served from cached complete tables; hit
 	// reports the whole merged answer came from the ranked cache (or a
 	// coalesced leader).
@@ -87,9 +78,7 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, k int, r
 		case <-leader.done:
 			if leader.err == nil {
 				ra := *leader.ra
-				ra.evaluated, ra.pruned = 0, 0
-				ra.pivotPruned, ra.pivotDists, ra.memoHits, ra.memoMisses = 0, 0, 0, 0
-				ra.vectorCells, ra.vectorSkipped, ra.vectorFallbacks = 0, 0, 0
+				ra.work = gdb.Work{}
 				ra.shardHits, ra.hit = n, true
 				return ra, nil
 			}
@@ -177,7 +166,7 @@ func (s *Server) leadRanked(ctx context.Context, kind string, res resolved, k in
 		if workers <= 0 {
 			workers = (runtime.GOMAXPROCS(0) + len(cold) - 1) / len(cold)
 		}
-		stats := make([]gdb.RankedStats, len(cold))
+		stats := make([]gdb.QueryStats, len(cold))
 		errs := make([]error, len(cold))
 		done := make(chan int)
 		for j, shard := range cold {
@@ -196,16 +185,8 @@ func (s *Server) leadRanked(ctx context.Context, kind string, res resolved, k in
 			}
 		}
 		for _, st := range stats {
-			ra.evaluated += st.Evaluated
-			ra.pruned += st.Pruned
+			ra.work.Add(st.Work)
 			ra.inexact += st.Inexact
-			ra.pivotPruned += st.PivotPruned
-			ra.pivotDists += st.PivotDists
-			ra.memoHits += st.MemoHits
-			ra.memoMisses += st.MemoMisses
-			ra.vectorCells += st.VectorCells
-			ra.vectorSkipped += st.VectorSkipped
-			ra.vectorFallbacks += st.VectorFallbacks
 		}
 	}
 
@@ -218,15 +199,7 @@ func (s *Server) leadRanked(ctx context.Context, kind string, res resolved, k in
 		s.db.SortItemsByRank(ra.items)
 	}
 	res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), len(ra.items), 0)
-	s.pairEvals.Add(uint64(ra.evaluated))
-	s.pairsPruned.Add(uint64(ra.pruned))
-	s.pivotPruned.Add(uint64(ra.pivotPruned))
-	s.pivotDists.Add(uint64(ra.pivotDists))
-	s.memoHits.Add(uint64(ra.memoHits))
-	s.memoMisses.Add(uint64(ra.memoMisses))
-	s.vectorCells.Add(uint64(ra.vectorCells))
-	s.vectorSkipped.Add(uint64(ra.vectorSkipped))
-	s.vectorFallbacks.Add(uint64(ra.vectorFallbacks))
+	s.work.add(ra.work)
 	// Cache only when no mutation raced the evaluation: generations are
 	// monotone, so unchanged before/after means every snapshot the scan
 	// used matches the keyed generations.
@@ -266,20 +239,12 @@ func gensEqual(a, b []uint64) bool {
 // rankedStats assembles the wire stats for one pruned ranked answer.
 func (s *Server) rankedStats(ra rankedAnswer, start time.Time) QueryStats {
 	return QueryStats{
-		DeltaPatched:    ra.deltas,
-		Evaluated:       ra.evaluated,
-		Pruned:          ra.pruned,
-		Inexact:         ra.inexact,
-		PivotPruned:     ra.pivotPruned,
-		PivotDists:      ra.pivotDists,
-		MemoHits:        ra.memoHits,
-		MemoMisses:      ra.memoMisses,
-		VectorCells:     ra.vectorCells,
-		VectorSkipped:   ra.vectorSkipped,
-		VectorFallbacks: ra.vectorFallbacks,
-		CacheHit:        ra.hit || ra.shardHits == s.db.NumShards(),
-		Shards:          s.db.NumShards(),
-		ShardHits:       ra.shardHits,
-		DurationMS:      float64(time.Since(start).Microseconds()) / 1000,
+		Work:         ra.work,
+		Inexact:      ra.inexact,
+		DeltaPatched: ra.deltas,
+		CacheHit:     ra.hit || ra.shardHits == s.db.NumShards(),
+		Shards:       s.db.NumShards(),
+		ShardHits:    ra.shardHits,
+		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
 }

@@ -132,19 +132,33 @@ type Server struct {
 	inserts         atomic.Uint64
 	deletes         atomic.Uint64
 	errors          atomic.Uint64
-	pairEvals       atomic.Uint64
-	pairsPruned     atomic.Uint64
-	pivotPruned     atomic.Uint64
-	pivotDists      atomic.Uint64
-	memoHits        atomic.Uint64
-	memoMisses      atomic.Uint64
-	vectorCells     atomic.Uint64
-	vectorSkipped   atomic.Uint64
-	vectorFallbacks atomic.Uint64
 	timeouts        atomic.Uint64
 	rejected        atomic.Uint64
 	shed            atomic.Uint64
 	degradedRejects atomic.Uint64
+	// work totals every fresh evaluation's counters (table builds and
+	// ranked scans, at the time they run) for /stats.
+	work workTotals
+}
+
+// workTotals is the server-lifetime sum of gdb.Work. A mutex rather
+// than per-field atomics: it moves once per table build or ranked scan,
+// never on a cache hit, and load returns a consistent snapshot.
+type workTotals struct {
+	mu sync.Mutex
+	w  gdb.Work
+}
+
+func (t *workTotals) add(w gdb.Work) {
+	t.mu.Lock()
+	t.w.Add(w)
+	t.mu.Unlock()
+}
+
+func (t *workTotals) load() gdb.Work {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.w
 }
 
 // New returns a Server over db. MaxInflight below the shard count is
@@ -554,57 +568,13 @@ type flightCall struct {
 
 // tableSet is the per-shard answer material for one query, plus what it
 // cost: hits counts shards served from cache (or a coalesced leader),
-// the work sums count pair evaluations (and pivot/memo activity) this
-// request caused — all 0 for shards served from cache.
+// work sums the build counters of the tables this request caused — a
+// shard served from cache contributes nothing (its work was counted by
+// the request that built the table).
 type tableSet struct {
 	tables []*gdb.VectorTable
 	hits   int
-	work   tableWork
-}
-
-// tableWork sums the fresh-evaluation counters of one or more shard
-// table builds.
-type tableWork struct {
-	evaluated       int
-	pruned          int
-	pivotPruned     int
-	pivotDists      int
-	memoHits        int
-	memoMisses      int
-	vectorCells     int
-	vectorSkipped   int
-	vectorFallbacks int
-}
-
-// freshWork extracts a table's counters, zeroed for cache hits (the
-// work was counted by the request that built the table).
-func freshWork(t *gdb.VectorTable, hit bool) tableWork {
-	if hit {
-		return tableWork{}
-	}
-	return tableWork{
-		evaluated:       len(t.Points),
-		pruned:          t.Pruned,
-		pivotPruned:     t.PivotPruned,
-		pivotDists:      t.PivotDists,
-		memoHits:        t.MemoHits,
-		memoMisses:      t.MemoMisses,
-		vectorCells:     t.VectorCells,
-		vectorSkipped:   t.VectorSkipped,
-		vectorFallbacks: t.VectorFallbacks,
-	}
-}
-
-func (w *tableWork) add(o tableWork) {
-	w.evaluated += o.evaluated
-	w.pruned += o.pruned
-	w.pivotPruned += o.pivotPruned
-	w.pivotDists += o.pivotDists
-	w.memoHits += o.memoHits
-	w.memoMisses += o.memoMisses
-	w.vectorCells += o.vectorCells
-	w.vectorSkipped += o.vectorSkipped
-	w.vectorFallbacks += o.vectorFallbacks
+	work   gdb.Work
 }
 
 func (ts tableSet) inexact() int {
@@ -629,7 +599,11 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 			return tableSet{}, err
 		}
 		out.tables[0] = t
-		out.hits, out.work = boolToInt(hit), freshWork(t, hit)
+		if hit {
+			out.hits = 1
+		} else {
+			out.work = t.Work
+		}
 		return out, nil
 	}
 	// Spread the default worker budget over the shards that will
@@ -652,8 +626,6 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
-		hits     int
-		work     tableWork
 		firstErr error
 	)
 	for i := 0; i < n; i++ {
@@ -671,8 +643,11 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 			}
 			out.tables[i] = t
 			mu.Lock()
-			hits += boolToInt(hit)
-			work.add(freshWork(t, hit))
+			if hit {
+				out.hits++
+			} else {
+				out.work.Add(t.Work)
+			}
 			mu.Unlock()
 		}(i)
 	}
@@ -680,15 +655,7 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	if firstErr != nil {
 		return tableSet{}, firstErr
 	}
-	out.hits, out.work = hits, work
 	return out, nil
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // cachedForQuery reports whether shard's table for the query is cached
@@ -811,15 +778,7 @@ func (s *Server) lead(ctx context.Context, res resolved, shard int, qh, key, ful
 	if err != nil {
 		return nil, false, err
 	}
-	s.pairEvals.Add(uint64(len(t.Points)))
-	s.pairsPruned.Add(uint64(t.Pruned))
-	s.pivotPruned.Add(uint64(t.PivotPruned))
-	s.pivotDists.Add(uint64(t.PivotDists))
-	s.memoHits.Add(uint64(t.MemoHits))
-	s.memoMisses.Add(uint64(t.MemoMisses))
-	s.vectorCells.Add(uint64(t.VectorCells))
-	s.vectorSkipped.Add(uint64(t.VectorSkipped))
-	s.vectorFallbacks.Add(uint64(t.VectorFallbacks))
+	s.work.add(t.Work)
 	// The snapshot generation is authoritative: if the shard changed
 	// between the key computation and the snapshot, rekey so the entry
 	// stays reachable exactly as long as it is valid. A pruning build
@@ -867,21 +826,13 @@ func (s *Server) queryStats(ts tableSet, start time.Time) QueryStats {
 		deltas += t.Deltas
 	}
 	return QueryStats{
-		DeltaPatched:    deltas,
-		Evaluated:       ts.work.evaluated,
-		Pruned:          ts.work.pruned,
-		Inexact:         ts.inexact(),
-		PivotPruned:     ts.work.pivotPruned,
-		PivotDists:      ts.work.pivotDists,
-		MemoHits:        ts.work.memoHits,
-		MemoMisses:      ts.work.memoMisses,
-		VectorCells:     ts.work.vectorCells,
-		VectorSkipped:   ts.work.vectorSkipped,
-		VectorFallbacks: ts.work.vectorFallbacks,
-		CacheHit:        ts.hits == len(ts.tables),
-		Shards:          len(ts.tables),
-		ShardHits:       ts.hits,
-		DurationMS:      float64(time.Since(start).Microseconds()) / 1000,
+		Work:         ts.work,
+		Inexact:      ts.inexact(),
+		DeltaPatched: deltas,
+		CacheHit:     ts.hits == len(ts.tables),
+		Shards:       len(ts.tables),
+		ShardHits:    ts.hits,
+		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
 }
 
@@ -1451,6 +1402,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if pts := fault.Snapshot(); len(pts) > 0 {
 		faultBlock = &FaultInfo{Armed: fault.Armed(), Fires: fault.TotalFires(), Points: pts}
 	}
+	work := s.work.load()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Generation:    s.db.Generation(),
@@ -1475,15 +1427,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Inserts:          s.inserts.Load(),
 			Deletes:          s.deletes.Load(),
 			Errors:           s.errors.Load(),
-			PairEvals:        s.pairEvals.Load(),
-			PairsPruned:      s.pairsPruned.Load(),
-			PivotPruned:      s.pivotPruned.Load(),
-			PivotDists:       s.pivotDists.Load(),
-			MemoHits:         s.memoHits.Load(),
-			MemoMisses:       s.memoMisses.Load(),
-			VectorCells:      s.vectorCells.Load(),
-			VectorSkipped:    s.vectorSkipped.Load(),
-			VectorFallbacks:  s.vectorFallbacks.Load(),
+			PairEvals:        uint64(work.Evaluated),
+			PairsPruned:      uint64(work.Pruned),
+			PivotPruned:      uint64(work.PivotPruned),
+			PivotDists:       uint64(work.PivotDists),
+			MemoHits:         uint64(work.MemoHits),
+			MemoMisses:       uint64(work.MemoMisses),
+			VectorCells:      uint64(work.VectorCells),
+			VectorSkipped:    uint64(work.VectorSkipped),
+			VectorFallbacks:  uint64(work.VectorFallbacks),
 			QueryTimeouts:    s.timeouts.Load(),
 			InflightRejected: s.rejected.Load(),
 			LoadShed:         s.shed.Load(),
@@ -1565,7 +1517,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 			results[i] = WarmResult{Error: msg}
 			continue
 		}
-		results[i] = WarmResult{Evaluated: ts.work.evaluated, ShardHits: ts.hits}
+		results[i] = WarmResult{Evaluated: ts.work.Evaluated, ShardHits: ts.hits}
 	}
 	writeJSON(w, http.StatusOK, WarmResponse{
 		Results:    results,

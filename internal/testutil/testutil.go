@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/skyline"
@@ -42,6 +43,21 @@ func SeededQueries(seed int64, gs []*graph.Graph, n int) []*graph.Graph {
 		out[i] = q
 	}
 	return out
+}
+
+// NoisyFamily returns n close relatives of one 5-vertex molecule (two
+// random edits each, names g00000, g00001, ...) and 8 one-edit queries
+// drawn from them. Every graph sits within a few edits of every other,
+// so on small shards a ranked scan excludes many candidates by engine
+// decision runs that the pivot tier's bound would also condemn — the
+// regime where attributing one exclusion to two stages once drove a
+// stage count negative.
+func NoisyFamily(n int) (gs, queries []*graph.Graph) {
+	gs = dataset.NoisyQueries(dataset.MoleculeDB(1, 5, 5, 1), n, 2, 3)
+	for i, g := range gs {
+		g.SetName(fmt.Sprintf("g%05d", i))
+	}
+	return gs, dataset.NoisyQueries(gs, 8, 1, 101)
 }
 
 // NewDB builds an unsharded database over gs.

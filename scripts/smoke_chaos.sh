@@ -55,7 +55,7 @@ wait_ready
 # is the ground truth the daemon is audited against at the end.
 "$WORK/loadgen" -addr "$ADDR" -duration "$DURATION" -concurrency 4 \
   -seed 11 -mix 'skyline=2,topk=1,insert=4,delete=2' -retries 6 \
-  -ack-log "$WORK/acks.jsonl" -out "$WORK/report.json" \
+  -ack-log "$WORK/acks.jsonl" \
   2>"$WORK/loadgen.log" &
 LGPID=$!
 

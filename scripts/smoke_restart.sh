@@ -42,8 +42,7 @@ wait_ready
 # the daemon starts empty, and early deletes would 404 under
 # -fail-on-error).
 "$WORK/loadgen" -addr "$ADDR" -duration "$DURATION" -concurrency 4 \
-  -seed 7 -mix 'skyline=2,topk=1,insert=6' -fail-on-error \
-  -out "$WORK/report.json"
+  -seed 7 -mix 'skyline=2,topk=1,insert=6' -fail-on-error
 
 QUERY='{"graph":{"name":"q","vertices":["C","O","C","N"],"edges":[{"u":0,"v":1,"label":"-"},{"u":1,"v":2,"label":"="},{"u":2,"v":3,"label":"-"}]}}'
 
