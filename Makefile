@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench run-server smoke smoke-restart smoke-chaos bench-fault vet
+.PHONY: build test race fuzz bench bench-ab run-server smoke smoke-restart smoke-chaos bench-fault vet
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ fuzz:
 # `go test -bench=<name> -run=^$ .`.
 bench:
 	bash benchmark/run.sh --workload all
+
+# bench-ab is how a performance claim is checked before it is made: ten
+# paired runs (seeds 21-30, alternating order, 15 s, untraced) of a
+# checkout of the parent commit against this tree, then the harness's
+# --compare verdicts. make bench-ab PARENT=/path/to/parent [WORKLOAD=cold-skyline]
+bench-ab:
+	bash ./scripts/bench_ab.sh $(PARENT) . $(WORKLOAD)
 
 run-server:
 	$(GO) run ./cmd/skygraphd -addr :8091 -shards 4 -cache 128

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"skygraph/internal/graph"
 	"skygraph/internal/lru"
@@ -85,20 +86,23 @@ type evalCtx struct {
 	qh      string
 	evalKey string
 
-	pivotDists  int
-	pivotPruned atomic.Int64
-	memoHits    atomic.Int64
-	memoMisses  atomic.Int64
+	pivotDists int
+	memoHits   atomic.Int64
+	memoMisses atomic.Int64
 }
 
-// newEvalCtx assembles the per-query context. usePivot is false on
-// paths that evaluate every pair anyway (unpruned full tables), where
-// paying engine runs for query-to-pivot distances buys nothing.
+// newEvalCtx assembles the per-query context. usePivot is true on
+// ranked scans only: a table build either evaluates every pair anyway
+// or (pruned skyline) discards against a running front, so P engine
+// runs for query-to-pivot distances would buy it nothing. Those runs
+// are pivot-stage work and are traced as such.
 func (db *DB) newEvalCtx(q *graph.Graph, qsig *measure.Signature, opts QueryOptions, usePivot bool) *evalCtx {
 	ec := &evalCtx{}
 	if pidx := db.PivotIndex(); usePivot && pidx != nil {
+		t0 := time.Now()
 		ec.pb = pidx.StartQuery(q, qsig)
 		if ec.pb != nil {
+			opts.Trace.Observe(StagePivot, time.Since(t0), 0, 0)
 			ec.pivotDists = ec.pb.Dists
 			ec.tightenHi = opts.Eval.GEDMaxNodes == 0
 		}
@@ -215,16 +219,14 @@ func (ec *evalCtx) computeFull(g, q *graph.Graph, seq uint64, eval measure.Optio
 }
 
 // work reports the per-query counters the context itself maintains:
-// the pivot tier's distance runs and skyline-path attributions, and the
-// score-memo lookups.
+// the pivot tier's distance runs and the score-memo lookups.
 func (ec *evalCtx) work() Work {
 	if ec == nil {
 		return Work{}
 	}
 	return Work{
-		PivotDists:  ec.pivotDists,
-		PivotPruned: int(ec.pivotPruned.Load()),
-		MemoHits:    int(ec.memoHits.Load()),
-		MemoMisses:  int(ec.memoMisses.Load()),
+		PivotDists: ec.pivotDists,
+		MemoHits:   int(ec.memoHits.Load()),
+		MemoMisses: int(ec.memoMisses.Load()),
 	}
 }

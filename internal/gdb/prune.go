@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,259 +12,242 @@ import (
 	"skygraph/internal/skyline"
 )
 
-// Filter-and-refine skyline evaluation. A skyline query does not need
-// the exact GCS vector of every database graph: a graph whose
-// optimistic (lower-bound) vector is already dominated by another
-// graph's pessimistic (upper-bound) vector can never be Pareto-optimal,
-// so its exact GED/MCS never runs. Evaluation proceeds in tiers of
-// increasing cost:
+// Filter-and-scan skyline evaluation. A skyline query does not need the
+// exact GCS vector of every database graph: a graph some other graph
+// provably dominates can never be Pareto-optimal, so its exact GED/MCS
+// never runs — or runs only as far as the proof needs. Evaluation has
+// two phases:
 //
-//	tier 0  signature bounds   O(labels) per pair, from the stored index,
-//	        intersected with the pivot index's triangle-inequality GED
-//	        interval (O(P) arithmetic after P query-to-pivot distances)
-//	        and collapsed to the exact point on a score-memo hit
-//	tier 1  bipartite + greedy polynomial refinement of the survivors
-//	tier 2  exact GED/MCS      only for graphs the bounds cannot exclude
+//	tier 0  signature bounds, O(labels) per pair from the stored index,
+//	        collapsed to the exact point on a score-memo hit; a graph
+//	        whose optimistic corner another graph's pessimistic corner
+//	        dominates is out (skyline.IntervalPrune)
+//	scan    the tier-0 survivors, best-first by optimistic corner,
+//	        against a running front of this shard's exact vectors; each
+//	        is taken through the cheapest proof that still settles it:
+//	        1. a front point dominates its optimistic corner: discarded,
+//	           no engine runs
+//	        2. the MCS engine alone collapses the MCS interval to the
+//	           reported |mcs|; the front dominates the corner at GEDLo:
+//	           discarded
+//	        3. a GED decision run at the dominance limit — the largest
+//	           GED at which no front point dominates the vector — stops
+//	           AboveLimit: the reported GED exceeds the limit, so the
+//	           reported vector is dominated: discarded
+//	        4. otherwise the two engines' results ARE the pair's exact
+//	           statistics: the vector joins the front, the table and the
+//	           score memo
 //
-// Every tier's intervals contain the value measure.Compute would
-// report (capped or not — see internal/measure/bound.go), so the
-// skyline over the tier-2 survivors is byte-identical to the skyline of
-// the full evaluation.
+// Dominance is always strict (Definition 1), so twins and equal vectors
+// all survive. Every interval contains the value measure.Compute would
+// report (capped or not — see internal/measure/bound.go), a decision
+// run proves a floor of the true distance, which the reported one never
+// undercuts, and kept vectors come from the same engine calls as the
+// full evaluation — so the skyline over the kept points is
+// byte-identical to the skyline of the full evaluation, whatever order
+// the scan runs in. The front is per shard because tables are cached
+// per shard generation: a proof borrowed from another shard's graph
+// would outlive that graph. Only kept candidates are published to the
+// score memo: a discarded one's MCS-only partial would be dead weight
+// (it is discarded again, for free, as long as the front's point
+// lives), and discarded candidates outnumber kept ones several times.
+
+// skyFront is one shard's running set of reported exact vectors, shared
+// by the scan's workers.
+type skyFront struct {
+	mu   sync.Mutex
+	vecs [][]float64
+}
+
+// dominates reports whether some front point strictly dominates v.
+func (f *skyFront) dominates(v []float64) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, fv := range f.vecs {
+		if skyline.Dominates(fv, v) {
+			return true
+		}
+	}
+	return false
+}
+
+func (f *skyFront) add(v []float64) {
+	f.mu.Lock()
+	f.vecs = append(f.vecs, v)
+	f.mu.Unlock()
+}
+
+// skyScan is the scan over one snapshot. The per-candidate slices are
+// indexed like the snapshot; vecs and capped are written only by the
+// one settle call of their candidate and read after the scan.
+type skyScan struct {
+	sn     snap
+	q      *graph.Graph
+	qsig   *measure.Signature
+	ec     *evalCtx
+	opts   QueryOptions
+	bounds []measure.BoundStats
+	los    [][]float64             // tier-0 optimistic corners
+	known  []measure.EngineResults // tier-0 memo replays (zero otherwise)
+	front  skyFront
+	vecs   [][]float64 // exact vector of every kept candidate
+	capped []bool      // kept on a capped engine's bound
+}
+
+// newSkyScan runs tier 0 for q against the snapshot — bound every graph
+// from its stored signature alone, collapse memo-known pairs to their
+// exact point (the strongest interval there is), interval-prune — and
+// returns the scan state with the survivors in scan order: ascending
+// optimistic corner, so the likeliest skyline members score first and
+// everything behind them meets a front; ties keep snapshot order.
+func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) (*skyScan, []int) {
+	n := len(sn.graphs)
+	start := time.Now()
+	sc := &skyScan{
+		sn: sn, q: q, qsig: qsig, ec: ec, opts: opts,
+		bounds: make([]measure.BoundStats, n),
+		los:    make([][]float64, n),
+		known:  make([]measure.EngineResults, n),
+		vecs:   make([][]float64, n),
+		capped: make([]bool, n),
+	}
+	ipts := make([]skyline.IntervalPoint, n)
+	for i, sig := range sn.sigs {
+		name := sn.graphs[i].Name()
+		sc.bounds[i] = measure.BoundPair(sig, qsig)
+		var lo, hi []float64
+		if r, ok := ec.memoPeek(name, sn.seqs[i], true, true); ok {
+			sc.known[i] = r
+			lo = measure.GCS(measure.PairStatsFrom(sig, qsig, r), opts.Basis)
+			hi = lo
+		} else {
+			lo, hi = sc.bounds[i].IntervalGCS(opts.Basis)
+		}
+		sc.los[i] = lo
+		ipts[i] = skyline.IntervalPoint{ID: name, Lo: lo, Hi: hi}
+	}
+	order := make([]int, 0, n-skyline.IntervalPrune(ipts))
+	for i := range ipts {
+		if !ipts[i].Pruned {
+			order = append(order, i)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		la, lb := sc.los[order[a]], sc.los[order[b]]
+		for d := range la {
+			if la[d] != lb[d] {
+				return la[d] < lb[d]
+			}
+		}
+		return false
+	})
+	opts.Trace.Observe(StageBound, time.Since(start), n, n-len(order))
+	return sc, order
+}
+
+// settle takes tier-0 survivor i through outcomes 1–4 above against the
+// front as it stands, recording its exact vector when it is kept. It is
+// a plain function of (candidate, front): any call order, sequential or
+// concurrent, yields a table with the same skyline.
+func (sc *skyScan) settle(i int) {
+	if sc.front.dominates(sc.los[i]) {
+		return
+	}
+	g, sig, seq := sc.sn.graphs[i], sc.sn.sigs[i], sc.sn.seqs[i]
+	have := sc.known[i]
+	if !have.Covers(true, true) {
+		// Engines run from here on, so this is where the memo miss
+		// counts; a partial entry (a ranked scan's GED- or MCS-only
+		// record) spares its engine.
+		have, _ = sc.ec.memoGet(g.Name(), seq, true, true)
+		hints := measure.PairHints{Sig1: sig, Sig2: sc.qsig}
+		if !have.HasMCS {
+			_, got, _ := measure.ScorePairWith(g, sc.q, measure.DistMcs{}, sc.opts.Eval, hints, have)
+			have.MCS, have.MCSExact, have.HasMCS = got.MCS, got.MCSExact, true
+		}
+		if !have.HasGED {
+			bs := sc.bounds[i]
+			bs.MCSLo, bs.MCSHi = have.MCS, have.MCS
+			limit := bs.GEDLimit(have.MCS, func(ps measure.PairStats) bool {
+				return !sc.front.dominates(measure.GCS(ps, sc.opts.Basis))
+			})
+			// A limit below GEDLo (outcome 2) excludes before any engine
+			// runs; a capped decision run that proves nothing falls
+			// through to the plain run inside, so got is exactly what
+			// measure.Compute's GED engine call reports.
+			_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd{}, limit, bs, sc.opts.Eval, hints)
+			if excluded {
+				return
+			}
+			have.GED, have.GEDExact, have.HasGED = got.GED, got.GEDExact, true
+		}
+		sc.ec.memoPublish(g.Name(), seq, have)
+	}
+	ps := measure.PairStatsFrom(sig, sc.qsig, have)
+	sc.vecs[i] = measure.GCS(ps, sc.opts.Basis)
+	sc.capped[i] = !ps.GEDExact || !ps.MCSExact
+	sc.front.add(sc.vecs[i])
+}
 
 // evalPruned runs the pipeline for q against the snapshot. It returns
-// the exact points of the surviving graphs in insertion order, the
-// number of graphs pruned without exact evaluation, and the inexact
-// pair count among the survivors. The caller has already checked
-// measure.Boundable(opts.Basis); ec may be nil (no pivot tier, no
-// memo).
+// the exact points of the kept graphs in insertion order, the number of
+// graphs excluded without a full exact evaluation, and the inexact pair
+// count among the kept. The caller has already checked
+// measure.Boundable(opts.Basis); ec may be nil (no memo). With
+// opts.Workers > 1 the workers share the front, so which candidates a
+// proof spares — not the skyline — depends on their interleaving.
 func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) (pts []skyline.Point, pruned, inexact int, err error) {
 	n := len(sn.graphs)
 	if n == 0 {
 		return []skyline.Point{}, 0, 0, nil
 	}
-
-	// Tier 0: bound every graph from its stored signature alone, then
-	// tighten with the pivot tier and collapse memo-known pairs to
-	// their exact point (the strongest interval there is). sigIpts
-	// keeps the signature-only intervals when the pivot tier is live,
-	// purely to attribute exclusions: a graph pruned under the merged
-	// bounds but not under the signature bounds owes its exclusion to
-	// the pivot tier.
-	trace := opts.Trace
-	var tierStart time.Time
-	var pivotDur time.Duration
-	tightened := 0
-	if trace != nil {
-		tierStart = time.Now()
-	}
-	bounds := make([]measure.BoundStats, n)
-	ipts := make([]skyline.IntervalPoint, n)
-	memoRes := make([]*measure.PairStats, n)
-	attribute := ec != nil && ec.pb != nil
-	var sigIpts []skyline.IntervalPoint
-	if attribute {
-		sigIpts = make([]skyline.IntervalPoint, n)
-	}
-	for i, sig := range sn.sigs {
-		name := sn.graphs[i].Name()
-		bounds[i] = measure.BoundPair(sig, qsig)
-		if r, ok := ec.memoPeek(name, sn.seqs[i], true, true); ok {
-			ps := measure.PairStatsFrom(sig, qsig, r)
-			memoRes[i] = &ps
-			vec := measure.GCS(ps, opts.Basis)
-			ipts[i] = skyline.IntervalPoint{ID: name, Lo: vec, Hi: vec}
-			if attribute {
-				sigIpts[i] = ipts[i]
-			}
-			continue
-		}
-		if attribute {
-			lo, hi := bounds[i].IntervalGCS(opts.Basis)
-			sigIpts[i] = skyline.IntervalPoint{ID: name, Lo: lo, Hi: hi}
-		}
-		if trace != nil && attribute {
-			// The pivot intersection (including any lazy query-to-pivot
-			// engine runs inside tighten) is the pivot stage's time; the
-			// rest of the tier-0 loop belongs to the bound stage.
-			t0 := time.Now()
-			ec.tighten(&bounds[i], name)
-			pivotDur += time.Since(t0)
-			tightened++
-		} else {
-			ec.tighten(&bounds[i], name)
-		}
-		lo, hi := bounds[i].IntervalGCS(opts.Basis)
-		ipts[i] = skyline.IntervalPoint{ID: name, Lo: lo, Hi: hi}
-	}
-	pivotPruned0 := 0
-	if attribute {
-		// Attribution without a second full quadratic pass: a tightened
-		// interval is a subset of its signature interval (optimistic
-		// corner rises, pessimistic falls), so a signature-pruned point
-		// is merged-pruned a fortiori. Prune under signature bounds
-		// first, pre-seed those exclusions, and let the merged pass
-		// test only the signature survivors — whatever it additionally
-		// prunes is exactly the pivot tier's contribution.
-		skyline.IntervalPrune(sigIpts)
-		for i := range ipts {
-			ipts[i].Pruned = sigIpts[i].Pruned
-		}
-		skyline.IntervalPrune(ipts)
-		for i := range ipts {
-			if ipts[i].Pruned && !sigIpts[i].Pruned {
-				ec.pivotPruned.Add(1)
-				pivotPruned0++
-			}
-		}
-	} else {
-		skyline.IntervalPrune(ipts)
-	}
-	tier0Pruned := 0
-	if trace != nil {
-		for i := range ipts {
-			if ipts[i].Pruned {
-				tier0Pruned++
-			}
-		}
-		trace.Observe(StageBound, time.Since(tierStart)-pivotDur, n, tier0Pruned-pivotPruned0)
-		if attribute {
-			trace.Observe(StagePivot, pivotDur, tightened, pivotPruned0)
-		}
-	}
-
-	// Tier 1: tighten the survivors with the polynomial engines, then
-	// prune again. Already-pruned points keep their tier-0 corners —
-	// they stay excluded and still act as filters. Memo-scored points
-	// are already exact and skip refinement.
-	var refineStart time.Time
-	if trace != nil {
-		refineStart = time.Now()
-	}
-	wits := make([]*measure.Witness, n)
-	refined, err := refineSurvivors(ctx, sn.graphs, q, bounds, wits, memoRes, ipts, opts)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	skyline.IntervalPrune(ipts)
-	if trace != nil {
-		prunedNow := 0
-		for i := range ipts {
-			if ipts[i].Pruned {
-				prunedNow++
-			}
-		}
-		trace.Observe(StageRefine, time.Since(refineStart), refined, prunedNow-tier0Pruned)
-	}
-
-	// Tier 2: exact evaluation of whatever the bounds could not settle,
-	// handing each survivor its signatures and tier-1 witness so the
-	// engines reuse the histograms and bipartite/greedy results instead
-	// of recomputing them. Memo-scored survivors contribute their
-	// replayed stats directly — no engine runs at all.
-	var exactStart time.Time
-	if trace != nil {
-		exactStart = time.Now()
-	}
-	type slot struct {
-		i  int
-		at int // index into the points slice
-	}
-	var (
-		engGraphs []*graph.Graph
-		engSeqs   []uint64
-		engHints  []measure.PairHints
-		engSlots  []slot
-	)
-	survivors := 0
-	for i := range ipts {
-		if ipts[i].Pruned {
-			continue
-		}
-		survivors++
-	}
-	pts = make([]skyline.Point, survivors)
-	at := 0
-	for i := range ipts {
-		if ipts[i].Pruned {
-			continue
-		}
-		if ps := memoRes[i]; ps != nil {
-			pts[at] = skyline.Point{ID: sn.graphs[i].Name(), Vec: measure.GCS(*ps, opts.Basis)}
-			if !ps.GEDExact || !ps.MCSExact {
-				inexact++
-			}
-		} else {
-			engGraphs = append(engGraphs, sn.graphs[i])
-			engSeqs = append(engSeqs, sn.seqs[i])
-			engHints = append(engHints, measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig, Witness: wits[i]})
-			engSlots = append(engSlots, slot{i: i, at: at})
-		}
-		at++
-	}
-	if len(engGraphs) > 0 {
-		engPts := make([]skyline.Point, len(engGraphs))
-		engInexact, err := evalVectorsCtx(ctx, engGraphs, engSeqs, engHints, q, opts, ec, engPts)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		inexact += engInexact
-		for j, s := range engSlots {
-			pts[s.at] = engPts[j]
-		}
-	}
-	// Pairs the exact stage settled == the evaluated count (memo replays
-	// included); nothing is pruned at tier 2 on the skyline path.
-	trace.Observe(StageExact, time.Since(exactStart), survivors, 0)
-	return pts, n - survivors, inexact, nil
-}
-
-// refineSurvivors runs measure.RefineWitness on every unpruned
-// candidate with a worker pool, updating the pessimistic corners in
-// place and recording each candidate's witness in wits. (The
-// optimistic corners are untouched: refinement only lowers the GED
-// upper bound and raises the MCS lower bound.) Memo-scored candidates
-// (memoRes[i] != nil) already sit on their exact point and are
-// skipped. Honors ctx between candidates. Returns the number of
-// candidates refined (the refine stage's pair count).
-func refineSurvivors(ctx context.Context, graphs []*graph.Graph, q *graph.Graph, bounds []measure.BoundStats, wits []*measure.Witness, memoRes []*measure.PairStats, ipts []skyline.IntervalPoint, opts QueryOptions) (int, error) {
-	var todo []int
-	for i := range ipts {
-		if !ipts[i].Pruned && memoRes[i] == nil {
-			todo = append(todo, i)
-		}
-	}
-	if len(todo) == 0 {
-		return 0, nil
-	}
+	sc, order := newSkyScan(sn, q, qsig, ec, opts)
+	start := time.Now()
 	workers := opts.Workers
-	if workers > len(todo) {
-		workers = len(todo)
+	if workers > len(order) {
+		workers = len(order)
 	}
 	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		canceled atomic.Bool
+		wg     sync.WaitGroup
+		cursor atomic.Int64
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(todo) || canceled.Load() {
+			for ctx.Err() == nil {
+				k := int(cursor.Add(1)) - 1
+				if k >= len(order) {
 					return
 				}
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
-				i := todo[k]
-				bounds[i], wits[i] = measure.RefineWitness(graphs[i], q, bounds[i])
-				_, hi := bounds[i].IntervalGCS(opts.Basis)
-				ipts[i].Hi = hi
+				sc.settle(order[k])
 			}
 		}()
 	}
 	wg.Wait()
-	return len(todo), ctx.Err()
+	if ctx.Err() != nil {
+		return nil, 0, 0, ctx.Err()
+	}
+	pts, inexact = sc.points()
+	// Every candidate entering the scan is exact-stage work (engine runs,
+	// decision runs, memo replays, or a front test that spared them all);
+	// the ones it discarded are the stage's exclusions.
+	opts.Trace.Observe(StageExact, time.Since(start), len(order), len(order)-len(pts))
+	return pts, n - len(pts), inexact, nil
+}
+
+// points returns the kept candidates in insertion order and how many of
+// them rest on a capped engine's bound.
+func (sc *skyScan) points() (pts []skyline.Point, inexact int) {
+	pts = make([]skyline.Point, 0, len(sc.front.vecs))
+	for i, vec := range sc.vecs {
+		if vec == nil {
+			continue
+		}
+		pts = append(pts, skyline.Point{ID: sc.sn.graphs[i].Name(), Vec: vec})
+		if sc.capped[i] {
+			inexact++
+		}
+	}
+	return pts, inexact
 }

@@ -3,12 +3,14 @@ package gdb_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
+	"skygraph/internal/skyline"
 	"skygraph/internal/testutil"
 )
 
@@ -70,29 +72,120 @@ func TestPrunedSkylineMatchesUnprunedSeeded(t *testing.T) {
 	}
 }
 
-// TestPrunedSkylineShardedEquivalence: the pruned sharded engine must
-// agree with the unpruned unsharded reference for every shard count,
-// including the per-shard Pruned/Evaluated accounting.
-func TestPrunedSkylineShardedEquivalence(t *testing.T) {
-	gs := testutil.SeededGraphs(11, 30)
-	queries := testutil.SeededQueries(211, gs, 3)
+// requireShardedEquivalent is the sharded equivalence grid: for every
+// shard count the pruned sharded engine must agree with the unpruned
+// unsharded reference, including the per-shard Pruned/Evaluated
+// accounting.
+func requireShardedEquivalent(t *testing.T, name string, gs, queries []*graph.Graph, opts gdb.QueryOptions) {
+	t.Helper()
 	ref := testutil.NewDB(t, gs)
+	opts.Prune = false
+	want := make([]gdb.SkylineResult, len(queries))
+	for qi, q := range queries {
+		var err error
+		if want[qi], err = ref.SkylineQuery(q, opts); err != nil {
+			t.Fatalf("%s q=%d: reference: %v", name, qi, err)
+		}
+	}
+	opts.Prune = true
 	for _, shards := range []int{1, 2, 3, 7} {
 		sh := testutil.NewSharded(t, shards, gs)
 		for qi, q := range queries {
-			label := fmt.Sprintf("shards=%d q=%d", shards, qi)
-			want, err := ref.SkylineQuery(q, prunedOpts(false))
-			if err != nil {
-				t.Fatalf("%s: reference: %v", label, err)
-			}
-			got, err := sh.SkylineQueryContext(context.Background(), q, prunedOpts(true))
+			label := fmt.Sprintf("%s shards=%d q=%d", name, shards, qi)
+			got, err := sh.SkylineQueryContext(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("%s: sharded pruned: %v", label, err)
 			}
-			testutil.RequireSameSkyline(t, label, want.Skyline, got.Skyline)
+			testutil.RequireSameSkyline(t, label, want[qi].Skyline, got.Skyline)
 			if got.Stats.Evaluated+got.Stats.Pruned != len(gs) {
 				t.Fatalf("%s: evaluated %d + pruned %d != %d graphs",
 					label, got.Stats.Evaluated, got.Stats.Pruned, len(gs))
+			}
+		}
+	}
+}
+
+// TestPrunedSkylineShardedEquivalence: the grid over a seeded database.
+func TestPrunedSkylineShardedEquivalence(t *testing.T) {
+	gs := testutil.SeededGraphs(11, 30)
+	requireShardedEquivalent(t, "seeded", gs, testutil.SeededQueries(211, gs, 3), prunedOpts(false))
+}
+
+// twinned returns gs with every graph also stored as a renamed clone.
+func twinned(gs []*graph.Graph) []*graph.Graph {
+	out := make([]*graph.Graph, 0, 2*len(gs))
+	for _, g := range gs {
+		twin := g.Clone()
+		twin.SetName(g.Name() + "twin")
+		out = append(out, g, twin)
+	}
+	return out
+}
+
+// TestPrunedSkylineTwins: the grid over a database of twin pairs, with
+// two stored graphs among the queries (their skyline is exactly the
+// twin pair at distance zero). Twins have equal vectors, and equal
+// vectors do not dominate each other: a non-strict comparison anywhere
+// in the scan — the front test, the dominance-limit search — drops one
+// of a pair. Capped and uncapped engines, one scan worker and four.
+func TestPrunedSkylineTwins(t *testing.T) {
+	base := testutil.SeededGraphs(5, 20)
+	gs := twinned(base)
+	queries := append(testutil.SeededQueries(105, base, 3), base[3], base[14])
+	for _, opts := range []gdb.QueryOptions{prunedOpts(false), {}} {
+		for _, workers := range []int{1, 4} {
+			opts.Workers = workers
+			name := fmt.Sprintf("twins eval=%s workers=%d", opts.Eval.Key(), workers)
+			requireShardedEquivalent(t, name, gs, queries, opts)
+		}
+	}
+}
+
+// TestSkylineScanOrderIndependent drives the scan's per-candidate step
+// directly, over seeded random permutations of the survivor order (and
+// the exact reverse of the best-first order, the most adversarial one):
+// exclusion always carries a proof against an exact vector, so whatever
+// the order, the table's skyline is the unpruned one. With one worker
+// the scan itself is deterministic, counters included.
+func TestSkylineScanOrderIndependent(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		gs := testutil.SeededGraphs(seed, 24)
+		if seed == 3 {
+			gs = twinned(gs[:12])
+		}
+		db := testutil.NewDB(t, gs)
+		rng := rand.New(rand.NewSource(seed))
+		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
+			want, err := db.SkylineQuery(q, prunedOpts(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for perm := 0; perm <= 20; perm++ {
+				pts := gdb.PrunedPointsInOrder(db, q, prunedOpts(true), func(order []int) {
+					if perm == 0 {
+						for a, b := 0, len(order)-1; a < b; a, b = a+1, b-1 {
+							order[a], order[b] = order[b], order[a]
+						}
+						return
+					}
+					rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+				})
+				label := fmt.Sprintf("seed=%d q=%d perm=%d", seed, qi, perm)
+				testutil.RequireSameSkyline(t, label, want.Skyline, skyline.SFS(pts))
+			}
+			opts := prunedOpts(true)
+			opts.Workers = 1
+			first, err := db.SkylineQuery(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := db.SkylineQuery(q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Stats.Work != again.Stats.Work {
+				t.Fatalf("seed=%d q=%d: one-worker scan counters differ between runs: %+v vs %+v",
+					seed, qi, first.Stats.Work, again.Stats.Work)
 			}
 		}
 	}

@@ -33,10 +33,12 @@ type QueryOptions struct {
 	QueryHash string
 	// Prune enables filter-and-refine evaluation driven by the
 	// signature/bound index. For skyline queries, graphs whose bound
-	// intervals prove them dominated are never evaluated exactly; the
-	// skyline is identical to an unpruned run, but SkylineResult.All
-	// (and VectorTable.Points) then holds only the evaluated survivors,
-	// so leave Prune off when the full table is needed. For top-k and
+	// intervals — or a progressive scan against the exact vectors found
+	// so far (prune.go) — prove them dominated are never evaluated
+	// exactly; the skyline is identical to an unpruned run, but
+	// SkylineResult.All (and VectorTable.Points) then holds only the
+	// candidates the scan scored, so leave Prune off when the full table
+	// is needed. For top-k and
 	// range queries, evaluation is best-first against a live threshold
 	// (the k-th best score, or the radius): candidates whose optimistic
 	// bound — or a threshold-fed engine decision run — proves them out
@@ -90,15 +92,17 @@ type Work struct {
 	// included — the value is exact either way).
 	Evaluated int `json:"evaluated"`
 	// Pruned counts graphs excluded without exact evaluation under
-	// QueryOptions.Prune: the interval filter for skyline queries; the
-	// best-first threshold cutoff and the threshold-fed engine decision
-	// runs for top-k and range queries; whole vector-tier cells for both.
+	// QueryOptions.Prune: the interval filter and the progressive scan's
+	// front tests and decision runs for skyline queries; the best-first
+	// threshold cutoff and the threshold-fed engine decision runs for
+	// top-k and range queries; whole vector-tier cells for both.
 	Pruned int `json:"pruned"`
 	// PivotPruned counts graphs (within Pruned) whose exclusion needed
 	// the pivot tier's triangle bounds — the signature bounds alone
 	// would have let them through. PivotDists counts the query-to-pivot
 	// distance computations the tier paid for (P per freshly scanned
-	// shard with a live index).
+	// shard with a live index). Both are ranked-scan counters: skyline
+	// table builds run no pivot tier and report 0.
 	PivotPruned int `json:"pivot_pruned"`
 	PivotDists  int `json:"pivot_dists"`
 	// MemoHits and MemoMisses count cross-query score-memo lookups;
@@ -148,15 +152,15 @@ type SkylineResult struct {
 	Skyline []skyline.Point
 	// All holds every evaluated (graph, vector) pair, in insertion order —
 	// the full Table III analogue. Under QueryOptions.Prune it holds only
-	// the filter-phase survivors (pruned graphs have no exact vector).
+	// the candidates the scan scored (the others have no exact vector).
 	All   []skyline.Point
 	Stats QueryStats
 }
 
 // SkylineQuery computes the graph similarity skyline GSS(D, q) of
 // Definition 12/Eq. 4: evaluate the GCS vector of database graphs
-// against q in parallel — all of them, or just the bound-filter
-// survivors under QueryOptions.Prune — then keep the Pareto-optimal
+// against q in parallel — all of them, or just the candidates no cheaper
+// proof discards under QueryOptions.Prune — then keep the Pareto-optimal
 // ones.
 func (db *DB) SkylineQuery(q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
 	return db.SkylineQueryContext(context.Background(), q, opts)

@@ -328,8 +328,8 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 			if attribute {
 				sigLos[i], _ = bounds[i].Interval(m)
 				if trace != nil {
-					// tighten may run query-to-pivot engines lazily; that
-					// time belongs to the pivot stage, not the bound stage.
+					// The triangle arithmetic is the pivot stage's time,
+					// not the bound stage's.
 					t0 := time.Now()
 					ec.tighten(&bounds[i], sn.graphs[i].Name())
 					batchPivot += time.Since(t0)

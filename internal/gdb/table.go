@@ -23,7 +23,8 @@ type VectorTable struct {
 	Basis []measure.Measure
 	// Points holds the evaluated (graph, GCS vector) pairs in insertion
 	// order: every database graph for a complete table, only the
-	// filter-phase survivors for a pruned one.
+	// candidates the scan scored for a pruned one — the skyline plus
+	// whatever was scored before the front point that dominates it.
 	Points []skyline.Point
 	// Work is what the cold build paid: Evaluated == len(Points) and
 	// Pruned counts the graphs the filter phase excluded (0 for complete
@@ -80,26 +81,30 @@ func (db *DB) snapshot() snap {
 // own methods, with zero new pair evaluations.
 //
 // With opts.Prune set (and a Boundable basis), evaluation runs the
-// filter-and-refine pipeline instead of the full scan: signature bounds
-// for every graph, a cheap bipartite/greedy refinement for the
-// candidates those bounds cannot exclude, and exact evaluation only for
-// the survivors. The resulting table is marked !Complete; its skyline
-// is identical to the complete table's.
+// filter-and-scan pipeline of prune.go instead of the full scan:
+// signature bounds for every graph, then a best-first scan of the
+// candidates those bounds cannot exclude against a running front, which
+// scores exactly only the ones no cheaper proof discards. The resulting
+// table is marked !Complete; its skyline is identical to the complete
+// table's.
 func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	sn := db.snapshot()
 	qsig := measure.NewSignature(q)
 	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis, Complete: true}
-	var ec *evalCtx
+	// No pivot tier on either build: the full scan evaluates every pair
+	// anyway, and the pruned scan's running front discards for free what
+	// P query-to-pivot engine runs would pre-prune — more runs than the
+	// handful of pairs a skyline answer needs. The score memo applies to
+	// both: a warm memo rebuilds a table with engines running only for
+	// graphs inserted since.
+	ec := db.newEvalCtx(q, qsig, opts, false)
 	if opts.Prune && measure.Boundable(opts.Basis) {
-		// The pivot tier only pays off when bounds can exclude pairs, so
-		// only the pruned build computes query-to-pivot distances.
-		ec = db.newEvalCtx(q, qsig, opts, true)
 		// The vector tier narrows the snapshot first: whole cells whose
 		// floor vector is strictly dominated by an already-probed
 		// survivor never even reach the signature bounds.
-		psn, vw := db.vectorPreselect(sn, qsig, q, opts, ec)
+		psn, vw := db.vectorPreselect(sn, qsig, q, opts)
 		pts, pruned, inexact, err := evalPruned(ctx, psn, q, qsig, ec, opts)
 		if err != nil {
 			return nil, err
@@ -109,10 +114,7 @@ func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 		t.Points, t.Inexact, t.Complete = pts, inexact, t.Pruned == 0
 	} else {
 		// Stored signatures spare the per-pair histogram/degree rebuild
-		// even on the unpruned path; the query's is computed once. The
-		// score memo still applies — a warm memo rebuilds a full table
-		// with engines running only for graphs inserted since.
-		ec = db.newEvalCtx(q, qsig, opts, false)
+		// even on the unpruned path; the query's is computed once.
 		hints := make([]measure.PairHints, len(sn.graphs))
 		for i := range hints {
 			hints[i] = measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}

@@ -16,11 +16,15 @@ import (
 //	bound   tier-0 signature bounds: histogram/degree intervals from the
 //	        stored index, the candidate ordering of ranked scans, and
 //	        the threshold cutoff that ends them
-//	pivot   the pivot index's triangle-inequality intersection —
-//	        query-to-pivot distance runs plus interval arithmetic
-//	refine  tier-1 polynomial refinement (bipartite + greedy)
-//	exact   tier-2 engine work: exact GED/MCS runs, threshold-fed
-//	        decision runs, and score-memo replays
+//	pivot   the pivot index's triangle-inequality intersection: the P
+//	        query-to-pivot engine runs (paid when the query's context is
+//	        assembled, before any candidate is looked at) plus the
+//	        per-candidate interval arithmetic; ranked scans only
+//	refine  tier-1 polynomial refinement (bipartite + greedy); ranked
+//	        scans only
+//	exact   engine work: exact GED/MCS runs, threshold- or front-fed
+//	        decision runs, and score-memo replays; on the skyline path
+//	        the whole progressive scan, front tests included
 //	merge   combining per-shard answers (skyline merge, top-k heap
 //	        merge, range concatenation) — recorded by the serving layer
 //
@@ -32,16 +36,16 @@ import (
 // bounded because its cell was skipped (vector), excluded by an engine
 // decision run (exact), condemned at the final threshold only thanks to
 // the triangle bound (pivot), otherwise cut off by the signature bound
-// and the best-first threshold (bound). On the skyline path the stages
-// prune in nested, monotone IntervalPrune passes, so a candidate's fate
-// is the first pass that excluded it. Hence, summed over stages, Pruned
-// equals the query's Work.Pruned; the pivot and vector stages' Pruned
-// are the pivot_pruned and vector_skipped counters; and the exact
-// stage's Pairs minus its Pruned equals Work.Evaluated. No count is ever
-// negative. Durations are summed across shards and workers, so on a
-// parallel evaluation they can exceed the request's wall-clock time —
-// they answer "where did the work go", not "what was the critical
-// path".
+// and the best-first threshold (bound). On the skyline path they are: in
+// a skipped cell (vector), excluded by tier 0's IntervalPrune (bound),
+// otherwise discarded by the scan (exact). Hence, summed over stages,
+// Pruned equals the query's Work.Pruned; the pivot and vector stages'
+// Pruned are the pivot_pruned and vector_skipped counters; and the
+// exact stage's Pairs minus its Pruned equals Work.Evaluated. No count
+// is ever negative. Durations are summed across shards (and, on ranked
+// scans, across workers), so on a parallel evaluation they can exceed
+// the request's wall-clock time — they answer "where did the work go",
+// not "what was the critical path".
 //
 // All methods are nil-safe and concurrency-safe: one QueryTrace is
 // shared by every shard (and every evaluation worker) of one query.

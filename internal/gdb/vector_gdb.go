@@ -203,7 +203,7 @@ const maxSkyFilters = 128
 // is off or nothing was skipped the input snapshot comes back as is —
 // and the tier's own counters (cells probed, graphs skipped,
 // fallbacks).
-func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, opts QueryOptions, ec *evalCtx) (snap, Work) {
+func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, opts QueryOptions) (snap, Work) {
 	var st Work
 	if opts.NoVector {
 		return sn, st
@@ -222,8 +222,10 @@ func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, 
 		opts.Trace.Observe(StageVector, time.Since(start), len(sn.graphs), 0)
 		return sn, st
 	}
-	pb := queryPivotBounds(ec)
-	qvec := part.QueryVec(graph.WLHistogram(q, vidx.Config().WLIters, part.WLDims), queryMidpoints(pb, part))
+	// The skyline path computes no query-to-pivot distances: the query's
+	// pivot block is zero (an ordering concern only) and the cell floors
+	// rest on the order/size gaps alone.
+	qvec := part.QueryVec(graph.WLHistogram(q, vidx.Config().WLIters, part.WLDims), nil)
 
 	type corner struct {
 		hi  []float64
@@ -239,7 +241,7 @@ func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, 
 		}
 		floor := make([]float64, len(opts.Basis))
 		for d, m := range opts.Basis {
-			floor[d] = cellFloor(part, cell, qsig, m, pb)
+			floor[d] = cellFloor(part, cell, qsig, m, nil)
 		}
 		dominated := false
 		for _, f := range filters {

@@ -96,30 +96,12 @@ func PlanRank(m Measure, bs BoundStats, t float64) RankPlan {
 	p.NeedGED, p.NeedMCS = EngineNeeds(m)
 	if p.NeedGED {
 		// m-distance is non-decreasing in GED and the reported GED lies
-		// in [GEDLo, GEDHi]; find the largest integer in that range
-		// whose distance still fits (binary search on monotonicity).
-		lo, hi := int(bs.GEDLo), int(bs.GEDHi)
-		switch {
-		case m.FromStats(bs.statsAt(float64(hi), bs.MCSHi)) <= t:
-			// Even the pessimistic end fits: no reportable GED exceeds
-			// the threshold.
-			p.GEDLimit = math.Inf(1)
-		case m.FromStats(bs.statsAt(float64(lo), bs.MCSHi)) > t:
-			// Even the optimistic end exceeds: any proof of
-			// GED > GEDLo - 1 (immediate — the histogram bound is the
-			// root f-value) excludes.
-			p.GEDLimit = float64(lo) - 1
-		default:
-			for lo < hi {
-				mid := (lo + hi + 1) / 2
-				if m.FromStats(bs.statsAt(float64(mid), bs.MCSHi)) <= t {
-					lo = mid
-				} else {
-					hi = mid - 1
-				}
-			}
-			p.GEDLimit = float64(lo)
-		}
+		// in [GEDLo, GEDHi]: +Inf means even the pessimistic end fits (no
+		// reportable GED exceeds the threshold), GEDLo−1 that even the
+		// optimistic end exceeds it (any proof of GED > GEDLo−1 excludes,
+		// and that one is immediate: the histogram bound is the root
+		// f-value).
+		p.GEDLimit = bs.GEDLimit(bs.MCSHi, func(ps PairStats) bool { return m.FromStats(ps) <= t })
 	}
 	if p.NeedMCS {
 		// m-distance is non-increasing in |mcs| and the reported |mcs|
@@ -147,6 +129,35 @@ func PlanRank(m Measure, bs BoundStats, t float64) RankPlan {
 		}
 	}
 	return p
+}
+
+// GEDLimit returns the largest integer GED in [bs.GEDLo, bs.GEDHi] whose
+// hypothetical statistics — that GED beside |mcs| = mcsv — still fit:
+// +Inf when even GEDHi fits, GEDLo−1 when not even GEDLo does. fits must
+// be monotone in GED (once it fails it fails for every larger value),
+// which any test that only gets harder as the measures grow is; it sees
+// the very PairStats the scoring path would, so the cutoff cannot
+// disagree with a score by a rounding error. Binary search on
+// monotonicity: O(log(GEDHi−GEDLo)) calls. PlanRank decides one
+// measure against a scalar threshold with it, the progressive skyline
+// scan a whole GCS vector against its running front.
+func (bs BoundStats) GEDLimit(mcsv int, fits func(PairStats) bool) float64 {
+	lo, hi := int(bs.GEDLo), int(bs.GEDHi)
+	switch {
+	case fits(bs.statsAt(float64(hi), mcsv)):
+		return math.Inf(1)
+	case !fits(bs.statsAt(float64(lo), mcsv)):
+		return float64(lo) - 1
+	}
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if fits(bs.statsAt(float64(mid), mcsv)) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return float64(lo)
 }
 
 // ScorePair computes the exact score of one pair under a single

@@ -29,9 +29,10 @@ func newPivotTestServer(t *testing.T, nshards int, cfg Config) (*Server, *httpte
 	return s, ts
 }
 
-// TestPivotCountersOnWire: /query/topk and /query/skyline surface the
-// pivot/memo counters; warm reruns served from the answer caches report
-// zero fresh work, and /stats totals the activity.
+// TestPivotCountersOnWire: /query/topk surfaces the pivot counters and
+// /query/skyline — whose pruned build runs no pivot tier — reports
+// none, both surface the memo counters; warm reruns served from the
+// answer caches report zero fresh work, and /stats totals the activity.
 func TestPivotCountersOnWire(t *testing.T) {
 	_, ts := newPivotTestServer(t, 1, Config{CacheSize: 16})
 	q := dataset.PaperQuery()
@@ -52,13 +53,14 @@ func TestPivotCountersOnWire(t *testing.T) {
 		t.Fatalf("warm topk should be a pure cache hit: %+v", warm.Stats)
 	}
 
-	// Skyline with pruning: pivot distances + memo lookups flow through
-	// the table path too (memo hits now, since topk published scores...
-	// only for the engines it ran; at minimum the lookups are counted).
+	// Skyline with pruning: the progressive scan pays no query-to-pivot
+	// distance, and memo lookups flow through the table path too (topk
+	// published scores only for the engine it ran; at minimum the lookups
+	// are counted).
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
-	if sky.Stats.PivotDists == 0 {
-		t.Fatalf("pruned skyline computed no pivot distances: %+v", sky.Stats)
+	if sky.Stats.PivotDists != 0 {
+		t.Fatalf("pruned skyline computed pivot distances: %+v", sky.Stats)
 	}
 	if sky.Stats.MemoHits+sky.Stats.MemoMisses == 0 {
 		t.Fatalf("pruned skyline performed no memo lookups: %+v", sky.Stats)
