@@ -1,17 +1,13 @@
 // Package skygraph_bench holds the benchmark harness regenerating every
-// table of the paper (Tables I–V) plus the extension experiments E8–E12.
+// table of the paper (Tables I–V) plus the extension experiments E9–E12
+// (E8, the scaling sweep, lives in cmd/experiments only).
 // Each benchmark corresponds to one row of the experiment index in
 // DESIGN.md; `go test -bench=. -benchmem` regenerates them all, and
 // cmd/experiments prints the paper-vs-measured tables.
 package skygraph_bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	mrand "math/rand"
@@ -24,7 +20,6 @@ import (
 	"skygraph/internal/mcs"
 	"skygraph/internal/measure"
 	"skygraph/internal/pivot"
-	"skygraph/internal/server"
 	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
 	"skygraph/internal/vector"
@@ -130,164 +125,20 @@ func BenchmarkTable5Ranking(b *testing.B) {
 	}
 }
 
-// BenchmarkSkylineScaling is experiment E8: skyline query cost as the
-// database grows (the efficiency evaluation the paper promises). At
-// n >= 40 the unpruned full scan is benched against the bound-driven
-// filter-and-refine pipeline; the pruned runs additionally report how
-// many exact evaluations the bounds spared (pruned/op, evaluated/op).
-func BenchmarkSkylineScaling(b *testing.B) {
-	for _, n := range []int{10, 20, 40, 80} {
-		db := gdb.New()
-		if err := db.InsertAll(dataset.MoleculeDB(n, 5, 14, 1)); err != nil {
-			b.Fatal(err)
-		}
-		q := dataset.MoleculeDB(1, 7, 8, 999)[0]
-		opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000}}
-		run := func(b *testing.B, opts gdb.QueryOptions) {
-			var last gdb.QueryStats
-			for i := 0; i < b.N; i++ {
-				res, err := db.SkylineQuery(q, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.Stats
-			}
-			b.ReportMetric(float64(last.Evaluated), "evaluated/op")
-			b.ReportMetric(float64(last.Pruned), "pruned/op")
-		}
-		if n < 40 {
-			b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { run(b, opts) })
-			continue
-		}
-		b.Run(fmt.Sprintf("n=%d/unpruned", n), func(b *testing.B) { run(b, opts) })
-		b.Run(fmt.Sprintf("n=%d/pruned", n), func(b *testing.B) {
-			popts := opts
-			popts.Prune = true
-			run(b, popts)
-		})
-	}
-}
-
-// BenchmarkTopKScaling is the ranked analogue of E8: single-measure
-// top-k query cost as the database grows. At n >= 40 the unpruned full
-// scan is benched against the best-first bound-index evaluation with
-// threshold-fed exact engines; the pruned runs additionally report how
-// many exact scores the bounds and decision runs spared (pruned/op,
-// evaluated/op).
-func BenchmarkTopKScaling(b *testing.B) {
-	for _, n := range []int{10, 20, 40, 80} {
-		db := gdb.New()
-		if err := db.InsertAll(dataset.MoleculeDB(n, 5, 14, 1)); err != nil {
-			b.Fatal(err)
-		}
-		q := dataset.MoleculeDB(1, 7, 8, 999)[0]
-		opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000}}
-		run := func(b *testing.B, opts gdb.QueryOptions) {
-			var last gdb.QueryStats
-			for i := 0; i < b.N; i++ {
-				res, err := db.TopKQuery(q, measure.DistEd{}, 5, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.Stats
-			}
-			b.ReportMetric(float64(last.Evaluated), "evaluated/op")
-			b.ReportMetric(float64(last.Pruned), "pruned/op")
-		}
-		if n < 40 {
-			b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { run(b, opts) })
-			continue
-		}
-		b.Run(fmt.Sprintf("n=%d/unpruned", n), func(b *testing.B) { run(b, opts) })
-		b.Run(fmt.Sprintf("n=%d/pruned", n), func(b *testing.B) {
-			popts := opts
-			popts.Prune = true
-			run(b, popts)
-		})
-	}
-}
-
-// BenchmarkPivotScaling measures what the metric pivot index adds on
-// top of the signature-only ranked pruning of BenchmarkTopKScaling, on
-// the workload signatures are blind to: one family of REWIRED molecule
-// variants (dataset.RewiredClusters — identical label histograms,
-// different structure, so the histogram bound between family members
-// is 0 regardless of their true distance; think isomer databases).
-// DistEd top-5 queries evaluate best-first with signature bounds alone
-// ("sig", the tiers BenchmarkTopKScaling exercises) versus with the
-// triangle-inequality pivot tier ("pivot") versus pivot plus the
-// cross-query score memo ("pivot+memo", warm after the first
-// iteration). Engines run uncapped (the family graphs are small), so
-// the pivot tier's upper bounds apply and the answers are the exact
-// ones; Workers is pinned to 1 so evaluated/op is deterministic.
-// evaluated/op counts graphs scored exactly — the pivot rows must come
-// in under the sig rows; memo_hits/op shows the warm path replaying
-// scores without engine work.
-func BenchmarkPivotScaling(b *testing.B) {
-	for _, n := range []int{40, 80} {
-		gs := dataset.RewiredClusters(1, n, 6, 7, 5, 1)
-		q := graph.Rewire(gs[0], 2, newGoRand(999))
-		q.SetName("q0")
-		opts := gdb.QueryOptions{Prune: true, Workers: 1}
-		run := func(b *testing.B, db *gdb.DB) {
-			var last gdb.QueryStats
-			for i := 0; i < b.N; i++ {
-				res, err := db.TopKQuery(q, measure.DistEd{}, 5, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.Stats
-			}
-			b.ReportMetric(float64(last.Evaluated), "evaluated/op")
-			b.ReportMetric(float64(last.Pruned), "pruned/op")
-			b.ReportMetric(float64(last.PivotPruned), "pivot_pruned/op")
-			b.ReportMetric(float64(last.PivotDists), "pivot_dists/op")
-			b.ReportMetric(float64(last.MemoHits), "memo_hits/op")
-		}
-		pivotCfg := pivot.Config{Pivots: 16, QueryMaxNodes: -1}
-		b.Run(fmt.Sprintf("n=%d/sig", n), func(b *testing.B) {
-			db := gdb.New()
-			if err := db.InsertAll(gs); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			run(b, db)
-		})
-		b.Run(fmt.Sprintf("n=%d/pivot", n), func(b *testing.B) {
-			db := gdb.New()
-			if err := db.InsertAll(gs); err != nil {
-				b.Fatal(err)
-			}
-			db.EnablePivots(pivotCfg).Wait()
-			b.ResetTimer()
-			run(b, db)
-		})
-		b.Run(fmt.Sprintf("n=%d/pivot+memo", n), func(b *testing.B) {
-			db := gdb.New()
-			if err := db.InsertAll(gs); err != nil {
-				b.Fatal(err)
-			}
-			db.EnablePivots(pivotCfg).Wait()
-			db.SetScoreMemo(gdb.NewScoreMemo(4096))
-			b.ResetTimer()
-			run(b, db)
-		})
-	}
-}
-
-// BenchmarkVectorScaling grows the pivot experiment to real collection
-// sizes and adds the vector candidate tier: n molecule families of 50
-// rewired variants each (identical label histograms within a family, so
-// only structure distinguishes members), DistEd top-5 queries against a
-// fresh rewiring of a family-0 member. Three tiers: signature bounds
-// alone ("sig"), the triangle-inequality pivot tier ("pivot"), and the
-// IVF partition under both ("vector"). All three return byte-identical
-// answers; what changes is candidates_touched/op — the graphs the scan
-// had to bound at all (collection size minus the members excluded
-// wholesale by admissible cell floors). sig and pivot touch every graph
-// every query; the vector tier's floor cutoff drops whole families
-// without reading a signature, which is where the sublinear ns/op comes
-// from. Workers is pinned to 1 so the counters are deterministic.
+// BenchmarkVectorScaling is the ranked-scan tier experiment at real
+// collection sizes, the only n = 10k evidence the vector candidate tier
+// has: n/25 molecule families of 25 rewired variants each (identical
+// label histograms within a family, so only structure distinguishes
+// members), DistEd top-5 queries against a fresh rewiring of a family-0
+// member. Three tiers: signature bounds alone ("sig"), the
+// triangle-inequality pivot tier ("pivot"), and the IVF partition under
+// both ("vector"). All three return byte-identical answers; what changes
+// is candidates_touched/op — the graphs the scan had to bound at all
+// (collection size minus the members excluded wholesale by admissible
+// cell floors). sig and pivot touch every graph every query; the vector
+// tier's floor cutoff drops whole families without reading a signature,
+// which is where the sublinear ns/op comes from. Workers is pinned to 1
+// so the counters are deterministic.
 func BenchmarkVectorScaling(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		gs := dataset.RewiredClusters(n/25, 25, 4, 5, 5, 1)
@@ -337,110 +188,6 @@ func BenchmarkVectorScaling(b *testing.B) {
 			b.ResetTimer()
 			run(b, db)
 		})
-	}
-}
-
-// BenchmarkMutationMix measures the delta-maintenance layer's headline:
-// query throughput under a write-heavy mix (10% mutations — one insert
-// or delete per nine queries), end to end over HTTP against a 2-shard
-// daemon. The "cold" arm disables delta maintenance, so every mutation
-// invalidates the mutated shard's cached tables and ranked answers and
-// the next queries rebuild them from scratch; the "delta" arm patches
-// the cached state in place — one fresh row evaluation per insert
-// instead of a full-shard rescan. Both arms return byte-identical
-// answers (TestDeltaMatchesColdRecompute proves it); queries/sec is the
-// number to compare, with the applied/fallback counters alongside.
-// Queries alternate between unpruned skylines (complete tables, the
-// maintainable kind) and default top-k (ranked answers) over two query
-// graphs; mutations alternate inserting a fresh graph and deleting it
-// again, so the collection stays at ~n.
-func BenchmarkMutationMix(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		gs := dataset.RewiredClusters(n/25, 25, 4, 5, 5, 1)
-		var qs []*graph.Graph
-		for qi := 0; qi < 2; qi++ {
-			q := graph.Rewire(gs[qi*13], 1, newGoRand(int64(900+qi)))
-			q.SetName(fmt.Sprintf("q%d", qi))
-			qs = append(qs, q)
-		}
-		mut := dataset.RewiredClusters(1, 1, 4, 5, 5, 77)[0]
-		noPrune := false
-		for _, arm := range []struct {
-			name    string
-			disable bool
-		}{{"cold", true}, {"delta", false}} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, arm.name), func(b *testing.B) {
-				db := gdb.NewSharded(2)
-				if err := db.InsertAll(gs); err != nil {
-					b.Fatal(err)
-				}
-				s := server.New(db, server.Config{CacheSize: 64, DisableDelta: arm.disable})
-				ts := httptest.NewServer(s.Handler())
-				defer ts.Close()
-				client := ts.Client()
-				queries := func() {
-					for j := 0; j < 9; j++ {
-						q := qs[(j/2)%2]
-						if j%2 == 0 {
-							benchPost(b, client, ts.URL+"/query/skyline", server.QueryRequest{Graph: q, Prune: &noPrune})
-						} else {
-							benchPost(b, client, ts.URL+"/query/topk", server.QueryRequest{Graph: q, K: 3})
-						}
-					}
-				}
-				queries() // warm the caches: the mix measures maintenance, not first builds
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%2 == 0 {
-						mut.SetName(fmt.Sprintf("mut%d", i))
-						benchPost(b, client, ts.URL+"/graphs", server.InsertRequest{Graph: mut})
-					} else {
-						req, err := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/"+fmt.Sprintf("mut%d", i-1), nil)
-						if err != nil {
-							b.Fatal(err)
-						}
-						resp, err := client.Do(req)
-						if err != nil {
-							b.Fatal(err)
-						}
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
-					queries()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(9*b.N)/b.Elapsed().Seconds(), "queries/sec")
-				resp, err := client.Get(ts.URL + "/stats")
-				if err != nil {
-					b.Fatal(err)
-				}
-				var st server.StatsResponse
-				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-					b.Fatal(err)
-				}
-				resp.Body.Close()
-				b.ReportMetric(float64(st.Cache.DeltaApplied), "delta_applied")
-				b.ReportMetric(float64(st.Cache.DeltaFallbacks), "delta_fallbacks")
-			})
-		}
-	}
-}
-
-// benchPost posts a JSON body and drains the response, failing the
-// benchmark on any non-200.
-func benchPost(b *testing.B, client *http.Client, url string, body any) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		b.Fatal(err)
-	}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		b.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b.Fatalf("POST %s: status %d", url, resp.StatusCode)
 	}
 }
 

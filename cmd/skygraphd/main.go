@@ -8,11 +8,11 @@
 // -pivots attaches a background-maintained metric pivot index per
 // shard (triangle-inequality GED bounds for the filter tiers); -memo
 // adds the cross-query exact-score memo that survives mutations the
-// table cache cannot; -vector-cells adds the vector candidate tier —
-// per-graph embeddings in an IVF-style coarse partition that streams
-// candidates best-first and skips whole cells whose admissible floor
-// cannot beat the running threshold, with answers byte-identical to
-// the plain scan.
+// table cache cannot; -vector-cells adds the vector candidate tier for
+// top-k and range scans — per-graph embeddings in an IVF-style coarse
+// partition that streams candidates best-first and skips whole cells
+// whose admissible floor cannot beat the running threshold, with
+// answers byte-identical to the plain scan.
 //
 // Usage:
 //
@@ -129,7 +129,7 @@ func main() {
 	pivotBudget := flag.Int64("pivot-budget", 0, "A* node cap per insert-time pivot distance (0 = package default, negative = exact)")
 	pivotQueryBudget := flag.Int64("pivot-query-budget", 0, "A* node cap per query-to-pivot distance (0 = package default, negative = exact)")
 	memoSize := flag.Int("memo", 0, "cross-query exact-score memo capacity (pair entries, 0 = disabled)")
-	vectorCells := flag.Int("vector-cells", 0, "vector candidate tier: coarse partition cells per shard (0 = disabled); answers stay byte-identical, candidates stream best-first")
+	vectorCells := flag.Int("vector-cells", 0, "vector candidate tier for top-k/range scans: coarse partition cells per shard (0 = disabled); answers stay byte-identical, candidates stream best-first; skyline queries never use it")
 	vectorDims := flag.Int("vector-dims", 0, "vector embedding dimensions for the WL-histogram block (0 = package default of 32; needs -vector-cells)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log queries at or above this server-side duration as JSON lines to stderr (0 = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it private)")

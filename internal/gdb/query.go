@@ -46,12 +46,6 @@ type QueryOptions struct {
 	// is identical to an unpruned run. Diversity queries ignore Prune.
 	// Ignored for measures outside this package's built-ins.
 	Prune bool
-	// NoVector opts a pruned query out of the vector candidate tier
-	// (EnableVector): candidates are scanned in plain bound order with
-	// no partition probe. Answers are identical either way — the flag
-	// exists for A/B measurement and as an escape hatch. Meaningless
-	// when no vector index is attached.
-	NoVector bool
 	// Trace, when non-nil, accumulates per-cascade-stage work counters
 	// and durations for this query (see trace.go). The same trace may be
 	// shared by every shard of a sharded query; recording is
@@ -95,7 +89,7 @@ type Work struct {
 	// QueryOptions.Prune: the interval filter and the progressive scan's
 	// front tests and decision runs for skyline queries; the best-first
 	// threshold cutoff and the threshold-fed engine decision runs for
-	// top-k and range queries; whole vector-tier cells for both.
+	// top-k and range queries, whole vector-tier cells included.
 	Pruned int `json:"pruned"`
 	// PivotPruned counts graphs (within Pruned) whose exclusion needed
 	// the pivot tier's triangle bounds — the signature bounds alone
@@ -111,12 +105,12 @@ type Work struct {
 	MemoMisses int `json:"memo_misses"`
 	// VectorCells counts partition cells the vector tier probed (bounded
 	// and offered to the scan). VectorSkipped counts graphs (within
-	// Pruned) in cells the tier proved out wholesale — by the admissible
-	// cell floor on ranked scans, by cell-floor dominance on the skyline
-	// path — whose per-graph bounds were never even computed.
+	// Pruned) in cells the tier proved out wholesale by the admissible
+	// cell floor, whose per-graph bounds were never even computed.
 	// VectorFallbacks counts snapshots where an attached vector index
 	// could not serve the query (stale generation) and the plain bound
-	// order ran instead.
+	// order ran instead. All three are ranked-scan counters: skyline
+	// table builds run no vector tier and report 0.
 	VectorCells     int `json:"vector_cells_probed"`
 	VectorSkipped   int `json:"vector_skipped"`
 	VectorFallbacks int `json:"vector_fallbacks"`
@@ -249,7 +243,7 @@ func (db *DB) RangeQueryContext(ctx context.Context, q *graph.Graph, m measure.M
 		qsig := run.querySig(q)
 		ec := db.newEvalCtx(q, qsig, opts, true)
 		var err error
-		if stats, err = evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, opts, ec), run.coll); err != nil {
+		if stats, err = evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, ec), run.coll); err != nil {
 			return RangeResult{}, err
 		}
 		items = append(items, run.Items()...)

@@ -214,7 +214,7 @@ func (r *Ranked) EvalDB(ctx context.Context, db *DB, q *graph.Graph, opts QueryO
 		opts.QueryHash = r.queryHash(q)
 	}
 	ec := db.newEvalCtx(q, qsig, opts, true)
-	return evalRanked(ctx, sn, qsig, q, r.m, opts, ec, db.startVector(sn, qsig, q, r.m, opts, ec), r.coll)
+	return evalRanked(ctx, sn, qsig, q, r.m, opts, ec, db.startVector(sn, qsig, q, r.m, ec), r.coll)
 }
 
 // evalRanked is the scan itself: order candidates by optimistic bound,

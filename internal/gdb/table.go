@@ -28,7 +28,8 @@ type VectorTable struct {
 	Points []skyline.Point
 	// Work is what the cold build paid: Evaluated == len(Points) and
 	// Pruned counts the graphs the filter phase excluded (0 for complete
-	// tables), with the pivot, memo and vector tiers' shares alongside.
+	// tables), with the memo's share alongside; the pivot and vector
+	// counters stay 0 — those tiers serve ranked scans only.
 	// Delta patches leave it untouched — Deltas counts those.
 	Work
 	// Complete reports whether Points covers every database graph.
@@ -96,22 +97,19 @@ func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 	// No pivot tier on either build: the full scan evaluates every pair
 	// anyway, and the pruned scan's running front discards for free what
 	// P query-to-pivot engine runs would pre-prune — more runs than the
-	// handful of pairs a skyline answer needs. The score memo applies to
-	// both: a warm memo rebuilds a table with engines running only for
-	// graphs inserted since.
+	// handful of pairs a skyline answer needs. No vector tier either: a
+	// signature-only pessimistic corner has MCSLo = 0, so it can dominate
+	// a cell's floor vector only where tier 0 prunes every member anyway.
+	// The score memo applies to both: a warm memo rebuilds a table with
+	// engines running only for graphs inserted since.
 	ec := db.newEvalCtx(q, qsig, opts, false)
 	if opts.Prune && measure.Boundable(opts.Basis) {
-		// The vector tier narrows the snapshot first: whole cells whose
-		// floor vector is strictly dominated by an already-probed
-		// survivor never even reach the signature bounds.
-		psn, vw := db.vectorPreselect(sn, qsig, q, opts)
-		pts, pruned, inexact, err := evalPruned(ctx, psn, q, qsig, ec, opts)
+		pts, pruned, inexact, err := evalPruned(ctx, sn, q, qsig, ec, opts)
 		if err != nil {
 			return nil, err
 		}
-		t.Work = vw
-		t.Pruned = pruned + vw.VectorSkipped
-		t.Points, t.Inexact, t.Complete = pts, inexact, t.Pruned == 0
+		t.Pruned = pruned
+		t.Points, t.Inexact, t.Complete = pts, inexact, pruned == 0
 	} else {
 		// Stored signatures spare the per-pair histogram/degree rebuild
 		// even on the unpruned path; the query's is computed once.

@@ -12,7 +12,7 @@ import (
 //
 //	vector  the tier below the bounds: partition-index cell ordering,
 //	        per-cell admissible floors, and the wholesale cell skips
-//	        they prove (see internal/vector)
+//	        they prove (see internal/vector); ranked scans only
 //	bound   tier-0 signature bounds: histogram/degree intervals from the
 //	        stored index, the candidate ordering of ranked scans, and
 //	        the threshold cutoff that ends them
@@ -36,9 +36,9 @@ import (
 // bounded because its cell was skipped (vector), excluded by an engine
 // decision run (exact), condemned at the final threshold only thanks to
 // the triangle bound (pivot), otherwise cut off by the signature bound
-// and the best-first threshold (bound). On the skyline path they are: in
-// a skipped cell (vector), excluded by tier 0's IntervalPrune (bound),
-// otherwise discarded by the scan (exact). Hence, summed over stages,
+// and the best-first threshold (bound). On the skyline path they are:
+// excluded by tier 0's IntervalPrune (bound), otherwise discarded by
+// the scan (exact). Hence, summed over stages,
 // Pruned equals the query's Work.Pruned; the pivot and vector stages'
 // Pruned are the pivot_pruned and vector_skipped counters; and the
 // exact stage's Pairs minus its Pruned equals Work.Evaluated. No count

@@ -10,8 +10,9 @@ import (
 	"skygraph/internal/vector"
 )
 
-// Query-side consumption of the vector candidate tier (internal/vector).
-// The tier sits BELOW the bound cascade: it never excludes anything on
+// Query-side consumption of the vector candidate tier (internal/vector),
+// by ranked scans only — skyline table builds never consult it. The
+// tier sits BELOW the bound cascade: it never excludes anything on
 // its own authority. Everything it proves comes from per-cell summaries
 // that bracket every member — vertex/edge count ranges and per-pivot
 // distance ranges — turned into an admissible floor on the reported
@@ -54,13 +55,10 @@ type vecState struct {
 }
 
 // startVector builds the probe plan for a ranked scan of sn under m.
-// It returns nil when the tier is off (no index attached, opts.NoVector,
-// or the partition is still dormant) and a fallback-marked state when an
+// It returns nil when the tier is off (no index attached, or the
+// partition is still dormant) and a fallback-marked state when an
 // attached partition cannot serve this snapshot (generation mismatch).
-func (db *DB) startVector(sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx) *vecState {
-	if opts.NoVector {
-		return nil
-	}
+func (db *DB) startVector(sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, ec *evalCtx) *vecState {
 	vidx := db.VectorIndex()
 	if vidx == nil {
 		return nil
@@ -183,142 +181,4 @@ func cellFloor(part *vector.Partition, cell *vector.Cell, qsig *measure.Signatur
 		Size1: cell.SizeMin, Size2: qsig.Size,
 		Order1: cell.OrderMin, Order2: qsig.Order,
 	})
-}
-
-// maxSkyFilters bounds the skyline pre-selection's filter set: the
-// pessimistic corners retained to dominate later cells. Small on
-// purpose — domination tests run per cell, not per graph.
-const maxSkyFilters = 128
-
-// vectorPreselect narrows a pruned skyline evaluation's snapshot using
-// the partition: cells are probed in centroid-proximity order, probed
-// members contribute their signature-only pessimistic GCS corner to a
-// bounded filter set, and a later cell is dropped wholesale when some
-// retained corner strictly dominates the cell's per-basis floor vector
-// — that corner's graph then strictly dominates every member of the
-// cell (corner >= its true vector componentwise; floor <= every
-// member's true vector componentwise; strict in at least one basis
-// dimension), so the Pareto front provably contains none of them.
-// Returns the (possibly compacted) snapshot to evaluate — when the tier
-// is off or nothing was skipped the input snapshot comes back as is —
-// and the tier's own counters (cells probed, graphs skipped,
-// fallbacks).
-func (db *DB) vectorPreselect(sn snap, qsig *measure.Signature, q *graph.Graph, opts QueryOptions) (snap, Work) {
-	var st Work
-	if opts.NoVector {
-		return sn, st
-	}
-	vidx := db.VectorIndex()
-	if vidx == nil {
-		return sn, st
-	}
-	start := time.Now()
-	part := vidx.Snapshot()
-	if part == nil {
-		return sn, st
-	}
-	if part.Gen != sn.gen || part.N != len(sn.graphs) {
-		st.VectorFallbacks = 1
-		opts.Trace.Observe(StageVector, time.Since(start), len(sn.graphs), 0)
-		return sn, st
-	}
-	// The skyline path computes no query-to-pivot distances: the query's
-	// pivot block is zero (an ordering concern only) and the cell floors
-	// rest on the order/size gaps alone.
-	qvec := part.QueryVec(graph.WLHistogram(q, vidx.Config().WLIters, part.WLDims), nil)
-
-	type corner struct {
-		hi  []float64
-		sum float64
-	}
-	filters := make([]corner, 0, maxSkyFilters)
-	worst := -1 // index of the largest-sum retained corner
-	keep := make([]int, 0, len(sn.graphs))
-	for _, c := range part.Nearest(qvec) {
-		cell := &part.Cells[c]
-		if len(cell.Members) == 0 {
-			continue
-		}
-		floor := make([]float64, len(opts.Basis))
-		for d, m := range opts.Basis {
-			floor[d] = cellFloor(part, cell, qsig, m, nil)
-		}
-		dominated := false
-		for _, f := range filters {
-			if cornerDominates(f.hi, floor) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			st.VectorSkipped += len(cell.Members)
-			continue
-		}
-		st.VectorCells++
-		keep = append(keep, cell.Members...)
-		// Feed the filter set from the probed members' signature-only
-		// pessimistic corners (no pivot tighten — this must stay cheap).
-		// Bounded: keep the smallest-sum corners, they dominate most.
-		for _, i := range cell.Members {
-			_, hi := measure.BoundPair(sn.sigs[i], qsig).IntervalGCS(opts.Basis)
-			sum := 0.0
-			for _, x := range hi {
-				sum += x
-			}
-			if len(filters) < maxSkyFilters {
-				filters = append(filters, corner{hi: hi, sum: sum})
-				if worst < 0 || sum > filters[worst].sum {
-					worst = len(filters) - 1
-				}
-				continue
-			}
-			if sum >= filters[worst].sum {
-				continue
-			}
-			filters[worst] = corner{hi: hi, sum: sum}
-			for j := range filters {
-				if filters[j].sum > filters[worst].sum {
-					worst = j
-				}
-			}
-		}
-	}
-	opts.Trace.Observe(StageVector, time.Since(start), len(sn.graphs), st.VectorSkipped)
-	if st.VectorSkipped == 0 {
-		return sn, st
-	}
-	// Compact the snapshot to the kept members, preserving insertion
-	// order — evalPruned's output order and the survivors' filter roles
-	// are position-independent, so the subset evaluates exactly as it
-	// would inside the full pass.
-	sort.Ints(keep)
-	sub := snap{
-		graphs: make([]*graph.Graph, 0, len(keep)),
-		sigs:   make([]*measure.Signature, 0, len(keep)),
-		seqs:   make([]uint64, 0, len(keep)),
-		gen:    sn.gen,
-	}
-	for _, i := range keep {
-		sub.graphs = append(sub.graphs, sn.graphs[i])
-		sub.sigs = append(sub.sigs, sn.sigs[i])
-		sub.seqs = append(sub.seqs, sn.seqs[i])
-	}
-	return sub, st
-}
-
-// cornerDominates reports whether pessimistic corner a strictly
-// dominates floor vector b: a <= b in every dimension, a < b in at
-// least one. (skyline.Point's dominance helper is unexported and works
-// on Points; this is the same minimization convention.)
-func cornerDominates(a, b []float64) bool {
-	strict := false
-	for d := range a {
-		if a[d] > b[d] {
-			return false
-		}
-		if a[d] < b[d] {
-			strict = true
-		}
-	}
-	return strict
 }

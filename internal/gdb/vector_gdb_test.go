@@ -21,9 +21,10 @@ var vCfg = vector.Config{Dims: 16, Cells: 4}
 
 // TestVectorRankedEquivalence: top-k and range answers with the vector
 // tier live must be byte-identical to the unpruned reference AND to the
-// pruned-but-unvectored scan, across the library's whole configuration
-// matrix — paper and seeded data, shard counts 1/2/3/7, capped and
-// uncapped engines, with and without the pivot tier and the score memo.
+// pruned scan of the same collection built without the tier (the "off"
+// arm), across the library's whole configuration matrix — paper and
+// seeded data, shard counts 1/2/3/7, capped and uncapped engines, with
+// and without the pivot tier and the score memo.
 func TestVectorRankedEquivalence(t *testing.T) {
 	cases := []struct {
 		label string
@@ -50,7 +51,7 @@ func TestVectorRankedEquivalence(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for _, shards := range []int{1, 2, 3, 7} {
+							build := func(shards int, withVector bool) *gdb.Sharded {
 								sh := testutil.NewSharded(t, shards, tc.gs)
 								if withPivots {
 									sh.EnablePivots(pivot.Config{Pivots: 3})
@@ -59,7 +60,13 @@ func TestVectorRankedEquivalence(t *testing.T) {
 								if withMemo {
 									sh.EnableScoreMemo(4096)
 								}
-								sh.EnableVector(vCfg)
+								if withVector {
+									sh.EnableVector(vCfg)
+								}
+								return sh
+							}
+							for _, shards := range []int{1, 2, 3, 7} {
+								sh := build(shards, true)
 								label := fmt.Sprintf("%s/%s/%s shards=%d pivots=%v memo=%v eval=%v",
 									tc.label, q.Name(), m.Name(), shards, withPivots, withMemo, eval.GEDMaxNodes)
 								popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
@@ -73,17 +80,15 @@ func TestVectorRankedEquivalence(t *testing.T) {
 									t.Fatal(err)
 								}
 								testutil.RequireSameItems(t, label+"/range", refRG.Items, rg.Items)
-								// The opt-out must also match, and must not
-								// consult the partition at all.
-								noopts := popts
-								noopts.NoVector = true
-								ntk, err := sh.TopKQueryContext(ctx, q, m, 4, noopts)
+								// The same collection without the tier must
+								// also match, and report no vector work.
+								ntk, err := build(shards, false).TopKQueryContext(ctx, q, m, 4, popts)
 								if err != nil {
 									t.Fatal(err)
 								}
-								testutil.RequireSameItems(t, label+"/topk-novector", ref.Items, ntk.Items)
+								testutil.RequireSameItems(t, label+"/topk-untiered", ref.Items, ntk.Items)
 								if ntk.Stats.VectorCells != 0 || ntk.Stats.VectorSkipped != 0 {
-									t.Fatalf("%s: NoVector query reported vector work: %+v", label, ntk.Stats)
+									t.Fatalf("%s: collection without the tier reported vector work: %+v", label, ntk.Stats)
 								}
 							}
 						}
@@ -94,9 +99,9 @@ func TestVectorRankedEquivalence(t *testing.T) {
 	}
 }
 
-// TestVectorSkylineEquivalence: pruned skyline answers with the vector
-// pre-selection live must match the unpruned reference across shard
-// counts, with and without pivots.
+// TestVectorSkylineEquivalence: an attached vector index must leave
+// pruned skyline answers alone — they match the unpruned reference
+// across shard counts, with and without pivots.
 func TestVectorSkylineEquivalence(t *testing.T) {
 	for _, seed := range []int64{71, 72} {
 		gs := testutil.SeededGraphs(seed, 20)

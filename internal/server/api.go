@@ -62,18 +62,12 @@ type QueryRequest struct {
 	// the same graph are served from.
 	Prune *bool `json:"prune,omitempty"`
 	// Trace requests the per-stage cascade trace in the response: one
-	// entry per stage the query touched (vector, bound, pivot, refine,
-	// exact, merge) with wall time, pair count and pruned count. The trace
+	// entry per stage the query touched (bound, exact and merge on a
+	// pruned skyline; vector, pivot and refine as well on topk/range)
+	// with wall time, pair count and pruned count. The trace
 	// is always recorded server-side (it feeds the stage metrics and the
 	// slow-query log); this flag only controls whether it is returned.
 	Trace bool `json:"trace,omitempty"`
-	// Vector opts out of the vector candidate tier when set false: the
-	// pruned paths scan in insertion order instead of partition-proximity
-	// order and skip no cells. The answer is byte-identical either way —
-	// the flag exists for A/B measurement against a daemon running with
-	// -vector-cells. Unset (or true) uses the tier whenever the shards
-	// carry a partition.
-	Vector *bool `json:"vector,omitempty"`
 }
 
 // QueryStats reports the work a request caused.

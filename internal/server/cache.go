@@ -59,9 +59,9 @@ type cacheEntry struct {
 // tableLineage is everything needed to re-derive a complete table's
 // key and evaluate a single delta row through the exact code path the
 // cold build used: the query graph, its canonical hash, the basis and
-// the engine budgets. Pruned and vector-preselected variants carry no
-// lineage — their survivor sets are not row-patchable — and fall back
-// to generation invalidation.
+// the engine budgets. Pruned tables carry no lineage — their survivor
+// sets are not row-patchable — and fall back to generation
+// invalidation.
 type tableLineage struct {
 	q     *graph.Graph
 	qh    string
@@ -83,13 +83,12 @@ type rankedEntry struct {
 
 // rankedLineage mirrors tableLineage for merged ranked answers.
 type rankedLineage struct {
-	kind     string // "topk" or "range"
-	q        *graph.Graph
-	qh       string
-	m        measure.Measure
-	arg      float64 // k for topk, radius for range
-	novector bool
-	eval     measure.Options
+	kind string // "topk" or "range"
+	q    *graph.Graph
+	qh   string
+	m    measure.Measure
+	arg  float64 // k for topk, radius for range
+	eval measure.Options
 }
 
 // stale reports whether the entry was computed before generation gen of
@@ -118,14 +117,6 @@ func CacheKey(shard int, generation uint64, queryHash string, basis []measure.Me
 // answer skyline requests exactly but can never be returned for a
 // full-table, top-k or range lookup — hence the separate namespace.
 func prunedKey(full string) string { return full + "|pruned" }
-
-// vectorKey derives the key of the pruned-table variant built with the
-// vector tier's cell pre-selection live. Its skyline is identical to
-// the plain pruned variant's, but the two hold different survivor sets
-// and different work attributions, and the "vector": false escape hatch
-// promises a vector-free evaluation — so the variants never shadow one
-// another.
-func vectorKey(full string) string { return full + "|vector" }
 
 // RankedKey renders the cache key of a pruned ranked answer: the merged
 // result of one (kind, measure, k/radius) query, bound to the canonical

@@ -15,9 +15,8 @@ import (
 // deliberately narrow:
 //
 //   - Only lineage-carrying entries qualify: complete tables cached
-//     under their full key, and merged ranked answers. Pruned and
-//     vector-preselected variants hold survivor sets a single row
-//     cannot patch.
+//     under their full key, and merged ranked answers. Pruned tables
+//     hold survivor sets a single row cannot patch.
 //   - The entry must be exactly ONE generation behind the mutation on
 //     the mutated shard. Anything older has unknown intermediate
 //     history.
@@ -172,9 +171,6 @@ func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inser
 	copy(gens, cand.e.gens)
 	gens[shard] = gen
 	newKey := RankedKey(lin.kind, gens, lin.qh, lin.m, lin.arg, lin.eval)
-	if lin.novector {
-		newKey += "|novec"
-	}
 	s.cache.promote(cand.key, newKey, &cacheEntry{
 		shard:  -1,
 		gens:   gens,

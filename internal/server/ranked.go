@@ -56,12 +56,6 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, k int, r
 	for {
 		gens := s.db.Generations()
 		key := RankedKey(kind, gens, res.qh, res.m, rankedArg(kind, k, radius), res.opts.Eval)
-		if res.novector {
-			// The answers are byte-identical, but the opt-out is an A/B
-			// measurement tool: it must neither serve nor seed the default
-			// path's cached answers.
-			key += "|novec"
-		}
 		if e, ok := s.cache.GetRanked(key); ok {
 			return rankedAnswer{items: e.items, inexact: e.inexact, deltas: e.deltas, shardHits: n, hit: true}, nil
 		}
@@ -172,7 +166,7 @@ func (s *Server) leadRanked(ctx context.Context, kind string, res resolved, k in
 		for j, shard := range cold {
 			go func(j, shard int) {
 				defer func() { done <- j }()
-				opts := gdb.QueryOptions{Eval: res.opts.Eval, Workers: workers, Trace: res.opts.Trace, NoVector: res.novector}
+				opts := gdb.QueryOptions{Eval: res.opts.Eval, Workers: workers, Trace: res.opts.Trace, QueryHash: res.qh}
 				stats[j], errs[j] = run.EvalDB(ctx, s.db.Shard(shard), res.q, opts)
 			}(j, shard)
 		}
@@ -211,13 +205,12 @@ func (s *Server) leadRanked(ctx context.Context, kind string, res resolved, k in
 			// single mutation can splice, append or prove it unchanged
 			// instead of invalidating it (see delta.go).
 			lin: &rankedLineage{
-				kind:     kind,
-				q:        res.q,
-				qh:       res.qh,
-				m:        res.m,
-				arg:      rankedArg(kind, k, radius),
-				novector: res.novector,
-				eval:     res.opts.Eval,
+				kind: kind,
+				q:    res.q,
+				qh:   res.qh,
+				m:    res.m,
+				arg:  rankedArg(kind, k, radius),
+				eval: res.opts.Eval,
 			},
 		})
 	}

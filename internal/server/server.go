@@ -397,11 +397,6 @@ type resolved struct {
 	// their own key variant because they cannot serve top-k/range/full-
 	// table requests.
 	prune bool
-	// novector is the request's explicit opt-out of the vector tier
-	// ("vector": false). Pruned tables built without the tier live in
-	// their own key variant, so an A/B pair of requests never serves one
-	// path's table for the other's.
-	novector bool
 }
 
 // tableGroup keys the set of requests answerable from the same shard
@@ -466,8 +461,7 @@ func (s *Server) resolveQuery(req *QueryRequest, needMeasure bool) (resolved, er
 	// Workers 0 is resolved per query in tables(), where the number of
 	// shards actually needing evaluation is known. The canonical query
 	// hash rides along so the score memo never re-canonicalizes.
-	res.novector = req.Vector != nil && !*req.Vector
-	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), Workers: s.cfg.Workers, QueryHash: res.qh, NoVector: res.novector}
+	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), Workers: s.cfg.Workers, QueryHash: res.qh}
 	// Every kind prunes by default when the bounds allow it: skyline
 	// requests unless the full table was asked for (boundable basis),
 	// ranking kinds whenever the ranking measure is a built-in. "prune":
@@ -667,19 +661,7 @@ func (s *Server) cachedForQuery(shard int, qh string, res resolved) bool {
 	if s.cache.contains(key) {
 		return true
 	}
-	return res.prune && s.cache.contains(res.prunedVariant(key))
-}
-
-// prunedVariant derives the pruned-table key namespace this request
-// reads and writes: the vector-preselected variant by default, the
-// plain-scan variant under "vector": false. Separate namespaces keep an
-// A/B pair honest — the opt-out never serves (or is served) a table the
-// vector tier helped build.
-func (res resolved) prunedVariant(full string) string {
-	if res.novector {
-		return prunedKey(full)
-	}
-	return vectorKey(full)
+	return res.prune && s.cache.contains(prunedKey(key))
 }
 
 // shardTable returns one shard's table for a resolved query, from the
@@ -704,7 +686,7 @@ func (s *Server) shardTable(ctx context.Context, shard int, qh string, res resol
 			if t, ok := s.cache.getRecheck(fullKey); ok {
 				return t, true, nil
 			}
-			key = res.prunedVariant(fullKey)
+			key = prunedKey(fullKey)
 		}
 		if t, ok := s.cache.Get(key); ok {
 			return t, true, nil
@@ -793,7 +775,7 @@ func (s *Server) lead(ctx context.Context, res resolved, shard int, qh, key, ful
 		// row patch cannot maintain, so they stay invalidation-only.
 		e.lin = &tableLineage{q: res.q, qh: qh, basis: res.basis, eval: res.opts.Eval}
 	} else {
-		putKey = res.prunedVariant(putKey)
+		putKey = prunedKey(putKey)
 	}
 	s.cache.put(putKey, e)
 	return t, false, nil

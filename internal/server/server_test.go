@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -330,15 +331,28 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 
-	// Unknown fields are rejected too.
-	resp, err := http.Post(ts.URL+"/query/skyline", "application/json",
-		bytes.NewReader([]byte(`{"graf": {}}`)))
+	// Unknown fields are rejected too — including the retired "vector"
+	// opt-out on an otherwise valid request.
+	valid, err := json.Marshal(dataset.PaperQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status = %d; want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"graf": {}}`,
+		`{"graph": ` + string(valid) + `, "vector": false}`,
+	} {
+		resp, err := http.Post(ts.URL+"/query/skyline", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Class != ClassBadRequest {
+			t.Errorf("unknown field in %.20s…: status = %d class = %q; want 400 %s", body, resp.StatusCode, e.Class, ClassBadRequest)
+		}
 	}
 
 	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: dataset.PaperDB()[0]}, nil); r.StatusCode != http.StatusConflict {

@@ -47,8 +47,9 @@ func vectorTestGraphs() []*graph.Graph {
 // TestVectorServingEquivalence: with the vector tier under the whole
 // cascade (pivots + memo on top), served skyline/topk/range answers
 // across shard counts are byte-identical to a bare reference server —
-// and so are answers with the "vector": false opt-out, which must also
-// report zero vector activity.
+// and so are the answers of a second server at the same shard count
+// built without the tier (the "off" arm is chosen where the tier is
+// attached), which must also report zero vector activity.
 func TestVectorServingEquivalence(t *testing.T) {
 	gs := vectorTestGraphs()
 	queries := append(testutil.SeededQueries(77, gs, 2), dataset.PaperQuery())
@@ -66,9 +67,9 @@ func TestVectorServingEquivalence(t *testing.T) {
 		}
 	}
 
-	off := false
 	for _, shards := range []int{1, 2, 3, 7} {
 		_, ts := newVectorTestServer(t, shards, Config{CacheSize: 64}, gs)
+		_, tsOff := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
 		for qi, q := range queries {
 			var sky SkylineResponse
 			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
@@ -86,29 +87,30 @@ func TestVectorServingEquivalence(t *testing.T) {
 				t.Fatalf("shards=%d q=%d: range items differ:\nref: %+v\ngot: %+v", shards, qi, refRng[qi].Items, rng.Items)
 			}
 
-			// The A/B escape hatch: same answers, provably vector-free.
+			// The server without the tier: same answers, no vector work.
 			var skyOff SkylineResponse
-			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Vector: &off}, &skyOff)
+			postJSON(t, tsOff.URL+"/query/skyline", QueryRequest{Graph: q}, &skyOff)
 			requireSameSkylineJSON(t, shards, qi, refSky[qi].Skyline, skyOff.Skyline)
 			var tkOff TopKResponse
-			postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: "DistEd", Vector: &off}, &tkOff)
+			postJSON(t, tsOff.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: "DistEd"}, &tkOff)
 			if !reflect.DeepEqual(tkOff.Items, refTK[qi].Items) {
-				t.Fatalf("shards=%d q=%d: opt-out topk items differ", shards, qi)
+				t.Fatalf("shards=%d q=%d: tier-less topk items differ", shards, qi)
 			}
 			if tkOff.Stats.VectorCells != 0 || tkOff.Stats.VectorSkipped != 0 || tkOff.Stats.VectorFallbacks != 0 {
-				t.Fatalf("shards=%d q=%d: opt-out topk reported vector activity: %+v", shards, qi, tkOff.Stats)
+				t.Fatalf("shards=%d q=%d: tier-less topk reported vector activity: %+v", shards, qi, tkOff.Stats)
 			}
 			if skyOff.Stats.VectorCells != 0 || skyOff.Stats.VectorSkipped != 0 {
-				t.Fatalf("shards=%d q=%d: opt-out skyline reported vector activity: %+v", shards, qi, skyOff.Stats)
+				t.Fatalf("shards=%d q=%d: tier-less skyline reported vector activity: %+v", shards, qi, skyOff.Stats)
 			}
 		}
 	}
 }
 
-// TestVectorCountersOnWire: cold pruned queries surface the vector-tier
-// counters on /query responses; /stats totals them and reports the
-// per-shard partition occupancy; /metrics exposes the occupancy gauges
-// and lifetime counters.
+// TestVectorCountersOnWire: cold pruned ranked queries surface the
+// vector-tier counters on /query responses while a cold pruned skyline
+// reports none; /stats totals them and reports the per-shard partition
+// occupancy; /metrics exposes the occupancy gauges and lifetime
+// counters.
 func TestVectorCountersOnWire(t *testing.T) {
 	gs := vectorTestGraphs()
 	_, ts := newVectorTestServer(t, 1, Config{CacheSize: 32}, gs)
@@ -123,10 +125,18 @@ func TestVectorCountersOnWire(t *testing.T) {
 		t.Fatalf("quiescent database forced a vector fallback: %+v", tk.Stats)
 	}
 
+	// The tier serves ranked scans only: a cold pruned skyline on the
+	// same server never consults the partition.
 	var sky SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
-	if sky.Stats.VectorCells == 0 {
-		t.Fatalf("cold pruned skyline probed no vector cells: %+v", sky.Stats)
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Trace: true}, &sky)
+	if sky.Stats.CacheHit || sky.Stats.Evaluated == 0 {
+		t.Fatalf("skyline was not a cold build: %+v", sky.Stats)
+	}
+	if sky.Stats.VectorCells != 0 || sky.Stats.VectorSkipped != 0 {
+		t.Fatalf("cold pruned skyline reported vector work: %+v", sky.Stats)
+	}
+	if _, _, _, byName := traceSums(sky.Trace); byName["vector"].Stage != "" || byName["bound"].Stage == "" {
+		t.Fatalf("cold pruned skyline trace should hold bound but no vector stage: %+v", sky.Trace)
 	}
 
 	// Batch aggregation folds the per-item vector counters.
@@ -178,62 +188,6 @@ func TestVectorCountersOnWire(t *testing.T) {
 		if !strings.Contains(m, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-}
-
-// TestVectorOptOutCacheIsolation: answers built with the vector tier
-// and answers built with "vector": false live in separate cache
-// namespaces — an opt-out request never serves (or seeds) the default
-// path's entries, so the A/B comparison it exists for stays honest.
-func TestVectorOptOutCacheIsolation(t *testing.T) {
-	gs := vectorTestGraphs()
-	_, ts := newVectorTestServer(t, 2, Config{CacheSize: 64}, gs)
-	q := testutil.SeededQueries(80, gs, 1)[0]
-	off := false
-
-	// Warm the default (vector) ranked answer.
-	var warm TopKResponse
-	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3, Measure: "DistEd"}, &warm)
-	if warm.Stats.CacheHit {
-		t.Fatalf("first topk was already cached: %+v", warm.Stats)
-	}
-
-	// The opt-out must do its own fresh, vector-free evaluation.
-	var cold TopKResponse
-	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3, Measure: "DistEd", Vector: &off}, &cold)
-	if cold.Stats.CacheHit {
-		t.Fatalf("opt-out topk served the vector-built answer: %+v", cold.Stats)
-	}
-	if cold.Stats.Evaluated == 0 {
-		t.Fatalf("opt-out topk did no fresh work: %+v", cold.Stats)
-	}
-	if cold.Stats.VectorCells != 0 || cold.Stats.VectorSkipped != 0 {
-		t.Fatalf("opt-out topk touched the vector tier: %+v", cold.Stats)
-	}
-	if !reflect.DeepEqual(cold.Items, warm.Items) {
-		t.Fatalf("opt-out answer differs:\nvector: %+v\nplain:  %+v", warm.Items, cold.Items)
-	}
-
-	// But the opt-out variant caches under its own key.
-	var again TopKResponse
-	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3, Measure: "DistEd", Vector: &off}, &again)
-	if !again.Stats.CacheHit {
-		t.Fatalf("repeated opt-out topk was not a cache hit: %+v", again.Stats)
-	}
-
-	// Same variant split on the pruned skyline table path.
-	var skyVec SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &skyVec)
-	var skyOff SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Vector: &off}, &skyOff)
-	if skyOff.Stats.CacheHit {
-		t.Fatalf("opt-out skyline served a vector-built table: %+v", skyOff.Stats)
-	}
-	requireSameSkylineJSON(t, 2, 0, skyVec.Skyline, skyOff.Skyline)
-	var skyOff2 SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Vector: &off}, &skyOff2)
-	if !skyOff2.Stats.CacheHit {
-		t.Fatalf("repeated opt-out skyline was not a cache hit: %+v", skyOff2.Stats)
 	}
 }
 

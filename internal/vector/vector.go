@@ -143,30 +143,6 @@ func (p *Partition) QueryVec(wl, mids []float64) []float64 {
 	return out
 }
 
-// Nearest returns the cell indices ordered by ascending L2 distance
-// between qvec and each centroid, ties by cell index — the probe order
-// of a query that has no admissibility information yet.
-func (p *Partition) Nearest(qvec []float64) []int {
-	type cd struct {
-		i int
-		d float64
-	}
-	ds := make([]cd, len(p.Centroids))
-	for i, c := range p.Centroids {
-		ds[i] = cd{i: i, d: l2(qvec, c)}
-	}
-	for i := 1; i < len(ds); i++ { // insertion sort: cell counts are small
-		for j := i; j > 0 && (ds[j].d < ds[j-1].d || (ds[j].d == ds[j-1].d && ds[j].i < ds[j-1].i)); j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-	out := make([]int, len(ds))
-	for i, x := range ds {
-		out[i] = x.i
-	}
-	return out
-}
-
 // CentroidDist returns the L2 distance from qvec to cell i's centroid.
 func (p *Partition) CentroidDist(qvec []float64, i int) float64 {
 	return l2(qvec, p.Centroids[i])
