@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-ab run-server smoke smoke-restart smoke-chaos bench-fault vet
+.PHONY: build test race fuzz bench bench-ab bench-ged run-server smoke smoke-restart smoke-chaos bench-fault vet
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,7 @@ race:
 fuzz:
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzQueryHash -fuzztime=10s
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzLGFRoundTrip -fuzztime=10s
+	$(GO) test ./internal/ged -run='^$$' -fuzz=FuzzExactVsBruteForce -fuzztime=10s
 
 # bench runs the repo's benchmark contract (BENCHMARK.json): all four
 # workloads of the end-to-end harness, see benchmark/README.md. The
@@ -31,6 +32,12 @@ bench:
 # --compare verdicts. make bench-ab PARENT=/path/to/parent [WORKLOAD=cold-skyline]
 bench-ab:
 	bash ./scripts/bench_ab.sh $(PARENT) . $(WORKLOAD)
+
+# bench-ged reads the GED kernel's ns/op and allocs/op on the harness's
+# graph shape (order-5 clustered molecules): near and far pairs, the
+# ranked scan's decision run, and the bipartite bound.
+bench-ged:
+	$(GO) test ./internal/ged -run='^$$' -bench='BenchmarkExact|BenchmarkBipartite' -benchmem
 
 run-server:
 	$(GO) run ./cmd/skygraphd -addr :8091 -shards 4 -cache 128

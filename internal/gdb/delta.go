@@ -63,11 +63,11 @@ func (db *DB) DeltaScore(name string, q *graph.Graph, m measure.Measure, opts Qu
 		needGED, needMCS := measure.EngineNeeds(m)
 		var have measure.EngineResults
 		if needGED || needMCS {
-			have, _ = ec.memoGet(name, e.seq, needGED, needMCS)
+			have, _ = ec.memoGet(e.seq, needGED, needMCS)
 		}
 		var got measure.EngineResults
 		score, got, inexact = measure.ScorePairWith(e.g, q, m, opts.Eval, h, have)
-		ec.memoPublish(name, e.seq, got)
+		ec.memoPublish(e.seq, got)
 		return score, inexact, gen, true
 	}
 	ps := ec.computeFull(e.g, q, e.seq, opts.Eval, h)

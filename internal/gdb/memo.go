@@ -1,22 +1,22 @@
 package gdb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
-	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"skygraph/internal/graph"
-	"skygraph/internal/lru"
 	"skygraph/internal/measure"
 	"skygraph/internal/pivot"
 )
 
-// ScoreMemo is the cross-query exact-score memo: a bounded LRU (the
-// same internal/lru core behind the serving layer's table cache) of
-// raw engine results keyed by
+// ScoreMemo is the cross-query exact-score memo: a bounded LRU of raw
+// engine results keyed by
 //
-//	(stored graph insert sequence, canonical query hash, engine budgets)
+//	(canonical query hash, engine budgets) -> stored graph insert sequence
 //
 // A memo hit replays the recorded GED/MCS engine output instead of
 // re-running the exponential engines — the engines are deterministic
@@ -31,24 +31,133 @@ import (
 // survives it, so rebuilding a table after one insert only pays
 // engines for the new graph.
 //
+// Entries are grouped by query: one fixed-size comparable key per
+// query, then a map from insert sequence to results. A scan publishes
+// some fifty pairs under one query, so the query half of the key is
+// stored once instead of fifty times and a pair costs one small map
+// slot — a miss-heavy workload's resident heap is mostly this memo.
+// Recency and eviction work on whole groups (a query's pairs are read
+// and written together); capacity still counts pairs.
+//
 // One memo is safely shared across the shards of a Sharded database
 // (sequences are process-unique, names shard-stable).
 type ScoreMemo struct {
-	lru    *lru.Cache[measure.EngineResults]
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	capacity int
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+
+	mu      sync.Mutex
+	entries int // pairs across all groups
+	groups  map[memoQuery]*memoGroup
+	// Recency ring: sentinel.next is the most recently used group,
+	// sentinel.prev the eviction candidate.
+	sentinel memoGroup
+}
+
+// memoQuery is the per-query half of a memo key: the 16 raw bytes of
+// graph.QueryHash and the engine budgets the results were computed
+// under.
+type memoQuery struct {
+	hash [16]byte
+	eval measure.Options
+}
+
+// memoGroup holds one query's recorded pairs by stored-graph insert
+// sequence.
+type memoGroup struct {
+	key        memoQuery
+	pairs      map[uint64]measure.EngineResults
+	prev, next *memoGroup
 }
 
 // NewScoreMemo returns a memo holding at most capacity pair entries
 // (< 1 disables it).
 func NewScoreMemo(capacity int) *ScoreMemo {
-	return &ScoreMemo{lru: lru.New[measure.EngineResults](capacity)}
+	m := &ScoreMemo{capacity: capacity, groups: make(map[memoQuery]*memoGroup)}
+	m.sentinel.prev, m.sentinel.next = &m.sentinel, &m.sentinel
+	return m
 }
 
-// memoKey renders the cache key of one (stored graph, query) pair. The
-// graph name is included only for debuggability — seq alone is unique.
-func memoKey(name string, seq uint64, qh, evalKey string) string {
-	return name + "\x1f" + strconv.FormatUint(seq, 10) + "\x1f" + qh + "\x1f" + evalKey
+// newMemoQuery builds the per-query key. qh is graph.QueryHash's
+// 32-hex-digit rendering; anything else a caller passed as
+// QueryOptions.QueryHash is hashed down to the same width.
+func newMemoQuery(qh string, eval measure.Options) memoQuery {
+	k := memoQuery{eval: eval}
+	if len(qh) == hex.EncodedLen(len(k.hash)) {
+		if _, err := hex.Decode(k.hash[:], []byte(qh)); err == nil {
+			return k
+		}
+	}
+	sum := sha256.Sum256([]byte(qh))
+	copy(k.hash[:], sum[:])
+	return k
+}
+
+func (g *memoGroup) unlink() {
+	g.prev.next, g.next.prev = g.next, g.prev
+}
+
+// touch makes g the most recently used group. Caller holds m.mu.
+func (m *ScoreMemo) touch(g *memoGroup) {
+	if g.prev != nil {
+		g.unlink()
+	}
+	g.prev, g.next = &m.sentinel, m.sentinel.next
+	g.prev.next, g.next.prev = g, g
+}
+
+// get returns the recorded results of one pair, marking its query most
+// recently used.
+func (m *ScoreMemo) get(q memoQuery, seq uint64) (measure.EngineResults, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	g := m.groups[q]
+	if g == nil {
+		return measure.EngineResults{}, false
+	}
+	r, ok := g.pairs[seq]
+	if ok {
+		m.touch(g)
+	}
+	return r, ok
+}
+
+// merge records got for one pair, keeping whichever engine halves an
+// existing entry already holds (two engines finishing the same pair
+// concurrently must not overwrite each other's half), then evicts
+// least recently used queries while the memo is over capacity — down
+// to and including this one, should a single query outgrow the whole
+// memo.
+func (m *ScoreMemo) merge(q memoQuery, seq uint64, got measure.EngineResults) {
+	if m.capacity < 1 {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	g := m.groups[q]
+	if g == nil {
+		g = &memoGroup{key: q, pairs: make(map[uint64]measure.EngineResults)}
+		m.groups[q] = g
+	}
+	m.touch(g)
+	old, ok := g.pairs[seq]
+	if ok {
+		if old.HasGED {
+			got.GED, got.GEDExact, got.HasGED = old.GED, old.GEDExact, true
+		}
+		if old.HasMCS {
+			got.MCS, got.MCSExact, got.HasMCS = old.MCS, old.MCSExact, true
+		}
+	} else {
+		m.entries++
+	}
+	g.pairs[seq] = got
+	for m.entries > m.capacity {
+		oldest := m.sentinel.prev
+		oldest.unlink()
+		delete(m.groups, oldest.key)
+		m.entries -= len(oldest.pairs)
+	}
 }
 
 // MemoStats is a point-in-time snapshot of memo counters.
@@ -61,9 +170,12 @@ type MemoStats struct {
 
 // Stats returns the current counters.
 func (m *ScoreMemo) Stats() MemoStats {
+	m.mu.Lock()
+	entries := m.entries
+	m.mu.Unlock()
 	return MemoStats{
-		Capacity: m.lru.Capacity(),
-		Entries:  m.lru.Len(),
+		Capacity: m.capacity,
+		Entries:  entries,
 		Hits:     m.hits.Load(),
 		Misses:   m.misses.Load(),
 	}
@@ -82,9 +194,8 @@ type evalCtx struct {
 	// engine runs uncapped (see BoundStats.TightenGED).
 	tightenHi bool
 
-	memo    *ScoreMemo
-	qh      string
-	evalKey string
+	memo *ScoreMemo
+	mq   memoQuery
 
 	pivotDists int
 	memoHits   atomic.Int64
@@ -109,11 +220,11 @@ func (db *DB) newEvalCtx(q *graph.Graph, qsig *measure.Signature, opts QueryOpti
 	}
 	if memo := db.Memo(); memo != nil {
 		ec.memo = memo
-		ec.qh = opts.QueryHash
-		if ec.qh == "" {
-			ec.qh = graph.QueryHash(q)
+		qh := opts.QueryHash
+		if qh == "" {
+			qh = graph.QueryHash(q)
 		}
-		ec.evalKey = opts.Eval.Key()
+		ec.mq = newMemoQuery(qh, opts.Eval)
 	}
 	if ec.pb == nil && ec.memo == nil {
 		return nil
@@ -144,11 +255,11 @@ func (ec *evalCtx) tighten(bs *measure.BoundStats, name string) bool {
 // when they cover the given needs. Hit/miss counters (per query and
 // global) move on every call, so the ratio reflects what the memo
 // actually served.
-func (ec *evalCtx) memoGet(name string, seq uint64, needGED, needMCS bool) (measure.EngineResults, bool) {
+func (ec *evalCtx) memoGet(seq uint64, needGED, needMCS bool) (measure.EngineResults, bool) {
 	if ec == nil || ec.memo == nil {
 		return measure.EngineResults{}, false
 	}
-	r, ok := ec.memo.lru.Get(memoKey(name, seq, ec.qh, ec.evalKey))
+	r, ok := ec.memo.get(ec.mq, seq)
 	if ok && r.Covers(needGED, needMCS) {
 		ec.memoHits.Add(1)
 		ec.memo.hits.Add(1)
@@ -170,11 +281,11 @@ func (ec *evalCtx) memoGet(name string, seq uint64, needGED, needMCS bool) (meas
 // the wire hit-ratio keeps meaning "share of engine-needing lookups
 // the memo answered" — the authoritative miss is counted where the
 // engines would otherwise run.
-func (ec *evalCtx) memoPeek(name string, seq uint64, needGED, needMCS bool) (measure.EngineResults, bool) {
+func (ec *evalCtx) memoPeek(seq uint64, needGED, needMCS bool) (measure.EngineResults, bool) {
 	if ec == nil || ec.memo == nil {
 		return measure.EngineResults{}, false
 	}
-	r, ok := ec.memo.lru.Get(memoKey(name, seq, ec.qh, ec.evalKey))
+	r, ok := ec.memo.get(ec.mq, seq)
 	if ok && r.Covers(needGED, needMCS) {
 		ec.memoHits.Add(1)
 		ec.memo.hits.Add(1)
@@ -184,22 +295,11 @@ func (ec *evalCtx) memoPeek(name string, seq uint64, needGED, needMCS bool) (mea
 }
 
 // memoPublish merges freshly computed engine results into the memo.
-func (ec *evalCtx) memoPublish(name string, seq uint64, got measure.EngineResults) {
+func (ec *evalCtx) memoPublish(seq uint64, got measure.EngineResults) {
 	if ec == nil || ec.memo == nil || (!got.HasGED && !got.HasMCS) {
 		return
 	}
-	ec.memo.lru.Update(memoKey(name, seq, ec.qh, ec.evalKey), func(old measure.EngineResults, ok bool) measure.EngineResults {
-		if !ok {
-			return got
-		}
-		if got.HasGED && !old.HasGED {
-			old.GED, old.GEDExact, old.HasGED = got.GED, got.GEDExact, true
-		}
-		if got.HasMCS && !old.HasMCS {
-			old.MCS, old.MCSExact, old.HasMCS = got.MCS, got.MCSExact, true
-		}
-		return old
-	})
+	ec.memo.merge(ec.mq, seq, got)
 }
 
 // computeFull evaluates a pair's full statistics with memo interplay:
@@ -209,12 +309,12 @@ func (ec *evalCtx) computeFull(g, q *graph.Graph, seq uint64, eval measure.Optio
 	if ec == nil || ec.memo == nil || h.Sig1 == nil || h.Sig2 == nil {
 		return measure.ComputeHinted(g, q, eval, h)
 	}
-	have, hit := ec.memoGet(g.Name(), seq, true, true)
+	have, hit := ec.memoGet(seq, true, true)
 	if hit {
 		return measure.PairStatsFrom(h.Sig1, h.Sig2, have)
 	}
 	ps, got := measure.ComputeWith(g, q, eval, h, have)
-	ec.memoPublish(g.Name(), seq, got)
+	ec.memoPublish(seq, got)
 	return ps
 }
 

@@ -116,7 +116,7 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, o
 		name := sn.graphs[i].Name()
 		sc.bounds[i] = measure.BoundPair(sig, qsig)
 		var lo, hi []float64
-		if r, ok := ec.memoPeek(name, sn.seqs[i], true, true); ok {
+		if r, ok := ec.memoPeek(sn.seqs[i], true, true); ok {
 			sc.known[i] = r
 			lo = measure.GCS(measure.PairStatsFrom(sig, qsig, r), opts.Basis)
 			hi = lo
@@ -159,7 +159,7 @@ func (sc *skyScan) settle(i int) {
 		// Engines run from here on, so this is where the memo miss
 		// counts; a partial entry (a ranked scan's GED- or MCS-only
 		// record) spares its engine.
-		have, _ = sc.ec.memoGet(g.Name(), seq, true, true)
+		have, _ = sc.ec.memoGet(seq, true, true)
 		hints := measure.PairHints{Sig1: sig, Sig2: sc.qsig}
 		if !have.HasMCS {
 			_, got, _ := measure.ScorePairWith(g, sc.q, measure.DistMcs{}, sc.opts.Eval, hints, have)
@@ -181,7 +181,7 @@ func (sc *skyScan) settle(i int) {
 			}
 			have.GED, have.GEDExact, have.HasGED = got.GED, got.GEDExact, true
 		}
-		sc.ec.memoPublish(g.Name(), seq, have)
+		sc.ec.memoPublish(seq, have)
 	}
 	ps := measure.PairStatsFrom(sig, sc.qsig, have)
 	sc.vecs[i] = measure.GCS(ps, sc.opts.Basis)

@@ -314,11 +314,11 @@ func (db *DB) scanScores(ctx context.Context, q *graph.Graph, m measure.Measure,
 				if rankable {
 					var have measure.EngineResults
 					if useMemo && (needGED || needMCS) {
-						have, _ = ec.memoGet(sn.graphs[i].Name(), sn.seqs[i], needGED, needMCS)
+						have, _ = ec.memoGet(sn.seqs[i], needGED, needMCS)
 					}
 					var got measure.EngineResults
 					r.score, got, r.inexact = measure.ScorePairWith(sn.graphs[i], q, m, opts.Eval, h, have)
-					ec.memoPublish(sn.graphs[i].Name(), sn.seqs[i], got)
+					ec.memoPublish(sn.seqs[i], got)
 				} else {
 					ps := ec.computeFull(sn.graphs[i], q, sn.seqs[i], opts.Eval, h)
 					r.score, r.inexact = m.FromStats(ps), !ps.GEDExact || !ps.MCSExact

@@ -287,6 +287,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		fateScored                // exact score computed or replayed
 		fateInexact               // scored, from a capped engine's bound
 		fateExcluded              // an engine decision run proved it out
+		fateRefined               // out by its refined interval, no engine run
 	)
 	fate := make([]uint8, n)
 
@@ -430,7 +431,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 					// the engines entirely. The replayed score is exact, so
 					// the replay counts as exact-stage work.
 					if useMemo {
-						if r, ok := ec.memoGet(name, sn.seqs[i], needGED, needMCS); ok {
+						if r, ok := ec.memoGet(sn.seqs[i], needGED, needMCS); ok {
 							ps := measure.PairStatsFrom(sn.sigs[i], qsig, r)
 							fate[i] = fateScored
 							if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
@@ -447,6 +448,20 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 					// engines.
 					var wit *measure.Witness
 					bounds[i], wit = measure.RefineWitness(sn.graphs[i], q, bounds[i])
+					// One threshold reading serves the refine tier's check
+					// and the engines below, so a candidate the interval
+					// already condemns is the refine stage's, never an
+					// "exact" exclusion that ran no engine. Refinement
+					// narrows only the pessimistic end, so this fires just
+					// when another worker tightened the bar after the claim.
+					th := coll.threshold()
+					if lo, _ := bounds[i].Interval(m); lo > th {
+						fate[i] = fateRefined
+						if trace != nil {
+							trace.Observe(StageRefine, time.Since(t0), 1, 1)
+						}
+						continue
+					}
 					if trace != nil {
 						trace.Observe(StageRefine, time.Since(t0), 1, 0)
 						t0 = time.Now()
@@ -454,7 +469,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 					hints := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig, Witness: wit}
 					// Tier 2: threshold-fed evaluation — an engine decision
 					// run excludes, or a plain exact run scores.
-					score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, coll.threshold(), bounds[i], opts.Eval, hints)
+					score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval, hints)
 					if excluded {
 						fate[i] = fateExcluded
 						if trace != nil {
@@ -462,7 +477,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 						}
 						continue
 					}
-					ec.memoPublish(name, sn.seqs[i], got)
+					ec.memoPublish(sn.seqs[i], got)
 					fate[i] = fateScored
 					if capped {
 						fate[i] = fateInexact
@@ -487,8 +502,9 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	// Pruned, its pivot and vector shares and every stage's pruned count
 	// are sums over the same partition of the snapshot. A candidate that
 	// was not scored was, in this order: never bounded (a skipped cell —
-	// the vector tier's), excluded by an engine decision run (the exact
-	// stage's, observed on the trace as it happened), condemned at the
+	// the vector tier's), out by its refined interval or excluded by an
+	// engine decision run (the refine and exact stages', each observed
+	// on the trace as it happened), condemned at the
 	// final threshold by the merged optimistic bound where the signature
 	// bound alone would have let it through (the pivot tier's), or
 	// otherwise cut off by the signature bound and the best-first
@@ -507,7 +523,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		switch {
 		case !probed[i]:
 			stats.VectorSkipped++
-		case fate[i] == fateExcluded:
+		case fate[i] == fateExcluded || fate[i] == fateRefined:
 		case attribute && los[i] > th && sigLos[i] <= th:
 			stats.PivotPruned++
 		default:

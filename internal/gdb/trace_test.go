@@ -136,6 +136,28 @@ func TestTraceRankedConsistent(t *testing.T) {
 					t.Fatalf("%s range shards=%d q=%d: %v", tc.name, shards, qi, err)
 				}
 				requireTraceConsistent(t, fmt.Sprintf("%s range shards=%d q=%d", tc.name, shards, qi), tr, rres.Stats, len(tc.gs))
+				// Refinement narrows only an interval's pessimistic end,
+				// so the refine span prunes exactly the candidates whose
+				// threshold tightened between claim and refinement: none
+				// under a range scan's fixed radius.
+				if _, _, _, byName := stageSums(tr.Stages()); byName["refine"].Pruned != 0 {
+					t.Fatalf("%s range shards=%d q=%d: refine span pruned %d under a fixed threshold", tc.name, shards, qi, byName["refine"].Pruned)
+				}
+				if shards != 1 {
+					continue
+				}
+				// ...and none on a top-k scan nobody else feeds: one
+				// shard, one worker.
+				tr = gdb.NewQueryTrace()
+				opts.Trace, opts.Workers = tr, 1
+				res, err = sh.TopKQueryContext(context.Background(), q, m, 5, opts)
+				if err != nil {
+					t.Fatalf("%s topk workers=1 q=%d: %v", tc.name, qi, err)
+				}
+				requireTraceConsistent(t, fmt.Sprintf("%s topk workers=1 q=%d", tc.name, qi), tr, res.Stats, len(tc.gs))
+				if _, _, _, byName := stageSums(tr.Stages()); byName["refine"].Pruned != 0 {
+					t.Fatalf("%s topk workers=1 q=%d: refine span pruned %d with no concurrent threshold feed", tc.name, qi, byName["refine"].Pruned)
+				}
 			}
 		}
 	}

@@ -14,12 +14,16 @@ import (
 const bigCost = 1e12
 
 // costBuf is a reusable square cost matrix: one flat backing array with
-// row views sliced out of it. Bipartite runs once per database graph in
-// both the refinement tier and every capped exact fallback, so matrix
-// allocation is hot.
+// row views sliced out of it, plus the per-vertex incident edge-label
+// histograms the substitution block is built from. Bipartite runs once
+// per database graph in both the refinement tier and every capped exact
+// fallback, so this allocation is hot.
 type costBuf struct {
 	flat []float64
 	rows [][]float64
+	// inc1[u*ne+l], inc2[v*ne+l] count vertex u's (v's) incident edges
+	// with label id l.
+	inc1, inc2 []int32
 }
 
 // matrix returns an n x n view over the buffer, growing it as needed.
@@ -57,20 +61,32 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 	if n == 0 {
 		return Result{Distance: 0, Mapping: []int{}, Exact: true}
 	}
+	s := newSearch(g1, g2, cm)
+	defer s.release()
 	buf := costPool.Get().(*costBuf)
 	defer costPool.Put(buf)
 	cost := buf.matrix(n)
 	// Per-vertex incident edge-label histograms, computed once instead of
-	// per (u, v) cell.
-	h1, h2 := incidentHists(g1), incidentHists(g2)
+	// per (u, v) cell. The histogram distance between u's and v's
+	// (halved: each edge has two endpoints and would otherwise be
+	// double-counted across the assignment) estimates the edge cost
+	// implied by mapping u -> v — matched labels are free, the remainder
+	// costs one substitution or indel each.
+	nv, ne := s.nv(), s.ne()
+	buf.inc1 = incidentHists(buf.inc1, s.adj1, n1, ne)
+	buf.inc2 = incidentHists(buf.inc2, s.adj2, n2, ne)
+	s.ce = resize(s.ce, ne)
 	for u := 0; u < n1; u++ {
+		h1 := buf.inc1[u*ne : (u+1)*ne]
 		for v := 0; v < n2; v++ {
-			cost[u][v] = cm.VertexSubst(g1.VertexLabel(u), g2.VertexLabel(v)) +
-				float64(graph.HistogramDistance(h1[u], h2[v]))/2
+			for l, c2 := range buf.inc2[v*ne : (v+1)*ne] {
+				s.ce[l] = h1[l] - c2
+			}
+			cost[u][v] = s.vsub[int(s.vl1[u])*nv+int(s.vl2[v])] + float64(histBound(s.ce))/2
 		}
 		for j := n2; j < n; j++ {
 			if j == n2+u {
-				cost[u][j] = cm.VertexDel(g1.VertexLabel(u)) + incidentEdgeCost(g1, u, cm.EdgeDel)
+				cost[u][j] = s.vdel[s.vl1[u]] + incidentEdgeCost(s.adj1[u*n1:(u+1)*n1], s.edel)
 			} else {
 				cost[u][j] = bigCost
 			}
@@ -79,7 +95,7 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 	for i := n1; i < n; i++ {
 		for v := 0; v < n2; v++ {
 			if i == n1+v {
-				cost[i][v] = cm.VertexIns(g2.VertexLabel(v)) + incidentEdgeCost(g2, v, cm.EdgeIns)
+				cost[i][v] = s.vins[s.vl2[v]] + incidentEdgeCost(s.adj2[v*n2:(v+1)*n2], s.eins)
 			} else {
 				cost[i][v] = bigCost
 			}
@@ -107,31 +123,32 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 			m[u] = -1
 		}
 	}
-	d := EditCostOfMapping(g1, g2, m, cm)
-	return Result{Distance: d, Mapping: m, Exact: false}
+	return Result{Distance: s.mappingCost(m), Mapping: m, Exact: false}
 }
 
-// incidentHists returns each vertex's incident edge-label histogram. The
-// histogram distance between h[u] and h[v] (halved: each edge has two
-// endpoints and would otherwise be double-counted across the assignment)
-// estimates the edge cost implied by mapping u -> v — matched labels are
-// free, the remainder costs one substitution or indel each.
-func incidentHists(g *graph.Graph) []map[string]int {
-	out := make([]map[string]int, g.Order())
-	for v := range out {
-		h := make(map[string]int, g.Degree(v))
-		for _, l := range g.NeighborSet(v) {
-			h[l]++
+// incidentHists returns each vertex's incident edge-label histogram as
+// rows of ne counters, read off the dense adjacency matrix.
+func incidentHists(buf, adj []int32, n, ne int) []int32 {
+	buf = resize(buf, n*ne)
+	for v := 0; v < n; v++ {
+		for _, l := range adj[v*n : (v+1)*n] {
+			if l != 0 {
+				buf[v*ne+int(l)]++
+			}
 		}
-		out[v] = h
 	}
-	return out
+	return buf
 }
 
-func incidentEdgeCost(g *graph.Graph, v int, per func(string) float64) float64 {
+// incidentEdgeCost charges half of each incident edge's indel cost (the
+// other endpoint carries the other half); row is the vertex's adjacency
+// row, per the deletion or insertion table.
+func incidentEdgeCost(row []int32, per []float64) float64 {
 	c := 0.0
-	for _, l := range g.NeighborSet(v) {
-		c += per(l) / 2
+	for _, l := range row {
+		if l != 0 {
+			c += per[l] / 2
+		}
 	}
 	return c
 }
@@ -147,37 +164,39 @@ func Beam(g1, g2 *graph.Graph, width int, cm CostModel) Result {
 	if width < 1 {
 		width = 1
 	}
-	s := &astar{g1: g1, g2: g2, cm: cm, order: vertexOrder(g1), useH: false}
-	n1, n2 := g1.Order(), g2.Order()
-	s.mapping = make([]int, n1)
-	s.used = make([]bool, n2)
-	s.cacheEdges()
+	s := newSearch(g1, g2, cm)
+	defer s.release()
+	n1, n2 := s.n1, s.n2
+	if n1 == 0 {
+		// Pure insertion of g2.
+		return Result{Distance: s.completionCostAfter(-1), Mapping: []int{}, Exact: true}
+	}
 
-	level := []*node{{depth: 0}}
+	// Levels hold slab indices; the open list is unused, so children go
+	// straight onto the slab.
+	s.slab = append(s.slab, node{})
+	level := []int32{0}
 	for depth := 0; depth < n1; depth++ {
-		var next []*node
+		var next []int32
+		u := int(s.order[depth])
+		add := func(parent int32, v int, g float64) {
+			if depth+1 == n1 {
+				g += s.completionCostAfter(v)
+			}
+			s.slab = append(s.slab, node{g: g, parent: parent, v: int32(v), depth: int32(depth + 1)})
+			next = append(next, int32(len(s.slab)-1))
+		}
 		for _, cur := range level {
 			s.loadState(cur)
-			u := s.order[depth]
+			g := s.slab[cur].g
 			for v := 0; v < n2; v++ {
-				if s.used[v] {
-					continue
+				if !s.used[v] {
+					add(cur, v, g+s.assignCost(depth, u, v))
 				}
-				child := &node{parent: cur, depth: depth + 1, v: v}
-				child.g = cur.g + s.assignCost(u, v)
-				if child.depth == n1 {
-					child.g += s.completionCostAfter(v)
-				}
-				next = append(next, child)
 			}
-			child := &node{parent: cur, depth: depth + 1, v: -1}
-			child.g = cur.g + s.deleteCost(u)
-			if child.depth == n1 {
-				child.g += s.completionCostAfter(-1)
-			}
-			next = append(next, child)
+			add(cur, -1, g+s.deleteCost(depth, u))
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i].g < next[j].g })
+		sort.Slice(next, func(i, j int) bool { return s.slab[next[i]].g < s.slab[next[j]].g })
 		if len(next) > width {
 			next = next[:width]
 		}
@@ -185,20 +204,9 @@ func Beam(g1, g2 *graph.Graph, width int, cm CostModel) Result {
 	}
 	best := level[0]
 	for _, n := range level[1:] {
-		if n.g < best.g {
+		if s.slab[n].g < s.slab[best].g {
 			best = n
 		}
 	}
-	// n1 == 0: pure insertion of g2.
-	if n1 == 0 {
-		d := 0.0
-		for v := 0; v < n2; v++ {
-			d += cm.VertexIns(g2.VertexLabel(v))
-		}
-		for _, e := range g2.Edges() {
-			d += cm.EdgeIns(e.Label)
-		}
-		return Result{Distance: d, Mapping: []int{}, Exact: true}
-	}
-	return Result{Distance: best.g, Mapping: s.extractMapping(best), Exact: false}
+	return Result{Distance: s.slab[best].g, Mapping: s.extractMapping(best), Exact: false}
 }

@@ -12,6 +12,10 @@
 //     Hungarian algorithm (fast upper bound).
 //   - LowerBound: the histogram lower bound itself (cheap, used for index
 //     pruning in internal/gdb).
+//
+// Every engine runs on one compact per-pair form (form.go): labels
+// interned to small ints, dense adjacency, cost tables filled once from
+// the CostModel, all of it pooled scratch.
 package ged
 
 import "skygraph/internal/graph"
@@ -145,9 +149,12 @@ func EditCostOfMapping(g1, g2 *graph.Graph, m []int, cm CostModel) float64 {
 
 // LowerBound returns a cheap admissible lower bound on the uniform-cost
 // edit distance: the label-histogram distance over vertices plus the one
-// over edges. It never exceeds the true distance and costs O(V+E).
+// over edges. It never exceeds the true distance and costs O(V+E). It is
+// the root value of Exact's heuristic, computed by the same code.
 func LowerBound(g1, g2 *graph.Graph) float64 {
-	v1, e1 := g1.LabelHistogram()
-	v2, e2 := g2.LabelHistogram()
-	return float64(graph.HistogramDistance(v1, v2) + graph.HistogramDistance(e1, e2))
+	s := searchPool.Get().(*astar)
+	defer s.release()
+	s.load(g1, g2)
+	s.resetState()
+	return s.heuristicAfter(-1, -1)
 }

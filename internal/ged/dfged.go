@@ -14,21 +14,15 @@ func DepthFirst(g1, g2 *graph.Graph, cm CostModel) Result {
 		cm = Uniform{}
 	}
 	_, uniform := cm.(Uniform)
-	s := &astar{g1: g1, g2: g2, cm: cm, order: vertexOrder(g1), useH: uniform}
-	n1, n2 := g1.Order(), g2.Order()
-	s.mapping = make([]int, n1)
-	s.used = make([]bool, n2)
-	s.cacheEdges()
-	for i := range s.mapping {
-		s.mapping[i] = -2
-	}
-
 	seed := Bipartite(g1, g2, cm)
-	df := &dfSearch{astar: s, bestDist: seed.Distance, bestMapping: seed.Mapping}
-	if n1 == 0 {
+	s := newSearch(g1, g2, cm)
+	defer s.release()
+	s.useH = uniform
+	if s.n1 == 0 {
 		d := s.completionCostAfter(-1)
 		return Result{Distance: d, Mapping: []int{}, Exact: true, Nodes: 1}
 	}
+	df := &dfSearch{astar: s, bestDist: seed.Distance, bestMapping: seed.Mapping}
 	df.dive(0, 0)
 	return Result{Distance: df.bestDist, Mapping: df.bestMapping, Exact: true, Nodes: df.nodes}
 }
@@ -42,23 +36,16 @@ type dfSearch struct {
 
 func (df *dfSearch) dive(depth int, g float64) {
 	df.nodes++
-	n1, n2 := df.g1.Order(), df.g2.Order()
+	n1, n2 := df.n1, df.n2
 	if depth == n1 {
 		total := g + df.completionCostAfter(-1)
 		if total < df.bestDist {
 			df.bestDist = total
-			m := make([]int, n1)
-			for i, v := range df.mapping {
-				if v == -2 {
-					v = -1
-				}
-				m[i] = v
-			}
-			df.bestMapping = m
+			df.bestMapping = df.currentMapping()
 		}
 		return
 	}
-	u := df.order[depth]
+	u := int(df.order[depth])
 	// Children in increasing immediate-cost order: cheap moves first finds
 	// tight incumbents early.
 	type move struct {
@@ -68,10 +55,10 @@ func (df *dfSearch) dive(depth int, g float64) {
 	moves := make([]move, 0, n2+1)
 	for v := 0; v < n2; v++ {
 		if !df.used[v] {
-			moves = append(moves, move{v, df.assignCost(u, v)})
+			moves = append(moves, move{v, df.assignCost(depth, u, v)})
 		}
 	}
-	moves = append(moves, move{-1, df.deleteCost(u)})
+	moves = append(moves, move{-1, df.deleteCost(depth, u)})
 	for i := 1; i < len(moves); i++ {
 		for j := i; j > 0 && moves[j].cost < moves[j-1].cost; j-- {
 			moves[j], moves[j-1] = moves[j-1], moves[j]
@@ -82,10 +69,13 @@ func (df *dfSearch) dive(depth int, g float64) {
 		if child >= df.bestDist {
 			continue
 		}
-		if df.useH && child+df.remainderBound(depth, u, mv.v) >= df.bestDist {
+		// The admissible histogram bound on the still-open part after
+		// this move; recomputed per move because the recursion below
+		// reuses the counters.
+		if df.useH && child+df.heuristicAfter(u, mv.v) >= df.bestDist {
 			continue
 		}
-		df.mapping[u] = mv.v
+		df.mapping[u] = int32(mv.v)
 		if mv.v >= 0 {
 			df.used[mv.v] = true
 		}
@@ -95,12 +85,4 @@ func (df *dfSearch) dive(depth int, g float64) {
 		}
 		df.mapping[u] = -2
 	}
-}
-
-// remainderBound is the admissible histogram bound on the cost of the
-// still-open part after assigning u -> v (v == -1 for deletion); it
-// mirrors astar.heuristicAfter but reads dfSearch's live scratch state.
-func (df *dfSearch) remainderBound(depth, u, v int) float64 {
-	cur := &node{depth: depth}
-	return df.heuristicAfter(cur, u, v)
 }

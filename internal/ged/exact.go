@@ -1,8 +1,8 @@
 package ged
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 
 	"skygraph/internal/graph"
 )
@@ -76,19 +76,14 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 		cm = Uniform{}
 	}
 	_, uniform := cm.(Uniform)
-	useH := uniform && !opts.DisableHeuristic
 
-	limit := math.Inf(1)
+	s := newSearch(g1, g2, cm)
+	s.useH = uniform && !opts.DisableHeuristic
 	if opts.Limit != nil {
-		limit = *opts.Limit
-	}
-	s := &astar{
-		g1: g1, g2: g2, cm: cm,
-		order: vertexOrder(g1),
-		useH:  useH,
-		limit: limit,
+		s.limit = *opts.Limit
 	}
 	res := s.run(opts.MaxNodes)
+	s.release()
 	if !res.Exact && !res.AboveLimit {
 		// Graceful degradation: bipartite approximation upper bound
 		// (precomputed by the caller when available). An AboveLimit
@@ -107,294 +102,358 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	return res
 }
 
-// vertexOrder processes high-degree vertices first: they constrain the most
-// edges, which tightens g early and prunes better.
-func vertexOrder(g *graph.Graph) []int {
-	order := make([]int, g.Order())
-	for i := range order {
-		order[i] = i
+// node is one partial assignment in the search slab: the first depth
+// vertices of the processing order are decided, the last of them as v.
+type node struct {
+	g      float64
+	parent int32 // slab index
+	v      int32 // g2 vertex assigned to order[depth-1], or -1 for deletion
+	depth  int32 // number of g1 vertices assigned
+}
+
+// openItem is an open-list entry: a slab index keyed by f = g + h.
+type openItem struct {
+	f float64
+	n int32
+}
+
+// astar is the search state of one pair, shared by Exact, Beam and
+// DepthFirst; Bipartite and LowerBound borrow its form and counters.
+// Everything here is scratch recycled through searchPool, so a warm
+// search allocates only the mapping it returns.
+type astar struct {
+	pairForm
+
+	order []int32 // g1 vertices, high degree first
+	useH  bool
+	limit float64 // decision threshold (+Inf = plain optimization)
+
+	// Assignment state of the node being expanded, rebuilt by loadState.
+	mapping []int32 // g1 vertex -> g2 vertex, -1 deleted, -2 unassigned
+	used    []bool  // g2 vertex used
+
+	// Signed label counters of the open part, indexed by label id: +1
+	// per open g1 vertex (edge), -1 per open g2 vertex (edge). Filled by
+	// openCounts once per expansion, adjusted per child by childBound.
+	cv, ce []int32
+
+	slab []node     // every generated node; parents are indices
+	open []openItem // binary heap on f
+}
+
+var searchPool = sync.Pool{New: func() any { return new(astar) }}
+
+// maxPooledCells bounds what release hands back to the pool: a search
+// that grew past it (a large uncapped pair) lets the GC have its
+// buffers instead of pinning them for the life of the process.
+const maxPooledCells = 1 << 16
+
+// newSearch takes scratch from the pool and loads the pair into it:
+// compact form, cost tables, processing order, blank assignment state.
+func newSearch(g1, g2 *graph.Graph, cm CostModel) *astar {
+	s := searchPool.Get().(*astar)
+	s.load(g1, g2)
+	s.densify()
+	s.fillCosts(cm)
+	s.order = s.order[:0]
+	for u := 0; u < s.n1; u++ {
+		s.order = append(s.order, int32(u))
 	}
+	// High-degree vertices first: they constrain the most edges, which
+	// tightens g early and prunes better.
+	order := s.order
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && g.Degree(order[j]) > g.Degree(order[j-1]); j-- {
+		for j := i; j > 0 && g1.Degree(int(order[j])) > g1.Degree(int(order[j-1])); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	return order
+	s.resetState()
+	s.slab, s.open = s.slab[:0], s.open[:0]
+	s.useH, s.limit = false, math.Inf(1)
+	return s
 }
 
-type node struct {
-	parent *node
-	depth  int // number of g1 vertices assigned
-	v      int // g2 vertex assigned to order[depth-1], or -1 for deletion
-	g, h   float64
-	index  int // heap bookkeeping
+func (s *astar) release() {
+	if cap(s.slab) > maxPooledCells || cap(s.adj1) > maxPooledCells || cap(s.adj2) > maxPooledCells {
+		return
+	}
+	searchPool.Put(s)
 }
 
-type nodeHeap []*node
-
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].g+h[i].h < h[j].g+h[j].h }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *nodeHeap) Push(x interface{}) { n := x.(*node); n.index = len(*h); *h = append(*h, n) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return n
+// push and pop perform container/heap's exact sift sequence on the same
+// strict f comparison, so equal-f nodes leave the open list in the order
+// the interface-based heap released them.
+func (s *astar) push(it openItem) {
+	s.open = append(s.open, it)
+	h := s.open
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].f < h[i].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
 }
 
-type astar struct {
-	g1, g2 *graph.Graph
-	cm     CostModel
-	order  []int
-	useH   bool
-	limit  float64 // decision threshold (+Inf = plain optimization)
-
-	// scratch, rebuilt per expansion
-	mapping []int  // g1 vertex -> g2 vertex or -1; -2 = unassigned
-	used    []bool // g2 vertex used
-
-	// heuristic histogram scratch, cleared and refilled per child node
-	// instead of allocating four maps per expansion
-	hv1, hv2, he1, he2 map[string]int
-
-	// edges1, edges2 cache graph.Edges() once per search; the heuristic
-	// and completion costs walk the edge lists on every expansion and
-	// Edges() allocates per call
-	edges1, edges2 []graph.Edge
+func (s *astar) pop() openItem {
+	h := s.open
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].f < h[j].f {
+			j = j2
+		}
+		if !(h[j].f < h[i].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	s.open = h[:n]
+	return h[n]
 }
 
-// cacheEdges fills the per-search edge list scratch.
-func (s *astar) cacheEdges() {
-	s.edges1, s.edges2 = s.g1.Edges(), s.g2.Edges()
+// openNode appends a node to the slab and puts it on the open list.
+func (s *astar) openNode(nd node, h float64) {
+	s.slab = append(s.slab, nd)
+	s.push(openItem{f: nd.g + h, n: int32(len(s.slab) - 1)})
+}
+
+// openChild opens the child of slab node parent that decides the next
+// vertex as v at path cost g. A child that completes the assignment
+// pays the completion cost; any other carries the heuristic (openCounts
+// must have run for this expansion).
+func (s *astar) openChild(parent int32, v int, g float64) {
+	depth := s.slab[parent].depth + 1
+	h := 0.0
+	if int(depth) == s.n1 {
+		g += s.completionCostAfter(v)
+	} else if s.useH {
+		h = s.childBound(v)
+	}
+	s.openNode(node{g: g, parent: parent, v: int32(v), depth: depth}, h)
 }
 
 func (s *astar) run(maxNodes int64) Result {
-	n1, n2 := s.g1.Order(), s.g2.Order()
-	s.mapping = make([]int, n1)
-	s.used = make([]bool, n2)
-	s.cacheEdges()
+	n1, n2 := s.n1, s.n2
 	if n1 == 0 {
 		// Pure insertion of g2.
 		d := s.completionCostAfter(-1)
 		return Result{Distance: d, Mapping: []int{}, Exact: true, LowerBound: d}
 	}
 
-	open := &nodeHeap{}
-	root := &node{depth: 0, g: 0}
-	root.h = s.heuristic(root)
-	heap.Push(open, root)
+	rootH := 0.0
+	if s.useH {
+		rootH = s.heuristicAfter(-1, -1)
+	}
+	s.openNode(node{}, rootH)
 
 	var nodes int64
-	for open.Len() > 0 {
+	for len(s.open) > 0 {
 		if maxNodes > 0 && nodes >= maxNodes {
 			// The cheapest open f-value lower-bounds every completion
 			// still reachable, so it is a certified floor of the true
 			// distance even though the search gives up on exactness.
-			top := (*open)[0]
-			return Result{Distance: math.Inf(1), Exact: false, LowerBound: top.g + top.h, Nodes: nodes}
+			return Result{Distance: math.Inf(1), Exact: false, LowerBound: s.open[0].f, Nodes: nodes}
 		}
-		cur := heap.Pop(open).(*node)
-		if cur.g+cur.h > s.limit {
-			// cur is the cheapest open node and its f-value lower-bounds
+		top := s.pop()
+		if top.f > s.limit {
+			// top is the cheapest open node and its f-value lower-bounds
 			// every completion still reachable, so no mapping fits under
 			// the limit: the decision "distance > limit" is proven.
-			return Result{Distance: cur.g + cur.h, AboveLimit: true, LowerBound: cur.g + cur.h, Nodes: nodes}
+			return Result{Distance: top.f, AboveLimit: true, LowerBound: top.f, Nodes: nodes}
 		}
 		nodes++
-		if cur.depth == n1 {
-			// Complete assignment: add the completion cost for unused g2
-			// vertices and untouched g2 edges, already included in g via
-			// the final expansion step.
-			return Result{Distance: cur.g, Mapping: s.extractMapping(cur), Exact: true, LowerBound: cur.g, Nodes: nodes}
+		cur := s.slab[top.n]
+		if int(cur.depth) == n1 {
+			// Complete assignment: the completion cost for unused g2
+			// vertices and untouched g2 edges is already included in g
+			// via the final expansion step.
+			return Result{Distance: cur.g, Mapping: s.extractMapping(top.n), Exact: true, LowerBound: cur.g, Nodes: nodes}
 		}
-		s.loadState(cur)
-		u := s.order[cur.depth]
+		s.loadState(top.n)
+		depth := int(cur.depth)
+		u := int(s.order[depth])
+		if s.useH && depth+1 < n1 {
+			s.openCounts(u)
+		}
 		// Try assigning u to every unused g2 vertex.
 		for v := 0; v < n2; v++ {
-			if s.used[v] {
-				continue
+			if !s.used[v] {
+				s.openChild(top.n, v, cur.g+s.assignCost(depth, u, v))
 			}
-			child := &node{parent: cur, depth: cur.depth + 1, v: v}
-			child.g = cur.g + s.assignCost(u, v)
-			if child.depth == n1 {
-				child.g += s.completionCostAfter(v)
-			} else if s.useH {
-				child.h = s.heuristicAfter(cur, u, v)
-			}
-			heap.Push(open, child)
 		}
 		// Or delete u.
-		child := &node{parent: cur, depth: cur.depth + 1, v: -1}
-		child.g = cur.g + s.deleteCost(u)
-		if child.depth == n1 {
-			child.g += s.completionCostAfter(-1)
-		} else if s.useH {
-			child.h = s.heuristicAfter(cur, u, -1)
-		}
-		heap.Push(open, child)
+		s.openChild(top.n, -1, cur.g+s.deleteCost(depth, u))
 	}
 	// Unreachable: the search space always contains the all-delete mapping.
 	return Result{Distance: math.Inf(1), Nodes: nodes}
 }
 
-// loadState rebuilds the mapping/used scratch arrays for cur by walking its
-// parent chain.
-func (s *astar) loadState(cur *node) {
+// resetState blanks the assignment state: nothing processed, nothing used.
+func (s *astar) resetState() {
+	s.mapping, s.used = resize(s.mapping, s.n1), resize(s.used, s.n2)
 	for i := range s.mapping {
 		s.mapping[i] = -2
 	}
-	for i := range s.used {
-		s.used[i] = false
-	}
-	for n := cur; n != nil && n.depth > 0; n = n.parent {
-		u := s.order[n.depth-1]
-		s.mapping[u] = n.v
-		if n.v >= 0 {
-			s.used[n.v] = true
+}
+
+// loadState rebuilds the assignment state of slab node n by walking its
+// parent chain.
+func (s *astar) loadState(n int32) {
+	s.resetState()
+	for nd := s.slab[n]; nd.depth > 0; nd = s.slab[nd.parent] {
+		s.mapping[s.order[nd.depth-1]] = nd.v
+		if nd.v >= 0 {
+			s.used[nd.v] = true
 		}
 	}
 }
 
-func (s *astar) extractMapping(cur *node) []int {
-	s.loadState(cur)
+func (s *astar) extractMapping(n int32) []int {
+	s.loadState(n)
+	return s.currentMapping()
+}
+
+// currentMapping copies the assignment state out as a Result mapping,
+// unassigned vertices counting as deleted.
+func (s *astar) currentMapping() []int {
 	out := make([]int, len(s.mapping))
 	for i, v := range s.mapping {
-		if v == -2 {
-			v = -1
-		}
-		out[i] = v
+		out[i] = int(max(v, -1))
 	}
 	return out
 }
 
-// assignCost is the incremental cost of mapping u -> v given the scratch
-// state: the vertex substitution plus every edge between u and an
-// already-assigned g1 vertex (substitution, deletion, or the matching g2
-// edge insertion).
-func (s *astar) assignCost(u, v int) float64 {
-	cost := s.cm.VertexSubst(s.g1.VertexLabel(u), s.g2.VertexLabel(v))
-	// Edges of g1 between u and assigned vertices.
-	for w, l1 := range s.g1.NeighborSet(u) {
-		mw := s.mapping[w]
-		if mw == -2 {
-			continue // w not processed yet; charged later
+// assignCost is the incremental cost of mapping u -> v when the first
+// depth vertices of the order are decided: the vertex substitution plus,
+// for every decided g1 vertex w, the edge pair ({u,w}, {v,m(w)}) —
+// substituted when both exist, deleted or inserted when only one does.
+func (s *astar) assignCost(depth, u, v int) float64 {
+	cost := s.vsub[int(s.vl1[u])*s.nv()+int(s.vl2[v])]
+	row1, row2 := s.adj1[u*s.n1:], s.adj2[v*s.n2:]
+	ne := s.ne()
+	for _, w := range s.order[:depth] {
+		l1, l2 := row1[w], int32(0)
+		if mw := s.mapping[w]; mw >= 0 {
+			l2 = row2[mw]
 		}
-		if mw >= 0 {
-			if l2, ok := s.g2.EdgeLabel(v, mw); ok {
-				cost += s.cm.EdgeSubst(l1, l2)
-				continue
-			}
-		}
-		cost += s.cm.EdgeDel(l1)
-	}
-	// Edges of g2 between v and used vertices with no g1 counterpart.
-	for x, l2 := range s.g2.NeighborSet(v) {
-		if !s.used[x] {
-			continue
-		}
-		w := s.inverse(x)
-		if _, ok := s.g1.EdgeLabel(u, w); ok {
-			continue // handled above as substitution
-		}
-		cost += s.cm.EdgeIns(l2)
-	}
-	return cost
-}
-
-// deleteCost charges the deletion of u and of its edges toward already-
-// processed vertices.
-func (s *astar) deleteCost(u int) float64 {
-	cost := s.cm.VertexDel(s.g1.VertexLabel(u))
-	for w, l1 := range s.g1.NeighborSet(u) {
-		if s.mapping[w] != -2 {
-			cost += s.cm.EdgeDel(l1)
+		switch {
+		case l1 != 0 && l2 != 0:
+			cost += s.esub[int(l1)*ne+int(l2)]
+		case l1 != 0:
+			cost += s.edel[l1]
+		case l2 != 0:
+			cost += s.eins[l2]
 		}
 	}
 	return cost
 }
 
-// inverse returns the g1 vertex currently mapped to g2 vertex x (x must be
-// used).
-func (s *astar) inverse(x int) int {
-	for w, v := range s.mapping {
-		if v == x {
-			return w
+// deleteCost charges the deletion of u and of its edges toward decided
+// vertices.
+func (s *astar) deleteCost(depth, u int) float64 {
+	cost := s.vdel[s.vl1[u]]
+	row1 := s.adj1[u*s.n1:]
+	for _, w := range s.order[:depth] {
+		if l1 := row1[w]; l1 != 0 {
+			cost += s.edel[l1]
 		}
 	}
-	return -1
+	return cost
 }
 
 // completionCostAfter charges, once all g1 vertices are processed, the
 // insertion of every g2 vertex left unused and of every g2 edge with at
 // least one unused endpoint. (g2 edges between two used vertices were
-// charged during assignment.) The scratch state corresponds to the parent;
-// v is the g2 vertex the final step consumes (-1 when the final g1 vertex
-// was deleted).
+// charged during assignment.) The assignment state corresponds to the
+// parent; v is the g2 vertex the final step consumes (-1 when the final
+// g1 vertex was deleted).
 func (s *astar) completionCostAfter(v int) float64 {
 	cost := 0.0
-	for x := 0; x < s.g2.Order(); x++ {
+	for x, l := range s.vl2 {
 		if s.open2(x, v) {
-			cost += s.cm.VertexIns(s.g2.VertexLabel(x))
+			cost += s.vins[l]
 		}
 	}
 	for _, e := range s.edges2 {
-		if s.open2(e.U, v) || s.open2(e.V, v) {
-			cost += s.cm.EdgeIns(e.Label)
+		if s.open2(int(e.u), v) || s.open2(int(e.v), v) {
+			cost += s.eins[e.l]
 		}
 	}
 	return cost
 }
 
-// heuristic returns the admissible histogram bound for the root.
-func (s *astar) heuristic(*node) float64 {
-	if !s.useH {
-		return 0
+// openCounts fills the label counters for the children of the node
+// whose assignment state is loaded and whose next vertex is u: what
+// stays open on the g1 side once u is decided, against everything still
+// open on the g2 side. On a blank state, u = -1 counts both whole graphs.
+func (s *astar) openCounts(u int) {
+	s.cv, s.ce = resize(s.cv, s.nv()), resize(s.ce, s.ne())
+	for w, l := range s.vl1 {
+		if s.open1(w, u) {
+			s.cv[l]++
+		}
 	}
-	return LowerBound(s.g1, s.g2)
-}
-
-// heuristicAfter bounds the remaining cost after additionally assigning
-// u -> v (or deleting u when v == -1) on top of cur's state: the histogram
-// distance between the labels of unprocessed g1 vertices and unused g2
-// vertices, plus the same bound over edges with at least one open endpoint.
-// Scratch state must correspond to cur (loadState(cur) called earlier in
-// the expansion loop).
-func (s *astar) heuristicAfter(cur *node, u, v int) float64 {
-	if s.hv1 == nil {
-		s.hv1, s.hv2 = map[string]int{}, map[string]int{}
-		s.he1, s.he2 = map[string]int{}, map[string]int{}
-	}
-	v1, v2, e1, e2 := s.hv1, s.hv2, s.he1, s.he2
-	clear(v1)
-	clear(v2)
-	clear(e1)
-	clear(e2)
-	// Unprocessed g1 vertices, excluding u.
-	for i := cur.depth + 1; i < len(s.order); i++ {
-		v1[s.g1.VertexLabel(s.order[i])]++
-	}
-	for x := 0; x < s.g2.Order(); x++ {
-		if !s.used[x] && x != v {
-			v2[s.g2.VertexLabel(x)]++
+	for x, l := range s.vl2 {
+		if !s.used[x] {
+			s.cv[l]--
 		}
 	}
 	for _, e := range s.edges1 {
-		if s.open1(e.U, u) || s.open1(e.V, u) {
-			e1[e.Label]++
+		if s.open1(int(e.u), u) || s.open1(int(e.v), u) {
+			s.ce[e.l]++
 		}
 	}
 	for _, e := range s.edges2 {
-		if s.open2(e.U, v) || s.open2(e.V, v) {
-			e2[e.Label]++
+		if !s.used[e.u] || !s.used[e.v] {
+			s.ce[e.l]--
 		}
 	}
-	return float64(graph.HistogramDistance(v1, v2) + graph.HistogramDistance(e1, e2))
 }
 
-// open1 reports whether g1 vertex w is still unprocessed after u is
-// processed.
+// childBound is the admissible histogram bound on what remains after
+// the child additionally consumes g2 vertex v (-1: deletion, nothing
+// consumed): the histogram distance between the labels of undecided g1
+// vertices and unused g2 vertices, plus the same over edges with at
+// least one open endpoint. v leaves the open side and takes with it the
+// edges whose only open endpoint it was — those toward used vertices.
+// The counters are restored before returning.
+func (s *astar) childBound(v int) float64 {
+	if v < 0 {
+		return float64(histBound(s.cv) + histBound(s.ce))
+	}
+	row2 := s.adj2[v*s.n2 : (v+1)*s.n2]
+	s.cv[s.vl2[v]]++
+	for x, l := range row2 {
+		if l != 0 && s.used[x] {
+			s.ce[l]++
+		}
+	}
+	h := histBound(s.cv) + histBound(s.ce)
+	s.cv[s.vl2[v]]--
+	for x, l := range row2 {
+		if l != 0 && s.used[x] {
+			s.ce[l]--
+		}
+	}
+	return float64(h)
+}
+
+// heuristicAfter is openCounts and childBound in one step, for callers
+// that bound a single child.
+func (s *astar) heuristicAfter(u, v int) float64 {
+	s.openCounts(u)
+	return s.childBound(v)
+}
+
+// open1 reports whether g1 vertex w is still undecided after u is
+// decided.
 func (s *astar) open1(w, u int) bool { return w != u && s.mapping[w] == -2 }
 
 // open2 reports whether g2 vertex x is still unused after v is used.

@@ -1,10 +1,11 @@
 // Package lru provides the bounded least-recently-used map underneath
-// every query-layer cache in the repository: the serving layer's
-// vector-table/ranked-answer cache and the database's cross-query
-// exact-score memo both wrap one Cache. The core is deliberately
-// policy-free — no TTLs, no counters, no key semantics — so each
-// wrapper keeps its own invalidation rules (generation-keyed
-// unreachability) and its own hit/miss accounting on top.
+// the serving layer's caches: the vector-table/ranked-answer cache and
+// the idempotency tables each wrap one Cache. (The database's score
+// memo keeps its own query-grouped structure, see gdb.ScoreMemo.) The
+// core is deliberately policy-free — no TTLs, no counters, no key
+// semantics — so each wrapper keeps its own invalidation rules
+// (generation-keyed unreachability) and its own hit/miss accounting on
+// top.
 package lru
 
 import (
@@ -70,9 +71,9 @@ func (c *Cache[V]) Put(key string, val V) int {
 
 // Update atomically merges a value under key: merge receives the
 // current value (zero when absent) and returns the value to store. The
-// entry becomes most recently used. Returns evictions like Put. Used by
-// the score memo so two engines finishing the same pair concurrently
-// cannot overwrite each other's half of the entry.
+// entry becomes most recently used. Returns evictions like Put. Used
+// where two writers of one key must not overwrite each other's part of
+// the value.
 func (c *Cache[V]) Update(key string, merge func(old V, ok bool) V) int {
 	if c.capacity < 1 {
 		return 0

@@ -90,16 +90,18 @@ func ComputeHinted(g1, g2 *graph.Graph, opts Options, h PairHints) PairStats {
 // one orientation, the unit the cross-query score memo stores: the
 // engines are deterministic for a fixed (pair, options), so replaying
 // a recorded result is byte-identical to re-running the engine.
+//
+// The memo holds one of these per scored pair, so the flags sit
+// together after the values: 24 bytes, not 32.
 type EngineResults struct {
 	// GED and GEDExact mirror PairStats (value or bipartite bound);
 	// HasGED reports whether the GED engine's result is present.
-	GED      float64
-	GEDExact bool
-	HasGED   bool
 	// MCS/MCSExact/HasMCS are the MCS engine analogues.
-	MCS      int
-	MCSExact bool
-	HasMCS   bool
+	GED float64
+	MCS int
+
+	GEDExact, HasGED bool
+	MCSExact, HasMCS bool
 }
 
 // Covers reports whether the results satisfy the given engine needs.
