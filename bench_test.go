@@ -7,6 +7,7 @@
 package skygraph_bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -85,14 +86,14 @@ func BenchmarkTable3GCS(b *testing.B) {
 // BenchmarkSkylineGSS regenerates the Section VI result:
 // GSS(D,q) = {g1, g4, g5, g7}, end to end through the database engine.
 func BenchmarkSkylineGSS(b *testing.B) {
-	db := gdb.New()
+	db := gdb.NewSharded(1)
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		b.Fatal(err)
 	}
 	q := dataset.PaperQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.SkylineQuery(q, gdb.QueryOptions{})
+		res, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{})
 		if err != nil || len(res.Skyline) != 4 {
 			b.Fatalf("GSS size %d err %v", len(res.Skyline), err)
 		}
@@ -145,10 +146,10 @@ func BenchmarkVectorScaling(b *testing.B) {
 		q := graph.Rewire(gs[0], 1, newGoRand(999))
 		q.SetName("q0")
 		opts := gdb.QueryOptions{Prune: true, Workers: 1}
-		run := func(b *testing.B, db *gdb.DB) {
+		run := func(b *testing.B, db *gdb.Sharded) {
 			var last gdb.QueryStats
 			for i := 0; i < b.N; i++ {
-				res, err := db.TopKQuery(q, measure.DistEd{}, 5, opts)
+				res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 5, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -162,7 +163,7 @@ func BenchmarkVectorScaling(b *testing.B) {
 		pivotCfg := pivot.Config{Pivots: 16, QueryMaxNodes: -1}
 		vectorCfg := vector.Config{Dims: 32, Cells: n / 100}
 		b.Run(fmt.Sprintf("n=%d/sig", n), func(b *testing.B) {
-			db := gdb.New()
+			db := gdb.NewSharded(1)
 			if err := db.InsertAll(gs); err != nil {
 				b.Fatal(err)
 			}
@@ -170,20 +171,22 @@ func BenchmarkVectorScaling(b *testing.B) {
 			run(b, db)
 		})
 		b.Run(fmt.Sprintf("n=%d/pivot", n), func(b *testing.B) {
-			db := gdb.New()
+			db := gdb.NewSharded(1)
 			if err := db.InsertAll(gs); err != nil {
 				b.Fatal(err)
 			}
-			db.EnablePivots(pivotCfg).Wait()
+			db.EnablePivots(pivotCfg)
+			db.WaitPivots()
 			b.ResetTimer()
 			run(b, db)
 		})
 		b.Run(fmt.Sprintf("n=%d/vector", n), func(b *testing.B) {
-			db := gdb.New()
+			db := gdb.NewSharded(1)
 			if err := db.InsertAll(gs); err != nil {
 				b.Fatal(err)
 			}
-			db.EnablePivots(pivotCfg).Wait()
+			db.EnablePivots(pivotCfg)
+			db.WaitPivots()
 			db.EnableVector(vectorCfg)
 			b.ResetTimer()
 			run(b, db)
@@ -237,13 +240,13 @@ func BenchmarkGEDVariants(b *testing.B) {
 // BenchmarkTopKRecall is experiment E11: the single-measure top-k baseline
 // against the skyline reference.
 func BenchmarkTopKRecall(b *testing.B) {
-	db := gdb.New()
+	db := gdb.NewSharded(1)
 	if err := db.InsertAll(dataset.MoleculeDB(30, 5, 14, 21)); err != nil {
 		b.Fatal(err)
 	}
 	q := dataset.MoleculeDB(1, 7, 8, 998)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000}}
-	sky, err := db.SkylineQuery(q, opts)
+	sky, err := db.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +256,7 @@ func BenchmarkTopKRecall(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.TopKQuery(q, measure.DistEd{}, 5, opts)
+		res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 5, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

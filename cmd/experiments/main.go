@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -119,12 +120,12 @@ func e4() {
 	}
 }
 
-func paperSkyline() (gdb.SkylineResult, *gdb.DB) {
-	db := gdb.New()
+func paperSkyline() (gdb.SkylineResult, *gdb.Sharded) {
+	db := gdb.NewSharded(1)
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		panic(err)
 	}
-	res, err := db.SkylineQuery(dataset.PaperQuery(), gdb.QueryOptions{})
+	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), gdb.QueryOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -192,7 +193,7 @@ func e8() {
 	fmt.Printf("(synthetic molecule database; measured only — the paper reports no numbers)\n")
 	fmt.Printf("%6s %6s %14s %14s\n", "n", "dims", "skyline size", "fraction")
 	for _, n := range []int{20, 50, 100} {
-		db := gdb.New()
+		db := gdb.NewSharded(1)
 		if err := db.InsertAll(dataset.MoleculeDB(n, 5, 14, 1)); err != nil {
 			panic(err)
 		}
@@ -204,7 +205,7 @@ func e8() {
 			{measure.DistEd{}, measure.DistMcs{}, measure.DistGu{}},
 			measure.Extended(), // d=6: + label and degree feature distances
 		} {
-			res, err := db.SkylineQuery(q, gdb.QueryOptions{
+			res, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{
 				Basis: basis,
 				Eval:  measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000},
 			})
@@ -235,7 +236,7 @@ func e9() {
 		fmt.Printf("%-5s %10d %14v\n", al.name, len(sky), time.Since(start))
 	}
 	for _, al := range algos {
-		r, err := db.SkylineQuery(q, gdb.QueryOptions{Algorithm: al.a})
+		r, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{Algorithm: al.a})
 		if err != nil {
 			panic(err)
 		}
@@ -270,7 +271,7 @@ func e10() {
 }
 
 func e11() {
-	db := gdb.New()
+	db := gdb.NewSharded(1)
 	n := 60
 	if err := db.InsertAll(dataset.MoleculeDB(n, 5, 14, 21)); err != nil {
 		panic(err)
@@ -278,7 +279,7 @@ func e11() {
 	// Independent query so the skyline is non-trivial (see E8).
 	q := dataset.MoleculeDB(1, 7, 8, 998)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000}}
-	sky, err := db.SkylineQuery(q, opts)
+	sky, err := db.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		panic(err)
 	}
@@ -291,7 +292,7 @@ func e11() {
 	for _, m := range []measure.Measure{measure.DistEd{}, measure.DistMcs{}, measure.DistGu{}} {
 		var cells []string
 		for _, k := range []int{len(want), 5, 10} {
-			res, err := db.TopKQuery(q, m, k, opts)
+			res, err := db.TopKQuery(context.Background(), q, m, k, opts)
 			if err != nil {
 				panic(err)
 			}

@@ -188,7 +188,7 @@ func main() {
 		if *dbPath != "" && db.Len() == 0 {
 			// Bootstrap an empty data directory from the LGF file; the
 			// inserts flow through the WAL like any mutation.
-			loaded, err := gdb.Load(*dbPath)
+			loaded, err := gdb.Load(*dbPath, 1)
 			if err != nil {
 				log.Fatalf("skygraphd: loading %s: %v", *dbPath, err)
 			}
@@ -200,11 +200,9 @@ func main() {
 	} else {
 		db = gdb.NewSharded(*shards)
 		if *dbPath != "" {
-			loaded, err := gdb.LoadSharded(*dbPath, *shards)
-			if err != nil {
+			if db, err = gdb.Load(*dbPath, *shards); err != nil {
 				log.Fatalf("skygraphd: loading %s: %v", *dbPath, err)
 			}
-			db = loaded
 		}
 	}
 	if *pivots > 0 {

@@ -21,6 +21,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"skygraph/internal/gdb"
@@ -33,7 +34,7 @@ import (
 // budget used to answer similarity skyline queries. Engines are safe for
 // concurrent use.
 type Engine struct {
-	db   *gdb.DB
+	db   *gdb.Sharded
 	opts gdb.QueryOptions
 }
 
@@ -76,7 +77,7 @@ func WithSkylineAlgorithm(a skyline.Algorithm) Option {
 
 // NewEngine returns an empty engine.
 func NewEngine(options ...Option) *Engine {
-	e := &Engine{db: gdb.New()}
+	e := &Engine{db: gdb.NewSharded(1)}
 	for _, o := range options {
 		o(e)
 	}
@@ -95,7 +96,7 @@ func (e *Engine) WithOptions(options ...Option) *Engine {
 
 // Load returns an engine populated from an LGF file.
 func Load(path string, options ...Option) (*Engine, error) {
-	db, err := gdb.Load(path)
+	db, err := gdb.Load(path, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +113,10 @@ func (e *Engine) Save(path string) error { return e.db.Save(path) }
 func (e *Engine) Add(gs ...*graph.Graph) error { return e.db.InsertAll(gs) }
 
 // Remove deletes the named graph, reporting whether it existed.
-func (e *Engine) Remove(name string) bool { return e.db.Delete(name) }
+func (e *Engine) Remove(name string) bool {
+	ack, err := e.db.Delete(name, "")
+	return ack.Existed && err == nil
+}
 
 // Get returns the named graph.
 func (e *Engine) Get(name string) (*graph.Graph, bool) { return e.db.Get(name) }
@@ -122,10 +126,6 @@ func (e *Engine) Len() int { return e.db.Len() }
 
 // Names returns the stored graph names in insertion order.
 func (e *Engine) Names() []string { return e.db.Names() }
-
-// DB exposes the underlying database for advanced use (top-k and range
-// queries, raw stats).
-func (e *Engine) DB() *gdb.DB { return e.db }
 
 // Member is one answer graph with its compound similarity vector.
 type Member struct {
@@ -152,7 +152,7 @@ type Result struct {
 // Skyline answers a graph similarity query with the Pareto-optimal set of
 // database graphs (Definition 12 / Eq. 4 of the paper).
 func (e *Engine) Skyline(q *graph.Graph) (Result, error) {
-	res, err := e.db.SkylineQuery(q, e.opts)
+	res, err := e.db.SkylineQuery(context.Background(), q, e.opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -178,7 +178,7 @@ type DiverseResult struct {
 // diverse k graphs: pairwise distances between skyline members are ranked
 // per dimension and the k-subset minimizing the rank sum wins.
 func (e *Engine) DiverseSkyline(q *graph.Graph, k int) (DiverseResult, error) {
-	res, err := e.db.DiverseSkylineQuery(q, k, e.opts)
+	res, err := e.db.DiverseSkylineQuery(context.Background(), q, k, e.opts)
 	if err != nil {
 		return DiverseResult{}, err
 	}
@@ -197,7 +197,7 @@ func (e *Engine) DiverseSkyline(q *graph.Graph, k int) (DiverseResult, error) {
 // TopK is the single-measure baseline: the k nearest graphs under one
 // measure (the retrieval model the skyline approach generalizes).
 func (e *Engine) TopK(q *graph.Graph, m measure.Measure, k int) ([]Member, error) {
-	res, err := e.db.TopKQuery(q, m, k, e.opts)
+	res, err := e.db.TopKQuery(context.Background(), q, m, k, e.opts)
 	if err != nil {
 		return nil, err
 	}

@@ -43,9 +43,10 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, opts QueryOptions) (pt skyli
 }
 
 // DeltaScore evaluates the single named graph's exact score under m,
-// mirroring the unpruned reference scan (scanScores): only the engines
-// m consumes run, with memo replay and publish. Scores are therefore
-// byte-identical to both the full scan and the best-first ranked path.
+// the way the best-first ranked scan scores a candidate it cannot
+// exclude: only the engines m consumes run, with memo replay and
+// publish. Scores are therefore byte-identical to both the complete
+// table's column and the ranked path.
 // gen and ok behave as in DeltaRow.
 func (db *DB) DeltaScore(name string, q *graph.Graph, m measure.Measure, opts QueryOptions) (score float64, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()

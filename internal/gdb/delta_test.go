@@ -15,8 +15,8 @@ import (
 // database — the reference every delta patch must reproduce row for row.
 func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable {
 	t.Helper()
-	db := testutil.NewDB(t, gs)
-	tab, err := db.VectorTable(context.Background(), q, gdb.QueryOptions{})
+	db := testutil.NewSharded(t, 1, gs)
+	tab, err := db.Shard(0).VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,19 +30,20 @@ func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable
 func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 12)
 	q := testutil.SeededQueries(131, gs, 1)[0]
-	db := testutil.NewDB(t, gs)
-	t0, err := db.VectorTable(context.Background(), q, gdb.QueryOptions{})
+	db := testutil.NewSharded(t, 1, gs)
+	t0, err := db.Shard(0).VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	late := testutil.SeededGraphs(231, 1)[0]
 	late.SetName("late")
-	gen, err := db.InsertKeyedGen(late, "")
+	ack, err := db.Insert(late, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, inexact, got, ok := db.DeltaRow("late", q, gdb.QueryOptions{})
+	gen := ack.Gen
+	pt, inexact, got, ok := db.Shard(0).DeltaRow("late", q, gdb.QueryOptions{})
 	if !ok || got != gen {
 		t.Fatalf("DeltaRow ok=%v gen=%d, want true/%d", ok, got, gen)
 	}
@@ -60,10 +61,11 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	}
 
 	victim := gs[3].Name()
-	existed, gen2, err := db.DeleteKeyedGen(victim, "")
-	if err != nil || !existed {
-		t.Fatalf("delete %s: existed=%v err=%v", victim, existed, err)
+	ack, err = db.Delete(victim, "")
+	if err != nil || !ack.Existed {
+		t.Fatalf("delete %s: ack=%+v err=%v", victim, ack, err)
 	}
+	gen2 := ack.Gen
 	t2, ok := t1.WithDelete(victim, gen2)
 	if !ok {
 		t.Fatalf("WithDelete(%s) did not find the row", victim)
@@ -95,23 +97,24 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 	gs := testutil.SeededGraphs(41, 8)
 	q := testutil.SeededQueries(141, gs, 1)[0]
-	db := testutil.NewDB(t, gs)
-	gen, err := db.InsertKeyedGen(mustNamed(t, 241, "a"), "")
+	db := testutil.NewSharded(t, 1, gs)
+	ack, err := db.Insert(mustNamed(t, 241, "a"), "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := ack.Gen
 	// A second mutation advances the generation past the first.
-	if _, err := db.InsertKeyedGen(mustNamed(t, 242, "b"), ""); err != nil {
+	if _, err := db.Insert(mustNamed(t, 242, "b"), ""); err != nil {
 		t.Fatal(err)
 	}
-	_, _, got, ok := db.DeltaRow("a", q, gdb.QueryOptions{})
+	_, _, got, ok := db.Shard(0).DeltaRow("a", q, gdb.QueryOptions{})
 	if !ok {
 		t.Fatal("DeltaRow did not find the inserted graph")
 	}
 	if got == gen {
 		t.Fatalf("DeltaRow observed generation %d despite a later mutation", got)
 	}
-	if _, _, _, ok := db.DeltaRow("missing", q, gdb.QueryOptions{}); ok {
+	if _, _, _, ok := db.Shard(0).DeltaRow("missing", q, gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaRow of an absent name claimed success")
 	}
 }
@@ -123,23 +126,24 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 10)
 	q := testutil.SeededQueries(151, gs, 1)[0]
 	for _, withMemo := range []bool{false, true} {
-		db := testutil.NewDB(t, gs)
+		db := testutil.NewSharded(t, 1, gs)
 		if withMemo {
-			db.SetScoreMemo(gdb.NewScoreMemo(1024))
+			db.EnableScoreMemo(1024)
 		}
 		late := testutil.SeededGraphs(251, 1)[0]
 		late.SetName("late")
-		gen, err := db.InsertKeyedGen(late, "")
+		ack, err := db.Insert(late, "")
 		if err != nil {
 			t.Fatal(err)
 		}
+		gen := ack.Gen
 		for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
-			score, _, got, ok := db.DeltaScore("late", q, m, gdb.QueryOptions{})
+			score, _, got, ok := db.Shard(0).DeltaScore("late", q, m, gdb.QueryOptions{})
 			if !ok || got != gen {
 				t.Fatalf("memo=%v m=%s: DeltaScore ok=%v gen=%d, want true/%d", withMemo, m.Name(), ok, got, gen)
 			}
-			ref, err := testutil.NewDB(t, append(append([]*graph.Graph(nil), gs...), late)).
-				TopKQuery(q, m, len(gs)+1, gdb.QueryOptions{})
+			ref, err := testutil.NewSharded(t, 1, append(append([]*graph.Graph(nil), gs...), late)).
+				TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{Prune: true})
 			if err != nil {
 				t.Fatal(err)
 			}

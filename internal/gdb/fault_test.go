@@ -45,7 +45,7 @@ func TestFaultedMutationLeavesDBUnchanged(t *testing.T) {
 			d := reopen(t, dir, 2)
 			graphs := storageGraphs(400, 6)
 			for _, g := range graphs[:4] {
-				if err := d.DB.Insert(g); err != nil {
+				if _, err := d.DB.Insert(g, ""); err != nil {
 					t.Fatalf("seed insert: %v", err)
 				}
 			}
@@ -55,9 +55,9 @@ func TestFaultedMutationLeavesDBUnchanged(t *testing.T) {
 			var err error
 			switch tc.mut {
 			case doInsert:
-				err = d.DB.Insert(graphs[4])
+				_, err = d.DB.Insert(graphs[4], "")
 			case doDelete:
-				_, err = d.DB.DeleteErr(graphs[0].Name())
+				_, err = d.DB.Delete(graphs[0].Name(), "")
 			}
 			if err == nil {
 				t.Fatal("mutation under fault succeeded")
@@ -73,7 +73,7 @@ func TestFaultedMutationLeavesDBUnchanged(t *testing.T) {
 			}
 
 			// Limit=1: the fault has cleared; the same handle keeps working.
-			if err := d.DB.Insert(graphs[5]); err != nil {
+			if _, err := d.DB.Insert(graphs[5], ""); err != nil {
 				t.Fatalf("insert after fault cleared: %v", err)
 			}
 			want := fingerprint(d.DB)
@@ -99,14 +99,14 @@ func TestFaultPersistsAcrossManyFailedMutations(t *testing.T) {
 	d := reopen(t, dir, 2)
 	graphs := storageGraphs(401, 12)
 	for _, g := range graphs[:3] {
-		if err := d.DB.Insert(g); err != nil {
+		if _, err := d.DB.Insert(g, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	before := fingerprint(d.DB)
 	fault.Set(fault.WALAppend, fault.Config{Mode: fault.ModeShortWrite, ShortBytes: 4})
 	for _, g := range graphs[3:9] {
-		if err := d.DB.Insert(g); err == nil {
+		if _, err := d.DB.Insert(g, ""); err == nil {
 			t.Fatalf("insert %s under persistent fault succeeded", g.Name())
 		}
 	}
@@ -115,7 +115,7 @@ func TestFaultPersistsAcrossManyFailedMutations(t *testing.T) {
 	}
 	fault.Reset()
 	for _, g := range graphs[9:] {
-		if err := d.DB.Insert(g); err != nil {
+		if _, err := d.DB.Insert(g, ""); err != nil {
 			t.Fatalf("insert after heal: %v", err)
 		}
 	}
@@ -139,7 +139,7 @@ func TestProbe(t *testing.T) {
 	d := reopen(t, dir, 2)
 	graphs := storageGraphs(402, 2)
 	for _, g := range graphs {
-		if err := d.DB.Insert(g); err != nil {
+		if _, err := d.DB.Insert(g, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func TestSnapshotFaultsDoNotLoseState(t *testing.T) {
 			dir := t.TempDir()
 			d := reopen(t, dir, 2)
 			for _, g := range storageGraphs(403, 5) {
-				if err := d.DB.Insert(g); err != nil {
+				if _, err := d.DB.Insert(g, ""); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -206,9 +206,9 @@ func TestSnapshotFaultsDoNotLoseState(t *testing.T) {
 // idempotency checks rely on.
 func TestInsertSeqHighWater(t *testing.T) {
 	before := InsertSeqHighWater()
-	db := New()
+	db := NewSharded(1)
 	for _, g := range storageGraphs(404, 3) {
-		if err := db.Insert(g); err != nil {
+		if _, err := db.Insert(g, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

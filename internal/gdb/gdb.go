@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,31 +19,34 @@ import (
 	"skygraph/internal/wal"
 )
 
-// DB is a concurrency-safe collection of uniquely named graphs with a
-// per-graph signature index (label histograms, degree sequence, sizes)
-// maintained on insert. The signatures serve the histogram edit-
-// distance lower bound, aggregate statistics, and the filter phase of
-// pruned skyline evaluation without ever re-walking a stored graph.
+// DB is one shard of a Sharded database: a concurrency-safe store of
+// uniquely named graphs with a per-graph signature index (label
+// histograms, degree sequence, sizes) maintained on insert, plus the
+// per-shard evaluation primitives the query layers are built from —
+// VectorTable, Ranked.EvalDB and DeltaRow / DeltaScore. It is not a
+// query or mutation surface: graphs come and go through the owning
+// Sharded (which keeps the global insertion order), and queries are
+// Sharded's, or the serving layer's over the primitives above.
 type DB struct {
 	mu     sync.RWMutex
 	names  []string // insertion order
 	graphs map[string]*entry
-	gen    uint64 // bumped on every successful Insert/Delete
+	gen    uint64 // bumped on every successful insert/delete
 
 	// pidx, when enabled, is the metric pivot index maintained in the
-	// background as graphs come and go (see EnablePivots).
+	// background as graphs come and go (see enablePivots).
 	pidx *pivot.Index
 	// vidx, when enabled, is the vector candidate-generation tier:
 	// per-graph embeddings and the IVF partition queries probe
-	// best-first (see EnableVector).
+	// best-first (see enableVector).
 	vidx *vector.Index
 	// memo, when set, is the cross-query exact-score memo consulted and
-	// fed by every evaluation path (see SetScoreMemo).
+	// fed by every evaluation path (see Sharded.EnableScoreMemo).
 	memo *ScoreMemo
 	// store, when set, receives every mutation BEFORE it is applied
 	// (and before the caller is told it succeeded): the write-ahead
 	// discipline. A store error fails the mutation with the database
-	// unchanged. See SetStore / OpenDurable.
+	// unchanged. See OpenDurable.
 	store Store
 }
 
@@ -59,8 +61,7 @@ type entry struct {
 }
 
 // insertSeq mints process-unique insert sequences. Process-wide (not
-// per DB) so one score memo can be shared across shards — and across a
-// Reshard, which re-inserts every graph into fresh DBs — without two
+// per DB) so one score memo can be shared across shards without two
 // different graphs ever colliding on (name, seq).
 //
 // Once mutations persist, "process-unique" must extend across process
@@ -98,41 +99,23 @@ func SeedInsertSeq(min uint64) {
 	}
 }
 
-// New returns an empty database.
-func New() *DB {
+// newDB returns an empty shard.
+func newDB() *DB {
 	return &DB{graphs: make(map[string]*entry)}
 }
 
-// Insert adds g. The graph must validate, carry a non-empty name, and the
-// name must be unused. The database stores g itself; callers must not
-// mutate a graph after insertion (Clone first if needed).
-func (db *DB) Insert(g *graph.Graph) error {
-	_, err := db.insertWithSeq(g, insertSeq.Add(1), "")
-	return err
-}
-
-// InsertKeyed is Insert with the client's idempotency key logged into
-// the write-ahead record, leaving durable evidence the key was
-// accepted (see Store.LogInsert).
-func (db *DB) InsertKeyed(g *graph.Graph, key string) error {
-	_, err := db.insertWithSeq(g, insertSeq.Add(1), key)
-	return err
-}
-
-// InsertKeyedGen is InsertKeyed returning the generation the insert
-// produced — the evidence a delta-maintaining cache needs to prove a
-// cached entry is exactly one mutation behind (gen-1 → gen with this
-// insert as the only difference).
-func (db *DB) InsertKeyedGen(g *graph.Graph, key string) (uint64, error) {
-	return db.insertWithSeq(g, insertSeq.Add(1), key)
-}
-
-// insertWithSeq is Insert with a caller-supplied insert sequence:
-// Reshard re-inserts the same immutable graphs into fresh shards and
-// keeps their sequences, so score-memo entries stay reachable across a
-// resize (the sequence identifies the graph VALUE, which a reshard
-// does not change).
-func (db *DB) insertWithSeq(g *graph.Graph, seq uint64, key string) (uint64, error) {
+// insert adds g under the caller-supplied insert sequence — freshly
+// minted for a new graph, the persisted one on recovery replay (the
+// sequence identifies the graph VALUE, which a restart does not
+// change). The graph must validate, carry a non-empty name, and the
+// name must be unused (Sharded.insert has refused nil). key is the
+// client's idempotency key, logged into the write-ahead record as
+// durable evidence it was accepted (see Store.LogInsert). The returned
+// generation is the one the insert produced: the evidence a
+// delta-maintaining cache needs to prove a cached entry is exactly one
+// mutation behind. The shard stores g itself; callers must not mutate a
+// graph after insertion.
+func (db *DB) insert(g *graph.Graph, seq uint64, key string) (gen uint64, err error) {
 	if g.Name() == "" {
 		return 0, fmt.Errorf("gdb: graph has no name")
 	}
@@ -178,16 +161,6 @@ func (db *DB) seqOf(name string) (uint64, bool) {
 	return e.seq, true
 }
 
-// InsertAll inserts every graph, stopping at the first error.
-func (db *DB) InsertAll(gs []*graph.Graph) error {
-	for _, g := range gs {
-		if err := db.Insert(g); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Get returns the graph with the given name.
 func (db *DB) Get(name string) (*graph.Graph, bool) {
 	db.mu.RLock()
@@ -199,32 +172,11 @@ func (db *DB) Get(name string) (*graph.Graph, bool) {
 	return e.g, true
 }
 
-// Delete removes the named graph, reporting whether it existed. With a
-// Store attached, a failed write-ahead append also reports false (the
-// database is unchanged); use DeleteErr to see the error itself.
-func (db *DB) Delete(name string) bool {
-	ok, err := db.DeleteErr(name)
-	return ok && err == nil
-}
-
-// DeleteErr removes the named graph. existed reports whether the name
-// was present; err is non-nil only when the write-ahead append failed
-// (in which case the graph remains).
-func (db *DB) DeleteErr(name string) (existed bool, err error) {
-	return db.DeleteKeyedErr(name, "")
-}
-
-// DeleteKeyedErr is DeleteErr with the client's idempotency key logged
-// into the write-ahead record (see Store.LogDelete).
-func (db *DB) DeleteKeyedErr(name, key string) (existed bool, err error) {
-	existed, _, err = db.DeleteKeyedGen(name, key)
-	return existed, err
-}
-
-// DeleteKeyedGen is DeleteKeyedErr returning the generation the delete
-// produced (0 when nothing was deleted) — the delta-maintenance
-// counterpart of InsertKeyedGen.
-func (db *DB) DeleteKeyedGen(name, key string) (existed bool, gen uint64, err error) {
+// delete removes the named graph. existed reports whether the name was
+// present; gen is the generation the delete produced (0 when nothing
+// was deleted); err is non-nil only when the write-ahead append failed,
+// in which case the graph remains. key is logged like insert's.
+func (db *DB) delete(name, key string) (existed bool, gen uint64, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.graphs[name]; !ok {
@@ -252,14 +204,14 @@ func (db *DB) DeleteKeyedGen(name, key string) (existed bool, gen uint64, err er
 	return true, db.gen, nil
 }
 
-// EnablePivots attaches a metric pivot index (see internal/pivot) to
-// the database: pivot distance columns for the current graphs are
+// enablePivots attaches a metric pivot index (see internal/pivot) to
+// the shard: pivot distance columns for the current graphs are
 // scheduled immediately and maintained in the background on every
 // insert and delete from then on. Queries pick the index up
 // automatically — partial columns simply leave individual candidates
 // on their signature-only bounds, so enabling is safe at any point.
-// Calling it again is a no-op; it returns the index either way.
-func (db *DB) EnablePivots(cfg pivot.Config) *pivot.Index {
+// Calling it again is a no-op.
+func (db *DB) enablePivots(cfg pivot.Config) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.pidx == nil {
@@ -272,7 +224,6 @@ func (db *DB) EnablePivots(cfg pivot.Config) *pivot.Index {
 			db.vidx.AttachPivots(db.pidx)
 		}
 	}
-	return db.pidx
 }
 
 // PivotIndex returns the attached pivot index (nil when disabled).
@@ -282,9 +233,9 @@ func (db *DB) PivotIndex() *pivot.Index {
 	return db.pidx
 }
 
-// EnableVector attaches the vector candidate tier (see internal/vector):
+// enableVector attaches the vector candidate tier (see internal/vector):
 // embeddings for the current graphs are computed immediately — the
-// initial partition build completes before EnableVector returns — and
+// initial partition build completes before enableVector returns — and
 // maintained on every insert and delete from then on (membership and
 // generation tags synchronously; centroid re-selections in the
 // background, off the mutation path).
@@ -295,8 +246,8 @@ func (db *DB) PivotIndex() *pivot.Index {
 // recovery replay (the embeddings rebuild from the recovered graphs, no
 // separate persistence). Enable pivots first (or at any later point) to
 // get pivot-midpoint embedding coordinates and per-cell pivot floors.
-// Calling it again is a no-op; it returns the index either way.
-func (db *DB) EnableVector(cfg vector.Config) *vector.Index {
+// Calling it again is a no-op.
+func (db *DB) enableVector(cfg vector.Config) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.vidx == nil {
@@ -307,7 +258,6 @@ func (db *DB) EnableVector(cfg vector.Config) *vector.Index {
 		}
 		db.vidx.WaitRebuild()
 	}
-	return db.vidx
 }
 
 // VectorIndex returns the attached vector index (nil when disabled).
@@ -317,20 +267,16 @@ func (db *DB) VectorIndex() *vector.Index {
 	return db.vidx
 }
 
-// SetScoreMemo attaches a cross-query exact-score memo. Pass the same
-// memo to every shard of a sharded database — entries are keyed by
-// process-unique insert sequences, so sharing is safe.
-func (db *DB) SetScoreMemo(m *ScoreMemo) {
+// setScoreMemo attaches the cross-query exact-score memo (one memo
+// shared by every shard; see Sharded.EnableScoreMemo).
+func (db *DB) setScoreMemo(m *ScoreMemo) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.memo = m
 }
 
-// SetStore attaches a write-ahead store: from now on every mutation is
-// logged to st before it is applied, and a store error fails the
-// mutation with the database unchanged. Attach AFTER recovery replay so
-// replayed mutations are not re-logged. Pass nil to detach.
-func (db *DB) SetStore(st Store) {
+// setStore attaches the write-ahead store (see Sharded.setStore).
+func (db *DB) setStore(st Store) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.store = st
@@ -360,24 +306,6 @@ func (db *DB) Len() int {
 	return len(db.names)
 }
 
-// Names returns the graph names in insertion order.
-func (db *DB) Names() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]string(nil), db.names...)
-}
-
-// Graphs returns the stored graphs in insertion order.
-func (db *DB) Graphs() []*graph.Graph {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]*graph.Graph, 0, len(db.names))
-	for _, n := range db.names {
-		out = append(out, db.graphs[n].g)
-	}
-	return out
-}
-
 // Stats summarizes the database contents.
 type Stats struct {
 	Graphs       int
@@ -387,12 +315,6 @@ type Stats struct {
 	EdgeLabels   int
 	MinSize      int
 	MaxSize      int
-}
-
-// Stats returns aggregate statistics.
-func (db *DB) Stats() Stats {
-	s, _, _ := db.statsAndLabels()
-	return s
 }
 
 // statsAndLabels aggregates the stored signatures — no graph structure
@@ -427,36 +349,11 @@ func (db *DB) statsAndLabels() (Stats, map[string]bool, map[string]bool) {
 	return s, vl, el
 }
 
-// LowerBoundGED returns the histogram lower bound on the uniform-cost edit
-// distance between the named graph and q, served from the signature index
-// without touching the graph structure. ok is false for unknown names.
-func (db *DB) LowerBoundGED(name string, qv, qe map[string]int) (lb float64, ok bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	e, ok := db.graphs[name]
-	if !ok {
-		return 0, false
-	}
-	return float64(graph.HistogramDistance(e.sig.VHist, qv) + graph.HistogramDistance(e.sig.EHist, qe)), true
-}
-
-// Signature returns the stored signature of the named graph (the value
-// computed at insert time). ok is false for unknown names.
-func (db *DB) Signature(name string) (*measure.Signature, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	e, ok := db.graphs[name]
-	if !ok {
-		return nil, false
-	}
-	return e.sig, true
-}
-
-// WriteTo streams the whole database as LGF, returning the bytes written
-// per io.WriterTo.
-func (db *DB) WriteTo(w io.Writer) (int64, error) {
+// WriteTo streams the whole database as LGF in global insertion order,
+// returning the bytes written per io.WriterTo.
+func (sh *Sharded) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	for _, g := range db.Graphs() {
+	for _, g := range sh.Graphs() {
 		if err := graph.WriteLGF(cw, g); err != nil {
 			return cw.n, err
 		}
@@ -481,15 +378,15 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // renamed over path (with the directory entry fsynced too), so a crash
 // mid-save leaves the previous file intact rather than a truncated or
 // torn one.
-func (db *DB) Save(path string) error {
+func (sh *Sharded) Save(path string) error {
 	return wal.AtomicWrite(path, func(w io.Writer) error {
-		_, err := db.WriteTo(w)
+		_, err := sh.WriteTo(w)
 		return err
 	})
 }
 
-// Load reads an LGF file into a fresh database.
-func Load(path string) (*DB, error) {
+// Load reads an LGF file into a fresh n-shard database.
+func Load(path string, n int) (*Sharded, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -499,17 +396,9 @@ func Load(path string) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := New()
-	if err := db.InsertAll(gs); err != nil {
+	sh := NewSharded(n)
+	if err := sh.InsertAll(gs); err != nil {
 		return nil, err
 	}
-	return db, nil
-}
-
-// SortedNames returns the graph names sorted lexicographically (for
-// deterministic reporting independent of insertion order).
-func (db *DB) SortedNames() []string {
-	out := db.Names()
-	sort.Strings(out)
-	return out
+	return sh, nil
 }

@@ -8,9 +8,9 @@ import (
 	"skygraph/internal/graph"
 )
 
-func paperDB(t *testing.T) *DB {
+func paperDB(t *testing.T) *Sharded {
 	t.Helper()
-	db := New()
+	db := NewSharded(1)
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		t.Fatal(err)
 	}
@@ -18,11 +18,11 @@ func paperDB(t *testing.T) *DB {
 }
 
 func TestInsertGetDelete(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	g := graph.Path(3, "A", "x")
 	g.SetName("p3")
-	if err := db.Insert(g); err != nil {
-		t.Fatal(err)
+	if ack, err := db.Insert(g, ""); err != nil || ack.Existed || ack.Gen != 1 {
+		t.Fatalf("insert: ack %+v, err %v", ack, err)
 	}
 	if db.Len() != 1 {
 		t.Errorf("len=%d", db.Len())
@@ -34,11 +34,11 @@ func TestInsertGetDelete(t *testing.T) {
 	if _, ok := db.Get("nope"); ok {
 		t.Error("Get of missing graph succeeded")
 	}
-	if !db.Delete("p3") {
-		t.Error("Delete failed")
+	if ack, err := db.Delete("p3", ""); err != nil || !ack.Existed || ack.Gen != 2 {
+		t.Errorf("Delete failed: ack %+v, err %v", ack, err)
 	}
-	if db.Delete("p3") {
-		t.Error("double delete succeeded")
+	if ack, err := db.Delete("p3", ""); err != nil || ack.Existed || ack.Gen != 0 {
+		t.Errorf("double delete succeeded: ack %+v, err %v", ack, err)
 	}
 	if db.Len() != 0 {
 		t.Errorf("len=%d after delete", db.Len())
@@ -46,20 +46,29 @@ func TestInsertGetDelete(t *testing.T) {
 }
 
 func TestInsertErrors(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
+	if _, err := db.Insert(nil, ""); err == nil {
+		t.Error("nil graph accepted")
+	}
+	if err := db.InsertAll([]*graph.Graph{nil}); err == nil {
+		t.Error("InsertAll accepted a nil graph")
+	}
 	unnamed := graph.New("")
-	if err := db.Insert(unnamed); err == nil {
+	if _, err := db.Insert(unnamed, ""); err == nil {
 		t.Error("unnamed graph accepted")
 	}
 	g := graph.Path(2, "A", "x")
 	g.SetName("g")
-	if err := db.Insert(g); err != nil {
+	if _, err := db.Insert(g, ""); err != nil {
 		t.Fatal(err)
 	}
 	dup := graph.Path(4, "B", "y")
 	dup.SetName("g")
-	if err := db.Insert(dup); err == nil {
-		t.Error("duplicate name accepted")
+	if ack, err := db.Insert(dup, ""); err == nil || !ack.Existed {
+		t.Errorf("duplicate name accepted: ack %+v, err %v", ack, err)
+	}
+	if db.Len() != 1 || db.Generation() != 1 {
+		t.Errorf("rejected inserts changed the database: len %d, generation %d", db.Len(), db.Generation())
 	}
 }
 
@@ -107,7 +116,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
+	loaded, err := Load(path, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,40 +133,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.lgf")); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.lgf"), 1); err == nil {
 		t.Error("no error for missing file")
-	}
-}
-
-func TestLowerBoundGED(t *testing.T) {
-	db := paperDB(t)
-	q := dataset.PaperQuery()
-	qv, qe := q.LabelHistogram()
-	for i, name := range db.Names() {
-		lb, ok := db.LowerBoundGED(name, qv, qe)
-		if !ok {
-			t.Fatalf("LowerBoundGED(%s) not found", name)
-		}
-		if lb > dataset.PaperGED[i] {
-			t.Errorf("%s: lower bound %v exceeds true GED %v", name, lb, dataset.PaperGED[i])
-		}
-	}
-	if _, ok := db.LowerBoundGED("missing", qv, qe); ok {
-		t.Error("lower bound for missing graph")
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	db := New()
-	for _, n := range []string{"zz", "aa", "mm"} {
-		g := graph.Path(2, "A", "x")
-		g.SetName(n)
-		if err := db.Insert(g); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := db.SortedNames()
-	if got[0] != "aa" || got[1] != "mm" || got[2] != "zz" {
-		t.Errorf("sorted=%v", got)
 	}
 }

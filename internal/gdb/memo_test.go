@@ -14,19 +14,19 @@ import (
 // served from the memo (hits > 0) with identical items.
 func TestMemoReplaysAcrossQueries(t *testing.T) {
 	gs := testutil.SeededGraphs(61, 12)
-	db := testutil.NewDB(t, gs)
-	db.SetScoreMemo(gdb.NewScoreMemo(1024))
+	db := testutil.NewSharded(t, 1, gs)
+	db.EnableScoreMemo(1024)
 	q := testutil.SeededQueries(161, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
 
-	cold, err := db.TopKQuery(q, measure.DistEd{}, 4, opts)
+	cold, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.MemoHits != 0 {
 		t.Fatalf("cold query reported %d memo hits", cold.Stats.MemoHits)
 	}
-	warm, err := db.TopKQuery(q, measure.DistEd{}, 4, opts)
+	warm, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,19 +44,19 @@ func TestMemoReplaysAcrossQueries(t *testing.T) {
 // per-graph insert sequences rather than the database generation.
 func TestMemoSurvivesUnrelatedMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(71, 10)
-	db := testutil.NewDB(t, gs)
-	db.SetScoreMemo(gdb.NewScoreMemo(1024))
+	db := testutil.NewSharded(t, 1, gs)
+	db.EnableScoreMemo(1024)
 	q := testutil.SeededQueries(171, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
-	if _, err := db.TopKQuery(q, measure.DistEd{}, 3, opts); err != nil {
+	if _, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, opts); err != nil {
 		t.Fatal(err)
 	}
 	extra := testutil.SeededGraphs(271, 1)[0]
 	extra.SetName("extra")
-	if err := db.Insert(extra); err != nil {
+	if _, err := db.Insert(extra, ""); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := db.TopKQuery(q, measure.DistEd{}, 3, opts)
+	warm, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,34 +76,30 @@ func TestMemoInvalidatedByReinsert(t *testing.T) {
 	q := testutil.SeededQueries(181, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{}}
 
-	db := testutil.NewDB(t, gs)
-	db.SetScoreMemo(gdb.NewScoreMemo(1024))
-	if _, err := db.RangeQuery(q, measure.DistEd{}, 100, opts); err != nil {
+	db := testutil.NewSharded(t, 1, gs)
+	db.EnableScoreMemo(1024)
+	if _, err := db.RangeQuery(context.Background(), q, measure.DistEd{}, 100, opts); err != nil {
 		t.Fatal(err)
 	}
 
 	// Replace g003 with a structurally different graph of the same name.
 	victim := gs[3].Name()
-	if !db.Delete(victim) {
-		t.Fatal("delete failed")
+	if ack, err := db.Delete(victim, ""); !ack.Existed || err != nil {
+		t.Fatalf("delete failed: ack %+v, err %v", ack, err)
 	}
 	repl := testutil.SeededGraphs(999, 5)[4]
 	repl.SetName(victim)
-	if err := db.Insert(repl); err != nil {
+	if _, err := db.Insert(repl, ""); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := db.RangeQuery(q, measure.DistEd{}, 100, opts)
+	got, err := db.RangeQuery(context.Background(), q, measure.DistEd{}, 100, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reference: a memo-free database with the same final contents.
-	ref := testutil.NewDB(t, db.Graphs())
-	want, err := ref.RangeQuery(q, measure.DistEd{}, 100, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.RequireSameItems(t, "after-reinsert", want.Items, got.Items)
+	// Reference: memo-free scores over the same final contents.
+	want := testutil.ReferenceRange(testutil.ReferenceScores(db.Graphs(), q, measure.DistEd{}, opts.Eval), 100)
+	testutil.RequireSameItems(t, "after-reinsert", want, got.Items)
 	// And the replacement's score must differ from the victim's unless
 	// the graphs coincidentally tie — sanity that the test bites.
 	var oldScore, newScore float64
@@ -127,11 +123,11 @@ func TestMemoSharedAcrossShards(t *testing.T) {
 	sh.EnableScoreMemo(2048)
 	q := testutil.SeededQueries(191, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}, Prune: true}
-	cold, err := sh.TopKQueryContext(context.Background(), q, measure.DistEd{}, 4, opts)
+	cold, err := sh.TopKQuery(context.Background(), q, measure.DistEd{}, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sh.TopKQueryContext(context.Background(), q, measure.DistEd{}, 4, opts)
+	warm, err := sh.TopKQuery(context.Background(), q, measure.DistEd{}, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,9 @@ func TestPivotIntervalsAdmissible(t *testing.T) {
 	evals := []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}}
 	for _, tc := range cases {
 		for ci, cfg := range pivotCfgs {
-			db := testutil.NewDB(t, tc.gs)
-			ix := db.EnablePivots(cfg)
+			db := testutil.NewSharded(t, 1, tc.gs)
+			db.EnablePivots(cfg)
+			ix := db.Shard(0).PivotIndex()
 			ix.Wait()
 			for _, eval := range evals {
 				for _, q := range tc.qs {
@@ -47,8 +48,7 @@ func TestPivotIntervalsAdmissible(t *testing.T) {
 						t.Fatalf("%s cfg=%d: pivot index not ready", tc.label, ci)
 					}
 					for _, g := range tc.gs {
-						sig, _ := db.Signature(g.Name())
-						bs := measure.BoundPair(sig, qsig)
+						bs := measure.BoundPair(measure.NewSignature(g), qsig)
 						lo, hi, ok := qb.GED(g.Name())
 						if !ok {
 							t.Fatalf("%s cfg=%d: no pivot column for %s", tc.label, ci, g.Name())
@@ -71,14 +71,15 @@ func TestPivotIntervalsAdmissible(t *testing.T) {
 	}
 }
 
-// pivotDB builds an unsharded DB with pivots (and optionally a memo)
-// enabled and fully built.
-func pivotDB(t *testing.T, gs []*graph.Graph, cfg pivot.Config, memo bool) *gdb.DB {
+// pivotDB builds a one-shard database with pivots (and optionally a
+// memo) enabled and fully built.
+func pivotDB(t *testing.T, gs []*graph.Graph, cfg pivot.Config, memo bool) *gdb.Sharded {
 	t.Helper()
-	db := testutil.NewDB(t, gs)
-	db.EnablePivots(cfg).Wait()
+	db := testutil.NewSharded(t, 1, gs)
+	db.EnablePivots(cfg)
+	db.WaitPivots()
 	if memo {
-		db.SetScoreMemo(gdb.NewScoreMemo(4096))
+		db.EnableScoreMemo(4096)
 	}
 	return db
 }
@@ -90,19 +91,19 @@ func pivotDB(t *testing.T, gs []*graph.Graph, cfg pivot.Config, memo bool) *gdb.
 func TestPrunedSkylineWithPivotsSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		gs := testutil.SeededGraphs(seed, 20)
-		ref := testutil.NewDB(t, gs)
+		ref := testutil.NewSharded(t, 1, gs)
 		for ci, cfg := range pivotCfgs {
 			db := pivotDB(t, gs, cfg, true)
 			for qi, q := range testutil.SeededQueries(seed+100, gs, 3) {
 				label := fmt.Sprintf("seed=%d cfg=%d q=%d", seed, ci, qi)
 				opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
-				want, err := ref.SkylineQuery(q, opts)
+				want, err := ref.SkylineQuery(context.Background(), q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts.Prune = true
 				for round := 0; round < 2; round++ {
-					got, err := db.SkylineQuery(q, opts)
+					got, err := db.SkylineQuery(context.Background(), q, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -121,24 +122,17 @@ func TestPrunedSkylineWithPivotsSeeded(t *testing.T) {
 }
 
 // TestPrunedRankedWithPivotsSharded: top-k and range equivalence with
-// pivots + memo at shard counts 1/2/3/7, against the unpruned unsharded
-// reference.
+// pivots + memo at shard counts 1/2/3/7, against the independent
+// reference scores.
 func TestPrunedRankedWithPivotsSharded(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 18)
 	qs := testutil.SeededQueries(131, gs, 2)
 	eval := measure.Options{GEDMaxNodes: 500, MCSMaxNodes: 500}
 	ctx := context.Background()
-	flat := testutil.NewDB(t, gs)
 	for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
 		for _, q := range qs {
-			refTK, err := flat.TopKQueryContext(ctx, q, m, 4, gdb.QueryOptions{Eval: eval, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refRG, err := flat.RangeQueryContext(ctx, q, m, 4, gdb.QueryOptions{Eval: eval, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
+			scores := testutil.ReferenceScores(gs, q, m, eval)
+			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
 			popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
 			for _, counts := range []int{1, 2, 3, 7} {
 				sh := testutil.NewSharded(t, counts, gs)
@@ -147,91 +141,18 @@ func TestPrunedRankedWithPivotsSharded(t *testing.T) {
 				sh.WaitPivots()
 				label := fmt.Sprintf("%s/%s shards=%d", q.Name(), m.Name(), counts)
 				for round := 0; round < 2; round++ {
-					tk, err := sh.TopKQueryContext(ctx, q, m, 4, popts)
+					tk, err := sh.TopKQuery(ctx, q, m, 4, popts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					testutil.RequireSameItems(t, label+"/topk", refTK.Items, tk.Items)
-					rg, err := sh.RangeQueryContext(ctx, q, m, 4, popts)
+					testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
+					rg, err := sh.RangeQuery(ctx, q, m, 4, popts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					testutil.RequireSameItems(t, label+"/range", refRG.Items, rg.Items)
+					testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
 				}
 			}
-		}
-	}
-}
-
-// TestReshardRebuildsPivotIndex: resizing the shard set must rebuild a
-// consistent pivot index on every new shard — full coverage of that
-// shard's graphs — and keep query answers byte-identical, across the
-// shard counts 1 -> 2 -> 3 -> 7 and back down to 2.
-func TestReshardRebuildsPivotIndex(t *testing.T) {
-	gs := testutil.SeededGraphs(41, 21)
-	q := testutil.SeededQueries(141, gs, 1)[0]
-	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}, Prune: true}
-	ref := testutil.NewDB(t, gs)
-	want, err := ref.SkylineQuery(q, gdb.QueryOptions{Eval: opts.Eval})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTK, err := ref.TopKQuery(q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: opts.Eval})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sh := testutil.NewSharded(t, 1, gs)
-	sh.EnablePivots(pivot.Config{Pivots: 3})
-	sh.EnableScoreMemo(4096)
-	// Warm the memo so the resized databases can prove entries stayed
-	// reachable (graphs keep their insert sequences across Reshard).
-	if _, err := sh.TopKQueryContext(context.Background(), q, measure.DistEd{}, 4, opts); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{2, 3, 7, 2} {
-		resized, err := sh.Reshard(n)
-		if err != nil {
-			t.Fatalf("Reshard(%d): %v", n, err)
-		}
-		sh = resized
-		if sh.NumShards() != n {
-			t.Fatalf("Reshard(%d) produced %d shards", n, sh.NumShards())
-		}
-		if sh.Memo() == nil {
-			t.Fatalf("Reshard(%d) dropped the score memo", n)
-		}
-		sh.WaitPivots()
-		for i := 0; i < n; i++ {
-			shard := sh.Shard(i)
-			ix := shard.PivotIndex()
-			if ix == nil {
-				t.Fatalf("shard %d/%d has no pivot index after reshard", i, n)
-			}
-			pivots, entries, pending := ix.Ready()
-			if shard.Len() >= 3 {
-				// Enough graphs for a pivot set: the rebuilt index must
-				// cover the shard completely.
-				if pivots != 3 || entries != shard.Len() || pending != 0 {
-					t.Fatalf("shard %d/%d: %d graphs, %d pivots, %d columns (%d pending)",
-						i, n, shard.Len(), pivots, entries, pending)
-				}
-			} else if pivots != 0 {
-				t.Fatalf("shard %d/%d: %d pivots from %d graphs", i, n, pivots, shard.Len())
-			}
-		}
-		got, err := sh.SkylineQueryContext(context.Background(), q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.RequireSameSkyline(t, fmt.Sprintf("reshard=%d", n), want.Skyline, got.Skyline)
-		gotTK, err := sh.TopKQueryContext(context.Background(), q, measure.DistEd{}, 4, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.RequireSameItems(t, fmt.Sprintf("reshard=%d/topk", n), wantTK.Items, gotTK.Items)
-		if gotTK.Stats.MemoHits == 0 {
-			t.Fatalf("reshard=%d: memo entries unreachable after resize (0 hits)", n)
 		}
 	}
 }
@@ -241,20 +162,21 @@ func TestReshardRebuildsPivotIndex(t *testing.T) {
 func TestPivotSurvivesMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 16)
 	db := pivotDB(t, gs, pivot.Config{Pivots: 3}, false)
-	ix := db.PivotIndex()
+	ix := db.Shard(0).PivotIndex()
 	q := testutil.SeededQueries(151, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
 
 	// Delete a pivot (forces a rebuild) and a regular member.
 	victim := ix.Pivots()[0]
-	if !db.Delete(victim) {
-		t.Fatalf("delete %s failed", victim)
+	for _, name := range []string{victim, gs[7].Name()} {
+		if ack, err := db.Delete(name, ""); !ack.Existed || err != nil {
+			t.Fatalf("delete %s failed: ack %+v, err %v", name, ack, err)
+		}
 	}
-	db.Delete(gs[7].Name())
 	extra := testutil.SeededGraphs(251, 4)
 	for _, g := range extra {
 		g.SetName("x" + g.Name())
-		if err := db.Insert(g); err != nil {
+		if _, err := db.Insert(g, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,14 +186,14 @@ func TestPivotSurvivesMutations(t *testing.T) {
 		t.Fatalf("after mutations: %d graphs, %d columns, %d pending", db.Len(), entries, pending)
 	}
 
-	ref := testutil.NewDB(t, db.Graphs())
-	want, err := ref.SkylineQuery(q, opts)
+	ref := testutil.NewSharded(t, 1, db.Graphs())
+	want, err := ref.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	popts := opts
 	popts.Prune = true
-	got, err := db.SkylineQuery(q, popts)
+	got, err := db.SkylineQuery(context.Background(), q, popts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,16 +29,16 @@ func prunedOpts(prune bool) gdb.QueryOptions {
 // against db and fails unless the skylines agree exactly. It also
 // checks the pruning bookkeeping: every graph is either evaluated or
 // pruned, never both, never neither.
-func requireEquivalent(t *testing.T, label string, db *gdb.DB, q *graph.Graph, opts gdb.QueryOptions) {
+func requireEquivalent(t *testing.T, label string, db *gdb.Sharded, q *graph.Graph, opts gdb.QueryOptions) {
 	t.Helper()
 	o := opts
 	o.Prune = false
-	ref, err := db.SkylineQuery(q, o)
+	ref, err := db.SkylineQuery(context.Background(), q, o)
 	if err != nil {
 		t.Fatalf("%s: unpruned query: %v", label, err)
 	}
 	o.Prune = true
-	got, err := db.SkylineQuery(q, o)
+	got, err := db.SkylineQuery(context.Background(), q, o)
 	if err != nil {
 		t.Fatalf("%s: pruned query: %v", label, err)
 	}
@@ -55,17 +55,17 @@ func requireEquivalent(t *testing.T, label string, db *gdb.DB, q *graph.Graph, o
 // TestPrunedSkylineMatchesUnprunedPaperDB: the worked example of the
 // paper, exact engines — GSS(D,q) = {g1, g4, g5, g7} either way.
 func TestPrunedSkylineMatchesUnprunedPaperDB(t *testing.T) {
-	db := testutil.NewDB(t, dataset.PaperDB())
+	db := testutil.NewSharded(t, 1, dataset.PaperDB())
 	requireEquivalent(t, "paper", db, dataset.PaperQuery(), gdb.QueryOptions{})
 	requireEquivalent(t, "paper/capped", db, dataset.PaperQuery(), prunedOpts(false))
 }
 
 // TestPrunedSkylineMatchesUnprunedSeeded: property test over seeded
-// random databases and queries, unsharded.
+// random databases and queries, one shard.
 func TestPrunedSkylineMatchesUnprunedSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		gs := testutil.SeededGraphs(seed, 24)
-		db := testutil.NewDB(t, gs)
+		db := testutil.NewSharded(t, 1, gs)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 4) {
 			requireEquivalent(t, fmt.Sprintf("seed=%d q=%d", seed, qi), db, q, prunedOpts(false))
 		}
@@ -73,17 +73,16 @@ func TestPrunedSkylineMatchesUnprunedSeeded(t *testing.T) {
 }
 
 // requireShardedEquivalent is the sharded equivalence grid: for every
-// shard count the pruned sharded engine must agree with the unpruned
-// unsharded reference, including the per-shard Pruned/Evaluated
-// accounting.
+// shard count the pruned engine must agree with the unpruned one-shard
+// run, including the per-shard Pruned/Evaluated accounting.
 func requireShardedEquivalent(t *testing.T, name string, gs, queries []*graph.Graph, opts gdb.QueryOptions) {
 	t.Helper()
-	ref := testutil.NewDB(t, gs)
+	ref := testutil.NewSharded(t, 1, gs)
 	opts.Prune = false
 	want := make([]gdb.SkylineResult, len(queries))
 	for qi, q := range queries {
 		var err error
-		if want[qi], err = ref.SkylineQuery(q, opts); err != nil {
+		if want[qi], err = ref.SkylineQuery(context.Background(), q, opts); err != nil {
 			t.Fatalf("%s q=%d: reference: %v", name, qi, err)
 		}
 	}
@@ -92,7 +91,7 @@ func requireShardedEquivalent(t *testing.T, name string, gs, queries []*graph.Gr
 		sh := testutil.NewSharded(t, shards, gs)
 		for qi, q := range queries {
 			label := fmt.Sprintf("%s shards=%d q=%d", name, shards, qi)
-			got, err := sh.SkylineQueryContext(context.Background(), q, opts)
+			got, err := sh.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("%s: sharded pruned: %v", label, err)
 			}
@@ -153,15 +152,15 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 		if seed == 3 {
 			gs = twinned(gs[:12])
 		}
-		db := testutil.NewDB(t, gs)
+		db := testutil.NewSharded(t, 1, gs)
 		rng := rand.New(rand.NewSource(seed))
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
-			want, err := db.SkylineQuery(q, prunedOpts(false))
+			want, err := db.SkylineQuery(context.Background(), q, prunedOpts(false))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for perm := 0; perm <= 20; perm++ {
-				pts := gdb.PrunedPointsInOrder(db, q, prunedOpts(true), func(order []int) {
+				pts := gdb.PrunedPointsInOrder(db.Shard(0), q, prunedOpts(true), func(order []int) {
 					if perm == 0 {
 						for a, b := 0, len(order)-1; a < b; a, b = a+1, b-1 {
 							order[a], order[b] = order[b], order[a]
@@ -175,11 +174,11 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 			}
 			opts := prunedOpts(true)
 			opts.Workers = 1
-			first, err := db.SkylineQuery(q, opts)
+			first, err := db.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := db.SkylineQuery(q, opts)
+			again, err := db.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,8 +195,8 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 // clearly dominated members), so the Pruned counter is exercised for
 // real, not vacuously.
 func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
-	db := testutil.NewDB(t, dataset.PaperDB())
-	res, err := db.SkylineQuery(dataset.PaperQuery(), prunedOpts(true))
+	db := testutil.NewSharded(t, 1, dataset.PaperDB())
+	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), prunedOpts(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,10 +212,10 @@ func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
 // top-k and range duty rather than silently answering from survivor
 // rows only.
 func TestPrunedTableRejectsRanking(t *testing.T) {
-	db := testutil.NewDB(t, dataset.PaperDB())
+	db := testutil.NewSharded(t, 1, dataset.PaperDB())
 	opts := prunedOpts(true)
 	opts.Workers = 2
-	tab, err := db.VectorTable(context.Background(), dataset.PaperQuery(), opts)
+	tab, err := db.Shard(0).VectorTable(context.Background(), dataset.PaperQuery(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +234,10 @@ func TestPrunedTableRejectsRanking(t *testing.T) {
 // built-ins must fall back to full evaluation (Pruned = 0, every graph
 // evaluated) rather than prune on unknown monotonicity.
 func TestPruneIgnoredForForeignBasis(t *testing.T) {
-	db := testutil.NewDB(t, dataset.PaperDB())
+	db := testutil.NewSharded(t, 1, dataset.PaperDB())
 	opts := prunedOpts(true)
 	opts.Basis = []measure.Measure{measure.DistEd{}, oppositeMeasure{}}
-	res, err := db.SkylineQuery(dataset.PaperQuery(), opts)
+	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -152,208 +151,104 @@ type SkylineResult struct {
 }
 
 // SkylineQuery computes the graph similarity skyline GSS(D, q) of
-// Definition 12/Eq. 4: evaluate the GCS vector of database graphs
-// against q in parallel — all of them, or just the candidates no cheaper
-// proof discards under QueryOptions.Prune — then keep the Pareto-optimal
-// ones.
-func (db *DB) SkylineQuery(q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
-	return db.SkylineQueryContext(context.Background(), q, opts)
+// Definition 12/Eq. 4: every shard evaluates the GCS vector of its
+// graphs against q in parallel — all of them, or just the candidates no
+// cheaper proof discards under QueryOptions.Prune (see prune.go) — keeps
+// its Pareto-optimal ones, and the local skylines are cross-filtered
+// into the global one. Evaluation checks ctx between pairs and aborts
+// early with ctx.Err().
+func (sh *Sharded) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
+	start := time.Now()
+	tables, err := sh.VectorTables(ctx, q, opts)
+	if err != nil {
+		return SkylineResult{}, err
+	}
+	var mstart time.Time
+	if opts.Trace != nil {
+		mstart = time.Now()
+	}
+	res := SkylineResult{
+		Skyline: sh.MergeSkyline(tables, opts.Algorithm),
+		All:     sh.MergeTables(tables),
+		Stats:   mergedStats(tables, start),
+	}
+	if opts.Trace != nil {
+		opts.Trace.Observe(StageMerge, time.Since(mstart), len(res.All), 0)
+	}
+	return res, nil
 }
 
-// TopKResult is the answer to a single-measure top-k query.
+// TopKResult is the answer to a single-measure ranked query, top-k or
+// range.
 type TopKResult struct {
 	Items []topk.Item
 	Stats QueryStats
 }
 
 // TopKQuery is the single-measure baseline (Section VI): the k database
-// graphs with the smallest distance under one measure. See
-// TopKQueryContext.
-func (db *DB) TopKQuery(q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
-	return db.TopKQueryContext(context.Background(), q, m, k, opts)
-}
-
-// TopKQueryContext answers a single-measure top-k query with a parallel
-// scan (opts.Workers wide, honoring ctx between pairs). With opts.Prune
-// set and a built-in measure, evaluation is best-first on the bound
-// index instead: candidates whose optimistic bound or an engine
-// decision run proves them past the live k-th best score are never
-// scored exactly (see ranked.go); the items — scores and tie-order —
-// are identical either way.
-func (db *DB) TopKQueryContext(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
+// graphs with the smallest distance under one measure, in ascending
+// (score, ID) order. With opts.Prune set (and a built-in measure),
+// every shard runs the best-first bound-index scan of ranked.go
+// concurrently against ONE shared collector, so the k-th best score
+// seen anywhere prunes candidates everywhere — no shard builds a full
+// table. Otherwise per-shard complete tables are built and heap-merged.
+// Items are identical either way.
+func (sh *Sharded) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("gdb: k must be >= 1")
 	}
-	opts = opts.withDefaults()
-	start := time.Now()
-	stats := QueryStats{}
-	var items []topk.Item
-	if opts.Prune && measure.Rankable(m) {
-		run := NewRankedTopK(m, k)
-		var err error
-		if stats, err = run.EvalDB(ctx, db, q, opts); err != nil {
-			return TopKResult{}, err
-		}
-		items = run.Items()
-	} else {
-		all, inexact, ec, err := db.scanScores(ctx, q, m, opts)
-		if err != nil {
-			return TopKResult{}, err
-		}
-		stats = QueryStats{Work: ec.work(), Inexact: inexact}
-		stats.Evaluated = len(all)
-		// The whole unpruned scan is exact-stage work: every pair runs
-		// the engines (or replays the memo), nothing is bounded away.
-		opts.Trace.Observe(StageExact, time.Since(start), len(all), 0)
-		// One bounded-heap pass, extracted once at the end — not a
-		// re-selection per improving item.
-		items = topk.Select(all, k)
-	}
-	stats.Duration = time.Since(start)
-	return TopKResult{Items: items, Stats: stats}, nil
-}
-
-// RangeResult is the answer to a distance-range query.
-type RangeResult struct {
-	Items []topk.Item
-	Stats QueryStats
+	return sh.rankedQuery(ctx, q, m, opts, NewRankedTopK(m, k), func(tables []*VectorTable) ([]topk.Item, error) {
+		return sh.MergeTopK(tables, m, k)
+	})
 }
 
 // RangeQuery returns every graph whose distance to q under m is at most
-// radius, in insertion order. See RangeQueryContext.
-func (db *DB) RangeQuery(q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (RangeResult, error) {
-	return db.RangeQueryContext(context.Background(), q, m, radius, opts)
-}
-
-// RangeQueryContext answers a single-measure range query with a
-// parallel scan (opts.Workers wide, honoring ctx between pairs). With
-// opts.Prune set and a built-in measure, evaluation is best-first on
-// the bound index with the radius as a fixed threshold; the items are
+// radius, in global insertion order. With opts.Prune set (and a
+// built-in measure), shards run the best-first scan with the radius as
+// a fixed threshold instead of building full tables; items are
 // identical either way.
-func (db *DB) RangeQueryContext(ctx context.Context, q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (RangeResult, error) {
-	opts = opts.withDefaults()
+func (sh *Sharded) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (TopKResult, error) {
+	return sh.rankedQuery(ctx, q, m, opts, NewRankedRange(m, radius), func(tables []*VectorTable) ([]topk.Item, error) {
+		return sh.MergeRange(tables, m, radius)
+	})
+}
+
+// rankedQuery answers one top-k or range query: the best-first scan of
+// run over every shard when pruning applies, otherwise complete
+// per-shard tables (their basis extended by m) folded by merge.
+func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, run *Ranked, merge func([]*VectorTable) ([]topk.Item, error)) (TopKResult, error) {
 	start := time.Now()
-	stats := QueryStats{}
-	items := []topk.Item{}
 	if opts.Prune && measure.Rankable(m) {
-		// One snapshot serves both the scan and the result ordering, so
-		// a concurrent mutation cannot desync the two.
-		sn := db.snapshot()
-		run := NewRankedRange(m, radius)
-		qsig := run.querySig(q)
-		ec := db.newEvalCtx(q, qsig, opts, true)
-		var err error
-		if stats, err = evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, ec), run.coll); err != nil {
-			return RangeResult{}, err
+		every := make([]int, len(sh.shards))
+		for i := range every {
+			every[i] = i
 		}
-		items = append(items, run.Items()...)
-		sortItemsBySnapshot(items, sn.graphs)
-	} else {
-		all, inexact, ec, err := db.scanScores(ctx, q, m, opts)
+		stats, err := sh.EvalRanked(ctx, run, q, opts, every)
 		if err != nil {
-			return RangeResult{}, err
+			return TopKResult{}, err
 		}
-		stats = QueryStats{Work: ec.work(), Inexact: inexact}
-		stats.Evaluated = len(all)
-		opts.Trace.Observe(StageExact, time.Since(start), len(all), 0)
-		for _, it := range all {
-			if it.Score <= radius {
-				items = append(items, it)
-			}
-		}
+		items := sh.RankedItems(run)
+		stats.Duration = time.Since(start)
+		return TopKResult{Items: items, Stats: stats}, nil
 	}
-	stats.Duration = time.Since(start)
-	return RangeResult{Items: items, Stats: stats}, nil
-}
-
-// sortItemsBySnapshot restores the snapshot's insertion order on a
-// ranked result (parallel best-first evaluation finishes out of
-// order).
-func sortItemsBySnapshot(items []topk.Item, graphs []*graph.Graph) {
-	pos := make(map[string]int, len(graphs))
-	for i, g := range graphs {
-		pos[g.Name()] = i
+	opts.Prune = false // table ranking needs every row
+	opts.Basis = measure.BasisWith(opts.Basis, m)
+	tables, err := sh.VectorTables(ctx, q, opts)
+	if err != nil {
+		return TopKResult{}, err
 	}
-	sort.SliceStable(items, func(i, j int) bool { return byRank(pos, items[i].ID, items[j].ID) })
-}
-
-// scanScores is the unpruned reference path: the exact score of every
-// database graph under m, in snapshot order, computed by a worker pool
-// that honors ctx between pairs. Only the engines m consumes run
-// (measure.ScorePair) — a foreign measure falls back to the full pair
-// evaluation. The score memo applies on both branches (replayed
-// results are byte-identical to fresh engine runs); the returned
-// evalCtx carries the lookup counters.
-func (db *DB) scanScores(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions) ([]topk.Item, int, *evalCtx, error) {
-	sn := db.snapshot()
-	qsig := measure.NewSignature(q)
-	ec := db.newEvalCtx(q, qsig, opts, false)
-	rankable := measure.Rankable(m)
-	needGED, needMCS := measure.EngineNeeds(m)
-	useMemo := ec != nil && ec.memo != nil
-	items := make([]topk.Item, len(sn.graphs))
-	type result struct {
-		i       int
-		score   float64
-		inexact bool
+	var mstart time.Time
+	if opts.Trace != nil {
+		mstart = time.Now()
 	}
-	work := make(chan int)
-	results := make(chan result)
-	done := make(chan struct{})
-	defer close(done)
-	workers := opts.Workers
-	if workers > len(sn.graphs) {
-		workers = len(sn.graphs)
+	items, err := merge(tables)
+	if err != nil {
+		return TopKResult{}, err
 	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range work {
-				h := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}
-				var r result
-				r.i = i
-				if rankable {
-					var have measure.EngineResults
-					if useMemo && (needGED || needMCS) {
-						have, _ = ec.memoGet(sn.seqs[i], needGED, needMCS)
-					}
-					var got measure.EngineResults
-					r.score, got, r.inexact = measure.ScorePairWith(sn.graphs[i], q, m, opts.Eval, h, have)
-					ec.memoPublish(sn.seqs[i], got)
-				} else {
-					ps := ec.computeFull(sn.graphs[i], q, sn.seqs[i], opts.Eval, h)
-					r.score, r.inexact = m.FromStats(ps), !ps.GEDExact || !ps.MCSExact
-				}
-				select {
-				case results <- r:
-				case <-done:
-					return
-				}
-			}
-		}()
+	if opts.Trace != nil {
+		opts.Trace.Observe(StageMerge, time.Since(mstart), tableRows(tables), 0)
 	}
-	go func() {
-		defer close(work)
-		for i := range sn.graphs {
-			select {
-			case work <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
-	inexact := 0
-	for filled := 0; filled < len(sn.graphs); filled++ {
-		select {
-		case <-ctx.Done():
-			return nil, 0, nil, ctx.Err()
-		case r := <-results:
-			items[r.i] = topk.Item{ID: sn.graphs[r.i].Name(), Score: r.score}
-			if r.inexact {
-				inexact++
-			}
-		}
-	}
-	return items, inexact, ec, nil
+	return TopKResult{Items: items, Stats: mergedStats(tables, start)}, nil
 }
 
 // DiverseResult is the answer to a diversity-refined skyline query
@@ -376,14 +271,14 @@ type DiverseResult struct {
 // every k-subset is dense-ranked per dimension, and the minimal rank sum
 // wins. Skylines whose C(n,k) exceeds maxCandidates fall back to the greedy
 // farthest-point heuristic. If k >= |skyline| the whole skyline is selected.
-func (db *DB) DiverseSkylineQuery(q *graph.Graph, k int, opts QueryOptions) (DiverseResult, error) {
+func (sh *Sharded) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k int, opts QueryOptions) (DiverseResult, error) {
 	if k < 1 {
 		return DiverseResult{}, fmt.Errorf("gdb: k must be >= 1")
 	}
 	// Diversity reports the full vector table alongside the selection, so
 	// the pruned evaluation path (which drops dominated rows) is not used.
 	opts.Prune = false
-	skyRes, err := db.SkylineQuery(q, opts)
+	skyRes, err := sh.SkylineQuery(ctx, q, opts)
 	if err != nil {
 		return DiverseResult{}, err
 	}
@@ -399,7 +294,7 @@ func (db *DB) DiverseSkylineQuery(q *graph.Graph, k int, opts QueryOptions) (Div
 		res.Exhaustive = true
 		return res, nil
 	}
-	mat, err := db.pairwiseMatrix(skyRes.Skyline, opts)
+	mat, err := sh.pairwiseMatrix(skyRes.Skyline, opts)
 	if err != nil {
 		return DiverseResult{}, err
 	}
@@ -424,7 +319,7 @@ func (db *DB) DiverseSkylineQuery(q *graph.Graph, k int, opts QueryOptions) (Div
 
 // pairwiseMatrix evaluates the diversity-basis distances between all pairs
 // of skyline members.
-func (db *DB) pairwiseMatrix(sky []skyline.Point, opts QueryOptions) (*diversity.Matrix, error) {
+func (sh *Sharded) pairwiseMatrix(sky []skyline.Point, opts QueryOptions) (*diversity.Matrix, error) {
 	opts = opts.withDefaults()
 	basis := measure.DiversityBasis()
 	mat := diversity.NewMatrix(len(sky), len(basis))
@@ -444,8 +339,8 @@ func (db *DB) pairwiseMatrix(sky []skyline.Point, opts QueryOptions) (*diversity
 		go func() {
 			defer wg.Done()
 			for p := range work {
-				gi, ok1 := db.Get(sky[p.i].ID)
-				gj, ok2 := db.Get(sky[p.j].ID)
+				gi, ok1 := sh.Get(sky[p.i].ID)
+				gj, ok2 := sh.Get(sky[p.j].ID)
 				if !ok1 || !ok2 {
 					mu.Lock()
 					if firstErr == nil {

@@ -17,7 +17,7 @@ import (
 func TestSkylineQueryPaper(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	res, err := db.SkylineQuery(q, QueryOptions{})
+	res, err := db.SkylineQuery(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSkylineQueryAlgorithmsAgree(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
 	for name, algo := range map[string]skyline.Algorithm{"BNL": skyline.BNL, "DC": skyline.DivideAndConquer} {
-		res, err := db.SkylineQuery(q, QueryOptions{Algorithm: algo})
+		res, err := db.SkylineQuery(context.Background(), q, QueryOptions{Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,11 +64,11 @@ func TestSkylineQueryAlgorithmsAgree(t *testing.T) {
 func TestSkylineQuerySingleWorker(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	seq, err := db.SkylineQuery(q, QueryOptions{Workers: 1})
+	seq, err := db.SkylineQuery(context.Background(), q, QueryOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.SkylineQuery(q, QueryOptions{Workers: 8})
+	par, err := db.SkylineQuery(context.Background(), q, QueryOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestSkylineQuerySingleWorker(t *testing.T) {
 }
 
 func TestSkylineQueryEmptyDB(t *testing.T) {
-	db := New()
-	res, err := db.SkylineQuery(dataset.PaperQuery(), QueryOptions{})
+	db := NewSharded(1)
+	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSkylineQueryEmptyDB(t *testing.T) {
 func TestTopKQueryPaper(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	res, err := db.TopKQuery(q, measure.DistEd{}, 3, QueryOptions{})
+	res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTopKPruningConsistent(t *testing.T) {
 	// evaluated or pruned.
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	ref, err := db.TopKQuery(q, measure.DistEd{}, 2, QueryOptions{})
+	ref, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTopKPruningConsistent(t *testing.T) {
 		t.Errorf("unpruned scan: evaluated %d pruned %d, want %d/0",
 			ref.Stats.Evaluated, ref.Stats.Pruned, db.Len())
 	}
-	res, err := db.TopKQuery(q, measure.DistEd{}, 2, QueryOptions{Prune: true})
+	res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 2, QueryOptions{Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestTopKPruningConsistent(t *testing.T) {
 
 func TestTopKErrors(t *testing.T) {
 	db := paperDB(t)
-	if _, err := db.TopKQuery(dataset.PaperQuery(), measure.DistEd{}, 0, QueryOptions{}); err == nil {
+	if _, err := db.TopKQuery(context.Background(), dataset.PaperQuery(), measure.DistEd{}, 0, QueryOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -153,7 +153,7 @@ func TestTopKErrors(t *testing.T) {
 func TestRangeQuery(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	res, err := db.RangeQuery(q, measure.DistEd{}, 3, QueryOptions{})
+	res, err := db.RangeQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRangeQuery(t *testing.T) {
 func TestRangeQueryRadiusZero(t *testing.T) {
 	db := paperDB(t)
 	g1, _ := db.Get("g1")
-	res, err := db.RangeQuery(g1, measure.DistEd{}, 0, QueryOptions{})
+	res, err := db.RangeQuery(context.Background(), g1, measure.DistEd{}, 0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestRangeQueryRadiusZero(t *testing.T) {
 func TestDiverseSkylineQueryPaper(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	res, err := db.DiverseSkylineQuery(q, 2, QueryOptions{})
+	res, err := db.DiverseSkylineQuery(context.Background(), q, 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDiverseSkylineQueryPaper(t *testing.T) {
 			t.Errorf("selected %s not in skyline", id)
 		}
 	}
-	again, err := db.DiverseSkylineQuery(q, 2, QueryOptions{})
+	again, err := db.DiverseSkylineQuery(context.Background(), q, 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,21 +227,21 @@ func TestDiverseSkylineQueryPaper(t *testing.T) {
 func TestDiverseSkylineKCoversAll(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	res, err := db.DiverseSkylineQuery(q, 10, QueryOptions{})
+	res, err := db.DiverseSkylineQuery(context.Background(), q, 10, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Selected) != len(res.Skyline) {
 		t.Errorf("selected=%v", res.Selected)
 	}
-	if _, err := db.DiverseSkylineQuery(q, 0, QueryOptions{}); err == nil {
+	if _, err := db.DiverseSkylineQuery(context.Background(), q, 0, QueryOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
 
 func TestDiverseSkylineEmptyDB(t *testing.T) {
-	db := New()
-	res, err := db.DiverseSkylineQuery(dataset.PaperQuery(), 2, QueryOptions{})
+	db := NewSharded(1)
+	res, err := db.DiverseSkylineQuery(context.Background(), dataset.PaperQuery(), 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,12 +251,12 @@ func TestDiverseSkylineEmptyDB(t *testing.T) {
 }
 
 func TestCappedEvalReportsInexact(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	if err := db.InsertAll(dataset.MoleculeDB(4, 10, 12, 3)); err != nil {
 		t.Fatal(err)
 	}
 	q := dataset.NoisyQueries(dataset.MoleculeDB(1, 10, 12, 3), 1, 3, 5)[0]
-	res, err := db.SkylineQuery(q, QueryOptions{
+	res, err := db.SkylineQuery(context.Background(), q, QueryOptions{
 		Eval: measure.Options{GEDMaxNodes: 2, MCSMaxNodes: 2},
 	})
 	if err != nil {
@@ -276,7 +276,7 @@ func TestCappedEvalReportsInexact(t *testing.T) {
 
 func TestSkylineQueryContextCompletes(t *testing.T) {
 	db := paperDB(t)
-	res, err := db.SkylineQueryContext(context.Background(), dataset.PaperQuery(), QueryOptions{})
+	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +286,13 @@ func TestSkylineQueryContextCompletes(t *testing.T) {
 }
 
 func TestSkylineQueryContextCancel(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	if err := db.InsertAll(dataset.MoleculeDB(8, 9, 11, 77)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: must abort before finishing
-	_, err := db.SkylineQueryContext(ctx, dataset.MoleculeDB(1, 9, 10, 78)[0], QueryOptions{})
+	_, err := db.SkylineQuery(ctx, dataset.MoleculeDB(1, 9, 10, 78)[0], QueryOptions{})
 	if err == nil {
 		t.Fatal("canceled query returned no error")
 	}
@@ -302,13 +302,13 @@ func TestSkylineQueryContextCancel(t *testing.T) {
 }
 
 func TestSkylineQueryContextTimeout(t *testing.T) {
-	db := New()
+	db := NewSharded(1)
 	if err := db.InsertAll(dataset.MoleculeDB(10, 11, 13, 81)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
 	defer cancel()
-	_, err := db.SkylineQueryContext(ctx, dataset.MoleculeDB(1, 11, 12, 82)[0], QueryOptions{})
+	_, err := db.SkylineQuery(ctx, dataset.MoleculeDB(1, 11, 12, 82)[0], QueryOptions{})
 	if err != context.DeadlineExceeded {
 		t.Errorf("err=%v, want deadline exceeded", err)
 	}
@@ -324,7 +324,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := db.SkylineQuery(q, QueryOptions{Workers: 2}); err != nil {
+				if _, err := db.SkylineQuery(context.Background(), q, QueryOptions{Workers: 2}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -337,11 +337,11 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			g := graph.Path(3, "A", "x")
 			g.SetName(fmt.Sprintf("extra%d", i))
-			if err := db.Insert(g); err != nil {
+			if _, err := db.Insert(g, ""); err != nil {
 				t.Error(err)
 				return
 			}
-			db.Delete(g.Name())
+			db.Delete(g.Name(), "")
 		}
 	}()
 	wg.Wait()
@@ -349,7 +349,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 
 func TestSkylineQueryExtendedBasis(t *testing.T) {
 	db := paperDB(t)
-	res, err := db.SkylineQuery(dataset.PaperQuery(), QueryOptions{Basis: measure.Extended()})
+	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{Basis: measure.Extended()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestSkylineQueryExtendedBasis(t *testing.T) {
 	// a sub-basis stays non-dominated when dimensions are added... only if
 	// the sub-basis dims coincide; here dims 0..2 are the default basis, so
 	// default skyline members must survive.
-	def, err := db.SkylineQuery(dataset.PaperQuery(), QueryOptions{})
+	def, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

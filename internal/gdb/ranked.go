@@ -185,12 +185,6 @@ func (r *Ranked) Offer(items []topk.Item) {
 	}
 }
 
-// Items returns the collected answer: for top-k the k best in
-// ascending (score, ID) order, for range the in-radius items in
-// unspecified order (restore insertion order with SortItemsByRank or
-// the snapshot order).
-func (r *Ranked) Items() []topk.Item { return r.coll.items() }
-
 func (r *Ranked) querySig(q *graph.Graph) *measure.Signature {
 	r.sigOnce.Do(func() { r.qsig = measure.NewSignature(q) })
 	return r.qsig

@@ -2,6 +2,7 @@ package gdb_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"skygraph/internal/dataset"
@@ -13,62 +14,109 @@ import (
 
 // requirePrunedRankedMatches asserts that for every shard count, the
 // pruned (best-first, cross-shard threshold) top-k and range answers
-// over gs are byte-identical — scores and tie-order — to the unpruned
-// unsharded reference, for every sweep measure.
+// over gs are byte-identical — scores and tie-order — to the independent
+// reference scores, for every sweep measure.
 func requirePrunedRankedMatches(t *testing.T, gs []*graph.Graph, qs []*graph.Graph, k int, radius float64, eval measure.Options, counts []int) {
 	t.Helper()
 	ctx := context.Background()
 	measures := []measure.Measure{measure.DistEd{}, measure.DistMcs{}, measure.DistGu{}}
-	flat := testutil.NewDB(t, gs)
+	popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
 	for _, q := range qs {
 		for _, m := range measures {
-			refTK, err := flat.TopKQueryContext(ctx, q, m, k, gdb.QueryOptions{Eval: eval, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refRG, err := flat.RangeQueryContext(ctx, q, m, radius, gdb.QueryOptions{Eval: eval, Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
+			scores := testutil.ReferenceScores(gs, q, m, eval)
+			refTK, refRG := testutil.ReferenceTopK(scores, k), testutil.ReferenceRange(scores, radius)
 			label := q.Name() + "/" + m.Name()
-
-			// Unsharded pruned path.
-			tk, err := flat.TopKQueryContext(ctx, q, m, k, popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testutil.RequireSameItems(t, label+"/flat-topk", refTK.Items, tk.Items)
-			rg, err := flat.RangeQueryContext(ctx, q, m, radius, popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			testutil.RequireSameItems(t, label+"/flat-range", refRG.Items, rg.Items)
-
-			// Sharded pruned path, every shard count.
 			for _, n := range counts {
 				sh := testutil.NewSharded(t, n, gs)
-				tk, err := sh.TopKQueryContext(ctx, q, m, k, popts)
+				tk, err := sh.TopKQuery(ctx, q, m, k, popts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				testutil.RequireSameItems(t, label+"/topk", refTK.Items, tk.Items)
+				testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
 				if tk.Stats.Evaluated+tk.Stats.Pruned != len(gs) {
 					t.Errorf("%s: %d shards: evaluated %d + pruned %d != %d",
 						label, n, tk.Stats.Evaluated, tk.Stats.Pruned, len(gs))
 				}
-				rg, err := sh.RangeQueryContext(ctx, q, m, radius, popts)
+				rg, err := sh.RangeQuery(ctx, q, m, radius, popts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				testutil.RequireSameItems(t, label+"/range", refRG.Items, rg.Items)
+				testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
 			}
 		}
 	}
 }
 
-// TestPrunedRankedPaper checks pruned==unpruned top-k and range answers
-// on the paper database at shard counts 1/2/3/7.
+// rankedMeasures are the measures the paper-database sweeps cover: one
+// from each engine family plus a signature-only feature measure.
+var rankedMeasures = []measure.Measure{
+	measure.DistEd{}, measure.DistNEd{}, measure.DistMcs{}, measure.DistGu{}, measure.DistVLabel{},
+}
+
+// TestRankedTopKMatchesUnpruned asserts the best-first pruned top-k
+// path and the complete-table path both return the reference's items
+// byte for byte (scores and tie-order), across measures, k values,
+// engine caps and shard counts, on the paper database.
+func TestRankedTopKMatchesUnpruned(t *testing.T) {
+	gs, q := dataset.PaperDB(), dataset.PaperQuery()
+	ctx := context.Background()
+	for _, n := range []int{1, 2, 3, 7} {
+		db := testutil.NewSharded(t, n, gs)
+		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 40, MCSMaxNodes: 40}} {
+			for _, m := range rankedMeasures {
+				scores := testutil.ReferenceScores(gs, q, m, eval)
+				for _, k := range []int{1, 2, 3, 7, 10} {
+					want := testutil.ReferenceTopK(scores, k)
+					label := fmt.Sprintf("%s shards=%d k=%d", m.Name(), n, k)
+					full, err := db.TopKQuery(ctx, q, m, k, gdb.QueryOptions{Eval: eval})
+					if err != nil {
+						t.Fatal(err)
+					}
+					testutil.RequireSameItems(t, label+"/unpruned", want, full.Items)
+					got, err := db.TopKQuery(ctx, q, m, k, gdb.QueryOptions{Eval: eval, Prune: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					testutil.RequireSameItems(t, label+"/pruned", want, got.Items)
+					if got.Stats.Evaluated+got.Stats.Pruned != db.Len() {
+						t.Errorf("%s: evaluated %d + pruned %d != %d",
+							label, got.Stats.Evaluated, got.Stats.Pruned, db.Len())
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRankedRangeMatchesUnpruned is the range analogue, including the
+// order of the returned items (insertion order on every path).
+func TestRankedRangeMatchesUnpruned(t *testing.T) {
+	gs, q := dataset.PaperDB(), dataset.PaperQuery()
+	ctx := context.Background()
+	for _, n := range []int{1, 2, 3, 7} {
+		db := testutil.NewSharded(t, n, gs)
+		for _, m := range rankedMeasures {
+			scores := testutil.ReferenceScores(gs, q, m, measure.Options{})
+			for _, radius := range []float64{0, 0.2, 0.5, 3, 10} {
+				want := testutil.ReferenceRange(scores, radius)
+				label := fmt.Sprintf("%s shards=%d radius=%g", m.Name(), n, radius)
+				full, err := db.RangeQuery(ctx, q, m, radius, gdb.QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireSameItems(t, label+"/unpruned", want, full.Items)
+				got, err := db.RangeQuery(ctx, q, m, radius, gdb.QueryOptions{Prune: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireSameItems(t, label+"/pruned", want, got.Items)
+			}
+		}
+	}
+}
+
+// TestPrunedRankedPaper checks pruned top-k and range answers against
+// the reference on the paper database at shard counts 1/2/3/7.
 func TestPrunedRankedPaper(t *testing.T) {
 	requirePrunedRankedMatches(t, dataset.PaperDB(),
 		[]*graph.Graph{dataset.PaperQuery()}, 3, 3, measure.Options{}, []int{1, 2, 3, 7})

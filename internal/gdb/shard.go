@@ -17,16 +17,24 @@ import (
 	"skygraph/internal/vector"
 )
 
-// Sharded partitions a graph database across N independent DB shards by
-// a stable hash of the graph name. Each shard keeps its own storage,
-// histogram index and generation counter, so a mutation invalidates
-// only its own shard's cached vector tables. Queries evaluate per shard
-// in parallel and merge: the skyline of a union is the skyline of the
-// per-partition skylines (the divide-and-conquer identity), top-k
-// merges per-shard heaps, and range results concatenate. Answers are
-// identical — including order — to a single unsharded DB holding the
-// same graphs, because Sharded tracks the global insertion order and
-// sorts merged results by it.
+// Sharded is the graph database: the one query and mutation surface.
+// It partitions the collection across N independent DB shards by a
+// stable hash of the graph name (N = 1 is the plain, unpartitioned
+// database). Each shard keeps its own storage, signature index and
+// generation counter, so a mutation invalidates only its own shard's
+// cached vector tables. Queries evaluate per shard in parallel and
+// merge: the skyline of a union is the skyline of the per-partition
+// skylines (the divide-and-conquer identity), top-k merges per-shard
+// heaps, and range results concatenate. Answers are identical —
+// including order — at every shard count, because Sharded tracks the
+// global insertion order and sorts merged results by it.
+//
+// The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
+// RangeQuery and DiverseSkylineQuery; the table and ranked primitives a
+// caching layer composes instead (VectorTables, EvalRanked, the Merge*
+// folds); index attach and wait (EnablePivots, EnableVector,
+// EnableScoreMemo, WaitPivots, WaitVector); and persistence (Save,
+// WriteTo, Load, OpenDurable).
 type Sharded struct {
 	shards []*DB
 
@@ -34,12 +42,7 @@ type Sharded struct {
 	order []string       // global insertion order of live graph names
 	pos   map[string]int // name -> index in order
 
-	// pivotCfg and vectorCfg remember the per-shard index
-	// configurations (nil = disabled) and memo the shared score memo,
-	// so Reshard can carry all three over to the new shard set.
-	pivotCfg  *pivot.Config
-	vectorCfg *vector.Config
-	memo      *ScoreMemo
+	memo *ScoreMemo // the score memo shared by every shard (nil = disabled)
 }
 
 // NewSharded returns an empty database split across n shards (n < 1 is
@@ -50,7 +53,7 @@ func NewSharded(n int) *Sharded {
 	}
 	sh := &Sharded{shards: make([]*DB, n), pos: make(map[string]int)}
 	for i := range sh.shards {
-		sh.shards[i] = New()
+		sh.shards[i] = newDB()
 	}
 	return sh
 }
@@ -74,45 +77,59 @@ func (sh *Sharded) ShardFor(name string) int {
 	return int(h.Sum32() % uint32(len(sh.shards)))
 }
 
-// Insert routes g to its shard. Name uniqueness is global for free:
-// a duplicate name always hashes to the same shard, which rejects it.
-// sh.mu is held across both the shard mutation and the order update so
-// a concurrent Delete of the same name cannot interleave between them
-// and leave the global order out of sync with the shards; queries never
-// take sh.mu (only the rank snapshot does, briefly), so mutations
-// serializing against each other costs nothing on the hot path.
-func (sh *Sharded) Insert(g *graph.Graph) error {
-	return sh.InsertKeyed(g, "")
+// Ack is the evidence a mutation leaves: the owning shard, the
+// generation the mutation produced on it (0 when nothing changed) — the
+// (shard, gen) step a delta-maintaining cache uses to upgrade entries
+// in place instead of invalidating them — and whether the name was
+// present beforehand: a delete removed something exactly when Existed
+// is set and err is nil, an insert was refused as a duplicate when it
+// is.
+type Ack struct {
+	Shard   int
+	Gen     uint64
+	Existed bool
 }
 
-// InsertKeyed is Insert with the client's idempotency key threaded
-// into the write-ahead record (durable evidence the key was accepted).
-func (sh *Sharded) InsertKeyed(g *graph.Graph, key string) error {
-	_, _, err := sh.InsertKeyedGen(g, key)
-	return err
+// Insert routes g to its shard. The graph must be non-nil, validate and
+// carry a non-empty, unused name; name uniqueness is global for free —
+// a duplicate always hashes to the same shard, which rejects it. key is
+// the client's idempotency key ("" = unkeyed), threaded into the
+// write-ahead record as durable evidence it was accepted. The database
+// stores g itself; callers must not mutate a graph after insertion
+// (Clone first if needed).
+func (sh *Sharded) Insert(g *graph.Graph, key string) (Ack, error) {
+	return sh.insert(g, insertSeq.Add(1), key)
 }
 
-// InsertKeyedGen is InsertKeyed returning the owning shard and the
-// generation the insert produced on it: the (shard, gen) evidence a
-// delta-maintaining cache uses to upgrade entries in place instead of
-// invalidating them.
-func (sh *Sharded) InsertKeyedGen(g *graph.Graph, key string) (shard int, gen uint64, err error) {
+// insert is Insert under a caller-supplied insert sequence: a fresh one
+// for new graphs, the persisted one on recovery replay. sh.mu is held
+// across both the shard mutation and the order update so a concurrent
+// Delete of the same name cannot interleave between them and leave the
+// global order out of sync with the shards; queries never take sh.mu
+// (only the rank snapshot does, briefly), so mutations serializing
+// against each other costs nothing on the hot path.
+func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
+	if g == nil {
+		return Ack{}, fmt.Errorf("gdb: nil graph")
+	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	shard = sh.ShardFor(g.Name())
-	gen, err = sh.shards[shard].InsertKeyedGen(g, key)
+	ack := Ack{Shard: sh.ShardFor(g.Name())}
+	_, ack.Existed = sh.pos[g.Name()]
+	gen, err := sh.shards[ack.Shard].insert(g, seq, key)
 	if err != nil {
-		return shard, 0, err
+		return ack, err
 	}
+	ack.Gen = gen
 	sh.pos[g.Name()] = len(sh.order)
 	sh.order = append(sh.order, g.Name())
-	return shard, gen, nil
+	return ack, nil
 }
 
-// InsertAll inserts every graph, stopping at the first error.
+// InsertAll inserts every graph unkeyed, stopping at the first error.
 func (sh *Sharded) InsertAll(gs []*graph.Graph) error {
 	for _, g := range gs {
-		if err := sh.Insert(g); err != nil {
+		if _, err := sh.Insert(g, ""); err != nil {
 			return err
 		}
 	}
@@ -124,39 +141,20 @@ func (sh *Sharded) Get(name string) (*graph.Graph, bool) {
 	return sh.shards[sh.ShardFor(name)].Get(name)
 }
 
-// Delete removes the named graph, reporting whether it existed. Only
-// the owning shard's generation bumps. Like Insert, the shard mutation
-// and the order update happen under one sh.mu critical section. With a
-// Store attached, a failed write-ahead append also reports false (the
-// database is unchanged); use DeleteErr to see the error itself.
-func (sh *Sharded) Delete(name string) bool {
-	ok, err := sh.DeleteErr(name)
-	return ok && err == nil
-}
-
-// DeleteErr removes the named graph, surfacing write-ahead append
-// errors (see DB.DeleteErr).
-func (sh *Sharded) DeleteErr(name string) (existed bool, err error) {
-	return sh.DeleteKeyedErr(name, "")
-}
-
-// DeleteKeyedErr is DeleteErr with the client's idempotency key
-// threaded into the write-ahead record.
-func (sh *Sharded) DeleteKeyedErr(name, key string) (existed bool, err error) {
-	existed, _, _, err = sh.DeleteKeyedGen(name, key)
-	return existed, err
-}
-
-// DeleteKeyedGen is DeleteKeyedErr returning the owning shard and the
-// generation the delete produced on it (0 when nothing was deleted) —
-// the delta-maintenance counterpart of InsertKeyedGen.
-func (sh *Sharded) DeleteKeyedGen(name, key string) (existed bool, shard int, gen uint64, err error) {
+// Delete removes the named graph; Ack.Existed reports whether it was
+// there. Only the owning shard's generation bumps. Like Insert, the
+// shard mutation and the order update happen under one sh.mu critical
+// section, and key rides into the write-ahead record. err is non-nil
+// only when the write-ahead append failed, in which case the graph
+// remains.
+func (sh *Sharded) Delete(name, key string) (Ack, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	shard = sh.ShardFor(name)
-	existed, gen, err = sh.shards[shard].DeleteKeyedGen(name, key)
-	if !existed || err != nil {
-		return existed, shard, gen, err
+	ack := Ack{Shard: sh.ShardFor(name)}
+	var err error
+	ack.Existed, ack.Gen, err = sh.shards[ack.Shard].delete(name, key)
+	if !ack.Existed || err != nil {
+		return ack, err
 	}
 	if p, ok := sh.pos[name]; ok {
 		sh.order = append(sh.order[:p], sh.order[p+1:]...)
@@ -165,36 +163,21 @@ func (sh *Sharded) DeleteKeyedGen(name, key string) (existed bool, shard int, ge
 			sh.pos[sh.order[j]] = j
 		}
 	}
-	return true, shard, gen, nil
+	return ack, nil
 }
 
-// SetStore attaches one write-ahead store to every shard. One SHARED
+// setStore attaches one write-ahead store to every shard. One SHARED
 // store, not one per shard: the shard routing is a pure function of
 // the graph name, so a single untagged log replays correctly under any
 // shard count. sh.mu is held across every logged mutation, so append
 // order in the store equals the global mutation order. Attach AFTER
 // recovery replay; pass nil to detach.
-func (sh *Sharded) SetStore(st Store) {
+func (sh *Sharded) setStore(st Store) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, db := range sh.shards {
-		db.SetStore(st)
+		db.setStore(st)
 	}
-}
-
-// insertPreservingSeq inserts g into its shard keeping a previously
-// minted insert sequence — the shared primitive of Reshard (moving
-// graphs between shard sets) and recovery replay (rebuilding state from
-// snapshot and WAL records that carry the persisted sequences).
-func (sh *Sharded) insertPreservingSeq(g *graph.Graph, seq uint64) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, err := sh.shards[sh.ShardFor(g.Name())].insertWithSeq(g, seq, ""); err != nil {
-		return err
-	}
-	sh.pos[g.Name()] = len(sh.order)
-	sh.order = append(sh.order, g.Name())
-	return nil
 }
 
 // Len returns the total number of stored graphs.
@@ -224,28 +207,20 @@ func (sh *Sharded) Graphs() []*graph.Graph {
 
 // EnablePivots attaches one metric pivot index per shard (each shard
 // indexes exactly its own graphs — sharded pruning stays per shard, as
-// with the signature bounds). Stored so Reshard re-enables the index
-// on the new shard set.
+// with the signature bounds).
 func (sh *Sharded) EnablePivots(cfg pivot.Config) {
-	sh.mu.Lock()
-	sh.pivotCfg = &cfg
-	sh.mu.Unlock()
 	for _, db := range sh.shards {
-		db.EnablePivots(cfg)
+		db.enablePivots(cfg)
 	}
 }
 
 // EnableVector attaches one vector candidate tier per shard (each
 // shard partitions exactly its own graphs, so sharded cell skipping
-// stays per shard, like the signature and pivot tiers). Stored so
-// Reshard re-enables the tier on the new shard set. Enable pivots
+// stays per shard, like the signature and pivot tiers). Enable pivots
 // first to give the embeddings their pivot-midpoint block.
 func (sh *Sharded) EnableVector(cfg vector.Config) {
-	sh.mu.Lock()
-	sh.vectorCfg = &cfg
-	sh.mu.Unlock()
 	for _, db := range sh.shards {
-		db.EnableVector(cfg)
+		db.enableVector(cfg)
 	}
 }
 
@@ -261,7 +236,7 @@ func (sh *Sharded) EnableScoreMemo(capacity int) *ScoreMemo {
 	m := sh.memo
 	sh.mu.Unlock()
 	for _, db := range sh.shards {
-		db.SetScoreMemo(m)
+		db.setScoreMemo(m)
 	}
 	return m
 }
@@ -292,49 +267,6 @@ func (sh *Sharded) WaitVector() {
 			ix.WaitRebuild()
 		}
 	}
-}
-
-// Reshard redistributes the database across n shards: a new Sharded
-// holding the same graphs in the same global insertion order, with the
-// pivot index configuration and the shared score memo carried over —
-// every new shard's index re-selects pivots over its own graphs and
-// rebuilds its distance columns in the background (WaitPivots blocks
-// until they are ready), and graphs KEEP their insert sequences (a
-// reshard moves values, it does not change them), so existing memo
-// entries stay reachable. The receiver is left untouched; callers must
-// quiesce mutations for the duration or the new database may miss
-// them.
-func (sh *Sharded) Reshard(n int) (*Sharded, error) {
-	out := NewSharded(n)
-	sh.mu.RLock()
-	cfg, vcfg, memo := sh.pivotCfg, sh.vectorCfg, sh.memo
-	sh.mu.RUnlock()
-	if cfg != nil {
-		out.EnablePivots(*cfg)
-	}
-	if vcfg != nil {
-		out.EnableVector(*vcfg)
-	}
-	if memo != nil {
-		out.mu.Lock()
-		out.memo = memo
-		out.mu.Unlock()
-		for _, db := range out.shards {
-			db.SetScoreMemo(memo)
-		}
-	}
-	for _, name := range sh.Names() {
-		src := sh.shards[sh.ShardFor(name)]
-		g, ok := src.Get(name)
-		if !ok {
-			continue // deleted mid-reshard; the caller broke quiescence
-		}
-		seq, _ := src.seqOf(name)
-		if err := out.insertPreservingSeq(g, seq); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // ShardGeneration returns shard i's generation counter.
@@ -391,14 +323,13 @@ func (sh *Sharded) Stats() Stats {
 	return s
 }
 
-// shardedWorkers resolves the per-shard pair-evaluation parallelism:
-// an explicit value is taken as-is (per shard); the default spreads
-// GOMAXPROCS across the shards evaluating concurrently.
-func (sh *Sharded) shardedWorkers(w int) int {
+// shardWorkers resolves the per-shard pair-evaluation parallelism: an
+// explicit value is taken as-is (per shard); the default spreads
+// GOMAXPROCS across the n shards evaluating concurrently.
+func shardWorkers(w, n int) int {
 	if w > 0 {
 		return w
 	}
-	n := len(sh.shards)
 	return (runtime.GOMAXPROCS(0) + n - 1) / n
 }
 
@@ -416,10 +347,10 @@ func (sh *Sharded) shardedWorkers(w int) int {
 //
 // opts.Prune applies per shard: each shard filters against its own
 // candidates only, so sharded pruning is (at worst) less aggressive
-// than unsharded pruning, never incorrect — cross-shard dominance is
+// than one-shard pruning, never incorrect — cross-shard dominance is
 // re-established by the skyline merge.
 func (sh *Sharded) VectorTables(ctx context.Context, q *graph.Graph, opts QueryOptions) ([]*VectorTable, error) {
-	opts.Workers = sh.shardedWorkers(opts.Workers)
+	opts.Workers = shardWorkers(opts.Workers, len(sh.shards))
 	if opts.QueryHash == "" && sh.Memo() != nil {
 		// Canonicalize once for all shards; each shard's memo keys use it.
 		opts.QueryHash = graph.QueryHash(q)
@@ -471,27 +402,17 @@ func (sh *Sharded) sortPointsByRank(pts []skyline.Point) {
 	sort.SliceStable(pts, func(i, j int) bool { return byRank(sh.pos, pts[i].ID, pts[j].ID) })
 }
 
-// SortItemsByRank restores global insertion order on scalar result
-// rows (used by the serving layer to order merged ranked answers; the
-// table merge paths call it internally).
-func (sh *Sharded) SortItemsByRank(items []topk.Item) {
+// sortItemsByRank restores global insertion order on scalar result
+// rows.
+func (sh *Sharded) sortItemsByRank(items []topk.Item) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	sort.SliceStable(items, func(i, j int) bool { return byRank(sh.pos, items[i].ID, items[j].ID) })
 }
 
-// sortItemsByRank is sortPointsByRank for scalar result rows.
-func (sh *Sharded) sortItemsByRank(items []topk.Item) {
-	if len(sh.shards) == 1 {
-		return
-	}
-	sh.SortItemsByRank(items)
-}
-
 // MergeTables concatenates per-shard tables into the full global vector
-// table in insertion order — exactly the Points of an unsharded
-// VectorTable over the same graphs (for pruned tables: the evaluated
-// survivors only).
+// table in insertion order (for pruned tables: the evaluated survivors
+// only).
 func (sh *Sharded) MergeTables(tables []*VectorTable) []skyline.Point {
 	out := []skyline.Point{}
 	for _, t := range tables {
@@ -545,7 +466,9 @@ func (sh *Sharded) MergeRange(tables []*VectorTable, m measure.Measure, radius f
 		}
 		all = append(all, items...)
 	}
-	sh.sortItemsByRank(all)
+	if len(sh.shards) > 1 { // one shard's rows are already in insertion order
+		sh.sortItemsByRank(all)
+	}
 	return all, nil
 }
 
@@ -569,160 +492,47 @@ func mergedStats(tables []*VectorTable, start time.Time) QueryStats {
 	return s
 }
 
-// SkylineQueryContext is the sharded analogue of DB.SkylineQueryContext:
-// per-shard parallel evaluation and local skylines, merged.
-func (sh *Sharded) SkylineQueryContext(ctx context.Context, q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
-	start := time.Now()
-	tables, err := sh.VectorTables(ctx, q, opts)
-	if err != nil {
-		return SkylineResult{}, err
+// EvalRanked drives one Ranked run over the given shards concurrently
+// and folds their work counters; the answer accumulates in run. It is
+// the one owner of the ranked fan-out: the library's pruned top-k/range
+// queries scan every shard through it, the serving layer only the
+// shards whose complete table is not cached. opts.Workers is the
+// per-shard scan width; 0 spreads GOMAXPROCS over the shards that
+// actually scan. The first shard error fails the run.
+func (sh *Sharded) EvalRanked(ctx context.Context, run *Ranked, q *graph.Graph, opts QueryOptions, shards []int) (QueryStats, error) {
+	if len(shards) == 0 {
+		return QueryStats{}, nil
 	}
-	var mstart time.Time
-	if opts.Trace != nil {
-		mstart = time.Now()
-	}
-	res := SkylineResult{
-		Skyline: sh.MergeSkyline(tables, opts.Algorithm),
-		All:     sh.MergeTables(tables),
-		Stats:   mergedStats(tables, start),
-	}
-	if opts.Trace != nil {
-		opts.Trace.Observe(StageMerge, time.Since(mstart), len(res.All), 0)
-	}
-	return res, nil
-}
-
-// withMeasure ensures m is one of the basis columns so table-derived
-// answers can rank by it (mirrors the server's basis extension).
-func withMeasure(opts QueryOptions, m measure.Measure) QueryOptions {
-	basis := opts.Basis
-	if basis == nil {
-		basis = measure.Default()
-	}
-	for _, b := range basis {
-		if b.Name() == m.Name() {
-			opts.Basis = basis
-			return opts
-		}
-	}
-	opts.Basis = append(append([]measure.Measure{}, basis...), m)
-	return opts
-}
-
-// TopKQueryContext answers a single-measure top-k query. With
-// opts.Prune set (and a built-in measure), every shard runs the
-// best-first bound-index scan of ranked.go concurrently against ONE
-// shared collector, so the k-th best score seen anywhere prunes
-// candidates everywhere — no shard builds a full table. Otherwise
-// per-shard complete tables are built and heap-merged. Items are
-// identical either way.
-func (sh *Sharded) TopKQueryContext(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
-	if k < 1 {
-		return TopKResult{}, fmt.Errorf("gdb: k must be >= 1")
-	}
-	start := time.Now()
-	if opts.Prune && measure.Rankable(m) {
-		run := NewRankedTopK(m, k)
-		stats, err := sh.evalRankedShards(ctx, run, q, opts)
-		if err != nil {
-			return TopKResult{}, err
-		}
-		stats.Duration = time.Since(start)
-		return TopKResult{Items: run.Items(), Stats: stats}, nil
-	}
-	opts.Prune = false // table ranking needs every row
-	tables, err := sh.VectorTables(ctx, q, withMeasure(opts, m))
-	if err != nil {
-		return TopKResult{}, err
-	}
-	var mstart time.Time
-	if opts.Trace != nil {
-		mstart = time.Now()
-	}
-	items, err := sh.MergeTopK(tables, m, k)
-	if err != nil {
-		return TopKResult{}, err
-	}
-	if opts.Trace != nil {
-		opts.Trace.Observe(StageMerge, time.Since(mstart), tableRows(tables), 0)
-	}
-	return TopKResult{Items: items, Stats: mergedStats(tables, start)}, nil
-}
-
-// RangeQueryContext answers a single-measure range query. With
-// opts.Prune set (and a built-in measure), shards run the best-first
-// scan with the radius as a fixed threshold instead of building full
-// tables; items are identical either way, in global insertion order.
-func (sh *Sharded) RangeQueryContext(ctx context.Context, q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (RangeResult, error) {
-	start := time.Now()
-	if opts.Prune && measure.Rankable(m) {
-		run := NewRankedRange(m, radius)
-		stats, err := sh.evalRankedShards(ctx, run, q, opts)
-		if err != nil {
-			return RangeResult{}, err
-		}
-		items := run.Items()
-		sh.SortItemsByRank(items)
-		stats.Duration = time.Since(start)
-		return RangeResult{Items: items, Stats: stats}, nil
-	}
-	opts.Prune = false // table ranging needs every row
-	tables, err := sh.VectorTables(ctx, q, withMeasure(opts, m))
-	if err != nil {
-		return RangeResult{}, err
-	}
-	var mstart time.Time
-	if opts.Trace != nil {
-		mstart = time.Now()
-	}
-	items, err := sh.MergeRange(tables, m, radius)
-	if err != nil {
-		return RangeResult{}, err
-	}
-	if opts.Trace != nil {
-		opts.Trace.Observe(StageMerge, time.Since(mstart), tableRows(tables), 0)
-	}
-	return RangeResult{Items: items, Stats: mergedStats(tables, start)}, nil
-}
-
-// evalRankedShards drives one Ranked run over every shard
-// concurrently. opts.Workers is the per-shard scan width; 0 spreads
-// GOMAXPROCS across the shards, mirroring VectorTables.
-func (sh *Sharded) evalRankedShards(ctx context.Context, run *Ranked, q *graph.Graph, opts QueryOptions) (QueryStats, error) {
-	opts.Workers = sh.shardedWorkers(opts.Workers)
-	stats := make([]QueryStats, len(sh.shards))
-	errs := make([]error, len(sh.shards))
+	opts.Workers = shardWorkers(opts.Workers, len(shards))
+	stats := make([]QueryStats, len(shards))
+	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for i, db := range sh.shards {
+	for j, i := range shards {
 		wg.Add(1)
-		go func(i int, db *DB) {
+		go func(j int, db *DB) {
 			defer wg.Done()
-			stats[i], errs[i] = run.EvalDB(ctx, db, q, opts)
-		}(i, db)
+			stats[j], errs[j] = run.EvalDB(ctx, db, q, opts)
+		}(j, sh.shards[i])
 	}
 	wg.Wait()
-	for _, err := range errs {
+	total := QueryStats{}
+	for j, err := range errs {
 		if err != nil {
 			return QueryStats{}, err
 		}
-	}
-	total := QueryStats{}
-	for _, s := range stats {
-		total.Work.Add(s.Work)
-		total.Inexact += s.Inexact
+		total.Work.Add(stats[j].Work)
+		total.Inexact += stats[j].Inexact
 	}
 	return total, nil
 }
 
-// LoadSharded reads an LGF file into a fresh n-shard database.
-func LoadSharded(path string, n int) (*Sharded, error) {
-	db, err := Load(path)
-	if err != nil {
-		return nil, err
+// RankedItems returns run's collected answer in its reporting order:
+// top-k in ascending (score, ID) order as collected, range restored to
+// global insertion order (the scan finishes out of order).
+func (sh *Sharded) RankedItems(run *Ranked) []topk.Item {
+	items := run.coll.items()
+	if _, isRange := run.coll.(*rangeCollector); isRange {
+		sh.sortItemsByRank(items)
 	}
-	sh := NewSharded(n)
-	if err := sh.InsertAll(db.Graphs()); err != nil {
-		return nil, err
-	}
-	return sh, nil
+	return items
 }

@@ -42,7 +42,7 @@ func TestShardedRoutingAndOrder(t *testing.T) {
 		}
 	}
 	// Duplicate insert is rejected (global uniqueness via stable routing).
-	if err := sh.Insert(gs[0]); err == nil {
+	if _, err := sh.Insert(gs[0], ""); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
 }
@@ -53,8 +53,8 @@ func TestShardedPerShardGenerations(t *testing.T) {
 	before := sh.Generations()
 	victim := gs[3].Name()
 	own := sh.ShardFor(victim)
-	if !sh.Delete(victim) {
-		t.Fatalf("delete %s failed", victim)
+	if ack, err := sh.Delete(victim, ""); !ack.Existed || ack.Shard != own || err != nil {
+		t.Fatalf("delete %s failed: ack %+v, err %v", victim, ack, err)
 	}
 	after := sh.Generations()
 	for i := range before {
@@ -82,16 +82,16 @@ func TestShardedPerShardGenerations(t *testing.T) {
 
 func TestShardedStatsAggregation(t *testing.T) {
 	gs := testutil.SeededGraphs(3, 9)
-	flat := testutil.NewDB(t, gs)
+	flat := testutil.NewSharded(t, 1, gs)
 	sh := testutil.NewSharded(t, 3, gs)
 	if got, want := sh.Stats(), flat.Stats(); got != want {
-		t.Fatalf("sharded stats %+v != unsharded stats %+v", got, want)
+		t.Fatalf("3-shard stats %+v != 1-shard stats %+v", got, want)
 	}
 }
 
 func TestShardedEmptyDB(t *testing.T) {
 	sh := gdb.NewSharded(3)
-	res, err := sh.SkylineQueryContext(context.Background(), dataset.PaperQuery(), gdb.QueryOptions{})
+	res, err := sh.SkylineQuery(context.Background(), dataset.PaperQuery(), gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,29 +108,20 @@ type equivCase struct {
 }
 
 // requireShardedMatchesUnsharded asserts that for every shard count in
-// counts, the sharded engine's skyline, full table, top-k and range
-// answers over gs are byte-identical (reflect.DeepEqual, order
-// included) to the unsharded engine's.
+// counts, the engine's skyline, full table, top-k and range answers
+// over gs are byte-identical (reflect.DeepEqual, order included) to the
+// independent reference computed straight from Definitions 11–12 — and
+// so to each other.
 func requireShardedMatchesUnsharded(t *testing.T, gs []*graph.Graph, cases []equivCase, eval measure.Options, counts []int) {
 	t.Helper()
 	ctx := context.Background()
 	opts := gdb.QueryOptions{Eval: eval, Workers: 4}
 	m := measure.DistEd{}
-	flat := testutil.NewDB(t, gs)
 	for ci, c := range cases {
-		ref, err := flat.VectorTable(ctx, c.q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refSky := ref.Skyline(nil)
-		refTopK, err := ref.TopK(m, c.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refRange, err := ref.Range(m, c.radius)
-		if err != nil {
-			t.Fatal(err)
-		}
+		refPoints := testutil.ReferenceTable(gs, c.q, eval)
+		refSky := testutil.ReferenceSkyline(gs, c.q, eval)
+		scores := testutil.ReferenceScores(gs, c.q, m, eval)
+		refTopK, refRange := testutil.ReferenceTopK(scores, c.k), testutil.ReferenceRange(scores, c.radius)
 		for _, n := range counts {
 			sh := testutil.NewSharded(t, n, gs)
 			tables, err := sh.VectorTables(ctx, c.q, opts)
@@ -143,8 +134,8 @@ func requireShardedMatchesUnsharded(t *testing.T, gs []*graph.Graph, cases []equ
 			}
 			label = label + "/" + "shards"
 
-			if got := sh.MergeTables(tables); !reflect.DeepEqual(got, ref.Points) {
-				t.Fatalf("case %d, %d shards: merged table differs:\n got %v\nwant %v", ci, n, got, ref.Points)
+			if got := sh.MergeTables(tables); !reflect.DeepEqual(got, refPoints) {
+				t.Fatalf("case %d, %d shards: merged table differs:\n got %v\nwant %v", ci, n, got, refPoints)
 			}
 			gotSky := sh.MergeSkyline(tables, nil)
 			testutil.RequireSameSkyline(t, label, refSky, gotSky)
@@ -164,19 +155,19 @@ func requireShardedMatchesUnsharded(t *testing.T, gs []*graph.Graph, cases []equ
 
 			// The convenience wrappers agree with the explicit
 			// table-and-merge path.
-			skyRes, err := sh.SkylineQueryContext(ctx, c.q, opts)
+			skyRes, err := sh.SkylineQuery(ctx, c.q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(skyRes.Skyline, refSky) || !reflect.DeepEqual(skyRes.All, ref.Points) {
-				t.Fatalf("case %d, %d shards: SkylineQueryContext differs from reference", ci, n)
+			if !reflect.DeepEqual(skyRes.Skyline, refSky) || !reflect.DeepEqual(skyRes.All, refPoints) {
+				t.Fatalf("case %d, %d shards: SkylineQuery differs from reference", ci, n)
 			}
-			tkRes, err := sh.TopKQueryContext(ctx, c.q, m, c.k, opts)
+			tkRes, err := sh.TopKQuery(ctx, c.q, m, c.k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			testutil.RequireSameItems(t, label+"/topk-ctx", refTopK, tkRes.Items)
-			rgRes, err := sh.RangeQueryContext(ctx, c.q, m, c.radius, opts)
+			rgRes, err := sh.RangeQuery(ctx, c.q, m, c.radius, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +178,7 @@ func requireShardedMatchesUnsharded(t *testing.T, gs []*graph.Graph, cases []equ
 
 // TestShardedMatchesUnshardedPaper is the acceptance check on the paper
 // dataset: for every shard count, merged skyline / top-k / range
-// answers are byte-identical to the unsharded engine's.
+// answers are byte-identical to the reference's.
 func TestShardedMatchesUnshardedPaper(t *testing.T) {
 	requireShardedMatchesUnsharded(t, dataset.PaperDB(),
 		[]equivCase{{q: dataset.PaperQuery(), k: 3, radius: 3}},
@@ -196,9 +187,9 @@ func TestShardedMatchesUnshardedPaper(t *testing.T) {
 
 // TestShardedMatchesUnshardedSeeded is the property test: seeded random
 // databases and mutated queries, shard counts 1/2/3/7 — results must be
-// identical to the unsharded engine, including order. Budgeted engines
-// keep the worst pairs cheap; both sides run the identical computation,
-// so equivalence is unaffected.
+// identical to the reference, including order. Budgeted engines keep
+// the worst pairs cheap; both sides run the identical computation, so
+// equivalence is unaffected.
 func TestShardedMatchesUnshardedSeeded(t *testing.T) {
 	for _, seed := range []int64{11, 42} {
 		gs := testutil.SeededGraphs(seed, 12)

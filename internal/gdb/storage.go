@@ -210,7 +210,7 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	d.log = log
 	// From here on, mutations are logged (through the failpoint wrapper,
 	// so chaos tests can fail them at will; disarmed it is a no-op).
-	d.DB.SetStore(&FaultStore{Inner: &walStore{log: log, keys: &d.keys}})
+	d.DB.setStore(&FaultStore{Inner: &walStore{log: log, keys: &d.keys}})
 	return d, nil
 }
 
@@ -229,14 +229,15 @@ func (d *Durable) applyRecord(rec wal.Record, maxSeq *uint64) error {
 			*maxSeq = rec.Seq
 		}
 		d.keys.noteInsert(rec.Key, rec.Name)
-		return d.DB.insertPreservingSeq(g, rec.Seq)
+		_, err = d.DB.insert(g, rec.Seq, "")
+		return err
 	case wal.OpDelete:
 		// A delete of an absent name is possible only for a mutation that
 		// was logged but never acked (crash in between); dropping it is
 		// exactly right.
 		d.keys.noteDelete(rec.Key, rec.Name)
-		d.DB.Delete(rec.Name)
-		return nil
+		_, err := d.DB.Delete(rec.Name, "")
+		return err
 	case wal.OpNoop:
 		// Health-probe records carry no state.
 		return nil

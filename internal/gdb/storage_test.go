@@ -89,14 +89,14 @@ func TestDurableRoundTripShardCounts(t *testing.T) {
 		t.Fatalf("insert: %v", err)
 	}
 	for _, name := range []string{"d003", "d007", "d010"} {
-		if ok, err := d.DB.DeleteErr(name); !ok || err != nil {
-			t.Fatalf("delete %s: ok=%v err=%v", name, ok, err)
+		if ack, err := d.DB.Delete(name, ""); !ack.Existed || err != nil {
+			t.Fatalf("delete %s: ack=%+v err=%v", name, ack, err)
 		}
 	}
 	// Delete + reinsert the same name: recovery must preserve the NEW
 	// sequence, or the score memo's safety argument breaks.
 	reins := gs[3].Clone()
-	if err := d.DB.Insert(reins); err != nil {
+	if _, err := d.DB.Insert(reins, ""); err != nil {
 		t.Fatalf("reinsert d003: %v", err)
 	}
 	if err := d.DB.InsertAll(gs[14:]); err != nil {
@@ -104,7 +104,7 @@ func TestDurableRoundTripShardCounts(t *testing.T) {
 	}
 	want := fingerprint(d.DB)
 	q := storageGraphs(99, 1)[0]
-	wantSky, err := d.DB.SkylineQueryContext(context.Background(), q, QueryOptions{})
+	wantSky, err := d.DB.SkylineQuery(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatalf("reference skyline: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestDurableRoundTripShardCounts(t *testing.T) {
 		if got := fingerprint(r.DB); got != want {
 			t.Fatalf("shards=%d: recovered state differs\nwant:\n%s\ngot:\n%s", shards, want, got)
 		}
-		gotSky, err := r.DB.SkylineQueryContext(context.Background(), q, QueryOptions{})
+		gotSky, err := r.DB.SkylineQuery(context.Background(), q, QueryOptions{})
 		if err != nil {
 			t.Fatalf("shards=%d: skyline: %v", shards, err)
 		}
@@ -181,8 +181,8 @@ func TestDurableSnapshotReclaim(t *testing.T) {
 	if err := d.DB.InsertAll(gs[12:]); err != nil {
 		t.Fatalf("insert after snapshot: %v", err)
 	}
-	if ok, err := d.DB.DeleteErr("d001"); !ok || err != nil {
-		t.Fatalf("delete after snapshot: ok=%v err=%v", ok, err)
+	if ack, err := d.DB.Delete("d001", ""); !ack.Existed || err != nil {
+		t.Fatalf("delete after snapshot: ack=%+v err=%v", ack, err)
 	}
 	want := fingerprint(d.DB)
 	if err := d.Close(); err != nil {
@@ -234,7 +234,7 @@ func TestInsertSeqHighWaterRestart(t *testing.T) {
 	}
 	fresh := storageGraphs(4, 2)[1]
 	fresh.SetName("fresh")
-	if err := d.DB.Insert(fresh); err != nil {
+	if _, err := d.DB.Insert(fresh, ""); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	if seq, _ := d.DB.shards[d.DB.ShardFor("fresh")].seqOf("fresh"); seq <= high {
@@ -271,14 +271,14 @@ func buildTrace(t *testing.T, dir string) mutationTrace {
 		tr.prints = append(tr.prints, fingerprint(d.DB))
 	}
 	for i, g := range gs {
-		if err := d.DB.Insert(g); err != nil {
+		if _, err := d.DB.Insert(g, ""); err != nil {
 			t.Fatalf("insert %s: %v", g.Name(), err)
 		}
 		record()
 		if i%5 == 4 {
 			victim := gs[i-2].Name()
-			if ok, err := d.DB.DeleteErr(victim); !ok || err != nil {
-				t.Fatalf("delete %s: ok=%v err=%v", victim, ok, err)
+			if ack, err := d.DB.Delete(victim, ""); !ack.Existed || err != nil {
+				t.Fatalf("delete %s: ack=%+v err=%v", victim, ack, err)
 			}
 			record()
 		}
@@ -360,7 +360,7 @@ func TestDurableTortureTruncate(t *testing.T) {
 		// The repaired log must accept new mutations.
 		g := storageGraphs(77, 1)[0]
 		g.SetName("post-repair")
-		if err := d.DB.Insert(g); err != nil {
+		if _, err := d.DB.Insert(g, ""); err != nil {
 			t.Errorf("truncate at byte %d: insert after repair: %v", off, err)
 		}
 		if err := d.Close(); err != nil {
@@ -415,14 +415,14 @@ func TestSaveAtomic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("previous content\n"), 0o644); err != nil {
 		t.Fatalf("seed old file: %v", err)
 	}
-	db := New()
+	db := NewSharded(1)
 	if err := db.InsertAll(storageGraphs(5, 3)); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	if err := db.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := Load(path)
+	loaded, err := Load(path, 1)
 	if err != nil {
 		t.Fatalf("Load after Save: %v", err)
 	}
@@ -453,24 +453,21 @@ func TestDurableStoreErrorFailsMutation(t *testing.T) {
 	if err := d.Close(); err != nil { // log refuses appends from here on
 		t.Fatalf("Close: %v", err)
 	}
-	if err := d.DB.Insert(gs[2]); err == nil {
+	if _, err := d.DB.Insert(gs[2], ""); err == nil {
 		t.Fatal("insert after Close succeeded without persistence")
 	}
 	if d.DB.Len() != 2 {
 		t.Fatalf("failed insert mutated the database: len=%d", d.DB.Len())
 	}
-	existed, err := d.DB.DeleteErr(gs[0].Name())
+	ack, err := d.DB.Delete(gs[0].Name(), "")
 	if err == nil {
 		t.Fatal("delete after Close reported persistence")
 	}
-	if !existed {
-		t.Fatal("DeleteErr should report the name existed")
+	if !ack.Existed || ack.Gen != 0 {
+		t.Fatalf("unpersisted delete acked %+v, want Existed with no new generation", ack)
 	}
 	if _, ok := d.DB.Get(gs[0].Name()); !ok {
 		t.Fatal("failed delete removed the graph anyway")
-	}
-	if d.DB.Delete(gs[1].Name()) {
-		t.Fatal("bool Delete reported success for an unpersisted delete")
 	}
 }
 
@@ -486,17 +483,17 @@ func TestKeyTableSurvivesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
-	if err := d.DB.InsertKeyed(gs[0], "ik-snap"); err != nil {
+	if _, err := d.DB.Insert(gs[0], "ik-snap"); err != nil {
 		t.Fatalf("keyed insert: %v", err)
 	}
-	if err := d.DB.InsertKeyed(gs[1], "ik-snap"); err != nil {
+	if _, err := d.DB.Insert(gs[1], "ik-snap"); err != nil {
 		t.Fatalf("keyed insert: %v", err)
 	}
-	if err := d.DB.Insert(gs[2]); err != nil {
+	if _, err := d.DB.Insert(gs[2], ""); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if ok, err := d.DB.DeleteKeyedErr(gs[2].Name(), "dk-snap"); !ok || err != nil {
-		t.Fatalf("keyed delete: ok=%v err=%v", ok, err)
+	if ack, err := d.DB.Delete(gs[2].Name(), "dk-snap"); !ack.Existed || err != nil {
+		t.Fatalf("keyed delete: ack=%+v err=%v", ack, err)
 	}
 	// Snapshot: the keyed records' segments are reclaimed; the keys must
 	// now live in the manifest.
@@ -504,7 +501,7 @@ func TestKeyTableSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	// One more keyed mutation after the snapshot rides in the log only.
-	if err := d.DB.InsertKeyed(gs[3], "ik-log"); err != nil {
+	if _, err := d.DB.Insert(gs[3], "ik-log"); err != nil {
 		t.Fatalf("keyed insert after snapshot: %v", err)
 	}
 	if err := d.Close(); err != nil {

@@ -23,15 +23,15 @@ func TestGenerationBumpsOnMutation(t *testing.T) {
 	if db.Generation() != g0 {
 		t.Fatal("generation changed without a mutation")
 	}
-	if !db.Delete(db.Names()[0]) {
-		t.Fatal("delete failed")
+	if ack, err := db.Delete(db.Names()[0], ""); !ack.Existed || err != nil {
+		t.Fatalf("delete failed: ack %+v, err %v", ack, err)
 	}
 	if db.Generation() == g0 {
 		t.Fatal("delete did not bump the generation")
 	}
 	// A failed mutation must not bump.
 	g1 := db.Generation()
-	if err := db.Insert(dataset.PaperDB()[1]); err == nil {
+	if _, err := db.Insert(dataset.PaperDB()[1], ""); err == nil {
 		t.Fatal("duplicate insert should fail")
 	}
 	if db.Generation() != g1 {
@@ -63,7 +63,7 @@ func TestSaveLoadQueryDeterminism(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := Load(path)
+	reloaded, err := Load(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestSaveLoadQueryDeterminism(t *testing.T) {
 	}
 	q := dataset.PaperQuery()
 
-	r1, err := db.SkylineQuery(q, QueryOptions{})
+	r1, err := db.SkylineQuery(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := reloaded.SkylineQuery(q, QueryOptions{})
+	r2, err := reloaded.SkylineQuery(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestSaveLoadQueryDeterminism(t *testing.T) {
 		t.Fatalf("skyline drifted across save/load:\n before %v\n  after %v", r1.Skyline, r2.Skyline)
 	}
 
-	k1, err := db.TopKQuery(q, measure.DistEd{}, 3, QueryOptions{})
+	k1, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := reloaded.TopKQuery(q, measure.DistEd{}, 3, QueryOptions{})
+	k2, err := reloaded.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestSaveLoadQueryDeterminism(t *testing.T) {
 		t.Fatalf("topk drifted: %v vs %v", k1.Items, k2.Items)
 	}
 
-	g1, err := db.RangeQuery(q, measure.DistGu{}, 0.9, QueryOptions{})
+	g1, err := db.RangeQuery(context.Background(), q, measure.DistGu{}, 0.9, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := reloaded.RangeQuery(q, measure.DistGu{}, 0.9, QueryOptions{})
+	g2, err := reloaded.RangeQuery(context.Background(), q, measure.DistGu{}, 0.9, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func samePoints(a, b []skyline.Point) bool {
 func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	tab, err := db.VectorTable(context.Background(), q, QueryOptions{})
+	tab, err := db.Shard(0).VectorTable(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 		t.Fatalf("table has %d rows; want 7", len(tab.Points))
 	}
 
-	direct, err := db.SkylineQuery(q, QueryOptions{})
+	direct, err := db.SkylineQuery(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directK, err := db.TopKQuery(q, measure.DistEd{}, 3, QueryOptions{})
+	directK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directR, err := db.RangeQuery(q, measure.DistMcs{}, 0.8, QueryOptions{})
+	directR, err := db.RangeQuery(context.Background(), q, measure.DistMcs{}, 0.8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestVectorTableHonorsCancellation(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
+	if _, err := db.Shard(0).VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
 		t.Fatal("canceled context should abort the evaluation")
 	}
 }
@@ -197,7 +197,7 @@ func TestVectorTableDeadline(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	if _, err := db.VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
+	if _, err := db.Shard(0).VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
 		t.Fatal("expired deadline should abort the evaluation")
 	}
 }

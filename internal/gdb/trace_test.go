@@ -72,7 +72,7 @@ func TestTraceSkylineConsistent(t *testing.T) {
 			tr := gdb.NewQueryTrace()
 			opts := prunedOpts(true)
 			opts.Trace = tr
-			res, err := sh.SkylineQueryContext(context.Background(), q, opts)
+			res, err := sh.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatalf("shards=%d q=%d: %v", shards, qi, err)
 			}
@@ -123,7 +123,7 @@ func TestTraceRankedConsistent(t *testing.T) {
 				tr := gdb.NewQueryTrace()
 				opts := tc.opts
 				opts.Trace = tr
-				res, err := sh.TopKQueryContext(context.Background(), q, m, 5, opts)
+				res, err := sh.TopKQuery(context.Background(), q, m, 5, opts)
 				if err != nil {
 					t.Fatalf("%s topk shards=%d q=%d: %v", tc.name, shards, qi, err)
 				}
@@ -131,7 +131,7 @@ func TestTraceRankedConsistent(t *testing.T) {
 
 				tr = gdb.NewQueryTrace()
 				opts.Trace = tr
-				rres, err := sh.RangeQueryContext(context.Background(), q, m, 6, opts)
+				rres, err := sh.RangeQuery(context.Background(), q, m, 6, opts)
 				if err != nil {
 					t.Fatalf("%s range shards=%d q=%d: %v", tc.name, shards, qi, err)
 				}
@@ -150,7 +150,7 @@ func TestTraceRankedConsistent(t *testing.T) {
 				// shard, one worker.
 				tr = gdb.NewQueryTrace()
 				opts.Trace, opts.Workers = tr, 1
-				res, err = sh.TopKQueryContext(context.Background(), q, m, 5, opts)
+				res, err = sh.TopKQuery(context.Background(), q, m, 5, opts)
 				if err != nil {
 					t.Fatalf("%s topk workers=1 q=%d: %v", tc.name, qi, err)
 				}
@@ -174,7 +174,7 @@ func TestTraceUnprunedExactOnly(t *testing.T) {
 	tr := gdb.NewQueryTrace()
 	opts := prunedOpts(false)
 	opts.Trace = tr
-	res, err := sh.SkylineQueryContext(context.Background(), q, opts)
+	res, err := sh.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 var vCfg = vector.Config{Dims: 16, Cells: 4}
 
 // TestVectorRankedEquivalence: top-k and range answers with the vector
-// tier live must be byte-identical to the unpruned reference AND to the
+// tier live must be byte-identical to the independent reference AND to the
 // pruned scan of the same collection built without the tier (the "off"
 // arm), across the library's whole configuration matrix — paper and
 // seeded data, shard counts 1/2/3/7, capped and uncapped engines, with
@@ -37,20 +37,13 @@ func TestVectorRankedEquivalence(t *testing.T) {
 	evals := []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}}
 	ctx := context.Background()
 	for _, tc := range cases {
-		flat := testutil.NewDB(t, tc.gs)
 		for _, withPivots := range []bool{false, true} {
 			for _, withMemo := range []bool{false, true} {
 				for _, eval := range evals {
 					for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
 						for _, q := range tc.qs {
-							ref, err := flat.TopKQueryContext(ctx, q, m, 4, gdb.QueryOptions{Eval: eval, Workers: 4})
-							if err != nil {
-								t.Fatal(err)
-							}
-							refRG, err := flat.RangeQueryContext(ctx, q, m, 4, gdb.QueryOptions{Eval: eval, Workers: 4})
-							if err != nil {
-								t.Fatal(err)
-							}
+							scores := testutil.ReferenceScores(tc.gs, q, m, eval)
+							refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
 							build := func(shards int, withVector bool) *gdb.Sharded {
 								sh := testutil.NewSharded(t, shards, tc.gs)
 								if withPivots {
@@ -70,23 +63,23 @@ func TestVectorRankedEquivalence(t *testing.T) {
 								label := fmt.Sprintf("%s/%s/%s shards=%d pivots=%v memo=%v eval=%v",
 									tc.label, q.Name(), m.Name(), shards, withPivots, withMemo, eval.GEDMaxNodes)
 								popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
-								tk, err := sh.TopKQueryContext(ctx, q, m, 4, popts)
+								tk, err := sh.TopKQuery(ctx, q, m, 4, popts)
 								if err != nil {
 									t.Fatal(err)
 								}
-								testutil.RequireSameItems(t, label+"/topk", ref.Items, tk.Items)
-								rg, err := sh.RangeQueryContext(ctx, q, m, 4, popts)
+								testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
+								rg, err := sh.RangeQuery(ctx, q, m, 4, popts)
 								if err != nil {
 									t.Fatal(err)
 								}
-								testutil.RequireSameItems(t, label+"/range", refRG.Items, rg.Items)
+								testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
 								// The same collection without the tier must
 								// also match, and report no vector work.
-								ntk, err := build(shards, false).TopKQueryContext(ctx, q, m, 4, popts)
+								ntk, err := build(shards, false).TopKQuery(ctx, q, m, 4, popts)
 								if err != nil {
 									t.Fatal(err)
 								}
-								testutil.RequireSameItems(t, label+"/topk-untiered", ref.Items, ntk.Items)
+								testutil.RequireSameItems(t, label+"/topk-untiered", refTK, ntk.Items)
 								if ntk.Stats.VectorCells != 0 || ntk.Stats.VectorSkipped != 0 {
 									t.Fatalf("%s: collection without the tier reported vector work: %+v", label, ntk.Stats)
 								}
@@ -105,11 +98,11 @@ func TestVectorRankedEquivalence(t *testing.T) {
 func TestVectorSkylineEquivalence(t *testing.T) {
 	for _, seed := range []int64{71, 72} {
 		gs := testutil.SeededGraphs(seed, 20)
-		ref := testutil.NewDB(t, gs)
+		ref := testutil.NewSharded(t, 1, gs)
 		for _, withPivots := range []bool{false, true} {
 			for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
 				opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
-				want, err := ref.SkylineQuery(q, opts)
+				want, err := ref.SkylineQuery(context.Background(), q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -123,7 +116,7 @@ func TestVectorSkylineEquivalence(t *testing.T) {
 					label := fmt.Sprintf("seed=%d q=%d shards=%d pivots=%v", seed, qi, shards, withPivots)
 					popts := opts
 					popts.Prune = true
-					got, err := sh.SkylineQueryContext(context.Background(), q, popts)
+					got, err := sh.SkylineQuery(context.Background(), q, popts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -143,32 +136,37 @@ func TestVectorSkylineEquivalence(t *testing.T) {
 // Add/Remove hooks must track the database exactly.
 func TestVectorSurvivesMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(81, 16)
-	db := testutil.NewDB(t, gs)
-	db.EnablePivots(pivot.Config{Pivots: 3}).Wait()
-	vix := db.EnableVector(vCfg)
+	db := testutil.NewSharded(t, 1, gs)
+	db.EnablePivots(pivot.Config{Pivots: 3})
+	db.WaitPivots()
+	db.EnableVector(vCfg)
+	vix := db.Shard(0).VectorIndex()
 	q := testutil.SeededQueries(181, gs, 1)[0]
 	eval := measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}
 
-	db.Delete(gs[0].Name())
-	db.Delete(gs[9].Name())
+	for _, name := range []string{gs[0].Name(), gs[9].Name()} {
+		if ack, err := db.Delete(name, ""); !ack.Existed || err != nil {
+			t.Fatalf("delete %s: ack %+v, err %v", name, ack, err)
+		}
+	}
 	extra := testutil.SeededGraphs(281, 6)
 	for _, g := range extra {
 		g.SetName("x" + g.Name())
-		if err := db.Insert(g); err != nil {
+		if _, err := db.Insert(g, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	db.PivotIndex().Wait()
+	db.WaitPivots()
 	if p := vix.Snapshot(); p == nil || p.Gen != db.Generation() || p.N != db.Len() {
 		t.Fatalf("partition out of sync after mutations: %+v vs gen=%d len=%d", p, db.Generation(), db.Len())
 	}
 
-	ref := testutil.NewDB(t, db.Graphs())
-	wantTK, err := ref.TopKQuery(q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
+	ref := testutil.NewSharded(t, 1, db.Graphs())
+	wantTK, err := ref.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTK, err := db.TopKQuery(q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval, Prune: true})
+	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,69 +174,15 @@ func TestVectorSurvivesMutations(t *testing.T) {
 	if gotTK.Stats.VectorFallbacks != 0 {
 		t.Fatalf("synchronous hooks should never desync: %d fallbacks", gotTK.Stats.VectorFallbacks)
 	}
-	want, err := ref.SkylineQuery(q, gdb.QueryOptions{Eval: eval})
+	want, err := ref.SkylineQuery(context.Background(), q, gdb.QueryOptions{Eval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.SkylineQuery(q, gdb.QueryOptions{Eval: eval, Prune: true})
+	got, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{Eval: eval, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	testutil.RequireSameSkyline(t, "after-mutations/skyline", want.Skyline, got.Skyline)
-}
-
-// TestVectorReshardConsistency: Reshard must carry the vector
-// configuration to the new shard set — every new shard gets a fresh
-// consistent partition — and answers must stay byte-identical across
-// 1 -> 2 -> 3 -> 7 -> 2 shards.
-func TestVectorReshardConsistency(t *testing.T) {
-	gs := testutil.SeededGraphs(91, 21)
-	q := testutil.SeededQueries(191, gs, 1)[0]
-	eval := measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}
-	ref := testutil.NewDB(t, gs)
-	wantTK, err := ref.TopKQuery(q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.SkylineQuery(q, gdb.QueryOptions{Eval: eval})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sh := testutil.NewSharded(t, 1, gs)
-	sh.EnablePivots(pivot.Config{Pivots: 3})
-	sh.EnableVector(vCfg)
-	sh.WaitPivots()
-	opts := gdb.QueryOptions{Eval: eval, Prune: true}
-	for _, n := range []int{2, 3, 7, 2} {
-		resized, err := sh.Reshard(n)
-		if err != nil {
-			t.Fatalf("Reshard(%d): %v", n, err)
-		}
-		sh = resized
-		sh.WaitPivots()
-		for i := 0; i < n; i++ {
-			shard := sh.Shard(i)
-			vix := shard.VectorIndex()
-			if vix == nil {
-				t.Fatalf("shard %d/%d has no vector index after reshard", i, n)
-			}
-			if p := vix.Snapshot(); p != nil && (p.Gen != shard.Generation() || p.N != shard.Len()) {
-				t.Fatalf("shard %d/%d: partition gen/N %d/%d vs shard %d/%d",
-					i, n, p.Gen, p.N, shard.Generation(), shard.Len())
-			}
-		}
-		gotTK, err := sh.TopKQueryContext(context.Background(), q, measure.DistEd{}, 4, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.RequireSameItems(t, fmt.Sprintf("reshard=%d/topk", n), wantTK.Items, gotTK.Items)
-		got, err := sh.SkylineQueryContext(context.Background(), q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.RequireSameSkyline(t, fmt.Sprintf("reshard=%d/skyline", n), want.Skyline, got.Skyline)
-	}
 }
 
 // TestVectorCellSkipHappens: on clustered data with the pivot tier
@@ -248,19 +192,20 @@ func TestVectorReshardConsistency(t *testing.T) {
 // against silent regression to always-probe-everything).
 func TestVectorCellSkipHappens(t *testing.T) {
 	gs := dataset.RewiredClusters(8, 16, 6, 7, 5, 901)
-	db := testutil.NewDB(t, gs)
-	db.EnablePivots(pivot.Config{Pivots: 8, QueryMaxNodes: -1}).Wait()
+	db := testutil.NewSharded(t, 1, gs)
+	db.EnablePivots(pivot.Config{Pivots: 8, QueryMaxNodes: -1})
+	db.WaitPivots()
 	db.EnableVector(vector.Config{Dims: 16, Cells: 8})
 	q := graph.Rewire(gs[0], 1, rand.New(rand.NewSource(902)))
 	q.SetName("q")
-	res, err := db.TopKQuery(q, measure.DistEd{}, 3, gdb.QueryOptions{Prune: true, Workers: 1})
+	res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, gdb.QueryOptions{Prune: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.VectorSkipped == 0 {
 		t.Fatalf("no candidates skipped on clustered data: %+v", res.Stats)
 	}
-	ref, err := testutil.NewDB(t, gs).TopKQuery(q, measure.DistEd{}, 3, gdb.QueryOptions{Workers: 1})
+	ref, err := testutil.NewSharded(t, 1, gs).TopKQuery(context.Background(), q, measure.DistEd{}, 3, gdb.QueryOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,34 +110,23 @@ func TestDeltaMatchesColdRecompute(t *testing.T) {
 						deleteGraph(t, ts.URL+"/graphs/"+live[victim].Name())
 						live = append(live[:victim:victim], live[victim+1:]...)
 					}
-					// Every answer after the mutation must equal the cold
-					// library recompute over the live set.
-					ref := testutil.NewDB(t, live)
+					// Every answer after the mutation must equal the
+					// reference recompute (Definitions 11–12, leaf
+					// functions only) over the live set.
 					for qi, q := range queries {
 						label := fmt.Sprintf("shards=%d mode=%s round=%d q=%d", shards, mode, round, qi)
 						var sky SkylineResponse
 						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &sky)
-						wantSky, err := ref.SkylineQuery(q, gdb.QueryOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						testutil.RequireSameSkyline(t, label+"/skyline", wantSky.Skyline, wirePoints(sky.Skyline))
+						testutil.RequireSameSkyline(t, label+"/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
+						scores := testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{})
 
 						var tk TopKResponse
 						postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &tk)
-						wantTK, err := ref.TopKQuery(q, measure.DistEd{}, 3, gdb.QueryOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						testutil.RequireSameItems(t, label+"/topk", wantTK.Items, wireItems(tk.Items))
+						testutil.RequireSameItems(t, label+"/topk", testutil.ReferenceTopK(scores, 3), wireItems(tk.Items))
 
 						var rr RangeResponse
 						postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius}, &rr)
-						wantR, err := ref.RangeQuery(q, measure.DistEd{}, radius, gdb.QueryOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						testutil.RequireSameItems(t, label+"/range", wantR.Items, wireItems(rr.Items))
+						testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(scores, radius), wireItems(rr.Items))
 					}
 				}
 				if st := s.cache.Stats(); st.DeltaApplied == 0 {
@@ -172,21 +161,13 @@ func TestDeltaDisabledStillCorrect(t *testing.T) {
 	postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: extra}, &InsertResponse{})
 	live = append(live, extra)
 
-	ref := testutil.NewDB(t, live)
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &sky)
-	wantSky, err := ref.SkylineQuery(q, gdb.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.RequireSameSkyline(t, "nodelta/skyline", wantSky.Skyline, wirePoints(sky.Skyline))
+	testutil.RequireSameSkyline(t, "nodelta/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &tk)
-	wantTK, err := ref.TopKQuery(q, measure.DistEd{}, 3, gdb.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	testutil.RequireSameItems(t, "nodelta/topk", wantTK.Items, wireItems(tk.Items))
+	wantTK := testutil.ReferenceTopK(testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{}), 3)
+	testutil.RequireSameItems(t, "nodelta/topk", wantTK, wireItems(tk.Items))
 
 	st := s.cache.Stats()
 	if st.DeltaApplied != 0 {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"skygraph/internal/gdb"
@@ -156,42 +155,19 @@ func (s *Server) leadRanked(ctx context.Context, kind string, res resolved, k in
 				}
 			}()
 		}
-		workers := s.cfg.Workers
-		if workers <= 0 {
-			workers = (runtime.GOMAXPROCS(0) + len(cold) - 1) / len(cold)
+		opts := gdb.QueryOptions{Eval: res.opts.Eval, Workers: s.cfg.Workers, Trace: res.opts.Trace, QueryHash: res.qh}
+		st, err := s.db.EvalRanked(ctx, run, res.q, opts, cold)
+		if err != nil {
+			return rankedAnswer{}, err
 		}
-		stats := make([]gdb.QueryStats, len(cold))
-		errs := make([]error, len(cold))
-		done := make(chan int)
-		for j, shard := range cold {
-			go func(j, shard int) {
-				defer func() { done <- j }()
-				opts := gdb.QueryOptions{Eval: res.opts.Eval, Workers: workers, Trace: res.opts.Trace, QueryHash: res.qh}
-				stats[j], errs[j] = run.EvalDB(ctx, s.db.Shard(shard), res.q, opts)
-			}(j, shard)
-		}
-		for range cold {
-			<-done
-		}
-		for _, e := range errs {
-			if e != nil {
-				return rankedAnswer{}, e
-			}
-		}
-		for _, st := range stats {
-			ra.work.Add(st.Work)
-			ra.inexact += st.Inexact
-		}
+		ra.work, ra.inexact = st.Work, st.Inexact
 	}
 
 	var mstart time.Time
 	if res.opts.Trace != nil {
 		mstart = time.Now()
 	}
-	ra.items = run.Items()
-	if kind == "range" {
-		s.db.SortItemsByRank(ra.items)
-	}
+	ra.items = s.db.RankedItems(run)
 	res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), len(ra.items), 0)
 	s.work.add(ra.work)
 	// Cache only when no mutation raced the evaluation: generations are

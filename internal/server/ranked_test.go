@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"skygraph/internal/dataset"
-	"skygraph/internal/gdb"
 	"skygraph/internal/measure"
 	"skygraph/internal/testutil"
 )
@@ -196,19 +195,15 @@ func TestBatchRankedMixedKinds(t *testing.T) {
 	if resp.Stats.Evaluated+resp.Stats.Pruned == 0 {
 		t.Fatalf("pure-ranked batch did no work: %+v", resp.Stats)
 	}
-	// Cross-check against the library reference.
-	flat := testutil.NewDB(t, gs)
-	ref, err := flat.TopKQuery(dataset.PaperQuery(), measure.DistEd{}, 3, gdb.QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Cross-check against the independent reference.
+	ref := testutil.ReferenceTopK(testutil.ReferenceScores(gs, dataset.PaperQuery(), measure.DistEd{}, measure.Options{}), 3)
 	got := resp.Results[0].TopK
-	if got == nil || len(got.Items) != len(ref.Items) {
-		t.Fatalf("batch topk = %+v, want %d items", got, len(ref.Items))
+	if got == nil || len(got.Items) != len(ref) {
+		t.Fatalf("batch topk = %+v, want %d items", got, len(ref))
 	}
-	for i := range ref.Items {
-		if got.Items[i].ID != ref.Items[i].ID || got.Items[i].Score != ref.Items[i].Score {
-			t.Fatalf("batch topk item %d = %+v, want %+v", i, got.Items[i], ref.Items[i])
+	for i := range ref {
+		if got.Items[i].ID != ref[i].ID || got.Items[i].Score != ref[i].Score {
+			t.Fatalf("batch topk item %d = %+v, want %+v", i, got.Items[i], ref[i])
 		}
 	}
 }

@@ -271,7 +271,7 @@ func TestCorruptClassDoesNotDegrade(t *testing.T) {
 func TestLoadShed(t *testing.T) {
 	db := gdb.NewSharded(2)
 	for _, g := range dataset.PaperDB() {
-		if err := db.Insert(g); err != nil {
+		if _, err := db.Insert(g, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

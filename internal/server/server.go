@@ -432,18 +432,7 @@ func (s *Server) resolveQuery(req *QueryRequest, needMeasure bool) (resolved, er
 			return res, err
 		}
 		res.m = m
-		// Share tables with skyline queries on the same basis: only
-		// extend the basis when the ranking measure is missing from it.
-		found := false
-		for _, b := range basis {
-			if b.Name() == m.Name() {
-				found = true
-				break
-			}
-		}
-		if !found {
-			basis = append(basis, m)
-		}
+		basis = measure.BasisWith(basis, m)
 	}
 	res.basis = basis
 
@@ -1204,7 +1193,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate everything up front so malformed payloads are a clean 400
 	// with nothing inserted; only name collisions can fail past here.
-	for _, g := range gs {
+	for i, g := range gs {
+		if g == nil {
+			s.writeError(w, http.StatusBadRequest, "graph %d is null", i)
+			return
+		}
 		if g.Name() == "" {
 			s.writeError(w, http.StatusBadRequest, "graph has no name")
 			return
@@ -1245,7 +1238,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			skipped = append(skipped, g.Name())
 			continue
 		}
-		shard, gen, err := s.db.InsertKeyedGen(g, key)
+		ack, err := s.db.Insert(g, key)
 		if err != nil {
 			// Partial inserts stand (each bumped its shard's generation,
 			// and each already routed its cache delta) and are reported;
@@ -1264,7 +1257,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		// Route the delta per applied insert, not per request: each
 		// mutation advances its shard by exactly one generation, which is
 		// the step the upgrade proofs are built on.
-		s.deltaInsert(g, shard, gen)
+		s.deltaInsert(g, ack.Shard, ack.Gen)
 	}
 	// Inserted reports every name the request asked for that is now
 	// applied under this key — freshly inserted or skipped as already
@@ -1297,14 +1290,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDegraded(w) {
 		return
 	}
-	existed, shard, gen, err := s.db.DeleteKeyedGen(name, key)
+	ack, err := s.db.Delete(name, key)
 	if err != nil {
 		// The write-ahead append failed: the graph is still there and the
 		// mutation must not be acked.
 		s.mutationError(w, err, nil)
 		return
 	}
-	if !existed {
+	if !ack.Existed {
 		// A keyed delete whose ack was lost is answered by the replay
 		// table above — recovery seeds it from the keys in the WAL — so
 		// an absent graph here means this key never deleted anything:
@@ -1313,7 +1306,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.health.NoteSuccess()
-	s.deltaDelete(name, shard, gen)
+	s.deltaDelete(name, ack.Shard, ack.Gen)
 	resp := DeleteResponse{Deleted: name, Generation: s.db.Generation()}
 	s.idemRemember("delete", key, idemRecord{del: &resp})
 	writeJSON(w, http.StatusOK, resp)

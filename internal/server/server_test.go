@@ -312,6 +312,13 @@ func TestGraphCRUD(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheSize: 4})
+	fresh := func(name string) *graph.Graph {
+		g := dataset.PaperDB()[0].Clone()
+		g.SetName(name)
+		return g
+	}
+	var before ListResponse
+	getJSON(t, ts.URL+"/graphs", &before)
 	cases := []struct {
 		name string
 		url  string
@@ -324,11 +331,20 @@ func TestBadRequests(t *testing.T) {
 		{"bad algorithm", "/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Algorithm: "quantum"}},
 		{"bad basis", "/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Basis: []string{"DistBogus"}}},
 		{"empty insert", "/graphs", InsertRequest{}},
+		{"null graph element", "/graphs", InsertRequest{Graphs: []*graph.Graph{nil}}},
+		{"null graph mid-insert", "/graphs", InsertRequest{Graphs: []*graph.Graph{fresh("n1"), nil, fresh("n2")}}},
 	}
 	for _, tc := range cases {
 		if r := postJSON(t, ts.URL+tc.url, tc.body, nil); r.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d; want 400", tc.name, r.StatusCode)
 		}
+	}
+	// A rejected insert inserts nothing, not even the valid graphs ahead
+	// of the bad element.
+	var after ListResponse
+	getJSON(t, ts.URL+"/graphs", &after)
+	if fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("rejected inserts changed GET /graphs: %+v -> %+v", before, after)
 	}
 
 	// Unknown fields are rejected too — including the retired "vector"

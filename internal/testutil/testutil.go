@@ -13,6 +13,7 @@ import (
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
+	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
 )
@@ -60,19 +61,8 @@ func NoisyFamily(n int) (gs, queries []*graph.Graph) {
 	return gs, dataset.NoisyQueries(gs, 8, 1, 101)
 }
 
-// NewDB builds an unsharded database over gs.
-func NewDB(tb testing.TB, gs []*graph.Graph) *gdb.DB {
-	tb.Helper()
-	db := gdb.New()
-	if err := db.InsertAll(gs); err != nil {
-		tb.Fatalf("testutil: building DB: %v", err)
-	}
-	return db
-}
-
 // NewSharded builds an n-shard database over gs, inserted in order so
-// the global insertion order matches an unsharded DB built from the
-// same slice.
+// the global insertion order is the slice's at every shard count.
 func NewSharded(tb testing.TB, nshards int, gs []*graph.Graph) *gdb.Sharded {
 	tb.Helper()
 	sh := gdb.NewSharded(nshards)
@@ -80,6 +70,66 @@ func NewSharded(tb testing.TB, nshards int, gs []*graph.Graph) *gdb.Sharded {
 		tb.Fatalf("testutil: building %d-shard DB: %v", nshards, err)
 	}
 	return sh
+}
+
+// ReferenceTable is the full comparison table of q over gs on the
+// default basis, straight from Definition 11 with leaf functions only:
+// the GCS vector of every graph against q, in gs (insertion) order. No
+// shard, bound, index, memo or engine table is involved, so agreement
+// with it (and with the Reference* answers derived the same way) is
+// evidence about the engine and not about two of its paths agreeing
+// with each other.
+func ReferenceTable(gs []*graph.Graph, q *graph.Graph, eval measure.Options) []skyline.Point {
+	pts := make([]skyline.Point, len(gs))
+	for i, g := range gs {
+		pts[i] = skyline.Point{ID: g.Name(), Vec: measure.ComputeGCS(g, q, eval)}
+	}
+	return pts
+}
+
+// ReferenceSkyline computes GSS(gs, q) per Definition 12: a
+// block-nested-loop skyline over ReferenceTable, in gs order.
+func ReferenceSkyline(gs []*graph.Graph, q *graph.Graph, eval measure.Options) []skyline.Point {
+	return skyline.BNL(ReferenceTable(gs, q, eval))
+}
+
+// ReferenceScores returns the exact score of every graph under m, in gs
+// (insertion) order, each from a full pair evaluation. ReferenceTopK and
+// ReferenceRange derive the two ranked answers from it.
+func ReferenceScores(gs []*graph.Graph, q *graph.Graph, m measure.Measure, eval measure.Options) []topk.Item {
+	items := make([]topk.Item, len(gs))
+	for i, g := range gs {
+		items[i] = topk.Item{ID: g.Name(), Score: m.FromStats(measure.Compute(g, q, eval))}
+	}
+	return items
+}
+
+// ReferenceTopK is the k best of scores in the engine's reporting
+// order, ascending (score, ID).
+func ReferenceTopK(scores []topk.Item, k int) []topk.Item {
+	out := append([]topk.Item{}, scores...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score < out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// ReferenceRange is every row of scores within radius, in insertion
+// order.
+func ReferenceRange(scores []topk.Item, radius float64) []topk.Item {
+	out := []topk.Item{}
+	for _, it := range scores {
+		if it.Score <= radius {
+			out = append(out, it)
+		}
+	}
+	return out
 }
 
 // RequireSameSkyline fails unless want and got hold the same skyline:
