@@ -1,10 +1,14 @@
 // Command skygraphd is the skygraph query-serving daemon: it loads a
 // graph database from LGF into N hash-routed shards and serves
 // similarity skyline, top-k and range queries over an HTTP/JSON API.
-// Queries evaluate per shard in parallel and merge (divide-and-conquer
-// skyline combiner, per-shard top-k heaps); an LRU cache of per-shard
-// query vector tables sits in front of the GED/MCS pair-evaluation hot
-// path, so a mutation invalidates only its own shard's tables.
+// Each request's evaluation path follows from its kind: skyline queries
+// build pruned per-shard tables (complete ones when "all" is set or via
+// /cache/warm) and merge them with the divide-and-conquer skyline
+// combiner; top-k and range queries run one best-first scan across the
+// shards against a shared threshold. An LRU cache of per-shard tables
+// and merged ranked answers sits in front of the GED/MCS
+// pair-evaluation hot path and is delta-maintained across mutations,
+// so a mutation touches only its own shard's entries.
 // -pivots attaches a background-maintained metric pivot index per
 // shard (triangle-inequality GED bounds for the filter tiers); -memo
 // adds the cross-query exact-score memo that survives mutations the
@@ -26,9 +30,9 @@
 //	POST   /query/batch     many queries, one request and time budget
 //	POST   /cache/warm      prebuild complete tables for given queries
 //	GET    /graphs          list graph names
-//	POST   /graphs          insert graph(s), invalidating owning shards
+//	POST   /graphs          insert graph(s), maintaining owning shards' cache
 //	GET    /graphs/{name}   fetch one graph as JSON
-//	DELETE /graphs/{name}   delete a graph, invalidating its shard
+//	DELETE /graphs/{name}   delete a graph, maintaining its shard's cache
 //	GET    /stats           database, shard, cache and request counters
 //	GET    /metrics         Prometheus text exposition (format 0.0.4)
 //	GET    /healthz         liveness probe
@@ -50,7 +54,8 @@
 // degraded-readonly after K consecutive transient persist failures
 // (mutations 503 with Retry-After, queries keep serving from memory)
 // with a background probe every -probe-every re-arming writes;
-// -max-inflight-queries sheds excess query load with 429;
+// -max-inflight-queries, the one admission gate, sheds excess query,
+// batch and warm requests with 429 before decoding them;
 // -retry-after sets the hint clients see on 503/429. -fault arms
 // failpoints at startup (e.g. "wal/fsync=error:err=EIO,p=0.1") and
 // -fault-admin exposes GET/POST /admin/fault for runtime control —
@@ -117,11 +122,9 @@ func main() {
 	addr := flag.String("addr", ":8091", "listen address")
 	dbPath := flag.String("db", "", "database LGF file (empty = start with an empty database)")
 	shards := flag.Int("shards", 1, "storage/evaluation shards (graphs are hash-routed by name)")
-	shardWorkers := flag.Int("shard-workers", 0, "pair-evaluation workers per shard per query (0 = spread GOMAXPROCS across shards)")
 	cacheSize := flag.Int("cache", 128, "vector-table cache capacity (entries, one per shard per query; 0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "hard cap on request-supplied timeouts (0 = none)")
-	inflight := flag.Int("inflight", 0, "max concurrently evaluating shard tables (0 = unlimited; set >= -shards)")
 	maxBatch := flag.Int("max-batch", 0, "max queries per /query/batch request (0 = default)")
 	gedBudget := flag.Int64("ged-budget", 0, "default GED search-node cap (0 = exact)")
 	mcsBudget := flag.Int64("mcs-budget", 0, "default MCS search-node cap (0 = exact)")
@@ -138,11 +141,10 @@ func main() {
 	snapshotEvery := flag.Duration("snapshot-every", 5*time.Minute, "cut a snapshot (and reclaim covered WAL segments) this often; 0 disables periodic snapshots (needs -data-dir)")
 	degradeAfter := flag.Int("degrade-after", 0, "consecutive transient persist failures before entering degraded-readonly (0 = package default of 3; needs -data-dir)")
 	probeEvery := flag.Duration("probe-every", 0, "how often the degraded daemon probes the persistence path to re-arm writes (0 = package default of 500ms)")
-	maxInflightQueries := flag.Int("max-inflight-queries", 0, "shed query requests beyond this many in flight with 429 (0 = unlimited; mutations are never shed)")
+	maxInflightQueries := flag.Int("max-inflight-queries", 0, "the one admission gate: shed query, batch and warm requests beyond this many in flight with 429 (0 = unlimited; mutations are never shed)")
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on 503/429 responses (0 = 1s default)")
 	faultSpec := flag.String("fault", "", "arm failpoints at startup, e.g. \"wal/fsync=error:err=EIO,p=0.1\" (testing only)")
 	faultAdmin := flag.Bool("fault-admin", false, "expose GET/POST /admin/fault for runtime failpoint control (testing only; keep off in production)")
-	delta := flag.Bool("delta", true, "maintain cached tables and ranked answers in place across mutations (false = invalidate on every mutation)")
 	flag.Parse()
 
 	syncPolicy, syncEvery, err := parseFsync(*fsync)
@@ -224,10 +226,8 @@ func main() {
 
 	srv := server.New(db, server.Config{
 		CacheSize:          *cacheSize,
-		Workers:            *shardWorkers,
 		DefaultTimeout:     *timeout,
 		MaxTimeout:         *maxTimeout,
-		MaxInflight:        *inflight,
 		MaxBatch:           *maxBatch,
 		DefaultEval:        measure.Options{GEDMaxNodes: *gedBudget, MCSMaxNodes: *mcsBudget},
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
@@ -237,7 +237,6 @@ func main() {
 		MaxInflightQueries: *maxInflightQueries,
 		RetryAfter:         *retryAfter,
 		FaultAdmin:         *faultAdmin,
-		DisableDelta:       !*delta,
 	})
 	handler.Store(srv.Handler()) // recovery done: start serving for real
 

@@ -94,6 +94,24 @@ func TestBoundableRejectsForeignMeasures(t *testing.T) {
 	}
 }
 
+// TestEveryNamedMeasureIsBoundable: every measure a request can name
+// resolves through ByName to a Rankable, Boundable built-in. The server
+// prunes every request on that guarantee and keeps no table fallback.
+func TestEveryNamedMeasureIsBoundable(t *testing.T) {
+	if len(builtins) != 7 {
+		t.Fatalf("ByName resolves %d measures; want the 7 built-ins", len(builtins))
+	}
+	for _, want := range builtins {
+		m, err := ByName(want.Name())
+		if err != nil || m != want {
+			t.Fatalf("ByName(%s) = %v, %v", want.Name(), m, err)
+		}
+		if !Rankable(m) || !Boundable([]Measure{m}) {
+			t.Errorf("%s resolves by name but is not Rankable and Boundable", m.Name())
+		}
+	}
+}
+
 type fakeMeasure struct{}
 
 func (fakeMeasure) Name() string                { return "Fake" }

@@ -258,23 +258,16 @@ func Default() []Measure { return []Measure{DistEd{}, DistMcs{}, DistGu{}} }
 // (DistNEd, DistMcs, DistGu).
 func DiversityBasis() []Measure { return []Measure{DistNEd{}, DistMcs{}, DistGu{}} }
 
-// ByName returns the measure with the given name.
+// builtins is every measure ByName resolves. Each one is Boundable (and
+// so Rankable), which the server relies on to always prune.
+var builtins = []Measure{DistEd{}, DistNEd{}, DistMcs{}, DistGu{}, DistVLabel{}, DistELabel{}, DistDegree{}}
+
+// ByName returns the built-in measure with the given name.
 func ByName(name string) (Measure, error) {
-	switch name {
-	case "DistEd":
-		return DistEd{}, nil
-	case "DistNEd":
-		return DistNEd{}, nil
-	case "DistMcs":
-		return DistMcs{}, nil
-	case "DistGu":
-		return DistGu{}, nil
-	case "DistVLabel":
-		return DistVLabel{}, nil
-	case "DistELabel":
-		return DistELabel{}, nil
-	case "DistDegree":
-		return DistDegree{}, nil
+	for _, m := range builtins {
+		if m.Name() == name {
+			return m, nil
+		}
 	}
 	return nil, fmt.Errorf("measure: unknown measure %q", name)
 }

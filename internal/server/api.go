@@ -10,10 +10,17 @@
 //     evaluations, and a mutation invalidates only its own shard's
 //     tables;
 //   - api.go (this file): the wire types;
-//   - server.go: the handlers, per-shard table assembly and merging,
-//     per-request timeouts and worker limits;
-//   - batch.go: POST /query/batch, answering many queries with at most
-//     one table build per (shard, query-hash) pair under one budget.
+//   - server.go: the handlers, per-request timeouts, the one admission
+//     gate, and coalesce — the one cache → flight → build loop behind
+//     both per-shard tables and merged ranked answers;
+//   - ranked.go: top-k and range through the best-first ranked scan;
+//   - batch.go: POST /query/batch, each item on the path its kind fixes,
+//     identical items coalescing onto one evaluation per path.
+//
+// A request's evaluation path follows from what it asks for and nothing
+// else: skyline requests use pruned tables unless they set "all", top-k
+// and range requests always use the ranked scan, and "all" and
+// /cache/warm are the two ways to build complete tables.
 package server
 
 import (
@@ -50,17 +57,11 @@ type QueryRequest struct {
 	// TimeoutMS caps this request's evaluation time (0 = server default;
 	// values above the server maximum are clamped).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// All requests the full vector table in the skyline response.
+	// All requests the full vector table in the skyline response. It is
+	// the one per-request way to build (and cache) complete tables; a
+	// skyline request without it evaluates only the graphs its pruned
+	// scan cannot exclude.
 	All bool `json:"all,omitempty"`
-	// Prune overrides filter-and-refine evaluation. Unset means the
-	// server default: prune whenever the answer allows it — skyline
-	// requests with no full table asked for (boundable basis), and
-	// topk/range requests on a built-in measure, which then evaluate
-	// best-first against the live k-th best score or radius instead of
-	// building complete tables. Set false to force full evaluation —
-	// e.g. to warm per-shard tables that later queries of any kind on
-	// the same graph are served from.
-	Prune *bool `json:"prune,omitempty"`
 	// Trace requests the per-stage cascade trace in the response: one
 	// entry per stage the query touched (bound, exact and merge on a
 	// pruned skyline; vector, pivot and refine as well on topk/range)
@@ -141,9 +142,9 @@ type RangeResponse struct {
 }
 
 // BatchRequest is the body of POST /query/batch: many queries answered
-// in one request, sharing the shard pool, the per-shard table cache and
-// one time budget. Identical (or isomorphic) query graphs in a batch
-// cost one vector-table build per (shard, query-hash) pair.
+// in one request, sharing the shard pool, the cache and one time
+// budget. Identical (or isomorphic) items of one kind cost one
+// evaluation per (shard, query hash, path).
 type BatchRequest struct {
 	// Queries holds the batch items (required, at most the server's
 	// batch limit).
@@ -406,17 +407,16 @@ type ReqStats struct {
 	// best-first ranked scan (see there for each counter), under the
 	// keys /stats has always used: Evaluated and Pruned appear as
 	// pair_evals and pairs_pruned.
-	PairEvals        uint64 `json:"pair_evals"`
-	PairsPruned      uint64 `json:"pairs_pruned"`
-	PivotPruned      uint64 `json:"pivot_pruned"`
-	PivotDists       uint64 `json:"pivot_dists"`
-	MemoHits         uint64 `json:"memo_hits"`
-	MemoMisses       uint64 `json:"memo_misses"`
-	VectorCells      uint64 `json:"vector_cells_probed"`
-	VectorSkipped    uint64 `json:"vector_skipped"`
-	VectorFallbacks  uint64 `json:"vector_fallbacks"`
-	QueryTimeouts    uint64 `json:"query_timeouts"`
-	InflightRejected uint64 `json:"inflight_rejected"`
+	PairEvals       uint64 `json:"pair_evals"`
+	PairsPruned     uint64 `json:"pairs_pruned"`
+	PivotPruned     uint64 `json:"pivot_pruned"`
+	PivotDists      uint64 `json:"pivot_dists"`
+	MemoHits        uint64 `json:"memo_hits"`
+	MemoMisses      uint64 `json:"memo_misses"`
+	VectorCells     uint64 `json:"vector_cells_probed"`
+	VectorSkipped   uint64 `json:"vector_skipped"`
+	VectorFallbacks uint64 `json:"vector_fallbacks"`
+	QueryTimeouts   uint64 `json:"query_timeouts"`
 	// LoadShed counts queries refused with 429 at the inflight-query
 	// cap; DegradedRejected counts mutations refused with 503 while the
 	// daemon was in degraded-readonly mode.
@@ -426,15 +426,17 @@ type ReqStats struct {
 
 // WarmRequest is the body of POST /cache/warm: query graphs whose
 // complete per-shard vector tables should be built (and cached) ahead
-// of traffic. Warming populates the table cache and, when enabled, the
-// cross-query score memo — so later queries of any kind on these (or
-// isomorphic) graphs answer from cache, and even after a mutation
+// of traffic — the same tables an "all" skyline request builds.
+// Warming populates the table cache and, when enabled, the cross-query
+// score memo. Later skyline requests on these (or isomorphic) graphs
+// answer from the tables; top-k and range requests seed their ranked
+// scan from them and evaluate nothing. Even after a mutation
 // invalidates the tables, rebuilding them replays memoized pair scores
 // instead of re-running engines.
 type WarmRequest struct {
 	// Queries holds the query graphs to warm, each with the optional
 	// basis/eval fields of a normal request (k, radius, algorithm and
-	// prune are ignored — warming always builds complete tables).
+	// all are ignored — warming always builds complete tables).
 	Queries []QueryRequest `json:"queries"`
 	// TimeoutMS bounds the whole warming pass (0 = server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -464,7 +466,6 @@ type ErrorResponse struct {
 	//	not_found    — the named resource does not exist
 	//	conflict     — duplicate name; retrying as-is cannot help
 	//	overloaded   — load-shed (429); retry after the Retry-After delay
-	//	unavailable  — busy or warming (503); retry after Retry-After
 	//	degraded     — read-only mode (503); mutations retry after
 	//	               Retry-After, the store is being probed
 	//	transient    — a persist failure that should heal (503); safe to
@@ -478,21 +479,29 @@ type ErrorResponse struct {
 	// RetryAfterMS mirrors the Retry-After header (milliseconds) on
 	// retryable classes, for clients that prefer the body.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
+	// PartialInsert is set on a POST /graphs failure past validation.
+	*PartialInsert
+}
+
+// PartialInsert reports what a failed multi-graph insert applied before
+// it failed: those names stand, and a keyed retry skips them.
+type PartialInsert struct {
+	Inserted   []string `json:"inserted"`
+	Generation uint64   `json:"generation"`
 }
 
 // Error classes (see ErrorResponse.Class).
 const (
-	ClassBadRequest  = "bad_request"
-	ClassNotFound    = "not_found"
-	ClassConflict    = "conflict"
-	ClassOverloaded  = "overloaded"
-	ClassUnavailable = "unavailable"
-	ClassDegraded    = "degraded"
-	ClassTransient   = "transient"
-	ClassCorrupt     = "corrupt"
-	ClassTimeout     = "timeout"
-	ClassCanceled    = "canceled"
-	ClassInternal    = "internal"
+	ClassBadRequest = "bad_request"
+	ClassNotFound   = "not_found"
+	ClassConflict   = "conflict"
+	ClassOverloaded = "overloaded"
+	ClassDegraded   = "degraded"
+	ClassTransient  = "transient"
+	ClassCorrupt    = "corrupt"
+	ClassTimeout    = "timeout"
+	ClassCanceled   = "canceled"
+	ClassInternal   = "internal"
 )
 
 // TimeoutHeader propagates the client's per-attempt deadline to the

@@ -3,10 +3,12 @@ package server
 import (
 	"net/http"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"skygraph/internal/dataset"
 	"skygraph/internal/graph"
+	"skygraph/internal/testutil"
 )
 
 // permutedPaperQuery returns the paper query with its vertices
@@ -28,11 +30,12 @@ func permutedPaperQuery(t *testing.T) *graph.Graph {
 	return perm
 }
 
-// TestBatchCoalescesTableBuilds is the batch acceptance check: M
-// queries over the same (isomorphism class of) query graph cost at most
-// one vector-table build per (shard, query-hash) pair — here exactly
-// one per shard, i.e. 7 pair evaluations total over the paper database,
-// no matter how many batch items ask.
+// TestBatchCoalescesTableBuilds is the batch acceptance check: items
+// over the same (isomorphism class of) query graph cost one evaluation
+// per (shard, query hash, path) — one pruned skyline build per shard for
+// the three skyline items, one ranked scan for the two identical top-k
+// items and one for the range item, each accounting for all 7 paper
+// graphs — and repeating the batch evaluates nothing, every item a hit.
 func TestBatchCoalescesTableBuilds(t *testing.T) {
 	for _, shards := range []int{1, 2, 3} {
 		s, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
@@ -41,7 +44,7 @@ func TestBatchCoalescesTableBuilds(t *testing.T) {
 			{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},
 			{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Algorithm: "bnl"}},
 			{Kind: "topk", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), K: 3}},
-			{Kind: "topk", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), K: 5}},
+			{Kind: "topk", QueryRequest: QueryRequest{Graph: permutedPaperQuery(t), K: 3}},
 			{Kind: "range", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Radius: &radius}},
 			{Kind: "skyline", QueryRequest: QueryRequest{Graph: permutedPaperQuery(t)}},
 		}}
@@ -58,18 +61,17 @@ func TestBatchCoalescesTableBuilds(t *testing.T) {
 				t.Fatalf("%d shards: item %d failed: %s", shards, i, res.Error)
 			}
 		}
-		// At most one build per (shard, query-hash): the whole batch
-		// evaluated each of the 7 database graphs exactly once, and the
-		// cache holds exactly one table per shard.
+		// Three paths, each covering the 7 database graphs at most once
+		// (evaluated or bound-pruned; fewer when a ranked scan starts from
+		// a shard whose skyline build pruned nothing and so cached a
+		// complete table); the cache holds one skyline table per shard
+		// plus the two ranked answers.
 		st := statsOf(t, ts.URL)
-		if st.Requests.PairEvals != 7 {
-			t.Fatalf("%d shards: pair evals = %d across the batch; want 7", shards, st.Requests.PairEvals)
+		if got := st.Requests.PairEvals + st.Requests.PairsPruned; got < 7 || got > 3*7 {
+			t.Fatalf("%d shards: evaluated + pruned = %d across the batch; want 7..21", shards, got)
 		}
-		if got := s.Cache().Len(); got != shards {
-			t.Fatalf("%d shards: cache holds %d tables; want one per shard (%d)", shards, got, shards)
-		}
-		if resp.Stats.Evaluated != 7 {
-			t.Fatalf("%d shards: batch stats evaluated = %d; want 7", shards, resp.Stats.Evaluated)
+		if got := s.Cache().Len(); got != shards+2 {
+			t.Fatalf("%d shards: cache holds %d entries; want %d", shards, got, shards+2)
 		}
 		// Repeating the whole batch is free: every item hits.
 		var again BatchResponse
@@ -81,6 +83,57 @@ func TestBatchCoalescesTableBuilds(t *testing.T) {
 			if qs := res.stats(); !qs.CacheHit || qs.ShardHits != shards {
 				t.Fatalf("%d shards: repeat item %d stats = %+v; want full cache hit", shards, i, qs)
 			}
+		}
+	}
+}
+
+// TestMixedBatchCostsNoMoreThanSingles: a cold batch mixing skyline,
+// top-k and range items over one query graph runs each item on the path
+// its kind fixes — the path its dedicated endpoint takes — never on a
+// complete build it did not ask for, so no item evaluates more pairs than
+// the same item sent alone. Skyline workers share a running front, so one
+// processor makes those counts reproducible; the top-k scan shares one
+// threshold across the shards, so how many candidates it spares depends
+// on which shard gets ahead, and its item is held to the ranked path
+// instead of to an exact count.
+func TestMixedBatchCostsNoMoreThanSingles(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	gs := testutil.SeededGraphs(25, 240)
+	q := testutil.SeededQueries(26, gs, 1)[0]
+	radius := 3.0
+	items := []BatchQuery{
+		{Kind: "skyline", QueryRequest: QueryRequest{Graph: q}},
+		{Kind: "topk", QueryRequest: QueryRequest{Graph: q, K: 5}},
+		{Kind: "range", QueryRequest: QueryRequest{Graph: q, Radius: &radius}},
+		{Kind: "skyline", QueryRequest: QueryRequest{Graph: q}},
+	}
+
+	_, tsBatch := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, gs)
+	var batch BatchResponse
+	postJSON(t, tsBatch.URL+"/query/batch", BatchRequest{Queries: items}, &batch)
+	if batch.Stats.Errors != 0 || len(batch.Results) != len(items) {
+		t.Fatalf("mixed batch: %+v", batch)
+	}
+	if batch.Stats.Evaluated >= len(gs) {
+		t.Fatalf("mixed batch evaluated %d of %d graphs: a complete build", batch.Stats.Evaluated, len(gs))
+	}
+
+	_, tsSingle := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, gs)
+	for i, it := range items {
+		var single struct{ Stats QueryStats }
+		if r := postJSON(t, tsSingle.URL+"/query/"+it.Kind, it.QueryRequest, &single); r.StatusCode != http.StatusOK {
+			t.Fatalf("single %s: status %d", it.Kind, r.StatusCode)
+		}
+		got := batch.Results[i].stats()
+		if it.Kind == "topk" {
+			if got.Pruned == 0 || got.Evaluated+got.Pruned != len(gs) {
+				t.Fatalf("batch topk did not run its own ranked scan: %+v", got)
+			}
+			continue
+		}
+		if got.Evaluated > single.Stats.Evaluated {
+			t.Fatalf("batch item %d (%s) evaluated %d pairs; sent alone it evaluated %d",
+				i, it.Kind, got.Evaluated, single.Stats.Evaluated)
 		}
 	}
 }

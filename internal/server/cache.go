@@ -69,7 +69,7 @@ type tableLineage struct {
 	eval  measure.Options
 }
 
-// rankedEntry is a cached pruned ranked answer: the merged items of one
+// rankedEntry is a cached ranked answer: the merged items of one
 // (kind, measure, k-or-radius) query over all shards. It lives in its
 // own key namespace (RankedKey) so it can never shadow — or be returned
 // for — a full-table lookup. lin carries the maintenance lineage;
@@ -101,7 +101,7 @@ func (e *cacheEntry) stale(shard int, gen uint64) bool {
 }
 
 // NewCache returns an LRU holding at most capacity tables. Capacity < 1
-// disables caching (every Get misses, Put is a no-op).
+// disables caching (every lookup misses, put is a no-op).
 func NewCache(capacity int) *Cache {
 	return &Cache{lru: lru.New[*cacheEntry](capacity)}
 }
@@ -118,7 +118,7 @@ func CacheKey(shard int, generation uint64, queryHash string, basis []measure.Me
 // full-table, top-k or range lookup — hence the separate namespace.
 func prunedKey(full string) string { return full + "|pruned" }
 
-// RankedKey renders the cache key of a pruned ranked answer: the merged
+// RankedKey renders the cache key of a ranked answer: the merged
 // result of one (kind, measure, k/radius) query, bound to the canonical
 // query hash, the engine budgets and every shard's generation. The
 // basis does not participate — a ranked answer depends only on its
@@ -134,45 +134,10 @@ func RankedKey(kind string, gens []uint64, queryHash string, m measure.Measure, 
 		strconv.FormatFloat(arg, 'g', -1, 64), eval.Key())
 }
 
-// Get returns the cached table for key, marking it most recently used.
-func (c *Cache) Get(key string) (*gdb.VectorTable, bool) {
-	return c.get(key, false)
-}
-
-// getRecheck is Get for a lookup that re-checks a key already counted
-// as a miss: absence is not counted again (presence still counts as a
-// hit, since the caller serves the table without evaluating).
-func (c *Cache) getRecheck(key string) (*gdb.VectorTable, bool) {
-	return c.get(key, true)
-}
-
-func (c *Cache) get(key string, quiet bool) (*gdb.VectorTable, bool) {
-	e, ok := c.lookup(key, quiet)
-	if !ok {
-		return nil, false
-	}
-	return e.table, true
-}
-
-// GetRanked returns the cached ranked answer for key, marking it most
-// recently used.
-func (c *Cache) GetRanked(key string) (*rankedEntry, bool) {
-	return c.getRanked(key, false)
-}
-
-// getRankedRecheck is GetRanked for a lookup already counted as a miss.
-func (c *Cache) getRankedRecheck(key string) (*rankedEntry, bool) {
-	return c.getRanked(key, true)
-}
-
-func (c *Cache) getRanked(key string, quiet bool) (*rankedEntry, bool) {
-	e, ok := c.lookup(key, quiet)
-	if !ok {
-		return nil, false
-	}
-	return e.ranked, true
-}
-
+// lookup returns the entry cached under key, marking it most recently
+// used. Presence counts as a hit; absence counts as a miss unless quiet
+// — a re-check of a key already counted, or a lookup whose miss is not
+// the request's miss.
 func (c *Cache) lookup(key string, quiet bool) (*cacheEntry, bool) {
 	e, ok := c.lru.Get(key)
 	if !ok {
@@ -189,20 +154,10 @@ func (c *Cache) lookup(key string, quiet bool) (*cacheEntry, bool) {
 // the hit/miss counters — a planning peek, not a lookup.
 func (c *Cache) contains(key string) bool { return c.lru.Contains(key) }
 
-// Put stores shard's table under key, evicting the least recently used
-// entry when the cache is full.
-func (c *Cache) Put(key string, shard int, t *gdb.VectorTable) {
-	c.put(key, &cacheEntry{shard: shard, table: t})
-}
-
+// put stores e under key, evicting the least recently used entry when
+// the cache is full.
 func (c *Cache) put(key string, e *cacheEntry) {
 	c.evictions.Add(uint64(c.lru.Put(key, e)))
-}
-
-// PutRanked stores a ranked answer computed at the given per-shard
-// generations under key (one cache slot, like a table).
-func (c *Cache) PutRanked(key string, gens []uint64, r *rankedEntry) {
-	c.put(key, &cacheEntry{shard: -1, gens: gens, ranked: r})
 }
 
 // deltaCandidate is one cached entry a mutation may be able to upgrade

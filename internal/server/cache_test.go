@@ -12,16 +12,21 @@ func tableAt(gen uint64) *gdb.VectorTable {
 	return &gdb.VectorTable{Generation: gen, Basis: measure.Default()}
 }
 
+// putTable stores a bare shard table under key.
+func putTable(c *Cache, key string, shard int, t *gdb.VectorTable) {
+	c.put(key, &cacheEntry{shard: shard, table: t})
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(4)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.lookup("a", false); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	tab := tableAt(1)
-	c.Put("a", 0, tab)
-	got, ok := c.Get("a")
-	if !ok || got != tab {
-		t.Fatalf("Get(a) = %v, %v; want stored table", got, ok)
+	putTable(c, "a", 0, tab)
+	got, ok := c.lookup("a", false)
+	if !ok || got.table != tab {
+		t.Fatalf("lookup(a) = %v, %v; want stored table", got, ok)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
@@ -31,17 +36,17 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", 0, tableAt(1))
-	c.Put("b", 0, tableAt(1))
-	c.Get("a") // a is now more recent than b
-	c.Put("c", 0, tableAt(1))
-	if _, ok := c.Get("b"); ok {
+	putTable(c, "a", 0, tableAt(1))
+	putTable(c, "b", 0, tableAt(1))
+	c.lookup("a", false) // a is now more recent than b
+	putTable(c, "c", 0, tableAt(1))
+	if _, ok := c.lookup("b", false); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.lookup("a", false); !ok {
 		t.Fatal("a should have survived eviction")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.lookup("c", false); !ok {
 		t.Fatal("c should be cached")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -51,31 +56,31 @@ func TestCacheEvictsLRU(t *testing.T) {
 
 func TestCachePutExistingRefreshes(t *testing.T) {
 	c := NewCache(2)
-	c.Put("a", 0, tableAt(1))
-	c.Put("b", 0, tableAt(1))
-	c.Put("a", 0, tableAt(2)) // refresh, not a new entry
-	c.Put("c", 0, tableAt(1))
-	if _, ok := c.Get("b"); ok {
+	putTable(c, "a", 0, tableAt(1))
+	putTable(c, "b", 0, tableAt(1))
+	putTable(c, "a", 0, tableAt(2)) // refresh, not a new entry
+	putTable(c, "c", 0, tableAt(1))
+	if _, ok := c.lookup("b", false); ok {
 		t.Fatal("b should be evicted: a was refreshed to most recent")
 	}
-	got, ok := c.Get("a")
-	if !ok || got.Generation != 2 {
+	got, ok := c.lookup("a", false)
+	if !ok || got.table.Generation != 2 {
 		t.Fatalf("a should hold the refreshed table, got %+v, %v", got, ok)
 	}
 }
 
 func TestCachePruneStale(t *testing.T) {
 	c := NewCache(8)
-	c.Put("g1-a", 0, tableAt(1))
-	c.Put("g1-b", 0, tableAt(1))
-	c.Put("g2-a", 0, tableAt(2))
+	putTable(c, "g1-a", 0, tableAt(1))
+	putTable(c, "g1-b", 0, tableAt(1))
+	putTable(c, "g2-a", 0, tableAt(2))
 	if dropped := c.PruneStale(0, 2); dropped != 2 {
 		t.Fatalf("PruneStale dropped %d; want 2", dropped)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("len = %d after prune; want 1", c.Len())
 	}
-	if _, ok := c.Get("g2-a"); !ok {
+	if _, ok := c.lookup("g2-a", false); !ok {
 		t.Fatal("current-generation entry must survive pruning")
 	}
 	if st := c.Stats(); st.Invalidations != 2 {
@@ -87,11 +92,11 @@ func TestCachePruneStaleKeepsNewer(t *testing.T) {
 	// A handler racing with a later mutation may call PruneStale with a
 	// stale (smaller) generation; entries newer than it must survive.
 	c := NewCache(8)
-	c.Put("g2-a", 0, tableAt(2))
+	putTable(c, "g2-a", 0, tableAt(2))
 	if dropped := c.PruneStale(0, 1); dropped != 0 {
 		t.Fatalf("PruneStale(1) dropped %d newer entries; want 0", dropped)
 	}
-	if _, ok := c.Get("g2-a"); !ok {
+	if _, ok := c.lookup("g2-a", false); !ok {
 		t.Fatal("newer-generation entry must survive a stale prune")
 	}
 
@@ -107,10 +112,10 @@ func TestCachePruneStaleKeepsNewer(t *testing.T) {
 	if dropped := c.PruneStale(0, 3); dropped != 0 {
 		t.Fatalf("PruneStale(3) dropped %d entries at its own generation; want 0", dropped)
 	}
-	if _, ok := c.Get("g3-a"); !ok {
+	if _, ok := c.lookup("g3-a", false); !ok {
 		t.Fatal("delta-upgraded entry must survive prunes at or below its generation")
 	}
-	if _, ok := c.Get("g2-a"); ok {
+	if _, ok := c.lookup("g2-a", false); ok {
 		t.Fatal("promote must retire the old key")
 	}
 	if st := c.Stats(); st.DeltaApplied != 1 {
@@ -120,8 +125,8 @@ func TestCachePruneStaleKeepsNewer(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
-	c.Put("a", 0, tableAt(1))
-	if _, ok := c.Get("a"); ok {
+	putTable(c, "a", 0, tableAt(1))
+	if _, ok := c.lookup("a", false); ok {
 		t.Fatal("capacity-0 cache must never hit")
 	}
 	if c.Len() != 0 {
@@ -150,7 +155,7 @@ func TestCacheKeyDistinguishesInputs(t *testing.T) {
 func TestCacheManyEntriesBounded(t *testing.T) {
 	c := NewCache(16)
 	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("k%d", i), 0, tableAt(1))
+		putTable(c, fmt.Sprintf("k%d", i), 0, tableAt(1))
 	}
 	if c.Len() != 16 {
 		t.Fatalf("len = %d; want capacity 16", c.Len())
@@ -161,15 +166,15 @@ func TestCachePruneStaleIsPerShard(t *testing.T) {
 	// Entries of other shards survive a prune no matter how old their
 	// generation is — that is the point of per-shard invalidation.
 	c := NewCache(8)
-	c.Put("s0-old", 0, tableAt(1))
-	c.Put("s1-old", 1, tableAt(1))
+	putTable(c, "s0-old", 0, tableAt(1))
+	putTable(c, "s1-old", 1, tableAt(1))
 	if dropped := c.PruneStale(0, 5); dropped != 1 {
 		t.Fatalf("PruneStale(0, 5) dropped %d; want 1", dropped)
 	}
-	if _, ok := c.Get("s1-old"); !ok {
+	if _, ok := c.lookup("s1-old", false); !ok {
 		t.Fatal("shard 1 entry must survive a shard 0 prune")
 	}
-	if _, ok := c.Get("s0-old"); ok {
+	if _, ok := c.lookup("s0-old", false); ok {
 		t.Fatal("shard 0 entry must be pruned")
 	}
 }

@@ -59,13 +59,11 @@ func (s *Server) deltaDelete(name string, shard int, gen uint64) {
 // fallback-to-invalidation path for everything the proofs do not
 // cover. Exactly one of inserted / deleted is set.
 func (s *Server) maintain(shard int, gen uint64, inserted *graph.Graph, deleted string) {
-	if !s.cfg.DisableDelta {
-		for _, cand := range s.cache.deltaCandidates(shard, gen) {
-			if cand.e.shard >= 0 {
-				s.upgradeTable(cand, shard, gen, inserted, deleted)
-			} else {
-				s.upgradeRanked(cand, shard, gen, inserted, deleted)
-			}
+	for _, cand := range s.cache.deltaCandidates(shard, gen) {
+		if cand.e.shard >= 0 {
+			s.upgradeTable(cand, shard, gen, inserted, deleted)
+		} else {
+			s.upgradeRanked(cand, shard, gen, inserted, deleted)
 		}
 	}
 	s.cache.PruneStale(shard, gen)

@@ -64,7 +64,6 @@ func TestDeltaMatchesColdRecompute(t *testing.T) {
 	}
 	queries := testutil.SeededQueries(403, base, 2)
 	radius := 4.0
-	noPrune := false
 
 	for _, shards := range []int{1, 2, 3, 7} {
 		for _, mode := range []string{"plain", "pivot-memo", "vector"} {
@@ -92,10 +91,10 @@ func TestDeltaMatchesColdRecompute(t *testing.T) {
 				next := 0
 				for round := 0; round < 6; round++ {
 					// Warm cached state so the mutation has something to
-					// maintain: complete tables (unpruned skyline) plus
+					// maintain: complete tables ("all" skyline) plus
 					// ranked answers.
 					for _, q := range queries {
-						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &SkylineResponse{})
+						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &SkylineResponse{})
 						postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &TopKResponse{})
 						postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius}, &RangeResponse{})
 					}
@@ -116,7 +115,7 @@ func TestDeltaMatchesColdRecompute(t *testing.T) {
 					for qi, q := range queries {
 						label := fmt.Sprintf("shards=%d mode=%s round=%d q=%d", shards, mode, round, qi)
 						var sky SkylineResponse
-						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &sky)
+						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &sky)
 						testutil.RequireSameSkyline(t, label+"/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
 						scores := testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{})
 
@@ -134,46 +133,5 @@ func TestDeltaMatchesColdRecompute(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestDeltaDisabledStillCorrect: the same interleaving with delta
-// maintenance off must also match cold recomputes — DisableDelta is a
-// performance A/B switch, never a correctness one — and must count
-// every mutation-driven drop as a fallback.
-func TestDeltaDisabledStillCorrect(t *testing.T) {
-	base := testutil.SeededGraphs(411, 16)
-	q := testutil.SeededQueries(412, base, 1)[0]
-	noPrune := false
-	db := gdb.NewSharded(2)
-	if err := db.InsertAll(base); err != nil {
-		t.Fatal(err)
-	}
-	s := New(db, Config{CacheSize: 64, DisableDelta: true})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	live := append([]*graph.Graph(nil), base...)
-	extra := testutil.SeededGraphs(413, 1)[0]
-	extra.SetName("late")
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &SkylineResponse{})
-	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &TopKResponse{})
-	postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: extra}, &InsertResponse{})
-	live = append(live, extra)
-
-	var sky SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &sky)
-	testutil.RequireSameSkyline(t, "nodelta/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
-	var tk TopKResponse
-	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &tk)
-	wantTK := testutil.ReferenceTopK(testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{}), 3)
-	testutil.RequireSameItems(t, "nodelta/topk", wantTK, wireItems(tk.Items))
-
-	st := s.cache.Stats()
-	if st.DeltaApplied != 0 {
-		t.Fatalf("DisableDelta applied %d deltas", st.DeltaApplied)
-	}
-	if st.DeltaFallbacks == 0 {
-		t.Fatalf("mutation with DisableDelta recorded no fallbacks: %+v", st)
 	}
 }

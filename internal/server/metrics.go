@@ -120,8 +120,6 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.work.load().VectorSkipped) })
 	reg.CounterFunc("skygraph_vector_fallbacks_total", "Shard snapshots a stale vector partition could not serve.",
 		func() float64 { return float64(s.work.load().VectorFallbacks) })
-	reg.CounterFunc("skygraph_inflight_rejected_total", "Evaluations rejected at the inflight limit.",
-		func() float64 { return float64(s.rejected.Load()) })
 	reg.CounterFunc("skygraph_load_shed_total", "Queries refused with 429 at the inflight-query cap.",
 		func() float64 { return float64(s.shed.Load()) })
 	reg.CounterFunc("skygraph_degraded_rejects_total", "Mutations refused with 503 in degraded-readonly mode.",

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +13,7 @@ import (
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/pivot"
+	"skygraph/internal/testutil"
 )
 
 // newPivotTestServer serves the paper DB across nshards shards with the
@@ -143,6 +147,33 @@ func TestWarmEndpoint(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/cache/warm", map[string]any{"queries": []map[string]any{}}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty warm request: status %d", resp.StatusCode)
+	}
+}
+
+// TestWarmEvaluationErrorsCounted: a warm item whose table build fails
+// (here: the request context is already canceled) reports its error in
+// place and counts in requests.errors, as a failed resolve or a failed
+// batch item does.
+func TestWarmEvaluationErrorsCounted(t *testing.T) {
+	s, _ := newShardedTestServerWith(t, 1, Config{CacheSize: 32}, testutil.SeededGraphs(41, 40))
+	body, err := json.Marshal(WarmRequest{Queries: []QueryRequest{{Graph: dataset.PaperQuery()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/cache/warm", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	var wr WarmResponse
+	if err := json.NewDecoder(rec.Body).Decode(&wr); err != nil {
+		t.Fatalf("warm answer (status %d): %v", rec.Code, err)
+	}
+	if len(wr.Results) != 1 || wr.Results[0].Error == "" {
+		t.Fatalf("canceled warm item did not fail: %+v", wr)
+	}
+	if got := s.errors.Load(); got != 1 {
+		t.Fatalf("requests.errors = %d after a failed warm item; want 1", got)
 	}
 }
 

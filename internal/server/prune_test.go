@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
+	"skygraph/internal/measure"
 	"skygraph/internal/testutil"
 )
 
@@ -25,30 +27,31 @@ func newShardedTestServerWith(t *testing.T, nshards int, cfg Config, gs []*graph
 	return s, ts
 }
 
-// TestSkylinePrunesByDefaultAndMatchesFull: the default skyline path
-// runs filter-and-refine, reports pruned in the wire stats, and returns
-// exactly the skyline a forced-full evaluation returns — across shard
-// counts, including the harness's seeded databases.
+// TestSkylinePrunesByDefaultAndMatchesFull: an "all" skyline request
+// returns the reference table and skyline, and a default request after
+// it is served from the complete tables it cached — across shard counts,
+// including the harness's seeded databases.
 func TestSkylinePrunesByDefaultAndMatchesFull(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
 	for _, shards := range []int{1, 2, 3, 7} {
 		_, ts := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
 		for qi, q := range append(testutil.SeededQueries(77, gs, 2), dataset.PaperQuery()) {
-			noPrune := false
+			label := fmt.Sprintf("shards=%d q=%d", shards, qi)
+			want := testutil.ReferenceSkyline(gs, q, measure.Options{})
 			var full SkylineResponse
-			r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &full)
-			if r.StatusCode != http.StatusOK {
-				t.Fatalf("shards=%d q=%d: full status %d", shards, qi, r.StatusCode)
+			if r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &full); r.StatusCode != http.StatusOK {
+				t.Fatalf("%s: all status %d", label, r.StatusCode)
 			}
+			testutil.RequireSameSkyline(t, label+"/all", want, wirePoints(full.Skyline))
+			testutil.RequireSameSkyline(t, label+"/table", testutil.ReferenceTable(gs, q, measure.Options{}), wirePoints(full.All))
 			var pruned SkylineResponse
-			r = postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &pruned)
-			if r.StatusCode != http.StatusOK {
-				t.Fatalf("shards=%d q=%d: pruned status %d", shards, qi, r.StatusCode)
+			if r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &pruned); r.StatusCode != http.StatusOK {
+				t.Fatalf("%s: pruned status %d", label, r.StatusCode)
 			}
-			// The full table is warm, so the default request is served
+			// The complete table is warm, so the default request is served
 			// from it (a complete table answers skyline queries too).
 			if !pruned.Stats.CacheHit {
-				t.Fatalf("shards=%d q=%d: pruned query missed the warm full table", shards, qi)
+				t.Fatalf("%s: pruned query missed the warm full table", label)
 			}
 			requireSameSkylineJSON(t, shards, qi, full.Skyline, pruned.Skyline)
 		}
@@ -56,35 +59,26 @@ func TestSkylinePrunesByDefaultAndMatchesFull(t *testing.T) {
 }
 
 // TestSkylinePrunedColdPathMatchesFull: cold pruned builds (no warm
-// full table) must produce the same skyline and account for every
+// full table) must produce the reference skyline and account for every
 // graph.
 func TestSkylinePrunedColdPathMatchesFull(t *testing.T) {
 	gs := testutil.SeededGraphs(9, 20)
 	q := testutil.SeededQueries(99, gs, 1)[0]
+	want := testutil.ReferenceSkyline(gs, q, measure.Options{})
 	for _, shards := range []int{1, 3} {
-		// Separate servers so neither run sees the other's cache.
-		_, tsPruned := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
-		_, tsFull := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
-
+		_, ts := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
 		var pruned SkylineResponse
-		postJSON(t, tsPruned.URL+"/query/skyline", QueryRequest{Graph: q}, &pruned)
-		noPrune := false
-		var full SkylineResponse
-		postJSON(t, tsFull.URL+"/query/skyline", QueryRequest{Graph: q, Prune: &noPrune}, &full)
-
+		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &pruned)
 		if pruned.Stats.Evaluated+pruned.Stats.Pruned != len(gs) {
 			t.Fatalf("shards=%d: evaluated %d + pruned %d != %d graphs",
 				shards, pruned.Stats.Evaluated, pruned.Stats.Pruned, len(gs))
 		}
-		if full.Stats.Pruned != 0 || full.Stats.Evaluated != len(gs) {
-			t.Fatalf("shards=%d: full run stats = %+v", shards, full.Stats)
-		}
-		requireSameSkylineJSON(t, shards, 0, full.Skyline, pruned.Skyline)
+		testutil.RequireSameSkyline(t, fmt.Sprintf("shards=%d", shards), want, wirePoints(pruned.Skyline))
 
 		// A later ranking query on the pruned-only server still answers
-		// (it builds the complete table it needs).
+		// (through its own ranked scan).
 		var tk TopKResponse
-		r := postJSON(t, tsPruned.URL+"/query/topk", QueryRequest{Graph: q, K: 3, Measure: "DistEd"}, &tk)
+		r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3, Measure: "DistEd"}, &tk)
 		if r.StatusCode != http.StatusOK || len(tk.Items) != 3 {
 			t.Fatalf("shards=%d: topk after pruned skyline: status %d items %d", shards, r.StatusCode, len(tk.Items))
 		}

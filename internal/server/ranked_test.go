@@ -1,81 +1,73 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"reflect"
 	"testing"
 
 	"skygraph/internal/dataset"
+	"skygraph/internal/graph"
 	"skygraph/internal/measure"
 	"skygraph/internal/testutil"
 )
 
-// TestRankedPrunesByDefaultAndMatchesFull: the default topk and range
-// paths run the best-first bound-index evaluation and return items —
-// scores and tie-order — identical to a forced-full (prune=false)
-// evaluation, across shard counts and measures, on the HTTP path.
+// TestRankedPrunesByDefaultAndMatchesFull: topk and range run the
+// best-first bound-index evaluation and return items — scores and
+// tie-order — identical to the leaf-function reference, across shard
+// counts and measures, on the HTTP path; once an "all" skyline has built
+// the complete tables, a new ranked request is served from them.
 func TestRankedPrunesByDefaultAndMatchesFull(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(6, 15)...)
 	radius := 4.0
-	noPrune := false
 	for _, shards := range []int{1, 2, 3, 7} {
-		for _, m := range []string{"DistEd", "DistGu"} {
+		for _, name := range []string{"DistEd", "DistGu"} {
+			m, err := measure.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			_, ts := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
 			for qi, q := range append(testutil.SeededQueries(88, gs, 2), dataset.PaperQuery()) {
-				var full TopKResponse
-				r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: m, Prune: &noPrune}, &full)
-				if r.StatusCode != http.StatusOK {
-					t.Fatalf("shards=%d m=%s q=%d: full status %d", shards, m, qi, r.StatusCode)
+				label := fmt.Sprintf("shards=%d m=%s q=%d", shards, name, qi)
+				scores := testutil.ReferenceScores(gs, q, m, measure.Options{})
+				var tk TopKResponse
+				if r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: name}, &tk); r.StatusCode != http.StatusOK {
+					t.Fatalf("%s: topk status %d", label, r.StatusCode)
 				}
-				var pruned TopKResponse
-				r = postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: m}, &pruned)
-				if r.StatusCode != http.StatusOK {
-					t.Fatalf("shards=%d m=%s q=%d: pruned status %d", shards, m, qi, r.StatusCode)
-				}
-				if !reflect.DeepEqual(full.Items, pruned.Items) {
-					t.Fatalf("shards=%d m=%s q=%d: topk differs:\nfull   %v\npruned %v",
-						shards, m, qi, full.Items, pruned.Items)
-				}
-				// The full tables are warm from the prune=false request,
-				// so the pruned request is served from them.
-				if !pruned.Stats.CacheHit || pruned.Stats.Evaluated != 0 {
-					t.Fatalf("shards=%d m=%s q=%d: pruned topk missed the warm full tables: %+v",
-						shards, m, qi, pruned.Stats)
-				}
-				var fullR, prunedR RangeResponse
-				postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: m, Prune: &noPrune}, &fullR)
-				postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: m}, &prunedR)
-				if !reflect.DeepEqual(fullR.Items, prunedR.Items) {
-					t.Fatalf("shards=%d m=%s q=%d: range differs:\nfull   %v\npruned %v",
-						shards, m, qi, fullR.Items, prunedR.Items)
+				testutil.RequireSameItems(t, label+"/topk", testutil.ReferenceTopK(scores, 4), wireItems(tk.Items))
+				var rg RangeResponse
+				postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: name}, &rg)
+				testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(scores, radius), wireItems(rg.Items))
+
+				postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &SkylineResponse{})
+				var warm TopKResponse
+				postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5, Measure: name}, &warm)
+				testutil.RequireSameItems(t, label+"/warm-topk", testutil.ReferenceTopK(scores, 5), wireItems(warm.Items))
+				if !warm.Stats.CacheHit || warm.Stats.Evaluated != 0 {
+					t.Fatalf("%s: topk missed the complete tables: %+v", label, warm.Stats)
 				}
 			}
 		}
 	}
 }
 
-// TestRankedColdPathMatchesFull: cold pruned ranked evaluations (no
-// warm tables anywhere) account for every graph and agree with the
-// full path computed on a separate server.
+// TestRankedColdPathMatchesFull: cold ranked evaluations (no warm tables
+// anywhere) account for every graph and agree with the reference.
 func TestRankedColdPathMatchesFull(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(9, 12)...)
-	noPrune := false
+	q := dataset.PaperQuery()
+	want := testutil.ReferenceTopK(testutil.ReferenceScores(gs, q, measure.DistEd{}, measure.Options{}), 5)
 	for _, shards := range []int{1, 3} {
-		_, tsFull := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
-		_, tsPruned := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
-		q := dataset.PaperQuery()
-		var full, pruned TopKResponse
-		postJSON(t, tsFull.URL+"/query/topk", QueryRequest{Graph: q, K: 5, Prune: &noPrune}, &full)
-		postJSON(t, tsPruned.URL+"/query/topk", QueryRequest{Graph: q, K: 5}, &pruned)
-		if !reflect.DeepEqual(full.Items, pruned.Items) {
-			t.Fatalf("shards=%d: cold topk differs:\nfull   %v\npruned %v", shards, full.Items, pruned.Items)
+		_, ts := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
+		var tk TopKResponse
+		postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5}, &tk)
+		testutil.RequireSameItems(t, fmt.Sprintf("shards=%d", shards), want, wireItems(tk.Items))
+		if tk.Stats.CacheHit {
+			t.Fatalf("shards=%d: cold topk claims a cache hit", shards)
 		}
-		if pruned.Stats.CacheHit {
-			t.Fatalf("shards=%d: cold pruned topk claims a cache hit", shards)
-		}
-		if got := pruned.Stats.Evaluated + pruned.Stats.Pruned; got != len(gs) {
+		if got := tk.Stats.Evaluated + tk.Stats.Pruned; got != len(gs) {
 			t.Fatalf("shards=%d: evaluated %d + pruned %d != %d",
-				shards, pruned.Stats.Evaluated, pruned.Stats.Pruned, len(gs))
+				shards, tk.Stats.Evaluated, tk.Stats.Pruned, len(gs))
 		}
 	}
 }
@@ -127,8 +119,7 @@ func TestRankedNeverShadowsFullTable(t *testing.T) {
 
 // TestRankedMaintainedAcrossMutation: inserting a graph no longer
 // discards a cached ranked answer — the delta layer upgrades it in
-// place, and the patched answer matches a cold recompute exactly. With
-// delta maintenance disabled, the insert falls back to invalidation.
+// place, and the patched answer matches a cold recompute exactly.
 func TestRankedMaintainedAcrossMutation(t *testing.T) {
 	_, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, dataset.PaperDB())
 	q := dataset.PaperQuery()
@@ -155,30 +146,40 @@ func TestRankedMaintainedAcrossMutation(t *testing.T) {
 	}
 }
 
-// TestRankedInvalidatedByMutationWithDeltaOff: with delta maintenance
-// disabled, a mutation falls back to generation invalidation and the
-// next ranked query rescans everything.
-func TestRankedInvalidatedByMutationWithDeltaOff(t *testing.T) {
-	_, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64, DisableDelta: true}, dataset.PaperDB())
+// TestRankedFallsBackWhenMemberDeleted: deleting a member of a cached
+// top-k answer is a mutation the delta proofs cannot cover (the k+1-th
+// best is unknown), so the entry falls back to invalidation and the next
+// ranked query rescans the live graphs.
+func TestRankedFallsBackWhenMemberDeleted(t *testing.T) {
+	s, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var first TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &first)
-	extra := testutil.SeededGraphs(33, 1)
-	extra[0].SetName("late-arrival")
-	postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: extra[0]}, &InsertResponse{})
+	victim := first.Items[0].ID
+	deleteGraph(t, ts.URL+"/graphs/"+victim)
+	if st := s.cache.Stats(); st.DeltaFallbacks == 0 {
+		t.Fatalf("deleting top-k member %s recorded no fallback: %+v", victim, st)
+	}
 	var second TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &second)
 	if second.Stats.CacheHit {
-		t.Fatalf("pruned topk after insert served stale cache: %+v", second.Stats)
+		t.Fatalf("topk after deleting a member served stale cache: %+v", second.Stats)
 	}
-	if got := second.Stats.Evaluated + second.Stats.Pruned; got != len(dataset.PaperDB())+1 {
-		t.Fatalf("post-insert scan accounted %d graphs; want %d", got, len(dataset.PaperDB())+1)
+	if got := second.Stats.Evaluated + second.Stats.Pruned; got != len(dataset.PaperDB())-1 {
+		t.Fatalf("post-delete scan accounted %d graphs; want %d", got, len(dataset.PaperDB())-1)
 	}
+	var live []*graph.Graph
+	for _, g := range dataset.PaperDB() {
+		if g.Name() != victim {
+			live = append(live, g)
+		}
+	}
+	want := testutil.ReferenceTopK(testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{}), 3)
+	testutil.RequireSameItems(t, "post-delete topk", want, wireItems(second.Items))
 }
 
-// TestBatchRankedMixedKinds: a batch mixing pruned skyline and ranked
-// items over the same query coalesces onto full builds (no double
-// evaluation), while a pure-ranked batch keeps the pruned path.
+// TestBatchRankedMixedKinds: a pure-ranked batch runs best-first scans
+// and answers exactly as the reference does.
 func TestBatchRankedMixedKinds(t *testing.T) {
 	gs := dataset.PaperDB()
 	_, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, gs)

@@ -30,28 +30,17 @@ type Config struct {
 	// CacheSize is the vector-table LRU capacity (entries; < 1 disables).
 	// Each (shard, query) pair occupies one entry.
 	CacheSize int
-	// Workers is the pair-evaluation parallelism per shard per query
-	// (0 = GOMAXPROCS spread evenly across the shards).
-	Workers int
 	// DefaultTimeout bounds a query when the request does not ask for a
 	// timeout (0 = no default).
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request-supplied timeouts (0 = no clamp).
 	MaxTimeout time.Duration
-	// MaxInflight caps concurrently evaluating shard tables; excess
-	// builds are rejected with 503 rather than queued (0 = unlimited).
-	// With N shards a single cold query can occupy up to N slots, so
-	// set this to at least the shard count.
-	MaxInflight int
 	// DefaultEval bounds the exact engines when the request does not
 	// carry its own options.
 	DefaultEval measure.Options
 	// MaxBatch caps the number of queries in one /query/batch request
 	// (0 = DefaultMaxBatch).
 	MaxBatch int
-	// BatchWorkers caps how many batch queries execute concurrently
-	// (0 = GOMAXPROCS).
-	BatchWorkers int
 	// SlowQueryThreshold emits a structured log line for every query
 	// whose server-side wall time reaches it (0 = disabled). Batch items
 	// are judged individually.
@@ -79,23 +68,18 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxInflightQueries caps concurrently executing query, batch and
 	// warm requests; excess requests are shed with 429 + Retry-After
-	// before any decoding or evaluation (0 = unlimited). This is
-	// admission control at the front door — MaxInflight above still
-	// bounds the expensive table builds behind it.
+	// before any decoding or evaluation (0 = unlimited). It is the
+	// server's one admission gate: an admitted request always evaluates.
 	MaxInflightQueries int
 	// FaultAdmin mounts GET/POST /admin/fault for configuring the
 	// failpoint registry over HTTP. Test and chaos tooling only — never
 	// enable it on a daemon you care about.
 	FaultAdmin bool
-	// IdempotencyCapacity is the number of recently acknowledged
-	// mutation keys remembered for replay (0 = 4096; < 0 disables).
-	IdempotencyCapacity int
-	// DisableDelta turns off delta maintenance of cached tables and
-	// ranked answers: every mutation falls back to generation-keyed
-	// invalidation (the pre-delta behavior). An A/B lever for
-	// benchmarks and triage; answers are byte-identical either way.
-	DisableDelta bool
 }
+
+// idemCapacity is the number of recently acknowledged mutation keys
+// remembered for replay.
+const idemCapacity = 4096
 
 // Server serves similarity queries over a sharded graph database with a
 // per-shard vector-table cache in front of pair evaluation. Create with
@@ -105,7 +89,6 @@ type Server struct {
 	cache  *Cache
 	cfg    Config
 	start  time.Time
-	sem    chan struct{}
 	met    *metrics
 	health *health
 
@@ -133,7 +116,6 @@ type Server struct {
 	deletes         atomic.Uint64
 	errors          atomic.Uint64
 	timeouts        atomic.Uint64
-	rejected        atomic.Uint64
 	shed            atomic.Uint64
 	degradedRejects atomic.Uint64
 	// work totals every fresh evaluation's counters (table builds and
@@ -161,13 +143,8 @@ func (t *workTotals) load() gdb.Work {
 	return t.w
 }
 
-// New returns a Server over db. MaxInflight below the shard count is
-// raised to it: one cold query needs a slot per shard, so a smaller
-// limit would 503 every cold query on an idle server.
+// New returns a Server over db.
 func New(db *gdb.Sharded, cfg Config) *Server {
-	if cfg.MaxInflight > 0 && cfg.MaxInflight < db.NumShards() {
-		cfg.MaxInflight = db.NumShards()
-	}
 	s := &Server{
 		db:     db,
 		cache:  NewCache(cfg.CacheSize),
@@ -179,15 +156,8 @@ func New(db *gdb.Sharded, cfg Config) *Server {
 	if s.slowW == nil {
 		s.slowW = os.Stderr
 	}
-	if cfg.MaxInflight > 0 {
-		s.sem = make(chan struct{}, cfg.MaxInflight)
-	}
-	idemCap := cfg.IdempotencyCapacity
-	if idemCap == 0 {
-		idemCap = 4096
-	}
-	s.idem = lru.New[idemRecord](idemCap)
-	s.idemProg = lru.New[map[string]bool](idemCap)
+	s.idem = lru.New[idemRecord](idemCapacity)
+	s.idemProg = lru.New[map[string]bool](idemCapacity)
 	s.seedIdempotency()
 	s.health = newHealth(cfg.Durable, cfg.DegradeAfter, cfg.ProbeEvery)
 	s.met = newMetrics(s)
@@ -264,9 +234,9 @@ func (s *Server) DB() *gdb.Sharded { return s.db }
 // traffic).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	s.route(mux, "POST /query/skyline", s.handleSkyline)
-	s.route(mux, "POST /query/topk", s.handleTopK)
-	s.route(mux, "POST /query/range", s.handleRange)
+	s.route(mux, "POST /query/skyline", s.queryHandler("skyline"))
+	s.route(mux, "POST /query/topk", s.queryHandler("topk"))
+	s.route(mux, "POST /query/range", s.queryHandler("range"))
 	s.route(mux, "POST /query/batch", s.handleBatch)
 	s.route(mux, "POST /cache/warm", s.handleWarm)
 	s.route(mux, "GET /graphs", s.handleList)
@@ -339,8 +309,6 @@ func classForCode(code int) string {
 		return ClassConflict
 	case http.StatusTooManyRequests:
 		return ClassOverloaded
-	case http.StatusServiceUnavailable:
-		return ClassUnavailable
 	case http.StatusGatewayTimeout:
 		return ClassTimeout
 	default:
@@ -357,15 +325,17 @@ func (s *Server) retryAfter() time.Duration {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	s.writeErrorClass(w, code, classForCode(code), 0, format, args...)
+	s.writeErrorClass(w, code, classForCode(code), 0, nil, format, args...)
 }
 
-// writeErrorClass writes an ErrorResponse with an explicit class and,
-// when retryAfter > 0, the Retry-After header (whole seconds, rounded
-// up per RFC 9110) plus its exact form in the body.
-func (s *Server) writeErrorClass(w http.ResponseWriter, code int, class string, retryAfter time.Duration, format string, args ...any) {
+// writeErrorClass is the one error writer: it counts the error and
+// writes an ErrorResponse with an explicit class and, when retryAfter >
+// 0, the Retry-After header (whole seconds, rounded up per RFC 9110)
+// plus its exact form in the body. partial, when set, reports what a
+// failed insert applied before it failed.
+func (s *Server) writeErrorClass(w http.ResponseWriter, code int, class string, retryAfter time.Duration, partial *PartialInsert, format string, args ...any) {
 	s.errors.Add(1)
-	resp := ErrorResponse{Error: fmt.Sprintf(format, args...), Class: class}
+	resp := ErrorResponse{Error: fmt.Sprintf(format, args...), Class: class, PartialInsert: partial}
 	if retryAfter > 0 {
 		secs := (retryAfter + time.Second - 1) / time.Second
 		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
@@ -382,7 +352,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// resolveQuery validates a query request and resolves its wire fields
+// resolved is a validated query request with its wire fields resolved
 // into engine values.
 type resolved struct {
 	q     *graph.Graph
@@ -391,24 +361,35 @@ type resolved struct {
 	m     measure.Measure // ranking measure (topk/range)
 	alg   skyline.Algorithm
 	opts  gdb.QueryOptions
-	// prune selects the filter-and-refine evaluation path: skyline-kind
-	// requests that do not ask for the full table, on a boundable basis
-	// (request field "prune" overrides). Pruned tables are cached under
-	// their own key variant because they cannot serve top-k/range/full-
-	// table requests.
+	// prune selects the filter-and-refine evaluation path. It follows
+	// from the kind alone: skyline requests prune unless they ask for the
+	// full table (all), top-k and range requests always run the
+	// best-first ranked scan. Pruned tables are cached under their own
+	// key variant because they cannot serve full-table requests.
 	prune bool
 }
 
-// tableGroup keys the set of requests answerable from the same shard
-// tables: same query graph (canonically), basis and engine budgets.
-func (res resolved) tableGroup() string {
-	return CacheKey(0, 0, res.qh, res.basis, res.opts.Eval)
-}
-
-// needMeasure selects whether the ranking measure must resolve (topk and
-// range requests).
-func (s *Server) resolveQuery(req *QueryRequest, needMeasure bool) (resolved, error) {
+// resolveQuery validates a request of the given kind ("skyline", "topk"
+// or "range") and resolves it. Every measure a request can name is a
+// built-in that measure.Rankable accepts, so ranked kinds always prune.
+func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) {
 	var res resolved
+	switch kind {
+	case "skyline":
+	case "topk":
+		if req.K < 1 {
+			return res, errors.New("k must be >= 1")
+		}
+	case "range":
+		if req.Radius == nil {
+			return res, errors.New("missing radius")
+		}
+		if *req.Radius < 0 {
+			return res, errors.New("radius must be >= 0")
+		}
+	default:
+		return res, fmt.Errorf("unknown query kind %q (want skyline, topk or range)", kind)
+	}
 	if req.Graph == nil {
 		return res, errors.New("missing query graph")
 	}
@@ -422,7 +403,7 @@ func (s *Server) resolveQuery(req *QueryRequest, needMeasure bool) (resolved, er
 	if err != nil {
 		return res, err
 	}
-	if needMeasure {
+	if kind != "skyline" {
 		name := req.Measure
 		if name == "" {
 			name = "DistEd"
@@ -447,20 +428,15 @@ func (s *Server) resolveQuery(req *QueryRequest, needMeasure bool) (resolved, er
 		return res, fmt.Errorf("unknown skyline algorithm %q (want sfs, bnl or dac)", req.Algorithm)
 	}
 
-	// Workers 0 is resolved per query in tables(), where the number of
+	// Workers is resolved per query in tables(), where the number of
 	// shards actually needing evaluation is known. The canonical query
 	// hash rides along so the score memo never re-canonicalizes.
-	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), Workers: s.cfg.Workers, QueryHash: res.qh}
-	// Every kind prunes by default when the bounds allow it: skyline
-	// requests unless the full table was asked for (boundable basis),
-	// ranking kinds whenever the ranking measure is a built-in. "prune":
-	// false opts out either way.
-	if needMeasure {
-		res.prune = measure.Rankable(res.m) && (req.Prune == nil || *req.Prune)
-	} else {
-		res.prune = !req.All && measure.Boundable(basis) &&
-			(req.Prune == nil || *req.Prune)
-	}
+	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
+	res.prune = kind != "skyline" || !req.All && measure.Boundable(basis)
+	// Every query is traced — the per-pair bookkeeping is noise next to
+	// engine work, and the cascade-stage metrics want the numbers whether
+	// or not the client asked to see them.
+	res.opts.Trace = gdb.NewQueryTrace()
 	return res, nil
 }
 
@@ -526,7 +502,7 @@ func (s *Server) admitQuery(w http.ResponseWriter) bool {
 	if s.inflightQ.Add(1) > int64(s.cfg.MaxInflightQueries) {
 		s.inflightQ.Add(-1)
 		s.shed.Add(1)
-		s.writeErrorClass(w, http.StatusTooManyRequests, ClassOverloaded, s.retryAfter(),
+		s.writeErrorClass(w, http.StatusTooManyRequests, ClassOverloaded, s.retryAfter(), nil,
 			"server is shedding load: %d queries already in flight", s.cfg.MaxInflightQueries)
 		return false
 	}
@@ -539,14 +515,87 @@ func (s *Server) releaseQuery() {
 	}
 }
 
-// flightCall is one in-progress computation — a shard table, or a
-// merged ranked answer — that concurrent identical requests wait on
-// instead of recomputing.
+// flightCall is one in-progress cache fill — a shard table or a merged
+// ranked answer — that concurrent identical requests wait on instead of
+// recomputing.
 type flightCall struct {
-	done chan struct{} // closed once the result fields are set
-	t    *gdb.VectorTable
-	ra   *rankedAnswer
+	done chan struct{} // closed once e and err are set
+	e    *cacheEntry
 	err  error
+}
+
+// coalesce is the one cache → flight → build loop behind every cached
+// answer, shard tables and merged ranked answers alike. It serves the
+// entry under key from the cache when it can. Otherwise concurrent
+// identical requests coalesce on one flight leader, which re-checks the
+// cache, runs build and publishes the entry under the key build returns
+// ("" = do not cache). Followers report a hit: they caused no
+// evaluation. A follower whose leader fails — e.g. the leader's own
+// shorter timeout fired — retries under its own deadline instead of
+// inheriting the failure.
+//
+// alt, when set, is a second key whose entry answers the request as
+// well (the complete table, for a pruned skyline request). It is looked
+// up first but never waited on in flight: a complete build scores every
+// graph where the pruned build scores a handful.
+func (s *Server) coalesce(ctx context.Context, key, alt string, build func() (*cacheEntry, string, error)) (e *cacheEntry, hit bool, err error) {
+	var c *flightCall
+	for {
+		// The alt lookup is quiet: its miss is not the request's miss.
+		if alt != "" {
+			if e, ok := s.cache.lookup(alt, true); ok {
+				return e, true, nil
+			}
+		}
+		if e, ok := s.cache.lookup(key, false); ok {
+			return e, true, nil
+		}
+		s.flightMu.Lock()
+		leader, inflight := s.flight[key]
+		if !inflight {
+			c = &flightCall{done: make(chan struct{})}
+			s.flight[key] = c
+			s.flightMu.Unlock()
+			break
+		}
+		s.flightMu.Unlock()
+		select {
+		case <-leader.done:
+			if leader.err == nil {
+				return leader.e, true, nil
+			}
+			// The leader failed for its own reasons; try again ourselves.
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+	}
+	defer func() {
+		c.e, c.err = e, err
+		s.flightMu.Lock()
+		delete(s.flight, key)
+		s.flightMu.Unlock()
+		close(c.done)
+	}()
+
+	// A previous leader may have published between our miss and the
+	// takeover; its flight removal follows its put, so re-checking here
+	// closes the window.
+	for _, k := range []string{key, alt} {
+		if k == "" {
+			continue
+		}
+		if e, ok := s.cache.lookup(k, true); ok {
+			return e, true, nil
+		}
+	}
+	e, putKey, err := build()
+	if err != nil {
+		return nil, false, err
+	}
+	if putKey != "" {
+		s.cache.put(putKey, e)
+	}
+	return e, false, nil
 }
 
 // tableSet is the per-shard answer material for one query, plus what it
@@ -574,37 +623,21 @@ func (ts tableSet) inexact() int {
 // key) on one flight leader. The first shard error aborts the query.
 func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	n := s.db.NumShards()
-	qh := res.qh
 	out := tableSet{tables: make([]*gdb.VectorTable, n)}
-	if n == 1 {
-		t, hit, err := s.shardTable(ctx, 0, qh, res)
-		if err != nil {
-			return tableSet{}, err
+	// Spread GOMAXPROCS over the shards that will actually evaluate, not
+	// the shard count: after a single-shard invalidation the lone
+	// rebuilding shard gets the whole machine instead of 1/Nth of it. The
+	// peek is advisory — a racing invalidation at worst changes
+	// parallelism, never correctness — so a surprise rebuild (0 predicted
+	// misses) runs at full width.
+	cold := 0
+	for i := 0; i < n; i++ {
+		if !s.cachedForQuery(i, res) {
+			cold++
 		}
-		out.tables[0] = t
-		if hit {
-			out.hits = 1
-		} else {
-			out.work = t.Work
-		}
-		return out, nil
 	}
-	// Spread the default worker budget over the shards that will
-	// actually evaluate, not the shard count: after a single-shard
-	// invalidation the lone rebuilding shard gets the whole machine
-	// instead of 1/Nth of it. The peek is advisory — a racing
-	// invalidation at worst changes parallelism, never correctness —
-	// so a surprise rebuild (0 predicted misses) runs at full width.
-	if res.opts.Workers <= 0 {
-		cold := 0
-		for i := 0; i < n; i++ {
-			if !s.cachedForQuery(i, qh, res) {
-				cold++
-			}
-		}
-		if cold > 0 {
-			res.opts.Workers = (runtime.GOMAXPROCS(0) + cold - 1) / cold
-		}
+	if cold > 0 {
+		res.opts.Workers = (runtime.GOMAXPROCS(0) + cold - 1) / cold
 	}
 	var (
 		wg       sync.WaitGroup
@@ -615,7 +648,7 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t, hit, err := s.shardTable(ctx, i, qh, res)
+			t, hit, err := s.shardTable(ctx, i, res)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -645,141 +678,63 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 // under any key the request could be served from (the full key always;
 // additionally the pruned variant for pruning requests). A planning
 // peek for worker sizing — no counters, no recency.
-func (s *Server) cachedForQuery(shard int, qh string, res resolved) bool {
-	key := CacheKey(shard, s.db.ShardGeneration(shard), qh, res.basis, res.opts.Eval)
+func (s *Server) cachedForQuery(shard int, res resolved) bool {
+	key := CacheKey(shard, s.db.ShardGeneration(shard), res.qh, res.basis, res.opts.Eval)
 	if s.cache.contains(key) {
 		return true
 	}
 	return res.prune && s.cache.contains(prunedKey(key))
 }
 
-// shardTable returns one shard's table for a resolved query, from the
-// cache when possible. Concurrent identical cold lookups are coalesced:
-// one leader evaluates, the rest wait on its result and report a cache
-// hit (they caused no pair evaluations). A follower whose leader fails
-// — e.g. the leader's own shorter timeout fired — retries under its own
-// deadline instead of inheriting the failure.
-//
-// Pruning requests first try the full table (a complete table answers
-// a skyline query too, with zero extra work), then the pruned variant,
-// and build the pruned variant on a double miss. Non-pruning requests
-// never touch pruned entries.
-func (s *Server) shardTable(ctx context.Context, shard int, qh string, res resolved) (t *gdb.VectorTable, hit bool, err error) {
-	db := s.db.Shard(shard)
-	for {
-		fullKey := CacheKey(shard, db.Generation(), qh, res.basis, res.opts.Eval)
-		key := fullKey
-		if res.prune {
-			// Quiet lookup: a miss here is not a miss for the request —
-			// the pruned key below is the authoritative one.
-			if t, ok := s.cache.getRecheck(fullKey); ok {
-				return t, true, nil
-			}
-			key = prunedKey(fullKey)
-		}
-		if t, ok := s.cache.Get(key); ok {
-			return t, true, nil
-		}
-		s.flightMu.Lock()
-		leader, inflight := s.flight[key]
-		if !inflight && res.prune {
-			// An in-flight full build answers a skyline request too;
-			// wait on it rather than duplicating the evaluation with a
-			// pruned build of the same shard.
-			leader, inflight = s.flight[fullKey]
-		}
-		if !inflight {
-			c := &flightCall{done: make(chan struct{})}
-			s.flight[key] = c
-			s.flightMu.Unlock()
-			return s.lead(ctx, res, shard, qh, key, fullKey, c)
-		}
-		s.flightMu.Unlock()
-		select {
-		case <-leader.done:
-			if leader.err == nil {
-				return leader.t, true, nil
-			}
-			// Leader failed for its own reasons; try again ourselves.
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+// shardTable returns one shard's table for a resolved query through
+// coalesce. A pruning request is also served by the shard's cached
+// complete table, at zero extra work, and builds the pruned variant on
+// a double miss; a non-pruning request never touches pruned entries.
+func (s *Server) shardTable(ctx context.Context, shard int, res resolved) (*gdb.VectorTable, bool, error) {
+	key := CacheKey(shard, s.db.ShardGeneration(shard), res.qh, res.basis, res.opts.Eval)
+	alt := ""
+	if res.prune {
+		key, alt = prunedKey(key), key
 	}
-}
-
-// lead evaluates shard's table as the flight leader for key, publishing
-// the result to followers via c. fullKey is the complete-table key the
-// request could equally be served from (equal to key for non-pruning
-// requests).
-func (s *Server) lead(ctx context.Context, res resolved, shard int, qh, key, fullKey string, c *flightCall) (t *gdb.VectorTable, hit bool, err error) {
-	defer func() {
-		c.t, c.err = t, err
-		s.flightMu.Lock()
-		delete(s.flight, key)
-		s.flightMu.Unlock()
-		close(c.done)
-	}()
-
-	// A previous leader may have published between our cache miss and
-	// flight takeover; its removal from the flight map happens after its
-	// Put, so re-checking here closes the window. A pruning leader also
-	// re-checks the full key — a complete table published in the window
-	// answers a skyline request too.
-	if t0, ok := s.cache.getRecheck(key); ok {
-		return t0, true, nil
-	}
-	if fullKey != key {
-		if t0, ok := s.cache.getRecheck(fullKey); ok {
-			return t0, true, nil
+	e, hit, err := s.coalesce(ctx, key, alt, func() (*cacheEntry, string, error) {
+		opts := res.opts
+		opts.Prune = res.prune
+		t, err := s.db.Shard(shard).VectorTable(ctx, res.q, opts)
+		if err != nil {
+			return nil, "", err
 		}
-	}
-
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.rejected.Add(1)
-			return nil, false, errTooBusy
+		s.work.add(t.Work)
+		// The snapshot generation is authoritative: if the shard changed
+		// between the key computation and the snapshot, rekey so the entry
+		// stays reachable exactly as long as it is valid. A pruning build
+		// that pruned nothing yields a complete table and is cached under
+		// the full key, where every request kind can reuse it.
+		putKey := CacheKey(shard, t.Generation, res.qh, res.basis, res.opts.Eval)
+		e := &cacheEntry{shard: shard, table: t}
+		if t.Complete {
+			// Complete tables carry their maintenance lineage: a later
+			// mutation of this shard can splice its one-row delta in
+			// instead of invalidating the entry. Pruned variants hold
+			// survivor sets a row patch cannot maintain, so they stay
+			// invalidation-only.
+			e.lin = &tableLineage{q: res.q, qh: res.qh, basis: res.basis, eval: res.opts.Eval}
+		} else {
+			putKey = prunedKey(putKey)
 		}
-	}
-	opts := res.opts
-	opts.Prune = res.prune
-	t, err = s.db.Shard(shard).VectorTable(ctx, res.q, opts)
+		return e, putKey, nil
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	s.work.add(t.Work)
-	// The snapshot generation is authoritative: if the shard changed
-	// between the key computation and the snapshot, rekey so the entry
-	// stays reachable exactly as long as it is valid. A pruning build
-	// that pruned nothing yields a complete table and is cached under
-	// the full key, where every request kind can reuse it.
-	putKey := CacheKey(shard, t.Generation, qh, res.basis, res.opts.Eval)
-	e := &cacheEntry{shard: shard, table: t}
-	if t.Complete {
-		// Complete tables carry their maintenance lineage: a later
-		// mutation of this shard can splice its one-row delta in instead
-		// of invalidating the entry. Pruned variants hold survivor sets a
-		// row patch cannot maintain, so they stay invalidation-only.
-		e.lin = &tableLineage{q: res.q, qh: qh, basis: res.basis, eval: res.opts.Eval}
-	} else {
-		putKey = prunedKey(putKey)
-	}
-	s.cache.put(putKey, e)
-	return t, false, nil
+	return e.table, hit, nil
 }
 
-var errTooBusy = errors.New("server is at its concurrent query limit")
-
-// classifyQueryErr maps a table-evaluation error to an HTTP status,
-// error class and message, bumping the matching counters. Shared by the
-// single-query endpoints and the per-item error reporting of
-// /query/batch.
+// classifyQueryErr maps an evaluation error to an HTTP status, error
+// class and message, bumping the matching counters. Shared by the
+// single-query endpoints, the per-item error reporting of /query/batch
+// and /cache/warm.
 func (s *Server) classifyQueryErr(err error) (int, string, string) {
 	switch {
-	case errors.Is(err, errTooBusy):
-		return http.StatusServiceUnavailable, ClassUnavailable, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Add(1)
 		return http.StatusGatewayTimeout, ClassTimeout, "query timed out"
@@ -805,53 +760,6 @@ func (s *Server) queryStats(ts tableSet, start time.Time) QueryStats {
 		ShardHits:    ts.hits,
 		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
-}
-
-// Per-kind request validation, shared by the dedicated endpoints and
-// /query/batch.
-func validateTopK(req *QueryRequest) error {
-	if req.K < 1 {
-		return errors.New("k must be >= 1")
-	}
-	return nil
-}
-
-func validateRange(req *QueryRequest) error {
-	if req.Radius == nil {
-		return errors.New("missing radius")
-	}
-	if *req.Radius < 0 {
-		return errors.New("radius must be >= 0")
-	}
-	return nil
-}
-
-// Answer shaping from per-shard tables, shared by the dedicated
-// endpoints and /query/batch.
-func (s *Server) skylineAnswer(req *QueryRequest, res resolved, ts tableSet, stats QueryStats) *SkylineResponse {
-	resp := &SkylineResponse{
-		Basis:   measure.BasisNames(res.basis),
-		Skyline: toPointJSON(s.db.MergeSkyline(ts.tables, res.alg)),
-		Stats:   stats,
-	}
-	if req.All {
-		resp.All = toPointJSON(s.db.MergeTables(ts.tables))
-	}
-	return resp
-}
-
-func (s *Server) topkAnswer(req *QueryRequest, res resolved, ts tableSet, stats QueryStats) *TopKResponse {
-	items, err := s.db.MergeTopK(ts.tables, res.m, req.K)
-	if err != nil {
-		// Unreachable: resolveQuery guarantees m is in the basis.
-		items = nil
-	}
-	return &TopKResponse{Measure: res.m.Name(), K: req.K, Items: toItemJSON(items), Stats: stats}
-}
-
-func (s *Server) rangeAnswer(req *QueryRequest, res resolved, ts tableSet, stats QueryStats) *RangeResponse {
-	items, _ := s.db.MergeRange(ts.tables, res.m, *req.Radius)
-	return &RangeResponse{Measure: res.m.Name(), Radius: *req.Radius, Items: toItemJSON(items), Stats: stats}
 }
 
 // answer bundles the per-kind response of one executed query; exactly
@@ -938,13 +846,13 @@ func (s *Server) logSlow(kind string, qs QueryStats, stages []gdb.TraceStage, el
 	s.slowMu.Unlock()
 }
 
-// execQuery executes one resolved query of the given kind end to end —
-// pruned ranked evaluation for topk/range when the request allows it,
-// the per-shard table path otherwise. Shared by the dedicated endpoints
-// and /query/batch.
+// execQuery executes one resolved query of the given kind end to end:
+// the best-first ranked scan for topk/range, the per-shard tables and
+// their skyline merge for skyline. Shared by the dedicated endpoints and
+// /query/batch.
 func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, res resolved, start time.Time) (answer, error) {
-	if res.prune && kind != "skyline" {
-		ra, err := s.ranked(ctx, kind, res, req.K, derefRadius(req.Radius))
+	if kind != "skyline" {
+		ra, err := s.ranked(ctx, kind, res, req)
 		if err != nil {
 			return answer{}, err
 		}
@@ -959,42 +867,27 @@ func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, 
 		return answer{}, err
 	}
 	stats := s.queryStats(ts, start)
-	// Answer shaping from the per-shard tables is the merge stage:
-	// skyline cross-filtering, top-k heap merging, range concatenation.
-	var mstart time.Time
-	if res.opts.Trace != nil {
-		mstart = time.Now()
+	// Answer shaping from the per-shard tables is the merge stage.
+	mstart := time.Now()
+	resp := &SkylineResponse{
+		Basis:   measure.BasisNames(res.basis),
+		Skyline: toPointJSON(s.db.MergeSkyline(ts.tables, res.alg)),
+		Stats:   stats,
 	}
-	var ans answer
-	switch kind {
-	case "topk":
-		ans = answer{tk: s.topkAnswer(req, res, ts, stats)}
-	case "range":
-		ans = answer{rng: s.rangeAnswer(req, res, ts, stats)}
-	default:
-		ans = answer{sky: s.skylineAnswer(req, res, ts, stats)}
+	if req.All {
+		resp.All = toPointJSON(s.db.MergeTables(ts.tables))
 	}
-	if res.opts.Trace != nil {
-		rows := 0
-		for _, t := range ts.tables {
-			rows += len(t.Points)
-		}
-		res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), rows, 0)
+	rows := 0
+	for _, t := range ts.tables {
+		rows += len(t.Points)
 	}
-	return ans, nil
-}
-
-func derefRadius(r *float64) float64 {
-	if r == nil {
-		return 0
-	}
-	return *r
+	res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), rows, 0)
+	return answer{sky: resp}, nil
 }
 
 // runQuery wraps the shared decode / resolve / timeout / execute
 // plumbing of the three query endpoints.
-func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, kind string,
-	validate func(*QueryRequest) error) {
+func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, kind string) {
 	if !s.admitQuery(w) {
 		return
 	}
@@ -1009,21 +902,11 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, kind string,
 	if req.TimeoutMS <= 0 {
 		req.TimeoutMS = headerTimeoutMS(r)
 	}
-	if validate != nil {
-		if err := validate(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-	res, err := s.resolveQuery(&req, kind != "skyline")
+	res, err := s.resolveQuery(kind, &req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Every query is traced — the per-pair bookkeeping is noise next to
-	// engine work, and the cascade-stage metrics want the numbers whether
-	// or not the client asked to see them.
-	res.opts.Trace = gdb.NewQueryTrace()
 	ctx := r.Context()
 	if d := s.timeout(&req); d > 0 {
 		var cancel context.CancelFunc
@@ -1033,27 +916,16 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, kind string,
 	ans, err := s.execQuery(ctx, kind, &req, res, start)
 	if err != nil {
 		code, class, msg := s.classifyQueryErr(err)
-		var retry time.Duration
-		if code == http.StatusServiceUnavailable {
-			retry = s.retryAfter()
-		}
-		s.writeErrorClass(w, code, class, retry, "%s", msg)
+		s.writeErrorClass(w, code, class, 0, nil, "%s", msg)
 		return
 	}
 	s.finishQuery(kind, &req, res, ans, start)
 	writeJSON(w, http.StatusOK, ans.body())
 }
 
-func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	s.runQuery(w, r, "skyline", nil)
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	s.runQuery(w, r, "topk", validateTopK)
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	s.runQuery(w, r, "range", validateRange)
+// queryHandler serves the dedicated endpoint of one query kind.
+func (s *Server) queryHandler(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { s.runQuery(w, r, kind) }
 }
 
 func toPointJSON(pts []skyline.Point) []PointJSON {
@@ -1136,7 +1008,7 @@ func (s *Server) rejectDegraded(w http.ResponseWriter) bool {
 		return false
 	}
 	s.degradedRejects.Add(1)
-	s.writeErrorClass(w, http.StatusServiceUnavailable, ClassDegraded, s.retryAfter(),
+	s.writeErrorClass(w, http.StatusServiceUnavailable, ClassDegraded, s.retryAfter(), nil,
 		"store is degraded-readonly: mutation refused while the write path heals")
 	return true
 }
@@ -1145,9 +1017,9 @@ func (s *Server) rejectDegraded(w http.ResponseWriter) bool {
 // persist failures split into transient (503 + Retry-After — the kind
 // a broken-then-fixed disk produces; feeds the health state machine)
 // and corruption-class (500, terminal: probing cannot heal a corrupt
-// store, and retrying cannot help). extra fields — partial-insert
-// progress — are merged into the body.
-func (s *Server) mutationError(w http.ResponseWriter, err error, extra map[string]any) {
+// store, and retrying cannot help). partial, set on insert failures,
+// reports the progress made before the failure.
+func (s *Server) mutationError(w http.ResponseWriter, err error, partial *PartialInsert) {
 	code, class := http.StatusConflict, ClassConflict
 	var retry time.Duration
 	if errors.Is(err, gdb.ErrNotPersisted) {
@@ -1158,17 +1030,7 @@ func (s *Server) mutationError(w http.ResponseWriter, err error, extra map[strin
 			code, class, retry = http.StatusServiceUnavailable, ClassTransient, s.retryAfter()
 		}
 	}
-	s.errors.Add(1)
-	body := map[string]any{"error": err.Error(), "class": class}
-	if retry > 0 {
-		secs := (retry + time.Second - 1) / time.Second
-		w.Header().Set("Retry-After", strconv.FormatInt(int64(secs), 10))
-		body["retry_after_ms"] = retry.Milliseconds()
-	}
-	for k, v := range extra {
-		body[k] = v
-	}
-	writeJSON(w, code, body)
+	s.writeErrorClass(w, code, class, retry, partial, "%v", err)
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
@@ -1245,10 +1107,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			// the request is not recorded for replay, but the applied
 			// names are noted under the key, so a keyed retry re-attempts
 			// exactly the remainder.
-			s.mutationError(w, err, map[string]any{
-				"inserted":   inserted,
-				"generation": s.db.Generation(),
-			})
+			s.mutationError(w, err, &PartialInsert{Inserted: inserted, Generation: s.db.Generation()})
 			return
 		}
 		s.health.NoteSuccess()
@@ -1412,7 +1271,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			VectorSkipped:    uint64(work.VectorSkipped),
 			VectorFallbacks:  uint64(work.VectorFallbacks),
 			QueryTimeouts:    s.timeouts.Load(),
-			InflightRejected: s.rejected.Load(),
 			LoadShed:         s.shed.Load(),
 			DegradedRejected: s.degradedRejects.Load(),
 		},
@@ -1436,8 +1294,9 @@ func runtimeStats() RuntimeStats {
 // handleWarm answers POST /cache/warm: build (and cache) the complete
 // per-shard vector tables of the given query graphs ahead of traffic.
 // Queries run sequentially — warming is maintenance, not serving, so it
-// should trickle through the inflight budget rather than flood it; each
-// item still evaluates its shards in parallel like a normal cold query.
+// should trickle rather than flood; each item still evaluates its shards
+// in parallel like a normal cold query. Every failed item counts as a
+// request error, as a failed batch item does.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if !s.admitQuery(w) {
 		return
@@ -1459,12 +1318,8 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	// Same size cap as /query/batch: every warm item is a full unpruned
 	// table build across all shards, the most expensive request kind
 	// there is.
-	maxBatch := s.cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	if len(req.Queries) > maxBatch {
-		s.writeError(w, http.StatusBadRequest, "warm request of %d queries exceeds the limit of %d", len(req.Queries), maxBatch)
+	if len(req.Queries) > s.maxBatch() {
+		s.writeError(w, http.StatusBadRequest, "warm request of %d queries exceeds the limit of %d", len(req.Queries), s.maxBatch())
 		return
 	}
 	ctx := r.Context()
@@ -1480,16 +1335,17 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		// kind — skyline, full-table, top-k, range — can be served from
 		// it, and pruned variants would warm nothing ranked.
 		qr.All = true
-		res, err := s.resolveQuery(&qr, false)
-		if err != nil {
-			results[i] = WarmResult{Error: err.Error()}
-			s.errors.Add(1)
-			continue
+		res, err := s.resolveQuery("skyline", &qr)
+		var ts tableSet
+		if err == nil {
+			ts, err = s.tables(ctx, res)
 		}
-		ts, err := s.tables(ctx, res)
 		if err != nil {
+			// A resolve error keeps its message; an evaluation error (a
+			// timeout, say) reads as the query endpoints report it.
 			_, _, msg := s.classifyQueryErr(err)
 			results[i] = WarmResult{Error: msg}
+			s.errors.Add(1)
 			continue
 		}
 		results[i] = WarmResult{Evaluated: ts.work.Evaluated, ShardHits: ts.hits}

@@ -120,16 +120,15 @@ func TestSkylineRoundTrip(t *testing.T) {
 
 func TestTopKAndRangeShareSkylineTable(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheSize: 16})
-	// prune=false warms a complete table that the ranking queries below
-	// can reuse (a pruned skyline table cannot serve top-k/range).
-	noPrune := false
+	// "all" builds a complete table that the ranking queries below can
+	// reuse (a pruned skyline table cannot serve top-k/range).
 	var sky SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Prune: &noPrune}, &sky)
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), All: true}, &sky)
 	if sky.Stats.CacheHit {
 		t.Fatal("first skyline query cannot hit")
 	}
 	if sky.Stats.Pruned != 0 || sky.Stats.Evaluated != 7 {
-		t.Fatalf("prune=false skyline stats = %+v; want full evaluation", sky.Stats)
+		t.Fatalf("all skyline stats = %+v; want full evaluation", sky.Stats)
 	}
 
 	// DistEd is in the default basis, so top-k reuses the skyline table.
@@ -348,7 +347,7 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Unknown fields are rejected too — including the retired "vector"
-	// opt-out on an otherwise valid request.
+	// and "prune" opt-outs on an otherwise valid request.
 	valid, err := json.Marshal(dataset.PaperQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -356,6 +355,7 @@ func TestBadRequests(t *testing.T) {
 	for _, body := range []string{
 		`{"graf": {}}`,
 		`{"graph": ` + string(valid) + `, "vector": false}`,
+		`{"graph": ` + string(valid) + `, "prune": false}`,
 	} {
 		resp, err := http.Post(ts.URL+"/query/skyline", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -405,88 +405,98 @@ func TestCustomBasisQueries(t *testing.T) {
 	}
 }
 
-func TestInflightLimit(t *testing.T) {
-	// MaxInflight 0 vs 1 is hard to race deterministically; instead check
-	// the rejection path by filling the semaphore directly.
-	s, ts := newTestServer(t, Config{CacheSize: 0, MaxInflight: 1})
-	s.sem <- struct{}{} // occupy the only slot
-	r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, nil)
-	if r.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d; want 503", r.StatusCode)
-	}
-	<-s.sem
-	if r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, nil); r.StatusCode != http.StatusOK {
-		t.Fatalf("status after freeing slot = %d; want 200", r.StatusCode)
-	}
-}
-
+// TestConcurrentIdenticalQueriesCoalesce covers both callers of the one
+// coalescing loop: concurrent identical skyline queries share one table
+// build, concurrent identical top-k queries one ranked scan.
 func TestConcurrentIdenticalQueriesCoalesce(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheSize: 16})
-	const n = 8
-	var wg sync.WaitGroup
-	stats := make([]QueryStats, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var resp SkylineResponse
-			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &resp)
-			stats[i] = resp.Stats
-		}(i)
-	}
-	wg.Wait()
-	// Whether followers coalesced on the in-flight leader or hit the
-	// cache afterwards, the total pair-evaluation work is exactly one
-	// table build covering all 7 graphs (evaluated or bound-pruned).
-	st := statsOf(t, ts.URL)
-	if st.Requests.PairEvals+st.Requests.PairsPruned != 7 {
-		t.Fatalf("pair evals %d + pruned %d across %d concurrent identical queries; want 7 total",
-			st.Requests.PairEvals, st.Requests.PairsPruned, n)
-	}
-	misses := 0
-	for _, qs := range stats {
-		if !qs.CacheHit {
-			misses++
+	for _, kind := range []string{"skyline", "topk"} {
+		_, ts := newTestServer(t, Config{CacheSize: 16})
+		const n = 8
+		var wg sync.WaitGroup
+		stats := make([]QueryStats, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var resp struct{ Stats QueryStats }
+				postJSON(t, ts.URL+"/query/"+kind, QueryRequest{Graph: dataset.PaperQuery(), K: 3}, &resp)
+				stats[i] = resp.Stats
+			}(i)
+		}
+		wg.Wait()
+		// Whether followers coalesced on the in-flight leader or hit the
+		// cache afterwards, the total pair-evaluation work is exactly one
+		// evaluation covering all 7 graphs (evaluated or bound-pruned).
+		st := statsOf(t, ts.URL)
+		if st.Requests.PairEvals+st.Requests.PairsPruned != 7 {
+			t.Fatalf("%s: pair evals %d + pruned %d across %d concurrent identical queries; want 7 total",
+				kind, st.Requests.PairEvals, st.Requests.PairsPruned, n)
+		}
+		misses := 0
+		for _, qs := range stats {
+			if !qs.CacheHit {
+				misses++
+			}
+		}
+		if misses != 1 {
+			t.Fatalf("%s: %d of %d concurrent queries report a miss; want exactly the leader", kind, misses, n)
 		}
 	}
-	if misses != 1 {
-		t.Fatalf("%d of %d concurrent queries report a miss; want exactly the leader", misses, n)
-	}
 }
 
+// TestFollowerRetriesAfterLeaderFailure: a follower whose flight leader
+// fails evaluates itself instead of inheriting the failure, on both the
+// table and the ranked caller of the coalescing loop.
 func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	s, _ := newTestServer(t, Config{CacheSize: 16})
-	res, err := s.resolveQuery(&QueryRequest{Graph: dataset.PaperQuery()}, false)
+	// failingLeader registers a leader for key that fails on its own
+	// deadline: in the flight map, then (as the real leader does) removed
+	// before done is closed with an error set.
+	failingLeader := func(key string) {
+		c := &flightCall{done: make(chan struct{}), err: context.DeadlineExceeded}
+		s.flightMu.Lock()
+		s.flight[key] = c
+		s.flightMu.Unlock()
+		go func() {
+			time.Sleep(10 * time.Millisecond)
+			s.flightMu.Lock()
+			delete(s.flight, key)
+			s.flightMu.Unlock()
+			close(c.done)
+		}()
+	}
+
+	res, err := s.resolveQuery("skyline", &QueryRequest{Graph: dataset.PaperQuery()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qh := graph.QueryHash(res.q)
-	key := CacheKey(0, s.db.ShardGeneration(0), qh, res.basis, res.opts.Eval)
-
-	// Simulate a leader that fails on its own deadline: registered in the
-	// flight map, then (as the real leader does) removed before done is
-	// closed with an error set.
-	c := &flightCall{done: make(chan struct{}), err: context.DeadlineExceeded}
-	s.flightMu.Lock()
-	s.flight[key] = c
-	s.flightMu.Unlock()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		s.flightMu.Lock()
-		delete(s.flight, key)
-		s.flightMu.Unlock()
-		close(c.done)
-	}()
-
-	tab, hit, err := s.shardTable(context.Background(), 0, qh, res)
+	failingLeader(prunedKey(CacheKey(0, s.db.ShardGeneration(0), res.qh, res.basis, res.opts.Eval)))
+	tab, hit, err := s.shardTable(context.Background(), 0, res)
 	if err != nil {
-		t.Fatalf("follower inherited the leader's failure: %v", err)
+		t.Fatalf("table follower inherited the leader's failure: %v", err)
 	}
 	if hit {
-		t.Fatal("follower should have evaluated itself after the leader failed")
+		t.Fatal("table follower should have evaluated itself after the leader failed")
 	}
 	if len(tab.Points)+tab.Pruned != 7 {
 		t.Fatalf("table covers %d rows + %d pruned; want 7", len(tab.Points), tab.Pruned)
+	}
+
+	req := &QueryRequest{Graph: dataset.PaperQuery(), K: 3}
+	if res, err = s.resolveQuery("topk", req); err != nil {
+		t.Fatal(err)
+	}
+	failingLeader(RankedKey("topk", s.db.Generations(), res.qh, res.m, 3, res.opts.Eval))
+	ra, err := s.ranked(context.Background(), "topk", res, req)
+	if err != nil {
+		t.Fatalf("ranked follower inherited the leader's failure: %v", err)
+	}
+	if ra.hit {
+		t.Fatal("ranked follower should have evaluated itself after the leader failed")
+	}
+	if len(ra.items) != 3 || ra.work.Evaluated+ra.work.Pruned != 7 {
+		t.Fatalf("ranked answer %v covers %d evaluated + %d pruned; want 3 items over 7",
+			ra.items, ra.work.Evaluated, ra.work.Pruned)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestWireCompat(t *testing.T) {
 			"queries", "batches", "inserts", "deletes", "errors", "pair_evals", "pairs_pruned",
 			"pivot_pruned", "pivot_dists", "memo_hits", "memo_misses",
 			"vector_cells_probed", "vector_skipped", "vector_fallbacks",
-			"query_timeouts", "inflight_rejected", "load_shed", "degraded_rejected",
+			"query_timeouts", "load_shed", "degraded_rejected",
 		}},
 	} {
 		obj, ok := tc.obj.(map[string]any)

@@ -39,7 +39,7 @@ func TestQueryRetriesThroughTransientFailures(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) <= 2 {
-			writeErr(w, http.StatusServiceUnavailable, server.ClassUnavailable, 1)
+			writeErr(w, http.StatusServiceUnavailable, server.ClassTransient, 1)
 			return
 		}
 		_ = json.NewEncoder(w).Encode(server.SkylineResponse{Basis: []string{"DistEd"}})
@@ -61,7 +61,7 @@ func TestMaxAttempts(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		writeErr(w, http.StatusServiceUnavailable, server.ClassUnavailable, 0)
+		writeErr(w, http.StatusServiceUnavailable, server.ClassTransient, 0)
 	}))
 	defer ts.Close()
 	c := New(ts.URL, fastOpts())
@@ -82,7 +82,7 @@ func TestRetryBudget(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		writeErr(w, http.StatusServiceUnavailable, server.ClassUnavailable, 0)
+		writeErr(w, http.StatusServiceUnavailable, server.ClassTransient, 0)
 	}))
 	defer ts.Close()
 	opts := fastOpts()
@@ -218,7 +218,7 @@ func TestCallerDeadlineStopsRetries(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
-		writeErr(w, http.StatusServiceUnavailable, server.ClassUnavailable, 5000)
+		writeErr(w, http.StatusServiceUnavailable, server.ClassTransient, 5000)
 	}))
 	defer ts.Close()
 	c := New(ts.URL, fastOpts())
