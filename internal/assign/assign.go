@@ -40,7 +40,7 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 
 	// Per-augmentation scratch, reset in place each row instead of
 	// reallocated: Solve runs once per bipartite GED approximation, which
-	// the pruning refinement tier calls for every database graph.
+	// every capped exact GED evaluation falls back to.
 	minv := make([]float64, n+1)
 	used := make([]bool, n+1)
 

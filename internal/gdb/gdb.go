@@ -331,10 +331,10 @@ func (db *DB) statsAndLabels() (Stats, map[string]bool, map[string]bool) {
 		sig := db.graphs[n].sig
 		s.Vertices += sig.Order
 		s.Edges += sig.Size
-		for l := range sig.VHist {
+		for l := range sig.VHist.Labels() {
 			vl[l] = true
 		}
-		for l := range sig.EHist {
+		for l := range sig.EHist.Labels() {
 			el[l] = true
 		}
 		if first || sig.Size < s.MinSize {

@@ -37,7 +37,9 @@ import (
 // stored once instead of fifty times and a pair costs one small map
 // slot — a miss-heavy workload's resident heap is mostly this memo.
 // Recency and eviction work on whole groups (a query's pairs are read
-// and written together); capacity still counts pairs.
+// and written together); capacity still counts pairs. A pair's
+// results are stored packed (memoVal, 16 bytes) and converted to and
+// from measure.EngineResults only at the get/merge boundary.
 //
 // One memo is safely shared across the shards of a Sharded database
 // (sequences are process-unique, names shard-stable).
@@ -66,8 +68,53 @@ type memoQuery struct {
 // sequence.
 type memoGroup struct {
 	key        memoQuery
-	pairs      map[uint64]measure.EngineResults
+	pairs      map[uint64]memoVal
 	prev, next *memoGroup
+}
+
+// memoVal is one pair's measure.EngineResults packed into 16 bytes
+// instead of 24: the GED value, the MCS value as an int32 (an edge
+// count; no stored graph comes near 2^31 edges) and the four flags as
+// bits. The memo's resident heap is mostly these slots.
+type memoVal struct {
+	ged   float64
+	mcs   int32
+	flags uint32
+}
+
+const (
+	memoHasGED uint32 = 1 << iota
+	memoGEDExact
+	memoHasMCS
+	memoMCSExact
+)
+
+func packMemo(r measure.EngineResults) memoVal {
+	v := memoVal{ged: r.GED, mcs: int32(r.MCS)}
+	if r.HasGED {
+		v.flags |= memoHasGED
+	}
+	if r.GEDExact {
+		v.flags |= memoGEDExact
+	}
+	if r.HasMCS {
+		v.flags |= memoHasMCS
+	}
+	if r.MCSExact {
+		v.flags |= memoMCSExact
+	}
+	return v
+}
+
+func (v memoVal) unpack() measure.EngineResults {
+	return measure.EngineResults{
+		GED:      v.ged,
+		MCS:      int(v.mcs),
+		HasGED:   v.flags&memoHasGED != 0,
+		GEDExact: v.flags&memoGEDExact != 0,
+		HasMCS:   v.flags&memoHasMCS != 0,
+		MCSExact: v.flags&memoMCSExact != 0,
+	}
 }
 
 // NewScoreMemo returns a memo holding at most capacity pair entries
@@ -115,11 +162,12 @@ func (m *ScoreMemo) get(q memoQuery, seq uint64) (measure.EngineResults, bool) {
 	if g == nil {
 		return measure.EngineResults{}, false
 	}
-	r, ok := g.pairs[seq]
-	if ok {
-		m.touch(g)
+	v, ok := g.pairs[seq]
+	if !ok {
+		return measure.EngineResults{}, false
 	}
-	return r, ok
+	m.touch(g)
+	return v.unpack(), true
 }
 
 // merge records got for one pair, keeping whichever engine halves an
@@ -136,12 +184,12 @@ func (m *ScoreMemo) merge(q memoQuery, seq uint64, got measure.EngineResults) {
 	defer m.mu.Unlock()
 	g := m.groups[q]
 	if g == nil {
-		g = &memoGroup{key: q, pairs: make(map[uint64]measure.EngineResults)}
+		g = &memoGroup{key: q, pairs: make(map[uint64]memoVal)}
 		m.groups[q] = g
 	}
 	m.touch(g)
-	old, ok := g.pairs[seq]
-	if ok {
+	if oldv, ok := g.pairs[seq]; ok {
+		old := oldv.unpack()
 		if old.HasGED {
 			got.GED, got.GEDExact, got.HasGED = old.GED, old.GEDExact, true
 		}
@@ -151,7 +199,7 @@ func (m *ScoreMemo) merge(q memoQuery, seq uint64, got measure.EngineResults) {
 	} else {
 		m.entries++
 	}
-	g.pairs[seq] = got
+	g.pairs[seq] = packMemo(got)
 	for m.entries > m.capacity {
 		oldest := m.sentinel.prev
 		oldest.unlink()

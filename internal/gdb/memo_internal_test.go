@@ -1,7 +1,9 @@
 package gdb
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
@@ -67,5 +69,53 @@ func TestMemoKeySeparatesBudgetsAndHashes(t *testing.T) {
 	}
 	if n := m.Stats().Entries; n != 1 {
 		t.Fatalf("entries = %d, want 1", n)
+	}
+}
+
+// TestMemoValRoundTrip: packing into the 16-byte memo slot loses
+// nothing — every flag combination, with GED values a float64 must keep
+// bit for bit and MCS values up to the int32 limit.
+func TestMemoValRoundTrip(t *testing.T) {
+	if size := unsafe.Sizeof(memoVal{}); size != 16 {
+		t.Fatalf("memoVal is %d bytes, want 16", size)
+	}
+	for flags := 0; flags < 16; flags++ {
+		for _, v := range []struct {
+			ged float64
+			mcs int
+		}{{0, 0}, {7, 3}, {0.1 + 0.2, 1}, {1e300, math.MaxInt32}} {
+			r := measure.EngineResults{
+				GED: v.ged, MCS: v.mcs,
+				HasGED: flags&1 != 0, GEDExact: flags&2 != 0,
+				HasMCS: flags&4 != 0, MCSExact: flags&8 != 0,
+			}
+			if got := packMemo(r).unpack(); got != r {
+				t.Fatalf("round trip %+v -> %+v", r, got)
+			}
+		}
+	}
+}
+
+// TestMemoMergeKeepsHalves: a merge keeps the engine half an entry
+// already holds and takes the one it lacks, whichever engine finishes
+// first; a repeated half overwrites nothing else.
+func TestMemoMergeKeepsHalves(t *testing.T) {
+	m := NewScoreMemo(10)
+	q := newMemoQuery(graph.QueryHash(graph.Path(3, "A", "x")), measure.Options{})
+	mcsHalf := measure.EngineResults{MCS: 5, MCSExact: false, HasMCS: true}
+	m.merge(q, 1, mcsHalf)
+	m.merge(q, 1, measure.EngineResults{GED: 2.5, GEDExact: true, HasGED: true, MCS: 9, MCSExact: true, HasMCS: true})
+	want := measure.EngineResults{GED: 2.5, GEDExact: true, HasGED: true, MCS: 5, HasMCS: true}
+	if got, ok := m.get(q, 1); !ok || got != want {
+		t.Fatalf("merged = %+v, %v; want %+v", got, ok, want)
+	}
+	m.merge(q, 2, gedResult(4))
+	m.merge(q, 2, mcsHalf)
+	want = measure.EngineResults{GED: 4, GEDExact: true, HasGED: true, MCS: 5, HasMCS: true}
+	if got, _ := m.get(q, 2); got != want {
+		t.Fatalf("merged = %+v; want %+v", got, want)
+	}
+	if n := m.Stats().Entries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 }

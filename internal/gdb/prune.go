@@ -175,7 +175,7 @@ func (sc *skyScan) settle(i int) {
 			// runs; a capped decision run that proves nothing falls
 			// through to the plain run inside, so got is exactly what
 			// measure.Compute's GED engine call reports.
-			_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd{}, limit, bs, sc.opts.Eval, hints)
+			_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd{}, limit, bs, sc.opts.Eval)
 			if excluded {
 				return
 			}

@@ -1,9 +1,10 @@
 package gdb
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,15 +20,17 @@ import (
 // interval and evaluated most-promising-first against a live threshold
 // — the current k-th best score, or the radius. The moment the next
 // candidate's optimistic bound exceeds the threshold, every remaining
-// candidate is provably out and the scan stops. Candidates the bound
-// cannot settle go through the same tiers as pruned skyline evaluation:
-// polynomial refinement (bipartite + greedy, witnesses reused), then a
+// candidate is provably out and the scan stops. A candidate the bound
+// cannot settle goes straight from its tier-0 (and pivot) interval to a
 // threshold-fed decision run of the exact engines (ged.Options.Limit /
-// mcs.Options.Need) that discards most survivors without paying for
+// mcs.Options.Need), which discards most survivors without paying for
 // exactness, and a plain exact evaluation only for candidates that
-// might make the answer. Included scores are byte-identical to the full
-// scan's, so the answer — scores and tie-order — matches the unpruned
-// path exactly.
+// might make the answer. There is no polynomial refinement tier in
+// between: it only narrows the pessimistic end of the interval, which
+// never prunes against a best-first threshold, and its bipartite and
+// greedy runs cost more than the decision runs they spared. Included
+// scores are byte-identical to the full scan's, so the answer — scores
+// and tie-order — matches the unpruned path exactly.
 
 // atomicFloat is a lock-free float64 cell (stored as bits).
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -44,24 +47,27 @@ type rankedCollector interface {
 	// threshold is the current bar: a candidate whose score provably
 	// exceeds it can never enter the answer. Monotone non-increasing.
 	threshold() float64
-	// seedUppers hands the collector one snapshot's per-candidate
-	// upper bounds on the reported score (the pessimistic corner of
-	// the bound index), BEFORE any of them is evaluated. A top-k
-	// collector floors its threshold at the k-th smallest: the k best
-	// reported scores each sit under one of the k smallest uppers, so
-	// any candidate provably above that floor can never make the
-	// answer — pruning starts tight instead of waiting for k exact
-	// scores. Sound per shard snapshot (a subset's k-th best is never
-	// below the global k-th best). Range collectors ignore it (their
-	// threshold is the radius, fixed).
-	seedUppers(his []float64)
+	// floorK is how many of a snapshot's smallest score upper bounds
+	// (pessimistic corners of the bound index) the collector's floor
+	// reads: k for top-k, 0 for range — its threshold is the radius,
+	// fixed — and the scan then keeps no bounded heap at all.
+	floorK() int
+	// seedFloor hands the collector the floorK-th smallest upper bound
+	// probed so far, BEFORE those candidates are evaluated. A top-k
+	// collector floors its threshold there: the k best reported scores
+	// each sit under one of the k smallest uppers, so any candidate
+	// provably above that floor can never make the answer — pruning
+	// starts tight instead of waiting for k exact scores. Sound per
+	// shard snapshot (a subset's k-th best is never below the global
+	// k-th best).
+	seedFloor(v float64)
 	// items returns the collected answer (order documented per kind).
 	items() []topk.Item
 }
 
 // topkCollector keeps the k best items in a bounded max-heap; the
 // threshold is the k-th best score once k items are held, floored by
-// the best seedUppers bound (+Inf before either exists).
+// the lowest seedFloor value (+Inf before either exists).
 type topkCollector struct {
 	mu    sync.Mutex
 	k     int
@@ -88,13 +94,9 @@ func (c *topkCollector) offer(it topk.Item) {
 	}
 }
 
-func (c *topkCollector) seedUppers(his []float64) {
-	if len(his) < c.k {
-		return // fewer candidates than k: this snapshot bounds nothing
-	}
-	sorted := append([]float64(nil), his...)
-	sort.Float64s(sorted)
-	v := sorted[c.k-1]
+func (c *topkCollector) floorK() int { return c.k }
+
+func (c *topkCollector) seedFloor(v float64) {
 	c.mu.Lock()
 	if v < c.floor.load() {
 		c.floor.store(v)
@@ -141,8 +143,9 @@ func (c *rangeCollector) offer(it topk.Item) {
 
 func (c *rangeCollector) threshold() float64 { return c.radius }
 
-// seedUppers is a no-op: the range threshold is the radius itself.
-func (c *rangeCollector) seedUppers([]float64) {}
+// A range collector takes no floor: its threshold is the radius itself.
+func (c *rangeCollector) floorK() int       { return 0 }
+func (c *rangeCollector) seedFloor(float64) {}
 
 // items returns the in-radius items in unspecified order; callers
 // restore insertion order (evaluation order is nondeterministic).
@@ -150,6 +153,63 @@ func (c *rangeCollector) items() []topk.Item {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]topk.Item{}, c.list...)
+}
+
+// kSmallest keeps the k smallest values it is fed in a bounded
+// max-heap (the root is the largest kept), so the k-th smallest of
+// everything fed so far is one read away. The ranked scan feeds it each
+// candidate's upper bound once, as the candidate is bounded: O(n log k)
+// per scan, however many vector batches read the floor.
+type kSmallest struct {
+	k int
+	h []float64
+}
+
+func (s *kSmallest) push(v float64) {
+	if s.k < 1 {
+		return
+	}
+	h := s.h
+	if len(h) < s.k {
+		h = append(h, v)
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if h[p] >= h[i] {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		s.h = h
+		return
+	}
+	if v >= h[0] {
+		return
+	}
+	h[0] = v
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if h[i] >= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// kth returns the k-th smallest value fed so far; ok is false until k
+// values have been fed (fewer candidates than k bound nothing).
+func (s *kSmallest) kth() (v float64, ok bool) {
+	if s.k < 1 || len(s.h) < s.k {
+		return 0, false
+	}
+	return s.h[0], true
 }
 
 // Ranked is one in-progress best-first ranked query: the shared
@@ -269,10 +329,12 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		sigLos = make([]float64, n)
 	}
 	his := make([]float64, n)
-	// probed marks candidates whose tier-0 bounds were computed; allHis
-	// accumulates their pessimistic corners for threshold seeding.
+	// probed marks candidates whose tier-0 bounds were computed; uppers
+	// keeps the smallest of their pessimistic corners for threshold
+	// seeding.
 	probed := make([]bool, n)
-	allHis := make([]float64, 0, n)
+	uppers := kSmallest{k: coll.floorK()}
+	order := make([]int, 0, n)
 	// fate records how each claimed candidate left the scan. An element
 	// is written only by the one worker that claimed the candidate and
 	// read after the pool has drained, so plain bytes suffice.
@@ -281,7 +343,6 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		fateScored                // exact score computed or replayed
 		fateInexact               // scored, from a capped engine's bound
 		fateExcluded              // an engine decision run proved it out
-		fateRefined               // out by its refined interval, no engine run
 	)
 	fate := make([]uint8, n)
 
@@ -334,7 +395,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 			}
 			los[i], his[i] = bounds[i].Interval(m)
 			probed[i] = true
-			allHis = append(allHis, his[i])
+			uppers.push(his[i])
 		}
 		pivotDur += batchPivot
 		// Claim order: by the optimistic end — which is what lets the scan
@@ -344,15 +405,19 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		// so lo ties are the common case, and within a tie the candidate
 		// that is CERTAINLY near (small hi) should feed the threshold
 		// before one that is merely possibly near; remaining ties keep
-		// snapshot order, for a deterministic claim sequence. The answer
-		// itself is order-independent — exclusion always carries a proof.
-		order := append([]int(nil), mem...)
-		sort.SliceStable(order, func(a, b int) bool {
-			la, lb := los[order[a]], los[order[b]]
-			if la != lb {
-				return la < lb
+		// snapshot order, for a deterministic claim sequence (batch members
+		// ascend by snapshot index, so the index tie-break is the stable
+		// order). The answer itself is order-independent — exclusion
+		// always carries a proof.
+		order = append(order[:0], mem...)
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(los[a], los[b]); c != 0 {
+				return c
 			}
-			return his[order[a]] < his[order[b]]
+			if c := cmp.Compare(his[a], his[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
 		})
 		// Seed the threshold from every pessimistic corner probed so far:
 		// the k best reported scores each sit under one of the k smallest
@@ -361,7 +426,9 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		// is uncapped), so the scan runs against a real bar instead of
 		// +Inf — and each batch tightens it further before the next floor
 		// check.
-		coll.seedUppers(allHis)
+		if v, ok := uppers.kth(); ok {
+			coll.seedFloor(v)
+		}
 		if trace != nil {
 			// Bounding, ordering and threshold seeding are bound-stage
 			// work; the stage's pruned count (threshold cutoff plus
@@ -408,7 +475,12 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 					}
 					i := order[k]
 					name := sn.graphs[i].Name()
-					if los[i] > coll.threshold() {
+					// One threshold reading serves the cutoff and the
+					// engines below, so a candidate the interval already
+					// condemns is always the cutoff's, never an "exact"
+					// exclusion that ran no engine.
+					th := coll.threshold()
+					if los[i] > th {
 						// Candidates are claimed in optimistic-bound order:
 						// everything after this one in the batch is at
 						// least as hopeless. (Later batches still get
@@ -421,8 +493,8 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 					if trace != nil {
 						t0 = time.Now()
 					}
-					// Memo replay: a recorded pair score skips refinement and
-					// the engines entirely. The replayed score is exact, so
+					// Memo replay: a recorded pair score skips the engines
+					// entirely. The replayed score is exact, so
 					// the replay counts as exact-stage work.
 					if useMemo {
 						if r, ok := ec.memoGet(sn.seqs[i], needGED, needMCS); ok {
@@ -438,32 +510,9 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 							continue
 						}
 					}
-					// Tier 1: polynomial refinement, witnesses kept for the
-					// engines.
-					var wit *measure.Witness
-					bounds[i], wit = measure.RefineWitness(sn.graphs[i], q, bounds[i])
-					// One threshold reading serves the refine tier's check
-					// and the engines below, so a candidate the interval
-					// already condemns is the refine stage's, never an
-					// "exact" exclusion that ran no engine. Refinement
-					// narrows only the pessimistic end, so this fires just
-					// when another worker tightened the bar after the claim.
-					th := coll.threshold()
-					if lo, _ := bounds[i].Interval(m); lo > th {
-						fate[i] = fateRefined
-						if trace != nil {
-							trace.Observe(StageRefine, time.Since(t0), 1, 1)
-						}
-						continue
-					}
-					if trace != nil {
-						trace.Observe(StageRefine, time.Since(t0), 1, 0)
-						t0 = time.Now()
-					}
-					hints := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig, Witness: wit}
-					// Tier 2: threshold-fed evaluation — an engine decision
-					// run excludes, or a plain exact run scores.
-					score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval, hints)
+					// Threshold-fed evaluation: an engine decision run
+					// excludes, or a plain exact run scores.
+					score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval)
 					if excluded {
 						fate[i] = fateExcluded
 						if trace != nil {
@@ -496,9 +545,8 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	// Pruned, its pivot and vector shares and every stage's pruned count
 	// are sums over the same partition of the snapshot. A candidate that
 	// was not scored was, in this order: never bounded (a skipped cell —
-	// the vector tier's), out by its refined interval or excluded by an
-	// engine decision run (the refine and exact stages', each observed
-	// on the trace as it happened), condemned at the
+	// the vector tier's), excluded by an engine decision run (the exact
+	// stage's, observed on the trace as it happened), condemned at the
 	// final threshold by the merged optimistic bound where the signature
 	// bound alone would have let it through (the pivot tier's), or
 	// otherwise cut off by the signature bound and the best-first
@@ -517,7 +565,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		switch {
 		case !probed[i]:
 			stats.VectorSkipped++
-		case fate[i] == fateExcluded || fate[i] == fateRefined:
+		case fate[i] == fateExcluded:
 		case attribute && los[i] > th && sigLos[i] <= th:
 			stats.PivotPruned++
 		default:

@@ -2,6 +2,9 @@ package gdb
 
 import (
 	"context"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"skygraph/internal/dataset"
@@ -32,5 +35,63 @@ func TestRankedCanceled(t *testing.T) {
 	}
 	if _, err := db.RangeQuery(ctx, dataset.PaperQuery(), measure.DistEd{}, 2, QueryOptions{Prune: true}); err == nil {
 		t.Error("canceled pruned range succeeded")
+	}
+}
+
+// TestKSmallestMatchesSortedFloor: batch by batch, the bounded heap's
+// k-th value is the floor the scan used to compute by copying every
+// upper bound probed so far, sorting, and taking index k-1 — including
+// while fewer than k uppers exist (no floor), on ties and on +Inf.
+func TestKSmallestMatchesSortedFloor(t *testing.T) {
+	inf := math.Inf(1)
+	rng := rand.New(rand.NewSource(5))
+	random := make([][]float64, 12)
+	for b := range random {
+		random[b] = make([]float64, rng.Intn(9))
+		for i := range random[b] {
+			// Small integers make ties the common case, as on DistEd.
+			random[b][i] = float64(rng.Intn(6))
+			if rng.Intn(10) == 0 {
+				random[b][i] = inf
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		batches [][]float64
+	}{
+		{"fewer than k", [][]float64{{3}, {1}}},
+		{"ties", [][]float64{{2, 2, 2}, {2, 1, 2}, {1, 1}}},
+		{"inf", [][]float64{{inf, inf}, {inf, 4}, {inf, 3, inf}, {0}}},
+		{"empty batches", [][]float64{{}, {5, 4, 3}, {}, {9}}},
+		{"random", random},
+	} {
+		for _, k := range []int{1, 2, 3, 5} {
+			var all []float64
+			h := kSmallest{k: k}
+			for b, batch := range tc.batches {
+				for _, v := range batch {
+					all = append(all, v)
+					h.push(v)
+				}
+				got, ok := h.kth()
+				if len(all) < k {
+					if ok {
+						t.Fatalf("%s k=%d batch %d: floor %v from %d uppers", tc.name, k, b, got, len(all))
+					}
+					continue
+				}
+				sorted := append([]float64(nil), all...)
+				sort.Float64s(sorted)
+				if want := sorted[k-1]; !ok || got != want {
+					t.Fatalf("%s k=%d batch %d: floor %v (ok=%v), want %v", tc.name, k, b, got, ok, want)
+				}
+			}
+		}
+	}
+	var none kSmallest
+	none.push(1)
+	if _, ok := none.kth(); ok {
+		t.Fatal("k=0 heap reported a floor")
 	}
 }

@@ -20,8 +20,6 @@ import (
 //	        query-to-pivot engine runs (paid when the query's context is
 //	        assembled, before any candidate is looked at) plus the
 //	        per-candidate interval arithmetic; ranked scans only
-//	refine  tier-1 polynomial refinement (bipartite + greedy); ranked
-//	        scans only
 //	exact   engine work: exact GED/MCS runs, threshold- or front-fed
 //	        decision runs, and score-memo replays; on the skyline path
 //	        the whole progressive scan, front tests included
@@ -57,13 +55,12 @@ const (
 	StageVector Stage = iota
 	StageBound
 	StagePivot
-	StageRefine
 	StageExact
 	StageMerge
 	numStages
 )
 
-var stageNames = [numStages]string{"vector", "bound", "pivot", "refine", "exact", "merge"}
+var stageNames = [numStages]string{"vector", "bound", "pivot", "exact", "merge"}
 
 // String returns the stage's wire name.
 func (s Stage) String() string { return stageNames[s] }
@@ -102,8 +99,8 @@ func (t *QueryTrace) Observe(s Stage, d time.Duration, pairs, pruned int) {
 
 // TraceStage is one stage's totals in wire form.
 type TraceStage struct {
-	// Stage is the cascade stage name: vector, bound, pivot, refine,
-	// exact, merge.
+	// Stage is the cascade stage name: vector, bound, pivot, exact,
+	// merge.
 	Stage string `json:"stage"`
 	// DurationMS is the stage's work time, summed across shards and
 	// workers.

@@ -127,7 +127,9 @@ func TestTraceRankedConsistent(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s topk shards=%d q=%d: %v", tc.name, shards, qi, err)
 				}
-				requireTraceConsistent(t, fmt.Sprintf("%s topk shards=%d q=%d", tc.name, shards, qi), tr, res.Stats, len(tc.gs))
+				label := fmt.Sprintf("%s topk shards=%d q=%d", tc.name, shards, qi)
+				requireTraceConsistent(t, label, tr, res.Stats, len(tc.gs))
+				requireNoRefineStage(t, label, tr)
 
 				tr = gdb.NewQueryTrace()
 				opts.Trace = tr
@@ -135,31 +137,20 @@ func TestTraceRankedConsistent(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s range shards=%d q=%d: %v", tc.name, shards, qi, err)
 				}
-				requireTraceConsistent(t, fmt.Sprintf("%s range shards=%d q=%d", tc.name, shards, qi), tr, rres.Stats, len(tc.gs))
-				// Refinement narrows only an interval's pessimistic end,
-				// so the refine span prunes exactly the candidates whose
-				// threshold tightened between claim and refinement: none
-				// under a range scan's fixed radius.
-				if _, _, _, byName := stageSums(tr.Stages()); byName["refine"].Pruned != 0 {
-					t.Fatalf("%s range shards=%d q=%d: refine span pruned %d under a fixed threshold", tc.name, shards, qi, byName["refine"].Pruned)
-				}
-				if shards != 1 {
-					continue
-				}
-				// ...and none on a top-k scan nobody else feeds: one
-				// shard, one worker.
-				tr = gdb.NewQueryTrace()
-				opts.Trace, opts.Workers = tr, 1
-				res, err = sh.TopKQuery(context.Background(), q, m, 5, opts)
-				if err != nil {
-					t.Fatalf("%s topk workers=1 q=%d: %v", tc.name, qi, err)
-				}
-				requireTraceConsistent(t, fmt.Sprintf("%s topk workers=1 q=%d", tc.name, qi), tr, res.Stats, len(tc.gs))
-				if _, _, _, byName := stageSums(tr.Stages()); byName["refine"].Pruned != 0 {
-					t.Fatalf("%s topk workers=1 q=%d: refine span pruned %d with no concurrent threshold feed", tc.name, qi, byName["refine"].Pruned)
-				}
+				label = fmt.Sprintf("%s range shards=%d q=%d", tc.name, shards, qi)
+				requireTraceConsistent(t, label, tr, rres.Stats, len(tc.gs))
+				requireNoRefineStage(t, label, tr)
 			}
 		}
+	}
+}
+
+// requireNoRefineStage: the ranked scan goes from a candidate's bounds
+// straight to the engines, so no trace names a refine stage.
+func requireNoRefineStage(t *testing.T, label string, tr *gdb.QueryTrace) {
+	t.Helper()
+	if _, _, _, byName := stageSums(tr.Stages()); byName["refine"].Stage != "" {
+		t.Fatalf("%s: ranked trace recorded a refine stage: %+v", label, byName["refine"])
 	}
 }
 

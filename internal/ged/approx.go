@@ -15,9 +15,9 @@ const bigCost = 1e12
 
 // costBuf is a reusable square cost matrix: one flat backing array with
 // row views sliced out of it, plus the per-vertex incident edge-label
-// histograms the substitution block is built from. Bipartite runs once
-// per database graph in both the refinement tier and every capped exact
-// fallback, so this allocation is hot.
+// histograms the substitution block is built from. Bipartite runs on
+// every capped exact fallback and on every pivot-distance cap, so this
+// allocation is hot.
 type costBuf struct {
 	flat []float64
 	rows [][]float64

@@ -20,12 +20,6 @@ type Options struct {
 	// cost models with unit costs below 1 it could overestimate, so it is
 	// automatically disabled unless the model is Uniform.
 	DisableHeuristic bool
-	// Upper, when non-nil, is a precomputed Bipartite(g1, g2, Cost)
-	// result to use as the cap fallback instead of recomputing it —
-	// the filter-and-refine pipeline already paid for it in the
-	// refinement tier. Must come from the same pair, orientation and
-	// cost model, or the result is undefined.
-	Upper *Result
 	// Limit, when non-nil, turns the search into a decision procedure
 	// for "distance > *Limit": the moment the cheapest open node's
 	// f-value exceeds the limit, every remaining completion provably
@@ -85,15 +79,10 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	res := s.run(opts.MaxNodes)
 	s.release()
 	if !res.Exact && !res.AboveLimit {
-		// Graceful degradation: bipartite approximation upper bound
-		// (precomputed by the caller when available). An AboveLimit
-		// result is left alone — its Distance is a proven lower bound,
-		// which an upper bound cannot replace.
-		ub := opts.Upper
-		if ub == nil {
-			b := Bipartite(g1, g2, cm)
-			ub = &b
-		}
+		// Graceful degradation: bipartite approximation upper bound. An
+		// AboveLimit result is left alone — its Distance is a proven
+		// lower bound, which an upper bound cannot replace.
+		ub := Bipartite(g1, g2, cm)
 		if ub.Distance < res.Distance || res.Mapping == nil {
 			res.Distance = ub.Distance
 			res.Mapping = ub.Mapping

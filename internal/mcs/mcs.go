@@ -37,11 +37,6 @@ type Options struct {
 	// anytime algorithm and returns the best mapping found so far together
 	// with Exhausted=false.
 	MaxNodes int64
-	// Floor, when non-nil, is a precomputed GreedyLB(g1, g2) mapping to
-	// use as the capped-search floor instead of recomputing it — the
-	// filter-and-refine pipeline already paid for it in the refinement
-	// tier. Must come from the same pair and orientation.
-	Floor *Mapping
 	// Need, when > 0, turns the search into a decision procedure for
 	// "|mcs| >= Need": branches that cannot reach Need common edges are
 	// pruned regardless of the incumbent, and the search stops the
@@ -49,10 +44,11 @@ type Options struct {
 	// exhausted without the cap firing and without reaching Need, the
 	// result reports ProvedBelowNeed — a certificate that |mcs| < Need.
 	// The returned Mapping is then only decision-grade (the aggressive
-	// pruning may have skipped the true maximum), so Exhausted is never
-	// set when Need > 0; ranked queries use this to discard candidates
-	// whose distance provably exceeds the current threshold, re-running
-	// a plain search for candidates that survive.
+	// pruning may have skipped the true maximum, and no GreedyLB floor
+	// is applied), so Exhausted is never set when Need > 0; ranked
+	// queries use this to discard candidates whose distance provably
+	// exceeds the current threshold, re-running a plain search for
+	// candidates that survive.
 	Need int
 }
 
@@ -79,12 +75,13 @@ func Size(g1, g2 *graph.Graph) int {
 }
 
 // Exact runs the branch-and-bound search and returns the best mapping.
-// When the node cap truncates the search, the result is additionally
-// floored by the deterministic GreedyLB mapping — like ged.Exact
-// degrading to its bipartite upper bound, the capped search never
-// returns a worse witness than the cheap greedy one. Bound-driven
-// pruning in internal/gdb relies on this floor: GreedyLB is then a
-// valid lower bound on the value Exact reports, capped or not.
+// When the node cap truncates a plain search (Need == 0), the result is
+// additionally floored by the deterministic GreedyLB mapping — like
+// ged.Exact degrading to its bipartite upper bound, the capped search
+// never returns a worse witness than the cheap greedy one, so GreedyLB
+// is a valid lower bound on the value Exact reports, capped or not. A
+// decision run (Need > 0) skips the floor: its only output is the
+// ProvedBelowNeed verdict, which the floor cannot change.
 func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	// Search from the smaller graph for a smaller branching factor.
 	orig1, orig2 := g1, g2
@@ -108,14 +105,9 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 			m.Pairs[i].U, m.Pairs[i].V = m.Pairs[i].V, m.Pairs[i].U
 		}
 	}
-	if !res.Exhausted {
-		lb := opts.Floor
-		if lb == nil {
-			v := GreedyLB(orig1, orig2)
-			lb = &v
-		}
-		if lb.Edges > m.Edges {
-			m = *lb
+	if !res.Exhausted && opts.Need == 0 {
+		if lb := GreedyLB(orig1, orig2); lb.Edges > m.Edges {
+			m = lb
 		}
 	}
 	res.Mapping = m

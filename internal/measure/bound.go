@@ -6,26 +6,23 @@ import (
 	"skygraph/internal/mcs"
 )
 
-// This file implements the bound side of the filter-and-refine skyline
-// pipeline: interval versions of the pair statistics, derived first
-// from stored signatures alone (BoundPair, no graph access) and then
-// tightened by cheap polynomial engines (Refine). The intervals are
+// This file implements the bound side of the filter-and-refine
+// pipeline: interval versions of the pair statistics, derived from
+// stored signatures alone (BoundPair, no graph access) and tightened by
+// the pivot tier's triangle bounds (TightenGED). The intervals are
 // admissible with respect to Compute — for any engine caps, the value
 // Compute reports lies inside them:
 //
 //   - GED low:  the label-histogram lower bound (== ged.LowerBound).
 //     Compute's GED is the exact distance or the bipartite upper bound,
 //     both >= the histogram bound.
-//   - GED high: delete-all/insert-all (|V1|+|V2|+|E1|+|E2|) from
-//     signatures, refined to the ged.Bipartite mapping cost — exactly
-//     the value Compute degrades to when its A* cap fires.
-//   - MCS high: the edge-label multiset intersection, capped by the
+//   - GED high: delete-all/insert-all (|V1|+|V2|+|E1|+|E2|), which no
+//     edit path Compute reports can exceed.
+//   - MCS high: the edge-type multiset intersection, capped by the
 //     densest simple graph on the common vertex labels. Every common
 //     subgraph's edges match labels on both sides, so no witness —
 //     exact or partial — can exceed it.
-//   - MCS low:  0 from signatures, refined to mcs.GreedyLB — a real
-//     connected common subgraph, and the floor mcs.Exact applies to
-//     capped searches.
+//   - MCS low:  0.
 //
 // The uniform cost model is assumed throughout (it is the only one
 // Compute uses).
@@ -49,8 +46,8 @@ type BoundStats struct {
 // BoundPair derives tier-0 interval statistics for the pair (s1, s2)
 // from signatures alone — O(labels + degrees), no graph access.
 func BoundPair(s1, s2 *Signature) BoundStats {
-	vd := graph.HistogramDistance(s1.VHist, s2.VHist)
-	ed := graph.HistogramDistance(s1.EHist, s2.EHist)
+	vd := s1.VHist.distance(s2.VHist)
+	ed := s1.EHist.distance(s2.EHist)
 	return BoundStats{
 		GEDLo:     float64(vd + ed),
 		GEDHi:     float64(s1.Order + s2.Order + s1.Size + s2.Size),
@@ -75,64 +72,31 @@ func mcsUpper(s1, s2 *Signature) int {
 	if s2.Size < ub {
 		ub = s2.Size
 	}
-	if ti := histIntersection(s1.THist, s2.THist); ti < ub {
+	if ti := s1.THist.intersection(s2.THist); ti < ub {
 		ub = ti
 	}
-	vi := histIntersection(s1.VHist, s2.VHist)
+	vi := s1.VHist.intersection(s2.VHist)
 	if dense := vi * (vi - 1) / 2; dense < ub {
 		ub = dense
 	}
 	return ub
 }
 
-// histIntersection is the multiset intersection size of two count maps.
-func histIntersection(a, b map[string]int) int {
-	n := 0
-	for l, ca := range a {
-		if cb := b[l]; cb < ca {
-			n += cb
-		} else {
-			n += ca
-		}
-	}
-	return n
-}
-
-// Witness carries the refinement tier's engine results so a later
-// exact evaluation of the same pair (same orientation) can reuse them:
-// ComputeHinted hands GEDUpper to ged.Exact as its cap fallback and
-// MCSFloor to mcs.Exact as its capped-search floor, instead of both
-// engines recomputing what Refine already paid for.
-type Witness struct {
-	GEDUpper ged.Result
-	MCSFloor mcs.Mapping
-}
-
 // Refine tightens tier-0 bounds with the cheap polynomial engines: the
-// bipartite assignment upper bound on GED (the exact value Compute
-// falls back to under a cap) and the deterministic greedy lower bound
-// on MCS (the floor mcs.Exact applies under a cap). Runs in polynomial
-// time — orders of magnitude cheaper than the exact engines it may
-// render unnecessary.
+// bipartite assignment upper bound on GED (the value Compute falls back
+// to under a cap) and the deterministic greedy lower bound on MCS (the
+// floor mcs.Exact applies under a cap). No query path calls it any
+// more — the ranked scan decides candidates on their tier-0 and pivot
+// bounds, which cost less than refining them did. It is kept only for
+// the benchmark harness's measure.refine_us probe.
 func Refine(g1, g2 *graph.Graph, bs BoundStats) BoundStats {
-	bs, _ = RefineWitness(g1, g2, bs)
+	if d := ged.Bipartite(g1, g2, nil).Distance; d < bs.GEDHi {
+		bs.GEDHi = d
+	}
+	if e := mcs.GreedyLB(g1, g2).Edges; e > bs.MCSLo {
+		bs.MCSLo = e
+	}
 	return bs
-}
-
-// RefineWitness is Refine, additionally returning the engine results
-// for reuse by ComputeHinted on the pairs that survive pruning.
-func RefineWitness(g1, g2 *graph.Graph, bs BoundStats) (BoundStats, *Witness) {
-	w := &Witness{
-		GEDUpper: ged.Bipartite(g1, g2, nil),
-		MCSFloor: mcs.GreedyLB(g1, g2),
-	}
-	if w.GEDUpper.Distance < bs.GEDHi {
-		bs.GEDHi = w.GEDUpper.Distance
-	}
-	if w.MCSFloor.Edges > bs.MCSLo {
-		bs.MCSLo = w.MCSFloor.Edges
-	}
-	return bs, w
 }
 
 // TightenGED intersects an externally certified GED interval — the

@@ -39,16 +39,15 @@ func TestBoundGCSAdmissible(t *testing.T) {
 		q := graph.Molecule(3+rng.Intn(7), rng)
 		sg, sq := NewSignature(g), NewSignature(q)
 		bs0 := BoundPair(sg, sq)
-		bs1, wit := RefineWitness(g, q, bs0)
+		bs1 := Refine(g, q, bs0)
 		if bs1.GEDHi > bs0.GEDHi || bs1.MCSLo < bs0.MCSLo {
 			t.Fatalf("refinement loosened bounds: tier0=%+v tier1=%+v", bs0, bs1)
 		}
 		for _, eval := range evals {
-			// Reusing the refinement witness and the stored signatures
-			// must not change what Compute reports (the equivalence
-			// guarantee rests on it).
+			// Reusing the stored signatures must not change what
+			// Compute reports (the equivalence guarantee rests on it).
 			plain := Compute(g, q, eval)
-			hinted := ComputeHinted(g, q, eval, PairHints{Sig1: sg, Sig2: sq, Witness: wit})
+			hinted := ComputeHinted(g, q, eval, PairHints{Sig1: sg, Sig2: sq})
 			if hinted != plain {
 				t.Fatalf("hint reuse changed Compute: %+v vs %+v", hinted, plain)
 			}

@@ -69,14 +69,11 @@ func Compute(g1, g2 *graph.Graph, opts Options) PairStats {
 }
 
 // PairHints carries precomputed material ComputeHinted can reuse for a
-// pair: the graphs' stored signatures (sparing the per-pair histogram
-// and degree-sequence rebuild) and the refinement tier's witness (the
-// capped engines fall back to its bipartite result and greedy floor
-// instead of recomputing them). Every field is optional; hints must
+// pair: the graphs' stored signatures, sparing the per-pair histogram
+// and degree-sequence rebuild. Either field is optional; hints must
 // describe the same graphs in the same orientation.
 type PairHints struct {
 	Sig1, Sig2 *Signature
-	Witness    *Witness
 }
 
 // ComputeHinted is Compute reusing whatever hints the caller has. The
@@ -89,10 +86,8 @@ func ComputeHinted(g1, g2 *graph.Graph, opts Options, h PairHints) PairStats {
 // EngineResults carries the raw exact-engine outputs of one pair in
 // one orientation, the unit the cross-query score memo stores: the
 // engines are deterministic for a fixed (pair, options), so replaying
-// a recorded result is byte-identical to re-running the engine.
-//
-// The memo holds one of these per scored pair, so the flags sit
-// together after the values: 24 bytes, not 32.
+// a recorded result is byte-identical to re-running the engine (the
+// memo stores each packed into 16 bytes, see gdb's memoVal).
 type EngineResults struct {
 	// GED and GEDExact mirror PairStats (value or bipartite bound);
 	// HasGED reports whether the GED engine's result is present.
@@ -117,19 +112,11 @@ func (r EngineResults) Covers(needGED, needMCS bool) bool {
 // republication.
 func ComputeWith(g1, g2 *graph.Graph, opts Options, h PairHints, have EngineResults) (PairStats, EngineResults) {
 	if !have.HasGED {
-		gopts := ged.Options{MaxNodes: opts.GEDMaxNodes}
-		if h.Witness != nil {
-			gopts.Upper = &h.Witness.GEDUpper
-		}
-		gres := ged.Exact(g1, g2, gopts)
+		gres := ged.Exact(g1, g2, ged.Options{MaxNodes: opts.GEDMaxNodes})
 		have.GED, have.GEDExact, have.HasGED = gres.Distance, gres.Exact, true
 	}
 	if !have.HasMCS {
-		mopts := mcs.Options{MaxNodes: opts.MCSMaxNodes}
-		if h.Witness != nil {
-			mopts.Floor = &h.Witness.MCSFloor
-		}
-		mres := mcs.Exact(g1, g2, mopts)
+		mres := mcs.Exact(g1, g2, mcs.Options{MaxNodes: opts.MCSMaxNodes})
 		have.MCS, have.MCSExact, have.HasMCS = mres.Mapping.Edges, mres.Exhausted, true
 	}
 	v1, e1, d1 := histsOf(g1, h.Sig1)
@@ -143,8 +130,8 @@ func ComputeWith(g1, g2 *graph.Graph, opts Options, h PairHints, have EngineResu
 		Size2:     g2.Size(),
 		Order1:    g1.Order(),
 		Order2:    g2.Order(),
-		VHistDist: graph.HistogramDistance(v1, v2),
-		EHistDist: graph.HistogramDistance(e1, e2),
+		VHistDist: v1.distance(v2),
+		EHistDist: e1.distance(e2),
 		DegL1:     degreeL1(d1, d2),
 	}, have
 }
@@ -166,19 +153,19 @@ func PairStatsFrom(s1, s2 *Signature, r EngineResults) PairStats {
 		Size2:     s2.Size,
 		Order1:    s1.Order,
 		Order2:    s2.Order,
-		VHistDist: graph.HistogramDistance(s1.VHist, s2.VHist),
-		EHistDist: graph.HistogramDistance(s1.EHist, s2.EHist),
+		VHistDist: s1.VHist.distance(s2.VHist),
+		EHistDist: s1.EHist.distance(s2.EHist),
 		DegL1:     degreeL1(s1.Degrees, s2.Degrees),
 	}
 }
 
 // histsOf returns g's label histograms and degree sequence, from the
 // signature when one is supplied.
-func histsOf(g *graph.Graph, sig *Signature) (vh, eh map[string]int, deg []int) {
+func histsOf(g *graph.Graph, sig *Signature) (vh, eh Histogram, deg []int) {
 	if sig != nil {
 		return sig.VHist, sig.EHist, sig.Degrees
 	}
-	vh, eh = g.LabelHistogram()
+	vh, eh = labelHistograms(g)
 	return vh, eh, g.DegreeSequence()
 }
 

@@ -182,18 +182,14 @@ func ScorePairWith(g1, g2 *graph.Graph, m Measure, opts Options, h PairHints, ha
 	ps := PairStats{
 		Size1: g1.Size(), Size2: g2.Size(),
 		Order1: g1.Order(), Order2: g2.Order(),
-		VHistDist: graph.HistogramDistance(v1, v2),
-		EHistDist: graph.HistogramDistance(e1, e2),
+		VHistDist: v1.distance(v2),
+		EHistDist: e1.distance(e2),
 		DegL1:     degreeL1(d1, d2),
 	}
 	needGED, needMCS := EngineNeeds(m)
 	if needGED {
 		if !have.HasGED {
-			gopts := ged.Options{MaxNodes: opts.GEDMaxNodes}
-			if h.Witness != nil {
-				gopts.Upper = &h.Witness.GEDUpper
-			}
-			gres := ged.Exact(g1, g2, gopts)
+			gres := ged.Exact(g1, g2, ged.Options{MaxNodes: opts.GEDMaxNodes})
 			have.GED, have.GEDExact, have.HasGED = gres.Distance, gres.Exact, true
 		}
 		ps.GED, ps.GEDExact = have.GED, have.GEDExact
@@ -202,11 +198,7 @@ func ScorePairWith(g1, g2 *graph.Graph, m Measure, opts Options, h PairHints, ha
 	}
 	if needMCS {
 		if !have.HasMCS {
-			mopts := mcs.Options{MaxNodes: opts.MCSMaxNodes}
-			if h.Witness != nil {
-				mopts.Floor = &h.Witness.MCSFloor
-			}
-			mres := mcs.Exact(g1, g2, mopts)
+			mres := mcs.Exact(g1, g2, mcs.Options{MaxNodes: opts.MCSMaxNodes})
 			have.MCS, have.MCSExact, have.HasMCS = mres.Mapping.Edges, mres.Exhausted, true
 		}
 		ps.MCS, ps.MCSExact = have.MCS, have.MCSExact
@@ -218,13 +210,13 @@ func ScorePairWith(g1, g2 *graph.Graph, m Measure, opts Options, h PairHints, ha
 
 // ComputeRank is the threshold-fed pair evaluation: it either proves
 // the pair's m-distance exceeds t (excluded=true, no score) or returns
-// the exact score, byte-identical to m.FromStats(ComputeHinted(g1, g2,
-// opts, h)). bs must bound the pair (tier-0 BoundPair, optionally
-// tightened by Refine) and h should carry the pair's signatures and
-// refinement witness as usual. inexact reports whether a capped engine
-// backed the returned score.
-func ComputeRank(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options, h PairHints) (score float64, excluded, inexact bool) {
-	score, _, excluded, inexact = ComputeRankResults(g1, g2, m, t, bs, opts, h)
+// the exact score, byte-identical to m.FromStats(Compute(g1, g2,
+// opts)). bs must bound the pair (tier-0 BoundPair, optionally
+// tightened by the pivot tier); its exact fields supply the cheap
+// statistics. inexact reports whether a capped engine backed the
+// returned score.
+func ComputeRank(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options) (score float64, excluded, inexact bool) {
+	score, _, excluded, inexact = ComputeRankResults(g1, g2, m, t, bs, opts)
 	return score, excluded, inexact
 }
 
@@ -235,7 +227,7 @@ func ComputeRank(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts 
 // the plain engine's answer (except the uncapped goal case, whose
 // value is provably identical and is returned). Excluded candidates
 // return empty results.
-func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options, h PairHints) (score float64, got EngineResults, excluded, inexact bool) {
+func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options) (score float64, got EngineResults, excluded, inexact bool) {
 	lo, hi := bs.Interval(m)
 	if lo > t {
 		// The whole interval sits above the threshold: the reported
@@ -249,11 +241,7 @@ func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats
 	certain := hi <= t // interval proves inclusion: skip decision runs
 	if plan.NeedGED {
 		gopts := ged.Options{MaxNodes: opts.GEDMaxNodes}
-		if h.Witness != nil {
-			gopts.Upper = &h.Witness.GEDUpper
-		}
-		if !certain && !math.IsInf(plan.GEDLimit, 1) &&
-			(gopts.Upper == nil || gopts.Upper.Distance > plan.GEDLimit) {
+		if !certain && !math.IsInf(plan.GEDLimit, 1) {
 			dopts := gopts
 			dopts.Limit = &plan.GEDLimit
 			dres := ged.Exact(g1, g2, dopts)
@@ -278,11 +266,7 @@ func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats
 	}
 	if plan.NeedMCS {
 		mopts := mcs.Options{MaxNodes: opts.MCSMaxNodes}
-		if h.Witness != nil {
-			mopts.Floor = &h.Witness.MCSFloor
-		}
-		if !certain && plan.MCSNeed > 0 &&
-			(mopts.Floor == nil || mopts.Floor.Edges < plan.MCSNeed) {
+		if !certain && plan.MCSNeed > 0 {
 			dopts := mopts
 			dopts.Need = plan.MCSNeed
 			if dres := mcs.Exact(g1, g2, dopts); dres.ProvedBelowNeed {

@@ -76,32 +76,39 @@ func TestPlanRankCutoffs(t *testing.T) {
 // TestComputeRankMatchesComputeHinted: ComputeRank either excludes a
 // pair — and then the true reported distance really exceeds the
 // threshold — or returns the bit-identical score of the full
-// evaluation, with and without engine caps and refinement witnesses.
+// evaluation, with and without engine caps, on tier-0 bounds and on
+// Refine'd ones (a tighter interval skips decision runs, never changes
+// a score).
 func TestComputeRankMatchesComputeHinted(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 30; trial++ {
 		g := graph.Molecule(3+rng.Intn(6), rng)
 		q := graph.Molecule(3+rng.Intn(6), rng)
 		sg, sq := NewSignature(g), NewSignature(q)
+		bs0 := BoundPair(sg, sq)
+		h := PairHints{Sig1: sg, Sig2: sq}
 		for _, opts := range []Options{{}, {GEDMaxNodes: 15, MCSMaxNodes: 15}} {
-			bs, wit := RefineWitness(g, q, BoundPair(sg, sq))
-			h := PairHints{Sig1: sg, Sig2: sq, Witness: wit}
 			for _, m := range rankSweep() {
-				truth := m.FromStats(ComputeHinted(g, q, opts, h))
+				truth := m.FromStats(Compute(g, q, opts))
+				if got := m.FromStats(ComputeHinted(g, q, opts, h)); got != truth {
+					t.Fatalf("%s: ComputeHinted %v != truth %v (caps %+v)", m.Name(), got, truth, opts)
+				}
 				if got, _ := ScorePair(g, q, m, opts, h); got != truth {
 					t.Fatalf("%s: ScorePair %v != truth %v (caps %+v)", m.Name(), got, truth, opts)
 				}
-				lo, hi := bs.Interval(m)
-				for _, t0 := range []float64{lo - 1, lo, truth, (lo + hi) / 2, hi, math.Inf(1)} {
-					score, excluded, _ := ComputeRank(g, q, m, t0, bs, opts, h)
-					if excluded {
-						if truth <= t0 {
-							t.Fatalf("%s t=%v: excluded but truth %v fits (caps %+v)", m.Name(), t0, truth, opts)
+				for tier, bs := range []BoundStats{bs0, Refine(g, q, bs0)} {
+					lo, hi := bs.Interval(m)
+					for _, t0 := range []float64{lo - 1, lo, truth, (lo + hi) / 2, hi, math.Inf(1)} {
+						score, excluded, _ := ComputeRank(g, q, m, t0, bs, opts)
+						if excluded {
+							if truth <= t0 {
+								t.Fatalf("%s tier %d t=%v: excluded but truth %v fits (caps %+v)", m.Name(), tier, t0, truth, opts)
+							}
+							continue
 						}
-						continue
-					}
-					if score != truth {
-						t.Fatalf("%s t=%v: score %v != truth %v (caps %+v)", m.Name(), t0, score, truth, opts)
+						if score != truth {
+							t.Fatalf("%s tier %d t=%v: score %v != truth %v (caps %+v)", m.Name(), tier, t0, score, truth, opts)
+						}
 					}
 				}
 			}

@@ -1,6 +1,10 @@
 package measure
 
 import (
+	"iter"
+	"slices"
+	"strings"
+
 	"skygraph/internal/graph"
 )
 
@@ -13,14 +17,14 @@ type Signature struct {
 	// Order and Size are the vertex and edge counts.
 	Order, Size int
 	// VHist and EHist are the vertex- and edge-label histograms.
-	VHist, EHist map[string]int
+	VHist, EHist Histogram
 	// THist is the edge-type histogram: each edge keyed by its edge label
 	// plus both endpoint vertex labels (endpoint pair sorted). An edge of
 	// a common subgraph must agree on all three, so type-multiset
 	// intersection upper-bounds |mcs| far tighter than edge labels alone
 	// when the label alphabet is small (molecules: C-C single vs C-N
 	// single are different types, same edge label).
-	THist map[string]int
+	THist Histogram
 	// Degrees is the degree sequence, descending.
 	Degrees []int
 }
@@ -28,17 +32,17 @@ type Signature struct {
 // NewSignature computes g's signature. Callers must not mutate g
 // afterwards (the database enforces this already for stored graphs).
 func NewSignature(g *graph.Graph) *Signature {
-	vh, eh := g.LabelHistogram()
-	th := make(map[string]int, g.Size())
+	vh, eh := labelHistograms(g)
+	types := make([]string, 0, g.Size())
 	for _, e := range g.Edges() {
-		th[edgeType(g.VertexLabel(e.U), g.VertexLabel(e.V), e.Label)]++
+		types = append(types, edgeType(g.VertexLabel(e.U), g.VertexLabel(e.V), e.Label))
 	}
 	return &Signature{
 		Order:   g.Order(),
 		Size:    g.Size(),
 		VHist:   vh,
 		EHist:   eh,
-		THist:   th,
+		THist:   histogramOf(types),
 		Degrees: g.DegreeSequence(),
 	}
 }
@@ -58,6 +62,112 @@ func edgeType(va, vb, label string) string {
 // pruning site (top-k, range, the skyline filter's GEDLo) goes through
 // this one definition.
 func (s *Signature) HistLB(o *Signature) float64 {
-	return float64(graph.HistogramDistance(s.VHist, o.VHist) +
-		graph.HistogramDistance(s.EHist, o.EHist))
+	return float64(s.VHist.distance(o.VHist) + s.EHist.distance(o.EHist))
+}
+
+// labelCount is one entry of a Histogram.
+type labelCount struct {
+	label string
+	n     int
+}
+
+// Histogram is a label multiset as (label, count) entries in ascending
+// label order, no label twice and no zero count. Built once per
+// signature, it makes the histogram distance and the multiset
+// intersection one merge-walk over two short slices each: no hashing
+// and no map iteration on the bound path.
+type Histogram []labelCount
+
+// histogramOf counts labels, sorting the slice in place.
+func histogramOf(labels []string) Histogram {
+	slices.Sort(labels)
+	distinct := 0
+	for i := range labels {
+		if i == 0 || labels[i] != labels[i-1] {
+			distinct++
+		}
+	}
+	h := make(Histogram, 0, distinct)
+	for _, l := range labels {
+		if n := len(h); n > 0 && h[n-1].label == l {
+			h[n-1].n++
+			continue
+		}
+		h = append(h, labelCount{label: l, n: 1})
+	}
+	return h
+}
+
+// labelHistograms returns g's vertex- and edge-label histograms.
+func labelHistograms(g *graph.Graph) (vh, eh Histogram) {
+	vl := make([]string, g.Order())
+	for v := range vl {
+		vl[v] = g.VertexLabel(v)
+	}
+	el := make([]string, 0, g.Size())
+	for _, e := range g.Edges() {
+		el = append(el, e.Label)
+	}
+	return histogramOf(vl), histogramOf(el)
+}
+
+// Labels yields the distinct labels in ascending order.
+func (h Histogram) Labels() iter.Seq[string] {
+	return func(yield func(string) bool) {
+		for _, e := range h {
+			if !yield(e.label) {
+				return
+			}
+		}
+	}
+}
+
+// distance is graph.HistogramDistance over two Histograms: the larger
+// of the total surplus and the total deficit of h against o.
+func (h Histogram) distance(o Histogram) int {
+	surplus, deficit := 0, 0
+	i, j := 0, 0
+	for i < len(h) && j < len(o) {
+		switch c := strings.Compare(h[i].label, o[j].label); {
+		case c < 0:
+			surplus += h[i].n
+			i++
+		case c > 0:
+			deficit += o[j].n
+			j++
+		default:
+			if d := h[i].n - o[j].n; d > 0 {
+				surplus += d
+			} else {
+				deficit -= d
+			}
+			i++
+			j++
+		}
+	}
+	for ; i < len(h); i++ {
+		surplus += h[i].n
+	}
+	for ; j < len(o); j++ {
+		deficit += o[j].n
+	}
+	return max(surplus, deficit)
+}
+
+// intersection is the multiset intersection size of h and o.
+func (h Histogram) intersection(o Histogram) int {
+	n, i, j := 0, 0, 0
+	for i < len(h) && j < len(o) {
+		switch c := strings.Compare(h[i].label, o[j].label); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			n += min(h[i].n, o[j].n)
+			i++
+			j++
+		}
+	}
+	return n
 }

@@ -64,7 +64,7 @@ type QueryRequest struct {
 	All bool `json:"all,omitempty"`
 	// Trace requests the per-stage cascade trace in the response: one
 	// entry per stage the query touched (bound, exact and merge on a
-	// pruned skyline; vector, pivot and refine as well on topk/range)
+	// pruned skyline; vector and pivot as well on topk/range)
 	// with wall time, pair count and pruned count. The trace
 	// is always recorded server-side (it feeds the stage metrics and the
 	// slow-query log); this flag only controls whether it is returned.
