@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-ab bench-ged run-server smoke smoke-restart smoke-chaos bench-fault vet
+.PHONY: build test race fuzz bench bench-ab bench-kernels run-server smoke smoke-restart smoke-chaos bench-fault vet
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,7 @@ fuzz:
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzQueryHash -fuzztime=10s
 	$(GO) test ./internal/graph -run='^$$' -fuzz=FuzzLGFRoundTrip -fuzztime=10s
 	$(GO) test ./internal/ged -run='^$$' -fuzz=FuzzExactVsBruteForce -fuzztime=10s
+	$(GO) test ./internal/mcs -run='^$$' -fuzz=FuzzExactVsBruteForce -fuzztime=10s
 	$(GO) test ./internal/measure -run='^$$' -fuzz=FuzzFlatHistogram -fuzztime=10s
 
 # bench runs the repo's benchmark contract (BENCHMARK.json): all four
@@ -34,11 +35,13 @@ bench:
 bench-ab:
 	bash ./scripts/bench_ab.sh $(PARENT) . $(WORKLOAD)
 
-# bench-ged reads the GED kernel's ns/op and allocs/op on the harness's
-# graph shape (order-5 clustered molecules): near and far pairs, the
-# ranked scan's decision run, and the bipartite bound.
-bench-ged:
+# bench-kernels reads the pair kernels' ns/op and allocs/op on the
+# harness's graph shapes: GED on order-5 clustered molecules (near and
+# far pairs, the ranked scan's decision run, the bipartite bound) and
+# MCS on order-6 skyline pairs (near, far, and a Need decision run).
+bench-kernels:
 	$(GO) test ./internal/ged -run='^$$' -bench='BenchmarkExact|BenchmarkBipartite' -benchmem
+	$(GO) test ./internal/mcs -run='^$$' -bench='BenchmarkExact' -benchmem
 
 run-server:
 	$(GO) run ./cmd/skygraphd -addr :8091 -shards 4 -cache 128

@@ -1,8 +1,9 @@
 package gdb
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,17 +133,23 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, o
 			order = append(order, i)
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := sc.los[order[a]], sc.los[order[b]]
-		for d := range la {
-			if la[d] != lb[d] {
-				return la[d] < lb[d]
-			}
-		}
-		return false
-	})
+	sortScanOrder(order, sc.los)
 	opts.Trace.Observe(StageBound, time.Since(start), n, n-len(order))
 	return sc, order
+}
+
+// sortScanOrder sorts candidate indices by ascending optimistic corner,
+// compared lexicographically, ties by index. order arrives ascending, so
+// this is the stable sort by corner without its cost. Corners are finite
+// (tier-0 GED lo is a label-histogram count), so no NaN upsets the
+// comparison.
+func sortScanOrder(order []int, los [][]float64) {
+	slices.SortFunc(order, func(a, b int) int {
+		if c := slices.Compare(los[a], los[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // settle takes tier-0 survivor i through outcomes 1–4 above against the

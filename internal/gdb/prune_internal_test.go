@@ -1,0 +1,46 @@
+package gdb
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// TestScanOrderIsStableSort: the scan order equals a stable sort of the
+// ascending survivor indices by optimistic corner, on a grid where most
+// corners tie on some or all coordinates.
+func TestScanOrderIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	vals := []float64{0, 0.25, 0.5, 1, 2}
+	for trial := 0; trial < 200; trial++ {
+		n, dims := 1+rng.Intn(60), 1+rng.Intn(3)
+		los := make([][]float64, n)
+		for i := range los {
+			los[i] = make([]float64, dims)
+			for d := range los[i] {
+				los[i][d] = vals[rng.Intn(1+rng.Intn(len(vals)))]
+			}
+		}
+		var order []int
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) > 0 {
+				order = append(order, i)
+			}
+		}
+		want := slices.Clone(order)
+		sort.SliceStable(want, func(a, b int) bool {
+			la, lb := los[want[a]], los[want[b]]
+			for d := range la {
+				if la[d] != lb[d] {
+					return la[d] < lb[d]
+				}
+			}
+			return false
+		})
+		sortScanOrder(order, los)
+		if !slices.Equal(order, want) {
+			t.Fatalf("trial %d: scan order %v, stable sort %v", trial, order, want)
+		}
+	}
+}

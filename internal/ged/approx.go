@@ -6,6 +6,7 @@ import (
 
 	"skygraph/internal/assign"
 	"skygraph/internal/graph"
+	"skygraph/internal/pairform"
 )
 
 // bigCost stands in for +infinity in assignment matrices (the Hungarian
@@ -72,21 +73,21 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 	// double-counted across the assignment) estimates the edge cost
 	// implied by mapping u -> v — matched labels are free, the remainder
 	// costs one substitution or indel each.
-	nv, ne := s.nv(), s.ne()
-	buf.inc1 = incidentHists(buf.inc1, s.adj1, n1, ne)
-	buf.inc2 = incidentHists(buf.inc2, s.adj2, n2, ne)
-	s.ce = resize(s.ce, ne)
+	nv, ne := s.NV(), s.NE()
+	buf.inc1 = incidentHists(buf.inc1, s.Adj1, n1, ne)
+	buf.inc2 = incidentHists(buf.inc2, s.Adj2, n2, ne)
+	s.ce = pairform.Resize(s.ce, ne)
 	for u := 0; u < n1; u++ {
 		h1 := buf.inc1[u*ne : (u+1)*ne]
 		for v := 0; v < n2; v++ {
 			for l, c2 := range buf.inc2[v*ne : (v+1)*ne] {
 				s.ce[l] = h1[l] - c2
 			}
-			cost[u][v] = s.vsub[int(s.vl1[u])*nv+int(s.vl2[v])] + float64(histBound(s.ce))/2
+			cost[u][v] = s.vsub[int(s.VL1[u])*nv+int(s.VL2[v])] + float64(histBound(s.ce))/2
 		}
 		for j := n2; j < n; j++ {
 			if j == n2+u {
-				cost[u][j] = s.vdel[s.vl1[u]] + incidentEdgeCost(s.adj1[u*n1:(u+1)*n1], s.edel)
+				cost[u][j] = s.vdel[s.VL1[u]] + incidentEdgeCost(s.Adj1[u*n1:(u+1)*n1], s.edel)
 			} else {
 				cost[u][j] = bigCost
 			}
@@ -95,7 +96,7 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 	for i := n1; i < n; i++ {
 		for v := 0; v < n2; v++ {
 			if i == n1+v {
-				cost[i][v] = s.vins[s.vl2[v]] + incidentEdgeCost(s.adj2[v*n2:(v+1)*n2], s.eins)
+				cost[i][v] = s.vins[s.VL2[v]] + incidentEdgeCost(s.Adj2[v*n2:(v+1)*n2], s.eins)
 			} else {
 				cost[i][v] = bigCost
 			}
@@ -129,7 +130,7 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 // incidentHists returns each vertex's incident edge-label histogram as
 // rows of ne counters, read off the dense adjacency matrix.
 func incidentHists(buf, adj []int32, n, ne int) []int32 {
-	buf = resize(buf, n*ne)
+	buf = pairform.Resize(buf, n*ne)
 	for v := 0; v < n; v++ {
 		for _, l := range adj[v*n : (v+1)*n] {
 			if l != 0 {
@@ -166,7 +167,7 @@ func Beam(g1, g2 *graph.Graph, width int, cm CostModel) Result {
 	}
 	s := newSearch(g1, g2, cm)
 	defer s.release()
-	n1, n2 := s.n1, s.n2
+	n1, n2 := s.N1, s.N2
 	if n1 == 0 {
 		// Pure insertion of g2.
 		return Result{Distance: s.completionCostAfter(-1), Mapping: []int{}, Exact: true}

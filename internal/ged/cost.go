@@ -154,7 +154,7 @@ func EditCostOfMapping(g1, g2 *graph.Graph, m []int, cm CostModel) float64 {
 func LowerBound(g1, g2 *graph.Graph) float64 {
 	s := searchPool.Get().(*astar)
 	defer s.release()
-	s.load(g1, g2)
+	s.Load(g1, g2)
 	s.resetState()
 	return s.heuristicAfter(-1, -1)
 }

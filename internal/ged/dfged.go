@@ -18,7 +18,7 @@ func DepthFirst(g1, g2 *graph.Graph, cm CostModel) Result {
 	s := newSearch(g1, g2, cm)
 	defer s.release()
 	s.useH = uniform
-	if s.n1 == 0 {
+	if s.N1 == 0 {
 		d := s.completionCostAfter(-1)
 		return Result{Distance: d, Mapping: []int{}, Exact: true, Nodes: 1}
 	}
@@ -36,7 +36,7 @@ type dfSearch struct {
 
 func (df *dfSearch) dive(depth int, g float64) {
 	df.nodes++
-	n1, n2 := df.n1, df.n2
+	n1, n2 := df.N1, df.N2
 	if depth == n1 {
 		total := g + df.completionCostAfter(-1)
 		if total < df.bestDist {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"skygraph/internal/graph"
+	"skygraph/internal/pairform"
 )
 
 // Options tunes the exact search.
@@ -132,20 +133,15 @@ type astar struct {
 
 var searchPool = sync.Pool{New: func() any { return new(astar) }}
 
-// maxPooledCells bounds what release hands back to the pool: a search
-// that grew past it (a large uncapped pair) lets the GC have its
-// buffers instead of pinning them for the life of the process.
-const maxPooledCells = 1 << 16
-
 // newSearch takes scratch from the pool and loads the pair into it:
 // compact form, cost tables, processing order, blank assignment state.
 func newSearch(g1, g2 *graph.Graph, cm CostModel) *astar {
 	s := searchPool.Get().(*astar)
-	s.load(g1, g2)
-	s.densify()
+	s.Load(g1, g2)
+	s.Densify()
 	s.fillCosts(cm)
 	s.order = s.order[:0]
-	for u := 0; u < s.n1; u++ {
+	for u := 0; u < s.N1; u++ {
 		s.order = append(s.order, int32(u))
 	}
 	// High-degree vertices first: they constrain the most edges, which
@@ -162,8 +158,10 @@ func newSearch(g1, g2 *graph.Graph, cm CostModel) *astar {
 	return s
 }
 
+// release hands the scratch back to the pool unless it grew past
+// pairform.MaxPooledCells nodes or cells (a large uncapped pair).
 func (s *astar) release() {
-	if cap(s.slab) > maxPooledCells || cap(s.adj1) > maxPooledCells || cap(s.adj2) > maxPooledCells {
+	if cap(s.slab) > pairform.MaxPooledCells || s.Oversized() {
 		return
 	}
 	searchPool.Put(s)
@@ -220,7 +218,7 @@ func (s *astar) openNode(nd node, h float64) {
 func (s *astar) openChild(parent int32, v int, g float64) {
 	depth := s.slab[parent].depth + 1
 	h := 0.0
-	if int(depth) == s.n1 {
+	if int(depth) == s.N1 {
 		g += s.completionCostAfter(v)
 	} else if s.useH {
 		h = s.childBound(v)
@@ -229,7 +227,7 @@ func (s *astar) openChild(parent int32, v int, g float64) {
 }
 
 func (s *astar) run(maxNodes int64) Result {
-	n1, n2 := s.n1, s.n2
+	n1, n2 := s.N1, s.N2
 	if n1 == 0 {
 		// Pure insertion of g2.
 		d := s.completionCostAfter(-1)
@@ -286,7 +284,7 @@ func (s *astar) run(maxNodes int64) Result {
 
 // resetState blanks the assignment state: nothing processed, nothing used.
 func (s *astar) resetState() {
-	s.mapping, s.used = resize(s.mapping, s.n1), resize(s.used, s.n2)
+	s.mapping, s.used = pairform.Resize(s.mapping, s.N1), pairform.Resize(s.used, s.N2)
 	for i := range s.mapping {
 		s.mapping[i] = -2
 	}
@@ -324,9 +322,9 @@ func (s *astar) currentMapping() []int {
 // for every decided g1 vertex w, the edge pair ({u,w}, {v,m(w)}) —
 // substituted when both exist, deleted or inserted when only one does.
 func (s *astar) assignCost(depth, u, v int) float64 {
-	cost := s.vsub[int(s.vl1[u])*s.nv()+int(s.vl2[v])]
-	row1, row2 := s.adj1[u*s.n1:], s.adj2[v*s.n2:]
-	ne := s.ne()
+	cost := s.vsub[int(s.VL1[u])*s.NV()+int(s.VL2[v])]
+	row1, row2 := s.Adj1[u*s.N1:], s.Adj2[v*s.N2:]
+	ne := s.NE()
 	for _, w := range s.order[:depth] {
 		l1, l2 := row1[w], int32(0)
 		if mw := s.mapping[w]; mw >= 0 {
@@ -347,8 +345,8 @@ func (s *astar) assignCost(depth, u, v int) float64 {
 // deleteCost charges the deletion of u and of its edges toward decided
 // vertices.
 func (s *astar) deleteCost(depth, u int) float64 {
-	cost := s.vdel[s.vl1[u]]
-	row1 := s.adj1[u*s.n1:]
+	cost := s.vdel[s.VL1[u]]
+	row1 := s.Adj1[u*s.N1:]
 	for _, w := range s.order[:depth] {
 		if l1 := row1[w]; l1 != 0 {
 			cost += s.edel[l1]
@@ -365,14 +363,14 @@ func (s *astar) deleteCost(depth, u int) float64 {
 // g1 vertex was deleted).
 func (s *astar) completionCostAfter(v int) float64 {
 	cost := 0.0
-	for x, l := range s.vl2 {
+	for x, l := range s.VL2 {
 		if s.open2(x, v) {
 			cost += s.vins[l]
 		}
 	}
-	for _, e := range s.edges2 {
-		if s.open2(int(e.u), v) || s.open2(int(e.v), v) {
-			cost += s.eins[e.l]
+	for _, e := range s.Edges2 {
+		if s.open2(int(e.U), v) || s.open2(int(e.V), v) {
+			cost += s.eins[e.L]
 		}
 	}
 	return cost
@@ -383,25 +381,25 @@ func (s *astar) completionCostAfter(v int) float64 {
 // stays open on the g1 side once u is decided, against everything still
 // open on the g2 side. On a blank state, u = -1 counts both whole graphs.
 func (s *astar) openCounts(u int) {
-	s.cv, s.ce = resize(s.cv, s.nv()), resize(s.ce, s.ne())
-	for w, l := range s.vl1 {
+	s.cv, s.ce = pairform.Resize(s.cv, s.NV()), pairform.Resize(s.ce, s.NE())
+	for w, l := range s.VL1 {
 		if s.open1(w, u) {
 			s.cv[l]++
 		}
 	}
-	for x, l := range s.vl2 {
+	for x, l := range s.VL2 {
 		if !s.used[x] {
 			s.cv[l]--
 		}
 	}
-	for _, e := range s.edges1 {
-		if s.open1(int(e.u), u) || s.open1(int(e.v), u) {
-			s.ce[e.l]++
+	for _, e := range s.Edges1 {
+		if s.open1(int(e.U), u) || s.open1(int(e.V), u) {
+			s.ce[e.L]++
 		}
 	}
-	for _, e := range s.edges2 {
-		if !s.used[e.u] || !s.used[e.v] {
-			s.ce[e.l]--
+	for _, e := range s.Edges2 {
+		if !s.used[e.U] || !s.used[e.V] {
+			s.ce[e.L]--
 		}
 	}
 }
@@ -417,15 +415,15 @@ func (s *astar) childBound(v int) float64 {
 	if v < 0 {
 		return float64(histBound(s.cv) + histBound(s.ce))
 	}
-	row2 := s.adj2[v*s.n2 : (v+1)*s.n2]
-	s.cv[s.vl2[v]]++
+	row2 := s.Adj2[v*s.N2 : (v+1)*s.N2]
+	s.cv[s.VL2[v]]++
 	for x, l := range row2 {
 		if l != 0 && s.used[x] {
 			s.ce[l]++
 		}
 	}
 	h := histBound(s.cv) + histBound(s.ce)
-	s.cv[s.vl2[v]]--
+	s.cv[s.VL2[v]]--
 	for x, l := range row2 {
 		if l != 0 && s.used[x] {
 			s.ce[l]--

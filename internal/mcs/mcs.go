@@ -10,7 +10,14 @@
 //     that grows a connected common edge subgraph (the default for the
 //     paper-scale graphs).
 //   - Greedy: a randomized best-first heuristic with restarts, for large
-//     inputs.
+//     inputs; GreedyLB is its deterministic form, the floor of a capped
+//     Exact.
+//
+// Every engine runs on the compact pair form of package pairform, the
+// one the GED kernel uses: labels are int32 ids, a vertex's neighbours a
+// slice, and an edge test one read of a dense adjacency row. Graphs are
+// read only while the form loads; the form and all search state live in
+// pooled scratch, so a warm Exact allocates only the mapping it returns.
 package mcs
 
 import (
@@ -18,6 +25,7 @@ import (
 	"sync"
 
 	"skygraph/internal/graph"
+	"skygraph/internal/pairform"
 )
 
 // Mapping is a common-subgraph witness: pairs of corresponding vertices
@@ -84,131 +92,206 @@ func Size(g1, g2 *graph.Graph) int {
 // ProvedBelowNeed verdict, which the floor cannot change.
 func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	// Search from the smaller graph for a smaller branching factor.
-	orig1, orig2 := g1, g2
-	swapped := false
-	if g1.Order() > g2.Order() {
-		g1, g2 = g2, g1
-		swapped = true
-	}
-	s := searcherPool.Get().(*searcher)
-	s.g1, s.g2, s.maxNodes = g1, g2, opts.MaxNodes
-	s.need = opts.Need
+	swapped := g1.Order() > g2.Order()
+	s := newSearcher(g1, g2, swapped)
+	s.maxNodes, s.need = opts.MaxNodes, opts.Need
 	s.run()
-	m := Mapping{Pairs: s.bestPairs, Edges: s.bestEdges}
 	res := Result{Exhausted: !s.capped && opts.Need == 0, Nodes: s.nodes}
 	if opts.Need > 0 {
 		res.ProvedBelowNeed = !s.capped && !s.decided
 	}
+	if s.N1 > 0 && s.N2 > 0 {
+		// An empty graph leaves the mapping nil; a pair without one
+		// label-compatible seed gets an empty one.
+		res.Mapping = s.bestMapping(swapped)
+	}
 	s.release()
-	if swapped {
-		for i := range m.Pairs {
-			m.Pairs[i].U, m.Pairs[i].V = m.Pairs[i].V, m.Pairs[i].U
-		}
-	}
 	if !res.Exhausted && opts.Need == 0 {
-		if lb := GreedyLB(orig1, orig2); lb.Edges > m.Edges {
-			m = lb
+		if lb := GreedyLB(g1, g2); lb.Edges > res.Mapping.Edges {
+			res.Mapping = lb
 		}
 	}
-	res.Mapping = m
 	return res
 }
 
+// searcher is the state of one search: the pair's form and everything
+// the engines mutate, recycled through searcherPool.
 type searcher struct {
-	g1, g2   *graph.Graph
+	pairform.Form
+
 	maxNodes int64
 	nodes    int64
 	capped   bool
 	need     int  // decision threshold (0 = plain maximization)
 	decided  bool // a mapping with >= need edges was found
 
-	m1 []int // g1 vertex -> g2 vertex or -1
-	m2 []int // g2 vertex -> g1 vertex or -1
+	m1 []int32 // g1 vertex -> g2 vertex or -1
+	m2 []int32 // g2 vertex -> g1 vertex or -1
+	// near1[u], near2[v] count a vertex's mapped neighbours: the edges
+	// mapping it would put between two mapped vertices.
+	near1, near2 []int32
+	// byLabel[byLabelOff[l]:byLabelOff[l+1]] are g2's vertices with label
+	// id l, ascending: the candidates of any g1 vertex labelled l.
+	byLabel, byLabelOff []int32
 
-	// e1, e2 cache graph.Edges() once per search: bound() consults the
-	// edge lists on every expansion and Edges() allocates per call.
-	e1, e2 []graph.Edge
+	// inner1, inner2 count the edges of g1 (g2) with both endpoints
+	// mapped. The bound needs the rest; like near1 and near2 they are
+	// maintained on every map and unmap instead of recounted per node.
+	inner1, inner2 int
 
-	curPairs  []Pair
-	curEdges  int
-	bestPairs []Pair
+	cur      []Pair
+	curEdges int
+	// best is a copy of the best mapping so far; the caller's copy is
+	// made once, on return.
+	best      []Pair
 	bestEdges int
+	haveBest  bool
 }
 
-// searcherPool recycles searcher scratch (mapping arrays, cached edge
-// lists, the current-pairs stack) across Exact calls; pair evaluation
-// runs one Exact per database graph, so the churn adds up.
-var searcherPool = sync.Pool{New: func() any { return &searcher{} }}
+var searcherPool = sync.Pool{New: func() any { return new(searcher) }}
 
-// release resets the searcher (dropping references into the graphs and
-// the escaped best mapping) and returns it to the pool.
-func (s *searcher) release() {
-	s.g1, s.g2 = nil, nil
-	s.nodes, s.capped = 0, false
+// newSearcher takes scratch from the pool and loads the pair into it,
+// g2 first when swapped, with a blank search state.
+func newSearcher(g1, g2 *graph.Graph, swapped bool) *searcher {
+	s := searcherPool.Get().(*searcher)
+	if swapped {
+		g1, g2 = g2, g1
+	}
+	s.Load(g1, g2)
+	s.Densify()
+	s.bucketLabels()
+	s.maxNodes, s.nodes, s.capped = 0, 0, false
 	s.need, s.decided = 0, false
-	s.curPairs = s.curPairs[:0]
-	s.curEdges = 0
-	s.bestPairs, s.bestEdges = nil, 0
-	s.e1, s.e2 = nil, nil
+	s.best, s.bestEdges, s.haveBest = s.best[:0], 0, false
+	return s
+}
+
+// release hands the scratch back to the pool unless the form grew past
+// pairform.MaxPooledCells (a large pair).
+func (s *searcher) release() {
+	if s.Oversized() {
+		return
+	}
 	searcherPool.Put(s)
 }
 
-// resizeNeg returns buf resized to n, reusing its backing array when
-// large enough, with every element set to -1.
-func resizeNeg(buf []int, n int) []int {
-	if cap(buf) < n {
-		buf = make([]int, n)
+// bucketLabels fills byLabel: a counting sort of g2's vertices by label.
+func (s *searcher) bucketLabels() {
+	off := pairform.Resize(s.byLabelOff, s.NV()+1)
+	for _, l := range s.VL2 {
+		off[l+1]++
 	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = -1
+	for l := 1; l < len(off); l++ {
+		off[l] += off[l-1]
 	}
-	return buf
+	s.byLabel = pairform.Resize(s.byLabel, s.N2)
+	for v, l := range s.VL2 {
+		s.byLabel[off[l]] = int32(v)
+		off[l]++
+	}
+	// Each off[l] now holds the end of bucket l, the start of l+1.
+	copy(off[1:], off)
+	off[0] = 0
+	s.byLabelOff = off
+}
+
+// candidates returns g2's vertices with g1 vertex u's label, ascending.
+func (s *searcher) candidates(u int) []int32 {
+	l := s.VL1[u]
+	return s.byLabel[s.byLabelOff[l]:s.byLabelOff[l+1]]
+}
+
+// blank unmaps every vertex.
+func (s *searcher) blank() {
+	s.m1, s.m2 = pairform.Resize(s.m1, s.N1), pairform.Resize(s.m2, s.N2)
+	s.near1, s.near2 = pairform.Resize(s.near1, s.N1), pairform.Resize(s.near2, s.N2)
+	for i := range s.m1 {
+		s.m1[i] = -1
+	}
+	for i := range s.m2 {
+		s.m2[i] = -1
+	}
+	s.inner1, s.inner2 = 0, 0
+	s.cur, s.curEdges = s.cur[:0], 0
+}
+
+// bestMapping copies the best mapping out for the caller, with U and V
+// swapped back if the form was loaded swapped; it is empty when none
+// was recorded.
+func (s *searcher) bestMapping(swapped bool) Mapping {
+	out := make([]Pair, len(s.best))
+	for i, p := range s.best {
+		if swapped {
+			p.U, p.V = p.V, p.U
+		}
+		out[i] = p
+	}
+	return Mapping{Pairs: out, Edges: s.bestEdges}
+}
+
+// mapPair maps u -> v, which closes gain common edges.
+func (s *searcher) mapPair(u, v, gain int) {
+	s.m1[u], s.m2[v] = int32(v), int32(u)
+	s.cur = append(s.cur, Pair{U: u, V: v})
+	s.curEdges += gain
+	s.inner1 += int(s.near1[u])
+	s.inner2 += int(s.near2[v])
+	for _, nb := range s.Nbrs1(u) {
+		s.near1[nb.W]++
+	}
+	for _, nb := range s.Nbrs2(v) {
+		s.near2[nb.W]++
+	}
+}
+
+// unmapPair undoes mapPair(u, v, gain); u and v must be the last pair
+// mapped, so near1[u] and near2[v] are what they were when it ran.
+func (s *searcher) unmapPair(u, v, gain int) {
+	for _, nb := range s.Nbrs1(u) {
+		s.near1[nb.W]--
+	}
+	for _, nb := range s.Nbrs2(v) {
+		s.near2[nb.W]--
+	}
+	s.m1[u], s.m2[v] = -1, -1
+	s.cur = s.cur[:len(s.cur)-1]
+	s.curEdges -= gain
+	s.inner1 -= int(s.near1[u])
+	s.inner2 -= int(s.near2[v])
 }
 
 func (s *searcher) run() {
-	n1, n2 := s.g1.Order(), s.g2.Order()
-	if n1 == 0 || n2 == 0 {
+	if s.N1 == 0 || s.N2 == 0 {
 		return
 	}
-	s.m1 = resizeNeg(s.m1, n1)
-	s.m2 = resizeNeg(s.m2, n2)
-	s.e1, s.e2 = s.g1.Edges(), s.g2.Edges()
+	s.blank()
 	// Try every label-compatible seed pair. To avoid rediscovering the same
 	// subgraph from different seeds, seeds are processed in order and a
 	// later seed's search forbids earlier seed u-vertices as members:
 	// any connected common subgraph has a minimal g1-vertex, so rooting the
 	// enumeration at that vertex covers all candidates exactly once.
-	for u := 0; u < n1 && !s.capped && !s.decided; u++ {
-		for v := 0; v < n2 && !s.capped && !s.decided; v++ {
-			if s.g1.VertexLabel(u) != s.g2.VertexLabel(v) {
-				continue
+	for u := 0; u < s.N1 && !s.capped && !s.decided; u++ {
+		for _, v := range s.candidates(u) {
+			if s.capped || s.decided {
+				break
 			}
-			s.m1[u], s.m2[v] = v, u
-			s.curPairs = append(s.curPairs, Pair{U: u, V: v})
+			s.mapPair(u, int(v), 0)
 			s.extend(u)
-			s.curPairs = s.curPairs[:0]
-			s.m1[u], s.m2[v] = -1, -1
+			s.unmapPair(u, int(v), 0)
 		}
-	}
-	if s.bestPairs == nil && n1 > 0 && n2 > 0 {
-		// No label-compatible vertex pair at all: empty common subgraph.
-		s.bestPairs = []Pair{}
 	}
 }
 
-// minSeed is the g1 vertex of the first pair (the root); extensions only use
-// g1 vertices greater than the root to break symmetry across seeds.
+// extend expands the node whose mapping is loaded. root is the g1
+// vertex of the seed pair; extensions only use g1 vertices greater than
+// the root to break symmetry across seeds.
 func (s *searcher) extend(root int) {
 	if s.maxNodes > 0 && s.nodes >= s.maxNodes {
 		s.capped = true
 		return
 	}
 	s.nodes++
-	if s.curEdges > s.bestEdges || (s.bestPairs == nil && len(s.curPairs) > 0) {
-		s.bestEdges = s.curEdges
-		s.bestPairs = append([]Pair(nil), s.curPairs...)
-	}
+	s.record()
 	if s.need > 0 && s.bestEdges >= s.need {
 		// Decision reached: a common subgraph with Need edges exists.
 		s.decided = true
@@ -228,28 +311,21 @@ func (s *searcher) extend(root int) {
 	// vertex, paired with an unmapped g2 vertex v sharing its label, such
 	// that at least one common edge to the mapped part is gained
 	// (connectivity of the common edge subgraph).
-	for u := root + 1; u < s.g1.Order(); u++ {
-		if s.m1[u] >= 0 {
+	for u := root + 1; u < s.N1; u++ {
+		if s.m1[u] >= 0 || s.near1[u] == 0 {
 			continue
 		}
-		if !s.adjacentToMapped(u) {
-			continue
-		}
-		for v := 0; v < s.g2.Order(); v++ {
-			if s.m2[v] >= 0 || s.g1.VertexLabel(u) != s.g2.VertexLabel(v) {
+		for _, v := range s.candidates(u) {
+			if s.m2[v] >= 0 {
 				continue
 			}
-			gain := s.edgeGain(u, v)
+			gain := s.edgeGain(u, int(v))
 			if gain == 0 {
 				continue
 			}
-			s.m1[u], s.m2[v] = v, u
-			s.curPairs = append(s.curPairs, Pair{U: u, V: v})
-			s.curEdges += gain
+			s.mapPair(u, int(v), gain)
 			s.extend(root)
-			s.curEdges -= gain
-			s.curPairs = s.curPairs[:len(s.curPairs)-1]
-			s.m1[u], s.m2[v] = -1, -1
+			s.unmapPair(u, int(v), gain)
 			if s.capped || s.decided {
 				return
 			}
@@ -257,26 +333,24 @@ func (s *searcher) extend(root int) {
 	}
 }
 
-func (s *searcher) adjacentToMapped(u int) bool {
-	for w := range s.g1.NeighborSet(u) {
-		if s.m1[w] >= 0 {
-			return true
-		}
+// record keeps the current mapping as the best when it has more edges
+// than the best, or when it is the first.
+func (s *searcher) record() {
+	if s.curEdges > s.bestEdges || !s.haveBest {
+		s.bestEdges = s.curEdges
+		s.best = append(s.best[:0], s.cur...)
+		s.haveBest = true
 	}
-	return false
 }
 
 // edgeGain counts the common edges gained by mapping u -> v: edges of g1
 // between u and an already-mapped vertex w whose counterpart edge
 // (v, m1[w]) exists in g2 with the same label.
 func (s *searcher) edgeGain(u, v int) int {
+	row := s.Adj2[v*s.N2 : (v+1)*s.N2]
 	gain := 0
-	for w, lbl := range s.g1.NeighborSet(u) {
-		mw := s.m1[w]
-		if mw < 0 {
-			continue
-		}
-		if hl, ok := s.g2.EdgeLabel(v, mw); ok && hl == lbl {
+	for _, nb := range s.Nbrs1(u) {
+		if mw := s.m1[nb.W]; mw >= 0 && row[mw] == nb.L {
 			gain++
 		}
 	}
@@ -288,22 +362,7 @@ func (s *searcher) edgeGain(u, v int) int {
 // factor edges still touchable (at least one endpoint unmapped) on each
 // side. Edges between two mapped vertices are already decided.
 func (s *searcher) bound() int {
-	rem1 := 0
-	for _, e := range s.e1 {
-		if s.m1[e.U] < 0 || s.m1[e.V] < 0 {
-			rem1++
-		}
-	}
-	rem2 := 0
-	for _, e := range s.e2 {
-		if s.m2[e.U] < 0 || s.m2[e.V] < 0 {
-			rem2++
-		}
-	}
-	if rem2 < rem1 {
-		rem1 = rem2
-	}
-	return s.curEdges + rem1
+	return s.curEdges + min(len(s.Edges1)-s.inner1, len(s.Edges2)-s.inner2)
 }
 
 // greedyLBSeeds caps how many seed pairs GreedyLB grows a subgraph
@@ -324,23 +383,20 @@ const greedyLBSeedsPerVertex = 2
 // agree — the property the filter-and-refine pipeline needs to use the
 // value as a certified floor of Exact's capped results.
 func GreedyLB(g1, g2 *graph.Graph) Mapping {
-	best := Mapping{Pairs: []Pair{}}
+	s := newSearcher(g1, g2, false)
+	defer s.release()
 	tried := 0
-	for u := 0; u < g1.Order() && tried < greedyLBSeeds; u++ {
-		perRoot := 0
-		for v := 0; v < g2.Order() && tried < greedyLBSeeds && perRoot < greedyLBSeedsPerVertex; v++ {
-			if g1.VertexLabel(u) != g2.VertexLabel(v) {
-				continue
+	for u := 0; u < s.N1 && tried < greedyLBSeeds; u++ {
+		cands := s.candidates(u)
+		for _, v := range cands[:min(len(cands), greedyLBSeedsPerVertex)] {
+			if tried == greedyLBSeeds {
+				break
 			}
 			tried++
-			perRoot++
-			m := greedyFrom(g1, g2, Pair{U: u, V: v})
-			if m.Edges > best.Edges || (len(best.Pairs) == 0 && len(m.Pairs) > 0) {
-				best = m
-			}
+			s.greedyFrom(Pair{U: u, V: int(v)})
 		}
 	}
-	return best
+	return s.bestMapping(false)
 }
 
 // Greedy grows a connected common subgraph by repeatedly taking the
@@ -351,69 +407,49 @@ func Greedy(g1, g2 *graph.Graph, restarts int, rng *rand.Rand) Mapping {
 	if restarts < 1 {
 		restarts = 1
 	}
+	s := newSearcher(g1, g2, false)
+	defer s.release()
 	var seeds []Pair
-	for u := 0; u < g1.Order(); u++ {
-		for v := 0; v < g2.Order(); v++ {
-			if g1.VertexLabel(u) == g2.VertexLabel(v) {
-				seeds = append(seeds, Pair{U: u, V: v})
-			}
+	for u := 0; u < s.N1; u++ {
+		for _, v := range s.candidates(u) {
+			seeds = append(seeds, Pair{U: u, V: int(v)})
 		}
 	}
 	if len(seeds) == 0 {
 		return Mapping{Pairs: []Pair{}}
 	}
-	best := Mapping{Pairs: []Pair{}}
 	for r := 0; r < restarts; r++ {
-		seed := seeds[rng.Intn(len(seeds))]
-		m := greedyFrom(g1, g2, seed)
-		if m.Edges > best.Edges || (len(best.Pairs) == 0 && len(m.Pairs) > 0) {
-			best = m
-		}
+		s.greedyFrom(seeds[rng.Intn(len(seeds))])
 	}
-	return best
+	return s.bestMapping(false)
 }
 
-func greedyFrom(g1, g2 *graph.Graph, seed Pair) Mapping {
-	m1 := make([]int, g1.Order())
-	m2 := make([]int, g2.Order())
-	for i := range m1 {
-		m1[i] = -1
-	}
-	for i := range m2 {
-		m2[i] = -1
-	}
-	m1[seed.U], m2[seed.V] = seed.V, seed.U
-	pairs := []Pair{seed}
-	edges := 0
+// greedyFrom grows a subgraph from seed, at each step taking the
+// extension with the largest gain (the first in (u, v) order on ties),
+// and records it as the best when it beats the best so far.
+func (s *searcher) greedyFrom(seed Pair) {
+	s.blank()
+	s.mapPair(seed.U, seed.V, 0)
 	for {
 		bestGain, bestU, bestV := 0, -1, -1
-		for u := 0; u < g1.Order(); u++ {
-			if m1[u] >= 0 {
+		for u := 0; u < s.N1; u++ {
+			// Without a mapped neighbour u gains nothing anywhere.
+			if s.m1[u] >= 0 || s.near1[u] == 0 {
 				continue
 			}
-			for v := 0; v < g2.Order(); v++ {
-				if m2[v] >= 0 || g1.VertexLabel(u) != g2.VertexLabel(v) {
+			for _, v := range s.candidates(u) {
+				if s.m2[v] >= 0 {
 					continue
 				}
-				gain := 0
-				for w, lbl := range g1.NeighborSet(u) {
-					if mw := m1[w]; mw >= 0 {
-						if hl, ok := g2.EdgeLabel(v, mw); ok && hl == lbl {
-							gain++
-						}
-					}
-				}
-				if gain > bestGain {
-					bestGain, bestU, bestV = gain, u, v
+				if gain := s.edgeGain(u, int(v)); gain > bestGain {
+					bestGain, bestU, bestV = gain, u, int(v)
 				}
 			}
 		}
 		if bestU < 0 {
 			break
 		}
-		m1[bestU], m2[bestV] = bestV, bestU
-		pairs = append(pairs, Pair{U: bestU, V: bestV})
-		edges += bestGain
+		s.mapPair(bestU, bestV, bestGain)
 	}
-	return Mapping{Pairs: pairs, Edges: edges}
+	s.record()
 }
