@@ -2,8 +2,8 @@
 // graph database from LGF into N hash-routed shards and serves
 // similarity skyline, top-k and range queries over an HTTP/JSON API.
 // Each request's evaluation path follows from its kind: skyline queries
-// build pruned per-shard tables (complete ones when "all" is set or via
-// /cache/warm) and merge them with the divide-and-conquer skyline
+// build pruned per-shard tables (complete ones when "all" is set) and
+// merge them with the divide-and-conquer skyline
 // combiner; top-k and range queries run one best-first scan across the
 // shards against a shared threshold. An LRU cache of per-shard tables
 // and merged ranked answers sits in front of the GED/MCS
@@ -28,7 +28,7 @@
 //	POST   /query/topk      single-measure top-k baseline
 //	POST   /query/range     single-measure range query
 //	POST   /query/batch     many queries, one request and time budget
-//	POST   /cache/warm      prebuild complete tables for given queries
+//	POST   /cache/warm      prebuild the skyline tables of given queries
 //	GET    /graphs          list graph names
 //	POST   /graphs          insert graph(s), maintaining owning shards' cache
 //	GET    /graphs/{name}   fetch one graph as JSON

@@ -43,7 +43,7 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := ack.Gen
-	pt, inexact, got, ok := db.Shard(0).DeltaRow("late", q, gdb.QueryOptions{})
+	pt, inexact, got, ok := db.Shard(0).DeltaRow("late", q, measure.NewSignature(q), gdb.QueryOptions{})
 	if !ok || got != gen {
 		t.Fatalf("DeltaRow ok=%v gen=%d, want true/%d", ok, got, gen)
 	}
@@ -107,14 +107,14 @@ func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 	if _, err := db.Insert(mustNamed(t, 242, "b"), ""); err != nil {
 		t.Fatal(err)
 	}
-	_, _, got, ok := db.Shard(0).DeltaRow("a", q, gdb.QueryOptions{})
+	_, _, got, ok := db.Shard(0).DeltaRow("a", q, measure.NewSignature(q), gdb.QueryOptions{})
 	if !ok {
 		t.Fatal("DeltaRow did not find the inserted graph")
 	}
 	if got == gen {
 		t.Fatalf("DeltaRow observed generation %d despite a later mutation", got)
 	}
-	if _, _, _, ok := db.Shard(0).DeltaRow("missing", q, gdb.QueryOptions{}); ok {
+	if _, _, _, ok := db.Shard(0).DeltaRow("missing", q, measure.NewSignature(q), gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaRow of an absent name claimed success")
 	}
 }
@@ -138,7 +138,7 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 		}
 		gen := ack.Gen
 		for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
-			score, _, got, ok := db.Shard(0).DeltaScore("late", q, m, gdb.QueryOptions{})
+			score, _, got, ok := db.Shard(0).DeltaScore("late", q, measure.NewSignature(q), m, gdb.QueryOptions{})
 			if !ok || got != gen {
 				t.Fatalf("memo=%v m=%s: DeltaScore ok=%v gen=%d, want true/%d", withMemo, m.Name(), ok, got, gen)
 			}
@@ -169,4 +169,48 @@ func mustNamed(t *testing.T, seed int64, name string) *graph.Graph {
 	g := testutil.SeededGraphs(seed, 1)[0]
 	g.SetName(name)
 	return g
+}
+
+// TestDeltaBoundBracketsDeltaRow: DeltaBound's tier-0 interval brackets
+// the vector DeltaRow computes for the same graph, dimension by
+// dimension, and reports the generation it read at.
+func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
+	gs := testutil.SeededGraphs(61, 8)
+	db := testutil.NewSharded(t, 1, gs)
+	ack, err := db.Insert(mustNamed(t, 261, "late"), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	basis := measure.Default()
+	for _, q := range testutil.SeededQueries(161, gs, 3) {
+		qsig := measure.NewSignature(q)
+		bs, gen, ok := db.Shard(0).DeltaBound("late", qsig)
+		if !ok || gen != ack.Gen {
+			t.Fatalf("DeltaBound ok=%v gen=%d, want true/%d", ok, gen, ack.Gen)
+		}
+		pt, _, _, _ := db.Shard(0).DeltaRow("late", q, qsig, gdb.QueryOptions{})
+		lo, hi := bs.IntervalGCS(basis)
+		for d := range pt.Vec {
+			if pt.Vec[d] < lo[d] || pt.Vec[d] > hi[d] {
+				t.Fatalf("q=%s dim %d: row %v outside [%v, %v]", q.Name(), d, pt.Vec, lo, hi)
+			}
+		}
+	}
+	if _, _, ok := db.Shard(0).DeltaBound("missing", measure.NewSignature(gs[0])); ok {
+		t.Fatal("DeltaBound of an absent name claimed success")
+	}
+}
+
+// TestWithGenerationKeepsRows: a generation-only patch advances the
+// generation and the delta count and leaves rows and receiver alone.
+func TestWithGenerationKeepsRows(t *testing.T) {
+	gs := testutil.SeededGraphs(71, 6)
+	t0 := coldTable(t, gs, testutil.SeededQueries(171, gs, 1)[0])
+	t1 := t0.WithGeneration(t0.Generation + 1)
+	if t1.Generation != t0.Generation+1 || t1.Deltas != 1 || !reflect.DeepEqual(t1.Points, t0.Points) {
+		t.Fatalf("WithGeneration: gen=%d deltas=%d rows=%v", t1.Generation, t1.Deltas, t1.Points)
+	}
+	if t0.Deltas != 0 {
+		t.Fatal("WithGeneration mutated its receiver")
+	}
 }

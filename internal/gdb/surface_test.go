@@ -204,7 +204,7 @@ func TestEngineSurfacePinned(t *testing.T) {
 		"Shard", "ShardFor", "ShardGeneration", "Stats",
 	}
 	wantDB := []string{
-		"DeltaRow", "DeltaScore", "Generation", "Get", "Len", "Memo",
+		"DeltaBound", "DeltaRow", "DeltaScore", "Generation", "Get", "Len", "Memo",
 		"PivotIndex", "VectorIndex", "VectorTable",
 	}
 	sort.Strings(wantSharded)

@@ -15,6 +15,7 @@ package measure
 
 import (
 	"fmt"
+	"strconv"
 
 	"skygraph/internal/ged"
 	"skygraph/internal/graph"
@@ -59,8 +60,15 @@ type Options struct {
 }
 
 // Key renders the options as a short stable string for use in cache keys.
-func (o Options) Key() string {
-	return fmt.Sprintf("ged=%d,mcs=%d", o.GEDMaxNodes, o.MCSMaxNodes)
+func (o Options) Key() string { return string(o.AppendKey(nil)) }
+
+// AppendKey appends Key's rendering to dst, for callers assembling a
+// larger key in one buffer.
+func (o Options) AppendKey(dst []byte) []byte {
+	dst = append(dst, "ged="...)
+	dst = strconv.AppendInt(dst, o.GEDMaxNodes, 10)
+	dst = append(dst, ",mcs="...)
+	return strconv.AppendInt(dst, o.MCSMaxNodes, 10)
 }
 
 // Compute evaluates the shared statistics for the pair (g1, g2).

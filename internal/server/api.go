@@ -7,8 +7,10 @@
 //     shard generation, canonical query hash, basis, engine options),
 //     so a repeated or refined query — same query graph, different k,
 //     radius or skyline algorithm — answers with zero new pair
-//     evaluations, and a mutation invalidates only its own shard's
-//     tables;
+//     evaluations, and a mutation touches only its own shard's tables;
+//   - delta.go: delta maintenance — a mutation upgrades the cached
+//     pruned and complete tables and ranked answers it provably leaves
+//     answerable, and invalidates the rest;
 //   - api.go (this file): the wire types;
 //   - server.go: the handlers, per-request timeouts, the one admission
 //     gate, and coalesce — the one cache → flight → build loop behind
@@ -19,8 +21,9 @@
 //
 // A request's evaluation path follows from what it asks for and nothing
 // else: skyline requests use pruned tables unless they set "all", top-k
-// and range requests always use the ranked scan, and "all" and
-// /cache/warm are the two ways to build complete tables.
+// and range requests always use the ranked scan, and "all" is the one
+// way to build complete tables. /cache/warm builds whatever the same
+// skyline request would.
 package server
 
 import (
@@ -58,9 +61,9 @@ type QueryRequest struct {
 	// values above the server maximum are clamped).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// All requests the full vector table in the skyline response. It is
-	// the one per-request way to build (and cache) complete tables; a
-	// skyline request without it evaluates only the graphs its pruned
-	// scan cannot exclude.
+	// the one way to build (and cache) complete tables, on a query or a
+	// warm item; a skyline request without it evaluates only the graphs
+	// its pruned scan cannot exclude.
 	All bool `json:"all,omitempty"`
 	// Trace requests the per-stage cascade trace in the response: one
 	// entry per stage the query touched (bound, exact and merge on a
@@ -425,18 +428,20 @@ type ReqStats struct {
 }
 
 // WarmRequest is the body of POST /cache/warm: query graphs whose
-// complete per-shard vector tables should be built (and cached) ahead
-// of traffic — the same tables an "all" skyline request builds.
-// Warming populates the table cache and, when enabled, the cross-query
-// score memo. Later skyline requests on these (or isomorphic) graphs
-// answer from the tables; top-k and range requests seed their ranked
-// scan from them and evaluate nothing. Even after a mutation
-// invalidates the tables, rebuilding them replays memoized pair scores
-// instead of re-running engines.
+// per-shard vector tables should be built (and cached) ahead of
+// traffic — the same tables the same skyline request builds: pruned
+// ones, or complete ones for an item that sets "all". Warming populates
+// the table cache and, when enabled, the cross-query score memo. Later
+// skyline requests on these (or isomorphic) graphs answer from the
+// tables, which delta maintenance keeps across mutations; top-k and
+// range requests seed their ranked scan from warmed complete tables and
+// evaluate nothing. Even after a mutation invalidates a table,
+// rebuilding it replays memoized pair scores instead of re-running
+// engines.
 type WarmRequest struct {
 	// Queries holds the query graphs to warm, each with the optional
-	// basis/eval fields of a normal request (k, radius, algorithm and
-	// all are ignored — warming always builds complete tables).
+	// basis/eval/all fields of a skyline request (k, radius and
+	// algorithm are ignored).
 	Queries []QueryRequest `json:"queries"`
 	// TimeoutMS bounds the whole warming pass (0 = server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`

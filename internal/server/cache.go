@@ -1,9 +1,7 @@
 package server
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"skygraph/internal/gdb"
@@ -20,12 +18,12 @@ import (
 // shard's generation, canonical query-graph hash, measure basis and
 // engine options — so a lookup can only ever return a table that
 // answers the current request exactly. Because the owning shard's
-// generation participates in the key, a mutation invalidates exactly
-// that shard's entries: old-generation tables become unreachable and
-// are either aged out by the LRU or dropped eagerly by PruneStale;
-// tables of the other shards stay live. Ranked answers (RankedKey)
-// instead carry every shard's generation — the merged result spans the
-// whole database, so any mutation invalidates them.
+// generation participates in the key, a mutation retires exactly that
+// shard's entries: each is either upgraded in place under the advanced
+// key (delta.go) or becomes unreachable and is dropped eagerly by
+// PruneStale; tables of the other shards stay live. Ranked answers
+// (RankedKey) instead carry every shard's generation — the merged
+// result spans the whole database, so any mutation retires them.
 //
 // Counters are atomics, read without the LRU lock: /stats can hammer
 // the cache while queries run without contending on (or racing with)
@@ -47,7 +45,7 @@ type Cache struct {
 // generation via gens — any mutation anywhere invalidates it). lin,
 // when set, is the table's maintenance lineage: a later mutation of the
 // owning shard can upgrade the entry in place (Server.maintain) instead
-// of invalidating it.
+// of invalidating it. Every table the server builds carries one.
 type cacheEntry struct {
 	shard  int
 	table  *gdb.VectorTable
@@ -56,14 +54,15 @@ type cacheEntry struct {
 	lin    *tableLineage
 }
 
-// tableLineage is everything needed to re-derive a complete table's
-// key and evaluate a single delta row through the exact code path the
-// cold build used: the query graph, its canonical hash, the basis and
-// the engine budgets. Pruned tables carry no lineage — their survivor
-// sets are not row-patchable — and fall back to generation
-// invalidation.
+// tableLineage is everything needed to re-derive a table's key and
+// evaluate a single delta row through the exact code path the cold
+// build used: the query graph, its signature and canonical hash (both
+// computed once per request), the basis and the engine budgets. Complete
+// and pruned tables both carry one; delta.go holds the proofs that
+// maintain each.
 type tableLineage struct {
 	q     *graph.Graph
+	qsig  *measure.Signature
 	qh    string
 	basis []measure.Measure
 	eval  measure.Options
@@ -85,6 +84,7 @@ type rankedEntry struct {
 type rankedLineage struct {
 	kind string // "topk" or "range"
 	q    *graph.Graph
+	qsig *measure.Signature
 	qh   string
 	m    measure.Measure
 	arg  float64 // k for topk, radius for range
@@ -106,10 +106,27 @@ func NewCache(capacity int) *Cache {
 	return &Cache{lru: lru.New[*cacheEntry](capacity)}
 }
 
-// CacheKey renders the canonical cache key for one shard's vector table.
+// CacheKey renders the canonical cache key for one shard's vector table:
+// "s<shard>|g<generation>|q<query hash>|b<basis names, comma-joined>|
+// <eval.Key()>". Keys are rendered on every lookup and every delta
+// promotion, so they are appended into one buffer rather than formatted.
 func CacheKey(shard int, generation uint64, queryHash string, basis []measure.Measure, eval measure.Options) string {
-	return fmt.Sprintf("s%d|g%d|q%s|b%s|%s",
-		shard, generation, queryHash, strings.Join(measure.BasisNames(basis), ","), eval.Key())
+	b := make([]byte, 0, 48+len(queryHash))
+	b = append(b, 's')
+	b = strconv.AppendInt(b, int64(shard), 10)
+	b = append(b, "|g"...)
+	b = strconv.AppendUint(b, generation, 10)
+	b = append(b, "|q"...)
+	b = append(b, queryHash...)
+	b = append(b, "|b"...)
+	for i, m := range basis {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, m.Name()...)
+	}
+	b = append(b, '|')
+	return string(eval.AppendKey(b))
 }
 
 // prunedKey derives the key of the skyline-pruned table variant from a
@@ -123,15 +140,28 @@ func prunedKey(full string) string { return full + "|pruned" }
 // query hash, the engine budgets and every shard's generation. The
 // basis does not participate — a ranked answer depends only on its
 // ranking measure. The "r|" namespace keeps ranked answers from ever
-// shadowing a table key.
+// shadowing a table key. The rendering is "r|<kind>|g<generations,
+// comma-joined>|q<query hash>|m<measure>|a<arg, shortest 'g' form>|
+// <eval.Key()>", built in one buffer like CacheKey's.
 func RankedKey(kind string, gens []uint64, queryHash string, m measure.Measure, arg float64, eval measure.Options) string {
-	gs := make([]string, len(gens))
+	b := make([]byte, 0, 64+len(queryHash)+4*len(gens))
+	b = append(b, "r|"...)
+	b = append(b, kind...)
+	b = append(b, "|g"...)
 	for i, g := range gens {
-		gs[i] = strconv.FormatUint(g, 10)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, g, 10)
 	}
-	return fmt.Sprintf("r|%s|g%s|q%s|m%s|a%s|%s",
-		kind, strings.Join(gs, ","), queryHash, m.Name(),
-		strconv.FormatFloat(arg, 'g', -1, 64), eval.Key())
+	b = append(b, "|q"...)
+	b = append(b, queryHash...)
+	b = append(b, "|m"...)
+	b = append(b, m.Name()...)
+	b = append(b, "|a"...)
+	b = strconv.AppendFloat(b, arg, 'g', -1, 64)
+	b = append(b, '|')
+	return string(eval.AppendKey(b))
 }
 
 // lookup returns the entry cached under key, marking it most recently
@@ -169,17 +199,17 @@ type deltaCandidate struct {
 
 // deltaCandidates collects the entries a single mutation of shard —
 // the one that produced generation gen — could provably upgrade:
-// lineage-carrying complete tables of that shard exactly one
-// generation behind, and lineage-carrying ranked answers whose
+// lineage-carrying tables (complete or pruned) of that shard exactly
+// one generation behind, and lineage-carrying ranked answers whose
 // recorded generation for that shard is exactly gen-1. Everything else
-// (pruned variants, entries further behind, foreign shards) is left
-// for PruneStale. Collection never drops anything.
+// (entries further behind, foreign shards) is left for PruneStale.
+// Collection never drops anything.
 func (c *Cache) deltaCandidates(shard int, gen uint64) []deltaCandidate {
 	var out []deltaCandidate
 	c.lru.PruneFunc(func(key string, e *cacheEntry) bool {
 		switch {
 		case e.shard >= 0:
-			if e.shard == shard && e.lin != nil && e.table.Complete && e.table.Generation == gen-1 {
+			if e.shard == shard && e.lin != nil && e.table.Generation == gen-1 {
 				out = append(out, deltaCandidate{key: key, e: e})
 			}
 		case e.ranked != nil:
@@ -236,8 +266,9 @@ type CacheStats struct {
 	Invalidations uint64 `json:"invalidations"`
 	// DeltaApplied counts cache entries upgraded in place across a
 	// mutation; DeltaFallbacks counts entries dropped because no delta
-	// proof existed (pruned variants, interleaved mutations, entries
-	// more than one generation behind).
+	// proof existed (a pruned table losing a skyline member, a top-k
+	// answer losing a member, capped rows on a delete, interleaved
+	// mutations, entries more than one generation behind).
 	DeltaApplied   uint64 `json:"delta_applied"`
 	DeltaFallbacks uint64 `json:"delta_fallbacks"`
 }

@@ -186,3 +186,48 @@ func TestCacheKeyDistinguishesShards(t *testing.T) {
 		t.Fatalf("shard 0 and shard 1 keys collide: %s", a)
 	}
 }
+
+// TestCacheKeyFormat pins the rendering of both key namespaces byte for
+// byte: keys are compared, never parsed, so a format change would
+// silently split or merge cache entries.
+func TestCacheKeyFormat(t *testing.T) {
+	cases := []struct{ got, want string }{
+		{CacheKey(0, 1, "qh", measure.Default(), measure.Options{}),
+			"s0|g1|qqh|bDistEd,DistMcs,DistGu|ged=0,mcs=0"},
+		{CacheKey(12, 18446744073709551615, "abc", []measure.Measure{measure.DistEd{}}, measure.Options{GEDMaxNodes: 10, MCSMaxNodes: -1}),
+			"s12|g18446744073709551615|qabc|bDistEd|ged=10,mcs=-1"},
+		{CacheKey(3, 0, "", nil, measure.Options{}),
+			"s3|g0|q|b|ged=0,mcs=0"},
+		{prunedKey(CacheKey(1, 7, "h", []measure.Measure{measure.DistGu{}, measure.DistDegree{}}, measure.Options{MCSMaxNodes: 99})),
+			"s1|g7|qh|bDistGu,DistDegree|ged=0,mcs=99|pruned"},
+		{RankedKey("topk", []uint64{3, 0, 17}, "qh", measure.DistEd{}, 5, measure.Options{}),
+			"r|topk|g3,0,17|qqh|mDistEd|a5|ged=0,mcs=0"},
+		{RankedKey("range", []uint64{1}, "h", measure.DistGu{}, 0.25, measure.Options{GEDMaxNodes: 100}),
+			"r|range|g1|qh|mDistGu|a0.25|ged=100,mcs=0"},
+		{RankedKey("range", nil, "h", measure.DistMcs{}, 1e21, measure.Options{}),
+			"r|range|g|qh|mDistMcs|a1e+21|ged=0,mcs=0"},
+		{RankedKey("range", []uint64{2, 2}, "h", measure.DistNEd{}, 1.0/3, measure.Options{}),
+			"r|range|g2,2|qh|mDistNEd|a0.3333333333333333|ged=0,mcs=0"},
+	}
+	for i, tc := range cases {
+		if tc.got != tc.want {
+			t.Errorf("case %d: key %q, want %q", i, tc.got, tc.want)
+		}
+	}
+	if got := (measure.Options{GEDMaxNodes: 4, MCSMaxNodes: 5}).Key(); got != "ged=4,mcs=5" {
+		t.Errorf("Options.Key = %q", got)
+	}
+}
+
+// BenchmarkCacheKeys renders the keys one delta promotion builds: a
+// table key and a ranked key over three shards.
+func BenchmarkCacheKeys(b *testing.B) {
+	basis := measure.Default()
+	gens := []uint64{1041, 998, 1017}
+	qh := "c1f0e2d94b7a3c5e8f6a1b2c3d4e5f60"
+	b.ReportAllocs()
+	for b.Loop() {
+		CacheKey(1, 1042, qh, basis, measure.Options{})
+		RankedKey("topk", gens, qh, measure.DistEd{}, 10, measure.Options{})
+	}
+}

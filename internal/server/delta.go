@@ -5,38 +5,61 @@ import (
 
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
+	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
 )
 
 // Delta maintenance: instead of discarding every cached table and
 // ranked answer of a mutated shard, a mutation routes its delta to the
 // entries it touches and upgrades them in place — generation-advancing
-// rather than generation-keyed discard. The provability conditions are
-// deliberately narrow:
+// rather than generation-keyed discard. The provability conditions:
 //
-//   - Only lineage-carrying entries qualify: complete tables cached
-//     under their full key, and merged ranked answers. Pruned tables
-//     hold survivor sets a single row cannot patch.
+//   - Only lineage-carrying entries qualify: every table the server
+//     builds, complete or pruned, and every merged ranked answer.
 //   - The entry must be exactly ONE generation behind the mutation on
 //     the mutated shard. Anything older has unknown intermediate
 //     history.
-//   - An insert additionally requires the freshly evaluated row to
-//     have been read at exactly the mutation's generation (DeltaRow's
-//     observed gen): a later interleaved mutation could have replaced
-//     the named graph's value.
-//   - A table delete requires Inexact == 0 (per-row inexactness is not
-//     recorded, so the surviving count is otherwise underivable); a
-//     top-k delete requires the victim NOT to be in the answer (the
-//     (k+1)-th item was never stored).
+//   - Whatever an insert's upgrade reads of the new graph — its tier-0
+//     bound (DeltaBound) or its exact row (DeltaRow, DeltaScore) — must
+//     have been read at exactly the mutation's generation: a later
+//     interleaved mutation could have replaced the named graph's value.
 //
-// Every condition that fails falls back to today's invalidation, via
-// the PruneStale call that ends each routing pass — which also
-// guarantees no stale entry survives a mutation whether or not it was
-// upgradable. Counted as delta_applied / delta_fallbacks in CacheStats.
+// Per entry kind:
+//
+//   - Complete tables append the inserted graph's exact row and drop a
+//     deleted graph's row. A delete requires Inexact == 0 (per-row
+//     inexactness is not recorded, so the surviving count is otherwise
+//     underivable).
+//   - Pruned tables hold the kept set K of their scan, which contains
+//     the shard's skyline. Strict dominance is transitive, so every
+//     graph outside K is dominated by a member of K and skyline(shard)
+//     = skyline(K); any update that keeps K inside the shard and the
+//     shard's new skyline inside K keeps the table exact. An insert
+//     whose tier-0 optimistic corner a row of K strictly dominates
+//     cannot reach the skyline: only the generation advances, and no
+//     engine runs. Otherwise the exact row is scored and appended
+//     unless a row of K dominates it. A delete of a graph outside K
+//     only advances the generation; a delete of a kept row that another
+//     kept row strictly dominates drops the row (removing a non-maximal
+//     element leaves the maximal set unchanged; Inexact == 0 as above).
+//     A delete of a front member falls back.
+//   - Ranked answers check the inserted graph's bound first: a full
+//     top-k answer whose k-th score is below the bound's lo, or a range
+//     answer whose radius is, is provably unchanged. The rest score the
+//     graph (DeltaScore) and splice or append it. A top-k delete
+//     requires the victim NOT to be in the answer (the (k+1)-th item
+//     was never stored).
+//
+// Every condition that fails falls back to invalidation, via the
+// PruneStale call that ends each routing pass — which also guarantees
+// no stale entry survives a mutation whether or not it was upgradable.
+// Counted as delta_applied / delta_fallbacks in CacheStats.
 //
 // Byte-identity: a spliced table row goes through the cold build's own
 // per-pair path (DeltaRow), insert rows land at the end of Points
-// exactly where the global insertion order puts them, top-k splices
+// exactly where the global insertion order puts them (the served
+// skyline is re-derived from the rows and sorted by insertion rank, so
+// where a row sits in a pruned K never matters), top-k splices
 // reproduce topk.Select's deterministic ascending (score, ID) order,
 // and range answers stay in insertion order because a new graph is by
 // construction last. The interleaved-mutation equivalence tests
@@ -69,51 +92,124 @@ func (s *Server) maintain(shard int, gen uint64, inserted *graph.Graph, deleted 
 	s.cache.PruneStale(shard, gen)
 }
 
-// upgradeTable patches one cached complete table across the mutation
-// and republishes it under the advanced generation's key. Returning
-// without promoting leaves the entry for PruneStale (a counted
-// fallback).
+// upgradeTable patches one cached table across the mutation and
+// republishes it under the advanced generation's key, in the namespace
+// it was cached in. Returning without promoting leaves the entry for
+// PruneStale (a counted fallback).
 func (s *Server) upgradeTable(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) {
-	lin := cand.e.lin
+	t, lin := cand.e.table, cand.e.lin
 	var nt *gdb.VectorTable
 	if inserted != nil {
-		opts := gdb.QueryOptions{Basis: lin.basis, Eval: lin.eval, QueryHash: lin.qh}
-		pt, inexact, got, ok := s.db.Shard(shard).DeltaRow(inserted.Name(), lin.q, opts)
-		if !ok || got != gen {
-			return // a later mutation interleaved; the row is not provably gen's
-		}
-		nt = cand.e.table.WithInsert(pt, inexact, gen)
+		nt = s.tableInsert(t, lin, shard, gen, inserted.Name())
 	} else {
-		if cand.e.table.Inexact > 0 {
-			return // per-row inexactness unknown: the patched count is not derivable
-		}
-		var ok bool
-		nt, ok = cand.e.table.WithDelete(deleted, gen)
-		if !ok {
-			return
-		}
+		nt = tableDelete(t, gen, deleted)
+	}
+	if nt == nil {
+		return
 	}
 	newKey := CacheKey(shard, gen, lin.qh, lin.basis, lin.eval)
+	if !t.Complete {
+		newKey = prunedKey(newKey)
+	}
 	s.cache.promote(cand.key, newKey, &cacheEntry{shard: shard, table: nt, lin: lin})
 }
 
+// tableInsert derives t's successor across the insert of name, which
+// produced generation gen on shard, or returns nil when no proof holds.
+func (s *Server) tableInsert(t *gdb.VectorTable, lin *tableLineage, shard int, gen uint64, name string) *gdb.VectorTable {
+	db := s.db.Shard(shard)
+	if !t.Complete {
+		bs, got, ok := db.DeltaBound(name, lin.qsig)
+		if !ok || got != gen {
+			return nil
+		}
+		// Pruned tables exist only for Boundable bases, where the corner
+		// floors the exact vector in every dimension.
+		if lo, _ := bs.IntervalGCS(lin.basis); dominated(t.Points, lo) {
+			return t.WithGeneration(gen)
+		}
+	}
+	opts := gdb.QueryOptions{Basis: lin.basis, Eval: lin.eval, QueryHash: lin.qh}
+	pt, inexact, got, ok := db.DeltaRow(name, lin.q, lin.qsig, opts)
+	if !ok || got != gen {
+		return nil // a later mutation interleaved; the row is not provably gen's
+	}
+	if !t.Complete && dominated(t.Points, pt.Vec) {
+		return t.WithGeneration(gen)
+	}
+	return t.WithInsert(pt, inexact, gen)
+}
+
+// tableDelete derives t's successor across the delete of name, which
+// produced generation gen, or returns nil when no proof holds.
+func tableDelete(t *gdb.VectorTable, gen uint64, name string) *gdb.VectorTable {
+	if t.Complete {
+		if t.Inexact > 0 {
+			return nil // per-row inexactness unknown: the patched count is not derivable
+		}
+		nt, _ := t.WithDelete(name, gen)
+		return nt
+	}
+	var victim []float64
+	for _, p := range t.Points {
+		if p.ID == name {
+			victim = p.Vec
+			break
+		}
+	}
+	switch {
+	case victim == nil:
+		return t.WithGeneration(gen) // never kept: not on the skyline
+	case t.Inexact > 0 || !dominated(t.Points, victim):
+		return nil // capped rows, or a front member whose successors were never kept
+	}
+	nt, _ := t.WithDelete(name, gen)
+	return nt
+}
+
+// dominated reports whether some row strictly dominates v. No vector
+// strictly dominates itself, so v may be one of the rows.
+func dominated(rows []skyline.Point, v []float64) bool {
+	for _, p := range rows {
+		if skyline.Dominates(p.Vec, v) {
+			return true
+		}
+	}
+	return false
+}
+
 // upgradeRanked patches one cached merged ranked answer across the
-// mutation. Top-k inserts splice into topk.Select's deterministic
-// ascending (score, ID) order against the stored k-th threshold; range
-// inserts append on a single membership test (a new graph is last in
-// insertion order); deletes remove the victim (range) or prove the
-// answer unchanged (top-k, victim absent).
+// mutation. An insert whose bound already exceeds a full top-k answer's
+// k-th score, or a range answer's radius, leaves the answer unchanged
+// without an engine run. Other top-k inserts splice into topk.Select's
+// deterministic ascending (score, ID) order against the stored k-th
+// threshold; range inserts append on a single membership test (a new
+// graph is last in insertion order); deletes remove the victim (range)
+// or prove the answer unchanged (top-k, victim absent).
 func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) {
 	r := cand.e.ranked
 	lin := r.lin
 	items, inexact := r.items, r.inexact
 	if inserted != nil {
-		opts := gdb.QueryOptions{Eval: lin.eval, QueryHash: lin.qh}
-		score, inex, got, ok := s.db.Shard(shard).DeltaScore(inserted.Name(), lin.q, lin.m, opts)
+		name := inserted.Name()
+		db := s.db.Shard(shard)
+		bs, got, ok := db.DeltaBound(name, lin.qsig)
 		if !ok || got != gen {
 			return
 		}
-		name := inserted.Name()
+		// Every measure a request can name is Rankable, so lo floors the
+		// score DeltaScore would report.
+		lo, _ := bs.Interval(lin.m)
+		full := lin.kind == "topk" && len(items) >= int(lin.arg)
+		if full && items[len(items)-1].Score < lo || lin.kind == "range" && lin.arg < lo {
+			s.promoteRanked(cand, shard, gen, items, inexact)
+			return
+		}
+		opts := gdb.QueryOptions{Eval: lin.eval, QueryHash: lin.qh}
+		score, inex, got, ok := db.DeltaScore(name, lin.q, lin.qsig, lin.m, opts)
+		if !ok || got != gen {
+			return
+		}
 		if lin.kind == "topk" {
 			k := int(lin.arg)
 			pos := sort.Search(len(items), func(i int) bool {
@@ -165,13 +261,20 @@ func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inser
 			items = next
 		}
 	}
+	s.promoteRanked(cand, shard, gen, items, inexact)
+}
+
+// promoteRanked republishes a ranked answer, upgraded to items across
+// the mutation (shard, gen), under its advanced RankedKey.
+func (s *Server) promoteRanked(cand deltaCandidate, shard int, gen uint64, items []topk.Item, inexact int) {
+	r := cand.e.ranked
 	gens := make([]uint64, len(cand.e.gens))
 	copy(gens, cand.e.gens)
 	gens[shard] = gen
-	newKey := RankedKey(lin.kind, gens, lin.qh, lin.m, lin.arg, lin.eval)
+	newKey := RankedKey(r.lin.kind, gens, r.lin.qh, r.lin.m, r.lin.arg, r.lin.eval)
 	s.cache.promote(cand.key, newKey, &cacheEntry{
 		shard:  -1,
 		gens:   gens,
-		ranked: &rankedEntry{items: items, inexact: inexact, deltas: r.deltas + 1, lin: lin},
+		ranked: &rankedEntry{items: items, inexact: inexact, deltas: r.deltas + 1, lin: r.lin},
 	})
 }

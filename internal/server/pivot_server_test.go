@@ -107,9 +107,10 @@ func TestPivotCountersInBatch(t *testing.T) {
 	}
 }
 
-// TestWarmEndpoint: /cache/warm builds complete shard tables so later
-// queries of every kind answer from cache, and malformed entries fail
-// in place.
+// TestWarmEndpoint: /cache/warm builds what the same skyline request
+// would — pruned tables, or complete ones for an item that sets "all" —
+// so later requests answer from cache, and malformed entries fail in
+// place.
 func TestWarmEndpoint(t *testing.T) {
 	_, ts := newPivotTestServer(t, 2, Config{CacheSize: 32})
 	q := dataset.PaperQuery()
@@ -124,23 +125,44 @@ func TestWarmEndpoint(t *testing.T) {
 	if len(wr.Results) != 2 {
 		t.Fatalf("warm results: %+v", wr)
 	}
-	if wr.Results[0].Error != "" || wr.Results[0].Evaluated != 7 {
-		t.Fatalf("warm[0] = %+v, want 7 evaluated", wr.Results[0])
+	// A pruned build scores only what its scan cannot exclude.
+	if wr.Results[0].Error != "" || wr.Results[0].Evaluated == 0 || wr.Results[0].Evaluated >= 7 {
+		t.Fatalf("warm[0] = %+v, want a pruned build (0 < evaluated < 7)", wr.Results[0])
 	}
 	if wr.Results[1].Error == "" {
 		t.Fatal("warm[1] (missing graph) did not error")
 	}
 
-	// Every kind is now served from the warmed tables.
+	// The skyline request the warm item mirrors is served from its tables;
+	// a ranked request runs its own scan on every shard whose pruned build
+	// pruned something (a build that pruned nothing is complete).
 	var sky SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q, "all": true}, &sky)
+	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
 	if !sky.Stats.CacheHit || sky.Stats.Evaluated != 0 {
 		t.Fatalf("skyline after warm not a cache hit: %+v", sky.Stats)
 	}
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
+	if tk.Stats.ShardHits == 2 || tk.Stats.Evaluated == 0 {
+		t.Fatalf("topk after a pruned warm was served from tables: %+v", tk.Stats)
+	}
+
+	// On a fresh server, an "all" item builds complete tables, which
+	// serve every kind.
+	_, ts = newPivotTestServer(t, 2, Config{CacheSize: 32})
+	postJSON(t, ts.URL+"/cache/warm", map[string]any{
+		"queries": []map[string]any{{"graph": q, "all": true}},
+	}, &wr)
+	if len(wr.Results) != 1 || wr.Results[0].Error != "" || wr.Results[0].Evaluated != 7 {
+		t.Fatalf("all warm = %+v, want 7 evaluated", wr.Results)
+	}
+	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q, "all": true}, &sky)
+	if !sky.Stats.CacheHit || sky.Stats.Evaluated != 0 {
+		t.Fatalf("all skyline after all warm not a cache hit: %+v", sky.Stats)
+	}
+	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
 	if tk.Stats.Evaluated != 0 || tk.Stats.ShardHits != 2 {
-		t.Fatalf("topk after warm still evaluated: %+v", tk.Stats)
+		t.Fatalf("topk after all warm still evaluated: %+v", tk.Stats)
 	}
 
 	// Empty warm request is a 400.

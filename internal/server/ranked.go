@@ -102,7 +102,7 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, req *Que
 			// The lineage makes the answer delta-maintainable: a later
 			// single mutation can splice, append or prove it unchanged
 			// instead of invalidating it (see delta.go).
-			lin: &rankedLineage{kind: kind, q: res.q, qh: res.qh, m: res.m, arg: arg, eval: res.opts.Eval},
+			lin: &rankedLineage{kind: kind, q: res.q, qsig: res.qsig, qh: res.qh, m: res.m, arg: arg, eval: res.opts.Eval},
 		}}
 		// Cache only when no mutation raced the evaluation: generations
 		// are monotone, so unchanged before/after means every snapshot

@@ -356,7 +356,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // into engine values.
 type resolved struct {
 	q     *graph.Graph
-	qh    string // canonical query hash, computed once per request
+	qh    string             // canonical query hash, computed once per request
+	qsig  *measure.Signature // query signature, computed once per request
 	basis []measure.Measure
 	m     measure.Measure // ranking measure (topk/range)
 	alg   skyline.Algorithm
@@ -398,6 +399,7 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	}
 	res.q = req.Graph
 	res.qh = graph.QueryHash(res.q)
+	res.qsig = measure.NewSignature(res.q)
 
 	basis, err := measure.BasisByNames(req.Basis)
 	if err != nil {
@@ -708,20 +710,16 @@ func (s *Server) shardTable(ctx context.Context, shard int, res resolved) (*gdb.
 		// between the key computation and the snapshot, rekey so the entry
 		// stays reachable exactly as long as it is valid. A pruning build
 		// that pruned nothing yields a complete table and is cached under
-		// the full key, where every request kind can reuse it.
+		// the full key, where every request kind can reuse it. Either kind
+		// carries its maintenance lineage, so a later mutation of this
+		// shard can upgrade the entry in place (delta.go) instead of
+		// invalidating it.
 		putKey := CacheKey(shard, t.Generation, res.qh, res.basis, res.opts.Eval)
-		e := &cacheEntry{shard: shard, table: t}
-		if t.Complete {
-			// Complete tables carry their maintenance lineage: a later
-			// mutation of this shard can splice its one-row delta in
-			// instead of invalidating the entry. Pruned variants hold
-			// survivor sets a row patch cannot maintain, so they stay
-			// invalidation-only.
-			e.lin = &tableLineage{q: res.q, qh: res.qh, basis: res.basis, eval: res.opts.Eval}
-		} else {
+		if !t.Complete {
 			putKey = prunedKey(putKey)
 		}
-		return e, putKey, nil
+		lin := &tableLineage{q: res.q, qsig: res.qsig, qh: res.qh, basis: res.basis, eval: res.opts.Eval}
+		return &cacheEntry{shard: shard, table: t, lin: lin}, putKey, nil
 	})
 	if err != nil {
 		return nil, false, err
@@ -1291,11 +1289,13 @@ func runtimeStats() RuntimeStats {
 	}
 }
 
-// handleWarm answers POST /cache/warm: build (and cache) the complete
-// per-shard vector tables of the given query graphs ahead of traffic.
-// Queries run sequentially — warming is maintenance, not serving, so it
-// should trickle rather than flood; each item still evaluates its shards
-// in parallel like a normal cold query. Every failed item counts as a
+// handleWarm answers POST /cache/warm: build (and cache) the per-shard
+// vector tables of the given query graphs ahead of traffic — exactly
+// the tables the same skyline request would build and read: pruned
+// ones, or complete ones for an item that sets "all". Queries run
+// sequentially — warming is maintenance, not serving, so it should
+// trickle rather than flood; each item still evaluates its shards in
+// parallel like a normal cold query. Every failed item counts as a
 // request error, as a failed batch item does.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if !s.admitQuery(w) {
@@ -1315,9 +1315,8 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "empty warm request")
 		return
 	}
-	// Same size cap as /query/batch: every warm item is a full unpruned
-	// table build across all shards, the most expensive request kind
-	// there is.
+	// Same size cap as /query/batch: every warm item is a table build
+	// across all shards, as a cold skyline request is.
 	if len(req.Queries) > s.maxBatch() {
 		s.writeError(w, http.StatusBadRequest, "warm request of %d queries exceeds the limit of %d", len(req.Queries), s.maxBatch())
 		return
@@ -1330,12 +1329,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]WarmResult, len(req.Queries))
 	for i := range req.Queries {
-		qr := req.Queries[i]
-		// Warming always builds the complete table: every later query
-		// kind — skyline, full-table, top-k, range — can be served from
-		// it, and pruned variants would warm nothing ranked.
-		qr.All = true
-		res, err := s.resolveQuery("skyline", &qr)
+		res, err := s.resolveQuery("skyline", &req.Queries[i])
 		var ts tableSet
 		if err == nil {
 			ts, err = s.tables(ctx, res)

@@ -16,6 +16,7 @@ import (
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
+	"skygraph/internal/testutil"
 )
 
 // newTestServer serves the paper's 7-graph database on a single shard
@@ -191,15 +192,20 @@ func TestIsomorphicQueryHitsCache(t *testing.T) {
 	}
 }
 
+// TestMutationInvalidatesCache: a mutation the delta proofs cover
+// upgrades the cached pruned table in place, and one they do not — the
+// delete of a skyline member — invalidates it.
 func TestMutationInvalidatesCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheSize: 16})
+	q := dataset.PaperQuery()
 	var first SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &first)
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &first)
 	if first.Stats.CacheHit {
 		t.Fatal("first query cannot hit")
 	}
 
-	// Insert a graph: the generation bumps and the cached table dies.
+	// Insert a graph: the generation bumps and the cached table is carried
+	// across it.
 	g := graph.New("extra")
 	g.AddVertex("a")
 	g.AddVertex("b")
@@ -212,22 +218,21 @@ func TestMutationInvalidatesCache(t *testing.T) {
 	if len(ins.Inserted) != 1 || ins.Inserted[0] != "extra" {
 		t.Fatalf("inserted = %v", ins.Inserted)
 	}
-	if s.Cache().Len() != 0 {
-		t.Fatalf("cache holds %d entries after insert; want 0", s.Cache().Len())
+	if s.Cache().Len() != 1 {
+		t.Fatalf("cache holds %d entries after insert; want the upgraded table", s.Cache().Len())
 	}
-
 	var second SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &second)
-	if second.Stats.CacheHit {
-		t.Fatal("query after insert must re-evaluate")
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &second)
+	if !second.Stats.CacheHit || second.Stats.DeltaPatched != 1 {
+		t.Fatalf("query after insert stats = %+v; want a hit on the patched table", second.Stats)
 	}
-	if second.Stats.Evaluated+second.Stats.Pruned != 8 {
-		t.Fatalf("evaluated %d + pruned %d pairs after insert; want 8 total",
-			second.Stats.Evaluated, second.Stats.Pruned)
-	}
+	live := append(dataset.PaperDB(), g)
+	testutil.RequireSameSkyline(t, "after insert", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(second.Skyline))
 
-	// Delete invalidates again.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/extra", nil)
+	// Deleting a skyline member leaves no proof: the table is dropped and
+	// the next query re-evaluates the 7 remaining graphs.
+	victim := second.Skyline[0].ID
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/"+victim, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -236,15 +241,18 @@ func TestMutationInvalidatesCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status = %d", resp.StatusCode)
 	}
+	if s.Cache().Len() != 0 {
+		t.Fatalf("cache holds %d entries after a front delete; want 0", s.Cache().Len())
+	}
 	var third SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &third)
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &third)
 	if third.Stats.CacheHit || third.Stats.Evaluated+third.Stats.Pruned != 7 {
 		t.Fatalf("stats after delete = %+v; want a fresh build covering all 7", third.Stats)
 	}
 
 	st := statsOf(t, ts.URL)
-	if st.Cache.Invalidations < 1 {
-		t.Fatalf("stats report %d invalidations; want >= 1", st.Cache.Invalidations)
+	if st.Cache.Invalidations < 1 || st.Cache.DeltaApplied < 1 {
+		t.Fatalf("stats report %d invalidations, %d deltas; want >= 1 each", st.Cache.Invalidations, st.Cache.DeltaApplied)
 	}
 }
 

@@ -42,10 +42,12 @@ func TestShardedServerMatchesSingleShard(t *testing.T) {
 	}
 }
 
-// TestInsertInvalidatesOnlyOwningShard: after a query populates one
-// table per shard, an insert drops exactly the owning shard's entry,
-// and the requery rebuilds only that shard.
-func TestInsertInvalidatesOnlyOwningShard(t *testing.T) {
+// TestMutationTouchesOnlyOwningShard: after a query populates one
+// table per shard, an insert upgrades the owning shard's table in place
+// and leaves the others alone; the delete of a skyline member drops
+// exactly the owning shard's entry, and the requery rebuilds only that
+// shard.
+func TestMutationTouchesOnlyOwningShard(t *testing.T) {
 	const shards = 3
 	s, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
 	var first SkylineResponse
@@ -61,27 +63,25 @@ func TestInsertInvalidatesOnlyOwningShard(t *testing.T) {
 	g.AddVertex("a")
 	g.AddVertex("b")
 	g.MustAddEdge(0, 1, "x")
-	owner := s.DB().ShardFor("extra")
 	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("insert status = %d", r.StatusCode)
 	}
-	if got := s.Cache().Len(); got != shards-1 {
-		t.Fatalf("cache holds %d tables after insert; want %d (only the owning shard pruned)", got, shards-1)
+	if got := s.Cache().Len(); got != shards {
+		t.Fatalf("cache holds %d tables after insert; want %d (the owning shard's upgraded)", got, shards)
 	}
-
 	var second SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &second)
-	wantEval := s.DB().Shard(owner).Len()
-	if second.Stats.ShardHits != shards-1 || second.Stats.Evaluated+second.Stats.Pruned != wantEval {
-		t.Fatalf("requery stats = %+v; want %d shard hits and %d evaluated+pruned (owning shard only)",
-			second.Stats, shards-1, wantEval)
+	if second.Stats.ShardHits != shards || second.Stats.DeltaPatched != 1 {
+		t.Fatalf("requery stats = %+v; want %d shard hits, one of them patched", second.Stats, shards)
 	}
 	if len(second.Skyline) == 0 {
 		t.Fatal("requery returned an empty skyline")
 	}
 
-	// Delete invalidates the owning shard again; the others stay warm.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/extra", nil)
+	// Deleting a skyline member invalidates its shard; the others stay warm.
+	victim := second.Skyline[0].ID
+	owner := s.DB().ShardFor(victim)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/"+victim, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +90,15 @@ func TestInsertInvalidatesOnlyOwningShard(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status = %d", resp.StatusCode)
 	}
+	if got := s.Cache().Len(); got != shards-1 {
+		t.Fatalf("cache holds %d tables after a front delete; want %d (only the owning shard dropped)", got, shards-1)
+	}
 	var third SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &third)
-	if third.Stats.ShardHits != shards-1 {
-		t.Fatalf("post-delete stats = %+v; want %d warm shards", third.Stats, shards-1)
+	wantEval := s.DB().Shard(owner).Len()
+	if third.Stats.ShardHits != shards-1 || third.Stats.Evaluated+third.Stats.Pruned != wantEval {
+		t.Fatalf("post-delete stats = %+v; want %d shard hits and %d evaluated+pruned (owning shard only)",
+			third.Stats, shards-1, wantEval)
 	}
 }
 
