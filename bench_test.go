@@ -145,7 +145,7 @@ func BenchmarkVectorScaling(b *testing.B) {
 		gs := dataset.RewiredClusters(n/25, 25, 4, 5, 5, 1)
 		q := graph.Rewire(gs[0], 1, newGoRand(999))
 		q.SetName("q0")
-		opts := gdb.QueryOptions{Prune: true, Workers: 1}
+		opts := gdb.QueryOptions{Workers: 1}
 		run := func(b *testing.B, db *gdb.Sharded) {
 			var last gdb.QueryStats
 			for i := 0; i < b.N; i++ {

@@ -228,7 +228,6 @@ func cmdTopK(args []string) error {
 	k := fs.Int("k", 3, "result size")
 	name := fs.String("measure", "DistEd", "measure: DistEd|DistNEd|DistMcs|DistGu")
 	budget := fs.Int64("budget", 0, "max search nodes per GED/MCS (0 = exact)")
-	prune := fs.Bool("prune", true, "best-first bound-index evaluation (identical answer, less work; -prune=false forces the full scan)")
 	fs.Parse(args)
 	m, err := measure.ByName(*name)
 	if err != nil {
@@ -237,9 +236,6 @@ func cmdTopK(args []string) error {
 	eng, q, err := loadEngineAndQuery(*dbPath, *queryPath, *budget)
 	if err != nil {
 		return err
-	}
-	if *prune {
-		eng = eng.WithOptions(core.WithPrune())
 	}
 	items, err := eng.TopK(q, m, *k)
 	if err != nil {

@@ -61,11 +61,11 @@ func WithWorkers(n int) Option {
 	return func(e *Engine) { e.opts.Workers = n }
 }
 
-// WithPrune enables bound-index filter-and-refine evaluation: skyline
-// queries skip graphs the signature/bipartite intervals prove
-// dominated, and top-k queries run best-first against the live k-th
-// best score with threshold-fed exact engines. Answers are identical
-// to unpruned evaluation; only the work changes.
+// WithPrune enables bound-index filter-and-refine evaluation of
+// skyline queries: graphs the signature bounds or the progressive scan
+// prove dominated are never scored exactly. The skyline is identical
+// to unpruned evaluation, but Result.All then holds only the scored
+// candidates. TopK always runs its best-first scan, with or without it.
 func WithPrune() Option {
 	return func(e *Engine) { e.opts.Prune = true }
 }
@@ -195,7 +195,8 @@ func (e *Engine) DiverseSkyline(q *graph.Graph, k int) (DiverseResult, error) {
 }
 
 // TopK is the single-measure baseline: the k nearest graphs under one
-// measure (the retrieval model the skyline approach generalizes).
+// measure (the retrieval model the skyline approach generalizes). m
+// must be one of the built-in measures.
 func (e *Engine) TopK(q *graph.Graph, m measure.Measure, k int) ([]Member, error) {
 	res, err := e.db.TopKQuery(context.Background(), q, m, k, e.opts)
 	if err != nil {

@@ -6,8 +6,8 @@ import (
 	"skygraph/internal/skyline"
 )
 
-// Delta maintenance primitives. A cached VectorTable (complete or
-// pruned) or a cached ranked answer differs from its successor
+// Delta maintenance primitives. A cached VectorTable or a cached ranked
+// answer differs from its successor
 // generation by at most one row when the mutation between them was a
 // single insert or delete. DeltaBound reads the one row's tier-0
 // interval from the stored signature — no engine runs — so the serving
@@ -64,9 +64,9 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, opt
 // DeltaScore evaluates the single named graph's exact score under m,
 // the way the best-first ranked scan scores a candidate it cannot
 // exclude: only the engines m consumes run, with memo replay and
-// publish. Scores are therefore byte-identical to both the complete
-// table's column and the ranked path.
-// gen and ok behave as in DeltaRow.
+// publish. Scores are therefore byte-identical to the ranked path's. m
+// must be a built-in (measure.Rankable), as it is for every ranked
+// query. gen and ok behave as in DeltaRow.
 func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions) (score float64, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
 	db.mu.RLock()
@@ -77,20 +77,15 @@ func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m
 		return 0, false, gen, false
 	}
 	ec := db.newEvalCtx(q, qsig, opts, false)
-	h := measure.PairHints{Sig1: e.sig, Sig2: qsig}
-	if measure.Rankable(m) {
-		needGED, needMCS := measure.EngineNeeds(m)
-		var have measure.EngineResults
-		if needGED || needMCS {
-			have, _ = ec.memoGet(e.seq, needGED, needMCS)
-		}
-		var got measure.EngineResults
-		score, got, inexact = measure.ScorePairWith(e.g, q, m, opts.Eval, h, have)
-		ec.memoPublish(e.seq, got)
-		return score, inexact, gen, true
+	needGED, needMCS := measure.EngineNeeds(m)
+	var have measure.EngineResults
+	if needGED || needMCS {
+		have, _ = ec.memoGet(e.seq, needGED, needMCS)
 	}
-	ps := ec.computeFull(e.g, q, e.seq, opts.Eval, h)
-	return m.FromStats(ps), !ps.GEDExact || !ps.MCSExact, gen, true
+	var got measure.EngineResults
+	score, got, inexact = measure.ScorePairWith(e.g, q, m, opts.Eval, measure.PairHints{Sig1: e.sig, Sig2: qsig}, have)
+	ec.memoPublish(e.seq, got)
+	return score, inexact, gen, true
 }
 
 // WithGeneration returns a copy of t advanced to generation gen with
@@ -125,12 +120,10 @@ func (t *VectorTable) WithInsert(pt skyline.Point, inexact bool, gen uint64) *Ve
 }
 
 // WithDelete returns a new table with the named row removed and the
-// generation advanced to gen. ok is false when the name has no row —
-// impossible for a complete table and a victim that existed, so callers
-// treat it as a failed proof and fall back to invalidation. Skyline,
-// top-k and range answers derive from Points per call, so dropping the
-// row is the entire delete: no skyline recomputation happens unless a
-// later query asks for one, and then only over the surviving rows.
+// generation advanced to gen. ok is false when the name has no row.
+// Skyline answers derive from Points per call, so dropping the row is
+// the entire delete: no skyline recomputation happens unless a later
+// query asks for one, and then only over the surviving rows.
 func (t *VectorTable) WithDelete(name string, gen uint64) (*VectorTable, bool) {
 	idx := -1
 	for i := range t.Points {

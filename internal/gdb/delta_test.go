@@ -52,8 +52,8 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	if !reflect.DeepEqual(want.Points, t1.Points) {
 		t.Fatalf("patched insert table differs from cold build:\ncold  %v\ndelta %v", want.Points, t1.Points)
 	}
-	if t1.Generation != gen || t1.Deltas != 1 || !t1.Complete {
-		t.Fatalf("patched table gen=%d deltas=%d complete=%v, want %d/1/true", t1.Generation, t1.Deltas, t1.Complete, gen)
+	if t1.Generation != gen || t1.Deltas != 1 {
+		t.Fatalf("patched table gen=%d deltas=%d, want %d/1", t1.Generation, t1.Deltas, gen)
 	}
 	// The original must be untouched: patches copy, they never mutate.
 	if len(t0.Points) != len(gs) || t0.Deltas != 0 {
@@ -143,7 +143,7 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 				t.Fatalf("memo=%v m=%s: DeltaScore ok=%v gen=%d, want true/%d", withMemo, m.Name(), ok, got, gen)
 			}
 			ref, err := testutil.NewSharded(t, 1, append(append([]*graph.Graph(nil), gs...), late)).
-				TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{Prune: true})
+				TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ import (
 // uniquely named graphs with a per-graph signature index (label
 // histograms, degree sequence, sizes) maintained on insert, plus the
 // per-shard evaluation primitives the query layers are built from —
-// VectorTable, Ranked.EvalDB and DeltaBound / DeltaRow / DeltaScore. It
+// VectorTable, the ranked scan and DeltaBound / DeltaRow / DeltaScore. It
 // is not a query or mutation surface: graphs come and go through the
 // owning Sharded (which keeps the global insertion order), and queries
 // are Sharded's, or the serving layer's over the primitives above.

@@ -10,8 +10,9 @@ import (
 	"skygraph/internal/testutil"
 )
 
-// TestMemoReplaysAcrossQueries: a second identical ranked query must be
-// served from the memo (hits > 0) with identical items.
+// TestMemoReplaysAcrossQueries: a second identical query must be served
+// from the memo — every pair of an unpruned skyline build replays —
+// with an identical answer.
 func TestMemoReplaysAcrossQueries(t *testing.T) {
 	gs := testutil.SeededGraphs(61, 12)
 	db := testutil.NewSharded(t, 1, gs)
@@ -19,18 +20,18 @@ func TestMemoReplaysAcrossQueries(t *testing.T) {
 	q := testutil.SeededQueries(161, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
 
-	cold, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, opts)
+	cold, err := db.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.MemoHits != 0 {
 		t.Fatalf("cold query reported %d memo hits", cold.Stats.MemoHits)
 	}
-	warm, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, opts)
+	warm, err := db.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.RequireSameItems(t, "warm", cold.Items, warm.Items)
+	testutil.RequireSameSkyline(t, "warm", cold.Skyline, warm.Skyline)
 	if warm.Stats.MemoHits != len(gs) {
 		t.Fatalf("warm query hit the memo %d times, want %d", warm.Stats.MemoHits, len(gs))
 	}
@@ -48,7 +49,7 @@ func TestMemoSurvivesUnrelatedMutations(t *testing.T) {
 	db.EnableScoreMemo(1024)
 	q := testutil.SeededQueries(171, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
-	if _, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, opts); err != nil {
+	if _, err := db.SkylineQuery(context.Background(), q, opts); err != nil {
 		t.Fatal(err)
 	}
 	extra := testutil.SeededGraphs(271, 1)[0]
@@ -56,7 +57,7 @@ func TestMemoSurvivesUnrelatedMutations(t *testing.T) {
 	if _, err := db.Insert(extra, ""); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, opts)
+	warm, err := db.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestMemoSharedAcrossShards(t *testing.T) {
 	sh := testutil.NewSharded(t, 3, gs)
 	sh.EnableScoreMemo(2048)
 	q := testutil.SeededQueries(191, gs, 1)[0]
-	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}, Prune: true}
+	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
 	cold, err := sh.TopKQuery(context.Background(), q, measure.DistEd{}, 4, opts)
 	if err != nil {
 		t.Fatal(err)

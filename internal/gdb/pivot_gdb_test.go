@@ -133,7 +133,7 @@ func TestPrunedRankedWithPivotsSharded(t *testing.T) {
 		for _, q := range qs {
 			scores := testutil.ReferenceScores(gs, q, m, eval)
 			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
-			popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
+			popts := gdb.QueryOptions{Eval: eval, Workers: 4}
 			for _, counts := range []int{1, 2, 3, 7} {
 				sh := testutil.NewSharded(t, counts, gs)
 				sh.EnablePivots(pivot.Config{Pivots: 3})

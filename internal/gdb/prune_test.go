@@ -208,28 +208,6 @@ func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
 	}
 }
 
-// TestPrunedTableRejectsRanking: a pruned vector table must refuse
-// top-k and range duty rather than silently answering from survivor
-// rows only.
-func TestPrunedTableRejectsRanking(t *testing.T) {
-	db := testutil.NewSharded(t, 1, dataset.PaperDB())
-	opts := prunedOpts(true)
-	opts.Workers = 2
-	tab, err := db.Shard(0).VectorTable(context.Background(), dataset.PaperQuery(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Complete {
-		t.Skip("nothing pruned on this build; table is complete and rankable")
-	}
-	if _, err := tab.TopK(measure.DistEd{}, 3); err == nil {
-		t.Fatal("TopK on a pruned table must error")
-	}
-	if _, err := tab.Range(measure.DistEd{}, 100); err == nil {
-		t.Fatal("Range on a pruned table must error")
-	}
-}
-
 // TestPruneIgnoredForForeignBasis: a basis with a measure outside the
 // built-ins must fall back to full evaluation (Pruned = 0, every graph
 // evaluated) rather than prune on unknown monotonicity.

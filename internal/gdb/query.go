@@ -30,20 +30,15 @@ type QueryOptions struct {
 	// anyway). The cross-query score memo keys on it; when empty it is
 	// computed on demand, once per evaluation.
 	QueryHash string
-	// Prune enables filter-and-refine evaluation driven by the
-	// signature/bound index. For skyline queries, graphs whose bound
-	// intervals — or a progressive scan against the exact vectors found
-	// so far (prune.go) — prove them dominated are never evaluated
-	// exactly; the skyline is identical to an unpruned run, but
-	// SkylineResult.All (and VectorTable.Points) then holds only the
-	// candidates the scan scored, so leave Prune off when the full table
-	// is needed. For top-k and
-	// range queries, evaluation is best-first against a live threshold
-	// (the k-th best score, or the radius): candidates whose optimistic
-	// bound — or a threshold-fed engine decision run — proves them out
-	// are never scored exactly, and the answer (scores and tie-order)
-	// is identical to an unpruned run. Diversity queries ignore Prune.
-	// Ignored for measures outside this package's built-ins.
+	// Prune enables filter-and-refine evaluation of skyline queries,
+	// driven by the signature/bound index: graphs whose bound intervals —
+	// or a progressive scan against the exact vectors found so far
+	// (prune.go) — prove them dominated are never evaluated exactly. The
+	// skyline is identical to an unpruned run, but SkylineResult.All (and
+	// VectorTable.Points) then holds only the candidates the scan scored,
+	// so leave Prune off when the full table is needed. Ignored for bases
+	// outside this package's built-ins, by diversity queries, and by
+	// top-k and range queries, which always run the best-first scan.
 	Prune bool
 	// Trace, when non-nil, accumulates per-cascade-stage work counters
 	// and durations for this query (see trace.go). The same trace may be
@@ -84,9 +79,9 @@ type Work struct {
 	// ranking score for top-k and range queries (score-memo replays
 	// included — the value is exact either way).
 	Evaluated int `json:"evaluated"`
-	// Pruned counts graphs excluded without exact evaluation under
-	// QueryOptions.Prune: the interval filter and the progressive scan's
-	// front tests and decision runs for skyline queries; the best-first
+	// Pruned counts graphs excluded without exact evaluation: the
+	// interval filter and the progressive scan's front tests and decision
+	// runs for skyline queries under QueryOptions.Prune; the best-first
 	// threshold cutoff and the threshold-fed engine decision runs for
 	// top-k and range queries, whole vector-tier cells included.
 	Pruned int `json:"pruned"`
@@ -187,68 +182,70 @@ type TopKResult struct {
 
 // TopKQuery is the single-measure baseline (Section VI): the k database
 // graphs with the smallest distance under one measure, in ascending
-// (score, ID) order. With opts.Prune set (and a built-in measure),
-// every shard runs the best-first bound-index scan of ranked.go
-// concurrently against ONE shared collector, so the k-th best score
-// seen anywhere prunes candidates everywhere — no shard builds a full
-// table. Otherwise per-shard complete tables are built and heap-merged.
-// Items are identical either way.
+// (score, ID) order. Every shard runs the best-first bound-index scan of
+// ranked.go concurrently against ONE shared collector, so the k-th best
+// score seen anywhere prunes candidates everywhere — no shard builds a
+// table. m must be one of the built-in measures (measure.Rankable): the
+// scan needs its bounds. opts.Basis, opts.Algorithm and opts.Prune do
+// not apply.
 func (sh *Sharded) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("gdb: k must be >= 1")
 	}
-	return sh.rankedQuery(ctx, q, m, opts, NewRankedTopK(m, k), func(tables []*VectorTable) ([]topk.Item, error) {
-		return sh.MergeTopK(tables, m, k)
-	})
+	return sh.rankedQuery(ctx, q, m, opts, newTopkCollector(k))
 }
 
 // RangeQuery returns every graph whose distance to q under m is at most
-// radius, in global insertion order. With opts.Prune set (and a
-// built-in measure), shards run the best-first scan with the radius as
-// a fixed threshold instead of building full tables; items are
-// identical either way.
+// radius, in global insertion order: the best-first scan with the radius
+// as a fixed threshold, under the same conditions as TopKQuery.
 func (sh *Sharded) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (TopKResult, error) {
-	return sh.rankedQuery(ctx, q, m, opts, NewRankedRange(m, radius), func(tables []*VectorTable) ([]topk.Item, error) {
-		return sh.MergeRange(tables, m, radius)
-	})
+	return sh.rankedQuery(ctx, q, m, opts, newRangeCollector(radius))
 }
 
-// rankedQuery answers one top-k or range query: the best-first scan of
-// run over every shard when pruning applies, otherwise complete
-// per-shard tables (their basis extended by m) folded by merge.
-func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, run *Ranked, merge func([]*VectorTable) ([]topk.Item, error)) (TopKResult, error) {
+// rankedQuery scans every shard concurrently into coll and reports the
+// collected answer: top-k in ascending (score, ID) order as collected,
+// range restored to global insertion order (the scan finishes out of
+// order). Reading the answer out is the merge stage. opts.Workers is
+// the per-shard scan width; 0 spreads GOMAXPROCS over the shards. The
+// first shard error fails the query.
+func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (TopKResult, error) {
+	if !measure.Rankable(m) {
+		return TopKResult{}, fmt.Errorf("gdb: measure %s has no bounds to rank by (not a built-in)", m.Name())
+	}
 	start := time.Now()
-	if opts.Prune && measure.Rankable(m) {
-		every := make([]int, len(sh.shards))
-		for i := range every {
-			every[i] = i
-		}
-		stats, err := sh.EvalRanked(ctx, run, q, opts, every)
+	opts.Workers = shardWorkers(opts.Workers, len(sh.shards))
+	if opts.QueryHash == "" && sh.Memo() != nil {
+		// Canonicalize once for all shards; each shard's memo keys use it.
+		opts.QueryHash = graph.QueryHash(q)
+	}
+	qsig := measure.NewSignature(q)
+	stats := make([]QueryStats, len(sh.shards))
+	errs := make([]error, len(sh.shards))
+	var wg sync.WaitGroup
+	for i, db := range sh.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stats[i], errs[i] = db.scanRanked(ctx, q, qsig, m, opts, coll)
+		}()
+	}
+	wg.Wait()
+	total := QueryStats{}
+	for i, err := range errs {
 		if err != nil {
 			return TopKResult{}, err
 		}
-		items := sh.RankedItems(run)
-		stats.Duration = time.Since(start)
-		return TopKResult{Items: items, Stats: stats}, nil
+		total.Work.Add(stats[i].Work)
+		total.Inexact += stats[i].Inexact
 	}
-	opts.Prune = false // table ranking needs every row
-	opts.Basis = measure.BasisWith(opts.Basis, m)
-	tables, err := sh.VectorTables(ctx, q, opts)
-	if err != nil {
-		return TopKResult{}, err
+	mstart := time.Now()
+	items := coll.items()
+	if _, isRange := coll.(*rangeCollector); isRange {
+		sh.sortItemsByRank(items)
 	}
-	var mstart time.Time
-	if opts.Trace != nil {
-		mstart = time.Now()
-	}
-	items, err := merge(tables)
-	if err != nil {
-		return TopKResult{}, err
-	}
-	if opts.Trace != nil {
-		opts.Trace.Observe(StageMerge, time.Since(mstart), tableRows(tables), 0)
-	}
-	return TopKResult{Items: items, Stats: mergedStats(tables, start)}, nil
+	opts.Trace.Observe(StageMerge, time.Since(mstart), len(items), 0)
+	total.Duration = time.Since(start)
+	return TopKResult{Items: items, Stats: total}, nil
 }
 
 // DiverseResult is the answer to a diversity-refined skyline query

@@ -29,8 +29,9 @@ import (
 // between: it only narrows the pessimistic end of the interval, which
 // never prunes against a best-first threshold, and its bipartite and
 // greedy runs cost more than the decision runs they spared. Included
-// scores are byte-identical to the full scan's, so the answer — scores
-// and tie-order — matches the unpruned path exactly.
+// scores are byte-identical to a complete table's column, so the answer
+// — scores and tie-order — matches ranking every graph exactly. It is
+// the one evaluation path of TopKQuery and RangeQuery.
 
 // atomicFloat is a lock-free float64 cell (stored as bits).
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -40,7 +41,8 @@ func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load
 
 // rankedCollector accumulates exact scores behind a mutex and exposes
 // the live pruning threshold lock-free: workers read it before every
-// candidate, across every shard of a sharded database.
+// candidate, across every shard of a sharded database. Safe for
+// concurrent use.
 type rankedCollector interface {
 	// offer records one exactly-scored item, tightening the threshold.
 	offer(it topk.Item)
@@ -212,63 +214,16 @@ func (s *kSmallest) kth() (v float64, ok bool) {
 	return s.h[0], true
 }
 
-// Ranked is one in-progress best-first ranked query: the shared
-// collector and its live threshold. Shards of a sharded database (and
-// cached per-shard answers) evaluate against a single Ranked value so
-// the threshold crosses shard boundaries. Safe for concurrent use.
-type Ranked struct {
-	m    measure.Measure
-	coll rankedCollector
-
-	sigOnce sync.Once
-	qsig    *measure.Signature
-	qhOnce  sync.Once
-	qh      string
-}
-
-// NewRankedTopK starts a top-k evaluation under measure m.
-func NewRankedTopK(m measure.Measure, k int) *Ranked {
-	return &Ranked{m: m, coll: newTopkCollector(k)}
-}
-
-// NewRankedRange starts a range evaluation under measure m.
-func NewRankedRange(m measure.Measure, radius float64) *Ranked {
-	return &Ranked{m: m, coll: newRangeCollector(radius)}
-}
-
-// Offer feeds already-exact scores — e.g. the rows of a cached complete
-// vector table — into the collector, tightening the live threshold
-// before (or while) other shards evaluate.
-func (r *Ranked) Offer(items []topk.Item) {
-	for _, it := range items {
-		r.coll.offer(it)
-	}
-}
-
-func (r *Ranked) querySig(q *graph.Graph) *measure.Signature {
-	r.sigOnce.Do(func() { r.qsig = measure.NewSignature(q) })
-	return r.qsig
-}
-
-func (r *Ranked) queryHash(q *graph.Graph) string {
-	r.qhOnce.Do(func() { r.qh = graph.QueryHash(q) })
-	return r.qh
-}
-
-// EvalDB runs the best-first scan of one database's snapshot against
-// the shared threshold. opts.Workers bounds the scan's parallelism
+// scanRanked runs the best-first scan of one shard's snapshot against
+// the collector every shard of the query shares, so the threshold
+// crosses shard boundaries. opts.Workers bounds the scan's parallelism
 // (resolved by the caller); opts.Eval caps the exact engines exactly as
-// on the full-scan path, so included scores match it byte for byte.
-func (r *Ranked) EvalDB(ctx context.Context, db *DB, q *graph.Graph, opts QueryOptions) (QueryStats, error) {
+// a table build does, so included scores match its columns byte for
+// byte.
+func (db *DB) scanRanked(ctx context.Context, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (QueryStats, error) {
 	sn := db.snapshot()
-	qsig := r.querySig(q)
-	if opts.QueryHash == "" && db.Memo() != nil {
-		// Canonicalize once per query, not once per shard: the Ranked
-		// value is shared by all shards of one query.
-		opts.QueryHash = r.queryHash(q)
-	}
 	ec := db.newEvalCtx(q, qsig, opts, true)
-	return evalRanked(ctx, sn, qsig, q, r.m, opts, ec, db.startVector(sn, qsig, q, r.m, ec), r.coll)
+	return evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, ec), coll)
 }
 
 // evalRanked is the scan itself: order candidates by optimistic bound,

@@ -13,14 +13,14 @@ import (
 )
 
 // requirePrunedRankedMatches asserts that for every shard count, the
-// pruned (best-first, cross-shard threshold) top-k and range answers
-// over gs are byte-identical — scores and tie-order — to the independent
+// best-first (cross-shard threshold) top-k and range answers over gs
+// are byte-identical — scores and tie-order — to the independent
 // reference scores, for every sweep measure.
 func requirePrunedRankedMatches(t *testing.T, gs []*graph.Graph, qs []*graph.Graph, k int, radius float64, eval measure.Options, counts []int) {
 	t.Helper()
 	ctx := context.Background()
 	measures := []measure.Measure{measure.DistEd{}, measure.DistMcs{}, measure.DistGu{}}
-	popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
+	popts := gdb.QueryOptions{Eval: eval, Workers: 4}
 	for _, q := range qs {
 		for _, m := range measures {
 			scores := testutil.ReferenceScores(gs, q, m, eval)
@@ -53,10 +53,10 @@ var rankedMeasures = []measure.Measure{
 	measure.DistEd{}, measure.DistNEd{}, measure.DistMcs{}, measure.DistGu{}, measure.DistVLabel{},
 }
 
-// TestRankedTopKMatchesUnpruned asserts the best-first pruned top-k
-// path and the complete-table path both return the reference's items
-// byte for byte (scores and tie-order), across measures, k values,
-// engine caps and shard counts, on the paper database.
+// TestRankedTopKMatchesUnpruned asserts the best-first top-k scan
+// returns the reference's items — ranking every graph — byte for byte
+// (scores and tie-order), across measures, k values, engine caps and
+// shard counts, on the paper database.
 func TestRankedTopKMatchesUnpruned(t *testing.T) {
 	gs, q := dataset.PaperDB(), dataset.PaperQuery()
 	ctx := context.Background()
@@ -68,16 +68,11 @@ func TestRankedTopKMatchesUnpruned(t *testing.T) {
 				for _, k := range []int{1, 2, 3, 7, 10} {
 					want := testutil.ReferenceTopK(scores, k)
 					label := fmt.Sprintf("%s shards=%d k=%d", m.Name(), n, k)
-					full, err := db.TopKQuery(ctx, q, m, k, gdb.QueryOptions{Eval: eval})
+					got, err := db.TopKQuery(ctx, q, m, k, gdb.QueryOptions{Eval: eval})
 					if err != nil {
 						t.Fatal(err)
 					}
-					testutil.RequireSameItems(t, label+"/unpruned", want, full.Items)
-					got, err := db.TopKQuery(ctx, q, m, k, gdb.QueryOptions{Eval: eval, Prune: true})
-					if err != nil {
-						t.Fatal(err)
-					}
-					testutil.RequireSameItems(t, label+"/pruned", want, got.Items)
+					testutil.RequireSameItems(t, label, want, got.Items)
 					if got.Stats.Evaluated+got.Stats.Pruned != db.Len() {
 						t.Errorf("%s: evaluated %d + pruned %d != %d",
 							label, got.Stats.Evaluated, got.Stats.Pruned, db.Len())
@@ -89,7 +84,7 @@ func TestRankedTopKMatchesUnpruned(t *testing.T) {
 }
 
 // TestRankedRangeMatchesUnpruned is the range analogue, including the
-// order of the returned items (insertion order on every path).
+// order of the returned items (insertion order).
 func TestRankedRangeMatchesUnpruned(t *testing.T) {
 	gs, q := dataset.PaperDB(), dataset.PaperQuery()
 	ctx := context.Background()
@@ -100,22 +95,17 @@ func TestRankedRangeMatchesUnpruned(t *testing.T) {
 			for _, radius := range []float64{0, 0.2, 0.5, 3, 10} {
 				want := testutil.ReferenceRange(scores, radius)
 				label := fmt.Sprintf("%s shards=%d radius=%g", m.Name(), n, radius)
-				full, err := db.RangeQuery(ctx, q, m, radius, gdb.QueryOptions{})
+				got, err := db.RangeQuery(ctx, q, m, radius, gdb.QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				testutil.RequireSameItems(t, label+"/unpruned", want, full.Items)
-				got, err := db.RangeQuery(ctx, q, m, radius, gdb.QueryOptions{Prune: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				testutil.RequireSameItems(t, label+"/pruned", want, got.Items)
+				testutil.RequireSameItems(t, label, want, got.Items)
 			}
 		}
 	}
 }
 
-// TestPrunedRankedPaper checks pruned top-k and range answers against
+// TestPrunedRankedPaper checks top-k and range answers against
 // the reference on the paper database at shard counts 1/2/3/7.
 func TestPrunedRankedPaper(t *testing.T) {
 	requirePrunedRankedMatches(t, dataset.PaperDB(),
@@ -131,5 +121,19 @@ func TestPrunedRankedSeeded(t *testing.T) {
 		qs := testutil.SeededQueries(seed+100, gs, 2)
 		requirePrunedRankedMatches(t, gs, qs, 4, 4,
 			measure.Options{GEDMaxNodes: 500, MCSMaxNodes: 500}, []int{1, 2, 3, 7})
+	}
+}
+
+// TestRankedRejectsForeignMeasure: the ranked scan needs a measure's
+// bounds, so a measure outside the built-ins is an error on both query
+// kinds, not a silent fallback to scoring every graph.
+func TestRankedRejectsForeignMeasure(t *testing.T) {
+	db := testutil.NewSharded(t, 2, dataset.PaperDB())
+	ctx, q := context.Background(), dataset.PaperQuery()
+	if res, err := db.TopKQuery(ctx, q, oppositeMeasure{}, 2, gdb.QueryOptions{}); err == nil {
+		t.Fatalf("top-k under a foreign measure answered %v", res.Items)
+	}
+	if res, err := db.RangeQuery(ctx, q, oppositeMeasure{}, 2, gdb.QueryOptions{}); err == nil {
+		t.Fatalf("range under a foreign measure answered %v", res.Items)
 	}
 }

@@ -24,17 +24,17 @@ func requireSameItems(t *testing.T, label string, want, got []topk.Item) {
 	}
 }
 
-// TestRankedCanceled checks the pruned path honors context
+// TestRankedCanceled checks the ranked scan honors context
 // cancellation.
 func TestRankedCanceled(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.TopKQuery(ctx, dataset.PaperQuery(), measure.DistEd{}, 2, QueryOptions{Prune: true}); err == nil {
-		t.Error("canceled pruned top-k succeeded")
+	if _, err := db.TopKQuery(ctx, dataset.PaperQuery(), measure.DistEd{}, 2, QueryOptions{}); err == nil {
+		t.Error("canceled top-k succeeded")
 	}
-	if _, err := db.RangeQuery(ctx, dataset.PaperQuery(), measure.DistEd{}, 2, QueryOptions{Prune: true}); err == nil {
-		t.Error("canceled pruned range succeeded")
+	if _, err := db.RangeQuery(ctx, dataset.PaperQuery(), measure.DistEd{}, 2, QueryOptions{}); err == nil {
+		t.Error("canceled range succeeded")
 	}
 }
 

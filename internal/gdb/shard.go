@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"skygraph/internal/graph"
-	"skygraph/internal/measure"
 	"skygraph/internal/pivot"
 	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
@@ -24,17 +23,17 @@ import (
 // generation counter, so a mutation invalidates only its own shard's
 // cached vector tables. Queries evaluate per shard in parallel and
 // merge: the skyline of a union is the skyline of the per-partition
-// skylines (the divide-and-conquer identity), top-k merges per-shard
-// heaps, and range results concatenate. Answers are identical —
-// including order — at every shard count, because Sharded tracks the
+// skylines (the divide-and-conquer identity), while top-k and range
+// scan every shard against one shared threshold. Answers are identical
+// — including order — at every shard count, because Sharded tracks the
 // global insertion order and sorts merged results by it.
 //
 // The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
-// RangeQuery and DiverseSkylineQuery; the table and ranked primitives a
-// caching layer composes instead (VectorTables, EvalRanked, the Merge*
-// folds); index attach and wait (EnablePivots, EnableVector,
-// EnableScoreMemo, WaitPivots, WaitVector); and persistence (Save,
-// WriteTo, Load, OpenDurable).
+// RangeQuery and DiverseSkylineQuery; the table primitives a caching
+// layer composes instead (VectorTables, MergeSkyline, MergeTables);
+// index attach and wait (EnablePivots, EnableVector, EnableScoreMemo,
+// WaitPivots, WaitVector); and persistence (Save, WriteTo, Load,
+// OpenDurable).
 type Sharded struct {
 	shards []*DB
 
@@ -402,8 +401,7 @@ func (sh *Sharded) sortPointsByRank(pts []skyline.Point) {
 	sort.SliceStable(pts, func(i, j int) bool { return byRank(sh.pos, pts[i].ID, pts[j].ID) })
 }
 
-// sortItemsByRank restores global insertion order on scalar result
-// rows.
+// sortItemsByRank restores global insertion order on range answers.
 func (sh *Sharded) sortItemsByRank(items []topk.Item) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -436,52 +434,6 @@ func (sh *Sharded) MergeSkyline(tables []*VectorTable, alg skyline.Algorithm) []
 	return merged
 }
 
-// MergeTopK merges per-shard top-k heaps: each shard contributes its k
-// best rows under m, and one final selection over the (at most
-// k*shards) candidates yields the global top-k in the deterministic
-// (score, ID) order of topk.Select.
-func (sh *Sharded) MergeTopK(tables []*VectorTable, m measure.Measure, k int) ([]topk.Item, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("gdb: k must be >= 1")
-	}
-	var all []topk.Item
-	for _, t := range tables {
-		items, err := t.TopK(m, k)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, items...)
-	}
-	return topk.Select(all, k), nil
-}
-
-// MergeRange concatenates per-shard range results and restores global
-// insertion order.
-func (sh *Sharded) MergeRange(tables []*VectorTable, m measure.Measure, radius float64) ([]topk.Item, error) {
-	var all []topk.Item
-	for _, t := range tables {
-		items, err := t.Range(m, radius)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, items...)
-	}
-	if len(sh.shards) > 1 { // one shard's rows are already in insertion order
-		sh.sortItemsByRank(all)
-	}
-	return all, nil
-}
-
-// tableRows counts the rows entering a table merge (the merge stage's
-// pair count).
-func tableRows(tables []*VectorTable) int {
-	n := 0
-	for _, t := range tables {
-		n += len(t.Points)
-	}
-	return n
-}
-
 // mergedStats folds per-shard table stats into query stats.
 func mergedStats(tables []*VectorTable, start time.Time) QueryStats {
 	s := QueryStats{Duration: time.Since(start)}
@@ -490,49 +442,4 @@ func mergedStats(tables []*VectorTable, start time.Time) QueryStats {
 		s.Inexact += t.Inexact
 	}
 	return s
-}
-
-// EvalRanked drives one Ranked run over the given shards concurrently
-// and folds their work counters; the answer accumulates in run. It is
-// the one owner of the ranked fan-out: the library's pruned top-k/range
-// queries scan every shard through it, the serving layer only the
-// shards whose complete table is not cached. opts.Workers is the
-// per-shard scan width; 0 spreads GOMAXPROCS over the shards that
-// actually scan. The first shard error fails the run.
-func (sh *Sharded) EvalRanked(ctx context.Context, run *Ranked, q *graph.Graph, opts QueryOptions, shards []int) (QueryStats, error) {
-	if len(shards) == 0 {
-		return QueryStats{}, nil
-	}
-	opts.Workers = shardWorkers(opts.Workers, len(shards))
-	stats := make([]QueryStats, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for j, i := range shards {
-		wg.Add(1)
-		go func(j int, db *DB) {
-			defer wg.Done()
-			stats[j], errs[j] = run.EvalDB(ctx, db, q, opts)
-		}(j, sh.shards[i])
-	}
-	wg.Wait()
-	total := QueryStats{}
-	for j, err := range errs {
-		if err != nil {
-			return QueryStats{}, err
-		}
-		total.Work.Add(stats[j].Work)
-		total.Inexact += stats[j].Inexact
-	}
-	return total, nil
-}
-
-// RankedItems returns run's collected answer in its reporting order:
-// top-k in ascending (score, ID) order as collected, range restored to
-// global insertion order (the scan finishes out of order).
-func (sh *Sharded) RankedItems(run *Ranked) []topk.Item {
-	items := run.coll.items()
-	if _, isRange := run.coll.(*rangeCollector); isRange {
-		sh.sortItemsByRank(items)
-	}
-	return items
 }

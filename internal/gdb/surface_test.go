@@ -27,7 +27,7 @@ type historyOp struct {
 // seededHistory builds one ~60-step history over a pool of seeded
 // graphs — inserts (some of live names: duplicates), deletes (some of
 // absent names), delete-then-reinsert of a name under a DIFFERENT graph
-// value, and skyline / top-k / range queries pruned and unpruned — and,
+// value, and skyline (pruned and unpruned), top-k and range queries — and,
 // by replaying it on a plain list, what every step must answer: the
 // mutation's Existed, the live names in insertion order, and the query
 // answer straight from Definitions 11–12.
@@ -112,8 +112,8 @@ func renderMutation(existed, failed bool, live []*graph.Graph) string {
 // TestShardCountInvarianceUnderMutation replays one seeded history
 // through the database at 1/2/3/7 shards, bare and with every tier
 // attached, and requires every step — Ack.Existed, whether the mutation
-// was refused, Names() order, skyline / top-k / range answers pruned and
-// unpruned — to be byte-identical to the reference replay, and so across
+// was refused, Names() order, skyline (pruned and unpruned), top-k and
+// range answers — to be byte-identical to the reference replay, and so across
 // shard counts. The static equivalence grids never mutate; this one
 // does little else.
 func TestShardCountInvarianceUnderMutation(t *testing.T) {
@@ -193,8 +193,8 @@ func TestEngineSurfacePinned(t *testing.T) {
 		"Delete", "Insert", "InsertAll",
 		// queries
 		"DiverseSkylineQuery", "RangeQuery", "SkylineQuery", "TopKQuery",
-		// table and ranked primitives for a caching layer, and the merges
-		"EvalRanked", "MergeRange", "MergeSkyline", "MergeTables", "MergeTopK", "RankedItems", "VectorTables",
+		// table primitives for a caching layer, and their merges
+		"MergeSkyline", "MergeTables", "VectorTables",
 		// index attach and wait
 		"EnablePivots", "EnableScoreMemo", "EnableVector", "Memo", "WaitPivots", "WaitVector",
 		// persistence

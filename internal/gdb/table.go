@@ -2,20 +2,20 @@ package gdb
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
-	"skygraph/internal/topk"
 )
 
-// VectorTable is the full GCS evaluation of one query graph against a
-// database snapshot: one point per database graph, in insertion order.
-// It is the unit of caching for a query-serving layer — skyline, top-k
-// and range answers for the same (query, basis, eval options) are all
-// derivable from it without touching the GED/MCS engines again.
+// VectorTable is the GCS evaluation of one query graph against a
+// database snapshot, in insertion order: one point per database graph
+// for a complete table, only the candidates a pruned scan scored
+// otherwise. It is the unit of caching for a query-serving layer —
+// skyline answers for the same (query, basis, eval options) derive from
+// it without touching the GED/MCS engines again. Top-k and range
+// answers never do: they run their own best-first scan (TopKQuery).
 type VectorTable struct {
 	// Generation is the database generation the table was computed at.
 	Generation uint64
@@ -32,10 +32,6 @@ type VectorTable struct {
 	// counters stay 0 — those tiers serve ranked scans only.
 	// Delta patches leave it untouched — Deltas counts those.
 	Work
-	// Complete reports whether Points covers every database graph.
-	// Pruned tables answer skyline queries exactly but cannot serve
-	// top-k or range queries.
-	Complete bool
 	// Inexact counts pairs where a capped engine returned a bound.
 	Inexact int
 	// Deltas counts the incremental patches applied since the table was
@@ -77,23 +73,23 @@ func (db *DB) snapshot() snap {
 
 // VectorTable evaluates the GCS vector of database graphs against q in
 // parallel, honoring ctx cancellation between pairs. It is the
-// cache-aware query entry point: callers memoize the returned table and
-// answer subsequent skyline/top-k/range requests from it via the table's
-// own methods, with zero new pair evaluations.
+// cache-aware skyline entry point: callers memoize the returned table
+// and answer subsequent skyline requests from it (Skyline, or
+// Sharded.MergeSkyline across shards) with zero new pair evaluations.
 //
 // With opts.Prune set (and a Boundable basis), evaluation runs the
 // filter-and-scan pipeline of prune.go instead of the full scan:
 // signature bounds for every graph, then a best-first scan of the
 // candidates those bounds cannot exclude against a running front, which
 // scores exactly only the ones no cheaper proof discards. The resulting
-// table is marked !Complete; its skyline is identical to the complete
-// table's.
+// table's skyline is identical to the complete table's. For a foreign
+// basis the full scan runs either way.
 func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	sn := db.snapshot()
 	qsig := measure.NewSignature(q)
-	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis, Complete: true}
+	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
 	// No pivot tier on either build: the full scan evaluates every pair
 	// anyway, and the pruned scan's running front discards for free what
 	// P query-to-pivot engine runs would pre-prune — more runs than the
@@ -109,7 +105,7 @@ func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 			return nil, err
 		}
 		t.Pruned = pruned
-		t.Points, t.Inexact, t.Complete = pts, inexact, pruned == 0
+		t.Points, t.Inexact = pts, inexact
 	} else {
 		// Stored signatures spare the per-pair histogram/degree rebuild
 		// even on the unpruned path; the query's is computed once.
@@ -204,55 +200,4 @@ func (t *VectorTable) Skyline(alg skyline.Algorithm) []skyline.Point {
 		alg = skyline.SFS
 	}
 	return alg(t.Points)
-}
-
-// column returns the index of measure m in the table's basis.
-func (t *VectorTable) column(m measure.Measure) (int, error) {
-	for i, b := range t.Basis {
-		if b.Name() == m.Name() {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("gdb: measure %s not in table basis %v", m.Name(), measure.BasisNames(t.Basis))
-}
-
-// TopK returns the k table rows with the smallest distance under m, which
-// must be one of the table's basis measures. The table must be complete:
-// a graph pruned for skyline purposes can still rank among the k best
-// under a single measure.
-func (t *VectorTable) TopK(m measure.Measure, k int) ([]topk.Item, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("gdb: k must be >= 1")
-	}
-	if !t.Complete {
-		return nil, fmt.Errorf("gdb: top-k needs a complete vector table, not a skyline-pruned one")
-	}
-	col, err := t.column(m)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]topk.Item, len(t.Points))
-	for i, p := range t.Points {
-		items[i] = topk.Item{ID: p.ID, Score: p.Vec[col]}
-	}
-	return topk.Select(items, k), nil
-}
-
-// Range returns every table row whose distance under m is at most radius.
-// Like TopK it requires a complete table.
-func (t *VectorTable) Range(m measure.Measure, radius float64) ([]topk.Item, error) {
-	if !t.Complete {
-		return nil, fmt.Errorf("gdb: range needs a complete vector table, not a skyline-pruned one")
-	}
-	col, err := t.column(m)
-	if err != nil {
-		return nil, err
-	}
-	var items []topk.Item
-	for _, p := range t.Points {
-		if d := p.Vec[col]; d <= radius {
-			items = append(items, topk.Item{ID: p.ID, Score: d})
-		}
-	}
-	return items, nil
 }

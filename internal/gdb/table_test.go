@@ -12,6 +12,7 @@ import (
 	"skygraph/internal/dataset"
 	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
+	"skygraph/internal/topk"
 )
 
 func TestGenerationBumpsOnMutation(t *testing.T) {
@@ -121,8 +122,26 @@ func samePoints(a, b []skyline.Point) bool {
 	return true
 }
 
+// tableColumn returns the table rows' scores under basis measure m.
+func tableColumn(t *testing.T, tab *VectorTable, m measure.Measure) []topk.Item {
+	t.Helper()
+	for col, b := range tab.Basis {
+		if b.Name() == m.Name() {
+			items := make([]topk.Item, len(tab.Points))
+			for i, p := range tab.Points {
+				items[i] = topk.Item{ID: p.ID, Score: p.Vec[col]}
+			}
+			return items
+		}
+	}
+	t.Fatalf("measure %s not in table basis", m.Name())
+	return nil
+}
+
 // TestVectorTableMatchesDirectQueries checks the cache-aware entry point
-// against the direct query paths it memoizes for.
+// against the direct skyline query, and the ranked scan's answers
+// against the complete table's columns: its included scores are the
+// columns' scores byte for byte.
 func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
@@ -145,10 +164,7 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 		t.Fatalf("table skyline differs from direct query")
 	}
 
-	items, err := tab.TopK(measure.DistEd{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	items := topk.Select(tableColumn(t, tab, measure.DistEd{}), 3)
 	directK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -157,9 +173,11 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 		t.Fatalf("table topk %v differs from direct %v", items, directK.Items)
 	}
 
-	rItems, err := tab.Range(measure.DistMcs{}, 0.8)
-	if err != nil {
-		t.Fatal(err)
+	var rItems []topk.Item
+	for _, it := range tableColumn(t, tab, measure.DistMcs{}) {
+		if it.Score <= 0.8 {
+			rItems = append(rItems, it)
+		}
 	}
 	directR, err := db.RangeQuery(context.Background(), q, measure.DistMcs{}, 0.8, QueryOptions{})
 	if err != nil {
@@ -169,18 +187,13 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 		t.Fatalf("table range %v differs from direct %v", rItems, directR.Items)
 	}
 
-	// Range with an infinite radius returns every row.
-	all, err := tab.Range(measure.DistEd{}, math.Inf(1))
+	// Range with an infinite radius returns every graph.
+	all, err := db.RangeQuery(context.Background(), q, measure.DistEd{}, math.Inf(1), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 7 {
-		t.Fatalf("infinite-radius range returned %d; want 7", len(all))
-	}
-
-	// A measure outside the basis is an error, not a panic.
-	if _, err := tab.TopK(measure.DistDegree{}, 1); err == nil {
-		t.Fatal("topk on out-of-basis measure should error")
+	if len(all.Items) != 7 {
+		t.Fatalf("infinite-radius range returned %d; want 7", len(all.Items))
 	}
 }
 

@@ -106,9 +106,9 @@ func TestTraceRankedConsistent(t *testing.T) {
 		tiers   bool // score memo + vector tier as well
 		opts    gdb.QueryOptions
 	}{
-		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), []int{1, 3}, 3, false, prunedOpts(true)},
-		{"family25", family25, familyQueries, []int{2}, 8, true, gdb.QueryOptions{Prune: true}},
-		{"family12", family12, familyQueries, []int{7}, 8, true, gdb.QueryOptions{Prune: true}},
+		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), []int{1, 3}, 3, false, prunedOpts(false)},
+		{"family25", family25, familyQueries, []int{2}, 8, true, gdb.QueryOptions{}},
+		{"family12", family12, familyQueries, []int{7}, 8, true, gdb.QueryOptions{}},
 	} {
 		for _, shards := range tc.shards {
 			sh := testutil.NewSharded(t, shards, tc.gs)

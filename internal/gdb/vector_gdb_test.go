@@ -21,7 +21,7 @@ var vCfg = vector.Config{Dims: 16, Cells: 4}
 
 // TestVectorRankedEquivalence: top-k and range answers with the vector
 // tier live must be byte-identical to the independent reference AND to the
-// pruned scan of the same collection built without the tier (the "off"
+// ranked scan of the same collection built without the tier (the "off"
 // arm), across the library's whole configuration matrix — paper and
 // seeded data, shard counts 1/2/3/7, capped and uncapped engines, with
 // and without the pivot tier and the score memo.
@@ -62,7 +62,7 @@ func TestVectorRankedEquivalence(t *testing.T) {
 								sh := build(shards, true)
 								label := fmt.Sprintf("%s/%s/%s shards=%d pivots=%v memo=%v eval=%v",
 									tc.label, q.Name(), m.Name(), shards, withPivots, withMemo, eval.GEDMaxNodes)
-								popts := gdb.QueryOptions{Eval: eval, Workers: 4, Prune: true}
+								popts := gdb.QueryOptions{Eval: eval, Workers: 4}
 								tk, err := sh.TopKQuery(ctx, q, m, 4, popts)
 								if err != nil {
 									t.Fatal(err)
@@ -166,7 +166,7 @@ func TestVectorSurvivesMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval, Prune: true})
+	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestVectorCellSkipHappens(t *testing.T) {
 	db.EnableVector(vector.Config{Dims: 16, Cells: 8})
 	q := graph.Rewire(gs[0], 1, rand.New(rand.NewSource(902)))
 	q.SetName("q")
-	res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, gdb.QueryOptions{Prune: true, Workers: 1})
+	res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, gdb.QueryOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

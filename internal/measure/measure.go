@@ -294,22 +294,6 @@ func BasisByNames(names []string) ([]Measure, error) {
 	return out, nil
 }
 
-// BasisWith returns basis (nil = the default) with m among its columns,
-// so a table built on it can also rank by m: the basis itself when m is
-// already there — top-k and range requests then share tables with
-// skyline queries on the same basis — otherwise a copy extended by m.
-func BasisWith(basis []Measure, m Measure) []Measure {
-	if basis == nil {
-		basis = Default()
-	}
-	for _, b := range basis {
-		if b.Name() == m.Name() {
-			return basis
-		}
-	}
-	return append(append([]Measure{}, basis...), m)
-}
-
 // GCS evaluates the compound similarity vector (Definition 11) of the pair
 // statistics under the given measure basis.
 func GCS(s PairStats, basis []Measure) []float64 {

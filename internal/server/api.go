@@ -5,25 +5,28 @@
 //
 //   - cache.go: an LRU of per-shard GCS vector tables keyed by (shard,
 //     shard generation, canonical query hash, basis, engine options),
-//     so a repeated or refined query — same query graph, different k,
-//     radius or skyline algorithm — answers with zero new pair
-//     evaluations, and a mutation touches only its own shard's tables;
+//     so a repeated skyline query — same query graph, any skyline
+//     algorithm — answers with zero new pair evaluations, and a mutation
+//     touches only its own shard's tables; merged ranked answers sit
+//     beside them under their own keys;
 //   - delta.go: delta maintenance — a mutation upgrades the cached
-//     pruned and complete tables and ranked answers it provably leaves
-//     answerable, and invalidates the rest;
+//     pruned tables and ranked answers it provably leaves answerable,
+//     and invalidates the rest;
 //   - api.go (this file): the wire types;
 //   - server.go: the handlers, per-request timeouts, the one admission
 //     gate, and coalesce — the one cache → flight → build loop behind
 //     both per-shard tables and merged ranked answers;
-//   - ranked.go: top-k and range through the best-first ranked scan;
+//   - ranked.go: top-k and range through the library's best-first
+//     ranked scan;
 //   - batch.go: POST /query/batch, each item on the path its kind fixes,
 //     identical items coalescing onto one evaluation per path.
 //
 // A request's evaluation path follows from what it asks for and nothing
 // else: skyline requests use pruned tables unless they set "all", top-k
 // and range requests always use the ranked scan, and "all" is the one
-// way to build complete tables. /cache/warm builds whatever the same
-// skyline request would.
+// way to build complete tables. Each path reads only the cache entries
+// it builds itself. /cache/warm builds whatever the same skyline request
+// would.
 package server
 
 import (
@@ -46,9 +49,8 @@ type QueryRequest struct {
 	Radius *float64 `json:"radius,omitempty"`
 	// Measure names the ranking measure for topk/range (default DistEd).
 	Measure string `json:"measure,omitempty"`
-	// Basis names the GCS basis (default: DistEd, DistMcs, DistGu). For
-	// topk/range the ranking measure is appended when absent, so default
-	// topk/range tables are shared with default skyline tables.
+	// Basis names the GCS basis of a skyline request (default: DistEd,
+	// DistMcs, DistGu). Topk/range validate it but rank by Measure alone.
 	Basis []string `json:"basis,omitempty"`
 	// Algorithm picks the skyline algorithm: "sfs" (default), "bnl",
 	// "dac". Ignored by topk/range.
@@ -90,12 +92,14 @@ type QueryStats struct {
 	// serving this answer has absorbed since it was cold-built (0 for
 	// fresh evaluations and for caches maintained only by invalidation).
 	DeltaPatched int `json:"delta_patched"`
-	// CacheHit reports whether every shard table came from the cache.
+	// CacheHit reports whether every shard table (skyline) or the merged
+	// answer (topk/range) came from the cache.
 	CacheHit bool `json:"cache_hit"`
 	// Shards is the number of shards the query ran against.
 	Shards int `json:"shards"`
 	// ShardHits counts shard tables served from the cache (or a
-	// coalesced in-flight leader).
+	// coalesced in-flight leader). A ranked answer has no shard tables:
+	// it reads Shards on a ranked-cache hit and 0 on a fresh scan.
 	ShardHits int `json:"shard_hits"`
 	// DurationMS is the server-side wall-clock time for the request.
 	DurationMS float64 `json:"duration_ms"`
@@ -202,8 +206,7 @@ type BatchStats struct {
 	// DeltaPatched aggregates the per-item delta-upgrade counts (see
 	// QueryStats).
 	DeltaPatched int `json:"delta_patched"`
-	// ShardHits counts shard tables served from the cache or a
-	// coalesced leader across the batch.
+	// ShardHits sums the per-item ShardHits (see QueryStats).
 	ShardHits int `json:"shard_hits"`
 	// DurationMS is the server-side wall-clock time for the batch.
 	DurationMS float64 `json:"duration_ms"`
@@ -432,12 +435,12 @@ type ReqStats struct {
 // traffic — the same tables the same skyline request builds: pruned
 // ones, or complete ones for an item that sets "all". Warming populates
 // the table cache and, when enabled, the cross-query score memo. Later
-// skyline requests on these (or isomorphic) graphs answer from the
-// tables, which delta maintenance keeps across mutations; top-k and
-// range requests seed their ranked scan from warmed complete tables and
-// evaluate nothing. Even after a mutation invalidates a table,
-// rebuilding it replays memoized pair scores instead of re-running
-// engines.
+// skyline requests of the same kind on these (or isomorphic) graphs
+// answer from the tables; delta maintenance keeps pruned ones across
+// mutations. Top-k and range requests read no table, but their ranked
+// scan replays the memoized pair scores a warm build left. Even after a
+// mutation invalidates a table, rebuilding it replays memoized pair
+// scores instead of re-running engines.
 type WarmRequest struct {
 	// Queries holds the query graphs to warm, each with the optional
 	// basis/eval/all fields of a skyline request (k, radius and

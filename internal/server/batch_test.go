@@ -61,14 +61,13 @@ func TestBatchCoalescesTableBuilds(t *testing.T) {
 				t.Fatalf("%d shards: item %d failed: %s", shards, i, res.Error)
 			}
 		}
-		// Three paths, each covering the 7 database graphs at most once
-		// (evaluated or bound-pruned; fewer when a ranked scan starts from
-		// a shard whose skyline build pruned nothing and so cached a
-		// complete table); the cache holds one skyline table per shard
-		// plus the two ranked answers.
+		// Three paths, each covering the 7 database graphs exactly once
+		// (evaluated or bound-pruned: no path reads another's entries);
+		// the cache holds one skyline table per shard plus the two ranked
+		// answers.
 		st := statsOf(t, ts.URL)
-		if got := st.Requests.PairEvals + st.Requests.PairsPruned; got < 7 || got > 3*7 {
-			t.Fatalf("%d shards: evaluated + pruned = %d across the batch; want 7..21", shards, got)
+		if got := st.Requests.PairEvals + st.Requests.PairsPruned; got != 3*7 {
+			t.Fatalf("%d shards: evaluated + pruned = %d across the batch; want 21", shards, got)
 		}
 		if got := s.Cache().Len(); got != shards+2 {
 			t.Fatalf("%d shards: cache holds %d entries; want %d", shards, got, shards+2)

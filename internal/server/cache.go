@@ -13,17 +13,20 @@ import (
 
 // Cache is a bounded LRU of per-shard query vector tables plus merged
 // ranked answers, layered on the shared internal/lru core (the same
-// machinery behind gdb's cross-query score memo). A table key binds a
-// table to the exact inputs that produced it — shard index, that
-// shard's generation, canonical query-graph hash, measure basis and
-// engine options — so a lookup can only ever return a table that
+// machinery behind gdb's cross-query score memo). Three key namespaces,
+// one per request path, and each request reads only its own: complete
+// tables ("all" skylines, CacheKey), pruned tables (plain skylines,
+// prunedKey) and ranked answers (top-k and range, RankedKey). A table
+// key binds a table to the exact inputs that produced it — shard index,
+// that shard's generation, canonical query-graph hash, measure basis
+// and engine options — so a lookup can only ever return a table that
 // answers the current request exactly. Because the owning shard's
 // generation participates in the key, a mutation retires exactly that
 // shard's entries: each is either upgraded in place under the advanced
 // key (delta.go) or becomes unreachable and is dropped eagerly by
 // PruneStale; tables of the other shards stay live. Ranked answers
-// (RankedKey) instead carry every shard's generation — the merged
-// result spans the whole database, so any mutation retires them.
+// instead carry every shard's generation — the merged result spans the
+// whole database, so any mutation retires them.
 //
 // Counters are atomics, read without the LRU lock: /stats can hammer
 // the cache while queries run without contending on (or racing with)
@@ -45,7 +48,7 @@ type Cache struct {
 // generation via gens — any mutation anywhere invalidates it). lin,
 // when set, is the table's maintenance lineage: a later mutation of the
 // owning shard can upgrade the entry in place (Server.maintain) instead
-// of invalidating it. Every table the server builds carries one.
+// of invalidating it. Pruned tables carry one, complete tables none.
 type cacheEntry struct {
 	shard  int
 	table  *gdb.VectorTable
@@ -57,9 +60,9 @@ type cacheEntry struct {
 // tableLineage is everything needed to re-derive a table's key and
 // evaluate a single delta row through the exact code path the cold
 // build used: the query graph, its signature and canonical hash (both
-// computed once per request), the basis and the engine budgets. Complete
-// and pruned tables both carry one; delta.go holds the proofs that
-// maintain each.
+// computed once per request), the basis and the engine budgets. Only
+// pruned tables carry one; delta.go holds the proofs that maintain
+// them.
 type tableLineage struct {
 	q     *graph.Graph
 	qsig  *measure.Signature
@@ -71,7 +74,7 @@ type tableLineage struct {
 // rankedEntry is a cached ranked answer: the merged items of one
 // (kind, measure, k-or-radius) query over all shards. It lives in its
 // own key namespace (RankedKey) so it can never shadow — or be returned
-// for — a full-table lookup. lin carries the maintenance lineage;
+// for — a table lookup. lin carries the maintenance lineage;
 // deltas counts in-place upgrades since the answer was cold-built.
 type rankedEntry struct {
 	items   []topk.Item
@@ -129,10 +132,11 @@ func CacheKey(shard int, generation uint64, queryHash string, basis []measure.Me
 	return string(eval.AppendKey(b))
 }
 
-// prunedKey derives the key of the skyline-pruned table variant from a
-// full-table key. Pruned tables hold only the filter survivors, so they
-// answer skyline requests exactly but can never be returned for a
-// full-table, top-k or range lookup — hence the separate namespace.
+// prunedKey derives the key of the pruned table variant from a
+// complete-table key. Pruned tables hold only the candidates their scan
+// kept, so they answer plain skyline requests exactly but never an
+// "all" request; and an "all" request's complete table never answers a
+// plain one — each request reads the namespace its own path builds.
 func prunedKey(full string) string { return full + "|pruned" }
 
 // RankedKey renders the cache key of a ranked answer: the merged
@@ -166,8 +170,7 @@ func RankedKey(kind string, gens []uint64, queryHash string, m measure.Measure, 
 
 // lookup returns the entry cached under key, marking it most recently
 // used. Presence counts as a hit; absence counts as a miss unless quiet
-// — a re-check of a key already counted, or a lookup whose miss is not
-// the request's miss.
+// — a re-check of a key whose miss was already counted.
 func (c *Cache) lookup(key string, quiet bool) (*cacheEntry, bool) {
 	e, ok := c.lru.Get(key)
 	if !ok {
@@ -199,10 +202,10 @@ type deltaCandidate struct {
 
 // deltaCandidates collects the entries a single mutation of shard —
 // the one that produced generation gen — could provably upgrade:
-// lineage-carrying tables (complete or pruned) of that shard exactly
-// one generation behind, and lineage-carrying ranked answers whose
-// recorded generation for that shard is exactly gen-1. Everything else
-// (entries further behind, foreign shards) is left for PruneStale.
+// lineage-carrying (pruned) tables of that shard exactly one generation
+// behind, and lineage-carrying ranked answers whose recorded generation
+// for that shard is exactly gen-1. Everything else (complete tables,
+// entries further behind, foreign shards) is left for PruneStale.
 // Collection never drops anything.
 func (c *Cache) deltaCandidates(shard int, gen uint64) []deltaCandidate {
 	var out []deltaCandidate
@@ -266,9 +269,9 @@ type CacheStats struct {
 	Invalidations uint64 `json:"invalidations"`
 	// DeltaApplied counts cache entries upgraded in place across a
 	// mutation; DeltaFallbacks counts entries dropped because no delta
-	// proof existed (a pruned table losing a skyline member, a top-k
-	// answer losing a member, capped rows on a delete, interleaved
-	// mutations, entries more than one generation behind).
+	// proof existed (a complete table, a pruned table losing a skyline
+	// member, a top-k answer losing a member, capped rows on a delete,
+	// interleaved mutations, entries more than one generation behind).
 	DeltaApplied   uint64 `json:"delta_applied"`
 	DeltaFallbacks uint64 `json:"delta_fallbacks"`
 }

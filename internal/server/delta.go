@@ -14,8 +14,11 @@ import (
 // entries it touches and upgrades them in place — generation-advancing
 // rather than generation-keyed discard. The provability conditions:
 //
-//   - Only lineage-carrying entries qualify: every table the server
-//     builds, complete or pruned, and every merged ranked answer.
+//   - Only lineage-carrying entries qualify: every pruned table and
+//     every merged ranked answer. A complete table ("all") carries none:
+//     a mutation of its shard drops it, counted as a fallback, and the
+//     next "all" request rebuilds that shard's table (with the score
+//     memo on, replaying every pair the mutation left alone).
 //   - The entry must be exactly ONE generation behind the mutation on
 //     the mutated shard. Anything older has unknown intermediate
 //     history.
@@ -26,10 +29,6 @@ import (
 //
 // Per entry kind:
 //
-//   - Complete tables append the inserted graph's exact row and drop a
-//     deleted graph's row. A delete requires Inexact == 0 (per-row
-//     inexactness is not recorded, so the surviving count is otherwise
-//     underivable).
 //   - Pruned tables hold the kept set K of their scan, which contains
 //     the shard's skyline. Strict dominance is transitive, so every
 //     graph outside K is dominated by a member of K and skyline(shard)
@@ -41,8 +40,10 @@ import (
 //     unless a row of K dominates it. A delete of a graph outside K
 //     only advances the generation; a delete of a kept row that another
 //     kept row strictly dominates drops the row (removing a non-maximal
-//     element leaves the maximal set unchanged; Inexact == 0 as above).
-//     A delete of a front member falls back.
+//     element leaves the maximal set unchanged; it requires Inexact ==
+//     0, since per-row inexactness is not recorded and the surviving
+//     count would otherwise be underivable). A delete of a front member
+//     falls back.
 //   - Ranked answers check the inserted graph's bound first: a full
 //     top-k answer whose k-th score is below the bound's lo, or a range
 //     answer whose radius is, is provably unchanged. The rest score the
@@ -56,14 +57,13 @@ import (
 // Counted as delta_applied / delta_fallbacks in CacheStats.
 //
 // Byte-identity: a spliced table row goes through the cold build's own
-// per-pair path (DeltaRow), insert rows land at the end of Points
-// exactly where the global insertion order puts them (the served
-// skyline is re-derived from the rows and sorted by insertion rank, so
-// where a row sits in a pruned K never matters), top-k splices
-// reproduce topk.Select's deterministic ascending (score, ID) order,
-// and range answers stay in insertion order because a new graph is by
-// construction last. The interleaved-mutation equivalence tests
-// (delta_test.go) enforce this against cold recompute.
+// per-pair path (DeltaRow); the served skyline is re-derived from the
+// rows and sorted by insertion rank, so where a row sits in K never
+// matters. Top-k splices reproduce topk.Select's deterministic
+// ascending (score, ID) order, and range answers stay in insertion
+// order because a new graph is by construction last. The
+// interleaved-mutation equivalence tests (delta_test.go) enforce this
+// against cold recompute.
 
 // deltaInsert routes the delta of one applied insert: g landed on
 // shard, producing generation gen there.
@@ -92,10 +92,10 @@ func (s *Server) maintain(shard int, gen uint64, inserted *graph.Graph, deleted 
 	s.cache.PruneStale(shard, gen)
 }
 
-// upgradeTable patches one cached table across the mutation and
-// republishes it under the advanced generation's key, in the namespace
-// it was cached in. Returning without promoting leaves the entry for
-// PruneStale (a counted fallback).
+// upgradeTable patches one cached pruned table across the mutation and
+// republishes it under the advanced generation's pruned key. Returning
+// without promoting leaves the entry for PruneStale (a counted
+// fallback).
 func (s *Server) upgradeTable(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) {
 	t, lin := cand.e.table, cand.e.lin
 	var nt *gdb.VectorTable
@@ -107,49 +107,39 @@ func (s *Server) upgradeTable(cand deltaCandidate, shard int, gen uint64, insert
 	if nt == nil {
 		return
 	}
-	newKey := CacheKey(shard, gen, lin.qh, lin.basis, lin.eval)
-	if !t.Complete {
-		newKey = prunedKey(newKey)
-	}
+	newKey := prunedKey(CacheKey(shard, gen, lin.qh, lin.basis, lin.eval))
 	s.cache.promote(cand.key, newKey, &cacheEntry{shard: shard, table: nt, lin: lin})
 }
 
-// tableInsert derives t's successor across the insert of name, which
-// produced generation gen on shard, or returns nil when no proof holds.
+// tableInsert derives pruned table t's successor across the insert of
+// name, which produced generation gen on shard, or returns nil when no
+// proof holds.
 func (s *Server) tableInsert(t *gdb.VectorTable, lin *tableLineage, shard int, gen uint64, name string) *gdb.VectorTable {
 	db := s.db.Shard(shard)
-	if !t.Complete {
-		bs, got, ok := db.DeltaBound(name, lin.qsig)
-		if !ok || got != gen {
-			return nil
-		}
-		// Pruned tables exist only for Boundable bases, where the corner
-		// floors the exact vector in every dimension.
-		if lo, _ := bs.IntervalGCS(lin.basis); dominated(t.Points, lo) {
-			return t.WithGeneration(gen)
-		}
+	bs, got, ok := db.DeltaBound(name, lin.qsig)
+	if !ok || got != gen {
+		return nil
+	}
+	// Every server basis is a set of built-ins (Boundable), where the
+	// corner floors the exact vector in every dimension.
+	if lo, _ := bs.IntervalGCS(lin.basis); dominated(t.Points, lo) {
+		return t.WithGeneration(gen)
 	}
 	opts := gdb.QueryOptions{Basis: lin.basis, Eval: lin.eval, QueryHash: lin.qh}
 	pt, inexact, got, ok := db.DeltaRow(name, lin.q, lin.qsig, opts)
 	if !ok || got != gen {
 		return nil // a later mutation interleaved; the row is not provably gen's
 	}
-	if !t.Complete && dominated(t.Points, pt.Vec) {
+	if dominated(t.Points, pt.Vec) {
 		return t.WithGeneration(gen)
 	}
 	return t.WithInsert(pt, inexact, gen)
 }
 
-// tableDelete derives t's successor across the delete of name, which
-// produced generation gen, or returns nil when no proof holds.
+// tableDelete derives pruned table t's successor across the delete of
+// name, which produced generation gen, or returns nil when no proof
+// holds.
 func tableDelete(t *gdb.VectorTable, gen uint64, name string) *gdb.VectorTable {
-	if t.Complete {
-		if t.Inexact > 0 {
-			return nil // per-row inexactness unknown: the patched count is not derivable
-		}
-		nt, _ := t.WithDelete(name, gen)
-		return nt
-	}
 	var victim []float64
 	for _, p := range t.Points {
 		if p.ID == name {

@@ -60,10 +60,11 @@ func wireItems(is []ItemJSON) []topk.Item {
 // harness: randomized schedules of inserts, deletes and queries, across
 // shard counts and acceleration tiers, must keep every delta-maintained
 // answer byte-identical to a cold recompute over the live graph set —
-// and the maintenance must actually fire (delta_applied > 0), so the
-// equivalence is proved against upgraded entries, not against a cache
-// that silently fell back to invalidation. This arm caches complete
-// tables ("all" skylines) beside the ranked answers.
+// and the maintenance must actually fire, so the equivalence is proved
+// against upgraded entries, not against a cache that silently fell back
+// to invalidation. This arm warms only the ranked answers, whose
+// upgrades must fire, and checks "all" skylines, whose complete tables
+// carry no lineage: every mutation of their shard drops them.
 func TestDeltaMatchesColdRecompute(t *testing.T) {
 	runDeltaSchedules(t, true, 6)
 }
@@ -78,8 +79,8 @@ func TestPrunedDeltaMatchesColdRecompute(t *testing.T) {
 }
 
 // runDeltaSchedules runs the delta equivalence schedule at shards
-// 1/2/3/7 × {plain, pivot-memo, vector}; all selects complete or pruned
-// skyline tables.
+// 1/2/3/7 × {plain, pivot-memo, vector}; all selects "all" skylines
+// (checked, never warmed) or pruned ones (warmed and checked).
 func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	base := testutil.SeededGraphs(401, 20)
 	pool := testutil.SeededGraphs(402, 10)
@@ -113,12 +114,14 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 				rng := rand.New(rand.NewSource(int64(shards)*31 + int64(len(mode))))
 				live := append([]*graph.Graph(nil), base...)
 				next := 0
-				prunedPatched := 0
+				prunedPatched, rankedPatched := 0, 0
 				for round := 0; round < rounds; round++ {
 					// Warm cached state so the mutation has something to
-					// maintain: skyline tables plus ranked answers.
+					// maintain: ranked answers, plus pruned skyline tables.
 					for _, q := range queries {
-						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: all}, &SkylineResponse{})
+						if !all {
+							postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &SkylineResponse{})
+						}
 						postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &TopKResponse{})
 						postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius}, &RangeResponse{})
 					}
@@ -133,7 +136,12 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 						deleteGraph(t, ts.URL+"/graphs/"+live[victim].Name())
 						live = append(live[:victim:victim], live[victim+1:]...)
 					}
-					prunedPatched += prunedTableDeltas(s.cache)
+					p, r, c := patchedEntries(s.cache)
+					if c > 0 {
+						t.Fatalf("round %d: %d complete tables absorbed a mutation; they carry no lineage", round, c)
+					}
+					prunedPatched += p
+					rankedPatched += r
 					// Every answer after the mutation must equal the
 					// reference recompute (Definitions 11–12, leaf
 					// functions only) over the live set.
@@ -156,6 +164,9 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 				if st := s.cache.Stats(); st.DeltaApplied == 0 {
 					t.Fatalf("no deltas applied across the schedule: %+v", st)
 				}
+				if rankedPatched == 0 {
+					t.Fatal("no ranked answer absorbed a mutation across the schedule")
+				}
 				if !all && prunedPatched == 0 {
 					t.Fatal("no pruned table absorbed a mutation across the schedule")
 				}
@@ -164,17 +175,22 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	}
 }
 
-// prunedTableDeltas counts the cached pruned tables that have absorbed
-// at least one mutation in place.
-func prunedTableDeltas(c *Cache) int {
-	n := 0
+// patchedEntries counts the cached pruned tables, ranked answers and
+// complete tables that have absorbed at least one mutation in place
+// (complete tables carry no lineage, so the last must stay 0).
+func patchedEntries(c *Cache) (pruned, ranked, complete int) {
 	c.lru.PruneFunc(func(_ string, e *cacheEntry) bool {
-		if e.table != nil && !e.table.Complete && e.table.Deltas > 0 {
-			n++
+		switch {
+		case e.ranked != nil && e.ranked.deltas > 0:
+			ranked++
+		case e.table != nil && e.table.Deltas > 0 && e.lin != nil:
+			pruned++
+		case e.table != nil && e.table.Deltas > 0:
+			complete++
 		}
 		return false
 	})
-	return n
+	return pruned, ranked, complete
 }
 
 // prunedFixture is a one-shard server over gs with a hand-built pruned
@@ -417,6 +433,53 @@ func TestUnwarmedDaemonKeepsSkylineAcrossInsert(t *testing.T) {
 		live := append(dataset.PaperDB(), g)
 		testutil.RequireSameSkyline(t, fmt.Sprintf("shards=%d", shards), testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(again.Skyline))
 	}
+}
+
+// TestMutationDropsAllTablePatchesPrunedTable: with both an "all" and a
+// plain skyline cached for one query, one insert drops the owning
+// shard's complete table — it carries no lineage, so the drop is a
+// counted fallback — and patches the same shard's pruned table in
+// place; the other shard's entries stay. Each request then reads only
+// its own kind: the "all" repeat rebuilds the owning shard alone, the
+// plain repeat hits the patched table.
+func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
+	const shards = 2
+	s, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
+	q := dataset.PaperQuery()
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &SkylineResponse{})
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &SkylineResponse{})
+	if got := s.cache.Len(); got != 2*shards {
+		t.Fatalf("cache holds %d entries; want a complete and a pruned table per shard", got)
+	}
+	before := s.cache.Stats()
+	g := extraGraph("extra")
+	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("insert status %d", r.StatusCode)
+	}
+	after := s.cache.Stats()
+	if after.DeltaFallbacks != before.DeltaFallbacks+1 || after.DeltaApplied != before.DeltaApplied+1 {
+		t.Fatalf("insert: delta_fallbacks %d -> %d, delta_applied %d -> %d; want +1 each",
+			before.DeltaFallbacks, after.DeltaFallbacks, before.DeltaApplied, after.DeltaApplied)
+	}
+	if got := s.cache.Len(); got != 2*shards-1 {
+		t.Fatalf("cache holds %d entries after the insert; want %d (the owning shard's complete table dropped)", got, 2*shards-1)
+	}
+
+	live := append(dataset.PaperDB(), g)
+	owner := s.DB().ShardFor(g.Name())
+	var full SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &full)
+	if full.Stats.ShardHits != shards-1 || full.Stats.Evaluated != s.DB().Shard(owner).Len() || full.Stats.DeltaPatched != 0 {
+		t.Fatalf("all repeat stats = %+v; want the owning shard's %d graphs rebuilt and the other shard hit",
+			full.Stats, s.DB().Shard(owner).Len())
+	}
+	testutil.RequireSameSkyline(t, "all", testutil.ReferenceTable(live, q, measure.Options{}), wirePoints(full.All))
+	var plain SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &plain)
+	if !plain.Stats.CacheHit || plain.Stats.Evaluated != 0 || plain.Stats.DeltaPatched != 1 {
+		t.Fatalf("plain repeat stats = %+v; want a hit on the patched pruned table", plain.Stats)
+	}
+	testutil.RequireSameSkyline(t, "plain", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(plain.Skyline))
 }
 
 // TestPrunedDeltaUnderConcurrentReads races pruned skyline hits against

@@ -109,8 +109,8 @@ func TestPivotCountersInBatch(t *testing.T) {
 
 // TestWarmEndpoint: /cache/warm builds what the same skyline request
 // would — pruned tables, or complete ones for an item that sets "all" —
-// so later requests answer from cache, and malformed entries fail in
-// place.
+// so later skyline requests of the same kind answer from cache, ranked
+// requests run their own scan, and malformed entries fail in place.
 func TestWarmEndpoint(t *testing.T) {
 	_, ts := newPivotTestServer(t, 2, Config{CacheSize: 32})
 	q := dataset.PaperQuery()
@@ -134,8 +134,7 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 
 	// The skyline request the warm item mirrors is served from its tables;
-	// a ranked request runs its own scan on every shard whose pruned build
-	// pruned something (a build that pruned nothing is complete).
+	// a ranked request runs its own scan over every shard.
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
 	if !sky.Stats.CacheHit || sky.Stats.Evaluated != 0 {
@@ -143,12 +142,14 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-	if tk.Stats.ShardHits == 2 || tk.Stats.Evaluated == 0 {
-		t.Fatalf("topk after a pruned warm was served from tables: %+v", tk.Stats)
+	if tk.Stats.CacheHit || tk.Stats.ShardHits != 0 || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
+		t.Fatalf("topk after a pruned warm did not run its own scan: %+v", tk.Stats)
 	}
 
 	// On a fresh server, an "all" item builds complete tables, which
-	// serve every kind.
+	// serve "all" skylines only: a plain skyline builds its own pruned
+	// tables, and a ranked request scans — but every pair it scores
+	// replays from the memo the complete build filled.
 	_, ts = newPivotTestServer(t, 2, Config{CacheSize: 32})
 	postJSON(t, ts.URL+"/cache/warm", map[string]any{
 		"queries": []map[string]any{{"graph": q, "all": true}},
@@ -161,8 +162,15 @@ func TestWarmEndpoint(t *testing.T) {
 		t.Fatalf("all skyline after all warm not a cache hit: %+v", sky.Stats)
 	}
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-	if tk.Stats.Evaluated != 0 || tk.Stats.ShardHits != 2 {
-		t.Fatalf("topk after all warm still evaluated: %+v", tk.Stats)
+	if tk.Stats.CacheHit || tk.Stats.ShardHits != 0 {
+		t.Fatalf("topk after all warm was served from tables: %+v", tk.Stats)
+	}
+	if tk.Stats.MemoMisses != 0 || tk.Stats.MemoHits != tk.Stats.Evaluated {
+		t.Fatalf("topk after all warm ran engines: %+v", tk.Stats)
+	}
+	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
+	if sky.Stats.CacheHit || sky.Stats.ShardHits != 0 {
+		t.Fatalf("plain skyline after all warm was served from complete tables: %+v", sky.Stats)
 	}
 
 	// Empty warm request is a 400.

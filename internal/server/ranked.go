@@ -9,29 +9,26 @@ import (
 	"skygraph/internal/topk"
 )
 
-// Ranked serving. /query/topk and /query/range always run the
-// best-first bound-index evaluation of gdb/ranked.go instead of building
-// full vector tables: per shard, a complete table already in the cache
-// is served as-is (its rows seed the shared threshold with zero pair
-// evaluations), and only the remaining shards scan — all against ONE
-// cross-shard threshold. The merged answer is cached under its own
-// RankedKey variant; it never populates, shadows, or satisfies a
-// full-table key, so a later "all" skyline request still builds (and
-// caches) the real table.
+// Ranked serving. /query/topk and /query/range call the library's
+// TopKQuery / RangeQuery — the best-first bound-index scan of
+// gdb/ranked.go over every shard against ONE cross-shard threshold —
+// and never read a table: a cached table, complete or pruned, answers
+// skyline requests only. The merged answer is cached under its own
+// RankedKey namespace; it never populates, shadows, or satisfies a table
+// key. What a ranked scan can still reuse is the score memo, which table
+// builds fill.
 
 // rankedAnswer is the outcome of one ranked evaluation, plus what it
 // cost.
 type rankedAnswer struct {
 	items   []topk.Item
 	inexact int
-	// work is what this request's fresh shard scans cost (the zero Work
-	// when the whole answer came from a cache).
+	// work is what this request's fresh scan cost (the zero Work when the
+	// answer came from the ranked cache).
 	work gdb.Work
-	// shardHits counts shards served from cached complete tables; hit
-	// reports the whole merged answer came from the ranked cache (or a
-	// coalesced leader).
-	shardHits int
-	hit       bool
+	// hit reports the answer came from the ranked cache (or a coalesced
+	// leader).
+	hit bool
 	// deltas counts the in-place delta upgrades the served cached
 	// answer has absorbed since it was cold-built (0 for fresh
 	// evaluations).
@@ -39,9 +36,8 @@ type rankedAnswer struct {
 }
 
 // ranked answers a topk/range request through coalesce: ranked-answer
-// cache, flight, then the leader's evaluation.
+// cache, flight, then the leader's scan.
 func (s *Server) ranked(ctx context.Context, kind string, res resolved, req *QueryRequest) (rankedAnswer, error) {
-	n := s.db.NumShards()
 	gens := s.db.Generations()
 	// arg is the scalar the answer depends on: k for top-k, the radius
 	// for range.
@@ -51,50 +47,19 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, req *Que
 	}
 	key := RankedKey(kind, gens, res.qh, res.m, arg, res.opts.Eval)
 	var fresh rankedAnswer // filled only when this request leads
-	e, hit, err := s.coalesce(ctx, key, "", func() (*cacheEntry, string, error) {
-		var run *gdb.Ranked
+	e, hit, err := s.coalesce(ctx, key, func() (*cacheEntry, string, error) {
+		opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace, QueryHash: res.qh}
+		var r gdb.TopKResult
+		var err error
 		if kind == "topk" {
-			run = gdb.NewRankedTopK(res.m, req.K)
+			r, err = s.db.TopKQuery(ctx, res.q, res.m, req.K, opts)
 		} else {
-			run = gdb.NewRankedRange(res.m, arg)
+			r, err = s.db.RangeQuery(ctx, res.q, res.m, arg, opts)
 		}
-		// Shards whose complete table is cached answer from it — their
-		// best rows seed the shared threshold before any scan starts, and
-		// a fully warmed cache answers with zero pair evaluations.
-		var cold []int
-		for i := 0; i < n; i++ {
-			te, ok := s.cache.lookup(CacheKey(i, gens[i], res.qh, res.basis, res.opts.Eval), true)
-			if !ok {
-				cold = append(cold, i)
-				continue
-			}
-			var items []topk.Item
-			var terr error
-			if kind == "topk" {
-				items, terr = te.table.TopK(res.m, req.K)
-			} else {
-				items, terr = te.table.Range(res.m, arg)
-			}
-			if terr != nil {
-				// Unreachable: full keys only ever hold complete tables
-				// whose basis contains the ranking measure.
-				cold = append(cold, i)
-				continue
-			}
-			run.Offer(items)
-			fresh.shardHits++
+		if err != nil {
+			return nil, "", err
 		}
-		if len(cold) > 0 {
-			opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace, QueryHash: res.qh}
-			st, err := s.db.EvalRanked(ctx, run, res.q, opts, cold)
-			if err != nil {
-				return nil, "", err
-			}
-			fresh.work, fresh.inexact = st.Work, st.Inexact
-		}
-		mstart := time.Now()
-		fresh.items = s.db.RankedItems(run)
-		res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), len(fresh.items), 0)
+		fresh = rankedAnswer{items: r.Items, inexact: r.Stats.Inexact, work: r.Stats.Work}
 		s.work.add(fresh.work)
 		e := &cacheEntry{shard: -1, gens: gens, ranked: &rankedEntry{
 			items:   fresh.items,
@@ -117,20 +82,25 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, req *Que
 	}
 	if hit {
 		r := e.ranked
-		return rankedAnswer{items: r.items, inexact: r.inexact, deltas: r.deltas, shardHits: n, hit: true}, nil
+		return rankedAnswer{items: r.items, inexact: r.inexact, deltas: r.deltas, hit: true}, nil
 	}
 	return fresh, nil
 }
 
-// rankedStats assembles the wire stats for one ranked answer.
+// rankedStats assembles the wire stats for one ranked answer: a ranked
+// cache hit counts every shard as hit, a fresh scan none.
 func (s *Server) rankedStats(ra rankedAnswer, start time.Time) QueryStats {
-	return QueryStats{
+	n := s.db.NumShards()
+	qs := QueryStats{
 		Work:         ra.work,
 		Inexact:      ra.inexact,
 		DeltaPatched: ra.deltas,
-		CacheHit:     ra.hit || ra.shardHits == s.db.NumShards(),
-		Shards:       s.db.NumShards(),
-		ShardHits:    ra.shardHits,
+		CacheHit:     ra.hit,
+		Shards:       n,
 		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
+	if ra.hit {
+		qs.ShardHits = n
+	}
+	return qs
 }

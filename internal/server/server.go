@@ -362,17 +362,18 @@ type resolved struct {
 	m     measure.Measure // ranking measure (topk/range)
 	alg   skyline.Algorithm
 	opts  gdb.QueryOptions
-	// prune selects the filter-and-refine evaluation path. It follows
-	// from the kind alone: skyline requests prune unless they ask for the
-	// full table (all), top-k and range requests always run the
-	// best-first ranked scan. Pruned tables are cached under their own
-	// key variant because they cannot serve full-table requests.
+	// prune selects the pruned table build: a skyline request that does
+	// not ask for the full table (all). Pruned tables are cached under
+	// their own key namespace (prunedKey), complete ones under CacheKey,
+	// and each request reads only its own; top-k and range requests read
+	// no table at all.
 	prune bool
 }
 
 // resolveQuery validates a request of the given kind ("skyline", "topk"
 // or "range") and resolves it. Every measure a request can name is a
-// built-in that measure.Rankable accepts, so ranked kinds always prune.
+// built-in (measure.Rankable and measure.Boundable), so every basis can
+// be pruned and every ranking measure can run the ranked scan.
 func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) {
 	var res resolved
 	switch kind {
@@ -415,7 +416,6 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 			return res, err
 		}
 		res.m = m
-		basis = measure.BasisWith(basis, m)
 	}
 	res.basis = basis
 
@@ -434,7 +434,7 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	// shards actually needing evaluation is known. The canonical query
 	// hash rides along so the score memo never re-canonicalizes.
 	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
-	res.prune = kind != "skyline" || !req.All && measure.Boundable(basis)
+	res.prune = kind == "skyline" && !req.All
 	// Every query is traced — the per-pair bookkeeping is noise next to
 	// engine work, and the cascade-stage metrics want the numbers whether
 	// or not the client asked to see them.
@@ -535,20 +535,9 @@ type flightCall struct {
 // evaluation. A follower whose leader fails — e.g. the leader's own
 // shorter timeout fired — retries under its own deadline instead of
 // inheriting the failure.
-//
-// alt, when set, is a second key whose entry answers the request as
-// well (the complete table, for a pruned skyline request). It is looked
-// up first but never waited on in flight: a complete build scores every
-// graph where the pruned build scores a handful.
-func (s *Server) coalesce(ctx context.Context, key, alt string, build func() (*cacheEntry, string, error)) (e *cacheEntry, hit bool, err error) {
+func (s *Server) coalesce(ctx context.Context, key string, build func() (*cacheEntry, string, error)) (e *cacheEntry, hit bool, err error) {
 	var c *flightCall
 	for {
-		// The alt lookup is quiet: its miss is not the request's miss.
-		if alt != "" {
-			if e, ok := s.cache.lookup(alt, true); ok {
-				return e, true, nil
-			}
-		}
 		if e, ok := s.cache.lookup(key, false); ok {
 			return e, true, nil
 		}
@@ -581,14 +570,9 @@ func (s *Server) coalesce(ctx context.Context, key, alt string, build func() (*c
 
 	// A previous leader may have published between our miss and the
 	// takeover; its flight removal follows its put, so re-checking here
-	// closes the window.
-	for _, k := range []string{key, alt} {
-		if k == "" {
-			continue
-		}
-		if e, ok := s.cache.lookup(k, true); ok {
-			return e, true, nil
-		}
+	// closes the window. The re-check is quiet: the miss was counted.
+	if e, ok := s.cache.lookup(key, true); ok {
+		return e, true, nil
 	}
 	e, putKey, err := build()
 	if err != nil {
@@ -634,7 +618,7 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	// misses) runs at full width.
 	cold := 0
 	for i := 0; i < n; i++ {
-		if !s.cachedForQuery(i, res) {
+		if !s.cache.contains(s.tableKey(i, s.db.ShardGeneration(i), res)) {
 			cold++
 		}
 	}
@@ -676,29 +660,24 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	return out, nil
 }
 
-// cachedForQuery reports whether shard's table for the query is cached
-// under any key the request could be served from (the full key always;
-// additionally the pruned variant for pruning requests). A planning
-// peek for worker sizing — no counters, no recency.
-func (s *Server) cachedForQuery(shard int, res resolved) bool {
-	key := CacheKey(shard, s.db.ShardGeneration(shard), res.qh, res.basis, res.opts.Eval)
-	if s.cache.contains(key) {
-		return true
+// tableKey renders the key of shard's table for the query at
+// generation gen: the pruned namespace for a pruned build, the complete
+// one for an "all" request. A planning peek (tables) and a lookup
+// (shardTable) use the same key, so each request reads only what its
+// own path builds.
+func (s *Server) tableKey(shard int, gen uint64, res resolved) string {
+	key := CacheKey(shard, gen, res.qh, res.basis, res.opts.Eval)
+	if res.prune {
+		key = prunedKey(key)
 	}
-	return res.prune && s.cache.contains(prunedKey(key))
+	return key
 }
 
 // shardTable returns one shard's table for a resolved query through
-// coalesce. A pruning request is also served by the shard's cached
-// complete table, at zero extra work, and builds the pruned variant on
-// a double miss; a non-pruning request never touches pruned entries.
+// coalesce.
 func (s *Server) shardTable(ctx context.Context, shard int, res resolved) (*gdb.VectorTable, bool, error) {
-	key := CacheKey(shard, s.db.ShardGeneration(shard), res.qh, res.basis, res.opts.Eval)
-	alt := ""
-	if res.prune {
-		key, alt = prunedKey(key), key
-	}
-	e, hit, err := s.coalesce(ctx, key, alt, func() (*cacheEntry, string, error) {
+	key := s.tableKey(shard, s.db.ShardGeneration(shard), res)
+	e, hit, err := s.coalesce(ctx, key, func() (*cacheEntry, string, error) {
 		opts := res.opts
 		opts.Prune = res.prune
 		t, err := s.db.Shard(shard).VectorTable(ctx, res.q, opts)
@@ -708,18 +687,16 @@ func (s *Server) shardTable(ctx context.Context, shard int, res resolved) (*gdb.
 		s.work.add(t.Work)
 		// The snapshot generation is authoritative: if the shard changed
 		// between the key computation and the snapshot, rekey so the entry
-		// stays reachable exactly as long as it is valid. A pruning build
-		// that pruned nothing yields a complete table and is cached under
-		// the full key, where every request kind can reuse it. Either kind
+		// stays reachable exactly as long as it is valid. A pruned table
 		// carries its maintenance lineage, so a later mutation of this
-		// shard can upgrade the entry in place (delta.go) instead of
-		// invalidating it.
-		putKey := CacheKey(shard, t.Generation, res.qh, res.basis, res.opts.Eval)
-		if !t.Complete {
-			putKey = prunedKey(putKey)
+		// shard can upgrade it in place (delta.go) instead of invalidating
+		// it; a complete table carries none, and the next mutation of its
+		// shard drops it.
+		e := &cacheEntry{shard: shard, table: t}
+		if res.prune {
+			e.lin = &tableLineage{q: res.q, qsig: res.qsig, qh: res.qh, basis: res.basis, eval: res.opts.Eval}
 		}
-		lin := &tableLineage{q: res.q, qsig: res.qsig, qh: res.qh, basis: res.basis, eval: res.opts.Eval}
-		return &cacheEntry{shard: shard, table: t, lin: lin}, putKey, nil
+		return e, s.tableKey(shard, t.Generation, res), nil
 	})
 	if err != nil {
 		return nil, false, err

@@ -106,10 +106,10 @@ func TestSkylineRoundTrip(t *testing.T) {
 		}
 	}
 	// The same skyline must come back no matter which algorithm runs, and
-	// from the cache.
+	// from the complete table the first request cached.
 	for _, alg := range []string{"bnl", "dac", "sfs"} {
 		var again SkylineResponse
-		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Algorithm: alg}, &again)
+		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Algorithm: alg, All: true}, &again)
 		if !again.Stats.CacheHit || again.Stats.Evaluated != 0 {
 			t.Fatalf("%s: stats = %+v; want cache hit with zero evaluations", alg, again.Stats)
 		}
@@ -119,49 +119,54 @@ func TestSkylineRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTopKAndRangeShareSkylineTable(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheSize: 16})
-	// "all" builds a complete table that the ranking queries below can
-	// reuse (a pruned skyline table cannot serve top-k/range).
+// TestRankedSkipsEnginesAfterAllSkyline: an "all" skyline's complete
+// table answers no ranked request — top-k and range each run their own
+// scan, report no shard hit and count every graph — but with the score
+// memo on, every pair either scan scores replays from the memo the
+// complete build filled, so no engine runs. The answers match the
+// reference.
+func TestRankedSkipsEnginesAfterAllSkyline(t *testing.T) {
+	db := gdb.NewSharded(1)
+	if err := db.InsertAll(dataset.PaperDB()); err != nil {
+		t.Fatal(err)
+	}
+	db.EnableScoreMemo(1024)
+	ts := httptest.NewServer(New(db, Config{CacheSize: 16}).Handler())
+	defer ts.Close()
+	q := dataset.PaperQuery()
 	var sky SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), All: true}, &sky)
-	if sky.Stats.CacheHit {
-		t.Fatal("first skyline query cannot hit")
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &sky)
+	if sky.Stats.CacheHit || sky.Stats.Pruned != 0 || sky.Stats.Evaluated != 7 {
+		t.Fatalf("all skyline stats = %+v; want a cold full evaluation", sky.Stats)
 	}
-	if sky.Stats.Pruned != 0 || sky.Stats.Evaluated != 7 {
-		t.Fatalf("all skyline stats = %+v; want full evaluation", sky.Stats)
-	}
-
-	// DistEd is in the default basis, so top-k reuses the skyline table.
-	var tk TopKResponse
-	r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: dataset.PaperQuery(), K: 3, Measure: "DistEd"}, &tk)
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("topk status = %d", r.StatusCode)
-	}
-	if !tk.Stats.CacheHit || tk.Stats.Evaluated != 0 {
-		t.Fatalf("topk stats = %+v; want cache hit", tk.Stats)
-	}
-	if len(tk.Items) != 3 {
-		t.Fatalf("topk returned %d items; want 3", len(tk.Items))
-	}
-	for i := 1; i < len(tk.Items); i++ {
-		if tk.Items[i].Score < tk.Items[i-1].Score {
-			t.Fatal("topk items are not sorted ascending")
+	requireScanReplayed := func(label string, qs QueryStats) {
+		t.Helper()
+		if qs.CacheHit || qs.ShardHits != 0 || qs.Evaluated+qs.Pruned != 7 {
+			t.Fatalf("%s stats = %+v; want its own scan over all 7 graphs", label, qs)
+		}
+		if qs.Evaluated == 0 || qs.MemoMisses != 0 || qs.MemoHits != qs.Evaluated {
+			t.Fatalf("%s stats = %+v; want every scored pair replayed from the memo", label, qs)
 		}
 	}
+	scores := testutil.ReferenceScores(dataset.PaperDB(), q, measure.DistEd{}, measure.Options{})
+
+	var tk TopKResponse
+	if r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3, Measure: "DistEd"}, &tk); r.StatusCode != http.StatusOK {
+		t.Fatalf("topk status = %d", r.StatusCode)
+	}
+	requireScanReplayed("topk", tk.Stats)
+	testutil.RequireSameItems(t, "topk", testutil.ReferenceTopK(scores, 3), wireItems(tk.Items))
 
 	var rg RangeResponse
 	radius := 100.0
-	r = postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: dataset.PaperQuery(), Radius: &radius, Measure: "DistEd"}, &rg)
-	if r.StatusCode != http.StatusOK {
+	if r := postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &rg); r.StatusCode != http.StatusOK {
 		t.Fatalf("range status = %d", r.StatusCode)
 	}
-	if !rg.Stats.CacheHit {
-		t.Fatalf("range stats = %+v; want cache hit", rg.Stats)
-	}
+	requireScanReplayed("range", rg.Stats)
 	if len(rg.Items) != 7 {
 		t.Fatalf("radius 100 should admit all 7 graphs, got %d", len(rg.Items))
 	}
+	testutil.RequireSameItems(t, "range", testutil.ReferenceRange(scores, radius), wireItems(rg.Items))
 }
 
 func TestIsomorphicQueryHitsCache(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 
 // TestShardedServerMatchesSingleShard: the HTTP answers of a sharded
 // server are byte-identical to a single-shard server's for all three
-// query kinds, on the paper dataset.
+// query kinds, on the paper dataset. A ranked answer reads no shard
+// table — not even the complete ones the "all" skyline just cached — so
+// it reports 0 shard hits fresh and every shard on a ranked-cache hit.
 func TestShardedServerMatchesSingleShard(t *testing.T) {
 	_, ref := newShardedTestServer(t, 1, Config{CacheSize: 16})
 	radius := 3.0
@@ -33,6 +35,13 @@ func TestShardedServerMatchesSingleShard(t *testing.T) {
 		postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: dataset.PaperQuery(), K: 3}, &tk)
 		if !reflect.DeepEqual(tk.Items, refTk.Items) {
 			t.Fatalf("%d shards: topk answer differs:\n got %+v\nwant %+v", shards, tk.Items, refTk.Items)
+		}
+		if tk.Stats.CacheHit || tk.Stats.Shards != shards || tk.Stats.ShardHits != 0 {
+			t.Fatalf("%d shards: fresh topk stats = %+v; want a miss with 0 shard hits", shards, tk.Stats)
+		}
+		postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: dataset.PaperQuery(), K: 3}, &tk)
+		if !tk.Stats.CacheHit || tk.Stats.ShardHits != shards {
+			t.Fatalf("%d shards: repeat topk stats = %+v; want a hit on every shard", shards, tk.Stats)
 		}
 		var rg RangeResponse
 		postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: dataset.PaperQuery(), Radius: &radius}, &rg)
