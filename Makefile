@@ -20,6 +20,7 @@ fuzz:
 	$(GO) test ./internal/ged -run='^$$' -fuzz=FuzzExactVsBruteForce -fuzztime=10s
 	$(GO) test ./internal/mcs -run='^$$' -fuzz=FuzzExactVsBruteForce -fuzztime=10s
 	$(GO) test ./internal/measure -run='^$$' -fuzz=FuzzFlatHistogram -fuzztime=10s
+	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=10s
 
 # bench runs the repo's benchmark contract (BENCHMARK.json): all four
 # workloads of the end-to-end harness, see benchmark/README.md. The

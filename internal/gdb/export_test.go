@@ -8,8 +8,8 @@ import (
 
 // PrunedPointsInOrder builds the points of q's pruned skyline table over
 // db the way VectorTable does, except that the scan's per-candidate step
-// runs sequentially in whatever order permute leaves the tier-0
-// survivors in — the seam that lets a test schedule the scan.
+// runs sequentially in whatever order permute leaves the candidates
+// in — the seam that lets a test schedule the scan.
 func PrunedPointsInOrder(db *DB, q *graph.Graph, opts QueryOptions, permute func(order []int)) []skyline.Point {
 	opts = opts.withDefaults()
 	sn := db.snapshot()

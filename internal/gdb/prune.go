@@ -13,19 +13,18 @@ import (
 	"skygraph/internal/skyline"
 )
 
-// Filter-and-scan skyline evaluation. A skyline query does not need the
+// Bound-and-scan skyline evaluation. A skyline query does not need the
 // exact GCS vector of every database graph: a graph some other graph
 // provably dominates can never be Pareto-optimal, so its exact GED/MCS
 // never runs — or runs only as far as the proof needs. Evaluation has
 // two phases:
 //
 //	tier 0  signature bounds, O(labels) per pair from the stored index,
-//	        collapsed to the exact point on a score-memo hit; a graph
-//	        whose optimistic corner another graph's pessimistic corner
-//	        dominates is out (skyline.IntervalPrune)
-//	scan    the tier-0 survivors, best-first by optimistic corner,
-//	        against a running front of this shard's exact vectors; each
-//	        is taken through the cheapest proof that still settles it:
+//	        collapsed to the exact point on a score-memo hit: every
+//	        graph's optimistic corner, which orders the scan
+//	scan    every graph, best-first by optimistic corner, against a
+//	        running front of this shard's exact vectors; each is taken
+//	        through the cheapest proof that still settles it:
 //	        1. a front point dominates its optimistic corner: discarded,
 //	           no engine runs
 //	        2. the MCS engine alone collapses the MCS interval to the
@@ -96,11 +95,14 @@ type skyScan struct {
 }
 
 // newSkyScan runs tier 0 for q against the snapshot — bound every graph
-// from its stored signature alone, collapse memo-known pairs to their
-// exact point (the strongest interval there is), interval-prune — and
-// returns the scan state with the survivors in scan order: ascending
-// optimistic corner, so the likeliest skyline members score first and
-// everything behind them meets a front; ties keep snapshot order.
+// from its stored signature alone, collapsing memo-known pairs to their
+// exact point (the strongest corner there is) — and returns the scan
+// state with every candidate in scan order: ascending optimistic
+// corner, so the likeliest skyline members score first and everything
+// behind them meets a front; ties keep snapshot order. Tier 0 excludes
+// nothing itself: its pessimistic corners (delete-all GED, zero MCS)
+// almost never dominate, and the scan's front test discards, best-first,
+// whatever a memo-collapsed point could.
 func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) (*skyScan, []int) {
 	n := len(sn.graphs)
 	start := time.Now()
@@ -112,29 +114,19 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, o
 		vecs:   make([][]float64, n),
 		capped: make([]bool, n),
 	}
-	ipts := make([]skyline.IntervalPoint, n)
+	order := make([]int, n)
 	for i, sig := range sn.sigs {
-		name := sn.graphs[i].Name()
+		order[i] = i
 		sc.bounds[i] = measure.BoundPair(sig, qsig)
-		var lo, hi []float64
 		if r, ok := ec.memoPeek(sn.seqs[i], true, true); ok {
 			sc.known[i] = r
-			lo = measure.GCS(measure.PairStatsFrom(sig, qsig, r), opts.Basis)
-			hi = lo
+			sc.los[i] = measure.GCS(measure.PairStatsFrom(sig, qsig, r), opts.Basis)
 		} else {
-			lo, hi = sc.bounds[i].IntervalGCS(opts.Basis)
-		}
-		sc.los[i] = lo
-		ipts[i] = skyline.IntervalPoint{ID: name, Lo: lo, Hi: hi}
-	}
-	order := make([]int, 0, n-skyline.IntervalPrune(ipts))
-	for i := range ipts {
-		if !ipts[i].Pruned {
-			order = append(order, i)
+			sc.los[i], _ = sc.bounds[i].IntervalGCS(opts.Basis)
 		}
 	}
 	sortScanOrder(order, sc.los)
-	opts.Trace.Observe(StageBound, time.Since(start), n, n-len(order))
+	opts.Trace.Observe(StageBound, time.Since(start), n, 0)
 	return sc, order
 }
 
@@ -152,7 +144,7 @@ func sortScanOrder(order []int, los [][]float64) {
 	})
 }
 
-// settle takes tier-0 survivor i through outcomes 1–4 above against the
+// settle takes candidate i through outcomes 1–4 above against the
 // front as it stands, recording its exact vector when it is kept. It is
 // a plain function of (candidate, front): any call order, sequential or
 // concurrent, yields a table with the same skyline.

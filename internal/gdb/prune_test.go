@@ -134,7 +134,7 @@ func TestPrunedSkylineTwins(t *testing.T) {
 	for _, opts := range []gdb.QueryOptions{prunedOpts(false), {}} {
 		for _, workers := range []int{1, 4} {
 			opts.Workers = workers
-			name := fmt.Sprintf("twins eval=%s workers=%d", opts.Eval.Key(), workers)
+			name := fmt.Sprintf("twins eval=ged=%d,mcs=%d workers=%d", opts.Eval.GEDMaxNodes, opts.Eval.MCSMaxNodes, workers)
 			requireShardedEquivalent(t, name, gs, queries, opts)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 //	        per-cell admissible floors, and the wholesale cell skips
 //	        they prove (see internal/vector); ranked scans only
 //	bound   tier-0 signature bounds: histogram/degree intervals from the
-//	        stored index, the candidate ordering of ranked scans, and
-//	        the threshold cutoff that ends them
+//	        stored index, the candidate ordering of both scans, and the
+//	        threshold cutoff that ends a ranked one
 //	pivot   the pivot index's triangle-inequality intersection: the P
 //	        query-to-pivot engine runs (paid when the query's context is
 //	        assembled, before any candidate is looked at) plus the
@@ -34,9 +34,9 @@ import (
 // bounded because its cell was skipped (vector), excluded by an engine
 // decision run (exact), condemned at the final threshold only thanks to
 // the triangle bound (pivot), otherwise cut off by the signature bound
-// and the best-first threshold (bound). On the skyline path they are:
-// excluded by tier 0's IntervalPrune (bound), otherwise discarded by
-// the scan (exact). Hence, summed over stages,
+// and the best-first threshold (bound). On the skyline path there is
+// one: discarded by the scan (exact); the bound stage orders the scan
+// and prunes nothing. Hence, summed over stages,
 // Pruned equals the query's Work.Pruned; the pivot and vector stages'
 // Pruned are the pivot_pruned and vector_skipped counters; and the
 // exact stage's Pairs minus its Pruned equals Work.Evaluated. No count

@@ -3,9 +3,9 @@
 // the idempotency tables each wrap one Cache. (The database's score
 // memo keeps its own query-grouped structure, see gdb.ScoreMemo.) The
 // core is deliberately policy-free — no TTLs, no counters, no key
-// semantics — so each wrapper keeps its own invalidation rules
-// (generation-keyed unreachability) and its own hit/miss accounting on
-// top.
+// semantics — so each wrapper keeps its own validity rules (the table
+// cache's entries record the generation they are exact at) and its own
+// hit/miss accounting on top.
 package lru
 
 import (
@@ -13,35 +13,35 @@ import (
 	"sync"
 )
 
-// Cache is a bounded LRU map from string keys to values of type V.
+// Cache is a bounded LRU map from keys of type K to values of type V.
 // All methods are safe for concurrent use. A capacity below 1 disables
 // the cache entirely: every lookup misses and Put is a no-op.
-type Cache[V any] struct {
+type Cache[K comparable, V any] struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    map[K]*list.Element
 }
 
-type entry[V any] struct {
-	key string
+type entry[K comparable, V any] struct {
+	key K
 	val V
 }
 
 // New returns a cache holding at most capacity entries.
-func New[V any](capacity int) *Cache[V] {
-	return &Cache[V]{
+func New[K comparable, V any](capacity int) *Cache[K, V] {
+	return &Cache[K, V]{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[K]*list.Element),
 	}
 }
 
 // Capacity returns the configured bound.
-func (c *Cache[V]) Capacity() int { return c.capacity }
+func (c *Cache[K, V]) Capacity() int { return c.capacity }
 
 // Get returns the value under key, marking it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -50,22 +50,26 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*entry[V]).val, true
+	return el.Value.(*entry[K, V]).val, true
 }
 
-// Contains reports whether key is cached without touching recency — a
+// Peek returns the value under key without touching recency — a
 // planning peek, not a lookup.
-func (c *Cache[V]) Contains(key string) bool {
+func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
+	el, ok := c.items[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return el.Value.(*entry[K, V]).val, true
 }
 
 // Put stores val under key (replacing any previous value and marking it
 // most recently used), evicting least-recently-used entries while the
 // cache is over capacity. It returns the number of evictions.
-func (c *Cache[V]) Put(key string, val V) int {
+func (c *Cache[K, V]) Put(key K, val V) int {
 	return c.Update(key, func(V, bool) V { return val })
 }
 
@@ -74,56 +78,66 @@ func (c *Cache[V]) Put(key string, val V) int {
 // entry becomes most recently used. Returns evictions like Put. Used
 // where two writers of one key must not overwrite each other's part of
 // the value.
-func (c *Cache[V]) Update(key string, merge func(old V, ok bool) V) int {
+func (c *Cache[K, V]) Update(key K, merge func(old V, ok bool) V) int {
 	if c.capacity < 1 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry[V])
+		e := el.Value.(*entry[K, V])
 		e.val = merge(e.val, true)
 		c.ll.MoveToFront(el)
 		return 0
 	}
 	var zero V
-	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: merge(zero, false)})
+	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: merge(zero, false)})
 	evicted := 0
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry[V]).key)
+		delete(c.items, oldest.Value.(*entry[K, V]).key)
 		evicted++
 	}
 	return evicted
 }
 
-// Remove drops the entry under key, reporting whether it was present.
-// Unlike eviction or pruning, removal is caller-driven — the table
-// cache retires a superseded key after republishing its upgraded value
-// under a new one.
-func (c *Cache[V]) Remove(key string) bool {
+// Replace settles an entry an earlier read (typically a PruneFunc pass)
+// saw, without overwriting anything that read did not see: while the
+// value under key is still the one read — same reports it — the entry
+// is dropped when drop is set and otherwise holds next, in place with
+// its recency unchanged. An absent or since-replaced entry is left
+// alone. Replace reports whether it acted.
+func (c *Cache[K, V]) Replace(key K, same func(V) bool, next V, drop bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		return false
 	}
-	c.ll.Remove(el)
-	delete(c.items, key)
+	e := el.Value.(*entry[K, V])
+	if !same(e.val) {
+		return false
+	}
+	if drop {
+		c.ll.Remove(el)
+		delete(c.items, key)
+	} else {
+		e.val = next
+	}
 	return true
 }
 
 // PruneFunc removes every entry for which pred returns true, returning
 // how many were removed. pred runs under the cache lock and must not
 // call back into the cache.
-func (c *Cache[V]) PruneFunc(pred func(key string, val V) bool) int {
+func (c *Cache[K, V]) PruneFunc(pred func(key K, val V) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	dropped := 0
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		if e := el.Value.(*entry[V]); pred(e.key, e.val) {
+		if e := el.Value.(*entry[K, V]); pred(e.key, e.val) {
 			c.ll.Remove(el)
 			delete(c.items, e.key)
 			dropped++
@@ -134,7 +148,7 @@ func (c *Cache[V]) PruneFunc(pred func(key string, val V) bool) int {
 }
 
 // Len returns the number of cached entries.
-func (c *Cache[V]) Len() int {
+func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -3,7 +3,7 @@ package lru
 import "testing"
 
 func TestGetPutEvict(t *testing.T) {
-	c := New[int](2)
+	c := New[string, int](2)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -28,7 +28,7 @@ func TestGetPutEvict(t *testing.T) {
 }
 
 func TestPutReplaces(t *testing.T) {
-	c := New[int](2)
+	c := New[string, int](2)
 	c.Put("a", 1)
 	c.Put("a", 7)
 	if v, _ := c.Get("a"); v != 7 {
@@ -39,22 +39,22 @@ func TestPutReplaces(t *testing.T) {
 	}
 }
 
-func TestContainsNoRecency(t *testing.T) {
-	c := New[int](2)
+func TestPeekNoRecency(t *testing.T) {
+	c := New[string, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if !c.Contains("a") {
-		t.Fatal("Contains(a) = false")
+	if v, ok := c.Peek("a"); !ok || v != 1 {
+		t.Fatalf("Peek(a) = %v, %v", v, ok)
 	}
-	// Contains must not have refreshed "a": it is still the LRU entry.
+	// Peek must not have refreshed "a": it is still the LRU entry.
 	c.Put("c", 3)
 	if _, ok := c.Get("a"); ok {
-		t.Fatal("Contains refreshed recency")
+		t.Fatal("Peek refreshed recency")
 	}
 }
 
 func TestUpdateMerges(t *testing.T) {
-	c := New[int](2)
+	c := New[string, int](2)
 	c.Update("a", func(old int, ok bool) int {
 		if ok {
 			t.Fatal("merge saw a value in an empty cache")
@@ -72,21 +72,54 @@ func TestUpdateMerges(t *testing.T) {
 	}
 }
 
+// TestReplaceOnlyWhatWasRead: Replace acts only on the value its caller
+// read — replacing it in place or dropping it — and leaves an absent
+// key or a value someone else stored since alone.
+func TestReplaceOnlyWhatWasRead(t *testing.T) {
+	c := New[string, int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	is := func(want int) func(int) bool { return func(v int) bool { return v == want } }
+	if !c.Replace("a", is(1), 10, false) {
+		t.Fatal("Replace of the value read did not act")
+	}
+	if v, _ := c.Peek("a"); v != 10 {
+		t.Fatalf("replaced value = %d", v)
+	}
+	// In place: "a" is still the LRU entry.
+	c.Put("c", 3)
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("Replace refreshed recency")
+	}
+	if c.Replace("b", is(1), 20, false) || c.Replace("b", is(1), 0, true) {
+		t.Fatal("Replace acted on a value it did not read")
+	}
+	if v, _ := c.Peek("b"); v != 2 {
+		t.Fatalf("unread value overwritten: %d", v)
+	}
+	if c.Replace("zz", is(0), 1, false) || c.Len() != 2 {
+		t.Fatal("Replace of an absent key stored an entry")
+	}
+	if !c.Replace("b", is(2), 0, true) || c.Len() != 1 {
+		t.Fatal("Replace with drop kept the entry")
+	}
+}
+
 func TestPruneFunc(t *testing.T) {
-	c := New[int](4)
+	c := New[string, int](4)
 	for _, k := range []string{"a1", "a2", "b1"} {
 		c.Put(k, 0)
 	}
 	if n := c.PruneFunc(func(k string, _ int) bool { return k[0] == 'a' }); n != 2 {
 		t.Fatalf("pruned %d, want 2", n)
 	}
-	if c.Len() != 1 || !c.Contains("b1") {
+	if _, ok := c.Peek("b1"); c.Len() != 1 || !ok {
 		t.Fatalf("wrong survivor set, len %d", c.Len())
 	}
 }
 
 func TestDisabled(t *testing.T) {
-	c := New[int](0)
+	c := New[string, int](0)
 	c.Put("a", 1)
 	c.Update("a", func(int, bool) int { return 2 })
 	if _, ok := c.Get("a"); ok || c.Len() != 0 {

@@ -15,7 +15,6 @@ package measure
 
 import (
 	"fmt"
-	"strconv"
 
 	"skygraph/internal/ged"
 	"skygraph/internal/graph"
@@ -50,25 +49,13 @@ type PairStats struct {
 
 // Options bounds the exact engines; zero values mean exact, unbounded
 // computation. The struct is wire- and cache-friendly: it serializes to
-// JSON and Key renders it as a stable cache-key fragment.
+// JSON and is comparable, so it can sit in a map key as it is.
 type Options struct {
 	// GEDMaxNodes caps A* expansions (0 = unlimited). On cap the bipartite
 	// upper bound is used and GEDExact is false.
 	GEDMaxNodes int64 `json:"ged_max_nodes,omitempty"`
 	// MCSMaxNodes caps the MCS branch and bound (0 = unlimited).
 	MCSMaxNodes int64 `json:"mcs_max_nodes,omitempty"`
-}
-
-// Key renders the options as a short stable string for use in cache keys.
-func (o Options) Key() string { return string(o.AppendKey(nil)) }
-
-// AppendKey appends Key's rendering to dst, for callers assembling a
-// larger key in one buffer.
-func (o Options) AppendKey(dst []byte) []byte {
-	dst = append(dst, "ged="...)
-	dst = strconv.AppendInt(dst, o.GEDMaxNodes, 10)
-	dst = append(dst, ",mcs="...)
-	return strconv.AppendInt(dst, o.MCSMaxNodes, 10)
 }
 
 // Compute evaluates the shared statistics for the pair (g1, g2).

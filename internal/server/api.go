@@ -3,12 +3,13 @@
 // vector-table cache in front of the pair-evaluation hot path. The
 // layers are
 //
-//   - cache.go: an LRU of per-shard GCS vector tables keyed by (shard,
-//     shard generation, canonical query hash, basis, engine options),
-//     so a repeated skyline query — same query graph, any skyline
-//     algorithm — answers with zero new pair evaluations, and a mutation
-//     touches only its own shard's tables; merged ranked answers sit
-//     beside them under their own keys;
+//   - cache.go: an LRU of per-shard GCS vector tables keyed by (path,
+//     shard, canonical query hash, basis, engine options), each entry
+//     recording the shard generation it is exact at, so a repeated
+//     skyline query — same query graph, any skyline algorithm — answers
+//     with zero new pair evaluations, and a mutation touches only its
+//     own shard's tables; merged ranked answers sit beside them under
+//     their own keys;
 //   - delta.go: delta maintenance — a mutation upgrades the cached
 //     pruned tables and ranked answers it provably leaves answerable,
 //     and invalidates the rest;

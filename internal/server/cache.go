@@ -1,7 +1,7 @@
 package server
 
 import (
-	"strconv"
+	"slices"
 	"sync/atomic"
 
 	"skygraph/internal/gdb"
@@ -13,26 +13,27 @@ import (
 
 // Cache is a bounded LRU of per-shard query vector tables plus merged
 // ranked answers, layered on the shared internal/lru core (the same
-// machinery behind gdb's cross-query score memo). Three key namespaces,
-// one per request path, and each request reads only its own: complete
-// tables ("all" skylines, CacheKey), pruned tables (plain skylines,
-// prunedKey) and ranked answers (top-k and range, RankedKey). A table
-// key binds a table to the exact inputs that produced it — shard index,
-// that shard's generation, canonical query-graph hash, measure basis
-// and engine options — so a lookup can only ever return a table that
-// answers the current request exactly. Because the owning shard's
-// generation participates in the key, a mutation retires exactly that
-// shard's entries: each is either upgraded in place under the advanced
-// key (delta.go) or becomes unreachable and is dropped eagerly by
-// PruneStale; tables of the other shards stay live. Ranked answers
-// instead carry every shard's generation — the merged result spans the
-// whole database, so any mutation retires them.
+// machinery behind the idempotency tables). Entries live under a typed
+// cacheKey naming the request path that builds them — complete tables
+// ("all" skylines), pruned tables (plain skylines) or ranked answers
+// (top-k and range) — plus everything that shapes the answer except
+// the database's state: shard, canonical query hash, basis or ranking
+// measure, k or radius, engine options. Each request reads only its own
+// path's entries. The state an entry is exact at is recorded in the
+// entry itself: a table's Generation for its shard, every shard's
+// generation (gens) for a merged ranked answer. servable is the one rule
+// deciding whether an entry may answer a request: the generations must
+// be those the request read. A mutation of a shard makes one pass over
+// the cache (sweep, from Server.maintain): what no delta proof covers is
+// dropped at once, and every entry one generation behind with a
+// maintenance lineage is then upgraded in place under its unchanged key
+// (settle, delta.go). Tables of the other shards are not touched.
 //
 // Counters are atomics, read without the LRU lock: /stats can hammer
 // the cache while queries run without contending on (or racing with)
 // the hot lookup path.
 type Cache struct {
-	lru *lru.Cache[*cacheEntry]
+	lru *lru.Cache[cacheKey, *cacheEntry]
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -42,10 +43,29 @@ type Cache struct {
 	deltaFallback atomic.Uint64
 }
 
+// cacheKey names one cached answer. It holds no generation: the entry
+// under it records the state it is exact at, and servable compares that
+// with what a request read.
+type cacheKey struct {
+	// path is the request path that builds and reads the entry: "all"
+	// (complete tables), "pruned" (pruned tables), "topk" or "range"
+	// (merged ranked answers).
+	path string
+	// shard is the owning shard of a table, -1 for a ranked answer (it
+	// spans every shard).
+	shard int
+	qh    string
+	// measures is the comma-joined basis of a table, or the ranking
+	// measure of a ranked answer.
+	measures string
+	// arg is k for top-k, the radius for range, 0 for tables.
+	arg  float64
+	eval measure.Options
+}
+
 // cacheEntry is one cached value: a per-shard vector table (shard >= 0,
-// invalidated when that shard's generation moves past the table's), or
-// a whole-database ranked answer (shard == -1, bound to EVERY shard's
-// generation via gens — any mutation anywhere invalidates it). lin,
+// exact at table.Generation of that shard), or a whole-database ranked
+// answer (shard == -1, exact at every shard's generation in gens). lin,
 // when set, is the table's maintenance lineage: a later mutation of the
 // owning shard can upgrade the entry in place (Server.maintain) instead
 // of invalidating it. Pruned tables carry one, complete tables none.
@@ -57,12 +77,11 @@ type cacheEntry struct {
 	lin    *tableLineage
 }
 
-// tableLineage is everything needed to re-derive a table's key and
-// evaluate a single delta row through the exact code path the cold
-// build used: the query graph, its signature and canonical hash (both
-// computed once per request), the basis and the engine budgets. Only
-// pruned tables carry one; delta.go holds the proofs that maintain
-// them.
+// tableLineage is everything needed to evaluate a single delta row
+// through the exact code path the cold build used: the query graph, its
+// signature and canonical hash (both computed once per request), the
+// basis and the engine budgets. Only pruned tables carry one; delta.go
+// holds the proofs that maintain them.
 type tableLineage struct {
 	q     *graph.Graph
 	qsig  *measure.Signature
@@ -72,10 +91,9 @@ type tableLineage struct {
 }
 
 // rankedEntry is a cached ranked answer: the merged items of one
-// (kind, measure, k-or-radius) query over all shards. It lives in its
-// own key namespace (RankedKey) so it can never shadow — or be returned
-// for — a table lookup. lin carries the maintenance lineage;
-// deltas counts in-place upgrades since the answer was cold-built.
+// (kind, measure, k-or-radius) query over all shards. lin carries the
+// maintenance lineage; deltas counts in-place upgrades since the answer
+// was cold-built.
 type rankedEntry struct {
 	items   []topk.Item
 	inexact int
@@ -94,86 +112,31 @@ type rankedLineage struct {
 	eval measure.Options
 }
 
-// stale reports whether the entry was computed before generation gen of
-// the given shard.
-func (e *cacheEntry) stale(shard int, gen uint64) bool {
-	if e.shard >= 0 {
-		return e.shard == shard && e.table.Generation < gen
+// servable reports whether e may answer a request that read gens, every
+// shard's generation (Sharded.Generations): a table must be exact at
+// its shard's generation, a ranked answer at all of them. It is the one
+// place an entry's generation meets a request's; a lookup, the tables()
+// planning peek and a flight follower all take exactly what it allows.
+func servable(e *cacheEntry, gens []uint64) bool {
+	if e.ranked != nil {
+		return slices.Equal(e.gens, gens)
 	}
-	return shard < len(e.gens) && e.gens[shard] < gen
+	return e.table.Generation == gens[e.shard]
 }
 
 // NewCache returns an LRU holding at most capacity tables. Capacity < 1
 // disables caching (every lookup misses, put is a no-op).
 func NewCache(capacity int) *Cache {
-	return &Cache{lru: lru.New[*cacheEntry](capacity)}
+	return &Cache{lru: lru.New[cacheKey, *cacheEntry](capacity)}
 }
 
-// CacheKey renders the canonical cache key for one shard's vector table:
-// "s<shard>|g<generation>|q<query hash>|b<basis names, comma-joined>|
-// <eval.Key()>". Keys are rendered on every lookup and every delta
-// promotion, so they are appended into one buffer rather than formatted.
-func CacheKey(shard int, generation uint64, queryHash string, basis []measure.Measure, eval measure.Options) string {
-	b := make([]byte, 0, 48+len(queryHash))
-	b = append(b, 's')
-	b = strconv.AppendInt(b, int64(shard), 10)
-	b = append(b, "|g"...)
-	b = strconv.AppendUint(b, generation, 10)
-	b = append(b, "|q"...)
-	b = append(b, queryHash...)
-	b = append(b, "|b"...)
-	for i, m := range basis {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, m.Name()...)
-	}
-	b = append(b, '|')
-	return string(eval.AppendKey(b))
-}
-
-// prunedKey derives the key of the pruned table variant from a
-// complete-table key. Pruned tables hold only the candidates their scan
-// kept, so they answer plain skyline requests exactly but never an
-// "all" request; and an "all" request's complete table never answers a
-// plain one — each request reads the namespace its own path builds.
-func prunedKey(full string) string { return full + "|pruned" }
-
-// RankedKey renders the cache key of a ranked answer: the merged
-// result of one (kind, measure, k/radius) query, bound to the canonical
-// query hash, the engine budgets and every shard's generation. The
-// basis does not participate — a ranked answer depends only on its
-// ranking measure. The "r|" namespace keeps ranked answers from ever
-// shadowing a table key. The rendering is "r|<kind>|g<generations,
-// comma-joined>|q<query hash>|m<measure>|a<arg, shortest 'g' form>|
-// <eval.Key()>", built in one buffer like CacheKey's.
-func RankedKey(kind string, gens []uint64, queryHash string, m measure.Measure, arg float64, eval measure.Options) string {
-	b := make([]byte, 0, 64+len(queryHash)+4*len(gens))
-	b = append(b, "r|"...)
-	b = append(b, kind...)
-	b = append(b, "|g"...)
-	for i, g := range gens {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, g, 10)
-	}
-	b = append(b, "|q"...)
-	b = append(b, queryHash...)
-	b = append(b, "|m"...)
-	b = append(b, m.Name()...)
-	b = append(b, "|a"...)
-	b = strconv.AppendFloat(b, arg, 'g', -1, 64)
-	b = append(b, '|')
-	return string(eval.AppendKey(b))
-}
-
-// lookup returns the entry cached under key, marking it most recently
-// used. Presence counts as a hit; absence counts as a miss unless quiet
-// — a re-check of a key whose miss was already counted.
-func (c *Cache) lookup(key string, quiet bool) (*cacheEntry, bool) {
+// lookup returns the entry cached under key when it is servable at
+// gens, marking it most recently used. A servable entry counts as a
+// hit; anything else counts as a miss unless quiet — a re-check of a key
+// whose miss was already counted.
+func (c *Cache) lookup(key cacheKey, gens []uint64, quiet bool) (*cacheEntry, bool) {
 	e, ok := c.lru.Get(key)
-	if !ok {
+	if !ok || !servable(e, gens) {
 		if !quiet {
 			c.misses.Add(1)
 		}
@@ -183,77 +146,76 @@ func (c *Cache) lookup(key string, quiet bool) (*cacheEntry, bool) {
 	return e, true
 }
 
-// contains reports whether key is cached, without touching recency or
-// the hit/miss counters — a planning peek, not a lookup.
-func (c *Cache) contains(key string) bool { return c.lru.Contains(key) }
+// peek reports whether a lookup of key at gens would hit, without
+// touching recency or the hit/miss counters — a planning peek.
+func (c *Cache) peek(key cacheKey, gens []uint64) bool {
+	e, ok := c.lru.Peek(key)
+	return ok && servable(e, gens)
+}
 
 // put stores e under key, evicting the least recently used entry when
 // the cache is full.
-func (c *Cache) put(key string, e *cacheEntry) {
+func (c *Cache) put(key cacheKey, e *cacheEntry) {
 	c.evictions.Add(uint64(c.lru.Put(key, e)))
 }
 
 // deltaCandidate is one cached entry a mutation may be able to upgrade
-// in place, paired with the key it currently lives under.
+// in place, paired with its key.
 type deltaCandidate struct {
-	key string
+	key cacheKey
 	e   *cacheEntry
 }
 
-// deltaCandidates collects the entries a single mutation of shard —
-// the one that produced generation gen — could provably upgrade:
-// lineage-carrying (pruned) tables of that shard exactly one generation
-// behind, and lineage-carrying ranked answers whose recorded generation
-// for that shard is exactly gen-1. Everything else (complete tables,
-// entries further behind, foreign shards) is left for PruneStale.
-// Collection never drops anything.
-func (c *Cache) deltaCandidates(shard int, gen uint64) []deltaCandidate {
+// sweep is the one cache pass of the mutation of shard that produced
+// generation gen. Entries of other shards, and entries already exact at
+// gen or later, are left alone. Of the rest, it collects what a delta
+// proof may upgrade — lineage-carrying (pruned) tables of the shard and
+// lineage-carrying ranked answers exactly one generation behind on it
+// — and drops everything else at once (complete tables, entries further
+// behind), counting each drop as an invalidation and a delta fallback.
+func (c *Cache) sweep(shard int, gen uint64) []deltaCandidate {
 	var out []deltaCandidate
-	c.lru.PruneFunc(func(key string, e *cacheEntry) bool {
+	dropped := c.lru.PruneFunc(func(key cacheKey, e *cacheEntry) bool {
+		var at uint64
+		var lineage bool
 		switch {
-		case e.shard >= 0:
-			if e.shard == shard && e.lin != nil && e.table.Generation == gen-1 {
-				out = append(out, deltaCandidate{key: key, e: e})
-			}
 		case e.ranked != nil:
-			if e.ranked.lin != nil && shard < len(e.gens) && e.gens[shard] == gen-1 {
-				out = append(out, deltaCandidate{key: key, e: e})
-			}
+			at, lineage = e.gens[shard], e.ranked.lin != nil
+		case e.shard == shard:
+			at, lineage = e.table.Generation, e.lin != nil
+		default:
+			return false
 		}
-		return false
-	})
-	return out
-}
-
-// promote publishes an upgraded entry under its new generation-bearing
-// key and retires the old key, counting one applied delta. Put-then-
-// Remove ordering means a concurrent reader always finds at least one
-// of the two keys; a racing PruneStale that drops the old key first
-// makes the Remove a no-op.
-func (c *Cache) promote(oldKey, newKey string, e *cacheEntry) {
-	c.put(newKey, e)
-	c.lru.Remove(oldKey)
-	c.deltaApplied.Add(1)
-}
-
-// PruneStale eagerly drops every entry of shard computed before
-// generation gen, returning how many were dropped. Correctness never
-// depends on this — stale keys are unreachable — but pruning on
-// mutation frees their memory immediately instead of waiting for LRU
-// pressure. Generations only increase, so the strict < keeps entries
-// newer than the caller's (possibly stale) generation read, and other
-// shards' entries are never touched: an entry a concurrent delta
-// upgrade just republished at gen (or later) can never be dropped by a
-// prune carrying an older generation. With delta maintenance live,
-// every drop is by definition a fallback to invalidation — the entry
-// was not provably upgradable — so the prune feeds both counters.
-func (c *Cache) PruneStale(shard int, gen uint64) int {
-	dropped := c.lru.PruneFunc(func(_ string, e *cacheEntry) bool {
-		return e.stale(shard, gen)
+		if at >= gen {
+			return false
+		}
+		if lineage && at == gen-1 {
+			out = append(out, deltaCandidate{key: key, e: e})
+			return false
+		}
+		return true
 	})
 	c.invalidations.Add(uint64(dropped))
 	c.deltaFallback.Add(uint64(dropped))
-	return dropped
+	return out
+}
+
+// settle ends one candidate's upgrade: the entry sweep read is replaced
+// in place by next, counting an applied delta, or dropped when next is
+// nil (no proof held), counting an invalidation and a fallback. An
+// entry replaced since the sweep — a fresh build under the same key —
+// is newer than anything the upgrade derived and is left alone.
+func (c *Cache) settle(cand deltaCandidate, next *cacheEntry) {
+	read := func(e *cacheEntry) bool { return e == cand.e }
+	if !c.lru.Replace(cand.key, read, next, next == nil) {
+		return
+	}
+	if next == nil {
+		c.invalidations.Add(1)
+		c.deltaFallback.Add(1)
+		return
+	}
+	c.deltaApplied.Add(1)
 }
 
 // Len returns the number of cached tables.

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"testing"
+	"time"
 
+	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
+	"skygraph/internal/graph"
 	"skygraph/internal/measure"
 )
 
@@ -12,19 +16,36 @@ func tableAt(gen uint64) *gdb.VectorTable {
 	return &gdb.VectorTable{Generation: gen, Basis: measure.Default()}
 }
 
-// putTable stores a bare shard table under key.
-func putTable(c *Cache, key string, shard int, t *gdb.VectorTable) {
-	c.put(key, &cacheEntry{shard: shard, table: t})
+// tkey is a distinct table key per name, on shard.
+func tkey(name string, shard int) cacheKey {
+	return cacheKey{path: "all", shard: shard, qh: name}
 }
+
+// putTable stores a bare shard table (no lineage, like a complete
+// table) under a key named name.
+func putTable(c *Cache, name string, shard int, t *gdb.VectorTable) {
+	c.put(tkey(name, shard), &cacheEntry{shard: shard, table: t})
+}
+
+// putPruned stores a lineage-carrying shard table under a key named
+// name: the kind of entry a mutation may upgrade.
+func putPruned(c *Cache, name string, shard int, t *gdb.VectorTable) *cacheEntry {
+	e := &cacheEntry{shard: shard, table: t, lin: &tableLineage{}}
+	c.put(tkey(name, shard), e)
+	return e
+}
+
+// at is the generations a one-shard request read.
+func at(gen uint64) []uint64 { return []uint64{gen} }
 
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(4)
-	if _, ok := c.lookup("a", false); ok {
+	if _, ok := c.lookup(tkey("a", 0), at(1), false); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	tab := tableAt(1)
 	putTable(c, "a", 0, tab)
-	got, ok := c.lookup("a", false)
+	got, ok := c.lookup(tkey("a", 0), at(1), false)
 	if !ok || got.table != tab {
 		t.Fatalf("lookup(a) = %v, %v; want stored table", got, ok)
 	}
@@ -38,15 +59,15 @@ func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(2)
 	putTable(c, "a", 0, tableAt(1))
 	putTable(c, "b", 0, tableAt(1))
-	c.lookup("a", false) // a is now more recent than b
+	c.lookup(tkey("a", 0), at(1), false) // a is now more recent than b
 	putTable(c, "c", 0, tableAt(1))
-	if _, ok := c.lookup("b", false); ok {
+	if _, ok := c.lookup(tkey("b", 0), at(1), false); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if _, ok := c.lookup("a", false); !ok {
+	if _, ok := c.lookup(tkey("a", 0), at(1), false); !ok {
 		t.Fatal("a should have survived eviction")
 	}
-	if _, ok := c.lookup("c", false); !ok {
+	if _, ok := c.lookup(tkey("c", 0), at(1), false); !ok {
 		t.Fatal("c should be cached")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -60,73 +81,157 @@ func TestCachePutExistingRefreshes(t *testing.T) {
 	putTable(c, "b", 0, tableAt(1))
 	putTable(c, "a", 0, tableAt(2)) // refresh, not a new entry
 	putTable(c, "c", 0, tableAt(1))
-	if _, ok := c.lookup("b", false); ok {
+	if _, ok := c.lookup(tkey("b", 0), at(1), false); ok {
 		t.Fatal("b should be evicted: a was refreshed to most recent")
 	}
-	got, ok := c.lookup("a", false)
+	got, ok := c.lookup(tkey("a", 0), at(2), false)
 	if !ok || got.table.Generation != 2 {
 		t.Fatalf("a should hold the refreshed table, got %+v, %v", got, ok)
 	}
 }
 
-func TestCachePruneStale(t *testing.T) {
+// TestCacheServesOnlyTheGenerationRead pins servable, the one rule for
+// what a lookup, a planning peek and a flight follower may take: an
+// entry answers only a request that read exactly the generations it is
+// exact at, and anything else is a counted miss.
+func TestCacheServesOnlyTheGenerationRead(t *testing.T) {
 	c := NewCache(8)
-	putTable(c, "g1-a", 0, tableAt(1))
-	putTable(c, "g1-b", 0, tableAt(1))
-	putTable(c, "g2-a", 0, tableAt(2))
-	if dropped := c.PruneStale(0, 2); dropped != 2 {
-		t.Fatalf("PruneStale dropped %d; want 2", dropped)
+	putTable(c, "t", 0, tableAt(4))
+	for _, read := range []uint64{3, 5} {
+		if _, ok := c.lookup(tkey("t", 0), at(read), false); ok {
+			t.Fatalf("table exact at 4 served a request that read %d", read)
+		}
+		if c.peek(tkey("t", 0), at(read)) {
+			t.Fatalf("planning peek at %d predicted a hit on a table exact at 4", read)
+		}
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d after prune; want 1", c.Len())
+	if _, ok := c.lookup(tkey("t", 0), at(4), false); !ok || !c.peek(tkey("t", 0), at(4)) {
+		t.Fatal("table exact at 4 must serve a request that read 4")
 	}
-	if _, ok := c.lookup("g2-a", false); !ok {
-		t.Fatal("current-generation entry must survive pruning")
+
+	rk := cacheKey{path: "topk", shard: -1, qh: "q", measures: "DistEd", arg: 3}
+	c.put(rk, &cacheEntry{shard: -1, gens: []uint64{4, 7}, ranked: &rankedEntry{}})
+	for _, read := range [][]uint64{{4, 8}, {5, 7}, {4}} {
+		if _, ok := c.lookup(rk, read, false); ok {
+			t.Fatalf("ranked answer exact at [4 7] served a request that read %v", read)
+		}
 	}
-	if st := c.Stats(); st.Invalidations != 2 {
-		t.Fatalf("invalidations = %d; want 2", st.Invalidations)
+	if _, ok := c.lookup(rk, []uint64{4, 7}, false); !ok {
+		t.Fatal("ranked answer must serve a request that read its generations")
+	}
+	if st := c.Stats(); st.Misses != 5 || st.Hits != 2 {
+		t.Fatalf("stats = %+v; want 5 misses (each unservable lookup) and 2 hits", st)
+	}
+
+	// A flight follower that read generation 5 must not take a leader's
+	// table built at 4: it evaluates itself.
+	s, _ := newTestServer(t, Config{CacheSize: 8})
+	key := tkey("follow", 0)
+	leader := &flightCall{done: make(chan struct{}), e: &cacheEntry{shard: 0, table: tableAt(4)}}
+	s.flightMu.Lock()
+	s.flight[key] = leader
+	s.flightMu.Unlock()
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		s.cache.put(key, leader.e)
+		s.flightMu.Lock()
+		delete(s.flight, key)
+		s.flightMu.Unlock()
+		close(leader.done)
+	}()
+	builds := 0
+	e, hit, err := s.coalesce(context.Background(), key, at(5), func() (*cacheEntry, bool, error) {
+		builds++
+		return &cacheEntry{shard: 0, table: tableAt(5)}, true, nil
+	})
+	if err != nil || hit || builds != 1 || e.table.Generation != 5 {
+		t.Fatalf("follower took (gen %d, hit %v, builds %d, err %v); want its own build at 5",
+			e.table.Generation, hit, builds, err)
 	}
 }
 
-func TestCachePruneStaleKeepsNewer(t *testing.T) {
-	// A handler racing with a later mutation may call PruneStale with a
-	// stale (smaller) generation; entries newer than it must survive.
+// TestCachePruneStale: one sweep for the mutation of shard 0 that
+// produced generation 2 drops that shard's entries no proof covers —
+// complete tables behind it, lineage entries more than one generation
+// behind — counting each as an invalidation and a fallback, keeps
+// entries already exact at 2, and collects the lineage entry exactly
+// one generation behind for its upgrade without dropping it.
+func TestCachePruneStale(t *testing.T) {
 	c := NewCache(8)
-	putTable(c, "g2-a", 0, tableAt(2))
-	if dropped := c.PruneStale(0, 1); dropped != 0 {
-		t.Fatalf("PruneStale(1) dropped %d newer entries; want 0", dropped)
+	putTable(c, "all-1a", 0, tableAt(1))
+	putTable(c, "all-1b", 0, tableAt(1))
+	putPruned(c, "pruned-0", 0, tableAt(0))
+	one := putPruned(c, "pruned-1", 0, tableAt(1))
+	putTable(c, "all-2", 0, tableAt(2))
+	cands := c.sweep(0, 2)
+	if len(cands) != 1 || cands[0].e != one || cands[0].key != tkey("pruned-1", 0) {
+		t.Fatalf("sweep collected %+v; want only pruned-1", cands)
 	}
-	if _, ok := c.lookup("g2-a", false); !ok {
-		t.Fatal("newer-generation entry must survive a stale prune")
+	if c.Len() != 2 {
+		t.Fatalf("len = %d after the sweep; want 2 (all-2 and the collected pruned-1)", c.Len())
+	}
+	if _, ok := c.lookup(tkey("all-2", 0), at(2), false); !ok {
+		t.Fatal("an entry exact at the mutation's generation must survive the sweep")
+	}
+	if st := c.Stats(); st.Invalidations != 3 || st.DeltaFallbacks != 3 || st.DeltaApplied != 0 {
+		t.Fatalf("stats = %+v; want 3 invalidations, 3 fallbacks, 0 applied", st)
 	}
 
-	// The takeover window a delta upgrade opens: promote republishes an
-	// entry at the mutation's generation before the routing pass's own
-	// PruneStale (and any racing handler's) runs. A prune carrying the
-	// upgrade's generation — or any older one — must treat the upgraded
-	// entry as current, not stale.
-	c.promote("g2-a", "g3-a", &cacheEntry{shard: 0, table: tableAt(3)})
-	if dropped := c.PruneStale(0, 2); dropped != 0 {
-		t.Fatalf("PruneStale(2) dropped %d upgraded entries; want 0", dropped)
+	// The collected entry's upgrade fails: settle drops it, counted.
+	c.settle(cands[0], nil)
+	if _, ok := c.lru.Peek(tkey("pruned-1", 0)); ok {
+		t.Fatal("a failed upgrade must drop its entry")
 	}
-	if dropped := c.PruneStale(0, 3); dropped != 0 {
-		t.Fatalf("PruneStale(3) dropped %d entries at its own generation; want 0", dropped)
+	if st := c.Stats(); st.Invalidations != 4 || st.DeltaFallbacks != 4 {
+		t.Fatalf("stats = %+v; want 4 invalidations and fallbacks", st)
 	}
-	if _, ok := c.lookup("g3-a", false); !ok {
-		t.Fatal("delta-upgraded entry must survive prunes at or below its generation")
+}
+
+// TestCachePruneStaleKeepsNewer: a sweep never drops an entry at or
+// past its mutation's generation — maintenance of concurrent mutations
+// can run out of order — and a settle never overwrites an entry stored
+// under its key after the sweep read it.
+func TestCachePruneStaleKeepsNewer(t *testing.T) {
+	c := NewCache(8)
+	putTable(c, "all", 0, tableAt(3))
+	putPruned(c, "pruned", 0, tableAt(3))
+	if cands := c.sweep(0, 2); len(cands) != 0 || c.Len() != 2 {
+		t.Fatalf("sweep(0, 2) collected %d and left %d entries; want 0 and 2", len(cands), c.Len())
 	}
-	if _, ok := c.lookup("g2-a", false); ok {
-		t.Fatal("promote must retire the old key")
+
+	// A successful upgrade replaces the entry in place under its key.
+	cands := c.sweep(0, 4)
+	if len(cands) != 1 {
+		t.Fatalf("sweep(0, 4) collected %d; want the pruned table", len(cands))
 	}
-	if st := c.Stats(); st.DeltaApplied != 1 {
-		t.Fatalf("delta_applied = %d; want 1", st.DeltaApplied)
+	up := &cacheEntry{shard: 0, table: tableAt(4), lin: cands[0].e.lin}
+	c.settle(cands[0], up)
+	if e, ok := c.lookup(tkey("pruned", 0), at(4), false); !ok || e != up {
+		t.Fatal("an upgraded entry must serve the mutation's generation under its key")
+	}
+	if st := c.Stats(); st.DeltaApplied != 1 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v; want 1 applied, 1 invalidation (the complete table)", st)
+	}
+
+	// A fresh build stored between the sweep and the settle wins: the
+	// upgrade derived from the entry the sweep read is discarded, and so
+	// is a failure's drop.
+	cands = c.sweep(0, 5)
+	fresh := putPruned(c, "pruned", 0, tableAt(5))
+	c.settle(cands[0], &cacheEntry{shard: 0, table: tableAt(5), lin: fresh.lin})
+	c.settle(cands[0], nil)
+	if e, ok := c.lookup(tkey("pruned", 0), at(5), false); !ok || e != fresh {
+		t.Fatal("settle overwrote or dropped an entry the sweep did not read")
+	}
+	if st := c.Stats(); st.DeltaApplied != 1 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v; a settle that did not act must count nothing", st)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
 	putTable(c, "a", 0, tableAt(1))
-	if _, ok := c.lookup("a", false); ok {
+	if _, ok := c.lookup(tkey("a", 0), at(1), false); ok {
 		t.Fatal("capacity-0 cache must never hit")
 	}
 	if c.Len() != 0 {
@@ -134,21 +239,46 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheKeyDistinguishesInputs: every request input that shapes an
+// answer is part of its key, and identical requests share one.
 func TestCacheKeyDistinguishesInputs(t *testing.T) {
-	base := CacheKey(0, 1, "qh", measure.Default(), measure.Options{})
-	variants := []string{
-		CacheKey(0, 2, "qh", measure.Default(), measure.Options{}),
-		CacheKey(0, 1, "other", measure.Default(), measure.Options{}),
-		CacheKey(0, 1, "qh", []measure.Measure{measure.DistEd{}}, measure.Options{}),
-		CacheKey(0, 1, "qh", measure.Default(), measure.Options{GEDMaxNodes: 10}),
+	s, _ := newTestServer(t, Config{})
+	radius, other := 2.0, 3.0
+	q := dataset.PaperQuery()
+	key := func(kind string, req QueryRequest) cacheKey {
+		t.Helper()
+		if req.Graph == nil {
+			req.Graph = q
+		}
+		res, err := s.resolveQuery(kind, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.key
 	}
-	for i, v := range variants {
-		if v == base {
-			t.Errorf("variant %d collides with base key %s", i, base)
+	otherGraph := graph.New("other")
+	otherGraph.AddVertex("C")
+	keys := []cacheKey{
+		key("skyline", QueryRequest{}),
+		key("skyline", QueryRequest{All: true}),
+		key("skyline", QueryRequest{Graph: otherGraph}),
+		key("skyline", QueryRequest{Basis: []string{"DistEd"}}),
+		key("skyline", QueryRequest{Eval: &measure.Options{GEDMaxNodes: 10}}),
+		key("topk", QueryRequest{K: 3}),
+		key("topk", QueryRequest{K: 4}),
+		key("topk", QueryRequest{K: 3, Measure: "DistGu"}),
+		key("range", QueryRequest{Radius: &radius}),
+		key("range", QueryRequest{Radius: &other}),
+	}
+	for i := range keys {
+		for j := i + 1; j < len(keys); j++ {
+			if keys[i] == keys[j] {
+				t.Errorf("keys %d and %d collide: %+v", i, j, keys[i])
+			}
 		}
 	}
-	if again := CacheKey(0, 1, "qh", measure.Default(), measure.Options{}); again != base {
-		t.Errorf("key is not stable: %s vs %s", base, again)
+	if again := key("skyline", QueryRequest{}); again != keys[0] {
+		t.Errorf("key is not stable: %+v vs %+v", keys[0], again)
 	}
 }
 
@@ -162,72 +292,38 @@ func TestCacheManyEntriesBounded(t *testing.T) {
 	}
 }
 
+// TestCachePruneStaleIsPerShard: a sweep for one shard leaves the other
+// shards' tables alone however old they are, and judges a ranked answer
+// by its generation on the mutated shard only.
 func TestCachePruneStaleIsPerShard(t *testing.T) {
-	// Entries of other shards survive a prune no matter how old their
-	// generation is — that is the point of per-shard invalidation.
 	c := NewCache(8)
 	putTable(c, "s0-old", 0, tableAt(1))
 	putTable(c, "s1-old", 1, tableAt(1))
-	if dropped := c.PruneStale(0, 5); dropped != 1 {
-		t.Fatalf("PruneStale(0, 5) dropped %d; want 1", dropped)
+	rk := cacheKey{path: "range", shard: -1, qh: "q", measures: "DistEd", arg: 1}
+	c.put(rk, &cacheEntry{shard: -1, gens: []uint64{1, 5}, ranked: &rankedEntry{}})
+	if cands := c.sweep(1, 5); len(cands) != 0 || c.Len() != 2 {
+		t.Fatalf("sweep(1, 5) collected %d, left %d entries; want 0 and 2", len(cands), c.Len())
 	}
-	if _, ok := c.lookup("s1-old", false); !ok {
-		t.Fatal("shard 1 entry must survive a shard 0 prune")
+	if _, ok := c.lru.Peek(tkey("s0-old", 0)); !ok {
+		t.Fatal("shard 0 entry must survive a shard 1 sweep")
 	}
-	if _, ok := c.lookup("s0-old", false); ok {
-		t.Fatal("shard 0 entry must be pruned")
+	if _, ok := c.lru.Peek(tkey("s1-old", 1)); ok {
+		t.Fatal("shard 1 entry must be dropped")
+	}
+	if _, ok := c.lru.Peek(rk); !ok {
+		t.Fatal("a ranked answer exact at the sweep's generation on its shard must survive")
 	}
 }
 
+// TestCacheKeyDistinguishesShards: one request's tables on different
+// shards are different entries.
 func TestCacheKeyDistinguishesShards(t *testing.T) {
-	a := CacheKey(0, 1, "qh", measure.Default(), measure.Options{})
-	b := CacheKey(1, 1, "qh", measure.Default(), measure.Options{})
-	if a == b {
-		t.Fatalf("shard 0 and shard 1 keys collide: %s", a)
+	c := NewCache(4)
+	putTable(c, "q", 0, tableAt(1))
+	if _, ok := c.lookup(tkey("q", 1), []uint64{1, 1}, false); ok {
+		t.Fatal("shard 1 lookup returned shard 0's table")
 	}
-}
-
-// TestCacheKeyFormat pins the rendering of both key namespaces byte for
-// byte: keys are compared, never parsed, so a format change would
-// silently split or merge cache entries.
-func TestCacheKeyFormat(t *testing.T) {
-	cases := []struct{ got, want string }{
-		{CacheKey(0, 1, "qh", measure.Default(), measure.Options{}),
-			"s0|g1|qqh|bDistEd,DistMcs,DistGu|ged=0,mcs=0"},
-		{CacheKey(12, 18446744073709551615, "abc", []measure.Measure{measure.DistEd{}}, measure.Options{GEDMaxNodes: 10, MCSMaxNodes: -1}),
-			"s12|g18446744073709551615|qabc|bDistEd|ged=10,mcs=-1"},
-		{CacheKey(3, 0, "", nil, measure.Options{}),
-			"s3|g0|q|b|ged=0,mcs=0"},
-		{prunedKey(CacheKey(1, 7, "h", []measure.Measure{measure.DistGu{}, measure.DistDegree{}}, measure.Options{MCSMaxNodes: 99})),
-			"s1|g7|qh|bDistGu,DistDegree|ged=0,mcs=99|pruned"},
-		{RankedKey("topk", []uint64{3, 0, 17}, "qh", measure.DistEd{}, 5, measure.Options{}),
-			"r|topk|g3,0,17|qqh|mDistEd|a5|ged=0,mcs=0"},
-		{RankedKey("range", []uint64{1}, "h", measure.DistGu{}, 0.25, measure.Options{GEDMaxNodes: 100}),
-			"r|range|g1|qh|mDistGu|a0.25|ged=100,mcs=0"},
-		{RankedKey("range", nil, "h", measure.DistMcs{}, 1e21, measure.Options{}),
-			"r|range|g|qh|mDistMcs|a1e+21|ged=0,mcs=0"},
-		{RankedKey("range", []uint64{2, 2}, "h", measure.DistNEd{}, 1.0/3, measure.Options{}),
-			"r|range|g2,2|qh|mDistNEd|a0.3333333333333333|ged=0,mcs=0"},
-	}
-	for i, tc := range cases {
-		if tc.got != tc.want {
-			t.Errorf("case %d: key %q, want %q", i, tc.got, tc.want)
-		}
-	}
-	if got := (measure.Options{GEDMaxNodes: 4, MCSMaxNodes: 5}).Key(); got != "ged=4,mcs=5" {
-		t.Errorf("Options.Key = %q", got)
-	}
-}
-
-// BenchmarkCacheKeys renders the keys one delta promotion builds: a
-// table key and a ranked key over three shards.
-func BenchmarkCacheKeys(b *testing.B) {
-	basis := measure.Default()
-	gens := []uint64{1041, 998, 1017}
-	qh := "c1f0e2d94b7a3c5e8f6a1b2c3d4e5f60"
-	b.ReportAllocs()
-	for b.Loop() {
-		CacheKey(1, 1042, qh, basis, measure.Options{})
-		RankedKey("topk", gens, qh, measure.DistEd{}, 10, measure.Options{})
+	if _, ok := c.lookup(tkey("q", 0), []uint64{1, 1}, false); !ok {
+		t.Fatal("shard 0 lookup missed its own table")
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sort"
 
 	"skygraph/internal/gdb"
@@ -11,8 +12,11 @@ import (
 
 // Delta maintenance: instead of discarding every cached table and
 // ranked answer of a mutated shard, a mutation routes its delta to the
-// entries it touches and upgrades them in place — generation-advancing
-// rather than generation-keyed discard. The provability conditions:
+// entries it touches and upgrades them in place: the entry stays under
+// its key and advances the generation it records. One cache pass
+// (Cache.sweep) per mutation drops what no proof covers and collects the
+// rest; each upgrade then runs outside the cache lock and is settled
+// under the same key (Cache.settle). The provability conditions:
 //
 //   - Only lineage-carrying entries qualify: every pruned table and
 //     every merged ranked answer. A complete table ("all") carries none:
@@ -51,10 +55,10 @@ import (
 //     requires the victim NOT to be in the answer (the (k+1)-th item
 //     was never stored).
 //
-// Every condition that fails falls back to invalidation, via the
-// PruneStale call that ends each routing pass — which also guarantees
-// no stale entry survives a mutation whether or not it was upgradable.
-// Counted as delta_applied / delta_fallbacks in CacheStats.
+// Every condition that fails falls back to invalidation: the entry is
+// dropped, by the sweep or by its settle, so no entry behind the
+// mutation survives it whether or not it was upgradable. Counted as
+// delta_applied / delta_fallbacks in CacheStats.
 //
 // Byte-identity: a spliced table row goes through the cold build's own
 // per-pair path (DeltaRow); the served skyline is re-derived from the
@@ -77,38 +81,35 @@ func (s *Server) deltaDelete(name string, shard int, gen uint64) {
 	s.maintain(shard, gen, nil, name)
 }
 
-// maintain upgrades every provably patchable cache entry across the
-// mutation (shard, gen), then prunes whatever remains stale — the
-// fallback-to-invalidation path for everything the proofs do not
-// cover. Exactly one of inserted / deleted is set.
+// maintain settles the cache across the mutation (shard, gen): one
+// sweep drops what no proof covers, then every collected entry is
+// upgraded in place or, when its proof fails, dropped. Exactly one of
+// inserted / deleted is set.
 func (s *Server) maintain(shard int, gen uint64, inserted *graph.Graph, deleted string) {
-	for _, cand := range s.cache.deltaCandidates(shard, gen) {
-		if cand.e.shard >= 0 {
-			s.upgradeTable(cand, shard, gen, inserted, deleted)
+	for _, cand := range s.cache.sweep(shard, gen) {
+		var next *cacheEntry
+		if cand.e.ranked == nil {
+			next = s.upgradeTable(cand.e, shard, gen, inserted, deleted)
 		} else {
-			s.upgradeRanked(cand, shard, gen, inserted, deleted)
+			next = s.upgradeRanked(cand.e, shard, gen, inserted, deleted)
 		}
+		s.cache.settle(cand, next)
 	}
-	s.cache.PruneStale(shard, gen)
 }
 
-// upgradeTable patches one cached pruned table across the mutation and
-// republishes it under the advanced generation's pruned key. Returning
-// without promoting leaves the entry for PruneStale (a counted
-// fallback).
-func (s *Server) upgradeTable(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) {
-	t, lin := cand.e.table, cand.e.lin
+// upgradeTable derives cached pruned table e's successor across the
+// mutation, or returns nil when no proof holds.
+func (s *Server) upgradeTable(e *cacheEntry, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
 	var nt *gdb.VectorTable
 	if inserted != nil {
-		nt = s.tableInsert(t, lin, shard, gen, inserted.Name())
+		nt = s.tableInsert(e.table, e.lin, shard, gen, inserted.Name())
 	} else {
-		nt = tableDelete(t, gen, deleted)
+		nt = tableDelete(e.table, gen, deleted)
 	}
 	if nt == nil {
-		return
+		return nil
 	}
-	newKey := prunedKey(CacheKey(shard, gen, lin.qh, lin.basis, lin.eval))
-	s.cache.promote(cand.key, newKey, &cacheEntry{shard: shard, table: nt, lin: lin})
+	return &cacheEntry{shard: shard, table: nt, lin: e.lin}
 }
 
 // tableInsert derives pruned table t's successor across the insert of
@@ -168,16 +169,17 @@ func dominated(rows []skyline.Point, v []float64) bool {
 	return false
 }
 
-// upgradeRanked patches one cached merged ranked answer across the
-// mutation. An insert whose bound already exceeds a full top-k answer's
-// k-th score, or a range answer's radius, leaves the answer unchanged
-// without an engine run. Other top-k inserts splice into topk.Select's
-// deterministic ascending (score, ID) order against the stored k-th
-// threshold; range inserts append on a single membership test (a new
-// graph is last in insertion order); deletes remove the victim (range)
-// or prove the answer unchanged (top-k, victim absent).
-func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) {
-	r := cand.e.ranked
+// upgradeRanked derives cached merged ranked answer e's successor
+// across the mutation, or returns nil when no proof holds. An insert
+// whose bound already exceeds a full top-k answer's k-th score, or a
+// range answer's radius, leaves the answer unchanged without an engine
+// run. Other top-k inserts splice into topk.Select's deterministic
+// ascending (score, ID) order against the stored k-th threshold; range
+// inserts append on a single membership test (a new graph is last in
+// insertion order); deletes remove the victim (range) or prove the
+// answer unchanged (top-k, victim absent).
+func (s *Server) upgradeRanked(e *cacheEntry, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
+	r := e.ranked
 	lin := r.lin
 	items, inexact := r.items, r.inexact
 	if inserted != nil {
@@ -185,20 +187,19 @@ func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inser
 		db := s.db.Shard(shard)
 		bs, got, ok := db.DeltaBound(name, lin.qsig)
 		if !ok || got != gen {
-			return
+			return nil
 		}
 		// Every measure a request can name is Rankable, so lo floors the
 		// score DeltaScore would report.
 		lo, _ := bs.Interval(lin.m)
 		full := lin.kind == "topk" && len(items) >= int(lin.arg)
 		if full && items[len(items)-1].Score < lo || lin.kind == "range" && lin.arg < lo {
-			s.promoteRanked(cand, shard, gen, items, inexact)
-			return
+			return advanceRanked(e, shard, gen, items, inexact)
 		}
 		opts := gdb.QueryOptions{Eval: lin.eval, QueryHash: lin.qh}
 		score, inex, got, ok := db.DeltaScore(name, lin.q, lin.qsig, lin.m, opts)
 		if !ok || got != gen {
-			return
+			return nil
 		}
 		if lin.kind == "topk" {
 			k := int(lin.arg)
@@ -242,7 +243,7 @@ func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inser
 				// The victim was in the answer (or the answer held every
 				// graph, where it must have been): the (k+1)-th item was
 				// never stored, so the successor answer is not derivable.
-				return
+				return nil
 			}
 		} else if idx >= 0 {
 			next := make([]topk.Item, 0, len(items)-1)
@@ -251,20 +252,19 @@ func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inser
 			items = next
 		}
 	}
-	s.promoteRanked(cand, shard, gen, items, inexact)
+	return advanceRanked(e, shard, gen, items, inexact)
 }
 
-// promoteRanked republishes a ranked answer, upgraded to items across
-// the mutation (shard, gen), under its advanced RankedKey.
-func (s *Server) promoteRanked(cand deltaCandidate, shard int, gen uint64, items []topk.Item, inexact int) {
-	r := cand.e.ranked
-	gens := make([]uint64, len(cand.e.gens))
-	copy(gens, cand.e.gens)
+// advanceRanked returns ranked answer e upgraded to items across the
+// mutation (shard, gen): exact at gen on shard, at e's generations
+// elsewhere.
+func advanceRanked(e *cacheEntry, shard int, gen uint64, items []topk.Item, inexact int) *cacheEntry {
+	r := e.ranked
+	gens := slices.Clone(e.gens)
 	gens[shard] = gen
-	newKey := RankedKey(r.lin.kind, gens, r.lin.qh, r.lin.m, r.lin.arg, r.lin.eval)
-	s.cache.promote(cand.key, newKey, &cacheEntry{
+	return &cacheEntry{
 		shard:  -1,
 		gens:   gens,
 		ranked: &rankedEntry{items: items, inexact: inexact, deltas: r.deltas + 1, lin: r.lin},
-	})
+	}
 }

@@ -179,7 +179,7 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 // complete tables that have absorbed at least one mutation in place
 // (complete tables carry no lineage, so the last must stay 0).
 func patchedEntries(c *Cache) (pruned, ranked, complete int) {
-	c.lru.PruneFunc(func(_ string, e *cacheEntry) bool {
+	c.lru.PruneFunc(func(_ cacheKey, e *cacheEntry) bool {
 		switch {
 		case e.ranked != nil && e.ranked.deltas > 0:
 			ranked++
@@ -212,7 +212,7 @@ func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []sk
 		t.Fatal(err)
 	}
 	gen := db.ShardGeneration(0)
-	s.cache.put(prunedKey(CacheKey(0, gen, res.qh, res.basis, res.opts.Eval)), &cacheEntry{
+	s.cache.put(tableKey0(res), &cacheEntry{
 		shard: 0,
 		table: &gdb.VectorTable{Generation: gen, Basis: res.basis, Points: rows, Inexact: inexact},
 		lin:   &tableLineage{q: res.q, qsig: res.qsig, qh: res.qh, basis: res.basis, eval: res.opts.Eval},
@@ -242,9 +242,16 @@ func (f *prunedFixture) delete(t *testing.T, name string) uint64 {
 	return ack.Gen
 }
 
+// tableKey0 is the key of res's table on shard 0.
+func tableKey0(res resolved) cacheKey {
+	key := res.key
+	key.shard = 0
+	return key
+}
+
 // table returns the pruned table cached at gen, or nil.
 func (f *prunedFixture) table(gen uint64) *gdb.VectorTable {
-	e, ok := f.s.cache.lookup(prunedKey(CacheKey(0, gen, f.res.qh, f.res.basis, f.res.opts.Eval)), true)
+	e, ok := f.s.cache.lookup(tableKey0(f.res), []uint64{gen}, true)
 	if !ok {
 		return nil
 	}
@@ -486,7 +493,7 @@ func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
 // a stream of inserts and deletes. Every answer must be the reference
 // skyline of a state the database passed through while the request was
 // in flight, and the final answers must match the final state. Run it
-// under -race: readers share the tables the maintenance pass promotes.
+// under -race: readers share the tables the maintenance pass upgrades.
 func TestPrunedDeltaUnderConcurrentReads(t *testing.T) {
 	base := testutil.SeededGraphs(541, 16)
 	pool := testutil.SeededGraphs(542, 6)

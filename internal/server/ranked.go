@@ -13,10 +13,10 @@ import (
 // TopKQuery / RangeQuery — the best-first bound-index scan of
 // gdb/ranked.go over every shard against ONE cross-shard threshold —
 // and never read a table: a cached table, complete or pruned, answers
-// skyline requests only. The merged answer is cached under its own
-// RankedKey namespace; it never populates, shadows, or satisfies a table
-// key. What a ranked scan can still reuse is the score memo, which table
-// builds fill.
+// skyline requests only. The merged answer is cached under its own key
+// path ("topk" or "range"); it never populates, shadows, or satisfies a
+// table key. What a ranked scan can still reuse is the score memo, which
+// table builds fill.
 
 // rankedAnswer is the outcome of one ranked evaluation, plus what it
 // cost.
@@ -41,13 +41,9 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, req *Que
 	gens := s.db.Generations()
 	// arg is the scalar the answer depends on: k for top-k, the radius
 	// for range.
-	arg := float64(req.K)
-	if kind == "range" {
-		arg = *req.Radius
-	}
-	key := RankedKey(kind, gens, res.qh, res.m, arg, res.opts.Eval)
+	arg := res.key.arg
 	var fresh rankedAnswer // filled only when this request leads
-	e, hit, err := s.coalesce(ctx, key, func() (*cacheEntry, string, error) {
+	e, hit, err := s.coalesce(ctx, res.key, gens, func() (*cacheEntry, bool, error) {
 		opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace, QueryHash: res.qh}
 		var r gdb.TopKResult
 		var err error
@@ -57,7 +53,7 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, req *Que
 			r, err = s.db.RangeQuery(ctx, res.q, res.m, arg, opts)
 		}
 		if err != nil {
-			return nil, "", err
+			return nil, false, err
 		}
 		fresh = rankedAnswer{items: r.Items, inexact: r.Stats.Inexact, work: r.Stats.Work}
 		s.work.add(fresh.work)
@@ -71,11 +67,8 @@ func (s *Server) ranked(ctx context.Context, kind string, res resolved, req *Que
 		}}
 		// Cache only when no mutation raced the evaluation: generations
 		// are monotone, so unchanged before/after means every snapshot
-		// the scan used matches the keyed generations.
-		if !slices.Equal(gens, s.db.Generations()) {
-			return e, "", nil
-		}
-		return e, key, nil
+		// the scan used matches the recorded generations.
+		return e, slices.Equal(gens, s.db.Generations()), nil
 	})
 	if err != nil {
 		return rankedAnswer{}, err

@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,10 +97,10 @@ type Server struct {
 	slowW  io.Writer
 
 	flightMu sync.Mutex
-	flight   map[string]*flightCall
+	flight   map[cacheKey]*flightCall
 
 	idemMu sync.Mutex
-	idem   *lru.Cache[idemRecord]
+	idem   *lru.Cache[string, idemRecord]
 	// idemProg tracks, per insert key, the names proven applied under
 	// that key — noted live as each graph commits and seeded from the
 	// WAL's recovered keys at startup. It is the evidence that lets a
@@ -107,7 +108,7 @@ type Server struct {
 	// partially applied multi-graph insert) without ever masking a
 	// genuine name conflict. Values are copy-on-write: readers get a
 	// snapshot map that is never mutated.
-	idemProg *lru.Cache[map[string]bool]
+	idemProg *lru.Cache[string, map[string]bool]
 
 	inflightQ       atomic.Int64
 	queries         atomic.Uint64
@@ -151,13 +152,13 @@ func New(db *gdb.Sharded, cfg Config) *Server {
 		cfg:    cfg,
 		start:  time.Now(),
 		slowW:  cfg.SlowQueryLog,
-		flight: make(map[string]*flightCall),
+		flight: make(map[cacheKey]*flightCall),
 	}
 	if s.slowW == nil {
 		s.slowW = os.Stderr
 	}
-	s.idem = lru.New[idemRecord](idemCapacity)
-	s.idemProg = lru.New[map[string]bool](idemCapacity)
+	s.idem = lru.New[string, idemRecord](idemCapacity)
+	s.idemProg = lru.New[string, map[string]bool](idemCapacity)
 	s.seedIdempotency()
 	s.health = newHealth(cfg.Durable, cfg.DegradeAfter, cfg.ProbeEvery)
 	s.met = newMetrics(s)
@@ -363,11 +364,12 @@ type resolved struct {
 	alg   skyline.Algorithm
 	opts  gdb.QueryOptions
 	// prune selects the pruned table build: a skyline request that does
-	// not ask for the full table (all). Pruned tables are cached under
-	// their own key namespace (prunedKey), complete ones under CacheKey,
-	// and each request reads only its own; top-k and range requests read
-	// no table at all.
+	// not ask for the full table (all). Pruned and complete tables are
+	// cached under their own key paths and each request reads only its
+	// own; top-k and range requests read no table at all.
 	prune bool
+	// key is the request's cache key; a table lookup sets its shard.
+	key cacheKey
 }
 
 // resolveQuery validates a request of the given kind ("skyline", "topk"
@@ -435,6 +437,19 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	// hash rides along so the score memo never re-canonicalizes.
 	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
 	res.prune = kind == "skyline" && !req.All
+	res.key = cacheKey{path: kind, shard: -1, qh: res.qh, eval: res.opts.Eval}
+	switch kind {
+	case "skyline":
+		res.key.path = "all"
+		if res.prune {
+			res.key.path = "pruned"
+		}
+		res.key.measures = strings.Join(measure.BasisNames(basis), ",")
+	case "topk":
+		res.key.measures, res.key.arg = res.m.Name(), float64(req.K)
+	case "range":
+		res.key.measures, res.key.arg = res.m.Name(), *req.Radius
+	}
 	// Every query is traced — the per-pair bookkeeping is noise next to
 	// engine work, and the cascade-stage metrics want the numbers whether
 	// or not the client asked to see them.
@@ -527,18 +542,20 @@ type flightCall struct {
 }
 
 // coalesce is the one cache → flight → build loop behind every cached
-// answer, shard tables and merged ranked answers alike. It serves the
-// entry under key from the cache when it can. Otherwise concurrent
-// identical requests coalesce on one flight leader, which re-checks the
-// cache, runs build and publishes the entry under the key build returns
-// ("" = do not cache). Followers report a hit: they caused no
-// evaluation. A follower whose leader fails — e.g. the leader's own
-// shorter timeout fired — retries under its own deadline instead of
-// inheriting the failure.
-func (s *Server) coalesce(ctx context.Context, key string, build func() (*cacheEntry, string, error)) (e *cacheEntry, hit bool, err error) {
+// answer, shard tables and merged ranked answers alike, for a request
+// that read generations gens. It serves the entry under key from the
+// cache when it is servable at gens. Otherwise concurrent identical
+// requests coalesce on one flight leader, which re-checks the cache,
+// runs build and publishes the entry under key when build says to
+// store it. Followers report a hit: they caused no evaluation. A
+// follower takes the leader's entry only when it too is servable at
+// the follower's gens; one whose leader built at another generation, or
+// failed — e.g. the leader's own shorter timeout fired — retries under
+// its own deadline instead.
+func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, build func() (*cacheEntry, bool, error)) (e *cacheEntry, hit bool, err error) {
 	var c *flightCall
 	for {
-		if e, ok := s.cache.lookup(key, false); ok {
+		if e, ok := s.cache.lookup(key, gens, false); ok {
 			return e, true, nil
 		}
 		s.flightMu.Lock()
@@ -552,10 +569,11 @@ func (s *Server) coalesce(ctx context.Context, key string, build func() (*cacheE
 		s.flightMu.Unlock()
 		select {
 		case <-leader.done:
-			if leader.err == nil {
+			if leader.err == nil && servable(leader.e, gens) {
 				return leader.e, true, nil
 			}
-			// The leader failed for its own reasons; try again ourselves.
+			// The leader failed for its own reasons, or answered another
+			// generation; try again ourselves.
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
@@ -571,15 +589,15 @@ func (s *Server) coalesce(ctx context.Context, key string, build func() (*cacheE
 	// A previous leader may have published between our miss and the
 	// takeover; its flight removal follows its put, so re-checking here
 	// closes the window. The re-check is quiet: the miss was counted.
-	if e, ok := s.cache.lookup(key, true); ok {
+	if e, ok := s.cache.lookup(key, gens, true); ok {
 		return e, true, nil
 	}
-	e, putKey, err := build()
+	e, store, err := build()
 	if err != nil {
 		return nil, false, err
 	}
-	if putKey != "" {
-		s.cache.put(putKey, e)
+	if store {
+		s.cache.put(key, e)
 	}
 	return e, false, nil
 }
@@ -610,6 +628,7 @@ func (ts tableSet) inexact() int {
 func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	n := s.db.NumShards()
 	out := tableSet{tables: make([]*gdb.VectorTable, n)}
+	gens := s.db.Generations()
 	// Spread GOMAXPROCS over the shards that will actually evaluate, not
 	// the shard count: after a single-shard invalidation the lone
 	// rebuilding shard gets the whole machine instead of 1/Nth of it. The
@@ -617,8 +636,9 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	// parallelism, never correctness — so a surprise rebuild (0 predicted
 	// misses) runs at full width.
 	cold := 0
-	for i := 0; i < n; i++ {
-		if !s.cache.contains(s.tableKey(i, s.db.ShardGeneration(i), res)) {
+	key := res.key
+	for key.shard = 0; key.shard < n; key.shard++ {
+		if !s.cache.peek(key, gens) {
 			cold++
 		}
 	}
@@ -634,7 +654,7 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t, hit, err := s.shardTable(ctx, i, res)
+			t, hit, err := s.shardTable(ctx, i, gens, res)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -660,43 +680,30 @@ func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
 	return out, nil
 }
 
-// tableKey renders the key of shard's table for the query at
-// generation gen: the pruned namespace for a pruned build, the complete
-// one for an "all" request. A planning peek (tables) and a lookup
-// (shardTable) use the same key, so each request reads only what its
-// own path builds.
-func (s *Server) tableKey(shard int, gen uint64, res resolved) string {
-	key := CacheKey(shard, gen, res.qh, res.basis, res.opts.Eval)
-	if res.prune {
-		key = prunedKey(key)
-	}
-	return key
-}
-
-// shardTable returns one shard's table for a resolved query through
-// coalesce.
-func (s *Server) shardTable(ctx context.Context, shard int, res resolved) (*gdb.VectorTable, bool, error) {
-	key := s.tableKey(shard, s.db.ShardGeneration(shard), res)
-	e, hit, err := s.coalesce(ctx, key, func() (*cacheEntry, string, error) {
+// shardTable returns one shard's table for a resolved query that read
+// generations gens, through coalesce.
+func (s *Server) shardTable(ctx context.Context, shard int, gens []uint64, res resolved) (*gdb.VectorTable, bool, error) {
+	key := res.key
+	key.shard = shard
+	e, hit, err := s.coalesce(ctx, key, gens, func() (*cacheEntry, bool, error) {
 		opts := res.opts
 		opts.Prune = res.prune
 		t, err := s.db.Shard(shard).VectorTable(ctx, res.q, opts)
 		if err != nil {
-			return nil, "", err
+			return nil, false, err
 		}
 		s.work.add(t.Work)
-		// The snapshot generation is authoritative: if the shard changed
-		// between the key computation and the snapshot, rekey so the entry
-		// stays reachable exactly as long as it is valid. A pruned table
-		// carries its maintenance lineage, so a later mutation of this
-		// shard can upgrade it in place (delta.go) instead of invalidating
-		// it; a complete table carries none, and the next mutation of its
-		// shard drops it.
+		// The table records the generation of the snapshot it was built
+		// from, whatever the request read, so storing it is always
+		// sound. A pruned table carries its maintenance lineage, so a
+		// later mutation of this shard can upgrade it in place (delta.go)
+		// instead of invalidating it; a complete table carries none, and
+		// the next mutation of its shard drops it.
 		e := &cacheEntry{shard: shard, table: t}
 		if res.prune {
 			e.lin = &tableLineage{q: res.q, qsig: res.qsig, qh: res.qh, basis: res.basis, eval: res.opts.Eval}
 		}
-		return e, s.tableKey(shard, t.Generation, res), nil
+		return e, true, nil
 	})
 	if err != nil {
 		return nil, false, err

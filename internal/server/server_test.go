@@ -465,7 +465,7 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	// failingLeader registers a leader for key that fails on its own
 	// deadline: in the flight map, then (as the real leader does) removed
 	// before done is closed with an error set.
-	failingLeader := func(key string) {
+	failingLeader := func(key cacheKey) {
 		c := &flightCall{done: make(chan struct{}), err: context.DeadlineExceeded}
 		s.flightMu.Lock()
 		s.flight[key] = c
@@ -483,8 +483,8 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failingLeader(prunedKey(CacheKey(0, s.db.ShardGeneration(0), res.qh, res.basis, res.opts.Eval)))
-	tab, hit, err := s.shardTable(context.Background(), 0, res)
+	failingLeader(tableKey0(res))
+	tab, hit, err := s.shardTable(context.Background(), 0, s.db.Generations(), res)
 	if err != nil {
 		t.Fatalf("table follower inherited the leader's failure: %v", err)
 	}
@@ -499,7 +499,7 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	if res, err = s.resolveQuery("topk", req); err != nil {
 		t.Fatal(err)
 	}
-	failingLeader(RankedKey("topk", s.db.Generations(), res.qh, res.m, 3, res.opts.Eval))
+	failingLeader(res.key)
 	ra, err := s.ranked(context.Background(), "topk", res, req)
 	if err != nil {
 		t.Fatalf("ranked follower inherited the leader's failure: %v", err)
