@@ -5,10 +5,11 @@
 // build pruned per-shard tables (complete ones when "all" is set) and
 // merge them with the divide-and-conquer skyline
 // combiner; top-k and range queries run one best-first scan across the
-// shards against a shared threshold. An LRU cache of per-shard tables
-// and merged ranked answers sits in front of the GED/MCS
-// pair-evaluation hot path and is delta-maintained across mutations,
-// so a mutation touches only its own shard's entries.
+// shards against a shared threshold. An LRU cache of whole answers —
+// every shard's tables for a skyline, the merged items for top-k and
+// range — sits in front of the GED/MCS pair-evaluation hot path and is
+// delta-maintained across mutations: an upgrade replaces only the
+// mutated shard's part of an answer.
 // -pivots attaches a background-maintained metric pivot index per
 // shard (triangle-inequality GED bounds for the filter tiers); -memo
 // adds the cross-query exact-score memo that survives mutations the
@@ -30,9 +31,9 @@
 //	POST   /query/batch     many queries, one request and time budget
 //	POST   /cache/warm      prebuild the skyline tables of given queries
 //	GET    /graphs          list graph names
-//	POST   /graphs          insert graph(s), maintaining owning shards' cache
+//	POST   /graphs          insert graph(s), maintaining the cached answers
 //	GET    /graphs/{name}   fetch one graph as JSON
-//	DELETE /graphs/{name}   delete a graph, maintaining its shard's cache
+//	DELETE /graphs/{name}   delete a graph, maintaining the cached answers
 //	GET    /stats           database, shard, cache and request counters
 //	GET    /metrics         Prometheus text exposition (format 0.0.4)
 //	GET    /healthz         liveness probe
@@ -122,7 +123,7 @@ func main() {
 	addr := flag.String("addr", ":8091", "listen address")
 	dbPath := flag.String("db", "", "database LGF file (empty = start with an empty database)")
 	shards := flag.Int("shards", 1, "storage/evaluation shards (graphs are hash-routed by name)")
-	cacheSize := flag.Int("cache", 128, "vector-table cache capacity (entries, one per shard per query; 0 disables)")
+	cacheSize := flag.Int("cache", 128, "vector-table cache capacity (entries, one per query; 0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "hard cap on request-supplied timeouts (0 = none)")
 	maxBatch := flag.Int("max-batch", 0, "max queries per /query/batch request (0 = default)")

@@ -15,12 +15,11 @@ import (
 // database — the reference every delta patch must reproduce row for row.
 func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable {
 	t.Helper()
-	db := testutil.NewSharded(t, 1, gs)
-	tab, err := db.Shard(0).VectorTable(context.Background(), q, gdb.QueryOptions{})
+	tables, err := testutil.NewSharded(t, 1, gs).VectorTables(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tab
+	return tables[0]
 }
 
 // TestDeltaPatchedTableMatchesCold: a table carried across an insert by
@@ -31,10 +30,11 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 12)
 	q := testutil.SeededQueries(131, gs, 1)[0]
 	db := testutil.NewSharded(t, 1, gs)
-	t0, err := db.Shard(0).VectorTable(context.Background(), q, gdb.QueryOptions{})
+	tables, err := db.VectorTables(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t0 := tables[0]
 
 	late := testutil.SeededGraphs(231, 1)[0]
 	late.SetName("late")

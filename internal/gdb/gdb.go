@@ -23,10 +23,11 @@ import (
 // uniquely named graphs with a per-graph signature index (label
 // histograms, degree sequence, sizes) maintained on insert, plus the
 // per-shard evaluation primitives the query layers are built from —
-// VectorTable, the ranked scan and DeltaBound / DeltaRow / DeltaScore. It
-// is not a query or mutation surface: graphs come and go through the
-// owning Sharded (which keeps the global insertion order), and queries
-// are Sharded's, or the serving layer's over the primitives above.
+// the table build, the ranked scan and DeltaBound / DeltaRow /
+// DeltaScore. It is not a query or mutation surface: graphs come and go
+// through the owning Sharded (which keeps the global insertion order),
+// and queries are Sharded's, or the serving layer's over the primitives
+// above.
 type DB struct {
 	mu     sync.RWMutex
 	names  []string // insertion order

@@ -20,8 +20,8 @@ import (
 // It partitions the collection across N independent DB shards by a
 // stable hash of the graph name (N = 1 is the plain, unpartitioned
 // database). Each shard keeps its own storage, signature index and
-// generation counter, so a mutation invalidates only its own shard's
-// cached vector tables. Queries evaluate per shard in parallel and
+// generation counter, so a mutation touches only its own shard's part
+// of a cached answer. Queries evaluate per shard in parallel and
 // merge: the skyline of a union is the skyline of the per-partition
 // skylines (the divide-and-conquer identity), while top-k and range
 // scan every shard against one shared threshold. Answers are identical
@@ -335,14 +335,10 @@ func shardWorkers(w, n int) int {
 // VectorTables evaluates q against every shard concurrently, returning
 // one VectorTable per shard (indexed by shard). opts.Workers is the
 // pair-evaluation parallelism per shard; 0 spreads GOMAXPROCS across
-// the shards. The first shard error aborts the whole evaluation.
-//
-// This is the library-level entry point (every shard evaluates, so the
-// flat worker spread is right). The serving layer instead fetches shard
-// tables individually through its cache and sizes workers by the
-// shards actually evaluating — if you change evaluation semantics
-// here, check Server.tables keeps matching; the equivalence harness
-// covers both paths.
+// the shards. The first shard error aborts the whole evaluation. It is
+// the one table build: SkylineQuery and the serving layer's cached
+// skyline answers both run it. Each table records the generation of the
+// shard snapshot it read.
 //
 // opts.Prune applies per shard: each shard filters against its own
 // candidates only, so sharded pruning is (at worst) less aggressive
@@ -361,7 +357,7 @@ func (sh *Sharded) VectorTables(ctx context.Context, q *graph.Graph, opts QueryO
 		wg.Add(1)
 		go func(i int, db *DB) {
 			defer wg.Done()
-			tables[i], errs[i] = db.VectorTable(ctx, q, opts)
+			tables[i], errs[i] = db.vectorTable(ctx, q, opts)
 		}(i, db)
 	}
 	wg.Wait()

@@ -205,7 +205,7 @@ func TestEngineSurfacePinned(t *testing.T) {
 	}
 	wantDB := []string{
 		"DeltaBound", "DeltaRow", "DeltaScore", "Generation", "Get", "Len", "Memo",
-		"PivotIndex", "VectorIndex", "VectorTable",
+		"PivotIndex", "VectorIndex",
 	}
 	sort.Strings(wantSharded)
 	if got := exportedMethods(&gdb.Sharded{}); !reflect.DeepEqual(got, wantSharded) {

@@ -71,11 +71,12 @@ func (db *DB) snapshot() snap {
 	return sn
 }
 
-// VectorTable evaluates the GCS vector of database graphs against q in
-// parallel, honoring ctx cancellation between pairs. It is the
-// cache-aware skyline entry point: callers memoize the returned table
-// and answer subsequent skyline requests from it (Skyline, or
-// Sharded.MergeSkyline across shards) with zero new pair evaluations.
+// vectorTable evaluates the GCS vector of the shard's graphs against q
+// in parallel, honoring ctx cancellation between pairs. It is one
+// shard's part of Sharded.VectorTables, the cache-aware skyline entry
+// point: callers memoize the returned tables and answer subsequent
+// skyline requests from them (Sharded.MergeSkyline) with zero new pair
+// evaluations.
 //
 // With opts.Prune set (and a Boundable basis), evaluation runs the
 // filter-and-scan pipeline of prune.go instead of the full scan:
@@ -84,7 +85,7 @@ func (db *DB) snapshot() snap {
 // scores exactly only the ones no cheaper proof discards. The resulting
 // table's skyline is identical to the complete table's. For a foreign
 // basis the full scan runs either way.
-func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
+func (db *DB) vectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	sn := db.snapshot()

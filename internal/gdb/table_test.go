@@ -145,7 +145,7 @@ func tableColumn(t *testing.T, tab *VectorTable, m measure.Measure) []topk.Item 
 func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	tab, err := db.Shard(0).VectorTable(context.Background(), q, QueryOptions{})
+	tab, err := vectorTable0(context.Background(), db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestVectorTableHonorsCancellation(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.Shard(0).VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
+	if _, err := vectorTable0(ctx, db, dataset.PaperQuery()); err == nil {
 		t.Fatal("canceled context should abort the evaluation")
 	}
 }
@@ -210,7 +210,7 @@ func TestVectorTableDeadline(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	if _, err := db.Shard(0).VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
+	if _, err := vectorTable0(ctx, db, dataset.PaperQuery()); err == nil {
 		t.Fatal("expired deadline should abort the evaluation")
 	}
 }

@@ -1,11 +1,11 @@
 // Package lru provides the bounded least-recently-used map underneath
-// the serving layer's caches: the vector-table/ranked-answer cache and
-// the idempotency tables each wrap one Cache. (The database's score
-// memo keeps its own query-grouped structure, see gdb.ScoreMemo.) The
-// core is deliberately policy-free — no TTLs, no counters, no key
-// semantics — so each wrapper keeps its own validity rules (the table
-// cache's entries record the generation they are exact at) and its own
-// hit/miss accounting on top.
+// the serving layer's caches: the answer cache and the idempotency
+// tables each wrap one Cache. (The database's score memo keeps its own
+// query-grouped structure, see gdb.ScoreMemo.) The core is deliberately
+// policy-free — no TTLs, no counters, no key semantics — so each wrapper
+// keeps its own validity rules (the answer cache's entries record the
+// generations they are exact at) and its own hit/miss accounting on
+// top.
 package lru
 
 import (
@@ -50,19 +50,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 		return zero, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*entry[K, V]).val, true
-}
-
-// Peek returns the value under key without touching recency — a
-// planning peek, not a lookup.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
 	return el.Value.(*entry[K, V]).val, true
 }
 

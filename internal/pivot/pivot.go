@@ -325,11 +325,13 @@ func (ix *Index) drain() {
 		ix.columns.Add(1)
 		ix.columnNanos.Add(int64(time.Since(colStart)))
 		ix.mu.Lock()
-		if j.epoch == ix.epoch {
-			if _, stillLive := ix.members[j.name]; stillLive {
-				ix.entries[j.name] = col
-				ix.snapDirty = true
-			}
+		// Publish only if the name still holds the graph the column was
+		// computed for: a delete and re-insert under the same name while
+		// the engines ran queues the new graph's own job, and the old
+		// column must not land over (or after) it.
+		if j.epoch == ix.epoch && ix.members[j.name] == m {
+			ix.entries[j.name] = col
+			ix.snapDirty = true
 		}
 		ix.mu.Unlock()
 	}

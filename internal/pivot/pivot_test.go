@@ -3,6 +3,7 @@ package pivot
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"skygraph/internal/ged"
@@ -135,5 +136,47 @@ func TestIncrementalAddAfterSelection(t *testing.T) {
 	_, entries, pending := ix.Ready()
 	if entries != len(gs)+len(extra) || pending != 0 {
 		t.Fatalf("entries=%d pending=%d", entries, pending)
+	}
+}
+
+// TestReinsertedNameGetsItsOwnColumn: a name deleted and re-inserted as
+// another graph while a worker still computes the old graph's column
+// ends up with the new graph's column. The old graph is large, so its
+// capped searches run long; meanwhile a second worker computes the new
+// graph's small column, which publishes first, and the old column must
+// not land after it.
+func TestReinsertedNameGetsItsOwnColumn(t *testing.T) {
+	ix := buildIndex(t, Config{Pivots: 3, Workers: 2}, molecules(t, 29, 8))
+	big := graph.Molecule(16, rand.New(rand.NewSource(31)))
+	ix.Add("x", big, measure.NewSignature(big))
+	// Wait until the one worker has claimed the old graph's job and runs
+	// its engines outside the lock.
+	for {
+		ix.mu.Lock()
+		claimed := len(ix.queue) == 0
+		ix.mu.Unlock()
+		if claimed {
+			break
+		}
+		runtime.Gosched()
+	}
+	// Two queued jobs start the second worker.
+	fresh := molecules(t, 37, 2)
+	other, small := fresh[0], fresh[1]
+	ix.Add("y", other, measure.NewSignature(other))
+	ix.Remove("x")
+	ix.Add("x", small, measure.NewSignature(small))
+	ix.Wait()
+
+	ix.mu.Lock()
+	got, pivots := ix.entries["x"], ix.pivots
+	ix.mu.Unlock()
+	if len(got) != len(pivots) {
+		t.Fatalf("column of x has %d entries; want %d", len(got), len(pivots))
+	}
+	for i, p := range pivots {
+		if want := distance(small, measure.NewSignature(small), p, ix.cfg.MaxNodes); got[i] != want {
+			t.Fatalf("pivot %d: column of x holds %v; want the re-inserted graph's %v", i, got[i], want)
+		}
 	}
 }

@@ -1,22 +1,22 @@
 // Package server implements skygraphd's query-serving subsystem: an
-// HTTP/JSON API over a sharded gdb database with a per-shard
-// vector-table cache in front of the pair-evaluation hot path. The
-// layers are
+// HTTP/JSON API over a sharded gdb database with an answer cache in
+// front of the pair-evaluation hot path. The layers are
 //
-//   - cache.go: an LRU of per-shard GCS vector tables keyed by (path,
-//     shard, canonical query hash, basis, engine options), each entry
-//     recording the shard generation it is exact at, so a repeated
-//     skyline query — same query graph, any skyline algorithm — answers
-//     with zero new pair evaluations, and a mutation touches only its
-//     own shard's tables; merged ranked answers sit beside them under
-//     their own keys;
+//   - cache.go: an LRU of whole answers keyed by (path, canonical query
+//     hash, basis or ranking measure, k or radius, engine options), each
+//     entry recording every shard's generation it is exact at: a skyline
+//     answer holds every shard's GCS vector table, so a repeated skyline
+//     query answers with zero new pair evaluations, and a ranked answer
+//     holds its merged items;
 //   - delta.go: delta maintenance — a mutation upgrades the cached
-//     pruned tables and ranked answers it provably leaves answerable,
-//     and invalidates the rest;
+//     pruned skyline answers and ranked answers it provably leaves
+//     answerable, replacing only the mutated shard's part, and
+//     invalidates the rest;
 //   - api.go (this file): the wire types;
 //   - server.go: the handlers, per-request timeouts, the one admission
 //     gate, and coalesce — the one cache → flight → build loop behind
-//     both per-shard tables and merged ranked answers;
+//     every answer: skyline tables built by Sharded.VectorTables, merged
+//     ranked answers by the ranked scan;
 //   - ranked.go: top-k and range through the library's best-first
 //     ranked scan;
 //   - batch.go: POST /query/batch, each item on the path its kind fixes,
@@ -53,9 +53,6 @@ type QueryRequest struct {
 	// Basis names the GCS basis of a skyline request (default: DistEd,
 	// DistMcs, DistGu). Topk/range validate it but rank by Measure alone.
 	Basis []string `json:"basis,omitempty"`
-	// Algorithm picks the skyline algorithm: "sfs" (default), "bnl",
-	// "dac". Ignored by topk/range.
-	Algorithm string `json:"algorithm,omitempty"`
 	// Eval bounds the exact GED/MCS engines, merged per field over the
 	// server defaults: zero (or omitted) keeps the server default, a
 	// negative value explicitly requests unbounded exact computation.
@@ -81,10 +78,10 @@ type QueryRequest struct {
 type QueryStats struct {
 	// Work counts the fresh evaluation work of this request — exact
 	// pairs, pruned graphs and each tier's share, under gdb.Work's JSON
-	// keys. It is all 0 when every shard answer came from a cache, so
-	// Evaluated + Pruned is the total size of the freshly evaluated
-	// shards; the pivot, memo and vector counters stay 0 on a daemon
-	// running without -pivots, -memo or -vector-cells.
+	// keys. It is all 0 when the answer came from the cache, and
+	// Evaluated + Pruned is the database size on a fresh build; the
+	// pivot, memo and vector counters stay 0 on a daemon running without
+	// -pivots, -memo or -vector-cells.
 	gdb.Work
 	// Inexact counts table pairs where a capped engine returned a bound
 	// (a property of the answer, whether cached or fresh).
@@ -93,14 +90,14 @@ type QueryStats struct {
 	// serving this answer has absorbed since it was cold-built (0 for
 	// fresh evaluations and for caches maintained only by invalidation).
 	DeltaPatched int `json:"delta_patched"`
-	// CacheHit reports whether every shard table (skyline) or the merged
-	// answer (topk/range) came from the cache.
+	// CacheHit reports whether the answer — every shard's table for a
+	// skyline, the merged items for topk/range — came from the cache (or
+	// a coalesced in-flight leader).
 	CacheHit bool `json:"cache_hit"`
 	// Shards is the number of shards the query ran against.
 	Shards int `json:"shards"`
-	// ShardHits counts shard tables served from the cache (or a
-	// coalesced in-flight leader). A ranked answer has no shard tables:
-	// it reads Shards on a ranked-cache hit and 0 on a fresh scan.
+	// ShardHits reads Shards on a cache hit and 0 on a fresh build: an
+	// answer spans every shard and is cached whole.
 	ShardHits int `json:"shard_hits"`
 	// DurationMS is the server-side wall-clock time for the request.
 	DurationMS float64 `json:"duration_ms"`
@@ -152,7 +149,7 @@ type RangeResponse struct {
 // BatchRequest is the body of POST /query/batch: many queries answered
 // in one request, sharing the shard pool, the cache and one time
 // budget. Identical (or isomorphic) items of one kind cost one
-// evaluation per (shard, query hash, path).
+// evaluation per (query hash, path).
 type BatchRequest struct {
 	// Queries holds the batch items (required, at most the server's
 	// batch limit).
@@ -432,20 +429,20 @@ type ReqStats struct {
 }
 
 // WarmRequest is the body of POST /cache/warm: query graphs whose
-// per-shard vector tables should be built (and cached) ahead of
-// traffic — the same tables the same skyline request builds: pruned
+// skyline answers should be built (and cached) ahead of traffic — the
+// same per-shard vector tables the same skyline request builds: pruned
 // ones, or complete ones for an item that sets "all". Warming populates
-// the table cache and, when enabled, the cross-query score memo. Later
+// the answer cache and, when enabled, the cross-query score memo. Later
 // skyline requests of the same kind on these (or isomorphic) graphs
 // answer from the tables; delta maintenance keeps pruned ones across
 // mutations. Top-k and range requests read no table, but their ranked
 // scan replays the memoized pair scores a warm build left. Even after a
-// mutation invalidates a table, rebuilding it replays memoized pair
+// mutation invalidates an answer, rebuilding it replays memoized pair
 // scores instead of re-running engines.
 type WarmRequest struct {
 	// Queries holds the query graphs to warm, each with the optional
-	// basis/eval/all fields of a skyline request (k, radius and
-	// algorithm are ignored).
+	// basis/eval/all fields of a skyline request (k and radius are
+	// ignored).
 	Queries []QueryRequest `json:"queries"`
 	// TimeoutMS bounds the whole warming pass (0 = server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -453,8 +450,8 @@ type WarmRequest struct {
 
 // WarmResult reports one warmed query.
 type WarmResult struct {
-	// Evaluated counts fresh pair evaluations; ShardHits counts shard
-	// tables that were already cached.
+	// Evaluated counts fresh pair evaluations; ShardHits reads the shard
+	// count when the answer was already cached, 0 when it was built.
 	Evaluated int    `json:"evaluated"`
 	ShardHits int    `json:"shard_hits"`
 	Error     string `json:"error,omitempty"`

@@ -24,7 +24,7 @@ func (s *Server) maxBatch() int {
 // handleBatch answers POST /query/batch: many queries, one request.
 // Items run concurrently, each on the path its kind fixes — exactly the
 // path the dedicated endpoint would take — so identical (or isomorphic)
-// items coalesce onto a single evaluation per (shard, query hash, path),
+// items coalesce onto a single evaluation per (query hash, path),
 // first via the in-flight leader, then via the cache. The whole batch
 // shares one time budget; an item that fails (bad request, timeout)
 // reports its error in place without failing the rest.

@@ -32,7 +32,7 @@ func permutedPaperQuery(t *testing.T) *graph.Graph {
 
 // TestBatchCoalescesTableBuilds is the batch acceptance check: items
 // over the same (isomorphism class of) query graph cost one evaluation
-// per (shard, query hash, path) — one pruned skyline build per shard for
+// per (query hash, path) — one pruned skyline build over every shard for
 // the three skyline items, one ranked scan for the two identical top-k
 // items and one for the range item, each accounting for all 7 paper
 // graphs — and repeating the batch evaluates nothing, every item a hit.
@@ -42,7 +42,7 @@ func TestBatchCoalescesTableBuilds(t *testing.T) {
 		radius := 3.0
 		batch := BatchRequest{Queries: []BatchQuery{
 			{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},
-			{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Algorithm: "bnl"}},
+			{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},
 			{Kind: "topk", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), K: 3}},
 			{Kind: "topk", QueryRequest: QueryRequest{Graph: permutedPaperQuery(t), K: 3}},
 			{Kind: "range", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Radius: &radius}},
@@ -63,14 +63,14 @@ func TestBatchCoalescesTableBuilds(t *testing.T) {
 		}
 		// Three paths, each covering the 7 database graphs exactly once
 		// (evaluated or bound-pruned: no path reads another's entries);
-		// the cache holds one skyline table per shard plus the two ranked
-		// answers.
+		// the cache holds one entry per path: the skyline answer and the
+		// two ranked answers.
 		st := statsOf(t, ts.URL)
 		if got := st.Requests.PairEvals + st.Requests.PairsPruned; got != 3*7 {
 			t.Fatalf("%d shards: evaluated + pruned = %d across the batch; want 21", shards, got)
 		}
-		if got := s.Cache().Len(); got != shards+2 {
-			t.Fatalf("%d shards: cache holds %d entries; want %d", shards, got, shards+2)
+		if got := s.Cache().Len(); got != 3 {
+			t.Fatalf("%d shards: cache holds %d entries; want 3", shards, got)
 		}
 		// Repeating the whole batch is free: every item hits.
 		var again BatchResponse

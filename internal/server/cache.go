@@ -11,23 +11,23 @@ import (
 	"skygraph/internal/topk"
 )
 
-// Cache is a bounded LRU of per-shard query vector tables plus merged
-// ranked answers, layered on the shared internal/lru core (the same
-// machinery behind the idempotency tables). Entries live under a typed
-// cacheKey naming the request path that builds them — complete tables
-// ("all" skylines), pruned tables (plain skylines) or ranked answers
-// (top-k and range) — plus everything that shapes the answer except
-// the database's state: shard, canonical query hash, basis or ranking
-// measure, k or radius, engine options. Each request reads only its own
-// path's entries. The state an entry is exact at is recorded in the
-// entry itself: a table's Generation for its shard, every shard's
-// generation (gens) for a merged ranked answer. servable is the one rule
-// deciding whether an entry may answer a request: the generations must
-// be those the request read. A mutation of a shard makes one pass over
-// the cache (sweep, from Server.maintain): what no delta proof covers is
-// dropped at once, and every entry one generation behind with a
-// maintenance lineage is then upgraded in place under its unchanged key
-// (settle, delta.go). Tables of the other shards are not touched.
+// Cache is a bounded LRU of query answers, layered on the shared
+// internal/lru core (the same machinery behind the idempotency tables).
+// Every entry is one whole answer over every shard: a skyline answer's
+// per-shard vector tables or a ranked answer's merged items. Entries
+// live under a typed cacheKey naming the request path that builds them
+// — complete tables ("all" skylines), pruned tables (plain skylines) or
+// ranked answers (top-k and range) — plus everything that shapes the
+// answer except the database's state: canonical query hash, basis or
+// ranking measure, k or radius, engine options. Each request reads only
+// its own path's entries. The state an entry is exact at is recorded in
+// the entry itself, as every shard's generation (gens). servable is the
+// one rule deciding whether an entry may answer a request: the
+// generations must be those the request read. A mutation of a shard
+// makes one pass over the cache (sweep, from Server.maintain): what no
+// delta proof covers is dropped at once, and every entry one generation
+// behind on that shard with a maintenance lineage is then upgraded in
+// place under its unchanged key (settle, delta.go).
 //
 // Counters are atomics, read without the LRU lock: /stats can hammer
 // the cache while queries run without contending on (or racing with)
@@ -51,80 +51,59 @@ type cacheKey struct {
 	// (complete tables), "pruned" (pruned tables), "topk" or "range"
 	// (merged ranked answers).
 	path string
-	// shard is the owning shard of a table, -1 for a ranked answer (it
-	// spans every shard).
-	shard int
-	qh    string
-	// measures is the comma-joined basis of a table, or the ranking
-	// measure of a ranked answer.
+	qh   string
+	// measures is the comma-joined basis of a skyline answer, or the
+	// ranking measure of a ranked answer.
 	measures string
-	// arg is k for top-k, the radius for range, 0 for tables.
+	// arg is k for top-k, the radius for range, 0 for skyline answers.
 	arg  float64
 	eval measure.Options
 }
 
-// cacheEntry is one cached value: a per-shard vector table (shard >= 0,
-// exact at table.Generation of that shard), or a whole-database ranked
-// answer (shard == -1, exact at every shard's generation in gens). lin,
-// when set, is the table's maintenance lineage: a later mutation of the
-// owning shard can upgrade the entry in place (Server.maintain) instead
-// of invalidating it. Pruned tables carry one, complete tables none.
+// cacheEntry is one cached answer over every shard, exact at gens (one
+// generation per shard). A skyline answer holds every shard's vector
+// table (indexed by shard), a ranked answer its merged items. Entries
+// are immutable once stored: an upgrade stores a successor.
 type cacheEntry struct {
-	shard  int
-	table  *gdb.VectorTable
 	gens   []uint64
-	ranked *rankedEntry
-	lin    *tableLineage
-}
-
-// tableLineage is everything needed to evaluate a single delta row
-// through the exact code path the cold build used: the query graph, its
-// signature and canonical hash (both computed once per request), the
-// basis and the engine budgets. Only pruned tables carry one; delta.go
-// holds the proofs that maintain them.
-type tableLineage struct {
-	q     *graph.Graph
-	qsig  *measure.Signature
-	qh    string
-	basis []measure.Measure
-	eval  measure.Options
-}
-
-// rankedEntry is a cached ranked answer: the merged items of one
-// (kind, measure, k-or-radius) query over all shards. lin carries the
-// maintenance lineage; deltas counts in-place upgrades since the answer
-// was cold-built.
-type rankedEntry struct {
-	items   []topk.Item
+	tables []*gdb.VectorTable
+	items  []topk.Item
+	// inexact counts the answer's pairs where a capped engine returned a
+	// bound; deltas counts the in-place upgrades since the cold build.
 	inexact int
 	deltas  int
-	lin     *rankedLineage
+	// work is what the cold build cost, reported by the request that ran
+	// it.
+	work gdb.Work
+	// lin, when set, makes the entry delta-maintainable: a later mutation
+	// can upgrade it in place (Server.maintain) instead of invalidating
+	// it. Pruned skyline answers and ranked answers carry one, complete
+	// tables none.
+	lin *lineage
 }
 
-// rankedLineage mirrors tableLineage for merged ranked answers.
-type rankedLineage struct {
-	kind string // "topk" or "range"
-	q    *graph.Graph
-	qsig *measure.Signature
-	qh   string
-	m    measure.Measure
-	arg  float64 // k for topk, radius for range
-	eval measure.Options
+// lineage is what an upgrade needs beyond the entry's key to evaluate
+// a single delta row through the exact code path the cold build used:
+// the query graph and its signature (computed once per request), and
+// the basis of a skyline answer or the ranking measure of a ranked one.
+// delta.go holds the proofs.
+type lineage struct {
+	q     *graph.Graph
+	qsig  *measure.Signature
+	basis []measure.Measure
+	m     measure.Measure
 }
 
 // servable reports whether e may answer a request that read gens, every
-// shard's generation (Sharded.Generations): a table must be exact at
-// its shard's generation, a ranked answer at all of them. It is the one
-// place an entry's generation meets a request's; a lookup, the tables()
-// planning peek and a flight follower all take exactly what it allows.
+// shard's generation (Sharded.Generations): the entry must be exact at
+// all of them. It is the one place an entry's generation meets a
+// request's; a lookup and a flight follower both take exactly what it
+// allows.
 func servable(e *cacheEntry, gens []uint64) bool {
-	if e.ranked != nil {
-		return slices.Equal(e.gens, gens)
-	}
-	return e.table.Generation == gens[e.shard]
+	return slices.Equal(e.gens, gens)
 }
 
-// NewCache returns an LRU holding at most capacity tables. Capacity < 1
+// NewCache returns an LRU holding at most capacity answers. Capacity < 1
 // disables caching (every lookup misses, put is a no-op).
 func NewCache(capacity int) *Cache {
 	return &Cache{lru: lru.New[cacheKey, *cacheEntry](capacity)}
@@ -146,13 +125,6 @@ func (c *Cache) lookup(key cacheKey, gens []uint64, quiet bool) (*cacheEntry, bo
 	return e, true
 }
 
-// peek reports whether a lookup of key at gens would hit, without
-// touching recency or the hit/miss counters — a planning peek.
-func (c *Cache) peek(key cacheKey, gens []uint64) bool {
-	e, ok := c.lru.Peek(key)
-	return ok && servable(e, gens)
-}
-
 // put stores e under key, evicting the least recently used entry when
 // the cache is full.
 func (c *Cache) put(key cacheKey, e *cacheEntry) {
@@ -167,29 +139,19 @@ type deltaCandidate struct {
 }
 
 // sweep is the one cache pass of the mutation of shard that produced
-// generation gen. Entries of other shards, and entries already exact at
-// gen or later, are left alone. Of the rest, it collects what a delta
-// proof may upgrade — lineage-carrying (pruned) tables of the shard and
-// lineage-carrying ranked answers exactly one generation behind on it
-// — and drops everything else at once (complete tables, entries further
+// generation gen. Entries already exact at gen or later on shard are
+// left alone. Of the rest, it collects what a delta proof may upgrade —
+// lineage-carrying entries exactly one generation behind on shard — and
+// drops everything else at once (complete tables, entries further
 // behind), counting each drop as an invalidation and a delta fallback.
 func (c *Cache) sweep(shard int, gen uint64) []deltaCandidate {
 	var out []deltaCandidate
 	dropped := c.lru.PruneFunc(func(key cacheKey, e *cacheEntry) bool {
-		var at uint64
-		var lineage bool
-		switch {
-		case e.ranked != nil:
-			at, lineage = e.gens[shard], e.ranked.lin != nil
-		case e.shard == shard:
-			at, lineage = e.table.Generation, e.lin != nil
-		default:
-			return false
-		}
+		at := e.gens[shard]
 		if at >= gen {
 			return false
 		}
-		if lineage && at == gen-1 {
+		if e.lin != nil && at == gen-1 {
 			out = append(out, deltaCandidate{key: key, e: e})
 			return false
 		}
@@ -218,7 +180,7 @@ func (c *Cache) settle(cand deltaCandidate, next *cacheEntry) {
 	c.deltaApplied.Add(1)
 }
 
-// Len returns the number of cached tables.
+// Len returns the number of cached answers.
 func (c *Cache) Len() int { return c.lru.Len() }
 
 // CacheStats is a point-in-time snapshot of cache counters.
@@ -231,9 +193,10 @@ type CacheStats struct {
 	Invalidations uint64 `json:"invalidations"`
 	// DeltaApplied counts cache entries upgraded in place across a
 	// mutation; DeltaFallbacks counts entries dropped because no delta
-	// proof existed (a complete table, a pruned table losing a skyline
-	// member, a top-k answer losing a member, capped rows on a delete,
-	// interleaved mutations, entries more than one generation behind).
+	// proof existed (complete tables, a pruned skyline answer losing a
+	// front member, a top-k answer losing a member, capped rows on a
+	// delete, interleaved mutations, entries more than one generation
+	// behind).
 	DeltaApplied   uint64 `json:"delta_applied"`
 	DeltaFallbacks uint64 `json:"delta_fallbacks"`
 }

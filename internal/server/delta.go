@@ -10,19 +10,19 @@ import (
 	"skygraph/internal/topk"
 )
 
-// Delta maintenance: instead of discarding every cached table and
-// ranked answer of a mutated shard, a mutation routes its delta to the
-// entries it touches and upgrades them in place: the entry stays under
-// its key and advances the generation it records. One cache pass
+// Delta maintenance: instead of discarding every cached answer a
+// mutation touches, the mutation routes its delta to those entries and
+// upgrades them in place: the entry stays under its key and advances
+// the generation it records for the mutated shard. One cache pass
 // (Cache.sweep) per mutation drops what no proof covers and collects the
 // rest; each upgrade then runs outside the cache lock and is settled
 // under the same key (Cache.settle). The provability conditions:
 //
-//   - Only lineage-carrying entries qualify: every pruned table and
-//     every merged ranked answer. A complete table ("all") carries none:
-//     a mutation of its shard drops it, counted as a fallback, and the
-//     next "all" request rebuilds that shard's table (with the score
-//     memo on, replaying every pair the mutation left alone).
+//   - Only lineage-carrying entries qualify: every pruned skyline answer
+//     and every merged ranked answer. A complete skyline answer ("all")
+//     carries none: any mutation drops it, counted as a fallback, and
+//     the next "all" request rebuilds every shard's table (with the
+//     score memo on, replaying every pair the mutation left alone).
 //   - The entry must be exactly ONE generation behind the mutation on
 //     the mutated shard. Anything older has unknown intermediate
 //     history.
@@ -33,8 +33,10 @@ import (
 //
 // Per entry kind:
 //
-//   - Pruned tables hold the kept set K of their scan, which contains
-//     the shard's skyline. Strict dominance is transitive, so every
+//   - A pruned skyline answer is upgraded through its mutated shard's
+//     table alone; the other shards' tables carry over unchanged. Each
+//     pruned table holds the kept set K of its scan, which contains the
+//     shard's skyline. Strict dominance is transitive, so every
 //     graph outside K is dominated by a member of K and skyline(shard)
 //     = skyline(K); any update that keeps K inside the shard and the
 //     shard's new skyline inside K keeps the table exact. An insert
@@ -55,9 +57,10 @@ import (
 //     requires the victim NOT to be in the answer (the (k+1)-th item
 //     was never stored).
 //
-// Every condition that fails falls back to invalidation: the entry is
-// dropped, by the sweep or by its settle, so no entry behind the
-// mutation survives it whether or not it was upgradable. Counted as
+// Every condition that fails falls back to invalidation: the whole
+// entry is dropped, by the sweep or by its settle, so no entry behind
+// the mutation survives it whether or not it was upgradable; its next
+// request rebuilds every shard. Counted as
 // delta_applied / delta_fallbacks in CacheStats.
 //
 // Byte-identity: a spliced table row goes through the cold build's own
@@ -88,35 +91,52 @@ func (s *Server) deltaDelete(name string, shard int, gen uint64) {
 func (s *Server) maintain(shard int, gen uint64, inserted *graph.Graph, deleted string) {
 	for _, cand := range s.cache.sweep(shard, gen) {
 		var next *cacheEntry
-		if cand.e.ranked == nil {
-			next = s.upgradeTable(cand.e, shard, gen, inserted, deleted)
+		if cand.key.path == "pruned" {
+			next = s.upgradeTables(cand, shard, gen, inserted, deleted)
 		} else {
-			next = s.upgradeRanked(cand.e, shard, gen, inserted, deleted)
+			next = s.upgradeRanked(cand, shard, gen, inserted, deleted)
 		}
 		s.cache.settle(cand, next)
 	}
 }
 
-// upgradeTable derives cached pruned table e's successor across the
-// mutation, or returns nil when no proof holds.
-func (s *Server) upgradeTable(e *cacheEntry, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
+// advanced returns a copy of e exact at gen on shard, counting one more
+// delta; the caller swaps in what the mutation changed.
+func (e *cacheEntry) advanced(shard int, gen uint64) *cacheEntry {
+	next := *e
+	next.gens = slices.Clone(e.gens)
+	next.gens[shard] = gen
+	next.deltas++
+	return &next
+}
+
+// upgradeTables derives cached pruned skyline answer cand's successor
+// across the mutation by replacing shard's table, or returns nil when no
+// proof holds.
+func (s *Server) upgradeTables(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
+	t := cand.e.tables[shard]
 	var nt *gdb.VectorTable
 	if inserted != nil {
-		nt = s.tableInsert(e.table, e.lin, shard, gen, inserted.Name())
+		nt = s.tableInsert(t, cand, shard, gen, inserted.Name())
 	} else {
-		nt = tableDelete(e.table, gen, deleted)
+		nt = tableDelete(t, gen, deleted)
 	}
 	if nt == nil {
 		return nil
 	}
-	return &cacheEntry{shard: shard, table: nt, lin: e.lin}
+	next := cand.e.advanced(shard, gen)
+	next.tables = slices.Clone(cand.e.tables)
+	next.tables[shard] = nt
+	next.inexact += nt.Inexact - t.Inexact
+	return next
 }
 
 // tableInsert derives pruned table t's successor across the insert of
 // name, which produced generation gen on shard, or returns nil when no
 // proof holds.
-func (s *Server) tableInsert(t *gdb.VectorTable, lin *tableLineage, shard int, gen uint64, name string) *gdb.VectorTable {
+func (s *Server) tableInsert(t *gdb.VectorTable, cand deltaCandidate, shard int, gen uint64, name string) *gdb.VectorTable {
 	db := s.db.Shard(shard)
+	lin := cand.e.lin
 	bs, got, ok := db.DeltaBound(name, lin.qsig)
 	if !ok || got != gen {
 		return nil
@@ -126,7 +146,7 @@ func (s *Server) tableInsert(t *gdb.VectorTable, lin *tableLineage, shard int, g
 	if lo, _ := bs.IntervalGCS(lin.basis); dominated(t.Points, lo) {
 		return t.WithGeneration(gen)
 	}
-	opts := gdb.QueryOptions{Basis: lin.basis, Eval: lin.eval, QueryHash: lin.qh}
+	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval, QueryHash: cand.key.qh}
 	pt, inexact, got, ok := db.DeltaRow(name, lin.q, lin.qsig, opts)
 	if !ok || got != gen {
 		return nil // a later mutation interleaved; the row is not provably gen's
@@ -169,7 +189,7 @@ func dominated(rows []skyline.Point, v []float64) bool {
 	return false
 }
 
-// upgradeRanked derives cached merged ranked answer e's successor
+// upgradeRanked derives cached merged ranked answer cand's successor
 // across the mutation, or returns nil when no proof holds. An insert
 // whose bound already exceeds a full top-k answer's k-th score, or a
 // range answer's radius, leaves the answer unchanged without an engine
@@ -178,10 +198,9 @@ func dominated(rows []skyline.Point, v []float64) bool {
 // inserts append on a single membership test (a new graph is last in
 // insertion order); deletes remove the victim (range) or prove the
 // answer unchanged (top-k, victim absent).
-func (s *Server) upgradeRanked(e *cacheEntry, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
-	r := e.ranked
-	lin := r.lin
-	items, inexact := r.items, r.inexact
+func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
+	e, key, lin := cand.e, cand.key, cand.e.lin
+	items, inexact := e.items, e.inexact
 	if inserted != nil {
 		name := inserted.Name()
 		db := s.db.Shard(shard)
@@ -192,17 +211,17 @@ func (s *Server) upgradeRanked(e *cacheEntry, shard int, gen uint64, inserted *g
 		// Every measure a request can name is Rankable, so lo floors the
 		// score DeltaScore would report.
 		lo, _ := bs.Interval(lin.m)
-		full := lin.kind == "topk" && len(items) >= int(lin.arg)
-		if full && items[len(items)-1].Score < lo || lin.kind == "range" && lin.arg < lo {
-			return advanceRanked(e, shard, gen, items, inexact)
+		full := key.path == "topk" && len(items) >= int(key.arg)
+		if full && items[len(items)-1].Score < lo || key.path == "range" && key.arg < lo {
+			return e.advanced(shard, gen)
 		}
-		opts := gdb.QueryOptions{Eval: lin.eval, QueryHash: lin.qh}
+		opts := gdb.QueryOptions{Eval: key.eval, QueryHash: key.qh}
 		score, inex, got, ok := db.DeltaScore(name, lin.q, lin.qsig, lin.m, opts)
 		if !ok || got != gen {
 			return nil
 		}
-		if lin.kind == "topk" {
-			k := int(lin.arg)
+		if key.path == "topk" {
+			k := int(key.arg)
 			pos := sort.Search(len(items), func(i int) bool {
 				return items[i].Score > score || (items[i].Score == score && items[i].ID > name)
 			})
@@ -221,7 +240,7 @@ func (s *Server) upgradeRanked(e *cacheEntry, shard int, gen uint64, inserted *g
 			}
 			// pos == len(items) with a full answer: strictly worse than
 			// the stored k-th, provably unchanged.
-		} else if score <= lin.arg {
+		} else if score <= key.arg {
 			next := make([]topk.Item, 0, len(items)+1)
 			next = append(next, items...)
 			next = append(next, topk.Item{ID: name, Score: score})
@@ -238,8 +257,8 @@ func (s *Server) upgradeRanked(e *cacheEntry, shard int, gen uint64, inserted *g
 				break
 			}
 		}
-		if lin.kind == "topk" {
-			if idx >= 0 || len(items) < int(lin.arg) {
+		if key.path == "topk" {
+			if idx >= 0 || len(items) < int(key.arg) {
 				// The victim was in the answer (or the answer held every
 				// graph, where it must have been): the (k+1)-th item was
 				// never stored, so the successor answer is not derivable.
@@ -252,19 +271,7 @@ func (s *Server) upgradeRanked(e *cacheEntry, shard int, gen uint64, inserted *g
 			items = next
 		}
 	}
-	return advanceRanked(e, shard, gen, items, inexact)
-}
-
-// advanceRanked returns ranked answer e upgraded to items across the
-// mutation (shard, gen): exact at gen on shard, at e's generations
-// elsewhere.
-func advanceRanked(e *cacheEntry, shard int, gen uint64, items []topk.Item, inexact int) *cacheEntry {
-	r := e.ranked
-	gens := slices.Clone(e.gens)
-	gens[shard] = gen
-	return &cacheEntry{
-		shard:  -1,
-		gens:   gens,
-		ranked: &rankedEntry{items: items, inexact: inexact, deltas: r.deltas + 1, lin: r.lin},
-	}
+	next := e.advanced(shard, gen)
+	next.items, next.inexact = items, inexact
+	return next
 }

@@ -175,18 +175,20 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	}
 }
 
-// patchedEntries counts the cached pruned tables, ranked answers and
-// complete tables that have absorbed at least one mutation in place
-// (complete tables carry no lineage, so the last must stay 0).
+// patchedEntries counts the cached pruned skyline answers, ranked
+// answers and complete skyline answers that have absorbed at least one
+// mutation in place (complete answers carry no lineage, so the last
+// must stay 0).
 func patchedEntries(c *Cache) (pruned, ranked, complete int) {
-	c.lru.PruneFunc(func(_ cacheKey, e *cacheEntry) bool {
+	c.lru.PruneFunc(func(key cacheKey, e *cacheEntry) bool {
 		switch {
-		case e.ranked != nil && e.ranked.deltas > 0:
-			ranked++
-		case e.table != nil && e.table.Deltas > 0 && e.lin != nil:
+		case e.deltas == 0:
+		case key.path == "pruned":
 			pruned++
-		case e.table != nil && e.table.Deltas > 0:
+		case key.path == "all":
 			complete++
+		default:
+			ranked++
 		}
 		return false
 	})
@@ -212,10 +214,11 @@ func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []sk
 		t.Fatal(err)
 	}
 	gen := db.ShardGeneration(0)
-	s.cache.put(tableKey0(res), &cacheEntry{
-		shard: 0,
-		table: &gdb.VectorTable{Generation: gen, Basis: res.basis, Points: rows, Inexact: inexact},
-		lin:   &tableLineage{q: res.q, qsig: res.qsig, qh: res.qh, basis: res.basis, eval: res.opts.Eval},
+	s.cache.put(res.key, &cacheEntry{
+		gens:    []uint64{gen},
+		tables:  []*gdb.VectorTable{{Generation: gen, Basis: res.basis, Points: rows, Inexact: inexact}},
+		inexact: inexact,
+		lin:     &lineage{q: res.q, qsig: res.qsig, basis: res.basis},
 	})
 	return &prunedFixture{s: s, res: res}
 }
@@ -242,20 +245,13 @@ func (f *prunedFixture) delete(t *testing.T, name string) uint64 {
 	return ack.Gen
 }
 
-// tableKey0 is the key of res's table on shard 0.
-func tableKey0(res resolved) cacheKey {
-	key := res.key
-	key.shard = 0
-	return key
-}
-
 // table returns the pruned table cached at gen, or nil.
 func (f *prunedFixture) table(gen uint64) *gdb.VectorTable {
-	e, ok := f.s.cache.lookup(tableKey0(f.res), []uint64{gen}, true)
+	e, ok := f.s.cache.lookup(f.res.key, []uint64{gen}, true)
 	if !ok {
 		return nil
 	}
-	return e.table
+	return e.tables[0]
 }
 
 // engineRuns counts score-memo lookups: every engine path of a delta
@@ -322,6 +318,29 @@ func TestPrunedInsertScoresUndominated(t *testing.T) {
 	want := testutil.ReferenceTable([]*graph.Graph{late}, q, measure.Options{})[0]
 	if len(nt.Points) != 2 || nt.Points[1].ID != "late" || !slices.Equal(nt.Points[1].Vec, want.Vec) {
 		t.Fatalf("rows %v; want the kept row then late=%v", nt.Points, want.Vec)
+	}
+}
+
+// TestPrunedInsertCountsCappedRow: a scored row whose engines hit their
+// budget is inexact, and the answer's inexact count moves with its
+// table's.
+func TestPrunedInsertCountsCappedRow(t *testing.T) {
+	gs := testutil.SeededGraphs(511, 6)
+	q := testutil.SeededQueries(512, gs, 1)[0]
+	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: []float64{100, 100, 100}}}, 0)
+	// Store the fixture's answer under engine budgets no pair fits in, so
+	// the upgrade scores the new row capped.
+	e, _ := f.s.cache.lookup(f.res.key, f.s.db.Generations(), true)
+	f.res.key.eval = measure.Options{GEDMaxNodes: 1, MCSMaxNodes: 1}
+	f.s.cache.put(f.res.key, e)
+	gen := f.insert(t, mustSeeded(513, "late"))
+	up, ok := f.s.cache.lookup(f.res.key, []uint64{gen}, true)
+	if !ok {
+		t.Fatal("the undominated insert fell back")
+	}
+	if nt := up.tables[0]; len(nt.Points) != 2 || nt.Inexact != 1 || up.inexact != 1 {
+		t.Fatalf("rows %v, table inexact %d, answer inexact %d; want the capped row appended and counted once on each",
+			nt.Points, nt.Inexact, up.inexact)
 	}
 }
 
@@ -443,20 +462,19 @@ func TestUnwarmedDaemonKeepsSkylineAcrossInsert(t *testing.T) {
 }
 
 // TestMutationDropsAllTablePatchesPrunedTable: with both an "all" and a
-// plain skyline cached for one query, one insert drops the owning
-// shard's complete table — it carries no lineage, so the drop is a
-// counted fallback — and patches the same shard's pruned table in
-// place; the other shard's entries stay. Each request then reads only
-// its own kind: the "all" repeat rebuilds the owning shard alone, the
-// plain repeat hits the patched table.
+// plain skyline answer cached for one query, one insert drops the
+// complete answer — it carries no lineage, so the drop is a counted
+// fallback — and patches the owning shard's pruned table in place. Each
+// request then reads only its own kind: the "all" repeat rebuilds every
+// shard, the plain repeat hits the patched answer.
 func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
 	const shards = 2
 	s, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
 	q := dataset.PaperQuery()
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &SkylineResponse{})
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &SkylineResponse{})
-	if got := s.cache.Len(); got != 2*shards {
-		t.Fatalf("cache holds %d entries; want a complete and a pruned table per shard", got)
+	if got := s.cache.Len(); got != 2 {
+		t.Fatalf("cache holds %d entries; want a complete and a pruned answer", got)
 	}
 	before := s.cache.Stats()
 	g := extraGraph("extra")
@@ -468,17 +486,15 @@ func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
 		t.Fatalf("insert: delta_fallbacks %d -> %d, delta_applied %d -> %d; want +1 each",
 			before.DeltaFallbacks, after.DeltaFallbacks, before.DeltaApplied, after.DeltaApplied)
 	}
-	if got := s.cache.Len(); got != 2*shards-1 {
-		t.Fatalf("cache holds %d entries after the insert; want %d (the owning shard's complete table dropped)", got, 2*shards-1)
+	if got := s.cache.Len(); got != 1 {
+		t.Fatalf("cache holds %d entries after the insert; want 1 (the complete answer dropped)", got)
 	}
 
 	live := append(dataset.PaperDB(), g)
-	owner := s.DB().ShardFor(g.Name())
 	var full SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &full)
-	if full.Stats.ShardHits != shards-1 || full.Stats.Evaluated != s.DB().Shard(owner).Len() || full.Stats.DeltaPatched != 0 {
-		t.Fatalf("all repeat stats = %+v; want the owning shard's %d graphs rebuilt and the other shard hit",
-			full.Stats, s.DB().Shard(owner).Len())
+	if full.Stats.ShardHits != 0 || full.Stats.Evaluated != len(live) || full.Stats.DeltaPatched != 0 {
+		t.Fatalf("all repeat stats = %+v; want all %d graphs rebuilt on every shard", full.Stats, len(live))
 	}
 	testutil.RequireSameSkyline(t, "all", testutil.ReferenceTable(live, q, measure.Options{}), wirePoints(full.All))
 	var plain SkylineResponse

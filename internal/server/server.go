@@ -28,8 +28,8 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// CacheSize is the vector-table LRU capacity (entries; < 1 disables).
-	// Each (shard, query) pair occupies one entry.
+	// CacheSize is the answer cache's LRU capacity (entries; < 1
+	// disables). Each query answer occupies one entry.
 	CacheSize int
 	// DefaultTimeout bounds a query when the request does not ask for a
 	// timeout (0 = no default).
@@ -82,9 +82,9 @@ type Config struct {
 // remembered for replay.
 const idemCapacity = 4096
 
-// Server serves similarity queries over a sharded graph database with a
-// per-shard vector-table cache in front of pair evaluation. Create with
-// New, mount via Handler.
+// Server serves similarity queries over a sharded graph database with an
+// answer cache in front of pair evaluation. Create with New, mount via
+// Handler.
 type Server struct {
 	db     *gdb.Sharded
 	cache  *Cache
@@ -120,7 +120,7 @@ type Server struct {
 	shed            atomic.Uint64
 	degradedRejects atomic.Uint64
 	// work totals every fresh evaluation's counters (table builds and
-	// ranked scans, at the time they run) for /stats.
+	// ranked scans, as they finish) for /stats.
 	work workTotals
 }
 
@@ -221,8 +221,8 @@ func (s *Server) Ready() bool {
 	return true
 }
 
-// Cache exposes the server's vector-table cache (read-mostly; for tests
-// and stats tooling).
+// Cache exposes the server's answer cache (read-mostly; for tests and
+// stats tooling).
 func (s *Server) Cache() *Cache { return s.cache }
 
 // DB exposes the server's sharded database.
@@ -361,14 +361,12 @@ type resolved struct {
 	qsig  *measure.Signature // query signature, computed once per request
 	basis []measure.Measure
 	m     measure.Measure // ranking measure (topk/range)
-	alg   skyline.Algorithm
 	opts  gdb.QueryOptions
-	// prune selects the pruned table build: a skyline request that does
-	// not ask for the full table (all). Pruned and complete tables are
-	// cached under their own key paths and each request reads only its
-	// own; top-k and range requests read no table at all.
-	prune bool
-	// key is the request's cache key; a table lookup sets its shard.
+	// key is the request's cache key. Its path is the request's build:
+	// pruned tables for a skyline request that does not ask for the full
+	// table (all), complete tables for one that does, the ranked scan
+	// for top-k and range. Each request reads only its own path's
+	// entries.
 	key cacheKey
 }
 
@@ -421,28 +419,16 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	}
 	res.basis = basis
 
-	switch req.Algorithm {
-	case "", "sfs":
-		res.alg = skyline.SFS
-	case "bnl":
-		res.alg = skyline.BNL
-	case "dac":
-		res.alg = skyline.DivideAndConquer
-	default:
-		return res, fmt.Errorf("unknown skyline algorithm %q (want sfs, bnl or dac)", req.Algorithm)
-	}
-
-	// Workers is resolved per query in tables(), where the number of
-	// shards actually needing evaluation is known. The canonical query
-	// hash rides along so the score memo never re-canonicalizes.
+	// Workers stays 0: VectorTables spreads GOMAXPROCS across the shards.
+	// The canonical query hash rides along so the score memo never
+	// re-canonicalizes.
 	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
-	res.prune = kind == "skyline" && !req.All
-	res.key = cacheKey{path: kind, shard: -1, qh: res.qh, eval: res.opts.Eval}
+	res.key = cacheKey{path: kind, qh: res.qh, eval: res.opts.Eval}
 	switch kind {
 	case "skyline":
-		res.key.path = "all"
-		if res.prune {
-			res.key.path = "pruned"
+		res.key.path = "pruned"
+		if req.All {
+			res.key.path = "all"
 		}
 		res.key.measures = strings.Join(measure.BasisNames(basis), ",")
 	case "topk":
@@ -532,9 +518,8 @@ func (s *Server) releaseQuery() {
 	}
 }
 
-// flightCall is one in-progress cache fill — a shard table or a merged
-// ranked answer — that concurrent identical requests wait on instead of
-// recomputing.
+// flightCall is one in-progress cache fill that concurrent identical
+// requests wait on instead of recomputing.
 type flightCall struct {
 	done chan struct{} // closed once e and err are set
 	e    *cacheEntry
@@ -542,16 +527,16 @@ type flightCall struct {
 }
 
 // coalesce is the one cache → flight → build loop behind every cached
-// answer, shard tables and merged ranked answers alike, for a request
+// answer, skyline tables and merged ranked answers alike, for a request
 // that read generations gens. It serves the entry under key from the
 // cache when it is servable at gens. Otherwise concurrent identical
 // requests coalesce on one flight leader, which re-checks the cache,
-// runs build and publishes the entry under key when build says to
-// store it. Followers report a hit: they caused no evaluation. A
-// follower takes the leader's entry only when it too is servable at
-// the follower's gens; one whose leader built at another generation, or
-// failed — e.g. the leader's own shorter timeout fired — retries under
-// its own deadline instead.
+// runs build, adds the build's work to the server totals and publishes
+// the entry under key when build says to store it. Followers report a
+// hit: they caused no evaluation. A follower takes the leader's entry
+// only when it too is servable at the follower's gens; one whose leader
+// built at another generation, or failed — e.g. the leader's own
+// shorter timeout fired — retries under its own deadline instead.
 func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, build func() (*cacheEntry, bool, error)) (e *cacheEntry, hit bool, err error) {
 	var c *flightCall
 	for {
@@ -596,119 +581,52 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, buil
 	if err != nil {
 		return nil, false, err
 	}
+	s.work.add(e.work)
 	if store {
 		s.cache.put(key, e)
 	}
 	return e, false, nil
 }
 
-// tableSet is the per-shard answer material for one query, plus what it
-// cost: hits counts shards served from cache (or a coalesced leader),
-// work sums the build counters of the tables this request caused — a
-// shard served from cache contributes nothing (its work was counted by
-// the request that built the table).
-type tableSet struct {
-	tables []*gdb.VectorTable
-	hits   int
-	work   gdb.Work
-}
-
-func (ts tableSet) inexact() int {
-	n := 0
-	for _, t := range ts.tables {
-		n += t.Inexact
-	}
-	return n
-}
-
-// tables returns the vector table of every shard for a resolved query,
-// each from the cache when possible. Shard misses evaluate
-// concurrently; concurrent identical cold lookups coalesce per (shard,
-// key) on one flight leader. The first shard error aborts the query.
-func (s *Server) tables(ctx context.Context, res resolved) (tableSet, error) {
-	n := s.db.NumShards()
-	out := tableSet{tables: make([]*gdb.VectorTable, n)}
+// entry returns the whole answer of a resolved query through coalesce:
+// the cached entry when one is servable at the generations the request
+// read, else one build — every shard's vector table for a skyline
+// request, the ranked scan's merged items for top-k and range
+// (ranked.go). hit reports that the request caused no evaluation.
+func (s *Server) entry(ctx context.Context, res resolved) (e *cacheEntry, hit bool, err error) {
 	gens := s.db.Generations()
-	// Spread GOMAXPROCS over the shards that will actually evaluate, not
-	// the shard count: after a single-shard invalidation the lone
-	// rebuilding shard gets the whole machine instead of 1/Nth of it. The
-	// peek is advisory — a racing invalidation at worst changes
-	// parallelism, never correctness — so a surprise rebuild (0 predicted
-	// misses) runs at full width.
-	cold := 0
-	key := res.key
-	for key.shard = 0; key.shard < n; key.shard++ {
-		if !s.cache.peek(key, gens) {
-			cold++
+	return s.coalesce(ctx, res.key, gens, func() (*cacheEntry, bool, error) {
+		if res.m != nil {
+			return s.buildRanked(ctx, res, gens)
 		}
-	}
-	if cold > 0 {
-		res.opts.Workers = (runtime.GOMAXPROCS(0) + cold - 1) / cold
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t, hit, err := s.shardTable(ctx, i, gens, res)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			out.tables[i] = t
-			mu.Lock()
-			if hit {
-				out.hits++
-			} else {
-				out.work.Add(t.Work)
-			}
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return tableSet{}, firstErr
-	}
-	return out, nil
+		return s.buildTables(ctx, res)
+	})
 }
 
-// shardTable returns one shard's table for a resolved query that read
-// generations gens, through coalesce.
-func (s *Server) shardTable(ctx context.Context, shard int, gens []uint64, res resolved) (*gdb.VectorTable, bool, error) {
-	key := res.key
-	key.shard = shard
-	e, hit, err := s.coalesce(ctx, key, gens, func() (*cacheEntry, bool, error) {
-		opts := res.opts
-		opts.Prune = res.prune
-		t, err := s.db.Shard(shard).VectorTable(ctx, res.q, opts)
-		if err != nil {
-			return nil, false, err
-		}
-		s.work.add(t.Work)
-		// The table records the generation of the snapshot it was built
-		// from, whatever the request read, so storing it is always
-		// sound. A pruned table carries its maintenance lineage, so a
-		// later mutation of this shard can upgrade it in place (delta.go)
-		// instead of invalidating it; a complete table carries none, and
-		// the next mutation of its shard drops it.
-		e := &cacheEntry{shard: shard, table: t}
-		if res.prune {
-			e.lin = &tableLineage{q: res.q, qsig: res.qsig, qh: res.qh, basis: res.basis, eval: res.opts.Eval}
-		}
-		return e, true, nil
-	})
+// buildTables evaluates a skyline request on every shard at once.
+func (s *Server) buildTables(ctx context.Context, res resolved) (*cacheEntry, bool, error) {
+	opts := res.opts
+	opts.Prune = res.key.path == "pruned"
+	tables, err := s.db.VectorTables(ctx, res.q, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	return e.table, hit, nil
+	// Each table records the generation of the snapshot it was built
+	// from, whatever the request read, so storing the entry is always
+	// sound. Pruned tables carry their maintenance lineage, so a later
+	// mutation can upgrade the entry in place (delta.go) instead of
+	// invalidating it; complete tables carry none, and the next mutation
+	// drops them.
+	e := &cacheEntry{gens: make([]uint64, len(tables)), tables: tables}
+	for i, t := range tables {
+		e.gens[i] = t.Generation
+		e.inexact += t.Inexact
+		e.work.Add(t.Work)
+	}
+	if opts.Prune {
+		e.lin = &lineage{q: res.q, qsig: res.qsig, basis: res.basis}
+	}
+	return e, true, nil
 }
 
 // classifyQueryErr maps an evaluation error to an HTTP status, error
@@ -727,21 +645,21 @@ func (s *Server) classifyQueryErr(err error) (int, string, string) {
 	}
 }
 
-// queryStats assembles the wire stats for one answered query.
-func (s *Server) queryStats(ts tableSet, start time.Time) QueryStats {
-	deltas := 0
-	for _, t := range ts.tables {
-		deltas += t.Deltas
-	}
-	return QueryStats{
-		Work:         ts.work,
-		Inexact:      ts.inexact(),
-		DeltaPatched: deltas,
-		CacheHit:     ts.hits == len(ts.tables),
-		Shards:       len(ts.tables),
-		ShardHits:    ts.hits,
+// queryStats assembles the wire stats of one answer: a hit (from the
+// cache or a coalesced leader) counts every shard as hit and reports no
+// work, a fresh build reports what it cost and no shard hit.
+func queryStats(e *cacheEntry, hit bool, start time.Time) QueryStats {
+	qs := QueryStats{
+		Work:         e.work,
+		Inexact:      e.inexact,
+		DeltaPatched: e.deltas,
+		Shards:       len(e.gens),
 		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
+	if hit {
+		qs.Work, qs.CacheHit, qs.ShardHits = gdb.Work{}, true, len(e.gens)
+	}
+	return qs
 }
 
 // answer bundles the per-kind response of one executed query; exactly
@@ -829,38 +747,33 @@ func (s *Server) logSlow(kind string, qs QueryStats, stages []gdb.TraceStage, el
 }
 
 // execQuery executes one resolved query of the given kind end to end:
-// the best-first ranked scan for topk/range, the per-shard tables and
-// their skyline merge for skyline. Shared by the dedicated endpoints and
-// /query/batch.
+// its whole answer (entry), shaped into the kind's response — the
+// merged items for topk/range, the skyline merge of the per-shard tables
+// for skyline. Shared by the dedicated endpoints and /query/batch.
 func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, res resolved, start time.Time) (answer, error) {
-	if kind != "skyline" {
-		ra, err := s.ranked(ctx, kind, res, req)
-		if err != nil {
-			return answer{}, err
-		}
-		stats := s.rankedStats(ra, start)
-		if kind == "topk" {
-			return answer{tk: &TopKResponse{Measure: res.m.Name(), K: req.K, Items: toItemJSON(ra.items), Stats: stats}}, nil
-		}
-		return answer{rng: &RangeResponse{Measure: res.m.Name(), Radius: *req.Radius, Items: toItemJSON(ra.items), Stats: stats}}, nil
-	}
-	ts, err := s.tables(ctx, res)
+	e, hit, err := s.entry(ctx, res)
 	if err != nil {
 		return answer{}, err
 	}
-	stats := s.queryStats(ts, start)
+	stats := queryStats(e, hit, start)
+	switch kind {
+	case "topk":
+		return answer{tk: &TopKResponse{Measure: res.m.Name(), K: req.K, Items: toItemJSON(e.items), Stats: stats}}, nil
+	case "range":
+		return answer{rng: &RangeResponse{Measure: res.m.Name(), Radius: *req.Radius, Items: toItemJSON(e.items), Stats: stats}}, nil
+	}
 	// Answer shaping from the per-shard tables is the merge stage.
 	mstart := time.Now()
 	resp := &SkylineResponse{
 		Basis:   measure.BasisNames(res.basis),
-		Skyline: toPointJSON(s.db.MergeSkyline(ts.tables, res.alg)),
+		Skyline: toPointJSON(s.db.MergeSkyline(e.tables, nil)),
 		Stats:   stats,
 	}
 	if req.All {
-		resp.All = toPointJSON(s.db.MergeTables(ts.tables))
+		resp.All = toPointJSON(s.db.MergeTables(e.tables))
 	}
 	rows := 0
-	for _, t := range ts.tables {
+	for _, t := range e.tables {
 		rows += len(t.Points)
 	}
 	res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), rows, 0)
@@ -1273,10 +1186,10 @@ func runtimeStats() RuntimeStats {
 	}
 }
 
-// handleWarm answers POST /cache/warm: build (and cache) the per-shard
-// vector tables of the given query graphs ahead of traffic — exactly
-// the tables the same skyline request would build and read: pruned
-// ones, or complete ones for an item that sets "all". Queries run
+// handleWarm answers POST /cache/warm: build (and cache) the skyline
+// answers of the given query graphs ahead of traffic — exactly the
+// entry the same skyline request would build and read: pruned tables,
+// or complete ones for an item that sets "all". Queries run
 // sequentially — warming is maintenance, not serving, so it should
 // trickle rather than flood; each item still evaluates its shards in
 // parallel like a normal cold query. Every failed item counts as a
@@ -1314,9 +1227,10 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	results := make([]WarmResult, len(req.Queries))
 	for i := range req.Queries {
 		res, err := s.resolveQuery("skyline", &req.Queries[i])
-		var ts tableSet
+		var e *cacheEntry
+		var hit bool
 		if err == nil {
-			ts, err = s.tables(ctx, res)
+			e, hit, err = s.entry(ctx, res)
 		}
 		if err != nil {
 			// A resolve error keeps its message; an evaluation error (a
@@ -1326,7 +1240,8 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 			s.errors.Add(1)
 			continue
 		}
-		results[i] = WarmResult{Evaluated: ts.work.Evaluated, ShardHits: ts.hits}
+		qs := queryStats(e, hit, start)
+		results[i] = WarmResult{Evaluated: qs.Evaluated, ShardHits: qs.ShardHits}
 	}
 	writeJSON(w, http.StatusOK, WarmResponse{
 		Results:    results,

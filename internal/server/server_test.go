@@ -105,18 +105,6 @@ func TestSkylineRoundTrip(t *testing.T) {
 			t.Fatalf("point %s has %d dims; want 3", p.ID, len(p.Vec))
 		}
 	}
-	// The same skyline must come back no matter which algorithm runs, and
-	// from the complete table the first request cached.
-	for _, alg := range []string{"bnl", "dac", "sfs"} {
-		var again SkylineResponse
-		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Algorithm: alg, All: true}, &again)
-		if !again.Stats.CacheHit || again.Stats.Evaluated != 0 {
-			t.Fatalf("%s: stats = %+v; want cache hit with zero evaluations", alg, again.Stats)
-		}
-		if len(again.Skyline) != len(resp.Skyline) {
-			t.Fatalf("%s skyline size %d; want %d", alg, len(again.Skyline), len(resp.Skyline))
-		}
-	}
 }
 
 // TestRankedSkipsEnginesAfterAllSkyline: an "all" skyline's complete
@@ -340,7 +328,6 @@ func TestBadRequests(t *testing.T) {
 		{"bad measure", "/query/topk", QueryRequest{Graph: dataset.PaperQuery(), K: 1, Measure: "DistBogus"}},
 		{"missing k", "/query/topk", QueryRequest{Graph: dataset.PaperQuery()}},
 		{"missing radius", "/query/range", QueryRequest{Graph: dataset.PaperQuery()}},
-		{"bad algorithm", "/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Algorithm: "quantum"}},
 		{"bad basis", "/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Basis: []string{"DistBogus"}}},
 		{"empty insert", "/graphs", InsertRequest{}},
 		{"null graph element", "/graphs", InsertRequest{Graphs: []*graph.Graph{nil}}},
@@ -360,7 +347,8 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// Unknown fields are rejected too — including the retired "vector"
-	// and "prune" opt-outs on an otherwise valid request.
+	// and "prune" opt-outs and "algorithm" choice on an otherwise valid
+	// request.
 	valid, err := json.Marshal(dataset.PaperQuery())
 	if err != nil {
 		t.Fatal(err)
@@ -369,6 +357,7 @@ func TestBadRequests(t *testing.T) {
 		`{"graf": {}}`,
 		`{"graph": ` + string(valid) + `, "vector": false}`,
 		`{"graph": ` + string(valid) + `, "prune": false}`,
+		`{"graph": ` + string(valid) + `, "algorithm": "bnl"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/query/skyline", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -483,15 +472,15 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failingLeader(tableKey0(res))
-	tab, hit, err := s.shardTable(context.Background(), 0, s.db.Generations(), res)
+	failingLeader(res.key)
+	e, hit, err := s.entry(context.Background(), res)
 	if err != nil {
 		t.Fatalf("table follower inherited the leader's failure: %v", err)
 	}
 	if hit {
 		t.Fatal("table follower should have evaluated itself after the leader failed")
 	}
-	if len(tab.Points)+tab.Pruned != 7 {
+	if tab := e.tables[0]; len(tab.Points)+tab.Pruned != 7 {
 		t.Fatalf("table covers %d rows + %d pruned; want 7", len(tab.Points), tab.Pruned)
 	}
 
@@ -500,11 +489,11 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	failingLeader(res.key)
-	ra, err := s.ranked(context.Background(), "topk", res, req)
+	ra, hit, err := s.entry(context.Background(), res)
 	if err != nil {
 		t.Fatalf("ranked follower inherited the leader's failure: %v", err)
 	}
-	if ra.hit {
+	if hit {
 		t.Fatal("ranked follower should have evaluated itself after the leader failed")
 	}
 	if len(ra.items) != 3 || ra.work.Evaluated+ra.work.Pruned != 7 {

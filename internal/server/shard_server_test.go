@@ -2,11 +2,14 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"skygraph/internal/dataset"
-	"skygraph/internal/graph"
+	"skygraph/internal/gdb"
+	"skygraph/internal/measure"
+	"skygraph/internal/testutil"
 )
 
 // TestShardedServerMatchesSingleShard: the HTTP answers of a sharded
@@ -51,64 +54,59 @@ func TestShardedServerMatchesSingleShard(t *testing.T) {
 	}
 }
 
-// TestMutationTouchesOnlyOwningShard: after a query populates one
-// table per shard, an insert upgrades the owning shard's table in place
-// and leaves the others alone; the delete of a skyline member drops
-// exactly the owning shard's entry, and the requery rebuilds only that
-// shard.
-func TestMutationTouchesOnlyOwningShard(t *testing.T) {
+// TestSkylineAnswerIsOneEntry: a skyline answer over several shards is
+// one cache entry. An insert upgrades it in place through the owning
+// shard's table; the delete of a skyline member drops the whole entry,
+// and the repeat rebuilds every shard — with the score memo on, the
+// pairs the first build scored replay instead of re-running engines.
+func TestSkylineAnswerIsOneEntry(t *testing.T) {
 	const shards = 3
-	s, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
+	db := gdb.NewSharded(shards)
+	if err := db.InsertAll(dataset.PaperDB()); err != nil {
+		t.Fatal(err)
+	}
+	db.EnableScoreMemo(1024)
+	s := New(db, Config{CacheSize: 32})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	q := dataset.PaperQuery()
 	var first SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &first)
-	if first.Stats.Evaluated+first.Stats.Pruned != 7 || first.Stats.ShardHits != 0 {
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &first)
+	if first.Stats.CacheHit || first.Stats.ShardHits != 0 || first.Stats.Evaluated+first.Stats.Pruned != 7 {
 		t.Fatalf("cold query stats = %+v", first.Stats)
 	}
-	if got := s.Cache().Len(); got != shards {
-		t.Fatalf("cache holds %d tables after cold query; want %d", got, shards)
+	if got := s.Cache().Len(); got != 1 {
+		t.Fatalf("cache holds %d entries after a cold skyline; want 1", got)
 	}
 
-	g := graph.New("extra")
-	g.AddVertex("a")
-	g.AddVertex("b")
-	g.MustAddEdge(0, 1, "x")
+	before := s.Cache().Stats()
+	g := extraGraph("extra")
 	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("insert status = %d", r.StatusCode)
 	}
-	if got := s.Cache().Len(); got != shards {
-		t.Fatalf("cache holds %d tables after insert; want %d (the owning shard's upgraded)", got, shards)
+	if after := s.Cache().Stats(); after.DeltaApplied != before.DeltaApplied+1 || after.Entries != 1 {
+		t.Fatalf("insert: cache %+v; want the one entry upgraded in place", after)
 	}
 	var second SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &second)
-	if second.Stats.ShardHits != shards || second.Stats.DeltaPatched != 1 {
-		t.Fatalf("requery stats = %+v; want %d shard hits, one of them patched", second.Stats, shards)
-	}
-	if len(second.Skyline) == 0 {
-		t.Fatal("requery returned an empty skyline")
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &second)
+	if !second.Stats.CacheHit || second.Stats.ShardHits != shards || second.Stats.DeltaPatched != 1 {
+		t.Fatalf("requery stats = %+v; want a hit on all %d shards, patched once", second.Stats, shards)
 	}
 
-	// Deleting a skyline member invalidates its shard; the others stay warm.
-	victim := second.Skyline[0].ID
-	owner := s.DB().ShardFor(victim)
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/graphs/"+victim, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("delete status = %d", resp.StatusCode)
-	}
-	if got := s.Cache().Len(); got != shards-1 {
-		t.Fatalf("cache holds %d tables after a front delete; want %d (only the owning shard dropped)", got, shards-1)
+	before = s.Cache().Stats()
+	deleteGraph(t, ts.URL+"/graphs/"+second.Skyline[0].ID)
+	if after := s.Cache().Stats(); after.DeltaFallbacks != before.DeltaFallbacks+1 || s.Cache().Len() != 0 {
+		t.Fatalf("front delete: cache %+v; want the whole entry dropped as one fallback", after)
 	}
 	var third SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &third)
-	wantEval := s.DB().Shard(owner).Len()
-	if third.Stats.ShardHits != shards-1 || third.Stats.Evaluated+third.Stats.Pruned != wantEval {
-		t.Fatalf("post-delete stats = %+v; want %d shard hits and %d evaluated+pruned (owning shard only)",
-			third.Stats, shards-1, wantEval)
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &third)
+	if third.Stats.ShardHits != 0 || third.Stats.Evaluated+third.Stats.Pruned != db.Len() {
+		t.Fatalf("post-delete stats = %+v; want every shard's %d graphs rebuilt", third.Stats, db.Len())
 	}
+	if third.Stats.MemoHits == 0 {
+		t.Fatalf("post-delete stats = %+v; want the rebuild to replay scored pairs from the memo", third.Stats)
+	}
+	testutil.RequireSameSkyline(t, "rebuild", testutil.ReferenceSkyline(db.Graphs(), q, measure.Options{}), wirePoints(third.Skyline))
 }
 
 // TestIsomorphicQueryHitsShardedCache: the canonical query hash shares
