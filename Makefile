@@ -20,6 +20,7 @@ fuzz:
 	$(GO) test ./internal/ged -run='^$$' -fuzz=FuzzExactVsBruteForce -fuzztime=10s
 	$(GO) test ./internal/mcs -run='^$$' -fuzz=FuzzExactVsBruteForce -fuzztime=10s
 	$(GO) test ./internal/measure -run='^$$' -fuzz=FuzzFlatHistogram -fuzztime=10s
+	$(GO) test ./internal/measure -run='^$$' -fuzz=FuzzBranchBound -fuzztime=10s
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=10s
 
 # bench runs the repo's benchmark contract (BENCHMARK.json): all four
@@ -38,11 +39,13 @@ bench-ab:
 
 # bench-kernels reads the pair kernels' ns/op and allocs/op on the
 # harness's graph shapes: GED on order-5 clustered molecules (near and
-# far pairs, the ranked scan's decision run, the bipartite bound) and
-# MCS on order-6 skyline pairs (near, far, and a Need decision run).
+# far pairs, the ranked scan's decision run, the bipartite bound), MCS
+# on order-6 skyline pairs (near, far, and a Need decision run), and the
+# branch GED lower bound on both shapes (0 allocs/op expected).
 bench-kernels:
 	$(GO) test ./internal/ged -run='^$$' -bench='BenchmarkExact|BenchmarkBipartite' -benchmem
 	$(GO) test ./internal/mcs -run='^$$' -bench='BenchmarkExact' -benchmem
+	$(GO) test ./internal/measure -run='^$$' -bench='BenchmarkBranchLB' -benchmem
 
 run-server:
 	$(GO) run ./cmd/skygraphd -addr :8091 -shards 4 -cache 128

@@ -15,6 +15,23 @@ import (
 // negatives). An error is returned if the matrix is not square or empty
 // rows differ in length.
 func Solve(cost [][]float64) (assignment []int, total float64, err error) {
+	return new(Scratch).Solve(cost)
+}
+
+// Scratch is Solve's working memory, kept between calls: a caller that
+// solves many small matrices (the bipartite GED approximation, the
+// branch lower bound) holds one Scratch per goroutine — typically in a
+// sync.Pool — and a warm solve allocates nothing. The zero value is
+// ready to use; a Scratch must not be used concurrently.
+type Scratch struct {
+	u, v, minv []float64
+	p, way, a  []int
+	used       []bool
+}
+
+// Solve is the package-level Solve on s's buffers. The returned
+// assignment is owned by s and valid until its next call.
+func (s *Scratch) Solve(cost [][]float64) (assignment []int, total float64, err error) {
 	n := len(cost)
 	if n == 0 {
 		return nil, 0, nil
@@ -33,16 +50,14 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 	// Jonker–Volgenant style shortest augmenting path with dual potentials.
 	// 1-based arrays with a virtual row/column 0 simplify the loop.
 	const inf = math.MaxFloat64
-	u := make([]float64, n+1) // row potentials
-	v := make([]float64, n+1) // column potentials
-	p := make([]int, n+1)     // p[j]: row assigned to column j
-	way := make([]int, n+1)
+	u := zeroed(&s.u, n+1) // row potentials
+	v := zeroed(&s.v, n+1) // column potentials
+	p := zeroed(&s.p, n+1) // p[j]: row assigned to column j
+	way := zeroed(&s.way, n+1)
 
-	// Per-augmentation scratch, reset in place each row instead of
-	// reallocated: Solve runs once per bipartite GED approximation, which
-	// every capped exact GED evaluation falls back to.
-	minv := make([]float64, n+1)
-	used := make([]bool, n+1)
+	// Per-augmentation scratch, reset in place each row.
+	minv := zeroed(&s.minv, n+1)
+	used := zeroed(&s.used, n+1)
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
@@ -93,7 +108,7 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 		}
 	}
 
-	assignment = make([]int, n)
+	assignment = zeroed(&s.a, n)
 	for j := 1; j <= n; j++ {
 		if p[j] > 0 {
 			assignment[p[j]-1] = j - 1
@@ -103,6 +118,18 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 		total += cost[i][assignment[i]]
 	}
 	return assignment, total, nil
+}
+
+// zeroed resizes *buf to n zero elements, reusing its backing array
+// when it is large enough.
+func zeroed[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return *buf
 }
 
 // BruteForce returns the optimal assignment by enumerating all permutations.

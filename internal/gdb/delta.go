@@ -55,7 +55,7 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, opt
 	if !present {
 		return skyline.Point{}, false, gen, false
 	}
-	ec := db.newEvalCtx(q, qsig, opts, false)
+	ec := db.newEvalCtx(q, qsig, opts, nil)
 	ps := ec.computeFull(e.g, q, e.seq, opts.Eval, measure.PairHints{Sig1: e.sig, Sig2: qsig})
 	pt = skyline.Point{ID: name, Vec: measure.GCS(ps, opts.Basis)}
 	return pt, !ps.GEDExact || !ps.MCSExact, gen, true
@@ -76,7 +76,7 @@ func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m
 	if !present {
 		return 0, false, gen, false
 	}
-	ec := db.newEvalCtx(q, qsig, opts, false)
+	ec := db.newEvalCtx(q, qsig, opts, nil)
 	needGED, needMCS := measure.EngineNeeds(m)
 	var have measure.EngineResults
 	if needGED || needMCS {

@@ -12,9 +12,9 @@ import (
 // in — the seam that lets a test schedule the scan.
 func PrunedPointsInOrder(db *DB, q *graph.Graph, opts QueryOptions, permute func(order []int)) []skyline.Point {
 	opts = opts.withDefaults()
-	sn := db.snapshot()
+	sn := db.snapshot(false)
 	qsig := measure.NewSignature(q)
-	sc, order := newSkyScan(sn, q, qsig, db.newEvalCtx(q, qsig, opts, false), opts)
+	sc, order := newSkyScan(sn, q, qsig, db.newEvalCtx(q, qsig, opts, nil), opts)
 	permute(order)
 	for _, i := range order {
 		sc.settle(i)

@@ -250,21 +250,20 @@ type evalCtx struct {
 	memoMisses atomic.Int64
 }
 
-// newEvalCtx assembles the per-query context. usePivot is true on
-// ranked scans only: a table build either evaluates every pair anyway
-// or (pruned skyline) discards against a running front, so P engine
-// runs for query-to-pivot distances would buy it nothing. Those runs
-// are pivot-stage work and are traced as such.
-func (db *DB) newEvalCtx(q *graph.Graph, qsig *measure.Signature, opts QueryOptions, usePivot bool) *evalCtx {
+// newEvalCtx assembles the per-query context. cols is the pivot tier's
+// column snapshot, taken with the database snapshot (snap.cols) — ranked
+// scans pass it, table builds pass nil: a table build either evaluates
+// every pair anyway or (pruned skyline) discards against a running
+// front, so P engine runs for query-to-pivot distances would buy it
+// nothing. Those runs are pivot-stage work and are traced as such.
+func (db *DB) newEvalCtx(q *graph.Graph, qsig *measure.Signature, opts QueryOptions, cols *pivot.Columns) *evalCtx {
 	ec := &evalCtx{}
-	if pidx := db.PivotIndex(); usePivot && pidx != nil {
+	if cols != nil {
 		t0 := time.Now()
-		ec.pb = pidx.StartQuery(q, qsig)
-		if ec.pb != nil {
-			opts.Trace.Observe(StagePivot, time.Since(t0), 0, 0)
-			ec.pivotDists = ec.pb.Dists
-			ec.tightenHi = opts.Eval.GEDMaxNodes == 0
-		}
+		ec.pb = cols.Query(q, qsig)
+		opts.Trace.Observe(StagePivot, time.Since(t0), 0, 0)
+		ec.pivotDists = ec.pb.Dists
+		ec.tightenHi = opts.Eval.GEDMaxNodes == 0
 	}
 	if memo := db.Memo(); memo != nil {
 		ec.memo = memo

@@ -43,7 +43,7 @@ func TestPivotIntervalsAdmissible(t *testing.T) {
 			for _, eval := range evals {
 				for _, q := range tc.qs {
 					qsig := measure.NewSignature(q)
-					qb := ix.StartQuery(q, qsig)
+					qb := ix.Columns().Query(q, qsig)
 					if qb == nil {
 						t.Fatalf("%s cfg=%d: pivot index not ready", tc.label, ci)
 					}

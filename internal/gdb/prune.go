@@ -27,6 +27,9 @@ import (
 //	        through the cheapest proof that still settles it:
 //	        1. a front point dominates its optimistic corner: discarded,
 //	           no engine runs
+//	        1b. the branch bound (measure.Signature.BranchLB) raises GEDLo
+//	           and a front point dominates the raised corner: discarded,
+//	           still no engine runs (only when the basis reads GED)
 //	        2. the MCS engine alone collapses the MCS interval to the
 //	           reported |mcs|; the front dominates the corner at GEDLo:
 //	           discarded
@@ -92,6 +95,9 @@ type skyScan struct {
 	front  skyFront
 	vecs   [][]float64 // exact vector of every kept candidate
 	capped []bool      // kept on a capped engine's bound
+	// readsGED reports whether some basis measure reads GED, the only
+	// case in which outcome 1b's branch bound can move the corner.
+	readsGED bool
 }
 
 // newSkyScan runs tier 0 for q against the snapshot — bound every graph
@@ -108,6 +114,10 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, o
 	start := time.Now()
 	sc := &skyScan{
 		sn: sn, q: q, qsig: qsig, ec: ec, opts: opts,
+		readsGED: slices.ContainsFunc(opts.Basis, func(m measure.Measure) bool {
+			needGED, _ := measure.EngineNeeds(m)
+			return needGED
+		}),
 		bounds: make([]measure.BoundStats, n),
 		los:    make([][]float64, n),
 		known:  make([]measure.EngineResults, n),
@@ -155,6 +165,19 @@ func (sc *skyScan) settle(i int) {
 	g, sig, seq := sc.sn.graphs[i], sc.sn.sigs[i], sc.sn.seqs[i]
 	have := sc.known[i]
 	if !have.Covers(true, true) {
+		bs := sc.bounds[i]
+		// Outcome 1b: the branch bound lifts the corner's GED; a front
+		// point that dominates the lifted corner discards the candidate
+		// before any engine runs. The raised GEDLo also starts outcome
+		// 2's dominance limit higher.
+		if sc.readsGED {
+			if lb := sig.BranchLB(sc.qsig); lb > bs.GEDLo {
+				bs.GEDLo = lb
+				if lo, _ := bs.IntervalGCS(sc.opts.Basis); sc.front.dominates(lo) {
+					return
+				}
+			}
+		}
 		// Engines run from here on, so this is where the memo miss
 		// counts; a partial entry (a ranked scan's GED- or MCS-only
 		// record) spares its engine.
@@ -165,7 +188,6 @@ func (sc *skyScan) settle(i int) {
 			have.MCS, have.MCSExact, have.HasMCS = got.MCS, got.MCSExact, true
 		}
 		if !have.HasGED {
-			bs := sc.bounds[i]
 			bs.MCSLo, bs.MCSHi = have.MCS, have.MCS
 			limit := bs.GEDLimit(have.MCS, func(ps measure.PairStats) bool {
 				return !sc.front.dominates(measure.GCS(ps, sc.opts.Basis))

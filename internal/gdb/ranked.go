@@ -21,17 +21,20 @@ import (
 // — the current k-th best score, or the radius. The moment the next
 // candidate's optimistic bound exceeds the threshold, every remaining
 // candidate is provably out and the scan stops. A candidate the bound
-// cannot settle goes straight from its tier-0 (and pivot) interval to a
-// threshold-fed decision run of the exact engines (ged.Options.Limit /
-// mcs.Options.Need), which discards most survivors without paying for
-// exactness, and a plain exact evaluation only for candidates that
-// might make the answer. There is no polynomial refinement tier in
-// between: it only narrows the pessimistic end of the interval, which
-// never prunes against a best-first threshold, and its bipartite and
-// greedy runs cost more than the decision runs they spared. Included
-// scores are byte-identical to a complete table's column, so the answer
-// — scores and tie-order — matches ranking every graph exactly. It is
-// the one evaluation path of TopKQuery and RangeQuery.
+// cannot settle meets tier 1 when the measure reads GED: the branch
+// lower bound (measure.Signature.BranchLB) raises the optimistic end of
+// its interval, and proves most claimed candidates out with no engine
+// run. The rest go to a threshold-fed decision run of the exact engines
+// (ged.Options.Limit / mcs.Options.Need), which discards most survivors
+// without paying for exactness, and a plain exact evaluation only for
+// candidates that might make the answer. Tier 1 narrows the optimistic
+// end because that is the end every cutoff reads; a refinement of the
+// pessimistic end (bipartite GED, greedy MCS) never prunes against a
+// best-first threshold and cost more than the decision runs it spared,
+// so there is none. Included scores are byte-identical to a complete
+// table's column, so the answer — scores and tie-order — matches
+// ranking every graph exactly. It is the one evaluation path of
+// TopKQuery and RangeQuery.
 
 // atomicFloat is a lock-free float64 cell (stored as bits).
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -221,8 +224,8 @@ func (s *kSmallest) kth() (v float64, ok bool) {
 // a table build does, so included scores match its columns byte for
 // byte.
 func (db *DB) scanRanked(ctx context.Context, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (QueryStats, error) {
-	sn := db.snapshot()
-	ec := db.newEvalCtx(q, qsig, opts, true)
+	sn := db.snapshot(true)
+	ec := db.newEvalCtx(q, qsig, opts, sn.cols)
 	return evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, ec), coll)
 }
 
@@ -298,6 +301,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		fateScored                // exact score computed or replayed
 		fateInexact               // scored, from a capped engine's bound
 		fateExcluded              // an engine decision run proved it out
+		fateBounded               // the branch bound proved it out (tier 1)
 	)
 	fate := make([]uint8, n)
 
@@ -336,44 +340,26 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		}
 		for _, i := range mem {
 			bounds[i] = measure.BoundPair(sn.sigs[i], qsig)
+			los[i], his[i] = bounds[i].Interval(m)
 			if attribute {
-				sigLos[i], _ = bounds[i].Interval(m)
+				sigLos[i] = los[i]
+				var t0 time.Time
 				if trace != nil {
 					// The triangle arithmetic is the pivot stage's time,
 					// not the bound stage's.
-					t0 := time.Now()
-					ec.tighten(&bounds[i], sn.graphs[i].Name())
+					t0 = time.Now()
+				}
+				if ec.tighten(&bounds[i], sn.graphs[i].Name()) {
+					los[i], his[i] = bounds[i].Interval(m)
+				}
+				if trace != nil {
 					batchPivot += time.Since(t0)
-				} else {
-					ec.tighten(&bounds[i], sn.graphs[i].Name())
 				}
 			}
-			los[i], his[i] = bounds[i].Interval(m)
 			probed[i] = true
 			uppers.push(his[i])
 		}
 		pivotDur += batchPivot
-		// Claim order: by the optimistic end — which is what lets the scan
-		// STOP at the first claim whose lo exceeds the threshold
-		// (everything after in this batch is at least as hopeless) — with
-		// lo ties broken by the pessimistic end. Distances are integral,
-		// so lo ties are the common case, and within a tie the candidate
-		// that is CERTAINLY near (small hi) should feed the threshold
-		// before one that is merely possibly near; remaining ties keep
-		// snapshot order, for a deterministic claim sequence (batch members
-		// ascend by snapshot index, so the index tie-break is the stable
-		// order). The answer itself is order-independent — exclusion
-		// always carries a proof.
-		order = append(order[:0], mem...)
-		slices.SortFunc(order, func(a, b int) int {
-			if c := cmp.Compare(los[a], los[b]); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(his[a], his[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
 		// Seed the threshold from every pessimistic corner probed so far:
 		// the k best reported scores each sit under one of the k smallest
 		// uppers (tier-0 uppers already bracket what the capped engines
@@ -384,6 +370,36 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		if v, ok := uppers.kth(); ok {
 			coll.seedFloor(v)
 		}
+		// Claim order: by the optimistic end — which is what lets the scan
+		// STOP at the first claim whose lo exceeds the threshold
+		// (everything after in this batch is at least as hopeless) — with
+		// lo ties broken by the pessimistic end. Distances are integral,
+		// so lo ties are the common case, and within a tie the candidate
+		// that is CERTAINLY near (small hi) should feed the threshold
+		// before one that is merely possibly near; remaining ties keep
+		// snapshot order, for a deterministic claim sequence (batch members
+		// ascend by snapshot index, so the index tie-break is the stable
+		// order). Only candidates whose lo fits the seeded threshold are
+		// sorted at all: the threshold never rises, so the rest could
+		// never be claimed — they stay unclaimed and are attributed after
+		// the scan like any other cut-off candidate. The answer itself is
+		// order-independent — exclusion always carries a proof.
+		th0 := coll.threshold()
+		order = order[:0]
+		for _, i := range mem {
+			if los[i] <= th0 {
+				order = append(order, i)
+			}
+		}
+		slices.SortFunc(order, func(a, b int) int {
+			if c := cmp.Compare(los[a], los[b]); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(his[a], his[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
 		if trace != nil {
 			// Bounding, ordering and threshold seeding are bound-stage
 			// work; the stage's pruned count (threshold cutoff plus
@@ -465,6 +481,29 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 							continue
 						}
 					}
+					// Tier 1: the branch bound raises the optimistic end of
+					// the GED interval. A candidate it lifts above the
+					// threshold is out with no engine run; otherwise the
+					// raised GEDLo narrows the decision run's plan. A
+					// candidate whose pessimistic end already fits is
+					// certainly in, so there is nothing to prove.
+					if needGED && his[i] > th {
+						if lb := sn.sigs[i].BranchLB(qsig); lb > bounds[i].GEDLo {
+							bounds[i].GEDLo = lb
+							if lo, _ := bounds[i].Interval(m); lo > th {
+								fate[i] = fateBounded
+								if trace != nil {
+									trace.Observe(StageBound, time.Since(t0), 0, 0)
+								}
+								continue
+							}
+						}
+						if trace != nil {
+							t1 := time.Now()
+							trace.Observe(StageBound, t1.Sub(t0), 0, 0)
+							t0 = t1
+						}
+					}
 					// Threshold-fed evaluation: an engine decision run
 					// excludes, or a plain exact run scores.
 					score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval)
@@ -501,7 +540,8 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	// are sums over the same partition of the snapshot. A candidate that
 	// was not scored was, in this order: never bounded (a skipped cell —
 	// the vector tier's), excluded by an engine decision run (the exact
-	// stage's, observed on the trace as it happened), condemned at the
+	// stage's, observed on the trace as it happened), proved out by the
+	// branch bound at its claim (the bound stage's), condemned at the
 	// final threshold by the merged optimistic bound where the signature
 	// bound alone would have let it through (the pivot tier's), or
 	// otherwise cut off by the signature bound and the best-first
@@ -521,6 +561,8 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		case !probed[i]:
 			stats.VectorSkipped++
 		case fate[i] == fateExcluded:
+		case fate[i] == fateBounded:
+			boundPruned++
 		case attribute && los[i] > th && sigLos[i] <= th:
 			stats.PivotPruned++
 		default:

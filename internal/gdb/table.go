@@ -6,6 +6,7 @@ import (
 
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
+	"skygraph/internal/pivot"
 	"skygraph/internal/skyline"
 )
 
@@ -44,16 +45,24 @@ type VectorTable struct {
 }
 
 // snap is one consistent read of the database: the stored graphs,
-// their signatures, their insert sequences (the score-memo keys) and
-// the generation they belong to, all under a single lock acquisition.
+// their signatures, their insert sequences (the score-memo keys), the
+// generation they belong to and the pivot tier's distance columns (nil
+// when the tier is off), all under a single lock acquisition. Pivot
+// columns come and go with inserts and deletes under the same lock, so
+// a column in the snapshot is the column of the graph the snapshot
+// holds under that name — never of a namesake deleted or re-inserted
+// since.
 type snap struct {
 	graphs []*graph.Graph
 	sigs   []*measure.Signature
 	seqs   []uint64
 	gen    uint64
+	cols   *pivot.Columns
 }
 
-func (db *DB) snapshot() snap {
+// snapshot reads the shard. withCols adds the pivot columns, which only
+// ranked scans read.
+func (db *DB) snapshot(withCols bool) snap {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	sn := snap{
@@ -61,6 +70,9 @@ func (db *DB) snapshot() snap {
 		sigs:   make([]*measure.Signature, 0, len(db.names)),
 		seqs:   make([]uint64, 0, len(db.names)),
 		gen:    db.gen,
+	}
+	if withCols && db.pidx != nil {
+		sn.cols = db.pidx.Columns()
 	}
 	for _, n := range db.names {
 		e := db.graphs[n]
@@ -88,7 +100,7 @@ func (db *DB) snapshot() snap {
 func (db *DB) vectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	sn := db.snapshot()
+	sn := db.snapshot(false)
 	qsig := measure.NewSignature(q)
 	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
 	// No pivot tier on either build: the full scan evaluates every pair
@@ -99,7 +111,7 @@ func (db *DB) vectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 	// a cell's floor vector only where tier 0 prunes every member anyway.
 	// The score memo applies to both: a warm memo rebuilds a table with
 	// engines running only for graphs inserted since.
-	ec := db.newEvalCtx(q, qsig, opts, false)
+	ec := db.newEvalCtx(q, qsig, opts, nil)
 	if opts.Prune && measure.Boundable(opts.Basis) {
 		pts, pruned, inexact, err := evalPruned(ctx, sn, q, qsig, ec, opts)
 		if err != nil {

@@ -15,7 +15,9 @@ import (
 //	        they prove (see internal/vector); ranked scans only
 //	bound   tier-0 signature bounds: histogram/degree intervals from the
 //	        stored index, the candidate ordering of both scans, and the
-//	        threshold cutoff that ends a ranked one
+//	        threshold cutoff that ends a ranked one; on ranked scans also
+//	        tier 1, the branch GED bound a claimed candidate meets before
+//	        any engine (on the skyline path that test is part of exact)
 //	pivot   the pivot index's triangle-inequality intersection: the P
 //	        query-to-pivot engine runs (paid when the query's context is
 //	        assembled, before any candidate is looked at) plus the
@@ -32,9 +34,10 @@ import (
 // counted per candidate, never derived as a difference between other
 // stages' totals. On a ranked scan the fates are, in order: never
 // bounded because its cell was skipped (vector), excluded by an engine
-// decision run (exact), condemned at the final threshold only thanks to
-// the triangle bound (pivot), otherwise cut off by the signature bound
-// and the best-first threshold (bound). On the skyline path there is
+// decision run (exact), proved out by the branch bound at its claim
+// (bound), condemned at the final threshold only thanks to the triangle
+// bound (pivot), otherwise cut off by the signature bound and the
+// best-first threshold (bound). On the skyline path there is
 // one: discarded by the scan (exact); the bound stage orders the scan
 // and prunes nothing. Hence, summed over stages,
 // Pruned equals the query's Work.Pruned; the pivot and vector stages'

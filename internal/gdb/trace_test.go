@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
@@ -188,4 +189,53 @@ func TestTraceNilIsFree(t *testing.T) {
 		t.Fatalf("nil trace Stages() = %+v, want nil", got)
 	}
 	tr.Observe(gdb.StageExact, 0, 1, 1) // must not panic
+}
+
+// TestBranchBoundSparesDecisionRuns: on the cold-ranked shape — order-5
+// clustered families, 1-edit queries, DistEd top-5 and radius 2 — the
+// branch bound proves most claimed candidates out before any engine
+// runs, so the exact stage looks at a small multiple of the candidates
+// it scores. Without tier 1 the decision runs handled about twelve
+// candidates per scored one here. One worker keeps the claim sequence
+// deterministic; no pivots keeps the bound stage alone in front of the
+// engines.
+func TestBranchBoundSparesDecisionRuns(t *testing.T) {
+	roots := dataset.MoleculeDB(80, 5, 5, 3501)
+	gs := dataset.NoisyQueries(roots, 2000, 2, 3503)
+	for i, g := range gs {
+		g.SetName(fmt.Sprintf("g%05d", i))
+	}
+	sh := testutil.NewSharded(t, 1, gs)
+	m := measure.DistEd{}
+	exactPairs, evaluated := 0, 0
+	for qi, q := range dataset.NoisyQueries(gs, 12, 1, 3505) {
+		for _, kind := range []string{"topk", "range"} {
+			tr := gdb.NewQueryTrace()
+			opts := gdb.QueryOptions{Workers: 1, Trace: tr}
+			var (
+				res gdb.TopKResult
+				err error
+			)
+			if kind == "topk" {
+				res, err = sh.TopKQuery(context.Background(), q, m, 5, opts)
+			} else {
+				res, err = sh.RangeQuery(context.Background(), q, m, 2, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s q=%d", kind, qi)
+			requireTraceConsistent(t, label, tr, res.Stats, len(gs))
+			_, pairs, _, _ := stageSums(tr.Stages())
+			exactPairs += pairs
+			evaluated += res.Stats.Evaluated
+		}
+	}
+	if evaluated == 0 {
+		t.Fatal("no candidate was scored")
+	}
+	if exactPairs > 4*evaluated {
+		t.Fatalf("exact stage handled %d pairs for %d scored (%.1fx), want <= 4x", exactPairs, evaluated, float64(exactPairs)/float64(evaluated))
+	}
+	t.Logf("exact stage: %d pairs for %d scored (%.1fx)", exactPairs, evaluated, float64(exactPairs)/float64(evaluated))
 }

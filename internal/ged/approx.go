@@ -16,15 +16,16 @@ const bigCost = 1e12
 
 // costBuf is a reusable square cost matrix: one flat backing array with
 // row views sliced out of it, plus the per-vertex incident edge-label
-// histograms the substitution block is built from. Bipartite runs on
-// every capped exact fallback and on every pivot-distance cap, so this
-// allocation is hot.
+// histograms the substitution block is built from and the assignment
+// solver's working memory. Bipartite runs on every capped exact
+// fallback and on every pivot-distance cap, so this allocation is hot.
 type costBuf struct {
 	flat []float64
 	rows [][]float64
 	// inc1[u*ne+l], inc2[v*ne+l] count vertex u's (v's) incident edges
 	// with label id l.
 	inc1, inc2 []int32
+	solver     assign.Scratch
 }
 
 // matrix returns an n x n view over the buffer, growing it as needed.
@@ -107,7 +108,7 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 			cost[i][j] = 0
 		}
 	}
-	a, _, err := assign.Solve(cost)
+	a, _, err := buf.solver.Solve(cost)
 	if err != nil {
 		// Cannot happen for the matrices built above; fall back to the
 		// trivial delete-all/insert-all mapping.

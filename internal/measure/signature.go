@@ -27,14 +27,19 @@ type Signature struct {
 	THist Histogram
 	// Degrees is the degree sequence, descending.
 	Degrees []int
+	// branches encodes every vertex's branch (label plus sorted incident
+	// edge labels) in canonical order, as ranks into VHist and EHist,
+	// for BranchLB (branch.go).
+	branches []uint32
 }
 
 // NewSignature computes g's signature. Callers must not mutate g
 // afterwards (the database enforces this already for stored graphs).
 func NewSignature(g *graph.Graph) *Signature {
 	vh, eh := labelHistograms(g)
-	types := make([]string, 0, g.Size())
-	for _, e := range g.Edges() {
+	edges := g.Edges()
+	types := make([]string, 0, len(edges))
+	for _, e := range edges {
 		types = append(types, edgeType(g.VertexLabel(e.U), g.VertexLabel(e.V), e.Label))
 	}
 	return &Signature{
@@ -44,6 +49,8 @@ func NewSignature(g *graph.Graph) *Signature {
 		EHist:   eh,
 		THist:   histogramOf(types),
 		Degrees: g.DegreeSequence(),
+
+		branches: encodeBranches(g, edges, vh, eh),
 	}
 }
 

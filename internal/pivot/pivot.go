@@ -120,8 +120,8 @@ type Index struct {
 	// snap is the query-facing copy of entries, rebuilt lazily when
 	// snapDirty (a column published, a member removed, an epoch
 	// turned). Once the index is fully built — the steady state —
-	// every StartQuery shares one immutable map instead of paying an
-	// O(members) copy per query.
+	// every Columns snapshot shares one immutable map instead of
+	// paying an O(members) copy per query.
 	snap       map[string][]Entry
 	snapDirty  bool
 	epoch      uint64
@@ -404,22 +404,43 @@ func (ix *Index) snapLocked() map[string][]Entry {
 	return ix.snap
 }
 
-// StartQuery computes the query's P pivot distances (the only engine
-// work the pivot tier adds to a query) and snapshots the columns. It
-// returns nil when the index has no pivots selected yet, so callers can
-// gate the whole tier on one check.
-func (ix *Index) StartQuery(q *graph.Graph, qsig *measure.Signature) *QueryBounds {
+// Columns is a consistent snapshot of the index: the pivot set, its
+// selection epoch and the published distance columns, all from one
+// lock acquisition. Taking it costs no engine work, so a database can
+// take it while it holds its own lock and the columns then describe
+// exactly the graphs it read under that lock (a column is published
+// only while its name still holds the graph it was computed for, and a
+// remove drops the column at once). Query adds the query's distances.
+type Columns struct {
+	pivots   []*member
+	entries  map[string][]Entry
+	epoch    uint64
+	maxNodes int64 // Config.QueryMaxNodes
+}
+
+// Columns snapshots the index. It returns nil when no pivots are
+// selected or no column is published yet, so callers can gate the whole
+// tier on one check.
+func (ix *Index) Columns() *Columns {
 	ix.mu.Lock()
-	pivots := ix.pivots
-	epoch := ix.epoch
+	defer ix.mu.Unlock()
 	entries := ix.snapLocked()
-	ix.mu.Unlock()
-	if len(pivots) == 0 || len(entries) == 0 {
+	if len(ix.pivots) == 0 || len(entries) == 0 {
 		return nil
 	}
-	qb := &QueryBounds{qd: make([]Entry, len(pivots)), entries: entries, epoch: epoch, Dists: len(pivots)}
-	for i, p := range pivots {
-		qb.qd[i] = distance(q, qsig, p, ix.cfg.QueryMaxNodes)
+	return &Columns{pivots: ix.pivots, entries: entries, epoch: ix.epoch, maxNodes: ix.cfg.QueryMaxNodes}
+}
+
+// Query computes the query's P pivot distances (the only engine work
+// the pivot tier adds to a query) against the snapshot. Nil-safe: a nil
+// snapshot yields nil bounds.
+func (c *Columns) Query(q *graph.Graph, qsig *measure.Signature) *QueryBounds {
+	if c == nil {
+		return nil
+	}
+	qb := &QueryBounds{qd: make([]Entry, len(c.pivots)), entries: c.entries, epoch: c.epoch, Dists: len(c.pivots)}
+	for i, p := range c.pivots {
+		qb.qd[i] = distance(q, qsig, p, c.maxNodes)
 	}
 	return qb
 }

@@ -57,7 +57,7 @@ func TestBoundsContainTrueGED(t *testing.T) {
 	ix := buildIndex(t, Config{Pivots: 3, MaxNodes: -1, QueryMaxNodes: -1}, gs)
 	queries := molecules(t, 99, 3)
 	for _, q := range queries {
-		qb := ix.StartQuery(q, measure.NewSignature(q))
+		qb := ix.Columns().Query(q, measure.NewSignature(q))
 		if qb == nil {
 			t.Fatal("index not ready after Wait")
 		}
@@ -80,7 +80,7 @@ func TestCappedBoundsStillAdmissible(t *testing.T) {
 	gs := molecules(t, 13, 10)
 	ix := buildIndex(t, Config{Pivots: 3, MaxNodes: 5, QueryMaxNodes: 5}, gs)
 	q := molecules(t, 101, 1)[0]
-	qb := ix.StartQuery(q, measure.NewSignature(q))
+	qb := ix.Columns().Query(q, measure.NewSignature(q))
 	if qb == nil {
 		t.Fatal("index not ready")
 	}

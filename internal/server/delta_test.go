@@ -218,7 +218,7 @@ func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []sk
 		gens:    []uint64{gen},
 		tables:  []*gdb.VectorTable{{Generation: gen, Basis: res.basis, Points: rows, Inexact: inexact}},
 		inexact: inexact,
-		lin:     &lineage{q: res.q, qsig: res.qsig, basis: res.basis},
+		lin:     &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis},
 	})
 	return &prunedFixture{s: s, res: res}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"skygraph/internal/gdb"
+	"skygraph/internal/measure"
 )
 
 // Ranked serving. /query/topk and /query/range call the library's
@@ -38,7 +39,7 @@ func (s *Server) buildRanked(ctx context.Context, res resolved, gens []uint64) (
 		items:   r.Items,
 		inexact: r.Stats.Inexact,
 		work:    r.Stats.Work,
-		lin:     &lineage{q: res.q, qsig: res.qsig, m: res.m},
+		lin:     &lineage{q: res.q, qsig: measure.NewSignature(res.q), m: res.m},
 	}
 	// Cache only when no mutation raced the evaluation: generations are
 	// monotone, so unchanged before/after means every snapshot the scan

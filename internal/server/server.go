@@ -357,8 +357,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // into engine values.
 type resolved struct {
 	q     *graph.Graph
-	qh    string             // canonical query hash, computed once per request
-	qsig  *measure.Signature // query signature, computed once per request
+	qh    string // canonical query hash, computed once per request
 	basis []measure.Measure
 	m     measure.Measure // ranking measure (topk/range)
 	opts  gdb.QueryOptions
@@ -400,7 +399,6 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	}
 	res.q = req.Graph
 	res.qh = graph.QueryHash(res.q)
-	res.qsig = measure.NewSignature(res.q)
 
 	basis, err := measure.BasisByNames(req.Basis)
 	if err != nil {
@@ -624,7 +622,7 @@ func (s *Server) buildTables(ctx context.Context, res resolved) (*cacheEntry, bo
 		e.work.Add(t.Work)
 	}
 	if opts.Prune {
-		e.lin = &lineage{q: res.q, qsig: res.qsig, basis: res.basis}
+		e.lin = &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis}
 	}
 	return e, true, nil
 }
