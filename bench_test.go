@@ -20,10 +20,8 @@ import (
 	"skygraph/internal/graph"
 	"skygraph/internal/mcs"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
 	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
-	"skygraph/internal/vector"
 )
 
 // BenchmarkTable1Hotels regenerates Table I / Example 1: the hotel skyline
@@ -126,72 +124,63 @@ func BenchmarkTable5Ranking(b *testing.B) {
 	}
 }
 
-// BenchmarkVectorScaling is the ranked-scan tier experiment at real
-// collection sizes, the only n = 10k evidence the vector candidate tier
-// has: n/25 molecule families of 25 rewired variants each (identical
-// label histograms within a family, so only structure distinguishes
-// members), DistEd top-5 queries against a fresh rewiring of a family-0
-// member. Three tiers: signature bounds alone ("sig"), the
-// triangle-inequality pivot tier ("pivot"), and the IVF partition under
-// both ("vector"). All three return byte-identical answers; what changes
-// is candidates_touched/op — the graphs the scan had to bound at all
-// (collection size minus the members excluded wholesale by admissible
-// cell floors). sig and pivot touch every graph every query; the vector
-// tier's floor cutoff drops whole families without reading a signature,
-// which is where the sublinear ns/op comes from. Workers is pinned to 1
-// so the counters are deterministic.
-func BenchmarkVectorScaling(b *testing.B) {
+// BenchmarkRankedScaling measures the best-first ranked scan at two
+// collection sizes, 1k and 10k, on the cold-ranked workload's shape:
+// n/25 order-5 molecule families of 2-edit mutations, every graph
+// distinct up to isomorphism, and a 1-edit query; DistEd top-5 and a
+// radius-2 range. evaluated/op counts the candidates scored exactly and
+// pruned/op the rest (tier 0, tier 1 and decision runs together).
+// Workers is pinned to 1 so the counters are deterministic.
+func BenchmarkRankedScaling(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
-		gs := dataset.RewiredClusters(n/25, 25, 4, 5, 5, 1)
-		q := graph.Rewire(gs[0], 1, newGoRand(999))
-		q.SetName("q0")
-		opts := gdb.QueryOptions{Workers: 1}
-		run := func(b *testing.B, db *gdb.Sharded) {
-			var last gdb.QueryStats
-			for i := 0; i < b.N; i++ {
-				res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 5, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.Stats
-			}
-			b.ReportMetric(float64(db.Len()-last.VectorSkipped), "candidates_touched/op")
-			b.ReportMetric(float64(last.Evaluated), "evaluated/op")
-			b.ReportMetric(float64(last.VectorCells), "vector_cells/op")
-			b.ReportMetric(float64(last.VectorFallbacks), "vector_fallbacks/op")
+		gs := distinctFamilies(n, 5, 1)
+		q := dataset.NoisyQueries(gs, 1, 1, 999)[0]
+		db := gdb.NewSharded(1)
+		if err := db.InsertAll(gs); err != nil {
+			b.Fatal(err)
 		}
-		pivotCfg := pivot.Config{Pivots: 16, QueryMaxNodes: -1}
-		vectorCfg := vector.Config{Dims: 32, Cells: n / 100}
-		b.Run(fmt.Sprintf("n=%d/sig", n), func(b *testing.B) {
-			db := gdb.NewSharded(1)
-			if err := db.InsertAll(gs); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			run(b, db)
-		})
-		b.Run(fmt.Sprintf("n=%d/pivot", n), func(b *testing.B) {
-			db := gdb.NewSharded(1)
-			if err := db.InsertAll(gs); err != nil {
-				b.Fatal(err)
-			}
-			db.EnablePivots(pivotCfg)
-			db.WaitPivots()
-			b.ResetTimer()
-			run(b, db)
-		})
-		b.Run(fmt.Sprintf("n=%d/vector", n), func(b *testing.B) {
-			db := gdb.NewSharded(1)
-			if err := db.InsertAll(gs); err != nil {
-				b.Fatal(err)
-			}
-			db.EnablePivots(pivotCfg)
-			db.WaitPivots()
-			db.EnableVector(vectorCfg)
-			b.ResetTimer()
-			run(b, db)
-		})
+		opts := gdb.QueryOptions{Workers: 1}
+		for _, kind := range []string{"topk", "range"} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, kind), func(b *testing.B) {
+				var last gdb.QueryStats
+				for i := 0; i < b.N; i++ {
+					var res gdb.TopKResult
+					var err error
+					if kind == "topk" {
+						res, err = db.TopKQuery(context.Background(), q, measure.DistEd{}, 5, opts)
+					} else {
+						res, err = db.RangeQuery(context.Background(), q, measure.DistEd{}, 2, opts)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					last = res.Stats
+				}
+				b.ReportMetric(float64(last.Evaluated), "evaluated/op")
+				b.ReportMetric(float64(last.Pruned), "pruned/op")
+			})
+		}
 	}
+}
+
+// distinctFamilies returns n pairwise non-isomorphic graphs of the given
+// order in families of 25: 2-edit mutations of n/25 random root
+// molecules, a mutation kept only when no earlier graph shares its
+// canonical form. Names are g00000, g00001, ...
+func distinctFamilies(n, order int, seed int64) []*graph.Graph {
+	roots := dataset.MoleculeDB(n/25, order, order, seed)
+	rng := newGoRand(seed + 1)
+	seen := make(map[string]bool, n)
+	out := make([]*graph.Graph, 0, n)
+	for len(out) < n {
+		g := graph.Mutate(roots[len(out)%len(roots)], 2, graph.MoleculeAlphabet.Atoms, graph.MoleculeAlphabet.Bonds, rng)
+		if h := graph.QueryHash(g); !seen[h] {
+			seen[h] = true
+			g.SetName(fmt.Sprintf("g%05d", len(out)))
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // BenchmarkSkylineAlgos is experiment E9: BNL vs SFS vs D&C on identical

@@ -306,8 +306,8 @@ func awaitReady(client *http.Client, base string, budget time.Duration) error {
 }
 
 // seedDatabase bulk-inserts a deterministic synthetic collection so a
-// fresh daemon can be driven at a chosen scale (e.g. -db-size 10000 to
-// exercise the vector tier) without preparing an LGF file. Graphs go in
+// fresh daemon can be driven at a chosen scale (e.g. -db-size 10000)
+// without preparing an LGF file. Graphs go in
 // batches of 256 under idempotency keys, so an interrupted or retried
 // seeding pass converges instead of 409-ing; names already present
 // (a previous run's collection) fail the pass, which is the right

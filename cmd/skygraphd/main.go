@@ -9,15 +9,8 @@
 // every shard's tables for a skyline, the merged items for top-k and
 // range — sits in front of the GED/MCS pair-evaluation hot path and is
 // delta-maintained across mutations: an upgrade replaces only the
-// mutated shard's part of an answer.
-// -pivots attaches a background-maintained metric pivot index per
-// shard (triangle-inequality GED bounds for the filter tiers); -memo
-// adds the cross-query exact-score memo that survives mutations the
-// table cache cannot; -vector-cells adds the vector candidate tier for
-// top-k and range scans — per-graph embeddings in an IVF-style coarse
-// partition that streams candidates best-first and skips whole cells
-// whose admissible floor cannot beat the running threshold, with
-// answers byte-identical to the plain scan.
+// mutated shard's part of an answer. -memo adds the cross-query
+// exact-score memo that survives mutations the answer cache cannot.
 //
 // Usage:
 //
@@ -37,7 +30,7 @@
 //	GET    /stats           database, shard, cache and request counters
 //	GET    /metrics         Prometheus text exposition (format 0.0.4)
 //	GET    /healthz         liveness probe
-//	GET    /readyz          readiness probe (database loaded, pivot columns built)
+//	GET    /readyz          readiness probe (database loaded, writes not degraded)
 //
 // -slow-query-ms logs any query at or above the threshold as one JSON
 // line (with its per-stage trace) to stderr; -pprof-addr serves
@@ -80,9 +73,7 @@ import (
 	"skygraph/internal/fault"
 	"skygraph/internal/gdb"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
 	"skygraph/internal/server"
-	"skygraph/internal/vector"
 	"skygraph/internal/wal"
 )
 
@@ -129,12 +120,7 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max queries per /query/batch request (0 = default)")
 	gedBudget := flag.Int64("ged-budget", 0, "default GED search-node cap (0 = exact)")
 	mcsBudget := flag.Int64("mcs-budget", 0, "default MCS search-node cap (0 = exact)")
-	pivots := flag.Int("pivots", 0, "metric pivot index: pivots per shard (0 = disabled); pivot distance columns are maintained in the background")
-	pivotBudget := flag.Int64("pivot-budget", 0, "A* node cap per insert-time pivot distance (0 = package default, negative = exact)")
-	pivotQueryBudget := flag.Int64("pivot-query-budget", 0, "A* node cap per query-to-pivot distance (0 = package default, negative = exact)")
 	memoSize := flag.Int("memo", 0, "cross-query exact-score memo capacity (pair entries, 0 = disabled)")
-	vectorCells := flag.Int("vector-cells", 0, "vector candidate tier for top-k/range scans: coarse partition cells per shard (0 = disabled); answers stay byte-identical, candidates stream best-first; skyline queries never use it")
-	vectorDims := flag.Int("vector-dims", 0, "vector embedding dimensions for the WL-histogram block (0 = package default of 32; needs -vector-cells)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log queries at or above this server-side duration as JSON lines to stderr (0 = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it private)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + snapshots; a restart with the same directory recovers the database (empty = in-memory only)")
@@ -208,18 +194,8 @@ func main() {
 			}
 		}
 	}
-	if *pivots > 0 {
-		db.EnablePivots(pivot.Config{Pivots: *pivots, MaxNodes: *pivotBudget, QueryMaxNodes: *pivotQueryBudget})
-	}
 	if *memoSize > 0 {
 		db.EnableScoreMemo(*memoSize)
-	}
-	if *vectorCells > 0 {
-		// After EnablePivots (so the embeddings carry pivot-distance
-		// blocks) and after recovery (so every recovered graph is
-		// embedded): the index feeds from the already-loaded shards and
-		// tracks mutations synchronously from here on.
-		db.EnableVector(vector.Config{Dims: *vectorDims, Cells: *vectorCells})
 	}
 	stats := db.Stats()
 	log.Printf("skygraphd: serving %d graphs (%d vertices, %d edges) across %d shards on %s",

@@ -253,9 +253,16 @@ func MoleculeDB(n, minV, maxV int, seed int64) []*graph.Graph {
 // edge relocations of it (graph.Rewire — edges moved, labels and sizes
 // untouched). Every graph in a cluster shares the seed's exact label
 // histograms, so the histogram edit-distance bound between cluster
-// mates is 0 no matter how far apart they really are: signature
-// filters are blind inside clusters, and only a structural index (the
-// metric pivot tier) can separate them — the isomer-database regime.
+// mates is 0 no matter how far apart they really are: only a structural
+// bound (the branch bound, or the engines) can separate them.
+//
+// That isomer regime needs cycles. graph.Molecule adds n*15/100
+// ring-closing edges to a spanning tree, so below order 7 every seed is
+// a tree; every tree edge is a bridge, and graph.Rewire never moves a
+// bridge. At those orders each cluster is per copies of its seed — the
+// database holds at most clusters distinct graphs (fewer when two seeds
+// are isomorphic). Use orders of 7 and up for distinct cluster mates.
+//
 // The returned slice is deterministically shuffled so insertion order
 // carries no cluster locality. Names are c<cluster>m<member>.
 func RewiredClusters(clusters, per, minV, maxV, ops int, seed int64) []*graph.Graph {

@@ -244,3 +244,34 @@ func TestMoleculeDBPanicsOnBadRange(t *testing.T) {
 	}()
 	MoleculeDB(1, 5, 4, 1)
 }
+
+// clusterForms maps each RewiredClusters cluster (the c<cluster> name
+// prefix) to the set of canonical forms among its members.
+func clusterForms(gs []*graph.Graph) map[string]map[string]bool {
+	out := map[string]map[string]bool{}
+	for _, g := range gs {
+		c := g.Name()[:3]
+		if out[c] == nil {
+			out[c] = map[string]bool{}
+		}
+		out[c][graph.QueryHash(g)] = true
+	}
+	return out
+}
+
+// TestRewiredClustersDistinctCounts pins what the generator's doc says:
+// at orders below 7 the seeds are trees, no rewire can move a bridge, so
+// every cluster is copies of its seed (one canonical form per cluster);
+// from order 7 on the seeds have a ring and cluster mates differ.
+func TestRewiredClustersDistinctCounts(t *testing.T) {
+	for c, forms := range clusterForms(RewiredClusters(12, 10, 4, 6, 5, 1)) {
+		if len(forms) != 1 {
+			t.Errorf("tree orders: cluster %s holds %d distinct graphs, want 1", c, len(forms))
+		}
+	}
+	for c, forms := range clusterForms(RewiredClusters(12, 10, 7, 8, 5, 1)) {
+		if len(forms) < 2 {
+			t.Errorf("ring orders: cluster %s holds %d distinct graphs, want several", c, len(forms))
+		}
+	}
+}

@@ -12,9 +12,9 @@ import (
 // in — the seam that lets a test schedule the scan.
 func PrunedPointsInOrder(db *DB, q *graph.Graph, opts QueryOptions, permute func(order []int)) []skyline.Point {
 	opts = opts.withDefaults()
-	sn := db.snapshot(false)
+	sn := db.snapshot()
 	qsig := measure.NewSignature(q)
-	sc, order := newSkyScan(sn, q, qsig, db.newEvalCtx(q, qsig, opts, nil), opts)
+	sc, order := newSkyScan(sn, q, qsig, db.newEvalCtx(q, opts), opts)
 	permute(order)
 	for _, i := range order {
 		sc.settle(i)

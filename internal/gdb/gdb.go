@@ -14,8 +14,6 @@ import (
 
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
-	"skygraph/internal/vector"
 	"skygraph/internal/wal"
 )
 
@@ -34,13 +32,6 @@ type DB struct {
 	graphs map[string]*entry
 	gen    uint64 // bumped on every successful insert/delete
 
-	// pidx, when enabled, is the metric pivot index maintained in the
-	// background as graphs come and go (see enablePivots).
-	pidx *pivot.Index
-	// vidx, when enabled, is the vector candidate-generation tier:
-	// per-graph embeddings and the IVF partition queries probe
-	// best-first (see enableVector).
-	vidx *vector.Index
 	// memo, when set, is the cross-query exact-score memo consulted and
 	// fed by every evaluation path (see Sharded.EnableScoreMemo).
 	memo *ScoreMemo
@@ -142,12 +133,6 @@ func (db *DB) insert(g *graph.Graph, seq uint64, key string) (gen uint64, err er
 	db.graphs[g.Name()] = e
 	db.names = append(db.names, g.Name())
 	db.gen++
-	if db.pidx != nil {
-		db.pidx.Add(g.Name(), e.g, e.sig)
-	}
-	if db.vidx != nil {
-		db.vidx.Add(g.Name(), e.g, e.sig, db.gen)
-	}
 	return db.gen, nil
 }
 
@@ -196,76 +181,7 @@ func (db *DB) delete(name, key string) (existed bool, gen uint64, err error) {
 		}
 	}
 	db.gen++
-	if db.pidx != nil {
-		db.pidx.Remove(name)
-	}
-	if db.vidx != nil {
-		db.vidx.Remove(name, db.gen)
-	}
 	return true, db.gen, nil
-}
-
-// enablePivots attaches a metric pivot index (see internal/pivot) to
-// the shard: pivot distance columns for the current graphs are
-// scheduled immediately and maintained in the background on every
-// insert and delete from then on. Queries pick the index up
-// automatically — partial columns simply leave individual candidates
-// on their signature-only bounds, so enabling is safe at any point.
-// Calling it again is a no-op.
-func (db *DB) enablePivots(cfg pivot.Config) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.pidx == nil {
-		db.pidx = pivot.New(cfg)
-		for _, n := range db.names {
-			e := db.graphs[n]
-			db.pidx.Add(n, e.g, e.sig)
-		}
-		if db.vidx != nil {
-			db.vidx.AttachPivots(db.pidx)
-		}
-	}
-}
-
-// PivotIndex returns the attached pivot index (nil when disabled).
-func (db *DB) PivotIndex() *pivot.Index {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.pidx
-}
-
-// enableVector attaches the vector candidate tier (see internal/vector):
-// embeddings for the current graphs are computed immediately — the
-// initial partition build completes before enableVector returns — and
-// maintained on every insert and delete from then on (membership and
-// generation tags synchronously; centroid re-selections in the
-// background, off the mutation path).
-// Queries pick the tier up automatically once the collection reaches
-// Config.Cells members; until then — and whenever a query cannot prove
-// its snapshot matches the partition — evaluation falls back to the
-// plain scan, so enabling is safe at any point, including right after
-// recovery replay (the embeddings rebuild from the recovered graphs, no
-// separate persistence). Enable pivots first (or at any later point) to
-// get pivot-midpoint embedding coordinates and per-cell pivot floors.
-// Calling it again is a no-op.
-func (db *DB) enableVector(cfg vector.Config) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.vidx == nil {
-		db.vidx = vector.New(cfg, db.pidx)
-		for _, n := range db.names {
-			e := db.graphs[n]
-			db.vidx.Add(n, e.g, e.sig, db.gen)
-		}
-		db.vidx.WaitRebuild()
-	}
-}
-
-// VectorIndex returns the attached vector index (nil when disabled).
-func (db *DB) VectorIndex() *vector.Index {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.vidx
 }
 
 // setScoreMemo attaches the cross-query exact-score memo (one memo

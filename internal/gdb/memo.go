@@ -3,14 +3,11 @@ package gdb
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
 )
 
 // ScoreMemo is the cross-query exact-score memo: a bounded LRU of raw
@@ -229,73 +226,30 @@ func (m *ScoreMemo) Stats() MemoStats {
 	}
 }
 
-// evalCtx carries the per-query index material every evaluation path
-// over one snapshot shares: the pivot tier's triangle bounds, the
-// score-memo handles, and the per-query counters the wire stats
-// surface. A nil *evalCtx (no pivot index, no memo) is valid
-// everywhere and turns every method into a cheap no-op.
+// evalCtx carries the per-query score-memo handles every evaluation
+// path over one snapshot shares, and the memo counters the wire stats
+// surface. A nil *evalCtx (no memo) is valid everywhere and turns every
+// method into a cheap no-op.
 type evalCtx struct {
-	// pb is the pivot tier's per-query state (nil = tier off).
-	pb *pivot.QueryBounds
-	// tightenHi gates the triangle *upper* bound: it brackets the true
-	// distance, which only brackets the reported distance when the GED
-	// engine runs uncapped (see BoundStats.TightenGED).
-	tightenHi bool
-
 	memo *ScoreMemo
 	mq   memoQuery
 
-	pivotDists int
 	memoHits   atomic.Int64
 	memoMisses atomic.Int64
 }
 
-// newEvalCtx assembles the per-query context. cols is the pivot tier's
-// column snapshot, taken with the database snapshot (snap.cols) — ranked
-// scans pass it, table builds pass nil: a table build either evaluates
-// every pair anyway or (pruned skyline) discards against a running
-// front, so P engine runs for query-to-pivot distances would buy it
-// nothing. Those runs are pivot-stage work and are traced as such.
-func (db *DB) newEvalCtx(q *graph.Graph, qsig *measure.Signature, opts QueryOptions, cols *pivot.Columns) *evalCtx {
-	ec := &evalCtx{}
-	if cols != nil {
-		t0 := time.Now()
-		ec.pb = cols.Query(q, qsig)
-		opts.Trace.Observe(StagePivot, time.Since(t0), 0, 0)
-		ec.pivotDists = ec.pb.Dists
-		ec.tightenHi = opts.Eval.GEDMaxNodes == 0
-	}
-	if memo := db.Memo(); memo != nil {
-		ec.memo = memo
-		qh := opts.QueryHash
-		if qh == "" {
-			qh = graph.QueryHash(q)
-		}
-		ec.mq = newMemoQuery(qh, opts.Eval)
-	}
-	if ec.pb == nil && ec.memo == nil {
+// newEvalCtx assembles the per-query context: nil unless the shard has
+// a score memo.
+func (db *DB) newEvalCtx(q *graph.Graph, opts QueryOptions) *evalCtx {
+	memo := db.Memo()
+	if memo == nil {
 		return nil
 	}
-	return ec
-}
-
-// tighten intersects the pivot tier's GED interval into bs, reporting
-// whether it actually narrowed anything (the attribution signal behind
-// the pivot_pruned counter).
-func (ec *evalCtx) tighten(bs *measure.BoundStats, name string) bool {
-	if ec == nil || ec.pb == nil {
-		return false
+	qh := opts.QueryHash
+	if qh == "" {
+		qh = graph.QueryHash(q)
 	}
-	lo, hi, ok := ec.pb.GED(name)
-	if !ok {
-		return false
-	}
-	if !ec.tightenHi {
-		hi = math.Inf(1)
-	}
-	changed := lo > bs.GEDLo || hi < bs.GEDHi
-	bs.TightenGED(lo, hi)
-	return changed
+	return &evalCtx{memo: memo, mq: newMemoQuery(qh, opts.Eval)}
 }
 
 // memoGet looks up the pair's recorded engine results, succeeding only
@@ -366,13 +320,12 @@ func (ec *evalCtx) computeFull(g, q *graph.Graph, seq uint64, eval measure.Optio
 }
 
 // work reports the per-query counters the context itself maintains:
-// the pivot tier's distance runs and the score-memo lookups.
+// the score-memo lookups.
 func (ec *evalCtx) work() Work {
 	if ec == nil {
 		return Work{}
 	}
 	return Work{
-		PivotDists: ec.pivotDists,
 		MemoHits:   int(ec.memoHits.Load()),
 		MemoMisses: int(ec.memoMisses.Load()),
 	}

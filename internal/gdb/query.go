@@ -62,17 +62,13 @@ func (o QueryOptions) withDefaults() QueryOptions {
 }
 
 // Work is the one definition of the per-evaluation work counters: the
-// exact pairs an evaluation paid for and what each cascade tier spared
-// (the cost model of GSS(D, q), Definition 12). Every layer carries
-// this type instead of re-declaring its fields — table builds, ranked
-// scans, QueryStats, the serving layer's wire stats (which embed it, so
-// the JSON tags below ARE the wire keys), its lifetime totals and its
+// exact pairs an evaluation paid for and what the cascade spared (the
+// cost model of GSS(D, q), Definition 12). Every layer carries this
+// type instead of re-declaring its fields — table builds, ranked scans,
+// QueryStats, the serving layer's wire stats (which embed it, so the
+// JSON tags below ARE the wire keys), its lifetime totals and its
 // /metrics families. The counters describe fresh work only: an answer
 // served from a cache reports the zero Work.
-//
-// Each graph a pruned evaluation does not score is attributed to
-// exactly one tier (see trace.go), so the pivot and vector tiers'
-// shares of Pruned are disjoint.
 type Work struct {
 	// Evaluated counts graphs whose exact answer contribution was
 	// computed: the full GCS vector for skyline queries, the exact
@@ -80,47 +76,24 @@ type Work struct {
 	// included — the value is exact either way).
 	Evaluated int `json:"evaluated"`
 	// Pruned counts graphs excluded without exact evaluation: the
-	// interval filter and the progressive scan's front tests and decision
-	// runs for skyline queries under QueryOptions.Prune; the best-first
-	// threshold cutoff and the threshold-fed engine decision runs for
-	// top-k and range queries, whole vector-tier cells included.
+	// progressive scan's front tests and decision runs for skyline
+	// queries under QueryOptions.Prune; the best-first threshold cutoff,
+	// the branch bound and the threshold-fed engine decision runs for
+	// top-k and range queries. Each is attributed to exactly one trace
+	// stage (see trace.go).
 	Pruned int `json:"pruned"`
-	// PivotPruned counts graphs (within Pruned) whose exclusion needed
-	// the pivot tier's triangle bounds — the signature bounds alone
-	// would have let them through. PivotDists counts the query-to-pivot
-	// distance computations the tier paid for (P per freshly scanned
-	// shard with a live index). Both are ranked-scan counters: skyline
-	// table builds run no pivot tier and report 0.
-	PivotPruned int `json:"pivot_pruned"`
-	PivotDists  int `json:"pivot_dists"`
 	// MemoHits and MemoMisses count cross-query score-memo lookups;
 	// hits replayed recorded engine results instead of running engines.
 	MemoHits   int `json:"memo_hits"`
 	MemoMisses int `json:"memo_misses"`
-	// VectorCells counts partition cells the vector tier probed (bounded
-	// and offered to the scan). VectorSkipped counts graphs (within
-	// Pruned) in cells the tier proved out wholesale by the admissible
-	// cell floor, whose per-graph bounds were never even computed.
-	// VectorFallbacks counts snapshots where an attached vector index
-	// could not serve the query (stale generation) and the plain bound
-	// order ran instead. All three are ranked-scan counters: skyline
-	// table builds run no vector tier and report 0.
-	VectorCells     int `json:"vector_cells_probed"`
-	VectorSkipped   int `json:"vector_skipped"`
-	VectorFallbacks int `json:"vector_fallbacks"`
 }
 
 // Add folds o into w.
 func (w *Work) Add(o Work) {
 	w.Evaluated += o.Evaluated
 	w.Pruned += o.Pruned
-	w.PivotPruned += o.PivotPruned
-	w.PivotDists += o.PivotDists
 	w.MemoHits += o.MemoHits
 	w.MemoMisses += o.MemoMisses
-	w.VectorCells += o.VectorCells
-	w.VectorSkipped += o.VectorSkipped
-	w.VectorFallbacks += o.VectorFallbacks
 }
 
 // QueryStats reports work done by a query.

@@ -58,7 +58,7 @@ type rankedCollector interface {
 	// fixed — and the scan then keeps no bounded heap at all.
 	floorK() int
 	// seedFloor hands the collector the floorK-th smallest upper bound
-	// probed so far, BEFORE those candidates are evaluated. A top-k
+	// of a shard snapshot, BEFORE those candidates are evaluated. A top-k
 	// collector floors its threshold there: the k best reported scores
 	// each sit under one of the k smallest uppers, so any candidate
 	// provably above that floor can never make the answer — pruning
@@ -164,7 +164,7 @@ func (c *rangeCollector) items() []topk.Item {
 // max-heap (the root is the largest kept), so the k-th smallest of
 // everything fed so far is one read away. The ranked scan feeds it each
 // candidate's upper bound once, as the candidate is bounded: O(n log k)
-// per scan, however many vector batches read the floor.
+// per scan.
 type kSmallest struct {
 	k int
 	h []float64
@@ -224,80 +224,90 @@ func (s *kSmallest) kth() (v float64, ok bool) {
 // a table build does, so included scores match its columns byte for
 // byte.
 func (db *DB) scanRanked(ctx context.Context, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (QueryStats, error) {
-	sn := db.snapshot(true)
-	ec := db.newEvalCtx(q, qsig, opts, sn.cols)
-	return evalRanked(ctx, sn, qsig, q, m, opts, ec, db.startVector(sn, qsig, q, m, ec), coll)
+	return evalRanked(ctx, db.snapshot(), qsig, q, m, opts, db.newEvalCtx(q, opts), coll)
 }
 
-// evalRanked is the scan itself: order candidates by optimistic bound,
-// drain them with a worker pool, stop at the threshold. ec (nil-safe)
-// adds the pivot tier — tighter optimistic bounds, so the scan claims
-// true near-neighbors earlier and the cutoff fires sooner — and the
-// score memo, which replays recorded pair scores without any engine
-// work.
-//
-// vs (nil-safe) adds the vector tier below all of that: instead of
-// bounding every candidate up front, the scan drains the partition's
-// inverted lists as batches, nearest-and-most-promising cell first
-// (ascending by admissible floor, then centroid proximity). Each batch
-// pays tier-0 bounding only for its own members, so the threshold —
-// seeded from the pessimistic corners probed so far and tightened by
-// every exact score — is already tight when the far cells come up; the
-// moment the next cell's floor exceeds the live threshold, that cell
-// and every cell after it are excluded wholesale, without touching a
-// single signature. Exclusion always carries a proof (the floor is
-// admissible for every member), so the answer — scores and tie-order —
-// is byte-identical to the plain scan.
+// evalRanked is the scan itself: bound every candidate from its stored
+// signature (tier 0), seed the threshold from the pessimistic ends,
+// order the candidates that fit it by optimistic bound, drain them with
+// a worker pool — tier 1, then the engines — and stop at the threshold.
+// ec (nil-safe) adds the score memo, which replays recorded pair scores
+// without any engine work.
 //
 // The returned stats carry the scan's Work and Inexact; Duration is the
 // caller's to stamp.
-func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx, vs *vecState, coll rankedCollector) (QueryStats, error) {
+func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx, coll rankedCollector) (QueryStats, error) {
 	n := len(sn.graphs)
 	if n == 0 {
 		return QueryStats{}, nil
 	}
-
+	if ctx.Err() != nil {
+		return QueryStats{}, ctx.Err()
+	}
 	trace := opts.Trace
-	var stats QueryStats
-
-	// Tier −1: the probe plan. With a live vector state the batches are
-	// the partition's cells in ascending (floor, centroid distance)
-	// order; otherwise one batch holds every candidate and the scan
-	// below degenerates to exactly the plain pass.
-	vsActive := vs != nil && len(vs.batches) > 0
-	var batches []vecBatch
-	if vsActive {
-		batches = vs.batches
-	} else {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		batches = []vecBatch{{members: all, floor: math.Inf(-1)}}
-	}
-	if vs != nil && vs.fallback {
-		stats.VectorFallbacks = 1
+	var tierStart time.Time
+	if trace != nil {
+		tierStart = time.Now()
 	}
 
+	// Tier 0: bound every candidate from its stored signature; uppers
+	// keeps the smallest pessimistic ends for threshold seeding.
 	bounds := make([]measure.BoundStats, n)
 	los := make([]float64, n)
-	sigLos := los
-	attribute := ec != nil && ec.pb != nil
-	if attribute {
-		sigLos = make([]float64, n)
-	}
 	his := make([]float64, n)
-	// probed marks candidates whose tier-0 bounds were computed; uppers
-	// keeps the smallest of their pessimistic corners for threshold
-	// seeding.
-	probed := make([]bool, n)
 	uppers := kSmallest{k: coll.floorK()}
+	for i := range n {
+		bounds[i] = measure.BoundPair(sn.sigs[i], qsig)
+		los[i], his[i] = bounds[i].Interval(m)
+		uppers.push(his[i])
+	}
+	// Seed the threshold from the pessimistic corners: the k best
+	// reported scores each sit under one of the k smallest uppers (tier-0
+	// uppers bracket what the capped engines report), so the scan runs
+	// against a real bar instead of +Inf.
+	if v, ok := uppers.kth(); ok {
+		coll.seedFloor(v)
+	}
+	// Claim order: by the optimistic end — which is what lets the scan
+	// STOP at the first claim whose lo exceeds the threshold (everything
+	// after it is at least as hopeless) — with lo ties broken by the
+	// pessimistic end. Distances are integral, so lo ties are the common
+	// case, and within a tie the candidate that is CERTAINLY near (small
+	// hi) should feed the threshold before one that is merely possibly
+	// near; remaining ties keep snapshot order, for a deterministic claim
+	// sequence. Only candidates whose lo fits the seeded threshold are
+	// sorted at all: the threshold never rises, so the rest could never
+	// be claimed — they stay unclaimed and are attributed after the scan
+	// like any other cut-off candidate. The answer itself is
+	// order-independent — exclusion always carries a proof.
+	th0 := coll.threshold()
 	order := make([]int, 0, n)
-	// fate records how each claimed candidate left the scan. An element
-	// is written only by the one worker that claimed the candidate and
-	// read after the pool has drained, so plain bytes suffice.
+	for i := range n {
+		if los[i] <= th0 {
+			order = append(order, i)
+		}
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(los[a], los[b]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(his[a], his[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	if trace != nil {
+		// Bounding, ordering and threshold seeding are bound-stage work;
+		// the stage's pruned count (tier 1 plus the threshold cutoff) is
+		// counted after the scan.
+		trace.Observe(StageBound, time.Since(tierStart), n, 0)
+	}
+
+	// fate records how each candidate left the scan. An element is
+	// written only by the one worker that claimed the candidate and read
+	// after the pool has drained, so plain bytes suffice.
 	const (
-		fateOpen     uint8 = iota // never claimed (or never even bounded)
+		fateOpen     uint8 = iota // never claimed: cut off by the threshold
 		fateScored                // exact score computed or replayed
 		fateInexact               // scored, from a capped engine's bound
 		fateExcluded              // an engine decision run proved it out
@@ -308,276 +318,142 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	needGED, needMCS := measure.EngineNeeds(m)
 	useMemo := ec != nil && ec.memo != nil && (needGED || needMCS)
 
+	workers := min(max(opts.Workers, 1), len(order))
 	var (
-		pivotDur time.Duration
-		canceled bool
+		wg       sync.WaitGroup
+		cursor   atomic.Int64
+		stopped  atomic.Bool
+		canceled atomic.Bool
 	)
-	for b := range batches {
-		if ctx.Err() != nil {
-			return QueryStats{}, ctx.Err()
-		}
-		// The admissibility guard: every member of this cell is provably
-		// at least floor away, and batches ascend by floor — once the
-		// live threshold drops below it, this cell and every remaining
-		// one hold nothing that can enter the answer. Their members stay
-		// unprobed, which is how the attribution pass recognizes them.
-		if batches[b].floor > coll.threshold() {
-			break
-		}
-		if vsActive {
-			stats.VectorCells++
-		}
-		mem := batches[b].members
-
-		// Tier 0: bound this batch's candidates from their stored
-		// signatures, tightened by the pivot tier, and order by the
-		// optimistic end. sigLos keeps the signature-only optimistic
-		// bound for attribution.
-		var tierStart time.Time
-		var batchPivot time.Duration
-		if trace != nil {
-			tierStart = time.Now()
-		}
-		for _, i := range mem {
-			bounds[i] = measure.BoundPair(sn.sigs[i], qsig)
-			los[i], his[i] = bounds[i].Interval(m)
-			if attribute {
-				sigLos[i] = los[i]
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				// stopped only says "claim no more", so it is read BEFORE
+				// claiming: a candidate already claimed when a later, more
+				// hopeless claim trips the flag bounds lower than that one
+				// and still gets its own threshold check below — dropping
+				// it unchecked would lose a possible answer.
+				if stopped.Load() {
+					return
+				}
+				k := int(cursor.Add(1)) - 1
+				if k >= len(order) {
+					return
+				}
+				if ctx.Err() != nil {
+					canceled.Store(true)
+					stopped.Store(true)
+					return
+				}
+				i := order[k]
+				name := sn.graphs[i].Name()
+				// One threshold reading serves the cutoff and the engines
+				// below, so a candidate the interval already condemns is
+				// always the cutoff's, never an "exact" exclusion that ran
+				// no engine.
+				th := coll.threshold()
+				if los[i] > th {
+					// Candidates are claimed in optimistic-bound order:
+					// everything after this one is at least as hopeless.
+					stopped.Store(true)
+					return
+				}
 				var t0 time.Time
 				if trace != nil {
-					// The triangle arithmetic is the pivot stage's time,
-					// not the bound stage's.
 					t0 = time.Now()
 				}
-				if ec.tighten(&bounds[i], sn.graphs[i].Name()) {
-					los[i], his[i] = bounds[i].Interval(m)
+				// Memo replay: a recorded pair score skips the engines
+				// entirely. The replayed score is exact, so the replay
+				// counts as exact-stage work.
+				if useMemo {
+					if r, ok := ec.memoGet(sn.seqs[i], needGED, needMCS); ok {
+						ps := measure.PairStatsFrom(sn.sigs[i], qsig, r)
+						fate[i] = fateScored
+						if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
+							fate[i] = fateInexact
+						}
+						coll.offer(topk.Item{ID: name, Score: m.FromStats(ps)})
+						if trace != nil {
+							trace.Observe(StageExact, time.Since(t0), 1, 0)
+						}
+						continue
+					}
 				}
-				if trace != nil {
-					batchPivot += time.Since(t0)
-				}
-			}
-			probed[i] = true
-			uppers.push(his[i])
-		}
-		pivotDur += batchPivot
-		// Seed the threshold from every pessimistic corner probed so far:
-		// the k best reported scores each sit under one of the k smallest
-		// uppers (tier-0 uppers already bracket what the capped engines
-		// report; the pivot tier tightens them further when the GED engine
-		// is uncapped), so the scan runs against a real bar instead of
-		// +Inf — and each batch tightens it further before the next floor
-		// check.
-		if v, ok := uppers.kth(); ok {
-			coll.seedFloor(v)
-		}
-		// Claim order: by the optimistic end — which is what lets the scan
-		// STOP at the first claim whose lo exceeds the threshold
-		// (everything after in this batch is at least as hopeless) — with
-		// lo ties broken by the pessimistic end. Distances are integral,
-		// so lo ties are the common case, and within a tie the candidate
-		// that is CERTAINLY near (small hi) should feed the threshold
-		// before one that is merely possibly near; remaining ties keep
-		// snapshot order, for a deterministic claim sequence (batch members
-		// ascend by snapshot index, so the index tie-break is the stable
-		// order). Only candidates whose lo fits the seeded threshold are
-		// sorted at all: the threshold never rises, so the rest could
-		// never be claimed — they stay unclaimed and are attributed after
-		// the scan like any other cut-off candidate. The answer itself is
-		// order-independent — exclusion always carries a proof.
-		th0 := coll.threshold()
-		order = order[:0]
-		for _, i := range mem {
-			if los[i] <= th0 {
-				order = append(order, i)
-			}
-		}
-		slices.SortFunc(order, func(a, b int) int {
-			if c := cmp.Compare(los[a], los[b]); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(his[a], his[b]); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		})
-		if trace != nil {
-			// Bounding, ordering and threshold seeding are bound-stage
-			// work; the stage's pruned count (threshold cutoff plus
-			// candidates the signature bound condemns) is counted after
-			// the scan.
-			trace.Observe(StageBound, time.Since(tierStart)-batchPivot, len(mem), 0)
-		}
-
-		workers := opts.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		if workers > len(order) {
-			workers = len(order)
-		}
-		var (
-			wg         sync.WaitGroup
-			cursor     atomic.Int64
-			stopped    atomic.Bool
-			cancelFlag atomic.Bool
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					// stopped only says "claim no more", so it is read
-					// BEFORE claiming: a candidate already claimed when a
-					// later, more hopeless claim trips the flag bounds
-					// lower than that one and still gets its own
-					// threshold check below — dropping it unchecked would
-					// lose a possible answer.
-					if stopped.Load() {
-						return
-					}
-					k := int(cursor.Add(1)) - 1
-					if k >= len(order) {
-						return
-					}
-					if ctx.Err() != nil {
-						cancelFlag.Store(true)
-						stopped.Store(true)
-						return
-					}
-					i := order[k]
-					name := sn.graphs[i].Name()
-					// One threshold reading serves the cutoff and the
-					// engines below, so a candidate the interval already
-					// condemns is always the cutoff's, never an "exact"
-					// exclusion that ran no engine.
-					th := coll.threshold()
-					if los[i] > th {
-						// Candidates are claimed in optimistic-bound order:
-						// everything after this one in the batch is at
-						// least as hopeless. (Later batches still get
-						// their floor check — their members may bound
-						// lower individually.)
-						stopped.Store(true)
-						return
-					}
-					var t0 time.Time
-					if trace != nil {
-						t0 = time.Now()
-					}
-					// Memo replay: a recorded pair score skips the engines
-					// entirely. The replayed score is exact, so
-					// the replay counts as exact-stage work.
-					if useMemo {
-						if r, ok := ec.memoGet(sn.seqs[i], needGED, needMCS); ok {
-							ps := measure.PairStatsFrom(sn.sigs[i], qsig, r)
-							fate[i] = fateScored
-							if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
-								fate[i] = fateInexact
-							}
-							coll.offer(topk.Item{ID: name, Score: m.FromStats(ps)})
+				// Tier 1: the branch bound raises the optimistic end of the
+				// GED interval. A candidate it lifts above the threshold is
+				// out with no engine run; otherwise the raised GEDLo
+				// narrows the decision run's plan. A candidate whose
+				// pessimistic end already fits is certainly in, so there
+				// is nothing to prove.
+				if needGED && his[i] > th {
+					if lb := sn.sigs[i].BranchLB(qsig); lb > bounds[i].GEDLo {
+						bounds[i].GEDLo = lb
+						if lo, _ := bounds[i].Interval(m); lo > th {
+							fate[i] = fateBounded
 							if trace != nil {
-								trace.Observe(StageExact, time.Since(t0), 1, 0)
+								trace.Observe(StageBound, time.Since(t0), 0, 0)
 							}
 							continue
 						}
 					}
-					// Tier 1: the branch bound raises the optimistic end of
-					// the GED interval. A candidate it lifts above the
-					// threshold is out with no engine run; otherwise the
-					// raised GEDLo narrows the decision run's plan. A
-					// candidate whose pessimistic end already fits is
-					// certainly in, so there is nothing to prove.
-					if needGED && his[i] > th {
-						if lb := sn.sigs[i].BranchLB(qsig); lb > bounds[i].GEDLo {
-							bounds[i].GEDLo = lb
-							if lo, _ := bounds[i].Interval(m); lo > th {
-								fate[i] = fateBounded
-								if trace != nil {
-									trace.Observe(StageBound, time.Since(t0), 0, 0)
-								}
-								continue
-							}
-						}
-						if trace != nil {
-							t1 := time.Now()
-							trace.Observe(StageBound, t1.Sub(t0), 0, 0)
-							t0 = t1
-						}
-					}
-					// Threshold-fed evaluation: an engine decision run
-					// excludes, or a plain exact run scores.
-					score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval)
-					if excluded {
-						fate[i] = fateExcluded
-						if trace != nil {
-							trace.Observe(StageExact, time.Since(t0), 1, 1)
-						}
-						continue
-					}
-					ec.memoPublish(sn.seqs[i], got)
-					fate[i] = fateScored
-					if capped {
-						fate[i] = fateInexact
-					}
-					coll.offer(topk.Item{ID: name, Score: score})
 					if trace != nil {
-						trace.Observe(StageExact, time.Since(t0), 1, 0)
+						t1 := time.Now()
+						trace.Observe(StageBound, t1.Sub(t0), 0, 0)
+						t0 = t1
 					}
 				}
-			}()
-		}
-		wg.Wait()
-		if cancelFlag.Load() {
-			canceled = true
-			break
-		}
+				// Threshold-fed evaluation: an engine decision run
+				// excludes, or a plain exact run scores.
+				score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval)
+				if excluded {
+					fate[i] = fateExcluded
+					if trace != nil {
+						trace.Observe(StageExact, time.Since(t0), 1, 1)
+					}
+					continue
+				}
+				ec.memoPublish(sn.seqs[i], got)
+				fate[i] = fateScored
+				if capped {
+					fate[i] = fateInexact
+				}
+				coll.offer(topk.Item{ID: name, Score: score})
+				if trace != nil {
+					trace.Observe(StageExact, time.Since(t0), 1, 0)
+				}
+			}
+		}()
 	}
-	if canceled {
+	wg.Wait()
+	if canceled.Load() {
 		return QueryStats{}, ctx.Err()
 	}
 	// Attribution by counting: every candidate has exactly one fate, so
-	// Pruned, its pivot and vector shares and every stage's pruned count
-	// are sums over the same partition of the snapshot. A candidate that
-	// was not scored was, in this order: never bounded (a skipped cell —
-	// the vector tier's), excluded by an engine decision run (the exact
-	// stage's, observed on the trace as it happened), proved out by the
-	// branch bound at its claim (the bound stage's), condemned at the
-	// final threshold by the merged optimistic bound where the signature
-	// bound alone would have let it through (the pivot tier's), or
-	// otherwise cut off by the signature bound and the best-first
-	// threshold (the bound stage's).
-	th := coll.threshold()
+	// Pruned and every stage's pruned count are sums over the same
+	// partition of the snapshot. A candidate that was not scored was
+	// either excluded by an engine decision run (the exact stage's,
+	// observed on the trace as it happened) or proved out by the branch
+	// bound at its claim or cut off by the signature bound and the
+	// best-first threshold (both the bound stage's).
+	var stats QueryStats
 	boundPruned := 0
-	for i := range fate {
-		if fate[i] == fateScored || fate[i] == fateInexact {
+	for _, f := range fate {
+		switch f {
+		case fateScored, fateInexact:
 			stats.Evaluated++
-			if fate[i] == fateInexact {
+			if f == fateInexact {
 				stats.Inexact++
 			}
-			continue
-		}
-		stats.Pruned++
-		switch {
-		case !probed[i]:
-			stats.VectorSkipped++
-		case fate[i] == fateExcluded:
-		case fate[i] == fateBounded:
-			boundPruned++
-		case attribute && los[i] > th && sigLos[i] <= th:
-			stats.PivotPruned++
+		case fateExcluded:
+			stats.Pruned++
 		default:
+			stats.Pruned++
 			boundPruned++
 		}
 	}
 	stats.Work.Add(ec.work())
-	if trace != nil {
-		if vs != nil {
-			trace.Observe(StageVector, vs.planDur, n, stats.VectorSkipped)
-		}
-		if attribute {
-			trace.Observe(StagePivot, pivotDur, n, stats.PivotPruned)
-		}
-		trace.Observe(StageBound, 0, 0, boundPruned)
-	}
+	trace.Observe(StageBound, 0, 0, boundPruned)
 	return stats, nil
 }

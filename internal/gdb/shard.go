@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"skygraph/internal/graph"
-	"skygraph/internal/pivot"
 	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
-	"skygraph/internal/vector"
 )
 
 // Sharded is the graph database: the one query and mutation surface.
@@ -30,10 +28,9 @@ import (
 //
 // The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
 // RangeQuery and DiverseSkylineQuery; the table primitives a caching
-// layer composes instead (VectorTables, MergeSkyline, MergeTables);
-// index attach and wait (EnablePivots, EnableVector, EnableScoreMemo,
-// WaitPivots, WaitVector); and persistence (Save, WriteTo, Load,
-// OpenDurable).
+// layer composes instead (VectorTables, MergeSkyline, MergeTables); the
+// score memo (EnableScoreMemo, Memo); and persistence (Save, WriteTo,
+// Load, OpenDurable).
 type Sharded struct {
 	shards []*DB
 
@@ -204,25 +201,6 @@ func (sh *Sharded) Graphs() []*graph.Graph {
 	return out
 }
 
-// EnablePivots attaches one metric pivot index per shard (each shard
-// indexes exactly its own graphs — sharded pruning stays per shard, as
-// with the signature bounds).
-func (sh *Sharded) EnablePivots(cfg pivot.Config) {
-	for _, db := range sh.shards {
-		db.enablePivots(cfg)
-	}
-}
-
-// EnableVector attaches one vector candidate tier per shard (each
-// shard partitions exactly its own graphs, so sharded cell skipping
-// stays per shard, like the signature and pivot tiers). Enable pivots
-// first to give the embeddings their pivot-midpoint block.
-func (sh *Sharded) EnableVector(cfg vector.Config) {
-	for _, db := range sh.shards {
-		db.enableVector(cfg)
-	}
-}
-
 // EnableScoreMemo attaches one shared cross-query score memo to every
 // shard (entries are keyed by process-unique insert sequences, so
 // sharing one LRU across shards is safe and pools its capacity where
@@ -245,27 +223,6 @@ func (sh *Sharded) Memo() *ScoreMemo {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.memo
-}
-
-// WaitPivots blocks until every shard's pivot index has computed all
-// scheduled distance columns (tests and benchmarks).
-func (sh *Sharded) WaitPivots() {
-	for _, db := range sh.shards {
-		if ix := db.PivotIndex(); ix != nil {
-			ix.Wait()
-		}
-	}
-}
-
-// WaitVector blocks until every shard's vector index has drained its
-// background centroid rebuilds (tests and benchmarks; serving never
-// needs it — the previous partition answers until the swap).
-func (sh *Sharded) WaitVector() {
-	for _, db := range sh.shards {
-		if ix := db.VectorIndex(); ix != nil {
-			ix.WaitRebuild()
-		}
-	}
 }
 
 // ShardGeneration returns shard i's generation counter.

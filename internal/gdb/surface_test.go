@@ -11,7 +11,6 @@ import (
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
 	"skygraph/internal/testutil"
 )
 
@@ -110,7 +109,7 @@ func renderMutation(existed, failed bool, live []*graph.Graph) string {
 }
 
 // TestShardCountInvarianceUnderMutation replays one seeded history
-// through the database at 1/2/3/7 shards, bare and with every tier
+// through the database at 1/2/3/7 shards, bare and with the score memo
 // attached, and requires every step — Ack.Existed, whether the mutation
 // was refused, Names() order, skyline (pruned and unpruned), top-k and
 // range answers — to be byte-identical to the reference replay, and so across
@@ -120,16 +119,14 @@ func TestShardCountInvarianceUnderMutation(t *testing.T) {
 	ctx := context.Background()
 	initial, ops, want := seededHistory(17)
 	m := measure.DistEd{}
-	for _, tiers := range []bool{false, true} {
+	for _, memo := range []bool{false, true} {
 		for _, shards := range []int{1, 2, 3, 7} {
 			sh := testutil.NewSharded(t, shards, initial)
-			if tiers {
-				sh.EnablePivots(pivot.Config{Pivots: 3})
+			if memo {
 				sh.EnableScoreMemo(4096)
-				sh.EnableVector(vCfg)
 			}
 			for i, op := range ops {
-				label := fmt.Sprintf("tiers=%v shards=%d step %d (%s)", tiers, shards, i, op.kind)
+				label := fmt.Sprintf("memo=%v shards=%d step %d (%s)", memo, shards, i, op.kind)
 				var got string
 				switch op.kind {
 				case "insert", "delete":
@@ -195,8 +192,10 @@ func TestEngineSurfacePinned(t *testing.T) {
 		"DiverseSkylineQuery", "RangeQuery", "SkylineQuery", "TopKQuery",
 		// table primitives for a caching layer, and their merges
 		"MergeSkyline", "MergeTables", "VectorTables",
-		// index attach and wait
-		"EnablePivots", "EnableScoreMemo", "EnableVector", "Memo", "WaitPivots", "WaitVector",
+		// the score memo
+		"EnableScoreMemo", "Memo",
+		// no-op shims the benchmark harness still calls (shims.go)
+		"EnablePivots", "EnableVector", "WaitPivots", "WaitVector",
 		// persistence
 		"Save", "WriteTo",
 		// reads and shard access
@@ -205,7 +204,6 @@ func TestEngineSurfacePinned(t *testing.T) {
 	}
 	wantDB := []string{
 		"DeltaBound", "DeltaRow", "DeltaScore", "Generation", "Get", "Len", "Memo",
-		"PivotIndex", "VectorIndex",
 	}
 	sort.Strings(wantSharded)
 	if got := exportedMethods(&gdb.Sharded{}); !reflect.DeepEqual(got, wantSharded) {

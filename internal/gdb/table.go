@@ -6,7 +6,6 @@ import (
 
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
 	"skygraph/internal/skyline"
 )
 
@@ -29,8 +28,7 @@ type VectorTable struct {
 	Points []skyline.Point
 	// Work is what the cold build paid: Evaluated == len(Points) and
 	// Pruned counts the graphs the filter phase excluded (0 for complete
-	// tables), with the memo's share alongside; the pivot and vector
-	// counters stay 0 — those tiers serve ranked scans only.
+	// tables), with the memo's share alongside.
 	// Delta patches leave it untouched — Deltas counts those.
 	Work
 	// Inexact counts pairs where a capped engine returned a bound.
@@ -45,24 +43,17 @@ type VectorTable struct {
 }
 
 // snap is one consistent read of the database: the stored graphs,
-// their signatures, their insert sequences (the score-memo keys), the
-// generation they belong to and the pivot tier's distance columns (nil
-// when the tier is off), all under a single lock acquisition. Pivot
-// columns come and go with inserts and deletes under the same lock, so
-// a column in the snapshot is the column of the graph the snapshot
-// holds under that name — never of a namesake deleted or re-inserted
-// since.
+// their signatures, their insert sequences (the score-memo keys) and
+// the generation they belong to, all under a single lock acquisition.
 type snap struct {
 	graphs []*graph.Graph
 	sigs   []*measure.Signature
 	seqs   []uint64
 	gen    uint64
-	cols   *pivot.Columns
 }
 
-// snapshot reads the shard. withCols adds the pivot columns, which only
-// ranked scans read.
-func (db *DB) snapshot(withCols bool) snap {
+// snapshot reads the shard.
+func (db *DB) snapshot() snap {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	sn := snap{
@@ -70,9 +61,6 @@ func (db *DB) snapshot(withCols bool) snap {
 		sigs:   make([]*measure.Signature, 0, len(db.names)),
 		seqs:   make([]uint64, 0, len(db.names)),
 		gen:    db.gen,
-	}
-	if withCols && db.pidx != nil {
-		sn.cols = db.pidx.Columns()
 	}
 	for _, n := range db.names {
 		e := db.graphs[n]
@@ -100,18 +88,12 @@ func (db *DB) snapshot(withCols bool) snap {
 func (db *DB) vectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
-	sn := db.snapshot(false)
+	sn := db.snapshot()
 	qsig := measure.NewSignature(q)
 	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
-	// No pivot tier on either build: the full scan evaluates every pair
-	// anyway, and the pruned scan's running front discards for free what
-	// P query-to-pivot engine runs would pre-prune — more runs than the
-	// handful of pairs a skyline answer needs. No vector tier either: a
-	// signature-only pessimistic corner has MCSLo = 0, so it can dominate
-	// a cell's floor vector only where tier 0 prunes every member anyway.
-	// The score memo applies to both: a warm memo rebuilds a table with
-	// engines running only for graphs inserted since.
-	ec := db.newEvalCtx(q, qsig, opts, nil)
+	// The score memo applies to both builds: a warm memo rebuilds a table
+	// with engines running only for graphs inserted since.
+	ec := db.newEvalCtx(q, opts)
 	if opts.Prune && measure.Boundable(opts.Basis) {
 		pts, pruned, inexact, err := evalPruned(ctx, sn, q, qsig, ec, opts)
 		if err != nil {

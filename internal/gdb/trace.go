@@ -10,18 +10,11 @@ import (
 // work ran there and how many candidate pairs it settled. The stages
 // mirror the filter-and-refine pipeline (prune.go / ranked.go):
 //
-//	vector  the tier below the bounds: partition-index cell ordering,
-//	        per-cell admissible floors, and the wholesale cell skips
-//	        they prove (see internal/vector); ranked scans only
 //	bound   tier-0 signature bounds: histogram/degree intervals from the
 //	        stored index, the candidate ordering of both scans, and the
 //	        threshold cutoff that ends a ranked one; on ranked scans also
 //	        tier 1, the branch GED bound a claimed candidate meets before
 //	        any engine (on the skyline path that test is part of exact)
-//	pivot   the pivot index's triangle-inequality intersection: the P
-//	        query-to-pivot engine runs (paid when the query's context is
-//	        assembled, before any candidate is looked at) plus the
-//	        per-candidate interval arithmetic; ranked scans only
 //	exact   engine work: exact GED/MCS runs, threshold- or front-fed
 //	        decision runs, and score-memo replays; on the skyline path
 //	        the whole progressive scan, front tests included
@@ -32,16 +25,12 @@ import (
 // pruned evaluation does not score has exactly ONE fate, and each
 // stage's Pruned is the number of candidates whose fate it was —
 // counted per candidate, never derived as a difference between other
-// stages' totals. On a ranked scan the fates are, in order: never
-// bounded because its cell was skipped (vector), excluded by an engine
-// decision run (exact), proved out by the branch bound at its claim
-// (bound), condemned at the final threshold only thanks to the triangle
-// bound (pivot), otherwise cut off by the signature bound and the
-// best-first threshold (bound). On the skyline path there is
-// one: discarded by the scan (exact); the bound stage orders the scan
-// and prunes nothing. Hence, summed over stages,
-// Pruned equals the query's Work.Pruned; the pivot and vector stages'
-// Pruned are the pivot_pruned and vector_skipped counters; and the
+// stages' totals. On a ranked scan the fates are: excluded by an engine
+// decision run (exact), or proved out by the branch bound at its claim
+// or cut off by the signature bound and the best-first threshold
+// (bound). On the skyline path there is one: discarded by the scan
+// (exact); the bound stage orders the scan and prunes nothing. Hence,
+// summed over stages, Pruned equals the query's Work.Pruned, and the
 // exact stage's Pairs minus its Pruned equals Work.Evaluated. No count
 // is ever negative. Durations are summed across shards (and, on ranked
 // scans, across workers), so on a parallel evaluation they can exceed
@@ -55,15 +44,13 @@ import (
 type Stage int
 
 const (
-	StageVector Stage = iota
-	StageBound
-	StagePivot
+	StageBound Stage = iota
 	StageExact
 	StageMerge
 	numStages
 )
 
-var stageNames = [numStages]string{"vector", "bound", "pivot", "exact", "merge"}
+var stageNames = [numStages]string{"bound", "exact", "merge"}
 
 // String returns the stage's wire name.
 func (s Stage) String() string { return stageNames[s] }
@@ -102,8 +89,7 @@ func (t *QueryTrace) Observe(s Stage, d time.Duration, pairs, pruned int) {
 
 // TraceStage is one stage's totals in wire form.
 type TraceStage struct {
-	// Stage is the cascade stage name: vector, bound, pivot, exact,
-	// merge.
+	// Stage is the cascade stage name: bound, exact, merge.
 	Stage string `json:"stage"`
 	// DurationMS is the stage's work time, summed across shards and
 	// workers.
@@ -115,8 +101,8 @@ type TraceStage struct {
 }
 
 // Stages returns the touched stages in cascade order. Stages with no
-// observations are omitted (e.g. pivot without a pivot index, merge on
-// a library-level query).
+// observations are omitted (e.g. merge on a library-level skyline
+// table build).
 func (t *QueryTrace) Stages() []TraceStage {
 	if t == nil {
 		return nil

@@ -9,9 +9,7 @@ import (
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
 	"skygraph/internal/testutil"
-	"skygraph/internal/vector"
 )
 
 // stageSums folds a trace's wire form into totals for assertions.
@@ -36,7 +34,7 @@ func requireTraceConsistent(t *testing.T, label string, tr *gdb.QueryTrace, stat
 	if len(stages) == 0 {
 		t.Fatalf("%s: empty trace", label)
 	}
-	pruned, exactPairs, exactPruned, byName := stageSums(stages)
+	pruned, exactPairs, exactPruned, _ := stageSums(stages)
 	if pruned != stats.Pruned {
 		t.Fatalf("%s: stage pruned sum %d != stats.Pruned %d (stages %+v)", label, pruned, stats.Pruned, stages)
 	}
@@ -46,11 +44,6 @@ func requireTraceConsistent(t *testing.T, label string, tr *gdb.QueryTrace, stat
 	}
 	if stats.Evaluated+stats.Pruned != dbLen {
 		t.Fatalf("%s: evaluated %d + pruned %d != %d graphs", label, stats.Evaluated, stats.Pruned, dbLen)
-	}
-	if stats.PivotPruned > 0 {
-		if p, ok := byName["pivot"]; !ok || p.Pruned != stats.PivotPruned {
-			t.Fatalf("%s: pivot stage %+v disagrees with stats.PivotPruned %d", label, byName["pivot"], stats.PivotPruned)
-		}
 	}
 	for _, s := range stages {
 		if s.Pairs < 0 || s.Pruned < 0 || s.DurationMS < 0 {
@@ -67,8 +60,6 @@ func TestTraceSkylineConsistent(t *testing.T) {
 	queries := testutil.SeededQueries(107, gs, 3)
 	for _, shards := range []int{1, 3} {
 		sh := testutil.NewSharded(t, shards, gs)
-		sh.EnablePivots(pivot.Config{Pivots: 3})
-		sh.WaitPivots()
 		for qi, q := range queries {
 			tr := gdb.NewQueryTrace()
 			opts := prunedOpts(true)
@@ -88,10 +79,10 @@ func TestTraceSkylineConsistent(t *testing.T) {
 
 // TestTraceRankedConsistent: the same invariant on best-first top-k and
 // range scans, where the exact stage also excludes candidates via
-// threshold-fed decision runs. The NoisyFamily rows put every tier on
-// over tiny shards, where many candidates an engine decision run
-// excludes are also condemned by the pivot bound: each must count for
-// exactly one stage (attributing them twice drove the bound stage's
+// threshold-fed decision runs and the branch bound. The NoisyFamily
+// rows put the score memo on over tiny shards, where every candidate
+// sits within a few edits of every other: each exclusion must count for
+// exactly one stage (attributing one twice once drove the bound stage's
 // count negative).
 func TestTraceRankedConsistent(t *testing.T) {
 	seeded := testutil.SeededGraphs(9, 30)
@@ -103,23 +94,18 @@ func TestTraceRankedConsistent(t *testing.T) {
 		gs      []*graph.Graph
 		queries []*graph.Graph
 		shards  []int
-		pivots  int
-		tiers   bool // score memo + vector tier as well
+		memo    bool
 		opts    gdb.QueryOptions
 	}{
-		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), []int{1, 3}, 3, false, prunedOpts(false)},
-		{"family25", family25, familyQueries, []int{2}, 8, true, gdb.QueryOptions{}},
-		{"family12", family12, familyQueries, []int{7}, 8, true, gdb.QueryOptions{}},
+		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), []int{1, 3}, false, prunedOpts(false)},
+		{"family25", family25, familyQueries, []int{2}, true, gdb.QueryOptions{}},
+		{"family12", family12, familyQueries, []int{7}, true, gdb.QueryOptions{}},
 	} {
 		for _, shards := range tc.shards {
 			sh := testutil.NewSharded(t, shards, tc.gs)
-			sh.EnablePivots(pivot.Config{Pivots: tc.pivots})
-			if tc.tiers {
+			if tc.memo {
 				sh.EnableScoreMemo(1000)
-				sh.EnableVector(vector.Config{Cells: 4})
 			}
-			sh.WaitPivots()
-			sh.WaitVector()
 			for qi, q := range tc.queries {
 				tr := gdb.NewQueryTrace()
 				opts := tc.opts
@@ -130,7 +116,7 @@ func TestTraceRankedConsistent(t *testing.T) {
 				}
 				label := fmt.Sprintf("%s topk shards=%d q=%d", tc.name, shards, qi)
 				requireTraceConsistent(t, label, tr, res.Stats, len(tc.gs))
-				requireNoRefineStage(t, label, tr)
+				requireLiveStagesOnly(t, label, tr)
 
 				tr = gdb.NewQueryTrace()
 				opts.Trace = tr
@@ -140,24 +126,28 @@ func TestTraceRankedConsistent(t *testing.T) {
 				}
 				label = fmt.Sprintf("%s range shards=%d q=%d", tc.name, shards, qi)
 				requireTraceConsistent(t, label, tr, rres.Stats, len(tc.gs))
-				requireNoRefineStage(t, label, tr)
+				requireLiveStagesOnly(t, label, tr)
 			}
 		}
 	}
 }
 
-// requireNoRefineStage: the ranked scan goes from a candidate's bounds
-// straight to the engines, so no trace names a refine stage.
-func requireNoRefineStage(t *testing.T, label string, tr *gdb.QueryTrace) {
+// requireLiveStagesOnly: the ranked scan goes from a candidate's bounds
+// straight to the engines, so a trace names bound, exact and merge only
+// — no refine, pivot or vector stage.
+func requireLiveStagesOnly(t *testing.T, label string, tr *gdb.QueryTrace) {
 	t.Helper()
-	if _, _, _, byName := stageSums(tr.Stages()); byName["refine"].Stage != "" {
-		t.Fatalf("%s: ranked trace recorded a refine stage: %+v", label, byName["refine"])
+	for _, st := range tr.Stages() {
+		switch st.Stage {
+		case "bound", "exact", "merge":
+		default:
+			t.Fatalf("%s: ranked trace recorded a %s stage: %+v", label, st.Stage, st)
+		}
 	}
 }
 
 // TestTraceUnprunedExactOnly: without pruning every pair is exact-stage
-// work; the trace must say so and nothing else (no bound/pivot/refine
-// stages ran).
+// work; the trace must say so and nothing else (no bound stage ran).
 func TestTraceUnprunedExactOnly(t *testing.T) {
 	gs := testutil.SeededGraphs(13, 16)
 	sh := testutil.NewSharded(t, 2, gs)
@@ -174,10 +164,8 @@ func TestTraceUnprunedExactOnly(t *testing.T) {
 	if exactPairs != res.Stats.Evaluated || exactPairs != len(gs) {
 		t.Fatalf("unpruned skyline: exact pairs %d, want evaluated %d == %d", exactPairs, res.Stats.Evaluated, len(gs))
 	}
-	for _, st := range []string{"bound", "pivot", "refine"} {
-		if _, ok := byName[st]; ok {
-			t.Fatalf("unpruned skyline recorded %s stage: %+v", st, byName[st])
-		}
+	if _, ok := byName["bound"]; ok {
+		t.Fatalf("unpruned skyline recorded a bound stage: %+v", byName["bound"])
 	}
 }
 
@@ -197,8 +185,7 @@ func TestTraceNilIsFree(t *testing.T) {
 // runs, so the exact stage looks at a small multiple of the candidates
 // it scores. Without tier 1 the decision runs handled about twelve
 // candidates per scored one here. One worker keeps the claim sequence
-// deterministic; no pivots keeps the bound stage alone in front of the
-// engines.
+// deterministic.
 func TestBranchBoundSparesDecisionRuns(t *testing.T) {
 	roots := dataset.MoleculeDB(80, 5, 5, 3501)
 	gs := dataset.NoisyQueries(roots, 2000, 2, 3503)

@@ -18,7 +18,7 @@ const bigCost = 1e12
 // row views sliced out of it, plus the per-vertex incident edge-label
 // histograms the substitution block is built from and the assignment
 // solver's working memory. Bipartite runs on every capped exact
-// fallback and on every pivot-distance cap, so this allocation is hot.
+// fallback, so this allocation is hot.
 type costBuf struct {
 	flat []float64
 	rows [][]float64

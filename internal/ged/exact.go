@@ -51,9 +51,7 @@ type Result struct {
 	// the stopping point for capped or limit-stopped searches (the
 	// f-value of an ancestor lower-bounds all of its completions, so no
 	// mapping can cost less). Engines that do not search (Bipartite,
-	// Beam) leave it 0 — the trivial bound. The pivot index stores it as
-	// the low end of a distance interval when the insert-time search
-	// caps out.
+	// Beam) leave it 0 — the trivial bound.
 	LowerBound float64
 	// Nodes is the number of A* expansions performed.
 	Nodes int64

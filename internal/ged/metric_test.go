@@ -7,11 +7,10 @@ import (
 	"skygraph/internal/graph"
 )
 
-// The pivot index (internal/pivot) is sound only because uniform-cost
-// GED is a metric. These tests fuzz the metric axioms over seeded
-// random graph triples — identity, symmetry and above all the triangle
-// inequality the triangle bounds rely on — plus the certified
-// LowerBound contract of capped and limit-stopped searches.
+// Uniform-cost GED is a metric. These tests fuzz the metric axioms over
+// seeded random graph triples — identity, symmetry and the triangle
+// inequality — plus the certified LowerBound contract of capped and
+// limit-stopped searches.
 
 func randomTriple(rng *rand.Rand) (a, b, c *graph.Graph) {
 	a = graph.Molecule(3+rng.Intn(5), rng)
@@ -55,7 +54,7 @@ func TestTriangleInequalityFuzz(t *testing.T) {
 
 // TestLowerBoundCertified: Result.LowerBound must never exceed the true
 // distance — for exact runs it equals it, for capped runs it is the
-// frontier floor the pivot index stores, and it must dominate the
+// search's frontier floor, and it must dominate the
 // histogram bound the search started from whenever the search got
 // anywhere.
 func TestLowerBoundCertified(t *testing.T) {

@@ -235,7 +235,7 @@ func Mutate(g *Graph, nops int, vlabels, elabels []string, rng *rand.Rand) *Grap
 // label-multiset filters (its histogram edit-distance bound to g is 0)
 // while its true edit distance grows by up to 2 per operation. Rewired
 // families are therefore the adversarial workload for signature-based
-// pruning and the motivating one for metric (pivot) indexing.
+// pruning: only a structural bound can separate their members.
 func Rewire(g *Graph, nops int, rng *rand.Rand) *Graph {
 	out := g.Clone()
 	out.SetName(g.Name() + "~")

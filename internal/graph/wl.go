@@ -132,8 +132,8 @@ func WLColorsCapped(g *Graph, maxRounds int) ([]int, int) {
 // colors after at most iters refinement rounds (iters <= 0 refines to
 // stability). Bucket = color hash mod dims. Colors are canonical across
 // graphs, so isomorphic graphs produce identical histograms and graphs
-// sharing local structure share buckets — the embedding feature used by
-// the vector candidate tier. Counts are raw vertex counts.
+// sharing local structure share buckets, so the histogram works as a
+// fixed-width structural embedding. Counts are raw vertex counts.
 func WLHistogram(g *Graph, iters, dims int) []float64 {
 	if dims <= 0 {
 		return nil

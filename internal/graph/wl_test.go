@@ -27,7 +27,7 @@ func TestWLColorsDeterministic(t *testing.T) {
 // Isomorphic graphs must produce the same WL partition and — because
 // colors are hashed canonically from structure, not numbered per graph —
 // byte-identical feature histograms at every dimension and iteration
-// cap. This is the invariance the vector tier's embeddings rely on.
+// cap. This is the invariance any embedding built on them relies on.
 func TestWLHistogramIsomorphismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 20; trial++ {

@@ -8,8 +8,7 @@ import (
 
 // This file implements the bound side of the filter-and-refine
 // pipeline: interval versions of the pair statistics, derived from
-// stored signatures alone (BoundPair, no graph access) and tightened by
-// the pivot tier's triangle bounds (TightenGED). The intervals are
+// stored signatures alone (BoundPair, no graph access). The intervals are
 // admissible with respect to Compute — for any engine caps, the value
 // Compute reports lies inside them:
 //
@@ -86,7 +85,7 @@ func mcsUpper(s1, s2 *Signature) int {
 // bipartite assignment upper bound on GED (the value Compute falls back
 // to under a cap) and the deterministic greedy lower bound on MCS (the
 // floor mcs.Exact applies under a cap). No query path calls it any
-// more — the ranked scan decides candidates on their tier-0 and pivot
+// more — the ranked scan decides candidates on their tier-0 and branch
 // bounds, which cost less than refining them did. It is kept only for
 // the benchmark harness's measure.refine_us probe.
 func Refine(g1, g2 *graph.Graph, bs BoundStats) BoundStats {
@@ -97,23 +96,6 @@ func Refine(g1, g2 *graph.Graph, bs BoundStats) BoundStats {
 		bs.MCSLo = e
 	}
 	return bs
-}
-
-// TightenGED intersects an externally certified GED interval — the
-// pivot tier's triangle-inequality bounds — into bs. Admissibility is
-// the caller's contract: lo must lower-bound the true edit distance
-// (any true-distance floor also floors what Compute reports, capped or
-// not), but hi must upper-bound the value Compute would *report* —
-// with a capped GED engine that is the bipartite fallback, which a
-// true-distance ceiling does not dominate, so callers pass hi = +Inf
-// unless the GED engine runs uncapped.
-func (bs *BoundStats) TightenGED(lo, hi float64) {
-	if lo > bs.GEDLo {
-		bs.GEDLo = lo
-	}
-	if hi < bs.GEDHi {
-		bs.GEDHi = hi
-	}
 }
 
 // corners returns the optimistic and pessimistic PairStats corners of

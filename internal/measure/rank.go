@@ -211,8 +211,8 @@ func ScorePairWith(g1, g2 *graph.Graph, m Measure, opts Options, h PairHints, ha
 // ComputeRank is the threshold-fed pair evaluation: it either proves
 // the pair's m-distance exceeds t (excluded=true, no score) or returns
 // the exact score, byte-identical to m.FromStats(Compute(g1, g2,
-// opts)). bs must bound the pair (tier-0 BoundPair, optionally
-// tightened by the pivot tier); its exact fields supply the cheap
+// opts)). bs must bound the pair (tier-0 BoundPair, optionally with
+// GEDLo raised by the branch bound); its exact fields supply the cheap
 // statistics. inexact reports whether a capped engine backed the
 // returned score.
 func ComputeRank(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options) (score float64, excluded, inexact bool) {

@@ -1,9 +1,8 @@
 // Package obs is skygraph's dependency-free observability core: a
 // concurrency-safe metrics registry of counters, gauges and cumulative
 // histograms that renders the Prometheus text exposition format. It is
-// the instrumentation seam shared by the serving layer
-// (internal/server), the query engine (internal/gdb) and the pivot
-// index (internal/pivot); no external client library is pulled in.
+// the instrumentation seam of the serving layer (internal/server); no
+// external client library is pulled in.
 //
 // Metrics are registered once (registration panics on invalid names,
 // duplicate names, or kind mismatches — all programmer errors at

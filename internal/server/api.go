@@ -66,8 +66,7 @@ type QueryRequest struct {
 	// its pruned scan cannot exclude.
 	All bool `json:"all,omitempty"`
 	// Trace requests the per-stage cascade trace in the response: one
-	// entry per stage the query touched (bound, exact and merge on a
-	// pruned skyline; vector and pivot as well on topk/range)
+	// entry per stage the query touched (bound, exact and merge)
 	// with wall time, pair count and pruned count. The trace
 	// is always recorded server-side (it feeds the stage metrics and the
 	// slow-query log); this flag only controls whether it is returned.
@@ -77,11 +76,10 @@ type QueryRequest struct {
 // QueryStats reports the work a request caused.
 type QueryStats struct {
 	// Work counts the fresh evaluation work of this request — exact
-	// pairs, pruned graphs and each tier's share, under gdb.Work's JSON
+	// pairs, pruned graphs and score-memo lookups, under gdb.Work's JSON
 	// keys. It is all 0 when the answer came from the cache, and
-	// Evaluated + Pruned is the database size on a fresh build; the
-	// pivot, memo and vector counters stay 0 on a daemon running without
-	// -pivots, -memo or -vector-cells.
+	// Evaluated + Pruned is the database size on a fresh build; the memo
+	// counters stay 0 on a daemon running without -memo.
 	gdb.Work
 	// Inexact counts table pairs where a capped engine returned a bound
 	// (a property of the answer, whether cached or fresh).
@@ -365,28 +363,11 @@ type SlowQueryRecord struct {
 	Trace      []gdb.TraceStage `json:"trace,omitempty"`
 }
 
-// ShardInfo is one shard's occupancy and generation, plus its pivot
-// index occupancy when the daemon runs with -pivots: Pivots is the
-// selected pivot count, PivotReady how many stored graphs have their
-// distance column computed, PivotPending how many are still queued
-// behind the background workers.
+// ShardInfo is one shard's occupancy and generation.
 type ShardInfo struct {
-	Index        int    `json:"index"`
-	Graphs       int    `json:"graphs"`
-	Generation   uint64 `json:"generation"`
-	Pivots       int    `json:"pivots,omitempty"`
-	PivotReady   int    `json:"pivot_ready,omitempty"`
-	PivotPending int    `json:"pivot_pending,omitempty"`
-	// Vector-tier occupancy when the daemon runs with -vector-cells:
-	// coarse cells in the shard's partition, embedded members, mean
-	// inverted-list length, the partition's rebuild epoch and lifetime
-	// rebuild count. Absent (zero) without the tier; a shard still below
-	// -vector-cells members reports 0 cells (dormant partition).
-	VectorCells    int     `json:"vector_cells,omitempty"`
-	VectorMembers  int     `json:"vector_members,omitempty"`
-	VectorMeanList float64 `json:"vector_mean_list,omitempty"`
-	VectorEpoch    uint64  `json:"vector_epoch,omitempty"`
-	VectorRebuilds int64   `json:"vector_rebuilds,omitempty"`
+	Index      int    `json:"index"`
+	Graphs     int    `json:"graphs"`
+	Generation uint64 `json:"generation"`
 }
 
 // DBStats mirrors gdb.Stats in wire form.
@@ -411,16 +392,11 @@ type ReqStats struct {
 	// best-first ranked scan (see there for each counter), under the
 	// keys /stats has always used: Evaluated and Pruned appear as
 	// pair_evals and pairs_pruned.
-	PairEvals       uint64 `json:"pair_evals"`
-	PairsPruned     uint64 `json:"pairs_pruned"`
-	PivotPruned     uint64 `json:"pivot_pruned"`
-	PivotDists      uint64 `json:"pivot_dists"`
-	MemoHits        uint64 `json:"memo_hits"`
-	MemoMisses      uint64 `json:"memo_misses"`
-	VectorCells     uint64 `json:"vector_cells_probed"`
-	VectorSkipped   uint64 `json:"vector_skipped"`
-	VectorFallbacks uint64 `json:"vector_fallbacks"`
-	QueryTimeouts   uint64 `json:"query_timeouts"`
+	PairEvals     uint64 `json:"pair_evals"`
+	PairsPruned   uint64 `json:"pairs_pruned"`
+	MemoHits      uint64 `json:"memo_hits"`
+	MemoMisses    uint64 `json:"memo_misses"`
+	QueryTimeouts uint64 `json:"query_timeouts"`
 	// LoadShed counts queries refused with 429 at the inflight-query
 	// cap; DegradedRejected counts mutations refused with 503 while the
 	// daemon was in degraded-readonly mode.

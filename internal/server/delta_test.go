@@ -17,11 +17,9 @@ import (
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
-	"skygraph/internal/pivot"
 	"skygraph/internal/skyline"
 	"skygraph/internal/testutil"
 	"skygraph/internal/topk"
-	"skygraph/internal/vector"
 )
 
 func deleteGraph(t *testing.T, url string) {
@@ -58,8 +56,9 @@ func wireItems(is []ItemJSON) []topk.Item {
 
 // TestDeltaMatchesColdRecompute is the interleaved-mutation equivalence
 // harness: randomized schedules of inserts, deletes and queries, across
-// shard counts and acceleration tiers, must keep every delta-maintained
-// answer byte-identical to a cold recompute over the live graph set —
+// shard counts, with and without the score memo, must keep every
+// delta-maintained answer byte-identical to a cold recompute over the
+// live graph set —
 // and the maintenance must actually fire, so the equivalence is proved
 // against upgraded entries, not against a cache that silently fell back
 // to invalidation. This arm warms only the ranked answers, whose
@@ -80,7 +79,11 @@ func TestPrunedDeltaMatchesColdRecompute(t *testing.T) {
 
 // runDeltaSchedules runs the delta equivalence schedule at shards
 // 1/2/3/7 × {plain, pivot-memo, vector}; all selects "all" skylines
-// (checked, never warmed) or pruned ones (warmed and checked).
+// (checked, never warmed) or pruned ones (warmed and checked). The arm
+// names date from when "pivot-memo" and "vector" also enabled the pivot
+// and vector candidate tiers, which are gone: "pivot-memo" now runs
+// with the score memo and "vector" without it. Each arm draws its own
+// mutation schedule, seeded from the shard count and the arm name.
 func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	base := testutil.SeededGraphs(401, 20)
 	pool := testutil.SeededGraphs(402, 10)
@@ -97,15 +100,8 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 				if err := db.InsertAll(base); err != nil {
 					t.Fatal(err)
 				}
-				switch mode {
-				case "pivot-memo":
-					db.EnablePivots(pivot.Config{Pivots: 3})
+				if mode == "pivot-memo" {
 					db.EnableScoreMemo(4096)
-					db.WaitPivots()
-				case "vector":
-					db.EnablePivots(pivot.Config{Pivots: 3})
-					db.EnableVector(vector.Config{Cells: 4, Dims: 16})
-					db.WaitPivots()
 				}
 				s := New(db, Config{CacheSize: 256})
 				ts := httptest.NewServer(s.Handler())
@@ -689,7 +685,7 @@ func mustSeeded(seed int64, name string) *graph.Graph {
 // already exceeds a full top-k answer's k-th score, or a range answer's
 // radius, carries both answers across the insert without an engine run.
 func TestRankedInsertDecidedByBound(t *testing.T) {
-	s, ts := newPivotTestServer(t, 1, Config{CacheSize: 16})
+	s, ts := newMemoTestServer(t, 1, Config{CacheSize: 16}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	radius := 1.0
 	var tk TopKResponse

@@ -15,7 +15,7 @@ import (
 // metrics is the server's obs registry plus the handles the hot paths
 // write to. Request-scoped series (per-endpoint latency, per-kind
 // cascade counters) are fed by the handlers; occupancy numbers another
-// subsystem already maintains (cache, shards, pivot indexes, memo, Go
+// subsystem already maintains (cache, shards, memo, Go
 // runtime) are registered as render-time callbacks so /metrics always
 // reports the live value without a second set of counters to keep in
 // sync.
@@ -53,24 +53,14 @@ var workFamilies = [...]struct {
 		func(w *gdb.Work) int { return w.Evaluated }},
 	{"skygraph_query_pairs_pruned_total", "Pairs excluded without exact evaluation, by query kind.",
 		func(w *gdb.Work) int { return w.Pruned }},
-	{"skygraph_query_pivot_pruned_total", "Pairs (within pruned) excluded only thanks to the pivot tier, by query kind.",
-		func(w *gdb.Work) int { return w.PivotPruned }},
-	{"skygraph_query_pivot_dists_total", "Query-to-pivot distance computations, by query kind.",
-		func(w *gdb.Work) int { return w.PivotDists }},
 	{"skygraph_query_memo_hits_total", "Score-memo lookups that replayed a recorded result, by query kind.",
 		func(w *gdb.Work) int { return w.MemoHits }},
 	{"skygraph_query_memo_misses_total", "Score-memo lookups that missed, by query kind.",
 		func(w *gdb.Work) int { return w.MemoMisses }},
-	{"skygraph_query_vector_cells_probed_total", "Partition cells the vector tier probed, by query kind.",
-		func(w *gdb.Work) int { return w.VectorCells }},
-	{"skygraph_query_vector_skipped_total", "Candidates the vector tier excluded wholesale via cell floors, by query kind.",
-		func(w *gdb.Work) int { return w.VectorSkipped }},
-	{"skygraph_query_vector_fallbacks_total", "Shard snapshots a stale vector partition could not serve, by query kind.",
-		func(w *gdb.Work) int { return w.VectorFallbacks }},
 }
 
 // newMetrics builds the registry for one Server. Call once, after the
-// database (shards, pivot indexes, memo) is fully assembled — the
+// database (shards, memo) is fully assembled — the
 // callback metrics bind to what exists now.
 func newMetrics(s *Server) *metrics {
 	reg := obs.NewRegistry()
@@ -114,12 +104,6 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.errors.Load()) })
 	reg.CounterFunc("skygraph_query_timeouts_total", "Queries that hit their deadline.",
 		func() float64 { return float64(s.timeouts.Load()) })
-	reg.CounterFunc("skygraph_vector_cells_probed_total", "Partition cells the vector tier probed across fresh evaluations.",
-		func() float64 { return float64(s.work.load().VectorCells) })
-	reg.CounterFunc("skygraph_vector_skipped_total", "Candidates the vector tier excluded wholesale via cell floors.",
-		func() float64 { return float64(s.work.load().VectorSkipped) })
-	reg.CounterFunc("skygraph_vector_fallbacks_total", "Shard snapshots a stale vector partition could not serve.",
-		func() float64 { return float64(s.work.load().VectorFallbacks) })
 	reg.CounterFunc("skygraph_load_shed_total", "Queries refused with 429 at the inflight-query cap.",
 		func() float64 { return float64(s.shed.Load()) })
 	reg.CounterFunc("skygraph_degraded_rejects_total", "Mutations refused with 503 in degraded-readonly mode.",
@@ -211,61 +195,14 @@ func newMetrics(s *Server) *metrics {
 			func() float64 { return rec.Duration.Seconds() })
 	}
 
-	// Per-shard occupancy, and the pivot index's background work where
-	// one is attached.
+	// Per-shard occupancy.
 	shardGraphs := reg.GaugeVec("skygraph_shard_graphs", "Graphs stored per shard.", "shard")
 	shardGen := reg.GaugeVec("skygraph_shard_generation", "Mutation generation per shard.", "shard")
-	var pivotReady, pivotPending obs.GaugeVec
-	var pivotRebuilds, pivotRebuildSecs, pivotColumns, pivotColumnSecs obs.CounterVec
-	pivotRegistered := false
-	var vecCells, vecMembers, vecMeanList, vecEpoch obs.GaugeVec
-	var vecRebuilds, vecRebuildSecs obs.CounterVec
-	vectorRegistered := false
 	for i := 0; i < s.db.NumShards(); i++ {
 		shard := s.db.Shard(i)
 		label := strconv.Itoa(i)
 		shardGraphs.WithFunc(func() float64 { return float64(shard.Len()) }, label)
 		shardGen.WithFunc(func() float64 { return float64(shard.Generation()) }, label)
-		// Vector-tier occupancy where a partition index is attached: cell
-		// count, embedded members, mean inverted-list length, and the
-		// epoch/rebuild counters that show the inline doubling rebuilds
-		// keeping up with growth.
-		if vix := shard.VectorIndex(); vix != nil {
-			if !vectorRegistered {
-				vectorRegistered = true
-				vecCells = reg.GaugeVec("skygraph_vector_cells", "Coarse cells in the shard's vector partition.", "shard")
-				vecMembers = reg.GaugeVec("skygraph_vector_members", "Graphs embedded in the shard's vector partition.", "shard")
-				vecMeanList = reg.GaugeVec("skygraph_vector_mean_list_length", "Mean inverted-list length per partition cell, per shard.", "shard")
-				vecEpoch = reg.GaugeVec("skygraph_vector_epoch", "Partition rebuild epoch, per shard.", "shard")
-				vecRebuilds = reg.CounterVec("skygraph_vector_rebuilds_total", "Partition rebuilds (centroid re-selections), per shard.", "shard")
-				vecRebuildSecs = reg.CounterVec("skygraph_vector_rebuild_seconds_total", "Time spent rebuilding partitions, per shard.", "shard")
-			}
-			vecCells.WithFunc(func() float64 { return float64(vix.Occupancy().Cells) }, label)
-			vecMembers.WithFunc(func() float64 { return float64(vix.Occupancy().Members) }, label)
-			vecMeanList.WithFunc(func() float64 { return vix.Occupancy().MeanList }, label)
-			vecEpoch.WithFunc(func() float64 { return float64(vix.Occupancy().Epoch) }, label)
-			vecRebuilds.WithFunc(func() float64 { return float64(vix.Occupancy().Rebuilds) }, label)
-			vecRebuildSecs.WithFunc(func() float64 { return float64(vix.Occupancy().RebuildNanos) / 1e9 }, label)
-		}
-		ix := shard.PivotIndex()
-		if ix == nil {
-			continue
-		}
-		if !pivotRegistered {
-			pivotRegistered = true
-			pivotReady = reg.GaugeVec("skygraph_pivot_ready_columns", "Stored graphs with a computed pivot column, per shard.", "shard")
-			pivotPending = reg.GaugeVec("skygraph_pivot_pending_columns", "Pivot columns still queued behind the background workers, per shard.", "shard")
-			pivotRebuilds = reg.CounterVec("skygraph_pivot_rebuilds_total", "Pivot re-selections, per shard.", "shard")
-			pivotRebuildSecs = reg.CounterVec("skygraph_pivot_rebuild_seconds_total", "Time spent re-selecting pivots, per shard.", "shard")
-			pivotColumns = reg.CounterVec("skygraph_pivot_columns_total", "Pivot distance columns computed, per shard.", "shard")
-			pivotColumnSecs = reg.CounterVec("skygraph_pivot_column_seconds_total", "Engine time spent computing pivot columns, per shard.", "shard")
-		}
-		pivotReady.WithFunc(func() float64 { _, ready, _ := ix.Ready(); return float64(ready) }, label)
-		pivotPending.WithFunc(func() float64 { _, _, pending := ix.Ready(); return float64(pending) }, label)
-		pivotRebuilds.WithFunc(func() float64 { return float64(ix.Counters().Rebuilds) }, label)
-		pivotRebuildSecs.WithFunc(func() float64 { return float64(ix.Counters().RebuildNanos) / 1e9 }, label)
-		pivotColumns.WithFunc(func() float64 { return float64(ix.Counters().Columns) }, label)
-		pivotColumnSecs.WithFunc(func() float64 { return float64(ix.Counters().ColumnNanos) / 1e9 }, label)
 	}
 
 	// Process-level runtime stats and build identity.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -15,9 +16,7 @@ import (
 
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
-	"skygraph/internal/pivot"
 	"skygraph/internal/testutil"
-	"skygraph/internal/vector"
 )
 
 // traceSums folds a wire trace into the totals the acceptance
@@ -63,7 +62,7 @@ func requireWireTraceConsistent(t *testing.T, label string, stages []gdb.TraceSt
 // the acceptance invariant of the tracing layer, asserted through the
 // full HTTP path.
 func TestTraceEndToEnd(t *testing.T) {
-	_, ts := newPivotTestServer(t, 2, Config{CacheSize: 16})
+	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, dataset.PaperDB())
 
 	var sky SkylineResponse
 	r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Trace: true}, &sky)
@@ -105,25 +104,15 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceTinyShards drives the NoisyFamily collection — 25 close
-// relatives over 2 shards, every tier on — through POST /query/topk. On
-// shards this small many candidates an engine decision run excludes are
-// also condemned by the pivot bound; counting them for both stages once
-// drove the bound stage's count to -2, which panicked the per-stage
-// counter and dropped the connection. Every query must answer 200 with
-// a consistent trace, and no counter add may have been rejected.
+// relatives over 2 shards, score memo on — through POST /query/topk. On
+// shards this small every candidate sits within a few edits of every
+// other; counting one exclusion for two stages once drove the bound
+// stage's count to -2, which panicked the per-stage counter and dropped
+// the connection. Every query must answer 200 with a consistent trace,
+// and no counter add may have been rejected.
 func TestTraceTinyShards(t *testing.T) {
 	gs, queries := testutil.NoisyFamily(25)
-	db := gdb.NewSharded(2)
-	if err := db.InsertAll(gs); err != nil {
-		t.Fatal(err)
-	}
-	db.EnablePivots(pivot.Config{Pivots: 8})
-	db.EnableScoreMemo(1000)
-	db.EnableVector(vector.Config{Cells: 4})
-	db.WaitPivots()
-	db.WaitVector()
-	ts := httptest.NewServer(New(db, Config{CacheSize: 16}).Handler())
-	t.Cleanup(ts.Close)
+	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, gs)
 
 	for qi, q := range queries {
 		var tk TopKResponse
@@ -165,7 +154,7 @@ func mustGraphJSON(t *testing.T) string {
 // TestBatchTraceConsistent asserts the same invariant for every item of
 // a traced batch.
 func TestBatchTraceConsistent(t *testing.T) {
-	_, ts := newPivotTestServer(t, 2, Config{CacheSize: 0})
+	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 0}, dataset.PaperDB())
 	radius := 6.0
 	req := BatchRequest{Queries: []BatchQuery{
 		{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Trace: true}},
@@ -209,7 +198,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [-+0-9.eEI
 // family, and non-zero values on the counters the traffic must have
 // moved.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newPivotTestServer(t, 2, Config{CacheSize: 16})
+	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, dataset.PaperDB())
 
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &sky)
@@ -267,7 +256,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`skygraph_query_duration_seconds_bucket{kind="skyline",le="+Inf"}`,
 		`skygraph_http_request_duration_seconds_bucket{endpoint="POST /query/skyline",le="+Inf"}`,
 		`skygraph_stage_seconds_total{stage="exact"}`,
-		`skygraph_pivot_ready_columns{shard="0"}`,
+		`skygraph_shard_graphs{shard="0"}`,
 		`skygraph_cache_entries`,
 		"go_goroutines",
 		"skygraph_uptime_seconds",
@@ -287,22 +276,24 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestHealthAndReady checks both probes answer without touching the
-// instrumented paths.
+// instrumented paths. Ready means the database is loaded: a server over
+// a loaded database is ready from its first request, and the answer
+// carries the status and the write-path health and nothing else (no
+// background index backlog is waited on).
 func TestHealthAndReady(t *testing.T) {
-	s, ts := newPivotTestServer(t, 2, Config{})
-	for _, path := range []string{"/healthz", "/readyz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
+	s, ts := newMemoTestServer(t, 2, Config{}, dataset.PaperDB())
+	want := map[string]map[string]string{
+		"/healthz": {"status": "ok"},
+		"/readyz":  {"status": "ready", "health": "serving"},
+	}
+	for path, body := range want {
+		var got map[string]string
+		if resp := getJSON(t, ts.URL+path, &got); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s status = %d", path, resp.StatusCode)
 		}
-	}
-	if !s.Ready() {
-		t.Fatal("server with drained pivot backlog reports not ready")
+		if !maps.Equal(got, body) {
+			t.Fatalf("%s answered %v, want %v", path, got, body)
+		}
 	}
 	// Probes must not show up in the per-endpoint request counters.
 	var buf bytes.Buffer

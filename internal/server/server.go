@@ -205,22 +205,6 @@ func (s *Server) HealthState() HealthState { return s.health.State() }
 // by Handler; for tests and for embedding extra collectors).
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
-// Ready reports whether the server is ready to serve at full fidelity:
-// the database was loaded before construction, so readiness is about
-// the background pivot-index build — every shard with a pivot index
-// must have drained its column backlog. Servers without -pivots are
-// ready immediately.
-func (s *Server) Ready() bool {
-	for i := 0; i < s.db.NumShards(); i++ {
-		if ix := s.db.Shard(i).PivotIndex(); ix != nil {
-			if _, _, pending := ix.Ready(); pending > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Cache exposes the server's answer cache (read-mostly; for tests and
 // stats tooling).
 func (s *Server) Cache() *Cache { return s.cache }
@@ -257,13 +241,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleReady answers GET /readyz: 200 once every shard's pivot-index
-// backlog has drained, 503 while columns are still being computed (the
-// bounds still work, but queries prune less until the index is warm)
-// and 503 while the write path is degraded-readonly — load balancers
-// that route mutations should drain a degraded daemon, which still
-// answers queries for clients that talk to it directly. The health
-// state rides along in every answer.
+// handleReady answers GET /readyz: 200 once the server exists — the
+// database was loaded (and, for a durable daemon, recovered) before
+// construction — and 503 while the write path is degraded-readonly:
+// load balancers that route mutations should drain a degraded daemon,
+// which still answers queries for clients that talk to it directly.
+// The health state rides along in every answer.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	state := s.health.State()
 	if state == HealthDegraded {
@@ -273,22 +256,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	if s.Ready() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready", "health": state.String()})
-		return
-	}
-	pending := 0
-	for i := 0; i < s.db.NumShards(); i++ {
-		if ix := s.db.Shard(i).PivotIndex(); ix != nil {
-			_, _, p := ix.Ready()
-			pending += p
-		}
-	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"status":                "not_ready",
-		"health":                state.String(),
-		"pivot_columns_pending": pending,
-	})
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready", "health": state.String()})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -1087,17 +1055,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Graphs:     s.db.Shard(i).Len(),
 			Generation: s.db.ShardGeneration(i),
 		}
-		if ix := s.db.Shard(i).PivotIndex(); ix != nil {
-			shards[i].Pivots, shards[i].PivotReady, shards[i].PivotPending = ix.Ready()
-		}
-		if vix := s.db.Shard(i).VectorIndex(); vix != nil {
-			o := vix.Occupancy()
-			shards[i].VectorCells = o.Cells
-			shards[i].VectorMembers = o.Members
-			shards[i].VectorMeanList = o.MeanList
-			shards[i].VectorEpoch = o.Epoch
-			shards[i].VectorRebuilds = o.Rebuilds
-		}
 	}
 	var memo *gdb.MemoStats
 	if m := s.db.Memo(); m != nil {
@@ -1156,13 +1113,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Errors:           s.errors.Load(),
 			PairEvals:        uint64(work.Evaluated),
 			PairsPruned:      uint64(work.Pruned),
-			PivotPruned:      uint64(work.PivotPruned),
-			PivotDists:       uint64(work.PivotDists),
 			MemoHits:         uint64(work.MemoHits),
 			MemoMisses:       uint64(work.MemoMisses),
-			VectorCells:      uint64(work.VectorCells),
-			VectorSkipped:    uint64(work.VectorSkipped),
-			VectorFallbacks:  uint64(work.VectorFallbacks),
 			QueryTimeouts:    s.timeouts.Load(),
 			LoadShed:         s.shed.Load(),
 			DegradedRejected: s.degradedRejects.Load(),

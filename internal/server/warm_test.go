@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -12,40 +11,35 @@ import (
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
-	"skygraph/internal/pivot"
 	"skygraph/internal/testutil"
 )
 
-// newPivotTestServer serves the paper DB across nshards shards with the
-// pivot index (fully built) and the score memo enabled.
-func newPivotTestServer(t *testing.T, nshards int, cfg Config) (*Server, *httptest.Server) {
+// newMemoTestServer serves gs across nshards shards with the score
+// memo enabled, as skygraphd -memo wires a daemon.
+func newMemoTestServer(t *testing.T, nshards int, cfg Config, gs []*graph.Graph) (*Server, *httptest.Server) {
 	t.Helper()
 	db := gdb.NewSharded(nshards)
-	if err := db.InsertAll(dataset.PaperDB()); err != nil {
+	if err := db.InsertAll(gs); err != nil {
 		t.Fatal(err)
 	}
-	db.EnablePivots(pivot.Config{Pivots: 3})
 	db.EnableScoreMemo(1024)
-	db.WaitPivots()
 	s := New(db, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
 
-// TestPivotCountersOnWire: /query/topk surfaces the pivot counters and
-// /query/skyline — whose pruned build runs no pivot tier — reports
-// none, both surface the memo counters; warm reruns served from the
-// answer caches report zero fresh work, and /stats totals the activity.
+// TestPivotCountersOnWire: cold /query/topk and /query/skyline answers
+// surface the memo counters, a warm rerun served from the answer cache
+// reports zero fresh work, and /stats totals the activity. (The name
+// dates from when this test also checked the pivot tier's counters,
+// which are gone with the tier.)
 func TestPivotCountersOnWire(t *testing.T) {
-	_, ts := newPivotTestServer(t, 1, Config{CacheSize: 16})
+	_, ts := newMemoTestServer(t, 1, Config{CacheSize: 16}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-	if tk.Stats.PivotDists == 0 {
-		t.Fatalf("cold pruned topk computed no pivot distances: %+v", tk.Stats)
-	}
 	if tk.Stats.MemoMisses == 0 {
 		t.Fatalf("cold pruned topk reported no memo lookups: %+v", tk.Stats)
 	}
@@ -53,41 +47,34 @@ func TestPivotCountersOnWire(t *testing.T) {
 	// Same query again: the ranked answer cache serves it, no fresh work.
 	var warm TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &warm)
-	if !warm.Stats.CacheHit || warm.Stats.PivotDists != 0 || warm.Stats.MemoHits != 0 {
+	if !warm.Stats.CacheHit || warm.Stats.MemoHits != 0 || warm.Stats.MemoMisses != 0 {
 		t.Fatalf("warm topk should be a pure cache hit: %+v", warm.Stats)
 	}
 
-	// Skyline with pruning: the progressive scan pays no query-to-pivot
-	// distance, and memo lookups flow through the table path too (topk
-	// published scores only for the engine it ran; at minimum the lookups
-	// are counted).
+	// Memo lookups flow through the pruned skyline's table path too
+	// (topk published scores only for the engine it ran; at minimum the
+	// lookups are counted).
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
-	if sky.Stats.PivotDists != 0 {
-		t.Fatalf("pruned skyline computed pivot distances: %+v", sky.Stats)
-	}
 	if sky.Stats.MemoHits+sky.Stats.MemoMisses == 0 {
 		t.Fatalf("pruned skyline performed no memo lookups: %+v", sky.Stats)
 	}
 
-	// /stats: global counters and per-shard pivot occupancy.
 	var st StatsResponse
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Requests.PivotDists == 0 {
-		t.Fatalf("global pivot_dists is 0: %+v", st.Requests)
+	if st.Requests.MemoHits+st.Requests.MemoMisses == 0 {
+		t.Fatalf("global memo counters are 0: %+v", st.Requests)
 	}
 	if st.Memo == nil || st.Memo.Entries == 0 {
 		t.Fatalf("memo stats missing or empty: %+v", st.Memo)
 	}
-	if st.Shards[0].Pivots != 3 || st.Shards[0].PivotReady != 7 || st.Shards[0].PivotPending != 0 {
-		t.Fatalf("shard pivot occupancy wrong: %+v", st.Shards[0])
-	}
 }
 
-// TestPivotCountersInBatch: batch stats aggregate the per-item pivot
-// and memo counters.
+// TestPivotCountersInBatch: batch stats aggregate the per-item memo
+// counters. (The name dates from when it also aggregated the pivot
+// tier's counters.)
 func TestPivotCountersInBatch(t *testing.T) {
-	_, ts := newPivotTestServer(t, 2, Config{CacheSize: 32})
+	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 32}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var resp BatchResponse
 	postJSON(t, ts.URL+"/query/batch", map[string]any{
@@ -99,9 +86,6 @@ func TestPivotCountersInBatch(t *testing.T) {
 	if resp.Stats.Errors != 0 {
 		t.Fatalf("batch errors: %+v", resp.Results)
 	}
-	if resp.Stats.PivotDists == 0 {
-		t.Fatalf("batch aggregated no pivot distances: %+v", resp.Stats)
-	}
 	if resp.Stats.MemoHits+resp.Stats.MemoMisses == 0 {
 		t.Fatalf("batch aggregated no memo lookups: %+v", resp.Stats)
 	}
@@ -112,7 +96,7 @@ func TestPivotCountersInBatch(t *testing.T) {
 // so later skyline requests of the same kind answer from cache, ranked
 // requests run their own scan, and malformed entries fail in place.
 func TestWarmEndpoint(t *testing.T) {
-	_, ts := newPivotTestServer(t, 2, Config{CacheSize: 32})
+	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 32}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 
 	var wr WarmResponse
@@ -150,7 +134,7 @@ func TestWarmEndpoint(t *testing.T) {
 	// serve "all" skylines only: a plain skyline builds its own pruned
 	// tables, and a ranked request scans — but every pair it scores
 	// replays from the memo the complete build filled.
-	_, ts = newPivotTestServer(t, 2, Config{CacheSize: 32})
+	_, ts = newMemoTestServer(t, 2, Config{CacheSize: 32}, dataset.PaperDB())
 	postJSON(t, ts.URL+"/cache/warm", map[string]any{
 		"queries": []map[string]any{{"graph": q, "all": true}},
 	}, &wr)
@@ -204,35 +188,5 @@ func TestWarmEvaluationErrorsCounted(t *testing.T) {
 	}
 	if got := s.errors.Load(); got != 1 {
 		t.Fatalf("requests.errors = %d after a failed warm item; want 1", got)
-	}
-}
-
-// TestPivotServingEquivalence: with pivots + memo enabled, served
-// answers across shard counts match a pivot-free reference server.
-func TestPivotServingEquivalence(t *testing.T) {
-	q := graph.Mutate(dataset.PaperQuery(), 2, graph.MoleculeAlphabet.Atoms, graph.MoleculeAlphabet.Bonds, rand.New(rand.NewSource(9)))
-	q.SetName("qx")
-	var refSky SkylineResponse
-	var refTK TopKResponse
-	{
-		_, ts := newShardedTestServer(t, 1, Config{CacheSize: 0})
-		postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &refSky)
-		postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &refTK)
-	}
-	for _, shards := range []int{1, 2, 3, 7} {
-		_, ts := newPivotTestServer(t, shards, Config{CacheSize: 64})
-		var sky SkylineResponse
-		postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
-		requireSameSkylineJSON(t, shards, 0, refSky.Skyline, sky.Skyline)
-		var tk TopKResponse
-		postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-		if len(tk.Items) != len(refTK.Items) {
-			t.Fatalf("shards=%d: topk sizes differ", shards)
-		}
-		for i := range tk.Items {
-			if tk.Items[i] != refTK.Items[i] {
-				t.Fatalf("shards=%d: topk item %d: %+v vs %+v", shards, i, tk.Items[i], refTK.Items[i])
-			}
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"skygraph/internal/dataset"
+	"skygraph/internal/testutil"
 )
 
 // TestWireCompat pins the JSON keys and /metrics family names that
@@ -16,7 +17,8 @@ import (
 // silently. Responses are decoded as plain maps: the assertion is on
 // what is on the wire, not on this package's types.
 func TestWireCompat(t *testing.T) {
-	_, ts := newVectorTestServer(t, 2, Config{CacheSize: 16}, vectorTestGraphs())
+	gs := append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
+	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, gs)
 	q := dataset.PaperQuery()
 	radius := 6.0
 
@@ -37,8 +39,7 @@ func TestWireCompat(t *testing.T) {
 	}
 
 	queryStats := []string{
-		"evaluated", "pruned", "inexact", "pivot_pruned", "pivot_dists", "memo_hits", "memo_misses",
-		"vector_cells_probed", "vector_skipped", "vector_fallbacks", "delta_patched",
+		"evaluated", "pruned", "inexact", "memo_hits", "memo_misses", "delta_patched",
 		"cache_hit", "shards", "shard_hits", "duration_ms",
 	}
 	for _, tc := range []struct {
@@ -51,14 +52,12 @@ func TestWireCompat(t *testing.T) {
 		{"range stats", post("/query/range", QueryRequest{Graph: q, Radius: &radius})["stats"], queryStats},
 		{"batch item stats", batch["results"].([]any)[0].(map[string]any)["topk"].(map[string]any)["stats"], queryStats},
 		{"batch stats", batch["stats"], []string{
-			"queries", "errors", "evaluated", "pruned", "pivot_pruned", "pivot_dists", "memo_hits", "memo_misses",
-			"vector_cells_probed", "vector_skipped", "vector_fallbacks", "delta_patched", "shard_hits", "duration_ms",
+			"queries", "errors", "evaluated", "pruned", "memo_hits", "memo_misses",
+			"delta_patched", "shard_hits", "duration_ms",
 		}},
 		{"/stats requests", stats["requests"], []string{
 			"queries", "batches", "inserts", "deletes", "errors", "pair_evals", "pairs_pruned",
-			"pivot_pruned", "pivot_dists", "memo_hits", "memo_misses",
-			"vector_cells_probed", "vector_skipped", "vector_fallbacks",
-			"query_timeouts", "load_shed", "degraded_rejected",
+			"memo_hits", "memo_misses", "query_timeouts", "load_shed", "degraded_rejected",
 		}},
 	} {
 		obj, ok := tc.obj.(map[string]any)
@@ -80,16 +79,18 @@ func TestWireCompat(t *testing.T) {
 	text := scrapeMetrics(t, ts.URL)
 	for _, family := range []string{
 		"skygraph_query_pairs_evaluated_total", "skygraph_query_pairs_pruned_total",
-		"skygraph_query_pivot_pruned_total", "skygraph_query_memo_hits_total",
-		"skygraph_query_memo_misses_total", "skygraph_query_vector_skipped_total",
+		"skygraph_query_memo_hits_total", "skygraph_query_memo_misses_total",
 		"skygraph_query_cache_hits_total", "skygraph_query_timeouts_total",
-		"skygraph_vector_cells_probed_total", "skygraph_vector_skipped_total",
-		"skygraph_vector_fallbacks_total", "skygraph_vector_rebuilds_total",
-		"skygraph_vector_rebuild_seconds_total",
 		"skygraph_stage_seconds_total", "skygraph_stage_pairs_total", "skygraph_stage_pruned_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" counter\n") {
 			t.Errorf("/metrics lost the %s family", family)
+		}
+	}
+	// The pivot and vector tiers are gone, and so are their families.
+	for _, line := range strings.Split(text, "\n") {
+		if strings.Contains(line, "pivot") || strings.Contains(line, "vector") {
+			t.Errorf("/metrics still carries a retired tier family: %s", line)
 		}
 	}
 }

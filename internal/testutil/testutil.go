@@ -50,9 +50,9 @@ func SeededQueries(seed int64, gs []*graph.Graph, n int) []*graph.Graph {
 // random edits each, names g00000, g00001, ...) and 8 one-edit queries
 // drawn from them. Every graph sits within a few edits of every other,
 // so on small shards a ranked scan excludes many candidates by engine
-// decision runs that the pivot tier's bound would also condemn — the
-// regime where attributing one exclusion to two stages once drove a
-// stage count negative.
+// decision runs and branch bounds side by side — the regime where
+// attributing one exclusion to two stages once drove a stage count
+// negative.
 func NoisyFamily(n int) (gs, queries []*graph.Graph) {
 	gs = dataset.NoisyQueries(dataset.MoleculeDB(1, 5, 5, 1), n, 2, 3)
 	for i, g := range gs {

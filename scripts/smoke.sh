@@ -14,7 +14,7 @@ trap 'kill "$DPID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 go build -o "$WORK/skygraphd" ./cmd/skygraphd
 go build -o "$WORK/loadgen" ./cmd/loadgen
 
-"$WORK/skygraphd" -addr "$ADDR" -shards 2 -cache 64 -pivots 3 -memo 4096 \
+"$WORK/skygraphd" -addr "$ADDR" -shards 2 -cache 64 -memo 4096 \
   -slow-query-ms 250 2>"$WORK/daemon.log" &
 DPID=$!
 
