@@ -1,15 +1,15 @@
 // Command skygraphd is the skygraph query-serving daemon: it loads a
 // graph database from LGF into N hash-routed shards and serves
 // similarity skyline, top-k and range queries over an HTTP/JSON API.
-// Each request's evaluation path follows from its kind: skyline queries
-// build pruned per-shard tables (complete ones when "all" is set) and
-// merge them with the divide-and-conquer skyline
-// combiner; top-k and range queries run one best-first scan across the
-// shards against a shared threshold. An LRU cache of whole answers —
-// every shard's tables for a skyline, the merged items for top-k and
-// range — sits in front of the GED/MCS pair-evaluation hot path and is
-// delta-maintained across mutations: an upgrade replaces only the
-// mutated shard's part of an answer. -memo adds the cross-query
+// Shards partition storage only: every query is one scan over all of
+// them. Each request's evaluation path follows from its kind: skyline
+// queries build one pruned table (a complete one when "all" is set) and
+// answer with its skyline; top-k and range queries run one best-first
+// scan against one threshold. An LRU cache of whole answers — the table
+// of a skyline, the items of a top-k or range query — sits in front of
+// the GED/MCS pair-evaluation hot path and is delta-maintained across
+// mutations: an upgrade advances the mutated shard's generation in the
+// entry and changes at most one row. -memo adds the cross-query
 // exact-score memo that survives mutations the answer cache cannot.
 //
 // Usage:

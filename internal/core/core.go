@@ -84,16 +84,6 @@ func NewEngine(options ...Option) *Engine {
 	return e
 }
 
-// WithOptions applies further options to an existing engine (e.g. one
-// returned by Load) and returns it for chaining. Not safe to call
-// concurrently with running queries.
-func (e *Engine) WithOptions(options ...Option) *Engine {
-	for _, o := range options {
-		o(e)
-	}
-	return e
-}
-
 // Load returns an engine populated from an LGF file.
 func Load(path string, options ...Option) (*Engine, error) {
 	db, err := gdb.Load(path, 1)

@@ -15,11 +15,11 @@ import (
 // database — the reference every delta patch must reproduce row for row.
 func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable {
 	t.Helper()
-	tables, err := testutil.NewSharded(t, 1, gs).VectorTables(context.Background(), q, gdb.QueryOptions{})
+	tab, err := testutil.NewSharded(t, 1, gs).VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tables[0]
+	return tab
 }
 
 // TestDeltaPatchedTableMatchesCold: a table carried across an insert by
@@ -30,11 +30,10 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 12)
 	q := testutil.SeededQueries(131, gs, 1)[0]
 	db := testutil.NewSharded(t, 1, gs)
-	tables, err := db.VectorTables(context.Background(), q, gdb.QueryOptions{})
+	t0, err := db.VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := tables[0]
 
 	late := testutil.SeededGraphs(231, 1)[0]
 	late.SetName("late")
@@ -47,13 +46,13 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	if !ok || got != gen {
 		t.Fatalf("DeltaRow ok=%v gen=%d, want true/%d", ok, got, gen)
 	}
-	t1 := t0.WithInsert(pt, inexact, gen)
+	t1 := t0.WithInsert(pt, inexact, 0, gen)
 	want := coldTable(t, append(append([]*graph.Graph(nil), gs...), late), q)
 	if !reflect.DeepEqual(want.Points, t1.Points) {
 		t.Fatalf("patched insert table differs from cold build:\ncold  %v\ndelta %v", want.Points, t1.Points)
 	}
-	if t1.Generation != gen || t1.Deltas != 1 {
-		t.Fatalf("patched table gen=%d deltas=%d, want %d/1", t1.Generation, t1.Deltas, gen)
+	if t1.Generations[0] != gen || t1.Deltas != 1 {
+		t.Fatalf("patched table gen=%d deltas=%d, want %d/1", t1.Generations[0], t1.Deltas, gen)
 	}
 	// The original must be untouched: patches copy, they never mutate.
 	if len(t0.Points) != len(gs) || t0.Deltas != 0 {
@@ -66,7 +65,7 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 		t.Fatalf("delete %s: ack=%+v err=%v", victim, ack, err)
 	}
 	gen2 := ack.Gen
-	t2, ok := t1.WithDelete(victim, gen2)
+	t2, ok := t1.WithDelete(victim, 0, gen2)
 	if !ok {
 		t.Fatalf("WithDelete(%s) did not find the row", victim)
 	}
@@ -81,11 +80,11 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	if !reflect.DeepEqual(want2.Points, t2.Points) {
 		t.Fatalf("patched delete table differs from cold build:\ncold  %v\ndelta %v", want2.Points, t2.Points)
 	}
-	if t2.Generation != gen2 || t2.Deltas != 2 {
-		t.Fatalf("patched table gen=%d deltas=%d, want %d/2", t2.Generation, t2.Deltas, gen2)
+	if t2.Generations[0] != gen2 || t2.Deltas != 2 {
+		t.Fatalf("patched table gen=%d deltas=%d, want %d/2", t2.Generations[0], t2.Deltas, gen2)
 	}
 
-	if _, ok := t2.WithDelete("never-inserted", gen2+1); ok {
+	if _, ok := t2.WithDelete("never-inserted", 0, gen2+1); ok {
 		t.Fatal("WithDelete of an absent name claimed success")
 	}
 }
@@ -206,11 +205,11 @@ func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
 func TestWithGenerationKeepsRows(t *testing.T) {
 	gs := testutil.SeededGraphs(71, 6)
 	t0 := coldTable(t, gs, testutil.SeededQueries(171, gs, 1)[0])
-	t1 := t0.WithGeneration(t0.Generation + 1)
-	if t1.Generation != t0.Generation+1 || t1.Deltas != 1 || !reflect.DeepEqual(t1.Points, t0.Points) {
-		t.Fatalf("WithGeneration: gen=%d deltas=%d rows=%v", t1.Generation, t1.Deltas, t1.Points)
+	t1 := t0.WithGeneration(0, t0.Generations[0]+1)
+	if t1.Generations[0] != t0.Generations[0]+1 || t1.Deltas != 1 || !reflect.DeepEqual(t1.Points, t0.Points) {
+		t.Fatalf("WithGeneration: gen=%d deltas=%d rows=%v", t1.Generations[0], t1.Deltas, t1.Points)
 	}
-	if t0.Deltas != 0 {
+	if t0.Deltas != 0 || t0.Generations[0] == t1.Generations[0] {
 		t.Fatal("WithGeneration mutated its receiver")
 	}
 }

@@ -7,14 +7,14 @@ import (
 )
 
 // PrunedPointsInOrder builds the points of q's pruned skyline table over
-// db the way VectorTable does, except that the scan's per-candidate step
+// sh the way VectorTable does, except that the scan's per-candidate step
 // runs sequentially in whatever order permute leaves the candidates
 // in — the seam that lets a test schedule the scan.
-func PrunedPointsInOrder(db *DB, q *graph.Graph, opts QueryOptions, permute func(order []int)) []skyline.Point {
+func PrunedPointsInOrder(sh *Sharded, q *graph.Graph, opts QueryOptions, permute func(order []int)) []skyline.Point {
 	opts = opts.withDefaults()
-	sn := db.snapshot()
+	sn := sh.snapshot()
 	qsig := measure.NewSignature(q)
-	sc, order := newSkyScan(sn, q, qsig, db.newEvalCtx(q, opts), opts)
+	sc, order := newSkyScan(sn, q, qsig, newEvalCtx(sh.Memo(), q, opts), opts)
 	permute(order)
 	for _, i := range order {
 		sc.settle(i)

@@ -19,13 +19,12 @@ import (
 
 // DB is one shard of a Sharded database: a concurrency-safe store of
 // uniquely named graphs with a per-graph signature index (label
-// histograms, degree sequence, sizes) maintained on insert, plus the
-// per-shard evaluation primitives the query layers are built from —
-// the table build, the ranked scan and DeltaBound / DeltaRow /
-// DeltaScore. It is not a query or mutation surface: graphs come and go
-// through the owning Sharded (which keeps the global insertion order),
-// and queries are Sharded's, or the serving layer's over the primitives
-// above.
+// histograms, degree sequence, sizes) maintained on insert, its own
+// generation counter, and the single-row reads delta maintenance
+// needs (DeltaBound / DeltaRow / DeltaScore). It evaluates no query and
+// is not a mutation surface: graphs come and go through the owning
+// Sharded (which keeps the global insertion order), and every query is
+// one scan of Sharded's over a snapshot of all shards.
 type DB struct {
 	mu     sync.RWMutex
 	names  []string // insertion order

@@ -1,7 +1,6 @@
 package gdb
 
 import (
-	"context"
 	"path/filepath"
 	"testing"
 
@@ -16,16 +15,6 @@ func paperDB(t *testing.T) *Sharded {
 		t.Fatal(err)
 	}
 	return db
-}
-
-// vectorTable0 builds q's complete table on a one-shard database
-// through VectorTables, the one table build the package exports.
-func vectorTable0(ctx context.Context, db *Sharded, q *graph.Graph) (*VectorTable, error) {
-	tables, err := db.VectorTables(ctx, q, QueryOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return tables[0], nil
 }
 
 func TestInsertGetDelete(t *testing.T) {

@@ -23,10 +23,9 @@ import (
 // insert sequence, so deleting and re-inserting a name mints a new
 // sequence and strands the old entries (the LRU ages them out), while
 // an unrelated insert or delete invalidates *nothing* — which is
-// exactly the cross-query win. The serving layer's vector-table cache
-// dies wholesale on the owning shard's generation bump; the memo
-// survives it, so rebuilding a table after one insert only pays
-// engines for the new graph.
+// exactly the cross-query win. A cached answer no delta proof covers
+// dies with the mutation; the memo survives it, so rebuilding a table
+// after one insert only pays engines for the new graph.
 //
 // Entries are grouped by query: one fixed-size comparable key per
 // query, then a map from insert sequence to results. A scan publishes
@@ -238,10 +237,10 @@ type evalCtx struct {
 	memoMisses atomic.Int64
 }
 
-// newEvalCtx assembles the per-query context: nil unless the shard has
-// a score memo.
-func (db *DB) newEvalCtx(q *graph.Graph, opts QueryOptions) *evalCtx {
-	memo := db.Memo()
+// newEvalCtx assembles the per-query context over memo: nil when memo
+// is. The query hash is taken from opts or computed here, once per
+// query.
+func newEvalCtx(memo *ScoreMemo, q *graph.Graph, opts QueryOptions) *evalCtx {
 	if memo == nil {
 		return nil
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"skygraph/internal/graph"
@@ -23,7 +22,7 @@ import (
 //	        collapsed to the exact point on a score-memo hit: every
 //	        graph's optimistic corner, which orders the scan
 //	scan    every graph, best-first by optimistic corner, against a
-//	        running front of this shard's exact vectors; each is taken
+//	        running front of the exact vectors kept so far; each is taken
 //	        through the cheapest proof that still settles it:
 //	        1. a front point dominates its optimistic corner: discarded,
 //	           no engine runs
@@ -48,15 +47,17 @@ import (
 // undercuts, and kept vectors come from the same engine calls as the
 // full evaluation — so the skyline over the kept points is
 // byte-identical to the skyline of the full evaluation, whatever order
-// the scan runs in. The front is per shard because tables are cached
-// per shard generation: a proof borrowed from another shard's graph
-// would outlive that graph. Only kept candidates are published to the
-// score memo: a discarded one's MCS-only partial would be dead weight
-// (it is discarded again, for free, as long as the front's point
-// lives), and discarded candidates outnumber kept ones several times.
+// the scan runs in. None of this depends on where the graphs are
+// stored: one scan runs over a snapshot of every shard against one
+// front, so a front point from any shard discards a candidate from any
+// other, and a one-worker scan does the same work at every shard count.
+// Only kept candidates are published to the score memo: a discarded
+// one's MCS-only partial would be dead weight (it is discarded again,
+// for free, as long as the front's point lives), and discarded
+// candidates outnumber kept ones several times.
 
-// skyFront is one shard's running set of reported exact vectors, shared
-// by the scan's workers.
+// skyFront is the scan's running set of reported exact vectors, shared
+// by its workers.
 type skyFront struct {
 	mu   sync.Mutex
 	vecs [][]float64
@@ -105,7 +106,8 @@ type skyScan struct {
 // exact point (the strongest corner there is) — and returns the scan
 // state with every candidate in scan order: ascending optimistic
 // corner, so the likeliest skyline members score first and everything
-// behind them meets a front; ties keep snapshot order. Tier 0 excludes
+// behind them meets a front; ties go by insert sequence, which no shard
+// split changes. Tier 0 excludes
 // nothing itself: its pessimistic corners (delete-all GED, zero MCS)
 // almost never dominate, and the scan's front test discards, best-first,
 // whatever a memo-collapsed point could.
@@ -135,22 +137,22 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, o
 			sc.los[i], _ = sc.bounds[i].IntervalGCS(opts.Basis)
 		}
 	}
-	sortScanOrder(order, sc.los)
+	sortScanOrder(order, sc.los, sn.seqs)
 	opts.Trace.Observe(StageBound, time.Since(start), n, 0)
 	return sc, order
 }
 
 // sortScanOrder sorts candidate indices by ascending optimistic corner,
-// compared lexicographically, ties by index. order arrives ascending, so
-// this is the stable sort by corner without its cost. Corners are finite
+// compared lexicographically, ties by insert sequence (indexed like
+// los). Sequences are unique, so the order is total. Corners are finite
 // (tier-0 GED lo is a label-histogram count), so no NaN upsets the
 // comparison.
-func sortScanOrder(order []int, los [][]float64) {
+func sortScanOrder(order []int, los [][]float64, seqs []uint64) {
 	slices.SortFunc(order, func(a, b int) int {
 		if c := slices.Compare(los[a], los[b]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(seqs[a], seqs[b])
 	})
 }
 
@@ -211,7 +213,7 @@ func (sc *skyScan) settle(i int) {
 }
 
 // evalPruned runs the pipeline for q against the snapshot. It returns
-// the exact points of the kept graphs in insertion order, the number of
+// the exact points of the kept graphs in snapshot order, the number of
 // graphs excluded without a full exact evaluation, and the inexact pair
 // count among the kept. The caller has already checked
 // measure.Boundable(opts.Basis); ec may be nil (no memo). With
@@ -224,40 +226,22 @@ func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Sign
 	}
 	sc, order := newSkyScan(sn, q, qsig, ec, opts)
 	start := time.Now()
-	workers := opts.Workers
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var (
-		wg     sync.WaitGroup
-		cursor atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				k := int(cursor.Add(1)) - 1
-				if k >= len(order) {
-					return
-				}
-				sc.settle(order[k])
-			}
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return nil, 0, 0, ctx.Err()
+	err = forEachClaim(ctx, n, opts.Workers, func(k int) bool {
+		sc.settle(order[k])
+		return true
+	})
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	pts, inexact = sc.points()
 	// Every candidate entering the scan is exact-stage work (engine runs,
 	// decision runs, memo replays, or a front test that spared them all);
 	// the ones it discarded are the stage's exclusions.
-	opts.Trace.Observe(StageExact, time.Since(start), len(order), len(order)-len(pts))
+	opts.Trace.Observe(StageExact, time.Since(start), n, n-len(pts))
 	return pts, n - len(pts), inexact, nil
 }
 
-// points returns the kept candidates in insertion order and how many of
+// points returns the kept candidates in snapshot order and how many of
 // them rest on a capped engine's bound.
 func (sc *skyScan) points() (pts []skyline.Point, inexact int) {
 	pts = make([]skyline.Point, 0, len(sc.front.vecs))

@@ -7,16 +7,19 @@ import (
 	"testing"
 )
 
-// TestScanOrderIsStableSort: the scan order equals a stable sort of the
-// ascending survivor indices by optimistic corner, on a grid where most
-// corners tie on some or all coordinates.
+// TestScanOrderIsStableSort: with insert sequences ascending like the
+// indices, the scan order equals a stable sort of the ascending survivor
+// indices by optimistic corner, on a grid where most corners tie on some
+// or all coordinates.
 func TestScanOrderIsStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	vals := []float64{0, 0.25, 0.5, 1, 2}
 	for trial := 0; trial < 200; trial++ {
 		n, dims := 1+rng.Intn(60), 1+rng.Intn(3)
 		los := make([][]float64, n)
+		seqs := make([]uint64, n)
 		for i := range los {
+			seqs[i] = uint64(i)
 			los[i] = make([]float64, dims)
 			for d := range los[i] {
 				los[i][d] = vals[rng.Intn(1+rng.Intn(len(vals)))]
@@ -38,7 +41,7 @@ func TestScanOrderIsStableSort(t *testing.T) {
 			}
 			return false
 		})
-		sortScanOrder(order, los)
+		sortScanOrder(order, los, seqs)
 		if !slices.Equal(order, want) {
 			t.Fatalf("trial %d: scan order %v, stable sort %v", trial, order, want)
 		}

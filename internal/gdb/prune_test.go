@@ -160,7 +160,7 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 			for perm := 0; perm <= 20; perm++ {
-				pts := gdb.PrunedPointsInOrder(db.Shard(0), q, prunedOpts(true), func(order []int) {
+				pts := gdb.PrunedPointsInOrder(db, q, prunedOpts(true), func(order []int) {
 					if perm == 0 {
 						for a, b := 0, len(order)-1; a < b; a, b = a+1, b-1 {
 							order[a], order[b] = order[b], order[a]

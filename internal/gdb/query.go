@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"skygraph/internal/diversity"
@@ -21,7 +20,8 @@ type QueryOptions struct {
 	Basis []measure.Measure
 	// Eval bounds the exact GED/MCS engines (zero = exact, unbounded).
 	Eval measure.Options
-	// Workers is the parallelism for pair evaluation; 0 means GOMAXPROCS.
+	// Workers is the width of a query's one scan: how many goroutines
+	// evaluate pairs, whatever the shard count. 0 means GOMAXPROCS.
 	Workers int
 	// Algorithm computes the skyline; nil means skyline.SFS.
 	Algorithm skyline.Algorithm
@@ -41,10 +41,9 @@ type QueryOptions struct {
 	// top-k and range queries, which always run the best-first scan.
 	Prune bool
 	// Trace, when non-nil, accumulates per-cascade-stage work counters
-	// and durations for this query (see trace.go). The same trace may be
-	// shared by every shard of a sharded query; recording is
-	// concurrency-safe. Nil (the default) records nothing and costs
-	// nothing.
+	// and durations for this query (see trace.go). Recording is
+	// concurrency-safe, so the scan's workers share it. Nil (the default)
+	// records nothing and costs nothing.
 	Trace *QueryTrace
 }
 
@@ -119,30 +118,24 @@ type SkylineResult struct {
 }
 
 // SkylineQuery computes the graph similarity skyline GSS(D, q) of
-// Definition 12/Eq. 4: every shard evaluates the GCS vector of its
-// graphs against q in parallel — all of them, or just the candidates no
-// cheaper proof discards under QueryOptions.Prune (see prune.go) — keeps
-// its Pareto-optimal ones, and the local skylines are cross-filtered
-// into the global one. Evaluation checks ctx between pairs and aborts
-// early with ctx.Err().
+// Definition 12/Eq. 4: one scan evaluates the GCS vector of every
+// graph against q — all of them, or just the candidates no cheaper
+// proof discards under QueryOptions.Prune (see prune.go) — and the
+// table's Pareto-optimal rows are the answer. Evaluation checks ctx
+// between pairs and aborts early with ctx.Err().
 func (sh *Sharded) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
 	start := time.Now()
-	tables, err := sh.VectorTables(ctx, q, opts)
+	t, err := sh.VectorTable(ctx, q, opts)
 	if err != nil {
 		return SkylineResult{}, err
 	}
-	var mstart time.Time
-	if opts.Trace != nil {
-		mstart = time.Now()
-	}
+	mstart := time.Now()
 	res := SkylineResult{
-		Skyline: sh.MergeSkyline(tables, opts.Algorithm),
-		All:     sh.MergeTables(tables),
-		Stats:   mergedStats(tables, start),
+		Skyline: sh.TableSkyline(t, opts.Algorithm),
+		All:     sh.TableRows(t),
+		Stats:   QueryStats{Work: t.Work, Inexact: t.Inexact, Duration: time.Since(start)},
 	}
-	if opts.Trace != nil {
-		opts.Trace.Observe(StageMerge, time.Since(mstart), len(res.All), 0)
-	}
+	opts.Trace.Observe(StageMerge, time.Since(mstart), len(res.All), 0)
 	return res, nil
 }
 
@@ -155,12 +148,11 @@ type TopKResult struct {
 
 // TopKQuery is the single-measure baseline (Section VI): the k database
 // graphs with the smallest distance under one measure, in ascending
-// (score, ID) order. Every shard runs the best-first bound-index scan of
-// ranked.go concurrently against ONE shared collector, so the k-th best
-// score seen anywhere prunes candidates everywhere — no shard builds a
-// table. m must be one of the built-in measures (measure.Rankable): the
-// scan needs its bounds. opts.Basis, opts.Algorithm and opts.Prune do
-// not apply.
+// (score, ID) order. It runs the best-first bound-index scan of
+// ranked.go against one collector, so the k-th best score seen so far
+// prunes every remaining candidate — no table is built. m must be one
+// of the built-in measures (measure.Rankable): the scan needs its
+// bounds. opts.Basis, opts.Algorithm and opts.Prune do not apply.
 func (sh *Sharded) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("gdb: k must be >= 1")
@@ -175,41 +167,20 @@ func (sh *Sharded) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Mea
 	return sh.rankedQuery(ctx, q, m, opts, newRangeCollector(radius))
 }
 
-// rankedQuery scans every shard concurrently into coll and reports the
-// collected answer: top-k in ascending (score, ID) order as collected,
-// range restored to global insertion order (the scan finishes out of
-// order). Reading the answer out is the merge stage. opts.Workers is
-// the per-shard scan width; 0 spreads GOMAXPROCS over the shards. The
-// first shard error fails the query.
+// rankedQuery scans one snapshot of every shard into coll and reports
+// the collected answer: top-k in ascending (score, ID) order as
+// collected, range restored to global insertion order (the scan
+// finishes out of order). Reading the answer out is the merge stage.
 func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (TopKResult, error) {
 	if !measure.Rankable(m) {
 		return TopKResult{}, fmt.Errorf("gdb: measure %s has no bounds to rank by (not a built-in)", m.Name())
 	}
 	start := time.Now()
-	opts.Workers = shardWorkers(opts.Workers, len(sh.shards))
-	if opts.QueryHash == "" && sh.Memo() != nil {
-		// Canonicalize once for all shards; each shard's memo keys use it.
-		opts.QueryHash = graph.QueryHash(q)
-	}
-	qsig := measure.NewSignature(q)
-	stats := make([]QueryStats, len(sh.shards))
-	errs := make([]error, len(sh.shards))
-	var wg sync.WaitGroup
-	for i, db := range sh.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats[i], errs[i] = db.scanRanked(ctx, q, qsig, m, opts, coll)
-		}()
-	}
-	wg.Wait()
-	total := QueryStats{}
-	for i, err := range errs {
-		if err != nil {
-			return TopKResult{}, err
-		}
-		total.Work.Add(stats[i].Work)
-		total.Inexact += stats[i].Inexact
+	opts = opts.withDefaults()
+	ec := newEvalCtx(sh.Memo(), q, opts)
+	stats, err := evalRanked(ctx, sh.snapshot(), measure.NewSignature(q), q, m, opts, ec, coll)
+	if err != nil {
+		return TopKResult{}, err
 	}
 	mstart := time.Now()
 	items := coll.items()
@@ -217,8 +188,8 @@ func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Me
 		sh.sortItemsByRank(items)
 	}
 	opts.Trace.Observe(StageMerge, time.Since(mstart), len(items), 0)
-	total.Duration = time.Since(start)
-	return TopKResult{Items: items, Stats: total}, nil
+	stats.Duration = time.Since(start)
+	return TopKResult{Items: items, Stats: stats}, nil
 }
 
 // DiverseResult is the answer to a diversity-refined skyline query
@@ -264,7 +235,15 @@ func (sh *Sharded) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k in
 		res.Exhaustive = true
 		return res, nil
 	}
-	mat, err := sh.pairwiseMatrix(skyRes.Skyline, opts)
+	gs := make([]*graph.Graph, n)
+	for i, p := range skyRes.Skyline {
+		g, ok := sh.Get(p.ID)
+		if !ok {
+			return DiverseResult{}, fmt.Errorf("gdb: skyline member vanished during query")
+		}
+		gs[i] = g
+	}
+	mat, err := pairwiseMatrix(ctx, gs, opts.withDefaults())
 	if err != nil {
 		return DiverseResult{}, err
 	}
@@ -287,49 +266,30 @@ func (sh *Sharded) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k in
 	return res, nil
 }
 
-// pairwiseMatrix evaluates the diversity-basis distances between all pairs
-// of skyline members.
-func (sh *Sharded) pairwiseMatrix(sky []skyline.Point, opts QueryOptions) (*diversity.Matrix, error) {
-	opts = opts.withDefaults()
+// pairwiseMatrix evaluates the diversity-basis distances between all
+// pairs of the skyline members gs, claiming pairs from one cursor like
+// the scans do. It stops claiming once ctx is done and returns
+// ctx.Err().
+func pairwiseMatrix(ctx context.Context, gs []*graph.Graph, opts QueryOptions) (*diversity.Matrix, error) {
 	basis := measure.DiversityBasis()
-	mat := diversity.NewMatrix(len(sky), len(basis))
+	mat := diversity.NewMatrix(len(gs), len(basis))
 	type pair struct{ i, j int }
 	var pairs []pair
-	for i := 0; i < len(sky); i++ {
-		for j := i + 1; j < len(sky); j++ {
+	for i := range gs {
+		for j := i + 1; j < len(gs); j++ {
 			pairs = append(pairs, pair{i, j})
 		}
 	}
-	var wg sync.WaitGroup
-	work := make(chan pair)
-	var firstErr error
-	var mu sync.Mutex
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range work {
-				gi, ok1 := sh.Get(sky[p.i].ID)
-				gj, ok2 := sh.Get(sky[p.j].ID)
-				if !ok1 || !ok2 {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("gdb: skyline member vanished during query")
-					}
-					mu.Unlock()
-					continue
-				}
-				ps := measure.Compute(gi, gj, opts.Eval)
-				for d, m := range basis {
-					mat.Set(d, p.i, p.j, m.FromStats(ps))
-				}
-			}
-		}()
+	err := forEachClaim(ctx, len(pairs), opts.Workers, func(k int) bool {
+		p := pairs[k]
+		ps := measure.Compute(gs[p.i], gs[p.j], opts.Eval)
+		for d, m := range basis {
+			mat.Set(d, p.i, p.j, m.FromStats(ps))
+		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range pairs {
-		work <- p
-	}
-	close(work)
-	wg.Wait()
-	return mat, firstErr
+	return mat, nil
 }

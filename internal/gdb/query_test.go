@@ -126,7 +126,7 @@ func TestTopKPruningConsistent(t *testing.T) {
 	// exactly what ranking the complete table's column does.
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	tab, err := vectorTable0(context.Background(), db, q)
+	tab, err := db.VectorTable(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,9 +43,8 @@ func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
 
 // rankedCollector accumulates exact scores behind a mutex and exposes
-// the live pruning threshold lock-free: workers read it before every
-// candidate, across every shard of a sharded database. Safe for
-// concurrent use.
+// the live pruning threshold lock-free: the scan's workers read it
+// before every candidate. Safe for concurrent use.
 type rankedCollector interface {
 	// offer records one exactly-scored item, tightening the threshold.
 	offer(it topk.Item)
@@ -58,33 +57,29 @@ type rankedCollector interface {
 	// fixed — and the scan then keeps no bounded heap at all.
 	floorK() int
 	// seedFloor hands the collector the floorK-th smallest upper bound
-	// of a shard snapshot, BEFORE those candidates are evaluated. A top-k
-	// collector floors its threshold there: the k best reported scores
-	// each sit under one of the k smallest uppers, so any candidate
-	// provably above that floor can never make the answer — pruning
-	// starts tight instead of waiting for k exact scores. Sound per
-	// shard snapshot (a subset's k-th best is never below the global
-	// k-th best).
+	// of the snapshot, once and before any offer. A top-k collector
+	// starts its threshold there: the k best reported scores each sit
+	// under one of the k smallest uppers, so any candidate provably
+	// above that floor can never make the answer — pruning starts tight
+	// instead of waiting for k exact scores.
 	seedFloor(v float64)
 	// items returns the collected answer (order documented per kind).
 	items() []topk.Item
 }
 
 // topkCollector keeps the k best items in a bounded max-heap; the
-// threshold is the k-th best score once k items are held, floored by
-// the lowest seedFloor value (+Inf before either exists).
+// threshold starts at the seeded floor (+Inf without one) and drops to
+// the k-th best score once k items are held and that is lower.
 type topkCollector struct {
-	mu    sync.Mutex
-	k     int
-	b     *topk.Bounded
-	th    atomicFloat
-	floor atomicFloat
+	mu sync.Mutex
+	k  int
+	b  *topk.Bounded
+	th atomicFloat
 }
 
 func newTopkCollector(k int) *topkCollector {
 	c := &topkCollector{k: k, b: topk.NewBounded(k)}
 	c.th.store(math.Inf(1))
-	c.floor.store(math.Inf(1))
 	return c
 }
 
@@ -93,7 +88,7 @@ func (c *topkCollector) offer(it topk.Item) {
 	defer c.mu.Unlock()
 	c.b.Offer(it)
 	if c.b.Full() {
-		if w, ok := c.b.Worst(); ok {
+		if w, ok := c.b.Worst(); ok && w.Score < c.th.load() {
 			c.th.store(w.Score)
 		}
 	}
@@ -101,21 +96,9 @@ func (c *topkCollector) offer(it topk.Item) {
 
 func (c *topkCollector) floorK() int { return c.k }
 
-func (c *topkCollector) seedFloor(v float64) {
-	c.mu.Lock()
-	if v < c.floor.load() {
-		c.floor.store(v)
-	}
-	c.mu.Unlock()
-}
+func (c *topkCollector) seedFloor(v float64) { c.th.store(v) }
 
-func (c *topkCollector) threshold() float64 {
-	t := c.th.load()
-	if f := c.floor.load(); f < t {
-		return f
-	}
-	return t
-}
+func (c *topkCollector) threshold() float64 { return c.th.load() }
 
 // items returns the k best in ascending (score, ID) order — exactly
 // topk.Select's order.
@@ -217,20 +200,12 @@ func (s *kSmallest) kth() (v float64, ok bool) {
 	return s.h[0], true
 }
 
-// scanRanked runs the best-first scan of one shard's snapshot against
-// the collector every shard of the query shares, so the threshold
-// crosses shard boundaries. opts.Workers bounds the scan's parallelism
-// (resolved by the caller); opts.Eval caps the exact engines exactly as
-// a table build does, so included scores match its columns byte for
-// byte.
-func (db *DB) scanRanked(ctx context.Context, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (QueryStats, error) {
-	return evalRanked(ctx, db.snapshot(), qsig, q, m, opts, db.newEvalCtx(q, opts), coll)
-}
-
 // evalRanked is the scan itself: bound every candidate from its stored
 // signature (tier 0), seed the threshold from the pessimistic ends,
 // order the candidates that fit it by optimistic bound, drain them with
-// a worker pool — tier 1, then the engines — and stop at the threshold.
+// one pool of opts.Workers workers — tier 1, then the engines — and stop
+// at the threshold. sn spans every shard, so one collector, and one
+// threshold, prunes them all.
 // ec (nil-safe) adds the score memo, which replays recorded pair scores
 // without any engine work.
 //
@@ -274,12 +249,12 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	// pessimistic end. Distances are integral, so lo ties are the common
 	// case, and within a tie the candidate that is CERTAINLY near (small
 	// hi) should feed the threshold before one that is merely possibly
-	// near; remaining ties keep snapshot order, for a deterministic claim
-	// sequence. Only candidates whose lo fits the seeded threshold are
-	// sorted at all: the threshold never rises, so the rest could never
-	// be claimed — they stay unclaimed and are attributed after the scan
-	// like any other cut-off candidate. The answer itself is
-	// order-independent — exclusion always carries a proof.
+	// near; remaining ties go by insert sequence, for a claim sequence no
+	// shard split changes. Only candidates whose lo fits the seeded
+	// threshold are sorted at all: the threshold never rises, so the rest
+	// could never be claimed — they stay unclaimed and are attributed
+	// after the scan like any other cut-off candidate. The answer itself
+	// is order-independent — exclusion always carries a proof.
 	th0 := coll.threshold()
 	order := make([]int, 0, n)
 	for i := range n {
@@ -294,7 +269,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		if c := cmp.Compare(his[a], his[b]); c != 0 {
 			return c
 		}
-		return cmp.Compare(a, b)
+		return cmp.Compare(sn.seqs[a], sn.seqs[b])
 	})
 	if trace != nil {
 		// Bounding, ordering and threshold seeding are bound-stage work;
@@ -318,117 +293,88 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	needGED, needMCS := measure.EngineNeeds(m)
 	useMemo := ec != nil && ec.memo != nil && (needGED || needMCS)
 
-	workers := min(max(opts.Workers, 1), len(order))
-	var (
-		wg       sync.WaitGroup
-		cursor   atomic.Int64
-		stopped  atomic.Bool
-		canceled atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				// stopped only says "claim no more", so it is read BEFORE
-				// claiming: a candidate already claimed when a later, more
-				// hopeless claim trips the flag bounds lower than that one
-				// and still gets its own threshold check below — dropping
-				// it unchecked would lose a possible answer.
-				if stopped.Load() {
-					return
-				}
-				k := int(cursor.Add(1)) - 1
-				if k >= len(order) {
-					return
-				}
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					stopped.Store(true)
-					return
-				}
-				i := order[k]
-				name := sn.graphs[i].Name()
-				// One threshold reading serves the cutoff and the engines
-				// below, so a candidate the interval already condemns is
-				// always the cutoff's, never an "exact" exclusion that ran
-				// no engine.
-				th := coll.threshold()
-				if los[i] > th {
-					// Candidates are claimed in optimistic-bound order:
-					// everything after this one is at least as hopeless.
-					stopped.Store(true)
-					return
-				}
-				var t0 time.Time
-				if trace != nil {
-					t0 = time.Now()
-				}
-				// Memo replay: a recorded pair score skips the engines
-				// entirely. The replayed score is exact, so the replay
-				// counts as exact-stage work.
-				if useMemo {
-					if r, ok := ec.memoGet(sn.seqs[i], needGED, needMCS); ok {
-						ps := measure.PairStatsFrom(sn.sigs[i], qsig, r)
-						fate[i] = fateScored
-						if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
-							fate[i] = fateInexact
-						}
-						coll.offer(topk.Item{ID: name, Score: m.FromStats(ps)})
-						if trace != nil {
-							trace.Observe(StageExact, time.Since(t0), 1, 0)
-						}
-						continue
-					}
-				}
-				// Tier 1: the branch bound raises the optimistic end of the
-				// GED interval. A candidate it lifts above the threshold is
-				// out with no engine run; otherwise the raised GEDLo
-				// narrows the decision run's plan. A candidate whose
-				// pessimistic end already fits is certainly in, so there
-				// is nothing to prove.
-				if needGED && his[i] > th {
-					if lb := sn.sigs[i].BranchLB(qsig); lb > bounds[i].GEDLo {
-						bounds[i].GEDLo = lb
-						if lo, _ := bounds[i].Interval(m); lo > th {
-							fate[i] = fateBounded
-							if trace != nil {
-								trace.Observe(StageBound, time.Since(t0), 0, 0)
-							}
-							continue
-						}
-					}
-					if trace != nil {
-						t1 := time.Now()
-						trace.Observe(StageBound, t1.Sub(t0), 0, 0)
-						t0 = t1
-					}
-				}
-				// Threshold-fed evaluation: an engine decision run
-				// excludes, or a plain exact run scores.
-				score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval)
-				if excluded {
-					fate[i] = fateExcluded
-					if trace != nil {
-						trace.Observe(StageExact, time.Since(t0), 1, 1)
-					}
-					continue
-				}
-				ec.memoPublish(sn.seqs[i], got)
+	// A claim returning false stops the pool. A candidate another worker
+	// already claimed bounds lower than the one that stopped it and still
+	// gets its own threshold check — dropping it unchecked would lose a
+	// possible answer.
+	err := forEachClaim(ctx, len(order), opts.Workers, func(k int) bool {
+		i := order[k]
+		name := sn.graphs[i].Name()
+		// One threshold reading serves the cutoff and the engines below,
+		// so a candidate the interval already condemns is always the
+		// cutoff's, never an "exact" exclusion that ran no engine.
+		th := coll.threshold()
+		if los[i] > th {
+			// Candidates are claimed in optimistic-bound order:
+			// everything after this one is at least as hopeless.
+			return false
+		}
+		var t0 time.Time
+		if trace != nil {
+			t0 = time.Now()
+		}
+		// Memo replay: a recorded pair score skips the engines entirely.
+		// The replayed score is exact, so the replay counts as
+		// exact-stage work.
+		if useMemo {
+			if r, ok := ec.memoGet(sn.seqs[i], needGED, needMCS); ok {
+				ps := measure.PairStatsFrom(sn.sigs[i], qsig, r)
 				fate[i] = fateScored
-				if capped {
+				if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
 					fate[i] = fateInexact
 				}
-				coll.offer(topk.Item{ID: name, Score: score})
+				coll.offer(topk.Item{ID: name, Score: m.FromStats(ps)})
 				if trace != nil {
 					trace.Observe(StageExact, time.Since(t0), 1, 0)
 				}
+				return true
 			}
-		}()
-	}
-	wg.Wait()
-	if canceled.Load() {
-		return QueryStats{}, ctx.Err()
+		}
+		// Tier 1: the branch bound raises the optimistic end of the GED
+		// interval. A candidate it lifts above the threshold is out with
+		// no engine run; otherwise the raised GEDLo narrows the decision
+		// run's plan. A candidate whose pessimistic end already fits is
+		// certainly in, so there is nothing to prove.
+		if needGED && his[i] > th {
+			if lb := sn.sigs[i].BranchLB(qsig); lb > bounds[i].GEDLo {
+				bounds[i].GEDLo = lb
+				if lo, _ := bounds[i].Interval(m); lo > th {
+					fate[i] = fateBounded
+					if trace != nil {
+						trace.Observe(StageBound, time.Since(t0), 0, 0)
+					}
+					return true
+				}
+			}
+			if trace != nil {
+				t1 := time.Now()
+				trace.Observe(StageBound, t1.Sub(t0), 0, 0)
+				t0 = t1
+			}
+		}
+		// Threshold-fed evaluation: an engine decision run excludes, or
+		// a plain exact run scores.
+		score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval)
+		if excluded {
+			fate[i] = fateExcluded
+			if trace != nil {
+				trace.Observe(StageExact, time.Since(t0), 1, 1)
+			}
+			return true
+		}
+		ec.memoPublish(sn.seqs[i], got)
+		fate[i] = fateScored
+		if capped {
+			fate[i] = fateInexact
+		}
+		coll.offer(topk.Item{ID: name, Score: score})
+		if trace != nil {
+			trace.Observe(StageExact, time.Since(t0), 1, 0)
+		}
+		return true
+	})
+	if err != nil {
+		return QueryStats{}, err
 	}
 	// Attribution by counting: every candidate has exactly one fate, so
 	// Pruned and every stage's pruned count are sums over the same

@@ -1,13 +1,11 @@
 package gdb
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"skygraph/internal/graph"
 	"skygraph/internal/skyline"
@@ -17,20 +15,21 @@ import (
 // Sharded is the graph database: the one query and mutation surface.
 // It partitions the collection across N independent DB shards by a
 // stable hash of the graph name (N = 1 is the plain, unpartitioned
-// database). Each shard keeps its own storage, signature index and
-// generation counter, so a mutation touches only its own shard's part
-// of a cached answer. Queries evaluate per shard in parallel and
-// merge: the skyline of a union is the skyline of the per-partition
-// skylines (the divide-and-conquer identity), while top-k and range
-// scan every shard against one shared threshold. Answers are identical
-// — including order — at every shard count, because Sharded tracks the
-// global insertion order and sorts merged results by it.
+// database). Each shard keeps its own storage, signature index,
+// generation counter and lock, so a mutation touches only its own
+// shard's part of a cached answer, and the write-ahead log replays under
+// any shard count. Shards are storage only: every query is ONE scan
+// over a snapshot of every shard — one skyline front, one ranked
+// collector, one pool of QueryOptions.Workers workers — so its answer
+// and, with one worker, its work are the same at every shard count.
+// Answers come out in global insertion order (ranked ones in score
+// order), which Sharded tracks across shards.
 //
 // The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
 // RangeQuery and DiverseSkylineQuery; the table primitives a caching
-// layer composes instead (VectorTables, MergeSkyline, MergeTables); the
-// score memo (EnableScoreMemo, Memo); and persistence (Save, WriteTo,
-// Load, OpenDurable).
+// layer composes instead (VectorTable, and TableSkyline and TableRows
+// to read one); the score memo (EnableScoreMemo, Memo); and persistence
+// (Save, WriteTo, Load, OpenDurable).
 type Sharded struct {
 	shards []*DB
 
@@ -279,55 +278,8 @@ func (sh *Sharded) Stats() Stats {
 	return s
 }
 
-// shardWorkers resolves the per-shard pair-evaluation parallelism: an
-// explicit value is taken as-is (per shard); the default spreads
-// GOMAXPROCS across the n shards evaluating concurrently.
-func shardWorkers(w, n int) int {
-	if w > 0 {
-		return w
-	}
-	return (runtime.GOMAXPROCS(0) + n - 1) / n
-}
-
-// VectorTables evaluates q against every shard concurrently, returning
-// one VectorTable per shard (indexed by shard). opts.Workers is the
-// pair-evaluation parallelism per shard; 0 spreads GOMAXPROCS across
-// the shards. The first shard error aborts the whole evaluation. It is
-// the one table build: SkylineQuery and the serving layer's cached
-// skyline answers both run it. Each table records the generation of the
-// shard snapshot it read.
-//
-// opts.Prune applies per shard: each shard filters against its own
-// candidates only, so sharded pruning is (at worst) less aggressive
-// than one-shard pruning, never incorrect — cross-shard dominance is
-// re-established by the skyline merge.
-func (sh *Sharded) VectorTables(ctx context.Context, q *graph.Graph, opts QueryOptions) ([]*VectorTable, error) {
-	opts.Workers = shardWorkers(opts.Workers, len(sh.shards))
-	if opts.QueryHash == "" && sh.Memo() != nil {
-		// Canonicalize once for all shards; each shard's memo keys use it.
-		opts.QueryHash = graph.QueryHash(q)
-	}
-	tables := make([]*VectorTable, len(sh.shards))
-	errs := make([]error, len(sh.shards))
-	var wg sync.WaitGroup
-	for i, db := range sh.shards {
-		wg.Add(1)
-		go func(i int, db *DB) {
-			defer wg.Done()
-			tables[i], errs[i] = db.vectorTable(ctx, q, opts)
-		}(i, db)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tables, nil
-}
-
 // byRank orders by global insertion rank; names no longer present
-// (deleted since the tables were built) sort last, by name, so the
+// (deleted since the table was built) sort last, by name, so the
 // order is still deterministic.
 func byRank(rank map[string]int, a, b string) bool {
 	ra, aok := rank[a]
@@ -361,38 +313,20 @@ func (sh *Sharded) sortItemsByRank(items []topk.Item) {
 	sort.SliceStable(items, func(i, j int) bool { return byRank(sh.pos, items[i].ID, items[j].ID) })
 }
 
-// MergeTables concatenates per-shard tables into the full global vector
-// table in insertion order (for pruned tables: the evaluated survivors
-// only).
-func (sh *Sharded) MergeTables(tables []*VectorTable) []skyline.Point {
-	out := []skyline.Point{}
-	for _, t := range tables {
-		out = append(out, t.Points...)
-	}
+// TableRows returns the table's rows in global insertion order (for a
+// pruned table: the candidates its scan kept).
+func (sh *Sharded) TableRows(t *VectorTable) []skyline.Point {
+	out := slices.Clone(t.Points)
 	sh.sortPointsByRank(out)
 	return out
 }
 
-// MergeSkyline computes each shard's local skyline and cross-filters
-// them with the divide-and-conquer combiner, returning the global
-// skyline in insertion order. Only local skyline members cross shard
-// boundaries — the merge never re-examines dominated points.
-func (sh *Sharded) MergeSkyline(tables []*VectorTable, alg skyline.Algorithm) []skyline.Point {
-	parts := make([][]skyline.Point, len(tables))
-	for i, t := range tables {
-		parts[i] = t.Skyline(alg)
-	}
-	merged := skyline.Merge(parts)
-	sh.sortPointsByRank(merged)
-	return merged
-}
-
-// mergedStats folds per-shard table stats into query stats.
-func mergedStats(tables []*VectorTable, start time.Time) QueryStats {
-	s := QueryStats{Duration: time.Since(start)}
-	for _, t := range tables {
-		s.Work.Add(t.Work)
-		s.Inexact += t.Inexact
-	}
-	return s
+// TableSkyline returns the skyline of the table's rows under alg (nil
+// means skyline.SFS) in global insertion order. alg must return a fresh
+// slice, as every algorithm of package skyline does: it is sorted in
+// place.
+func (sh *Sharded) TableSkyline(t *VectorTable, alg skyline.Algorithm) []skyline.Point {
+	sky := t.Skyline(alg)
+	sh.sortPointsByRank(sky)
+	return sky
 }

@@ -125,7 +125,7 @@ func requireShardedMatchesUnsharded(t *testing.T, gs []*graph.Graph, cases []equ
 		refTopK, refRange := testutil.ReferenceTopK(scores, c.k), testutil.ReferenceRange(scores, c.radius)
 		for _, n := range counts {
 			sh := testutil.NewSharded(t, n, gs)
-			tables, err := sh.VectorTables(ctx, c.q, opts)
+			tab, err := sh.VectorTable(ctx, c.q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,16 +135,16 @@ func requireShardedMatchesUnsharded(t *testing.T, gs []*graph.Graph, cases []equ
 			}
 			label = label + "/" + "shards"
 
-			if got := sh.MergeTables(tables); !reflect.DeepEqual(got, refPoints) {
-				t.Fatalf("case %d, %d shards: merged table differs:\n got %v\nwant %v", ci, n, got, refPoints)
+			if got := sh.TableRows(tab); !reflect.DeepEqual(got, refPoints) {
+				t.Fatalf("case %d, %d shards: table rows differ:\n got %v\nwant %v", ci, n, got, refPoints)
 			}
-			gotSky := sh.MergeSkyline(tables, nil)
+			gotSky := sh.TableSkyline(tab, nil)
 			testutil.RequireSameSkyline(t, label, refSky, gotSky)
 			if !reflect.DeepEqual(gotSky, refSky) {
 				t.Fatalf("case %d, %d shards: skyline order differs:\n got %v\nwant %v", ci, n, gotSky, refSky)
 			}
 			// The convenience wrapper agrees with the explicit
-			// table-and-merge path.
+			// table-and-read path.
 			skyRes, err := sh.SkylineQuery(ctx, c.q, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -190,5 +190,58 @@ func TestShardedMatchesUnshardedSeeded(t *testing.T) {
 		}
 		requireShardedMatchesUnsharded(t, gs, cases,
 			measure.Options{GEDMaxNodes: 20000, MCSMaxNodes: 20000}, []int{1, 2, 3, 7})
+	}
+}
+
+// TestScanWorkIsShardInvariant: shards are storage only, so a query's
+// one scan does the same work at every shard count. With the memo off
+// and one worker the scan order is fixed — ties broken by insert
+// sequence, not by where a graph is stored — so the pruned skyline's
+// Work and kept rows, and the top-k and range scans' Work, must be
+// equal at 1, 2, 3 and 7 shards.
+func TestScanWorkIsShardInvariant(t *testing.T) {
+	gs := dataset.MoleculeDB(200, 6, 6, 1)
+	queries := dataset.NoisyQueries(gs, 16, 2, 3)
+	ctx := context.Background()
+	opts := gdb.QueryOptions{Workers: 1}
+	pruned := gdb.QueryOptions{Workers: 1, Prune: true}
+	m := measure.DistEd{}
+	type work struct {
+		sky, topk, rng gdb.Work
+		kept           []string
+	}
+	var want []work
+	var spared int
+	for _, n := range []int{1, 2, 3, 7} {
+		sh := testutil.NewSharded(t, n, gs)
+		for qi, q := range queries {
+			sky, err := sh.SkylineQuery(ctx, q, pruned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk, err := sh.TopKQuery(ctx, q, m, 5, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rg, err := sh.RangeQuery(ctx, q, m, 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := work{sky: sky.Stats.Work, topk: tk.Stats.Work, rng: rg.Stats.Work}
+			for _, p := range sky.All {
+				got.kept = append(got.kept, p.ID)
+			}
+			if n == 1 {
+				want = append(want, got)
+				spared += min(got.sky.Pruned, got.topk.Pruned, got.rng.Pruned)
+				continue
+			}
+			if !reflect.DeepEqual(got, want[qi]) {
+				t.Fatalf("q%d at %d shards: work %+v; at 1 shard %+v", qi, n, got, want[qi])
+			}
+		}
+	}
+	if spared == 0 {
+		t.Fatal("fixture: no query pruned on all three paths, so the scan order was never tested")
 	}
 }

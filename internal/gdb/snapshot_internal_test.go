@@ -33,7 +33,6 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	if _, err := sh.Insert(twins[0], ""); err != nil {
 		t.Fatal(err)
 	}
-	db := sh.Shard(0)
 
 	var done atomic.Bool
 	writerErr := make(chan error, 1)
@@ -53,7 +52,7 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	}()
 	checked := 0
 	for !done.Load() {
-		sn := db.snapshot()
+		sn := sh.snapshot()
 		if len(sn.sigs) != len(sn.graphs) || len(sn.seqs) != len(sn.graphs) {
 			t.Fatalf("snapshot columns: %d graphs, %d signatures, %d sequences", len(sn.graphs), len(sn.sigs), len(sn.seqs))
 		}

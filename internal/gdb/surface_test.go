@@ -190,8 +190,8 @@ func TestEngineSurfacePinned(t *testing.T) {
 		"Delete", "Insert", "InsertAll",
 		// queries
 		"DiverseSkylineQuery", "RangeQuery", "SkylineQuery", "TopKQuery",
-		// table primitives for a caching layer, and their merges
-		"MergeSkyline", "MergeTables", "VectorTables",
+		// the table primitive for a caching layer, and its two reads
+		"TableRows", "TableSkyline", "VectorTable",
 		// the score memo
 		"EnableScoreMemo", "Memo",
 		// no-op shims the benchmark harness still calls (shims.go)

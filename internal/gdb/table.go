@@ -2,6 +2,8 @@ package gdb
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"skygraph/internal/graph"
@@ -10,24 +12,29 @@ import (
 )
 
 // VectorTable is the GCS evaluation of one query graph against a
-// database snapshot, in insertion order: one point per database graph
-// for a complete table, only the candidates a pruned scan scored
-// otherwise. It is the unit of caching for a query-serving layer —
-// skyline answers for the same (query, basis, eval options) derive from
-// it without touching the GED/MCS engines again. Top-k and range
-// answers never do: they run their own best-first scan (TopKQuery).
+// snapshot of every shard: one point per database graph for a complete
+// table, only the candidates a pruned scan scored otherwise. It is the
+// unit of caching for a query-serving layer — skyline answers for the
+// same (query, basis, eval options) derive from it (TableSkyline,
+// TableRows) without touching the GED/MCS engines again. Top-k and
+// range answers never do: they run their own best-first scan
+// (TopKQuery).
 type VectorTable struct {
-	// Generation is the database generation the table was computed at.
-	Generation uint64
+	// Generations holds, indexed by shard, the generation of every
+	// shard's part of the snapshot the rows are exact at. Tables are
+	// immutable: a delta patch returns a copy with its own slice.
+	Generations []uint64
 	// Basis is the measure basis defining the vector columns.
 	Basis []measure.Measure
-	// Points holds the evaluated (graph, GCS vector) pairs in insertion
-	// order: every database graph for a complete table, only the
-	// candidates the scan scored for a pruned one — the skyline plus
-	// whatever was scored before the front point that dominates it.
+	// Points holds the evaluated (graph, GCS vector) pairs: every
+	// database graph for a complete table, only the candidates the scan
+	// scored for a pruned one — the skyline plus whatever was scored
+	// before the front point that dominates it. A cold build lists them
+	// shard by shard, each shard in insertion order, and delta patches
+	// append; TableSkyline and TableRows restore global insertion order.
 	Points []skyline.Point
 	// Work is what the cold build paid: Evaluated == len(Points) and
-	// Pruned counts the graphs the filter phase excluded (0 for complete
+	// Pruned counts the graphs the scan excluded (0 for complete
 	// tables), with the memo's share alongside.
 	// Delta patches leave it untouched — Deltas counts those.
 	Work
@@ -35,161 +42,143 @@ type VectorTable struct {
 	Inexact int
 	// Deltas counts the incremental patches applied since the table was
 	// cold-built (see DeltaRow / WithInsert / WithDelete): each one
-	// advanced Generation by exactly one mutation without re-evaluating
-	// the surviving rows.
+	// advanced one shard's generation by exactly one mutation without
+	// re-evaluating the surviving rows.
 	Deltas int
-	// Duration is the wall-clock time of the evaluation.
-	Duration time.Duration
 }
 
-// snap is one consistent read of the database: the stored graphs,
+// snap is one read of the database: the stored graphs of every shard,
 // their signatures, their insert sequences (the score-memo keys) and
-// the generation they belong to, all under a single lock acquisition.
+// the generation of every shard, each shard read under a single lock
+// acquisition.
 type snap struct {
 	graphs []*graph.Graph
 	sigs   []*measure.Signature
 	seqs   []uint64
-	gen    uint64
+	gens   []uint64 // indexed by shard
 }
 
-// snapshot reads the shard.
-func (db *DB) snapshot() snap {
+// snapshot reads every shard in shard order, each in insertion order.
+func (sh *Sharded) snapshot() snap {
+	n := sh.Len()
+	sn := snap{
+		graphs: make([]*graph.Graph, 0, n),
+		sigs:   make([]*measure.Signature, 0, n),
+		seqs:   make([]uint64, 0, n),
+		gens:   make([]uint64, len(sh.shards)),
+	}
+	for i, db := range sh.shards {
+		sn.gens[i] = db.appendTo(&sn)
+	}
+	return sn
+}
+
+// appendTo appends the shard's graphs to sn and returns the generation
+// they belong to.
+func (db *DB) appendTo(sn *snap) uint64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	sn := snap{
-		graphs: make([]*graph.Graph, 0, len(db.names)),
-		sigs:   make([]*measure.Signature, 0, len(db.names)),
-		seqs:   make([]uint64, 0, len(db.names)),
-		gen:    db.gen,
-	}
 	for _, n := range db.names {
 		e := db.graphs[n]
 		sn.graphs = append(sn.graphs, e.g)
 		sn.sigs = append(sn.sigs, e.sig)
 		sn.seqs = append(sn.seqs, e.seq)
 	}
-	return sn
+	return db.gen
 }
 
-// vectorTable evaluates the GCS vector of the shard's graphs against q
-// in parallel, honoring ctx cancellation between pairs. It is one
-// shard's part of Sharded.VectorTables, the cache-aware skyline entry
-// point: callers memoize the returned tables and answer subsequent
-// skyline requests from them (Sharded.MergeSkyline) with zero new pair
-// evaluations.
+// VectorTable evaluates the GCS vector of every database graph against
+// q as ONE scan over one snapshot of every shard, with one pool of
+// opts.Workers workers, honoring ctx cancellation between pairs. It is
+// the one table build: SkylineQuery and the serving layer's cached
+// skyline answers both run it, and derive their answers from the table
+// with zero new pair evaluations.
 //
 // With opts.Prune set (and a Boundable basis), evaluation runs the
-// filter-and-scan pipeline of prune.go instead of the full scan:
-// signature bounds for every graph, then a best-first scan of the
-// candidates those bounds cannot exclude against a running front, which
-// scores exactly only the ones no cheaper proof discards. The resulting
-// table's skyline is identical to the complete table's. For a foreign
-// basis the full scan runs either way.
-func (db *DB) vectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
+// bound-and-scan pipeline of prune.go instead of the full scan:
+// signature bounds for every graph, then a best-first scan of all of
+// them against one running front, which scores exactly only the ones
+// no cheaper proof discards. The resulting table's skyline is identical
+// to the complete table's. For a foreign basis the full scan runs
+// either way. The score memo applies to both builds: a warm memo
+// rebuilds a table with engines running only for graphs inserted since.
+func (sh *Sharded) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
-	start := time.Now()
-	sn := db.snapshot()
+	sn := sh.snapshot()
 	qsig := measure.NewSignature(q)
-	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
-	// The score memo applies to both builds: a warm memo rebuilds a table
-	// with engines running only for graphs inserted since.
-	ec := db.newEvalCtx(q, opts)
+	ec := newEvalCtx(sh.Memo(), q, opts)
+	t := &VectorTable{Generations: sn.gens, Basis: opts.Basis}
+	var err error
 	if opts.Prune && measure.Boundable(opts.Basis) {
-		pts, pruned, inexact, err := evalPruned(ctx, sn, q, qsig, ec, opts)
-		if err != nil {
-			return nil, err
-		}
-		t.Pruned = pruned
-		t.Points, t.Inexact = pts, inexact
+		t.Points, t.Pruned, t.Inexact, err = evalPruned(ctx, sn, q, qsig, ec, opts)
 	} else {
-		// Stored signatures spare the per-pair histogram/degree rebuild
-		// even on the unpruned path; the query's is computed once.
-		hints := make([]measure.PairHints, len(sn.graphs))
-		for i := range hints {
-			hints[i] = measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}
-		}
-		pts := make([]skyline.Point, len(sn.graphs))
-		inexact, err := evalVectorsCtx(ctx, sn.graphs, sn.seqs, hints, q, opts, ec, pts)
-		if err != nil {
-			return nil, err
-		}
-		t.Points, t.Inexact = pts, inexact
-		// The whole unpruned scan is tier-2 work: every pair runs the
-		// engines (or replays the memo), nothing is bounded away.
-		opts.Trace.Observe(StageExact, time.Since(start), len(sn.graphs), 0)
+		t.Points, t.Inexact, err = evalComplete(ctx, sn, q, qsig, ec, opts)
+	}
+	if err != nil {
+		return nil, err
 	}
 	t.Evaluated = len(t.Points)
 	t.Work.Add(ec.work())
-	t.Duration = time.Since(start)
 	return t, nil
 }
 
-// evalVectorsCtx fills pts[i] with the GCS vector of graphs[i] vs q
-// using a worker pool, honoring ctx between pairs. hints, when
-// non-nil, is indexed like graphs and carries each pair's stored
-// signatures and refinement witnesses for the engines to reuse. seqs
-// (indexed like graphs) and ec drive the score-memo interplay; a nil
-// ec computes every pair fresh.
-func evalVectorsCtx(ctx context.Context, graphs []*graph.Graph, seqs []uint64, hints []measure.PairHints, q *graph.Graph, opts QueryOptions, ec *evalCtx, pts []skyline.Point) (int, error) {
-	type result struct {
-		i       int
-		pt      skyline.Point
-		inexact bool
+// evalComplete scores every graph of the snapshot, returning the points
+// in snapshot order and how many rest on a capped engine's bound.
+// Stored signatures spare the per-pair histogram/degree rebuild; the
+// query's is computed once.
+func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) ([]skyline.Point, int, error) {
+	start := time.Now()
+	pts := make([]skyline.Point, len(sn.graphs))
+	var inexact atomic.Int64
+	err := forEachClaim(ctx, len(sn.graphs), opts.Workers, func(i int) bool {
+		h := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}
+		ps := ec.computeFull(sn.graphs[i], q, sn.seqs[i], opts.Eval, h)
+		pts[i] = skyline.Point{ID: sn.graphs[i].Name(), Vec: measure.GCS(ps, opts.Basis)}
+		if !ps.GEDExact || !ps.MCSExact {
+			inexact.Add(1)
+		}
+		return true
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	work := make(chan int)
-	results := make(chan result)
-	done := make(chan struct{})
-	defer close(done)
+	// The whole unpruned scan is exact-stage work: every pair runs the
+	// engines (or replays the memo), nothing is bounded away.
+	opts.Trace.Observe(StageExact, time.Since(start), len(sn.graphs), 0)
+	return pts, int(inexact.Load()), nil
+}
 
-	for w := 0; w < opts.Workers; w++ {
+// forEachClaim is the one worker pool of every scan: up to workers
+// goroutines claim k = 0, 1, ..., n-1 from one atomic cursor, in order,
+// and run claim(k). Claiming stops for every worker once ctx is done or
+// some claim returns false; claims already running finish. It returns
+// ctx.Err().
+func forEachClaim(ctx context.Context, n, workers int, claim func(k int) bool) error {
+	workers = min(max(workers, 1), n)
+	var (
+		wg      sync.WaitGroup
+		cursor  atomic.Int64
+		stopped atomic.Bool
+	)
+	for range workers {
+		wg.Add(1)
 		go func() {
-			for i := range work {
-				var h measure.PairHints
-				if hints != nil {
-					h = hints[i]
-				}
-				stats := ec.computeFull(graphs[i], q, seqs[i], opts.Eval, h)
-				r := result{
-					i:       i,
-					pt:      skyline.Point{ID: graphs[i].Name(), Vec: measure.GCS(stats, opts.Basis)},
-					inexact: !stats.GEDExact || !stats.MCSExact,
-				}
-				select {
-				case results <- r:
-				case <-done:
+			defer wg.Done()
+			for !stopped.Load() && ctx.Err() == nil {
+				k := int(cursor.Add(1)) - 1
+				if k >= n || !claim(k) {
+					stopped.Store(true)
 					return
 				}
 			}
 		}()
 	}
-	go func() {
-		defer close(work)
-		for i := range graphs {
-			select {
-			case work <- i:
-			case <-done:
-				return
-			}
-		}
-	}()
-
-	inexact := 0
-	for filled := 0; filled < len(graphs); filled++ {
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case r := <-results:
-			pts[r.i] = r.pt
-			if r.inexact {
-				inexact++
-			}
-		}
-	}
-	return inexact, nil
+	wg.Wait()
+	return ctx.Err()
 }
 
-// Skyline computes the similarity skyline of the table under alg (nil
-// means skyline.SFS). No pair evaluation happens.
+// Skyline computes the similarity skyline of the table's rows under alg
+// (nil means skyline.SFS), in row order. No pair evaluation happens.
 func (t *VectorTable) Skyline(alg skyline.Algorithm) []skyline.Point {
 	if alg == nil {
 		alg = skyline.SFS

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,12 +146,12 @@ func tableColumn(t *testing.T, tab *VectorTable, m measure.Measure) []topk.Item 
 func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	tab, err := vectorTable0(context.Background(), db, q)
+	tab, err := db.VectorTable(context.Background(), q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Generation != db.Generation() {
-		t.Fatalf("table generation %d; db %d", tab.Generation, db.Generation())
+	if !slices.Equal(tab.Generations, db.Generations()) {
+		t.Fatalf("table generations %v; db %v", tab.Generations, db.Generations())
 	}
 	if len(tab.Points) != 7 {
 		t.Fatalf("table has %d rows; want 7", len(tab.Points))
@@ -201,7 +202,7 @@ func TestVectorTableHonorsCancellation(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := vectorTable0(ctx, db, dataset.PaperQuery()); err == nil {
+	if _, err := db.VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
 		t.Fatal("canceled context should abort the evaluation")
 	}
 }
@@ -210,7 +211,7 @@ func TestVectorTableDeadline(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	if _, err := vectorTable0(ctx, db, dataset.PaperQuery()); err == nil {
+	if _, err := db.VectorTable(ctx, dataset.PaperQuery(), QueryOptions{}); err == nil {
 		t.Fatal("expired deadline should abort the evaluation")
 	}
 }

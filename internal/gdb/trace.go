@@ -18,8 +18,10 @@ import (
 //	exact   engine work: exact GED/MCS runs, threshold- or front-fed
 //	        decision runs, and score-memo replays; on the skyline path
 //	        the whole progressive scan, front tests included
-//	merge   combining per-shard answers (skyline merge, top-k heap
-//	        merge, range concatenation) — recorded by the serving layer
+//	merge   reading the answer out of the scan's result (the table's
+//	        skyline in insertion order, the ranked collector's items,
+//	        range sorted by insertion order) — recorded by the query
+//	        method or the serving layer
 //
 // Counts are exact work attribution under one rule: every candidate a
 // pruned evaluation does not score has exactly ONE fate, and each
@@ -32,13 +34,13 @@ import (
 // (exact); the bound stage orders the scan and prunes nothing. Hence,
 // summed over stages, Pruned equals the query's Work.Pruned, and the
 // exact stage's Pairs minus its Pruned equals Work.Evaluated. No count
-// is ever negative. Durations are summed across shards (and, on ranked
-// scans, across workers), so on a parallel evaluation they can exceed
-// the request's wall-clock time — they answer "where did the work go",
+// is ever negative. On ranked scans durations are summed across
+// workers, so on a parallel evaluation they can exceed the request's
+// wall-clock time — they answer "where did the work go",
 // not "what was the critical path".
 //
 // All methods are nil-safe and concurrency-safe: one QueryTrace is
-// shared by every shard (and every evaluation worker) of one query.
+// shared by every evaluation worker of one query.
 
 // Stage identifies one cascade stage of a traced query.
 type Stage int
@@ -55,8 +57,8 @@ var stageNames = [numStages]string{"bound", "exact", "merge"}
 // String returns the stage's wire name.
 func (s Stage) String() string { return stageNames[s] }
 
-// stageAcc accumulates one stage's counters (atomics: shards and
-// workers record concurrently).
+// stageAcc accumulates one stage's counters (atomics: workers record
+// concurrently).
 type stageAcc struct {
 	ns     atomic.Int64
 	pairs  atomic.Int64
@@ -91,8 +93,7 @@ func (t *QueryTrace) Observe(s Stage, d time.Duration, pairs, pruned int) {
 type TraceStage struct {
 	// Stage is the cascade stage name: bound, exact, merge.
 	Stage string `json:"stage"`
-	// DurationMS is the stage's work time, summed across shards and
-	// workers.
+	// DurationMS is the stage's work time, summed across workers.
 	DurationMS float64 `json:"duration_ms"`
 	// Pairs counts candidate pairs the stage processed.
 	Pairs int `json:"pairs"`

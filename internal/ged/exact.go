@@ -105,8 +105,8 @@ type openItem struct {
 	n int32
 }
 
-// astar is the search state of one pair, shared by Exact, Beam and
-// DepthFirst; Bipartite and LowerBound borrow its form and counters.
+// astar is the search state of one pair, shared by Exact and Beam;
+// Bipartite and LowerBound borrow its form and counters.
 // Everything here is scratch recycled through searchPool, so a warm
 // search allocates only the mapping it returns.
 type astar struct {

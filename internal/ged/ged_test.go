@@ -297,43 +297,3 @@ func TestUniformCostValues(t *testing.T) {
 		t.Error("indel costs")
 	}
 }
-
-func TestDepthFirstMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 12; trial++ {
-		g1 := graph.Molecule(4+rng.Intn(4), rng)
-		g2 := graph.Molecule(4+rng.Intn(4), rng)
-		a := Distance(g1, g2)
-		d := DepthFirst(g1, g2, nil)
-		if math.Abs(a-d.Distance) > 1e-9 {
-			t.Fatalf("DF %v != A* %v\n%s\n%s", d.Distance, a, g1, g2)
-		}
-		if !d.Exact {
-			t.Error("DepthFirst not exact")
-		}
-		realized := EditCostOfMapping(g1, g2, d.Mapping, Uniform{})
-		if math.Abs(realized-d.Distance) > 1e-9 {
-			t.Fatalf("DF mapping cost %v != reported %v", realized, d.Distance)
-		}
-	}
-}
-
-func TestDepthFirstEmpty(t *testing.T) {
-	e := graph.New("e")
-	g := graph.Path(3, "A", "x")
-	if d := DepthFirst(e, g, nil); d.Distance != 5 {
-		t.Errorf("DF(empty,P3)=%v, want 5", d.Distance)
-	}
-	if d := DepthFirst(g, e, nil); d.Distance != 5 {
-		t.Errorf("DF(P3,empty)=%v, want 5", d.Distance)
-	}
-}
-
-func TestDepthFirstWeightedCost(t *testing.T) {
-	w := WeightedCost{VertexSubstW: 2, VertexIndelW: 3, EdgeSubstW: 5, EdgeIndelW: 7}
-	base := graph.Path(3, "A", "x")
-	mutated, _ := graph.ApplyScript(base, []graph.EditOp{graph.RelabelVertexOp{V: 1, Label: "B"}})
-	if d := DepthFirst(base, mutated, w); d.Distance != 2 {
-		t.Errorf("weighted DF=%v, want 2", d.Distance)
-	}
-}

@@ -1,22 +1,24 @@
 // Package server implements skygraphd's query-serving subsystem: an
 // HTTP/JSON API over a sharded gdb database with an answer cache in
-// front of the pair-evaluation hot path. The layers are
+// front of the pair-evaluation hot path. Shards matter here only as
+// generations: every answer comes from one scan over all of them. The
+// layers are
 //
 //   - cache.go: an LRU of whole answers keyed by (path, canonical query
 //     hash, basis or ranking measure, k or radius, engine options), each
 //     entry recording every shard's generation it is exact at: a skyline
-//     answer holds every shard's GCS vector table, so a repeated skyline
-//     query answers with zero new pair evaluations, and a ranked answer
-//     holds its merged items;
+//     answer holds its one GCS vector table, so a repeated skyline query
+//     answers with zero new pair evaluations, and a ranked answer holds
+//     its items;
 //   - delta.go: delta maintenance — a mutation upgrades the cached
 //     pruned skyline answers and ranked answers it provably leaves
-//     answerable, replacing only the mutated shard's part, and
-//     invalidates the rest;
+//     answerable, advancing the mutated shard's generation and changing
+//     at most one row, and invalidates the rest;
 //   - api.go (this file): the wire types;
 //   - server.go: the handlers, per-request timeouts, the one admission
 //     gate, and coalesce — the one cache → flight → build loop behind
-//     every answer: skyline tables built by Sharded.VectorTables, merged
-//     ranked answers by the ranked scan;
+//     every answer: skyline tables built by Sharded.VectorTable, ranked
+//     answers by the ranked scan;
 //   - ranked.go: top-k and range through the library's best-first
 //     ranked scan;
 //   - batch.go: POST /query/batch, each item on the path its kind fixes,
@@ -88,9 +90,9 @@ type QueryStats struct {
 	// serving this answer has absorbed since it was cold-built (0 for
 	// fresh evaluations and for caches maintained only by invalidation).
 	DeltaPatched int `json:"delta_patched"`
-	// CacheHit reports whether the answer — every shard's table for a
-	// skyline, the merged items for topk/range — came from the cache (or
-	// a coalesced in-flight leader).
+	// CacheHit reports whether the answer — the table of a skyline, the
+	// items of a topk/range query — came from the cache (or a coalesced
+	// in-flight leader).
 	CacheHit bool `json:"cache_hit"`
 	// Shards is the number of shards the query ran against.
 	Shards int `json:"shards"`
@@ -406,8 +408,8 @@ type ReqStats struct {
 
 // WarmRequest is the body of POST /cache/warm: query graphs whose
 // skyline answers should be built (and cached) ahead of traffic — the
-// same per-shard vector tables the same skyline request builds: pruned
-// ones, or complete ones for an item that sets "all". Warming populates
+// same vector table the same skyline request builds: a pruned one, or
+// a complete one for an item that sets "all". Warming populates
 // the answer cache and, when enabled, the cross-query score memo. Later
 // skyline requests of the same kind on these (or isomorphic) graphs
 // answer from the tables; delta maintenance keeps pruned ones across

@@ -14,10 +14,10 @@ import (
 // Cache is a bounded LRU of query answers, layered on the shared
 // internal/lru core (the same machinery behind the idempotency tables).
 // Every entry is one whole answer over every shard: a skyline answer's
-// per-shard vector tables or a ranked answer's merged items. Entries
-// live under a typed cacheKey naming the request path that builds them
-// — complete tables ("all" skylines), pruned tables (plain skylines) or
-// ranked answers (top-k and range) — plus everything that shapes the
+// vector table or a ranked answer's items. Entries live under a typed
+// cacheKey naming the request path that builds them — complete tables
+// ("all" skylines), pruned tables (plain skylines) or ranked answers
+// (top-k and range) — plus everything that shapes the
 // answer except the database's state: canonical query hash, basis or
 // ranking measure, k or radius, engine options. Each request reads only
 // its own path's entries. The state an entry is exact at is recorded in
@@ -48,8 +48,8 @@ type Cache struct {
 // with what a request read.
 type cacheKey struct {
 	// path is the request path that builds and reads the entry: "all"
-	// (complete tables), "pruned" (pruned tables), "topk" or "range"
-	// (merged ranked answers).
+	// (a complete table), "pruned" (a pruned table), "topk" or "range"
+	// (ranked answers).
 	path string
 	qh   string
 	// measures is the comma-joined basis of a skyline answer, or the
@@ -61,13 +61,14 @@ type cacheKey struct {
 }
 
 // cacheEntry is one cached answer over every shard, exact at gens (one
-// generation per shard). A skyline answer holds every shard's vector
-// table (indexed by shard), a ranked answer its merged items. Entries
-// are immutable once stored: an upgrade stores a successor.
+// generation per shard). A skyline answer holds its one vector table,
+// whose Generations its gens are (tableEntry), a ranked answer its
+// items. Entries are immutable once stored: an upgrade stores a
+// successor.
 type cacheEntry struct {
-	gens   []uint64
-	tables []*gdb.VectorTable
-	items  []topk.Item
+	gens  []uint64
+	table *gdb.VectorTable
+	items []topk.Item
 	// inexact counts the answer's pairs where a capped engine returned a
 	// bound; deltas counts the in-place upgrades since the cold build.
 	inexact int
@@ -80,6 +81,13 @@ type cacheEntry struct {
 	// it. Pruned skyline answers and ranked answers carry one, complete
 	// tables none.
 	lin *lineage
+}
+
+// tableEntry is the skyline answer t, maintainable through lin when lin
+// is set. Everything but the lineage derives from t, so an entry's
+// generations, inexact count and deltas never drift from its table's.
+func tableEntry(t *gdb.VectorTable, lin *lineage) *cacheEntry {
+	return &cacheEntry{gens: t.Generations, table: t, inexact: t.Inexact, deltas: t.Deltas, work: t.Work, lin: lin}
 }
 
 // lineage is what an upgrade needs beyond the entry's key to evaluate

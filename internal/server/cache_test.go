@@ -12,23 +12,15 @@ import (
 	"skygraph/internal/measure"
 )
 
-func tableAt(gen uint64) *gdb.VectorTable {
-	return &gdb.VectorTable{Generation: gen, Basis: measure.Default()}
-}
-
 // tkey is a distinct skyline answer key per name.
 func tkey(name string) cacheKey {
 	return cacheKey{path: "all", qh: name}
 }
 
-// entryAt is a skyline answer exact at gens, one table per shard, with
-// no lineage (like a complete answer).
+// entryAt is a skyline answer exact at gens (one generation per shard)
+// with no lineage, like a complete answer.
 func entryAt(gens ...uint64) *cacheEntry {
-	e := &cacheEntry{gens: gens, tables: make([]*gdb.VectorTable, len(gens))}
-	for i, gen := range gens {
-		e.tables[i] = tableAt(gen)
-	}
-	return e
+	return tableEntry(&gdb.VectorTable{Generations: gens, Basis: measure.Default()}, nil)
 }
 
 // putEntry stores entryAt(gens...) under a key named name.
@@ -102,7 +94,7 @@ func TestCachePutExistingRefreshes(t *testing.T) {
 		t.Fatal("b should be evicted: a was refreshed to most recent")
 	}
 	got, ok := c.lookup(tkey("a"), at(2), false)
-	if !ok || got.tables[0].Generation != 2 {
+	if !ok || got.table.Generations[0] != 2 {
 		t.Fatalf("a should hold the refreshed answer, got %+v, %v", got, ok)
 	}
 }

@@ -16,13 +16,16 @@ import (
 // the generation it records for the mutated shard. One cache pass
 // (Cache.sweep) per mutation drops what no proof covers and collects the
 // rest; each upgrade then runs outside the cache lock and is settled
-// under the same key (Cache.settle). The provability conditions:
+// under the same key (Cache.settle). Shards matter here only as the
+// (shard, gen) step a mutation produces: an answer was built by one
+// scan over every shard, and its proofs rest on rows from any shard.
+// The provability conditions:
 //
 //   - Only lineage-carrying entries qualify: every pruned skyline answer
-//     and every merged ranked answer. A complete skyline answer ("all")
+//     and every ranked answer. A complete skyline answer ("all")
 //     carries none: any mutation drops it, counted as a fallback, and
-//     the next "all" request rebuilds every shard's table (with the
-//     score memo on, replaying every pair the mutation left alone).
+//     the next "all" request rebuilds the table (with the score memo
+//     on, replaying every pair the mutation left alone).
 //   - The entry must be exactly ONE generation behind the mutation on
 //     the mutated shard. Anything older has unknown intermediate
 //     history.
@@ -33,23 +36,22 @@ import (
 //
 // Per entry kind:
 //
-//   - A pruned skyline answer is upgraded through its mutated shard's
-//     table alone; the other shards' tables carry over unchanged. Each
-//     pruned table holds the kept set K of its scan, which contains the
-//     shard's skyline. Strict dominance is transitive, so every
-//     graph outside K is dominated by a member of K and skyline(shard)
-//     = skyline(K); any update that keeps K inside the shard and the
-//     shard's new skyline inside K keeps the table exact. An insert
-//     whose tier-0 optimistic corner a row of K strictly dominates
-//     cannot reach the skyline: only the generation advances, and no
-//     engine runs. Otherwise the exact row is scored and appended
-//     unless a row of K dominates it. A delete of a graph outside K
-//     only advances the generation; a delete of a kept row that another
-//     kept row strictly dominates drops the row (removing a non-maximal
-//     element leaves the maximal set unchanged; it requires Inexact ==
-//     0, since per-row inexactness is not recorded and the surviving
-//     count would otherwise be underivable). A delete of a front member
-//     falls back.
+//   - A pruned skyline answer is one table holding the kept set K of
+//     its scan, which contains the skyline of the whole database.
+//     Strict dominance is transitive, so every graph outside K is
+//     dominated by a member of K and skyline(database) = skyline(K); any
+//     update that keeps K inside the database and the new skyline
+//     inside K keeps the table exact. An insert whose tier-0 optimistic
+//     corner a row of K strictly dominates cannot reach the skyline:
+//     only the generation advances, and no engine runs. Otherwise the
+//     exact row is scored and appended unless a row of K dominates it.
+//     A delete of a graph outside K only advances the generation: the
+//     front point that discarded it is in K. A delete of a kept row that
+//     another kept row strictly dominates drops the row (removing a
+//     non-maximal element leaves the maximal set unchanged; it requires
+//     Inexact == 0 across the whole answer, since per-row inexactness is
+//     not recorded and the surviving count would otherwise be
+//     underivable). A delete of a front member falls back.
 //   - Ranked answers check the inserted graph's bound first: a full
 //     top-k answer whose k-th score is below the bound's lo, or a range
 //     answer whose radius is, is provably unchanged. The rest score the
@@ -60,17 +62,19 @@ import (
 // Every condition that fails falls back to invalidation: the whole
 // entry is dropped, by the sweep or by its settle, so no entry behind
 // the mutation survives it whether or not it was upgradable; its next
-// request rebuilds every shard. Counted as
-// delta_applied / delta_fallbacks in CacheStats.
+// request runs a fresh scan. Counted as delta_applied /
+// delta_fallbacks in CacheStats.
 //
 // Byte-identity: a spliced table row goes through the cold build's own
 // per-pair path (DeltaRow); the served skyline is re-derived from the
 // rows and sorted by insertion rank, so where a row sits in K never
-// matters. Top-k splices reproduce topk.Select's deterministic
-// ascending (score, ID) order, and range answers stay in insertion
-// order because a new graph is by construction last. The
-// interleaved-mutation equivalence tests (delta_test.go) enforce this
-// against cold recompute.
+// matters — a cold table lists its rows shard by shard, and appends on
+// different shards can land out of global order, since two inserts on
+// different shards are maintained concurrently. Top-k splices
+// reproduce topk.Select's deterministic ascending (score, ID) order,
+// and range answers stay in insertion order because a new graph is by
+// construction last. The interleaved-mutation equivalence tests
+// (delta_test.go) enforce this against cold recompute.
 
 // deltaInsert routes the delta of one applied insert: g landed on
 // shard, producing generation gen there.
@@ -92,7 +96,7 @@ func (s *Server) maintain(shard int, gen uint64, inserted *graph.Graph, deleted 
 	for _, cand := range s.cache.sweep(shard, gen) {
 		var next *cacheEntry
 		if cand.key.path == "pruned" {
-			next = s.upgradeTables(cand, shard, gen, inserted, deleted)
+			next = s.upgradeTable(cand, shard, gen, inserted, deleted)
 		} else {
 			next = s.upgradeRanked(cand, shard, gen, inserted, deleted)
 		}
@@ -110,33 +114,26 @@ func (e *cacheEntry) advanced(shard int, gen uint64) *cacheEntry {
 	return &next
 }
 
-// upgradeTables derives cached pruned skyline answer cand's successor
-// across the mutation by replacing shard's table, or returns nil when no
-// proof holds.
-func (s *Server) upgradeTables(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
-	t := cand.e.tables[shard]
+// upgradeTable derives cached pruned skyline answer cand's successor
+// across the mutation, or returns nil when no proof holds.
+func (s *Server) upgradeTable(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
 	var nt *gdb.VectorTable
 	if inserted != nil {
-		nt = s.tableInsert(t, cand, shard, gen, inserted.Name())
+		nt = s.tableInsert(cand, shard, gen, inserted.Name())
 	} else {
-		nt = tableDelete(t, gen, deleted)
+		nt = tableDelete(cand.e.table, shard, gen, deleted)
 	}
 	if nt == nil {
 		return nil
 	}
-	next := cand.e.advanced(shard, gen)
-	next.tables = slices.Clone(cand.e.tables)
-	next.tables[shard] = nt
-	next.inexact += nt.Inexact - t.Inexact
-	return next
+	return tableEntry(nt, cand.e.lin)
 }
 
-// tableInsert derives pruned table t's successor across the insert of
-// name, which produced generation gen on shard, or returns nil when no
-// proof holds.
-func (s *Server) tableInsert(t *gdb.VectorTable, cand deltaCandidate, shard int, gen uint64, name string) *gdb.VectorTable {
-	db := s.db.Shard(shard)
-	lin := cand.e.lin
+// tableInsert derives cand's pruned table's successor across the
+// insert of name, which produced generation gen on shard, or returns nil
+// when no proof holds.
+func (s *Server) tableInsert(cand deltaCandidate, shard int, gen uint64, name string) *gdb.VectorTable {
+	t, lin, db := cand.e.table, cand.e.lin, s.db.Shard(shard)
 	bs, got, ok := db.DeltaBound(name, lin.qsig)
 	if !ok || got != gen {
 		return nil
@@ -144,7 +141,7 @@ func (s *Server) tableInsert(t *gdb.VectorTable, cand deltaCandidate, shard int,
 	// Every server basis is a set of built-ins (Boundable), where the
 	// corner floors the exact vector in every dimension.
 	if lo, _ := bs.IntervalGCS(lin.basis); dominated(t.Points, lo) {
-		return t.WithGeneration(gen)
+		return t.WithGeneration(shard, gen)
 	}
 	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval, QueryHash: cand.key.qh}
 	pt, inexact, got, ok := db.DeltaRow(name, lin.q, lin.qsig, opts)
@@ -152,15 +149,15 @@ func (s *Server) tableInsert(t *gdb.VectorTable, cand deltaCandidate, shard int,
 		return nil // a later mutation interleaved; the row is not provably gen's
 	}
 	if dominated(t.Points, pt.Vec) {
-		return t.WithGeneration(gen)
+		return t.WithGeneration(shard, gen)
 	}
-	return t.WithInsert(pt, inexact, gen)
+	return t.WithInsert(pt, inexact, shard, gen)
 }
 
 // tableDelete derives pruned table t's successor across the delete of
-// name, which produced generation gen, or returns nil when no proof
-// holds.
-func tableDelete(t *gdb.VectorTable, gen uint64, name string) *gdb.VectorTable {
+// name, which produced generation gen on shard, or returns nil when no
+// proof holds.
+func tableDelete(t *gdb.VectorTable, shard int, gen uint64, name string) *gdb.VectorTable {
 	var victim []float64
 	for _, p := range t.Points {
 		if p.ID == name {
@@ -170,11 +167,11 @@ func tableDelete(t *gdb.VectorTable, gen uint64, name string) *gdb.VectorTable {
 	}
 	switch {
 	case victim == nil:
-		return t.WithGeneration(gen) // never kept: not on the skyline
+		return t.WithGeneration(shard, gen) // never kept: not on the skyline
 	case t.Inexact > 0 || !dominated(t.Points, victim):
 		return nil // capped rows, or a front member whose successors were never kept
 	}
-	nt, _ := t.WithDelete(name, gen)
+	nt, _ := t.WithDelete(name, shard, gen)
 	return nt
 }
 
@@ -189,7 +186,7 @@ func dominated(rows []skyline.Point, v []float64) bool {
 	return false
 }
 
-// upgradeRanked derives cached merged ranked answer cand's successor
+// upgradeRanked derives cached ranked answer cand's successor
 // across the mutation, or returns nil when no proof holds. An insert
 // whose bound already exceeds a full top-k answer's k-th score, or a
 // range answer's radius, leaves the answer unchanged without an engine

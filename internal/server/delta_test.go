@@ -209,13 +209,8 @@ func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []sk
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := db.ShardGeneration(0)
-	s.cache.put(res.key, &cacheEntry{
-		gens:    []uint64{gen},
-		tables:  []*gdb.VectorTable{{Generation: gen, Basis: res.basis, Points: rows, Inexact: inexact}},
-		inexact: inexact,
-		lin:     &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis},
-	})
+	tab := &gdb.VectorTable{Generations: db.Generations(), Basis: res.basis, Points: rows, Inexact: inexact}
+	s.cache.put(res.key, tableEntry(tab, &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis}))
 	return &prunedFixture{s: s, res: res}
 }
 
@@ -247,7 +242,7 @@ func (f *prunedFixture) table(gen uint64) *gdb.VectorTable {
 	if !ok {
 		return nil
 	}
-	return e.tables[0]
+	return e.table
 }
 
 // engineRuns counts score-memo lookups: every engine path of a delta
@@ -334,7 +329,7 @@ func TestPrunedInsertCountsCappedRow(t *testing.T) {
 	if !ok {
 		t.Fatal("the undominated insert fell back")
 	}
-	if nt := up.tables[0]; len(nt.Points) != 2 || nt.Inexact != 1 || up.inexact != 1 {
+	if nt := up.table; len(nt.Points) != 2 || nt.Inexact != 1 || up.inexact != 1 {
 		t.Fatalf("rows %v, table inexact %d, answer inexact %d; want the capped row appended and counted once on each",
 			nt.Points, nt.Inexact, up.inexact)
 	}

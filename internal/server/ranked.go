@@ -10,9 +10,9 @@ import (
 
 // Ranked serving. /query/topk and /query/range call the library's
 // TopKQuery / RangeQuery — the best-first bound-index scan of
-// gdb/ranked.go over every shard against ONE cross-shard threshold —
+// gdb/ranked.go, one scan over every shard against one threshold —
 // and never read a table: a cached table, complete or pruned, answers
-// skyline requests only. The merged answer is cached under its own key
+// skyline requests only. The answer is cached under its own key
 // path ("topk" or "range"); it never populates, shadows, or satisfies a
 // skyline key. What a ranked scan can still reuse is the score memo,
 // which table builds fill.

@@ -385,8 +385,8 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	}
 	res.basis = basis
 
-	// Workers stays 0: VectorTables spreads GOMAXPROCS across the shards.
-	// The canonical query hash rides along so the score memo never
+	// Workers stays 0: every query is one scan over all shards, GOMAXPROCS
+	// wide. The canonical query hash rides along so the score memo never
 	// re-canonicalizes.
 	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
 	res.key = cacheKey{path: kind, qh: res.qh, eval: res.opts.Eval}
@@ -493,7 +493,7 @@ type flightCall struct {
 }
 
 // coalesce is the one cache → flight → build loop behind every cached
-// answer, skyline tables and merged ranked answers alike, for a request
+// answer, skyline tables and ranked answers alike, for a request
 // that read generations gens. It serves the entry under key from the
 // cache when it is servable at gens. Otherwise concurrent identical
 // requests coalesce on one flight leader, which re-checks the cache,
@@ -556,43 +556,38 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, buil
 
 // entry returns the whole answer of a resolved query through coalesce:
 // the cached entry when one is servable at the generations the request
-// read, else one build — every shard's vector table for a skyline
-// request, the ranked scan's merged items for top-k and range
-// (ranked.go). hit reports that the request caused no evaluation.
+// read, else one build — the vector table for a skyline request, the
+// ranked scan's items for top-k and range (ranked.go). hit reports that
+// the request caused no evaluation.
 func (s *Server) entry(ctx context.Context, res resolved) (e *cacheEntry, hit bool, err error) {
 	gens := s.db.Generations()
 	return s.coalesce(ctx, res.key, gens, func() (*cacheEntry, bool, error) {
 		if res.m != nil {
 			return s.buildRanked(ctx, res, gens)
 		}
-		return s.buildTables(ctx, res)
+		return s.buildTable(ctx, res)
 	})
 }
 
-// buildTables evaluates a skyline request on every shard at once.
-func (s *Server) buildTables(ctx context.Context, res resolved) (*cacheEntry, bool, error) {
+// buildTable evaluates a skyline request: one scan over every shard.
+func (s *Server) buildTable(ctx context.Context, res resolved) (*cacheEntry, bool, error) {
 	opts := res.opts
 	opts.Prune = res.key.path == "pruned"
-	tables, err := s.db.VectorTables(ctx, res.q, opts)
+	t, err := s.db.VectorTable(ctx, res.q, opts)
 	if err != nil {
 		return nil, false, err
 	}
-	// Each table records the generation of the snapshot it was built
-	// from, whatever the request read, so storing the entry is always
-	// sound. Pruned tables carry their maintenance lineage, so a later
-	// mutation can upgrade the entry in place (delta.go) instead of
-	// invalidating it; complete tables carry none, and the next mutation
-	// drops them.
-	e := &cacheEntry{gens: make([]uint64, len(tables)), tables: tables}
-	for i, t := range tables {
-		e.gens[i] = t.Generation
-		e.inexact += t.Inexact
-		e.work.Add(t.Work)
-	}
+	// The table records every shard's generation of the snapshot it was
+	// built from, whatever the request read, so storing the entry is
+	// always sound. A pruned table carries its maintenance lineage, so a
+	// later mutation can upgrade the entry in place (delta.go) instead of
+	// invalidating it; a complete table carries none, and the next
+	// mutation drops it.
+	var lin *lineage
 	if opts.Prune {
-		e.lin = &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis}
+		lin = &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis}
 	}
-	return e, true, nil
+	return tableEntry(t, lin), true, nil
 }
 
 // classifyQueryErr maps an evaluation error to an HTTP status, error
@@ -713,9 +708,10 @@ func (s *Server) logSlow(kind string, qs QueryStats, stages []gdb.TraceStage, el
 }
 
 // execQuery executes one resolved query of the given kind end to end:
-// its whole answer (entry), shaped into the kind's response — the
-// merged items for topk/range, the skyline merge of the per-shard tables
-// for skyline. Shared by the dedicated endpoints and /query/batch.
+// its whole answer (entry), shaped into the kind's response — the items
+// for topk/range, the table's skyline (and, for "all", its rows) in
+// insertion order for skyline. Shared by the dedicated endpoints and
+// /query/batch.
 func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, res resolved, start time.Time) (answer, error) {
 	e, hit, err := s.entry(ctx, res)
 	if err != nil {
@@ -728,21 +724,17 @@ func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, 
 	case "range":
 		return answer{rng: &RangeResponse{Measure: res.m.Name(), Radius: *req.Radius, Items: toItemJSON(e.items), Stats: stats}}, nil
 	}
-	// Answer shaping from the per-shard tables is the merge stage.
+	// Answer shaping from the table is the merge stage.
 	mstart := time.Now()
 	resp := &SkylineResponse{
 		Basis:   measure.BasisNames(res.basis),
-		Skyline: toPointJSON(s.db.MergeSkyline(e.tables, nil)),
+		Skyline: toPointJSON(s.db.TableSkyline(e.table, nil)),
 		Stats:   stats,
 	}
 	if req.All {
-		resp.All = toPointJSON(s.db.MergeTables(e.tables))
+		resp.All = toPointJSON(s.db.TableRows(e.table))
 	}
-	rows := 0
-	for _, t := range e.tables {
-		rows += len(t.Points)
-	}
-	res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), rows, 0)
+	res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), len(e.table.Points), 0)
 	return answer{sky: resp}, nil
 }
 

@@ -480,7 +480,7 @@ func TestFollowerRetriesAfterLeaderFailure(t *testing.T) {
 	if hit {
 		t.Fatal("table follower should have evaluated itself after the leader failed")
 	}
-	if tab := e.tables[0]; len(tab.Points)+tab.Pruned != 7 {
+	if tab := e.table; len(tab.Points)+tab.Pruned != 7 {
 		t.Fatalf("table covers %d rows + %d pruned; want 7", len(tab.Points), tab.Pruned)
 	}
 

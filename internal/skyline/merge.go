@@ -10,7 +10,9 @@ package skyline
 // global skyline over the union would.
 //
 // The result preserves part-then-index order; callers needing a global
-// order (e.g. database insertion order) sort afterwards.
+// order (e.g. database insertion order) sort afterwards. The engine no
+// longer calls it — a query's one scan yields one table — and the
+// benchmark harness's skyline.merge_us probe is its only caller.
 func Merge(parts [][]Point) []Point {
 	acc := []Point{}
 	for _, part := range parts {

@@ -179,38 +179,3 @@ func sameVec(a, b []float64) bool {
 
 // Compute runs the default algorithm (SFS).
 func Compute(points []Point) []Point { return SFS(points) }
-
-// Incremental maintains a skyline under point insertion.
-type Incremental struct {
-	sky []Point
-}
-
-// Insert adds p, returning true if p enters the skyline (false if it is
-// dominated). Existing members newly dominated by p are evicted.
-func (inc *Incremental) Insert(p Point) bool {
-	keep := inc.sky[:0]
-	dominated := false
-	for _, s := range inc.sky {
-		if !dominated && Dominates(s.Vec, p.Vec) {
-			dominated = true
-		}
-		if !Dominates(p.Vec, s.Vec) {
-			keep = append(keep, s)
-		}
-	}
-	if dominated {
-		// p cannot dominate anyone if someone dominates p (transitivity
-		// would contradict s being in the skyline), so keep == sky.
-		inc.sky = inc.sky[:len(keep)]
-		return false
-	}
-	inc.sky = append(keep, p)
-	return true
-}
-
-// Skyline returns the current skyline members in insertion order.
-func (inc *Incremental) Skyline() []Point {
-	out := make([]Point, len(inc.sky))
-	copy(out, inc.sky)
-	return out
-}

@@ -206,38 +206,3 @@ func TestInputOrderPreserved(t *testing.T) {
 		}
 	}
 }
-
-func TestIncrementalMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(40)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{ID: string(rune('A' + i%26)), Vec: []float64{float64(rng.Intn(6)), float64(rng.Intn(6))}}
-		}
-		var inc Incremental
-		for _, p := range pts {
-			inc.Insert(p)
-		}
-		if !equalStrings(ids(inc.Skyline()), ids(BNL(pts))) {
-			t.Fatalf("incremental %v != batch %v", ids(inc.Skyline()), ids(BNL(pts)))
-		}
-	}
-}
-
-func TestIncrementalInsertReturn(t *testing.T) {
-	var inc Incremental
-	if !inc.Insert(Point{ID: "a", Vec: []float64{2, 2}}) {
-		t.Error("first insert rejected")
-	}
-	if inc.Insert(Point{ID: "b", Vec: []float64{3, 3}}) {
-		t.Error("dominated insert accepted")
-	}
-	if !inc.Insert(Point{ID: "c", Vec: []float64{1, 1}}) {
-		t.Error("dominating insert rejected")
-	}
-	sky := inc.Skyline()
-	if len(sky) != 1 || sky[0].ID != "c" {
-		t.Errorf("skyline=%v", ids(sky))
-	}
-}
