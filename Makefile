@@ -48,7 +48,7 @@ bench-kernels:
 	$(GO) test ./internal/measure -run='^$$' -bench='BenchmarkBranchLB' -benchmem
 
 run-server:
-	$(GO) run ./cmd/skygraphd -addr :8091 -shards 4 -cache 128
+	$(GO) run ./cmd/skygraphd -addr :8091 -cache 128
 
 # smoke boots skygraphd, fires a short mixed-traffic loadgen burst
 # (failing on any request error) and asserts /metrics recorded it.

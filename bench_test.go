@@ -84,7 +84,7 @@ func BenchmarkTable3GCS(b *testing.B) {
 // BenchmarkSkylineGSS regenerates the Section VI result:
 // GSS(D,q) = {g1, g4, g5, g7}, end to end through the database engine.
 func BenchmarkSkylineGSS(b *testing.B) {
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		b.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func BenchmarkRankedScaling(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		gs := distinctFamilies(n, 5, 1)
 		q := dataset.NoisyQueries(gs, 1, 1, 999)[0]
-		db := gdb.NewSharded(1)
+		db := gdb.New()
 		if err := db.InsertAll(gs); err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func BenchmarkGEDVariants(b *testing.B) {
 // BenchmarkTopKRecall is experiment E11: the single-measure top-k baseline
 // against the skyline reference.
 func BenchmarkTopKRecall(b *testing.B) {
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.MoleculeDB(30, 5, 14, 21)); err != nil {
 		b.Fatal(err)
 	}

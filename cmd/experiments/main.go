@@ -121,7 +121,7 @@ func e4() {
 }
 
 func paperSkyline() (gdb.SkylineResult, *gdb.Sharded) {
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		panic(err)
 	}
@@ -193,7 +193,7 @@ func e8() {
 	fmt.Printf("(synthetic molecule database; measured only — the paper reports no numbers)\n")
 	fmt.Printf("%6s %6s %14s %14s\n", "n", "dims", "skyline size", "fraction")
 	for _, n := range []int{20, 50, 100} {
-		db := gdb.NewSharded(1)
+		db := gdb.New()
 		if err := db.InsertAll(dataset.MoleculeDB(n, 5, 14, 1)); err != nil {
 			panic(err)
 		}
@@ -271,7 +271,7 @@ func e10() {
 }
 
 func e11() {
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	n := 60
 	if err := db.InsertAll(dataset.MoleculeDB(n, 5, 14, 21)); err != nil {
 		panic(err)

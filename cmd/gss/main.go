@@ -84,7 +84,7 @@ func cmdGen(args []string) error {
 	maxV := fs.Int("max", 12, "maximum vertices per graph")
 	seed := fs.Int64("seed", 1, "generator seed")
 	fs.Parse(args)
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.MoleculeDB(*n, *minV, *maxV, *seed)); err != nil {
 		return err
 	}
@@ -100,7 +100,7 @@ func cmdPaper(args []string) error {
 	out := fs.String("out", "paper.lgf", "output LGF file for the database")
 	qout := fs.String("query", "paper_query.lgf", "output LGF file for the query")
 	fs.Parse(args)
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	dbPath := fs.String("db", "db.lgf", "database LGF file")
 	fs.Parse(args)
-	db, err := gdb.Load(*dbPath, 1)
+	db, err := gdb.Load(*dbPath)
 	if err != nil {
 		return err
 	}

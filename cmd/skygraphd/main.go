@@ -1,20 +1,19 @@
 // Command skygraphd is the skygraph query-serving daemon: it loads a
-// graph database from LGF into N hash-routed shards and serves
-// similarity skyline, top-k and range queries over an HTTP/JSON API.
-// Shards partition storage only: every query is one scan over all of
-// them. Each request's evaluation path follows from its kind: skyline
+// graph database from LGF and serves similarity skyline, top-k and
+// range queries over an HTTP/JSON API. Every query is one scan of the
+// database. Each request's evaluation path follows from its kind: skyline
 // queries build one pruned table (a complete one when "all" is set) and
 // answer with its skyline; top-k and range queries run one best-first
 // scan against one threshold. An LRU cache of whole answers — the table
 // of a skyline, the items of a top-k or range query — sits in front of
 // the GED/MCS pair-evaluation hot path and is delta-maintained across
-// mutations: an upgrade advances the mutated shard's generation in the
-// entry and changes at most one row. -memo adds the cross-query
+// mutations: an upgrade advances the entry's generation and changes at
+// most one row. -memo adds the cross-query
 // exact-score memo that survives mutations the answer cache cannot.
 //
 // Usage:
 //
-//	skygraphd -addr :8091 -db db.lgf -shards 4 -cache 128 -timeout 30s
+//	skygraphd -addr :8091 -db db.lgf -cache 128 -timeout 30s
 //
 // Endpoints:
 //
@@ -27,7 +26,7 @@
 //	POST   /graphs          insert graph(s), maintaining the cached answers
 //	GET    /graphs/{name}   fetch one graph as JSON
 //	DELETE /graphs/{name}   delete a graph, maintaining the cached answers
-//	GET    /stats           database, shard, cache and request counters
+//	GET    /stats           database, cache and request counters
 //	GET    /metrics         Prometheus text exposition (format 0.0.4)
 //	GET    /healthz         liveness probe
 //	GET    /readyz          readiness probe (database loaded, writes not degraded)
@@ -113,7 +112,6 @@ func warmingHandler() http.Handler {
 func main() {
 	addr := flag.String("addr", ":8091", "listen address")
 	dbPath := flag.String("db", "", "database LGF file (empty = start with an empty database)")
-	shards := flag.Int("shards", 1, "storage/evaluation shards (graphs are hash-routed by name)")
 	cacheSize := flag.Int("cache", 128, "vector-table cache capacity (entries, one per query; 0 disables)")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "hard cap on request-supplied timeouts (0 = none)")
@@ -163,7 +161,6 @@ func main() {
 	if *dataDir != "" {
 		durable, err = gdb.OpenDurable(gdb.DurableOptions{
 			Dir:       *dataDir,
-			Shards:    *shards,
 			Sync:      syncPolicy,
 			SyncEvery: syncEvery,
 		})
@@ -177,7 +174,7 @@ func main() {
 		if *dbPath != "" && db.Len() == 0 {
 			// Bootstrap an empty data directory from the LGF file; the
 			// inserts flow through the WAL like any mutation.
-			loaded, err := gdb.Load(*dbPath, 1)
+			loaded, err := gdb.Load(*dbPath)
 			if err != nil {
 				log.Fatalf("skygraphd: loading %s: %v", *dbPath, err)
 			}
@@ -187,9 +184,9 @@ func main() {
 			log.Printf("skygraphd: imported %d graphs from %s into %s", db.Len(), *dbPath, *dataDir)
 		}
 	} else {
-		db = gdb.NewSharded(*shards)
+		db = gdb.New()
 		if *dbPath != "" {
-			if db, err = gdb.Load(*dbPath, *shards); err != nil {
+			if db, err = gdb.Load(*dbPath); err != nil {
 				log.Fatalf("skygraphd: loading %s: %v", *dbPath, err)
 			}
 		}
@@ -198,8 +195,8 @@ func main() {
 		db.EnableScoreMemo(*memoSize)
 	}
 	stats := db.Stats()
-	log.Printf("skygraphd: serving %d graphs (%d vertices, %d edges) across %d shards on %s",
-		stats.Graphs, stats.Vertices, stats.Edges, db.NumShards(), *addr)
+	log.Printf("skygraphd: serving %d graphs (%d vertices, %d edges) on %s",
+		stats.Graphs, stats.Vertices, stats.Edges, *addr)
 
 	srv := server.New(db, server.Config{
 		CacheSize:          *cacheSize,

@@ -77,7 +77,7 @@ func WithSkylineAlgorithm(a skyline.Algorithm) Option {
 
 // NewEngine returns an empty engine.
 func NewEngine(options ...Option) *Engine {
-	e := &Engine{db: gdb.NewSharded(1)}
+	e := &Engine{db: gdb.New()}
 	for _, o := range options {
 		o(e)
 	}
@@ -86,7 +86,7 @@ func NewEngine(options ...Option) *Engine {
 
 // Load returns an engine populated from an LGF file.
 func Load(path string, options ...Option) (*Engine, error) {
-	db, err := gdb.Load(path, 1)
+	db, err := gdb.Load(path)
 	if err != nil {
 		return nil, err
 	}

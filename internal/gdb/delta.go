@@ -10,10 +10,9 @@ import (
 
 // Delta maintenance primitives. A cached VectorTable or a cached ranked
 // answer differs from its successor by at most one row when the
-// mutation between them was a single insert or delete on one shard.
-// The primitives read that shard alone (Sharded.Shard). DeltaBound
-// reads the one row's tier-0 interval from the stored signature — no
-// engine runs — so the serving layer can often prove an entry unchanged
+// mutation between them was a single insert or delete. DeltaBound reads
+// the one row's tier-0 interval from the stored signature — no engine
+// runs — so the serving layer can often prove an entry unchanged
 // outright; DeltaRow and DeltaScore evaluate the row through the same
 // code path the cold build uses — stored signature hints, ScoreMemo
 // interplay, identical engine options — so a spliced row is
@@ -25,16 +24,21 @@ import (
 // caller, which computes it once per request rather than once per
 // upgrade.
 
+// row reads the named entry, the generation it belongs to and the score
+// memo under one lock acquisition.
+func (sh *Sharded) row(name string) (e *entry, gen uint64, memo *ScoreMemo) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.graphs[name], sh.gen, sh.memo
+}
+
 // DeltaBound returns the tier-0 interval statistics of the single named
 // graph against the query signature qsig — the bounds a cold build
 // starts from (measure.BoundPair with the stored signature first). gen
 // and ok behave as in DeltaRow.
-func (db *DB) DeltaBound(name string, qsig *measure.Signature) (bs measure.BoundStats, gen uint64, ok bool) {
-	db.mu.RLock()
-	e, present := db.graphs[name]
-	gen = db.gen
-	db.mu.RUnlock()
-	if !present {
+func (sh *Sharded) DeltaBound(name string, qsig *measure.Signature) (bs measure.BoundStats, gen uint64, ok bool) {
+	e, gen, _ := sh.row(name)
+	if e == nil {
 		return measure.BoundStats{}, gen, false
 	}
 	return measure.BoundPair(e.sig, qsig), gen, true
@@ -49,16 +53,13 @@ func (db *DB) DeltaBound(name string, qsig *measure.Signature) (bs measure.Bound
 // later mutation has interleaved and the row may describe a different
 // graph value (delete + re-insert of the same name). ok is false when
 // the name is not present.
-func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pt skyline.Point, inexact bool, gen uint64, ok bool) {
+func (sh *Sharded) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pt skyline.Point, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	db.mu.RLock()
-	e, present := db.graphs[name]
-	gen = db.gen
-	db.mu.RUnlock()
-	if !present {
+	e, gen, memo := sh.row(name)
+	if e == nil {
 		return skyline.Point{}, false, gen, false
 	}
-	ec := newEvalCtx(db.Memo(), q, opts)
+	ec := newEvalCtx(memo, q, opts)
 	ps := ec.computeFull(e.g, q, e.seq, opts.Eval, measure.PairHints{Sig1: e.sig, Sig2: qsig})
 	pt = skyline.Point{ID: name, Vec: measure.GCS(ps, opts.Basis)}
 	return pt, !ps.GEDExact || !ps.MCSExact, gen, true
@@ -70,16 +71,13 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, opt
 // publish. Scores are therefore byte-identical to the ranked path's. m
 // must be a built-in (measure.Rankable), as it is for every ranked
 // query. gen and ok behave as in DeltaRow.
-func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions) (score float64, inexact bool, gen uint64, ok bool) {
+func (sh *Sharded) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions) (score float64, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	db.mu.RLock()
-	e, present := db.graphs[name]
-	gen = db.gen
-	db.mu.RUnlock()
-	if !present {
+	e, gen, memo := sh.row(name)
+	if e == nil {
 		return 0, false, gen, false
 	}
-	ec := newEvalCtx(db.Memo(), q, opts)
+	ec := newEvalCtx(memo, q, opts)
 	needGED, needMCS := measure.EngineNeeds(m)
 	var have measure.EngineResults
 	if needGED || needMCS {
@@ -91,49 +89,46 @@ func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m
 	return score, inexact, gen, true
 }
 
-// WithGeneration returns a copy of t advanced to generation gen on
-// shard with its rows unchanged, counting one delta. It is the whole
-// patch when a mutation provably leaves the rows as they are — a pruned
-// table across the insert of a graph its rows dominate or the delete of
-// a graph it never kept — and the first step of WithInsert and
-// WithDelete. The receiver is never mutated (concurrent readers may hold
-// it); the copy shares its immutable Points.
-func (t *VectorTable) WithGeneration(shard int, gen uint64) *VectorTable {
+// WithGeneration returns a copy of t advanced to generation gen with
+// its rows unchanged, counting one delta. It is the whole patch when a
+// mutation provably leaves the rows as they are — a pruned table across
+// the insert of a graph its rows dominate or the delete of a graph it
+// never kept — and the first step of WithInsert and WithDelete. The
+// receiver is never mutated (concurrent readers may hold it); the copy
+// shares its immutable Points.
+func (t *VectorTable) WithGeneration(gen uint64) *VectorTable {
 	nt := *t
-	nt.Generations = slices.Clone(t.Generations)
-	nt.Generations[shard] = gen
+	nt.Generation = gen
 	nt.Deltas++
 	return &nt
 }
 
 // WithInsert returns a new table extending t by one freshly inserted
-// row, which produced generation gen on shard. The row lands at the end
-// of Points. The caller must have proven admissibility:
-// gen == t.Generations[shard]+1, the row was evaluated at exactly gen
-// (DeltaRow's returned generation), and — for a pruned table — the row
-// belongs to the kept set.
-func (t *VectorTable) WithInsert(pt skyline.Point, inexact bool, shard int, gen uint64) *VectorTable {
-	nt := t.WithGeneration(shard, gen)
-	nt.Points = make([]skyline.Point, len(t.Points)+1)
-	copy(nt.Points, t.Points)
-	nt.Points[len(t.Points)] = pt
+// row, which produced generation gen. The row lands at the end of
+// Points, which is its place in insertion order. The caller must have
+// proven admissibility: gen == t.Generation+1, the row was evaluated at
+// exactly gen (DeltaRow's returned generation), and — for a pruned
+// table — the row belongs to the kept set.
+func (t *VectorTable) WithInsert(pt skyline.Point, inexact bool, gen uint64) *VectorTable {
+	nt := t.WithGeneration(gen)
+	nt.Points = append(slices.Clip(t.Points), pt)
 	if inexact {
 		nt.Inexact++
 	}
 	return nt
 }
 
-// WithDelete returns a new table with the named row removed and shard's
+// WithDelete returns a new table with the named row removed and the
 // generation advanced to gen. ok is false when the name has no row.
 // Skyline answers derive from Points per call, so dropping the row is
 // the entire delete: no skyline recomputation happens unless a later
 // query asks for one, and then only over the surviving rows.
-func (t *VectorTable) WithDelete(name string, shard int, gen uint64) (*VectorTable, bool) {
+func (t *VectorTable) WithDelete(name string, gen uint64) (*VectorTable, bool) {
 	idx := slices.IndexFunc(t.Points, func(p skyline.Point) bool { return p.ID == name })
 	if idx < 0 {
 		return nil, false
 	}
-	nt := t.WithGeneration(shard, gen)
+	nt := t.WithGeneration(gen)
 	nt.Points = slices.Delete(slices.Clone(t.Points), idx, idx+1)
 	return nt, true
 }

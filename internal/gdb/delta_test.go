@@ -15,7 +15,7 @@ import (
 // database — the reference every delta patch must reproduce row for row.
 func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable {
 	t.Helper()
-	tab, err := testutil.NewSharded(t, 1, gs).VectorTable(context.Background(), q, gdb.QueryOptions{})
+	tab, err := testutil.NewSharded(t, gs).VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable
 func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 12)
 	q := testutil.SeededQueries(131, gs, 1)[0]
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	t0, err := db.VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -42,17 +42,17 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := ack.Gen
-	pt, inexact, got, ok := db.Shard(0).DeltaRow("late", q, measure.NewSignature(q), gdb.QueryOptions{})
+	pt, inexact, got, ok := db.DeltaRow("late", q, measure.NewSignature(q), gdb.QueryOptions{})
 	if !ok || got != gen {
 		t.Fatalf("DeltaRow ok=%v gen=%d, want true/%d", ok, got, gen)
 	}
-	t1 := t0.WithInsert(pt, inexact, 0, gen)
+	t1 := t0.WithInsert(pt, inexact, gen)
 	want := coldTable(t, append(append([]*graph.Graph(nil), gs...), late), q)
 	if !reflect.DeepEqual(want.Points, t1.Points) {
 		t.Fatalf("patched insert table differs from cold build:\ncold  %v\ndelta %v", want.Points, t1.Points)
 	}
-	if t1.Generations[0] != gen || t1.Deltas != 1 {
-		t.Fatalf("patched table gen=%d deltas=%d, want %d/1", t1.Generations[0], t1.Deltas, gen)
+	if t1.Generation != gen || t1.Deltas != 1 {
+		t.Fatalf("patched table gen=%d deltas=%d, want %d/1", t1.Generation, t1.Deltas, gen)
 	}
 	// The original must be untouched: patches copy, they never mutate.
 	if len(t0.Points) != len(gs) || t0.Deltas != 0 {
@@ -65,7 +65,7 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 		t.Fatalf("delete %s: ack=%+v err=%v", victim, ack, err)
 	}
 	gen2 := ack.Gen
-	t2, ok := t1.WithDelete(victim, 0, gen2)
+	t2, ok := t1.WithDelete(victim, gen2)
 	if !ok {
 		t.Fatalf("WithDelete(%s) did not find the row", victim)
 	}
@@ -80,11 +80,11 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	if !reflect.DeepEqual(want2.Points, t2.Points) {
 		t.Fatalf("patched delete table differs from cold build:\ncold  %v\ndelta %v", want2.Points, t2.Points)
 	}
-	if t2.Generations[0] != gen2 || t2.Deltas != 2 {
-		t.Fatalf("patched table gen=%d deltas=%d, want %d/2", t2.Generations[0], t2.Deltas, gen2)
+	if t2.Generation != gen2 || t2.Deltas != 2 {
+		t.Fatalf("patched table gen=%d deltas=%d, want %d/2", t2.Generation, t2.Deltas, gen2)
 	}
 
-	if _, ok := t2.WithDelete("never-inserted", 0, gen2+1); ok {
+	if _, ok := t2.WithDelete("never-inserted", gen2+1); ok {
 		t.Fatal("WithDelete of an absent name claimed success")
 	}
 }
@@ -96,7 +96,7 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 	gs := testutil.SeededGraphs(41, 8)
 	q := testutil.SeededQueries(141, gs, 1)[0]
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	ack, err := db.Insert(mustNamed(t, 241, "a"), "")
 	if err != nil {
 		t.Fatal(err)
@@ -106,14 +106,14 @@ func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 	if _, err := db.Insert(mustNamed(t, 242, "b"), ""); err != nil {
 		t.Fatal(err)
 	}
-	_, _, got, ok := db.Shard(0).DeltaRow("a", q, measure.NewSignature(q), gdb.QueryOptions{})
+	_, _, got, ok := db.DeltaRow("a", q, measure.NewSignature(q), gdb.QueryOptions{})
 	if !ok {
 		t.Fatal("DeltaRow did not find the inserted graph")
 	}
 	if got == gen {
 		t.Fatalf("DeltaRow observed generation %d despite a later mutation", got)
 	}
-	if _, _, _, ok := db.Shard(0).DeltaRow("missing", q, measure.NewSignature(q), gdb.QueryOptions{}); ok {
+	if _, _, _, ok := db.DeltaRow("missing", q, measure.NewSignature(q), gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaRow of an absent name claimed success")
 	}
 }
@@ -125,7 +125,7 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 10)
 	q := testutil.SeededQueries(151, gs, 1)[0]
 	for _, withMemo := range []bool{false, true} {
-		db := testutil.NewSharded(t, 1, gs)
+		db := testutil.NewSharded(t, gs)
 		if withMemo {
 			db.EnableScoreMemo(1024)
 		}
@@ -137,11 +137,11 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 		}
 		gen := ack.Gen
 		for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
-			score, _, got, ok := db.Shard(0).DeltaScore("late", q, measure.NewSignature(q), m, gdb.QueryOptions{})
+			score, _, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, gdb.QueryOptions{})
 			if !ok || got != gen {
 				t.Fatalf("memo=%v m=%s: DeltaScore ok=%v gen=%d, want true/%d", withMemo, m.Name(), ok, got, gen)
 			}
-			ref, err := testutil.NewSharded(t, 1, append(append([]*graph.Graph(nil), gs...), late)).
+			ref, err := testutil.NewSharded(t, append(append([]*graph.Graph(nil), gs...), late)).
 				TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -175,7 +175,7 @@ func mustNamed(t *testing.T, seed int64, name string) *graph.Graph {
 // dimension, and reports the generation it read at.
 func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
 	gs := testutil.SeededGraphs(61, 8)
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	ack, err := db.Insert(mustNamed(t, 261, "late"), "")
 	if err != nil {
 		t.Fatal(err)
@@ -183,11 +183,11 @@ func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
 	basis := measure.Default()
 	for _, q := range testutil.SeededQueries(161, gs, 3) {
 		qsig := measure.NewSignature(q)
-		bs, gen, ok := db.Shard(0).DeltaBound("late", qsig)
+		bs, gen, ok := db.DeltaBound("late", qsig)
 		if !ok || gen != ack.Gen {
 			t.Fatalf("DeltaBound ok=%v gen=%d, want true/%d", ok, gen, ack.Gen)
 		}
-		pt, _, _, _ := db.Shard(0).DeltaRow("late", q, qsig, gdb.QueryOptions{})
+		pt, _, _, _ := db.DeltaRow("late", q, qsig, gdb.QueryOptions{})
 		lo, hi := bs.IntervalGCS(basis)
 		for d := range pt.Vec {
 			if pt.Vec[d] < lo[d] || pt.Vec[d] > hi[d] {
@@ -195,7 +195,7 @@ func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
 			}
 		}
 	}
-	if _, _, ok := db.Shard(0).DeltaBound("missing", measure.NewSignature(gs[0])); ok {
+	if _, _, ok := db.DeltaBound("missing", measure.NewSignature(gs[0])); ok {
 		t.Fatal("DeltaBound of an absent name claimed success")
 	}
 }
@@ -205,11 +205,11 @@ func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
 func TestWithGenerationKeepsRows(t *testing.T) {
 	gs := testutil.SeededGraphs(71, 6)
 	t0 := coldTable(t, gs, testutil.SeededQueries(171, gs, 1)[0])
-	t1 := t0.WithGeneration(0, t0.Generations[0]+1)
-	if t1.Generations[0] != t0.Generations[0]+1 || t1.Deltas != 1 || !reflect.DeepEqual(t1.Points, t0.Points) {
-		t.Fatalf("WithGeneration: gen=%d deltas=%d rows=%v", t1.Generations[0], t1.Deltas, t1.Points)
+	t1 := t0.WithGeneration(t0.Generation + 1)
+	if t1.Generation != t0.Generation+1 || t1.Deltas != 1 || !reflect.DeepEqual(t1.Points, t0.Points) {
+		t.Fatalf("WithGeneration: gen=%d deltas=%d rows=%v", t1.Generation, t1.Deltas, t1.Points)
 	}
-	if t0.Deltas != 0 || t0.Generations[0] == t1.Generations[0] {
+	if t0.Deltas != 0 || t0.Generation == t1.Generation {
 		t.Fatal("WithGeneration mutated its receiver")
 	}
 }

@@ -2,7 +2,7 @@ package gdb_test
 
 // The tests in this file keep the names they had when they also ran the
 // pivot or vector candidate tier. Both tiers are gone; each test now
-// checks the tier-free scans on the same data, shard counts and options.
+// checks the tier-free scans on the same data and options.
 
 import (
 	"context"
@@ -23,8 +23,8 @@ import (
 func TestPrunedSkylineWithPivotsSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		gs := testutil.SeededGraphs(seed, 20)
-		ref := testutil.NewSharded(t, 1, gs)
-		db := testutil.NewSharded(t, 1, gs)
+		ref := testutil.NewSharded(t, gs)
+		db := testutil.NewSharded(t, gs)
 		db.EnableScoreMemo(4096)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 3) {
 			label := fmt.Sprintf("seed=%d q=%d", seed, qi)
@@ -50,7 +50,7 @@ func TestPrunedSkylineWithPivotsSeeded(t *testing.T) {
 }
 
 // TestPrunedRankedWithPivotsSharded: top-k and range answers with the
-// score memo at shard counts 1/2/3/7 and four workers equal the
+// score memo and four workers equal the
 // independent reference, on the cold run and on the rerun that replays
 // the memo.
 func TestPrunedRankedWithPivotsSharded(t *testing.T) {
@@ -63,30 +63,28 @@ func TestPrunedRankedWithPivotsSharded(t *testing.T) {
 			scores := testutil.ReferenceScores(gs, q, m, eval)
 			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
 			opts := gdb.QueryOptions{Eval: eval, Workers: 4}
-			for _, counts := range []int{1, 2, 3, 7} {
-				sh := testutil.NewSharded(t, counts, gs)
-				sh.EnableScoreMemo(4096)
-				label := fmt.Sprintf("%s/%s shards=%d", q.Name(), m.Name(), counts)
-				for round := 0; round < 2; round++ {
-					tk, err := sh.TopKQuery(ctx, q, m, 4, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
-					rg, err := sh.RangeQuery(ctx, q, m, 4, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
+			sh := testutil.NewSharded(t, gs)
+			sh.EnableScoreMemo(4096)
+			label := fmt.Sprintf("%s/%s", q.Name(), m.Name())
+			for round := 0; round < 2; round++ {
+				tk, err := sh.TopKQuery(ctx, q, m, 4, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
+				rg, err := sh.RangeQuery(ctx, q, m, 4, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
 			}
 		}
 	}
 }
 
 // TestVectorRankedEquivalence: top-k and range answers on the paper and
-// seeded collections equal the independent reference at shard counts
-// 1/2/3/7, with capped and uncapped engines, with and without the score
+// seeded collections equal the independent reference, with capped and
+// uncapped engines, with and without the score
 // memo, and a four-worker scan answers exactly as a one-worker scan.
 func TestVectorRankedEquivalence(t *testing.T) {
 	seeded := testutil.SeededGraphs(61, 18)
@@ -107,26 +105,24 @@ func TestVectorRankedEquivalence(t *testing.T) {
 					for _, q := range tc.qs {
 						scores := testutil.ReferenceScores(tc.gs, q, m, eval)
 						refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
-						for _, shards := range []int{1, 2, 3, 7} {
-							sh := testutil.NewSharded(t, shards, tc.gs)
-							if withMemo {
-								sh.EnableScoreMemo(4096)
+						sh := testutil.NewSharded(t, tc.gs)
+						if withMemo {
+							sh.EnableScoreMemo(4096)
+						}
+						label := fmt.Sprintf("%s/%s/%s memo=%v eval=%v",
+							tc.label, q.Name(), m.Name(), withMemo, eval.GEDMaxNodes)
+						for _, workers := range []int{4, 1} {
+							opts := gdb.QueryOptions{Eval: eval, Workers: workers}
+							tk, err := sh.TopKQuery(ctx, q, m, 4, opts)
+							if err != nil {
+								t.Fatal(err)
 							}
-							label := fmt.Sprintf("%s/%s/%s shards=%d memo=%v eval=%v",
-								tc.label, q.Name(), m.Name(), shards, withMemo, eval.GEDMaxNodes)
-							for _, workers := range []int{4, 1} {
-								opts := gdb.QueryOptions{Eval: eval, Workers: workers}
-								tk, err := sh.TopKQuery(ctx, q, m, 4, opts)
-								if err != nil {
-									t.Fatal(err)
-								}
-								testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
-								rg, err := sh.RangeQuery(ctx, q, m, 4, opts)
-								if err != nil {
-									t.Fatal(err)
-								}
-								testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
+							testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
+							rg, err := sh.RangeQuery(ctx, q, m, 4, opts)
+							if err != nil {
+								t.Fatal(err)
 							}
+							testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
 						}
 					}
 				}
@@ -136,30 +132,28 @@ func TestVectorRankedEquivalence(t *testing.T) {
 }
 
 // TestVectorSkylineEquivalence: pruned skyline answers match the
-// unpruned reference across shard counts, and every graph is either
+// unpruned reference, and every graph is either
 // scored or pruned.
 func TestVectorSkylineEquivalence(t *testing.T) {
 	for _, seed := range []int64{71, 72} {
 		gs := testutil.SeededGraphs(seed, 20)
-		ref := testutil.NewSharded(t, 1, gs)
+		ref := testutil.NewSharded(t, gs)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
 			opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
 			want, err := ref.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{1, 2, 3, 7} {
-				sh := testutil.NewSharded(t, shards, gs)
-				label := fmt.Sprintf("seed=%d q=%d shards=%d", seed, qi, shards)
-				popts := opts
-				popts.Prune = true
-				got, err := sh.SkylineQuery(context.Background(), q, popts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				testutil.RequireSameSkyline(t, label, want.Skyline, got.Skyline)
-				requireCovers(t, label, got.Stats, len(gs))
+			sh := testutil.NewSharded(t, gs)
+			label := fmt.Sprintf("seed=%d q=%d", seed, qi)
+			popts := opts
+			popts.Prune = true
+			got, err := sh.SkylineQuery(context.Background(), q, popts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			testutil.RequireSameSkyline(t, label, want.Skyline, got.Skyline)
+			requireCovers(t, label, got.Stats, len(gs))
 		}
 	}
 }
@@ -169,13 +163,13 @@ func TestVectorSkylineEquivalence(t *testing.T) {
 // it now holds.
 func TestPivotSurvivesMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 16)
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	q := testutil.SeededQueries(151, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
 
 	mutate(t, db, []string{gs[0].Name(), gs[7].Name()}, testutil.SeededGraphs(251, 4))
 
-	ref := testutil.NewSharded(t, 1, db.Graphs())
+	ref := testutil.NewSharded(t, db.Graphs())
 	want, err := ref.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +188,7 @@ func TestPivotSurvivesMutations(t *testing.T) {
 // a database built fresh from the graphs it now holds.
 func TestVectorSurvivesMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(81, 16)
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	q := testutil.SeededQueries(181, gs, 1)[0]
 	eval := measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}
 
@@ -203,7 +197,7 @@ func TestVectorSurvivesMutations(t *testing.T) {
 		t.Fatalf("after mutations: %d graphs, want %d", db.Len(), len(gs)-2+6)
 	}
 
-	ref := testutil.NewSharded(t, 1, db.Graphs())
+	ref := testutil.NewSharded(t, db.Graphs())
 	wantTK, err := ref.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
 	if err != nil {
 		t.Fatal(err)

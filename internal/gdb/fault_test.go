@@ -42,7 +42,7 @@ func TestFaultedMutationLeavesDBUnchanged(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			defer fault.Reset()
 			dir := t.TempDir()
-			d := reopen(t, dir, 2)
+			d := reopen(t, dir)
 			graphs := storageGraphs(400, 6)
 			for _, g := range graphs[:4] {
 				if _, err := d.DB.Insert(g, ""); err != nil {
@@ -81,7 +81,7 @@ func TestFaultedMutationLeavesDBUnchanged(t *testing.T) {
 				t.Fatalf("close: %v", err)
 			}
 
-			d2 := reopen(t, dir, 3)
+			d2 := reopen(t, dir)
 			defer d2.Close()
 			if got := fingerprint(d2.DB); got != want {
 				t.Fatalf("recovered state differs from acked state:\n got %q\nwant %q", got, want)
@@ -96,7 +96,7 @@ func TestFaultedMutationLeavesDBUnchanged(t *testing.T) {
 func TestFaultPersistsAcrossManyFailedMutations(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
-	d := reopen(t, dir, 2)
+	d := reopen(t, dir)
 	graphs := storageGraphs(401, 12)
 	for _, g := range graphs[:3] {
 		if _, err := d.DB.Insert(g, ""); err != nil {
@@ -123,7 +123,7 @@ func TestFaultPersistsAcrossManyFailedMutations(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := reopen(t, dir, 2)
+	d2 := reopen(t, dir)
 	defer d2.Close()
 	if got := fingerprint(d2.DB); got != want {
 		t.Fatalf("recovered state differs from acked state:\n got %q\nwant %q", got, want)
@@ -136,7 +136,7 @@ func TestFaultPersistsAcrossManyFailedMutations(t *testing.T) {
 func TestProbe(t *testing.T) {
 	defer fault.Reset()
 	dir := t.TempDir()
-	d := reopen(t, dir, 2)
+	d := reopen(t, dir)
 	graphs := storageGraphs(402, 2)
 	for _, g := range graphs {
 		if _, err := d.DB.Insert(g, ""); err != nil {
@@ -154,7 +154,7 @@ func TestProbe(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2 := reopen(t, dir, 2)
+	d2 := reopen(t, dir)
 	defer d2.Close()
 	if got := fingerprint(d2.DB); got != want {
 		t.Fatalf("probe records leaked into recovered state:\n got %q\nwant %q", got, want)
@@ -172,7 +172,7 @@ func TestSnapshotFaultsDoNotLoseState(t *testing.T) {
 		t.Run(point, func(t *testing.T) {
 			defer fault.Reset()
 			dir := t.TempDir()
-			d := reopen(t, dir, 2)
+			d := reopen(t, dir)
 			for _, g := range storageGraphs(403, 5) {
 				if _, err := d.DB.Insert(g, ""); err != nil {
 					t.Fatal(err)
@@ -190,7 +190,7 @@ func TestSnapshotFaultsDoNotLoseState(t *testing.T) {
 			if err := d.Close(); err != nil {
 				t.Fatal(err)
 			}
-			d2 := reopen(t, dir, 2)
+			d2 := reopen(t, dir)
 			defer d2.Close()
 			if got := fingerprint(d2.DB); got != want {
 				t.Fatalf("recovered state differs:\n got %q\nwant %q", got, want)
@@ -206,7 +206,7 @@ func TestSnapshotFaultsDoNotLoseState(t *testing.T) {
 // idempotency checks rely on.
 func TestInsertSeqHighWater(t *testing.T) {
 	before := InsertSeqHighWater()
-	db := NewSharded(1)
+	db := New()
 	for _, g := range storageGraphs(404, 3) {
 		if _, err := db.Insert(g, ""); err != nil {
 			t.Fatal(err)

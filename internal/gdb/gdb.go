@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -17,22 +18,28 @@ import (
 	"skygraph/internal/wal"
 )
 
-// DB is one shard of a Sharded database: a concurrency-safe store of
-// uniquely named graphs with a per-graph signature index (label
-// histograms, degree sequence, sizes) maintained on insert, its own
-// generation counter, and the single-row reads delta maintenance
-// needs (DeltaBound / DeltaRow / DeltaScore). It evaluates no query and
-// is not a mutation surface: graphs come and go through the owning
-// Sharded (which keeps the global insertion order), and every query is
-// one scan of Sharded's over a snapshot of all shards.
-type DB struct {
+// Sharded is the graph database: the one query and mutation surface, a
+// concurrency-safe store of uniquely named graphs with a per-graph
+// signature index (label histograms, degree sequence, sizes) maintained
+// on insert and one generation counter that every successful mutation
+// advances. Every query is ONE scan over a snapshot of the store, and
+// answers come out in insertion order (ranked ones in score order). The
+// name is historical: the store is not partitioned.
+//
+// The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
+// RangeQuery and DiverseSkylineQuery; the table primitive a caching
+// layer composes instead (VectorTable) and the single-row reads delta
+// maintenance needs (DeltaBound / DeltaRow / DeltaScore); the score
+// memo (EnableScoreMemo, Memo); and persistence (Save, WriteTo, Load,
+// OpenDurable).
+type Sharded struct {
 	mu     sync.RWMutex
 	names  []string // insertion order
 	graphs map[string]*entry
 	gen    uint64 // bumped on every successful insert/delete
 
 	// memo, when set, is the cross-query exact-score memo consulted and
-	// fed by every evaluation path (see Sharded.EnableScoreMemo).
+	// fed by every evaluation path (see EnableScoreMemo).
 	memo *ScoreMemo
 	// store, when set, receives every mutation BEFORE it is applied
 	// (and before the caller is told it succeeded): the write-ahead
@@ -52,8 +59,8 @@ type entry struct {
 }
 
 // insertSeq mints process-unique insert sequences. Process-wide (not
-// per DB) so one score memo can be shared across shards without two
-// different graphs ever colliding on (name, seq).
+// per database) so two databases in one process never collide on
+// (name, seq).
 //
 // Once mutations persist, "process-unique" must extend across process
 // restarts: a replayed graph keeps its recorded sequence, so recovery
@@ -90,136 +97,171 @@ func SeedInsertSeq(min uint64) {
 	}
 }
 
-// newDB returns an empty shard.
-func newDB() *DB {
-	return &DB{graphs: make(map[string]*entry)}
+// New returns an empty database.
+func New() *Sharded {
+	return &Sharded{graphs: make(map[string]*entry)}
 }
 
-// insert adds g under the caller-supplied insert sequence — freshly
-// minted for a new graph, the persisted one on recovery replay (the
-// sequence identifies the graph VALUE, which a restart does not
-// change). The graph must validate, carry a non-empty name, and the
-// name must be unused (Sharded.insert has refused nil). key is the
-// client's idempotency key, logged into the write-ahead record as
-// durable evidence it was accepted (see Store.LogInsert). The returned
-// generation is the one the insert produced: the evidence a
-// delta-maintaining cache needs to prove a cached entry is exactly one
-// mutation behind. The shard stores g itself; callers must not mutate a
-// graph after insertion.
-func (db *DB) insert(g *graph.Graph, seq uint64, key string) (gen uint64, err error) {
-	if g.Name() == "" {
-		return 0, fmt.Errorf("gdb: graph has no name")
+// Ack is the evidence a mutation leaves: the generation it produced (0
+// when nothing changed) — the step a delta-maintaining cache uses to
+// upgrade entries in place instead of invalidating them — and whether
+// the name was present beforehand: a delete removed something exactly
+// when Existed is set and err is nil, an insert was refused as a
+// duplicate when it is.
+type Ack struct {
+	Gen     uint64
+	Existed bool
+}
+
+// Insert adds g. The graph must be non-nil, validate and carry a
+// non-empty, unused name. key is the client's idempotency key ("" =
+// unkeyed), threaded into the write-ahead record as durable evidence it
+// was accepted. The database stores g itself; callers must not mutate
+// a graph after insertion (Clone first if needed).
+func (sh *Sharded) Insert(g *graph.Graph, key string) (Ack, error) {
+	return sh.insert(g, insertSeq.Add(1), key)
+}
+
+// insert is Insert under a caller-supplied insert sequence: a fresh one
+// for new graphs, the persisted one on recovery replay (the sequence
+// identifies the graph VALUE, which a restart does not change). The
+// returned Ack.Gen is the generation the insert produced: the evidence
+// a delta-maintaining cache needs to prove a cached entry is exactly
+// one mutation behind.
+func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
+	switch {
+	case g == nil:
+		return Ack{}, fmt.Errorf("gdb: nil graph")
+	case g.Name() == "":
+		return Ack{}, fmt.Errorf("gdb: graph has no name")
 	}
 	if err := g.Validate(); err != nil {
-		return 0, fmt.Errorf("gdb: %w", err)
+		return Ack{}, fmt.Errorf("gdb: %w", err)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.graphs[g.Name()]; dup {
-		return 0, fmt.Errorf("gdb: duplicate graph name %q", g.Name())
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, dup := sh.graphs[g.Name()]; dup {
+		return Ack{Existed: true}, fmt.Errorf("gdb: duplicate graph name %q", g.Name())
 	}
 	// Write-ahead: with every failure mode that is checkable up front
 	// already rejected, log the mutation before applying it. If the
 	// append fails the database is unchanged; if the process dies after
 	// the append, replay applies a mutation that was never acked —
 	// harmless, the client saw no success.
-	if db.store != nil {
-		if err := db.store.LogInsert(g, seq, key); err != nil {
-			return 0, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
+	if sh.store != nil {
+		if err := sh.store.LogInsert(g, seq, key); err != nil {
+			return Ack{}, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
 		}
 	}
-	e := &entry{g: g, sig: measure.NewSignature(g), seq: seq}
-	db.graphs[g.Name()] = e
-	db.names = append(db.names, g.Name())
-	db.gen++
-	return db.gen, nil
+	sh.graphs[g.Name()] = &entry{g: g, sig: measure.NewSignature(g), seq: seq}
+	sh.names = append(sh.names, g.Name())
+	sh.gen++
+	return Ack{Gen: sh.gen}, nil
 }
 
-// seqOf returns the named graph's insert sequence.
-func (db *DB) seqOf(name string) (uint64, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	e, ok := db.graphs[name]
-	if !ok {
-		return 0, false
+// InsertAll inserts every graph unkeyed, stopping at the first error.
+func (sh *Sharded) InsertAll(gs []*graph.Graph) error {
+	for _, g := range gs {
+		if _, err := sh.Insert(g, ""); err != nil {
+			return err
+		}
 	}
-	return e.seq, true
+	return nil
 }
 
 // Get returns the graph with the given name.
-func (db *DB) Get(name string) (*graph.Graph, bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	e, ok := db.graphs[name]
+func (sh *Sharded) Get(name string) (*graph.Graph, bool) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	e, ok := sh.graphs[name]
 	if !ok {
 		return nil, false
 	}
 	return e.g, true
 }
 
-// delete removes the named graph. existed reports whether the name was
-// present; gen is the generation the delete produced (0 when nothing
-// was deleted); err is non-nil only when the write-ahead append failed,
-// in which case the graph remains. key is logged like insert's.
-func (db *DB) delete(name, key string) (existed bool, gen uint64, err error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, ok := db.graphs[name]; !ok {
-		return false, 0, nil
+// Delete removes the named graph; Ack.Existed reports whether it was
+// there. key rides into the write-ahead record like Insert's. err is
+// non-nil only when the write-ahead append failed, in which case the
+// graph remains.
+func (sh *Sharded) Delete(name, key string) (Ack, error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, ok := sh.graphs[name]; !ok {
+		return Ack{}, nil
 	}
-	if db.store != nil {
-		if err := db.store.LogDelete(name, key); err != nil {
-			return true, 0, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
+	if sh.store != nil {
+		if err := sh.store.LogDelete(name, key); err != nil {
+			return Ack{Existed: true}, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
 		}
 	}
-	delete(db.graphs, name)
-	for i, n := range db.names {
-		if n == name {
-			db.names = append(db.names[:i], db.names[i+1:]...)
-			break
-		}
-	}
-	db.gen++
-	return true, db.gen, nil
+	delete(sh.graphs, name)
+	i := slices.Index(sh.names, name)
+	sh.names = slices.Delete(sh.names, i, i+1)
+	sh.gen++
+	return Ack{Gen: sh.gen, Existed: true}, nil
 }
 
-// setScoreMemo attaches the cross-query exact-score memo (one memo
-// shared by every shard; see Sharded.EnableScoreMemo).
-func (db *DB) setScoreMemo(m *ScoreMemo) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.memo = m
-}
-
-// setStore attaches the write-ahead store (see Sharded.setStore).
-func (db *DB) setStore(st Store) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.store = st
-}
-
-// Memo returns the attached score memo (nil when disabled).
-func (db *DB) Memo() *ScoreMemo {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.memo
-}
-
-// Generation returns a counter that changes on every successful mutation
-// (insert or delete). Caches keyed by (generation, query) are therefore
-// automatically invalidated by any database change: stale entries can
-// never be served because no future lookup carries an old generation.
-func (db *DB) Generation() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.gen
+// setStore attaches the write-ahead store. sh.mu is held across every
+// logged mutation, so append order in the store equals the mutation
+// order. Attach AFTER recovery replay; pass nil to detach.
+func (sh *Sharded) setStore(st Store) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.store = st
 }
 
 // Len returns the number of stored graphs.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.names)
+func (sh *Sharded) Len() int {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return len(sh.names)
+}
+
+// Names returns all graph names in insertion order.
+func (sh *Sharded) Names() []string {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return slices.Clone(sh.names)
+}
+
+// Graphs returns all stored graphs in insertion order.
+func (sh *Sharded) Graphs() []*graph.Graph {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	out := make([]*graph.Graph, len(sh.names))
+	for i, n := range sh.names {
+		out[i] = sh.graphs[n].g
+	}
+	return out
+}
+
+// EnableScoreMemo attaches the cross-query score memo, creating it with
+// the given capacity on first use, and returns it.
+func (sh *Sharded) EnableScoreMemo(capacity int) *ScoreMemo {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.memo == nil {
+		sh.memo = NewScoreMemo(capacity)
+	}
+	return sh.memo
+}
+
+// Memo returns the score memo (nil when disabled).
+func (sh *Sharded) Memo() *ScoreMemo {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.memo
+}
+
+// Generation returns a counter that changes on every successful mutation
+// (insert or delete). Caches that record the generation an answer is
+// exact at never serve a stale one: no later read carries an old
+// generation.
+func (sh *Sharded) Generation() uint64 {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.gen
 }
 
 // Stats summarizes the database contents.
@@ -233,18 +275,15 @@ type Stats struct {
 	MaxSize      int
 }
 
-// statsAndLabels aggregates the stored signatures — no graph structure
-// is touched under the read lock — and returns the distinct label sets
-// too; shard aggregation needs the sets because distinct counts union
-// rather than sum.
-func (db *DB) statsAndLabels() (Stats, map[string]bool, map[string]bool) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := Stats{Graphs: len(db.names)}
+// Stats aggregates the stored signatures; no graph structure is
+// touched under the read lock.
+func (sh *Sharded) Stats() Stats {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	s := Stats{Graphs: len(sh.names)}
 	vl, el := map[string]bool{}, map[string]bool{}
-	first := true
-	for _, n := range db.names {
-		sig := db.graphs[n].sig
+	for i, n := range sh.names {
+		sig := sh.graphs[n].sig
 		s.Vertices += sig.Order
 		s.Edges += sig.Size
 		for l := range sig.VHist.Labels() {
@@ -253,19 +292,18 @@ func (db *DB) statsAndLabels() (Stats, map[string]bool, map[string]bool) {
 		for l := range sig.EHist.Labels() {
 			el[l] = true
 		}
-		if first || sig.Size < s.MinSize {
+		if i == 0 || sig.Size < s.MinSize {
 			s.MinSize = sig.Size
 		}
-		if first || sig.Size > s.MaxSize {
+		if i == 0 || sig.Size > s.MaxSize {
 			s.MaxSize = sig.Size
 		}
-		first = false
 	}
 	s.VertexLabels, s.EdgeLabels = len(vl), len(el)
-	return s, vl, el
+	return s
 }
 
-// WriteTo streams the whole database as LGF in global insertion order,
+// WriteTo streams the whole database as LGF in insertion order,
 // returning the bytes written per io.WriterTo.
 func (sh *Sharded) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
@@ -301,8 +339,8 @@ func (sh *Sharded) Save(path string) error {
 	})
 }
 
-// Load reads an LGF file into a fresh n-shard database.
-func Load(path string, n int) (*Sharded, error) {
+// Load reads an LGF file into a fresh database.
+func Load(path string) (*Sharded, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -312,7 +350,7 @@ func Load(path string, n int) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := NewSharded(n)
+	sh := New()
 	if err := sh.InsertAll(gs); err != nil {
 		return nil, err
 	}

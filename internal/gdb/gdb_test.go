@@ -10,7 +10,7 @@ import (
 
 func paperDB(t *testing.T) *Sharded {
 	t.Helper()
-	db := NewSharded(1)
+	db := New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +18,7 @@ func paperDB(t *testing.T) *Sharded {
 }
 
 func TestInsertGetDelete(t *testing.T) {
-	db := NewSharded(1)
+	db := New()
 	g := graph.Path(3, "A", "x")
 	g.SetName("p3")
 	if ack, err := db.Insert(g, ""); err != nil || ack.Existed || ack.Gen != 1 {
@@ -46,7 +46,7 @@ func TestInsertGetDelete(t *testing.T) {
 }
 
 func TestInsertErrors(t *testing.T) {
-	db := NewSharded(1)
+	db := New()
 	if _, err := db.Insert(nil, ""); err == nil {
 		t.Error("nil graph accepted")
 	}
@@ -116,7 +116,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path, 3)
+	loaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.lgf"), 1); err == nil {
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.lgf")); err == nil {
 		t.Error("no error for missing file")
 	}
 }

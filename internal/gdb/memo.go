@@ -36,9 +36,6 @@ import (
 // and written together); capacity still counts pairs. A pair's
 // results are stored packed (memoVal, 16 bytes) and converted to and
 // from measure.EngineResults only at the get/merge boundary.
-//
-// One memo is safely shared across the shards of a Sharded database
-// (sequences are process-unique, names shard-stable).
 type ScoreMemo struct {
 	capacity int
 	hits     atomic.Uint64

@@ -15,7 +15,7 @@ import (
 // with an identical answer.
 func TestMemoReplaysAcrossQueries(t *testing.T) {
 	gs := testutil.SeededGraphs(61, 12)
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	db.EnableScoreMemo(1024)
 	q := testutil.SeededQueries(161, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
@@ -45,7 +45,7 @@ func TestMemoReplaysAcrossQueries(t *testing.T) {
 // per-graph insert sequences rather than the database generation.
 func TestMemoSurvivesUnrelatedMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(71, 10)
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	db.EnableScoreMemo(1024)
 	q := testutil.SeededQueries(171, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
@@ -77,7 +77,7 @@ func TestMemoInvalidatedByReinsert(t *testing.T) {
 	q := testutil.SeededQueries(181, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{}}
 
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	db.EnableScoreMemo(1024)
 	if _, err := db.RangeQuery(context.Background(), q, measure.DistEd{}, 100, opts); err != nil {
 		t.Fatal(err)
@@ -116,11 +116,11 @@ func TestMemoInvalidatedByReinsert(t *testing.T) {
 	}
 }
 
-// TestMemoSharedAcrossShards: one memo serves all shards of a Sharded
-// database; a warm sharded query replays every pair.
+// TestMemoSharedAcrossShards: the memo the database attaches serves
+// every query; a warm rerun replays the pairs the cold run scored.
 func TestMemoSharedAcrossShards(t *testing.T) {
 	gs := testutil.SeededGraphs(91, 14)
-	sh := testutil.NewSharded(t, 3, gs)
+	sh := testutil.NewSharded(t, gs)
 	sh.EnableScoreMemo(2048)
 	q := testutil.SeededQueries(191, gs, 1)[0]
 	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
@@ -132,11 +132,11 @@ func TestMemoSharedAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.RequireSameItems(t, "sharded-warm", cold.Items, warm.Items)
+	testutil.RequireSameItems(t, "warm", cold.Items, warm.Items)
 	if warm.Stats.MemoHits == 0 {
-		t.Fatal("warm sharded query hit the shared memo 0 times")
+		t.Fatal("warm query hit the memo 0 times")
 	}
 	if fmt.Sprint(sh.Memo().Stats().Entries) == "0" {
-		t.Fatal("shared memo is empty after queries")
+		t.Fatal("memo is empty after queries")
 	}
 }

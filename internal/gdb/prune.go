@@ -47,11 +47,7 @@ import (
 // undercuts, and kept vectors come from the same engine calls as the
 // full evaluation — so the skyline over the kept points is
 // byte-identical to the skyline of the full evaluation, whatever order
-// the scan runs in. None of this depends on where the graphs are
-// stored: one scan runs over a snapshot of every shard against one
-// front, so a front point from any shard discards a candidate from any
-// other, and a one-worker scan does the same work at every shard count.
-// Only kept candidates are published to the score memo: a discarded
+// the scan runs in. Only kept candidates are published to the score memo: a discarded
 // one's MCS-only partial would be dead weight (it is discarded again,
 // for free, as long as the front's point lives), and discarded
 // candidates outnumber kept ones several times.
@@ -106,8 +102,7 @@ type skyScan struct {
 // exact point (the strongest corner there is) — and returns the scan
 // state with every candidate in scan order: ascending optimistic
 // corner, so the likeliest skyline members score first and everything
-// behind them meets a front; ties go by insert sequence, which no shard
-// split changes. Tier 0 excludes
+// behind them meets a front; ties go by insert sequence. Tier 0 excludes
 // nothing itself: its pessimistic corners (delete-all GED, zero MCS)
 // almost never dominate, and the scan's front test discards, best-first,
 // whatever a memo-collapsed point could.

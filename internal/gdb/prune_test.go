@@ -55,51 +55,48 @@ func requireEquivalent(t *testing.T, label string, db *gdb.Sharded, q *graph.Gra
 // TestPrunedSkylineMatchesUnprunedPaperDB: the worked example of the
 // paper, exact engines — GSS(D,q) = {g1, g4, g5, g7} either way.
 func TestPrunedSkylineMatchesUnprunedPaperDB(t *testing.T) {
-	db := testutil.NewSharded(t, 1, dataset.PaperDB())
+	db := testutil.NewSharded(t, dataset.PaperDB())
 	requireEquivalent(t, "paper", db, dataset.PaperQuery(), gdb.QueryOptions{})
 	requireEquivalent(t, "paper/capped", db, dataset.PaperQuery(), prunedOpts(false))
 }
 
 // TestPrunedSkylineMatchesUnprunedSeeded: property test over seeded
-// random databases and queries, one shard.
+// random databases and queries.
 func TestPrunedSkylineMatchesUnprunedSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		gs := testutil.SeededGraphs(seed, 24)
-		db := testutil.NewSharded(t, 1, gs)
+		db := testutil.NewSharded(t, gs)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 4) {
 			requireEquivalent(t, fmt.Sprintf("seed=%d q=%d", seed, qi), db, q, prunedOpts(false))
 		}
 	}
 }
 
-// requireShardedEquivalent is the sharded equivalence grid: for every
-// shard count the pruned engine must agree with the unpruned one-shard
-// run, including the per-shard Pruned/Evaluated accounting.
-func requireShardedEquivalent(t *testing.T, name string, gs, queries []*graph.Graph, opts gdb.QueryOptions) {
+// requirePrunedEquivalent is the equivalence grid: the pruned engine
+// must agree with the unpruned run, and its Pruned/Evaluated accounting
+// must cover the database.
+func requirePrunedEquivalent(t *testing.T, name string, gs, queries []*graph.Graph, opts gdb.QueryOptions) {
 	t.Helper()
-	ref := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	opts.Prune = false
 	want := make([]gdb.SkylineResult, len(queries))
 	for qi, q := range queries {
 		var err error
-		if want[qi], err = ref.SkylineQuery(context.Background(), q, opts); err != nil {
+		if want[qi], err = db.SkylineQuery(context.Background(), q, opts); err != nil {
 			t.Fatalf("%s q=%d: reference: %v", name, qi, err)
 		}
 	}
 	opts.Prune = true
-	for _, shards := range []int{1, 2, 3, 7} {
-		sh := testutil.NewSharded(t, shards, gs)
-		for qi, q := range queries {
-			label := fmt.Sprintf("%s shards=%d q=%d", name, shards, qi)
-			got, err := sh.SkylineQuery(context.Background(), q, opts)
-			if err != nil {
-				t.Fatalf("%s: sharded pruned: %v", label, err)
-			}
-			testutil.RequireSameSkyline(t, label, want[qi].Skyline, got.Skyline)
-			if got.Stats.Evaluated+got.Stats.Pruned != len(gs) {
-				t.Fatalf("%s: evaluated %d + pruned %d != %d graphs",
-					label, got.Stats.Evaluated, got.Stats.Pruned, len(gs))
-			}
+	for qi, q := range queries {
+		label := fmt.Sprintf("%s q=%d", name, qi)
+		got, err := db.SkylineQuery(context.Background(), q, opts)
+		if err != nil {
+			t.Fatalf("%s: pruned: %v", label, err)
+		}
+		testutil.RequireSameSkyline(t, label, want[qi].Skyline, got.Skyline)
+		if got.Stats.Evaluated+got.Stats.Pruned != len(gs) {
+			t.Fatalf("%s: evaluated %d + pruned %d != %d graphs",
+				label, got.Stats.Evaluated, got.Stats.Pruned, len(gs))
 		}
 	}
 }
@@ -107,7 +104,7 @@ func requireShardedEquivalent(t *testing.T, name string, gs, queries []*graph.Gr
 // TestPrunedSkylineShardedEquivalence: the grid over a seeded database.
 func TestPrunedSkylineShardedEquivalence(t *testing.T) {
 	gs := testutil.SeededGraphs(11, 30)
-	requireShardedEquivalent(t, "seeded", gs, testutil.SeededQueries(211, gs, 3), prunedOpts(false))
+	requirePrunedEquivalent(t, "seeded", gs, testutil.SeededQueries(211, gs, 3), prunedOpts(false))
 }
 
 // twinned returns gs with every graph also stored as a renamed clone.
@@ -135,7 +132,7 @@ func TestPrunedSkylineTwins(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			opts.Workers = workers
 			name := fmt.Sprintf("twins eval=ged=%d,mcs=%d workers=%d", opts.Eval.GEDMaxNodes, opts.Eval.MCSMaxNodes, workers)
-			requireShardedEquivalent(t, name, gs, queries, opts)
+			requirePrunedEquivalent(t, name, gs, queries, opts)
 		}
 	}
 }
@@ -152,7 +149,7 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 		if seed == 3 {
 			gs = twinned(gs[:12])
 		}
-		db := testutil.NewSharded(t, 1, gs)
+		db := testutil.NewSharded(t, gs)
 		rng := rand.New(rand.NewSource(seed))
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
 			want, err := db.SkylineQuery(context.Background(), q, prunedOpts(false))
@@ -195,7 +192,7 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 // clearly dominated members), so the Pruned counter is exercised for
 // real, not vacuously.
 func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
-	db := testutil.NewSharded(t, 1, dataset.PaperDB())
+	db := testutil.NewSharded(t, dataset.PaperDB())
 	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), prunedOpts(true))
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +209,7 @@ func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
 // built-ins must fall back to full evaluation (Pruned = 0, every graph
 // evaluated) rather than prune on unknown monotonicity.
 func TestPruneIgnoredForForeignBasis(t *testing.T) {
-	db := testutil.NewSharded(t, 1, dataset.PaperDB())
+	db := testutil.NewSharded(t, dataset.PaperDB())
 	opts := prunedOpts(true)
 	opts.Basis = []measure.Measure{measure.DistEd{}, oppositeMeasure{}}
 	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), opts)

@@ -21,7 +21,7 @@ type QueryOptions struct {
 	// Eval bounds the exact GED/MCS engines (zero = exact, unbounded).
 	Eval measure.Options
 	// Workers is the width of a query's one scan: how many goroutines
-	// evaluate pairs, whatever the shard count. 0 means GOMAXPROCS.
+	// evaluate pairs. 0 means GOMAXPROCS.
 	Workers int
 	// Algorithm computes the skyline; nil means skyline.SFS.
 	Algorithm skyline.Algorithm
@@ -131,8 +131,8 @@ func (sh *Sharded) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryO
 	}
 	mstart := time.Now()
 	res := SkylineResult{
-		Skyline: sh.TableSkyline(t, opts.Algorithm),
-		All:     sh.TableRows(t),
+		Skyline: t.Skyline(opts.Algorithm),
+		All:     t.Points,
 		Stats:   QueryStats{Work: t.Work, Inexact: t.Inexact, Duration: time.Since(start)},
 	}
 	opts.Trace.Observe(StageMerge, time.Since(mstart), len(res.All), 0)
@@ -161,16 +161,15 @@ func (sh *Sharded) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Meas
 }
 
 // RangeQuery returns every graph whose distance to q under m is at most
-// radius, in global insertion order: the best-first scan with the radius
+// radius, in insertion order: the best-first scan with the radius
 // as a fixed threshold, under the same conditions as TopKQuery.
 func (sh *Sharded) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (TopKResult, error) {
 	return sh.rankedQuery(ctx, q, m, opts, newRangeCollector(radius))
 }
 
-// rankedQuery scans one snapshot of every shard into coll and reports
-// the collected answer: top-k in ascending (score, ID) order as
-// collected, range restored to global insertion order (the scan
-// finishes out of order). Reading the answer out is the merge stage.
+// rankedQuery scans one snapshot of the database into coll and reports
+// the collected answer: top-k in ascending (score, ID) order, range in
+// insertion order. Reading the answer out is the merge stage.
 func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (TopKResult, error) {
 	if !measure.Rankable(m) {
 		return TopKResult{}, fmt.Errorf("gdb: measure %s has no bounds to rank by (not a built-in)", m.Name())
@@ -184,9 +183,6 @@ func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Me
 	}
 	mstart := time.Now()
 	items := coll.items()
-	if _, isRange := coll.(*rangeCollector); isRange {
-		sh.sortItemsByRank(items)
-	}
 	opts.Trace.Observe(StageMerge, time.Since(mstart), len(items), 0)
 	stats.Duration = time.Since(start)
 	return TopKResult{Items: items, Stats: stats}, nil

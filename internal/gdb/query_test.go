@@ -86,7 +86,7 @@ func TestSkylineQuerySingleWorker(t *testing.T) {
 }
 
 func TestSkylineQueryEmptyDB(t *testing.T) {
-	db := NewSharded(1)
+	db := New()
 	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestDiverseSkylineKCoversAll(t *testing.T) {
 }
 
 func TestDiverseSkylineEmptyDB(t *testing.T) {
-	db := NewSharded(1)
+	db := New()
 	res, err := db.DiverseSkylineQuery(context.Background(), dataset.PaperQuery(), 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestDiverseSkylineEmptyDB(t *testing.T) {
 }
 
 func TestCappedEvalReportsInexact(t *testing.T) {
-	db := NewSharded(1)
+	db := New()
 	if err := db.InsertAll(dataset.MoleculeDB(4, 10, 12, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSkylineQueryContextCompletes(t *testing.T) {
 }
 
 func TestSkylineQueryContextCancel(t *testing.T) {
-	db := NewSharded(1)
+	db := New()
 	if err := db.InsertAll(dataset.MoleculeDB(8, 9, 11, 77)); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestSkylineQueryContextCancel(t *testing.T) {
 }
 
 func TestSkylineQueryContextTimeout(t *testing.T) {
-	db := NewSharded(1)
+	db := New()
 	if err := db.InsertAll(dataset.MoleculeDB(10, 11, 13, 81)); err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,9 @@ func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load
 // the live pruning threshold lock-free: the scan's workers read it
 // before every candidate. Safe for concurrent use.
 type rankedCollector interface {
-	// offer records one exactly-scored item, tightening the threshold.
-	offer(it topk.Item)
+	// offer records one exactly-scored item, the snapshot's pos-th
+	// graph, tightening the threshold.
+	offer(pos int, it topk.Item)
 	// threshold is the current bar: a candidate whose score provably
 	// exceeds it can never enter the answer. Monotone non-increasing.
 	threshold() float64
@@ -83,7 +84,7 @@ func newTopkCollector(k int) *topkCollector {
 	return c
 }
 
-func (c *topkCollector) offer(it topk.Item) {
+func (c *topkCollector) offer(_ int, it topk.Item) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.b.Offer(it)
@@ -108,24 +109,30 @@ func (c *topkCollector) items() []topk.Item {
 	return c.b.Items()
 }
 
-// rangeCollector keeps every item within the radius; the threshold is
-// the radius itself, fixed for the whole query.
+// rangeCollector keeps every item within the radius with its snapshot
+// position; the threshold is the radius itself, fixed for the whole
+// query.
 type rangeCollector struct {
 	radius float64
 	mu     sync.Mutex
-	list   []topk.Item
+	list   []rangeHit
+}
+
+type rangeHit struct {
+	pos int
+	it  topk.Item
 }
 
 func newRangeCollector(radius float64) *rangeCollector {
-	return &rangeCollector{radius: radius, list: []topk.Item{}}
+	return &rangeCollector{radius: radius}
 }
 
-func (c *rangeCollector) offer(it topk.Item) {
+func (c *rangeCollector) offer(pos int, it topk.Item) {
 	if it.Score > c.radius {
 		return // evaluated, but outside the radius
 	}
 	c.mu.Lock()
-	c.list = append(c.list, it)
+	c.list = append(c.list, rangeHit{pos, it})
 	c.mu.Unlock()
 }
 
@@ -135,12 +142,17 @@ func (c *rangeCollector) threshold() float64 { return c.radius }
 func (c *rangeCollector) floorK() int       { return 0 }
 func (c *rangeCollector) seedFloor(float64) {}
 
-// items returns the in-radius items in unspecified order; callers
-// restore insertion order (evaluation order is nondeterministic).
+// items returns the in-radius items in snapshot (insertion) order,
+// whatever order the scan evaluated them in.
 func (c *rangeCollector) items() []topk.Item {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]topk.Item{}, c.list...)
+	slices.SortFunc(c.list, func(a, b rangeHit) int { return cmp.Compare(a.pos, b.pos) })
+	out := make([]topk.Item, len(c.list))
+	for i, h := range c.list {
+		out[i] = h.it
+	}
+	return out
 }
 
 // kSmallest keeps the k smallest values it is fed in a bounded
@@ -204,8 +216,7 @@ func (s *kSmallest) kth() (v float64, ok bool) {
 // signature (tier 0), seed the threshold from the pessimistic ends,
 // order the candidates that fit it by optimistic bound, drain them with
 // one pool of opts.Workers workers — tier 1, then the engines — and stop
-// at the threshold. sn spans every shard, so one collector, and one
-// threshold, prunes them all.
+// at the threshold.
 // ec (nil-safe) adds the score memo, which replays recorded pair scores
 // without any engine work.
 //
@@ -249,8 +260,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	// pessimistic end. Distances are integral, so lo ties are the common
 	// case, and within a tie the candidate that is CERTAINLY near (small
 	// hi) should feed the threshold before one that is merely possibly
-	// near; remaining ties go by insert sequence, for a claim sequence no
-	// shard split changes. Only candidates whose lo fits the seeded
+	// near; remaining ties go by insert sequence. Only candidates whose lo fits the seeded
 	// threshold are sorted at all: the threshold never rises, so the rest
 	// could never be claimed — they stay unclaimed and are attributed
 	// after the scan like any other cut-off candidate. The answer itself
@@ -323,7 +333,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 				if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
 					fate[i] = fateInexact
 				}
-				coll.offer(topk.Item{ID: name, Score: m.FromStats(ps)})
+				coll.offer(i, topk.Item{ID: name, Score: m.FromStats(ps)})
 				if trace != nil {
 					trace.Observe(StageExact, time.Since(t0), 1, 0)
 				}
@@ -367,7 +377,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		if capped {
 			fate[i] = fateInexact
 		}
-		coll.offer(topk.Item{ID: name, Score: score})
+		coll.offer(i, topk.Item{ID: name, Score: score})
 		if trace != nil {
 			trace.Observe(StageExact, time.Since(t0), 1, 0)
 		}

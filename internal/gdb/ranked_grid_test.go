@@ -16,8 +16,8 @@ import (
 
 // TestRankedEquivalenceGrid: best-first top-k and range answers are
 // byte-identical — scores and tie-order — to the independent reference
-// across the ranked scan's whole configuration matrix: shard counts
-// 1/2/3/7, one worker and four, with and without the score memo,
+// across the ranked scan's whole configuration matrix: one worker and
+// four, with and without the score memo,
 // capped and uncapped engines, k of 1, 5 and the whole collection, and
 // radii read off the reference scores so that some graphs sit exactly
 // on the radius. The collections are the harness's cold-ranked shape
@@ -25,7 +25,7 @@ import (
 // clusters at orders where a rewire really moves edges, so label
 // histograms cannot tell cluster mates apart and tier 1 and the engines
 // decide. With four workers the claim loop runs concurrently against a
-// threshold every shard shares, so under -race this grid is the
+// threshold every worker shares, so under -race this grid is the
 // detector of a race there.
 func TestRankedEquivalenceGrid(t *testing.T) {
 	clustered := dataset.NoisyQueries(dataset.MoleculeDB(3, 5, 5, 41), 60, 2, 43)
@@ -46,15 +46,13 @@ func TestRankedEquivalenceGrid(t *testing.T) {
 		n := len(tc.gs)
 		var dbs []*gdb.Sharded
 		var dbLabels []string
-		for _, shards := range []int{1, 2, 3, 7} {
-			for _, memo := range []bool{false, true} {
-				sh := testutil.NewSharded(t, shards, tc.gs)
-				if memo {
-					sh.EnableScoreMemo(4096)
-				}
-				dbs = append(dbs, sh)
-				dbLabels = append(dbLabels, fmt.Sprintf("shards=%d memo=%v", shards, memo))
+		for _, memo := range []bool{false, true} {
+			sh := testutil.NewSharded(t, tc.gs)
+			if memo {
+				sh.EnableScoreMemo(4096)
 			}
+			dbs = append(dbs, sh)
+			dbLabels = append(dbLabels, fmt.Sprintf("memo=%v", memo))
 		}
 		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}} {
 			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {

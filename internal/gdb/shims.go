@@ -5,14 +5,24 @@ import (
 	"skygraph/internal/vector"
 )
 
-// The four methods below are what is left of the metric pivot tier and
-// the vector candidate tier, which the ranked scan no longer has: the
-// branch bound (tier 1) proves out what they pruned, for less than they
-// cost. They are no-ops kept only so the benchmark harness
-// (benchmark/sut.go), which still calls them, keeps compiling. The
-// harness catch-up change of ROADMAP.md item 1 removes both those calls
-// and these shims, together with the pivot.Config and vector.Config
-// they take. Nothing else may call them.
+// Everything in this file is a no-op kept only so the benchmark harness
+// (benchmark/sut.go), which still calls it, keeps compiling. The harness
+// catch-up change of ROADMAP.md item 1 removes those calls and these
+// shims, together with the pivot.Config and vector.Config they take and
+// DurableOptions.Shards. Nothing else may call them.
+//
+// NewSharded is what is left of the partitioned store: one store costs
+// nothing the grid can measure, and the partition bought nothing once
+// every query became one scan over all of it. The four methods are what
+// is left of the metric pivot tier and the vector candidate tier, which
+// the ranked scan no longer has: the branch bound (tier 1) proves out
+// what they pruned, for less than they cost.
+
+// NewSharded returns an empty database; the count is ignored.
+//
+// Deprecated: use New; the harness catch-up change (ROADMAP.md item 1)
+// removes this shim and its last caller.
+func NewSharded(int) *Sharded { return New() }
 
 // EnablePivots does nothing.
 //

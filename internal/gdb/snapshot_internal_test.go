@@ -12,12 +12,12 @@ import (
 // TestSnapshotColumnsMatchGraphs: a scan's snapshot pairs every graph
 // with its own signature and insertion sequence. A writer deletes and
 // re-inserts one name, alternating two graphs of different orders and
-// sizes, while the reader snapshots the shard. Wherever a snapshot
+// sizes, while the reader snapshots the database. Wherever a snapshot
 // holds that name, the signature beside it describes the graph it holds
 // (a namesake's signature has another order and size), and sequences
 // strictly increase along the snapshot, as insertion order fixes them.
 func TestSnapshotColumnsMatchGraphs(t *testing.T) {
-	sh := NewSharded(1)
+	sh := New()
 	if err := sh.InsertAll(dataset.MoleculeDB(6, 5, 5, 3601)); err != nil {
 		t.Fatal(err)
 	}

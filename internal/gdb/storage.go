@@ -91,10 +91,11 @@ type DurableOptions struct {
 	// Dir is the data directory (created if missing). It holds the WAL
 	// segments, the snapshot files and the MANIFEST.
 	Dir string
-	// Shards is the shard count of the in-memory database. It is a
-	// runtime choice, not a storage property: the log carries no shard
-	// information (routing is a pure function of the graph name), so the
-	// same directory recovers correctly under any value.
+	// Shards is ignored: the in-memory database is one store.
+	//
+	// Deprecated: kept only so the benchmark harness, which still sets
+	// it, keeps compiling; the harness catch-up change (ROADMAP.md item
+	// 1) removes it.
 	Shards int
 	// Sync is the WAL fsync policy (default wal.SyncAlways).
 	Sync wal.SyncPolicy
@@ -124,11 +125,11 @@ type RecoveryInfo struct {
 	Duration time.Duration
 }
 
-// Durable binds a sharded in-memory database to a data directory:
+// Durable binds an in-memory database to a data directory:
 // every mutation is write-ahead logged, Snapshot cuts an atomic
 // point-in-time copy that lets the log be reclaimed, and OpenDurable
-// rebuilds the exact database (same graphs, same global insertion
-// order, same insert sequences) from whatever the directory holds.
+// rebuilds the exact database (same graphs, same insertion order, same
+// insert sequences) from whatever the directory holds.
 type Durable struct {
 	// DB is the recovered database. Mutate it only through Sharded's
 	// methods — Durable's snapshot consistency relies on Sharded's
@@ -159,7 +160,7 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("gdb: durable: empty data directory")
 	}
-	d := &Durable{dir: opts.Dir, opts: opts, DB: NewSharded(opts.Shards)}
+	d := &Durable{dir: opts.Dir, opts: opts, DB: New()}
 
 	m, err := wal.LoadManifest(opts.Dir)
 	if err != nil {
@@ -402,15 +403,10 @@ func (d *Durable) Snapshot() error {
 	d.DB.mu.RLock()
 	lsn := d.log.LastLSN()
 	maxSeq := insertSeq.Load()
-	cut := make([]snapEntry, 0, len(d.DB.order))
-	for _, name := range d.DB.order {
-		src := d.DB.shards[d.DB.ShardFor(name)]
-		g, ok := src.Get(name)
-		if !ok {
-			continue
-		}
-		seq, _ := src.seqOf(name)
-		cut = append(cut, snapEntry{name: name, seq: seq, data: []byte(graph.MarshalLGF(g))})
+	cut := make([]snapEntry, len(d.DB.names))
+	for i, name := range d.DB.names {
+		e := d.DB.graphs[name]
+		cut[i] = snapEntry{name: name, seq: e.seq, data: []byte(graph.MarshalLGF(e.g))}
 	}
 	// The key table is cut inside the same mutation-exclusion window:
 	// every keyed record at or below lsn has already been noted, so the

@@ -26,38 +26,44 @@ func storageGraphs(seed int64, n int) []*graph.Graph {
 	return out
 }
 
-// fingerprint captures the full observable state of a sharded database
-// independently of its shard count: every graph in global insertion
-// order with its insert sequence and LGF encoding. Two databases with
-// equal fingerprints are byte-identical as far as any query can tell.
+// fingerprint captures the full observable state of a database: every
+// graph in insertion order with its insert sequence and LGF encoding.
+// Two databases with equal fingerprints are byte-identical as far as
+// any query can tell.
 func fingerprint(sh *Sharded) string {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	var b strings.Builder
-	for _, name := range sh.Names() {
-		src := sh.shards[sh.ShardFor(name)]
-		g, ok := src.Get(name)
-		if !ok {
-			continue
-		}
-		seq, _ := src.seqOf(name)
-		fmt.Fprintf(&b, "%s#%d\n%s", name, seq, graph.MarshalLGF(g))
+	for _, name := range sh.names {
+		e := sh.graphs[name]
+		fmt.Fprintf(&b, "%s#%d\n%s", name, e.seq, graph.MarshalLGF(e.g))
 	}
 	return b.String()
 }
 
-// reopen recovers the data directory at the given shard count and
-// returns the durable handle; the caller must Close it.
-func reopen(t *testing.T, dir string, shards int) *Durable {
+// seqOf returns the named graph's insert sequence (0 when absent).
+func seqOf(sh *Sharded, name string) uint64 {
+	e, _, _ := sh.row(name)
+	if e == nil {
+		return 0
+	}
+	return e.seq
+}
+
+// reopen recovers the data directory and returns the durable handle;
+// the caller must Close it.
+func reopen(t *testing.T, dir string) *Durable {
 	t.Helper()
-	d, err := OpenDurable(DurableOptions{Dir: dir, Shards: shards})
+	d, err := OpenDurable(DurableOptions{Dir: dir})
 	if err != nil {
-		t.Fatalf("OpenDurable(%s, shards=%d): %v", dir, shards, err)
+		t.Fatalf("OpenDurable(%s): %v", dir, err)
 	}
 	return d
 }
 
 func TestDurableEmptyDir(t *testing.T) {
 	dir := t.TempDir()
-	d := reopen(t, dir, 2)
+	d := reopen(t, dir)
 	if d.DB.Len() != 0 {
 		t.Fatalf("fresh dir recovered %d graphs", d.DB.Len())
 	}
@@ -68,7 +74,7 @@ func TestDurableEmptyDir(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// A second open of a never-mutated directory must also be clean.
-	d2 := reopen(t, dir, 2)
+	d2 := reopen(t, dir)
 	defer d2.Close()
 	if d2.DB.Len() != 0 {
 		t.Fatalf("reopened fresh dir recovered %d graphs", d2.DB.Len())
@@ -76,15 +82,14 @@ func TestDurableEmptyDir(t *testing.T) {
 }
 
 // TestDurableRoundTripShardCounts is the recovery equivalence harness:
-// a mutation history (inserts, deletes, a delete+reinsert) recorded at
-// one shard count must recover byte-identically — same graphs, same
-// global order, same insert sequences — under every shard count, and
-// identical state must yield identical skyline answers.
+// a mutation history (inserts, deletes, a delete+reinsert) must recover
+// byte-identically — same graphs, same insertion order, same insert
+// sequences — and identical state must yield identical skyline answers.
 func TestDurableRoundTripShardCounts(t *testing.T) {
 	dir := t.TempDir()
 	gs := storageGraphs(7, 16)
 
-	d := reopen(t, dir, 3)
+	d := reopen(t, dir)
 	if err := d.DB.InsertAll(gs[:14]); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
@@ -112,32 +117,30 @@ func TestDurableRoundTripShardCounts(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	for _, shards := range []int{1, 2, 3, 7} {
-		r := reopen(t, dir, shards)
-		if got := fingerprint(r.DB); got != want {
-			t.Fatalf("shards=%d: recovered state differs\nwant:\n%s\ngot:\n%s", shards, want, got)
+	r := reopen(t, dir)
+	if got := fingerprint(r.DB); got != want {
+		t.Fatalf("recovered state differs\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	gotSky, err := r.DB.SkylineQuery(context.Background(), q, QueryOptions{})
+	if err != nil {
+		t.Fatalf("skyline: %v", err)
+	}
+	if len(gotSky.Skyline) != len(wantSky.Skyline) {
+		t.Fatalf("skyline size %d, want %d", len(gotSky.Skyline), len(wantSky.Skyline))
+	}
+	for i := range wantSky.Skyline {
+		w, g := wantSky.Skyline[i], gotSky.Skyline[i]
+		if w.ID != g.ID {
+			t.Fatalf("skyline member %d is %s, want %s", i, g.ID, w.ID)
 		}
-		gotSky, err := r.DB.SkylineQuery(context.Background(), q, QueryOptions{})
-		if err != nil {
-			t.Fatalf("shards=%d: skyline: %v", shards, err)
-		}
-		if len(gotSky.Skyline) != len(wantSky.Skyline) {
-			t.Fatalf("shards=%d: skyline size %d, want %d", shards, len(gotSky.Skyline), len(wantSky.Skyline))
-		}
-		for i := range wantSky.Skyline {
-			w, g := wantSky.Skyline[i], gotSky.Skyline[i]
-			if w.ID != g.ID {
-				t.Fatalf("shards=%d: skyline member %d is %s, want %s", shards, i, g.ID, w.ID)
-			}
-			for j := range w.Vec {
-				if w.Vec[j] != g.Vec[j] {
-					t.Fatalf("shards=%d: %s vec[%d]=%v, want %v", shards, w.ID, j, g.Vec[j], w.Vec[j])
-				}
+		for j := range w.Vec {
+			if w.Vec[j] != g.Vec[j] {
+				t.Fatalf("%s vec[%d]=%v, want %v", w.ID, j, g.Vec[j], w.Vec[j])
 			}
 		}
-		if err := r.Close(); err != nil {
-			t.Fatalf("shards=%d: Close: %v", shards, err)
-		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -148,7 +151,7 @@ func TestDurableSnapshotReclaim(t *testing.T) {
 	dir := t.TempDir()
 	gs := storageGraphs(11, 20)
 
-	d, err := OpenDurable(DurableOptions{Dir: dir, Shards: 2, SegmentBytes: 256})
+	d, err := OpenDurable(DurableOptions{Dir: dir, SegmentBytes: 256})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -189,7 +192,7 @@ func TestDurableSnapshotReclaim(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	r := reopen(t, dir, 5)
+	r := reopen(t, dir)
 	defer r.Close()
 	rec := r.Recovery()
 	if rec.SnapshotGraphs != 12 {
@@ -227,9 +230,9 @@ func TestInsertSeqHighWaterRestart(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	d := reopen(t, dir, 2)
+	d := reopen(t, dir)
 	defer d.Close()
-	if seq, _ := d.DB.shards[d.DB.ShardFor(g.Name())].seqOf(g.Name()); seq != high {
+	if seq := seqOf(d.DB, g.Name()); seq != high {
 		t.Fatalf("replayed graph carries seq %d, want %d", seq, high)
 	}
 	fresh := storageGraphs(4, 2)[1]
@@ -237,7 +240,7 @@ func TestInsertSeqHighWaterRestart(t *testing.T) {
 	if _, err := d.DB.Insert(fresh, ""); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if seq, _ := d.DB.shards[d.DB.ShardFor("fresh")].seqOf("fresh"); seq <= high {
+	if seq := seqOf(d.DB, "fresh"); seq <= high {
 		t.Fatalf("fresh insert minted seq %d, not above the recovered high-water mark %d", seq, high)
 	}
 }
@@ -256,7 +259,7 @@ type mutationTrace struct {
 func buildTrace(t *testing.T, dir string) mutationTrace {
 	t.Helper()
 	gs := storageGraphs(23, 18)
-	d, err := OpenDurable(DurableOptions{Dir: dir, Shards: 3})
+	d, err := OpenDurable(DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -348,7 +351,7 @@ func TestDurableTortureTruncate(t *testing.T) {
 		if err := os.Truncate(walSegment(t, dir), off); err != nil {
 			t.Fatalf("truncate at %d: %v", off, err)
 		}
-		d := reopen(t, dir, 3)
+		d := reopen(t, dir)
 		wantIdx := tr.prefixAt(off)
 		if got := fingerprint(d.DB); got != tr.prints[wantIdx] {
 			t.Errorf("truncate at byte %d: recovered state is not the %d-mutation prefix", off, wantIdx)
@@ -390,7 +393,7 @@ func TestDurableTortureByteFlip(t *testing.T) {
 		if err := os.WriteFile(seg, b, 0o644); err != nil {
 			t.Fatalf("write segment: %v", err)
 		}
-		d := reopen(t, dir, 3)
+		d := reopen(t, dir)
 		// The record containing byte off is damaged; every complete
 		// record before it must survive.
 		wantIdx := tr.prefixAt(off)
@@ -415,14 +418,14 @@ func TestSaveAtomic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("previous content\n"), 0o644); err != nil {
 		t.Fatalf("seed old file: %v", err)
 	}
-	db := NewSharded(1)
+	db := New()
 	if err := db.InsertAll(storageGraphs(5, 3)); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	if err := db.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := Load(path, 1)
+	loaded, err := Load(path)
 	if err != nil {
 		t.Fatalf("Load after Save: %v", err)
 	}
@@ -445,7 +448,7 @@ func TestSaveAtomic(t *testing.T) {
 // and deletes fail WITHOUT mutating the database.
 func TestDurableStoreErrorFailsMutation(t *testing.T) {
 	dir := t.TempDir()
-	d := reopen(t, dir, 2)
+	d := reopen(t, dir)
 	gs := storageGraphs(9, 3)
 	if err := d.DB.InsertAll(gs[:2]); err != nil {
 		t.Fatalf("insert: %v", err)
@@ -479,7 +482,7 @@ func TestKeyTableSurvivesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	gs := storageGraphs(13, 4)
 
-	d, err := OpenDurable(DurableOptions{Dir: dir, Shards: 2})
+	d, err := OpenDurable(DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -508,7 +511,7 @@ func TestKeyTableSurvivesSnapshot(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	r := reopen(t, dir, 3)
+	r := reopen(t, dir)
 	defer r.Close()
 	rk := r.RecoveredKeys()
 	if got := rk.Inserts["ik-snap"]; len(got) != 2 || got[0] != gs[0].Name() || got[1] != gs[1].Name() {
@@ -528,7 +531,7 @@ func TestKeyTableSurvivesSnapshot(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	r2 := reopen(t, dir, 2)
+	r2 := reopen(t, dir)
 	defer r2.Close()
 	rk2 := r2.RecoveredKeys()
 	if got := rk2.Inserts["ik-snap"]; len(got) != 2 {

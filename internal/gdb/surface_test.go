@@ -109,60 +109,58 @@ func renderMutation(existed, failed bool, live []*graph.Graph) string {
 }
 
 // TestShardCountInvarianceUnderMutation replays one seeded history
-// through the database at 1/2/3/7 shards, bare and with the score memo
-// attached, and requires every step — Ack.Existed, whether the mutation
-// was refused, Names() order, skyline (pruned and unpruned), top-k and
-// range answers — to be byte-identical to the reference replay, and so across
-// shard counts. The static equivalence grids never mutate; this one
-// does little else.
+// through the database, bare and with the score memo attached, and
+// requires every step — Ack.Existed, whether the mutation was refused,
+// Names() order, skyline (pruned and unpruned), top-k and range answers
+// — to be byte-identical to the reference replay, and every ack to carry
+// the generation it produced. The static equivalence grids never
+// mutate; this one does little else.
 func TestShardCountInvarianceUnderMutation(t *testing.T) {
 	ctx := context.Background()
 	initial, ops, want := seededHistory(17)
 	m := measure.DistEd{}
 	for _, memo := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 3, 7} {
-			sh := testutil.NewSharded(t, shards, initial)
-			if memo {
-				sh.EnableScoreMemo(4096)
+		sh := testutil.NewSharded(t, initial)
+		if memo {
+			sh.EnableScoreMemo(4096)
+		}
+		for i, op := range ops {
+			label := fmt.Sprintf("memo=%v step %d (%s)", memo, i, op.kind)
+			var got string
+			switch op.kind {
+			case "insert", "delete":
+				var ack gdb.Ack
+				var err error
+				if op.kind == "insert" {
+					ack, err = sh.Insert(op.g, "")
+				} else {
+					ack, err = sh.Delete(op.name, "")
+				}
+				if err == nil && ack.Gen != 0 && ack.Gen != sh.Generation() {
+					t.Fatalf("%s: ack %+v, but the database is at generation %d", label, ack, sh.Generation())
+				}
+				got = fmt.Sprintf("existed=%v failed=%v names=%v", ack.Existed, err != nil, sh.Names())
+			case "skyline":
+				res, err := sh.SkylineQuery(ctx, op.q, op.opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got = fmt.Sprint(res.Skyline)
+			case "topk":
+				res, err := sh.TopKQuery(ctx, op.q, m, 4, op.opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got = fmt.Sprint(res.Items)
+			case "range":
+				res, err := sh.RangeQuery(ctx, op.q, m, 4, op.opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got = fmt.Sprint(res.Items)
 			}
-			for i, op := range ops {
-				label := fmt.Sprintf("memo=%v shards=%d step %d (%s)", memo, shards, i, op.kind)
-				var got string
-				switch op.kind {
-				case "insert", "delete":
-					var ack gdb.Ack
-					var err error
-					if op.kind == "insert" {
-						ack, err = sh.Insert(op.g, "")
-					} else {
-						ack, err = sh.Delete(op.name, "")
-					}
-					if err == nil && ack.Gen != 0 && ack.Gen != sh.ShardGeneration(ack.Shard) {
-						t.Fatalf("%s: ack %+v, but shard %d is at generation %d", label, ack, ack.Shard, sh.ShardGeneration(ack.Shard))
-					}
-					got = fmt.Sprintf("existed=%v failed=%v names=%v", ack.Existed, err != nil, sh.Names())
-				case "skyline":
-					res, err := sh.SkylineQuery(ctx, op.q, op.opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					got = fmt.Sprint(res.Skyline)
-				case "topk":
-					res, err := sh.TopKQuery(ctx, op.q, m, 4, op.opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					got = fmt.Sprint(res.Items)
-				case "range":
-					res, err := sh.RangeQuery(ctx, op.q, m, 4, op.opts)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					got = fmt.Sprint(res.Items)
-				}
-				if got != want[i] {
-					t.Fatalf("%s (prune=%v):\n got %s\nwant %s", label, op.opts.Prune, got, want[i])
-				}
+			if got != want[i] {
+				t.Fatalf("%s (prune=%v):\n got %s\nwant %s", label, op.opts.Prune, got, want[i])
 			}
 		}
 	}
@@ -178,38 +176,34 @@ func exportedMethods(v any) []string {
 	return out
 }
 
-// TestEngineSurfacePinned pins the exported method sets of *Sharded —
-// the one query and mutation surface — and *DB, a shard: exactly one
-// insert, one delete and InsertAll; one method per query kind; nothing
-// that mutates or queries on a shard. A ninth mutation variant or a
+// TestEngineSurfacePinned pins the exported method set of *Sharded —
+// the one query and mutation surface: exactly one insert, one delete and
+// InsertAll; one method per query kind. A ninth mutation variant or a
 // second query surface fails here, with the list to edit (and DESIGN.md
-// "Engine surface" to update alongside).
+// "Engine surface" to update alongside). The package-level NewSharded
+// is a no-op shim beside the four below (shims.go): New builds the
+// database.
 func TestEngineSurfacePinned(t *testing.T) {
 	wantSharded := []string{
 		// mutations
 		"Delete", "Insert", "InsertAll",
 		// queries
 		"DiverseSkylineQuery", "RangeQuery", "SkylineQuery", "TopKQuery",
-		// the table primitive for a caching layer, and its two reads
-		"TableRows", "TableSkyline", "VectorTable",
+		// the table primitive for a caching layer
+		"VectorTable",
+		// the single-row reads of delta maintenance
+		"DeltaBound", "DeltaRow", "DeltaScore",
 		// the score memo
 		"EnableScoreMemo", "Memo",
 		// no-op shims the benchmark harness still calls (shims.go)
 		"EnablePivots", "EnableVector", "WaitPivots", "WaitVector",
 		// persistence
 		"Save", "WriteTo",
-		// reads and shard access
-		"Generation", "Generations", "Get", "Graphs", "Len", "Names", "NumShards",
-		"Shard", "ShardFor", "ShardGeneration", "Stats",
-	}
-	wantDB := []string{
-		"DeltaBound", "DeltaRow", "DeltaScore", "Generation", "Get", "Len", "Memo",
+		// reads
+		"Generation", "Get", "Graphs", "Len", "Names", "Stats",
 	}
 	sort.Strings(wantSharded)
 	if got := exportedMethods(&gdb.Sharded{}); !reflect.DeepEqual(got, wantSharded) {
 		t.Errorf("*gdb.Sharded exports\n  %v\nthe pinned surface is\n  %v", got, wantSharded)
-	}
-	if got := exportedMethods(&gdb.DB{}); !reflect.DeepEqual(got, wantDB) {
-		t.Errorf("*gdb.DB exports\n  %v\nthe pinned surface is\n  %v", got, wantDB)
 	}
 }

@@ -12,26 +12,25 @@ import (
 )
 
 // VectorTable is the GCS evaluation of one query graph against a
-// snapshot of every shard: one point per database graph for a complete
+// snapshot of the database: one point per database graph for a complete
 // table, only the candidates a pruned scan scored otherwise. It is the
 // unit of caching for a query-serving layer — skyline answers for the
-// same (query, basis, eval options) derive from it (TableSkyline,
-// TableRows) without touching the GED/MCS engines again. Top-k and
+// same (query, basis, eval options) derive from it (Skyline, Points)
+// without touching the GED/MCS engines again. Top-k and
 // range answers never do: they run their own best-first scan
 // (TopKQuery).
 type VectorTable struct {
-	// Generations holds, indexed by shard, the generation of every
-	// shard's part of the snapshot the rows are exact at. Tables are
-	// immutable: a delta patch returns a copy with its own slice.
-	Generations []uint64
+	// Generation is the database generation of the snapshot the rows are
+	// exact at. Tables are immutable: a delta patch returns a copy.
+	Generation uint64
 	// Basis is the measure basis defining the vector columns.
 	Basis []measure.Measure
-	// Points holds the evaluated (graph, GCS vector) pairs: every
-	// database graph for a complete table, only the candidates the scan
-	// scored for a pruned one — the skyline plus whatever was scored
-	// before the front point that dominates it. A cold build lists them
-	// shard by shard, each shard in insertion order, and delta patches
-	// append; TableSkyline and TableRows restore global insertion order.
+	// Points holds the evaluated (graph, GCS vector) pairs in insertion
+	// order: every database graph for a complete table, only the
+	// candidates the scan scored for a pruned one — the skyline plus
+	// whatever was scored before the front point that dominates it. A
+	// cold build lists them in snapshot order, and a delta patch appends
+	// the graph its insert added, which is last in insertion order.
 	Points []skyline.Point
 	// Work is what the cold build paid: Evaluated == len(Points) and
 	// Pruned counts the graphs the scan excluded (0 for complete
@@ -42,53 +41,41 @@ type VectorTable struct {
 	Inexact int
 	// Deltas counts the incremental patches applied since the table was
 	// cold-built (see DeltaRow / WithInsert / WithDelete): each one
-	// advanced one shard's generation by exactly one mutation without
+	// advanced the generation by exactly one mutation without
 	// re-evaluating the surviving rows.
 	Deltas int
 }
 
-// snap is one read of the database: the stored graphs of every shard,
-// their signatures, their insert sequences (the score-memo keys) and
-// the generation of every shard, each shard read under a single lock
-// acquisition.
+// snap is one read of the database under a single lock acquisition:
+// the stored graphs in insertion order, their signatures, their insert
+// sequences (the score-memo keys) and the generation they belong to.
 type snap struct {
 	graphs []*graph.Graph
 	sigs   []*measure.Signature
 	seqs   []uint64
-	gens   []uint64 // indexed by shard
+	gen    uint64
 }
 
-// snapshot reads every shard in shard order, each in insertion order.
+// snapshot reads the database.
 func (sh *Sharded) snapshot() snap {
-	n := sh.Len()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	n := len(sh.names)
 	sn := snap{
-		graphs: make([]*graph.Graph, 0, n),
-		sigs:   make([]*measure.Signature, 0, n),
-		seqs:   make([]uint64, 0, n),
-		gens:   make([]uint64, len(sh.shards)),
+		graphs: make([]*graph.Graph, n),
+		sigs:   make([]*measure.Signature, n),
+		seqs:   make([]uint64, n),
+		gen:    sh.gen,
 	}
-	for i, db := range sh.shards {
-		sn.gens[i] = db.appendTo(&sn)
+	for i, name := range sh.names {
+		e := sh.graphs[name]
+		sn.graphs[i], sn.sigs[i], sn.seqs[i] = e.g, e.sig, e.seq
 	}
 	return sn
 }
 
-// appendTo appends the shard's graphs to sn and returns the generation
-// they belong to.
-func (db *DB) appendTo(sn *snap) uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, n := range db.names {
-		e := db.graphs[n]
-		sn.graphs = append(sn.graphs, e.g)
-		sn.sigs = append(sn.sigs, e.sig)
-		sn.seqs = append(sn.seqs, e.seq)
-	}
-	return db.gen
-}
-
 // VectorTable evaluates the GCS vector of every database graph against
-// q as ONE scan over one snapshot of every shard, with one pool of
+// q as ONE scan over one snapshot of the database, with one pool of
 // opts.Workers workers, honoring ctx cancellation between pairs. It is
 // the one table build: SkylineQuery and the serving layer's cached
 // skyline answers both run it, and derive their answers from the table
@@ -107,7 +94,7 @@ func (sh *Sharded) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOp
 	sn := sh.snapshot()
 	qsig := measure.NewSignature(q)
 	ec := newEvalCtx(sh.Memo(), q, opts)
-	t := &VectorTable{Generations: sn.gens, Basis: opts.Basis}
+	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
 	var err error
 	if opts.Prune && measure.Boundable(opts.Basis) {
 		t.Points, t.Pruned, t.Inexact, err = evalPruned(ctx, sn, q, qsig, ec, opts)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -65,7 +64,7 @@ func TestSaveLoadQueryDeterminism(t *testing.T) {
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := Load(path, 2)
+	reloaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +149,8 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(tab.Generations, db.Generations()) {
-		t.Fatalf("table generations %v; db %v", tab.Generations, db.Generations())
+	if tab.Generation != db.Generation() {
+		t.Fatalf("table generation %d; db %d", tab.Generation, db.Generation())
 	}
 	if len(tab.Points) != 7 {
 		t.Fatalf("table has %d rows; want 7", len(tab.Points))

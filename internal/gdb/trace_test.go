@@ -52,27 +52,25 @@ func requireTraceConsistent(t *testing.T, label string, tr *gdb.QueryTrace, stat
 	}
 }
 
-// TestTraceSkylineConsistent: on pruned sharded skyline queries the
+// TestTraceSkylineConsistent: on pruned skyline queries the
 // per-stage attribution must reconcile exactly with the query's
 // evaluated/pruned stats — the acceptance invariant of the trace layer.
 func TestTraceSkylineConsistent(t *testing.T) {
 	gs := testutil.SeededGraphs(7, 30)
 	queries := testutil.SeededQueries(107, gs, 3)
-	for _, shards := range []int{1, 3} {
-		sh := testutil.NewSharded(t, shards, gs)
-		for qi, q := range queries {
-			tr := gdb.NewQueryTrace()
-			opts := prunedOpts(true)
-			opts.Trace = tr
-			res, err := sh.SkylineQuery(context.Background(), q, opts)
-			if err != nil {
-				t.Fatalf("shards=%d q=%d: %v", shards, qi, err)
-			}
-			label := fmt.Sprintf("skyline shards=%d q=%d", shards, qi)
-			requireTraceConsistent(t, label, tr, res.Stats, len(gs))
-			if _, _, _, byName := stageSums(tr.Stages()); byName["merge"].Pairs == 0 {
-				t.Fatalf("%s: sharded query recorded no merge stage", label)
-			}
+	sh := testutil.NewSharded(t, gs)
+	for qi, q := range queries {
+		tr := gdb.NewQueryTrace()
+		opts := prunedOpts(true)
+		opts.Trace = tr
+		res, err := sh.SkylineQuery(context.Background(), q, opts)
+		if err != nil {
+			t.Fatalf("q=%d: %v", qi, err)
+		}
+		label := fmt.Sprintf("skyline q=%d", qi)
+		requireTraceConsistent(t, label, tr, res.Stats, len(gs))
+		if _, _, _, byName := stageSums(tr.Stages()); byName["merge"].Pairs == 0 {
+			t.Fatalf("%s: query recorded no merge stage", label)
 		}
 	}
 }
@@ -80,7 +78,7 @@ func TestTraceSkylineConsistent(t *testing.T) {
 // TestTraceRankedConsistent: the same invariant on best-first top-k and
 // range scans, where the exact stage also excludes candidates via
 // threshold-fed decision runs and the branch bound. The NoisyFamily
-// rows put the score memo on over tiny shards, where every candidate
+// rows put the score memo on over tiny databases, where every candidate
 // sits within a few edits of every other: each exclusion must count for
 // exactly one stage (attributing one twice once drove the bound stage's
 // count negative).
@@ -93,41 +91,38 @@ func TestTraceRankedConsistent(t *testing.T) {
 		name    string
 		gs      []*graph.Graph
 		queries []*graph.Graph
-		shards  []int
 		memo    bool
 		opts    gdb.QueryOptions
 	}{
-		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), []int{1, 3}, false, prunedOpts(false)},
-		{"family25", family25, familyQueries, []int{2}, true, gdb.QueryOptions{}},
-		{"family12", family12, familyQueries, []int{7}, true, gdb.QueryOptions{}},
+		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), false, prunedOpts(false)},
+		{"family25", family25, familyQueries, true, gdb.QueryOptions{}},
+		{"family12", family12, familyQueries, true, gdb.QueryOptions{}},
 	} {
-		for _, shards := range tc.shards {
-			sh := testutil.NewSharded(t, shards, tc.gs)
-			if tc.memo {
-				sh.EnableScoreMemo(1000)
+		sh := testutil.NewSharded(t, tc.gs)
+		if tc.memo {
+			sh.EnableScoreMemo(1000)
+		}
+		for qi, q := range tc.queries {
+			tr := gdb.NewQueryTrace()
+			opts := tc.opts
+			opts.Trace = tr
+			res, err := sh.TopKQuery(context.Background(), q, m, 5, opts)
+			if err != nil {
+				t.Fatalf("%s topk q=%d: %v", tc.name, qi, err)
 			}
-			for qi, q := range tc.queries {
-				tr := gdb.NewQueryTrace()
-				opts := tc.opts
-				opts.Trace = tr
-				res, err := sh.TopKQuery(context.Background(), q, m, 5, opts)
-				if err != nil {
-					t.Fatalf("%s topk shards=%d q=%d: %v", tc.name, shards, qi, err)
-				}
-				label := fmt.Sprintf("%s topk shards=%d q=%d", tc.name, shards, qi)
-				requireTraceConsistent(t, label, tr, res.Stats, len(tc.gs))
-				requireLiveStagesOnly(t, label, tr)
+			label := fmt.Sprintf("%s topk q=%d", tc.name, qi)
+			requireTraceConsistent(t, label, tr, res.Stats, len(tc.gs))
+			requireLiveStagesOnly(t, label, tr)
 
-				tr = gdb.NewQueryTrace()
-				opts.Trace = tr
-				rres, err := sh.RangeQuery(context.Background(), q, m, 6, opts)
-				if err != nil {
-					t.Fatalf("%s range shards=%d q=%d: %v", tc.name, shards, qi, err)
-				}
-				label = fmt.Sprintf("%s range shards=%d q=%d", tc.name, shards, qi)
-				requireTraceConsistent(t, label, tr, rres.Stats, len(tc.gs))
-				requireLiveStagesOnly(t, label, tr)
+			tr = gdb.NewQueryTrace()
+			opts.Trace = tr
+			rres, err := sh.RangeQuery(context.Background(), q, m, 6, opts)
+			if err != nil {
+				t.Fatalf("%s range q=%d: %v", tc.name, qi, err)
 			}
+			label = fmt.Sprintf("%s range q=%d", tc.name, qi)
+			requireTraceConsistent(t, label, tr, rres.Stats, len(tc.gs))
+			requireLiveStagesOnly(t, label, tr)
 		}
 	}
 }
@@ -150,7 +145,7 @@ func requireLiveStagesOnly(t *testing.T, label string, tr *gdb.QueryTrace) {
 // work; the trace must say so and nothing else (no bound stage ran).
 func TestTraceUnprunedExactOnly(t *testing.T) {
 	gs := testutil.SeededGraphs(13, 16)
-	sh := testutil.NewSharded(t, 2, gs)
+	sh := testutil.NewSharded(t, gs)
 	q := testutil.SeededQueries(113, gs, 1)[0]
 
 	tr := gdb.NewQueryTrace()
@@ -192,7 +187,7 @@ func TestBranchBoundSparesDecisionRuns(t *testing.T) {
 	for i, g := range gs {
 		g.SetName(fmt.Sprintf("g%05d", i))
 	}
-	sh := testutil.NewSharded(t, 1, gs)
+	sh := testutil.NewSharded(t, gs)
 	m := measure.DistEd{}
 	exactPairs, evaluated := 0, 0
 	for qi, q := range dataset.NoisyQueries(gs, 12, 1, 3505) {

@@ -16,9 +16,8 @@ import (
 //
 // Colors are 64-bit FNV hashes computed canonically from structure alone
 // (no per-graph numbering), so the same rooted neighborhood produces the
-// same hash in every graph. That makes the colors directly usable as
-// cross-graph features (WLHistogram) in addition to the per-graph
-// partition views (WLColors, WLSignature).
+// same hash in every graph; WLColors and WLSignature are the per-graph
+// partition views of them.
 
 const (
 	fnvOffset64 uint64 = 14695981039346656037
@@ -126,24 +125,6 @@ func WLColorsCapped(g *Graph, maxRounds int) ([]int, int) {
 		colors[v] = id
 	}
 	return colors, rounds
-}
-
-// WLHistogram returns a dims-length feature-hashed histogram of g's WL
-// colors after at most iters refinement rounds (iters <= 0 refines to
-// stability). Bucket = color hash mod dims. Colors are canonical across
-// graphs, so isomorphic graphs produce identical histograms and graphs
-// sharing local structure share buckets, so the histogram works as a
-// fixed-width structural embedding. Counts are raw vertex counts.
-func WLHistogram(g *Graph, iters, dims int) []float64 {
-	if dims <= 0 {
-		return nil
-	}
-	out := make([]float64, dims)
-	hashes, _ := wlRefine(g, iters)
-	for _, h := range hashes {
-		out[h%uint64(dims)]++
-	}
-	return out
 }
 
 // samePartition reports whether two colorings induce the same partition of

@@ -21,7 +21,7 @@
 // Callback metrics (GaugeFunc / CounterFunc and the vec WithFunc
 // variants) read their value at render time — the natural fit for
 // occupancy numbers another subsystem already maintains (cache sizes,
-// shard populations, runtime stats).
+// database occupancy, runtime stats).
 package obs
 
 import (

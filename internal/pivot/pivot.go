@@ -8,6 +8,6 @@ package pivot
 //
 // Deprecated: the pivot tier is gone.
 type Config struct {
-	// Pivots was the number of pivots per shard.
+	// Pivots was the number of pivots.
 	Pivots int
 }

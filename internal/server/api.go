@@ -1,19 +1,18 @@
 // Package server implements skygraphd's query-serving subsystem: an
-// HTTP/JSON API over a sharded gdb database with an answer cache in
-// front of the pair-evaluation hot path. Shards matter here only as
-// generations: every answer comes from one scan over all of them. The
-// layers are
+// HTTP/JSON API over a gdb database with an answer cache in front of
+// the pair-evaluation hot path. Every answer comes from one scan of the
+// database at one generation. The layers are
 //
 //   - cache.go: an LRU of whole answers keyed by (path, canonical query
 //     hash, basis or ranking measure, k or radius, engine options), each
-//     entry recording every shard's generation it is exact at: a skyline
+//     entry recording the database generation it is exact at: a skyline
 //     answer holds its one GCS vector table, so a repeated skyline query
 //     answers with zero new pair evaluations, and a ranked answer holds
 //     its items;
 //   - delta.go: delta maintenance — a mutation upgrades the cached
 //     pruned skyline answers and ranked answers it provably leaves
-//     answerable, advancing the mutated shard's generation and changing
-//     at most one row, and invalidates the rest;
+//     answerable, advancing its generation and changing at most one
+//     row, and invalidates the rest;
 //   - api.go (this file): the wire types;
 //   - server.go: the handlers, per-request timeouts, the one admission
 //     gate, and coalesce — the one cache → flight → build loop behind
@@ -94,10 +93,11 @@ type QueryStats struct {
 	// items of a topk/range query — came from the cache (or a coalesced
 	// in-flight leader).
 	CacheHit bool `json:"cache_hit"`
-	// Shards is the number of shards the query ran against.
-	Shards int `json:"shards"`
-	// ShardHits reads Shards on a cache hit and 0 on a fresh build: an
-	// answer spans every shard and is cached whole.
+	// Shards is always 1 and ShardHits reads 1 on a cache hit, 0 on a
+	// fresh build. The database is one store; both keys stay on the
+	// wire, with the values a single-shard daemon reported, for clients
+	// that decode them.
+	Shards    int `json:"shards"`
 	ShardHits int `json:"shard_hits"`
 	// DurationMS is the server-side wall-clock time for the request.
 	DurationMS float64 `json:"duration_ms"`
@@ -117,8 +117,8 @@ type SkylineResponse struct {
 	All   []PointJSON `json:"all,omitempty"`
 	Stats QueryStats  `json:"stats"`
 	// Trace is the per-stage cascade breakdown (present when the request
-	// set "trace": true). Stage durations are summed across shards and
-	// workers, so they can exceed the request's wall-clock duration.
+	// set "trace": true). Stage durations are summed across workers, so
+	// they can exceed the request's wall-clock duration.
 	Trace []gdb.TraceStage `json:"trace,omitempty"`
 }
 
@@ -147,7 +147,7 @@ type RangeResponse struct {
 }
 
 // BatchRequest is the body of POST /query/batch: many queries answered
-// in one request, sharing the shard pool, the cache and one time
+// in one request, sharing the cache and one time
 // budget. Identical (or isomorphic) items of one kind cost one
 // evaluation per (query hash, path).
 type BatchRequest struct {
@@ -268,11 +268,12 @@ type ListResponse struct {
 
 // StatsResponse answers GET /stats.
 type StatsResponse struct {
-	UptimeSeconds float64     `json:"uptime_seconds"`
-	Generation    uint64      `json:"generation"`
-	DB            DBStats     `json:"db"`
-	Shards        []ShardInfo `json:"shards"`
-	Cache         CacheStats  `json:"cache"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	Generation    uint64  `json:"generation"`
+	DB            DBStats `json:"db"`
+	// Shards always holds one ShardInfo (see there).
+	Shards []ShardInfo `json:"shards"`
+	Cache  CacheStats  `json:"cache"`
 	// Memo is the cross-query score memo's occupancy and lifetime
 	// hit/miss counters (absent without -memo).
 	Memo *gdb.MemoStats `json:"memo,omitempty"`
@@ -365,7 +366,10 @@ type SlowQueryRecord struct {
 	Trace      []gdb.TraceStage `json:"trace,omitempty"`
 }
 
-// ShardInfo is one shard's occupancy and generation.
+// ShardInfo is the database's occupancy and generation. /stats lists
+// exactly one, with Index 0: the database is one store, and the
+// "shards" key keeps the shape a single-shard daemon reported for
+// clients that decode it.
 type ShardInfo struct {
 	Index      int    `json:"index"`
 	Graphs     int    `json:"graphs"`
@@ -428,8 +432,9 @@ type WarmRequest struct {
 
 // WarmResult reports one warmed query.
 type WarmResult struct {
-	// Evaluated counts fresh pair evaluations; ShardHits reads the shard
-	// count when the answer was already cached, 0 when it was built.
+	// Evaluated counts fresh pair evaluations; ShardHits reads 1 when
+	// the answer was already cached, 0 when it was built (see
+	// QueryStats).
 	Evaluated int    `json:"evaluated"`
 	ShardHits int    `json:"shard_hits"`
 	Error     string `json:"error,omitempty"`

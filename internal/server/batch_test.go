@@ -32,56 +32,54 @@ func permutedPaperQuery(t *testing.T) *graph.Graph {
 
 // TestBatchCoalescesTableBuilds is the batch acceptance check: items
 // over the same (isomorphism class of) query graph cost one evaluation
-// per (query hash, path) — one pruned skyline build over every shard for
+// per (query hash, path) — one pruned skyline build for
 // the three skyline items, one ranked scan for the two identical top-k
 // items and one for the range item, each accounting for all 7 paper
 // graphs — and repeating the batch evaluates nothing, every item a hit.
 func TestBatchCoalescesTableBuilds(t *testing.T) {
-	for _, shards := range []int{1, 2, 3} {
-		s, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
-		radius := 3.0
-		batch := BatchRequest{Queries: []BatchQuery{
-			{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},
-			{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},
-			{Kind: "topk", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), K: 3}},
-			{Kind: "topk", QueryRequest: QueryRequest{Graph: permutedPaperQuery(t), K: 3}},
-			{Kind: "range", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Radius: &radius}},
-			{Kind: "skyline", QueryRequest: QueryRequest{Graph: permutedPaperQuery(t)}},
-		}}
-		var resp BatchResponse
-		r := postJSON(t, ts.URL+"/query/batch", batch, &resp)
-		if r.StatusCode != http.StatusOK {
-			t.Fatalf("%d shards: batch status = %d", shards, r.StatusCode)
+	s, ts := newTestServer(t, Config{CacheSize: 32})
+	radius := 3.0
+	batch := BatchRequest{Queries: []BatchQuery{
+		{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},
+		{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},
+		{Kind: "topk", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), K: 3}},
+		{Kind: "topk", QueryRequest: QueryRequest{Graph: permutedPaperQuery(t), K: 3}},
+		{Kind: "range", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Radius: &radius}},
+		{Kind: "skyline", QueryRequest: QueryRequest{Graph: permutedPaperQuery(t)}},
+	}}
+	var resp BatchResponse
+	r := postJSON(t, ts.URL+"/query/batch", batch, &resp)
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("batch status = %d", r.StatusCode)
+	}
+	if len(resp.Results) != 6 || resp.Stats.Errors != 0 {
+		t.Fatalf("results = %d, errors = %d", len(resp.Results), resp.Stats.Errors)
+	}
+	for i, res := range resp.Results {
+		if res.Error != "" {
+			t.Fatalf("item %d failed: %s", i, res.Error)
 		}
-		if len(resp.Results) != 6 || resp.Stats.Errors != 0 {
-			t.Fatalf("%d shards: results = %d, errors = %d", shards, len(resp.Results), resp.Stats.Errors)
-		}
-		for i, res := range resp.Results {
-			if res.Error != "" {
-				t.Fatalf("%d shards: item %d failed: %s", shards, i, res.Error)
-			}
-		}
-		// Three paths, each covering the 7 database graphs exactly once
-		// (evaluated or bound-pruned: no path reads another's entries);
-		// the cache holds one entry per path: the skyline answer and the
-		// two ranked answers.
-		st := statsOf(t, ts.URL)
-		if got := st.Requests.PairEvals + st.Requests.PairsPruned; got != 3*7 {
-			t.Fatalf("%d shards: evaluated + pruned = %d across the batch; want 21", shards, got)
-		}
-		if got := s.Cache().Len(); got != 3 {
-			t.Fatalf("%d shards: cache holds %d entries; want 3", shards, got)
-		}
-		// Repeating the whole batch is free: every item hits.
-		var again BatchResponse
-		postJSON(t, ts.URL+"/query/batch", batch, &again)
-		if again.Stats.Evaluated != 0 {
-			t.Fatalf("%d shards: repeat batch evaluated %d pairs; want 0", shards, again.Stats.Evaluated)
-		}
-		for i, res := range again.Results {
-			if qs := res.stats(); !qs.CacheHit || qs.ShardHits != shards {
-				t.Fatalf("%d shards: repeat item %d stats = %+v; want full cache hit", shards, i, qs)
-			}
+	}
+	// Three paths, each covering the 7 database graphs exactly once
+	// (evaluated or bound-pruned: no path reads another's entries);
+	// the cache holds one entry per path: the skyline answer and the
+	// two ranked answers.
+	st := statsOf(t, ts.URL)
+	if got := st.Requests.PairEvals + st.Requests.PairsPruned; got != 3*7 {
+		t.Fatalf("evaluated + pruned = %d across the batch; want 21", got)
+	}
+	if got := s.Cache().Len(); got != 3 {
+		t.Fatalf("cache holds %d entries; want 3", got)
+	}
+	// Repeating the whole batch is free: every item hits.
+	var again BatchResponse
+	postJSON(t, ts.URL+"/query/batch", batch, &again)
+	if again.Stats.Evaluated != 0 {
+		t.Fatalf("repeat batch evaluated %d pairs; want 0", again.Stats.Evaluated)
+	}
+	for i, res := range again.Results {
+		if qs := res.stats(); !qs.CacheHit || qs.ShardHits != 1 {
+			t.Fatalf("repeat item %d stats = %+v; want full cache hit", i, qs)
 		}
 	}
 }
@@ -91,10 +89,8 @@ func TestBatchCoalescesTableBuilds(t *testing.T) {
 // its kind fixes — the path its dedicated endpoint takes — never on a
 // complete build it did not ask for, so no item evaluates more pairs than
 // the same item sent alone. Skyline workers share a running front, so one
-// processor makes those counts reproducible; the top-k scan shares one
-// threshold across the shards, so how many candidates it spares depends
-// on which shard gets ahead, and its item is held to the ranked path
-// instead of to an exact count.
+// processor makes those counts reproducible. The top-k item is held to
+// the ranked path instead of to an exact count.
 func TestMixedBatchCostsNoMoreThanSingles(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	gs := testutil.SeededGraphs(25, 240)
@@ -107,7 +103,7 @@ func TestMixedBatchCostsNoMoreThanSingles(t *testing.T) {
 		{Kind: "skyline", QueryRequest: QueryRequest{Graph: q}},
 	}
 
-	_, tsBatch := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, gs)
+	_, tsBatch := newTestServerWith(t, Config{CacheSize: 64}, gs)
 	var batch BatchResponse
 	postJSON(t, tsBatch.URL+"/query/batch", BatchRequest{Queries: items}, &batch)
 	if batch.Stats.Errors != 0 || len(batch.Results) != len(items) {
@@ -117,7 +113,7 @@ func TestMixedBatchCostsNoMoreThanSingles(t *testing.T) {
 		t.Fatalf("mixed batch evaluated %d of %d graphs: a complete build", batch.Stats.Evaluated, len(gs))
 	}
 
-	_, tsSingle := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, gs)
+	_, tsSingle := newTestServerWith(t, Config{CacheSize: 64}, gs)
 	for i, it := range items {
 		var single struct{ Stats QueryStats }
 		if r := postJSON(t, tsSingle.URL+"/query/"+it.Kind, it.QueryRequest, &single); r.StatusCode != http.StatusOK {
@@ -140,7 +136,7 @@ func TestMixedBatchCostsNoMoreThanSingles(t *testing.T) {
 // TestBatchMatchesSingleEndpoints: each batch item's answer is
 // byte-identical to the dedicated endpoint's (stats aside).
 func TestBatchMatchesSingleEndpoints(t *testing.T) {
-	_, ts := newShardedTestServer(t, 3, Config{CacheSize: 32})
+	_, ts := newTestServer(t, Config{CacheSize: 32})
 	radius := 3.0
 
 	var sky SkylineResponse
@@ -176,7 +172,7 @@ func TestBatchMatchesSingleEndpoints(t *testing.T) {
 
 // TestBatchItemErrorsDoNotFailBatch: invalid items report in place.
 func TestBatchItemErrorsDoNotFailBatch(t *testing.T) {
-	_, ts := newShardedTestServer(t, 2, Config{CacheSize: 8})
+	_, ts := newTestServer(t, Config{CacheSize: 8})
 	var resp BatchResponse
 	r := postJSON(t, ts.URL+"/query/batch", BatchRequest{Queries: []BatchQuery{
 		{Kind: "topk", QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},    // missing k
@@ -202,7 +198,7 @@ func TestBatchItemErrorsDoNotFailBatch(t *testing.T) {
 
 // TestBatchLimits: empty and oversized batches are rejected whole.
 func TestBatchLimits(t *testing.T) {
-	_, ts := newShardedTestServer(t, 1, Config{CacheSize: 8, MaxBatch: 2})
+	_, ts := newTestServer(t, Config{CacheSize: 8, MaxBatch: 2})
 	if r := postJSON(t, ts.URL+"/query/batch", BatchRequest{}, nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status = %d; want 400", r.StatusCode)
 	}
@@ -218,7 +214,7 @@ func TestBatchLimits(t *testing.T) {
 
 // TestBatchDefaultKindIsSkyline: omitting kind runs a skyline query.
 func TestBatchDefaultKindIsSkyline(t *testing.T) {
-	_, ts := newShardedTestServer(t, 2, Config{CacheSize: 8})
+	_, ts := newTestServer(t, Config{CacheSize: 8})
 	var resp BatchResponse
 	postJSON(t, ts.URL+"/query/batch", BatchRequest{Queries: []BatchQuery{
 		{QueryRequest: QueryRequest{Graph: dataset.PaperQuery()}},

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"skygraph/internal/gdb"
@@ -13,21 +12,21 @@ import (
 
 // Cache is a bounded LRU of query answers, layered on the shared
 // internal/lru core (the same machinery behind the idempotency tables).
-// Every entry is one whole answer over every shard: a skyline answer's
-// vector table or a ranked answer's items. Entries live under a typed
+// Every entry is one whole answer: a skyline answer's vector table or a
+// ranked answer's items. Entries live under a typed
 // cacheKey naming the request path that builds them — complete tables
 // ("all" skylines), pruned tables (plain skylines) or ranked answers
 // (top-k and range) — plus everything that shapes the
 // answer except the database's state: canonical query hash, basis or
 // ranking measure, k or radius, engine options. Each request reads only
 // its own path's entries. The state an entry is exact at is recorded in
-// the entry itself, as every shard's generation (gens). servable is the
+// the entry itself, as the database generation (gen). servable is the
 // one rule deciding whether an entry may answer a request: the
-// generations must be those the request read. A mutation of a shard
-// makes one pass over the cache (sweep, from Server.maintain): what no
-// delta proof covers is dropped at once, and every entry one generation
-// behind on that shard with a maintenance lineage is then upgraded in
-// place under its unchanged key (settle, delta.go).
+// generation must be the one the request read. A mutation makes one
+// pass over the cache (sweep, from Server.maintain): what no delta
+// proof covers is dropped at once, and every entry one generation
+// behind with a maintenance lineage is then upgraded in place under its
+// unchanged key (settle, delta.go).
 //
 // Counters are atomics, read without the LRU lock: /stats can hammer
 // the cache while queries run without contending on (or racing with)
@@ -60,13 +59,12 @@ type cacheKey struct {
 	eval measure.Options
 }
 
-// cacheEntry is one cached answer over every shard, exact at gens (one
-// generation per shard). A skyline answer holds its one vector table,
-// whose Generations its gens are (tableEntry), a ranked answer its
-// items. Entries are immutable once stored: an upgrade stores a
-// successor.
+// cacheEntry is one cached answer, exact at generation gen. A skyline
+// answer holds its vector table, whose Generation its gen is
+// (tableEntry), a ranked answer its items. Entries are immutable once
+// stored: an upgrade stores a successor.
 type cacheEntry struct {
-	gens  []uint64
+	gen   uint64
 	table *gdb.VectorTable
 	items []topk.Item
 	// inexact counts the answer's pairs where a capped engine returned a
@@ -85,9 +83,9 @@ type cacheEntry struct {
 
 // tableEntry is the skyline answer t, maintainable through lin when lin
 // is set. Everything but the lineage derives from t, so an entry's
-// generations, inexact count and deltas never drift from its table's.
+// generation, inexact count and deltas never drift from its table's.
 func tableEntry(t *gdb.VectorTable, lin *lineage) *cacheEntry {
-	return &cacheEntry{gens: t.Generations, table: t, inexact: t.Inexact, deltas: t.Deltas, work: t.Work, lin: lin}
+	return &cacheEntry{gen: t.Generation, table: t, inexact: t.Inexact, deltas: t.Deltas, work: t.Work, lin: lin}
 }
 
 // lineage is what an upgrade needs beyond the entry's key to evaluate
@@ -102,13 +100,12 @@ type lineage struct {
 	m     measure.Measure
 }
 
-// servable reports whether e may answer a request that read gens, every
-// shard's generation (Sharded.Generations): the entry must be exact at
-// all of them. It is the one place an entry's generation meets a
-// request's; a lookup and a flight follower both take exactly what it
-// allows.
-func servable(e *cacheEntry, gens []uint64) bool {
-	return slices.Equal(e.gens, gens)
+// servable reports whether e may answer a request that read the
+// database at generation gen: the entry must be exact at it. It is the
+// one place an entry's generation meets a request's; a lookup and a
+// flight follower both take exactly what it allows.
+func servable(e *cacheEntry, gen uint64) bool {
+	return e.gen == gen
 }
 
 // NewCache returns an LRU holding at most capacity answers. Capacity < 1
@@ -118,12 +115,12 @@ func NewCache(capacity int) *Cache {
 }
 
 // lookup returns the entry cached under key when it is servable at
-// gens, marking it most recently used. A servable entry counts as a
+// gen, marking it most recently used. A servable entry counts as a
 // hit; anything else counts as a miss unless quiet — a re-check of a key
 // whose miss was already counted.
-func (c *Cache) lookup(key cacheKey, gens []uint64, quiet bool) (*cacheEntry, bool) {
+func (c *Cache) lookup(key cacheKey, gen uint64, quiet bool) (*cacheEntry, bool) {
 	e, ok := c.lru.Get(key)
-	if !ok || !servable(e, gens) {
+	if !ok || !servable(e, gen) {
 		if !quiet {
 			c.misses.Add(1)
 		}
@@ -146,20 +143,19 @@ type deltaCandidate struct {
 	e   *cacheEntry
 }
 
-// sweep is the one cache pass of the mutation of shard that produced
-// generation gen. Entries already exact at gen or later on shard are
-// left alone. Of the rest, it collects what a delta proof may upgrade —
-// lineage-carrying entries exactly one generation behind on shard — and
-// drops everything else at once (complete tables, entries further
-// behind), counting each drop as an invalidation and a delta fallback.
-func (c *Cache) sweep(shard int, gen uint64) []deltaCandidate {
+// sweep is the one cache pass of the mutation that produced generation
+// gen. Entries already exact at gen or later are left alone. Of the
+// rest, it collects what a delta proof may upgrade — lineage-carrying
+// entries exactly one generation behind — and drops everything else at
+// once (complete tables, entries further behind), counting each drop as
+// an invalidation and a delta fallback.
+func (c *Cache) sweep(gen uint64) []deltaCandidate {
 	var out []deltaCandidate
 	dropped := c.lru.PruneFunc(func(key cacheKey, e *cacheEntry) bool {
-		at := e.gens[shard]
-		if at >= gen {
+		if e.gen >= gen {
 			return false
 		}
-		if e.lin != nil && at == gen-1 {
+		if e.lin != nil && e.gen == gen-1 {
 			out = append(out, deltaCandidate{key: key, e: e})
 			return false
 		}

@@ -17,23 +17,23 @@ func tkey(name string) cacheKey {
 	return cacheKey{path: "all", qh: name}
 }
 
-// entryAt is a skyline answer exact at gens (one generation per shard)
-// with no lineage, like a complete answer.
-func entryAt(gens ...uint64) *cacheEntry {
-	return tableEntry(&gdb.VectorTable{Generations: gens, Basis: measure.Default()}, nil)
+// entryAt is a skyline answer exact at gen with no lineage, like a
+// complete answer.
+func entryAt(gen uint64) *cacheEntry {
+	return tableEntry(&gdb.VectorTable{Generation: gen, Basis: measure.Default()}, nil)
 }
 
-// putEntry stores entryAt(gens...) under a key named name.
-func putEntry(c *Cache, name string, gens ...uint64) *cacheEntry {
-	e := entryAt(gens...)
+// putEntry stores entryAt(gen) under a key named name.
+func putEntry(c *Cache, name string, gen uint64) *cacheEntry {
+	e := entryAt(gen)
 	c.put(tkey(name), e)
 	return e
 }
 
-// putPruned stores a lineage-carrying skyline answer exact at gens
-// under a key named name: the kind of entry a mutation may upgrade.
-func putPruned(c *Cache, name string, gens ...uint64) *cacheEntry {
-	e := entryAt(gens...)
+// putPruned stores a lineage-carrying skyline answer exact at gen under
+// a key named name: the kind of entry a mutation may upgrade.
+func putPruned(c *Cache, name string, gen uint64) *cacheEntry {
+	e := entryAt(gen)
 	e.lin = &lineage{}
 	c.put(tkey(name), e)
 	return e
@@ -45,16 +45,13 @@ func cached(c *Cache, key cacheKey) bool {
 	return ok
 }
 
-// at is the generations a one-shard request read.
-func at(gen uint64) []uint64 { return []uint64{gen} }
-
 func TestCacheHitMiss(t *testing.T) {
 	c := NewCache(4)
-	if _, ok := c.lookup(tkey("a"), at(1), false); ok {
+	if _, ok := c.lookup(tkey("a"), 1, false); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	e := putEntry(c, "a", 1)
-	got, ok := c.lookup(tkey("a"), at(1), false)
+	got, ok := c.lookup(tkey("a"), 1, false)
 	if !ok || got != e {
 		t.Fatalf("lookup(a) = %v, %v; want stored entry", got, ok)
 	}
@@ -68,15 +65,15 @@ func TestCacheEvictsLRU(t *testing.T) {
 	c := NewCache(2)
 	putEntry(c, "a", 1)
 	putEntry(c, "b", 1)
-	c.lookup(tkey("a"), at(1), false) // a is now more recent than b
+	c.lookup(tkey("a"), 1, false) // a is now more recent than b
 	putEntry(c, "c", 1)
-	if _, ok := c.lookup(tkey("b"), at(1), false); ok {
+	if _, ok := c.lookup(tkey("b"), 1, false); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if _, ok := c.lookup(tkey("a"), at(1), false); !ok {
+	if _, ok := c.lookup(tkey("a"), 1, false); !ok {
 		t.Fatal("a should have survived eviction")
 	}
-	if _, ok := c.lookup(tkey("c"), at(1), false); !ok {
+	if _, ok := c.lookup(tkey("c"), 1, false); !ok {
 		t.Fatal("c should be cached")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -90,11 +87,11 @@ func TestCachePutExistingRefreshes(t *testing.T) {
 	putEntry(c, "b", 1)
 	putEntry(c, "a", 2) // refresh, not a new entry
 	putEntry(c, "c", 1)
-	if _, ok := c.lookup(tkey("b"), at(1), false); ok {
+	if _, ok := c.lookup(tkey("b"), 1, false); ok {
 		t.Fatal("b should be evicted: a was refreshed to most recent")
 	}
-	got, ok := c.lookup(tkey("a"), at(2), false)
-	if !ok || got.table.Generations[0] != 2 {
+	got, ok := c.lookup(tkey("a"), 2, false)
+	if !ok || got.table.Generation != 2 {
 		t.Fatalf("a should hold the refreshed answer, got %+v, %v", got, ok)
 	}
 }
@@ -102,32 +99,32 @@ func TestCachePutExistingRefreshes(t *testing.T) {
 // TestCacheServesOnlyTheGenerationRead pins servable, the one rule for
 // what a lookup and a flight follower may take: an entry — a skyline
 // answer or a ranked one alike — answers only a request that read
-// exactly the generations it is exact at, and anything else is a
+// exactly the generation it is exact at, and anything else is a
 // counted miss.
 func TestCacheServesOnlyTheGenerationRead(t *testing.T) {
 	c := NewCache(8)
 	putEntry(c, "t", 4)
 	for _, read := range []uint64{3, 5} {
-		if _, ok := c.lookup(tkey("t"), at(read), false); ok {
+		if _, ok := c.lookup(tkey("t"), read, false); ok {
 			t.Fatalf("answer exact at 4 served a request that read %d", read)
 		}
 	}
-	if _, ok := c.lookup(tkey("t"), at(4), false); !ok {
+	if _, ok := c.lookup(tkey("t"), 4, false); !ok {
 		t.Fatal("answer exact at 4 must serve a request that read 4")
 	}
 
 	rk := cacheKey{path: "topk", qh: "q", measures: "DistEd", arg: 3}
-	c.put(rk, &cacheEntry{gens: []uint64{4, 7}, lin: &lineage{}})
-	for _, read := range [][]uint64{{4, 8}, {5, 7}, {4}} {
+	c.put(rk, &cacheEntry{gen: 7, lin: &lineage{}})
+	for _, read := range []uint64{6, 8} {
 		if _, ok := c.lookup(rk, read, false); ok {
-			t.Fatalf("ranked answer exact at [4 7] served a request that read %v", read)
+			t.Fatalf("ranked answer exact at 7 served a request that read %d", read)
 		}
 	}
-	if _, ok := c.lookup(rk, []uint64{4, 7}, false); !ok {
-		t.Fatal("ranked answer must serve a request that read its generations")
+	if _, ok := c.lookup(rk, 7, false); !ok {
+		t.Fatal("ranked answer must serve a request that read its generation")
 	}
-	if st := c.Stats(); st.Misses != 5 || st.Hits != 2 {
-		t.Fatalf("stats = %+v; want 5 misses (each unservable lookup) and 2 hits", st)
+	if st := c.Stats(); st.Misses != 4 || st.Hits != 2 {
+		t.Fatalf("stats = %+v; want 4 misses (each unservable lookup) and 2 hits", st)
 	}
 
 	// A flight follower that read generation 5 must not take a leader's
@@ -147,18 +144,18 @@ func TestCacheServesOnlyTheGenerationRead(t *testing.T) {
 		close(leader.done)
 	}()
 	builds := 0
-	e, hit, err := s.coalesce(context.Background(), key, at(5), func() (*cacheEntry, bool, error) {
+	e, hit, err := s.coalesce(context.Background(), key, 5, func() (*cacheEntry, bool, error) {
 		builds++
 		return entryAt(5), true, nil
 	})
-	if err != nil || hit || builds != 1 || e.gens[0] != 5 {
-		t.Fatalf("follower took (gens %v, hit %v, builds %d, err %v); want its own build at 5",
-			e.gens, hit, builds, err)
+	if err != nil || hit || builds != 1 || e.gen != 5 {
+		t.Fatalf("follower took (gen %d, hit %v, builds %d, err %v); want its own build at 5",
+			e.gen, hit, builds, err)
 	}
 }
 
-// TestCachePruneStale: one sweep for the mutation of shard 0 that
-// produced generation 2 drops the entries no proof covers — complete
+// TestCachePruneStale: one sweep for the mutation that produced
+// generation 2 drops the entries no proof covers — complete
 // answers behind it, lineage entries more than one generation behind —
 // counting each as an invalidation and a fallback, keeps entries
 // already exact at 2, and collects the lineage entry exactly one
@@ -170,14 +167,14 @@ func TestCachePruneStale(t *testing.T) {
 	putPruned(c, "pruned-0", 0)
 	one := putPruned(c, "pruned-1", 1)
 	putEntry(c, "all-2", 2)
-	cands := c.sweep(0, 2)
+	cands := c.sweep(2)
 	if len(cands) != 1 || cands[0].e != one || cands[0].key != tkey("pruned-1") {
 		t.Fatalf("sweep collected %+v; want only pruned-1", cands)
 	}
 	if c.Len() != 2 {
 		t.Fatalf("len = %d after the sweep; want 2 (all-2 and the collected pruned-1)", c.Len())
 	}
-	if _, ok := c.lookup(tkey("all-2"), at(2), false); !ok {
+	if _, ok := c.lookup(tkey("all-2"), 2, false); !ok {
 		t.Fatal("an entry exact at the mutation's generation must survive the sweep")
 	}
 	if st := c.Stats(); st.Invalidations != 3 || st.DeltaFallbacks != 3 || st.DeltaApplied != 0 {
@@ -202,18 +199,18 @@ func TestCachePruneStaleKeepsNewer(t *testing.T) {
 	c := NewCache(8)
 	putEntry(c, "all", 3)
 	putPruned(c, "pruned", 3)
-	if cands := c.sweep(0, 2); len(cands) != 0 || c.Len() != 2 {
-		t.Fatalf("sweep(0, 2) collected %d and left %d entries; want 0 and 2", len(cands), c.Len())
+	if cands := c.sweep(2); len(cands) != 0 || c.Len() != 2 {
+		t.Fatalf("sweep(2) collected %d and left %d entries; want 0 and 2", len(cands), c.Len())
 	}
 
 	// A successful upgrade replaces the entry in place under its key.
-	cands := c.sweep(0, 4)
+	cands := c.sweep(4)
 	if len(cands) != 1 {
-		t.Fatalf("sweep(0, 4) collected %d; want the pruned answer", len(cands))
+		t.Fatalf("sweep(4) collected %d; want the pruned answer", len(cands))
 	}
-	up := cands[0].e.advanced(0, 4)
+	up := cands[0].e.advanced(4)
 	c.settle(cands[0], up)
-	if e, ok := c.lookup(tkey("pruned"), at(4), false); !ok || e != up {
+	if e, ok := c.lookup(tkey("pruned"), 4, false); !ok || e != up {
 		t.Fatal("an upgraded entry must serve the mutation's generation under its key")
 	}
 	if st := c.Stats(); st.DeltaApplied != 1 || st.Invalidations != 1 {
@@ -223,11 +220,11 @@ func TestCachePruneStaleKeepsNewer(t *testing.T) {
 	// A fresh build stored between the sweep and the settle wins: the
 	// upgrade derived from the entry the sweep read is discarded, and so
 	// is a failure's drop.
-	cands = c.sweep(0, 5)
+	cands = c.sweep(5)
 	fresh := putPruned(c, "pruned", 5)
-	c.settle(cands[0], cands[0].e.advanced(0, 5))
+	c.settle(cands[0], cands[0].e.advanced(5))
 	c.settle(cands[0], nil)
-	if e, ok := c.lookup(tkey("pruned"), at(5), false); !ok || e != fresh {
+	if e, ok := c.lookup(tkey("pruned"), 5, false); !ok || e != fresh {
 		t.Fatal("settle overwrote or dropped an entry the sweep did not read")
 	}
 	if st := c.Stats(); st.DeltaApplied != 1 || st.Invalidations != 1 {
@@ -238,7 +235,7 @@ func TestCachePruneStaleKeepsNewer(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
 	putEntry(c, "a", 1)
-	if _, ok := c.lookup(tkey("a"), at(1), false); ok {
+	if _, ok := c.lookup(tkey("a"), 1, false); ok {
 		t.Fatal("capacity-0 cache must never hit")
 	}
 	if c.Len() != 0 {
@@ -296,29 +293,5 @@ func TestCacheManyEntriesBounded(t *testing.T) {
 	}
 	if c.Len() != 16 {
 		t.Fatalf("len = %d; want capacity 16", c.Len())
-	}
-}
-
-// TestCachePruneStaleIsPerShard: a sweep judges every entry, skyline
-// or ranked, by its generation on the mutated shard only: however old
-// an entry is on the other shards, it survives a sweep it is already
-// exact for.
-func TestCachePruneStaleIsPerShard(t *testing.T) {
-	c := NewCache(8)
-	putEntry(c, "s0-old", 1, 5)
-	putEntry(c, "s1-old", 5, 1)
-	rk := cacheKey{path: "range", qh: "q", measures: "DistEd", arg: 1}
-	c.put(rk, &cacheEntry{gens: []uint64{1, 5}, lin: &lineage{}})
-	if cands := c.sweep(1, 5); len(cands) != 0 || c.Len() != 2 {
-		t.Fatalf("sweep(1, 5) collected %d, left %d entries; want 0 and 2", len(cands), c.Len())
-	}
-	if !cached(c, tkey("s0-old")) {
-		t.Fatal("an answer exact at the sweep's generation on shard 1 must survive, however old on shard 0")
-	}
-	if cached(c, tkey("s1-old")) {
-		t.Fatal("an answer behind on shard 1 must be dropped")
-	}
-	if !cached(c, rk) {
-		t.Fatal("a ranked answer exact at the sweep's generation on its shard must survive")
 	}
 }

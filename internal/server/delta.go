@@ -1,7 +1,6 @@
 package server
 
 import (
-	"slices"
 	"sort"
 
 	"skygraph/internal/gdb"
@@ -13,22 +12,21 @@ import (
 // Delta maintenance: instead of discarding every cached answer a
 // mutation touches, the mutation routes its delta to those entries and
 // upgrades them in place: the entry stays under its key and advances
-// the generation it records for the mutated shard. One cache pass
-// (Cache.sweep) per mutation drops what no proof covers and collects the
-// rest; each upgrade then runs outside the cache lock and is settled
-// under the same key (Cache.settle). Shards matter here only as the
-// (shard, gen) step a mutation produces: an answer was built by one
-// scan over every shard, and its proofs rest on rows from any shard.
-// The provability conditions:
+// the generation it records. One cache pass (Cache.sweep) per mutation
+// drops what no proof covers and collects the rest; each upgrade then
+// runs outside the cache lock and is settled under the same key
+// (Cache.settle). The provability conditions:
 //
 //   - Only lineage-carrying entries qualify: every pruned skyline answer
 //     and every ranked answer. A complete skyline answer ("all")
 //     carries none: any mutation drops it, counted as a fallback, and
 //     the next "all" request rebuilds the table (with the score memo
 //     on, replaying every pair the mutation left alone).
-//   - The entry must be exactly ONE generation behind the mutation on
-//     the mutated shard. Anything older has unknown intermediate
-//     history.
+//   - The entry must be exactly ONE generation behind the mutation.
+//     Anything older has unknown intermediate history. Two mutations
+//     maintained concurrently therefore upgrade an entry only in
+//     generation order: the later sweep drops what the earlier one has
+//     not settled yet.
 //   - Whatever an insert's upgrade reads of the new graph — its tier-0
 //     bound (DeltaBound) or its exact row (DeltaRow, DeltaScore) — must
 //     have been read at exactly the mutation's generation: a later
@@ -66,62 +64,59 @@ import (
 // delta_fallbacks in CacheStats.
 //
 // Byte-identity: a spliced table row goes through the cold build's own
-// per-pair path (DeltaRow); the served skyline is re-derived from the
-// rows and sorted by insertion rank, so where a row sits in K never
-// matters — a cold table lists its rows shard by shard, and appends on
-// different shards can land out of global order, since two inserts on
-// different shards are maintained concurrently. Top-k splices
+// per-pair path (DeltaRow), and rows stay in insertion order — a cold
+// table lists them in snapshot order, and upgrades land in generation
+// order, so an appended row is the newest graph. Top-k splices
 // reproduce topk.Select's deterministic ascending (score, ID) order,
-// and range answers stay in insertion order because a new graph is by
-// construction last. The interleaved-mutation equivalence tests
-// (delta_test.go) enforce this against cold recompute.
+// and range answers stay in insertion order for the same reason table
+// rows do. The interleaved-mutation equivalence tests (delta_test.go)
+// enforce this against cold recompute.
 
-// deltaInsert routes the delta of one applied insert: g landed on
-// shard, producing generation gen there.
-func (s *Server) deltaInsert(g *graph.Graph, shard int, gen uint64) {
-	s.maintain(shard, gen, g, "")
+// deltaInsert routes the delta of one applied insert of g, which
+// produced generation gen.
+func (s *Server) deltaInsert(g *graph.Graph, gen uint64) {
+	s.maintain(gen, g, "")
 }
 
-// deltaDelete routes the delta of one applied delete of name from
-// shard, which produced generation gen there.
-func (s *Server) deltaDelete(name string, shard int, gen uint64) {
-	s.maintain(shard, gen, nil, name)
+// deltaDelete routes the delta of one applied delete of name, which
+// produced generation gen.
+func (s *Server) deltaDelete(name string, gen uint64) {
+	s.maintain(gen, nil, name)
 }
 
-// maintain settles the cache across the mutation (shard, gen): one
+// maintain settles the cache across the mutation that produced gen: one
 // sweep drops what no proof covers, then every collected entry is
 // upgraded in place or, when its proof fails, dropped. Exactly one of
 // inserted / deleted is set.
-func (s *Server) maintain(shard int, gen uint64, inserted *graph.Graph, deleted string) {
-	for _, cand := range s.cache.sweep(shard, gen) {
+func (s *Server) maintain(gen uint64, inserted *graph.Graph, deleted string) {
+	for _, cand := range s.cache.sweep(gen) {
 		var next *cacheEntry
 		if cand.key.path == "pruned" {
-			next = s.upgradeTable(cand, shard, gen, inserted, deleted)
+			next = s.upgradeTable(cand, gen, inserted, deleted)
 		} else {
-			next = s.upgradeRanked(cand, shard, gen, inserted, deleted)
+			next = s.upgradeRanked(cand, gen, inserted, deleted)
 		}
 		s.cache.settle(cand, next)
 	}
 }
 
-// advanced returns a copy of e exact at gen on shard, counting one more
-// delta; the caller swaps in what the mutation changed.
-func (e *cacheEntry) advanced(shard int, gen uint64) *cacheEntry {
+// advanced returns a copy of e exact at gen, counting one more delta;
+// the caller swaps in what the mutation changed.
+func (e *cacheEntry) advanced(gen uint64) *cacheEntry {
 	next := *e
-	next.gens = slices.Clone(e.gens)
-	next.gens[shard] = gen
+	next.gen = gen
 	next.deltas++
 	return &next
 }
 
 // upgradeTable derives cached pruned skyline answer cand's successor
 // across the mutation, or returns nil when no proof holds.
-func (s *Server) upgradeTable(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
+func (s *Server) upgradeTable(cand deltaCandidate, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
 	var nt *gdb.VectorTable
 	if inserted != nil {
-		nt = s.tableInsert(cand, shard, gen, inserted.Name())
+		nt = s.tableInsert(cand, gen, inserted.Name())
 	} else {
-		nt = tableDelete(cand.e.table, shard, gen, deleted)
+		nt = tableDelete(cand.e.table, gen, deleted)
 	}
 	if nt == nil {
 		return nil
@@ -130,34 +125,34 @@ func (s *Server) upgradeTable(cand deltaCandidate, shard int, gen uint64, insert
 }
 
 // tableInsert derives cand's pruned table's successor across the
-// insert of name, which produced generation gen on shard, or returns nil
-// when no proof holds.
-func (s *Server) tableInsert(cand deltaCandidate, shard int, gen uint64, name string) *gdb.VectorTable {
-	t, lin, db := cand.e.table, cand.e.lin, s.db.Shard(shard)
-	bs, got, ok := db.DeltaBound(name, lin.qsig)
+// insert of name, which produced generation gen, or returns nil when no
+// proof holds.
+func (s *Server) tableInsert(cand deltaCandidate, gen uint64, name string) *gdb.VectorTable {
+	t, lin := cand.e.table, cand.e.lin
+	bs, got, ok := s.db.DeltaBound(name, lin.qsig)
 	if !ok || got != gen {
 		return nil
 	}
 	// Every server basis is a set of built-ins (Boundable), where the
 	// corner floors the exact vector in every dimension.
 	if lo, _ := bs.IntervalGCS(lin.basis); dominated(t.Points, lo) {
-		return t.WithGeneration(shard, gen)
+		return t.WithGeneration(gen)
 	}
 	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval, QueryHash: cand.key.qh}
-	pt, inexact, got, ok := db.DeltaRow(name, lin.q, lin.qsig, opts)
+	pt, inexact, got, ok := s.db.DeltaRow(name, lin.q, lin.qsig, opts)
 	if !ok || got != gen {
 		return nil // a later mutation interleaved; the row is not provably gen's
 	}
 	if dominated(t.Points, pt.Vec) {
-		return t.WithGeneration(shard, gen)
+		return t.WithGeneration(gen)
 	}
-	return t.WithInsert(pt, inexact, shard, gen)
+	return t.WithInsert(pt, inexact, gen)
 }
 
 // tableDelete derives pruned table t's successor across the delete of
-// name, which produced generation gen on shard, or returns nil when no
-// proof holds.
-func tableDelete(t *gdb.VectorTable, shard int, gen uint64, name string) *gdb.VectorTable {
+// name, which produced generation gen, or returns nil when no proof
+// holds.
+func tableDelete(t *gdb.VectorTable, gen uint64, name string) *gdb.VectorTable {
 	var victim []float64
 	for _, p := range t.Points {
 		if p.ID == name {
@@ -167,11 +162,11 @@ func tableDelete(t *gdb.VectorTable, shard int, gen uint64, name string) *gdb.Ve
 	}
 	switch {
 	case victim == nil:
-		return t.WithGeneration(shard, gen) // never kept: not on the skyline
+		return t.WithGeneration(gen) // never kept: not on the skyline
 	case t.Inexact > 0 || !dominated(t.Points, victim):
 		return nil // capped rows, or a front member whose successors were never kept
 	}
-	nt, _ := t.WithDelete(name, shard, gen)
+	nt, _ := t.WithDelete(name, gen)
 	return nt
 }
 
@@ -195,13 +190,12 @@ func dominated(rows []skyline.Point, v []float64) bool {
 // inserts append on a single membership test (a new graph is last in
 // insertion order); deletes remove the victim (range) or prove the
 // answer unchanged (top-k, victim absent).
-func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
+func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
 	e, key, lin := cand.e, cand.key, cand.e.lin
 	items, inexact := e.items, e.inexact
 	if inserted != nil {
 		name := inserted.Name()
-		db := s.db.Shard(shard)
-		bs, got, ok := db.DeltaBound(name, lin.qsig)
+		bs, got, ok := s.db.DeltaBound(name, lin.qsig)
 		if !ok || got != gen {
 			return nil
 		}
@@ -210,10 +204,10 @@ func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inser
 		lo, _ := bs.Interval(lin.m)
 		full := key.path == "topk" && len(items) >= int(key.arg)
 		if full && items[len(items)-1].Score < lo || key.path == "range" && key.arg < lo {
-			return e.advanced(shard, gen)
+			return e.advanced(gen)
 		}
 		opts := gdb.QueryOptions{Eval: key.eval, QueryHash: key.qh}
-		score, inex, got, ok := db.DeltaScore(name, lin.q, lin.qsig, lin.m, opts)
+		score, inex, got, ok := s.db.DeltaScore(name, lin.q, lin.qsig, lin.m, opts)
 		if !ok || got != gen {
 			return nil
 		}
@@ -268,7 +262,7 @@ func (s *Server) upgradeRanked(cand deltaCandidate, shard int, gen uint64, inser
 			items = next
 		}
 	}
-	next := e.advanced(shard, gen)
+	next := e.advanced(gen)
 	next.items, next.inexact = items, inexact
 	return next
 }

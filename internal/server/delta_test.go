@@ -55,15 +55,14 @@ func wireItems(is []ItemJSON) []topk.Item {
 }
 
 // TestDeltaMatchesColdRecompute is the interleaved-mutation equivalence
-// harness: randomized schedules of inserts, deletes and queries, across
-// shard counts, with and without the score memo, must keep every
-// delta-maintained answer byte-identical to a cold recompute over the
-// live graph set —
-// and the maintenance must actually fire, so the equivalence is proved
+// harness: randomized schedules of inserts, deletes and queries, with
+// and without the score memo, must keep every delta-maintained answer
+// byte-identical to a cold recompute over the live graph set — and the
+// maintenance must actually fire, so the equivalence is proved
 // against upgraded entries, not against a cache that silently fell back
 // to invalidation. This arm warms only the ranked answers, whose
 // upgrades must fire, and checks "all" skylines, whose complete tables
-// carry no lineage: every mutation of their shard drops them.
+// carry no lineage: every mutation drops them.
 func TestDeltaMatchesColdRecompute(t *testing.T) {
 	runDeltaSchedules(t, true, 6)
 }
@@ -77,13 +76,15 @@ func TestPrunedDeltaMatchesColdRecompute(t *testing.T) {
 	runDeltaSchedules(t, false, 12)
 }
 
-// runDeltaSchedules runs the delta equivalence schedule at shards
-// 1/2/3/7 × {plain, pivot-memo, vector}; all selects "all" skylines
+// runDeltaSchedules runs the delta equivalence schedule as four seeded
+// schedules × {plain, pivot-memo, vector}; all selects "all" skylines
 // (checked, never warmed) or pruned ones (warmed and checked). The arm
 // names date from when "pivot-memo" and "vector" also enabled the pivot
 // and vector candidate tiers, which are gone: "pivot-memo" now runs
-// with the score memo and "vector" without it. Each arm draws its own
-// mutation schedule, seeded from the shard count and the arm name.
+// with the score memo and "vector" without it. Likewise the subtests
+// keep the "shards=N" label from when the database was split into N
+// shards: N now only seeds the arm's mutation schedule, together with
+// the arm name.
 func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	base := testutil.SeededGraphs(401, 20)
 	pool := testutil.SeededGraphs(402, 10)
@@ -93,10 +94,10 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	queries := testutil.SeededQueries(403, base, 2)
 	radius := 4.0
 
-	for _, shards := range []int{1, 2, 3, 7} {
+	for _, sched := range []int{1, 2, 3, 7} {
 		for _, mode := range []string{"plain", "pivot-memo", "vector"} {
-			t.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(t *testing.T) {
-				db := gdb.NewSharded(shards)
+			t.Run(fmt.Sprintf("shards=%d/%s", sched, mode), func(t *testing.T) {
+				db := gdb.New()
 				if err := db.InsertAll(base); err != nil {
 					t.Fatal(err)
 				}
@@ -107,7 +108,7 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 				ts := httptest.NewServer(s.Handler())
 				defer ts.Close()
 
-				rng := rand.New(rand.NewSource(int64(shards)*31 + int64(len(mode))))
+				rng := rand.New(rand.NewSource(int64(sched)*31 + int64(len(mode))))
 				live := append([]*graph.Graph(nil), base...)
 				next := 0
 				prunedPatched, rankedPatched := 0, 0
@@ -142,7 +143,7 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 					// reference recompute (Definitions 11–12, leaf
 					// functions only) over the live set.
 					for qi, q := range queries {
-						label := fmt.Sprintf("shards=%d mode=%s all=%v round=%d q=%d", shards, mode, all, round, qi)
+						label := fmt.Sprintf("sched=%d mode=%s all=%v round=%d q=%d", sched, mode, all, round, qi)
 						var sky SkylineResponse
 						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: all}, &sky)
 						testutil.RequireSameSkyline(t, label+"/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
@@ -191,8 +192,8 @@ func patchedEntries(c *Cache) (pruned, ranked, complete int) {
 	return pruned, ranked, complete
 }
 
-// prunedFixture is a one-shard server over gs with a hand-built pruned
-// table for q cached at the shard's current generation: its rows are
+// prunedFixture is a server over gs with a hand-built pruned table for
+// q cached at the database's current generation: its rows are
 // the kept set the proofs reason about, so each rule can be driven with
 // exactly the dominance relations it needs.
 type prunedFixture struct {
@@ -202,14 +203,14 @@ type prunedFixture struct {
 
 func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []skyline.Point, inexact int) *prunedFixture {
 	t.Helper()
-	db := testutil.NewSharded(t, 1, gs)
+	db := testutil.NewSharded(t, gs)
 	db.EnableScoreMemo(1024)
 	s := New(db, Config{CacheSize: 16})
 	res, err := s.resolveQuery("skyline", &QueryRequest{Graph: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := &gdb.VectorTable{Generations: db.Generations(), Basis: res.basis, Points: rows, Inexact: inexact}
+	tab := &gdb.VectorTable{Generation: db.Generation(), Basis: res.basis, Points: rows, Inexact: inexact}
 	s.cache.put(res.key, tableEntry(tab, &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis}))
 	return &prunedFixture{s: s, res: res}
 }
@@ -221,7 +222,7 @@ func (f *prunedFixture) insert(t *testing.T, g *graph.Graph) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.s.deltaInsert(g, ack.Shard, ack.Gen)
+	f.s.deltaInsert(g, ack.Gen)
 	return ack.Gen
 }
 
@@ -232,13 +233,13 @@ func (f *prunedFixture) delete(t *testing.T, name string) uint64 {
 	if err != nil || !ack.Existed {
 		t.Fatalf("delete %s: ack=%+v err=%v", name, ack, err)
 	}
-	f.s.deltaDelete(name, ack.Shard, ack.Gen)
+	f.s.deltaDelete(name, ack.Gen)
 	return ack.Gen
 }
 
 // table returns the pruned table cached at gen, or nil.
 func (f *prunedFixture) table(gen uint64) *gdb.VectorTable {
-	e, ok := f.s.cache.lookup(f.res.key, []uint64{gen}, true)
+	e, ok := f.s.cache.lookup(f.res.key, gen, true)
 	if !ok {
 		return nil
 	}
@@ -321,11 +322,11 @@ func TestPrunedInsertCountsCappedRow(t *testing.T) {
 	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: []float64{100, 100, 100}}}, 0)
 	// Store the fixture's answer under engine budgets no pair fits in, so
 	// the upgrade scores the new row capped.
-	e, _ := f.s.cache.lookup(f.res.key, f.s.db.Generations(), true)
+	e, _ := f.s.cache.lookup(f.res.key, f.s.db.Generation(), true)
 	f.res.key.eval = measure.Options{GEDMaxNodes: 1, MCSMaxNodes: 1}
 	f.s.cache.put(f.res.key, e)
 	gen := f.insert(t, mustSeeded(513, "late"))
-	up, ok := f.s.cache.lookup(f.res.key, []uint64{gen}, true)
+	up, ok := f.s.cache.lookup(f.res.key, gen, true)
 	if !ok {
 		t.Fatal("the undominated insert fell back")
 	}
@@ -430,37 +431,34 @@ func TestPrunedDeleteRules(t *testing.T) {
 // upgrades them in place, and the repeat is a cache hit that reports
 // the patch and answers as a cold recompute would.
 func TestUnwarmedDaemonKeepsSkylineAcrossInsert(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		_, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
-		q := dataset.PaperQuery()
-		var first SkylineResponse
-		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &first)
-		if first.Stats.CacheHit {
-			t.Fatalf("shards=%d: first request hit an unwarmed cache", shards)
-		}
-		g := extraGraph("extra")
-		if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
-			t.Fatalf("shards=%d: insert status %d", shards, r.StatusCode)
-		}
-		var again SkylineResponse
-		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &again)
-		if !again.Stats.CacheHit || again.Stats.Evaluated != 0 || again.Stats.DeltaPatched == 0 {
-			t.Fatalf("shards=%d: repeat after insert stats = %+v; want a hit with delta_patched > 0", shards, again.Stats)
-		}
-		live := append(dataset.PaperDB(), g)
-		testutil.RequireSameSkyline(t, fmt.Sprintf("shards=%d", shards), testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(again.Skyline))
+	_, ts := newTestServer(t, Config{CacheSize: 32})
+	q := dataset.PaperQuery()
+	var first SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &first)
+	if first.Stats.CacheHit {
+		t.Fatal("first request hit an unwarmed cache")
 	}
+	g := extraGraph("extra")
+	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("insert status %d", r.StatusCode)
+	}
+	var again SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &again)
+	if !again.Stats.CacheHit || again.Stats.Evaluated != 0 || again.Stats.DeltaPatched == 0 {
+		t.Fatalf("repeat after insert stats = %+v; want a hit with delta_patched > 0", again.Stats)
+	}
+	live := append(dataset.PaperDB(), g)
+	testutil.RequireSameSkyline(t, "repeat", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(again.Skyline))
 }
 
 // TestMutationDropsAllTablePatchesPrunedTable: with both an "all" and a
 // plain skyline answer cached for one query, one insert drops the
 // complete answer — it carries no lineage, so the drop is a counted
-// fallback — and patches the owning shard's pruned table in place. Each
-// request then reads only its own kind: the "all" repeat rebuilds every
-// shard, the plain repeat hits the patched answer.
+// fallback — and patches the pruned table in place. Each request then
+// reads only its own kind: the "all" repeat rebuilds the whole table,
+// the plain repeat hits the patched answer.
 func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
-	const shards = 2
-	s, ts := newShardedTestServer(t, shards, Config{CacheSize: 32})
+	s, ts := newTestServer(t, Config{CacheSize: 32})
 	q := dataset.PaperQuery()
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &SkylineResponse{})
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &SkylineResponse{})
@@ -485,7 +483,7 @@ func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
 	var full SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &full)
 	if full.Stats.ShardHits != 0 || full.Stats.Evaluated != len(live) || full.Stats.DeltaPatched != 0 {
-		t.Fatalf("all repeat stats = %+v; want all %d graphs rebuilt on every shard", full.Stats, len(live))
+		t.Fatalf("all repeat stats = %+v; want all %d graphs rebuilt", full.Stats, len(live))
 	}
 	testutil.RequireSameSkyline(t, "all", testutil.ReferenceTable(live, q, measure.Options{}), wirePoints(full.All))
 	var plain SkylineResponse
@@ -508,12 +506,14 @@ func TestPrunedDeltaUnderConcurrentReads(t *testing.T) {
 		g.SetName(fmt.Sprintf("new%02d", i))
 	}
 	queries := testutil.SeededQueries(543, base, 2)
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, ts := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, base)
+	// The subtests keep their "shards=N" labels from when the database
+	// was split into N shards; N now only seeds the mutation schedule.
+	for _, sched := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", sched), func(t *testing.T) {
+			s, ts := newTestServerWith(t, Config{CacheSize: 64}, base)
 			// The schedule and the reference skyline of every state it
 			// passes through are fixed up front.
-			rng := rand.New(rand.NewSource(int64(shards)))
+			rng := rand.New(rand.NewSource(int64(sched)))
 			live := append([]*graph.Graph(nil), base...)
 			states := [][]*graph.Graph{live}
 			type op struct {
@@ -545,11 +545,8 @@ func TestPrunedDeltaUnderConcurrentReads(t *testing.T) {
 			}
 
 			// started counts mutations sent, applied the ones acked: a
-			// request overlapping [applied, started] sees one of those
-			// states on every shard. With several shards a read spanning
-			// more than one mutation may combine shard states no single
-			// state had, so only reads that overlap at most one mutation
-			// are checked there.
+			// request overlapping [applied, started] reads one of those
+			// states.
 			var started, applied atomic.Int64
 			done := make(chan struct{})
 			answered := make(chan struct{}, 1)
@@ -578,9 +575,6 @@ func TestPrunedDeltaUnderConcurrentReads(t *testing.T) {
 						select {
 						case answered <- struct{}{}:
 						default:
-						}
-						if shards > 1 && hi-lo > 1 {
-							continue
 						}
 						ok := false
 						for st := lo; st <= hi; st++ {
@@ -680,7 +674,7 @@ func mustSeeded(seed int64, name string) *graph.Graph {
 // already exceeds a full top-k answer's k-th score, or a range answer's
 // radius, carries both answers across the insert without an engine run.
 func TestRankedInsertDecidedByBound(t *testing.T) {
-	s, ts := newMemoTestServer(t, 1, Config{CacheSize: 16}, dataset.PaperDB())
+	s, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	radius := 1.0
 	var tk TopKResponse
@@ -723,7 +717,7 @@ func TestRankedInsertAtBoundTies(t *testing.T) {
 		return g
 	}
 	gs := append(dataset.PaperDB(), twin("zz"))
-	_, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 16}, gs)
+	_, ts := newTestServerWith(t, Config{CacheSize: 16}, gs)
 	q := dataset.PaperQuery()
 	radius := 0.0
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 1}, nil)

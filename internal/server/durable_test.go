@@ -14,9 +14,9 @@ import (
 )
 
 // newDurableServer opens (or recovers) dir and serves it.
-func newDurableServer(t *testing.T, dir string, shards int) (*gdb.Durable, *httptest.Server) {
+func newDurableServer(t *testing.T, dir string) (*gdb.Durable, *httptest.Server) {
 	t.Helper()
-	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: dir, Shards: shards})
+	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -27,12 +27,12 @@ func newDurableServer(t *testing.T, dir string, shards int) (*gdb.Durable, *http
 
 // TestServerRestartDurability is the HTTP-level warm-restart test:
 // mutations applied through the API survive a close-and-reopen of the
-// data directory (at a different shard count), with identical /stats
+// data directory, with identical /stats
 // occupancy and an identical query answer, and /metrics exposing the
 // WAL and recovery series.
 func TestServerRestartDurability(t *testing.T) {
 	dir := t.TempDir()
-	d1, ts1 := newDurableServer(t, dir, 2)
+	d1, ts1 := newDurableServer(t, dir)
 
 	var ins InsertResponse
 	resp := postJSON(t, ts1.URL+"/graphs", InsertRequest{Graphs: dataset.PaperDB()}, &ins)
@@ -91,8 +91,7 @@ func TestServerRestartDurability(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Restart with a different shard count: storage is shard-agnostic.
-	d2, ts2 := newDurableServer(t, dir, 3)
+	d2, ts2 := newDurableServer(t, dir)
 	defer ts2.Close()
 	defer d2.Close()
 
@@ -131,7 +130,7 @@ func TestServerRestartDurability(t *testing.T) {
 // answer 503, inviting a retry — not 500.
 func TestServerDeleteNotPersisted(t *testing.T) {
 	dir := t.TempDir()
-	d, ts := newDurableServer(t, dir, 1)
+	d, ts := newDurableServer(t, dir)
 	defer ts.Close()
 
 	var ins InsertResponse

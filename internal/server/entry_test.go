@@ -1,0 +1,83 @@
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+
+	"skygraph/internal/dataset"
+	"skygraph/internal/gdb"
+	"skygraph/internal/measure"
+	"skygraph/internal/testutil"
+)
+
+// TestSkylineAnswerIsOneEntry: a skyline answer is one cache entry. An
+// insert upgrades it in place; the delete of a skyline member drops the
+// whole entry, and the repeat rebuilds the table — with the score memo
+// on, the pairs the first build scored replay instead of re-running
+// engines.
+func TestSkylineAnswerIsOneEntry(t *testing.T) {
+	db := gdb.New()
+	if err := db.InsertAll(dataset.PaperDB()); err != nil {
+		t.Fatal(err)
+	}
+	db.EnableScoreMemo(1024)
+	s := New(db, Config{CacheSize: 32})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	q := dataset.PaperQuery()
+	var first SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &first)
+	if first.Stats.CacheHit || first.Stats.ShardHits != 0 || first.Stats.Evaluated+first.Stats.Pruned != 7 {
+		t.Fatalf("cold query stats = %+v", first.Stats)
+	}
+	if got := s.Cache().Len(); got != 1 {
+		t.Fatalf("cache holds %d entries after a cold skyline; want 1", got)
+	}
+
+	before := s.Cache().Stats()
+	g := extraGraph("extra")
+	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("insert status = %d", r.StatusCode)
+	}
+	if after := s.Cache().Stats(); after.DeltaApplied != before.DeltaApplied+1 || after.Entries != 1 {
+		t.Fatalf("insert: cache %+v; want the one entry upgraded in place", after)
+	}
+	var second SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &second)
+	if !second.Stats.CacheHit || second.Stats.ShardHits != 1 || second.Stats.DeltaPatched != 1 {
+		t.Fatalf("requery stats = %+v; want a hit, patched once", second.Stats)
+	}
+
+	before = s.Cache().Stats()
+	deleteGraph(t, ts.URL+"/graphs/"+second.Skyline[0].ID)
+	if after := s.Cache().Stats(); after.DeltaFallbacks != before.DeltaFallbacks+1 || s.Cache().Len() != 0 {
+		t.Fatalf("front delete: cache %+v; want the whole entry dropped as one fallback", after)
+	}
+	var third SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &third)
+	if third.Stats.ShardHits != 0 || third.Stats.Evaluated+third.Stats.Pruned != db.Len() {
+		t.Fatalf("post-delete stats = %+v; want all %d graphs rebuilt", third.Stats, db.Len())
+	}
+	if third.Stats.MemoHits == 0 {
+		t.Fatalf("post-delete stats = %+v; want the rebuild to replay scored pairs from the memo", third.Stats)
+	}
+	testutil.RequireSameSkyline(t, "rebuild", testutil.ReferenceSkyline(db.Graphs(), q, measure.Options{}), wirePoints(third.Skyline))
+}
+
+// TestIsomorphicQueryHitsShardedCache: the canonical query hash shares
+// cached answers across isomorphic re-encodings too.
+func TestIsomorphicQueryHitsShardedCache(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 16})
+	var first SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &first)
+	var second SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: permutedPaperQuery(t)}, &second)
+	if !second.Stats.CacheHit || second.Stats.Evaluated != 0 {
+		t.Fatalf("isomorphic requery stats = %+v; want full cache hit", second.Stats)
+	}
+	if !reflect.DeepEqual(second.Skyline, first.Skyline) {
+		t.Fatalf("isomorphic requery answer differs: %+v vs %+v", second.Skyline, first.Skyline)
+	}
+}

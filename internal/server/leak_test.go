@@ -15,7 +15,7 @@ import (
 
 // TestConcurrentBatchAndInsertNoLeaks is the goroutine-leak regression
 // test (run under -race in CI): concurrent batch queries and inserts
-// against a sharded server, then a clean shutdown, after which the
+// against a server, then a clean shutdown, after which the
 // goroutine count must return to its pre-server baseline. Worker pools
 // that outlive their query, flight leaders that never publish, or
 // handlers blocked on abandoned channels would all keep the count high.
@@ -23,7 +23,7 @@ func TestConcurrentBatchAndInsertNoLeaks(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
-	s, ts := newShardedTestServer(t, 3, Config{CacheSize: 32})
+	s, ts := newTestServer(t, Config{CacheSize: 32})
 	client := ts.Client()
 
 	const workers = 4
@@ -36,8 +36,8 @@ func TestConcurrentBatchAndInsertNoLeaks(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < iters; i++ {
-				// Insert a fresh graph: bumps one shard's generation and
-				// prunes its tables while queries are in flight.
+				// Insert a fresh graph: bumps the generation and sweeps
+				// the cache while queries are in flight.
 				g := graph.Molecule(5, rng)
 				g.SetName(fmt.Sprintf("leak-%d-%d", w, i))
 				doPost(t, client, ts.URL+"/graphs", InsertRequest{Graph: g})
@@ -86,7 +86,7 @@ func doPost(t *testing.T, client *http.Client, url string, body any) {
 // the regression test for torn or racy stats reads; -race in CI is the
 // real assertion, status codes are the smoke check.
 func TestStatsHammerDuringQueries(t *testing.T) {
-	_, ts := newShardedTestServer(t, 2, Config{CacheSize: 8})
+	_, ts := newTestServer(t, Config{CacheSize: 8})
 	client := ts.Client()
 	stop := make(chan struct{})
 	var hammer sync.WaitGroup

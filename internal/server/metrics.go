@@ -15,7 +15,7 @@ import (
 // metrics is the server's obs registry plus the handles the hot paths
 // write to. Request-scoped series (per-endpoint latency, per-kind
 // cascade counters) are fed by the handlers; occupancy numbers another
-// subsystem already maintains (cache, shards, memo, Go
+// subsystem already maintains (cache, database, memo, Go
 // runtime) are registered as render-time callbacks so /metrics always
 // reports the live value without a second set of counters to keep in
 // sync.
@@ -60,7 +60,7 @@ var workFamilies = [...]struct {
 }
 
 // newMetrics builds the registry for one Server. Call once, after the
-// database (shards, memo) is fully assembled — the
+// database (memo) is fully assembled — the
 // callback metrics bind to what exists now.
 func newMetrics(s *Server) *metrics {
 	reg := obs.NewRegistry()
@@ -82,7 +82,7 @@ func newMetrics(s *Server) *metrics {
 		"Queries answered entirely from the table or ranked cache, by query kind.", "kind")
 
 	m.stageSeconds = reg.CounterVec("skygraph_stage_seconds_total",
-		"Cascade-stage work time summed across shards and workers, by stage.", "stage")
+		"Cascade-stage work time summed across workers, by stage.", "stage")
 	m.stagePairs = reg.CounterVec("skygraph_stage_pairs_total",
 		"Candidate pairs processed per cascade stage.", "stage")
 	m.stagePruned = reg.CounterVec("skygraph_stage_pruned_total",
@@ -195,15 +195,12 @@ func newMetrics(s *Server) *metrics {
 			func() float64 { return rec.Duration.Seconds() })
 	}
 
-	// Per-shard occupancy.
-	shardGraphs := reg.GaugeVec("skygraph_shard_graphs", "Graphs stored per shard.", "shard")
-	shardGen := reg.GaugeVec("skygraph_shard_generation", "Mutation generation per shard.", "shard")
-	for i := 0; i < s.db.NumShards(); i++ {
-		shard := s.db.Shard(i)
-		label := strconv.Itoa(i)
-		shardGraphs.WithFunc(func() float64 { return float64(shard.Len()) }, label)
-		shardGen.WithFunc(func() float64 { return float64(shard.Generation()) }, label)
-	}
+	// Occupancy. The store is one; the families and their shard="0"
+	// label are kept for scrapers that read them.
+	reg.GaugeVec("skygraph_shard_graphs", "Graphs stored.", "shard").
+		WithFunc(func() float64 { return float64(s.db.Len()) }, "0")
+	reg.GaugeVec("skygraph_shard_generation", "Mutation generation.", "shard").
+		WithFunc(func() float64 { return float64(s.db.Generation()) }, "0")
 
 	// Process-level runtime stats and build identity.
 	reg.GaugeFunc("skygraph_uptime_seconds", "Seconds since the server started.",

@@ -62,7 +62,7 @@ func requireWireTraceConsistent(t *testing.T, label string, stages []gdb.TraceSt
 // the acceptance invariant of the tracing layer, asserted through the
 // full HTTP path.
 func TestTraceEndToEnd(t *testing.T) {
-	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, dataset.PaperDB())
+	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
 
 	var sky SkylineResponse
 	r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Trace: true}, &sky)
@@ -104,15 +104,14 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceTinyShards drives the NoisyFamily collection — 25 close
-// relatives over 2 shards, score memo on — through POST /query/topk. On
-// shards this small every candidate sits within a few edits of every
-// other; counting one exclusion for two stages once drove the bound
+// relatives, score memo on — through POST /query/topk. In a database
+// this small every candidate sits within a few edits of every other; counting one exclusion for two stages once drove the bound
 // stage's count to -2, which panicked the per-stage counter and dropped
 // the connection. Every query must answer 200 with a consistent trace,
 // and no counter add may have been rejected.
 func TestTraceTinyShards(t *testing.T) {
 	gs, queries := testutil.NoisyFamily(25)
-	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, gs)
+	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, gs)
 
 	for qi, q := range queries {
 		var tk TopKResponse
@@ -154,7 +153,7 @@ func mustGraphJSON(t *testing.T) string {
 // TestBatchTraceConsistent asserts the same invariant for every item of
 // a traced batch.
 func TestBatchTraceConsistent(t *testing.T) {
-	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 0}, dataset.PaperDB())
+	_, ts := newMemoTestServer(t, Config{CacheSize: 0}, dataset.PaperDB())
 	radius := 6.0
 	req := BatchRequest{Queries: []BatchQuery{
 		{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Trace: true}},
@@ -198,7 +197,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [-+0-9.eEI
 // family, and non-zero values on the counters the traffic must have
 // moved.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, dataset.PaperDB())
+	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
 
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &sky)
@@ -281,7 +280,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // carries the status and the write-path health and nothing else (no
 // background index backlog is waited on).
 func TestHealthAndReady(t *testing.T) {
-	s, ts := newMemoTestServer(t, 2, Config{}, dataset.PaperDB())
+	s, ts := newMemoTestServer(t, Config{}, dataset.PaperDB())
 	want := map[string]map[string]string{
 		"/healthz": {"status": "ok"},
 		"/readyz":  {"status": "ready", "health": "serving"},
@@ -310,7 +309,7 @@ func TestHealthAndReady(t *testing.T) {
 // satisfies the same consistency invariant as the wire trace.
 func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"slices"
 
 	"skygraph/internal/gdb"
 	"skygraph/internal/measure"
@@ -10,7 +9,7 @@ import (
 
 // Ranked serving. /query/topk and /query/range call the library's
 // TopKQuery / RangeQuery — the best-first bound-index scan of
-// gdb/ranked.go, one scan over every shard against one threshold —
+// gdb/ranked.go, one scan of the database against one threshold —
 // and never read a table: a cached table, complete or pruned, answers
 // skyline requests only. The answer is cached under its own key
 // path ("topk" or "range"); it never populates, shadows, or satisfies a
@@ -18,8 +17,8 @@ import (
 // which table builds fill.
 
 // buildRanked runs the ranked scan of a topk/range request that read
-// generations gens.
-func (s *Server) buildRanked(ctx context.Context, res resolved, gens []uint64) (*cacheEntry, bool, error) {
+// generation gen.
+func (s *Server) buildRanked(ctx context.Context, res resolved, gen uint64) (*cacheEntry, bool, error) {
 	opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace, QueryHash: res.qh}
 	var r gdb.TopKResult
 	var err error
@@ -35,14 +34,14 @@ func (s *Server) buildRanked(ctx context.Context, res resolved, gens []uint64) (
 	// mutation can splice, append or prove it unchanged instead of
 	// invalidating it (see delta.go).
 	e := &cacheEntry{
-		gens:    gens,
+		gen:     gen,
 		items:   r.Items,
 		inexact: r.Stats.Inexact,
 		work:    r.Stats.Work,
 		lin:     &lineage{q: res.q, qsig: measure.NewSignature(res.q), m: res.m},
 	}
-	// Cache only when no mutation raced the evaluation: generations are
-	// monotone, so unchanged before/after means every snapshot the scan
-	// used matches the recorded generations.
-	return e, slices.Equal(gens, s.db.Generations()), nil
+	// Cache only when no mutation raced the evaluation: the generation
+	// is monotone, so unchanged before/after means the snapshot the scan
+	// used is the recorded generation's.
+	return e, gen == s.db.Generation(), nil
 }

@@ -14,38 +14,36 @@ import (
 
 // TestRankedPrunesByDefaultAndMatchesFull: topk and range run the
 // best-first bound-index evaluation and return items — scores and
-// tie-order — identical to the leaf-function reference, across shard
-// counts and measures, on the HTTP path; an "all" skyline's complete
+// tie-order — identical to the leaf-function reference, across
+// measures, on the HTTP path; an "all" skyline's complete
 // tables never answer a later ranked request, which runs its own scan.
 func TestRankedPrunesByDefaultAndMatchesFull(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(6, 15)...)
 	radius := 4.0
-	for _, shards := range []int{1, 2, 3, 7} {
-		for _, name := range []string{"DistEd", "DistGu"} {
-			m, err := measure.ByName(name)
-			if err != nil {
-				t.Fatal(err)
+	for _, name := range []string{"DistEd", "DistGu"} {
+		m, err := measure.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
+		for qi, q := range append(testutil.SeededQueries(88, gs, 2), dataset.PaperQuery()) {
+			label := fmt.Sprintf("m=%s q=%d", name, qi)
+			scores := testutil.ReferenceScores(gs, q, m, measure.Options{})
+			var tk TopKResponse
+			if r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: name}, &tk); r.StatusCode != http.StatusOK {
+				t.Fatalf("%s: topk status %d", label, r.StatusCode)
 			}
-			_, ts := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
-			for qi, q := range append(testutil.SeededQueries(88, gs, 2), dataset.PaperQuery()) {
-				label := fmt.Sprintf("shards=%d m=%s q=%d", shards, name, qi)
-				scores := testutil.ReferenceScores(gs, q, m, measure.Options{})
-				var tk TopKResponse
-				if r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: name}, &tk); r.StatusCode != http.StatusOK {
-					t.Fatalf("%s: topk status %d", label, r.StatusCode)
-				}
-				testutil.RequireSameItems(t, label+"/topk", testutil.ReferenceTopK(scores, 4), wireItems(tk.Items))
-				var rg RangeResponse
-				postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: name}, &rg)
-				testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(scores, radius), wireItems(rg.Items))
+			testutil.RequireSameItems(t, label+"/topk", testutil.ReferenceTopK(scores, 4), wireItems(tk.Items))
+			var rg RangeResponse
+			postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: name}, &rg)
+			testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(scores, radius), wireItems(rg.Items))
 
-				postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &SkylineResponse{})
-				var warm TopKResponse
-				postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5, Measure: name}, &warm)
-				testutil.RequireSameItems(t, label+"/warm-topk", testutil.ReferenceTopK(scores, 5), wireItems(warm.Items))
-				if warm.Stats.CacheHit || warm.Stats.ShardHits != 0 || warm.Stats.Evaluated+warm.Stats.Pruned != len(gs) {
-					t.Fatalf("%s: topk after an all skyline did not run its own scan: %+v", label, warm.Stats)
-				}
+			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &SkylineResponse{})
+			var warm TopKResponse
+			postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5, Measure: name}, &warm)
+			testutil.RequireSameItems(t, label+"/warm-topk", testutil.ReferenceTopK(scores, 5), wireItems(warm.Items))
+			if warm.Stats.CacheHit || warm.Stats.ShardHits != 0 || warm.Stats.Evaluated+warm.Stats.Pruned != len(gs) {
+				t.Fatalf("%s: topk after an all skyline did not run its own scan: %+v", label, warm.Stats)
 			}
 		}
 	}
@@ -57,18 +55,16 @@ func TestRankedColdPathMatchesFull(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(9, 12)...)
 	q := dataset.PaperQuery()
 	want := testutil.ReferenceTopK(testutil.ReferenceScores(gs, q, measure.DistEd{}, measure.Options{}), 5)
-	for _, shards := range []int{1, 3} {
-		_, ts := newShardedTestServerWith(t, shards, Config{CacheSize: 64}, gs)
-		var tk TopKResponse
-		postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5}, &tk)
-		testutil.RequireSameItems(t, fmt.Sprintf("shards=%d", shards), want, wireItems(tk.Items))
-		if tk.Stats.CacheHit {
-			t.Fatalf("shards=%d: cold topk claims a cache hit", shards)
-		}
-		if got := tk.Stats.Evaluated + tk.Stats.Pruned; got != len(gs) {
-			t.Fatalf("shards=%d: evaluated %d + pruned %d != %d",
-				shards, tk.Stats.Evaluated, tk.Stats.Pruned, len(gs))
-		}
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
+	var tk TopKResponse
+	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5}, &tk)
+	testutil.RequireSameItems(t, "cold", want, wireItems(tk.Items))
+	if tk.Stats.CacheHit {
+		t.Fatal("cold topk claims a cache hit")
+	}
+	if got := tk.Stats.Evaluated + tk.Stats.Pruned; got != len(gs) {
+		t.Fatalf("evaluated %d + pruned %d != %d",
+			tk.Stats.Evaluated, tk.Stats.Pruned, len(gs))
 	}
 }
 
@@ -76,7 +72,7 @@ func TestRankedColdPathMatchesFull(t *testing.T) {
 // the ranked-answer cache with zero evaluations, and /stats totals the
 // pruned pairs.
 func TestRankedAnswerCached(t *testing.T) {
-	_, ts := newShardedTestServerWith(t, 3, Config{CacheSize: 64}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var first, second TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 2}, &first)
@@ -100,7 +96,7 @@ func TestRankedAnswerCached(t *testing.T) {
 // satisfy (or block) a full-table request — the skyline-with-table
 // request after a pruned topk still evaluates and returns every row.
 func TestRankedNeverShadowsFullTable(t *testing.T) {
-	_, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 2}, &tk)
@@ -121,7 +117,7 @@ func TestRankedNeverShadowsFullTable(t *testing.T) {
 // discards a cached ranked answer — the delta layer upgrades it in
 // place, and the patched answer matches a cold recompute exactly.
 func TestRankedMaintainedAcrossMutation(t *testing.T) {
-	_, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var first TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &first)
@@ -138,7 +134,7 @@ func TestRankedMaintainedAcrossMutation(t *testing.T) {
 	}
 	// The patched answer must be byte-identical to a cold recompute on a
 	// server that never cached anything.
-	_, tsCold := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, append(dataset.PaperDB(), extra[0]))
+	_, tsCold := newTestServerWith(t, Config{CacheSize: 64}, append(dataset.PaperDB(), extra[0]))
 	var cold TopKResponse
 	postJSON(t, tsCold.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &cold)
 	if !reflect.DeepEqual(cold.Items, second.Items) {
@@ -151,7 +147,7 @@ func TestRankedMaintainedAcrossMutation(t *testing.T) {
 // best is unknown), so the entry falls back to invalidation and the next
 // ranked query rescans the live graphs.
 func TestRankedFallsBackWhenMemberDeleted(t *testing.T) {
-	s, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, dataset.PaperDB())
+	s, ts := newTestServerWith(t, Config{CacheSize: 64}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var first TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &first)
@@ -182,7 +178,7 @@ func TestRankedFallsBackWhenMemberDeleted(t *testing.T) {
 // and answers exactly as the reference does.
 func TestBatchRankedMixedKinds(t *testing.T) {
 	gs := dataset.PaperDB()
-	_, ts := newShardedTestServerWith(t, 2, Config{CacheSize: 64}, gs)
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
 	radius := 3.0
 	var resp BatchResponse
 	postJSON(t, ts.URL+"/query/batch", BatchRequest{Queries: []BatchQuery{

@@ -22,7 +22,7 @@ import (
 // the degradation tests: degrade after 2 failures, probe every 10ms.
 func newResilientServer(t *testing.T, dir string) (*gdb.Durable, *Server, *httptest.Server) {
 	t.Helper()
-	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: dir, Shards: 2})
+	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -269,7 +269,7 @@ func TestCorruptClassDoesNotDegrade(t *testing.T) {
 // with the overloaded class and a Retry-After, and the shed counter
 // shows up in /stats.
 func TestLoadShed(t *testing.T) {
-	db := gdb.NewSharded(2)
+	db := gdb.New()
 	for _, g := range dataset.PaperDB() {
 		if _, err := db.Insert(g, ""); err != nil {
 			t.Fatal(err)
@@ -511,7 +511,7 @@ func TestTimeoutHeader(t *testing.T) {
 	if hv := headerTimeoutMS(mk("1000")); req.TimeoutMS > 0 && hv != 1000 {
 		t.Fatalf("header parse changed: %d", hv)
 	}
-	s := New(gdb.NewSharded(1), Config{MaxTimeout: time.Second})
+	s := New(gdb.New(), Config{MaxTimeout: time.Second})
 	defer s.Close()
 	if d := s.timeout(&QueryRequest{TimeoutMS: 5000}); d != time.Second {
 		t.Fatalf("MaxTimeout clamp broken: %v", d)
@@ -545,7 +545,7 @@ func TestFaultAdminEndpoint(t *testing.T) {
 	}
 
 	// Servers without FaultAdmin must not mount the endpoint at all.
-	plain := New(gdb.NewSharded(1), Config{})
+	plain := New(gdb.New(), Config{})
 	defer plain.Close()
 	pts := httptest.NewServer(plain.Handler())
 	defer pts.Close()
@@ -580,7 +580,7 @@ func TestErrorClassDefaults(t *testing.T) {
 // actual concurrency: racing Closes must not double-close the stop
 // channel and panic.
 func TestHealthCloseConcurrent(t *testing.T) {
-	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: t.TempDir(), Shards: 1})
+	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

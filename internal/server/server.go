@@ -82,7 +82,7 @@ type Config struct {
 // remembered for replay.
 const idemCapacity = 4096
 
-// Server serves similarity queries over a sharded graph database with an
+// Server serves similarity queries over a graph database with an
 // answer cache in front of pair evaluation. Create with New, mount via
 // Handler.
 type Server struct {
@@ -209,7 +209,7 @@ func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 // stats tooling).
 func (s *Server) Cache() *Cache { return s.cache }
 
-// DB exposes the server's sharded database.
+// DB exposes the server's database.
 func (s *Server) DB() *gdb.Sharded { return s.db }
 
 // Handler returns the HTTP routing for the API. Serving routes are
@@ -385,8 +385,7 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	}
 	res.basis = basis
 
-	// Workers stays 0: every query is one scan over all shards, GOMAXPROCS
-	// wide. The canonical query hash rides along so the score memo never
+	// Workers stays 0: every query is one scan, GOMAXPROCS wide. The canonical query hash rides along so the score memo never
 	// re-canonicalizes.
 	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
 	res.key = cacheKey{path: kind, qh: res.qh, eval: res.opts.Eval}
@@ -494,19 +493,19 @@ type flightCall struct {
 
 // coalesce is the one cache → flight → build loop behind every cached
 // answer, skyline tables and ranked answers alike, for a request
-// that read generations gens. It serves the entry under key from the
-// cache when it is servable at gens. Otherwise concurrent identical
+// that read generation gen. It serves the entry under key from the
+// cache when it is servable at gen. Otherwise concurrent identical
 // requests coalesce on one flight leader, which re-checks the cache,
 // runs build, adds the build's work to the server totals and publishes
 // the entry under key when build says to store it. Followers report a
 // hit: they caused no evaluation. A follower takes the leader's entry
-// only when it too is servable at the follower's gens; one whose leader
+// only when it too is servable at the follower's gen; one whose leader
 // built at another generation, or failed — e.g. the leader's own
 // shorter timeout fired — retries under its own deadline instead.
-func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, build func() (*cacheEntry, bool, error)) (e *cacheEntry, hit bool, err error) {
+func (s *Server) coalesce(ctx context.Context, key cacheKey, gen uint64, build func() (*cacheEntry, bool, error)) (e *cacheEntry, hit bool, err error) {
 	var c *flightCall
 	for {
-		if e, ok := s.cache.lookup(key, gens, false); ok {
+		if e, ok := s.cache.lookup(key, gen, false); ok {
 			return e, true, nil
 		}
 		s.flightMu.Lock()
@@ -520,7 +519,7 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, buil
 		s.flightMu.Unlock()
 		select {
 		case <-leader.done:
-			if leader.err == nil && servable(leader.e, gens) {
+			if leader.err == nil && servable(leader.e, gen) {
 				return leader.e, true, nil
 			}
 			// The leader failed for its own reasons, or answered another
@@ -540,7 +539,7 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, buil
 	// A previous leader may have published between our miss and the
 	// takeover; its flight removal follows its put, so re-checking here
 	// closes the window. The re-check is quiet: the miss was counted.
-	if e, ok := s.cache.lookup(key, gens, true); ok {
+	if e, ok := s.cache.lookup(key, gen, true); ok {
 		return e, true, nil
 	}
 	e, store, err := build()
@@ -560,16 +559,16 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gens []uint64, buil
 // ranked scan's items for top-k and range (ranked.go). hit reports that
 // the request caused no evaluation.
 func (s *Server) entry(ctx context.Context, res resolved) (e *cacheEntry, hit bool, err error) {
-	gens := s.db.Generations()
-	return s.coalesce(ctx, res.key, gens, func() (*cacheEntry, bool, error) {
+	gen := s.db.Generation()
+	return s.coalesce(ctx, res.key, gen, func() (*cacheEntry, bool, error) {
 		if res.m != nil {
-			return s.buildRanked(ctx, res, gens)
+			return s.buildRanked(ctx, res, gen)
 		}
 		return s.buildTable(ctx, res)
 	})
 }
 
-// buildTable evaluates a skyline request: one scan over every shard.
+// buildTable evaluates a skyline request: one scan of the database.
 func (s *Server) buildTable(ctx context.Context, res resolved) (*cacheEntry, bool, error) {
 	opts := res.opts
 	opts.Prune = res.key.path == "pruned"
@@ -577,8 +576,8 @@ func (s *Server) buildTable(ctx context.Context, res resolved) (*cacheEntry, boo
 	if err != nil {
 		return nil, false, err
 	}
-	// The table records every shard's generation of the snapshot it was
-	// built from, whatever the request read, so storing the entry is
+	// The table records the generation of the snapshot it was built
+	// from, whatever the request read, so storing the entry is
 	// always sound. A pruned table carries its maintenance lineage, so a
 	// later mutation can upgrade the entry in place (delta.go) instead of
 	// invalidating it; a complete table carries none, and the next
@@ -607,18 +606,18 @@ func (s *Server) classifyQueryErr(err error) (int, string, string) {
 }
 
 // queryStats assembles the wire stats of one answer: a hit (from the
-// cache or a coalesced leader) counts every shard as hit and reports no
-// work, a fresh build reports what it cost and no shard hit.
+// cache or a coalesced leader) reports no work, a fresh build reports
+// what it cost.
 func queryStats(e *cacheEntry, hit bool, start time.Time) QueryStats {
 	qs := QueryStats{
 		Work:         e.work,
 		Inexact:      e.inexact,
 		DeltaPatched: e.deltas,
-		Shards:       len(e.gens),
+		Shards:       1,
 		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if hit {
-		qs.Work, qs.CacheHit, qs.ShardHits = gdb.Work{}, true, len(e.gens)
+		qs.Work, qs.CacheHit, qs.ShardHits = gdb.Work{}, true, 1
 	}
 	return qs
 }
@@ -728,11 +727,11 @@ func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, 
 	mstart := time.Now()
 	resp := &SkylineResponse{
 		Basis:   measure.BasisNames(res.basis),
-		Skyline: toPointJSON(s.db.TableSkyline(e.table, nil)),
+		Skyline: toPointJSON(e.table.Skyline(nil)),
 		Stats:   stats,
 	}
 	if req.All {
-		resp.All = toPointJSON(s.db.TableRows(e.table))
+		resp.All = toPointJSON(e.table.Points)
 	}
 	res.opts.Trace.Observe(gdb.StageMerge, time.Since(mstart), len(e.table.Points), 0)
 	return answer{sky: resp}, nil
@@ -955,8 +954,8 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		ack, err := s.db.Insert(g, key)
 		if err != nil {
-			// Partial inserts stand (each bumped its shard's generation,
-			// and each already routed its cache delta) and are reported;
+			// Partial inserts stand (each bumped the generation, and each
+			// already routed its cache delta) and are reported;
 			// the request is not recorded for replay, but the applied
 			// names are noted under the key, so a keyed retry re-attempts
 			// exactly the remainder.
@@ -967,9 +966,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.noteInsertProgress(key, g.Name())
 		inserted = append(inserted, g.Name())
 		// Route the delta per applied insert, not per request: each
-		// mutation advances its shard by exactly one generation, which is
-		// the step the upgrade proofs are built on.
-		s.deltaInsert(g, ack.Shard, ack.Gen)
+		// mutation advances the database by exactly one generation, which
+		// is the step the upgrade proofs are built on.
+		s.deltaInsert(g, ack.Gen)
 	}
 	// Inserted reports every name the request asked for that is now
 	// applied under this key — freshly inserted or skipped as already
@@ -1018,7 +1017,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.health.NoteSuccess()
-	s.deltaDelete(name, ack.Shard, ack.Gen)
+	s.deltaDelete(name, ack.Gen)
 	resp := DeleteResponse{Deleted: name, Generation: s.db.Generation()}
 	s.idemRemember("delete", key, idemRecord{del: &resp})
 	writeJSON(w, http.StatusOK, resp)
@@ -1040,14 +1039,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	dbs := s.db.Stats()
-	shards := make([]ShardInfo, s.db.NumShards())
-	for i := range shards {
-		shards[i] = ShardInfo{
-			Index:      i,
-			Graphs:     s.db.Shard(i).Len(),
-			Generation: s.db.ShardGeneration(i),
-		}
-	}
+	gen := s.db.Generation()
 	var memo *gdb.MemoStats
 	if m := s.db.Memo(); m != nil {
 		ms := m.Stats()
@@ -1081,7 +1073,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	work := s.work.load()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Generation:    s.db.Generation(),
+		Generation:    gen,
 		DB: DBStats{
 			Graphs:       dbs.Graphs,
 			Vertices:     dbs.Vertices,
@@ -1091,7 +1083,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			MinSize:      dbs.MinSize,
 			MaxSize:      dbs.MaxSize,
 		},
-		Shards:     shards,
+		Shards:     []ShardInfo{{Graphs: dbs.Graphs, Generation: gen}},
 		Cache:      s.cache.Stats(),
 		Memo:       memo,
 		Durability: durability,
@@ -1133,7 +1125,7 @@ func runtimeStats() RuntimeStats {
 // entry the same skyline request would build and read: pruned tables,
 // or complete ones for an item that sets "all". Queries run
 // sequentially — warming is maintenance, not serving, so it should
-// trickle rather than flood; each item still evaluates its shards in
+// trickle rather than flood; each item still evaluates its pairs in
 // parallel like a normal cold query. Every failed item counts as a
 // request error, as a failed batch item does.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
@@ -1154,8 +1146,8 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "empty warm request")
 		return
 	}
-	// Same size cap as /query/batch: every warm item is a table build
-	// across all shards, as a cold skyline request is.
+	// Same size cap as /query/batch: every warm item is a table build,
+	// as a cold skyline request is.
 	if len(req.Queries) > s.maxBatch() {
 		s.writeError(w, http.StatusBadRequest, "warm request of %d queries exceeds the limit of %d", len(req.Queries), s.maxBatch())
 		return

@@ -19,25 +19,10 @@ import (
 	"skygraph/internal/testutil"
 )
 
-// newTestServer serves the paper's 7-graph database on a single shard
-// (the legacy behavior every pre-sharding assertion was written for).
+// newTestServer serves the paper's 7-graph database.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	return newShardedTestServer(t, 1, cfg)
-}
-
-// newShardedTestServer serves the paper's 7-graph database split across
-// nshards shards.
-func newShardedTestServer(t *testing.T, nshards int, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	db := gdb.NewSharded(nshards)
-	if err := db.InsertAll(dataset.PaperDB()); err != nil {
-		t.Fatal(err)
-	}
-	s := New(db, cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return newTestServerWith(t, cfg, dataset.PaperDB())
 }
 
 func postJSON(t *testing.T, url string, body any, out any) *http.Response {
@@ -114,7 +99,7 @@ func TestSkylineRoundTrip(t *testing.T) {
 // complete build filled, so no engine runs. The answers match the
 // reference.
 func TestRankedSkipsEnginesAfterAllSkyline(t *testing.T) {
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +509,7 @@ func TestInsertInvalidGraphIs400(t *testing.T) {
 }
 
 func TestEvalMergesOverServerDefaults(t *testing.T) {
-	db := gdb.NewSharded(1)
+	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		t.Fatal(err)
 	}

@@ -14,11 +14,11 @@ import (
 	"skygraph/internal/testutil"
 )
 
-// newMemoTestServer serves gs across nshards shards with the score
+// newMemoTestServer serves gs with the score
 // memo enabled, as skygraphd -memo wires a daemon.
-func newMemoTestServer(t *testing.T, nshards int, cfg Config, gs []*graph.Graph) (*Server, *httptest.Server) {
+func newMemoTestServer(t *testing.T, cfg Config, gs []*graph.Graph) (*Server, *httptest.Server) {
 	t.Helper()
-	db := gdb.NewSharded(nshards)
+	db := gdb.New()
 	if err := db.InsertAll(gs); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func newMemoTestServer(t *testing.T, nshards int, cfg Config, gs []*graph.Graph)
 // dates from when this test also checked the pivot tier's counters,
 // which are gone with the tier.)
 func TestPivotCountersOnWire(t *testing.T) {
-	_, ts := newMemoTestServer(t, 1, Config{CacheSize: 16}, dataset.PaperDB())
+	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 
 	var tk TopKResponse
@@ -74,7 +74,7 @@ func TestPivotCountersOnWire(t *testing.T) {
 // counters. (The name dates from when it also aggregated the pivot
 // tier's counters.)
 func TestPivotCountersInBatch(t *testing.T) {
-	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 32}, dataset.PaperDB())
+	_, ts := newMemoTestServer(t, Config{CacheSize: 32}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var resp BatchResponse
 	postJSON(t, ts.URL+"/query/batch", map[string]any{
@@ -96,7 +96,7 @@ func TestPivotCountersInBatch(t *testing.T) {
 // so later skyline requests of the same kind answer from cache, ranked
 // requests run their own scan, and malformed entries fail in place.
 func TestWarmEndpoint(t *testing.T) {
-	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 32}, dataset.PaperDB())
+	_, ts := newMemoTestServer(t, Config{CacheSize: 32}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 
 	var wr WarmResponse
@@ -118,7 +118,7 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 
 	// The skyline request the warm item mirrors is served from its tables;
-	// a ranked request runs its own scan over every shard.
+	// a ranked request runs its own scan.
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
 	if !sky.Stats.CacheHit || sky.Stats.Evaluated != 0 {
@@ -134,7 +134,7 @@ func TestWarmEndpoint(t *testing.T) {
 	// serve "all" skylines only: a plain skyline builds its own pruned
 	// tables, and a ranked request scans — but every pair it scores
 	// replays from the memo the complete build filled.
-	_, ts = newMemoTestServer(t, 2, Config{CacheSize: 32}, dataset.PaperDB())
+	_, ts = newMemoTestServer(t, Config{CacheSize: 32}, dataset.PaperDB())
 	postJSON(t, ts.URL+"/cache/warm", map[string]any{
 		"queries": []map[string]any{{"graph": q, "all": true}},
 	}, &wr)
@@ -169,7 +169,7 @@ func TestWarmEndpoint(t *testing.T) {
 // place and counts in requests.errors, as a failed resolve or a failed
 // batch item does.
 func TestWarmEvaluationErrorsCounted(t *testing.T) {
-	s, _ := newShardedTestServerWith(t, 1, Config{CacheSize: 32}, testutil.SeededGraphs(41, 40))
+	s, _ := newTestServerWith(t, Config{CacheSize: 32}, testutil.SeededGraphs(41, 40))
 	body, err := json.Marshal(WarmRequest{Queries: []QueryRequest{{Graph: dataset.PaperQuery()}}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // what is on the wire, not on this package's types.
 func TestWireCompat(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
-	_, ts := newMemoTestServer(t, 2, Config{CacheSize: 16}, gs)
+	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, gs)
 	q := dataset.PaperQuery()
 	radius := 6.0
 
@@ -92,5 +93,42 @@ func TestWireCompat(t *testing.T) {
 		if strings.Contains(line, "pivot") || strings.Contains(line, "vector") {
 			t.Errorf("/metrics still carries a retired tier family: %s", line)
 		}
+	}
+}
+
+// TestShardWireFieldsFixedAtOne pins the values of the wire fields left
+// from the partitioned store: the database is one store, and clients
+// still decoding them read what a single-shard daemon reported —
+// "shards" 1, "shard_hits" 0 fresh and 1 on a hit, one /stats shards[]
+// entry with index 0 carrying the graph count and generation, and the
+// skygraph_shard_* families with one shard="0" series.
+func TestShardWireFieldsFixedAtOne(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 16})
+	q := QueryRequest{Graph: dataset.PaperQuery(), K: 3}
+	for _, path := range []string{"/query/skyline", "/query/topk"} {
+		for round, hits := range []int{0, 1} {
+			var resp struct{ Stats QueryStats }
+			postJSON(t, ts.URL+path, q, &resp)
+			if resp.Stats.Shards != 1 || resp.Stats.ShardHits != hits {
+				t.Fatalf("%s round %d: shards %d, shard_hits %d; want 1 and %d",
+					path, round, resp.Stats.Shards, resp.Stats.ShardHits, hits)
+			}
+		}
+	}
+	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: extraGraph("extra")}, nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("insert status %d", r.StatusCode)
+	}
+	st := statsOf(t, ts.URL)
+	if want := []ShardInfo{{Index: 0, Graphs: 8, Generation: st.Generation}}; !reflect.DeepEqual(st.Shards, want) || st.Generation != 8 {
+		t.Fatalf("/stats shards %+v at generation %d; want %+v at 8", st.Shards, st.Generation, want)
+	}
+	text := scrapeMetrics(t, ts.URL)
+	for _, line := range []string{`skygraph_shard_graphs{shard="0"} 8`, `skygraph_shard_generation{shard="0"} 8`} {
+		if !strings.Contains(text, "\n"+line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if n := strings.Count(text, "\nskygraph_shard_graphs{"); n != 1 {
+		t.Errorf("/metrics has %d skygraph_shard_graphs series; want 1", n)
 	}
 }

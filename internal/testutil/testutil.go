@@ -1,5 +1,5 @@
 // Package testutil provides deterministic seeded graph-database
-// builders and equivalence helpers shared by the gdb, server and shard
+// builders and equivalence helpers shared by the gdb and server
 // tests. Everything here is reproducible from a seed, so failures
 // reported by the property tests can be replayed exactly.
 package testutil
@@ -49,7 +49,7 @@ func SeededQueries(seed int64, gs []*graph.Graph, n int) []*graph.Graph {
 // NoisyFamily returns n close relatives of one 5-vertex molecule (two
 // random edits each, names g00000, g00001, ...) and 8 one-edit queries
 // drawn from them. Every graph sits within a few edits of every other,
-// so on small shards a ranked scan excludes many candidates by engine
+// so on a small database a ranked scan excludes many candidates by engine
 // decision runs and branch bounds side by side — the regime where
 // attributing one exclusion to two stages once drove a stage count
 // negative.
@@ -61,13 +61,13 @@ func NoisyFamily(n int) (gs, queries []*graph.Graph) {
 	return gs, dataset.NoisyQueries(gs, 8, 1, 101)
 }
 
-// NewSharded builds an n-shard database over gs, inserted in order so
-// the global insertion order is the slice's at every shard count.
-func NewSharded(tb testing.TB, nshards int, gs []*graph.Graph) *gdb.Sharded {
+// NewSharded builds a database over gs, inserted in order so the
+// insertion order is the slice's.
+func NewSharded(tb testing.TB, gs []*graph.Graph) *gdb.Sharded {
 	tb.Helper()
-	sh := gdb.NewSharded(nshards)
+	sh := gdb.New()
 	if err := sh.InsertAll(gs); err != nil {
-		tb.Fatalf("testutil: building %d-shard DB: %v", nshards, err)
+		tb.Fatalf("testutil: building DB: %v", err)
 	}
 	return sh
 }
@@ -75,7 +75,7 @@ func NewSharded(tb testing.TB, nshards int, gs []*graph.Graph) *gdb.Sharded {
 // ReferenceTable is the full comparison table of q over gs on the
 // default basis, straight from Definition 11 with leaf functions only:
 // the GCS vector of every graph against q, in gs (insertion) order. No
-// shard, bound, index, memo or engine table is involved, so agreement
+// bound, index, memo or engine table is involved, so agreement
 // with it (and with the Reference* answers derived the same way) is
 // evidence about the engine and not about two of its paths agreeing
 // with each other.

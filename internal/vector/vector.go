@@ -8,6 +8,6 @@ package vector
 //
 // Deprecated: the vector tier is gone.
 type Config struct {
-	// Cells was the number of partition cells per shard.
+	// Cells was the number of partition cells.
 	Cells int
 }

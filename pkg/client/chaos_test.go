@@ -145,7 +145,7 @@ func newChaosDaemon(t *testing.T) *chaosDaemon {
 
 func (cd *chaosDaemon) start() {
 	cd.t.Helper()
-	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: cd.dir, Shards: 2})
+	d, err := gdb.OpenDurable(gdb.DurableOptions{Dir: cd.dir})
 	if err != nil {
 		cd.t.Fatalf("OpenDurable: %v", err)
 	}

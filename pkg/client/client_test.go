@@ -273,7 +273,7 @@ func TestJitterBounds(t *testing.T) {
 // insert retried against a server whose first append fails transient
 // lands exactly once.
 func TestEndToEndAgainstRealServer(t *testing.T) {
-	s := server.New(gdb.NewSharded(2), server.Config{CacheSize: 8})
+	s := server.New(gdb.New(), server.Config{CacheSize: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

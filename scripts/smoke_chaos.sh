@@ -24,7 +24,7 @@ go build -o "$WORK/skygraphd" ./cmd/skygraphd
 go build -o "$WORK/loadgen" ./cmd/loadgen
 
 start_daemon() {
-  "$WORK/skygraphd" -addr "$ADDR" -shards 2 -cache 64 \
+  "$WORK/skygraphd" -addr "$ADDR" -cache 64 \
     -data-dir "$WORK/data" -fsync always -snapshot-every 2s \
     -fault-admin -degrade-after 2 -probe-every 50ms -retry-after 1s \
     2>>"$WORK/daemon.log" &

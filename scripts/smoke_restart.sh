@@ -17,7 +17,7 @@ go build -o "$WORK/skygraphd" ./cmd/skygraphd
 go build -o "$WORK/loadgen" ./cmd/loadgen
 
 start_daemon() {
-  "$WORK/skygraphd" -addr "$ADDR" -shards 2 -cache 64 \
+  "$WORK/skygraphd" -addr "$ADDR" -cache 64 \
     -data-dir "$WORK/data" -fsync always -snapshot-every 2s \
     2>>"$WORK/daemon.log" &
   DPID=$!
