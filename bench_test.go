@@ -130,7 +130,8 @@ func BenchmarkTable5Ranking(b *testing.B) {
 // distinct up to isomorphism, and a 1-edit query; DistEd top-5 and a
 // radius-2 range. evaluated/op counts the candidates scored exactly and
 // pruned/op the rest (tier 0, tier 1 and decision runs together).
-// Workers is pinned to 1 so the counters are deterministic.
+// Workers is pinned to 1 so the counters are deterministic. Allocations
+// are reported: the scan's per-candidate columns are most of them.
 func BenchmarkRankedScaling(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		gs := distinctFamilies(n, 5, 1)
@@ -142,6 +143,7 @@ func BenchmarkRankedScaling(b *testing.B) {
 		opts := gdb.QueryOptions{Workers: 1}
 		for _, kind := range []string{"topk", "range"} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, kind), func(b *testing.B) {
+				b.ReportAllocs()
 				var last gdb.QueryStats
 				for i := 0; i < b.N; i++ {
 					var res gdb.TopKResult

@@ -29,7 +29,7 @@ import (
 func (sh *Sharded) row(name string) (e *entry, gen uint64, memo *ScoreMemo) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.graphs[name], sh.gen, sh.memo
+	return sh.byName[name], sh.gen, sh.memo
 }
 
 // DeltaBound returns the tier-0 interval statistics of the single named

@@ -33,9 +33,15 @@ import (
 // memo (EnableScoreMemo, Memo); and persistence (Save, WriteTo, Load,
 // OpenDurable).
 type Sharded struct {
-	mu     sync.RWMutex
-	names  []string // insertion order
-	graphs map[string]*entry
+	mu sync.RWMutex
+	// graphs, sigs and seqs are the store's columns in insertion order:
+	// each graph beside its signature and insert sequence. A snapshot
+	// shares them (see snapshot), so they are append-only in place:
+	// Insert appends past every reader's length, Delete builds new ones.
+	graphs []*graph.Graph
+	sigs   []*measure.Signature
+	seqs   []uint64
+	byName map[string]*entry
 	gen    uint64 // bumped on every successful insert/delete
 
 	// memo, when set, is the cross-query exact-score memo consulted and
@@ -99,7 +105,7 @@ func SeedInsertSeq(min uint64) {
 
 // New returns an empty database.
 func New() *Sharded {
-	return &Sharded{graphs: make(map[string]*entry)}
+	return &Sharded{byName: make(map[string]*entry)}
 }
 
 // Ack is the evidence a mutation leaves: the generation it produced (0
@@ -140,7 +146,7 @@ func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, dup := sh.graphs[g.Name()]; dup {
+	if _, dup := sh.byName[g.Name()]; dup {
 		return Ack{Existed: true}, fmt.Errorf("gdb: duplicate graph name %q", g.Name())
 	}
 	// Write-ahead: with every failure mode that is checkable up front
@@ -153,8 +159,11 @@ func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 			return Ack{}, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
 		}
 	}
-	sh.graphs[g.Name()] = &entry{g: g, sig: measure.NewSignature(g), seq: seq}
-	sh.names = append(sh.names, g.Name())
+	e := &entry{g: g, sig: measure.NewSignature(g), seq: seq}
+	sh.byName[g.Name()] = e
+	sh.graphs = append(sh.graphs, e.g)
+	sh.sigs = append(sh.sigs, e.sig)
+	sh.seqs = append(sh.seqs, e.seq)
 	sh.gen++
 	return Ack{Gen: sh.gen}, nil
 }
@@ -173,7 +182,7 @@ func (sh *Sharded) InsertAll(gs []*graph.Graph) error {
 func (sh *Sharded) Get(name string) (*graph.Graph, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	e, ok := sh.graphs[name]
+	e, ok := sh.byName[name]
 	if !ok {
 		return nil, false
 	}
@@ -187,7 +196,8 @@ func (sh *Sharded) Get(name string) (*graph.Graph, bool) {
 func (sh *Sharded) Delete(name, key string) (Ack, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.graphs[name]; !ok {
+	e, ok := sh.byName[name]
+	if !ok {
 		return Ack{}, nil
 	}
 	if sh.store != nil {
@@ -195,9 +205,13 @@ func (sh *Sharded) Delete(name, key string) (Ack, error) {
 			return Ack{Existed: true}, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
 		}
 	}
-	delete(sh.graphs, name)
-	i := slices.Index(sh.names, name)
-	sh.names = slices.Delete(sh.names, i, i+1)
+	delete(sh.byName, name)
+	// New columns: a snapshot may still read the old ones. Sequences
+	// are unique, so the graph's own one finds its position.
+	i := slices.Index(sh.seqs, e.seq)
+	sh.graphs = slices.Concat(sh.graphs[:i], sh.graphs[i+1:])
+	sh.sigs = slices.Concat(sh.sigs[:i], sh.sigs[i+1:])
+	sh.seqs = slices.Concat(sh.seqs[:i], sh.seqs[i+1:])
 	sh.gen++
 	return Ack{Gen: sh.gen, Existed: true}, nil
 }
@@ -215,25 +229,25 @@ func (sh *Sharded) setStore(st Store) {
 func (sh *Sharded) Len() int {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return len(sh.names)
+	return len(sh.graphs)
 }
 
 // Names returns all graph names in insertion order.
 func (sh *Sharded) Names() []string {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return slices.Clone(sh.names)
+	names := make([]string, len(sh.graphs))
+	for i, g := range sh.graphs {
+		names[i] = g.Name()
+	}
+	return names
 }
 
 // Graphs returns all stored graphs in insertion order.
 func (sh *Sharded) Graphs() []*graph.Graph {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make([]*graph.Graph, len(sh.names))
-	for i, n := range sh.names {
-		out[i] = sh.graphs[n].g
-	}
-	return out
+	return slices.Clone(sh.graphs)
 }
 
 // EnableScoreMemo attaches the cross-query score memo, creating it with
@@ -280,10 +294,9 @@ type Stats struct {
 func (sh *Sharded) Stats() Stats {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	s := Stats{Graphs: len(sh.names)}
+	s := Stats{Graphs: len(sh.sigs)}
 	vl, el := map[string]bool{}, map[string]bool{}
-	for i, n := range sh.names {
-		sig := sh.graphs[n].sig
+	for i, sig := range sh.sigs {
 		s.Vertices += sig.Order
 		s.Edges += sig.Size
 		for l := range sig.VHist.Labels() {

@@ -20,11 +20,17 @@ import (
 // interval and evaluated most-promising-first against a live threshold
 // — the current k-th best score, or the radius. The moment the next
 // candidate's optimistic bound exceeds the threshold, every remaining
-// candidate is provably out and the scan stops. A candidate the bound
-// cannot settle meets tier 1 when the measure reads GED: the branch
-// lower bound (measure.Signature.BranchLB) raises the optimistic end of
-// its interval, and proves most claimed candidates out with no engine
-// run. The rest go to a threshold-fed decision run of the exact engines
+// candidate is provably out and the scan stops. Tier 0 computes only
+// the ranking measure's interval (measure.RankInterval) into plain
+// columns, and the candidates come off a heap in claim order, so a scan
+// that stops early pays neither for statistics its measure never reads
+// nor for ordering candidates it never reaches; the full interval
+// statistics (measure.BoundPair) are built only for a candidate that
+// reaches the engines. A candidate the bound cannot settle meets tier 1
+// when the measure reads GED: the branch lower bound
+// (measure.Signature.BranchLB) raises the optimistic end of its
+// interval, and proves most claimed candidates out with no engine run.
+// The rest go to a threshold-fed decision run of the exact engines
 // (ged.Options.Limit / mcs.Options.Need), which discards most survivors
 // without paying for exactness, and a plain exact evaluation only for
 // candidates that might make the answer. Tier 1 narrows the optimistic
@@ -212,190 +218,252 @@ func (s *kSmallest) kth() (v float64, ok bool) {
 	return s.h[0], true
 }
 
-// evalRanked is the scan itself: bound every candidate from its stored
-// signature (tier 0), seed the threshold from the pessimistic ends,
-// order the candidates that fit it by optimistic bound, drain them with
-// one pool of opts.Workers workers — tier 1, then the engines — and stop
-// at the threshold.
-// ec (nil-safe) adds the score memo, which replays recorded pair scores
-// without any engine work.
-//
-// The returned stats carry the scan's Work and Inexact; Duration is the
-// caller's to stamp.
-func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx, coll rankedCollector) (QueryStats, error) {
-	n := len(sn.graphs)
-	if n == 0 {
-		return QueryStats{}, nil
-	}
-	if ctx.Err() != nil {
-		return QueryStats{}, ctx.Err()
-	}
-	trace := opts.Trace
-	var tierStart time.Time
-	if trace != nil {
-		tierStart = time.Now()
-	}
+// claimHeap hands the admitted candidates to the scan's workers in
+// claim order, one pop at a time under its mutex: ascending optimistic
+// end (lo), lo ties by pessimistic end (hi), remaining ties by insert
+// sequence. Sequences are unique, so the order is total and popping the
+// whole heap yields exactly the sorted order. Heapifying is O(n), and
+// the scan usually stops after popping a small share of the candidates,
+// where a full sort paid O(n log n) for all of them.
+type claimHeap struct {
+	mu     sync.Mutex
+	idx    []int // candidate indices, a binary min-heap under compare
+	lo, hi []float64
+	seqs   []uint64
+}
 
-	// Tier 0: bound every candidate from its stored signature; uppers
-	// keeps the smallest pessimistic ends for threshold seeding.
-	bounds := make([]measure.BoundStats, n)
-	los := make([]float64, n)
-	his := make([]float64, n)
-	uppers := kSmallest{k: coll.floorK()}
-	for i := range n {
-		bounds[i] = measure.BoundPair(sn.sigs[i], qsig)
-		los[i], his[i] = bounds[i].Interval(m)
-		uppers.push(his[i])
+// newClaimHeap heapifies idx in place over the lo, hi and seqs columns
+// (indexed like the snapshot).
+func newClaimHeap(idx []int, lo, hi []float64, seqs []uint64) *claimHeap {
+	h := &claimHeap{idx: idx, lo: lo, hi: hi, seqs: seqs}
+	for i := len(idx)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	// Seed the threshold from the pessimistic corners: the k best
-	// reported scores each sit under one of the k smallest uppers (tier-0
-	// uppers bracket what the capped engines report), so the scan runs
-	// against a real bar instead of +Inf.
+	return h
+}
+
+// compare orders candidates a and b by claim order.
+func (h *claimHeap) compare(a, b int) int {
+	if c := cmp.Compare(h.lo[a], h.lo[b]); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(h.hi[a], h.hi[b]); c != 0 {
+		return c
+	}
+	return cmp.Compare(h.seqs[a], h.seqs[b])
+}
+
+// down restores the heap property below position i.
+func (h *claimHeap) down(i int) {
+	idx := h.idx
+	for {
+		c := 2*i + 1
+		if c >= len(idx) {
+			return
+		}
+		if c+1 < len(idx) && h.compare(idx[c+1], idx[c]) < 0 {
+			c++
+		}
+		if h.compare(idx[c], idx[i]) >= 0 {
+			return
+		}
+		idx[i], idx[c] = idx[c], idx[i]
+		i = c
+	}
+}
+
+// pop removes and returns the first candidate in claim order; ok is
+// false once the heap is empty.
+func (h *claimHeap) pop() (i int, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := len(h.idx)
+	if n == 0 {
+		return 0, false
+	}
+	i = h.idx[0]
+	h.idx[0] = h.idx[n-1]
+	h.idx = h.idx[:n-1]
+	h.down(0)
+	return i, true
+}
+
+// How a candidate left the ranked scan.
+const (
+	fateOpen     uint8 = iota // never settled: cut off by the threshold
+	fateScored                // exact score computed or replayed
+	fateInexact               // scored, from a capped engine's bound
+	fateExcluded              // an engine decision run proved it out
+	fateBounded               // the branch bound proved it out (tier 1)
+)
+
+// rankScan is the ranked scan over one snapshot. The tier-0 columns are
+// indexed like the snapshot and read-only once built; an element of
+// fate is written only by the one settle call of its candidate and
+// read after the scan.
+type rankScan struct {
+	sn   snap
+	q    *graph.Graph
+	qsig *measure.Signature
+	m    measure.Measure
+	opts QueryOptions
+	ec   *evalCtx
+	// lo and hi bracket each candidate's score under m; gedLo is its
+	// tier-0 GED lower bound, which tier 1 may raise at settle time.
+	lo, hi, gedLo    []float64
+	fate             []uint8
+	needGED, needMCS bool
+	useMemo          bool
+}
+
+// newRankScan runs tier 0 for q against the snapshot: m's interval for
+// every candidate from its stored signature alone
+// (measure.RankInterval, which computes only what m reads). It seeds
+// coll's threshold from the pessimistic ends — the k best reported
+// scores each sit under one of the k smallest uppers (tier-0 uppers
+// bracket what the capped engines report), so the scan runs against a
+// real bar instead of +Inf — and returns the scan state with the claim
+// heap of every candidate whose optimistic end fits that seeded
+// threshold. The threshold never rises, so the rest could never be
+// claimed: they stay open and are attributed after the scan like any
+// other cut-off candidate.
+func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, ec *evalCtx, coll rankedCollector) (*rankScan, *claimHeap) {
+	var start time.Time
+	if opts.Trace != nil {
+		start = time.Now()
+	}
+	n := len(sn.graphs)
+	cols := make([]float64, 3*n)
+	rs := &rankScan{
+		sn: sn, q: q, qsig: qsig, m: m, opts: opts, ec: ec,
+		lo: cols[:n:n], hi: cols[n : 2*n : 2*n], gedLo: cols[2*n:],
+		fate: make([]uint8, n),
+	}
+	rs.needGED, rs.needMCS = measure.EngineNeeds(m)
+	rs.useMemo = ec != nil && ec.memo != nil && (rs.needGED || rs.needMCS)
+	uppers := kSmallest{k: coll.floorK()}
+	for i, sig := range sn.sigs {
+		rs.lo[i], rs.hi[i], rs.gedLo[i] = measure.RankInterval(sig, qsig, m)
+		uppers.push(rs.hi[i])
+	}
 	if v, ok := uppers.kth(); ok {
 		coll.seedFloor(v)
 	}
-	// Claim order: by the optimistic end — which is what lets the scan
-	// STOP at the first claim whose lo exceeds the threshold (everything
-	// after it is at least as hopeless) — with lo ties broken by the
-	// pessimistic end. Distances are integral, so lo ties are the common
-	// case, and within a tie the candidate that is CERTAINLY near (small
-	// hi) should feed the threshold before one that is merely possibly
-	// near; remaining ties go by insert sequence. Only candidates whose lo fits the seeded
-	// threshold are sorted at all: the threshold never rises, so the rest
-	// could never be claimed — they stay unclaimed and are attributed
-	// after the scan like any other cut-off candidate. The answer itself
-	// is order-independent — exclusion always carries a proof.
 	th0 := coll.threshold()
-	order := make([]int, 0, n)
-	for i := range n {
-		if los[i] <= th0 {
-			order = append(order, i)
+	admitted := make([]int, 0, n)
+	for i, lo := range rs.lo {
+		if lo <= th0 {
+			admitted = append(admitted, i)
 		}
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(los[a], los[b]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(his[a], his[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(sn.seqs[a], sn.seqs[b])
-	})
+	claims := newClaimHeap(admitted, rs.lo, rs.hi, sn.seqs)
+	if opts.Trace != nil {
+		// Bounding, threshold seeding and heapifying are bound-stage
+		// work; the stage's pruned count (tier 1 plus the threshold
+		// cutoff) is counted after the scan.
+		opts.Trace.Observe(StageBound, time.Since(start), n, 0)
+	}
+	return rs, claims
+}
+
+// settle takes candidate i through its claim against coll's threshold
+// as it stands: the threshold check, a memo replay, tier 1, then the
+// engines, offering an exact score to coll. It returns false, settling
+// nothing, when i's optimistic end already exceeds the threshold: in
+// claim order everything after it is at least as hopeless, so the scan
+// stops. Exclusion always carries a proof against a threshold no lower
+// than the final one, so settle is a plain function of (candidate,
+// collector): any call order, sequential or concurrent, collects the
+// same answer.
+func (rs *rankScan) settle(i int, coll rankedCollector) bool {
+	// One threshold reading serves the cutoff and the engines below, so
+	// a candidate the interval already condemns is always the cutoff's,
+	// never an "exact" exclusion that ran no engine.
+	th := coll.threshold()
+	if rs.lo[i] > th {
+		return false
+	}
+	trace := rs.opts.Trace
+	var t0 time.Time
 	if trace != nil {
-		// Bounding, ordering and threshold seeding are bound-stage work;
-		// the stage's pruned count (tier 1 plus the threshold cutoff) is
-		// counted after the scan.
-		trace.Observe(StageBound, time.Since(tierStart), n, 0)
+		t0 = time.Now()
 	}
-
-	// fate records how each candidate left the scan. An element is
-	// written only by the one worker that claimed the candidate and read
-	// after the pool has drained, so plain bytes suffice.
-	const (
-		fateOpen     uint8 = iota // never claimed: cut off by the threshold
-		fateScored                // exact score computed or replayed
-		fateInexact               // scored, from a capped engine's bound
-		fateExcluded              // an engine decision run proved it out
-		fateBounded               // the branch bound proved it out (tier 1)
-	)
-	fate := make([]uint8, n)
-
-	needGED, needMCS := measure.EngineNeeds(m)
-	useMemo := ec != nil && ec.memo != nil && (needGED || needMCS)
-
-	// A claim returning false stops the pool. A candidate another worker
-	// already claimed bounds lower than the one that stopped it and still
-	// gets its own threshold check — dropping it unchecked would lose a
-	// possible answer.
-	err := forEachClaim(ctx, len(order), opts.Workers, func(k int) bool {
-		i := order[k]
-		name := sn.graphs[i].Name()
-		// One threshold reading serves the cutoff and the engines below,
-		// so a candidate the interval already condemns is always the
-		// cutoff's, never an "exact" exclusion that ran no engine.
-		th := coll.threshold()
-		if los[i] > th {
-			// Candidates are claimed in optimistic-bound order:
-			// everything after this one is at least as hopeless.
-			return false
+	g, sig, seq := rs.sn.graphs[i], rs.sn.sigs[i], rs.sn.seqs[i]
+	// Memo replay: a recorded pair score skips the engines entirely. The
+	// replayed score is exact, so the replay counts as exact-stage work.
+	if rs.useMemo {
+		if r, ok := rs.ec.memoGet(seq, rs.needGED, rs.needMCS); ok {
+			ps := measure.PairStatsFrom(sig, rs.qsig, r)
+			rs.fate[i] = fateScored
+			if (rs.needGED && !r.GEDExact) || (rs.needMCS && !r.MCSExact) {
+				rs.fate[i] = fateInexact
+			}
+			coll.offer(i, topk.Item{ID: g.Name(), Score: rs.m.FromStats(ps)})
+			if trace != nil {
+				trace.Observe(StageExact, time.Since(t0), 1, 0)
+			}
+			return true
 		}
-		var t0 time.Time
-		if trace != nil {
-			t0 = time.Now()
-		}
-		// Memo replay: a recorded pair score skips the engines entirely.
-		// The replayed score is exact, so the replay counts as
-		// exact-stage work.
-		if useMemo {
-			if r, ok := ec.memoGet(sn.seqs[i], needGED, needMCS); ok {
-				ps := measure.PairStatsFrom(sn.sigs[i], qsig, r)
-				fate[i] = fateScored
-				if (needGED && !r.GEDExact) || (needMCS && !r.MCSExact) {
-					fate[i] = fateInexact
-				}
-				coll.offer(i, topk.Item{ID: name, Score: m.FromStats(ps)})
+	}
+	// Tier 1: the branch bound raises the optimistic end of the GED
+	// interval. A candidate it lifts above the threshold is out with no
+	// engine run; otherwise the raised GEDLo narrows the decision run's
+	// plan. A candidate whose pessimistic end already fits is certainly
+	// in, so there is nothing to prove.
+	gedLo := rs.gedLo[i]
+	if rs.needGED && rs.hi[i] > th {
+		if lb := sig.BranchLB(rs.qsig); lb > gedLo {
+			gedLo = lb
+			if measure.AtGED(rs.m, lb) > th {
+				rs.fate[i] = fateBounded
 				if trace != nil {
-					trace.Observe(StageExact, time.Since(t0), 1, 0)
+					trace.Observe(StageBound, time.Since(t0), 0, 0)
 				}
 				return true
 			}
 		}
-		// Tier 1: the branch bound raises the optimistic end of the GED
-		// interval. A candidate it lifts above the threshold is out with
-		// no engine run; otherwise the raised GEDLo narrows the decision
-		// run's plan. A candidate whose pessimistic end already fits is
-		// certainly in, so there is nothing to prove.
-		if needGED && his[i] > th {
-			if lb := sn.sigs[i].BranchLB(qsig); lb > bounds[i].GEDLo {
-				bounds[i].GEDLo = lb
-				if lo, _ := bounds[i].Interval(m); lo > th {
-					fate[i] = fateBounded
-					if trace != nil {
-						trace.Observe(StageBound, time.Since(t0), 0, 0)
-					}
-					return true
-				}
-			}
-			if trace != nil {
-				t1 := time.Now()
-				trace.Observe(StageBound, t1.Sub(t0), 0, 0)
-				t0 = t1
-			}
-		}
-		// Threshold-fed evaluation: an engine decision run excludes, or
-		// a plain exact run scores.
-		score, got, excluded, capped := measure.ComputeRankResults(sn.graphs[i], q, m, th, bounds[i], opts.Eval)
-		if excluded {
-			fate[i] = fateExcluded
-			if trace != nil {
-				trace.Observe(StageExact, time.Since(t0), 1, 1)
-			}
-			return true
-		}
-		ec.memoPublish(sn.seqs[i], got)
-		fate[i] = fateScored
-		if capped {
-			fate[i] = fateInexact
-		}
-		coll.offer(i, topk.Item{ID: name, Score: score})
 		if trace != nil {
-			trace.Observe(StageExact, time.Since(t0), 1, 0)
+			t1 := time.Now()
+			trace.Observe(StageBound, t1.Sub(t0), 0, 0)
+			t0 = t1
+		}
+	}
+	// Threshold-fed evaluation: an engine decision run excludes, or a
+	// plain exact run scores. Only here does the candidate need the full
+	// interval statistics the engines plan from.
+	bs := measure.BoundPair(sig, rs.qsig)
+	bs.GEDLo = gedLo
+	score, got, excluded, capped := measure.ComputeRankResults(g, rs.q, rs.m, th, bs, rs.opts.Eval)
+	if excluded {
+		rs.fate[i] = fateExcluded
+		if trace != nil {
+			trace.Observe(StageExact, time.Since(t0), 1, 1)
 		}
 		return true
-	})
-	if err != nil {
-		return QueryStats{}, err
 	}
-	// Attribution by counting: every candidate has exactly one fate, so
-	// Pruned and every stage's pruned count are sums over the same
-	// partition of the snapshot. A candidate that was not scored was
-	// either excluded by an engine decision run (the exact stage's,
-	// observed on the trace as it happened) or proved out by the branch
-	// bound at its claim or cut off by the signature bound and the
-	// best-first threshold (both the bound stage's).
+	rs.ec.memoPublish(seq, got)
+	rs.fate[i] = fateScored
+	if capped {
+		rs.fate[i] = fateInexact
+	}
+	coll.offer(i, topk.Item{ID: g.Name(), Score: score})
+	if trace != nil {
+		trace.Observe(StageExact, time.Since(t0), 1, 0)
+	}
+	return true
+}
+
+// stats attributes the scan by counting: every candidate has exactly
+// one fate, so Pruned and every stage's pruned count are sums over the
+// same partition of the snapshot. A candidate that was not scored was
+// either excluded by an engine decision run (the exact stage's,
+// observed on the trace as it happened) or proved out by the branch
+// bound at its claim or cut off by the signature bound and the
+// best-first threshold (both the bound stage's).
+func (rs *rankScan) stats() QueryStats {
 	var stats QueryStats
 	boundPruned := 0
-	for _, f := range fate {
+	for _, f := range rs.fate {
 		switch f {
 		case fateScored, fateInexact:
 			stats.Evaluated++
@@ -409,7 +477,38 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 			boundPruned++
 		}
 	}
-	stats.Work.Add(ec.work())
-	trace.Observe(StageBound, 0, 0, boundPruned)
-	return stats, nil
+	stats.Work.Add(rs.ec.work())
+	rs.opts.Trace.Observe(StageBound, 0, 0, boundPruned)
+	return stats
+}
+
+// evalRanked is the scan itself: tier 0 bounds every candidate and
+// seeds the threshold (newRankScan), then one pool of opts.Workers
+// workers pops the admitted candidates in claim order and settles each
+// — tier 1, then the engines — until one's optimistic end exceeds the
+// threshold. ec (nil-safe) adds the score memo, which replays recorded
+// pair scores without any engine work.
+//
+// The returned stats carry the scan's Work and Inexact; Duration is the
+// caller's to stamp.
+func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx, coll rankedCollector) (QueryStats, error) {
+	if len(sn.graphs) == 0 {
+		return QueryStats{}, nil
+	}
+	if ctx.Err() != nil {
+		return QueryStats{}, ctx.Err()
+	}
+	rs, claims := newRankScan(sn, q, qsig, m, opts, ec, coll)
+	// A settle returning false stops the pool. A candidate another
+	// worker already popped bounds lower than the one that stopped it
+	// and still gets its own threshold check — dropping it unchecked
+	// would lose a possible answer.
+	err := forEachClaim(ctx, len(claims.idx), opts.Workers, func(int) bool {
+		i, ok := claims.pop()
+		return ok && rs.settle(i, coll)
+	})
+	if err != nil {
+		return QueryStats{}, err
+	}
+	return rs.stats(), nil
 }

@@ -3,6 +3,7 @@ package gdb_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -105,5 +106,81 @@ func requireCovers(t *testing.T, label string, st gdb.QueryStats, n int) {
 	t.Helper()
 	if st.Evaluated+st.Pruned != n {
 		t.Fatalf("%s: evaluated %d + pruned %d != %d graphs", label, st.Evaluated, st.Pruned, n)
+	}
+}
+
+// TestRankedScanOrderIndependent drives the ranked scan's per-candidate
+// step directly: every candidate admitted under the seeded floor is
+// settled, the stop ignored, over seeded random permutations of the
+// claim order (and its exact reverse, the most adversarial one).
+// Exclusion always carries a proof against a threshold no lower than
+// the final one, so whatever the order, each top-k and range answer is
+// the sequential scan's, which is the reference's. The collections are
+// seeded molecules, a twinned one (equal scores tie at every k and
+// radius) and a noisy family, where tier 1 and decision runs decide
+// most candidates.
+func TestRankedScanOrderIndependent(t *testing.T) {
+	family, familyQs := testutil.NoisyFamily(24)
+	type collection struct {
+		label  string
+		gs, qs []*graph.Graph
+	}
+	cases := []collection{{"family", family, familyQs[:2]}}
+	for _, seed := range []int64{1, 2, 3} {
+		gs := testutil.SeededGraphs(seed, 24)
+		if seed == 3 {
+			gs = twinned(gs[:12])
+		}
+		cases = append(cases, collection{fmt.Sprintf("seed=%d", seed), gs, testutil.SeededQueries(seed+100, gs, 2)})
+	}
+	// query is one ranked query (top-k for k >= 1, else range at
+	// radius) with its sequential answer.
+	type query struct {
+		k      int
+		radius float64
+		want   []topk.Item
+	}
+	ctx := context.Background()
+	opts := gdb.QueryOptions{Workers: 1}
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range cases {
+		db := testutil.NewSharded(t, tc.gs)
+		for qi, q := range tc.qs {
+			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+				scores := testutil.ReferenceScores(tc.gs, q, m, opts.Eval)
+				var queries []query
+				for _, k := range []int{1, 5} {
+					res, err := db.TopKQuery(ctx, q, m, k, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s q=%d %s topk k=%d", tc.label, qi, m.Name(), k)
+					testutil.RequireSameItems(t, label, testutil.ReferenceTopK(scores, k), res.Items)
+					queries = append(queries, query{k: k, want: res.Items})
+				}
+				for _, radius := range tieRadii(scores) {
+					res, err := db.RangeQuery(ctx, q, m, radius, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s q=%d %s range r=%g", tc.label, qi, m.Name(), radius)
+					testutil.RequireSameItems(t, label, testutil.ReferenceRange(scores, radius), res.Items)
+					queries = append(queries, query{radius: radius, want: res.Items})
+				}
+				for _, qu := range queries {
+					for perm := 0; perm <= 12; perm++ {
+						got := gdb.RankedItemsInOrder(db, q, m, qu.k, qu.radius, opts, func(order []int) {
+							if perm == 0 {
+								slices.Reverse(order)
+								return
+							}
+							rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+						})
+						label := fmt.Sprintf("%s q=%d %s k=%d r=%g perm=%d", tc.label, qi, m.Name(), qu.k, qu.radius, perm)
+						testutil.RequireSameItems(t, label, qu.want, got)
+					}
+				}
+			}
+		}
 	}
 }

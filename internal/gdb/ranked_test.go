@@ -1,9 +1,11 @@
 package gdb
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -93,5 +95,51 @@ func TestKSmallestMatchesSortedFloor(t *testing.T) {
 	none.push(1)
 	if _, ok := none.kth(); ok {
 		t.Fatal("k=0 heap reported a floor")
+	}
+}
+
+// TestClaimHeapMatchesSortOrder: popping the whole claim heap yields
+// exactly the order the scan used to sort its admitted candidates into
+// — ascending lo, then hi, then insert sequence — on random inputs where
+// lo and hi are small integers, so ties are the common case, with an
+// occasional +Inf hi, and sequences are unique but not in index order.
+func TestClaimHeapMatchesSortOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := range 300 {
+		n := rng.Intn(40)
+		lo, hi := make([]float64, n), make([]float64, n)
+		seqs := make([]uint64, n)
+		for i, p := range rng.Perm(n) {
+			lo[i] = float64(rng.Intn(4))
+			hi[i] = lo[i] + float64(rng.Intn(3))
+			if rng.Intn(8) == 0 {
+				hi[i] = math.Inf(1)
+			}
+			seqs[i] = uint64(100 + 3*p)
+		}
+		var idx []int
+		for i := range n {
+			if rng.Intn(5) > 0 {
+				idx = append(idx, i)
+			}
+		}
+		want := slices.Clone(idx)
+		slices.SortFunc(want, func(a, b int) int {
+			if c := cmp.Compare(lo[a], lo[b]); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(hi[a], hi[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(seqs[a], seqs[b])
+		})
+		h := newClaimHeap(idx, lo, hi, seqs)
+		var got []int
+		for i, ok := h.pop(); ok; i, ok = h.pop() {
+			got = append(got, i)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: heap pops %v, sort order %v", trial, got, want)
+		}
 	}
 }

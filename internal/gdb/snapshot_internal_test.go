@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -16,6 +17,9 @@ import (
 // holds that name, the signature beside it describes the graph it holds
 // (a namesake's signature has another order and size), and sequences
 // strictly increase along the snapshot, as insertion order fixes them.
+// A snapshot held across the writer's whole run keeps every column
+// element it was handed, and a column a reader appends to never shares
+// its new element with the store.
 func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	sh := New()
 	if err := sh.InsertAll(dataset.MoleculeDB(6, 5, 5, 3601)); err != nil {
@@ -33,6 +37,9 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	if _, err := sh.Insert(twins[0], ""); err != nil {
 		t.Fatal(err)
 	}
+
+	held := sh.snapshot()
+	heldGraphs, heldSigs, heldSeqs := slices.Clone(held.graphs), slices.Clone(held.sigs), slices.Clone(held.seqs)
 
 	var done atomic.Bool
 	writerErr := make(chan error, 1)
@@ -75,5 +82,31 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Log("no snapshot caught x this run")
+	}
+	if !slices.Equal(held.graphs, heldGraphs) || !slices.Equal(held.sigs, heldSigs) || !slices.Equal(held.seqs, heldSeqs) {
+		t.Fatal("a snapshot held across the writer's run changed under it")
+	}
+
+	// A reader appending to its columns must not write where the store
+	// appends next, nor see the store's next append in its own slice.
+	sn := sh.snapshot()
+	n := len(sn.graphs)
+	extra := graph.Molecule(5, rng)
+	extra.SetName("extra")
+	mineGraphs := append(sn.graphs, twins[0])
+	mineSigs := append(sn.sigs, nil)
+	mineSeqs := append(sn.seqs, 0)
+	if _, err := sh.Insert(extra, ""); err != nil {
+		t.Fatal(err)
+	}
+	next := sh.snapshot()
+	if mineGraphs[n] != twins[0] || mineSigs[n] != nil || mineSeqs[n] != 0 {
+		t.Fatal("the store's insert landed in a reader's appended column element")
+	}
+	if len(next.graphs) != n+1 || next.graphs[n] != extra || next.sigs[n] == nil || next.seqs[n] == 0 {
+		t.Fatal("a reader's append reached the store's next snapshot")
+	}
+	if !slices.Equal(next.graphs[:n], sn.graphs) || !slices.Equal(next.sigs[:n], sn.sigs) || !slices.Equal(next.seqs[:n], sn.seqs) {
+		t.Fatal("an insert changed the columns below the length it was handed")
 	}
 }

@@ -403,10 +403,9 @@ func (d *Durable) Snapshot() error {
 	d.DB.mu.RLock()
 	lsn := d.log.LastLSN()
 	maxSeq := insertSeq.Load()
-	cut := make([]snapEntry, len(d.DB.names))
-	for i, name := range d.DB.names {
-		e := d.DB.graphs[name]
-		cut[i] = snapEntry{name: name, seq: e.seq, data: []byte(graph.MarshalLGF(e.g))}
+	cut := make([]snapEntry, len(d.DB.graphs))
+	for i, g := range d.DB.graphs {
+		cut[i] = snapEntry{name: g.Name(), seq: d.DB.seqs[i], data: []byte(graph.MarshalLGF(g))}
 	}
 	// The key table is cut inside the same mutation-exclusion window:
 	// every keyed record at or below lsn has already been noted, so the

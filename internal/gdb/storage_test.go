@@ -34,9 +34,8 @@ func fingerprint(sh *Sharded) string {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var b strings.Builder
-	for _, name := range sh.names {
-		e := sh.graphs[name]
-		fmt.Fprintf(&b, "%s#%d\n%s", name, e.seq, graph.MarshalLGF(e.g))
+	for i, g := range sh.graphs {
+		fmt.Fprintf(&b, "%s#%d\n%s", g.Name(), sh.seqs[i], graph.MarshalLGF(g))
 	}
 	return b.String()
 }

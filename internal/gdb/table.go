@@ -56,22 +56,16 @@ type snap struct {
 	gen    uint64
 }
 
-// snapshot reads the database.
+// snapshot reads the database: three slice headers copied under the
+// read lock. The store never writes below a length it has handed out
+// (Insert appends, Delete builds new columns), and each column is cut
+// to its length in capacity too, so no reader can append into the
+// store's spare capacity either.
 func (sh *Sharded) snapshot() snap {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	n := len(sh.names)
-	sn := snap{
-		graphs: make([]*graph.Graph, n),
-		sigs:   make([]*measure.Signature, n),
-		seqs:   make([]uint64, n),
-		gen:    sh.gen,
-	}
-	for i, name := range sh.names {
-		e := sh.graphs[name]
-		sn.graphs[i], sn.sigs[i], sn.seqs[i] = e.g, e.sig, e.seq
-	}
-	return sn
+	n := len(sh.graphs)
+	return snap{graphs: sh.graphs[:n:n], sigs: sh.sigs[:n:n], seqs: sh.seqs[:n:n], gen: sh.gen}
 }
 
 // VectorTable evaluates the GCS vector of every database graph against

@@ -123,14 +123,6 @@ func (bs BoundStats) IntervalGCS(basis []Measure) (lo, hi []float64) {
 	return GCS(opt, basis), GCS(pes, basis)
 }
 
-// BoundGCS computes the per-measure [lo, hi] interval vector of the GCS
-// of a pair known only by its signatures: lo and hi bracket, dimension
-// by dimension, the exact GCS vector Compute+GCS would produce. Only
-// valid for Boundable bases.
-func BoundGCS(sg, sq *Signature, basis []Measure) (lo, hi []float64) {
-	return BoundPair(sg, sq).IntervalGCS(basis)
-}
-
 // Boundable reports whether every basis measure is one of the built-in
 // measures, all of which are monotone in (GED, MCS) as corners()
 // requires. Pruning layers must fall back to full evaluation for bases

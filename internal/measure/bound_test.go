@@ -53,7 +53,7 @@ func TestBoundGCSAdmissible(t *testing.T) {
 			}
 			for _, basis := range bases {
 				vec := GCS(plain, basis)
-				lo0, hi0 := BoundGCS(sg, sq, basis)
+				lo0, hi0 := bs0.IntervalGCS(basis)
 				requireContains(t, "tier0", lo0, vec, hi0)
 				lo1, hi1 := bs1.IntervalGCS(basis)
 				requireContains(t, "tier1", lo1, vec, hi1)
@@ -74,7 +74,7 @@ func TestBoundGCSEmptyGraphs(t *testing.T) {
 		g, q := p[0], p[1]
 		sg, sq := NewSignature(g), NewSignature(q)
 		vec := GCS(Compute(g, q, Options{}), Default())
-		lo, hi := BoundGCS(sg, sq, Default())
+		lo, hi := BoundPair(sg, sq).IntervalGCS(Default())
 		requireContains(t, g.Name()+"/"+q.Name(), lo, vec, hi)
 		bs := Refine(g, q, BoundPair(sg, sq))
 		lo1, hi1 := bs.IntervalGCS(Default())

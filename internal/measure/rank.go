@@ -61,6 +61,29 @@ func (bs BoundStats) Interval(m Measure) (lo, hi float64) {
 	return m.FromStats(opt), m.FromStats(pes)
 }
 
+// RankInterval returns BoundPair(s1, s2).Interval(m) and
+// BoundPair(s1, s2).GEDLo, bit for bit, reading only the signature
+// fields m needs. The measures that read GED alone (DistEd, DistNEd)
+// need only the histogram bound and the delete-all upper end: no MCS
+// bound and no degree distance is computed for them. Every other
+// measure goes through BoundPair. Only valid for Rankable measures.
+func RankInterval(s1, s2 *Signature, m Measure) (lo, hi, gedLo float64) {
+	if needGED, _ := EngineNeeds(m); needGED {
+		gedLo = s1.HistLB(s2)
+		gedHi := float64(s1.Order + s2.Order + s1.Size + s2.Size)
+		return AtGED(m, gedLo), AtGED(m, gedHi), gedLo
+	}
+	bs := BoundPair(s1, s2)
+	lo, hi = bs.Interval(m)
+	return lo, hi, bs.GEDLo
+}
+
+// AtGED is the distance of a measure that reads GED alone (one for
+// which EngineNeeds reports needGED) at GED value v: the end of its
+// interval at a GED bound. The ranked scan reads the optimistic end
+// with it once the branch bound raises GEDLo to v.
+func AtGED(m Measure, v float64) float64 { return m.FromStats(PairStats{GED: v}) }
+
 // RankPlan tells the exact engines how to decide "distance under m
 // exceeds t" for one candidate pair. Either proof suffices:
 //

@@ -115,3 +115,49 @@ func TestComputeRankMatchesComputeHinted(t *testing.T) {
 		}
 	}
 }
+
+// TestRankIntervalMatchesBoundPair: over seeded random signature pairs,
+// empty and one-vertex graphs among them, RankInterval is exactly
+// BoundPair's interval and GEDLo for every built-in measure, bit for
+// bit. For the measures that read GED alone, AtGED at a raised GED
+// lower bound is exactly the optimistic end of the interval with GEDLo
+// raised to it — the value the ranked scan's tier 1 compares.
+func TestRankIntervalMatchesBoundPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	single := func(label string) *graph.Graph {
+		g := graph.New("v")
+		g.AddVertex(label)
+		return g
+	}
+	fixed := []*graph.Graph{graph.New("empty"), single("C"), single("N")}
+	pick := func() *graph.Graph {
+		if rng.Intn(4) == 0 {
+			return fixed[rng.Intn(len(fixed))]
+		}
+		return graph.Molecule(2+rng.Intn(8), rng)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := range 400 {
+		s1, s2 := NewSignature(pick()), NewSignature(pick())
+		bs := BoundPair(s1, s2)
+		for _, m := range builtins {
+			if !Rankable(m) {
+				t.Fatalf("%s is not Rankable", m.Name())
+			}
+			lo, hi, gedLo := RankInterval(s1, s2, m)
+			wantLo, wantHi := bs.Interval(m)
+			if !same(lo, wantLo) || !same(hi, wantHi) || !same(gedLo, bs.GEDLo) {
+				t.Fatalf("trial %d %s: RankInterval = [%v, %v] GEDLo %v, BoundPair = [%v, %v] GEDLo %v",
+					trial, m.Name(), lo, hi, gedLo, wantLo, wantHi, bs.GEDLo)
+			}
+			if needGED, _ := EngineNeeds(m); needGED {
+				raised := bs
+				raised.GEDLo += float64(rng.Intn(4))
+				if wantLo, _ := raised.Interval(m); !same(AtGED(m, raised.GEDLo), wantLo) {
+					t.Fatalf("trial %d %s: AtGED(%v) = %v, raised interval starts at %v",
+						trial, m.Name(), raised.GEDLo, AtGED(m, raised.GEDLo), wantLo)
+				}
+			}
+		}
+	}
+}

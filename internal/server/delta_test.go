@@ -345,7 +345,7 @@ func TestPrunedInsertDominatedExactlyNotKept(t *testing.T) {
 	for i, q := range testutil.SeededQueries(522, gs, 8) {
 		basis := measure.Default()
 		exact := testutil.ReferenceTable([]*graph.Graph{late}, q, measure.Options{})[0].Vec
-		lo, _ := measure.BoundGCS(measure.NewSignature(late), measure.NewSignature(q), basis)
+		lo, _ := measure.BoundPair(measure.NewSignature(late), measure.NewSignature(q)).IntervalGCS(basis)
 		// A row between the corner and the exact row in one dimension and
 		// equal to the exact row elsewhere dominates the exact row but not
 		// the corner.
