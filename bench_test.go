@@ -165,6 +165,52 @@ func BenchmarkRankedScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkSkylineScan is BenchmarkRankedScaling's skyline twin: the
+// pruned skyline scan on the cold-skyline workload's shape, 400 order-6
+// molecules and unique 2-edit queries under the default basis, with the
+// score memo on as the server runs it. Each op is one query. The
+// queries cycle through a pool of 64 distinct graphs, and the memo is
+// too small to keep a query's pairs through a whole pool pass, so
+// every query is cold. Workers is pinned to 1 so the counters are
+// deterministic: evaluated/op and pruned/op are means over one pass of
+// the pool, which finishes untimed when b.N is smaller.
+func BenchmarkSkylineScan(b *testing.B) {
+	gs := dataset.MoleculeDB(400, 6, 6, 1)
+	db := gdb.New()
+	if err := db.InsertAll(gs); err != nil {
+		b.Fatal(err)
+	}
+	db.EnableScoreMemo(64)
+	seen := map[string]bool{}
+	var qs []*graph.Graph
+	for seed := int64(999); len(qs) < 64; seed++ {
+		q := dataset.NoisyQueries(gs, 1, 2, seed)[0]
+		if h := graph.QueryHash(q); !seen[h] {
+			seen[h] = true
+			qs = append(qs, q)
+		}
+	}
+	opts := gdb.QueryOptions{Prune: true, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var evaluated, pruned int
+	for i := 0; i < max(b.N, len(qs)); i++ {
+		if i == b.N {
+			b.StopTimer()
+		}
+		res, err := db.SkylineQuery(context.Background(), qs[i%len(qs)], opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i < len(qs) {
+			evaluated += res.Stats.Evaluated
+			pruned += res.Stats.Pruned
+		}
+	}
+	b.ReportMetric(float64(evaluated)/float64(len(qs)), "evaluated/op")
+	b.ReportMetric(float64(pruned)/float64(len(qs)), "pruned/op")
+}
+
 // distinctFamilies returns n pairwise non-isomorphic graphs of the given
 // order in families of 25: 2-edit mutations of n/25 random root
 // molecules, a mutation kept only when no earlier graph shares its

@@ -11,8 +11,8 @@ import (
 // Delta maintenance primitives. A cached VectorTable or a cached ranked
 // answer differs from its successor by at most one row when the
 // mutation between them was a single insert or delete. DeltaBound reads
-// the one row's tier-0 interval from the stored signature — no engine
-// runs — so the serving layer can often prove an entry unchanged
+// the one row's tier-0 optimistic corner from the stored signature — no
+// engine runs — so the serving layer can often prove an entry unchanged
 // outright; DeltaRow and DeltaScore evaluate the row through the same
 // code path the cold build uses — stored signature hints, ScoreMemo
 // interplay, identical engine options — so a spliced row is
@@ -32,16 +32,20 @@ func (sh *Sharded) row(name string) (e *entry, gen uint64, memo *ScoreMemo) {
 	return sh.byName[name], sh.gen, sh.memo
 }
 
-// DeltaBound returns the tier-0 interval statistics of the single named
-// graph against the query signature qsig — the bounds a cold build
-// starts from (measure.BoundPair with the stored signature first). gen
-// and ok behave as in DeltaRow.
-func (sh *Sharded) DeltaBound(name string, qsig *measure.Signature) (bs measure.BoundStats, gen uint64, ok bool) {
+// DeltaBound returns the tier-0 optimistic corner of the single named
+// graph against the query signature qsig under basis — the corner a
+// cold scan starts from (measure.RankInterval with the stored
+// signature first, so no pessimistic corner and no unread statistic is
+// computed). A ranked answer passes its one measure as the basis. gen
+// and ok behave as in DeltaRow. basis must be Boundable.
+func (sh *Sharded) DeltaBound(name string, qsig *measure.Signature, basis []measure.Measure) (lo []float64, gen uint64, ok bool) {
 	e, gen, _ := sh.row(name)
 	if e == nil {
-		return measure.BoundStats{}, gen, false
+		return nil, gen, false
 	}
-	return measure.BoundPair(e.sig, qsig), gen, true
+	lo = make([]float64, len(basis))
+	measure.RankInterval(e.sig, qsig, basis, lo, nil)
+	return lo, gen, true
 }
 
 // DeltaRow evaluates the GCS vector of the single named graph against

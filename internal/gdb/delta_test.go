@@ -3,6 +3,7 @@ package gdb_test
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"skygraph/internal/gdb"
@@ -170,32 +171,36 @@ func mustNamed(t *testing.T, seed int64, name string) *graph.Graph {
 	return g
 }
 
-// TestDeltaBoundBracketsDeltaRow: DeltaBound's tier-0 interval brackets
-// the vector DeltaRow computes for the same graph, dimension by
-// dimension, and reports the generation it read at.
+// TestDeltaBoundBracketsDeltaRow: DeltaBound's tier-0 optimistic corner
+// is BoundPair's, bit for bit, floors the vector DeltaRow computes for
+// the same graph, dimension by dimension, and comes with the generation
+// it read at.
 func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
 	gs := testutil.SeededGraphs(61, 8)
 	db := testutil.NewSharded(t, gs)
-	ack, err := db.Insert(mustNamed(t, 261, "late"), "")
+	late := mustNamed(t, 261, "late")
+	ack, err := db.Insert(late, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	basis := measure.Default()
 	for _, q := range testutil.SeededQueries(161, gs, 3) {
 		qsig := measure.NewSignature(q)
-		bs, gen, ok := db.DeltaBound("late", qsig)
+		lo, gen, ok := db.DeltaBound("late", qsig, basis)
 		if !ok || gen != ack.Gen {
 			t.Fatalf("DeltaBound ok=%v gen=%d, want true/%d", ok, gen, ack.Gen)
 		}
+		if want, _ := measure.BoundPair(measure.NewSignature(late), qsig).IntervalGCS(basis); !slices.Equal(lo, want) {
+			t.Fatalf("q=%s: DeltaBound corner %v, BoundPair corner %v", q.Name(), lo, want)
+		}
 		pt, _, _, _ := db.DeltaRow("late", q, qsig, gdb.QueryOptions{})
-		lo, hi := bs.IntervalGCS(basis)
 		for d := range pt.Vec {
-			if pt.Vec[d] < lo[d] || pt.Vec[d] > hi[d] {
-				t.Fatalf("q=%s dim %d: row %v outside [%v, %v]", q.Name(), d, pt.Vec, lo, hi)
+			if pt.Vec[d] < lo[d] {
+				t.Fatalf("q=%s dim %d: row %v under corner %v", q.Name(), d, pt.Vec, lo)
 			}
 		}
 	}
-	if _, _, ok := db.DeltaBound("missing", measure.NewSignature(gs[0])); ok {
+	if _, _, ok := db.DeltaBound("missing", measure.NewSignature(gs[0]), basis); ok {
 		t.Fatal("DeltaBound of an absent name claimed success")
 	}
 }

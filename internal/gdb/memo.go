@@ -163,6 +163,39 @@ func (m *ScoreMemo) get(q memoQuery, seq uint64) (measure.EngineResults, bool) {
 	return v.unpack(), true
 }
 
+// getCovering is get for every pair in seqs under one lock
+// acquisition, keeping only results that cover both engines: it
+// returns them indexed like seqs (nil when none does) and how many
+// there are. Like get, finding any recorded pair marks the query most
+// recently used.
+func (m *ScoreMemo) getCovering(q memoQuery, seqs []uint64) (known []measure.EngineResults, hits int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	g := m.groups[q]
+	if g == nil {
+		return nil, 0
+	}
+	found := false
+	for i, seq := range seqs {
+		v, ok := g.pairs[seq]
+		if !ok {
+			continue
+		}
+		found = true
+		if r := v.unpack(); r.Covers(true, true) {
+			if known == nil {
+				known = make([]measure.EngineResults, len(seqs))
+			}
+			known[i] = r
+			hits++
+		}
+	}
+	if found {
+		m.touch(g)
+	}
+	return known, hits
+}
+
 // merge records got for one pair, keeping whichever engine halves an
 // existing entry already holds (two engines finishing the same pair
 // concurrently must not overwrite each other's half), then evicts
@@ -271,24 +304,23 @@ func (ec *evalCtx) memoGet(seq uint64, needGED, needMCS bool) (measure.EngineRes
 	return measure.EngineResults{}, false
 }
 
-// memoPeek is memoGet for an opportunistic probe — the pruned skyline
-// path's tier-0 interval collapse, which checks every snapshot graph
-// even though most get pruned without ever needing engines. Hits count
-// (the memo really served them); absences do not count as misses, so
-// the wire hit-ratio keeps meaning "share of engine-needing lookups
-// the memo answered" — the authoritative miss is counted where the
-// engines would otherwise run.
-func (ec *evalCtx) memoPeek(seq uint64, needGED, needMCS bool) (measure.EngineResults, bool) {
+// memoReplays is the pruned skyline scan's tier-0 memo collapse: one
+// locked lookup of the query's group returns the recorded results of
+// every candidate in seqs that covers both engines, indexed like seqs
+// (nil when none does). A cold query has no group, so it probes no
+// pair. Hits count (the memo really served them); absences do not
+// count as misses, even though most candidates get pruned without ever
+// needing engines, so the wire hit-ratio keeps meaning "share of
+// engine-needing lookups the memo answered" — the authoritative miss
+// is counted where the engines would otherwise run.
+func (ec *evalCtx) memoReplays(seqs []uint64) []measure.EngineResults {
 	if ec == nil || ec.memo == nil {
-		return measure.EngineResults{}, false
+		return nil
 	}
-	r, ok := ec.memo.get(ec.mq, seq)
-	if ok && r.Covers(needGED, needMCS) {
-		ec.memoHits.Add(1)
-		ec.memo.hits.Add(1)
-		return r, true
-	}
-	return measure.EngineResults{}, false
+	known, hits := ec.memo.getCovering(ec.mq, seqs)
+	ec.memoHits.Add(int64(hits))
+	ec.memo.hits.Add(uint64(hits))
+	return known
 }
 
 // memoPublish merges freshly computed engine results into the memo.

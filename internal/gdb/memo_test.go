@@ -12,7 +12,10 @@ import (
 
 // TestMemoReplaysAcrossQueries: a second identical query must be served
 // from the memo — every pair of an unpruned skyline build replays —
-// with an identical answer.
+// with an identical answer. A pruned scan publishes only the candidates
+// it kept, so at one worker its warm repeat replays exactly those, from
+// tier 0's one lookup of the query's memo group, with the same skyline;
+// partial entries a ranked scan left in the group count no hit.
 func TestMemoReplaysAcrossQueries(t *testing.T) {
 	gs := testutil.SeededGraphs(61, 12)
 	db := testutil.NewSharded(t, gs)
@@ -37,6 +40,33 @@ func TestMemoReplaysAcrossQueries(t *testing.T) {
 	}
 	if s := db.Memo().Stats(); s.Entries == 0 || s.Hits == 0 {
 		t.Fatalf("memo stats after warm query: %+v", s)
+	}
+
+	// A ranked scan first leaves GED-only entries in pq's group: a
+	// partial entry spares an engine but is no replay, so it counts no
+	// hit.
+	pq := testutil.SeededQueries(162, gs, 1)[0]
+	popts := opts
+	popts.Prune, popts.Workers = true, 1
+	if _, err := db.TopKQuery(context.Background(), pq, measure.DistEd{}, 3, popts); err != nil {
+		t.Fatal(err)
+	}
+	pcold, err := db.SkylineQuery(context.Background(), pq, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pcold.Stats.MemoHits != 0 || pcold.Stats.Pruned == 0 {
+		t.Fatalf("cold pruned query: %d memo hits, %d pruned; want 0 hits and some pruned",
+			pcold.Stats.MemoHits, pcold.Stats.Pruned)
+	}
+	pwarm, err := db.SkylineQuery(context.Background(), pq, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.RequireSameSkyline(t, "warm pruned", pcold.Skyline, pwarm.Skyline)
+	if pwarm.Stats.MemoHits != pcold.Stats.Evaluated {
+		t.Fatalf("warm pruned query hit the memo %d times, want %d (the cold scan's kept candidates)",
+			pwarm.Stats.MemoHits, pcold.Stats.Evaluated)
 	}
 }
 

@@ -18,14 +18,17 @@ import (
 // never runs — or runs only as far as the proof needs. Evaluation has
 // two phases:
 //
-//	tier 0  signature bounds, O(labels) per pair from the stored index,
-//	        collapsed to the exact point on a score-memo hit: every
-//	        graph's optimistic corner, which orders the scan
+//	tier 0  every graph's optimistic corner, O(labels) per pair from
+//	        the stored signatures (measure.RankInterval, only what the
+//	        basis reads), into one flat column; a pair the score memo
+//	        covers, found by one locked lookup per scan, collapses to
+//	        its exact point. The corners order the scan
 //	scan    every graph, best-first by optimistic corner, against a
 //	        running front of the exact vectors kept so far; each is taken
 //	        through the cheapest proof that still settles it:
 //	        1. a front point dominates its optimistic corner: discarded,
-//	           no engine runs
+//	           no engine runs; only a survivor gets the full interval
+//	           statistics (measure.BoundPair)
 //	        1b. the branch bound (measure.Signature.BranchLB) raises GEDLo
 //	           and a front point dominates the raised corner: discarded,
 //	           still no engine runs (only when the basis reads GED)
@@ -77,18 +80,20 @@ func (f *skyFront) add(v []float64) {
 	f.mu.Unlock()
 }
 
-// skyScan is the scan over one snapshot. The per-candidate slices are
+// skyScan is the scan over one snapshot. The per-candidate columns are
 // indexed like the snapshot; vecs and capped are written only by the
 // one settle call of their candidate and read after the scan.
 type skyScan struct {
-	sn     snap
-	q      *graph.Graph
-	qsig   *measure.Signature
-	ec     *evalCtx
-	opts   QueryOptions
-	bounds []measure.BoundStats
-	los    [][]float64             // tier-0 optimistic corners
-	known  []measure.EngineResults // tier-0 memo replays (zero otherwise)
+	sn   snap
+	q    *graph.Graph
+	qsig *measure.Signature
+	ec   *evalCtx
+	opts QueryOptions
+	// los holds every candidate's tier-0 optimistic corner, one row of
+	// d = len(opts.Basis) coordinates per candidate, back to back.
+	los    []float64
+	d      int
+	known  []measure.EngineResults // tier-0 memo replays (nil when none)
 	front  skyFront
 	vecs   [][]float64 // exact vector of every kept candidate
 	capped []bool      // kept on a capped engine's bound
@@ -97,17 +102,19 @@ type skyScan struct {
 	readsGED bool
 }
 
-// newSkyScan runs tier 0 for q against the snapshot — bound every graph
-// from its stored signature alone, collapsing memo-known pairs to their
-// exact point (the strongest corner there is) — and returns the scan
-// state with every candidate in scan order: ascending optimistic
-// corner, so the likeliest skyline members score first and everything
-// behind them meets a front; ties go by insert sequence. Tier 0 excludes
-// nothing itself: its pessimistic corners (delete-all GED, zero MCS)
-// almost never dominate, and the scan's front test discards, best-first,
-// whatever a memo-collapsed point could.
+// newSkyScan runs tier 0 for q against the snapshot — every graph's
+// optimistic corner from its stored signature alone
+// (measure.RankInterval, which computes only what the basis reads),
+// or, for a pair the memo covers, its exact point (the strongest corner
+// there is), from one locked memo lookup — and returns the scan state
+// with every candidate in scan order: ascending optimistic corner, so
+// the likeliest skyline members score first and everything behind them
+// meets a front; ties go by insert sequence. Tier 0 excludes nothing
+// itself: pessimistic corners (delete-all GED, zero MCS) almost never
+// dominate, so it never computes them, and the scan's front test
+// discards, best-first, whatever a memo-collapsed point could.
 func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) (*skyScan, []int) {
-	n := len(sn.graphs)
+	n, d := len(sn.graphs), len(opts.Basis)
 	start := time.Now()
 	sc := &skyScan{
 		sn: sn, q: q, qsig: qsig, ec: ec, opts: opts,
@@ -115,37 +122,50 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, o
 			needGED, _ := measure.EngineNeeds(m)
 			return needGED
 		}),
-		bounds: make([]measure.BoundStats, n),
-		los:    make([][]float64, n),
-		known:  make([]measure.EngineResults, n),
+		los:    make([]float64, n*d),
+		d:      d,
+		known:  ec.memoReplays(sn.seqs),
 		vecs:   make([][]float64, n),
 		capped: make([]bool, n),
 	}
 	order := make([]int, n)
 	for i, sig := range sn.sigs {
 		order[i] = i
-		sc.bounds[i] = measure.BoundPair(sig, qsig)
-		if r, ok := ec.memoPeek(sn.seqs[i], true, true); ok {
-			sc.known[i] = r
-			sc.los[i] = measure.GCS(measure.PairStatsFrom(sig, qsig, r), opts.Basis)
+		lo := sc.corner(i)
+		if sc.known != nil && sc.known[i].Covers(true, true) {
+			ps := measure.PairStatsFrom(sig, qsig, sc.known[i])
+			for k, m := range opts.Basis {
+				lo[k] = m.FromStats(ps)
+			}
 		} else {
-			sc.los[i], _ = sc.bounds[i].IntervalGCS(opts.Basis)
+			measure.RankInterval(sig, qsig, opts.Basis, lo, nil)
 		}
 	}
-	sortScanOrder(order, sc.los, sn.seqs)
+	sortScanOrder(order, sc.los, d, sn.seqs)
 	opts.Trace.Observe(StageBound, time.Since(start), n, 0)
 	return sc, order
 }
 
+// corner is candidate i's tier-0 optimistic corner, a row of los.
+func (sc *skyScan) corner(i int) []float64 {
+	return sc.los[i*sc.d : (i+1)*sc.d : (i+1)*sc.d]
+}
+
 // sortScanOrder sorts candidate indices by ascending optimistic corner,
-// compared lexicographically, ties by insert sequence (indexed like
-// los). Sequences are unique, so the order is total. Corners are finite
-// (tier-0 GED lo is a label-histogram count), so no NaN upsets the
-// comparison.
-func sortScanOrder(order []int, los [][]float64, seqs []uint64) {
+// compared lexicographically, ties by insert sequence; los holds the
+// corners as rows of d coordinates, indexed like seqs. Sequences are
+// unique, so the order is total. Corners are finite (tier-0 GED lo is
+// a label-histogram count), so no NaN upsets the comparison.
+func sortScanOrder(order []int, los []float64, d int, seqs []uint64) {
 	slices.SortFunc(order, func(a, b int) int {
-		if c := slices.Compare(los[a], los[b]); c != 0 {
-			return c
+		ra, rb := los[a*d:(a+1)*d], los[b*d:(b+1)*d]
+		for k, x := range ra {
+			switch y := rb[k]; {
+			case x < y:
+				return -1
+			case x > y:
+				return 1
+			}
 		}
 		return cmp.Compare(seqs[a], seqs[b])
 	})
@@ -156,13 +176,18 @@ func sortScanOrder(order []int, los [][]float64, seqs []uint64) {
 // a plain function of (candidate, front): any call order, sequential or
 // concurrent, yields a table with the same skyline.
 func (sc *skyScan) settle(i int) {
-	if sc.front.dominates(sc.los[i]) {
+	if sc.front.dominates(sc.corner(i)) {
 		return
 	}
 	g, sig, seq := sc.sn.graphs[i], sc.sn.sigs[i], sc.sn.seqs[i]
-	have := sc.known[i]
+	var have measure.EngineResults
+	if sc.known != nil {
+		have = sc.known[i]
+	}
 	if !have.Covers(true, true) {
-		bs := sc.bounds[i]
+		// Only a candidate the front test spared needs the full interval
+		// statistics: the engines plan from them.
+		bs := measure.BoundPair(sig, sc.qsig)
 		// Outcome 1b: the branch bound lifts the corner's GED; a front
 		// point that dominates the lifted corner discards the candidate
 		// before any engine runs. The raised GEDLo also starts outcome
@@ -170,7 +195,7 @@ func (sc *skyScan) settle(i int) {
 		if sc.readsGED {
 			if lb := sig.BranchLB(sc.qsig); lb > bs.GEDLo {
 				bs.GEDLo = lb
-				if lo, _ := bs.IntervalGCS(sc.opts.Basis); sc.front.dominates(lo) {
+				if sc.front.dominates(bs.OptimisticGCS(sc.opts.Basis)) {
 					return
 				}
 			}

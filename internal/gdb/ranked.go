@@ -342,8 +342,9 @@ func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Mea
 	rs.needGED, rs.needMCS = measure.EngineNeeds(m)
 	rs.useMemo = ec != nil && ec.memo != nil && (rs.needGED || rs.needMCS)
 	uppers := kSmallest{k: coll.floorK()}
+	basis := []measure.Measure{m}
 	for i, sig := range sn.sigs {
-		rs.lo[i], rs.hi[i], rs.gedLo[i] = measure.RankInterval(sig, qsig, m)
+		rs.gedLo[i] = measure.RankInterval(sig, qsig, basis, rs.lo[i:i+1], rs.hi[i:i+1])
 		uppers.push(rs.hi[i])
 	}
 	if v, ok := uppers.kth(); ok {

@@ -45,13 +45,14 @@ type BoundStats struct {
 // BoundPair derives tier-0 interval statistics for the pair (s1, s2)
 // from signatures alone — O(labels + degrees), no graph access.
 func BoundPair(s1, s2 *Signature) BoundStats {
-	vd := s1.VHist.distance(s2.VHist)
+	vSurplus, vDeficit := s1.VHist.merge(s2.VHist)
+	vd := max(vSurplus, vDeficit)
 	ed := s1.EHist.distance(s2.EHist)
 	return BoundStats{
 		GEDLo:     float64(vd + ed),
 		GEDHi:     float64(s1.Order + s2.Order + s1.Size + s2.Size),
 		MCSLo:     0,
-		MCSHi:     mcsUpper(s1, s2),
+		MCSHi:     mcsUpper(s1, s2, s1.Order-vSurplus),
 		Size1:     s1.Size,
 		Size2:     s2.Size,
 		Order1:    s1.Order,
@@ -65,8 +66,10 @@ func BoundPair(s1, s2 *Signature) BoundStats {
 // mcsUpper bounds |mcs| from signatures: common edges must agree on the
 // full edge type — edge label plus both endpoint labels (multiset
 // intersection over THist) — and a common subgraph has at most
-// min(common vertex labels) vertices, hence at most C(v,2) edges.
-func mcsUpper(s1, s2 *Signature) int {
+// min(common vertex labels) vertices, hence at most C(v,2) edges. vi
+// is that vertex-label intersection, which the caller takes from the
+// surplus of its vertex-histogram merge.
+func mcsUpper(s1, s2 *Signature, vi int) int {
 	ub := s1.Size
 	if s2.Size < ub {
 		ub = s2.Size
@@ -74,7 +77,6 @@ func mcsUpper(s1, s2 *Signature) int {
 	if ti := s1.THist.intersection(s2.THist); ti < ub {
 		ub = ti
 	}
-	vi := s1.VHist.intersection(s2.VHist)
 	if dense := vi * (vi - 1) / 2; dense < ub {
 		ub = dense
 	}
@@ -121,6 +123,13 @@ func (bs BoundStats) corners() (opt, pes PairStats) {
 func (bs BoundStats) IntervalGCS(basis []Measure) (lo, hi []float64) {
 	opt, pes := bs.corners()
 	return GCS(opt, basis), GCS(pes, basis)
+}
+
+// OptimisticGCS is IntervalGCS's lo alone: the corner the skyline
+// scan's front tests once the branch bound has raised GEDLo.
+func (bs BoundStats) OptimisticGCS(basis []Measure) []float64 {
+	opt, _ := bs.corners()
+	return GCS(opt, basis)
 }
 
 // Boundable reports whether every basis measure is one of the built-in

@@ -9,10 +9,11 @@ import (
 )
 
 // This file is the ranked-query side of the bound machinery: where the
-// skyline filter consumes whole interval vectors (IntervalGCS), top-k
-// and range queries rank by ONE measure and carry a live scalar
-// threshold (the current k-th best distance, or the radius). Three
-// pieces serve that:
+// skyline filter consumes whole interval vectors, top-k and range
+// queries rank by ONE measure and carry a live scalar threshold (the
+// current k-th best distance, or the radius). Both scans take their
+// tier-0 corners from one function, RankInterval, which computes only
+// what the basis reads. Three more pieces serve the ranked side:
 //
 //   - Interval: the scalar [lo, hi] bracket of a single measure, the
 //     optimistic bound a best-first scan orders candidates by;
@@ -61,21 +62,53 @@ func (bs BoundStats) Interval(m Measure) (lo, hi float64) {
 	return m.FromStats(opt), m.FromStats(pes)
 }
 
-// RankInterval returns BoundPair(s1, s2).Interval(m) and
-// BoundPair(s1, s2).GEDLo, bit for bit, reading only the signature
-// fields m needs. The measures that read GED alone (DistEd, DistNEd)
-// need only the histogram bound and the delete-all upper end: no MCS
-// bound and no degree distance is computed for them. Every other
-// measure goes through BoundPair. Only valid for Rankable measures.
-func RankInterval(s1, s2 *Signature, m Measure) (lo, hi, gedLo float64) {
-	if needGED, _ := EngineNeeds(m); needGED {
-		gedLo = s1.HistLB(s2)
-		gedHi := float64(s1.Order + s2.Order + s1.Size + s2.Size)
-		return AtGED(m, gedLo), AtGED(m, gedHi), gedLo
+// RankInterval writes the optimistic corner of the pair's tier-0 GCS
+// interval under basis into lo and, when hi is non-nil, the
+// pessimistic corner into hi (both len(basis)), and returns the tier-0
+// GED lower bound: lo, hi and gedLo equal BoundPair(s1,
+// s2).IntervalGCS(basis) and BoundPair(s1, s2).GEDLo bit for bit. It
+// reads only the signature fields the basis needs: no MCS bound unless
+// DistMcs or DistGu is in it and no degree distance unless DistDegree
+// is. The vertex-label intersection the MCS bound needs comes out of
+// the vertex-histogram merge that the GED bound walks anyway. The
+// skyline scan calls it with the query basis, the ranked scan with its
+// one measure, and delta maintenance with either. Only valid for
+// Boundable bases.
+func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo float64) {
+	needMCS, needDeg := false, false
+	for _, m := range basis {
+		switch m.(type) {
+		case DistMcs, DistGu:
+			needMCS = true
+		case DistDegree:
+			needDeg = true
+		}
 	}
-	bs := BoundPair(s1, s2)
-	lo, hi = bs.Interval(m)
-	return lo, hi, bs.GEDLo
+	vSurplus, vDeficit := s1.VHist.merge(s2.VHist)
+	vd, ed := max(vSurplus, vDeficit), s1.EHist.distance(s2.EHist)
+	opt := PairStats{
+		GED:   float64(vd + ed),
+		Size1: s1.Size, Size2: s2.Size,
+		Order1: s1.Order, Order2: s2.Order,
+		VHistDist: vd, EHistDist: ed,
+	}
+	if needMCS {
+		opt.MCS = mcsUpper(s1, s2, s1.Order-vSurplus)
+	}
+	if needDeg {
+		opt.DegL1 = degreeL1(s1.Degrees, s2.Degrees)
+	}
+	for k, m := range basis {
+		lo[k] = m.FromStats(opt)
+	}
+	if hi != nil {
+		pes := opt
+		pes.GED, pes.MCS = float64(s1.Order+s2.Order+s1.Size+s2.Size), 0
+		for k, m := range basis {
+			hi[k] = m.FromStats(pes)
+		}
+	}
+	return opt.GED
 }
 
 // AtGED is the distance of a measure that reads GED alone (one for

@@ -3,6 +3,7 @@ package measure
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skygraph/internal/graph"
@@ -117,11 +118,14 @@ func TestComputeRankMatchesComputeHinted(t *testing.T) {
 }
 
 // TestRankIntervalMatchesBoundPair: over seeded random signature pairs,
-// empty and one-vertex graphs among them, RankInterval is exactly
-// BoundPair's interval and GEDLo for every built-in measure, bit for
-// bit. For the measures that read GED alone, AtGED at a raised GED
-// lower bound is exactly the optimistic end of the interval with GEDLo
-// raised to it — the value the ranked scan's tier 1 compares.
+// empty and one-vertex graphs among them, RankInterval writes exactly
+// BoundPair's optimistic and pessimistic GCS corners and returns its
+// GEDLo, bit for bit, for the paper, diversity and extended bases and
+// for every built-in measure alone (the ranked scan's basis). With no
+// pessimistic slice it writes the same optimistic corner. For the
+// measures that read GED alone, AtGED at a raised GED lower bound is
+// exactly the optimistic end of the interval with GEDLo raised to it —
+// the value the ranked scan's tier 1 compares.
 func TestRankIntervalMatchesBoundPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	single := func(label string) *graph.Graph {
@@ -137,19 +141,38 @@ func TestRankIntervalMatchesBoundPair(t *testing.T) {
 		return graph.Molecule(2+rng.Intn(8), rng)
 	}
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameVec := func(a, b []float64) bool { return slices.EqualFunc(a, b, same) }
+	bases := [][]Measure{Default(), DiversityBasis(), Extended()}
+	for _, m := range builtins {
+		if !Rankable(m) {
+			t.Fatalf("%s is not Rankable", m.Name())
+		}
+		bases = append(bases, []Measure{m})
+	}
 	for trial := range 400 {
 		s1, s2 := NewSignature(pick()), NewSignature(pick())
 		bs := BoundPair(s1, s2)
-		for _, m := range builtins {
-			if !Rankable(m) {
-				t.Fatalf("%s is not Rankable", m.Name())
+		for _, basis := range bases {
+			lo, hi := make([]float64, len(basis)), make([]float64, len(basis))
+			gedLo := RankInterval(s1, s2, basis, lo, hi)
+			wantLo, wantHi := bs.IntervalGCS(basis)
+			if !sameVec(lo, wantLo) || !sameVec(hi, wantHi) || !same(gedLo, bs.GEDLo) {
+				t.Fatalf("trial %d %v: RankInterval = [%v, %v] GEDLo %v, BoundPair = [%v, %v] GEDLo %v",
+					trial, BasisNames(basis), lo, hi, gedLo, wantLo, wantHi, bs.GEDLo)
 			}
-			lo, hi, gedLo := RankInterval(s1, s2, m)
-			wantLo, wantHi := bs.Interval(m)
-			if !same(lo, wantLo) || !same(hi, wantHi) || !same(gedLo, bs.GEDLo) {
-				t.Fatalf("trial %d %s: RankInterval = [%v, %v] GEDLo %v, BoundPair = [%v, %v] GEDLo %v",
-					trial, m.Name(), lo, hi, gedLo, wantLo, wantHi, bs.GEDLo)
+			loOnly := make([]float64, len(basis))
+			if gedLo := RankInterval(s1, s2, basis, loOnly, nil); !sameVec(loOnly, wantLo) || !same(gedLo, bs.GEDLo) {
+				t.Fatalf("trial %d %v: optimistic corner alone = %v GEDLo %v, BoundPair = %v GEDLo %v",
+					trial, BasisNames(basis), loOnly, gedLo, wantLo, bs.GEDLo)
 			}
+			if !sameVec(bs.OptimisticGCS(basis), wantLo) {
+				t.Fatalf("trial %d %v: OptimisticGCS = %v, IntervalGCS lo = %v",
+					trial, BasisNames(basis), bs.OptimisticGCS(basis), wantLo)
+			}
+			if len(basis) != 1 {
+				continue
+			}
+			m := basis[0]
 			if needGED, _ := EngineNeeds(m); needGED {
 				raised := bs
 				raised.GEDLo += float64(rng.Intn(4))

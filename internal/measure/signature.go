@@ -65,9 +65,10 @@ func edgeType(va, vb, label string) string {
 
 // HistLB returns the label-histogram lower bound on the uniform-cost
 // edit distance between the signatures' graphs — the same bound as
-// ged.LowerBound, served from the precomputed histograms. Every index
-// pruning site (top-k, range, the skyline filter's GEDLo) goes through
-// this one definition.
+// ged.LowerBound, served from the precomputed histograms. The scans
+// take it as the GEDLo of RankInterval and BoundPair, which walk the
+// same two merges themselves; this standalone form is the reference
+// the bound golden and the branch-bound tests check against.
 func (s *Signature) HistLB(o *Signature) float64 {
 	return float64(s.VHist.distance(o.VHist) + s.EHist.distance(o.EHist))
 }
@@ -132,7 +133,15 @@ func (h Histogram) Labels() iter.Seq[string] {
 // distance is graph.HistogramDistance over two Histograms: the larger
 // of the total surplus and the total deficit of h against o.
 func (h Histogram) distance(o Histogram) int {
-	surplus, deficit := 0, 0
+	surplus, deficit := h.merge(o)
+	return max(surplus, deficit)
+}
+
+// merge walks h and o once, returning the total surplus of h over o
+// (Σ max(h−o, 0)) and the total deficit (Σ max(o−h, 0)). The surplus
+// also yields the multiset intersection: Σ min(h, o) is h's total minus
+// the surplus, with no second walk.
+func (h Histogram) merge(o Histogram) (surplus, deficit int) {
 	i, j := 0, 0
 	for i < len(h) && j < len(o) {
 		switch c := strings.Compare(h[i].label, o[j].label); {
@@ -158,7 +167,7 @@ func (h Histogram) distance(o Histogram) int {
 	for ; j < len(o); j++ {
 		deficit += o[j].n
 	}
-	return max(surplus, deficit)
+	return surplus, deficit
 }
 
 // intersection is the multiset intersection size of h and o.

@@ -5,6 +5,7 @@ import (
 
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
+	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
 )
@@ -129,13 +130,13 @@ func (s *Server) upgradeTable(cand deltaCandidate, gen uint64, inserted *graph.G
 // proof holds.
 func (s *Server) tableInsert(cand deltaCandidate, gen uint64, name string) *gdb.VectorTable {
 	t, lin := cand.e.table, cand.e.lin
-	bs, got, ok := s.db.DeltaBound(name, lin.qsig)
+	// Every server basis is a set of built-ins (Boundable), where the
+	// optimistic corner floors the exact vector in every dimension.
+	lo, got, ok := s.db.DeltaBound(name, lin.qsig, lin.basis)
 	if !ok || got != gen {
 		return nil
 	}
-	// Every server basis is a set of built-ins (Boundable), where the
-	// corner floors the exact vector in every dimension.
-	if lo, _ := bs.IntervalGCS(lin.basis); dominated(t.Points, lo) {
+	if dominated(t.Points, lo) {
 		return t.WithGeneration(gen)
 	}
 	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval, QueryHash: cand.key.qh}
@@ -195,13 +196,13 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 	items, inexact := e.items, e.inexact
 	if inserted != nil {
 		name := inserted.Name()
-		bs, got, ok := s.db.DeltaBound(name, lin.qsig)
+		// Every measure a request can name is Rankable, so the corner
+		// floors the score DeltaScore would report.
+		corner, got, ok := s.db.DeltaBound(name, lin.qsig, []measure.Measure{lin.m})
 		if !ok || got != gen {
 			return nil
 		}
-		// Every measure a request can name is Rankable, so lo floors the
-		// score DeltaScore would report.
-		lo, _ := bs.Interval(lin.m)
+		lo := corner[0]
 		full := key.path == "topk" && len(items) >= int(key.arg)
 		if full && items[len(items)-1].Score < lo || key.path == "range" && key.arg < lo {
 			return e.advanced(gen)
