@@ -70,11 +70,6 @@ func WithPrune() Option {
 	return func(e *Engine) { e.opts.Prune = true }
 }
 
-// WithSkylineAlgorithm selects the skyline algorithm (default SFS).
-func WithSkylineAlgorithm(a skyline.Algorithm) Option {
-	return func(e *Engine) { e.opts.Algorithm = a }
-}
-
 // NewEngine returns an empty engine.
 func NewEngine(options ...Option) *Engine {
 	e := &Engine{db: gdb.New()}

@@ -101,7 +101,6 @@ func TestEngineOptions(t *testing.T) {
 	e := paperEngine(t,
 		WithBasis(measure.DistEd{}, measure.DistGu{}),
 		WithWorkers(2),
-		WithSkylineAlgorithm(skyline.BNL),
 	)
 	res, err := e.Skyline(dataset.PaperQuery())
 	if err != nil {
@@ -120,6 +119,22 @@ func TestEngineOptions(t *testing.T) {
 	for _, m := range res.Members {
 		if !want[m.Name] {
 			t.Errorf("unexpected member %s", m.Name)
+		}
+	}
+	// BNL, SFS and D&C over the answer's full table agree with it.
+	all := make([]skyline.Point, len(res.All))
+	for i, m := range res.All {
+		all[i] = skyline.Point{ID: m.Name, Vec: m.Vector}
+	}
+	for name, algo := range map[string]skyline.Algorithm{"BNL": skyline.BNL, "SFS": skyline.SFS, "DC": skyline.DivideAndConquer} {
+		sky := algo(all)
+		if len(sky) != len(want) {
+			t.Fatalf("%s: skyline %v", name, sky)
+		}
+		for _, p := range sky {
+			if !want[p.ID] {
+				t.Errorf("%s: unexpected member %s", name, p.ID)
+			}
 		}
 	}
 }

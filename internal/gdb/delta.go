@@ -10,87 +10,92 @@ import (
 
 // Delta maintenance primitives. A cached VectorTable or a cached ranked
 // answer differs from its successor by at most one row when the
-// mutation between them was a single insert or delete. DeltaBound reads
-// the one row's tier-0 optimistic corner from the stored signature — no
-// engine runs — so the serving layer can often prove an entry unchanged
-// outright; DeltaRow and DeltaScore evaluate the row through the same
-// code path the cold build uses — stored signature hints, ScoreMemo
-// interplay, identical engine options — so a spliced row is
-// byte-identical to the row a cold recompute would produce. The serving
-// layer owns the provability argument (which cached entries a given
-// mutation may patch); these primitives only guarantee row fidelity and
-// report the generation they observed so the caller can detect
-// interleaved mutations. All three take the query's signature from the
-// caller, which computes it once per request rather than once per
-// upgrade.
+// mutation between them was a single insert or delete. DeltaRow and
+// DeltaScore settle an inserted graph as a one-candidate run of the
+// cold scans: the skyline scan's settle step against a front seeded
+// with a pruned table's rows, and the ranked scan's settle step against
+// a range collector at the answer's threshold. A candidate is therefore
+// discarded only on the proofs the cold scans use, and a kept vector or
+// an included score comes from the same engine calls — stored
+// signatures, ScoreMemo replay and publish, opts.Eval caps — so a
+// spliced row is byte-identical to the row a cold recompute would
+// produce. The serving layer owns the provability argument (which
+// cached entries a given mutation may patch); these primitives only
+// guarantee row fidelity and report the generation they observed so
+// the caller can detect interleaved mutations. Both take the query's
+// signature from the caller, which computes it once per request rather
+// than once per upgrade.
 
-// row reads the named entry, the generation it belongs to and the score
-// memo under one lock acquisition.
-func (sh *Sharded) row(name string) (e *entry, gen uint64, memo *ScoreMemo) {
+// rowSnap reads the named graph as a one-row snapshot, and the score
+// memo, under one lock acquisition. The snapshot's generation is the
+// database's; ok is false when the name is not present.
+func (sh *Sharded) rowSnap(name string) (sn snap, memo *ScoreMemo, ok bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return sh.byName[name], sh.gen, sh.memo
-}
-
-// DeltaBound returns the tier-0 optimistic corner of the single named
-// graph against the query signature qsig under basis — the corner a
-// cold scan starts from (measure.RankInterval with the stored
-// signature first, so no pessimistic corner and no unread statistic is
-// computed). A ranked answer passes its one measure as the basis. gen
-// and ok behave as in DeltaRow. basis must be Boundable.
-func (sh *Sharded) DeltaBound(name string, qsig *measure.Signature, basis []measure.Measure) (lo []float64, gen uint64, ok bool) {
-	e, gen, _ := sh.row(name)
+	sn.gen = sh.gen
+	e := sh.byName[name]
 	if e == nil {
-		return nil, gen, false
+		return sn, nil, false
 	}
-	lo = make([]float64, len(basis))
-	measure.RankInterval(e.sig, qsig, basis, lo, nil)
-	return lo, gen, true
+	sn.graphs, sn.sigs, sn.seqs = []*graph.Graph{e.g}, []*measure.Signature{e.sig}, []uint64{e.seq}
+	return sn, sh.memo, true
 }
 
-// DeltaRow evaluates the GCS vector of the single named graph against
-// q (whose signature is qsig), exactly as the unpruned table build
-// would: stored signature as the pair hint, score-memo replay and
-// publish, opts.Eval engine caps.
+// DeltaRow settles the single named graph against q (whose signature
+// is qsig) the way the pruned skyline scan settles a candidate, with
+// the scan's front seeded by rows — a pruned table's kept points. kept
+// reports whether no row strictly dominates the graph's exact vector;
+// pt is then that vector, byte-identical to the complete table build's
+// row, and inexact whether a capped engine backed it. With no rows the
+// graph is always kept. opts.Basis must be Boundable
+// (measure.Boundable).
 // gen is the database generation observed while reading the graph —
 // callers patching a table toward generation G must see gen == G, or a
 // later mutation has interleaved and the row may describe a different
 // graph value (delete + re-insert of the same name). ok is false when
 // the name is not present.
-func (sh *Sharded) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pt skyline.Point, inexact bool, gen uint64, ok bool) {
+func (sh *Sharded) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, rows []skyline.Point, opts QueryOptions) (pt skyline.Point, kept, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	e, gen, memo := sh.row(name)
-	if e == nil {
-		return skyline.Point{}, false, gen, false
+	sn, memo, ok := sh.rowSnap(name)
+	if !ok {
+		return skyline.Point{}, false, false, sn.gen, false
 	}
-	ec := newEvalCtx(memo, q, opts)
-	ps := ec.computeFull(e.g, q, e.seq, opts.Eval, measure.PairHints{Sig1: e.sig, Sig2: qsig})
-	pt = skyline.Point{ID: name, Vec: measure.GCS(ps, opts.Basis)}
-	return pt, !ps.GEDExact || !ps.MCSExact, gen, true
+	sc, _ := newSkyScan(sn, q, qsig, newEvalCtx(memo, q, opts), opts)
+	sc.front.vecs = make([][]float64, len(rows), len(rows)+1)
+	for i, p := range rows {
+		sc.front.vecs[i] = p.Vec
+	}
+	sc.settle(0)
+	if sc.vecs[0] == nil {
+		return skyline.Point{}, false, false, sn.gen, true
+	}
+	return skyline.Point{ID: name, Vec: sc.vecs[0]}, true, sc.capped[0], sn.gen, true
 }
 
-// DeltaScore evaluates the single named graph's exact score under m,
-// the way the best-first ranked scan scores a candidate it cannot
-// exclude: only the engines m consumes run, with memo replay and
-// publish. Scores are therefore byte-identical to the ranked path's. m
-// must be a built-in (measure.Rankable), as it is for every ranked
-// query. gen and ok behave as in DeltaRow.
-func (sh *Sharded) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions) (score float64, inexact bool, gen uint64, ok bool) {
+// DeltaScore settles the single named graph against q under m the way
+// the best-first ranked scan settles a candidate, against the threshold
+// th: the k-th score of a full top-k answer, a range answer's radius,
+// or +Inf for a top-k answer holding fewer than k items. in reports
+// whether its score is at most th; score is then exact, byte-identical
+// to the ranked scan's, and inexact reports whether a capped engine
+// backed it. m must be a built-in (measure.Rankable), as it is for
+// every ranked query. gen and ok behave as in DeltaRow.
+func (sh *Sharded) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, th float64, opts QueryOptions) (score float64, in, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	e, gen, memo := sh.row(name)
-	if e == nil {
-		return 0, false, gen, false
+	sn, memo, ok := sh.rowSnap(name)
+	if !ok {
+		return 0, false, false, sn.gen, false
 	}
-	ec := newEvalCtx(memo, q, opts)
-	needGED, needMCS := measure.EngineNeeds(m)
-	var have measure.EngineResults
-	if needGED || needMCS {
-		have, _ = ec.memoGet(e.seq, needGED, needMCS)
+	coll := newRangeCollector(th)
+	rs, claims := newRankScan(sn, q, qsig, m, opts, newEvalCtx(memo, q, opts), coll)
+	if i, claimed := claims.pop(); claimed {
+		rs.settle(i, coll)
 	}
-	var got measure.EngineResults
-	score, got, inexact = measure.ScorePairWith(e.g, q, m, opts.Eval, measure.PairHints{Sig1: e.sig, Sig2: qsig}, have)
-	ec.memoPublish(e.seq, got)
-	return score, inexact, gen, true
+	items := coll.items()
+	if len(items) == 0 {
+		return 0, false, false, sn.gen, true
+	}
+	return items[0].Score, true, rs.fate[0] == fateInexact, sn.gen, true
 }
 
 // WithGeneration returns a copy of t advanced to generation gen with

@@ -2,6 +2,8 @@ package gdb_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
+	"skygraph/internal/skyline"
 	"skygraph/internal/testutil"
 )
 
@@ -24,7 +27,8 @@ func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable
 }
 
 // TestDeltaPatchedTableMatchesCold: a table carried across an insert by
-// DeltaRow + WithInsert, then across a delete by WithDelete, holds
+// DeltaRow (with no rows to dominate it, the graph is always kept) +
+// WithInsert, then across a delete by WithDelete, holds
 // exactly the rows — values and order — of a table cold-built over the
 // mutated collection.
 func TestDeltaPatchedTableMatchesCold(t *testing.T) {
@@ -43,9 +47,9 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := ack.Gen
-	pt, inexact, got, ok := db.DeltaRow("late", q, measure.NewSignature(q), gdb.QueryOptions{})
-	if !ok || got != gen {
-		t.Fatalf("DeltaRow ok=%v gen=%d, want true/%d", ok, got, gen)
+	pt, kept, inexact, got, ok := db.DeltaRow("late", q, measure.NewSignature(q), nil, gdb.QueryOptions{})
+	if !ok || !kept || got != gen {
+		t.Fatalf("DeltaRow ok=%v kept=%v gen=%d, want true/true/%d", ok, kept, got, gen)
 	}
 	t1 := t0.WithInsert(pt, inexact, gen)
 	want := coldTable(t, append(append([]*graph.Graph(nil), gs...), late), q)
@@ -107,21 +111,22 @@ func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 	if _, err := db.Insert(mustNamed(t, 242, "b"), ""); err != nil {
 		t.Fatal(err)
 	}
-	_, _, got, ok := db.DeltaRow("a", q, measure.NewSignature(q), gdb.QueryOptions{})
+	_, _, _, got, ok := db.DeltaRow("a", q, measure.NewSignature(q), nil, gdb.QueryOptions{})
 	if !ok {
 		t.Fatal("DeltaRow did not find the inserted graph")
 	}
 	if got == gen {
 		t.Fatalf("DeltaRow observed generation %d despite a later mutation", got)
 	}
-	if _, _, _, ok := db.DeltaRow("missing", q, measure.NewSignature(q), gdb.QueryOptions{}); ok {
+	if _, _, _, _, ok := db.DeltaRow("missing", q, measure.NewSignature(q), nil, gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaRow of an absent name claimed success")
 	}
 }
 
 // TestDeltaScoreMatchesRankedScan: the score DeltaScore computes for a
-// freshly inserted graph equals the one the ranked scan produces for
-// it, for every rankable measure — with and without a score memo.
+// freshly inserted graph at threshold +Inf equals the one the ranked
+// scan produces for it, for every rankable measure — with and without
+// a score memo.
 func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 10)
 	q := testutil.SeededQueries(151, gs, 1)[0]
@@ -138,9 +143,9 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 		}
 		gen := ack.Gen
 		for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
-			score, _, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, gdb.QueryOptions{})
-			if !ok || got != gen {
-				t.Fatalf("memo=%v m=%s: DeltaScore ok=%v gen=%d, want true/%d", withMemo, m.Name(), ok, got, gen)
+			score, in, _, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, math.Inf(1), gdb.QueryOptions{})
+			if !ok || !in || got != gen {
+				t.Fatalf("memo=%v m=%s: DeltaScore ok=%v in=%v gen=%d, want true/true/%d", withMemo, m.Name(), ok, in, got, gen)
 			}
 			ref, err := testutil.NewSharded(t, append(append([]*graph.Graph(nil), gs...), late)).
 				TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{})
@@ -171,37 +176,124 @@ func mustNamed(t *testing.T, seed int64, name string) *graph.Graph {
 	return g
 }
 
-// TestDeltaBoundBracketsDeltaRow: DeltaBound's tier-0 optimistic corner
-// is BoundPair's, bit for bit, floors the vector DeltaRow computes for
-// the same graph, dimension by dimension, and comes with the generation
-// it read at.
-func TestDeltaBoundBracketsDeltaRow(t *testing.T) {
-	gs := testutil.SeededGraphs(61, 8)
-	db := testutil.NewSharded(t, gs)
-	late := mustNamed(t, 261, "late")
-	ack, err := db.Insert(late, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	basis := measure.Default()
-	for _, q := range testutil.SeededQueries(161, gs, 3) {
-		qsig := measure.NewSignature(q)
-		lo, gen, ok := db.DeltaBound("late", qsig, basis)
-		if !ok || gen != ack.Gen {
-			t.Fatalf("DeltaBound ok=%v gen=%d, want true/%d", ok, gen, ack.Gen)
-		}
-		if want, _ := measure.BoundPair(measure.NewSignature(late), qsig).IntervalGCS(basis); !slices.Equal(lo, want) {
-			t.Fatalf("q=%s: DeltaBound corner %v, BoundPair corner %v", q.Name(), lo, want)
-		}
-		pt, _, _, _ := db.DeltaRow("late", q, qsig, gdb.QueryOptions{})
-		for d := range pt.Vec {
-			if pt.Vec[d] < lo[d] {
-				t.Fatalf("q=%s dim %d: row %v under corner %v", q.Name(), d, pt.Vec, lo)
+// TestDeltaSettleMatchesReference: DeltaRow and DeltaScore settle an
+// inserted graph exactly as Definition 12 and the ranked baselines
+// decide it, over seeded collections × inserted graphs × queries,
+// uncapped and capped, with the score memo off and on, for the paper
+// and the extended bases. Given a cold pruned table's rows, DeltaRow
+// keeps the graph exactly when no row strictly dominates its reference
+// vector, and a kept row is that vector bit for bit. At five thresholds
+// — below the reference score, at it (the tie), a cold top-k's k-th
+// score, a radius between the two, +Inf — DeltaScore includes the
+// graph exactly when its reference score fits, with that score bit for
+// bit. Each call is made twice, so with the memo on the second one
+// replays what the first published.
+func TestDeltaSettleMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	measures := []measure.Measure{measure.DistEd{}, measure.DistNEd{}, measure.DistMcs{}, measure.DistGu{},
+		measure.DistVLabel{}, measure.DistELabel{}, measure.DistDegree{}}
+	var kept, dropped, in, out int
+	for _, seed := range []int64{61, 62} {
+		gs := testutil.SeededGraphs(seed, 8)
+		lates := []*graph.Graph{mustNamed(t, seed+200, "late0"), testutil.SeededQueries(seed+300, gs, 1)[0]}
+		lates[1].SetName("late1")
+		queries := testutil.SeededQueries(seed+100, gs, 3)
+		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 20, MCSMaxNodes: 20}} {
+			for _, withMemo := range []bool{false, true} {
+				for _, late := range lates {
+					db := testutil.NewSharded(t, gs)
+					if withMemo {
+						db.EnableScoreMemo(1024)
+					}
+					type cold struct {
+						rows []*gdb.VectorTable
+						kth  map[string]float64
+					}
+					colds := make([]cold, len(queries))
+					bases := [][]measure.Measure{measure.Default(), measure.Extended()}
+					for i, q := range queries {
+						colds[i].kth = map[string]float64{}
+						for _, basis := range bases {
+							tab, err := db.VectorTable(ctx, q, gdb.QueryOptions{Basis: basis, Eval: eval, Prune: true})
+							if err != nil {
+								t.Fatal(err)
+							}
+							colds[i].rows = append(colds[i].rows, tab)
+						}
+						for _, m := range measures {
+							res, err := db.TopKQuery(ctx, q, m, 3, gdb.QueryOptions{Eval: eval})
+							if err != nil {
+								t.Fatal(err)
+							}
+							colds[i].kth[m.Name()] = res.Items[2].Score
+						}
+					}
+					ack, err := db.Insert(late, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, q := range queries {
+						qsig := measure.NewSignature(q)
+						ps := measure.Compute(late, q, eval)
+						label := fmt.Sprintf("seed %d %s q%d caps %v memo %v", seed, late.Name(), i, eval, withMemo)
+						for b, basis := range bases {
+							ref := measure.GCS(ps, basis)
+							rows := colds[i].rows[b].Points
+							wantKept := !slices.ContainsFunc(rows, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
+							for range 2 {
+								pt, k, inexact, gen, ok := db.DeltaRow(late.Name(), q, qsig, rows, gdb.QueryOptions{Basis: basis, Eval: eval})
+								switch {
+								case !ok || gen != ack.Gen:
+									t.Fatalf("%s basis %d: DeltaRow ok=%v gen=%d, want true/%d", label, b, ok, gen, ack.Gen)
+								case k != wantKept:
+									t.Fatalf("%s basis %d: DeltaRow kept=%v, want %v (reference %v)", label, b, k, wantKept, ref)
+								case k && (pt.ID != late.Name() || !slices.Equal(pt.Vec, ref) || inexact != (!ps.GEDExact || !ps.MCSExact)):
+									t.Fatalf("%s basis %d: DeltaRow %v inexact=%v, reference %v", label, b, pt, inexact, ref)
+								}
+							}
+							if wantKept {
+								kept++
+							} else {
+								dropped++
+							}
+						}
+						for _, m := range measures {
+							score := m.FromStats(ps)
+							needGED, needMCS := measure.EngineNeeds(m)
+							capped := needGED && !ps.GEDExact || needMCS && !ps.MCSExact
+							kth := colds[i].kth[m.Name()]
+							for _, th := range []float64{score - 1, score, kth, (score + kth) / 2, math.Inf(1)} {
+								for range 2 {
+									got, fits, inexact, gen, ok := db.DeltaScore(late.Name(), q, qsig, m, th, gdb.QueryOptions{Eval: eval})
+									switch {
+									case !ok || gen != ack.Gen:
+										t.Fatalf("%s %s: DeltaScore ok=%v gen=%d, want true/%d", label, m.Name(), ok, gen, ack.Gen)
+									case fits != (score <= th):
+										t.Fatalf("%s %s th=%v: DeltaScore in=%v, reference score %v", label, m.Name(), th, fits, score)
+									case fits && (got != score || inexact != capped):
+										t.Fatalf("%s %s th=%v: DeltaScore %v inexact=%v, reference %v inexact=%v", label, m.Name(), th, got, inexact, score, capped)
+									}
+								}
+								if score <= th {
+									in++
+								} else {
+									out++
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}
-	if _, _, ok := db.DeltaBound("missing", measure.NewSignature(gs[0]), basis); ok {
-		t.Fatal("DeltaBound of an absent name claimed success")
+	if kept == 0 || dropped == 0 || in == 0 || out == 0 {
+		t.Fatalf("the grid does not bite: kept %d dropped %d, in %d out %d", kept, dropped, in, out)
+	}
+	t.Logf("rows kept %d dropped %d; scores in %d out %d", kept, dropped, in, out)
+	db := testutil.NewSharded(t, testutil.SeededGraphs(61, 4))
+	q := testutil.SeededQueries(161, db.Graphs(), 1)[0]
+	if _, _, _, _, ok := db.DeltaScore("missing", q, measure.NewSignature(q), measure.DistEd{}, math.Inf(1), gdb.QueryOptions{}); ok {
+		t.Fatal("DeltaScore of an absent name claimed success")
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 //
 // The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
 // RangeQuery and DiverseSkylineQuery; the table primitive a caching
-// layer composes instead (VectorTable) and the single-row reads delta
-// maintenance needs (DeltaBound / DeltaRow / DeltaScore); the score
+// layer composes instead (VectorTable) and the single-row settles
+// delta maintenance runs (DeltaRow / DeltaScore); the score
 // memo (EnableScoreMemo, Memo); and persistence (Save, WriteTo, Load,
 // OpenDurable).
 type Sharded struct {

@@ -133,9 +133,8 @@ func TestMemoInvalidatedByReinsert(t *testing.T) {
 	testutil.RequireSameItems(t, "after-reinsert", want, got.Items)
 	// And the replacement's score must differ from the victim's unless
 	// the graphs coincidentally tie — sanity that the test bites.
-	var oldScore, newScore float64
-	oldScore, _ = measure.ScorePair(gs[3], q, measure.DistEd{}, opts.Eval, measure.PairHints{})
-	newScore, _ = measure.ScorePair(repl, q, measure.DistEd{}, opts.Eval, measure.PairHints{})
+	oldScore := measure.Compute(gs[3], q, opts.Eval).GED
+	newScore := measure.Compute(repl, q, opts.Eval).GED
 	if oldScore == newScore {
 		t.Logf("note: victim and replacement tie at %v (test still valid via item equality)", oldScore)
 	}

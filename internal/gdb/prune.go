@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"skygraph/internal/graph"
+	"skygraph/internal/mcs"
 	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
 )
@@ -38,10 +39,13 @@ import (
 //	        3. a GED decision run at the dominance limit — the largest
 //	           GED at which no front point dominates the vector — stops
 //	           AboveLimit: the reported GED exceeds the limit, so the
-//	           reported vector is dominated: discarded
+//	           reported vector is dominated: discarded. A report the run
+//	           could not decide (a capped search, or a GED replayed from
+//	           a ranked scan's partial memo entry) meets the front test
+//	           itself, and a dominated one is discarded likewise
 //	        4. otherwise the two engines' results ARE the pair's exact
-//	           statistics: the vector joins the front, the table and the
-//	           score memo
+//	           statistics and no front point dominates them: the vector
+//	           joins the front, the table and the score memo
 //
 // Dominance is always strict (Definition 1), so twins and equal vectors
 // all survive. Every interval contains the value measure.Compute would
@@ -50,10 +54,11 @@ import (
 // undercuts, and kept vectors come from the same engine calls as the
 // full evaluation — so the skyline over the kept points is
 // byte-identical to the skyline of the full evaluation, whatever order
-// the scan runs in. Only kept candidates are published to the score memo: a discarded
-// one's MCS-only partial would be dead weight (it is discarded again,
-// for free, as long as the front's point lives), and discarded
-// candidates outnumber kept ones several times.
+// the scan runs in. Only candidates both engines ran for are published
+// to the score memo: a candidate discarded before its GED run would
+// leave an MCS-only partial, dead weight (it is discarded again, for
+// free, as long as the front's point lives), and discarded candidates
+// outnumber kept ones several times.
 
 // skyFront is the scan's running set of reported exact vectors, shared
 // by its workers.
@@ -172,9 +177,10 @@ func sortScanOrder(order []int, los []float64, d int, seqs []uint64) {
 }
 
 // settle takes candidate i through outcomes 1–4 above against the
-// front as it stands, recording its exact vector when it is kept. It is
-// a plain function of (candidate, front): any call order, sequential or
-// concurrent, yields a table with the same skyline.
+// front as it stands, recording its exact vector when it is kept: it
+// keeps i exactly when no front point strictly dominates that vector.
+// It is a plain function of (candidate, front): any call order,
+// sequential or concurrent, yields a table with the same skyline.
 func (sc *skyScan) settle(i int) {
 	if sc.front.dominates(sc.corner(i)) {
 		return
@@ -204,10 +210,10 @@ func (sc *skyScan) settle(i int) {
 		// counts; a partial entry (a ranked scan's GED- or MCS-only
 		// record) spares its engine.
 		have, _ = sc.ec.memoGet(seq, true, true)
-		hints := measure.PairHints{Sig1: sig, Sig2: sc.qsig}
 		if !have.HasMCS {
-			_, got, _ := measure.ScorePairWith(g, sc.q, measure.DistMcs{}, sc.opts.Eval, hints, have)
-			have.MCS, have.MCSExact, have.HasMCS = got.MCS, got.MCSExact, true
+			// The plain MCS run, with the options measure.Compute uses.
+			mres := mcs.Exact(g, sc.q, mcs.Options{MaxNodes: sc.opts.Eval.MCSMaxNodes})
+			have.MCS, have.MCSExact, have.HasMCS = mres.Mapping.Edges, mres.Exhausted, true
 		}
 		if !have.HasGED {
 			bs.MCSLo, bs.MCSHi = have.MCS, have.MCS
@@ -227,9 +233,13 @@ func (sc *skyScan) settle(i int) {
 		sc.ec.memoPublish(seq, have)
 	}
 	ps := measure.PairStatsFrom(sig, sc.qsig, have)
-	sc.vecs[i] = measure.GCS(ps, sc.opts.Basis)
+	vec := measure.GCS(ps, sc.opts.Basis)
+	if sc.front.dominates(vec) {
+		return // outcome 3 on a report no decision run decided
+	}
+	sc.vecs[i] = vec
 	sc.capped[i] = !ps.GEDExact || !ps.MCSExact
-	sc.front.add(sc.vecs[i])
+	sc.front.add(vec)
 }
 
 // evalPruned runs the pipeline for q against the snapshot. It returns

@@ -23,8 +23,6 @@ type QueryOptions struct {
 	// Workers is the width of a query's one scan: how many goroutines
 	// evaluate pairs. 0 means GOMAXPROCS.
 	Workers int
-	// Algorithm computes the skyline; nil means skyline.SFS.
-	Algorithm skyline.Algorithm
 	// QueryHash optionally carries graph.QueryHash(q), precomputed by
 	// the caller (the serving layer computes it for its cache keys
 	// anyway). The cross-query score memo keys on it; when empty it is
@@ -53,9 +51,6 @@ func (o QueryOptions) withDefaults() QueryOptions {
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Algorithm == nil {
-		o.Algorithm = skyline.SFS
 	}
 	return o
 }
@@ -131,7 +126,7 @@ func (sh *Sharded) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryO
 	}
 	mstart := time.Now()
 	res := SkylineResult{
-		Skyline: t.Skyline(opts.Algorithm),
+		Skyline: t.Skyline(),
 		All:     t.Points,
 		Stats:   QueryStats{Work: t.Work, Inexact: t.Inexact, Duration: time.Since(start)},
 	}
@@ -152,7 +147,7 @@ type TopKResult struct {
 // ranked.go against one collector, so the k-th best score seen so far
 // prunes every remaining candidate — no table is built. m must be one
 // of the built-in measures (measure.Rankable): the scan needs its
-// bounds. opts.Basis, opts.Algorithm and opts.Prune do not apply.
+// bounds. opts.Basis and opts.Prune do not apply.
 func (sh *Sharded) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("gdb: k must be >= 1")

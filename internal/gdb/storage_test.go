@@ -42,11 +42,11 @@ func fingerprint(sh *Sharded) string {
 
 // seqOf returns the named graph's insert sequence (0 when absent).
 func seqOf(sh *Sharded, name string) uint64 {
-	e, _, _ := sh.row(name)
-	if e == nil {
+	sn, _, ok := sh.rowSnap(name)
+	if !ok {
 		return 0
 	}
-	return e.seq
+	return sn.seqs[0]
 }
 
 // reopen recovers the data directory and returns the durable handle;

@@ -110,7 +110,7 @@ func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase,
 		if got := tab.Points; !reflect.DeepEqual(got, refPoints) {
 			t.Fatalf("case %d: table rows differ:\n got %v\nwant %v", ci, got, refPoints)
 		}
-		gotSky := tab.Skyline(nil)
+		gotSky := tab.Skyline()
 		testutil.RequireSameSkyline(t, label, refSky, gotSky)
 		if !reflect.DeepEqual(gotSky, refSky) {
 			t.Fatalf("case %d: skyline order differs:\n got %v\nwant %v", ci, gotSky, refSky)

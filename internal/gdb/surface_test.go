@@ -192,7 +192,7 @@ func TestEngineSurfacePinned(t *testing.T) {
 		// the table primitive for a caching layer
 		"VectorTable",
 		// the single-row reads of delta maintenance
-		"DeltaBound", "DeltaRow", "DeltaScore",
+		"DeltaRow", "DeltaScore",
 		// the score memo
 		"EnableScoreMemo", "Memo",
 		// no-op shims the benchmark harness still calls (shims.go)

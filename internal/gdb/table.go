@@ -158,11 +158,8 @@ func forEachClaim(ctx context.Context, n, workers int, claim func(k int) bool) e
 	return ctx.Err()
 }
 
-// Skyline computes the similarity skyline of the table's rows under alg
-// (nil means skyline.SFS), in row order. No pair evaluation happens.
-func (t *VectorTable) Skyline(alg skyline.Algorithm) []skyline.Point {
-	if alg == nil {
-		alg = skyline.SFS
-	}
-	return alg(t.Points)
+// Skyline computes the similarity skyline of the table's rows (SFS),
+// in row order. No pair evaluation happens.
+func (t *VectorTable) Skyline() []skyline.Point {
+	return skyline.SFS(t.Points)
 }

@@ -160,7 +160,7 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePoints(tab.Skyline(nil), direct.Skyline) {
+	if !samePoints(tab.Skyline(), direct.Skyline) {
 		t.Fatalf("table skyline differs from direct query")
 	}
 

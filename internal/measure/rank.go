@@ -13,14 +13,17 @@ import (
 // queries rank by ONE measure and carry a live scalar threshold (the
 // current k-th best distance, or the radius). Both scans take their
 // tier-0 corners from one function, RankInterval, which computes only
-// what the basis reads. Three more pieces serve the ranked side:
+// what the basis reads, and the ranked scan orders its candidates by
+// the optimistic end of that interval. Three more pieces serve the
+// ranked side:
 //
-//   - Interval: the scalar [lo, hi] bracket of a single measure, the
-//     optimistic bound a best-first scan orders candidates by;
+//   - Interval: the scalar [lo, hi] bracket of a single measure under
+//     full interval statistics, which a threshold-fed evaluation
+//     checks first;
 //   - PlanRank: translating "distance > t" into decision thresholds the
 //     exact engines understand (a GED limit, an |mcs| floor);
-//   - ComputeRank: the threshold-fed pair evaluation — decision runs
-//     first, full exactness only for candidates the engines cannot
+//   - ComputeRankResults: the threshold-fed pair evaluation — decision
+//     runs first, full exactness only for candidates the engines cannot
 //     discard. Scores of surviving candidates are byte-identical to
 //     m.FromStats(ComputeHinted(...)) on the same pair.
 
@@ -72,8 +75,7 @@ func (bs BoundStats) Interval(m Measure) (lo, hi float64) {
 // is. The vertex-label intersection the MCS bound needs comes out of
 // the vertex-histogram merge that the GED bound walks anyway. The
 // skyline scan calls it with the query basis, the ranked scan with its
-// one measure, and delta maintenance with either. Only valid for
-// Boundable bases.
+// one measure. Only valid for Boundable bases.
 func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo float64) {
 	needMCS, needDeg := false, false
 	for _, m := range basis {
@@ -216,73 +218,18 @@ func (bs BoundStats) GEDLimit(mcsv int, fits func(PairStats) bool) float64 {
 	return float64(lo)
 }
 
-// ScorePair computes the exact score of one pair under a single
-// measure, running only the engines the measure consumes (a DistEd
-// scan never pays for MCS, a DistMcs scan never pays for GED, feature
-// measures run neither). The score is byte-identical to
-// m.FromStats(ComputeHinted(g1, g2, opts, h)); inexact reports whether
-// a capped engine that actually ran backed it. Only valid for Rankable
-// measures.
-func ScorePair(g1, g2 *graph.Graph, m Measure, opts Options, h PairHints) (score float64, inexact bool) {
-	score, _, inexact = ScorePairWith(g1, g2, m, opts, h, EngineResults{})
-	return score, inexact
-}
-
-// ScorePairWith is ScorePair with per-engine reuse: results already
-// present in have (and consumed by m) are replayed instead of re-run,
-// and got returns the engine results this call used — exactly the
-// engines m consumes — for republication into a memo.
-func ScorePairWith(g1, g2 *graph.Graph, m Measure, opts Options, h PairHints, have EngineResults) (score float64, got EngineResults, inexact bool) {
-	v1, e1, d1 := histsOf(g1, h.Sig1)
-	v2, e2, d2 := histsOf(g2, h.Sig2)
-	ps := PairStats{
-		Size1: g1.Size(), Size2: g2.Size(),
-		Order1: g1.Order(), Order2: g2.Order(),
-		VHistDist: v1.distance(v2),
-		EHistDist: e1.distance(e2),
-		DegL1:     degreeL1(d1, d2),
-	}
-	needGED, needMCS := EngineNeeds(m)
-	if needGED {
-		if !have.HasGED {
-			gres := ged.Exact(g1, g2, ged.Options{MaxNodes: opts.GEDMaxNodes})
-			have.GED, have.GEDExact, have.HasGED = gres.Distance, gres.Exact, true
-		}
-		ps.GED, ps.GEDExact = have.GED, have.GEDExact
-		got.GED, got.GEDExact, got.HasGED = have.GED, have.GEDExact, true
-		inexact = inexact || !have.GEDExact
-	}
-	if needMCS {
-		if !have.HasMCS {
-			mres := mcs.Exact(g1, g2, mcs.Options{MaxNodes: opts.MCSMaxNodes})
-			have.MCS, have.MCSExact, have.HasMCS = mres.Mapping.Edges, mres.Exhausted, true
-		}
-		ps.MCS, ps.MCSExact = have.MCS, have.MCSExact
-		got.MCS, got.MCSExact, got.HasMCS = have.MCS, have.MCSExact, true
-		inexact = inexact || !have.MCSExact
-	}
-	return m.FromStats(ps), got, inexact
-}
-
-// ComputeRank is the threshold-fed pair evaluation: it either proves
-// the pair's m-distance exceeds t (excluded=true, no score) or returns
-// the exact score, byte-identical to m.FromStats(Compute(g1, g2,
-// opts)). bs must bound the pair (tier-0 BoundPair, optionally with
-// GEDLo raised by the branch bound); its exact fields supply the cheap
-// statistics. inexact reports whether a capped engine backed the
-// returned score.
-func ComputeRank(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options) (score float64, excluded, inexact bool) {
-	score, _, excluded, inexact = ComputeRankResults(g1, g2, m, t, bs, opts)
-	return score, excluded, inexact
-}
-
-// ComputeRankResults is ComputeRank additionally returning the plain
-// engine results that back an included score — exactly the engines m
-// consumes, for republication into a memo. Decision-run outcomes are
-// never returned: a search truncated at the decision threshold is not
-// the plain engine's answer (except the uncapped goal case, whose
-// value is provably identical and is returned). Excluded candidates
-// return empty results.
+// ComputeRankResults is the threshold-fed pair evaluation: it either
+// proves the pair's m-distance exceeds t (excluded=true, no score) or
+// returns the exact score, byte-identical to m.FromStats(Compute(g1,
+// g2, opts)), with the plain engine results that back it — exactly the
+// engines m consumes, for republication into a memo. bs must bound the
+// pair (tier-0 BoundPair, optionally with GEDLo raised by the branch
+// bound); its exact fields supply the cheap statistics. inexact
+// reports whether a capped engine backed the returned score.
+// Decision-run outcomes are never returned: a search truncated at the
+// decision threshold is not the plain engine's answer (except the
+// uncapped goal case, whose value is provably identical and is
+// returned). Excluded candidates return empty results.
 func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options) (score float64, got EngineResults, excluded, inexact bool) {
 	lo, hi := bs.Interval(m)
 	if lo > t {

@@ -74,7 +74,7 @@ func TestPlanRankCutoffs(t *testing.T) {
 	}
 }
 
-// TestComputeRankMatchesComputeHinted: ComputeRank either excludes a
+// TestComputeRankMatchesComputeHinted: ComputeRankResults either excludes a
 // pair — and then the true reported distance really exceeds the
 // threshold — or returns the bit-identical score of the full
 // evaluation, with and without engine caps, on tier-0 bounds and on
@@ -94,13 +94,10 @@ func TestComputeRankMatchesComputeHinted(t *testing.T) {
 				if got := m.FromStats(ComputeHinted(g, q, opts, h)); got != truth {
 					t.Fatalf("%s: ComputeHinted %v != truth %v (caps %+v)", m.Name(), got, truth, opts)
 				}
-				if got, _ := ScorePair(g, q, m, opts, h); got != truth {
-					t.Fatalf("%s: ScorePair %v != truth %v (caps %+v)", m.Name(), got, truth, opts)
-				}
 				for tier, bs := range []BoundStats{bs0, Refine(g, q, bs0)} {
 					lo, hi := bs.Interval(m)
 					for _, t0 := range []float64{lo - 1, lo, truth, (lo + hi) / 2, hi, math.Inf(1)} {
-						score, excluded, _ := ComputeRank(g, q, m, t0, bs, opts)
+						score, _, excluded, _ := ComputeRankResults(g, q, m, t0, bs, opts)
 						if excluded {
 							if truth <= t0 {
 								t.Fatalf("%s tier %d t=%v: excluded but truth %v fits (caps %+v)", m.Name(), tier, t0, truth, opts)

@@ -1,11 +1,11 @@
 package server
 
 import (
+	"math"
 	"sort"
 
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
-	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
 )
@@ -28,10 +28,10 @@ import (
 //     maintained concurrently therefore upgrade an entry only in
 //     generation order: the later sweep drops what the earlier one has
 //     not settled yet.
-//   - Whatever an insert's upgrade reads of the new graph — its tier-0
-//     bound (DeltaBound) or its exact row (DeltaRow, DeltaScore) — must
-//     have been read at exactly the mutation's generation: a later
-//     interleaved mutation could have replaced the named graph's value.
+//   - An insert's upgrade settles the new graph (DeltaRow, DeltaScore),
+//     which must have read it at exactly the mutation's generation: a
+//     later interleaved mutation could have replaced the named graph's
+//     value.
 //
 // Per entry kind:
 //
@@ -40,23 +40,28 @@ import (
 //     Strict dominance is transitive, so every graph outside K is
 //     dominated by a member of K and skyline(database) = skyline(K); any
 //     update that keeps K inside the database and the new skyline
-//     inside K keeps the table exact. An insert whose tier-0 optimistic
-//     corner a row of K strictly dominates cannot reach the skyline:
-//     only the generation advances, and no engine runs. Otherwise the
-//     exact row is scored and appended unless a row of K dominates it.
-//     A delete of a graph outside K only advances the generation: the
-//     front point that discarded it is in K. A delete of a kept row that
-//     another kept row strictly dominates drops the row (removing a
-//     non-maximal element leaves the maximal set unchanged; it requires
-//     Inexact == 0 across the whole answer, since per-row inexactness is
-//     not recorded and the surviving count would otherwise be
-//     underivable). A delete of a front member falls back.
-//   - Ranked answers check the inserted graph's bound first: a full
-//     top-k answer whose k-th score is below the bound's lo, or a range
-//     answer whose radius is, is provably unchanged. The rest score the
-//     graph (DeltaScore) and splice or append it. A top-k delete
-//     requires the victim NOT to be in the answer (the (k+1)-th item
-//     was never stored).
+//     inside K keeps the table exact. An insert is settled by the
+//     scan's own settle step against a front seeded with K (DeltaRow):
+//     it is discarded only on a proof that a row of K strictly
+//     dominates its exact vector — often before any engine runs — and
+//     then only the generation advances; otherwise its exact row is
+//     appended. A delete of a graph outside K only advances the
+//     generation: the front point that discarded it is in K. A delete
+//     of a kept row that another kept row strictly dominates drops the
+//     row (removing a non-maximal element leaves the maximal set
+//     unchanged; it requires Inexact == 0 across the whole answer,
+//     since per-row inexactness is not recorded and the surviving count
+//     would otherwise be underivable). A delete of a front member falls
+//     back.
+//   - A ranked answer settles the inserted graph by the ranked scan's
+//     own settle step at the answer's threshold (DeltaScore): the k-th
+//     score of a full top-k answer, the radius of a range answer, +Inf
+//     for a top-k answer holding fewer than k items. A graph proved
+//     above the threshold — often by its bound alone, with no engine
+//     run — leaves the answer unchanged; the rest are spliced or
+//     appended with their exact score. A top-k delete requires the
+//     victim NOT to be in the answer (the (k+1)-th item was never
+//     stored).
 //
 // Every condition that fails falls back to invalidation: the whole
 // entry is dropped, by the sweep or by its settle, so no entry behind
@@ -64,14 +69,14 @@ import (
 // request runs a fresh scan. Counted as delta_applied /
 // delta_fallbacks in CacheStats.
 //
-// Byte-identity: a spliced table row goes through the cold build's own
-// per-pair path (DeltaRow), and rows stay in insertion order — a cold
-// table lists them in snapshot order, and upgrades land in generation
-// order, so an appended row is the newest graph. Top-k splices
-// reproduce topk.Select's deterministic ascending (score, ID) order,
-// and range answers stay in insertion order for the same reason table
-// rows do. The interleaved-mutation equivalence tests (delta_test.go)
-// enforce this against cold recompute.
+// Byte-identity: a spliced table row or score comes from the cold
+// scans' own settle step (DeltaRow, DeltaScore), and rows stay in
+// insertion order — a cold table lists them in snapshot order, and
+// upgrades land in generation order, so an appended row is the newest
+// graph. Top-k splices reproduce topk.Select's deterministic ascending
+// (score, ID) order, and range answers stay in insertion order for the
+// same reason table rows do. The interleaved-mutation equivalence tests
+// (delta_test.go) enforce this against cold recompute.
 
 // deltaInsert routes the delta of one applied insert of g, which
 // produced generation gen.
@@ -130,21 +135,13 @@ func (s *Server) upgradeTable(cand deltaCandidate, gen uint64, inserted *graph.G
 // proof holds.
 func (s *Server) tableInsert(cand deltaCandidate, gen uint64, name string) *gdb.VectorTable {
 	t, lin := cand.e.table, cand.e.lin
-	// Every server basis is a set of built-ins (Boundable), where the
-	// optimistic corner floors the exact vector in every dimension.
-	lo, got, ok := s.db.DeltaBound(name, lin.qsig, lin.basis)
-	if !ok || got != gen {
-		return nil
-	}
-	if dominated(t.Points, lo) {
-		return t.WithGeneration(gen)
-	}
+	// Every server basis is a set of built-ins (Boundable).
 	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval, QueryHash: cand.key.qh}
-	pt, inexact, got, ok := s.db.DeltaRow(name, lin.q, lin.qsig, opts)
+	pt, kept, inexact, got, ok := s.db.DeltaRow(name, lin.q, lin.qsig, t.Points, opts)
 	if !ok || got != gen {
 		return nil // a later mutation interleaved; the row is not provably gen's
 	}
-	if dominated(t.Points, pt.Vec) {
+	if !kept {
 		return t.WithGeneration(gen)
 	}
 	return t.WithInsert(pt, inexact, gen)
@@ -184,33 +181,32 @@ func dominated(rows []skyline.Point, v []float64) bool {
 
 // upgradeRanked derives cached ranked answer cand's successor
 // across the mutation, or returns nil when no proof holds. An insert
-// whose bound already exceeds a full top-k answer's k-th score, or a
-// range answer's radius, leaves the answer unchanged without an engine
-// run. Other top-k inserts splice into topk.Select's deterministic
-// ascending (score, ID) order against the stored k-th threshold; range
-// inserts append on a single membership test (a new graph is last in
-// insertion order); deletes remove the victim (range) or prove the
-// answer unchanged (top-k, victim absent).
+// DeltaScore proves above a full top-k answer's k-th score, or a
+// range answer's radius, leaves the answer unchanged. Other top-k
+// inserts splice into topk.Select's deterministic ascending (score,
+// ID) order; range inserts append (a new graph is last in insertion
+// order); deletes remove the victim (range) or prove the answer
+// unchanged (top-k, victim absent).
 func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
 	e, key, lin := cand.e, cand.key, cand.e.lin
 	items, inexact := e.items, e.inexact
 	if inserted != nil {
 		name := inserted.Name()
-		// Every measure a request can name is Rankable, so the corner
-		// floors the score DeltaScore would report.
-		corner, got, ok := s.db.DeltaBound(name, lin.qsig, []measure.Measure{lin.m})
-		if !ok || got != gen {
-			return nil
+		th := key.arg // a range answer's radius
+		if key.path == "topk" {
+			th = math.Inf(1)
+			if len(items) >= int(key.arg) {
+				th = items[len(items)-1].Score
+			}
 		}
-		lo := corner[0]
-		full := key.path == "topk" && len(items) >= int(key.arg)
-		if full && items[len(items)-1].Score < lo || key.path == "range" && key.arg < lo {
-			return e.advanced(gen)
-		}
+		// Every measure a request can name is Rankable.
 		opts := gdb.QueryOptions{Eval: key.eval, QueryHash: key.qh}
-		score, inex, got, ok := s.db.DeltaScore(name, lin.q, lin.qsig, lin.m, opts)
-		if !ok || got != gen {
+		score, in, inex, got, ok := s.db.DeltaScore(name, lin.q, lin.qsig, lin.m, th, opts)
+		switch {
+		case !ok || got != gen:
 			return nil
+		case !in:
+			return e.advanced(gen)
 		}
 		if key.path == "topk" {
 			k := int(key.arg)
@@ -230,9 +226,9 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 					inexact++
 				}
 			}
-			// pos == len(items) with a full answer: strictly worse than
-			// the stored k-th, provably unchanged.
-		} else if score <= key.arg {
+			// pos == len(items) with a full answer: a tie with the
+			// stored k-th that loses on ID, provably unchanged.
+		} else {
 			next := make([]topk.Item, 0, len(items)+1)
 			next = append(next, items...)
 			next = append(next, topk.Item{ID: name, Score: score})

@@ -385,7 +385,8 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	}
 	res.basis = basis
 
-	// Workers stays 0: every query is one scan, GOMAXPROCS wide. The canonical query hash rides along so the score memo never
+	// Workers stays 0: every query is one scan, GOMAXPROCS wide. The
+	// canonical query hash rides along so the score memo never
 	// re-canonicalizes.
 	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
 	res.key = cacheKey{path: kind, qh: res.qh, eval: res.opts.Eval}
@@ -727,7 +728,7 @@ func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, 
 	mstart := time.Now()
 	resp := &SkylineResponse{
 		Basis:   measure.BasisNames(res.basis),
-		Skyline: toPointJSON(e.table.Skyline(nil)),
+		Skyline: toPointJSON(e.table.Skyline()),
 		Stats:   stats,
 	}
 	if req.All {
