@@ -167,11 +167,9 @@ func BenchmarkRankedScaling(b *testing.B) {
 
 // BenchmarkSkylineScan is BenchmarkRankedScaling's skyline twin: the
 // pruned skyline scan on the cold-skyline workload's shape, 400 order-6
-// molecules and unique 2-edit queries under the default basis, with the
-// score memo on as the server runs it. Each op is one query. The
-// queries cycle through a pool of 64 distinct graphs, and the memo is
-// too small to keep a query's pairs through a whole pool pass, so
-// every query is cold. Workers is pinned to 1 so the counters are
+// molecules and unique 2-edit queries under the default basis. Each op
+// is one query. The queries cycle through a pool of 64 distinct graphs,
+// and nothing is kept between queries, so every query is cold. Workers is pinned to 1 so the counters are
 // deterministic: evaluated/op and pruned/op are means over one pass of
 // the pool, which finishes untimed when b.N is smaller.
 func BenchmarkSkylineScan(b *testing.B) {
@@ -180,7 +178,6 @@ func BenchmarkSkylineScan(b *testing.B) {
 	if err := db.InsertAll(gs); err != nil {
 		b.Fatal(err)
 	}
-	db.EnableScoreMemo(64)
 	seen := map[string]bool{}
 	var qs []*graph.Graph
 	for seed := int64(999); len(qs) < 64; seed++ {

@@ -8,8 +8,7 @@
 // of a skyline, the items of a top-k or range query — sits in front of
 // the GED/MCS pair-evaluation hot path and is delta-maintained across
 // mutations: an upgrade advances the entry's generation and changes at
-// most one row. -memo adds the cross-query
-// exact-score memo that survives mutations the answer cache cannot.
+// most one row.
 //
 // Usage:
 //
@@ -118,7 +117,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "max queries per /query/batch request (0 = default)")
 	gedBudget := flag.Int64("ged-budget", 0, "default GED search-node cap (0 = exact)")
 	mcsBudget := flag.Int64("mcs-budget", 0, "default MCS search-node cap (0 = exact)")
-	memoSize := flag.Int("memo", 0, "cross-query exact-score memo capacity (pair entries, 0 = disabled)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log queries at or above this server-side duration as JSON lines to stderr (0 = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it private)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + snapshots; a restart with the same directory recovers the database (empty = in-memory only)")
@@ -190,9 +188,6 @@ func main() {
 				log.Fatalf("skygraphd: loading %s: %v", *dbPath, err)
 			}
 		}
-	}
-	if *memoSize > 0 {
-		db.EnableScoreMemo(*memoSize)
 	}
 	stats := db.Stats()
 	log.Printf("skygraphd: serving %d graphs (%d vertices, %d edges) on %s",

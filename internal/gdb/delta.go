@@ -17,28 +17,27 @@ import (
 // a range collector at the answer's threshold. A candidate is therefore
 // discarded only on the proofs the cold scans use, and a kept vector or
 // an included score comes from the same engine calls — stored
-// signatures, ScoreMemo replay and publish, opts.Eval caps — so a
-// spliced row is byte-identical to the row a cold recompute would
-// produce. The serving layer owns the provability argument (which
+// signatures, opts.Eval caps — so a spliced row is byte-identical to
+// the row a cold recompute would produce. The serving layer owns the provability argument (which
 // cached entries a given mutation may patch); these primitives only
 // guarantee row fidelity and report the generation they observed so
 // the caller can detect interleaved mutations. Both take the query's
 // signature from the caller, which computes it once per request rather
 // than once per upgrade.
 
-// rowSnap reads the named graph as a one-row snapshot, and the score
-// memo, under one lock acquisition. The snapshot's generation is the
-// database's; ok is false when the name is not present.
-func (sh *Sharded) rowSnap(name string) (sn snap, memo *ScoreMemo, ok bool) {
+// rowSnap reads the named graph as a one-row snapshot under one lock
+// acquisition. The snapshot's generation is the database's; ok is
+// false when the name is not present.
+func (sh *Sharded) rowSnap(name string) (sn snap, ok bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	sn.gen = sh.gen
 	e := sh.byName[name]
 	if e == nil {
-		return sn, nil, false
+		return sn, false
 	}
 	sn.graphs, sn.sigs, sn.seqs = []*graph.Graph{e.g}, []*measure.Signature{e.sig}, []uint64{e.seq}
-	return sn, sh.memo, true
+	return sn, true
 }
 
 // DeltaRow settles the single named graph against q (whose signature
@@ -56,11 +55,11 @@ func (sh *Sharded) rowSnap(name string) (sn snap, memo *ScoreMemo, ok bool) {
 // the name is not present.
 func (sh *Sharded) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, rows []skyline.Point, opts QueryOptions) (pt skyline.Point, kept, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	sn, memo, ok := sh.rowSnap(name)
+	sn, ok := sh.rowSnap(name)
 	if !ok {
 		return skyline.Point{}, false, false, sn.gen, false
 	}
-	sc, _ := newSkyScan(sn, q, qsig, newEvalCtx(memo, q, opts), opts)
+	sc, _ := newSkyScan(sn, q, qsig, opts)
 	sc.front.vecs = make([][]float64, len(rows), len(rows)+1)
 	for i, p := range rows {
 		sc.front.vecs[i] = p.Vec
@@ -82,12 +81,12 @@ func (sh *Sharded) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature
 // every ranked query. gen and ok behave as in DeltaRow.
 func (sh *Sharded) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, th float64, opts QueryOptions) (score float64, in, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	sn, memo, ok := sh.rowSnap(name)
+	sn, ok := sh.rowSnap(name)
 	if !ok {
 		return 0, false, false, sn.gen, false
 	}
 	coll := newRangeCollector(th)
-	rs, claims := newRankScan(sn, q, qsig, m, opts, newEvalCtx(memo, q, opts), coll)
+	rs, claims := newRankScan(sn, q, qsig, m, opts, coll)
 	if i, claimed := claims.pop(); claimed {
 		rs.settle(i, coll)
 	}

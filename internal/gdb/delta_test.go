@@ -125,45 +125,39 @@ func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 
 // TestDeltaScoreMatchesRankedScan: the score DeltaScore computes for a
 // freshly inserted graph at threshold +Inf equals the one the ranked
-// scan produces for it, for every rankable measure — with and without
-// a score memo.
+// scan produces for it, for every rankable measure.
 func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 10)
 	q := testutil.SeededQueries(151, gs, 1)[0]
-	for _, withMemo := range []bool{false, true} {
-		db := testutil.NewSharded(t, gs)
-		if withMemo {
-			db.EnableScoreMemo(1024)
+	db := testutil.NewSharded(t, gs)
+	late := testutil.SeededGraphs(251, 1)[0]
+	late.SetName("late")
+	ack, err := db.Insert(late, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := ack.Gen
+	for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+		score, in, _, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, math.Inf(1), gdb.QueryOptions{})
+		if !ok || !in || got != gen {
+			t.Fatalf("m=%s: DeltaScore ok=%v in=%v gen=%d, want true/true/%d", m.Name(), ok, in, got, gen)
 		}
-		late := testutil.SeededGraphs(251, 1)[0]
-		late.SetName("late")
-		ack, err := db.Insert(late, "")
+		ref, err := testutil.NewSharded(t, append(append([]*graph.Graph(nil), gs...), late)).
+			TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := ack.Gen
-		for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
-			score, in, _, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, math.Inf(1), gdb.QueryOptions{})
-			if !ok || !in || got != gen {
-				t.Fatalf("memo=%v m=%s: DeltaScore ok=%v in=%v gen=%d, want true/true/%d", withMemo, m.Name(), ok, in, got, gen)
-			}
-			ref, err := testutil.NewSharded(t, append(append([]*graph.Graph(nil), gs...), late)).
-				TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			found := false
-			for _, it := range ref.Items {
-				if it.ID == "late" {
-					found = true
-					if it.Score != score {
-						t.Fatalf("memo=%v m=%s: DeltaScore %v, ranked scan %v", withMemo, m.Name(), score, it.Score)
-					}
+		found := false
+		for _, it := range ref.Items {
+			if it.ID == "late" {
+				found = true
+				if it.Score != score {
+					t.Fatalf("m=%s: DeltaScore %v, ranked scan %v", m.Name(), score, it.Score)
 				}
 			}
-			if !found {
-				t.Fatalf("memo=%v m=%s: reference scan did not rank the inserted graph", withMemo, m.Name())
-			}
+		}
+		if !found {
+			t.Fatalf("m=%s: reference scan did not rank the inserted graph", m.Name())
 		}
 	}
 }
@@ -179,15 +173,14 @@ func mustNamed(t *testing.T, seed int64, name string) *graph.Graph {
 // TestDeltaSettleMatchesReference: DeltaRow and DeltaScore settle an
 // inserted graph exactly as Definition 12 and the ranked baselines
 // decide it, over seeded collections × inserted graphs × queries,
-// uncapped and capped, with the score memo off and on, for the paper
-// and the extended bases. Given a cold pruned table's rows, DeltaRow
-// keeps the graph exactly when no row strictly dominates its reference
-// vector, and a kept row is that vector bit for bit. At five thresholds
-// — below the reference score, at it (the tie), a cold top-k's k-th
-// score, a radius between the two, +Inf — DeltaScore includes the
-// graph exactly when its reference score fits, with that score bit for
-// bit. Each call is made twice, so with the memo on the second one
-// replays what the first published.
+// uncapped and capped, for the paper and the extended bases. Given a
+// cold pruned table's rows, DeltaRow keeps the graph exactly when no
+// row strictly dominates its reference vector, and a kept row is that
+// vector bit for bit. At five thresholds — below the reference score,
+// at it (the tie), a cold top-k's k-th score, a radius between the two,
+// +Inf — DeltaScore includes the graph exactly when its reference score
+// fits, with that score bit for bit. Each call is made twice, so a
+// settle that left state behind would answer the repeat differently.
 func TestDeltaSettleMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	measures := []measure.Measure{measure.DistEd{}, measure.DistNEd{}, measure.DistMcs{}, measure.DistGu{},
@@ -199,86 +192,81 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 		lates[1].SetName("late1")
 		queries := testutil.SeededQueries(seed+100, gs, 3)
 		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 20, MCSMaxNodes: 20}} {
-			for _, withMemo := range []bool{false, true} {
-				for _, late := range lates {
-					db := testutil.NewSharded(t, gs)
-					if withMemo {
-						db.EnableScoreMemo(1024)
-					}
-					type cold struct {
-						rows []*gdb.VectorTable
-						kth  map[string]float64
-					}
-					colds := make([]cold, len(queries))
-					bases := [][]measure.Measure{measure.Default(), measure.Extended()}
-					for i, q := range queries {
-						colds[i].kth = map[string]float64{}
-						for _, basis := range bases {
-							tab, err := db.VectorTable(ctx, q, gdb.QueryOptions{Basis: basis, Eval: eval, Prune: true})
-							if err != nil {
-								t.Fatal(err)
-							}
-							colds[i].rows = append(colds[i].rows, tab)
+			for _, late := range lates {
+				db := testutil.NewSharded(t, gs)
+				type cold struct {
+					rows []*gdb.VectorTable
+					kth  map[string]float64
+				}
+				colds := make([]cold, len(queries))
+				bases := [][]measure.Measure{measure.Default(), measure.Extended()}
+				for i, q := range queries {
+					colds[i].kth = map[string]float64{}
+					for _, basis := range bases {
+						tab, err := db.VectorTable(ctx, q, gdb.QueryOptions{Basis: basis, Eval: eval, Prune: true})
+						if err != nil {
+							t.Fatal(err)
 						}
-						for _, m := range measures {
-							res, err := db.TopKQuery(ctx, q, m, 3, gdb.QueryOptions{Eval: eval})
-							if err != nil {
-								t.Fatal(err)
+						colds[i].rows = append(colds[i].rows, tab)
+					}
+					for _, m := range measures {
+						res, err := db.TopKQuery(ctx, q, m, 3, gdb.QueryOptions{Eval: eval})
+						if err != nil {
+							t.Fatal(err)
+						}
+						colds[i].kth[m.Name()] = res.Items[2].Score
+					}
+				}
+				ack, err := db.Insert(late, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, q := range queries {
+					qsig := measure.NewSignature(q)
+					ps := measure.Compute(late, q, eval)
+					label := fmt.Sprintf("seed %d %s q%d caps %v", seed, late.Name(), i, eval)
+					for b, basis := range bases {
+						ref := measure.GCS(ps, basis)
+						rows := colds[i].rows[b].Points
+						wantKept := !slices.ContainsFunc(rows, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
+						for range 2 {
+							pt, k, inexact, gen, ok := db.DeltaRow(late.Name(), q, qsig, rows, gdb.QueryOptions{Basis: basis, Eval: eval})
+							switch {
+							case !ok || gen != ack.Gen:
+								t.Fatalf("%s basis %d: DeltaRow ok=%v gen=%d, want true/%d", label, b, ok, gen, ack.Gen)
+							case k != wantKept:
+								t.Fatalf("%s basis %d: DeltaRow kept=%v, want %v (reference %v)", label, b, k, wantKept, ref)
+							case k && (pt.ID != late.Name() || !slices.Equal(pt.Vec, ref) || inexact != (!ps.GEDExact || !ps.MCSExact)):
+								t.Fatalf("%s basis %d: DeltaRow %v inexact=%v, reference %v", label, b, pt, inexact, ref)
 							}
-							colds[i].kth[m.Name()] = res.Items[2].Score
+						}
+						if wantKept {
+							kept++
+						} else {
+							dropped++
 						}
 					}
-					ack, err := db.Insert(late, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, q := range queries {
-						qsig := measure.NewSignature(q)
-						ps := measure.Compute(late, q, eval)
-						label := fmt.Sprintf("seed %d %s q%d caps %v memo %v", seed, late.Name(), i, eval, withMemo)
-						for b, basis := range bases {
-							ref := measure.GCS(ps, basis)
-							rows := colds[i].rows[b].Points
-							wantKept := !slices.ContainsFunc(rows, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
+					for _, m := range measures {
+						score := m.FromStats(ps)
+						needGED, needMCS := measure.EngineNeeds(m)
+						capped := needGED && !ps.GEDExact || needMCS && !ps.MCSExact
+						kth := colds[i].kth[m.Name()]
+						for _, th := range []float64{score - 1, score, kth, (score + kth) / 2, math.Inf(1)} {
 							for range 2 {
-								pt, k, inexact, gen, ok := db.DeltaRow(late.Name(), q, qsig, rows, gdb.QueryOptions{Basis: basis, Eval: eval})
+								got, fits, inexact, gen, ok := db.DeltaScore(late.Name(), q, qsig, m, th, gdb.QueryOptions{Eval: eval})
 								switch {
 								case !ok || gen != ack.Gen:
-									t.Fatalf("%s basis %d: DeltaRow ok=%v gen=%d, want true/%d", label, b, ok, gen, ack.Gen)
-								case k != wantKept:
-									t.Fatalf("%s basis %d: DeltaRow kept=%v, want %v (reference %v)", label, b, k, wantKept, ref)
-								case k && (pt.ID != late.Name() || !slices.Equal(pt.Vec, ref) || inexact != (!ps.GEDExact || !ps.MCSExact)):
-									t.Fatalf("%s basis %d: DeltaRow %v inexact=%v, reference %v", label, b, pt, inexact, ref)
+									t.Fatalf("%s %s: DeltaScore ok=%v gen=%d, want true/%d", label, m.Name(), ok, gen, ack.Gen)
+								case fits != (score <= th):
+									t.Fatalf("%s %s th=%v: DeltaScore in=%v, reference score %v", label, m.Name(), th, fits, score)
+								case fits && (got != score || inexact != capped):
+									t.Fatalf("%s %s th=%v: DeltaScore %v inexact=%v, reference %v inexact=%v", label, m.Name(), th, got, inexact, score, capped)
 								}
 							}
-							if wantKept {
-								kept++
+							if score <= th {
+								in++
 							} else {
-								dropped++
-							}
-						}
-						for _, m := range measures {
-							score := m.FromStats(ps)
-							needGED, needMCS := measure.EngineNeeds(m)
-							capped := needGED && !ps.GEDExact || needMCS && !ps.MCSExact
-							kth := colds[i].kth[m.Name()]
-							for _, th := range []float64{score - 1, score, kth, (score + kth) / 2, math.Inf(1)} {
-								for range 2 {
-									got, fits, inexact, gen, ok := db.DeltaScore(late.Name(), q, qsig, m, th, gdb.QueryOptions{Eval: eval})
-									switch {
-									case !ok || gen != ack.Gen:
-										t.Fatalf("%s %s: DeltaScore ok=%v gen=%d, want true/%d", label, m.Name(), ok, gen, ack.Gen)
-									case fits != (score <= th):
-										t.Fatalf("%s %s th=%v: DeltaScore in=%v, reference score %v", label, m.Name(), th, fits, score)
-									case fits && (got != score || inexact != capped):
-										t.Fatalf("%s %s th=%v: DeltaScore %v inexact=%v, reference %v inexact=%v", label, m.Name(), th, got, inexact, score, capped)
-									}
-								}
-								if score <= th {
-									in++
-								} else {
-									out++
-								}
+								out++
 							}
 						}
 					}

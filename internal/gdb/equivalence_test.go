@@ -16,16 +16,14 @@ import (
 	"skygraph/internal/testutil"
 )
 
-// TestPrunedSkylineWithPivotsSeeded: the pruned skyline with the score
-// memo live stays byte-identical to the unpruned reference, on the
-// first (cold memo) and second (warm memo) run alike, and the warm run
-// replays.
+// TestPrunedSkylineWithPivotsSeeded: the pruned skyline stays
+// byte-identical to the unpruned reference, on the first run and on a
+// rerun over the same database alike.
 func TestPrunedSkylineWithPivotsSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		gs := testutil.SeededGraphs(seed, 20)
 		ref := testutil.NewSharded(t, gs)
 		db := testutil.NewSharded(t, gs)
-		db.EnableScoreMemo(4096)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 3) {
 			label := fmt.Sprintf("seed=%d q=%d", seed, qi)
 			opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
@@ -41,18 +39,14 @@ func TestPrunedSkylineWithPivotsSeeded(t *testing.T) {
 				}
 				testutil.RequireSameSkyline(t, fmt.Sprintf("%s round=%d", label, round), want.Skyline, got.Skyline)
 				requireCovers(t, label, got.Stats, len(gs))
-				if round == 1 && got.Stats.MemoHits == 0 {
-					t.Fatalf("%s: warm rerun hit the memo 0 times", label)
-				}
 			}
 		}
 	}
 }
 
-// TestPrunedRankedWithPivotsSharded: top-k and range answers with the
-// score memo and four workers equal the
-// independent reference, on the cold run and on the rerun that replays
-// the memo.
+// TestPrunedRankedWithPivotsSharded: top-k and range answers with four
+// workers equal the independent reference, on the first run and on a
+// rerun over the same database.
 func TestPrunedRankedWithPivotsSharded(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 18)
 	qs := testutil.SeededQueries(131, gs, 2)
@@ -64,7 +58,6 @@ func TestPrunedRankedWithPivotsSharded(t *testing.T) {
 			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
 			opts := gdb.QueryOptions{Eval: eval, Workers: 4}
 			sh := testutil.NewSharded(t, gs)
-			sh.EnableScoreMemo(4096)
 			label := fmt.Sprintf("%s/%s", q.Name(), m.Name())
 			for round := 0; round < 2; round++ {
 				tk, err := sh.TopKQuery(ctx, q, m, 4, opts)
@@ -84,8 +77,8 @@ func TestPrunedRankedWithPivotsSharded(t *testing.T) {
 
 // TestVectorRankedEquivalence: top-k and range answers on the paper and
 // seeded collections equal the independent reference, with capped and
-// uncapped engines, with and without the score
-// memo, and a four-worker scan answers exactly as a one-worker scan.
+// uncapped engines, and a four-worker scan answers exactly as a
+// one-worker scan.
 func TestVectorRankedEquivalence(t *testing.T) {
 	seeded := testutil.SeededGraphs(61, 18)
 	cases := []struct {
@@ -99,31 +92,25 @@ func TestVectorRankedEquivalence(t *testing.T) {
 	evals := []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}}
 	ctx := context.Background()
 	for _, tc := range cases {
-		for _, withMemo := range []bool{false, true} {
-			for _, eval := range evals {
-				for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
-					for _, q := range tc.qs {
-						scores := testutil.ReferenceScores(tc.gs, q, m, eval)
-						refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
-						sh := testutil.NewSharded(t, tc.gs)
-						if withMemo {
-							sh.EnableScoreMemo(4096)
+		for _, eval := range evals {
+			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+				for _, q := range tc.qs {
+					scores := testutil.ReferenceScores(tc.gs, q, m, eval)
+					refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
+					sh := testutil.NewSharded(t, tc.gs)
+					label := fmt.Sprintf("%s/%s/%s eval=%v", tc.label, q.Name(), m.Name(), eval.GEDMaxNodes)
+					for _, workers := range []int{4, 1} {
+						opts := gdb.QueryOptions{Eval: eval, Workers: workers}
+						tk, err := sh.TopKQuery(ctx, q, m, 4, opts)
+						if err != nil {
+							t.Fatal(err)
 						}
-						label := fmt.Sprintf("%s/%s/%s memo=%v eval=%v",
-							tc.label, q.Name(), m.Name(), withMemo, eval.GEDMaxNodes)
-						for _, workers := range []int{4, 1} {
-							opts := gdb.QueryOptions{Eval: eval, Workers: workers}
-							tk, err := sh.TopKQuery(ctx, q, m, 4, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
-							rg, err := sh.RangeQuery(ctx, q, m, 4, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
+						testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
+						rg, err := sh.RangeQuery(ctx, q, m, 4, opts)
+						if err != nil {
+							t.Fatal(err)
 						}
+						testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
 					}
 				}
 			}

@@ -15,7 +15,7 @@ func PrunedPointsInOrder(sh *Sharded, q *graph.Graph, opts QueryOptions, permute
 	opts = opts.withDefaults()
 	sn := sh.snapshot()
 	qsig := measure.NewSignature(q)
-	sc, order := newSkyScan(sn, q, qsig, newEvalCtx(sh.Memo(), q, opts), opts)
+	sc, order := newSkyScan(sn, q, qsig, opts)
 	permute(order)
 	for _, i := range order {
 		sc.settle(i)
@@ -36,7 +36,7 @@ func RankedItemsInOrder(sh *Sharded, q *graph.Graph, m measure.Measure, k int, r
 	if k > 0 {
 		coll = newTopkCollector(k)
 	}
-	rs, claims := newRankScan(sh.snapshot(), q, measure.NewSignature(q), m, opts, newEvalCtx(sh.Memo(), q, opts), coll)
+	rs, claims := newRankScan(sh.snapshot(), q, measure.NewSignature(q), m, opts, coll)
 	var order []int
 	for i, ok := claims.pop(); ok; i, ok = claims.pop() {
 		order = append(order, i)

@@ -29,9 +29,8 @@ import (
 // The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
 // RangeQuery and DiverseSkylineQuery; the table primitive a caching
 // layer composes instead (VectorTable) and the single-row settles
-// delta maintenance runs (DeltaRow / DeltaScore); the score
-// memo (EnableScoreMemo, Memo); and persistence (Save, WriteTo, Load,
-// OpenDurable).
+// delta maintenance runs (DeltaRow / DeltaScore); and persistence
+// (Save, WriteTo, Load, OpenDurable).
 type Sharded struct {
 	mu sync.RWMutex
 	// graphs, sigs and seqs are the store's columns in insertion order:
@@ -44,9 +43,6 @@ type Sharded struct {
 	byName map[string]*entry
 	gen    uint64 // bumped on every successful insert/delete
 
-	// memo, when set, is the cross-query exact-score memo consulted and
-	// fed by every evaluation path (see EnableScoreMemo).
-	memo *ScoreMemo
 	// store, when set, receives every mutation BEFORE it is applied
 	// (and before the caller is told it succeeded): the write-ahead
 	// discipline. A store error fails the mutation with the database
@@ -57,10 +53,11 @@ type Sharded struct {
 type entry struct {
 	g   *graph.Graph
 	sig *measure.Signature
-	// seq is the graph's process-unique insert sequence: the
-	// generational key of the score memo. Deleting and re-inserting a
-	// name mints a new sequence, so memo entries of the old graph can
-	// never be served for the new one.
+	// seq is the graph's process-unique insert sequence: the scans'
+	// tie-break between equal corners, and the graph value's identity
+	// in the store's columns (Delete finds its row by it), snapshots
+	// and the WAL. Deleting and re-inserting a name mints a new
+	// sequence, so the two graph values never share one.
 	seq uint64
 }
 
@@ -72,8 +69,9 @@ type entry struct {
 // restarts: a replayed graph keeps its recorded sequence, so recovery
 // seeds this counter above every sequence ever persisted
 // (SeedInsertSeq) before minting new ones — otherwise a freshly
-// inserted graph could collide with a replayed one on (name, seq) and
-// the score memo's delete+reinsert safety argument would break.
+// inserted graph could collide with a replayed one on (name, seq), and
+// a delete + reinsert would no longer be told apart from the graph it
+// replaced.
 var insertSeq atomic.Uint64
 
 // ErrNotPersisted marks mutation failures caused by the write-ahead
@@ -248,24 +246,6 @@ func (sh *Sharded) Graphs() []*graph.Graph {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return slices.Clone(sh.graphs)
-}
-
-// EnableScoreMemo attaches the cross-query score memo, creating it with
-// the given capacity on first use, and returns it.
-func (sh *Sharded) EnableScoreMemo(capacity int) *ScoreMemo {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.memo == nil {
-		sh.memo = NewScoreMemo(capacity)
-	}
-	return sh.memo
-}
-
-// Memo returns the score memo (nil when disabled).
-func (sh *Sharded) Memo() *ScoreMemo {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.memo
 }
 
 // Generation returns a counter that changes on every successful mutation

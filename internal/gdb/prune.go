@@ -21,9 +21,8 @@ import (
 //
 //	tier 0  every graph's optimistic corner, O(labels) per pair from
 //	        the stored signatures (measure.RankInterval, only what the
-//	        basis reads), into one flat column; a pair the score memo
-//	        covers, found by one locked lookup per scan, collapses to
-//	        its exact point. The corners order the scan
+//	        basis reads), into one flat column. The corners order the
+//	        scan
 //	scan    every graph, best-first by optimistic corner, against a
 //	        running front of the exact vectors kept so far; each is taken
 //	        through the cheapest proof that still settles it:
@@ -40,12 +39,11 @@ import (
 //	           GED at which no front point dominates the vector — stops
 //	           AboveLimit: the reported GED exceeds the limit, so the
 //	           reported vector is dominated: discarded. A report the run
-//	           could not decide (a capped search, or a GED replayed from
-//	           a ranked scan's partial memo entry) meets the front test
+//	           could not decide (a capped search) meets the front test
 //	           itself, and a dominated one is discarded likewise
 //	        4. otherwise the two engines' results ARE the pair's exact
 //	           statistics and no front point dominates them: the vector
-//	           joins the front, the table and the score memo
+//	           joins the front and the table
 //
 // Dominance is always strict (Definition 1), so twins and equal vectors
 // all survive. Every interval contains the value measure.Compute would
@@ -54,11 +52,7 @@ import (
 // undercuts, and kept vectors come from the same engine calls as the
 // full evaluation — so the skyline over the kept points is
 // byte-identical to the skyline of the full evaluation, whatever order
-// the scan runs in. Only candidates both engines ran for are published
-// to the score memo: a candidate discarded before its GED run would
-// leave an MCS-only partial, dead weight (it is discarded again, for
-// free, as long as the front's point lives), and discarded candidates
-// outnumber kept ones several times.
+// the scan runs in.
 
 // skyFront is the scan's running set of reported exact vectors, shared
 // by its workers.
@@ -92,13 +86,11 @@ type skyScan struct {
 	sn   snap
 	q    *graph.Graph
 	qsig *measure.Signature
-	ec   *evalCtx
 	opts QueryOptions
 	// los holds every candidate's tier-0 optimistic corner, one row of
 	// d = len(opts.Basis) coordinates per candidate, back to back.
 	los    []float64
 	d      int
-	known  []measure.EngineResults // tier-0 memo replays (nil when none)
 	front  skyFront
 	vecs   [][]float64 // exact vector of every kept candidate
 	capped []bool      // kept on a capped engine's bound
@@ -109,42 +101,31 @@ type skyScan struct {
 
 // newSkyScan runs tier 0 for q against the snapshot — every graph's
 // optimistic corner from its stored signature alone
-// (measure.RankInterval, which computes only what the basis reads),
-// or, for a pair the memo covers, its exact point (the strongest corner
-// there is), from one locked memo lookup — and returns the scan state
-// with every candidate in scan order: ascending optimistic corner, so
-// the likeliest skyline members score first and everything behind them
-// meets a front; ties go by insert sequence. Tier 0 excludes nothing
-// itself: pessimistic corners (delete-all GED, zero MCS) almost never
-// dominate, so it never computes them, and the scan's front test
-// discards, best-first, whatever a memo-collapsed point could.
-func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) (*skyScan, []int) {
+// (measure.RankInterval, which computes only what the basis reads) —
+// and returns the scan state with every candidate in scan order:
+// ascending optimistic corner, so the likeliest skyline members score
+// first and everything behind them meets a front; ties go by insert
+// sequence. Tier 0 excludes nothing itself: pessimistic corners
+// (delete-all GED, zero MCS) almost never dominate, so it never
+// computes them.
+func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (*skyScan, []int) {
 	n, d := len(sn.graphs), len(opts.Basis)
 	start := time.Now()
 	sc := &skyScan{
-		sn: sn, q: q, qsig: qsig, ec: ec, opts: opts,
+		sn: sn, q: q, qsig: qsig, opts: opts,
 		readsGED: slices.ContainsFunc(opts.Basis, func(m measure.Measure) bool {
 			needGED, _ := measure.EngineNeeds(m)
 			return needGED
 		}),
 		los:    make([]float64, n*d),
 		d:      d,
-		known:  ec.memoReplays(sn.seqs),
 		vecs:   make([][]float64, n),
 		capped: make([]bool, n),
 	}
 	order := make([]int, n)
 	for i, sig := range sn.sigs {
 		order[i] = i
-		lo := sc.corner(i)
-		if sc.known != nil && sc.known[i].Covers(true, true) {
-			ps := measure.PairStatsFrom(sig, qsig, sc.known[i])
-			for k, m := range opts.Basis {
-				lo[k] = m.FromStats(ps)
-			}
-		} else {
-			measure.RankInterval(sig, qsig, opts.Basis, lo, nil)
-		}
+		measure.RankInterval(sig, qsig, opts.Basis, sc.corner(i), nil)
 	}
 	sortScanOrder(order, sc.los, d, sn.seqs)
 	opts.Trace.Observe(StageBound, time.Since(start), n, 0)
@@ -185,54 +166,39 @@ func (sc *skyScan) settle(i int) {
 	if sc.front.dominates(sc.corner(i)) {
 		return
 	}
-	g, sig, seq := sc.sn.graphs[i], sc.sn.sigs[i], sc.sn.seqs[i]
-	var have measure.EngineResults
-	if sc.known != nil {
-		have = sc.known[i]
-	}
-	if !have.Covers(true, true) {
-		// Only a candidate the front test spared needs the full interval
-		// statistics: the engines plan from them.
-		bs := measure.BoundPair(sig, sc.qsig)
-		// Outcome 1b: the branch bound lifts the corner's GED; a front
-		// point that dominates the lifted corner discards the candidate
-		// before any engine runs. The raised GEDLo also starts outcome
-		// 2's dominance limit higher.
-		if sc.readsGED {
-			if lb := sig.BranchLB(sc.qsig); lb > bs.GEDLo {
-				bs.GEDLo = lb
-				if sc.front.dominates(bs.OptimisticGCS(sc.opts.Basis)) {
-					return
-				}
-			}
-		}
-		// Engines run from here on, so this is where the memo miss
-		// counts; a partial entry (a ranked scan's GED- or MCS-only
-		// record) spares its engine.
-		have, _ = sc.ec.memoGet(seq, true, true)
-		if !have.HasMCS {
-			// The plain MCS run, with the options measure.Compute uses.
-			mres := mcs.Exact(g, sc.q, mcs.Options{MaxNodes: sc.opts.Eval.MCSMaxNodes})
-			have.MCS, have.MCSExact, have.HasMCS = mres.Mapping.Edges, mres.Exhausted, true
-		}
-		if !have.HasGED {
-			bs.MCSLo, bs.MCSHi = have.MCS, have.MCS
-			limit := bs.GEDLimit(have.MCS, func(ps measure.PairStats) bool {
-				return !sc.front.dominates(measure.GCS(ps, sc.opts.Basis))
-			})
-			// A limit below GEDLo (outcome 2) excludes before any engine
-			// runs; a capped decision run that proves nothing falls
-			// through to the plain run inside, so got is exactly what
-			// measure.Compute's GED engine call reports.
-			_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd{}, limit, bs, sc.opts.Eval)
-			if excluded {
+	g, sig := sc.sn.graphs[i], sc.sn.sigs[i]
+	// Only a candidate the front test spared needs the full interval
+	// statistics: the engines plan from them.
+	bs := measure.BoundPair(sig, sc.qsig)
+	// Outcome 1b: the branch bound lifts the corner's GED; a front point
+	// that dominates the lifted corner discards the candidate before any
+	// engine runs. The raised GEDLo also starts outcome 2's dominance
+	// limit higher.
+	if sc.readsGED {
+		if lb := sig.BranchLB(sc.qsig); lb > bs.GEDLo {
+			bs.GEDLo = lb
+			if sc.front.dominates(bs.OptimisticGCS(sc.opts.Basis)) {
 				return
 			}
-			have.GED, have.GEDExact, have.HasGED = got.GED, got.GEDExact, true
 		}
-		sc.ec.memoPublish(seq, have)
 	}
-	ps := measure.PairStatsFrom(sig, sc.qsig, have)
+	// The plain MCS run, with the options measure.Compute uses.
+	mres := mcs.Exact(g, sc.q, mcs.Options{MaxNodes: sc.opts.Eval.MCSMaxNodes})
+	mcsv := mres.Mapping.Edges
+	bs.MCSLo, bs.MCSHi = mcsv, mcsv
+	limit := bs.GEDLimit(mcsv, func(ps measure.PairStats) bool {
+		return !sc.front.dominates(measure.GCS(ps, sc.opts.Basis))
+	})
+	// A limit below GEDLo (outcome 2) excludes before any engine runs; a
+	// capped decision run that proves nothing falls through to the plain
+	// run inside, so got is exactly what measure.Compute's GED engine
+	// call reports.
+	_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd{}, limit, bs, sc.opts.Eval)
+	if excluded {
+		return
+	}
+	got.MCS, got.MCSExact = mcsv, mres.Exhausted
+	ps := measure.PairStatsFrom(sig, sc.qsig, got)
 	vec := measure.GCS(ps, sc.opts.Basis)
 	if sc.front.dominates(vec) {
 		return // outcome 3 on a report no decision run decided
@@ -246,15 +212,15 @@ func (sc *skyScan) settle(i int) {
 // the exact points of the kept graphs in snapshot order, the number of
 // graphs excluded without a full exact evaluation, and the inexact pair
 // count among the kept. The caller has already checked
-// measure.Boundable(opts.Basis); ec may be nil (no memo). With
-// opts.Workers > 1 the workers share the front, so which candidates a
-// proof spares — not the skyline — depends on their interleaving.
-func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) (pts []skyline.Point, pruned, inexact int, err error) {
+// measure.Boundable(opts.Basis). With opts.Workers > 1 the workers
+// share the front, so which candidates a proof spares — not the
+// skyline — depends on their interleaving.
+func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pts []skyline.Point, pruned, inexact int, err error) {
 	n := len(sn.graphs)
 	if n == 0 {
 		return []skyline.Point{}, 0, 0, nil
 	}
-	sc, order := newSkyScan(sn, q, qsig, ec, opts)
+	sc, order := newSkyScan(sn, q, qsig, opts)
 	start := time.Now()
 	err = forEachClaim(ctx, n, opts.Workers, func(k int) bool {
 		sc.settle(order[k])
@@ -265,7 +231,7 @@ func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Sign
 	}
 	pts, inexact = sc.points()
 	// Every candidate entering the scan is exact-stage work (engine runs,
-	// decision runs, memo replays, or a front test that spared them all);
+	// decision runs, or a front test that spared them all);
 	// the ones it discarded are the stage's exclusions.
 	opts.Trace.Observe(StageExact, time.Since(start), n, n-len(pts))
 	return pts, n - len(pts), inexact, nil

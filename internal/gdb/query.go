@@ -23,11 +23,6 @@ type QueryOptions struct {
 	// Workers is the width of a query's one scan: how many goroutines
 	// evaluate pairs. 0 means GOMAXPROCS.
 	Workers int
-	// QueryHash optionally carries graph.QueryHash(q), precomputed by
-	// the caller (the serving layer computes it for its cache keys
-	// anyway). The cross-query score memo keys on it; when empty it is
-	// computed on demand, once per evaluation.
-	QueryHash string
 	// Prune enables filter-and-refine evaluation of skyline queries,
 	// driven by the signature/bound index: graphs whose bound intervals —
 	// or a progressive scan against the exact vectors found so far
@@ -66,8 +61,7 @@ func (o QueryOptions) withDefaults() QueryOptions {
 type Work struct {
 	// Evaluated counts graphs whose exact answer contribution was
 	// computed: the full GCS vector for skyline queries, the exact
-	// ranking score for top-k and range queries (score-memo replays
-	// included — the value is exact either way).
+	// ranking score for top-k and range queries.
 	Evaluated int `json:"evaluated"`
 	// Pruned counts graphs excluded without exact evaluation: the
 	// progressive scan's front tests and decision runs for skyline
@@ -76,8 +70,9 @@ type Work struct {
 	// top-k and range queries. Each is attributed to exactly one trace
 	// stage (see trace.go).
 	Pruned int `json:"pruned"`
-	// MemoHits and MemoMisses count cross-query score-memo lookups;
-	// hits replayed recorded engine results instead of running engines.
+	// MemoHits and MemoMisses are always 0, kept for wire
+	// compatibility: no evaluation reuses engine results across
+	// queries.
 	MemoHits   int `json:"memo_hits"`
 	MemoMisses int `json:"memo_misses"`
 }
@@ -86,8 +81,6 @@ type Work struct {
 func (w *Work) Add(o Work) {
 	w.Evaluated += o.Evaluated
 	w.Pruned += o.Pruned
-	w.MemoHits += o.MemoHits
-	w.MemoMisses += o.MemoMisses
 }
 
 // QueryStats reports work done by a query.
@@ -171,8 +164,7 @@ func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Me
 	}
 	start := time.Now()
 	opts = opts.withDefaults()
-	ec := newEvalCtx(sh.Memo(), q, opts)
-	stats, err := evalRanked(ctx, sh.snapshot(), measure.NewSignature(q), q, m, opts, ec, coll)
+	stats, err := evalRanked(ctx, sh.snapshot(), measure.NewSignature(q), q, m, opts, coll)
 	if err != nil {
 		return TopKResult{}, err
 	}

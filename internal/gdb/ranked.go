@@ -291,7 +291,7 @@ func (h *claimHeap) pop() (i int, ok bool) {
 // How a candidate left the ranked scan.
 const (
 	fateOpen     uint8 = iota // never settled: cut off by the threshold
-	fateScored                // exact score computed or replayed
+	fateScored                // exact score computed
 	fateInexact               // scored, from a capped engine's bound
 	fateExcluded              // an engine decision run proved it out
 	fateBounded               // the branch bound proved it out (tier 1)
@@ -307,13 +307,11 @@ type rankScan struct {
 	qsig *measure.Signature
 	m    measure.Measure
 	opts QueryOptions
-	ec   *evalCtx
 	// lo and hi bracket each candidate's score under m; gedLo is its
 	// tier-0 GED lower bound, which tier 1 may raise at settle time.
-	lo, hi, gedLo    []float64
-	fate             []uint8
-	needGED, needMCS bool
-	useMemo          bool
+	lo, hi, gedLo []float64
+	fate          []uint8
+	needGED       bool
 }
 
 // newRankScan runs tier 0 for q against the snapshot: m's interval for
@@ -327,7 +325,7 @@ type rankScan struct {
 // threshold. The threshold never rises, so the rest could never be
 // claimed: they stay open and are attributed after the scan like any
 // other cut-off candidate.
-func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, ec *evalCtx, coll rankedCollector) (*rankScan, *claimHeap) {
+func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (*rankScan, *claimHeap) {
 	var start time.Time
 	if opts.Trace != nil {
 		start = time.Now()
@@ -335,12 +333,11 @@ func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Mea
 	n := len(sn.graphs)
 	cols := make([]float64, 3*n)
 	rs := &rankScan{
-		sn: sn, q: q, qsig: qsig, m: m, opts: opts, ec: ec,
+		sn: sn, q: q, qsig: qsig, m: m, opts: opts,
 		lo: cols[:n:n], hi: cols[n : 2*n : 2*n], gedLo: cols[2*n:],
 		fate: make([]uint8, n),
 	}
-	rs.needGED, rs.needMCS = measure.EngineNeeds(m)
-	rs.useMemo = ec != nil && ec.memo != nil && (rs.needGED || rs.needMCS)
+	rs.needGED, _ = measure.EngineNeeds(m)
 	uppers := kSmallest{k: coll.floorK()}
 	basis := []measure.Measure{m}
 	for i, sig := range sn.sigs {
@@ -368,10 +365,10 @@ func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Mea
 }
 
 // settle takes candidate i through its claim against coll's threshold
-// as it stands: the threshold check, a memo replay, tier 1, then the
-// engines, offering an exact score to coll. It returns false, settling
-// nothing, when i's optimistic end already exceeds the threshold: in
-// claim order everything after it is at least as hopeless, so the scan
+// as it stands: the threshold check, tier 1, then the engines,
+// offering an exact score to coll. It returns false, settling nothing,
+// when i's optimistic end already exceeds the threshold: in claim
+// order everything after it is at least as hopeless, so the scan
 // stops. Exclusion always carries a proof against a threshold no lower
 // than the final one, so settle is a plain function of (candidate,
 // collector): any call order, sequential or concurrent, collects the
@@ -389,23 +386,7 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 	if trace != nil {
 		t0 = time.Now()
 	}
-	g, sig, seq := rs.sn.graphs[i], rs.sn.sigs[i], rs.sn.seqs[i]
-	// Memo replay: a recorded pair score skips the engines entirely. The
-	// replayed score is exact, so the replay counts as exact-stage work.
-	if rs.useMemo {
-		if r, ok := rs.ec.memoGet(seq, rs.needGED, rs.needMCS); ok {
-			ps := measure.PairStatsFrom(sig, rs.qsig, r)
-			rs.fate[i] = fateScored
-			if (rs.needGED && !r.GEDExact) || (rs.needMCS && !r.MCSExact) {
-				rs.fate[i] = fateInexact
-			}
-			coll.offer(i, topk.Item{ID: g.Name(), Score: rs.m.FromStats(ps)})
-			if trace != nil {
-				trace.Observe(StageExact, time.Since(t0), 1, 0)
-			}
-			return true
-		}
-	}
+	g, sig := rs.sn.graphs[i], rs.sn.sigs[i]
 	// Tier 1: the branch bound raises the optimistic end of the GED
 	// interval. A candidate it lifts above the threshold is out with no
 	// engine run; otherwise the raised GEDLo narrows the decision run's
@@ -434,7 +415,7 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 	// interval statistics the engines plan from.
 	bs := measure.BoundPair(sig, rs.qsig)
 	bs.GEDLo = gedLo
-	score, got, excluded, capped := measure.ComputeRankResults(g, rs.q, rs.m, th, bs, rs.opts.Eval)
+	score, _, excluded, capped := measure.ComputeRankResults(g, rs.q, rs.m, th, bs, rs.opts.Eval)
 	if excluded {
 		rs.fate[i] = fateExcluded
 		if trace != nil {
@@ -442,7 +423,6 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 		}
 		return true
 	}
-	rs.ec.memoPublish(seq, got)
 	rs.fate[i] = fateScored
 	if capped {
 		rs.fate[i] = fateInexact
@@ -478,7 +458,6 @@ func (rs *rankScan) stats() QueryStats {
 			boundPruned++
 		}
 	}
-	stats.Work.Add(rs.ec.work())
 	rs.opts.Trace.Observe(StageBound, 0, 0, boundPruned)
 	return stats
 }
@@ -487,19 +466,18 @@ func (rs *rankScan) stats() QueryStats {
 // seeds the threshold (newRankScan), then one pool of opts.Workers
 // workers pops the admitted candidates in claim order and settles each
 // — tier 1, then the engines — until one's optimistic end exceeds the
-// threshold. ec (nil-safe) adds the score memo, which replays recorded
-// pair scores without any engine work.
+// threshold.
 //
 // The returned stats carry the scan's Work and Inexact; Duration is the
 // caller's to stamp.
-func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, ec *evalCtx, coll rankedCollector) (QueryStats, error) {
+func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (QueryStats, error) {
 	if len(sn.graphs) == 0 {
 		return QueryStats{}, nil
 	}
 	if ctx.Err() != nil {
 		return QueryStats{}, ctx.Err()
 	}
-	rs, claims := newRankScan(sn, q, qsig, m, opts, ec, coll)
+	rs, claims := newRankScan(sn, q, qsig, m, opts, coll)
 	// A settle returning false stops the pool. A candidate another
 	// worker already popped bounds lower than the one that stopped it
 	// and still gets its own threshold check — dropping it unchecked

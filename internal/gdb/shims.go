@@ -13,10 +13,12 @@ import (
 //
 // NewSharded is what is left of the partitioned store: one store costs
 // nothing the grid can measure, and the partition bought nothing once
-// every query became one scan over all of it. The four methods are what
-// is left of the metric pivot tier and the vector candidate tier, which
-// the ranked scan no longer has: the branch bound (tier 1) proves out
-// what they pruned, for less than they cost.
+// every query became one scan over all of it. Four of the methods are
+// what is left of the metric pivot tier and the vector candidate tier,
+// which the ranked scan no longer has: the branch bound (tier 1) proves
+// out what they pruned, for less than they cost. EnableScoreMemo is
+// what is left of the cross-query score memo, whose hit ratio was too
+// small for any workload to show what it saved.
 
 // NewSharded returns an empty database; the count is ignored.
 //
@@ -41,6 +43,12 @@ func (sh *Sharded) EnableVector(vector.Config) {}
 // Deprecated: the pivot tier is gone; the harness catch-up change
 // (ROADMAP.md item 1) removes this shim and its last caller.
 func (sh *Sharded) WaitPivots() {}
+
+// EnableScoreMemo does nothing.
+//
+// Deprecated: the cross-query score memo is gone; the harness catch-up
+// change (ROADMAP.md item 1) removes this shim and its last caller.
+func (sh *Sharded) EnableScoreMemo(int) {}
 
 // WaitVector returns at once: there is no background vector work.
 //

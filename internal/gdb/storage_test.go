@@ -42,7 +42,7 @@ func fingerprint(sh *Sharded) string {
 
 // seqOf returns the named graph's insert sequence (0 when absent).
 func seqOf(sh *Sharded, name string) uint64 {
-	sn, _, ok := sh.rowSnap(name)
+	sn, ok := sh.rowSnap(name)
 	if !ok {
 		return 0
 	}
@@ -98,7 +98,8 @@ func TestDurableRoundTripShardCounts(t *testing.T) {
 		}
 	}
 	// Delete + reinsert the same name: recovery must preserve the NEW
-	// sequence, or the score memo's safety argument breaks.
+	// sequence, or the reinserted graph's identity (and the scans'
+	// tie-break) would change across a restart.
 	reins := gs[3].Clone()
 	if _, err := d.DB.Insert(reins, ""); err != nil {
 		t.Fatalf("reinsert d003: %v", err)

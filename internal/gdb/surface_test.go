@@ -78,9 +78,9 @@ func seededHistory(seed int64) (initial []*graph.Graph, ops []historyOp, want []
 		case r == 4:
 			remove("never-inserted")
 		case r == 5:
-			// The same name comes back as a different graph: stale memo
-			// entries, table rows and index columns of the old value must
-			// all be unreachable.
+			// The same name comes back as a different graph: stale table
+			// rows and index columns of the old value must all be
+			// unreachable.
 			victim := live[rng.Intn(len(live))].Name()
 			remove(victim)
 			again := pool[rng.Intn(len(pool))].Clone()
@@ -109,59 +109,53 @@ func renderMutation(existed, failed bool, live []*graph.Graph) string {
 }
 
 // TestShardCountInvarianceUnderMutation replays one seeded history
-// through the database, bare and with the score memo attached, and
-// requires every step — Ack.Existed, whether the mutation was refused,
-// Names() order, skyline (pruned and unpruned), top-k and range answers
-// — to be byte-identical to the reference replay, and every ack to carry
-// the generation it produced. The static equivalence grids never
+// through the database and requires every step — Ack.Existed, whether
+// the mutation was refused, Names() order, skyline (pruned and
+// unpruned), top-k and range answers — to be byte-identical to the
+// reference replay, and every ack to carry the generation it produced. The static equivalence grids never
 // mutate; this one does little else.
 func TestShardCountInvarianceUnderMutation(t *testing.T) {
 	ctx := context.Background()
 	initial, ops, want := seededHistory(17)
 	m := measure.DistEd{}
-	for _, memo := range []bool{false, true} {
-		sh := testutil.NewSharded(t, initial)
-		if memo {
-			sh.EnableScoreMemo(4096)
+	sh := testutil.NewSharded(t, initial)
+	for i, op := range ops {
+		label := fmt.Sprintf("step %d (%s)", i, op.kind)
+		var got string
+		switch op.kind {
+		case "insert", "delete":
+			var ack gdb.Ack
+			var err error
+			if op.kind == "insert" {
+				ack, err = sh.Insert(op.g, "")
+			} else {
+				ack, err = sh.Delete(op.name, "")
+			}
+			if err == nil && ack.Gen != 0 && ack.Gen != sh.Generation() {
+				t.Fatalf("%s: ack %+v, but the database is at generation %d", label, ack, sh.Generation())
+			}
+			got = fmt.Sprintf("existed=%v failed=%v names=%v", ack.Existed, err != nil, sh.Names())
+		case "skyline":
+			res, err := sh.SkylineQuery(ctx, op.q, op.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got = fmt.Sprint(res.Skyline)
+		case "topk":
+			res, err := sh.TopKQuery(ctx, op.q, m, 4, op.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got = fmt.Sprint(res.Items)
+		case "range":
+			res, err := sh.RangeQuery(ctx, op.q, m, 4, op.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got = fmt.Sprint(res.Items)
 		}
-		for i, op := range ops {
-			label := fmt.Sprintf("memo=%v step %d (%s)", memo, i, op.kind)
-			var got string
-			switch op.kind {
-			case "insert", "delete":
-				var ack gdb.Ack
-				var err error
-				if op.kind == "insert" {
-					ack, err = sh.Insert(op.g, "")
-				} else {
-					ack, err = sh.Delete(op.name, "")
-				}
-				if err == nil && ack.Gen != 0 && ack.Gen != sh.Generation() {
-					t.Fatalf("%s: ack %+v, but the database is at generation %d", label, ack, sh.Generation())
-				}
-				got = fmt.Sprintf("existed=%v failed=%v names=%v", ack.Existed, err != nil, sh.Names())
-			case "skyline":
-				res, err := sh.SkylineQuery(ctx, op.q, op.opts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				got = fmt.Sprint(res.Skyline)
-			case "topk":
-				res, err := sh.TopKQuery(ctx, op.q, m, 4, op.opts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				got = fmt.Sprint(res.Items)
-			case "range":
-				res, err := sh.RangeQuery(ctx, op.q, m, 4, op.opts)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				got = fmt.Sprint(res.Items)
-			}
-			if got != want[i] {
-				t.Fatalf("%s (prune=%v):\n got %s\nwant %s", label, op.opts.Prune, got, want[i])
-			}
+		if got != want[i] {
+			t.Fatalf("%s (prune=%v):\n got %s\nwant %s", label, op.opts.Prune, got, want[i])
 		}
 	}
 }
@@ -181,7 +175,7 @@ func exportedMethods(v any) []string {
 // InsertAll; one method per query kind. A ninth mutation variant or a
 // second query surface fails here, with the list to edit (and DESIGN.md
 // "Engine surface" to update alongside). The package-level NewSharded
-// is a no-op shim beside the four below (shims.go): New builds the
+// is a no-op shim beside the five below (shims.go): New builds the
 // database.
 func TestEngineSurfacePinned(t *testing.T) {
 	wantSharded := []string{
@@ -193,10 +187,8 @@ func TestEngineSurfacePinned(t *testing.T) {
 		"VectorTable",
 		// the single-row reads of delta maintenance
 		"DeltaRow", "DeltaScore",
-		// the score memo
-		"EnableScoreMemo", "Memo",
 		// no-op shims the benchmark harness still calls (shims.go)
-		"EnablePivots", "EnableVector", "WaitPivots", "WaitVector",
+		"EnablePivots", "EnableScoreMemo", "EnableVector", "WaitPivots", "WaitVector",
 		// persistence
 		"Save", "WriteTo",
 		// reads

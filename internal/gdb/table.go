@@ -34,8 +34,7 @@ type VectorTable struct {
 	Points []skyline.Point
 	// Work is what the cold build paid: Evaluated == len(Points) and
 	// Pruned counts the graphs the scan excluded (0 for complete
-	// tables), with the memo's share alongside.
-	// Delta patches leave it untouched — Deltas counts those.
+	// tables). Delta patches leave it untouched — Deltas counts those.
 	Work
 	// Inexact counts pairs where a capped engine returned a bound.
 	Inexact int
@@ -48,7 +47,7 @@ type VectorTable struct {
 
 // snap is one read of the database under a single lock acquisition:
 // the stored graphs in insertion order, their signatures, their insert
-// sequences (the score-memo keys) and the generation they belong to.
+// sequences (the scans' tie-break) and the generation they belong to.
 type snap struct {
 	graphs []*graph.Graph
 	sigs   []*measure.Signature
@@ -81,25 +80,22 @@ func (sh *Sharded) snapshot() snap {
 // them against one running front, which scores exactly only the ones
 // no cheaper proof discards. The resulting table's skyline is identical
 // to the complete table's. For a foreign basis the full scan runs
-// either way. The score memo applies to both builds: a warm memo
-// rebuilds a table with engines running only for graphs inserted since.
+// either way.
 func (sh *Sharded) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	sn := sh.snapshot()
 	qsig := measure.NewSignature(q)
-	ec := newEvalCtx(sh.Memo(), q, opts)
 	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
 	var err error
 	if opts.Prune && measure.Boundable(opts.Basis) {
-		t.Points, t.Pruned, t.Inexact, err = evalPruned(ctx, sn, q, qsig, ec, opts)
+		t.Points, t.Pruned, t.Inexact, err = evalPruned(ctx, sn, q, qsig, opts)
 	} else {
-		t.Points, t.Inexact, err = evalComplete(ctx, sn, q, qsig, ec, opts)
+		t.Points, t.Inexact, err = evalComplete(ctx, sn, q, qsig, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
 	t.Evaluated = len(t.Points)
-	t.Work.Add(ec.work())
 	return t, nil
 }
 
@@ -107,13 +103,13 @@ func (sh *Sharded) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOp
 // in snapshot order and how many rest on a capped engine's bound.
 // Stored signatures spare the per-pair histogram/degree rebuild; the
 // query's is computed once.
-func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, ec *evalCtx, opts QueryOptions) ([]skyline.Point, int, error) {
+func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) ([]skyline.Point, int, error) {
 	start := time.Now()
 	pts := make([]skyline.Point, len(sn.graphs))
 	var inexact atomic.Int64
 	err := forEachClaim(ctx, len(sn.graphs), opts.Workers, func(i int) bool {
 		h := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}
-		ps := ec.computeFull(sn.graphs[i], q, sn.seqs[i], opts.Eval, h)
+		ps := measure.ComputeHinted(sn.graphs[i], q, opts.Eval, h)
 		pts[i] = skyline.Point{ID: sn.graphs[i].Name(), Vec: measure.GCS(ps, opts.Basis)}
 		if !ps.GEDExact || !ps.MCSExact {
 			inexact.Add(1)
@@ -124,7 +120,7 @@ func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Si
 		return nil, 0, err
 	}
 	// The whole unpruned scan is exact-stage work: every pair runs the
-	// engines (or replays the memo), nothing is bounded away.
+	// engines, nothing is bounded away.
 	opts.Trace.Observe(StageExact, time.Since(start), len(sn.graphs), 0)
 	return pts, int(inexact.Load()), nil
 }

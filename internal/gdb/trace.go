@@ -15,8 +15,8 @@ import (
 //	        threshold cutoff that ends a ranked one; on ranked scans also
 //	        tier 1, the branch GED bound a claimed candidate meets before
 //	        any engine (on the skyline path that test is part of exact)
-//	exact   engine work: exact GED/MCS runs, threshold- or front-fed
-//	        decision runs, and score-memo replays; on the skyline path
+//	exact   engine work: exact GED/MCS runs and threshold- or
+//	        front-fed decision runs; on the skyline path
 //	        the whole progressive scan, front tests included
 //	merge   reading the answer out of the scan's result (the table's
 //	        skyline in insertion order, the ranked collector's items,

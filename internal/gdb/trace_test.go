@@ -78,10 +78,9 @@ func TestTraceSkylineConsistent(t *testing.T) {
 // TestTraceRankedConsistent: the same invariant on best-first top-k and
 // range scans, where the exact stage also excludes candidates via
 // threshold-fed decision runs and the branch bound. The NoisyFamily
-// rows put the score memo on over tiny databases, where every candidate
-// sits within a few edits of every other: each exclusion must count for
-// exactly one stage (attributing one twice once drove the bound stage's
-// count negative).
+// rows are tiny databases where every candidate sits within a few edits
+// of every other: each exclusion must count for exactly one stage
+// (attributing one twice once drove the bound stage's count negative).
 func TestTraceRankedConsistent(t *testing.T) {
 	seeded := testutil.SeededGraphs(9, 30)
 	family25, familyQueries := testutil.NoisyFamily(25)
@@ -91,17 +90,13 @@ func TestTraceRankedConsistent(t *testing.T) {
 		name    string
 		gs      []*graph.Graph
 		queries []*graph.Graph
-		memo    bool
 		opts    gdb.QueryOptions
 	}{
-		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), false, prunedOpts(false)},
-		{"family25", family25, familyQueries, true, gdb.QueryOptions{}},
-		{"family12", family12, familyQueries, true, gdb.QueryOptions{}},
+		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), prunedOpts(false)},
+		{"family25", family25, familyQueries, gdb.QueryOptions{}},
+		{"family12", family12, familyQueries, gdb.QueryOptions{}},
 	} {
 		sh := testutil.NewSharded(t, tc.gs)
-		if tc.memo {
-			sh.EnableScoreMemo(1000)
-		}
 		for qi, q := range tc.queries {
 			tr := gdb.NewQueryTrace()
 			opts := tc.opts

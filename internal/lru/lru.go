@@ -1,7 +1,6 @@
 // Package lru provides the bounded least-recently-used map underneath
 // the serving layer's caches: the answer cache and the idempotency
-// tables each wrap one Cache. (The database's score memo keeps its own
-// query-grouped structure, see gdb.ScoreMemo.) The core is deliberately
+// tables each wrap one Cache. The core is deliberately
 // policy-free — no TTLs, no counters, no key semantics — so each wrapper
 // keeps its own validity rules (the answer cache's entries record the
 // generations they are exact at) and its own hit/miss accounting on

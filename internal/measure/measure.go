@@ -74,53 +74,15 @@ type PairHints struct {
 // ComputeHinted is Compute reusing whatever hints the caller has. The
 // returned statistics are identical to plain Compute's either way.
 func ComputeHinted(g1, g2 *graph.Graph, opts Options, h PairHints) PairStats {
-	ps, _ := ComputeWith(g1, g2, opts, h, EngineResults{})
-	return ps
-}
-
-// EngineResults carries the raw exact-engine outputs of one pair in
-// one orientation, the unit the cross-query score memo stores: the
-// engines are deterministic for a fixed (pair, options), so replaying
-// a recorded result is byte-identical to re-running the engine (the
-// memo stores each packed into 16 bytes, see gdb's memoVal).
-type EngineResults struct {
-	// GED and GEDExact mirror PairStats (value or bipartite bound);
-	// HasGED reports whether the GED engine's result is present.
-	// MCS/MCSExact/HasMCS are the MCS engine analogues.
-	GED float64
-	MCS int
-
-	GEDExact, HasGED bool
-	MCSExact, HasMCS bool
-}
-
-// Covers reports whether the results satisfy the given engine needs.
-func (r EngineResults) Covers(needGED, needMCS bool) bool {
-	return (!needGED || r.HasGED) && (!needMCS || r.HasMCS)
-}
-
-// ComputeWith is ComputeHinted with per-engine reuse: engine results
-// already present in have are taken as-is and only the missing engines
-// run. It returns the pair statistics (byte-identical to plain
-// Compute's — recorded results must come from the same pair,
-// orientation and options) plus the now-complete engine results for
-// republication.
-func ComputeWith(g1, g2 *graph.Graph, opts Options, h PairHints, have EngineResults) (PairStats, EngineResults) {
-	if !have.HasGED {
-		gres := ged.Exact(g1, g2, ged.Options{MaxNodes: opts.GEDMaxNodes})
-		have.GED, have.GEDExact, have.HasGED = gres.Distance, gres.Exact, true
-	}
-	if !have.HasMCS {
-		mres := mcs.Exact(g1, g2, mcs.Options{MaxNodes: opts.MCSMaxNodes})
-		have.MCS, have.MCSExact, have.HasMCS = mres.Mapping.Edges, mres.Exhausted, true
-	}
+	gres := ged.Exact(g1, g2, ged.Options{MaxNodes: opts.GEDMaxNodes})
+	mres := mcs.Exact(g1, g2, mcs.Options{MaxNodes: opts.MCSMaxNodes})
 	v1, e1, d1 := histsOf(g1, h.Sig1)
 	v2, e2, d2 := histsOf(g2, h.Sig2)
 	return PairStats{
-		GED:       have.GED,
-		GEDExact:  have.GEDExact,
-		MCS:       have.MCS,
-		MCSExact:  have.MCSExact,
+		GED:       gres.Distance,
+		GEDExact:  gres.Exact,
+		MCS:       mres.Mapping.Edges,
+		MCSExact:  mres.Exhausted,
 		Size1:     g1.Size(),
 		Size2:     g2.Size(),
 		Order1:    g1.Order(),
@@ -128,16 +90,27 @@ func ComputeWith(g1, g2 *graph.Graph, opts Options, h PairHints, have EngineResu
 		VHistDist: v1.distance(v2),
 		EHistDist: e1.distance(e2),
 		DegL1:     degreeL1(d1, d2),
-	}, have
+	}
+}
+
+// EngineResults carries the raw exact-engine outputs of one pair in
+// one orientation: what a scan's engine runs reported, before the
+// cheap statistics are assembled around them (PairStatsFrom).
+type EngineResults struct {
+	// GED and GEDExact mirror PairStats (value or bipartite bound);
+	// MCS and MCSExact are the MCS engine analogues.
+	GED float64
+	MCS int
+
+	GEDExact, MCSExact bool
 }
 
 // PairStatsFrom assembles the pair statistics of a graph pair known by
-// its stored signatures and previously recorded engine results — the
-// memo-hit path: no graph access and no engine runs, byte-identical to
-// ComputeHinted on the same pair (signatures carry exactly the
-// order/size/histogram/degree material the cheap fields derive from).
-// Fields of engines absent from r are zero; callers must only consume
-// measures r covers.
+// its stored signatures and the engine results a scan computed for it:
+// no graph access, byte-identical to ComputeHinted on the same pair
+// (signatures carry exactly the order/size/histogram/degree material
+// the cheap fields derive from). Fields of an engine that did not run
+// are zero; callers must only consume measures whose engines ran.
 func PairStatsFrom(s1, s2 *Signature, r EngineResults) PairStats {
 	return PairStats{
 		GED:       r.GED,

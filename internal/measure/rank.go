@@ -222,7 +222,8 @@ func (bs BoundStats) GEDLimit(mcsv int, fits func(PairStats) bool) float64 {
 // proves the pair's m-distance exceeds t (excluded=true, no score) or
 // returns the exact score, byte-identical to m.FromStats(Compute(g1,
 // g2, opts)), with the plain engine results that back it — exactly the
-// engines m consumes, for republication into a memo. bs must bound the
+// engines m consumes, from which the skyline scan assembles its vector
+// (PairStatsFrom). bs must bound the
 // pair (tier-0 BoundPair, optionally with GEDLo raised by the branch
 // bound); its exact fields supply the cheap statistics. inexact
 // reports whether a capped engine backed the returned score.
@@ -265,7 +266,7 @@ func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats
 		if !ps.GEDExact {
 			inexact = true
 		}
-		got.GED, got.GEDExact, got.HasGED = ps.GED, ps.GEDExact, true
+		got.GED, got.GEDExact = ps.GED, ps.GEDExact
 	}
 	if plan.NeedMCS {
 		mopts := mcs.Options{MaxNodes: opts.MCSMaxNodes}
@@ -284,7 +285,7 @@ func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats
 		if !mres.Exhausted {
 			inexact = true
 		}
-		got.MCS, got.MCSExact, got.HasMCS = ps.MCS, ps.MCSExact, true
+		got.MCS, got.MCSExact = ps.MCS, ps.MCSExact
 	}
 	return m.FromStats(ps), got, false, inexact
 }

@@ -77,10 +77,9 @@ type QueryRequest struct {
 // QueryStats reports the work a request caused.
 type QueryStats struct {
 	// Work counts the fresh evaluation work of this request — exact
-	// pairs, pruned graphs and score-memo lookups, under gdb.Work's JSON
-	// keys. It is all 0 when the answer came from the cache, and
-	// Evaluated + Pruned is the database size on a fresh build; the memo
-	// counters stay 0 on a daemon running without -memo.
+	// pairs and pruned graphs, under gdb.Work's JSON keys. It is all 0
+	// when the answer came from the cache, and Evaluated + Pruned is the
+	// database size on a fresh build.
 	gdb.Work
 	// Inexact counts table pairs where a capped engine returned a bound
 	// (a property of the answer, whether cached or fresh).
@@ -274,9 +273,6 @@ type StatsResponse struct {
 	// Shards always holds one ShardInfo (see there).
 	Shards []ShardInfo `json:"shards"`
 	Cache  CacheStats  `json:"cache"`
-	// Memo is the cross-query score memo's occupancy and lifetime
-	// hit/miss counters (absent without -memo).
-	Memo *gdb.MemoStats `json:"memo,omitempty"`
 	// Durability reports the persistence layer — WAL occupancy, fsync
 	// policy, snapshot progress and what the last recovery rebuilt
 	// (absent without -data-dir).
@@ -398,8 +394,10 @@ type ReqStats struct {
 	// best-first ranked scan (see there for each counter), under the
 	// keys /stats has always used: Evaluated and Pruned appear as
 	// pair_evals and pairs_pruned.
-	PairEvals     uint64 `json:"pair_evals"`
-	PairsPruned   uint64 `json:"pairs_pruned"`
+	PairEvals   uint64 `json:"pair_evals"`
+	PairsPruned uint64 `json:"pairs_pruned"`
+	// MemoHits and MemoMisses are always 0, kept for wire compatibility
+	// (see gdb.Work).
 	MemoHits      uint64 `json:"memo_hits"`
 	MemoMisses    uint64 `json:"memo_misses"`
 	QueryTimeouts uint64 `json:"query_timeouts"`
@@ -414,13 +412,10 @@ type ReqStats struct {
 // skyline answers should be built (and cached) ahead of traffic — the
 // same vector table the same skyline request builds: a pruned one, or
 // a complete one for an item that sets "all". Warming populates
-// the answer cache and, when enabled, the cross-query score memo. Later
-// skyline requests of the same kind on these (or isomorphic) graphs
-// answer from the tables; delta maintenance keeps pruned ones across
-// mutations. Top-k and range requests read no table, but their ranked
-// scan replays the memoized pair scores a warm build left. Even after a
-// mutation invalidates an answer, rebuilding it replays memoized pair
-// scores instead of re-running engines.
+// the answer cache: later skyline requests of the same kind on these
+// (or isomorphic) graphs answer from the tables, and delta maintenance
+// keeps pruned ones across mutations. Top-k and range requests read no
+// table.
 type WarmRequest struct {
 	// Queries holds the query graphs to warm, each with the optional
 	// basis/eval/all fields of a skyline request (k and radius are

@@ -21,8 +21,7 @@ import (
 //   - Only lineage-carrying entries qualify: every pruned skyline answer
 //     and every ranked answer. A complete skyline answer ("all")
 //     carries none: any mutation drops it, counted as a fallback, and
-//     the next "all" request rebuilds the table (with the score memo
-//     on, replaying every pair the mutation left alone).
+//     the next "all" request rebuilds the table.
 //   - The entry must be exactly ONE generation behind the mutation.
 //     Anything older has unknown intermediate history. Two mutations
 //     maintained concurrently therefore upgrade an entry only in
@@ -136,7 +135,7 @@ func (s *Server) upgradeTable(cand deltaCandidate, gen uint64, inserted *graph.G
 func (s *Server) tableInsert(cand deltaCandidate, gen uint64, name string) *gdb.VectorTable {
 	t, lin := cand.e.table, cand.e.lin
 	// Every server basis is a set of built-ins (Boundable).
-	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval, QueryHash: cand.key.qh}
+	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval}
 	pt, kept, inexact, got, ok := s.db.DeltaRow(name, lin.q, lin.qsig, t.Points, opts)
 	if !ok || got != gen {
 		return nil // a later mutation interleaved; the row is not provably gen's
@@ -200,7 +199,7 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 			}
 		}
 		// Every measure a request can name is Rankable.
-		opts := gdb.QueryOptions{Eval: key.eval, QueryHash: key.qh}
+		opts := gdb.QueryOptions{Eval: key.eval}
 		score, in, inex, got, ok := s.db.DeltaScore(name, lin.q, lin.qsig, lin.m, th, opts)
 		switch {
 		case !ok || got != gen:

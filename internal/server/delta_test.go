@@ -55,8 +55,8 @@ func wireItems(is []ItemJSON) []topk.Item {
 }
 
 // TestDeltaMatchesColdRecompute is the interleaved-mutation equivalence
-// harness: randomized schedules of inserts, deletes and queries, with
-// and without the score memo, must keep every delta-maintained answer
+// harness: randomized schedules of inserts, deletes and queries must
+// keep every delta-maintained answer
 // byte-identical to a cold recompute over the live graph set — and the
 // maintenance must actually fire, so the equivalence is proved
 // against upgraded entries, not against a cache that silently fell back
@@ -80,8 +80,9 @@ func TestPrunedDeltaMatchesColdRecompute(t *testing.T) {
 // schedules × {plain, pivot-memo, vector}; all selects "all" skylines
 // (checked, never warmed) or pruned ones (warmed and checked). The arm
 // names date from when "pivot-memo" and "vector" also enabled the pivot
-// and vector candidate tiers, which are gone: "pivot-memo" now runs
-// with the score memo and "vector" without it. Likewise the subtests
+// and vector candidate tiers and the score memo, which are gone: the
+// three arms now run the same database and differ only in the mutation
+// schedule their name seeds. Likewise the subtests
 // keep the "shards=N" label from when the database was split into N
 // shards: N now only seeds the arm's mutation schedule, together with
 // the arm name.
@@ -100,9 +101,6 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 				db := gdb.New()
 				if err := db.InsertAll(base); err != nil {
 					t.Fatal(err)
-				}
-				if mode == "pivot-memo" {
-					db.EnableScoreMemo(4096)
 				}
 				s := New(db, Config{CacheSize: 256})
 				ts := httptest.NewServer(s.Handler())
@@ -204,7 +202,6 @@ type prunedFixture struct {
 func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []skyline.Point, inexact int) *prunedFixture {
 	t.Helper()
 	db := testutil.NewSharded(t, gs)
-	db.EnableScoreMemo(1024)
 	s := New(db, Config{CacheSize: 16})
 	res, err := s.resolveQuery("skyline", &QueryRequest{Graph: q})
 	if err != nil {
@@ -246,11 +243,22 @@ func (f *prunedFixture) table(gen uint64) *gdb.VectorTable {
 	return e.table
 }
 
-// engineRuns counts score-memo lookups: every engine path of a delta
-// row consults the memo first, so an unchanged count means no engine ran.
-func (f *prunedFixture) engineRuns() uint64 {
-	st := f.s.db.Memo().Stats()
-	return st.Hits + st.Misses
+// withholdQuery drops the query graph from the lineage of the answer
+// cached for (kind, req), keeping the query's signature. Tier 0 and the
+// front and threshold tests read signatures alone, so maintaining that
+// answer reaches the query graph only through an engine run, which then
+// dereferences nil and panics.
+func withholdQuery(t *testing.T, s *Server, kind string, req *QueryRequest) {
+	t.Helper()
+	res, err := s.resolveQuery(kind, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.cache.lookup(res.key, s.db.Generation(), true)
+	if !ok {
+		t.Fatalf("no %s answer cached", kind)
+	}
+	e.lin.q = nil
 }
 
 // rowIDs lists a table's row names in order.
@@ -274,22 +282,27 @@ func extraGraph(name string) *graph.Graph {
 
 // TestPrunedInsertDominatedAtTier0RunsNoEngine: an inserted graph whose
 // optimistic corner a kept row strictly dominates only advances the
-// table's generation — no engine runs and no row is added.
+// table's generation — no engine runs (see withholdQuery) and no row is
+// added.
 func TestPrunedInsertDominatedAtTier0RunsNoEngine(t *testing.T) {
 	gs := testutil.SeededGraphs(501, 6)
 	q := testutil.SeededQueries(502, gs, 1)[0]
 	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: []float64{0, 0, 0}}}, 0)
-	before := f.engineRuns()
-	gen := f.insert(t, extraGraph("extra"))
+	withholdQuery(t, f.s, "skyline", &QueryRequest{Graph: q})
+	gen := func() uint64 {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("a tier-0-dominated insert ran an engine: %v", r)
+			}
+		}()
+		return f.insert(t, extraGraph("extra"))
+	}()
 	nt := f.table(gen)
 	if nt == nil {
 		t.Fatal("the dominated insert fell back")
 	}
 	if got := rowIDs(nt); len(got) != 1 || nt.Deltas != 1 {
 		t.Fatalf("rows %v deltas %d; want the one kept row and 1 delta", got, nt.Deltas)
-	}
-	if after := f.engineRuns(); after != before {
-		t.Fatalf("a tier-0-dominated insert ran the engines (%d memo lookups)", after-before)
 	}
 }
 
@@ -673,9 +686,10 @@ func mustSeeded(seed int64, name string) *graph.Graph {
 
 // TestRankedInsertDecidedByBound: an inserted graph whose tier-0 bound
 // already exceeds a full top-k answer's k-th score, or a range answer's
-// radius, carries both answers across the insert without an engine run.
+// radius, carries both answers across the insert without an engine run
+// (see withholdQuery: one would fail the insert request).
 func TestRankedInsertDecidedByBound(t *testing.T) {
-	s, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
+	s, ts := newTestServerWith(t, Config{CacheSize: 16}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	radius := 1.0
 	var tk TopKResponse
@@ -688,12 +702,10 @@ func TestRankedInsertDecidedByBound(t *testing.T) {
 	if lo, _ := bs.Interval(measure.DistEd{}); lo <= tk.Items[2].Score || lo <= radius {
 		t.Fatalf("fixture: bound %v does not exceed k-th %v and radius %v", lo, tk.Items[2].Score, radius)
 	}
-	memo := s.db.Memo().Stats()
+	withholdQuery(t, s, "topk", &QueryRequest{Graph: q, K: 3})
+	withholdQuery(t, s, "range", &QueryRequest{Graph: q, Radius: &radius})
 	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d", r.StatusCode)
-	}
-	if after := s.db.Memo().Stats(); after.Hits+after.Misses != memo.Hits+memo.Misses {
-		t.Fatal("a bound-decided insert ran the engines")
 	}
 	live := append(dataset.PaperDB(), g)
 	scores := testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{})

@@ -15,8 +15,8 @@ import (
 // metrics is the server's obs registry plus the handles the hot paths
 // write to. Request-scoped series (per-endpoint latency, per-kind
 // cascade counters) are fed by the handlers; occupancy numbers another
-// subsystem already maintains (cache, database, memo, Go
-// runtime) are registered as render-time callbacks so /metrics always
+// subsystem already maintains (cache, database, Go runtime) are
+// registered as render-time callbacks so /metrics always
 // reports the live value without a second set of counters to keep in
 // sync.
 type metrics struct {
@@ -53,15 +53,15 @@ var workFamilies = [...]struct {
 		func(w *gdb.Work) int { return w.Evaluated }},
 	{"skygraph_query_pairs_pruned_total", "Pairs excluded without exact evaluation, by query kind.",
 		func(w *gdb.Work) int { return w.Pruned }},
-	{"skygraph_query_memo_hits_total", "Score-memo lookups that replayed a recorded result, by query kind.",
+	{"skygraph_query_memo_hits_total", "Always 0, kept for compatibility: no query reuses engine results across queries.",
 		func(w *gdb.Work) int { return w.MemoHits }},
-	{"skygraph_query_memo_misses_total", "Score-memo lookups that missed, by query kind.",
+	{"skygraph_query_memo_misses_total", "Always 0, kept for compatibility: no query reuses engine results across queries.",
 		func(w *gdb.Work) int { return w.MemoMisses }},
 }
 
 // newMetrics builds the registry for one Server. Call once, after the
-// database (memo) is fully assembled — the
-// callback metrics bind to what exists now.
+// database is fully assembled — the callback metrics bind to what
+// exists now.
 func newMetrics(s *Server) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{reg: reg}
@@ -147,16 +147,6 @@ func newMetrics(s *Server) *metrics {
 		func() float64 { return float64(s.cache.Stats().DeltaFallbacks) })
 	reg.GaugeFunc("skygraph_cache_entries", "Cached tables and ranked answers.",
 		func() float64 { return float64(s.cache.Len()) })
-
-	// Cross-query score memo (absent without -memo).
-	if memo := s.db.Memo(); memo != nil {
-		reg.CounterFunc("skygraph_memo_hits_total", "Score-memo hits since startup.",
-			func() float64 { return float64(memo.Stats().Hits) })
-		reg.CounterFunc("skygraph_memo_misses_total", "Score-memo misses since startup.",
-			func() float64 { return float64(memo.Stats().Misses) })
-		reg.GaugeFunc("skygraph_memo_entries", "Memoized pair scores held.",
-			func() float64 { return float64(memo.Stats().Entries) })
-	}
 
 	// Persistence layer (absent without -data-dir): WAL occupancy and
 	// append/fsync counters, snapshot progress, and what the startup

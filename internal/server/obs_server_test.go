@@ -62,7 +62,7 @@ func requireWireTraceConsistent(t *testing.T, label string, stages []gdb.TraceSt
 // the acceptance invariant of the tracing layer, asserted through the
 // full HTTP path.
 func TestTraceEndToEnd(t *testing.T) {
-	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 16}, dataset.PaperDB())
 
 	var sky SkylineResponse
 	r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Trace: true}, &sky)
@@ -104,14 +104,14 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestTraceTinyShards drives the NoisyFamily collection — 25 close
-// relatives, score memo on — through POST /query/topk. In a database
-// this small every candidate sits within a few edits of every other; counting one exclusion for two stages once drove the bound
-// stage's count to -2, which panicked the per-stage counter and dropped
+// relatives — through POST /query/topk. In a database this small every
+// candidate sits within a few edits of every other; counting one
+// exclusion for two stages once drove the bound stage's count to -2, which panicked the per-stage counter and dropped
 // the connection. Every query must answer 200 with a consistent trace,
 // and no counter add may have been rejected.
 func TestTraceTinyShards(t *testing.T) {
 	gs, queries := testutil.NoisyFamily(25)
-	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, gs)
+	_, ts := newTestServerWith(t, Config{CacheSize: 16}, gs)
 
 	for qi, q := range queries {
 		var tk TopKResponse
@@ -153,7 +153,7 @@ func mustGraphJSON(t *testing.T) string {
 // TestBatchTraceConsistent asserts the same invariant for every item of
 // a traced batch.
 func TestBatchTraceConsistent(t *testing.T) {
-	_, ts := newMemoTestServer(t, Config{CacheSize: 0}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 0}, dataset.PaperDB())
 	radius := 6.0
 	req := BatchRequest{Queries: []BatchQuery{
 		{Kind: "skyline", QueryRequest: QueryRequest{Graph: dataset.PaperQuery(), Trace: true}},
@@ -197,7 +197,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [-+0-9.eEI
 // family, and non-zero values on the counters the traffic must have
 // moved.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 16}, dataset.PaperDB())
 
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &sky)
@@ -280,7 +280,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // carries the status and the write-path health and nothing else (no
 // background index backlog is waited on).
 func TestHealthAndReady(t *testing.T) {
-	s, ts := newMemoTestServer(t, Config{}, dataset.PaperDB())
+	s, ts := newTestServerWith(t, Config{}, dataset.PaperDB())
 	want := map[string]map[string]string{
 		"/healthz": {"status": "ok"},
 		"/readyz":  {"status": "ready", "health": "serving"},

@@ -13,13 +13,12 @@ import (
 // and never read a table: a cached table, complete or pruned, answers
 // skyline requests only. The answer is cached under its own key
 // path ("topk" or "range"); it never populates, shadows, or satisfies a
-// skyline key. What a ranked scan can still reuse is the score memo,
-// which table builds fill.
+// skyline key.
 
 // buildRanked runs the ranked scan of a topk/range request that read
 // generation gen.
 func (s *Server) buildRanked(ctx context.Context, res resolved, gen uint64) (*cacheEntry, bool, error) {
-	opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace, QueryHash: res.qh}
+	opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace}
 	var r gdb.TopKResult
 	var err error
 	if res.key.path == "topk" {

@@ -385,10 +385,8 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	}
 	res.basis = basis
 
-	// Workers stays 0: every query is one scan, GOMAXPROCS wide. The
-	// canonical query hash rides along so the score memo never
-	// re-canonicalizes.
-	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval), QueryHash: res.qh}
+	// Workers stays 0: every query is one scan, GOMAXPROCS wide.
+	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval)}
 	res.key = cacheKey{path: kind, qh: res.qh, eval: res.opts.Eval}
 	switch kind {
 	case "skyline":
@@ -1041,11 +1039,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	dbs := s.db.Stats()
 	gen := s.db.Generation()
-	var memo *gdb.MemoStats
-	if m := s.db.Memo(); m != nil {
-		ms := m.Stats()
-		memo = &ms
-	}
 	var durability *DurabilityInfo
 	if d := s.cfg.Durable; d != nil {
 		ds := d.Stats()
@@ -1086,7 +1079,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Shards:     []ShardInfo{{Graphs: dbs.Graphs, Generation: gen}},
 		Cache:      s.cache.Stats(),
-		Memo:       memo,
 		Durability: durability,
 		Health:     s.health.Info(),
 		Fault:      faultBlock,
@@ -1098,8 +1090,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Errors:           s.errors.Load(),
 			PairEvals:        uint64(work.Evaluated),
 			PairsPruned:      uint64(work.Pruned),
-			MemoHits:         uint64(work.MemoHits),
-			MemoMisses:       uint64(work.MemoMisses),
 			QueryTimeouts:    s.timeouts.Load(),
 			LoadShed:         s.shed.Load(),
 			DegradedRejected: s.degradedRejects.Load(),

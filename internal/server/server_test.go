@@ -92,56 +92,6 @@ func TestSkylineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRankedSkipsEnginesAfterAllSkyline: an "all" skyline's complete
-// table answers no ranked request — top-k and range each run their own
-// scan, report no shard hit and count every graph — but with the score
-// memo on, every pair either scan scores replays from the memo the
-// complete build filled, so no engine runs. The answers match the
-// reference.
-func TestRankedSkipsEnginesAfterAllSkyline(t *testing.T) {
-	db := gdb.New()
-	if err := db.InsertAll(dataset.PaperDB()); err != nil {
-		t.Fatal(err)
-	}
-	db.EnableScoreMemo(1024)
-	ts := httptest.NewServer(New(db, Config{CacheSize: 16}).Handler())
-	defer ts.Close()
-	q := dataset.PaperQuery()
-	var sky SkylineResponse
-	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &sky)
-	if sky.Stats.CacheHit || sky.Stats.Pruned != 0 || sky.Stats.Evaluated != 7 {
-		t.Fatalf("all skyline stats = %+v; want a cold full evaluation", sky.Stats)
-	}
-	requireScanReplayed := func(label string, qs QueryStats) {
-		t.Helper()
-		if qs.CacheHit || qs.ShardHits != 0 || qs.Evaluated+qs.Pruned != 7 {
-			t.Fatalf("%s stats = %+v; want its own scan over all 7 graphs", label, qs)
-		}
-		if qs.Evaluated == 0 || qs.MemoMisses != 0 || qs.MemoHits != qs.Evaluated {
-			t.Fatalf("%s stats = %+v; want every scored pair replayed from the memo", label, qs)
-		}
-	}
-	scores := testutil.ReferenceScores(dataset.PaperDB(), q, measure.DistEd{}, measure.Options{})
-
-	var tk TopKResponse
-	if r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3, Measure: "DistEd"}, &tk); r.StatusCode != http.StatusOK {
-		t.Fatalf("topk status = %d", r.StatusCode)
-	}
-	requireScanReplayed("topk", tk.Stats)
-	testutil.RequireSameItems(t, "topk", testutil.ReferenceTopK(scores, 3), wireItems(tk.Items))
-
-	var rg RangeResponse
-	radius := 100.0
-	if r := postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &rg); r.StatusCode != http.StatusOK {
-		t.Fatalf("range status = %d", r.StatusCode)
-	}
-	requireScanReplayed("range", rg.Stats)
-	if len(rg.Items) != 7 {
-		t.Fatalf("radius 100 should admit all 7 graphs, got %d", len(rg.Items))
-	}
-	testutil.RequireSameItems(t, "range", testutil.ReferenceRange(scores, radius), wireItems(rg.Items))
-}
-
 func TestIsomorphicQueryHitsCache(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheSize: 16})
 	var first SkylineResponse

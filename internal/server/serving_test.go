@@ -18,8 +18,8 @@ import (
 	"skygraph/internal/testutil"
 )
 
-// TestPivotServingEquivalence: with the score memo enabled, served
-// skyline and top-k answers match a reference server with no cache.
+// TestPivotServingEquivalence: served skyline and top-k answers match a
+// reference server with no cache.
 func TestPivotServingEquivalence(t *testing.T) {
 	q := graph.Mutate(dataset.PaperQuery(), 2, graph.MoleculeAlphabet.Atoms, graph.MoleculeAlphabet.Bonds, rand.New(rand.NewSource(9)))
 	q.SetName("qx")
@@ -30,10 +30,10 @@ func TestPivotServingEquivalence(t *testing.T) {
 		postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &refSky)
 		postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &refTK)
 	}
-	_, ts := newMemoTestServer(t, Config{CacheSize: 64}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, dataset.PaperDB())
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
-	requireSameSkylineJSON(t, "memo", refSky.Skyline, sky.Skyline)
+	requireSameSkylineJSON(t, "cached", refSky.Skyline, sky.Skyline)
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
 	if !reflect.DeepEqual(tk.Items, refTK.Items) {
@@ -46,8 +46,7 @@ func servingTestGraphs() []*graph.Graph {
 }
 
 // TestVectorServingEquivalence: served skyline, top-k and range answers
-// are byte-identical to a reference server with no cache, on a server
-// with the score memo and on one without it.
+// are byte-identical to a reference server with no cache.
 func TestVectorServingEquivalence(t *testing.T) {
 	gs := servingTestGraphs()
 	queries := append(testutil.SeededQueries(77, gs, 2), dataset.PaperQuery())
@@ -65,25 +64,22 @@ func TestVectorServingEquivalence(t *testing.T) {
 		}
 	}
 
-	_, tsMemo := newMemoTestServer(t, Config{CacheSize: 64}, gs)
-	_, tsPlain := newTestServerWith(t, Config{CacheSize: 64}, gs)
-	for _, ts := range []*httptest.Server{tsMemo, tsPlain} {
-		for qi, q := range queries {
-			var sky SkylineResponse
-			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
-			requireSameSkylineJSON(t, fmt.Sprintf("q=%d", qi), refSky[qi].Skyline, sky.Skyline)
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
+	for qi, q := range queries {
+		var sky SkylineResponse
+		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
+		requireSameSkylineJSON(t, fmt.Sprintf("q=%d", qi), refSky[qi].Skyline, sky.Skyline)
 
-			var tk TopKResponse
-			postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: "DistEd"}, &tk)
-			if !reflect.DeepEqual(tk.Items, refTK[qi].Items) {
-				t.Fatalf("q=%d: topk items differ:\nref: %+v\ngot: %+v", qi, refTK[qi].Items, tk.Items)
-			}
+		var tk TopKResponse
+		postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: "DistEd"}, &tk)
+		if !reflect.DeepEqual(tk.Items, refTK[qi].Items) {
+			t.Fatalf("q=%d: topk items differ:\nref: %+v\ngot: %+v", qi, refTK[qi].Items, tk.Items)
+		}
 
-			var rng RangeResponse
-			postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &rng)
-			if !reflect.DeepEqual(rng.Items, refRng[qi].Items) {
-				t.Fatalf("q=%d: range items differ:\nref: %+v\ngot: %+v", qi, refRng[qi].Items, rng.Items)
-			}
+		var rng RangeResponse
+		postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &rng)
+		if !reflect.DeepEqual(rng.Items, refRng[qi].Items) {
+			t.Fatalf("q=%d: range items differ:\nref: %+v\ngot: %+v", qi, refRng[qi].Items, rng.Items)
 		}
 	}
 }

@@ -10,71 +10,51 @@ import (
 
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
-	"skygraph/internal/graph"
+	"skygraph/internal/measure"
 	"skygraph/internal/testutil"
 )
 
-// newMemoTestServer serves gs with the score
-// memo enabled, as skygraphd -memo wires a daemon.
-func newMemoTestServer(t *testing.T, cfg Config, gs []*graph.Graph) (*Server, *httptest.Server) {
-	t.Helper()
-	db := gdb.New()
-	if err := db.InsertAll(gs); err != nil {
-		t.Fatal(err)
-	}
-	db.EnableScoreMemo(1024)
-	s := New(db, cfg)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
 // TestPivotCountersOnWire: cold /query/topk and /query/skyline answers
-// surface the memo counters, a warm rerun served from the answer cache
-// reports zero fresh work, and /stats totals the activity. (The name
-// dates from when this test also checked the pivot tier's counters,
-// which are gone with the tier.)
+// surface their work counters, a warm rerun served from the answer
+// cache reports zero fresh work, and /stats totals the activity. (The
+// name dates from when this test also checked the pivot tier's
+// counters, which are gone with the tier.)
 func TestPivotCountersOnWire(t *testing.T) {
-	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 16}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-	if tk.Stats.MemoMisses == 0 {
-		t.Fatalf("cold pruned topk reported no memo lookups: %+v", tk.Stats)
+	if tk.Stats.CacheHit || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
+		t.Fatalf("cold topk stats = %+v; want a scan over all 7 graphs", tk.Stats)
 	}
 
 	// Same query again: the ranked answer cache serves it, no fresh work.
 	var warm TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &warm)
-	if !warm.Stats.CacheHit || warm.Stats.MemoHits != 0 || warm.Stats.MemoMisses != 0 {
+	if !warm.Stats.CacheHit || warm.Stats.Work != (gdb.Work{}) {
 		t.Fatalf("warm topk should be a pure cache hit: %+v", warm.Stats)
 	}
 
-	// Memo lookups flow through the pruned skyline's table path too
-	// (topk published scores only for the engine it ran; at minimum the
-	// lookups are counted).
 	var sky SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
-	if sky.Stats.MemoHits+sky.Stats.MemoMisses == 0 {
-		t.Fatalf("pruned skyline performed no memo lookups: %+v", sky.Stats)
+	if sky.Stats.CacheHit || sky.Stats.Evaluated+sky.Stats.Pruned != 7 {
+		t.Fatalf("cold skyline stats = %+v; want a scan over all 7 graphs", sky.Stats)
 	}
 
 	var st StatsResponse
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Requests.MemoHits+st.Requests.MemoMisses == 0 {
-		t.Fatalf("global memo counters are 0: %+v", st.Requests)
-	}
-	if st.Memo == nil || st.Memo.Entries == 0 {
-		t.Fatalf("memo stats missing or empty: %+v", st.Memo)
+	if st.Requests.PairEvals != uint64(tk.Stats.Evaluated+sky.Stats.Evaluated) ||
+		st.Requests.PairsPruned != uint64(tk.Stats.Pruned+sky.Stats.Pruned) {
+		t.Fatalf("/stats requests = %+v; want the two cold scans' work", st.Requests)
 	}
 }
 
-// TestPivotCountersInBatch: batch stats aggregate the per-item memo
+// TestPivotCountersInBatch: batch stats aggregate the per-item work
 // counters. (The name dates from when it also aggregated the pivot
 // tier's counters.)
 func TestPivotCountersInBatch(t *testing.T) {
-	_, ts := newMemoTestServer(t, Config{CacheSize: 32}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 32}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var resp BatchResponse
 	postJSON(t, ts.URL+"/query/batch", map[string]any{
@@ -86,8 +66,8 @@ func TestPivotCountersInBatch(t *testing.T) {
 	if resp.Stats.Errors != 0 {
 		t.Fatalf("batch errors: %+v", resp.Results)
 	}
-	if resp.Stats.MemoHits+resp.Stats.MemoMisses == 0 {
-		t.Fatalf("batch aggregated no memo lookups: %+v", resp.Stats)
+	if resp.Stats.Evaluated+resp.Stats.Pruned != 2*7 {
+		t.Fatalf("batch stats = %+v; want both items' scans over all 7 graphs", resp.Stats)
 	}
 }
 
@@ -96,7 +76,7 @@ func TestPivotCountersInBatch(t *testing.T) {
 // so later skyline requests of the same kind answer from cache, ranked
 // requests run their own scan, and malformed entries fail in place.
 func TestWarmEndpoint(t *testing.T) {
-	_, ts := newMemoTestServer(t, Config{CacheSize: 32}, dataset.PaperDB())
+	_, ts := newTestServerWith(t, Config{CacheSize: 32}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 
 	var wr WarmResponse
@@ -132,9 +112,8 @@ func TestWarmEndpoint(t *testing.T) {
 
 	// On a fresh server, an "all" item builds complete tables, which
 	// serve "all" skylines only: a plain skyline builds its own pruned
-	// tables, and a ranked request scans — but every pair it scores
-	// replays from the memo the complete build filled.
-	_, ts = newMemoTestServer(t, Config{CacheSize: 32}, dataset.PaperDB())
+	// tables, and a ranked request runs its own scan.
+	_, ts = newTestServerWith(t, Config{CacheSize: 32}, dataset.PaperDB())
 	postJSON(t, ts.URL+"/cache/warm", map[string]any{
 		"queries": []map[string]any{{"graph": q, "all": true}},
 	}, &wr)
@@ -146,12 +125,11 @@ func TestWarmEndpoint(t *testing.T) {
 		t.Fatalf("all skyline after all warm not a cache hit: %+v", sky.Stats)
 	}
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-	if tk.Stats.CacheHit || tk.Stats.ShardHits != 0 {
+	if tk.Stats.CacheHit || tk.Stats.ShardHits != 0 || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
 		t.Fatalf("topk after all warm was served from tables: %+v", tk.Stats)
 	}
-	if tk.Stats.MemoMisses != 0 || tk.Stats.MemoHits != tk.Stats.Evaluated {
-		t.Fatalf("topk after all warm ran engines: %+v", tk.Stats)
-	}
+	scores := testutil.ReferenceScores(dataset.PaperDB(), q, measure.DistEd{}, measure.Options{})
+	testutil.RequireSameItems(t, "topk after all warm", testutil.ReferenceTopK(scores, 3), wireItems(tk.Items))
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
 	if sky.Stats.CacheHit || sky.Stats.ShardHits != 0 {
 		t.Fatalf("plain skyline after all warm was served from complete tables: %+v", sky.Stats)

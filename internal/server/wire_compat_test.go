@@ -19,7 +19,7 @@ import (
 // what is on the wire, not on this package's types.
 func TestWireCompat(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
-	_, ts := newMemoTestServer(t, Config{CacheSize: 16}, gs)
+	_, ts := newTestServerWith(t, Config{CacheSize: 16}, gs)
 	q := dataset.PaperQuery()
 	radius := 6.0
 
@@ -101,7 +101,10 @@ func TestWireCompat(t *testing.T) {
 // still decoding them read what a single-shard daemon reported —
 // "shards" 1, "shard_hits" 0 fresh and 1 on a hit, one /stats shards[]
 // entry with index 0 carrying the graph count and generation, and the
-// skygraph_shard_* families with one shard="0" series.
+// skygraph_shard_* families with one shard="0" series. The fields left
+// from the cross-query score memo are pinned the same way: "memo_hits"
+// and "memo_misses" read 0 on fresh and cached answers alike, and
+// /stats has no "memo" object and /metrics no skygraph_memo_* family.
 func TestShardWireFieldsFixedAtOne(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheSize: 16})
 	q := QueryRequest{Graph: dataset.PaperQuery(), K: 3}
@@ -112,6 +115,10 @@ func TestShardWireFieldsFixedAtOne(t *testing.T) {
 			if resp.Stats.Shards != 1 || resp.Stats.ShardHits != hits {
 				t.Fatalf("%s round %d: shards %d, shard_hits %d; want 1 and %d",
 					path, round, resp.Stats.Shards, resp.Stats.ShardHits, hits)
+			}
+			if resp.Stats.MemoHits != 0 || resp.Stats.MemoMisses != 0 {
+				t.Fatalf("%s round %d: memo_hits %d, memo_misses %d; want 0 and 0",
+					path, round, resp.Stats.MemoHits, resp.Stats.MemoMisses)
 			}
 		}
 	}
@@ -130,5 +137,13 @@ func TestShardWireFieldsFixedAtOne(t *testing.T) {
 	}
 	if n := strings.Count(text, "\nskygraph_shard_graphs{"); n != 1 {
 		t.Errorf("/metrics has %d skygraph_shard_graphs series; want 1", n)
+	}
+	if strings.Contains(text, "skygraph_memo_") {
+		t.Error("/metrics still carries a skygraph_memo_* family")
+	}
+	var raw map[string]any
+	getJSON(t, ts.URL+"/stats", &raw)
+	if m, ok := raw["memo"]; ok {
+		t.Errorf("/stats still has a memo object: %v", m)
 	}
 }

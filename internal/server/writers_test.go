@@ -47,7 +47,7 @@ func TestConcurrentWritersMatchColdRecompute(t *testing.T) {
 	}
 	queries := testutil.SeededQueries(563, base, 2)
 	radius := 4.0
-	s, ts := newMemoTestServer(t, Config{CacheSize: 64}, base)
+	s, ts := newTestServerWith(t, Config{CacheSize: 64}, base)
 
 	read := func(q *graph.Graph) error {
 		for _, kind := range []string{"skyline", "topk", "range"} {

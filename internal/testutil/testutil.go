@@ -75,7 +75,7 @@ func NewSharded(tb testing.TB, gs []*graph.Graph) *gdb.Sharded {
 // ReferenceTable is the full comparison table of q over gs on the
 // default basis, straight from Definition 11 with leaf functions only:
 // the GCS vector of every graph against q, in gs (insertion) order. No
-// bound, index, memo or engine table is involved, so agreement
+// bound, index or engine table is involved, so agreement
 // with it (and with the Reference* answers derived the same way) is
 // evidence about the engine and not about two of its paths agreeing
 // with each other.

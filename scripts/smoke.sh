@@ -14,7 +14,7 @@ trap 'kill "$DPID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 go build -o "$WORK/skygraphd" ./cmd/skygraphd
 go build -o "$WORK/loadgen" ./cmd/loadgen
 
-"$WORK/skygraphd" -addr "$ADDR" -cache 64 -memo 4096 \
+"$WORK/skygraphd" -addr "$ADDR" -cache 64 \
   -slow-query-ms 250 2>"$WORK/daemon.log" &
 DPID=$!
 
