@@ -38,11 +38,15 @@ bench-ab:
 	bash ./scripts/bench_ab.sh $(PARENT) . $(WORKLOAD)
 
 # bench-kernels reads the pair kernels' ns/op and allocs/op on the
-# harness's graph shapes: GED on order-5 clustered molecules (near and
-# far pairs, the ranked scan's decision run, the bipartite bound), MCS
-# on order-6 skyline pairs (near, far, and a Need decision run), and the
-# branch GED lower bound on both shapes (0 allocs/op expected).
+# harness's graph shapes, one layer at a time: the pair form built from
+# two warm flat forms (0 allocs/op expected), GED on order-5 clustered
+# molecules (near and far pairs, the ranked scan's decision run, the
+# bipartite bound), MCS on order-6 skyline pairs (near, far, and a Need
+# decision run), and the branch GED lower bound on both shapes: the
+# */warm cases read filled table rows (0 allocs/op expected), the
+# */first cases build a query's table and its rows, so they allocate.
 bench-kernels:
+	$(GO) test ./internal/pairform -run='^$$' -bench='BenchmarkLoad' -benchmem
 	$(GO) test ./internal/ged -run='^$$' -bench='BenchmarkExact|BenchmarkBipartite' -benchmem
 	$(GO) test ./internal/mcs -run='^$$' -bench='BenchmarkExact' -benchmem
 	$(GO) test ./internal/measure -run='^$$' -bench='BenchmarkBranchLB' -benchmem

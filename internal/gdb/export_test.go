@@ -1,6 +1,8 @@
 package gdb
 
 import (
+	_ "unsafe" // for go:linkname
+
 	"skygraph/internal/graph"
 	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
@@ -47,3 +49,10 @@ func RankedItemsInOrder(sh *Sharded, q *graph.Graph, m measure.Measure, k int, r
 	}
 	return coll.items()
 }
+
+// BranchDictLen is the length of the process-wide branch dictionary in
+// internal/measure. The program has no accessor for it: only tests read
+// it, to check that queries never grow it.
+//
+//go:linkname BranchDictLen skygraph/internal/measure.dictLen
+func BranchDictLen() int

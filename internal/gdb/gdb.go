@@ -157,7 +157,7 @@ func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 			return Ack{}, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
 		}
 	}
-	e := &entry{g: g, sig: measure.NewSignature(g), seq: seq}
+	e := &entry{g: g, sig: measure.InternSignature(g), seq: seq}
 	sh.byName[g.Name()] = e
 	sh.graphs = append(sh.graphs, e.g)
 	sh.sigs = append(sh.sigs, e.sig)

@@ -29,9 +29,10 @@ import (
 //	        1. a front point dominates its optimistic corner: discarded,
 //	           no engine runs; only a survivor gets the full interval
 //	           statistics (measure.BoundPair)
-//	        1b. the branch bound (measure.Signature.BranchLB) raises GEDLo
-//	           and a front point dominates the raised corner: discarded,
-//	           still no engine runs (only when the basis reads GED)
+//	        1b. the branch bound, read from the query's branch table
+//	           (measure.BranchTable), raises GEDLo and a front point
+//	           dominates the raised corner: discarded, still no engine
+//	           runs (only when the basis reads GED)
 //	        2. the MCS engine alone collapses the MCS interval to the
 //	           reported |mcs|; the front dominates the corner at GEDLo:
 //	           discarded
@@ -175,7 +176,7 @@ func (sc *skyScan) settle(i int) {
 	// engine runs. The raised GEDLo also starts outcome 2's dominance
 	// limit higher.
 	if sc.readsGED {
-		if lb := sig.BranchLB(sc.qsig); lb > bs.GEDLo {
+		if lb := sc.qsig.BranchTable().LB(sig); lb > bs.GEDLo {
 			bs.GEDLo = lb
 			if sc.front.dominates(bs.OptimisticGCS(sc.opts.Basis)) {
 				return

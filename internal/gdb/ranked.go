@@ -27,19 +27,19 @@ import (
 // nor for ordering candidates it never reaches; the full interval
 // statistics (measure.BoundPair) are built only for a candidate that
 // reaches the engines. A candidate the bound cannot settle meets tier 1
-// when the measure reads GED: the branch lower bound
-// (measure.Signature.BranchLB) raises the optimistic end of its
-// interval, and proves most claimed candidates out with no engine run.
-// The rest go to a threshold-fed decision run of the exact engines
-// (ged.Options.Limit / mcs.Options.Need), which discards most survivors
-// without paying for exactness, and a plain exact evaluation only for
-// candidates that might make the answer. Tier 1 narrows the optimistic
-// end because that is the end every cutoff reads; a refinement of the
-// pessimistic end (bipartite GED, greedy MCS) never prunes against a
-// best-first threshold and cost more than the decision runs it spared,
-// so there is none. Included scores are byte-identical to a complete
-// table's column, so the answer — scores and tie-order — matches
-// ranking every graph exactly. It is the one evaluation path of
+// when the measure reads GED: the branch lower bound, read from the
+// query's branch table (measure.BranchTable), raises the optimistic end
+// of its interval, and proves most claimed candidates out with no
+// engine run. The rest go to a threshold-fed decision run of the exact
+// engines (ged.Options.Limit / mcs.Options.Need), which discards most
+// survivors without paying for exactness, and a plain exact evaluation
+// only for candidates that might make the answer. Tier 1 narrows the
+// optimistic end because that is the end every cutoff reads; a
+// refinement of the pessimistic end (bipartite GED, greedy MCS) never
+// prunes against a best-first threshold and cost more than the decision
+// runs it spared, so there is none. Included scores are byte-identical
+// to a complete table's column, so the answer — scores and tie-order —
+// matches ranking every graph exactly. It is the one evaluation path of
 // TopKQuery and RangeQuery.
 
 // atomicFloat is a lock-free float64 cell (stored as bits).
@@ -394,7 +394,7 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 	// in, so there is nothing to prove.
 	gedLo := rs.gedLo[i]
 	if rs.needGED && rs.hi[i] > th {
-		if lb := sig.BranchLB(rs.qsig); lb > gedLo {
+		if lb := rs.qsig.BranchTable().LB(sig); lb > gedLo {
 			gedLo = lb
 			if measure.AtGED(rs.m, lb) > th {
 				rs.fate[i] = fateBounded

@@ -122,8 +122,10 @@ type astar struct {
 
 	// Signed label counters of the open part, indexed by label id: +1
 	// per open g1 vertex (edge), -1 per open g2 vertex (edge). Filled by
-	// openCounts once per expansion, adjusted per child by childBound.
-	cv, ce []int32
+	// openCounts once per expansion, together with their surplus and
+	// deficit sums; childBound adjusts the sums per child.
+	cv, ce     []int32
+	vsum, esum histSum
 
 	slab []node     // every generated node; parents are indices
 	open []openItem // binary heap on f
@@ -144,9 +146,9 @@ func newSearch(g1, g2 *graph.Graph, cm CostModel) *astar {
 	}
 	// High-degree vertices first: they constrain the most edges, which
 	// tightens g early and prunes better.
-	order := s.order
+	order, deg := s.order, func(u int32) int32 { return s.Off1[u+1] - s.Off1[u] }
 	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && g1.Degree(int(order[j])) > g1.Degree(int(order[j-1])); j-- {
+		for j := i; j > 0 && deg(order[j]) > deg(order[j-1]); j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -378,6 +380,8 @@ func (s *astar) completionCostAfter(v int) float64 {
 // whose assignment state is loaded and whose next vertex is u: what
 // stays open on the g1 side once u is decided, against everything still
 // open on the g2 side. On a blank state, u = -1 counts both whole graphs.
+// It also records the counters' surplus and deficit sums, which
+// childBound adjusts per child.
 func (s *astar) openCounts(u int) {
 	s.cv, s.ce = pairform.Resize(s.cv, s.NV()), pairform.Resize(s.ce, s.NE())
 	for w, l := range s.VL1 {
@@ -400,6 +404,7 @@ func (s *astar) openCounts(u int) {
 			s.ce[e.L]--
 		}
 	}
+	s.vsum, s.esum = histSums(s.cv), histSums(s.ce)
 }
 
 // childBound is the admissible histogram bound on what remains after
@@ -408,26 +413,27 @@ func (s *astar) openCounts(u int) {
 // vertices and unused g2 vertices, plus the same over edges with at
 // least one open endpoint. v leaves the open side and takes with it the
 // edges whose only open endpoint it was — those toward used vertices.
-// The counters are restored before returning.
+// Each of those is one counter increment, applied to openCounts' sums:
+// O(degree of v), and the same integer as histBound(cv)+histBound(ce)
+// recounted. ce is restored before returning; cv is not touched.
 func (s *astar) childBound(v int) float64 {
-	if v < 0 {
-		return float64(histBound(s.cv) + histBound(s.ce))
-	}
-	row2 := s.Adj2[v*s.N2 : (v+1)*s.N2]
-	s.cv[s.VL2[v]]++
-	for x, l := range row2 {
-		if l != 0 && s.used[x] {
-			s.ce[l]++
+	vs, es := s.vsum, s.esum
+	if v >= 0 {
+		vs.inc(s.cv[s.VL2[v]])
+		nbrs := s.Nbrs2(v)
+		for _, x := range nbrs {
+			if s.used[x.W] {
+				es.inc(s.ce[x.L])
+				s.ce[x.L]++
+			}
+		}
+		for _, x := range nbrs {
+			if s.used[x.W] {
+				s.ce[x.L]--
+			}
 		}
 	}
-	h := histBound(s.cv) + histBound(s.ce)
-	s.cv[s.VL2[v]]--
-	for x, l := range row2 {
-		if l != 0 && s.used[x] {
-			s.ce[l]--
-		}
-	}
-	return float64(h)
+	return float64(vs.bound() + es.bound())
 }
 
 // heuristicAfter is openCounts and childBound in one step, for callers

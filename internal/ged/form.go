@@ -41,17 +41,34 @@ func (f *pairForm) fillCosts(cm CostModel) {
 // entries count a label's occurrences on the g1 side minus those on
 // the g2 side, so positives are surplus and negatives deficit, and one
 // substitution repairs one of each.
-func histBound(c []int32) int32 {
-	var surplus, deficit int32
+func histBound(c []int32) int32 { return histSums(c).bound() }
+
+// histSums returns a signed counter array's surplus and deficit.
+func histSums(c []int32) (h histSum) {
 	for _, d := range c {
 		if d > 0 {
-			surplus += d
+			h.surplus += d
 		} else {
-			deficit -= d
+			h.deficit -= d
 		}
 	}
-	return max(surplus, deficit)
+	return h
 }
+
+// histSum is a counter array's surplus and deficit, kept up to date
+// across single increments so the bound needs no recount.
+type histSum struct{ surplus, deficit int32 }
+
+// inc records the increment of a counter that held d.
+func (h *histSum) inc(d int32) {
+	if d >= 0 {
+		h.surplus++
+	} else {
+		h.deficit--
+	}
+}
+
+func (h histSum) bound() int32 { return max(h.surplus, h.deficit) }
 
 // mappingCost is EditCostOfMapping on the form, summing in the same
 // order.

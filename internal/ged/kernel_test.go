@@ -2,6 +2,7 @@ package ged
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"skygraph/internal/graph"
@@ -79,4 +80,98 @@ func BenchmarkExactFarLimit(b *testing.B) {
 func BenchmarkBipartite(b *testing.B) {
 	_, far := harnessPairs(64, 43)
 	benchPairs(b, far, func(g1, g2 *graph.Graph) Result { return Bipartite(g1, g2, nil) })
+}
+
+// recountBound is childBound's definition, counted from scratch: the
+// histogram distance between the labels of the g1 vertices still
+// undecided once u is decided and of the g2 vertices still unused once v
+// is used (-1: none), plus the same over edges with an open endpoint.
+func recountBound(s *astar, u, v int) float64 {
+	cv, ce := make([]int32, s.NV()), make([]int32, s.NE())
+	open1 := func(w int32) bool { return int(w) != u && s.mapping[w] == -2 }
+	open2 := func(x int32) bool { return int(x) != v && !s.used[x] }
+	for w, l := range s.VL1 {
+		if open1(int32(w)) {
+			cv[l]++
+		}
+	}
+	for x, l := range s.VL2 {
+		if open2(int32(x)) {
+			cv[l]--
+		}
+	}
+	for _, e := range s.Edges1 {
+		if open1(e.U) || open1(e.V) {
+			ce[e.L]++
+		}
+	}
+	for _, e := range s.Edges2 {
+		if open2(e.U) || open2(e.V) {
+			ce[e.L]--
+		}
+	}
+	return float64(histBound(cv) + histBound(ce))
+}
+
+// TestChildBoundMatchesRecount runs Exact's expansion loop on seeded
+// pairs and, at every expansion, checks childBound for every child and
+// for the deletion against the bound recounted from scratch, and that
+// the counters openCounts filled are left as they were. The kernel
+// goldens pin the searches' outcomes; this pins the heuristic behind
+// them.
+func TestChildBoundMatchesRecount(t *testing.T) {
+	near, far := harnessPairs(12, 47)
+	pairs := append(near, far...)
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 40; i++ {
+		labels, bonds := []string{"", "A", "B"}, []string{"", "x", "y"}
+		pairs = append(pairs, [2]*graph.Graph{
+			graph.ErdosRenyi(rng.Intn(7), 0.5, labels, bonds, rng),
+			graph.ErdosRenyi(rng.Intn(7), 0.5, labels, bonds, rng),
+		})
+	}
+	checked := 0
+	for _, p := range pairs {
+		s := newSearch(p[0], p[1], Uniform{})
+		s.useH = true
+		if s.N1 > 0 {
+			s.openNode(node{}, s.heuristicAfter(-1, -1))
+		}
+		for len(s.open) > 0 {
+			top := s.pop()
+			cur := s.slab[top.n]
+			depth := int(cur.depth)
+			if depth == s.N1 {
+				break
+			}
+			s.loadState(top.n)
+			u := int(s.order[depth])
+			if depth+1 < s.N1 {
+				s.openCounts(u)
+				cv, ce := append([]int32(nil), s.cv...), append([]int32(nil), s.ce...)
+				for v := -1; v < s.N2; v++ {
+					if v >= 0 && s.used[v] {
+						continue
+					}
+					if got, want := s.childBound(v), recountBound(s, u, v); got != want {
+						t.Fatalf("%v / %v: expansion of %d at depth %d, child %d: childBound %v, recounted %v", p[0], p[1], u, depth, v, got, want)
+					}
+					checked++
+				}
+				if !slices.Equal(cv, s.cv) || !slices.Equal(ce, s.ce) {
+					t.Fatalf("%v / %v: childBound left the counters changed", p[0], p[1])
+				}
+			}
+			for v := 0; v < s.N2; v++ {
+				if !s.used[v] {
+					s.openChild(top.n, v, cur.g+s.assignCost(depth, u, v))
+				}
+			}
+			s.openChild(top.n, -1, cur.g+s.deleteCost(depth, u))
+		}
+		s.release()
+	}
+	if checked < 1000 {
+		t.Fatalf("only %d child bounds checked", checked)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Edge is an undirected labeled edge. U < V is maintained as a normal form
@@ -33,6 +34,7 @@ type Graph struct {
 	vlabels []string
 	adj     []map[int]string
 	nedges  int
+	flat    atomic.Pointer[Flat] // built by Flat, dropped by every mutator
 }
 
 // New returns an empty graph with the given name. The name is metadata only
@@ -56,6 +58,7 @@ func (g *Graph) Size() int { return g.nedges }
 
 // AddVertex adds a vertex with the given label and returns its identifier.
 func (g *Graph) AddVertex(label string) int {
+	g.dropFlat()
 	g.vlabels = append(g.vlabels, label)
 	g.adj = append(g.adj, nil)
 	return len(g.vlabels) - 1
@@ -83,6 +86,7 @@ func (g *Graph) VertexLabel(v int) string {
 // RelabelVertex sets the label of vertex v.
 func (g *Graph) RelabelVertex(v int, label string) {
 	g.mustVertex(v)
+	g.dropFlat()
 	g.vlabels[v] = label
 }
 
@@ -105,6 +109,7 @@ func (g *Graph) AddEdge(u, v int, label string) error {
 	if _, ok := g.adj[u][v]; ok {
 		return fmt.Errorf("graph %q: edge {%d,%d} already exists", g.name, u, v)
 	}
+	g.dropFlat()
 	if g.adj[u] == nil {
 		g.adj[u] = make(map[int]string)
 	}
@@ -134,6 +139,7 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	if _, ok := g.adj[u][v]; !ok {
 		return false
 	}
+	g.dropFlat()
 	delete(g.adj[u], v)
 	delete(g.adj[v], u)
 	g.nedges--
@@ -164,6 +170,7 @@ func (g *Graph) RelabelEdge(u, v int, label string) bool {
 	if !g.HasEdge(u, v) {
 		return false
 	}
+	g.dropFlat()
 	g.adj[u][v] = label
 	g.adj[v][u] = label
 	return true
@@ -176,6 +183,7 @@ func (g *Graph) RelabelEdge(u, v int, label string) bool {
 // the last vertex.
 func (g *Graph) RemoveVertex(v int) int {
 	g.mustVertex(v)
+	g.dropFlat()
 	for w := range g.adj[v] {
 		delete(g.adj[w], v)
 		g.nedges--

@@ -133,7 +133,7 @@ func histsOf(g *graph.Graph, sig *Signature) (vh, eh Histogram, deg []int) {
 	if sig != nil {
 		return sig.VHist, sig.EHist, sig.Degrees
 	}
-	vh, eh = labelHistograms(g)
+	vh, eh = labelHistograms(g, g.Edges())
 	return vh, eh, g.DegreeSequence()
 }
 

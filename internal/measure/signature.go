@@ -4,6 +4,7 @@ import (
 	"iter"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"skygraph/internal/graph"
 )
@@ -27,31 +28,51 @@ type Signature struct {
 	THist Histogram
 	// Degrees is the degree sequence, descending.
 	Degrees []int
-	// branches encodes every vertex's branch (label plus sorted incident
-	// edge labels) in canonical order, as ranks into VHist and EHist,
-	// for BranchLB (branch.go).
+	// branches holds every vertex's branch id (label plus sorted
+	// incident edge labels, named through the branch dictionary),
+	// ascending, and local spells out the branches its local ids name:
+	// those the dictionary lacked when the signature was built
+	// (branch.go).
 	branches []uint32
+	local    []branchKey
+	// table is the signature's BranchTable once a bound used it as the
+	// query.
+	table atomic.Pointer[BranchTable]
 }
 
 // NewSignature computes g's signature. Callers must not mutate g
 // afterwards (the database enforces this already for stored graphs).
+// It never adds to the branch dictionary: a branch the dictionary lacks
+// gets a local id.
 func NewSignature(g *graph.Graph) *Signature {
-	vh, eh := labelHistograms(g)
+	return newSignature(g, false)
+}
+
+// InternSignature is NewSignature for a graph entering the store: the
+// branch dictionary first gains every branch of g it lacks. The store's
+// insert path, which WAL replay runs too, is its only caller, so only
+// stored graphs grow the dictionary.
+func InternSignature(g *graph.Graph) *Signature {
+	return newSignature(g, true)
+}
+
+func newSignature(g *graph.Graph, intern bool) *Signature {
 	edges := g.Edges()
+	vh, eh := labelHistograms(g, edges)
 	types := make([]string, 0, len(edges))
 	for _, e := range edges {
 		types = append(types, edgeType(g.VertexLabel(e.U), g.VertexLabel(e.V), e.Label))
 	}
-	return &Signature{
+	s := &Signature{
 		Order:   g.Order(),
 		Size:    g.Size(),
 		VHist:   vh,
 		EHist:   eh,
 		THist:   histogramOf(types),
 		Degrees: g.DegreeSequence(),
-
-		branches: encodeBranches(g, edges, vh, eh),
 	}
+	s.branches, s.local = branchIDs(g, edges, intern)
+	return s
 }
 
 // edgeType renders the canonical (endpoint labels, edge label) key of
@@ -106,14 +127,15 @@ func histogramOf(labels []string) Histogram {
 	return h
 }
 
-// labelHistograms returns g's vertex- and edge-label histograms.
-func labelHistograms(g *graph.Graph) (vh, eh Histogram) {
+// labelHistograms returns the vertex- and edge-label histograms of g,
+// whose edges are edges.
+func labelHistograms(g *graph.Graph, edges []graph.Edge) (vh, eh Histogram) {
 	vl := make([]string, g.Order())
 	for v := range vl {
 		vl[v] = g.VertexLabel(v)
 	}
-	el := make([]string, 0, g.Size())
-	for _, e := range g.Edges() {
+	el := make([]string, 0, len(edges))
+	for _, e := range edges {
 		el = append(el, e.Label)
 	}
 	return histogramOf(vl), histogramOf(el)

@@ -6,15 +6,13 @@
 // of strings, and adjacency as per-vertex neighbour lists plus a dense
 // n×n matrix of edge-label ids (0 = no edge) instead of map lookups.
 //
-// A Form is built once per pair and lives in the kernels' pooled
-// scratch: stored graphs carry nothing extra.
+// A Form is built once per pair, from the two graphs' cached flat forms
+// (graph.Flat), and lives in the kernels' pooled scratch. What belongs
+// to one graph, its label tables and sorted neighbour lists, is built
+// once per graph; only the pair's shared id spaces are built per pair.
 package pairform
 
-import (
-	"slices"
-
-	"skygraph/internal/graph"
-)
+import "skygraph/internal/graph"
 
 // Edge is an edge u < v with edge-label id l.
 type Edge struct{ U, V, L int32 }
@@ -40,6 +38,8 @@ type Form struct {
 	Adj1, Adj2 []int32
 	// VLabels[id-1], ELabels[id-1] are the interned labels.
 	VLabels, ELabels []string
+
+	vids, eids []int32 // Load scratch: a graph's label index -> pair id
 }
 
 // MaxPooledCells bounds the scratch a kernel hands back to its pool: a
@@ -79,53 +79,45 @@ func intern(table *[]string, label string) int32 {
 	return int32(len(*table))
 }
 
-// Load interns both graphs' labels and builds the label, edge and
-// neighbour lists in one pass over each graph: O(V+E) for alphabets of
-// bounded size. After Load no kernel reads the graphs again.
+// Load builds the pair's form from the two graphs' cached flat forms
+// (graph.Flat): each graph's few distinct labels are interned into the
+// pair's id spaces, then its label and neighbour lists are remapped and
+// copied. O(V+E) with no map walked and nothing sorted; after Load no
+// kernel reads the graphs again.
 func (f *Form) Load(g1, g2 *graph.Graph) {
 	f.VLabels, f.ELabels = f.VLabels[:0], f.ELabels[:0]
 	f.N1, f.N2 = g1.Order(), g2.Order()
-	f.loadSide(g1, &f.VL1, &f.Edges1, &f.Off1, &f.Nbr1)
-	f.loadSide(g2, &f.VL2, &f.Edges2, &f.Off2, &f.Nbr2)
+	f.loadSide(g1.Flat(), &f.VL1, &f.Edges1, &f.Off1, &f.Nbr1)
+	f.loadSide(g2.Flat(), &f.VL2, &f.Edges2, &f.Off2, &f.Nbr2)
 }
 
-func (f *Form) loadSide(g *graph.Graph, vl *[]int32, edges *[]Edge, off *[]int32, nbr *[]Nbr) {
-	n := g.Order()
-	*vl, *off = Resize(*vl, n), Resize(*off, n+1)
-	es, ns := (*edges)[:0], (*nbr)[:0]
-	for u := 0; u < n; u++ {
-		(*vl)[u] = intern(&f.VLabels, g.VertexLabel(u))
-		start := len(ns)
-		for w, l := range g.NeighborSet(u) {
-			ns = append(ns, Nbr{int32(w), intern(&f.ELabels, l)})
-		}
-		// Sorted lists make the form independent of map order and
-		// emit u's edges toward higher neighbours already in (u, v)
-		// order.
-		list := ns[start:]
-		sortNbrs(list)
-		for _, x := range list {
+func (f *Form) loadSide(g *graph.Flat, vl *[]int32, edges *[]Edge, off *[]int32, nbr *[]Nbr) {
+	vids, eids := f.vids[:0], f.eids[:0]
+	for _, l := range g.VLabels {
+		vids = append(vids, intern(&f.VLabels, l))
+	}
+	for _, l := range g.ELabels {
+		eids = append(eids, intern(&f.ELabels, l))
+	}
+	f.vids, f.eids = vids, eids
+	*vl = Resize(*vl, len(g.VL))
+	for u, l := range g.VL {
+		(*vl)[u] = vids[l]
+	}
+	*off = append((*off)[:0], g.Off...)
+	ns, es := Resize(*nbr, len(g.Nbr)), (*edges)[:0]
+	for u := range g.VL {
+		// Neighbour lists ascend, so u's edges toward higher neighbours
+		// come out in (u, v) order.
+		for i := g.Off[u]; i < g.Off[u+1]; i++ {
+			x := g.Nbr[i]
+			ns[i] = Nbr{x.W, eids[x.L]}
 			if x.W > int32(u) {
-				es = append(es, Edge{int32(u), x.W, x.L})
+				es = append(es, Edge{int32(u), x.W, ns[i].L})
 			}
 		}
-		(*off)[u+1] = int32(len(ns))
 	}
 	*edges, *nbr = es, ns
-}
-
-// sortNbrs sorts a neighbour list by vertex: by insertion for the small
-// degrees of typical graphs, where a sort call costs more than the sort.
-func sortNbrs(list []Nbr) {
-	if len(list) > 12 {
-		slices.SortFunc(list, func(a, b Nbr) int { return int(a.W - b.W) })
-		return
-	}
-	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && list[j].W < list[j-1].W; j-- {
-			list[j], list[j-1] = list[j-1], list[j]
-		}
-	}
 }
 
 // Densify fills the adjacency matrices from the edge lists.

@@ -60,7 +60,7 @@ func TestLoadMatchesGraphs(t *testing.T) {
 		g1 := graph.ErdosRenyi(rng.Intn(8), 0.4, []string{"", "A", "B"}, []string{"", "x", "y"}, rng)
 		g2 := graph.ErdosRenyi(rng.Intn(8), 0.4, []string{"A", "C"}, []string{"x", "z"}, rng)
 		if trial%10 == 0 {
-			// Hubs past the insertion-sort cutoff.
+			// Hubs: neighbour lists of 20 and more.
 			g2 = graph.ErdosRenyi(20+rng.Intn(20), 0.8, []string{"A", "C"}, []string{"x", "z"}, rng)
 		}
 		f.Load(g1, g2)
@@ -74,6 +74,45 @@ func TestLoadMatchesGraphs(t *testing.T) {
 			}
 			seen[l] = true
 		}
+		// A graph mutated after its first Load: the pair must see the
+		// graph as it is now, not the flat form it was loaded from.
+		mutate(g1, rng)
+		f.Load(g1, g2)
+		f.Densify()
+		checkSide(t, &f, g1, f.N1, f.VL1, f.Edges1, f.Nbrs1, f.Adj1)
+		checkSide(t, &f, g2, f.N2, f.VL2, f.Edges2, f.Nbrs2, f.Adj2)
+	}
+}
+
+// mutate applies one random mutator to g, with a label g has not seen.
+func mutate(g *graph.Graph, rng *rand.Rand) {
+	n, es := g.Order(), g.Edges()
+	switch op := rng.Intn(6); {
+	case op == 0 || n < 2:
+		v := g.AddVertex("new")
+		if v > 0 {
+			g.MustAddEdge(rng.Intn(v), v, "fresh")
+		}
+	case op == 1:
+		g.RelabelVertex(rng.Intn(n), "new")
+	case op == 2 && len(es) > 0:
+		e := es[rng.Intn(len(es))]
+		g.RelabelEdge(e.U, e.V, "fresh")
+	case op == 3 && len(es) > 0:
+		e := es[rng.Intn(len(es))]
+		g.RemoveEdge(e.U, e.V)
+	case op == 4:
+		g.RemoveVertex(rng.Intn(n))
+	default:
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if !g.HasEdge(u, v) {
+					g.MustAddEdge(u, v, "fresh")
+					return
+				}
+			}
+		}
+		g.AddVertex("new")
 	}
 }
 
@@ -89,5 +128,24 @@ func TestOversized(t *testing.T) {
 	f.Densify()
 	if !f.Oversized() {
 		t.Fatalf("an order-300 pair (%d adjacency cells) is not oversized", cap(f.Adj1))
+	}
+}
+
+// BenchmarkLoad measures a pair's form built from two warm flat forms,
+// the kernels' per-pair setup: no allocation once the form is pooled.
+func BenchmarkLoad(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]*graph.Graph, 64)
+	for i := range pairs {
+		pairs[i] = [2]*graph.Graph{graph.Molecule(5, rng), graph.Molecule(5, rng)}
+		pairs[i][0].Flat()
+		pairs[i][1].Flat()
+	}
+	var f Form
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		f.Load(p[0], p[1])
 	}
 }
