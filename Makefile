@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-ab bench-kernels run-server smoke smoke-restart smoke-chaos bench-fault vet
+.PHONY: build test race fuzz bench bench-ab bench-kernels run-server examples smoke smoke-restart smoke-chaos bench-fault vet
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ bench-kernels:
 
 run-server:
 	$(GO) run ./cmd/skygraphd -addr :8091 -cache 128
+
+# examples runs the library's callers, not just compiles them: the four
+# examples, then gss paper -> skyline -> diverse -> topk in a temp dir,
+# failing unless the skyline is exactly g1, g4, g5 and g7.
+examples:
+	bash ./scripts/examples.sh
 
 # smoke boots skygraphd, fires a short mixed-traffic loadgen burst
 # (failing on any request error) and asserts /metrics recorded it.

@@ -13,11 +13,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
-	"skygraph/internal/core"
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
@@ -140,8 +140,8 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-func loadEngineAndQuery(dbPath, queryPath string, budget int64) (*core.Engine, *graph.Graph, error) {
-	eng, err := core.Load(dbPath, core.WithBudget(budget, budget))
+func loadDBAndQuery(dbPath, queryPath string) (*gdb.Sharded, *graph.Graph, error) {
+	db, err := gdb.Load(dbPath)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -157,7 +157,12 @@ func loadEngineAndQuery(dbPath, queryPath string, budget int64) (*core.Engine, *
 	if len(qs) != 1 {
 		return nil, nil, fmt.Errorf("query file must hold exactly one graph, found %d", len(qs))
 	}
-	return eng, qs[0], nil
+	return db, qs[0], nil
+}
+
+// budgetOpts caps each GED/MCS search at budget nodes (0 = exact).
+func budgetOpts(budget int64) gdb.QueryOptions {
+	return gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: budget, MCSMaxNodes: budget}}
 }
 
 func cmdSkyline(args []string) error {
@@ -167,32 +172,26 @@ func cmdSkyline(args []string) error {
 	budget := fs.Int64("budget", 0, "max search nodes per GED/MCS (0 = exact)")
 	all := fs.Bool("all", false, "also print dominated graphs")
 	fs.Parse(args)
-	eng, q, err := loadEngineAndQuery(*dbPath, *queryPath, *budget)
+	db, q, err := loadDBAndQuery(*dbPath, *queryPath)
 	if err != nil {
 		return err
 	}
-	res, err := eng.Skyline(q)
+	res, err := db.SkylineQuery(context.Background(), q, budgetOpts(*budget))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("skyline (%d of %d graphs; %d inexact evaluations):\n", len(res.Members), res.Evaluated, res.Inexact)
+	fmt.Printf("skyline (%d of %d graphs; %d inexact evaluations):\n", len(res.Skyline), res.Stats.Evaluated, res.Stats.Inexact)
 	fmt.Printf("%-12s %10s %10s %10s\n", "graph", "DistEd", "DistMcs", "DistGu")
-	for _, m := range res.Members {
-		fmt.Printf("%-12s %10.2f %10.2f %10.2f\n", m.Name, m.Vector[0], m.Vector[1], m.Vector[2])
+	for _, p := range res.Skyline {
+		fmt.Printf("%-12s %10.2f %10.2f %10.2f\n", p.ID, p.Vec[0], p.Vec[1], p.Vec[2])
 	}
 	if *all {
 		fmt.Println("dominated:")
-		inSky := map[string]bool{}
-		for _, m := range res.Members {
-			inSky[m.Name] = true
-		}
-		for _, m := range res.All {
-			if inSky[m.Name] {
-				continue
+		for _, p := range res.All {
+			if dom, ok := res.DominatedBy(p.ID); ok {
+				fmt.Printf("%-12s %10.2f %10.2f %10.2f  (dominated by %s)\n",
+					p.ID, p.Vec[0], p.Vec[1], p.Vec[2], dom)
 			}
-			dom, _ := core.Explain(res, m.Name)
-			fmt.Printf("%-12s %10.2f %10.2f %10.2f  (dominated by %s)\n",
-				m.Name, m.Vector[0], m.Vector[1], m.Vector[2], dom)
 		}
 	}
 	return nil
@@ -205,11 +204,11 @@ func cmdDiverse(args []string) error {
 	k := fs.Int("k", 2, "result size")
 	budget := fs.Int64("budget", 0, "max search nodes per GED/MCS (0 = exact)")
 	fs.Parse(args)
-	eng, q, err := loadEngineAndQuery(*dbPath, *queryPath, *budget)
+	db, q, err := loadDBAndQuery(*dbPath, *queryPath)
 	if err != nil {
 		return err
 	}
-	res, err := eng.DiverseSkyline(q, *k)
+	res, err := db.DiverseSkylineQuery(context.Background(), q, *k, budgetOpts(*budget))
 	if err != nil {
 		return err
 	}
@@ -217,7 +216,7 @@ func cmdDiverse(args []string) error {
 	if !res.Exhaustive {
 		mode = "greedy"
 	}
-	fmt.Printf("skyline size %d; diverse %d-subset (%s): %v\n", len(res.Members), *k, mode, res.Selected)
+	fmt.Printf("skyline size %d; diverse %d-subset (%s): %v\n", len(res.Skyline), *k, mode, res.Selected)
 	return nil
 }
 
@@ -233,17 +232,17 @@ func cmdTopK(args []string) error {
 	if err != nil {
 		return err
 	}
-	eng, q, err := loadEngineAndQuery(*dbPath, *queryPath, *budget)
+	db, q, err := loadDBAndQuery(*dbPath, *queryPath)
 	if err != nil {
 		return err
 	}
-	items, err := eng.TopK(q, m, *k)
+	res, err := db.TopKQuery(context.Background(), q, m, *k, budgetOpts(*budget))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("top-%d by %s:\n", *k, m.Name())
-	for i, it := range items {
-		fmt.Printf("%2d. %-12s %.3f\n", i+1, it.Name, it.Vector[0])
+	for i, it := range res.Items {
+		fmt.Printf("%2d. %-12s %.3f\n", i+1, it.ID, it.Score)
 	}
 	return nil
 }

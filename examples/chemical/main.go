@@ -8,49 +8,52 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"skygraph/internal/core"
 	"skygraph/internal/dataset"
+	"skygraph/internal/gdb"
 	"skygraph/internal/measure"
 )
 
 func main() {
 	const n = 30
-	db := dataset.MoleculeDB(n, 8, 12, 2026)
-	// The query is db member #0 with three random edit operations applied —
+	graphs := dataset.MoleculeDB(n, 8, 12, 2026)
+	// The query is graph #0 with three random edit operations applied —
 	// a controlled-noise query, so m000 should score very well.
-	q := dataset.NoisyQueries(db[:1], 1, 3, 7)[0]
+	q := dataset.NoisyQueries(graphs[:1], 1, 3, 7)[0]
 
 	// Cap the exact engines so worst-case pairs degrade gracefully to
 	// bounds instead of stalling; caps this size are rarely hit at n<=12
 	// vertices.
-	eng := core.NewEngine(core.WithBudget(200_000, 200_000))
-	if err := eng.Add(db...); err != nil {
+	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 200_000, MCSMaxNodes: 200_000}}
+	db := gdb.New()
+	if err := db.InsertAll(graphs); err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 
-	res, err := eng.Skyline(q)
+	res, err := db.SkylineQuery(ctx, q, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("database: %d molecules (8-12 atoms)\n", n)
-	fmt.Printf("query:    %s = %s with 3 random edits\n\n", q.Name(), db[0].Name())
-	fmt.Printf("similarity skyline (%d members, %d inexact evaluations):\n", len(res.Members), res.Inexact)
+	fmt.Printf("query:    %s = %s with 3 random edits\n\n", q.Name(), graphs[0].Name())
+	fmt.Printf("similarity skyline (%d members, %d inexact evaluations):\n", len(res.Skyline), res.Stats.Inexact)
 	fmt.Printf("%-8s %8s %8s %8s\n", "graph", "DistEd", "DistMcs", "DistGu")
-	for _, m := range res.Members {
-		fmt.Printf("%-8s %8.2f %8.2f %8.2f\n", m.Name, m.Vector[0], m.Vector[1], m.Vector[2])
+	for _, p := range res.Skyline {
+		fmt.Printf("%-8s %8.2f %8.2f %8.2f\n", p.ID, p.Vec[0], p.Vec[1], p.Vec[2])
 	}
 
 	for _, mm := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
-		top, err := eng.TopK(q, mm, 3)
+		top, err := db.TopKQuery(ctx, q, mm, 3, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\ntop-3 by %s alone:\n", mm.Name())
-		for i, it := range top {
-			fmt.Printf("%2d. %-8s %.3f\n", i+1, it.Name, it.Vector[0])
+		for i, it := range top.Items {
+			fmt.Printf("%2d. %-8s %.3f\n", i+1, it.ID, it.Score)
 		}
 	}
 	fmt.Println("\n(different single measures already disagree on the ranking —")

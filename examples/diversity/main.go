@@ -7,28 +7,28 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"skygraph/internal/core"
 	"skygraph/internal/dataset"
 	"skygraph/internal/diversity"
+	"skygraph/internal/gdb"
 )
 
 func main() {
-	eng := core.NewEngine()
-	if err := eng.Add(dataset.PaperDB()...); err != nil {
+	db := gdb.New()
+	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		log.Fatal(err)
 	}
-	q := dataset.PaperQuery()
 
-	res, err := eng.DiverseSkyline(q, 2)
+	res, err := db.DiverseSkylineQuery(context.Background(), dataset.PaperQuery(), 2, gdb.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("GSS(D,q) on the reconstructed database:\n")
-	for _, m := range res.Members {
-		fmt.Printf("  %-3s (%.0f, %.2f, %.2f)\n", m.Name, m.Vector[0], m.Vector[1], m.Vector[2])
+	for _, p := range res.Skyline {
+		fmt.Printf("  %-3s (%.0f, %.2f, %.2f)\n", p.ID, p.Vec[0], p.Vec[1], p.Vec[2])
 	}
 	fmt.Printf("most diverse 2-subset of the reconstruction: %v\n\n", res.Selected)
 

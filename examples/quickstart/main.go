@@ -7,10 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"skygraph/internal/core"
+	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
 )
 
@@ -36,29 +37,29 @@ func main() {
 	recolored := graph.Path(4, "A", "y")
 	recolored.SetName("recolored")
 
-	eng := core.NewEngine()
-	if err := eng.Add(relabeled, extended, recolored); err != nil {
+	db := gdb.New()
+	if err := db.InsertAll([]*graph.Graph{relabeled, extended, recolored}); err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := eng.Skyline(q)
+	res, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("query: %s\n\n", q)
 	fmt.Printf("compound similarity vectors (DistEd, DistMcs, DistGu) — smaller is better:\n")
-	for _, m := range res.All {
-		fmt.Printf("  %-10s (%.0f, %.2f, %.2f)\n", m.Name, m.Vector[0], m.Vector[1], m.Vector[2])
+	for _, p := range res.All {
+		fmt.Printf("  %-10s (%.0f, %.2f, %.2f)\n", p.ID, p.Vec[0], p.Vec[1], p.Vec[2])
 	}
 
 	fmt.Printf("\nsimilarity skyline (Pareto-optimal answers):\n")
-	for _, m := range res.Members {
-		fmt.Printf("  %s\n", m.Name)
+	for _, p := range res.Skyline {
+		fmt.Printf("  %s\n", p.ID)
 	}
-	for _, m := range res.All {
-		if dom, ok := core.Explain(res, m.Name); ok {
-			fmt.Printf("  (%s is dominated by %s)\n", m.Name, dom)
+	for _, p := range res.All {
+		if dom, ok := res.DominatedBy(p.ID); ok {
+			fmt.Printf("  (%s is dominated by %s)\n", p.ID, dom)
 		}
 	}
 	fmt.Println("\n'relabeled' wins on edit distance, 'extended' on shared structure;")

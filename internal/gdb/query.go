@@ -105,6 +105,28 @@ type SkylineResult struct {
 	Stats QueryStats
 }
 
+// DominatedBy reports, for a non-skyline graph of r.All, one skyline
+// member that dominates it; for skyline members and graphs outside
+// r.All it returns ok=false.
+func (r SkylineResult) DominatedBy(name string) (dominator string, ok bool) {
+	var target []float64
+	for _, p := range r.All {
+		if p.ID == name {
+			target = p.Vec
+			break
+		}
+	}
+	if target == nil {
+		return "", false
+	}
+	for _, p := range r.Skyline {
+		if p.ID != name && skyline.Dominates(p.Vec, target) {
+			return p.ID, true
+		}
+	}
+	return "", false
+}
+
 // SkylineQuery computes the graph similarity skyline GSS(D, q) of
 // Definition 12/Eq. 4: one scan evaluates the GCS vector of every
 // graph against q — all of them, or just the candidates no cheaper

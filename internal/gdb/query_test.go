@@ -15,6 +15,14 @@ import (
 	"skygraph/internal/topk"
 )
 
+func pointIDs(pts []skyline.Point) []string {
+	ids := make([]string, len(pts))
+	for i, p := range pts {
+		ids[i] = p.ID
+	}
+	return ids
+}
+
 func TestSkylineQueryPaper(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
@@ -25,17 +33,8 @@ func TestSkylineQueryPaper(t *testing.T) {
 	if res.Stats.Evaluated != 7 || res.Stats.Inexact != 0 {
 		t.Errorf("stats=%+v", res.Stats)
 	}
-	var got []string
-	for _, p := range res.Skyline {
-		got = append(got, p.ID)
-	}
-	if len(got) != len(dataset.GSSExpected) {
+	if got := pointIDs(res.Skyline); fmt.Sprint(got) != fmt.Sprint(dataset.GSSExpected) {
 		t.Fatalf("GSS=%v, want %v", got, dataset.GSSExpected)
-	}
-	for i := range got {
-		if got[i] != dataset.GSSExpected[i] {
-			t.Fatalf("GSS=%v, want %v", got, dataset.GSSExpected)
-		}
 	}
 	// All vectors must match Table III at 2-decimal precision.
 	want := dataset.PaperTable3()
@@ -51,17 +50,59 @@ func TestSkylineQueryPaper(t *testing.T) {
 // TestSkylineQueryAlgorithmsAgree: BNL, SFS and D&C over one unpruned
 // answer's full table each find the answer's four members.
 func TestSkylineQueryAlgorithmsAgree(t *testing.T) {
-	db := paperDB(t)
-	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{})
+	requireAlgorithmsAgree(t, nil, dataset.GSSExpected)
+}
+
+// TestSkylineQueryTwoMeasureBasis: under the basis (DistEd, DistGu) the
+// answer has two dimensions and g4 (2, .67), g5 (3, .44) and g7 (4, .40)
+// are the front: g5 dominates g3 (3, .56), and g5 or g7 dominate
+// g1 (4, .50), g2 (4, .56) and g6 (4, .50). BNL, SFS and D&C agree.
+func TestSkylineQueryTwoMeasureBasis(t *testing.T) {
+	requireAlgorithmsAgree(t, []measure.Measure{measure.DistEd{}, measure.DistGu{}}, []string{"g4", "g5", "g7"})
+}
+
+// requireAlgorithmsAgree runs the paper query under basis (nil: the
+// default) and requires the skyline want, a full table of len(basis)
+// dimensions, and BNL, SFS and D&C over that table to find the skyline.
+func requireAlgorithmsAgree(t *testing.T, basis []measure.Measure, want []string) {
+	t.Helper()
+	res, err := paperDB(t).SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{Basis: basis})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Skyline) != 4 {
-		t.Fatalf("skyline size %d", len(res.Skyline))
+	if got := pointIDs(res.Skyline); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("skyline %v, want %v", got, want)
+	}
+	if dims := len(res.All[0].Vec); basis != nil && dims != len(basis) {
+		t.Errorf("%d dimensions, want %d", dims, len(basis))
 	}
 	for name, algo := range map[string]skyline.Algorithm{"BNL": skyline.BNL, "SFS": skyline.SFS, "DC": skyline.DivideAndConquer} {
 		if got := algo(res.All); !samePoints(got, res.Skyline) {
 			t.Errorf("%s: skyline %v, want %v", name, got, res.Skyline)
+		}
+	}
+}
+
+// TestDominatedBy: every graph Section VI names as dominated gets a
+// skyline member that dominates it (any one will do; the paper names
+// one), and skyline members and unknown names get none.
+func TestDominatedBy(t *testing.T) {
+	res, err := paperDB(t).SkylineQuery(context.Background(), dataset.PaperQuery(), QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := map[string][]float64{}
+	for _, p := range res.All {
+		vec[p.ID] = p.Vec
+	}
+	for loser, winner := range dataset.DominatedBy {
+		if dom, ok := res.DominatedBy(loser); !ok || !skyline.Dominates(vec[dom], vec[loser]) {
+			t.Errorf("DominatedBy(%s) = %q, %v; the paper names %s", loser, dom, ok, winner)
+		}
+	}
+	for _, name := range append([]string{"missing"}, dataset.GSSExpected...) {
+		if dom, ok := res.DominatedBy(name); ok {
+			t.Errorf("DominatedBy(%s) = %q", name, dom)
 		}
 	}
 }

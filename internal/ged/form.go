@@ -37,7 +37,7 @@ func (f *pairForm) fillCosts(cm CostModel) {
 	}
 }
 
-// histBound is graph.HistogramDistance on a signed counter array:
+// histBound is the label-histogram distance on a signed counter array:
 // entries count a label's occurrences on the g1 side minus those on
 // the g2 side, so positives are surplus and negatives deficit, and one
 // substitution repairs one of each.

@@ -15,8 +15,7 @@ import (
 // its back-edges into vertices 0..i-1 — so a partial vertex ordering fixes
 // a string prefix and the branch-and-bound can prune any prefix already
 // lexicographically above the best complete encoding. Worst case
-// exponential; intended for graphs up to ~10 vertices (use Fingerprint or
-// WLSignature as cheap pre-filters first).
+// exponential; intended for graphs up to ~10 vertices.
 
 // CanonicalString returns a complete isomorphism-invariant encoding of g.
 // Isomorphic graphs produce identical strings; non-isomorphic graphs
@@ -119,14 +118,4 @@ func (cs *canonSearch) search(order []int, used []bool, partial string) {
 		cs.search(append(order, c.v), used, next)
 		used[c.v] = false
 	}
-}
-
-// CanonicalEqual reports graph isomorphism via canonical strings. It is an
-// independent (slower, but simpler) alternative to the VF2 matcher, used
-// to cross-validate it in tests.
-func CanonicalEqual(g, h *Graph) bool {
-	if g.Order() != h.Order() || g.Size() != h.Size() {
-		return false
-	}
-	return CanonicalString(g) == CanonicalString(h)
 }

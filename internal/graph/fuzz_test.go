@@ -47,6 +47,16 @@ func rotate(g *Graph, k int) *Graph {
 	return out
 }
 
+// QueryHashCanonical reports whether QueryHash derives g's hash from
+// its canonical form, i.e. whether the hash is a full isomorphism
+// invariant for g. Large or budget-exhausting graphs fall back to the
+// literal (vertex-order-sensitive) encoding and return false, so only
+// when it holds for both sides must isomorphic renumberings collide.
+func QueryHashCanonical(g *Graph) bool {
+	_, ok := canonPayload(g)
+	return ok
+}
+
 // FuzzQueryHash checks the two cache-safety properties of QueryHash:
 // isomorphic renumberings collide whenever the canonical path is taken,
 // and structurally different graphs never collide.

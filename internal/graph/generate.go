@@ -6,10 +6,10 @@ import (
 )
 
 // This file provides deterministic, seedable synthetic graph generators used
-// by the example applications and by the experiments that the paper promises
-// but does not report (EXPERIMENTS.md, E8–E12). The molecule-like generator
-// mimics the label distributions of chemical-compound benchmarks (AIDS-style
-// datasets) common in the graph-similarity literature the paper cites.
+// by the dataset builders, the examples and the tests. The molecule-like
+// generator mimics the label distributions of chemical-compound benchmarks
+// (AIDS-style datasets) common in the graph-similarity literature the paper
+// cites.
 
 // Path returns the path graph v0-v1-...-v_{n-1} with uniform labels.
 func Path(n int, vlabel, elabel string) *Graph {
@@ -53,37 +53,6 @@ func Star(n int, vlabel, elabel string) *Graph {
 	g.AddVertices(n, vlabel)
 	for i := 1; i < n; i++ {
 		g.MustAddEdge(0, i, elabel)
-	}
-	return g
-}
-
-// Grid returns the rows x cols grid graph with uniform labels.
-func Grid(rows, cols int, vlabel, elabel string) *Graph {
-	g := New(fmt.Sprintf("grid%dx%d", rows, cols))
-	g.AddVertices(rows*cols, vlabel)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if c+1 < cols {
-				g.MustAddEdge(id(r, c), id(r, c+1), elabel)
-			}
-			if r+1 < rows {
-				g.MustAddEdge(id(r, c), id(r+1, c), elabel)
-			}
-		}
-	}
-	return g
-}
-
-// RandomTree returns a uniformly random labeled tree on n vertices built by
-// attaching each new vertex to a uniformly chosen earlier vertex.
-func RandomTree(n int, vlabels, elabels []string, rng *rand.Rand) *Graph {
-	g := New(fmt.Sprintf("tree%d", n))
-	for i := 0; i < n; i++ {
-		g.AddVertex(pick(vlabels, rng))
-	}
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(rng.Intn(i), i, pick(elabels, rng))
 	}
 	return g
 }
@@ -267,58 +236,4 @@ func pick(labels []string, rng *rand.Rand) string {
 		return ""
 	}
 	return labels[rng.Intn(len(labels))]
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// BarabasiAlbert grows a preferential-attachment graph: starting from a
-// small clique of m+1 vertices, each new vertex attaches to m distinct
-// existing vertices chosen proportionally to their degree. The result is
-// connected with a heavy-tailed degree distribution.
-func BarabasiAlbert(n, m int, vlabels, elabels []string, rng *rand.Rand) *Graph {
-	if m < 1 || n < m+1 {
-		panic(fmt.Sprintf("graph.BarabasiAlbert: need n >= m+1 >= 2, got n=%d m=%d", n, m))
-	}
-	g := New(fmt.Sprintf("ba%d_%d", n, m))
-	for i := 0; i < n; i++ {
-		g.AddVertex(pick(vlabels, rng))
-	}
-	// Seed clique.
-	for i := 0; i <= m; i++ {
-		for j := i + 1; j <= m; j++ {
-			g.MustAddEdge(i, j, pick(elabels, rng))
-		}
-	}
-	// Repeated-endpoint list: each edge contributes both endpoints, so
-	// sampling uniformly from it is degree-proportional sampling.
-	var ends []int
-	for _, e := range g.Edges() {
-		ends = append(ends, e.U, e.V)
-	}
-	for v := m + 1; v < n; v++ {
-		chosen := map[int]bool{}
-		for len(chosen) < m {
-			t := ends[rng.Intn(len(ends))]
-			if t != v && !chosen[t] {
-				chosen[t] = true
-			}
-		}
-		for t := range chosen {
-			g.MustAddEdge(v, t, pick(elabels, rng))
-			ends = append(ends, v, t)
-		}
-	}
-	return g
 }

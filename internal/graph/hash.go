@@ -41,16 +41,6 @@ func QueryHash(g *Graph) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// QueryHashCanonical reports whether QueryHash derives g's hash from
-// its canonical form — i.e. whether the hash is a full isomorphism
-// invariant for g. Large or budget-exhausting graphs fall back to the
-// literal (vertex-order-sensitive) encoding and return false. Tests use
-// this to know when isomorphic renumberings are guaranteed to collide.
-func QueryHashCanonical(g *Graph) bool {
-	_, ok := canonPayload(g)
-	return ok
-}
-
 func canonPayload(g *Graph) (string, bool) {
 	if g.Order() > canonHashOrder {
 		return "", false

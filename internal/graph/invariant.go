@@ -1,17 +1,10 @@
 package graph
 
-import (
-	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // LabelHistogram returns the multiset of vertex labels and edge labels as
-// count maps. Histograms are isomorphism invariants and back the cheap
-// lower bounds used by the GED engine and the database index.
+// count maps. Histograms are isomorphism invariants: Isomorphic compares
+// them before it searches.
 func (g *Graph) LabelHistogram() (vertices, edges map[string]int) {
 	vertices = make(map[string]int, len(g.vlabels))
 	for _, l := range g.vlabels {
@@ -32,81 +25,4 @@ func (g *Graph) DegreeSequence() []int {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(seq)))
 	return seq
-}
-
-// Fingerprint returns a 64-bit isomorphism-invariant hash combining order,
-// size, label histograms, degree sequence and the multiset of
-// (vertexLabel, sorted incident edge labels) signatures. Equal fingerprints
-// do not imply isomorphism, but different fingerprints imply
-// non-isomorphism, so the value is usable as a fast negative filter.
-func (g *Graph) Fingerprint() uint64 {
-	h := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(g.Order()))
-	h.Write(buf[:])
-	binary.LittleEndian.PutUint64(buf[:], uint64(g.Size()))
-	h.Write(buf[:])
-
-	vh, eh := g.LabelHistogram()
-	writeHistogram(h, vh)
-	writeHistogram(h, eh)
-
-	for _, d := range g.DegreeSequence() {
-		binary.LittleEndian.PutUint64(buf[:], uint64(d))
-		h.Write(buf[:])
-	}
-
-	sigs := make([]string, g.Order())
-	for v := 0; v < g.Order(); v++ {
-		inc := make([]string, 0, g.Degree(v))
-		for _, w := range g.Neighbors(v) {
-			l, _ := g.EdgeLabel(v, w)
-			inc = append(inc, l+"~"+g.VertexLabel(w))
-		}
-		sort.Strings(inc)
-		sigs[v] = g.VertexLabel(v) + "(" + strings.Join(inc, ",") + ")"
-	}
-	sort.Strings(sigs)
-	for _, s := range sigs {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-
-	sum := h.Sum(nil)
-	return binary.LittleEndian.Uint64(sum[:8])
-}
-
-func writeHistogram(w io.Writer, m map[string]int) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s=%d;", k, m[k])
-	}
-}
-
-// HistogramDistance returns the L1 distance between two count maps divided
-// by two, i.e. the minimum number of element substitutions/insertions/
-// deletions to transform one multiset into the other when a substitution
-// repairs one surplus and one deficit at once. This is the classic
-// label-histogram lower bound on edit distance restricted to one element
-// kind.
-func HistogramDistance(a, b map[string]int) int {
-	surplus, deficit := 0, 0
-	for l, ca := range a {
-		if cb := b[l]; ca > cb {
-			surplus += ca - cb
-		}
-	}
-	for l, cb := range b {
-		if ca := a[l]; cb > ca {
-			deficit += cb - ca
-		}
-	}
-	if surplus > deficit {
-		return surplus
-	}
-	return deficit
 }

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestLabelHistogram(t *testing.T) {
 	g := New("g")
@@ -27,66 +23,6 @@ func TestDegreeSequence(t *testing.T) {
 		if seq[i] != want[i] {
 			t.Fatalf("seq=%v", seq)
 		}
-	}
-}
-
-func TestFingerprintInvariantUnderPermutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := ConnectedErdosRenyi(3+r.Intn(8), 0.35, []string{"A", "B"}, []string{"x", "y"}, r)
-		return g.Fingerprint() == permute(g, r).Fingerprint()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFingerprintSeparates(t *testing.T) {
-	a := Path(4, "A", "x")
-	b := Path(4, "A", "y")
-	c := Cycle(4, "A", "x")
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Error("edge-label difference not reflected in fingerprint")
-	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("structure difference not reflected in fingerprint")
-	}
-}
-
-func TestHistogramDistance(t *testing.T) {
-	cases := []struct {
-		a, b map[string]int
-		want int
-	}{
-		{map[string]int{"A": 2}, map[string]int{"A": 2}, 0},
-		{map[string]int{"A": 2}, map[string]int{"A": 1}, 1},
-		{map[string]int{"A": 2}, map[string]int{"B": 2}, 2},         // 2 substitutions
-		{map[string]int{"A": 3}, map[string]int{"A": 1, "B": 1}, 2}, // 1 sub + 1 del
-		{map[string]int{}, map[string]int{"A": 4}, 4},
-		{map[string]int{"A": 1, "B": 1}, map[string]int{"C": 1}, 2},
-	}
-	for i, c := range cases {
-		if got := HistogramDistance(c.a, c.b); got != c.want {
-			t.Errorf("case %d: got %d, want %d", i, got, c.want)
-		}
-	}
-}
-
-func TestHistogramDistanceSymmetric(t *testing.T) {
-	f := func(av, bv []uint8) bool {
-		a, b := map[string]int{}, map[string]int{}
-		labels := []string{"A", "B", "C"}
-		for _, x := range av {
-			a[labels[int(x)%3]]++
-		}
-		for _, x := range bv {
-			b[labels[int(x)%3]]++
-		}
-		return HistogramDistance(a, b) == HistogramDistance(b, a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -26,27 +26,11 @@ func Isomorphic(g, h *Graph) bool {
 // preserves vertex labels and maps every pattern edge to a host edge with
 // the same label.
 func SubgraphIsomorphic(pattern, host *Graph) bool {
-	m := FindSubgraphIsomorphism(pattern, host)
-	return m != nil
-}
-
-// FindSubgraphIsomorphism returns one injection (pattern vertex -> host
-// vertex) witnessing subgraph isomorphism, or nil if none exists.
-func FindSubgraphIsomorphism(pattern, host *Graph) []int {
 	if pattern.Order() > host.Order() || pattern.Size() > host.Size() {
-		return nil
+		return false
 	}
-	st := newIsoState(pattern, host, false)
-	if !st.match(0) {
-		return nil
-	}
-	out := make([]int, pattern.Order())
-	copy(out, st.core)
-	return out
+	return newIsoState(pattern, host, false).match(0)
 }
-
-// IsSubgraphOf reports whether g ⊆ h (Definition 6).
-func IsSubgraphOf(g, h *Graph) bool { return SubgraphIsomorphic(g, h) }
 
 // IsSupergraphOf reports whether g ⊇ h (Definition 6).
 func IsSupergraphOf(g, h *Graph) bool { return SubgraphIsomorphic(h, g) }

@@ -104,44 +104,14 @@ func TestSubgraphIsomorphismLabelSensitive(t *testing.T) {
 	}
 }
 
-func TestFindSubgraphIsomorphismWitness(t *testing.T) {
-	host := New("host")
-	host.AddVertex("A") // 0
-	host.AddVertex("B") // 1
-	host.AddVertex("C") // 2
-	host.MustAddEdge(0, 1, "x")
-	host.MustAddEdge(1, 2, "y")
-	pat := New("pat")
-	pat.AddVertex("B")
-	pat.AddVertex("C")
-	pat.MustAddEdge(0, 1, "y")
-	m := FindSubgraphIsomorphism(pat, host)
-	if m == nil {
-		t.Fatal("no witness found")
-	}
-	if m[0] != 1 || m[1] != 2 {
-		t.Errorf("witness=%v, want [1 2]", m)
-	}
-	// Check the witness actually embeds pattern edges.
-	for _, e := range pat.Edges() {
-		hl, ok := host.EdgeLabel(m[e.U], m[e.V])
-		if !ok || hl != e.Label {
-			t.Errorf("witness does not preserve edge %v", e)
-		}
-	}
-}
-
 func TestSubSupergraphHelpers(t *testing.T) {
 	q := Path(3, "A", "x")
 	super := Path(5, "A", "x")
-	if !IsSubgraphOf(q, super) {
-		t.Error("IsSubgraphOf failed")
-	}
 	if !IsSupergraphOf(super, q) {
 		t.Error("IsSupergraphOf failed")
 	}
-	if IsSubgraphOf(super, q) {
-		t.Error("IsSubgraphOf inverted")
+	if IsSupergraphOf(q, super) {
+		t.Error("IsSupergraphOf inverted")
 	}
 }
 

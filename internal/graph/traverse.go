@@ -23,26 +23,6 @@ func (g *Graph) BFS(start int) []int {
 	return order
 }
 
-// DFS returns the vertices reachable from start in depth-first preorder
-// (neighbors visited in ascending identifier order).
-func (g *Graph) DFS(start int) []int {
-	g.mustVertex(start)
-	seen := make([]bool, g.Order())
-	order := make([]int, 0, g.Order())
-	var visit func(int)
-	visit = func(v int) {
-		seen[v] = true
-		order = append(order, v)
-		for _, w := range g.Neighbors(v) {
-			if !seen[w] {
-				visit(w)
-			}
-		}
-	}
-	visit(start)
-	return order
-}
-
 // Components returns the connected components as slices of vertex
 // identifiers, each sorted ascending, ordered by smallest member.
 func (g *Graph) Components() [][]int {
@@ -69,42 +49,4 @@ func (g *Graph) IsConnected() bool {
 		return true
 	}
 	return len(g.BFS(0)) == g.Order()
-}
-
-// ShortestPathLengths returns BFS hop distances from start; unreachable
-// vertices get -1.
-func (g *Graph) ShortestPathLengths(start int) []int {
-	g.mustVertex(start)
-	dist := make([]int, g.Order())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[start] = 0
-	queue := []int{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
-// Diameter returns the longest shortest-path length over all connected
-// pairs, or 0 for graphs with fewer than two vertices. Disconnected pairs
-// are ignored.
-func (g *Graph) Diameter() int {
-	max := 0
-	for v := 0; v < g.Order(); v++ {
-		for _, d := range g.ShortestPathLengths(v) {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

@@ -16,17 +16,6 @@ func TestBFSOrder(t *testing.T) {
 	}
 }
 
-func TestDFSOrder(t *testing.T) {
-	g := Star(4, "A", "x")
-	got := g.DFS(0)
-	want := []int{0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DFS=%v, want %v", got, want)
-		}
-	}
-}
-
 func TestComponents(t *testing.T) {
 	g := New("g")
 	g.AddVertices(5, "A")
@@ -57,39 +46,6 @@ func TestIsConnected(t *testing.T) {
 	}
 }
 
-func TestShortestPathLengths(t *testing.T) {
-	g := Cycle(6, "A", "x")
-	d := g.ShortestPathLengths(0)
-	want := []int{0, 1, 2, 3, 2, 1}
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("dist=%v, want %v", d, want)
-		}
-	}
-	g2 := New("g")
-	g2.AddVertices(3, "A")
-	g2.MustAddEdge(0, 1, "x")
-	d2 := g2.ShortestPathLengths(0)
-	if d2[2] != -1 {
-		t.Errorf("unreachable distance=%d, want -1", d2[2])
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	if d := Path(7, "A", "x").Diameter(); d != 6 {
-		t.Errorf("P7 diameter=%d", d)
-	}
-	if d := Cycle(8, "A", "x").Diameter(); d != 4 {
-		t.Errorf("C8 diameter=%d", d)
-	}
-	if d := Complete(5, "A", "x").Diameter(); d != 1 {
-		t.Errorf("K5 diameter=%d", d)
-	}
-	if d := New("e").Diameter(); d != 0 {
-		t.Errorf("empty diameter=%d", d)
-	}
-}
-
 func TestGeneratorsShape(t *testing.T) {
 	if g := Path(5, "A", "x"); g.Order() != 5 || g.Size() != 4 {
 		t.Error("Path shape")
@@ -102,20 +58,6 @@ func TestGeneratorsShape(t *testing.T) {
 	}
 	if g := Star(5, "A", "x"); g.Size() != 4 || g.Degree(0) != 4 {
 		t.Error("Star shape")
-	}
-	if g := Grid(3, 4, "A", "x"); g.Order() != 12 || g.Size() != 3*3+2*4 {
-		t.Errorf("Grid shape: %d edges", g.Size())
-	}
-}
-
-func TestRandomTreeIsTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(20)
-		g := RandomTree(n, []string{"A", "B"}, []string{"x"}, rng)
-		if g.Order() != n || g.Size() != n-1 || !g.IsConnected() {
-			t.Fatalf("not a tree: order=%d size=%d connected=%v", g.Order(), g.Size(), g.IsConnected())
-		}
 	}
 }
 

@@ -29,6 +29,16 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/bound_gol
 
 const boundGoldenPath = "testdata/bound_golden.json"
 
+// HistLB returns the label-histogram lower bound on the uniform-cost
+// edit distance between the signatures' graphs — the same bound as
+// ged.LowerBound, served from the precomputed histograms. The scans
+// take it as the GEDLo of RankInterval and BoundPair, which walk the
+// same two merges themselves; this standalone form is the reference
+// the bound golden and the branch-bound tests check against.
+func (s *Signature) HistLB(o *Signature) float64 {
+	return float64(s.VHist.distance(o.VHist) + s.EHist.distance(o.EHist))
+}
+
 // boundGoldenPairs returns the seeded (database graph, query) grid.
 func boundGoldenPairs() [][2]*graph.Graph {
 	var out [][2]*graph.Graph

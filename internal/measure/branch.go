@@ -32,9 +32,10 @@ import (
 // each, so the assignment costs at most the path. GED is integral, hence
 // the ceiling. Capped engines report a GED at or above the true one (the
 // bipartite fallback), so the bound floors what measure.Compute reports
-// too. It is never below HistLB: summed over the assignment, the label
-// mismatches are at least the vertex-histogram distance and the halved
-// multiset distances at least the edge-histogram distance.
+// too. It is never below the label-histogram bound: summed over the
+// assignment, the label mismatches are at least the vertex-histogram
+// distance and the halved multiset distances at least the edge-histogram
+// distance.
 //
 // The branch distance is a metric (the empty branch being a branch with
 // a label of its own), so some cheapest assignment pairs every branch
@@ -424,8 +425,9 @@ func (t *BranchTable) costs(b *boundBuf, o *Signature) [][]float64 {
 
 // LB returns the branch lower bound on the uniform-cost edit distance
 // between o's graph and the query's (see the top of this file). It is
-// symmetric — o.BranchTable().LB(q) is the same bound — at least HistLB,
-// and never above the GED measure.Compute reports, capped or not.
+// symmetric — o.BranchTable().LB(q) is the same bound — at least the
+// label-histogram bound, and never above the GED measure.Compute
+// reports, capped or not.
 func (t *BranchTable) LB(o *Signature) float64 {
 	buf := branchPool.Get().(*boundBuf)
 	defer branchPool.Put(buf)
@@ -433,10 +435,4 @@ func (t *BranchTable) LB(o *Signature) float64 {
 	// the total is the same whichever graph supplies the rows.
 	_, total, _ := buf.solver.Solve(t.costs(buf, o))
 	return math.Ceil(total / 2)
-}
-
-// BranchLB is the branch lower bound between s's and o's graphs from
-// o's table: o.BranchTable().LB(s). A scan passes its query as o.
-func (s *Signature) BranchLB(o *Signature) float64 {
-	return o.BranchTable().LB(s)
 }

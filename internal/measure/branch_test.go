@@ -144,6 +144,12 @@ func refBranchMatrix(g1, g2 *graph.Graph, cancel bool) [][]float64 {
 	return m
 }
 
+// BranchLB is the branch lower bound between s's and o's graphs from
+// o's table: o.BranchTable().LB(s), with o in the query's place.
+func (s *Signature) BranchLB(o *Signature) float64 {
+	return o.BranchTable().LB(s)
+}
+
 // referenceBranchLB is the branch bound computed the direct way, from
 // the graphs' branches spelled out as strings: cancel twins, solve the
 // assignment over what is left, halve and round up. It is what every

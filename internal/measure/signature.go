@@ -84,16 +84,6 @@ func edgeType(va, vb, label string) string {
 	return va + "\x00" + label + "\x00" + vb
 }
 
-// HistLB returns the label-histogram lower bound on the uniform-cost
-// edit distance between the signatures' graphs — the same bound as
-// ged.LowerBound, served from the precomputed histograms. The scans
-// take it as the GEDLo of RankInterval and BoundPair, which walk the
-// same two merges themselves; this standalone form is the reference
-// the bound golden and the branch-bound tests check against.
-func (s *Signature) HistLB(o *Signature) float64 {
-	return float64(s.VHist.distance(o.VHist) + s.EHist.distance(o.EHist))
-}
-
 // labelCount is one entry of a Histogram.
 type labelCount struct {
 	label string
@@ -152,8 +142,9 @@ func (h Histogram) Labels() iter.Seq[string] {
 	}
 }
 
-// distance is graph.HistogramDistance over two Histograms: the larger
-// of the total surplus and the total deficit of h against o.
+// distance is HistogramDistance (signature_test.go) over two
+// Histograms: the larger of the total surplus and the total deficit of
+// h against o.
 func (h Histogram) distance(o Histogram) int {
 	surplus, deficit := h.merge(o)
 	return max(surplus, deficit)

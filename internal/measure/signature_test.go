@@ -3,8 +3,7 @@ package measure
 import (
 	"slices"
 	"testing"
-
-	"skygraph/internal/graph"
+	"testing/quick"
 )
 
 // fuzzLabels is the label alphabet of FuzzFlatHistogram: the empty
@@ -26,6 +25,63 @@ func fuzzMultisets(data []byte) (a, b []string) {
 	return a, b
 }
 
+// HistogramDistance returns the L1 distance between two count maps divided
+// by two, i.e. the minimum number of element substitutions/insertions/
+// deletions to transform one multiset into the other when a substitution
+// repairs one surplus and one deficit at once. This is the classic
+// label-histogram lower bound on edit distance restricted to one element
+// kind, and the map-based reference of Histogram.distance.
+func HistogramDistance(a, b map[string]int) int {
+	surplus, deficit := 0, 0
+	for l, ca := range a {
+		if cb := b[l]; ca > cb {
+			surplus += ca - cb
+		}
+	}
+	for l, cb := range b {
+		if ca := a[l]; cb > ca {
+			deficit += cb - ca
+		}
+	}
+	return max(surplus, deficit)
+}
+
+func TestHistogramDistance(t *testing.T) {
+	cases := []struct {
+		a, b map[string]int
+		want int
+	}{
+		{map[string]int{"A": 2}, map[string]int{"A": 2}, 0},
+		{map[string]int{"A": 2}, map[string]int{"A": 1}, 1},
+		{map[string]int{"A": 2}, map[string]int{"B": 2}, 2},         // 2 substitutions
+		{map[string]int{"A": 3}, map[string]int{"A": 1, "B": 1}, 2}, // 1 sub + 1 del
+		{map[string]int{}, map[string]int{"A": 4}, 4},
+		{map[string]int{"A": 1, "B": 1}, map[string]int{"C": 1}, 2},
+	}
+	for i, c := range cases {
+		if got := HistogramDistance(c.a, c.b); got != c.want {
+			t.Errorf("case %d: got %d, want %d", i, got, c.want)
+		}
+	}
+}
+
+func TestHistogramDistanceSymmetric(t *testing.T) {
+	f := func(av, bv []uint8) bool {
+		a, b := map[string]int{}, map[string]int{}
+		labels := []string{"A", "B", "C"}
+		for _, x := range av {
+			a[labels[int(x)%3]]++
+		}
+		for _, x := range bv {
+			b[labels[int(x)%3]]++
+		}
+		return HistogramDistance(a, b) == HistogramDistance(b, a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
 func countMap(labels []string) map[string]int {
 	m := make(map[string]int)
 	for _, l := range labels {
@@ -36,7 +92,7 @@ func countMap(labels []string) map[string]int {
 
 // FuzzFlatHistogram checks the flat histograms against the map-based
 // definitions on arbitrary label multisets: the merge-walk distance
-// equals graph.HistogramDistance in both directions, the intersection
+// equals HistogramDistance in both directions, the intersection
 // equals a map reference, and Labels enumerates exactly the distinct
 // labels in ascending order.
 func FuzzFlatHistogram(f *testing.F) {
@@ -48,10 +104,10 @@ func FuzzFlatHistogram(f *testing.F) {
 		a, b := fuzzMultisets(data)
 		ma, mb := countMap(a), countMap(b)
 		ha, hb := histogramOf(slices.Clone(a)), histogramOf(slices.Clone(b))
-		if got, want := ha.distance(hb), graph.HistogramDistance(ma, mb); got != want {
+		if got, want := ha.distance(hb), HistogramDistance(ma, mb); got != want {
 			t.Fatalf("distance(%q, %q) = %d, want %d", a, b, got, want)
 		}
-		if got, want := hb.distance(ha), graph.HistogramDistance(mb, ma); got != want {
+		if got, want := hb.distance(ha), HistogramDistance(mb, ma); got != want {
 			t.Fatalf("distance(%q, %q) = %d, want %d", b, a, got, want)
 		}
 		want := 0
