@@ -125,24 +125,42 @@ func BenchmarkTable5Ranking(b *testing.B) {
 }
 
 // BenchmarkRankedScaling measures the best-first ranked scan at two
-// collection sizes, 1k and 10k, on the cold-ranked workload's shape:
-// n/25 order-5 molecule families of 2-edit mutations, every graph
-// distinct up to isomorphism, and a 1-edit query; DistEd top-5 and a
-// radius-2 range. evaluated/op counts the candidates scored exactly and
-// pruned/op the rest (tier 0, tier 1 and decision runs together).
-// Workers is pinned to 1 so the counters are deterministic. Allocations
-// are reported: the scan's per-candidate columns are most of them.
+// collection sizes, 1k and 10k, of n/25 order-5 molecule families of
+// 2-edit mutations, every graph distinct up to isomorphism, and on the
+// cold-ranked workload's own collection, n=3000/clustered: 120 such
+// families with isomorphic twins kept, built as the harness builds it.
+// Each is queried with a 1-edit query, DistEd top-5 and a radius-2
+// range. evaluated/op counts the candidates scored exactly, pruned/op
+// the rest (tier 0, tier 1 and decision runs together) and classes/op
+// the histogram classes tier 0 bounds, one interval each. Workers is
+// pinned to 1 so the counters are deterministic. Allocations are
+// reported: the scan's per-class and per-candidate columns are most of
+// them.
 func BenchmarkRankedScaling(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
-		gs := distinctFamilies(n, 5, 1)
-		q := dataset.NoisyQueries(gs, 1, 1, 999)[0]
+	clustered := dataset.NoisyQueries(dataset.MoleculeDB(3000/25, 5, 5, 1), 3000, 2, 3)
+	for i, g := range clustered {
+		g.SetName(fmt.Sprintf("g%05d", i))
+	}
+	for _, c := range []struct {
+		name string
+		gs   []*graph.Graph
+	}{
+		{"n=1000", distinctFamilies(1000, 5, 1)},
+		{"n=10000", distinctFamilies(10000, 5, 1)},
+		{"n=3000/clustered", clustered},
+	} {
+		q := dataset.NoisyQueries(c.gs, 1, 1, 999)[0]
 		db := gdb.New()
-		if err := db.InsertAll(gs); err != nil {
+		if err := db.InsertAll(c.gs); err != nil {
 			b.Fatal(err)
+		}
+		classes := map[string]bool{}
+		for _, g := range c.gs {
+			classes[measure.NewSignature(g).HistogramClass()] = true
 		}
 		opts := gdb.QueryOptions{Workers: 1}
 		for _, kind := range []string{"topk", "range"} {
-			b.Run(fmt.Sprintf("n=%d/%s", n, kind), func(b *testing.B) {
+			b.Run(c.name+"/"+kind, func(b *testing.B) {
 				b.ReportAllocs()
 				var last gdb.QueryStats
 				for i := 0; i < b.N; i++ {
@@ -160,6 +178,7 @@ func BenchmarkRankedScaling(b *testing.B) {
 				}
 				b.ReportMetric(float64(last.Evaluated), "evaluated/op")
 				b.ReportMetric(float64(last.Pruned), "pruned/op")
+				b.ReportMetric(float64(len(classes)), "classes/op")
 			})
 		}
 	}

@@ -1,7 +1,11 @@
 // Package assign implements minimum-cost perfect assignment on a square
 // cost matrix (the Hungarian algorithm in its O(n^3) potentials/shortest
 // augmenting path form). It is the substrate of the bipartite graph edit
-// distance approximation (Riesen & Bunke style) in internal/ged.
+// distance approximation (Riesen & Bunke style) in internal/ged and of
+// the branch lower bound on graph edit distance in internal/measure
+// (tier 1 of the scans), which solves one small residual matrix per
+// bound — in the ranked scan only for candidates that the matrix's
+// row/column-minimum bound cannot settle.
 package assign
 
 import (

@@ -26,8 +26,9 @@ import (
 // than once per upgrade.
 
 // rowSnap reads the named graph as a one-row snapshot under one lock
-// acquisition. The snapshot's generation is the database's; ok is
-// false when the name is not present.
+// acquisition: one row in one class, so a scan over it does O(1) work
+// whatever the store's class count. The snapshot's generation is the
+// database's; ok is false when the name is not present.
 func (sh *Sharded) rowSnap(name string) (sn snap, ok bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -37,6 +38,7 @@ func (sh *Sharded) rowSnap(name string) (sn snap, ok bool) {
 		return sn, false
 	}
 	sn.graphs, sn.sigs, sn.seqs = []*graph.Graph{e.g}, []*measure.Signature{e.sig}, []uint64{e.seq}
+	sn.cls, sn.classes = []int32{0}, 1
 	return sn, true
 }
 

@@ -33,15 +33,19 @@ import (
 // (Save, WriteTo, Load, OpenDurable).
 type Sharded struct {
 	mu sync.RWMutex
-	// graphs, sigs and seqs are the store's columns in insertion order:
-	// each graph beside its signature and insert sequence. A snapshot
-	// shares them (see snapshot), so they are append-only in place:
-	// Insert appends past every reader's length, Delete builds new ones.
+	// graphs, sigs, seqs and cls are the store's columns in insertion
+	// order: each graph beside its signature, insert sequence and
+	// histogram class. A snapshot shares them (see snapshot), so they
+	// are append-only in place: Insert appends past every reader's
+	// length, Delete builds new ones.
 	graphs []*graph.Graph
 	sigs   []*measure.Signature
 	seqs   []uint64
-	byName map[string]*entry
-	gen    uint64 // bumped on every successful insert/delete
+	cls    []int32
+	// classes interns the histogram classes of the stored graphs.
+	classes histClasses
+	byName  map[string]*entry
+	gen     uint64 // bumped on every successful insert/delete
 
 	// store, when set, receives every mutation BEFORE it is applied
 	// (and before the caller is told it succeeded): the write-ahead
@@ -103,7 +107,55 @@ func SeedInsertSeq(min uint64) {
 
 // New returns an empty database.
 func New() *Sharded {
-	return &Sharded{byName: make(map[string]*entry)}
+	return &Sharded{byName: make(map[string]*entry), classes: histClasses{ids: make(map[string]int32)}}
+}
+
+// histClasses interns a store's histogram classes
+// (measure.Signature.HistogramClass) as dense ids: the live classes are
+// exactly ids 0..len(keys)-1, whatever the history of deletes, so a
+// scan's per-class work is O(live classes). Ids are process-local and
+// never persisted: recovery re-interns as replay re-inserts.
+type histClasses struct {
+	ids  map[string]int32 // class key -> id
+	keys []string         // keys[id] is id's key
+	size []int            // size[id] counts id's stored graphs
+}
+
+// add counts one more graph in the class of key and returns its id,
+// minting the next id for a new class.
+func (hc *histClasses) add(key string) int32 {
+	id, ok := hc.ids[key]
+	if !ok {
+		id = int32(len(hc.keys))
+		hc.ids[key] = id
+		hc.keys = append(hc.keys, key)
+		hc.size = append(hc.size, 0)
+	}
+	hc.size[id]++
+	return id
+}
+
+// remove counts one graph of class id out and returns the class column
+// cls, which no longer holds that graph's row. When the class empties,
+// the last id takes its place, relabeled in cls, which must be a column
+// no snapshot shares.
+func (hc *histClasses) remove(cls []int32, id int32) []int32 {
+	if hc.size[id]--; hc.size[id] > 0 {
+		return cls
+	}
+	delete(hc.ids, hc.keys[id])
+	last := int32(len(hc.keys) - 1)
+	if id != last {
+		for i, c := range cls {
+			if c == last {
+				cls[i] = id
+			}
+		}
+		hc.ids[hc.keys[last]] = id
+		hc.keys[id], hc.size[id] = hc.keys[last], hc.size[last]
+	}
+	hc.keys, hc.size = hc.keys[:last], hc.size[:last]
+	return cls
 }
 
 // Ack is the evidence a mutation leaves: the generation it produced (0
@@ -162,6 +214,7 @@ func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	sh.graphs = append(sh.graphs, e.g)
 	sh.sigs = append(sh.sigs, e.sig)
 	sh.seqs = append(sh.seqs, e.seq)
+	sh.cls = append(sh.cls, sh.classes.add(e.sig.HistogramClass()))
 	sh.gen++
 	return Ack{Gen: sh.gen}, nil
 }
@@ -210,6 +263,7 @@ func (sh *Sharded) Delete(name, key string) (Ack, error) {
 	sh.graphs = slices.Concat(sh.graphs[:i], sh.graphs[i+1:])
 	sh.sigs = slices.Concat(sh.sigs[:i], sh.sigs[i+1:])
 	sh.seqs = slices.Concat(sh.seqs[:i], sh.seqs[i+1:])
+	sh.cls = sh.classes.remove(slices.Concat(sh.cls[:i], sh.cls[i+1:]), sh.cls[i])
 	sh.gen++
 	return Ack{Gen: sh.gen, Existed: true}, nil
 }

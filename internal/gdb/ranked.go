@@ -22,22 +22,29 @@ import (
 // candidate's optimistic bound exceeds the threshold, every remaining
 // candidate is provably out and the scan stops. Tier 0 computes only
 // the ranking measure's interval (measure.RankInterval) into plain
-// columns, and the candidates come off a heap in claim order, so a scan
-// that stops early pays neither for statistics its measure never reads
-// nor for ordering candidates it never reaches; the full interval
-// statistics (measure.BoundPair) are built only for a candidate that
-// reaches the engines. A candidate the bound cannot settle meets tier 1
-// when the measure reads GED: the branch lower bound, read from the
-// query's branch table (measure.BranchTable), raises the optimistic end
-// of its interval, and proves most claimed candidates out with no
-// engine run. The rest go to a threshold-fed decision run of the exact
-// engines (ged.Options.Limit / mcs.Options.Need), which discards most
-// survivors without paying for exactness, and a plain exact evaluation
-// only for candidates that might make the answer. Tier 1 narrows the
-// optimistic end because that is the end every cutoff reads; a
-// refinement of the pessimistic end (bipartite GED, greedy MCS) never
-// prunes against a best-first threshold and cost more than the decision
-// runs it spared, so there is none. Included scores are byte-identical
+// columns, once per histogram class when the measure reads only the
+// label histograms there (measure.HistogramRanked) — the members of a
+// class share their interval bit for bit — and once per candidate
+// otherwise. The classes come off a heap in claim order, each handing
+// out its members in sequence order, so a scan that stops early pays
+// neither for statistics its measure never reads nor for ordering
+// candidates it never reaches; the full interval statistics
+// (measure.BoundPair) are built only for a candidate that reaches the
+// engines. A candidate the bound cannot settle meets tier 1 when the
+// measure reads GED: the branch lower bound, read from the query's
+// branch table (measure.BranchTable), decides whether the candidate's
+// GED can fit under the threshold at all, and proves most claimed
+// candidates out with no engine run, most of them without solving an
+// assignment (BranchTable.Exceeds); a survivor's bound raises the
+// optimistic end of its GED interval. The rest go to a threshold-fed
+// decision run of the exact engines (ged.Options.Limit /
+// mcs.Options.Need), which discards most survivors without paying for
+// exactness, and a plain exact evaluation only for candidates that
+// might make the answer. Tier 1 narrows the optimistic end because that
+// is the end every cutoff reads; a refinement of the pessimistic end
+// (bipartite GED, greedy MCS) never prunes against a best-first
+// threshold and cost more than the decision runs it spared, so there is
+// none. Included scores are byte-identical
 // to a complete table's column, so the answer — scores and tie-order —
 // matches ranking every graph exactly. It is the one evaluation path of
 // TopKQuery and RangeQuery.
@@ -218,56 +225,118 @@ func (s *kSmallest) kth() (v float64, ok bool) {
 	return s.h[0], true
 }
 
+// classGroups lists a snapshot's candidates class by class: class c's
+// members are members[start[c]:start[c+1]], in ascending insert
+// sequence.
+type classGroups struct {
+	members, start []int32
+}
+
+// groupByClass groups the candidates of a snapshot with insert
+// sequences seqs by class, cls[i] being candidate i's class among nc.
+// A nil cls puts every candidate in a class of its own: class i, with i
+// its only member. O(n + nc).
+func groupByClass(cls []int32, nc int, seqs []uint64) classGroups {
+	n := len(seqs)
+	g := classGroups{members: make([]int32, n), start: make([]int32, nc+1)}
+	if cls == nil {
+		for i := range g.members {
+			g.members[i] = int32(i)
+			g.start[i+1] = int32(i + 1)
+		}
+		return g
+	}
+	// A counting sort, stable in snapshot order: start[c] is c's fill
+	// cursor, which ends at start[c+1] and is shifted back after.
+	for _, c := range cls {
+		g.start[c+1]++
+	}
+	for c := range nc {
+		g.start[c+1] += g.start[c]
+	}
+	ascending := true
+	for i, c := range cls {
+		g.members[g.start[c]] = int32(i)
+		g.start[c]++
+		ascending = ascending && (i == 0 || seqs[i] > seqs[i-1])
+	}
+	copy(g.start[1:], g.start[:nc])
+	g.start[0] = 0
+	if !ascending {
+		// Concurrent inserts can land out of sequence order.
+		for c := range nc {
+			slices.SortFunc(g.members[g.start[c]:g.start[c+1]], func(a, b int32) int { return cmp.Compare(seqs[a], seqs[b]) })
+		}
+	}
+	return g
+}
+
+// claimRun is one admitted class in the claim heap: members[next:end]
+// are its unclaimed candidates, which all bound as lo and hi.
+type claimRun struct {
+	lo, hi    float64
+	next, end int32
+}
+
 // claimHeap hands the admitted candidates to the scan's workers in
 // claim order, one pop at a time under its mutex: ascending optimistic
 // end (lo), lo ties by pessimistic end (hi), remaining ties by insert
 // sequence. Sequences are unique, so the order is total and popping the
-// whole heap yields exactly the sorted order. Heapifying is O(n), and
-// the scan usually stops after popping a small share of the candidates,
-// where a full sort paid O(n log n) for all of them.
+// whole heap yields exactly the sorted order. The heap holds classes,
+// not candidates: the members of a class share (lo, hi) bit for bit and
+// come off it in sequence order, so a class is keyed by (lo, hi, the
+// sequence of its next member), and merging the classes by that key is
+// the candidates' sorted order. Heapifying is O(classes), and the scan
+// usually stops after popping a small share of the candidates, where a
+// full sort paid O(n log n) for all of them.
 type claimHeap struct {
-	mu     sync.Mutex
-	idx    []int // candidate indices, a binary min-heap under compare
-	lo, hi []float64
-	seqs   []uint64
+	mu      sync.Mutex
+	runs    []claimRun // a binary min-heap under compare
+	members []int32
+	seqs    []uint64
+	n       int // candidates in the admitted classes
 }
 
-// newClaimHeap heapifies idx in place over the lo, hi and seqs columns
-// (indexed like the snapshot).
-func newClaimHeap(idx []int, lo, hi []float64, seqs []uint64) *claimHeap {
-	h := &claimHeap{idx: idx, lo: lo, hi: hi, seqs: seqs}
-	for i := len(idx)/2 - 1; i >= 0; i-- {
+// newClaimHeap heapifies the admitted classes of g, whose bounds are
+// lo[c] and hi[c], over the candidates' insert sequences seqs.
+func newClaimHeap(admitted []int, lo, hi []float64, g classGroups, seqs []uint64) *claimHeap {
+	h := &claimHeap{runs: make([]claimRun, len(admitted)), members: g.members, seqs: seqs}
+	for k, c := range admitted {
+		h.runs[k] = claimRun{lo: lo[c], hi: hi[c], next: g.start[c], end: g.start[c+1]}
+		h.n += int(g.start[c+1] - g.start[c])
+	}
+	for i := len(h.runs)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 	return h
 }
 
-// compare orders candidates a and b by claim order.
-func (h *claimHeap) compare(a, b int) int {
-	if c := cmp.Compare(h.lo[a], h.lo[b]); c != 0 {
+// compare orders runs a and b by their next claims.
+func (h *claimHeap) compare(a, b *claimRun) int {
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(h.hi[a], h.hi[b]); c != 0 {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
 		return c
 	}
-	return cmp.Compare(h.seqs[a], h.seqs[b])
+	return cmp.Compare(h.seqs[h.members[a.next]], h.seqs[h.members[b.next]])
 }
 
 // down restores the heap property below position i.
 func (h *claimHeap) down(i int) {
-	idx := h.idx
+	runs := h.runs
 	for {
 		c := 2*i + 1
-		if c >= len(idx) {
+		if c >= len(runs) {
 			return
 		}
-		if c+1 < len(idx) && h.compare(idx[c+1], idx[c]) < 0 {
+		if c+1 < len(runs) && h.compare(&runs[c+1], &runs[c]) < 0 {
 			c++
 		}
-		if h.compare(idx[c], idx[i]) >= 0 {
+		if h.compare(&runs[c], &runs[i]) >= 0 {
 			return
 		}
-		idx[i], idx[c] = idx[c], idx[i]
+		runs[i], runs[c] = runs[c], runs[i]
 		i = c
 	}
 }
@@ -277,13 +346,16 @@ func (h *claimHeap) down(i int) {
 func (h *claimHeap) pop() (i int, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := len(h.idx)
-	if n == 0 {
+	if len(h.runs) == 0 {
 		return 0, false
 	}
-	i = h.idx[0]
-	h.idx[0] = h.idx[n-1]
-	h.idx = h.idx[:n-1]
+	r := &h.runs[0]
+	i = int(h.members[r.next])
+	if r.next++; r.next == r.end {
+		last := len(h.runs) - 1
+		h.runs[0] = h.runs[last]
+		h.runs = h.runs[:last]
+	}
 	h.down(0)
 	return i, true
 }
@@ -298,67 +370,87 @@ const (
 )
 
 // rankScan is the ranked scan over one snapshot. The tier-0 columns are
-// indexed like the snapshot and read-only once built; an element of
-// fate is written only by the one settle call of its candidate and
-// read after the scan.
+// indexed by class and read-only once built; an element of fate is
+// indexed like the snapshot, written only by the one settle call of its
+// candidate and read after the scan.
 type rankScan struct {
 	sn   snap
 	q    *graph.Graph
 	qsig *measure.Signature
 	m    measure.Measure
 	opts QueryOptions
-	// lo and hi bracket each candidate's score under m; gedLo is its
-	// tier-0 GED lower bound, which tier 1 may raise at settle time.
+	// cls[i] is candidate i's class: its histogram class when m's tier-0
+	// interval reads only the histograms (measure.HistogramRanked); nil
+	// otherwise, when candidate i is class i.
+	cls []int32
+	// lo and hi bracket a class's scores under m; gedLo is its tier-0
+	// GED lower bound, which tier 1 may raise per candidate at settle
+	// time.
 	lo, hi, gedLo []float64
 	fate          []uint8
 	needGED       bool
 }
 
+// class returns candidate i's class.
+func (rs *rankScan) class(i int) int {
+	if rs.cls == nil {
+		return i
+	}
+	return int(rs.cls[i])
+}
+
 // newRankScan runs tier 0 for q against the snapshot: m's interval for
-// every candidate from its stored signature alone
-// (measure.RankInterval, which computes only what m reads). It seeds
-// coll's threshold from the pessimistic ends — the k best reported
+// every class from a member's stored signature alone
+// (measure.RankInterval, which computes only what m reads), once per
+// histogram class when m reads only the histograms and once per
+// candidate otherwise. It seeds coll's threshold from the pessimistic
+// ends, each class's counted once per member — the k best reported
 // scores each sit under one of the k smallest uppers (tier-0 uppers
 // bracket what the capped engines report), so the scan runs against a
 // real bar instead of +Inf — and returns the scan state with the claim
-// heap of every candidate whose optimistic end fits that seeded
-// threshold. The threshold never rises, so the rest could never be
-// claimed: they stay open and are attributed after the scan like any
-// other cut-off candidate.
+// heap of every class whose optimistic end fits that seeded threshold.
+// The threshold never rises, so the rest could never be claimed: they
+// stay open and are attributed after the scan like any other cut-off
+// candidate.
 func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (*rankScan, *claimHeap) {
 	var start time.Time
 	if opts.Trace != nil {
 		start = time.Now()
 	}
 	n := len(sn.graphs)
-	cols := make([]float64, 3*n)
-	rs := &rankScan{
-		sn: sn, q: q, qsig: qsig, m: m, opts: opts,
-		lo: cols[:n:n], hi: cols[n : 2*n : 2*n], gedLo: cols[2*n:],
-		fate: make([]uint8, n),
+	rs := &rankScan{sn: sn, q: q, qsig: qsig, m: m, opts: opts, fate: make([]uint8, n)}
+	nc := n
+	if measure.HistogramRanked(m) {
+		rs.cls, nc = sn.cls, sn.classes
 	}
+	groups := groupByClass(rs.cls, nc, sn.seqs)
+	cols := make([]float64, 3*nc)
+	rs.lo, rs.hi, rs.gedLo = cols[:nc:nc], cols[nc:2*nc:2*nc], cols[2*nc:]
 	rs.needGED, _ = measure.EngineNeeds(m)
 	uppers := kSmallest{k: coll.floorK()}
 	basis := []measure.Measure{m}
-	for i, sig := range sn.sigs {
-		rs.gedLo[i] = measure.RankInterval(sig, qsig, basis, rs.lo[i:i+1], rs.hi[i:i+1])
-		uppers.push(rs.hi[i])
+	for c := range nc {
+		from, to := groups.start[c], groups.start[c+1]
+		rs.gedLo[c] = measure.RankInterval(sn.sigs[groups.members[from]], qsig, basis, rs.lo[c:c+1], rs.hi[c:c+1])
+		for range min(int(to-from), uppers.k) {
+			uppers.push(rs.hi[c])
+		}
 	}
 	if v, ok := uppers.kth(); ok {
 		coll.seedFloor(v)
 	}
 	th0 := coll.threshold()
-	admitted := make([]int, 0, n)
-	for i, lo := range rs.lo {
+	admitted := make([]int, 0, nc)
+	for c, lo := range rs.lo {
 		if lo <= th0 {
-			admitted = append(admitted, i)
+			admitted = append(admitted, c)
 		}
 	}
-	claims := newClaimHeap(admitted, rs.lo, rs.hi, sn.seqs)
+	claims := newClaimHeap(admitted, rs.lo, rs.hi, groups, sn.seqs)
 	if opts.Trace != nil {
 		// Bounding, threshold seeding and heapifying are bound-stage
-		// work; the stage's pruned count (tier 1 plus the threshold
-		// cutoff) is counted after the scan.
+		// work, one pair per candidate; the stage's pruned count (tier 1
+		// plus the threshold cutoff) is counted after the scan.
 		opts.Trace.Observe(StageBound, time.Since(start), n, 0)
 	}
 	return rs, claims
@@ -378,7 +470,8 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 	// a candidate the interval already condemns is always the cutoff's,
 	// never an "exact" exclusion that ran no engine.
 	th := coll.threshold()
-	if rs.lo[i] > th {
+	c := rs.class(i)
+	if rs.lo[c] > th {
 		return false
 	}
 	trace := rs.opts.Trace
@@ -387,23 +480,25 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 		t0 = time.Now()
 	}
 	g, sig := rs.sn.graphs[i], rs.sn.sigs[i]
-	// Tier 1: the branch bound raises the optimistic end of the GED
-	// interval. A candidate it lifts above the threshold is out with no
-	// engine run; otherwise the raised GEDLo narrows the decision run's
-	// plan. A candidate whose pessimistic end already fits is certainly
-	// in, so there is nothing to prove.
-	gedLo := rs.gedLo[i]
-	if rs.needGED && rs.hi[i] > th {
-		if lb := rs.qsig.BranchTable().LB(sig); lb > gedLo {
-			gedLo = lb
-			if measure.AtGED(rs.m, lb) > th {
-				rs.fate[i] = fateBounded
-				if trace != nil {
-					trace.Observe(StageBound, time.Since(t0), 0, 0)
-				}
-				return true
+	// Tier 1: the branch bound decides whether it proves the candidate
+	// out: above the largest GED the threshold admits, it is out with
+	// no engine run. Otherwise the bound raises the optimistic end of
+	// the GED interval, which narrows the decision run's plan. A
+	// candidate whose pessimistic end already fits is certainly in, so
+	// there is nothing to prove.
+	gedLo := rs.gedLo[c]
+	if rs.needGED && rs.hi[c] > th {
+		gedHi := sig.Order + rs.qsig.Order + sig.Size + rs.qsig.Size
+		limit := measure.GEDLimitAt(rs.m, th, int(gedLo), gedHi)
+		lb, above := rs.qsig.BranchTable().Exceeds(sig, limit)
+		if above {
+			rs.fate[i] = fateBounded
+			if trace != nil {
+				trace.Observe(StageBound, time.Since(t0), 0, 0)
 			}
+			return true
 		}
+		gedLo = max(gedLo, lb)
 		if trace != nil {
 			t1 := time.Now()
 			trace.Observe(StageBound, t1.Sub(t0), 0, 0)
@@ -482,7 +577,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 	// worker already popped bounds lower than the one that stopped it
 	// and still gets its own threshold check — dropping it unchecked
 	// would lose a possible answer.
-	err := forEachClaim(ctx, len(claims.idx), opts.Workers, func(int) bool {
+	err := forEachClaim(ctx, claims.n, opts.Workers, func(int) bool {
 		i, ok := claims.pop()
 		return ok && rs.settle(i, coll)
 	})

@@ -1,0 +1,83 @@
+package gdb
+
+import (
+	"fmt"
+	"testing"
+
+	"skygraph/internal/dataset"
+	"skygraph/internal/measure"
+)
+
+// TestRankedFatesPinned: at one worker the ranked scan is
+// deterministic, so how every candidate left it is a fixed count per
+// fate. On a seeded store of 600 graphs clustered like the harness's
+// cold-ranked collection (order-5 families of 2-edit mutations), 16
+// top-5 and 16 range queries of 1-edit noise are run under DistEd and
+// DistNEd, and the candidates are counted by fate: scored exactly,
+// proved out by tier 1 (the branch bound), excluded by an engine
+// decision run, and cut off by the threshold. The counts were recorded
+// with a per-candidate tier 0 and a tier 1 that always solved the
+// assignment: bounding per histogram class and deciding tier 1 from the
+// row/column bound must not move them, and a change to claim order or
+// to what tier 1 proves shows up here as a moved count.
+func TestRankedFatesPinned(t *testing.T) {
+	const n = 600
+	gs := dataset.NoisyQueries(dataset.MoleculeDB(n/25, 5, 5, 4601), n, 2, 4603)
+	for i, g := range gs {
+		g.SetName(fmt.Sprintf("g%05d", i))
+	}
+	sh := New()
+	if err := sh.InsertAll(gs); err != nil {
+		t.Fatal(err)
+	}
+	qs := dataset.NoisyQueries(gs, 32, 1, 4602)
+	// want[kind] counts {scored, tier 1, engine, cut off} over the
+	// kind's 16 queries.
+	for _, tc := range []struct {
+		m      measure.Measure
+		radius float64
+		want   map[string][4]int
+	}{
+		{measure.DistEd{}, 2, map[string][4]int{
+			"topk":  {411, 1072, 400, 7717},
+			"range": {183, 1323, 197, 7897},
+		}},
+		{measure.DistNEd{}, 2.0 / 3, map[string][4]int{
+			"topk":  {411, 1072, 400, 7717},
+			"range": {183, 1323, 197, 7897},
+		}},
+	} {
+		got := map[string][4]int{}
+		for j, q := range qs {
+			kind := "topk"
+			var coll rankedCollector = newTopkCollector(5)
+			if j%2 == 1 {
+				kind, coll = "range", newRangeCollector(tc.radius)
+			}
+			opts := QueryOptions{Workers: 1}.withDefaults()
+			// evalRanked's claim loop at one worker.
+			rs, claims := newRankScan(sh.snapshot(), q, measure.NewSignature(q), tc.m, opts, coll)
+			for i, ok := claims.pop(); ok && rs.settle(i, coll); i, ok = claims.pop() {
+			}
+			c := got[kind]
+			for _, f := range rs.fate {
+				switch f {
+				case fateScored, fateInexact:
+					c[0]++
+				case fateBounded:
+					c[1]++
+				case fateExcluded:
+					c[2]++
+				default:
+					c[3]++
+				}
+			}
+			got[kind] = c
+		}
+		for _, kind := range []string{"topk", "range"} {
+			if got[kind] != tc.want[kind] {
+				t.Errorf("%s %s: fates {scored, tier 1, engine, cut off} = %v, want %v", tc.m.Name(), kind, got[kind], tc.want[kind])
+			}
+		}
+	}
+}

@@ -133,7 +133,7 @@ func TestClaimHeapMatchesSortOrder(t *testing.T) {
 			}
 			return cmp.Compare(seqs[a], seqs[b])
 		})
-		h := newClaimHeap(idx, lo, hi, seqs)
+		h := newClaimHeap(idx, lo, hi, groupByClass(nil, n, seqs), seqs)
 		var got []int
 		for i, ok := h.pop(); ok; i, ok = h.pop() {
 			got = append(got, i)

@@ -11,7 +11,7 @@ import (
 )
 
 // TestSnapshotColumnsMatchGraphs: a scan's snapshot pairs every graph
-// with its own signature and insertion sequence. A writer deletes and
+// with its own signature, insertion sequence and histogram class. A writer deletes and
 // re-inserts one name, alternating two graphs of different orders and
 // sizes, while the reader snapshots the database. Wherever a snapshot
 // holds that name, the signature beside it describes the graph it holds
@@ -19,7 +19,10 @@ import (
 // strictly increase along the snapshot, as insertion order fixes them.
 // A snapshot held across the writer's whole run keeps every column
 // element it was handed, and a column a reader appends to never shares
-// its new element with the store.
+// its new element with the store. Every snapshot's class column is
+// dense and true to the histograms (requireClassColumn), across the
+// writer's deletes and re-inserts, which alternate the name between two
+// classes, and after an OpenDurable recovery, which re-interns the ids.
 func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	sh := New()
 	if err := sh.InsertAll(dataset.MoleculeDB(6, 5, 5, 3601)); err != nil {
@@ -40,6 +43,7 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 
 	held := sh.snapshot()
 	heldGraphs, heldSigs, heldSeqs := slices.Clone(held.graphs), slices.Clone(held.sigs), slices.Clone(held.seqs)
+	heldCls := slices.Clone(held.cls)
 
 	var done atomic.Bool
 	writerErr := make(chan error, 1)
@@ -63,6 +67,7 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 		if len(sn.sigs) != len(sn.graphs) || len(sn.seqs) != len(sn.graphs) {
 			t.Fatalf("snapshot columns: %d graphs, %d signatures, %d sequences", len(sn.graphs), len(sn.sigs), len(sn.seqs))
 		}
+		requireClassColumn(t, "under the writer", sn)
 		for i, g := range sn.graphs {
 			if i > 0 && sn.seqs[i] <= sn.seqs[i-1] {
 				t.Fatalf("snapshot sequences out of order at %d: %d after %d", i, sn.seqs[i], sn.seqs[i-1])
@@ -83,9 +88,11 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	if checked == 0 {
 		t.Log("no snapshot caught x this run")
 	}
-	if !slices.Equal(held.graphs, heldGraphs) || !slices.Equal(held.sigs, heldSigs) || !slices.Equal(held.seqs, heldSeqs) {
+	if !slices.Equal(held.graphs, heldGraphs) || !slices.Equal(held.sigs, heldSigs) || !slices.Equal(held.seqs, heldSeqs) ||
+		!slices.Equal(held.cls, heldCls) {
 		t.Fatal("a snapshot held across the writer's run changed under it")
 	}
+	requireClassColumn(t, "held", held)
 
 	// A reader appending to its columns must not write where the store
 	// appends next, nor see the store's next append in its own slice.
@@ -106,7 +113,77 @@ func TestSnapshotColumnsMatchGraphs(t *testing.T) {
 	if len(next.graphs) != n+1 || next.graphs[n] != extra || next.sigs[n] == nil || next.seqs[n] == 0 {
 		t.Fatal("a reader's append reached the store's next snapshot")
 	}
-	if !slices.Equal(next.graphs[:n], sn.graphs) || !slices.Equal(next.sigs[:n], sn.sigs) || !slices.Equal(next.seqs[:n], sn.seqs) {
+	if !slices.Equal(next.graphs[:n], sn.graphs) || !slices.Equal(next.sigs[:n], sn.sigs) || !slices.Equal(next.seqs[:n], sn.seqs) ||
+		!slices.Equal(next.cls[:n], sn.cls) {
 		t.Fatal("an insert changed the columns below the length it was handed")
+	}
+
+	// Recovery replays inserts and deletes into a fresh store, which
+	// interns its own ids.
+	dir := t.TempDir()
+	d, err := OpenDurable(DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range next.graphs {
+		if _, err := d.DB.Insert(g, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range next.graphs[:len(next.graphs)/2] {
+		if _, err := d.DB.Delete(g.Name(), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := d.DB.Insert(next.graphs[0], ""); err != nil {
+		t.Fatal(err)
+	}
+	want := d.DB.snapshot()
+	requireClassColumn(t, "durable", want)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDurable(DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	got := d.DB.snapshot()
+	if !slices.EqualFunc(got.graphs, want.graphs, func(a, b *graph.Graph) bool { return a.Name() == b.Name() }) {
+		t.Fatal("recovery changed the stored graphs")
+	}
+	requireClassColumn(t, "recovered", got)
+}
+
+// requireClassColumn checks sn's class column: one id per graph, every
+// id below the snapshot's class count and each of those held by some
+// graph (the ids are dense), and two graphs share an id exactly when
+// they share their vertex- and edge-label histograms.
+func requireClassColumn(t *testing.T, label string, sn snap) {
+	t.Helper()
+	if len(sn.cls) != len(sn.graphs) {
+		t.Fatalf("%s: %d class ids for %d graphs", label, len(sn.cls), len(sn.graphs))
+	}
+	keys := make([]string, sn.classes)
+	for i, c := range sn.cls {
+		if c < 0 || int(c) >= sn.classes {
+			t.Fatalf("%s: graph %d has class %d of %d", label, i, c, sn.classes)
+		}
+		key := sn.sigs[i].HistogramClass()
+		if keys[c] == "" {
+			keys[c] = key
+		} else if keys[c] != key {
+			t.Fatalf("%s: class %d holds graphs of two histogram classes", label, c)
+		}
+	}
+	seen := map[string]bool{}
+	for c, key := range keys {
+		if key == "" {
+			t.Fatalf("%s: class %d of %d holds no graph", label, c, sn.classes)
+		}
+		if seen[key] {
+			t.Fatalf("%s: one histogram class has two ids", label)
+		}
+		seen[key] = true
 	}
 }

@@ -47,15 +47,19 @@ type VectorTable struct {
 
 // snap is one read of the database under a single lock acquisition:
 // the stored graphs in insertion order, their signatures, their insert
-// sequences (the scans' tie-break) and the generation they belong to.
+// sequences (the scans' tie-break), their histogram classes and the
+// generation they belong to. Every class id in cls is below classes,
+// and each of those ids is some row's class.
 type snap struct {
-	graphs []*graph.Graph
-	sigs   []*measure.Signature
-	seqs   []uint64
-	gen    uint64
+	graphs  []*graph.Graph
+	sigs    []*measure.Signature
+	seqs    []uint64
+	cls     []int32
+	classes int
+	gen     uint64
 }
 
-// snapshot reads the database: three slice headers copied under the
+// snapshot reads the database: four slice headers copied under the
 // read lock. The store never writes below a length it has handed out
 // (Insert appends, Delete builds new columns), and each column is cut
 // to its length in capacity too, so no reader can append into the
@@ -64,7 +68,10 @@ func (sh *Sharded) snapshot() snap {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	n := len(sh.graphs)
-	return snap{graphs: sh.graphs[:n:n], sigs: sh.sigs[:n:n], seqs: sh.seqs[:n:n], gen: sh.gen}
+	return snap{
+		graphs: sh.graphs[:n:n], sigs: sh.sigs[:n:n], seqs: sh.seqs[:n:n], cls: sh.cls[:n:n],
+		classes: len(sh.classes.keys), gen: sh.gen,
+	}
 }
 
 // VectorTable evaluates the GCS vector of every database graph against

@@ -65,6 +65,14 @@ import (
 // shared by a scan's workers. A bound merges the two id lists, gathers
 // the residual matrix from the rows and solves it: no string is
 // compared and nothing is decoded.
+//
+// A caller that only needs to know whether the bound exceeds a limit —
+// the ranked scan, against the largest GED its threshold admits — asks
+// Exceeds, which takes the matrix's row/column-minimum bound while
+// gathering it: each branch pays at least its cheapest partner, on
+// either side, so max(Σ row minima, Σ column minima) is a weaker
+// bound. When its ceiling already exceeds the limit the assignment is
+// never solved; otherwise Exceeds solves it and returns the full bound.
 
 // localBit marks a local id; see above.
 const localBit = 1 << 31
@@ -350,13 +358,16 @@ func (t *BranchTable) row(id uint32, o *Signature) []float64 {
 }
 
 // boundBuf is one bound's working memory: the residual branches, their
-// rows, the cost matrix and the assignment solver's scratch, pooled so
-// a bound over filled rows allocates nothing.
+// rows, the cost matrix with its row/column-minimum bound and column
+// minima, and the assignment solver's scratch, pooled so a bound over
+// filled rows allocates nothing.
 type boundBuf struct {
 	ro     [][]float64
 	rq     []int32
 	flat   []float64
 	matrix [][]float64
+	minSum float64
+	colMin []float64
 	solver assign.Scratch
 }
 
@@ -366,7 +377,10 @@ var branchPool = sync.Pool{New: func() any { return new(boundBuf) }}
 // branches of o and of the query that have no identical twin on the
 // other side: rows are those of the graph with more residual branches,
 // columns the other's, padded with empty branches to a square. Empty
-// when every branch has a twin.
+// when every branch has a twin. It also sets b.minSum to the matrix's
+// row/column-minimum bound, max(Σ row minima, Σ column minima): every
+// assignment pays at least each row's cheapest entry, and each
+// column's, so the bound is at most the cheapest assignment's cost.
 func (t *BranchTable) costs(b *boundBuf, o *Signature) [][]float64 {
 	// ro holds the rows of o's residual branches, rq the columns of the
 	// query's.
@@ -395,9 +409,13 @@ func (t *BranchTable) costs(b *boundBuf, o *Signature) [][]float64 {
 	b.ro, b.rq = ro, rq
 	n := max(len(ro), len(rq))
 	if cap(b.flat) < n*n {
+		// colMin grows with flat: a flat of m*m cells has m minima.
 		b.flat = make([]float64, n*n)
+		b.colMin = make([]float64, n)
 	}
+	colMin := b.colMin[:n]
 	b.matrix = b.matrix[:0]
+	var rowSum float64
 	for i := 0; i < n; i++ {
 		row := b.flat[i*n : (i+1)*n]
 		if len(ro) >= len(rq) {
@@ -418,8 +436,23 @@ func (t *BranchTable) costs(b *boundBuf, o *Signature) [][]float64 {
 				row[j] = t.pad[c]
 			}
 		}
+		rowMin := row[0]
+		for j, v := range row {
+			if v < rowMin {
+				rowMin = v
+			}
+			if i == 0 || v < colMin[j] {
+				colMin[j] = v
+			}
+		}
+		rowSum += rowMin
 		b.matrix = append(b.matrix, row)
 	}
+	var colSum float64
+	for _, v := range colMin {
+		colSum += v
+	}
+	b.minSum = max(rowSum, colSum)
 	return b.matrix
 }
 
@@ -435,4 +468,24 @@ func (t *BranchTable) LB(o *Signature) float64 {
 	// the total is the same whichever graph supplies the rows.
 	_, total, _ := buf.solver.Solve(t.costs(buf, o))
 	return math.Ceil(total / 2)
+}
+
+// Exceeds decides LB(o) > limit for an integer (or infinite) GED limit,
+// solving the assignment only when it must. The row/column-minimum
+// bound of the residual matrix, rounded up like LB, is at most LB(o):
+// when it already exceeds limit, Exceeds reports so with that bound as
+// lb and no assignment solved. Otherwise it solves as LB does, and lb
+// is LB(o) exactly, whichever way the decision goes. The ranked scan's
+// tier 1 calls it with the largest GED its threshold admits
+// (GEDLimitAt).
+func (t *BranchTable) Exceeds(o *Signature, limit float64) (lb float64, exceeds bool) {
+	buf := branchPool.Get().(*boundBuf)
+	defer branchPool.Put(buf)
+	matrix := t.costs(buf, o)
+	if lb = math.Ceil(buf.minSum / 2); lb > limit {
+		return lb, true
+	}
+	_, total, _ := buf.solver.Solve(matrix)
+	lb = math.Ceil(total / 2)
+	return lb, lb > limit
 }

@@ -407,6 +407,62 @@ func TestBranchBoundPower(t *testing.T) {
 	t.Logf("branch bound proves %d of %d histogram survivors out (%.0f%%)", proved, passed, 100*share)
 }
 
+// TestExceedsDecidesLB: Exceeds(o, limit) is the decision LB(o) >
+// limit for every integer limit from 0 to LB+1, and a -1 and an
+// infinite one, on seeded pairs of both harness shapes, on isomorphic
+// pairs (every branch cancels, the residual is empty) and on queries
+// with local ids (a branch relabeled to one the dictionary has never
+// seen). Whenever it does not report "above" it returns LB exactly, as
+// the ranked scan keeps it as the survivor's GED lower bound; when it
+// does, what it returns exceeds limit and is no more than LB.
+func TestExceedsDecidesLB(t *testing.T) {
+	type pair struct {
+		label string
+		o, q  *Signature
+	}
+	var pairs []pair
+	near, far, mol6 := branchPairs(100, 3451)
+	for name, ps := range map[string][][2]*graph.Graph{"near": near, "far": far, "mol6": mol6} {
+		for i, p := range ps {
+			o := InternSignature(p[0])
+			local := p[1].Clone()
+			local.RelabelVertex(i%local.Order(), freshLabel())
+			pairs = append(pairs,
+				pair{fmt.Sprintf("%s pair %d", name, i), o, NewSignature(p[1])},
+				pair{fmt.Sprintf("%s pair %d isomorphic", name, i), o, NewSignature(reversed(p[0]))},
+				pair{fmt.Sprintf("%s pair %d local", name, i), o, NewSignature(local)})
+		}
+	}
+	for _, p := range pairs {
+		tab := p.q.BranchTable()
+		lb := tab.LB(p.o)
+		if strings.HasSuffix(p.label, "isomorphic") {
+			var buf boundBuf
+			if n := len(tab.costs(&buf, p.o)); n != 0 || lb != 0 {
+				t.Fatalf("%s: residual side %d and bound %v, want an empty residual and 0", p.label, n, lb)
+			}
+		}
+		if strings.HasSuffix(p.label, "local") && p.q.local == nil {
+			t.Fatalf("%s: the relabeled query has no local id", p.label)
+		}
+		limits := []float64{-1, math.Inf(1)}
+		for l := 0.0; l <= lb+1; l++ {
+			limits = append(limits, l)
+		}
+		for _, limit := range limits {
+			got, above := tab.Exceeds(p.o, limit)
+			switch {
+			case above != (lb > limit):
+				t.Fatalf("%s limit %v: Exceeds reports above=%v, LB %v", p.label, limit, above, lb)
+			case !above && got != lb:
+				t.Fatalf("%s limit %v: Exceeds returns %v below the limit, LB %v", p.label, limit, got, lb)
+			case above && (got <= limit || got > lb):
+				t.Fatalf("%s limit %v: Exceeds proves above with %v, LB %v", p.label, limit, got, lb)
+			}
+		}
+	}
+}
+
 // branchPairs builds (database graph, query) pairs in the benchmark
 // harness's shapes: order-5 clustered molecules (near: a query one edit
 // from a sibling of its own family; far: a member of another family)

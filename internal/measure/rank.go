@@ -113,11 +113,33 @@ func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo f
 	return opt.GED
 }
 
+// HistogramRanked reports whether m's tier-0 interval (RankInterval
+// with basis {m}) reads only the pair's vertex- and edge-label
+// histograms, orders and sizes included, which the histograms fix: then
+// every signature of one histogram class (HistogramClass) has the same
+// interval against a given query, bit for bit, and the ranked scan
+// bounds each class once.
+func HistogramRanked(m Measure) bool {
+	switch m.(type) {
+	case DistEd, DistNEd, DistVLabel, DistELabel:
+		return true
+	}
+	return false
+}
+
 // AtGED is the distance of a measure that reads GED alone (one for
 // which EngineNeeds reports needGED) at GED value v: the end of its
-// interval at a GED bound. The ranked scan reads the optimistic end
-// with it once the branch bound raises GEDLo to v.
+// interval at a GED bound.
 func AtGED(m Measure, v float64) float64 { return m.FromStats(PairStats{GED: v}) }
+
+// GEDLimitAt is GEDLimit for a measure that reads GED alone: the
+// largest integer GED v in [lo, hi] whose distance AtGED(m, v) fits
+// under t, +Inf when even hi fits, lo−1 when not even lo does. The
+// ranked scan hands it to tier 1 (BranchTable.Exceeds): a branch bound
+// above it proves the candidate out.
+func GEDLimitAt(m Measure, t float64, lo, hi int) float64 {
+	return lastFit(lo, hi, func(v int) bool { return AtGED(m, float64(v)) <= t })
+}
 
 // RankPlan tells the exact engines how to decide "distance under m
 // exceeds t" for one candidate pair. Either proof suffices:
@@ -200,16 +222,22 @@ func PlanRank(m Measure, bs BoundStats, t float64) RankPlan {
 // measure against a scalar threshold with it, the progressive skyline
 // scan a whole GCS vector against its running front.
 func (bs BoundStats) GEDLimit(mcsv int, fits func(PairStats) bool) float64 {
-	lo, hi := int(bs.GEDLo), int(bs.GEDHi)
+	return lastFit(int(bs.GEDLo), int(bs.GEDHi), func(v int) bool { return fits(bs.statsAt(float64(v), mcsv)) })
+}
+
+// lastFit returns the largest integer v in [lo, hi] with fits(v): +Inf
+// when fits(hi), lo−1 when not fits(lo). fits must be monotone (once it
+// fails it fails for every larger value).
+func lastFit(lo, hi int, fits func(int) bool) float64 {
 	switch {
-	case fits(bs.statsAt(float64(hi), mcsv)):
+	case fits(hi):
 		return math.Inf(1)
-	case !fits(bs.statsAt(float64(lo), mcsv)):
+	case !fits(lo):
 		return float64(lo) - 1
 	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if fits(bs.statsAt(float64(mid), mcsv)) {
+		if fits(mid) {
 			lo = mid
 		} else {
 			hi = mid - 1

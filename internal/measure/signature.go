@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"encoding/binary"
 	"iter"
 	"slices"
 	"strings"
@@ -73,6 +74,25 @@ func newSignature(g *graph.Graph, intern bool) *Signature {
 	}
 	s.branches, s.local = branchIDs(g, edges, intern)
 	return s
+}
+
+// HistogramClass returns the key of s's histogram class: two
+// signatures have equal keys exactly when their vertex- and edge-label
+// histograms are equal, and then equal orders and sizes too. The store
+// groups its graphs by it, so that a scan under a measure whose tier-0
+// interval reads only the histograms (HistogramRanked) bounds each
+// class once.
+func (s *Signature) HistogramClass() string {
+	var buf [128]byte
+	b := buf[:0]
+	for _, h := range [2]Histogram{s.VHist, s.EHist} {
+		b = binary.AppendUvarint(b, uint64(len(h)))
+		for _, e := range h {
+			b = appendKey(b, e.label)
+			b = binary.AppendUvarint(b, uint64(e.n))
+		}
+	}
+	return string(b)
 }
 
 // edgeType renders the canonical (endpoint labels, edge label) key of
