@@ -175,15 +175,16 @@ type Ack struct {
 // was accepted. The database stores g itself; callers must not mutate
 // a graph after insertion (Clone first if needed).
 func (sh *Sharded) Insert(g *graph.Graph, key string) (Ack, error) {
-	return sh.insert(g, insertSeq.Add(1), key)
+	return sh.insert(g, 0, key)
 }
 
-// insert is Insert under a caller-supplied insert sequence: a fresh one
-// for new graphs, the persisted one on recovery replay (the sequence
-// identifies the graph VALUE, which a restart does not change). The
-// returned Ack.Gen is the generation the insert produced: the evidence
-// a delta-maintaining cache needs to prove a cached entry is exactly
-// one mutation behind.
+// insert is Insert under an insert sequence: 0 mints a fresh one under
+// the store lock, so concurrent inserts append their columns (and their
+// write-ahead records) in sequence order; recovery replay passes the
+// persisted one (the sequence identifies the graph VALUE, which a
+// restart does not change). The returned Ack.Gen is the generation the
+// insert produced: the evidence a delta-maintaining cache needs to
+// prove a cached entry is exactly one mutation behind.
 func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	switch {
 	case g == nil:
@@ -198,6 +199,9 @@ func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	defer sh.mu.Unlock()
 	if _, dup := sh.byName[g.Name()]; dup {
 		return Ack{Existed: true}, fmt.Errorf("gdb: duplicate graph name %q", g.Name())
+	}
+	if seq == 0 {
+		seq = insertSeq.Add(1)
 	}
 	// Write-ahead: with every failure mode that is checkable up front
 	// already rejected, log the mutation before applying it. If the

@@ -14,6 +14,9 @@
 //     answerable, advancing its generation and changing at most one
 //     row, and invalidates the rest;
 //   - api.go (this file): the wire types;
+//   - querygraph.go: the graph map from a query graph's raw JSON bytes
+//     to its decoded graph and canonical hash, so a repeated request
+//     decodes and hashes no graph;
 //   - server.go: the handlers, per-request timeouts, the one admission
 //     gate, and coalesce — the one cache → flight → build loop behind
 //     every answer: skyline tables built by Sharded.VectorTable, ranked

@@ -25,9 +25,12 @@ func (s *Server) maxBatch() int {
 // Items run concurrently, each on the path its kind fixes — exactly the
 // path the dedicated endpoint would take — so identical (or isomorphic)
 // items coalesce onto a single evaluation per (query hash, path),
-// first via the in-flight leader, then via the cache. The whole batch
-// shares one time budget; an item that fails (bad request, timeout)
-// reports its error in place without failing the rest.
+// first via the in-flight leader, then via the cache. Once the item
+// count passes the limit check, item graphs resolve by their bytes
+// through the graph map before any item runs, so a graph that fails to
+// decode fails the whole body. The whole batch shares one
+// time budget; an item that fails (bad request, timeout) reports its
+// error in place without failing the rest.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.admitQuery(w) {
 		return
@@ -35,9 +38,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseQuery()
 	s.batches.Add(1)
 	start := time.Now()
-	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req wireBatch
+	body, err := readWire(w, r, &req)
+	if err != nil {
+		s.badBody(w, body, &BatchRequest{}, err)
 		return
 	}
 	if req.TimeoutMS <= 0 {
@@ -50,6 +54,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if len(req.Queries) > s.maxBatch() {
 		s.writeError(w, http.StatusBadRequest, "batch of %d queries exceeds the limit of %d", len(req.Queries), s.maxBatch())
 		return
+	}
+	qgs := make([]queryGraph, len(req.Queries))
+	for i := range req.Queries {
+		if qgs[i], err = s.graphFor(req.Queries[i].Graph); err != nil {
+			s.badBody(w, body, &BatchRequest{}, err)
+			return
+		}
 	}
 
 	ctx := r.Context()
@@ -72,7 +83,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				if i >= len(req.Queries) {
 					return
 				}
-				results[i] = s.runBatchQuery(ctx, &req.Queries[i])
+				results[i] = s.runBatchQuery(ctx, &req.Queries[i].BatchQuery, qgs[i])
 			}
 		}()
 	}
@@ -92,9 +103,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Stats: stats})
 }
 
-// runBatchQuery resolves and executes one batch item end to end,
-// reporting failures in the result instead of aborting the batch.
-func (s *Server) runBatchQuery(ctx context.Context, bq *BatchQuery) BatchResult {
+// runBatchQuery resolves and executes one batch item over its query
+// graph qg end to end, reporting failures in the result instead of
+// aborting the batch.
+func (s *Server) runBatchQuery(ctx context.Context, bq *BatchQuery, qg queryGraph) BatchResult {
 	s.queries.Add(1)
 	start := time.Now()
 	kind := bq.Kind
@@ -102,7 +114,7 @@ func (s *Server) runBatchQuery(ctx context.Context, bq *BatchQuery) BatchResult 
 		kind = "skyline"
 	}
 	out := BatchResult{Kind: kind}
-	res, err := s.resolveQuery(kind, &bq.QueryRequest)
+	res, err := s.resolve(kind, &bq.QueryRequest, qg)
 	var ans answer
 	if err == nil {
 		ans, err = s.execQuery(ctx, kind, &bq.QueryRequest, res, start)

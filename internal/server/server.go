@@ -29,7 +29,9 @@ import (
 // Config tunes a Server.
 type Config struct {
 	// CacheSize is the answer cache's LRU capacity (entries; < 1
-	// disables). Each query answer occupies one entry.
+	// disables). Each query answer occupies one entry. The graph map,
+	// from a query graph's raw bytes to its decoded graph and hash, has
+	// the same capacity.
 	CacheSize int
 	// DefaultTimeout bounds a query when the request does not ask for a
 	// timeout (0 = no default).
@@ -86,8 +88,12 @@ const idemCapacity = 4096
 // answer cache in front of pair evaluation. Create with New, mount via
 // Handler.
 type Server struct {
-	db     *gdb.Sharded
-	cache  *Cache
+	db    *gdb.Sharded
+	cache *Cache
+	// graphs maps a query graph's raw JSON bytes to its decoded graph
+	// and QueryHash (querygraph.go), so a repeated query decodes and
+	// hashes nothing.
+	graphs *lru.Cache[string, queryGraph]
 	cfg    Config
 	start  time.Time
 	met    *metrics
@@ -149,6 +155,7 @@ func New(db *gdb.Sharded, cfg Config) *Server {
 	s := &Server{
 		db:     db,
 		cache:  NewCache(cfg.CacheSize),
+		graphs: lru.New[string, queryGraph](cfg.CacheSize),
 		cfg:    cfg,
 		start:  time.Now(),
 		slowW:  cfg.SlowQueryLog,
@@ -316,7 +323,13 @@ func (s *Server) writeErrorClass(w http.ResponseWriter, code int, class string, 
 const maxBodyBytes = 64 << 20
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeJSON decodes the first JSON value read from rd into v,
+// rejecting unknown fields.
+func decodeJSON(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -325,7 +338,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // into engine values.
 type resolved struct {
 	q     *graph.Graph
-	qh    string // canonical query hash, computed once per request
+	qh    string // canonical query hash, from graphFor
 	basis []measure.Measure
 	m     measure.Measure // ranking measure (topk/range)
 	opts  gdb.QueryOptions
@@ -337,11 +350,15 @@ type resolved struct {
 	key cacheKey
 }
 
-// resolveQuery validates a request of the given kind ("skyline", "topk"
-// or "range") and resolves it. Every measure a request can name is a
-// built-in (measure.Rankable and measure.Boundable), so every basis can
-// be pruned and every ranking measure can run the ranked scan.
-func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) {
+// resolve validates a request of the given kind ("skyline", "topk"
+// or "range") over its query graph qg, already decoded, validated and
+// hashed by graphFor (the zero qg when the request carries none), and
+// resolves it. A request that resolves stores a freshly decoded qg in
+// the graph map (keepGraph); one that fails stores nothing. Every
+// measure a request can name is a built-in (measure.Rankable and
+// measure.Boundable), so every basis can be pruned and every ranking
+// measure can run the ranked scan.
+func (s *Server) resolve(kind string, req *QueryRequest, qg queryGraph) (resolved, error) {
 	var res resolved
 	switch kind {
 	case "skyline":
@@ -359,14 +376,10 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	default:
 		return res, fmt.Errorf("unknown query kind %q (want skyline, topk or range)", kind)
 	}
-	if req.Graph == nil {
+	if qg.g == nil {
 		return res, errors.New("missing query graph")
 	}
-	if err := req.Graph.Validate(); err != nil {
-		return res, fmt.Errorf("invalid query graph: %w", err)
-	}
-	res.q = req.Graph
-	res.qh = graph.QueryHash(res.q)
+	res.q, res.qh = qg.g, qg.qh
 
 	basis, err := measure.BasisByNames(req.Basis)
 	if err != nil {
@@ -404,6 +417,7 @@ func (s *Server) resolveQuery(kind string, req *QueryRequest) (resolved, error) 
 	// engine work, and the cascade-stage metrics want the numbers whether
 	// or not the client asked to see them.
 	res.opts.Trace = gdb.NewQueryTrace()
+	s.keepGraph(qg)
 	return res, nil
 }
 
@@ -737,7 +751,8 @@ func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, 
 }
 
 // runQuery wraps the shared decode / resolve / timeout / execute
-// plumbing of the three query endpoints.
+// plumbing of the three query endpoints. The query graph resolves by
+// its bytes (graphFor): a repeated request decodes and hashes no graph.
 func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, kind string) {
 	if !s.admitQuery(w) {
 		return
@@ -745,32 +760,38 @@ func (s *Server) runQuery(w http.ResponseWriter, r *http.Request, kind string) {
 	defer s.releaseQuery()
 	s.queries.Add(1)
 	start := time.Now()
-	var req QueryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var wire wireQuery
+	body, err := readWire(w, r, &wire)
+	var qg queryGraph
+	if err == nil {
+		qg, err = s.graphFor(wire.Graph)
+	}
+	if err != nil {
+		s.badBody(w, body, &QueryRequest{}, err)
 		return
 	}
+	req := &wire.QueryRequest
 	if req.TimeoutMS <= 0 {
 		req.TimeoutMS = headerTimeoutMS(r)
 	}
-	res, err := s.resolveQuery(kind, &req)
+	res, err := s.resolve(kind, req, qg)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx := r.Context()
-	if d := s.timeout(&req); d > 0 {
+	if d := s.timeout(req); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	ans, err := s.execQuery(ctx, kind, &req, res, start)
+	ans, err := s.execQuery(ctx, kind, req, res, start)
 	if err != nil {
 		code, class, msg := s.classifyQueryErr(err)
 		s.writeErrorClass(w, code, class, 0, nil, "%s", msg)
 		return
 	}
-	s.finishQuery(kind, &req, res, ans, start)
+	s.finishQuery(kind, req, res, ans, start)
 	writeJSON(w, http.StatusOK, ans.body())
 }
 
@@ -1117,17 +1138,20 @@ func runtimeStats() RuntimeStats {
 // or complete ones for an item that sets "all". Queries run
 // sequentially — warming is maintenance, not serving, so it should
 // trickle rather than flood; each item still evaluates its pairs in
-// parallel like a normal cold query. Every failed item counts as a
-// request error, as a failed batch item does.
+// parallel like a normal cold query. Item graphs resolve by their bytes
+// through the graph map, as query and batch items do, so a warm item
+// and a later request sending the same bytes share one decode. Every
+// failed item counts as a request error, as a failed batch item does.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if !s.admitQuery(w) {
 		return
 	}
 	defer s.releaseQuery()
 	start := time.Now()
-	var req WarmRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	var req wireWarm
+	body, err := readWire(w, r, &req)
+	if err != nil {
+		s.badBody(w, body, &WarmRequest{}, err)
 		return
 	}
 	if req.TimeoutMS <= 0 {
@@ -1138,10 +1162,18 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Same size cap as /query/batch: every warm item is a table build,
-	// as a cold skyline request is.
+	// as a cold skyline request is. The cap holds before any item graph
+	// is decoded.
 	if len(req.Queries) > s.maxBatch() {
 		s.writeError(w, http.StatusBadRequest, "warm request of %d queries exceeds the limit of %d", len(req.Queries), s.maxBatch())
 		return
+	}
+	qgs := make([]queryGraph, len(req.Queries))
+	for i := range req.Queries {
+		if qgs[i], err = s.graphFor(req.Queries[i].Graph); err != nil {
+			s.badBody(w, body, &WarmRequest{}, err)
+			return
+		}
 	}
 	ctx := r.Context()
 	if d := s.timeout(&QueryRequest{TimeoutMS: req.TimeoutMS}); d > 0 {
@@ -1151,7 +1183,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]WarmResult, len(req.Queries))
 	for i := range req.Queries {
-		res, err := s.resolveQuery("skyline", &req.Queries[i])
+		res, err := s.resolve("skyline", &req.Queries[i].QueryRequest, qgs[i])
 		var e *cacheEntry
 		var hit bool
 		if err == nil {
