@@ -56,8 +56,8 @@ run-server:
 	$(GO) run ./cmd/skygraphd -addr :8091 -cache 128
 
 # examples runs the library's callers, not just compiles them: the four
-# examples, then gss paper -> skyline -> diverse -> topk in a temp dir,
-# failing unless the skyline is exactly g1, g4, g5 and g7.
+# examples, experiment E10, then gss paper -> skyline -> diverse -> topk
+# in a temp dir, failing unless the skyline is exactly g1, g4, g5 and g7.
 examples:
 	bash ./scripts/examples.sh
 

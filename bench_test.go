@@ -275,12 +275,12 @@ func BenchmarkGEDVariants(b *testing.B) {
 	})
 	b.Run("beam10", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ged.Beam(g1, g2, 10, nil)
+			ged.Beam(g1, g2, 10)
 		}
 	})
 	b.Run("bipartite", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ged.Bipartite(g1, g2, nil)
+			ged.Bipartite(g1, g2)
 		}
 	})
 	b.Run("lowerbound", func(b *testing.B) {

@@ -250,10 +250,10 @@ func e10() {
 		ex := ged.Exact(g1, g2, ged.Options{})
 		exactT += time.Since(t0)
 		t0 = time.Now()
-		bm := ged.Beam(g1, g2, 10, nil)
+		bm := ged.Beam(g1, g2, 10)
 		beamT += time.Since(t0)
 		t0 = time.Now()
-		bp := ged.Bipartite(g1, g2, nil)
+		bp := ged.Bipartite(g1, g2)
 		bipT += time.Since(t0)
 		beamErr += bm.Distance - ex.Distance
 		bipErr += bp.Distance - ex.Distance

@@ -53,17 +53,14 @@ var costPool = sync.Pool{New: func() any { return &costBuf{} }}
 // private deletion slot, and every g2 vertex to its private insertion slot.
 // The optimal assignment induces a full vertex mapping whose true edit cost
 // (EditCostOfMapping) is returned — always an upper bound on the exact
-// distance. cm == nil means Uniform{}.
-func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
-	if cm == nil {
-		cm = Uniform{}
-	}
+// distance.
+func Bipartite(g1, g2 *graph.Graph) Result {
 	n1, n2 := g1.Order(), g2.Order()
 	n := n1 + n2
 	if n == 0 {
 		return Result{Distance: 0, Mapping: []int{}, Exact: true}
 	}
-	s := newSearch(g1, g2, cm)
+	s := newSearch(g1, g2)
 	defer s.release()
 	buf := costPool.Get().(*costBuf)
 	defer costPool.Put(buf)
@@ -73,8 +70,9 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 	// (halved: each edge has two endpoints and would otherwise be
 	// double-counted across the assignment) estimates the edge cost
 	// implied by mapping u -> v — matched labels are free, the remainder
-	// costs one substitution or indel each.
-	nv, ne := s.NV(), s.NE()
+	// costs one substitution or indel each. A deleted (inserted) vertex
+	// likewise carries half of each incident edge's deletion (insertion).
+	ne := s.NE()
 	buf.inc1 = incidentHists(buf.inc1, s.Adj1, n1, ne)
 	buf.inc2 = incidentHists(buf.inc2, s.Adj2, n2, ne)
 	s.ce = pairform.Resize(s.ce, ne)
@@ -84,11 +82,11 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 			for l, c2 := range buf.inc2[v*ne : (v+1)*ne] {
 				s.ce[l] = h1[l] - c2
 			}
-			cost[u][v] = s.vsub[int(s.VL1[u])*nv+int(s.VL2[v])] + float64(histBound(s.ce))/2
+			cost[u][v] = float64(mismatch(s.VL1[u], s.VL2[v])) + float64(histBound(s.ce))/2
 		}
 		for j := n2; j < n; j++ {
 			if j == n2+u {
-				cost[u][j] = s.vdel[s.VL1[u]] + incidentEdgeCost(s.Adj1[u*n1:(u+1)*n1], s.edel)
+				cost[u][j] = 1 + float64(len(s.Nbrs1(u)))/2
 			} else {
 				cost[u][j] = bigCost
 			}
@@ -97,7 +95,7 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 	for i := n1; i < n; i++ {
 		for v := 0; v < n2; v++ {
 			if i == n1+v {
-				cost[i][v] = s.vins[s.VL2[v]] + incidentEdgeCost(s.Adj2[v*n2:(v+1)*n2], s.eins)
+				cost[i][v] = 1 + float64(len(s.Nbrs2(v)))/2
 			} else {
 				cost[i][v] = bigCost
 			}
@@ -125,7 +123,7 @@ func Bipartite(g1, g2 *graph.Graph, cm CostModel) Result {
 			m[u] = -1
 		}
 	}
-	return Result{Distance: s.mappingCost(m), Mapping: m, Exact: false}
+	return Result{Distance: float64(s.mappingCost(m)), Mapping: m, Exact: false}
 }
 
 // incidentHists returns each vertex's incident edge-label histogram as
@@ -142,36 +140,20 @@ func incidentHists(buf, adj []int32, n, ne int) []int32 {
 	return buf
 }
 
-// incidentEdgeCost charges half of each incident edge's indel cost (the
-// other endpoint carries the other half); row is the vertex's adjacency
-// row, per the deletion or insertion table.
-func incidentEdgeCost(row []int32, per []float64) float64 {
-	c := 0.0
-	for _, l := range row {
-		if l != 0 {
-			c += per[l] / 2
-		}
-	}
-	return c
-}
-
 // Beam runs the A* search restricted to the `width` best nodes per depth
 // level. It returns an upper bound on the edit distance (exact when the
 // optimal path survives the beam; guaranteed only for width >= the full
-// branching). cm == nil means Uniform{}.
-func Beam(g1, g2 *graph.Graph, width int, cm CostModel) Result {
-	if cm == nil {
-		cm = Uniform{}
-	}
+// branching).
+func Beam(g1, g2 *graph.Graph, width int) Result {
 	if width < 1 {
 		width = 1
 	}
-	s := newSearch(g1, g2, cm)
+	s := newSearch(g1, g2)
 	defer s.release()
 	n1, n2 := s.N1, s.N2
 	if n1 == 0 {
 		// Pure insertion of g2.
-		return Result{Distance: s.completionCostAfter(-1), Mapping: []int{}, Exact: true}
+		return Result{Distance: float64(s.completionCostAfter(-1)), Mapping: []int{}, Exact: true}
 	}
 
 	// Levels hold slab indices; the open list is unused, so children go
@@ -181,7 +163,7 @@ func Beam(g1, g2 *graph.Graph, width int, cm CostModel) Result {
 	for depth := 0; depth < n1; depth++ {
 		var next []int32
 		u := int(s.order[depth])
-		add := func(parent int32, v int, g float64) {
+		add := func(parent int32, v int, g int32) {
 			if depth+1 == n1 {
 				g += s.completionCostAfter(v)
 			}
@@ -210,5 +192,5 @@ func Beam(g1, g2 *graph.Graph, width int, cm CostModel) Result {
 			best = n
 		}
 	}
-	return Result{Distance: s.slab[best].g, Mapping: s.extractMapping(best), Exact: false}
+	return Result{Distance: float64(s.slab[best].g), Mapping: s.extractMapping(best), Exact: false}
 }

@@ -10,17 +10,10 @@ import (
 
 // Options tunes the exact search.
 type Options struct {
-	// Cost is the cost model; nil means Uniform{}.
-	Cost CostModel
 	// MaxNodes caps A* node expansions; 0 means unlimited. When the cap is
 	// hit, Exact falls back to the bipartite upper bound and reports
 	// Exact=false in the result.
 	MaxNodes int64
-	// DisableHeuristic switches A* to uniform-cost search (h = 0). The
-	// histogram heuristic is admissible for the Uniform model; for custom
-	// cost models with unit costs below 1 it could overestimate, so it is
-	// automatically disabled unless the model is Uniform.
-	DisableHeuristic bool
 	// Limit, when non-nil, turns the search into a decision procedure
 	// for "distance > *Limit": the moment the cheapest open node's
 	// f-value exceeds the limit, every remaining completion provably
@@ -30,10 +23,13 @@ type Options struct {
 	// within the limit is returned exactly as without Limit. Ranked
 	// queries use this to discard candidates whose distance provably
 	// exceeds the current top-k threshold without paying for exactness.
+	// Path costs are integers, so the search compares them with
+	// floor(*Limit); nil, +Inf and NaN never stop it.
 	Limit *float64
 }
 
-// Result reports a distance computation.
+// Result reports a distance computation. Uniform edit costs are
+// integers, reported as float64.
 type Result struct {
 	// Distance is the edit distance (exact) or an upper bound (inexact).
 	Distance float64
@@ -57,23 +53,16 @@ type Result struct {
 	Nodes int64
 }
 
-// Distance returns the exact uniform-cost edit distance between g1 and g2.
+// Distance returns the exact edit distance between g1 and g2.
 func Distance(g1, g2 *graph.Graph) float64 {
 	return Exact(g1, g2, Options{}).Distance
 }
 
 // Exact computes the edit distance by A* over vertex assignments.
 func Exact(g1, g2 *graph.Graph, opts Options) Result {
-	cm := opts.Cost
-	if cm == nil {
-		cm = Uniform{}
-	}
-	_, uniform := cm.(Uniform)
-
-	s := newSearch(g1, g2, cm)
-	s.useH = uniform && !opts.DisableHeuristic
+	s := newSearch(g1, g2)
 	if opts.Limit != nil {
-		s.limit = *opts.Limit
+		s.limit = pathLimit(*opts.Limit)
 	}
 	res := s.run(opts.MaxNodes)
 	s.release()
@@ -81,7 +70,7 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 		// Graceful degradation: bipartite approximation upper bound. An
 		// AboveLimit result is left alone — its Distance is a proven
 		// lower bound, which an upper bound cannot replace.
-		ub := Bipartite(g1, g2, cm)
+		ub := Bipartite(g1, g2)
 		if ub.Distance < res.Distance || res.Mapping == nil {
 			res.Distance = ub.Distance
 			res.Mapping = ub.Mapping
@@ -90,10 +79,24 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	return res
 }
 
+// pathLimit maps a decision limit onto integer path costs: an integer f
+// exceeds l exactly when it exceeds floor(l). Limits at or past the
+// int32 range clamp to its ends, and NaN, which no f exceeds, maps to
+// the maximum like +Inf.
+func pathLimit(l float64) int32 {
+	switch {
+	case !(l < math.MaxInt32):
+		return math.MaxInt32
+	case l < math.MinInt32:
+		return math.MinInt32
+	}
+	return int32(math.Floor(l))
+}
+
 // node is one partial assignment in the search slab: the first depth
 // vertices of the processing order are decided, the last of them as v.
 type node struct {
-	g      float64
+	g      int32
 	parent int32 // slab index
 	v      int32 // g2 vertex assigned to order[depth-1], or -1 for deletion
 	depth  int32 // number of g1 vertices assigned
@@ -101,7 +104,7 @@ type node struct {
 
 // openItem is an open-list entry: a slab index keyed by f = g + h.
 type openItem struct {
-	f float64
+	f int32
 	n int32
 }
 
@@ -110,11 +113,10 @@ type openItem struct {
 // Everything here is scratch recycled through searchPool, so a warm
 // search allocates only the mapping it returns.
 type astar struct {
-	pairForm
+	pairform.Form
 
 	order []int32 // g1 vertices, high degree first
-	useH  bool
-	limit float64 // decision threshold (+Inf = plain optimization)
+	limit int32   // decision threshold (MaxInt32 = plain optimization)
 
 	// Assignment state of the node being expanded, rebuilt by loadState.
 	mapping []int32 // g1 vertex -> g2 vertex, -1 deleted, -2 unassigned
@@ -129,17 +131,18 @@ type astar struct {
 
 	slab []node     // every generated node; parents are indices
 	open []openItem // binary heap on f
+
+	inv []int32 // mappingCost scratch: g2 vertex -> g1 vertex
 }
 
 var searchPool = sync.Pool{New: func() any { return new(astar) }}
 
 // newSearch takes scratch from the pool and loads the pair into it:
-// compact form, cost tables, processing order, blank assignment state.
-func newSearch(g1, g2 *graph.Graph, cm CostModel) *astar {
+// compact form, processing order, blank assignment state.
+func newSearch(g1, g2 *graph.Graph) *astar {
 	s := searchPool.Get().(*astar)
 	s.Load(g1, g2)
 	s.Densify()
-	s.fillCosts(cm)
 	s.order = s.order[:0]
 	for u := 0; u < s.N1; u++ {
 		s.order = append(s.order, int32(u))
@@ -154,7 +157,7 @@ func newSearch(g1, g2 *graph.Graph, cm CostModel) *astar {
 	}
 	s.resetState()
 	s.slab, s.open = s.slab[:0], s.open[:0]
-	s.useH, s.limit = false, math.Inf(1)
+	s.limit = math.MaxInt32
 	return s
 }
 
@@ -169,7 +172,9 @@ func (s *astar) release() {
 
 // push and pop perform container/heap's exact sift sequence on the same
 // strict f comparison, so equal-f nodes leave the open list in the order
-// the interface-based heap released them.
+// the interface-based heap released them. Every path cost is an integer,
+// exact in the float64 keys that heap compared, so int32 keys make the
+// same comparisons.
 func (s *astar) push(it openItem) {
 	s.open = append(s.open, it)
 	h := s.open
@@ -206,7 +211,7 @@ func (s *astar) pop() openItem {
 }
 
 // openNode appends a node to the slab and puts it on the open list.
-func (s *astar) openNode(nd node, h float64) {
+func (s *astar) openNode(nd node, h int32) {
 	s.slab = append(s.slab, nd)
 	s.push(openItem{f: nd.g + h, n: int32(len(s.slab) - 1)})
 }
@@ -215,12 +220,12 @@ func (s *astar) openNode(nd node, h float64) {
 // vertex as v at path cost g. A child that completes the assignment
 // pays the completion cost; any other carries the heuristic (openCounts
 // must have run for this expansion).
-func (s *astar) openChild(parent int32, v int, g float64) {
+func (s *astar) openChild(parent int32, v int, g int32) {
 	depth := s.slab[parent].depth + 1
-	h := 0.0
+	var h int32
 	if int(depth) == s.N1 {
 		g += s.completionCostAfter(v)
-	} else if s.useH {
+	} else {
 		h = s.childBound(v)
 	}
 	s.openNode(node{g: g, parent: parent, v: int32(v), depth: depth}, h)
@@ -230,15 +235,11 @@ func (s *astar) run(maxNodes int64) Result {
 	n1, n2 := s.N1, s.N2
 	if n1 == 0 {
 		// Pure insertion of g2.
-		d := s.completionCostAfter(-1)
+		d := float64(s.completionCostAfter(-1))
 		return Result{Distance: d, Mapping: []int{}, Exact: true, LowerBound: d}
 	}
 
-	rootH := 0.0
-	if s.useH {
-		rootH = s.heuristicAfter(-1, -1)
-	}
-	s.openNode(node{}, rootH)
+	s.openNode(node{}, s.heuristicAfter(-1, -1))
 
 	var nodes int64
 	for len(s.open) > 0 {
@@ -246,14 +247,15 @@ func (s *astar) run(maxNodes int64) Result {
 			// The cheapest open f-value lower-bounds every completion
 			// still reachable, so it is a certified floor of the true
 			// distance even though the search gives up on exactness.
-			return Result{Distance: math.Inf(1), Exact: false, LowerBound: s.open[0].f, Nodes: nodes}
+			return Result{Distance: math.Inf(1), Exact: false, LowerBound: float64(s.open[0].f), Nodes: nodes}
 		}
 		top := s.pop()
 		if top.f > s.limit {
 			// top is the cheapest open node and its f-value lower-bounds
 			// every completion still reachable, so no mapping fits under
 			// the limit: the decision "distance > limit" is proven.
-			return Result{Distance: top.f, AboveLimit: true, LowerBound: top.f, Nodes: nodes}
+			f := float64(top.f)
+			return Result{Distance: f, AboveLimit: true, LowerBound: f, Nodes: nodes}
 		}
 		nodes++
 		cur := s.slab[top.n]
@@ -261,12 +263,13 @@ func (s *astar) run(maxNodes int64) Result {
 			// Complete assignment: the completion cost for unused g2
 			// vertices and untouched g2 edges is already included in g
 			// via the final expansion step.
-			return Result{Distance: cur.g, Mapping: s.extractMapping(top.n), Exact: true, LowerBound: cur.g, Nodes: nodes}
+			g := float64(cur.g)
+			return Result{Distance: g, Mapping: s.extractMapping(top.n), Exact: true, LowerBound: g, Nodes: nodes}
 		}
 		s.loadState(top.n)
 		depth := int(cur.depth)
 		u := int(s.order[depth])
-		if s.useH && depth+1 < n1 {
+		if depth+1 < n1 {
 			s.openCounts(u)
 		}
 		// Try assigning u to every unused g2 vertex.
@@ -321,35 +324,28 @@ func (s *astar) currentMapping() []int {
 // depth vertices of the order are decided: the vertex substitution plus,
 // for every decided g1 vertex w, the edge pair ({u,w}, {v,m(w)}) —
 // substituted when both exist, deleted or inserted when only one does.
-func (s *astar) assignCost(depth, u, v int) float64 {
-	cost := s.vsub[int(s.VL1[u])*s.NV()+int(s.VL2[v])]
+// Absent edges read as id 0, so one mismatch covers all three.
+func (s *astar) assignCost(depth, u, v int) int32 {
+	cost := mismatch(s.VL1[u], s.VL2[v])
 	row1, row2 := s.Adj1[u*s.N1:], s.Adj2[v*s.N2:]
-	ne := s.NE()
 	for _, w := range s.order[:depth] {
-		l1, l2 := row1[w], int32(0)
+		l2 := int32(0)
 		if mw := s.mapping[w]; mw >= 0 {
 			l2 = row2[mw]
 		}
-		switch {
-		case l1 != 0 && l2 != 0:
-			cost += s.esub[int(l1)*ne+int(l2)]
-		case l1 != 0:
-			cost += s.edel[l1]
-		case l2 != 0:
-			cost += s.eins[l2]
-		}
+		cost += mismatch(row1[w], l2)
 	}
 	return cost
 }
 
 // deleteCost charges the deletion of u and of its edges toward decided
 // vertices.
-func (s *astar) deleteCost(depth, u int) float64 {
-	cost := s.vdel[s.VL1[u]]
+func (s *astar) deleteCost(depth, u int) int32 {
+	cost := int32(1)
 	row1 := s.Adj1[u*s.N1:]
 	for _, w := range s.order[:depth] {
-		if l1 := row1[w]; l1 != 0 {
-			cost += s.edel[l1]
+		if row1[w] != 0 {
+			cost++
 		}
 	}
 	return cost
@@ -361,16 +357,16 @@ func (s *astar) deleteCost(depth, u int) float64 {
 // charged during assignment.) The assignment state corresponds to the
 // parent; v is the g2 vertex the final step consumes (-1 when the final
 // g1 vertex was deleted).
-func (s *astar) completionCostAfter(v int) float64 {
-	cost := 0.0
-	for x, l := range s.VL2 {
+func (s *astar) completionCostAfter(v int) int32 {
+	var cost int32
+	for x := range s.N2 {
 		if s.open2(x, v) {
-			cost += s.vins[l]
+			cost++
 		}
 	}
 	for _, e := range s.Edges2 {
 		if s.open2(int(e.U), v) || s.open2(int(e.V), v) {
-			cost += s.eins[e.L]
+			cost++
 		}
 	}
 	return cost
@@ -416,7 +412,7 @@ func (s *astar) openCounts(u int) {
 // Each of those is one counter increment, applied to openCounts' sums:
 // O(degree of v), and the same integer as histBound(cv)+histBound(ce)
 // recounted. ce is restored before returning; cv is not touched.
-func (s *astar) childBound(v int) float64 {
+func (s *astar) childBound(v int) int32 {
 	vs, es := s.vsum, s.esum
 	if v >= 0 {
 		vs.inc(s.cv[s.VL2[v]])
@@ -433,12 +429,12 @@ func (s *astar) childBound(v int) float64 {
 			}
 		}
 	}
-	return float64(vs.bound() + es.bound())
+	return vs.bound() + es.bound()
 }
 
 // heuristicAfter is openCounts and childBound in one step, for callers
 // that bound a single child.
-func (s *astar) heuristicAfter(u, v int) float64 {
+func (s *astar) heuristicAfter(u, v int) int32 {
 	s.openCounts(u)
 	return s.childBound(v)
 }

@@ -50,18 +50,18 @@ func FuzzExactVsBruteForce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g1 := fuzzGraph(&data)
 		g2 := fuzzGraph(&data)
-		want := bruteDistance(g1, g2, Uniform{})
+		want := bruteDistance(g1, g2)
 		res := Exact(g1, g2, Options{})
 		if !res.Exact || res.Distance != want {
 			t.Fatalf("Exact = %+v, brute force %v\n%s\n%s", res, want, g1, g2)
 		}
-		if got := EditCostOfMapping(g1, g2, res.Mapping, Uniform{}); got != want {
+		if got := EditCostOfMapping(g1, g2, res.Mapping); got != want {
 			t.Fatalf("mapping %v costs %v, distance %v\n%s\n%s", res.Mapping, got, want, g1, g2)
 		}
 		if lb := LowerBound(g1, g2); lb > want {
 			t.Fatalf("LowerBound %v > distance %v\n%s\n%s", lb, want, g1, g2)
 		}
-		if ub := Bipartite(g1, g2, nil); ub.Distance < want {
+		if ub := Bipartite(g1, g2); ub.Distance < want {
 			t.Fatalf("Bipartite %v < distance %v\n%s\n%s", ub.Distance, want, g1, g2)
 		}
 		for _, limit := range []float64{want - 1, want, want + 1} {

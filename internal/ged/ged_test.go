@@ -103,7 +103,7 @@ func TestDistanceTriangleInequality(t *testing.T) {
 
 // bruteDistance minimizes EditCostOfMapping over every injective partial
 // mapping — the definitionally correct distance for mapping-induced costs.
-func bruteDistance(g1, g2 *graph.Graph, cm CostModel) float64 {
+func bruteDistance(g1, g2 *graph.Graph) float64 {
 	n1 := g1.Order()
 	m := make([]int, n1)
 	used := make([]bool, g2.Order())
@@ -111,7 +111,7 @@ func bruteDistance(g1, g2 *graph.Graph, cm CostModel) float64 {
 	var rec func(u int)
 	rec = func(u int) {
 		if u == n1 {
-			if c := EditCostOfMapping(g1, g2, m, cm); c < best {
+			if c := EditCostOfMapping(g1, g2, m); c < best {
 				best = c
 			}
 			return
@@ -140,7 +140,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		g1 := graph.ErdosRenyi(1+r.Intn(4), 0.5, []string{"A", "B"}, []string{"x", "y"}, r)
 		g2 := graph.ErdosRenyi(1+r.Intn(4), 0.5, []string{"A", "B"}, []string{"x", "y"}, r)
 		got := Distance(g1, g2)
-		want := bruteDistance(g1, g2, Uniform{})
+		want := bruteDistance(g1, g2)
 		return math.Abs(got-want) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rng}); err != nil {
@@ -157,7 +157,7 @@ func TestExactMappingRealizesDistance(t *testing.T) {
 		if !res.Exact {
 			t.Fatal("uncapped exact not exact")
 		}
-		realized := EditCostOfMapping(g1, g2, res.Mapping, Uniform{})
+		realized := EditCostOfMapping(g1, g2, res.Mapping)
 		if math.Abs(realized-res.Distance) > 1e-9 {
 			t.Fatalf("mapping cost %v != reported %v", realized, res.Distance)
 		}
@@ -182,12 +182,12 @@ func TestBipartiteUpperBound(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		g1 := graph.Molecule(7, rng)
 		g2 := graph.Molecule(7, rng)
-		ub := Bipartite(g1, g2, nil)
+		ub := Bipartite(g1, g2)
 		d := Distance(g1, g2)
 		if ub.Distance < d-1e-9 {
 			t.Fatalf("bipartite %v below exact %v", ub.Distance, d)
 		}
-		realized := EditCostOfMapping(g1, g2, ub.Mapping, Uniform{})
+		realized := EditCostOfMapping(g1, g2, ub.Mapping)
 		if math.Abs(realized-ub.Distance) > 1e-9 {
 			t.Fatalf("bipartite mapping cost %v != reported %v", realized, ub.Distance)
 		}
@@ -196,11 +196,11 @@ func TestBipartiteUpperBound(t *testing.T) {
 
 func TestBipartiteEmpty(t *testing.T) {
 	e := graph.New("e")
-	if r := Bipartite(e, e.Clone(), nil); r.Distance != 0 {
+	if r := Bipartite(e, e.Clone()); r.Distance != 0 {
 		t.Errorf("d=%v", r.Distance)
 	}
 	g := graph.Path(3, "A", "x")
-	if r := Bipartite(e, g, nil); r.Distance != 5 {
+	if r := Bipartite(e, g); r.Distance != 5 {
 		t.Errorf("d(empty,P3)=%v, want 5", r.Distance)
 	}
 }
@@ -216,7 +216,7 @@ func TestBeamUpperBoundAndConvergence(t *testing.T) {
 		// than the whole level set is exhaustive, hence exact.
 		var full float64
 		for _, w := range []int{1, 5, 50, 1 << 24} {
-			b := Beam(g1, g2, w, nil)
+			b := Beam(g1, g2, w)
 			if b.Distance < d-1e-9 {
 				t.Fatalf("beam(%d) %v below exact %v", w, b.Distance, d)
 			}
@@ -244,56 +244,12 @@ func TestExactNodeCapFallsBack(t *testing.T) {
 	}
 }
 
-func TestWeightedCostModel(t *testing.T) {
-	w := WeightedCost{VertexSubstW: 2, VertexIndelW: 3, EdgeSubstW: 5, EdgeIndelW: 7}
-	base := graph.Path(3, "A", "x")
-	relabeled, _ := graph.ApplyScript(base, []graph.EditOp{graph.RelabelVertexOp{V: 1, Label: "B"}})
-	res := Exact(base, relabeled, Options{Cost: w})
-	if res.Distance != 2 {
-		t.Errorf("weighted relabel distance=%v, want 2", res.Distance)
-	}
-	edgeDel, _ := graph.ApplyScript(base, []graph.EditOp{graph.DeleteEdge{U: 0, V: 1}})
-	res = Exact(base, edgeDel, Options{Cost: w})
-	if res.Distance != 7 {
-		t.Errorf("weighted edge-del distance=%v, want 7", res.Distance)
-	}
-}
-
-func TestDisableHeuristicSameResult(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 8; trial++ {
-		g1 := graph.Molecule(5, rng)
-		g2 := graph.Molecule(5, rng)
-		a := Exact(g1, g2, Options{})
-		b := Exact(g1, g2, Options{DisableHeuristic: true})
-		if math.Abs(a.Distance-b.Distance) > 1e-9 {
-			t.Fatalf("heuristic changed the optimum: %v vs %v", a.Distance, b.Distance)
-		}
-		if b.Nodes < a.Nodes {
-			t.Logf("note: heuristic expanded more nodes (%d vs %d)", a.Nodes, b.Nodes)
-		}
-	}
-}
-
 func TestEditCostOfMappingDeleteAll(t *testing.T) {
 	g1 := graph.Path(3, "A", "x")
 	g2 := graph.Path(2, "B", "y")
 	m := []int{-1, -1, -1}
 	// delete 3 vertices + 2 edges, insert 2 vertices + 1 edge = 8
-	if c := EditCostOfMapping(g1, g2, m, Uniform{}); c != 8 {
+	if c := EditCostOfMapping(g1, g2, m); c != 8 {
 		t.Errorf("cost=%v, want 8", c)
-	}
-}
-
-func TestUniformCostValues(t *testing.T) {
-	u := Uniform{}
-	if u.VertexSubst("a", "a") != 0 || u.VertexSubst("a", "b") != 1 {
-		t.Error("VertexSubst")
-	}
-	if u.EdgeSubst("a", "a") != 0 || u.EdgeSubst("a", "b") != 1 {
-		t.Error("EdgeSubst")
-	}
-	if u.VertexDel("a") != 1 || u.VertexIns("a") != 1 || u.EdgeDel("a") != 1 || u.EdgeIns("a") != 1 {
-		t.Error("indel costs")
 	}
 }

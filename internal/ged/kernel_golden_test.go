@@ -17,10 +17,10 @@ import (
 
 // The kernel golden pins every observable of Exact and Bipartite —
 // distance, exactness, limit verdict, lower bound, expansion count and
-// the mapping itself — on a seeded grid of pairs, caps, limits and cost
-// models. The file was generated by the map-and-string A* this kernel
-// replaced, so passing it means the search expands the same nodes in
-// the same order, not merely that it finds the same optimum.
+// the mapping itself — on a seeded grid of pairs, caps and limits. The
+// file was generated by the map-and-string A* this kernel replaced, so
+// passing it means the search expands the same nodes in the same order,
+// not merely that it finds the same optimum.
 //
 //	go test ./internal/ged -run TestKernelGolden -update-golden
 //
@@ -33,37 +33,17 @@ type goldenPair struct {
 	// G1, G2 are the graphs' String() renderings: a drifted generator
 	// fails loudly here instead of as thousands of result mismatches.
 	G1, G2 string
-	// Bipartite holds "distance mapping" for the uniform and the
-	// weighted model.
+	// Bipartite holds one "distance mapping" record.
 	Bipartite []string
 	// Exact holds one "distance exact above lowerbound nodes mapping"
 	// record per goldenRuns entry.
 	Exact []string
 }
 
-// goldenWeights is the integer-weighted model of TestWeightedCostModel.
-// Integer costs keep every path sum exact in float64, so results do not
-// depend on the order a kernel happens to add edge costs in.
-var goldenWeights = WeightedCost{VertexSubstW: 2, VertexIndelW: 3, EdgeSubstW: 5, EdgeIndelW: 7}
-
-type goldenModel struct {
-	name      string
-	cost      CostModel
-	disableH  bool
-	bipartite bool
-}
-
-var goldenModels = []goldenModel{
-	{name: "uniform", cost: Uniform{}, bipartite: true},
-	{name: "weighted", cost: goldenWeights, bipartite: true},
-	{name: "noheuristic", cost: Uniform{}, disableH: true},
-}
-
 var goldenMaxNodes = []int64{0, 5, 50}
 
-// goldenLimits returns the limit grid for one pair and model: none,
-// just below and at the histogram bound, at the true distance, and one
-// above it.
+// goldenLimits returns the limit grid for one pair: none, just below and
+// at the histogram bound, at the true distance, and one above it.
 func goldenLimits(lb, dist float64) []*float64 {
 	vals := []float64{lb - 1, lb, dist, dist + 1}
 	out := []*float64{nil}
@@ -80,8 +60,8 @@ func goldenLimits(lb, dist float64) []*float64 {
 func goldenGraphs() [][2]*graph.Graph {
 	rng := rand.New(rand.NewSource(20231))
 	var out [][2]*graph.Graph
-	// Orders 7-8 are kept to a handful: without the heuristic an
-	// uncapped search on them runs for seconds.
+	// Orders 7-8 are kept to a handful: uncapped searches on them are
+	// the slowest of the grid.
 	for i := 0; i < 120; i++ {
 		hi := 4
 		if i%10 == 0 {
@@ -158,36 +138,24 @@ type goldenRun struct {
 
 // goldenRuns lists the Exact grid for one pair in file order.
 func goldenRuns(g1, g2 *graph.Graph) []goldenRun {
-	lb := LowerBound(g1, g2)
+	lb, dist := LowerBound(g1, g2), Distance(g1, g2)
 	var runs []goldenRun
-	for _, m := range goldenModels {
-		base := Options{Cost: m.cost, DisableHeuristic: m.disableH}
-		dist := Exact(g1, g2, base).Distance
-		for _, cap := range goldenMaxNodes {
-			for _, limit := range goldenLimits(lb, dist) {
-				o := base
-				o.MaxNodes, o.Limit = cap, limit
-				label := fmt.Sprintf("%s/cap=%d/limit=nil", m.name, cap)
-				if limit != nil {
-					label = fmt.Sprintf("%s/cap=%d/limit=%v", m.name, cap, *limit)
-				}
-				runs = append(runs, goldenRun{label, o})
+	for _, cap := range goldenMaxNodes {
+		for _, limit := range goldenLimits(lb, dist) {
+			label := fmt.Sprintf("cap=%d/limit=nil", cap)
+			if limit != nil {
+				label = fmt.Sprintf("cap=%d/limit=%v", cap, *limit)
 			}
+			runs = append(runs, goldenRun{label, Options{MaxNodes: cap, Limit: limit}})
 		}
 	}
 	return runs
 }
 
-// goldenBipartite renders Bipartite under each model that has one.
+// goldenBipartite renders Bipartite as the file's one-record list.
 func goldenBipartite(g1, g2 *graph.Graph) []string {
-	var out []string
-	for _, m := range goldenModels {
-		if m.bipartite {
-			r := Bipartite(g1, g2, m.cost)
-			out = append(out, fmtFloat(r.Distance)+" "+fmtMapping(r.Mapping))
-		}
-	}
-	return out
+	r := Bipartite(g1, g2)
+	return []string{fmtFloat(r.Distance) + " " + fmtMapping(r.Mapping)}
 }
 
 func computeGolden(g1, g2 *graph.Graph) goldenPair {

@@ -25,9 +25,9 @@ func harnessPairs(n int, seed int64) (near, far [][2]*graph.Graph) {
 	return near, far
 }
 
-// TestExactAllocs keeps the search off the allocator: the slab, heap,
-// counters and cost tables are pooled, so a warm Exact allocates little
-// more than the mapping it returns (the map-based search paid ~88).
+// TestExactAllocs keeps the search off the allocator: the slab, heap
+// and counters are pooled, so a warm Exact allocates little more than
+// the mapping it returns (the map-based search paid ~88).
 func TestExactAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds entries at random under -race")
@@ -79,14 +79,14 @@ func BenchmarkExactFarLimit(b *testing.B) {
 
 func BenchmarkBipartite(b *testing.B) {
 	_, far := harnessPairs(64, 43)
-	benchPairs(b, far, func(g1, g2 *graph.Graph) Result { return Bipartite(g1, g2, nil) })
+	benchPairs(b, far, Bipartite)
 }
 
 // recountBound is childBound's definition, counted from scratch: the
 // histogram distance between the labels of the g1 vertices still
 // undecided once u is decided and of the g2 vertices still unused once v
 // is used (-1: none), plus the same over edges with an open endpoint.
-func recountBound(s *astar, u, v int) float64 {
+func recountBound(s *astar, u, v int) int32 {
 	cv, ce := make([]int32, s.NV()), make([]int32, s.NE())
 	open1 := func(w int32) bool { return int(w) != u && s.mapping[w] == -2 }
 	open2 := func(x int32) bool { return int(x) != v && !s.used[x] }
@@ -110,7 +110,7 @@ func recountBound(s *astar, u, v int) float64 {
 			ce[e.L]--
 		}
 	}
-	return float64(histBound(cv) + histBound(ce))
+	return histBound(cv) + histBound(ce)
 }
 
 // TestChildBoundMatchesRecount runs Exact's expansion loop on seeded
@@ -132,8 +132,7 @@ func TestChildBoundMatchesRecount(t *testing.T) {
 	}
 	checked := 0
 	for _, p := range pairs {
-		s := newSearch(p[0], p[1], Uniform{})
-		s.useH = true
+		s := newSearch(p[0], p[1])
 		if s.N1 > 0 {
 			s.openNode(node{}, s.heuristicAfter(-1, -1))
 		}

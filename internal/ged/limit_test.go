@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestLimitDecision(t *testing.T) {
 		g1 := graph.Molecule(3+rng.Intn(4), rng)
 		g2 := graph.Molecule(3+rng.Intn(4), rng)
 		truth := Exact(g1, g2, Options{})
-		for _, limit := range []float64{-1, 0, truth.Distance - 1, truth.Distance, truth.Distance + 2, 1e9} {
+		for _, limit := range []float64{-1, 0, truth.Distance - 1, truth.Distance - 0.5, truth.Distance, truth.Distance + 0.5, truth.Distance + 2, 1e9, math.Inf(1)} {
 			l := limit
 			res := Exact(g1, g2, Options{Limit: &l})
 			if res.AboveLimit {

@@ -23,8 +23,8 @@ import (
 //     exact or partial — can exceed it.
 //   - MCS low:  0.
 //
-// The uniform cost model is assumed throughout (it is the only one
-// Compute uses).
+// Edit costs are uniform throughout: package ged implements only the
+// paper's uniform model, so every edit distance is an integer.
 
 // BoundStats is the interval analogue of PairStats: the expensive
 // quantities are known only as ranges, the cheap ones exactly.
@@ -91,7 +91,7 @@ func mcsUpper(s1, s2 *Signature, vi int) int {
 // bounds, which cost less than refining them did. It is kept only for
 // the benchmark harness's measure.refine_us probe.
 func Refine(g1, g2 *graph.Graph, bs BoundStats) BoundStats {
-	if d := ged.Bipartite(g1, g2, nil).Distance; d < bs.GEDHi {
+	if d := ged.Bipartite(g1, g2).Distance; d < bs.GEDHi {
 		bs.GEDHi = d
 	}
 	if e := mcs.GreedyLB(g1, g2).Edges; e > bs.MCSLo {

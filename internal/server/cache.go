@@ -7,6 +7,7 @@ import (
 	"skygraph/internal/graph"
 	"skygraph/internal/lru"
 	"skygraph/internal/measure"
+	"skygraph/internal/skyline"
 	"skygraph/internal/topk"
 )
 
@@ -60,13 +61,14 @@ type cacheKey struct {
 }
 
 // cacheEntry is one cached answer, exact at generation gen. A skyline
-// answer holds its vector table, whose Generation its gen is
-// (tableEntry), a ranked answer its items. Entries are immutable once
-// stored: an upgrade stores a successor.
+// answer holds its vector table, whose Generation its gen is, and the
+// table's skyline (tableEntry), a ranked answer its items. Entries are
+// immutable once stored: an upgrade stores a successor.
 type cacheEntry struct {
-	gen   uint64
-	table *gdb.VectorTable
-	items []topk.Item
+	gen     uint64
+	table   *gdb.VectorTable
+	skyline []skyline.Point
+	items   []topk.Item
 	// inexact counts the answer's pairs where a capped engine returned a
 	// bound; deltas counts the in-place upgrades since the cold build.
 	inexact int
@@ -83,9 +85,10 @@ type cacheEntry struct {
 
 // tableEntry is the skyline answer t, maintainable through lin when lin
 // is set. Everything but the lineage derives from t, so an entry's
-// generation, inexact count and deltas never drift from its table's.
+// generation, skyline, inexact count and deltas never drift from its
+// table's. The skyline is merged here, once per table, not per hit.
 func tableEntry(t *gdb.VectorTable, lin *lineage) *cacheEntry {
-	return &cacheEntry{gen: t.Generation, table: t, inexact: t.Inexact, deltas: t.Deltas, work: t.Work, lin: lin}
+	return &cacheEntry{gen: t.Generation, table: t, skyline: t.Skyline(), inexact: t.Inexact, deltas: t.Deltas, work: t.Work, lin: lin}
 }
 
 // lineage is what an upgrade needs beyond the entry's key to evaluate

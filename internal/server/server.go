@@ -740,7 +740,7 @@ func (s *Server) execQuery(ctx context.Context, kind string, req *QueryRequest, 
 	mstart := time.Now()
 	resp := &SkylineResponse{
 		Basis:   measure.BasisNames(res.basis),
-		Skyline: toPointJSON(e.table.Skyline()),
+		Skyline: toPointJSON(e.skyline),
 		Stats:   stats,
 	}
 	if req.All {

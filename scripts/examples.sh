@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Runs the library's callers end to end: the four examples, then the
-# gss batch flow paper -> skyline -> diverse -> topk on the paper's
-# database in a temp directory. Fails on any error, and unless the
-# skyline is exactly Section VI's GSS(D, q) = {g1, g4, g5, g7}.
+# Runs the library's callers end to end: the four examples, experiment
+# E10 (exact A* vs beam vs bipartite GED, the one program that runs
+# ged.Beam; only its exit status is checked), then the gss batch flow
+# paper -> skyline -> diverse -> topk on the paper's database in a temp
+# directory. Fails on any error, and unless the skyline is exactly
+# Section VI's GSS(D, q) = {g1, g4, g5, g7}.
 # CI runs this after the unit tests; locally: make examples.
 set -euo pipefail
 
@@ -13,6 +15,9 @@ for ex in quickstart chemical diversity hotels; do
   echo "== examples/$ex"
   go run "./examples/$ex" >"$WORK/$ex.out"
 done
+
+echo "== cmd/experiments -run E10"
+go run ./cmd/experiments -run E10 >"$WORK/e10.out"
 
 go build -o "$WORK/gss" ./cmd/gss
 cd "$WORK"
