@@ -120,7 +120,7 @@ func e4() {
 	}
 }
 
-func paperSkyline() (gdb.SkylineResult, *gdb.Sharded) {
+func paperSkyline() (gdb.SkylineResult, *gdb.DB) {
 	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		panic(err)

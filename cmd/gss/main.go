@@ -140,7 +140,7 @@ func cmdInfo(args []string) error {
 	return nil
 }
 
-func loadDBAndQuery(dbPath, queryPath string) (*gdb.Sharded, *graph.Graph, error) {
+func loadDBAndQuery(dbPath, queryPath string) (*gdb.DB, *graph.Graph, error) {
 	db, err := gdb.Load(dbPath)
 	if err != nil {
 		return nil, nil, err

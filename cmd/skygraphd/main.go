@@ -154,7 +154,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 
-	var db *gdb.Sharded
+	var db *gdb.DB
 	var durable *gdb.Durable
 	if *dataDir != "" {
 		durable, err = gdb.OpenDurable(gdb.DurableOptions{

@@ -57,8 +57,8 @@ const (
 	// ManifestReplace fires inside wal.WriteManifest, before the
 	// manifest is atomically replaced.
 	ManifestReplace = "wal/manifest-replace"
-	// StoreInsert and StoreDelete fire in the write-ahead store wrapper
-	// (gdb.FaultStore) before the mutation reaches the WAL at all.
+	// StoreInsert and StoreDelete fire in gdb's write-ahead store
+	// before the mutation reaches the WAL at all.
 	StoreInsert = "store/insert"
 	StoreDelete = "store/delete"
 )

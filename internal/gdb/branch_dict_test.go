@@ -51,7 +51,7 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 	// A C leaf on a single bond is a stored branch, so the stars' leaves
 	// below resolve to dictionary ids.
 	gs = append(gs, star("leaves", "C"))
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	before := gdb.BranchDictLen()
 	opts := gdb.QueryOptions{Workers: 2}
 	for i, q := range testutil.SeededQueries(181, gs[:10], 8) {
@@ -135,7 +135,7 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 func TestScansWhileInsertsInternBranches(t *testing.T) {
 	ctx := context.Background()
 	gs := testutil.SeededGraphs(91, 10)
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	queries := testutil.SeededQueries(191, gs, 3)
 	const radius = 3
 	far := func(i int) *graph.Graph {

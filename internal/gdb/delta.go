@@ -29,11 +29,11 @@ import (
 // acquisition: one row in one class, so a scan over it does O(1) work
 // whatever the store's class count. The snapshot's generation is the
 // database's; ok is false when the name is not present.
-func (sh *Sharded) rowSnap(name string) (sn snap, ok bool) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sn.gen = sh.gen
-	e := sh.byName[name]
+func (db *DB) rowSnap(name string) (sn snap, ok bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	sn.gen = db.gen
+	e := db.byName[name]
 	if e == nil {
 		return sn, false
 	}
@@ -55,9 +55,9 @@ func (sh *Sharded) rowSnap(name string) (sn snap, ok bool) {
 // later mutation has interleaved and the row may describe a different
 // graph value (delete + re-insert of the same name). ok is false when
 // the name is not present.
-func (sh *Sharded) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, rows []skyline.Point, opts QueryOptions) (pt skyline.Point, kept, inexact bool, gen uint64, ok bool) {
+func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, rows []skyline.Point, opts QueryOptions) (pt skyline.Point, kept, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	sn, ok := sh.rowSnap(name)
+	sn, ok := db.rowSnap(name)
 	if !ok {
 		return skyline.Point{}, false, false, sn.gen, false
 	}
@@ -81,9 +81,9 @@ func (sh *Sharded) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature
 // to the ranked scan's, and inexact reports whether a capped engine
 // backed it. m must be a built-in (measure.Rankable), as it is for
 // every ranked query. gen and ok behave as in DeltaRow.
-func (sh *Sharded) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, th float64, opts QueryOptions) (score float64, in, inexact bool, gen uint64, ok bool) {
+func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, th float64, opts QueryOptions) (score float64, in, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
-	sn, ok := sh.rowSnap(name)
+	sn, ok := db.rowSnap(name)
 	if !ok {
 		return 0, false, false, sn.gen, false
 	}

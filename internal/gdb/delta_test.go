@@ -19,7 +19,7 @@ import (
 // database — the reference every delta patch must reproduce row for row.
 func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable {
 	t.Helper()
-	tab, err := testutil.NewSharded(t, gs).VectorTable(context.Background(), q, gdb.QueryOptions{})
+	tab, err := testutil.NewDB(t, gs).VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func coldTable(t *testing.T, gs []*graph.Graph, q *graph.Graph) *gdb.VectorTable
 func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 12)
 	q := testutil.SeededQueries(131, gs, 1)[0]
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	t0, err := db.VectorTable(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 	gs := testutil.SeededGraphs(41, 8)
 	q := testutil.SeededQueries(141, gs, 1)[0]
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	ack, err := db.Insert(mustNamed(t, 241, "a"), "")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 10)
 	q := testutil.SeededQueries(151, gs, 1)[0]
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	late := testutil.SeededGraphs(251, 1)[0]
 	late.SetName("late")
 	ack, err := db.Insert(late, "")
@@ -142,7 +142,7 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 		if !ok || !in || got != gen {
 			t.Fatalf("m=%s: DeltaScore ok=%v in=%v gen=%d, want true/true/%d", m.Name(), ok, in, got, gen)
 		}
-		ref, err := testutil.NewSharded(t, append(append([]*graph.Graph(nil), gs...), late)).
+		ref, err := testutil.NewDB(t, append(append([]*graph.Graph(nil), gs...), late)).
 			TopKQuery(context.Background(), q, m, len(gs)+1, gdb.QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -193,7 +193,7 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 		queries := testutil.SeededQueries(seed+100, gs, 3)
 		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 20, MCSMaxNodes: 20}} {
 			for _, late := range lates {
-				db := testutil.NewSharded(t, gs)
+				db := testutil.NewDB(t, gs)
 				type cold struct {
 					rows []*gdb.VectorTable
 					kth  map[string]float64
@@ -278,7 +278,7 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 		t.Fatalf("the grid does not bite: kept %d dropped %d, in %d out %d", kept, dropped, in, out)
 	}
 	t.Logf("rows kept %d dropped %d; scores in %d out %d", kept, dropped, in, out)
-	db := testutil.NewSharded(t, testutil.SeededGraphs(61, 4))
+	db := testutil.NewDB(t, testutil.SeededGraphs(61, 4))
 	q := testutil.SeededQueries(161, db.Graphs(), 1)[0]
 	if _, _, _, _, ok := db.DeltaScore("missing", q, measure.NewSignature(q), measure.DistEd{}, math.Inf(1), gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaScore of an absent name claimed success")

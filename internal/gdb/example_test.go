@@ -32,9 +32,9 @@ func ExampleNew() {
 	// 2 dimensions
 }
 
-// ExampleSharded_SkylineQuery reproduces the paper's Section VI query:
+// ExampleDB_SkylineQuery reproduces the paper's Section VI query:
 // the similarity skyline of the seven-graph database against q.
-func ExampleSharded_SkylineQuery() {
+func ExampleDB_SkylineQuery() {
 	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		panic(err)
@@ -70,9 +70,9 @@ func ExampleSkylineResult_DominatedBy() {
 	// true g5
 }
 
-// ExampleSharded_TopKQuery shows the single-measure baseline the
+// ExampleDB_TopKQuery shows the single-measure baseline the
 // skyline generalizes: the nearest graph by edit distance alone.
-func ExampleSharded_TopKQuery() {
+func ExampleDB_TopKQuery() {
 	db := gdb.New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		panic(err)

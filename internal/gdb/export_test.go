@@ -13,7 +13,7 @@ import (
 // sh the way VectorTable does, except that the scan's per-candidate step
 // runs sequentially in whatever order permute leaves the candidates
 // in — the seam that lets a test schedule the scan.
-func PrunedPointsInOrder(sh *Sharded, q *graph.Graph, opts QueryOptions, permute func(order []int)) []skyline.Point {
+func PrunedPointsInOrder(sh *DB, q *graph.Graph, opts QueryOptions, permute func(order []int)) []skyline.Point {
 	opts = opts.withDefaults()
 	sn := sh.snapshot()
 	qsig := measure.NewSignature(q)
@@ -32,7 +32,7 @@ func PrunedPointsInOrder(sh *Sharded, q *graph.Graph, opts QueryOptions, permute
 // floor is settled sequentially, the stop ignored, in whatever order
 // permute leaves them in (it is handed them in claim order) — the seam
 // that lets a test schedule the ranked scan.
-func RankedItemsInOrder(sh *Sharded, q *graph.Graph, m measure.Measure, k int, radius float64, opts QueryOptions, permute func(order []int)) []topk.Item {
+func RankedItemsInOrder(sh *DB, q *graph.Graph, m measure.Measure, k int, radius float64, opts QueryOptions, permute func(order []int)) []topk.Item {
 	opts = opts.withDefaults()
 	var coll rankedCollector = newRangeCollector(radius)
 	if k > 0 {

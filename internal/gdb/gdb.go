@@ -18,20 +18,19 @@ import (
 	"skygraph/internal/wal"
 )
 
-// Sharded is the graph database: the one query and mutation surface, a
+// DB is the graph database: the one query and mutation surface, a
 // concurrency-safe store of uniquely named graphs with a per-graph
 // signature index (label histograms, degree sequence, sizes) maintained
 // on insert and one generation counter that every successful mutation
 // advances. Every query is ONE scan over a snapshot of the store, and
-// answers come out in insertion order (ranked ones in score order). The
-// name is historical: the store is not partitioned.
+// answers come out in insertion order (ranked ones in score order).
 //
 // The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
 // RangeQuery and DiverseSkylineQuery; the table primitive a caching
 // layer composes instead (VectorTable) and the single-row settles
 // delta maintenance runs (DeltaRow / DeltaScore); and persistence
 // (Save, WriteTo, Load, OpenDurable).
-type Sharded struct {
+type DB struct {
 	mu sync.RWMutex
 	// graphs, sigs, seqs and cls are the store's columns in insertion
 	// order: each graph beside its signature, insert sequence and
@@ -51,7 +50,7 @@ type Sharded struct {
 	// (and before the caller is told it succeeded): the write-ahead
 	// discipline. A store error fails the mutation with the database
 	// unchanged. See OpenDurable.
-	store Store
+	store *walStore
 }
 
 type entry struct {
@@ -106,8 +105,8 @@ func SeedInsertSeq(min uint64) {
 }
 
 // New returns an empty database.
-func New() *Sharded {
-	return &Sharded{byName: make(map[string]*entry), classes: histClasses{ids: make(map[string]int32)}}
+func New() *DB {
+	return &DB{byName: make(map[string]*entry), classes: histClasses{ids: make(map[string]int32)}}
 }
 
 // histClasses interns a store's histogram classes
@@ -174,8 +173,8 @@ type Ack struct {
 // unkeyed), threaded into the write-ahead record as durable evidence it
 // was accepted. The database stores g itself; callers must not mutate
 // a graph after insertion (Clone first if needed).
-func (sh *Sharded) Insert(g *graph.Graph, key string) (Ack, error) {
-	return sh.insert(g, 0, key)
+func (db *DB) Insert(g *graph.Graph, key string) (Ack, error) {
+	return db.insert(g, 0, key)
 }
 
 // insert is Insert under an insert sequence: 0 mints a fresh one under
@@ -185,7 +184,7 @@ func (sh *Sharded) Insert(g *graph.Graph, key string) (Ack, error) {
 // restart does not change). The returned Ack.Gen is the generation the
 // insert produced: the evidence a delta-maintaining cache needs to
 // prove a cached entry is exactly one mutation behind.
-func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
+func (db *DB) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	switch {
 	case g == nil:
 		return Ack{}, fmt.Errorf("gdb: nil graph")
@@ -195,9 +194,9 @@ func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	if err := g.Validate(); err != nil {
 		return Ack{}, fmt.Errorf("gdb: %w", err)
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.byName[g.Name()]; dup {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, dup := db.byName[g.Name()]; dup {
 		return Ack{Existed: true}, fmt.Errorf("gdb: duplicate graph name %q", g.Name())
 	}
 	if seq == 0 {
@@ -208,25 +207,25 @@ func (sh *Sharded) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	// append fails the database is unchanged; if the process dies after
 	// the append, replay applies a mutation that was never acked —
 	// harmless, the client saw no success.
-	if sh.store != nil {
-		if err := sh.store.LogInsert(g, seq, key); err != nil {
+	if db.store != nil {
+		if err := db.store.LogInsert(g, seq, key); err != nil {
 			return Ack{}, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
 		}
 	}
 	e := &entry{g: g, sig: measure.InternSignature(g), seq: seq}
-	sh.byName[g.Name()] = e
-	sh.graphs = append(sh.graphs, e.g)
-	sh.sigs = append(sh.sigs, e.sig)
-	sh.seqs = append(sh.seqs, e.seq)
-	sh.cls = append(sh.cls, sh.classes.add(e.sig.HistogramClass()))
-	sh.gen++
-	return Ack{Gen: sh.gen}, nil
+	db.byName[g.Name()] = e
+	db.graphs = append(db.graphs, e.g)
+	db.sigs = append(db.sigs, e.sig)
+	db.seqs = append(db.seqs, e.seq)
+	db.cls = append(db.cls, db.classes.add(e.sig.HistogramClass()))
+	db.gen++
+	return Ack{Gen: db.gen}, nil
 }
 
 // InsertAll inserts every graph unkeyed, stopping at the first error.
-func (sh *Sharded) InsertAll(gs []*graph.Graph) error {
+func (db *DB) InsertAll(gs []*graph.Graph) error {
 	for _, g := range gs {
-		if _, err := sh.Insert(g, ""); err != nil {
+		if _, err := db.Insert(g, ""); err != nil {
 			return err
 		}
 	}
@@ -234,10 +233,10 @@ func (sh *Sharded) InsertAll(gs []*graph.Graph) error {
 }
 
 // Get returns the graph with the given name.
-func (sh *Sharded) Get(name string) (*graph.Graph, bool) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.byName[name]
+func (db *DB) Get(name string) (*graph.Graph, bool) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	e, ok := db.byName[name]
 	if !ok {
 		return nil, false
 	}
@@ -248,72 +247,72 @@ func (sh *Sharded) Get(name string) (*graph.Graph, bool) {
 // there. key rides into the write-ahead record like Insert's. err is
 // non-nil only when the write-ahead append failed, in which case the
 // graph remains.
-func (sh *Sharded) Delete(name, key string) (Ack, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.byName[name]
+func (db *DB) Delete(name, key string) (Ack, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	e, ok := db.byName[name]
 	if !ok {
 		return Ack{}, nil
 	}
-	if sh.store != nil {
-		if err := sh.store.LogDelete(name, key); err != nil {
+	if db.store != nil {
+		if err := db.store.LogDelete(name, key); err != nil {
 			return Ack{Existed: true}, fmt.Errorf("gdb: %w: wal append: %w", ErrNotPersisted, err)
 		}
 	}
-	delete(sh.byName, name)
+	delete(db.byName, name)
 	// New columns: a snapshot may still read the old ones. Sequences
 	// are unique, so the graph's own one finds its position.
-	i := slices.Index(sh.seqs, e.seq)
-	sh.graphs = slices.Concat(sh.graphs[:i], sh.graphs[i+1:])
-	sh.sigs = slices.Concat(sh.sigs[:i], sh.sigs[i+1:])
-	sh.seqs = slices.Concat(sh.seqs[:i], sh.seqs[i+1:])
-	sh.cls = sh.classes.remove(slices.Concat(sh.cls[:i], sh.cls[i+1:]), sh.cls[i])
-	sh.gen++
-	return Ack{Gen: sh.gen, Existed: true}, nil
+	i := slices.Index(db.seqs, e.seq)
+	db.graphs = slices.Concat(db.graphs[:i], db.graphs[i+1:])
+	db.sigs = slices.Concat(db.sigs[:i], db.sigs[i+1:])
+	db.seqs = slices.Concat(db.seqs[:i], db.seqs[i+1:])
+	db.cls = db.classes.remove(slices.Concat(db.cls[:i], db.cls[i+1:]), db.cls[i])
+	db.gen++
+	return Ack{Gen: db.gen, Existed: true}, nil
 }
 
-// setStore attaches the write-ahead store. sh.mu is held across every
+// setStore attaches the write-ahead store. db.mu is held across every
 // logged mutation, so append order in the store equals the mutation
-// order. Attach AFTER recovery replay; pass nil to detach.
-func (sh *Sharded) setStore(st Store) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.store = st
+// order. Attach AFTER recovery replay.
+func (db *DB) setStore(st *walStore) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.store = st
 }
 
 // Len returns the number of stored graphs.
-func (sh *Sharded) Len() int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.graphs)
+func (db *DB) Len() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.graphs)
 }
 
 // Names returns all graph names in insertion order.
-func (sh *Sharded) Names() []string {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	names := make([]string, len(sh.graphs))
-	for i, g := range sh.graphs {
+func (db *DB) Names() []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	names := make([]string, len(db.graphs))
+	for i, g := range db.graphs {
 		names[i] = g.Name()
 	}
 	return names
 }
 
 // Graphs returns all stored graphs in insertion order.
-func (sh *Sharded) Graphs() []*graph.Graph {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return slices.Clone(sh.graphs)
+func (db *DB) Graphs() []*graph.Graph {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return slices.Clone(db.graphs)
 }
 
 // Generation returns a counter that changes on every successful mutation
 // (insert or delete). Caches that record the generation an answer is
 // exact at never serve a stale one: no later read carries an old
 // generation.
-func (sh *Sharded) Generation() uint64 {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.gen
+func (db *DB) Generation() uint64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.gen
 }
 
 // Stats summarizes the database contents.
@@ -329,12 +328,12 @@ type Stats struct {
 
 // Stats aggregates the stored signatures; no graph structure is
 // touched under the read lock.
-func (sh *Sharded) Stats() Stats {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := Stats{Graphs: len(sh.sigs)}
+func (db *DB) Stats() Stats {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	s := Stats{Graphs: len(db.sigs)}
 	vl, el := map[string]bool{}, map[string]bool{}
-	for i, sig := range sh.sigs {
+	for i, sig := range db.sigs {
 		s.Vertices += sig.Order
 		s.Edges += sig.Size
 		for l := range sig.VHist.Labels() {
@@ -356,9 +355,9 @@ func (sh *Sharded) Stats() Stats {
 
 // WriteTo streams the whole database as LGF in insertion order,
 // returning the bytes written per io.WriterTo.
-func (sh *Sharded) WriteTo(w io.Writer) (int64, error) {
+func (db *DB) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	for _, g := range sh.Graphs() {
+	for _, g := range db.Graphs() {
 		if err := graph.WriteLGF(cw, g); err != nil {
 			return cw.n, err
 		}
@@ -383,15 +382,15 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // renamed over path (with the directory entry fsynced too), so a crash
 // mid-save leaves the previous file intact rather than a truncated or
 // torn one.
-func (sh *Sharded) Save(path string) error {
+func (db *DB) Save(path string) error {
 	return wal.AtomicWrite(path, func(w io.Writer) error {
-		_, err := sh.WriteTo(w)
+		_, err := db.WriteTo(w)
 		return err
 	})
 }
 
 // Load reads an LGF file into a fresh database.
-func Load(path string) (*Sharded, error) {
+func Load(path string) (*DB, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -401,9 +400,9 @@ func Load(path string) (*Sharded, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := New()
-	if err := sh.InsertAll(gs); err != nil {
+	db := New()
+	if err := db.InsertAll(gs); err != nil {
 		return nil, err
 	}
-	return sh, nil
+	return db, nil
 }

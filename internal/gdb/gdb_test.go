@@ -8,7 +8,7 @@ import (
 	"skygraph/internal/graph"
 )
 
-func paperDB(t *testing.T) *Sharded {
+func paperDB(t *testing.T) *DB {
 	t.Helper()
 	db := New()
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {

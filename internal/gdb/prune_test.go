@@ -29,7 +29,7 @@ func prunedOpts(prune bool) gdb.QueryOptions {
 // against db and fails unless the skylines agree exactly. It also
 // checks the pruning bookkeeping: every graph is either evaluated or
 // pruned, never both, never neither.
-func requireEquivalent(t *testing.T, label string, db *gdb.Sharded, q *graph.Graph, opts gdb.QueryOptions) {
+func requireEquivalent(t *testing.T, label string, db *gdb.DB, q *graph.Graph, opts gdb.QueryOptions) {
 	t.Helper()
 	o := opts
 	o.Prune = false
@@ -55,7 +55,7 @@ func requireEquivalent(t *testing.T, label string, db *gdb.Sharded, q *graph.Gra
 // TestPrunedSkylineMatchesUnprunedPaperDB: the worked example of the
 // paper, exact engines — GSS(D,q) = {g1, g4, g5, g7} either way.
 func TestPrunedSkylineMatchesUnprunedPaperDB(t *testing.T) {
-	db := testutil.NewSharded(t, dataset.PaperDB())
+	db := testutil.NewDB(t, dataset.PaperDB())
 	requireEquivalent(t, "paper", db, dataset.PaperQuery(), gdb.QueryOptions{})
 	requireEquivalent(t, "paper/capped", db, dataset.PaperQuery(), prunedOpts(false))
 }
@@ -65,7 +65,7 @@ func TestPrunedSkylineMatchesUnprunedPaperDB(t *testing.T) {
 func TestPrunedSkylineMatchesUnprunedSeeded(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		gs := testutil.SeededGraphs(seed, 24)
-		db := testutil.NewSharded(t, gs)
+		db := testutil.NewDB(t, gs)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 4) {
 			requireEquivalent(t, fmt.Sprintf("seed=%d q=%d", seed, qi), db, q, prunedOpts(false))
 		}
@@ -77,7 +77,7 @@ func TestPrunedSkylineMatchesUnprunedSeeded(t *testing.T) {
 // must cover the database.
 func requirePrunedEquivalent(t *testing.T, name string, gs, queries []*graph.Graph, opts gdb.QueryOptions) {
 	t.Helper()
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	opts.Prune = false
 	want := make([]gdb.SkylineResult, len(queries))
 	for qi, q := range queries {
@@ -101,8 +101,8 @@ func requirePrunedEquivalent(t *testing.T, name string, gs, queries []*graph.Gra
 	}
 }
 
-// TestPrunedSkylineShardedEquivalence: the grid over a seeded database.
-func TestPrunedSkylineShardedEquivalence(t *testing.T) {
+// TestPrunedSkylineSeededGrid: the grid over a seeded database.
+func TestPrunedSkylineSeededGrid(t *testing.T) {
 	gs := testutil.SeededGraphs(11, 30)
 	requirePrunedEquivalent(t, "seeded", gs, testutil.SeededQueries(211, gs, 3), prunedOpts(false))
 }
@@ -149,7 +149,7 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 		if seed == 3 {
 			gs = twinned(gs[:12])
 		}
-		db := testutil.NewSharded(t, gs)
+		db := testutil.NewDB(t, gs)
 		rng := rand.New(rand.NewSource(seed))
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
 			want, err := db.SkylineQuery(context.Background(), q, prunedOpts(false))
@@ -192,7 +192,7 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 // clearly dominated members), so the Pruned counter is exercised for
 // real, not vacuously.
 func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
-	db := testutil.NewSharded(t, dataset.PaperDB())
+	db := testutil.NewDB(t, dataset.PaperDB())
 	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), prunedOpts(true))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
 // built-ins must fall back to full evaluation (Pruned = 0, every graph
 // evaluated) rather than prune on unknown monotonicity.
 func TestPruneIgnoredForForeignBasis(t *testing.T) {
-	db := testutil.NewSharded(t, dataset.PaperDB())
+	db := testutil.NewDB(t, dataset.PaperDB())
 	opts := prunedOpts(true)
 	opts.Basis = []measure.Measure{measure.DistEd{}, oppositeMeasure{}}
 	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), opts)

@@ -70,11 +70,6 @@ type Work struct {
 	// top-k and range queries. Each is attributed to exactly one trace
 	// stage (see trace.go).
 	Pruned int `json:"pruned"`
-	// MemoHits and MemoMisses are always 0, kept for wire
-	// compatibility: no evaluation reuses engine results across
-	// queries.
-	MemoHits   int `json:"memo_hits"`
-	MemoMisses int `json:"memo_misses"`
 }
 
 // Add folds o into w.
@@ -133,9 +128,9 @@ func (r SkylineResult) DominatedBy(name string) (dominator string, ok bool) {
 // proof discards under QueryOptions.Prune (see prune.go) — and the
 // table's Pareto-optimal rows are the answer. Evaluation checks ctx
 // between pairs and aborts early with ctx.Err().
-func (sh *Sharded) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
+func (db *DB) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
 	start := time.Now()
-	t, err := sh.VectorTable(ctx, q, opts)
+	t, err := db.VectorTable(ctx, q, opts)
 	if err != nil {
 		return SkylineResult{}, err
 	}
@@ -163,30 +158,30 @@ type TopKResult struct {
 // prunes every remaining candidate — no table is built. m must be one
 // of the built-in measures (measure.Rankable): the scan needs its
 // bounds. opts.Basis and opts.Prune do not apply.
-func (sh *Sharded) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
+func (db *DB) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("gdb: k must be >= 1")
 	}
-	return sh.rankedQuery(ctx, q, m, opts, newTopkCollector(k))
+	return db.rankedQuery(ctx, q, m, opts, newTopkCollector(k))
 }
 
 // RangeQuery returns every graph whose distance to q under m is at most
 // radius, in insertion order: the best-first scan with the radius
 // as a fixed threshold, under the same conditions as TopKQuery.
-func (sh *Sharded) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (TopKResult, error) {
-	return sh.rankedQuery(ctx, q, m, opts, newRangeCollector(radius))
+func (db *DB) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Measure, radius float64, opts QueryOptions) (TopKResult, error) {
+	return db.rankedQuery(ctx, q, m, opts, newRangeCollector(radius))
 }
 
 // rankedQuery scans one snapshot of the database into coll and reports
 // the collected answer: top-k in ascending (score, ID) order, range in
 // insertion order. Reading the answer out is the merge stage.
-func (sh *Sharded) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (TopKResult, error) {
+func (db *DB) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (TopKResult, error) {
 	if !measure.Rankable(m) {
 		return TopKResult{}, fmt.Errorf("gdb: measure %s has no bounds to rank by (not a built-in)", m.Name())
 	}
 	start := time.Now()
 	opts = opts.withDefaults()
-	stats, err := evalRanked(ctx, sh.snapshot(), measure.NewSignature(q), q, m, opts, coll)
+	stats, err := evalRanked(ctx, db.snapshot(), measure.NewSignature(q), q, m, opts, coll)
 	if err != nil {
 		return TopKResult{}, err
 	}
@@ -217,14 +212,14 @@ type DiverseResult struct {
 // every k-subset is dense-ranked per dimension, and the minimal rank sum
 // wins. Skylines whose C(n,k) exceeds maxCandidates fall back to the greedy
 // farthest-point heuristic. If k >= |skyline| the whole skyline is selected.
-func (sh *Sharded) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k int, opts QueryOptions) (DiverseResult, error) {
+func (db *DB) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k int, opts QueryOptions) (DiverseResult, error) {
 	if k < 1 {
 		return DiverseResult{}, fmt.Errorf("gdb: k must be >= 1")
 	}
 	// Diversity reports the full vector table alongside the selection, so
 	// the pruned evaluation path (which drops dominated rows) is not used.
 	opts.Prune = false
-	skyRes, err := sh.SkylineQuery(ctx, q, opts)
+	skyRes, err := db.SkylineQuery(ctx, q, opts)
 	if err != nil {
 		return DiverseResult{}, err
 	}
@@ -242,7 +237,7 @@ func (sh *Sharded) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k in
 	}
 	gs := make([]*graph.Graph, n)
 	for i, p := range skyRes.Skyline {
-		g, ok := sh.Get(p.ID)
+		g, ok := db.Get(p.ID)
 		if !ok {
 			return DiverseResult{}, fmt.Errorf("gdb: skyline member vanished during query")
 		}

@@ -44,7 +44,7 @@ func TestRankedEquivalenceGrid(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range cases {
 		n := len(tc.gs)
-		sh := testutil.NewSharded(t, tc.gs)
+		sh := testutil.NewDB(t, tc.gs)
 		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}} {
 			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
 				for _, q := range tc.qs {
@@ -132,7 +132,7 @@ func TestRankedScanOrderIndependent(t *testing.T) {
 	opts := gdb.QueryOptions{Workers: 1}
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range cases {
-		db := testutil.NewSharded(t, tc.gs)
+		db := testutil.NewDB(t, tc.gs)
 		for qi, q := range tc.qs {
 			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
 				scores := testutil.ReferenceScores(tc.gs, q, m, opts.Eval)

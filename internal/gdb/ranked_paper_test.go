@@ -20,7 +20,7 @@ func requirePrunedRankedMatches(t *testing.T, gs []*graph.Graph, qs []*graph.Gra
 	ctx := context.Background()
 	measures := []measure.Measure{measure.DistEd{}, measure.DistMcs{}, measure.DistGu{}}
 	popts := gdb.QueryOptions{Eval: eval, Workers: 4}
-	sh := testutil.NewSharded(t, gs)
+	sh := testutil.NewDB(t, gs)
 	for _, q := range qs {
 		for _, m := range measures {
 			scores := testutil.ReferenceScores(gs, q, m, eval)
@@ -57,7 +57,7 @@ var rankedMeasures = []measure.Measure{
 func TestRankedTopKMatchesUnpruned(t *testing.T) {
 	gs, q := dataset.PaperDB(), dataset.PaperQuery()
 	ctx := context.Background()
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	for _, eval := range []measure.Options{{}, {GEDMaxNodes: 40, MCSMaxNodes: 40}} {
 		for _, m := range rankedMeasures {
 			scores := testutil.ReferenceScores(gs, q, m, eval)
@@ -83,7 +83,7 @@ func TestRankedTopKMatchesUnpruned(t *testing.T) {
 func TestRankedRangeMatchesUnpruned(t *testing.T) {
 	gs, q := dataset.PaperDB(), dataset.PaperQuery()
 	ctx := context.Background()
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	for _, m := range rankedMeasures {
 		scores := testutil.ReferenceScores(gs, q, m, measure.Options{})
 		for _, radius := range []float64{0, 0.2, 0.5, 3, 10} {
@@ -121,7 +121,7 @@ func TestPrunedRankedSeeded(t *testing.T) {
 // bounds, so a measure outside the built-ins is an error on both query
 // kinds, not a silent fallback to scoring every graph.
 func TestRankedRejectsForeignMeasure(t *testing.T) {
-	db := testutil.NewSharded(t, dataset.PaperDB())
+	db := testutil.NewDB(t, dataset.PaperDB())
 	ctx, q := context.Background(), dataset.PaperQuery()
 	if res, err := db.TopKQuery(ctx, q, oppositeMeasure{}, 2, gdb.QueryOptions{}); err == nil {
 		t.Fatalf("top-k under a foreign measure answered %v", res.Items)

@@ -11,36 +11,36 @@ import (
 	"skygraph/internal/wal"
 )
 
-// Store receives every database mutation BEFORE it is applied (and
+// walStore receives every database mutation BEFORE it is applied (and
 // before the caller is told it succeeded) — the write-ahead contract.
 // An error from either method fails the mutation with the database
-// unchanged. Implementations are called under the database's mutation
-// locks, so calls arrive in exactly the global mutation order and need
-// no ordering logic of their own.
-type Store interface {
-	// LogInsert records that g is about to be inserted with the given
-	// insert sequence, under the client's idempotency key ("" =
-	// unkeyed).
-	LogInsert(g *graph.Graph, seq uint64, key string) error
-	// LogDelete records that the named graph is about to be removed,
-	// under the client's idempotency key ("" = unkeyed).
-	LogDelete(name, key string) error
-}
-
-// walStore adapts a wal.Log to the Store interface: inserts carry the
-// LGF-encoded graph as their payload, deletes just the name. The
-// idempotency key rides along in the record, so an accepted keyed
-// mutation leaves durable evidence of its key — recovery rebuilds the
-// key table from it instead of guessing from surviving state. Each
-// successful keyed append is also noted in the live key table, which
-// snapshots persist into the manifest so the evidence outlives log
-// reclaim.
+// unchanged. It is called under the database's mutation lock, so calls
+// arrive in exactly the global mutation order and need no ordering
+// logic of their own.
+//
+// Inserts carry the LGF-encoded graph as their payload, deletes just
+// the name. The idempotency key ("" = unkeyed) rides along in the
+// record, so an accepted keyed mutation leaves durable evidence of its
+// key — recovery rebuilds the key table from it instead of guessing
+// from surviving state. Each successful keyed append is also noted in
+// the live key table, which snapshots persist into the manifest so the
+// evidence outlives log reclaim.
+//
+// Each method first fires its store-level failpoint (fault.StoreInsert,
+// fault.StoreDelete): chaos runs fail mutations there before they reach
+// the WAL at all (the "store is sick but the log is fine" shape),
+// independently of the WAL's own fs-level failpoints. Every durable
+// database is injectable; a disarmed failpoint costs one atomic load
+// per mutation.
 type walStore struct {
 	log  *wal.Log
 	keys *keyTable
 }
 
 func (s *walStore) LogInsert(g *graph.Graph, seq uint64, key string) error {
+	if err := fault.Hit(fault.StoreInsert).Do(); err != nil {
+		return err
+	}
 	_, err := s.log.Append(wal.Record{
 		Op:   wal.OpInsert,
 		Seq:  seq,
@@ -55,35 +55,14 @@ func (s *walStore) LogInsert(g *graph.Graph, seq uint64, key string) error {
 }
 
 func (s *walStore) LogDelete(name, key string) error {
+	if err := fault.Hit(fault.StoreDelete).Do(); err != nil {
+		return err
+	}
 	_, err := s.log.Append(wal.Record{Op: wal.OpDelete, Name: name, Key: key})
 	if err == nil {
 		s.keys.noteDelete(key, name)
 	}
 	return err
-}
-
-// FaultStore wraps a Store with the store-level failpoints: it lets
-// chaos runs fail mutations before they reach the WAL at all (the
-// "store is sick but the log is fine" shape), independently of the
-// WAL's own fs-level failpoints. It is wired in by OpenDurable, so
-// every durable database is injectable; disarmed failpoints cost one
-// atomic load per mutation.
-type FaultStore struct {
-	Inner Store
-}
-
-func (s *FaultStore) LogInsert(g *graph.Graph, seq uint64, key string) error {
-	if err := fault.Hit(fault.StoreInsert).Do(); err != nil {
-		return err
-	}
-	return s.Inner.LogInsert(g, seq, key)
-}
-
-func (s *FaultStore) LogDelete(name, key string) error {
-	if err := fault.Hit(fault.StoreDelete).Do(); err != nil {
-		return err
-	}
-	return s.Inner.LogDelete(name, key)
 }
 
 // DurableOptions configures OpenDurable.
@@ -131,11 +110,11 @@ type RecoveryInfo struct {
 // rebuilds the exact database (same graphs, same insertion order, same
 // insert sequences) from whatever the directory holds.
 type Durable struct {
-	// DB is the recovered database. Mutate it only through Sharded's
-	// methods — Durable's snapshot consistency relies on Sharded's
+	// DB is the recovered database. Mutate it only through DB's
+	// methods — Durable's snapshot consistency relies on DB's
 	// mutation lock covering both the WAL append and the in-memory
 	// apply.
-	DB *Sharded
+	DB *DB
 
 	dir      string
 	log      *wal.Log
@@ -209,9 +188,9 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	d.recovery.MaxSeq = maxSeq
 	d.recovery.Duration = time.Since(start)
 	d.log = log
-	// From here on, mutations are logged (through the failpoint wrapper,
-	// so chaos tests can fail them at will; disarmed it is a no-op).
-	d.DB.setStore(&FaultStore{Inner: &walStore{log: log, keys: &d.keys}})
+	// From here on, mutations are logged (past the store failpoints, so
+	// chaos tests can fail them at will; disarmed they are no-ops).
+	d.DB.setStore(&walStore{log: log, keys: &d.keys})
 	return d, nil
 }
 
@@ -394,7 +373,7 @@ func (d *Durable) Snapshot() error {
 	}
 
 	// Cut under the mutation lock: every mutation appends to the WAL and
-	// applies in memory under sh.mu, so state and LastLSN agree here.
+	// applies in memory under db.mu, so state and LastLSN agree here.
 	type snapEntry struct {
 		name string
 		seq  uint64

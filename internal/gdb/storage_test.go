@@ -30,7 +30,7 @@ func storageGraphs(seed int64, n int) []*graph.Graph {
 // graph in insertion order with its insert sequence and LGF encoding.
 // Two databases with equal fingerprints are byte-identical as far as
 // any query can tell.
-func fingerprint(sh *Sharded) string {
+func fingerprint(sh *DB) string {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	var b strings.Builder
@@ -41,7 +41,7 @@ func fingerprint(sh *Sharded) string {
 }
 
 // seqOf returns the named graph's insert sequence (0 when absent).
-func seqOf(sh *Sharded, name string) uint64 {
+func seqOf(sh *DB, name string) uint64 {
 	sn, ok := sh.rowSnap(name)
 	if !ok {
 		return 0
@@ -80,11 +80,11 @@ func TestDurableEmptyDir(t *testing.T) {
 	}
 }
 
-// TestDurableRoundTripShardCounts is the recovery equivalence harness:
+// TestDurableRoundTrip is the recovery equivalence harness:
 // a mutation history (inserts, deletes, a delete+reinsert) must recover
 // byte-identically — same graphs, same insertion order, same insert
 // sequences — and identical state must yield identical skyline answers.
-func TestDurableRoundTripShardCounts(t *testing.T) {
+func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	gs := storageGraphs(7, 16)
 

@@ -1,9 +1,5 @@
 package gdb_test
 
-// Tests in this package whose names speak of shards keep the names they
-// had when the database was split into hash-routed shards. The store is
-// one now; each checks the same answers against the same reference.
-
 import (
 	"context"
 	"reflect"
@@ -16,11 +12,11 @@ import (
 	"skygraph/internal/testutil"
 )
 
-// TestShardedRoutingAndOrder: graphs come back by name and in insertion
+// TestGetNamesAndDuplicate: graphs come back by name and in insertion
 // order, and a duplicate name is refused.
-func TestShardedRoutingAndOrder(t *testing.T) {
+func TestGetNamesAndDuplicate(t *testing.T) {
 	gs := testutil.SeededGraphs(1, 10)
-	sh := testutil.NewSharded(t, gs)
+	sh := testutil.NewDB(t, gs)
 	if sh.Len() != 10 {
 		t.Fatalf("len = %d; want 10", sh.Len())
 	}
@@ -40,9 +36,9 @@ func TestShardedRoutingAndOrder(t *testing.T) {
 	}
 }
 
-// TestShardedStatsAggregation: Stats, aggregated from the stored
-// signatures, agrees with the graphs themselves.
-func TestShardedStatsAggregation(t *testing.T) {
+// TestStatsAggregation: Stats, aggregated from the stored signatures,
+// agrees with the graphs themselves.
+func TestStatsAggregation(t *testing.T) {
 	gs := testutil.SeededGraphs(3, 9)
 	want := gdb.Stats{Graphs: len(gs), MinSize: gs[0].Size(), MaxSize: gs[0].Size()}
 	vl, el := map[string]bool{}, map[string]bool{}
@@ -59,12 +55,13 @@ func TestShardedStatsAggregation(t *testing.T) {
 		}
 	}
 	want.VertexLabels, want.EdgeLabels = len(vl), len(el)
-	if got := testutil.NewSharded(t, gs).Stats(); got != want {
+	if got := testutil.NewDB(t, gs).Stats(); got != want {
 		t.Fatalf("stats %+v; want %+v", got, want)
 	}
 }
 
-func TestShardedEmptyDB(t *testing.T) {
+// TestEmptyDBSkyline: an empty database answers an empty skyline.
+func TestEmptyDBSkyline(t *testing.T) {
 	sh := gdb.New()
 	res, err := sh.SkylineQuery(context.Background(), dataset.PaperQuery(), gdb.QueryOptions{})
 	if err != nil {
@@ -98,7 +95,7 @@ func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase,
 		refSky := testutil.ReferenceSkyline(gs, c.q, eval)
 		scores := testutil.ReferenceScores(gs, c.q, m, eval)
 		refTopK, refRange := testutil.ReferenceTopK(scores, c.k), testutil.ReferenceRange(scores, c.radius)
-		sh := testutil.NewSharded(t, gs)
+		sh := testutil.NewDB(t, gs)
 		tab, err := sh.VectorTable(ctx, c.q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -137,21 +134,21 @@ func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase,
 	}
 }
 
-// TestShardedMatchesUnshardedPaper is the acceptance check on the paper
+// TestMatchesReferencePaper is the acceptance check on the paper
 // dataset: skyline / top-k / range answers are byte-identical to the
 // reference's.
-func TestShardedMatchesUnshardedPaper(t *testing.T) {
+func TestMatchesReferencePaper(t *testing.T) {
 	requireMatchesReference(t, dataset.PaperDB(),
 		[]equivCase{{q: dataset.PaperQuery(), k: 3, radius: 3}},
 		measure.Options{})
 }
 
-// TestShardedMatchesUnshardedSeeded is the property test: seeded random
+// TestMatchesReferenceSeeded is the property test: seeded random
 // databases and mutated queries — results must be identical to the
 // reference, including order. Budgeted engines keep the worst pairs
 // cheap; both sides run the identical computation, so equivalence is
 // unaffected.
-func TestShardedMatchesUnshardedSeeded(t *testing.T) {
+func TestMatchesReferenceSeeded(t *testing.T) {
 	for _, seed := range []int64{11, 42} {
 		gs := testutil.SeededGraphs(seed, 12)
 		qs := testutil.SeededQueries(seed+100, gs, 2)

@@ -108,17 +108,17 @@ func renderMutation(existed, failed bool, live []*graph.Graph) string {
 	return fmt.Sprintf("existed=%v failed=%v names=%v", existed, failed, names)
 }
 
-// TestShardCountInvarianceUnderMutation replays one seeded history
+// TestMutationHistoryMatchesReference replays one seeded history
 // through the database and requires every step — Ack.Existed, whether
 // the mutation was refused, Names() order, skyline (pruned and
 // unpruned), top-k and range answers — to be byte-identical to the
-// reference replay, and every ack to carry the generation it produced. The static equivalence grids never
-// mutate; this one does little else.
-func TestShardCountInvarianceUnderMutation(t *testing.T) {
+// reference replay, and every ack to carry the generation it produced.
+// The static equivalence grids never mutate; this one does little else.
+func TestMutationHistoryMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	initial, ops, want := seededHistory(17)
 	m := measure.DistEd{}
-	sh := testutil.NewSharded(t, initial)
+	sh := testutil.NewDB(t, initial)
 	for i, op := range ops {
 		label := fmt.Sprintf("step %d (%s)", i, op.kind)
 		var got string
@@ -170,15 +170,15 @@ func exportedMethods(v any) []string {
 	return out
 }
 
-// TestEngineSurfacePinned pins the exported method set of *Sharded —
+// TestEngineSurfacePinned pins the exported method set of *DB —
 // the one query and mutation surface: exactly one insert, one delete and
 // InsertAll; one method per query kind. A ninth mutation variant or a
 // second query surface fails here, with the list to edit (and DESIGN.md
-// "Engine surface" to update alongside). The package-level NewSharded
-// is a no-op shim beside the five below (shims.go): New builds the
-// database.
+// "Engine surface" to update alongside). shims.go also holds the
+// package-level harness shims beside the five methods below: New
+// builds the database.
 func TestEngineSurfacePinned(t *testing.T) {
-	wantSharded := []string{
+	want := []string{
 		// mutations
 		"Delete", "Insert", "InsertAll",
 		// queries
@@ -194,8 +194,8 @@ func TestEngineSurfacePinned(t *testing.T) {
 		// reads
 		"Generation", "Get", "Graphs", "Len", "Names", "Stats",
 	}
-	sort.Strings(wantSharded)
-	if got := exportedMethods(&gdb.Sharded{}); !reflect.DeepEqual(got, wantSharded) {
-		t.Errorf("*gdb.Sharded exports\n  %v\nthe pinned surface is\n  %v", got, wantSharded)
+	sort.Strings(want)
+	if got := exportedMethods(&gdb.DB{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("*gdb.DB exports\n  %v\nthe pinned surface is\n  %v", got, want)
 	}
 }

@@ -64,13 +64,13 @@ type snap struct {
 // (Insert appends, Delete builds new columns), and each column is cut
 // to its length in capacity too, so no reader can append into the
 // store's spare capacity either.
-func (sh *Sharded) snapshot() snap {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	n := len(sh.graphs)
+func (db *DB) snapshot() snap {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	n := len(db.graphs)
 	return snap{
-		graphs: sh.graphs[:n:n], sigs: sh.sigs[:n:n], seqs: sh.seqs[:n:n], cls: sh.cls[:n:n],
-		classes: len(sh.classes.keys), gen: sh.gen,
+		graphs: db.graphs[:n:n], sigs: db.sigs[:n:n], seqs: db.seqs[:n:n], cls: db.cls[:n:n],
+		classes: len(db.classes.keys), gen: db.gen,
 	}
 }
 
@@ -88,9 +88,9 @@ func (sh *Sharded) snapshot() snap {
 // no cheaper proof discards. The resulting table's skyline is identical
 // to the complete table's. For a foreign basis the full scan runs
 // either way.
-func (sh *Sharded) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
+func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
-	sn := sh.snapshot()
+	sn := db.snapshot()
 	qsig := measure.NewSignature(q)
 	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
 	var err error

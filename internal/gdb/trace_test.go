@@ -58,7 +58,7 @@ func requireTraceConsistent(t *testing.T, label string, tr *gdb.QueryTrace, stat
 func TestTraceSkylineConsistent(t *testing.T) {
 	gs := testutil.SeededGraphs(7, 30)
 	queries := testutil.SeededQueries(107, gs, 3)
-	sh := testutil.NewSharded(t, gs)
+	sh := testutil.NewDB(t, gs)
 	for qi, q := range queries {
 		tr := gdb.NewQueryTrace()
 		opts := prunedOpts(true)
@@ -96,7 +96,7 @@ func TestTraceRankedConsistent(t *testing.T) {
 		{"family25", family25, familyQueries, gdb.QueryOptions{}},
 		{"family12", family12, familyQueries, gdb.QueryOptions{}},
 	} {
-		sh := testutil.NewSharded(t, tc.gs)
+		sh := testutil.NewDB(t, tc.gs)
 		for qi, q := range tc.queries {
 			tr := gdb.NewQueryTrace()
 			opts := tc.opts
@@ -140,7 +140,7 @@ func requireLiveStagesOnly(t *testing.T, label string, tr *gdb.QueryTrace) {
 // work; the trace must say so and nothing else (no bound stage ran).
 func TestTraceUnprunedExactOnly(t *testing.T) {
 	gs := testutil.SeededGraphs(13, 16)
-	sh := testutil.NewSharded(t, gs)
+	sh := testutil.NewDB(t, gs)
 	q := testutil.SeededQueries(113, gs, 1)[0]
 
 	tr := gdb.NewQueryTrace()
@@ -182,7 +182,7 @@ func TestBranchBoundSparesDecisionRuns(t *testing.T) {
 	for i, g := range gs {
 		g.SetName(fmt.Sprintf("g%05d", i))
 	}
-	sh := testutil.NewSharded(t, gs)
+	sh := testutil.NewDB(t, gs)
 	m := measure.DistEd{}
 	exactPairs, evaluated := 0, 0
 	for qi, q := range dataset.NoisyQueries(gs, 12, 1, 3505) {

@@ -55,13 +55,20 @@ var costPool = sync.Pool{New: func() any { return &costBuf{} }}
 // (EditCostOfMapping) is returned — always an upper bound on the exact
 // distance.
 func Bipartite(g1, g2 *graph.Graph) Result {
-	n1, n2 := g1.Order(), g2.Order()
-	n := n1 + n2
-	if n == 0 {
+	if g1.Order()+g2.Order() == 0 {
 		return Result{Distance: 0, Mapping: []int{}, Exact: true}
 	}
-	s := newSearch(g1, g2)
+	s := loadPair(g1, g2)
 	defer s.release()
+	return s.bipartite()
+}
+
+// bipartite is Bipartite on the loaded pair form of a non-empty pair.
+// It reads the form only, so a search over the same pair may run
+// before it.
+func (s *astar) bipartite() Result {
+	n1, n2 := s.N1, s.N2
+	n := n1 + n2
 	buf := costPool.Get().(*costBuf)
 	defer costPool.Put(buf)
 	cost := buf.matrix(n)

@@ -65,17 +65,18 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 		s.limit = pathLimit(*opts.Limit)
 	}
 	res := s.run(opts.MaxNodes)
-	s.release()
 	if !res.Exact && !res.AboveLimit {
-		// Graceful degradation: bipartite approximation upper bound. An
-		// AboveLimit result is left alone — its Distance is a proven
-		// lower bound, which an upper bound cannot replace.
-		ub := Bipartite(g1, g2)
+		// Graceful degradation: bipartite approximation upper bound,
+		// on the pair form the search already holds. An AboveLimit
+		// result is left alone — its Distance is a proven lower bound,
+		// which an upper bound cannot replace.
+		ub := s.bipartite()
 		if ub.Distance < res.Distance || res.Mapping == nil {
 			res.Distance = ub.Distance
 			res.Mapping = ub.Mapping
 		}
 	}
+	s.release()
 	return res
 }
 
@@ -137,12 +138,19 @@ type astar struct {
 
 var searchPool = sync.Pool{New: func() any { return new(astar) }}
 
-// newSearch takes scratch from the pool and loads the pair into it:
-// compact form, processing order, blank assignment state.
-func newSearch(g1, g2 *graph.Graph) *astar {
+// loadPair takes scratch from the pool and loads the pair's compact,
+// densified form into it.
+func loadPair(g1, g2 *graph.Graph) *astar {
 	s := searchPool.Get().(*astar)
 	s.Load(g1, g2)
 	s.Densify()
+	return s
+}
+
+// newSearch loads the pair (loadPair) and readies a search over it:
+// processing order, blank assignment state.
+func newSearch(g1, g2 *graph.Graph) *astar {
+	s := loadPair(g1, g2)
 	s.order = s.order[:0]
 	for u := 0; u < s.N1; u++ {
 		s.order = append(s.order, int32(u))

@@ -19,7 +19,7 @@
 //     decodes and hashes no graph;
 //   - server.go: the handlers, per-request timeouts, the one admission
 //     gate, and coalesce — the one cache → flight → build loop behind
-//     every answer: skyline tables built by Sharded.VectorTable, ranked
+//     every answer: skyline tables built by DB.VectorTable, ranked
 //     answers by the ranked scan;
 //   - ranked.go: top-k and range through the library's best-first
 //     ranked scan;
@@ -95,12 +95,6 @@ type QueryStats struct {
 	// items of a topk/range query — came from the cache (or a coalesced
 	// in-flight leader).
 	CacheHit bool `json:"cache_hit"`
-	// Shards is always 1 and ShardHits reads 1 on a cache hit, 0 on a
-	// fresh build. The database is one store; both keys stay on the
-	// wire, with the values a single-shard daemon reported, for clients
-	// that decode them.
-	Shards    int `json:"shards"`
-	ShardHits int `json:"shard_hits"`
 	// DurationMS is the server-side wall-clock time for the request.
 	DurationMS float64 `json:"duration_ms"`
 }
@@ -206,8 +200,6 @@ type BatchStats struct {
 	// DeltaPatched aggregates the per-item delta-upgrade counts (see
 	// QueryStats).
 	DeltaPatched int `json:"delta_patched"`
-	// ShardHits sums the per-item ShardHits (see QueryStats).
-	ShardHits int `json:"shard_hits"`
 	// DurationMS is the server-side wall-clock time for the batch.
 	DurationMS float64 `json:"duration_ms"`
 }
@@ -270,12 +262,10 @@ type ListResponse struct {
 
 // StatsResponse answers GET /stats.
 type StatsResponse struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Generation    uint64  `json:"generation"`
-	DB            DBStats `json:"db"`
-	// Shards always holds one ShardInfo (see there).
-	Shards []ShardInfo `json:"shards"`
-	Cache  CacheStats  `json:"cache"`
+	UptimeSeconds float64    `json:"uptime_seconds"`
+	Generation    uint64     `json:"generation"`
+	DB            DBStats    `json:"db"`
+	Cache         CacheStats `json:"cache"`
 	// Durability reports the persistence layer — WAL occupancy, fsync
 	// policy, snapshot progress and what the last recovery rebuilt
 	// (absent without -data-dir).
@@ -365,16 +355,6 @@ type SlowQueryRecord struct {
 	Trace      []gdb.TraceStage `json:"trace,omitempty"`
 }
 
-// ShardInfo is the database's occupancy and generation. /stats lists
-// exactly one, with Index 0: the database is one store, and the
-// "shards" key keeps the shape a single-shard daemon reported for
-// clients that decode it.
-type ShardInfo struct {
-	Index      int    `json:"index"`
-	Graphs     int    `json:"graphs"`
-	Generation uint64 `json:"generation"`
-}
-
 // DBStats mirrors gdb.Stats in wire form.
 type DBStats struct {
 	Graphs       int `json:"graphs"`
@@ -397,12 +377,8 @@ type ReqStats struct {
 	// best-first ranked scan (see there for each counter), under the
 	// keys /stats has always used: Evaluated and Pruned appear as
 	// pair_evals and pairs_pruned.
-	PairEvals   uint64 `json:"pair_evals"`
-	PairsPruned uint64 `json:"pairs_pruned"`
-	// MemoHits and MemoMisses are always 0, kept for wire compatibility
-	// (see gdb.Work).
-	MemoHits      uint64 `json:"memo_hits"`
-	MemoMisses    uint64 `json:"memo_misses"`
+	PairEvals     uint64 `json:"pair_evals"`
+	PairsPruned   uint64 `json:"pairs_pruned"`
 	QueryTimeouts uint64 `json:"query_timeouts"`
 	// LoadShed counts queries refused with 429 at the inflight-query
 	// cap; DegradedRejected counts mutations refused with 503 while the
@@ -430,11 +406,10 @@ type WarmRequest struct {
 
 // WarmResult reports one warmed query.
 type WarmResult struct {
-	// Evaluated counts fresh pair evaluations; ShardHits reads 1 when
-	// the answer was already cached, 0 when it was built (see
-	// QueryStats).
+	// Evaluated counts fresh pair evaluations; CacheHit reports that
+	// the answer was already cached (see QueryStats).
 	Evaluated int    `json:"evaluated"`
-	ShardHits int    `json:"shard_hits"`
+	CacheHit  bool   `json:"cache_hit"`
 	Error     string `json:"error,omitempty"`
 }
 

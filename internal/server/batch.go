@@ -98,7 +98,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		qs := res.stats()
 		stats.Work.Add(qs.Work)
 		stats.DeltaPatched += qs.DeltaPatched
-		stats.ShardHits += qs.ShardHits
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Stats: stats})
 }

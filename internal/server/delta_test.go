@@ -76,16 +76,10 @@ func TestPrunedDeltaMatchesColdRecompute(t *testing.T) {
 	runDeltaSchedules(t, false, 12)
 }
 
-// runDeltaSchedules runs the delta equivalence schedule as four seeded
-// schedules × {plain, pivot-memo, vector}; all selects "all" skylines
-// (checked, never warmed) or pruned ones (warmed and checked). The arm
-// names date from when "pivot-memo" and "vector" also enabled the pivot
-// and vector candidate tiers and the score memo, which are gone: the
-// three arms now run the same database and differ only in the mutation
-// schedule their name seeds. Likewise the subtests
-// keep the "shards=N" label from when the database was split into N
-// shards: N now only seeds the arm's mutation schedule, together with
-// the arm name.
+// runDeltaSchedules runs the delta equivalence schedule under twelve
+// seeded mutation schedules, one subtest each, labelled by its RNG
+// seed; all selects "all" skylines (checked, never warmed) or pruned
+// ones (warmed and checked).
 func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	base := testutil.SeededGraphs(401, 20)
 	pool := testutil.SeededGraphs(402, 10)
@@ -95,9 +89,10 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 	queries := testutil.SeededQueries(403, base, 2)
 	radius := 4.0
 
-	for _, sched := range []int{1, 2, 3, 7} {
-		for _, mode := range []string{"plain", "pivot-memo", "vector"} {
-			t.Run(fmt.Sprintf("shards=%d/%s", sched, mode), func(t *testing.T) {
+	for _, sched := range []int64{1, 2, 3, 7} {
+		for _, off := range []int64{5, 10, 6} {
+			seed := sched*31 + off
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 				db := gdb.New()
 				if err := db.InsertAll(base); err != nil {
 					t.Fatal(err)
@@ -106,7 +101,7 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 				ts := httptest.NewServer(s.Handler())
 				defer ts.Close()
 
-				rng := rand.New(rand.NewSource(int64(sched)*31 + int64(len(mode))))
+				rng := rand.New(rand.NewSource(seed))
 				live := append([]*graph.Graph(nil), base...)
 				next := 0
 				prunedPatched, rankedPatched := 0, 0
@@ -141,7 +136,7 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 					// reference recompute (Definitions 11–12, leaf
 					// functions only) over the live set.
 					for qi, q := range queries {
-						label := fmt.Sprintf("sched=%d mode=%s all=%v round=%d q=%d", sched, mode, all, round, qi)
+						label := fmt.Sprintf("seed=%d all=%v round=%d q=%d", seed, all, round, qi)
 						var sky SkylineResponse
 						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: all}, &sky)
 						testutil.RequireSameSkyline(t, label+"/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
@@ -201,7 +196,7 @@ type prunedFixture struct {
 
 func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []skyline.Point, inexact int) *prunedFixture {
 	t.Helper()
-	db := testutil.NewSharded(t, gs)
+	db := testutil.NewDB(t, gs)
 	s := New(db, Config{CacheSize: 16})
 	res, err := s.resolveQuery("skyline", &QueryRequest{Graph: q})
 	if err != nil {
@@ -496,7 +491,7 @@ func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
 	live := append(dataset.PaperDB(), g)
 	var full SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &full)
-	if full.Stats.ShardHits != 0 || full.Stats.Evaluated != len(live) || full.Stats.DeltaPatched != 0 {
+	if full.Stats.CacheHit || full.Stats.Evaluated != len(live) || full.Stats.DeltaPatched != 0 {
 		t.Fatalf("all repeat stats = %+v; want all %d graphs rebuilt", full.Stats, len(live))
 	}
 	testutil.RequireSameSkyline(t, "all", testutil.ReferenceTable(live, q, measure.Options{}), wirePoints(full.All))
@@ -520,14 +515,12 @@ func TestPrunedDeltaUnderConcurrentReads(t *testing.T) {
 		g.SetName(fmt.Sprintf("new%02d", i))
 	}
 	queries := testutil.SeededQueries(543, base, 2)
-	// The subtests keep their "shards=N" labels from when the database
-	// was split into N shards; N now only seeds the mutation schedule.
-	for _, sched := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", sched), func(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s, ts := newTestServerWith(t, Config{CacheSize: 64}, base)
 			// The schedule and the reference skyline of every state it
 			// passes through are fixed up front.
-			rng := rand.New(rand.NewSource(int64(sched)))
+			rng := rand.New(rand.NewSource(seed))
 			live := append([]*graph.Graph(nil), base...)
 			states := [][]*graph.Graph{live}
 			type op struct {

@@ -53,10 +53,6 @@ var workFamilies = [...]struct {
 		func(w *gdb.Work) int { return w.Evaluated }},
 	{"skygraph_query_pairs_pruned_total", "Pairs excluded without exact evaluation, by query kind.",
 		func(w *gdb.Work) int { return w.Pruned }},
-	{"skygraph_query_memo_hits_total", "Always 0, kept for compatibility: no query reuses engine results across queries.",
-		func(w *gdb.Work) int { return w.MemoHits }},
-	{"skygraph_query_memo_misses_total", "Always 0, kept for compatibility: no query reuses engine results across queries.",
-		func(w *gdb.Work) int { return w.MemoMisses }},
 }
 
 // newMetrics builds the registry for one Server. Call once, after the
@@ -185,12 +181,11 @@ func newMetrics(s *Server) *metrics {
 			func() float64 { return rec.Duration.Seconds() })
 	}
 
-	// Occupancy. The store is one; the families and their shard="0"
-	// label are kept for scrapers that read them.
-	reg.GaugeVec("skygraph_shard_graphs", "Graphs stored.", "shard").
-		WithFunc(func() float64 { return float64(s.db.Len()) }, "0")
-	reg.GaugeVec("skygraph_shard_generation", "Mutation generation.", "shard").
-		WithFunc(func() float64 { return float64(s.db.Generation()) }, "0")
+	// Occupancy.
+	reg.GaugeFunc("skygraph_graphs", "Graphs stored.",
+		func() float64 { return float64(s.db.Len()) })
+	reg.GaugeFunc("skygraph_generation", "Mutation generation.",
+		func() float64 { return float64(s.db.Generation()) })
 
 	// Process-level runtime stats and build identity.
 	reg.GaugeFunc("skygraph_uptime_seconds", "Seconds since the server started.",

@@ -103,13 +103,13 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceTinyShards drives the NoisyFamily collection — 25 close
+// TestTraceTinyDatabase drives the NoisyFamily collection — 25 close
 // relatives — through POST /query/topk. In a database this small every
 // candidate sits within a few edits of every other; counting one
 // exclusion for two stages once drove the bound stage's count to -2, which panicked the per-stage counter and dropped
 // the connection. Every query must answer 200 with a consistent trace,
 // and no counter add may have been rejected.
-func TestTraceTinyShards(t *testing.T) {
+func TestTraceTinyDatabase(t *testing.T) {
 	gs, queries := testutil.NoisyFamily(25)
 	_, ts := newTestServerWith(t, Config{CacheSize: 16}, gs)
 
@@ -255,7 +255,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`skygraph_query_duration_seconds_bucket{kind="skyline",le="+Inf"}`,
 		`skygraph_http_request_duration_seconds_bucket{endpoint="POST /query/skyline",le="+Inf"}`,
 		`skygraph_stage_seconds_total{stage="exact"}`,
-		`skygraph_shard_graphs{shard="0"}`,
+		"skygraph_graphs",
 		`skygraph_cache_entries`,
 		"go_goroutines",
 		"skygraph_uptime_seconds",

@@ -301,7 +301,7 @@ func answerOnly(t testing.TB, body []byte) any {
 			delete(v, "trace")
 			delete(v, "duration_ms")
 			delete(v, "evaluated")
-			delete(v, "shard_hits")
+			delete(v, "cache_hit")
 			for _, x := range v {
 				strip(x)
 			}

@@ -88,7 +88,7 @@ const idemCapacity = 4096
 // answer cache in front of pair evaluation. Create with New, mount via
 // Handler.
 type Server struct {
-	db    *gdb.Sharded
+	db    *gdb.DB
 	cache *Cache
 	// graphs maps a query graph's raw JSON bytes to its decoded graph
 	// and QueryHash (querygraph.go), so a repeated query decodes and
@@ -151,7 +151,7 @@ func (t *workTotals) load() gdb.Work {
 }
 
 // New returns a Server over db.
-func New(db *gdb.Sharded, cfg Config) *Server {
+func New(db *gdb.DB, cfg Config) *Server {
 	s := &Server{
 		db:     db,
 		cache:  NewCache(cfg.CacheSize),
@@ -217,7 +217,7 @@ func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 func (s *Server) Cache() *Cache { return s.cache }
 
 // DB exposes the server's database.
-func (s *Server) DB() *gdb.Sharded { return s.db }
+func (s *Server) DB() *gdb.DB { return s.db }
 
 // Handler returns the HTTP routing for the API. Serving routes are
 // wrapped with per-endpoint request/latency/inflight metrics; the
@@ -626,11 +626,10 @@ func queryStats(e *cacheEntry, hit bool, start time.Time) QueryStats {
 		Work:         e.work,
 		Inexact:      e.inexact,
 		DeltaPatched: e.deltas,
-		Shards:       1,
 		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}
 	if hit {
-		qs.Work, qs.CacheHit, qs.ShardHits = gdb.Work{}, true, 1
+		qs.Work, qs.CacheHit = gdb.Work{}, true
 	}
 	return qs
 }
@@ -1098,7 +1097,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			MinSize:      dbs.MinSize,
 			MaxSize:      dbs.MaxSize,
 		},
-		Shards:     []ShardInfo{{Graphs: dbs.Graphs, Generation: gen}},
 		Cache:      s.cache.Stats(),
 		Durability: durability,
 		Health:     s.health.Info(),
@@ -1198,7 +1196,7 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		qs := queryStats(e, hit, start)
-		results[i] = WarmResult{Evaluated: qs.Evaluated, ShardHits: qs.ShardHits}
+		results[i] = WarmResult{Evaluated: qs.Evaluated, CacheHit: qs.CacheHit}
 	}
 	writeJSON(w, http.StatusOK, WarmResponse{
 		Results:    results,

@@ -14,12 +14,10 @@ import (
 	"skygraph/internal/testutil"
 )
 
-// TestPivotCountersOnWire: cold /query/topk and /query/skyline answers
+// TestWorkCountersOnWire: cold /query/topk and /query/skyline answers
 // surface their work counters, a warm rerun served from the answer
-// cache reports zero fresh work, and /stats totals the activity. (The
-// name dates from when this test also checked the pivot tier's
-// counters, which are gone with the tier.)
-func TestPivotCountersOnWire(t *testing.T) {
+// cache reports zero fresh work, and /stats totals the activity.
+func TestWorkCountersOnWire(t *testing.T) {
 	_, ts := newTestServerWith(t, Config{CacheSize: 16}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 
@@ -50,10 +48,9 @@ func TestPivotCountersOnWire(t *testing.T) {
 	}
 }
 
-// TestPivotCountersInBatch: batch stats aggregate the per-item work
-// counters. (The name dates from when it also aggregated the pivot
-// tier's counters.)
-func TestPivotCountersInBatch(t *testing.T) {
+// TestWorkCountersInBatch: batch stats aggregate the per-item work
+// counters.
+func TestWorkCountersInBatch(t *testing.T) {
 	_, ts := newTestServerWith(t, Config{CacheSize: 32}, dataset.PaperDB())
 	q := dataset.PaperQuery()
 	var resp BatchResponse
@@ -106,7 +103,7 @@ func TestWarmEndpoint(t *testing.T) {
 	}
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-	if tk.Stats.CacheHit || tk.Stats.ShardHits != 0 || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
+	if tk.Stats.CacheHit || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
 		t.Fatalf("topk after a pruned warm did not run its own scan: %+v", tk.Stats)
 	}
 
@@ -125,13 +122,13 @@ func TestWarmEndpoint(t *testing.T) {
 		t.Fatalf("all skyline after all warm not a cache hit: %+v", sky.Stats)
 	}
 	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
-	if tk.Stats.CacheHit || tk.Stats.ShardHits != 0 || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
+	if tk.Stats.CacheHit || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
 		t.Fatalf("topk after all warm was served from tables: %+v", tk.Stats)
 	}
 	scores := testutil.ReferenceScores(dataset.PaperDB(), q, measure.DistEd{}, measure.Options{})
 	testutil.RequireSameItems(t, "topk after all warm", testutil.ReferenceTopK(scores, 3), wireItems(tk.Items))
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
-	if sky.Stats.CacheHit || sky.Stats.ShardHits != 0 {
+	if sky.Stats.CacheHit {
 		t.Fatalf("plain skyline after all warm was served from complete tables: %+v", sky.Stats)
 	}
 

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -16,7 +15,9 @@ import (
 // pkg/client users own their wire structs, so a key renamed or dropped
 // here (say, by re-tagging the embedded gdb.Work) would break them
 // silently. Responses are decoded as plain maps: the assertion is on
-// what is on the wire, not on this package's types.
+// what is on the wire, not on this package's types. It also pins the
+// absence of the keys and families retired with the partitioned store
+// and the cross-query score memo, which only ever read constants.
 func TestWireCompat(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
 	_, ts := newTestServerWith(t, Config{CacheSize: 16}, gs)
@@ -34,14 +35,23 @@ func TestWireCompat(t *testing.T) {
 	batch := post("/query/batch", BatchRequest{Queries: []BatchQuery{
 		{Kind: "topk", QueryRequest: QueryRequest{Graph: q, K: 3}},
 	}})
+	// Warm a stored graph, twice: the first warm builds its table, the
+	// repeat finds it cached.
+	warm := func() map[string]any {
+		t.Helper()
+		return post("/cache/warm", WarmRequest{Queries: []QueryRequest{{Graph: gs[len(gs)-1]}}})["results"].([]any)[0].(map[string]any)
+	}
+	warmed, rewarmed := warm(), warm()
+	if warmed["cache_hit"] != false || rewarmed["cache_hit"] != true {
+		t.Errorf("warm cache_hit: first %v, repeat %v; want false, true", warmed["cache_hit"], rewarmed["cache_hit"])
+	}
 	var stats map[string]any
 	if r := getJSON(t, ts.URL+"/stats", &stats); r.StatusCode != http.StatusOK {
 		t.Fatalf("GET /stats: status %d", r.StatusCode)
 	}
 
 	queryStats := []string{
-		"evaluated", "pruned", "inexact", "memo_hits", "memo_misses", "delta_patched",
-		"cache_hit", "shards", "shard_hits", "duration_ms",
+		"evaluated", "pruned", "inexact", "delta_patched", "cache_hit", "duration_ms",
 	}
 	for _, tc := range []struct {
 		name string
@@ -53,12 +63,12 @@ func TestWireCompat(t *testing.T) {
 		{"range stats", post("/query/range", QueryRequest{Graph: q, Radius: &radius})["stats"], queryStats},
 		{"batch item stats", batch["results"].([]any)[0].(map[string]any)["topk"].(map[string]any)["stats"], queryStats},
 		{"batch stats", batch["stats"], []string{
-			"queries", "errors", "evaluated", "pruned", "memo_hits", "memo_misses",
-			"delta_patched", "shard_hits", "duration_ms",
+			"queries", "errors", "evaluated", "pruned", "delta_patched", "duration_ms",
 		}},
+		{"warm result", warmed, []string{"evaluated", "cache_hit"}},
 		{"/stats requests", stats["requests"], []string{
 			"queries", "batches", "inserts", "deletes", "errors", "pair_evals", "pairs_pruned",
-			"memo_hits", "memo_misses", "query_timeouts", "load_shed", "degraded_rejected",
+			"query_timeouts", "load_shed", "degraded_rejected",
 		}},
 	} {
 		obj, ok := tc.obj.(map[string]any)
@@ -75,12 +85,21 @@ func TestWireCompat(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("%s keys:\n got  %v\n want %v", tc.name, got, want)
 		}
+		for _, retired := range []string{"shards", "shard_hits", "memo_hits", "memo_misses"} {
+			if _, ok := obj[retired]; ok {
+				t.Errorf("%s still carries %q", tc.name, retired)
+			}
+		}
+	}
+	for _, retired := range []string{"shards", "memo"} {
+		if _, ok := stats[retired]; ok {
+			t.Errorf("/stats still carries %q", retired)
+		}
 	}
 
 	text := scrapeMetrics(t, ts.URL)
 	for _, family := range []string{
 		"skygraph_query_pairs_evaluated_total", "skygraph_query_pairs_pruned_total",
-		"skygraph_query_memo_hits_total", "skygraph_query_memo_misses_total",
 		"skygraph_query_cache_hits_total", "skygraph_query_timeouts_total",
 		"skygraph_stage_seconds_total", "skygraph_stage_pairs_total", "skygraph_stage_pruned_total",
 	} {
@@ -94,56 +113,28 @@ func TestWireCompat(t *testing.T) {
 			t.Errorf("/metrics still carries a retired tier family: %s", line)
 		}
 	}
-}
-
-// TestShardWireFieldsFixedAtOne pins the values of the wire fields left
-// from the partitioned store: the database is one store, and clients
-// still decoding them read what a single-shard daemon reported —
-// "shards" 1, "shard_hits" 0 fresh and 1 on a hit, one /stats shards[]
-// entry with index 0 carrying the graph count and generation, and the
-// skygraph_shard_* families with one shard="0" series. The fields left
-// from the cross-query score memo are pinned the same way: "memo_hits"
-// and "memo_misses" read 0 on fresh and cached answers alike, and
-// /stats has no "memo" object and /metrics no skygraph_memo_* family.
-func TestShardWireFieldsFixedAtOne(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheSize: 16})
-	q := QueryRequest{Graph: dataset.PaperQuery(), K: 3}
-	for _, path := range []string{"/query/skyline", "/query/topk"} {
-		for round, hits := range []int{0, 1} {
-			var resp struct{ Stats QueryStats }
-			postJSON(t, ts.URL+path, q, &resp)
-			if resp.Stats.Shards != 1 || resp.Stats.ShardHits != hits {
-				t.Fatalf("%s round %d: shards %d, shard_hits %d; want 1 and %d",
-					path, round, resp.Stats.Shards, resp.Stats.ShardHits, hits)
-			}
-			if resp.Stats.MemoHits != 0 || resp.Stats.MemoMisses != 0 {
-				t.Fatalf("%s round %d: memo_hits %d, memo_misses %d; want 0 and 0",
-					path, round, resp.Stats.MemoHits, resp.Stats.MemoMisses)
-			}
+	for _, prefix := range []string{"skygraph_shard_", "skygraph_query_memo_", "skygraph_memo_"} {
+		if strings.Contains(text, prefix) {
+			t.Errorf("/metrics still carries a %s* family", prefix)
 		}
 	}
-	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: extraGraph("extra")}, nil); r.StatusCode != http.StatusOK {
+
+	// Occupancy is the unlabelled skygraph_graphs and skygraph_generation
+	// gauges, beside /stats' db.graphs and generation: after one insert
+	// into the seven paper graphs, all four read 8.
+	_, paper := newTestServer(t, Config{CacheSize: 16})
+	if r := postJSON(t, paper.URL+"/graphs", InsertRequest{Graph: extraGraph("extra")}, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d", r.StatusCode)
 	}
-	st := statsOf(t, ts.URL)
-	if want := []ShardInfo{{Index: 0, Graphs: 8, Generation: st.Generation}}; !reflect.DeepEqual(st.Shards, want) || st.Generation != 8 {
-		t.Fatalf("/stats shards %+v at generation %d; want %+v at 8", st.Shards, st.Generation, want)
+	var after map[string]any
+	getJSON(t, paper.URL+"/stats", &after)
+	if g, n := after["generation"], after["db"].(map[string]any)["graphs"]; g != 8.0 || n != 8.0 {
+		t.Errorf("/stats generation %v, db.graphs %v; want 8 and 8", g, n)
 	}
-	text := scrapeMetrics(t, ts.URL)
-	for _, line := range []string{`skygraph_shard_graphs{shard="0"} 8`, `skygraph_shard_generation{shard="0"} 8`} {
+	text = scrapeMetrics(t, paper.URL)
+	for _, line := range []string{"skygraph_graphs 8", "skygraph_generation 8"} {
 		if !strings.Contains(text, "\n"+line+"\n") {
 			t.Errorf("/metrics lacks %q", line)
 		}
-	}
-	if n := strings.Count(text, "\nskygraph_shard_graphs{"); n != 1 {
-		t.Errorf("/metrics has %d skygraph_shard_graphs series; want 1", n)
-	}
-	if strings.Contains(text, "skygraph_memo_") {
-		t.Error("/metrics still carries a skygraph_memo_* family")
-	}
-	var raw map[string]any
-	getJSON(t, ts.URL+"/stats", &raw)
-	if m, ok := raw["memo"]; ok {
-		t.Errorf("/stats still has a memo object: %v", m)
 	}
 }

@@ -61,15 +61,15 @@ func NoisyFamily(n int) (gs, queries []*graph.Graph) {
 	return gs, dataset.NoisyQueries(gs, 8, 1, 101)
 }
 
-// NewSharded builds a database over gs, inserted in order so the
+// NewDB builds a database over gs, inserted in order so the
 // insertion order is the slice's.
-func NewSharded(tb testing.TB, gs []*graph.Graph) *gdb.Sharded {
+func NewDB(tb testing.TB, gs []*graph.Graph) *gdb.DB {
 	tb.Helper()
-	sh := gdb.New()
-	if err := sh.InsertAll(gs); err != nil {
+	db := gdb.New()
+	if err := db.InsertAll(gs); err != nil {
 		tb.Fatalf("testutil: building DB: %v", err)
 	}
-	return sh
+	return db
 }
 
 // ReferenceTable is the full comparison table of q over gs on the
