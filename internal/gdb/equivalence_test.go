@@ -13,29 +13,23 @@ import (
 )
 
 // TestPrunedSkylineRerunsMatchUnpruned: the pruned skyline stays
-// byte-identical to the unpruned one over the same graphs, on the first
-// run and on a rerun over the same database alike, and every graph is
-// either scored or pruned.
+// byte-identical to the unpruned reference, on the first run and on a
+// rerun over the same database alike.
 func TestPrunedSkylineRerunsMatchUnpruned(t *testing.T) {
-	ctx := context.Background()
-	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
-	popts := opts
-	popts.Prune = true
-	for _, c := range []struct {
-		seed    int64
-		queries int
-	}{{1, 3}, {2, 3}, {71, 2}, {72, 2}} {
-		gs := testutil.SeededGraphs(c.seed, 20)
+	for _, seed := range []int64{1, 2} {
+		gs := testutil.SeededGraphs(seed, 20)
 		ref := testutil.NewDB(t, gs)
 		db := testutil.NewDB(t, gs)
-		for qi, q := range testutil.SeededQueries(c.seed+100, gs, c.queries) {
-			label := fmt.Sprintf("seed=%d q=%d", c.seed, qi)
-			want, err := ref.SkylineQuery(ctx, q, opts)
+		for qi, q := range testutil.SeededQueries(seed+100, gs, 3) {
+			label := fmt.Sprintf("seed=%d q=%d", seed, qi)
+			opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
+			want, err := ref.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			opts.Prune = true
 			for round := 0; round < 2; round++ {
-				got, err := db.SkylineQuery(ctx, q, popts)
+				got, err := db.SkylineQuery(context.Background(), q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -46,46 +40,73 @@ func TestPrunedSkylineRerunsMatchUnpruned(t *testing.T) {
 	}
 }
 
+// TestRankedRerunsMatchReference: top-k and range answers with four
+// workers equal the independent reference, on the first run and on a
+// rerun over the same database.
+func TestRankedRerunsMatchReference(t *testing.T) {
+	gs := testutil.SeededGraphs(31, 18)
+	qs := testutil.SeededQueries(131, gs, 2)
+	eval := measure.Options{GEDMaxNodes: 500, MCSMaxNodes: 500}
+	ctx := context.Background()
+	for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+		for _, q := range qs {
+			scores := testutil.ReferenceScores(gs, q, m, eval)
+			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
+			opts := gdb.QueryOptions{Eval: eval, Workers: 4}
+			db := testutil.NewDB(t, gs)
+			label := fmt.Sprintf("%s/%s", q.Name(), m.Name())
+			for round := 0; round < 2; round++ {
+				tk, err := db.TopKQuery(ctx, q, m, 4, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
+				rg, err := db.RangeQuery(ctx, q, m, 4, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
+			}
+		}
+	}
+}
+
 // TestRankedMatchesReference: top-k and range answers on the paper and
 // seeded collections equal the independent reference, with capped and
-// uncapped engines, with four workers and with one, on the first run
-// and on a rerun over the same database.
+// uncapped engines, and a four-worker scan answers exactly as a
+// one-worker scan.
 func TestRankedMatchesReference(t *testing.T) {
-	uncapped, capped := measure.Options{}, measure.Options{GEDMaxNodes: 200, MCSMaxNodes: 200}
-	seeded61, seeded31 := testutil.SeededGraphs(61, 18), testutil.SeededGraphs(31, 18)
+	seeded := testutil.SeededGraphs(61, 18)
 	cases := []struct {
 		label string
 		gs    []*graph.Graph
 		qs    []*graph.Graph
-		evals []measure.Options
 	}{
-		{"paper", dataset.PaperDB(), []*graph.Graph{dataset.PaperQuery()}, []measure.Options{uncapped, capped}},
-		{"seed=61", seeded61, testutil.SeededQueries(161, seeded61, 2), []measure.Options{uncapped, capped}},
-		{"seed=31", seeded31, testutil.SeededQueries(131, seeded31, 2), []measure.Options{{GEDMaxNodes: 500, MCSMaxNodes: 500}}},
+		{"paper", dataset.PaperDB(), []*graph.Graph{dataset.PaperQuery()}},
+		{"seeded", seeded, testutil.SeededQueries(161, seeded, 2)},
 	}
+	evals := []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}}
 	ctx := context.Background()
 	for _, tc := range cases {
-		for _, eval := range tc.evals {
+		for _, eval := range evals {
 			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
 				for _, q := range tc.qs {
 					scores := testutil.ReferenceScores(tc.gs, q, m, eval)
 					refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
 					db := testutil.NewDB(t, tc.gs)
-					for round := 0; round < 2; round++ {
-						for _, workers := range []int{4, 1} {
-							label := fmt.Sprintf("%s/%s/%s eval=%v round=%d workers=%d", tc.label, q.Name(), m.Name(), eval.GEDMaxNodes, round, workers)
-							opts := gdb.QueryOptions{Eval: eval, Workers: workers}
-							tk, err := db.TopKQuery(ctx, q, m, 4, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
-							rg, err := db.RangeQuery(ctx, q, m, 4, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
+					label := fmt.Sprintf("%s/%s/%s eval=%v", tc.label, q.Name(), m.Name(), eval.GEDMaxNodes)
+					for _, workers := range []int{4, 1} {
+						opts := gdb.QueryOptions{Eval: eval, Workers: workers}
+						tk, err := db.TopKQuery(ctx, q, m, 4, opts)
+						if err != nil {
+							t.Fatal(err)
 						}
+						testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
+						rg, err := db.RangeQuery(ctx, q, m, 4, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
 					}
 				}
 			}
@@ -93,51 +114,91 @@ func TestRankedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPrunedSkylineScoresOrPrunesEveryGraph: pruned skyline answers
+// match the unpruned reference, and every graph is either scored or
+// pruned.
+func TestPrunedSkylineScoresOrPrunesEveryGraph(t *testing.T) {
+	for _, seed := range []int64{71, 72} {
+		gs := testutil.SeededGraphs(seed, 20)
+		ref := testutil.NewDB(t, gs)
+		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
+			opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
+			want, err := ref.SkylineQuery(context.Background(), q, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := testutil.NewDB(t, gs)
+			label := fmt.Sprintf("seed=%d q=%d", seed, qi)
+			popts := opts
+			popts.Prune = true
+			got, err := db.SkylineQuery(context.Background(), q, popts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.RequireSameSkyline(t, label, want.Skyline, got.Skyline)
+			requireCovers(t, label, got.Stats, len(gs))
+		}
+	}
+}
+
+// TestPrunedSkylineSurvivesMutations: after deletes and inserts, the pruned
+// skyline of the mutated database equals the reference over the graphs
+// it now holds.
+func TestPrunedSkylineSurvivesMutations(t *testing.T) {
+	gs := testutil.SeededGraphs(51, 16)
+	db := testutil.NewDB(t, gs)
+	q := testutil.SeededQueries(151, gs, 1)[0]
+	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
+
+	mutate(t, db, []string{gs[0].Name(), gs[7].Name()}, testutil.SeededGraphs(251, 4))
+
+	ref := testutil.NewDB(t, db.Graphs())
+	want, err := ref.SkylineQuery(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	popts := opts
+	popts.Prune = true
+	got, err := db.SkylineQuery(context.Background(), q, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.RequireSameSkyline(t, "after-mutations", want.Skyline, got.Skyline)
+}
+
 // TestAnswersSurviveMutations: after deletes and inserts, the top-k
 // answer and the pruned skyline of the mutated database equal those of
 // a database built fresh from the graphs it now holds.
 func TestAnswersSurviveMutations(t *testing.T) {
-	ctx := context.Background()
-	for _, c := range []struct {
-		seed    int64 // graphs; the query seeds seed+100, the inserts seed+200
-		victims []int
-		inserts int
-	}{{51, []int{0, 7}, 4}, {81, []int{0, 9}, 6}} {
-		label := fmt.Sprintf("seed=%d", c.seed)
-		gs := testutil.SeededGraphs(c.seed, 16)
-		db := testutil.NewDB(t, gs)
-		q := testutil.SeededQueries(c.seed+100, gs, 1)[0]
-		eval := measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}
+	gs := testutil.SeededGraphs(81, 16)
+	db := testutil.NewDB(t, gs)
+	q := testutil.SeededQueries(181, gs, 1)[0]
+	eval := measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}
 
-		victims := make([]string, len(c.victims))
-		for i, v := range c.victims {
-			victims[i] = gs[v].Name()
-		}
-		mutate(t, db, victims, testutil.SeededGraphs(c.seed+200, c.inserts))
-		if want := len(gs) - len(victims) + c.inserts; db.Len() != want {
-			t.Fatalf("%s: after mutations: %d graphs, want %d", label, db.Len(), want)
-		}
-
-		ref := testutil.NewDB(t, db.Graphs())
-		wantTK, err := ref.TopKQuery(ctx, q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTK, err := db.TopKQuery(ctx, q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.RequireSameItems(t, label+"/topk", wantTK.Items, gotTK.Items)
-		want, err := ref.SkylineQuery(ctx, q, gdb.QueryOptions{Eval: eval})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := db.SkylineQuery(ctx, q, gdb.QueryOptions{Eval: eval, Prune: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testutil.RequireSameSkyline(t, label+"/skyline", want.Skyline, got.Skyline)
+	mutate(t, db, []string{gs[0].Name(), gs[9].Name()}, testutil.SeededGraphs(281, 6))
+	if db.Len() != len(gs)-2+6 {
+		t.Fatalf("after mutations: %d graphs, want %d", db.Len(), len(gs)-2+6)
 	}
+
+	ref := testutil.NewDB(t, db.Graphs())
+	wantTK, err := ref.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.RequireSameItems(t, "after-mutations/topk", wantTK.Items, gotTK.Items)
+	want, err := ref.SkylineQuery(context.Background(), q, gdb.QueryOptions{Eval: eval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{Eval: eval, Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.RequireSameSkyline(t, "after-mutations/skyline", want.Skyline, got.Skyline)
 }
 
 // mutate deletes the named graphs from db and inserts extra under

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"skygraph/internal/dataset"
@@ -57,4 +58,20 @@ func TestSkylineAnswerIsOneEntry(t *testing.T) {
 		t.Fatalf("post-delete stats = %+v; want all %d graphs rebuilt", third.Stats, db.Len())
 	}
 	testutil.RequireSameSkyline(t, "rebuild", testutil.ReferenceSkyline(db.Graphs(), q, measure.Options{}), wirePoints(third.Skyline))
+}
+
+// TestIsomorphicRequeryIsFullCacheHit: an isomorphic re-encoding of a
+// cached query evaluates nothing and gets the identical answer.
+func TestIsomorphicRequeryIsFullCacheHit(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 16})
+	var first SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: dataset.PaperQuery()}, &first)
+	var second SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: permutedPaperQuery(t)}, &second)
+	if !second.Stats.CacheHit || second.Stats.Evaluated != 0 {
+		t.Fatalf("isomorphic requery stats = %+v; want full cache hit", second.Stats)
+	}
+	if !reflect.DeepEqual(second.Skyline, first.Skyline) {
+		t.Fatalf("isomorphic requery answer differs: %+v vs %+v", second.Skyline, first.Skyline)
+	}
 }

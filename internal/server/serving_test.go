@@ -14,54 +14,69 @@ import (
 	"skygraph/internal/testutil"
 )
 
+// TestPaperServingMatchesUncachedServer: served skyline and top-k
+// answers for a mutated paper query match a reference server with no
+// cache.
+func TestPaperServingMatchesUncachedServer(t *testing.T) {
+	q := graph.Mutate(dataset.PaperQuery(), 2, graph.MoleculeAlphabet.Atoms, graph.MoleculeAlphabet.Bonds, rand.New(rand.NewSource(9)))
+	q.SetName("qx")
+	var refSky SkylineResponse
+	var refTK TopKResponse
+	{
+		_, ts := newTestServer(t, Config{CacheSize: 0})
+		postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &refSky)
+		postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &refTK)
+	}
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, dataset.PaperDB())
+	var sky SkylineResponse
+	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
+	requireSameSkylineJSON(t, "cached", refSky.Skyline, sky.Skyline)
+	var tk TopKResponse
+	postJSON(t, ts.URL+"/query/topk", map[string]any{"graph": q, "k": 3}, &tk)
+	if !reflect.DeepEqual(tk.Items, refTK.Items) {
+		t.Fatalf("topk items differ:\nref: %+v\ngot: %+v", refTK.Items, tk.Items)
+	}
+}
+
+func servingTestGraphs() []*graph.Graph {
+	return append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
+}
+
 // TestServingMatchesUncachedServer: served skyline, top-k and range
-// answers are byte-identical to a reference server with no cache, on
-// the paper database under a mutated paper query and on a larger
-// seeded database.
+// answers are byte-identical to a reference server with no cache.
 func TestServingMatchesUncachedServer(t *testing.T) {
-	qx := graph.Mutate(dataset.PaperQuery(), 2, graph.MoleculeAlphabet.Atoms, graph.MoleculeAlphabet.Bonds, rand.New(rand.NewSource(9)))
-	qx.SetName("qx")
-	seeded := append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
-	for _, c := range []struct {
-		label   string
-		gs      []*graph.Graph
-		queries []*graph.Graph
-		k       int
-	}{
-		{"paper", dataset.PaperDB(), []*graph.Graph{qx}, 3},
-		{"seeded", seeded, append(testutil.SeededQueries(77, seeded, 2), dataset.PaperQuery()), 4},
-	} {
-		radius := 6.0
-		refSky := make([]SkylineResponse, len(c.queries))
-		refTK := make([]TopKResponse, len(c.queries))
-		refRng := make([]RangeResponse, len(c.queries))
-		{
-			_, ts := newTestServerWith(t, Config{CacheSize: 0}, c.gs)
-			for qi, q := range c.queries {
-				postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &refSky[qi])
-				postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: c.k, Measure: "DistEd"}, &refTK[qi])
-				postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &refRng[qi])
-			}
+	gs := servingTestGraphs()
+	queries := append(testutil.SeededQueries(77, gs, 2), dataset.PaperQuery())
+
+	radius := 6.0
+	refSky := make([]SkylineResponse, len(queries))
+	refTK := make([]TopKResponse, len(queries))
+	refRng := make([]RangeResponse, len(queries))
+	{
+		_, ts := newTestServerWith(t, Config{CacheSize: 0}, gs)
+		for qi, q := range queries {
+			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &refSky[qi])
+			postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: "DistEd"}, &refTK[qi])
+			postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &refRng[qi])
+		}
+	}
+
+	_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
+	for qi, q := range queries {
+		var sky SkylineResponse
+		postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
+		requireSameSkylineJSON(t, fmt.Sprintf("q=%d", qi), refSky[qi].Skyline, sky.Skyline)
+
+		var tk TopKResponse
+		postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: "DistEd"}, &tk)
+		if !reflect.DeepEqual(tk.Items, refTK[qi].Items) {
+			t.Fatalf("q=%d: topk items differ:\nref: %+v\ngot: %+v", qi, refTK[qi].Items, tk.Items)
 		}
 
-		_, ts := newTestServerWith(t, Config{CacheSize: 64}, c.gs)
-		for qi, q := range c.queries {
-			label := fmt.Sprintf("%s q=%d", c.label, qi)
-			var sky SkylineResponse
-			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
-			requireSameSkylineJSON(t, label, refSky[qi].Skyline, sky.Skyline)
-
-			var tk TopKResponse
-			postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: c.k, Measure: "DistEd"}, &tk)
-			if !reflect.DeepEqual(tk.Items, refTK[qi].Items) {
-				t.Fatalf("%s: topk items differ:\nref: %+v\ngot: %+v", label, refTK[qi].Items, tk.Items)
-			}
-
-			var rng RangeResponse
-			postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &rng)
-			if !reflect.DeepEqual(rng.Items, refRng[qi].Items) {
-				t.Fatalf("%s: range items differ:\nref: %+v\ngot: %+v", label, refRng[qi].Items, rng.Items)
-			}
+		var rng RangeResponse
+		postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius, Measure: "DistEd"}, &rng)
+		if !reflect.DeepEqual(rng.Items, refRng[qi].Items) {
+			t.Fatalf("q=%d: range items differ:\nref: %+v\ngot: %+v", qi, refRng[qi].Items, rng.Items)
 		}
 	}
 }
