@@ -263,7 +263,7 @@ func BenchmarkSkylineAlgos(b *testing.B) {
 	}
 }
 
-// BenchmarkGEDVariants is experiment E10: exact A* vs beam vs bipartite on
+// BenchmarkGEDVariants is experiment E10: exact vs beam vs bipartite GED on
 // one molecule pair.
 func BenchmarkGEDVariants(b *testing.B) {
 	pair := dataset.MoleculeDB(2, 7, 8, 5)

@@ -260,7 +260,7 @@ func e10() {
 		pairs++
 	}
 	fmt.Printf("%-10s %14s %18s\n", "engine", "avg time", "avg overestimate")
-	fmt.Printf("%-10s %14v %18.2f\n", "exact A*", exactT/time.Duration(pairs), 0.0)
+	fmt.Printf("%-10s %14v %18.2f\n", "exact", exactT/time.Duration(pairs), 0.0)
 	fmt.Printf("%-10s %14v %18.2f\n", "beam(10)", beamT/time.Duration(pairs), beamErr/float64(pairs))
 	fmt.Printf("%-10s %14v %18.2f\n", "bipartite", bipT/time.Duration(pairs), bipErr/float64(pairs))
 }

@@ -115,7 +115,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "hard cap on request-supplied timeouts (0 = none)")
 	maxBatch := flag.Int("max-batch", 0, "max queries per /query/batch request (0 = default)")
-	gedBudget := flag.Int64("ged-budget", 0, "default GED search-node cap (0 = exact)")
+	gedBudget := flag.Int64("ged-budget", 0, "default cap on the exact GED search's node expansions; a capped pair reports the cheaper of its best mapping so far and the bipartite one (0 = exact)")
 	mcsBudget := flag.Int64("mcs-budget", 0, "default MCS search-node cap (0 = exact)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log queries at or above this server-side duration as JSON lines to stderr (0 = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it private)")

@@ -389,6 +389,24 @@ type rankScan struct {
 	lo, hi, gedLo []float64
 	fate          []uint8
 	needGED       bool
+	// fit is measure.GEDFit of m at the last threshold a settle read,
+	// shared by the workers: the threshold changes far less often than
+	// candidates are settled.
+	fit atomic.Pointer[thresholdFit]
+}
+
+// thresholdFit pairs a threshold with measure.GEDFit at it.
+type thresholdFit struct{ th, fit float64 }
+
+// gedFit returns measure.GEDFit(rs.m, th), computed once per threshold
+// value.
+func (rs *rankScan) gedFit(th float64) float64 {
+	if c := rs.fit.Load(); c != nil && c.th == th {
+		return c.fit
+	}
+	c := &thresholdFit{th: th, fit: measure.GEDFit(rs.m, th)}
+	rs.fit.Store(c)
+	return c.fit
 }
 
 // class returns candidate i's class.
@@ -489,7 +507,7 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 	gedLo := rs.gedLo[c]
 	if rs.needGED && rs.hi[c] > th {
 		gedHi := sig.Order + rs.qsig.Order + sig.Size + rs.qsig.Size
-		limit := measure.GEDLimitAt(rs.m, th, int(gedLo), gedHi)
+		limit := measure.GEDLimitAt(rs.gedFit(th), int(gedLo), gedHi)
 		lb, above := rs.qsig.BranchTable().Exceeds(sig, limit)
 		if above {
 			rs.fate[i] = fateBounded

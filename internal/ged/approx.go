@@ -25,7 +25,9 @@ type costBuf struct {
 	// inc1[u*ne+l], inc2[v*ne+l] count vertex u's (v's) incident edges
 	// with label id l.
 	inc1, inc2 []int32
-	solver     assign.Scratch
+	// diff is one cell's signed edge-label counters.
+	diff   []int32
+	solver assign.Scratch
 }
 
 // matrix returns an n x n view over the buffer, growing it as needed.
@@ -66,7 +68,7 @@ func Bipartite(g1, g2 *graph.Graph) Result {
 // bipartite is Bipartite on the loaded pair form of a non-empty pair.
 // It reads the form only, so a search over the same pair may run
 // before it.
-func (s *astar) bipartite() Result {
+func (s *search) bipartite() Result {
 	n1, n2 := s.N1, s.N2
 	n := n1 + n2
 	buf := costPool.Get().(*costBuf)
@@ -82,14 +84,14 @@ func (s *astar) bipartite() Result {
 	ne := s.NE()
 	buf.inc1 = incidentHists(buf.inc1, s.Adj1, n1, ne)
 	buf.inc2 = incidentHists(buf.inc2, s.Adj2, n2, ne)
-	s.ce = pairform.Resize(s.ce, ne)
+	buf.diff = pairform.Resize(buf.diff, ne)
 	for u := 0; u < n1; u++ {
 		h1 := buf.inc1[u*ne : (u+1)*ne]
 		for v := 0; v < n2; v++ {
 			for l, c2 := range buf.inc2[v*ne : (v+1)*ne] {
-				s.ce[l] = h1[l] - c2
+				buf.diff[l] = h1[l] - c2
 			}
-			cost[u][v] = float64(mismatch(s.VL1[u], s.VL2[v])) + float64(histBound(s.ce))/2
+			cost[u][v] = float64(mismatch(s.VL1[u], s.VL2[v])) + float64(histBound(buf.diff))/2
 		}
 		for j := n2; j < n; j++ {
 			if j == n2+u {
@@ -147,10 +149,15 @@ func incidentHists(buf, adj []int32, n, ne int) []int32 {
 	return buf
 }
 
-// Beam runs the A* search restricted to the `width` best nodes per depth
-// level. It returns an upper bound on the edit distance (exact when the
-// optimal path survives the beam; guaranteed only for width >= the full
-// branching).
+// beamNode is one partial assignment Beam keeps: the first depth
+// vertices of the order are decided, the last of them as v, at path
+// cost g.
+type beamNode struct{ g, parent, v, depth int32 }
+
+// Beam runs the exact search's assignment steps breadth-first,
+// restricted to the `width` cheapest nodes per depth level. It returns
+// an upper bound on the edit distance (exact when the optimal path
+// survives the beam; guaranteed only for width >= the full branching).
 func Beam(g1, g2 *graph.Graph, width int) Result {
 	if width < 1 {
 		width = 1
@@ -160,34 +167,35 @@ func Beam(g1, g2 *graph.Graph, width int) Result {
 	n1, n2 := s.N1, s.N2
 	if n1 == 0 {
 		// Pure insertion of g2.
-		return Result{Distance: float64(s.completionCostAfter(-1)), Mapping: []int{}, Exact: true}
+		return Result{Distance: float64(s.h()), Mapping: []int{}, Exact: true}
 	}
 
-	// Levels hold slab indices; the open list is unused, so children go
-	// straight onto the slab.
-	s.slab = append(s.slab, node{})
+	// Levels hold indices into slab, where every kept node's parent is.
+	slab := []beamNode{{}}
 	level := []int32{0}
 	for depth := 0; depth < n1; depth++ {
 		var next []int32
 		u := int(s.order[depth])
-		add := func(parent int32, v int, g int32) {
+		add := func(parent int32, v int) {
+			g := slab[parent].g + s.assign(u, v, 1)
 			if depth+1 == n1 {
-				g += s.completionCostAfter(v)
+				g += s.h() // the insertion of what is left of g2
 			}
-			s.slab = append(s.slab, node{g: g, parent: parent, v: int32(v), depth: int32(depth + 1)})
-			next = append(next, int32(len(s.slab)-1))
+			s.assign(u, v, -1)
+			slab = append(slab, beamNode{g: g, parent: parent, v: int32(v), depth: int32(depth + 1)})
+			next = append(next, int32(len(slab)-1))
 		}
 		for _, cur := range level {
-			s.loadState(cur)
-			g := s.slab[cur].g
+			s.replay(slab, cur)
+			s.decide(u, 1)
 			for v := 0; v < n2; v++ {
 				if !s.used[v] {
-					add(cur, v, g+s.assignCost(depth, u, v))
+					add(cur, v)
 				}
 			}
-			add(cur, -1, g+s.deleteCost(depth, u))
+			add(cur, -1)
 		}
-		sort.Slice(next, func(i, j int) bool { return s.slab[next[i]].g < s.slab[next[j]].g })
+		sort.Slice(next, func(i, j int) bool { return slab[next[i]].g < slab[next[j]].g })
 		if len(next) > width {
 			next = next[:width]
 		}
@@ -195,9 +203,26 @@ func Beam(g1, g2 *graph.Graph, width int) Result {
 	}
 	best := level[0]
 	for _, n := range level[1:] {
-		if s.slab[n].g < s.slab[best].g {
+		if slab[n].g < slab[best].g {
 			best = n
 		}
 	}
-	return Result{Distance: float64(s.slab[best].g), Mapping: s.extractMapping(best), Exact: false}
+	s.replay(slab, best)
+	m := make([]int, n1)
+	for u, v := range s.mapping {
+		m[u] = int(v)
+	}
+	return Result{Distance: float64(slab[best].g), Mapping: m, Exact: false}
+}
+
+// replay puts the search in the assignment state of slab node n by
+// applying the decisions on its parent chain to a blank state: the
+// state depends only on which decisions were made, not their order.
+func (s *search) replay(slab []beamNode, n int32) {
+	s.resetState()
+	for nd := slab[n]; nd.depth > 0; nd = slab[nd.parent] {
+		u := int(s.order[nd.depth-1])
+		s.decide(u, 1)
+		s.assign(u, int(nd.v), 1)
+	}
 }

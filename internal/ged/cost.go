@@ -6,10 +6,13 @@
 //
 // Engines:
 //
-//   - Exact: A* over vertex assignments with an admissible label-histogram
-//     heuristic (optimal, exponential worst case; fine at paper scale).
-//   - Beam: the same search truncated to a beam width (suboptimal, returns
-//     an upper bound).
+//   - Exact: depth-first branch and bound over vertex assignments under
+//     an admissible anchor-aware label-histogram bound, trying each
+//     node's children cheapest first and pruning against the best
+//     complete mapping found (optimal, exponential worst case; fine at
+//     paper scale).
+//   - Beam: the same assignment steps run breadth-first, truncated to a
+//     beam width (suboptimal, returns an upper bound).
 //   - Bipartite: Riesen–Bunke style assignment approximation via the
 //     Hungarian algorithm (fast upper bound).
 //   - LowerBound: the histogram lower bound itself (cheap, used for index
@@ -90,11 +93,11 @@ func EditCostOfMapping(g1, g2 *graph.Graph, m []int) float64 {
 // LowerBound returns a cheap admissible lower bound on the edit
 // distance: the label-histogram distance over vertices plus the one
 // over edges. It never exceeds the true distance and costs O(V+E). It is
-// the root value of Exact's heuristic, computed by the same code.
+// the root value of Exact's bound, computed by the same code.
 func LowerBound(g1, g2 *graph.Graph) float64 {
-	s := searchPool.Get().(*astar)
+	s := searchPool.Get().(*search)
 	defer s.release()
 	s.Load(g1, g2)
-	s.resetState()
-	return float64(s.heuristicAfter(-1, -1))
+	s.rootCounts()
+	return float64(s.vs.bound() + s.as.bound())
 }

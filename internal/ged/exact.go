@@ -10,16 +10,18 @@ import (
 
 // Options tunes the exact search.
 type Options struct {
-	// MaxNodes caps A* node expansions; 0 means unlimited. When the cap is
-	// hit, Exact falls back to the bipartite upper bound and reports
-	// Exact=false in the result.
+	// MaxNodes caps the search's node expansions; 0 means unlimited.
+	// When the cap is hit, Exact reports Exact=false with the cheaper of
+	// the best complete mapping found so far and the bipartite upper
+	// bound.
 	MaxNodes int64
 	// Limit, when non-nil, turns the search into a decision procedure
-	// for "distance > *Limit": the moment the cheapest open node's
-	// f-value exceeds the limit, every remaining completion provably
-	// costs more than the limit (the f-value of an ancestor lower-bounds
-	// all of its completions), so the search stops and reports
-	// AboveLimit with Distance holding that proven lower bound. A goal
+	// for "distance > *Limit": the search starts with its incumbent
+	// just above the limit, so every node whose f-value exceeds the
+	// limit is pruned, and when nothing within the limit is left it
+	// reports AboveLimit with Distance holding the smallest pruned
+	// f-value — each one lower-bounds every completion below it, so
+	// their minimum is a proven floor of the true distance. A goal
 	// within the limit is returned exactly as without Limit. Ranked
 	// queries use this to discard candidates whose distance provably
 	// exceeds the current top-k threshold without paying for exactness.
@@ -43,13 +45,14 @@ type Result struct {
 	// bound and Mapping is nil. Only possible when Options.Limit is set.
 	AboveLimit bool
 	// LowerBound is a proven lower bound on the true distance: the
-	// distance itself for exact results, the cheapest open f-value at
-	// the stopping point for capped or limit-stopped searches (the
-	// f-value of an ancestor lower-bounds all of its completions, so no
-	// mapping can cost less). Engines that do not search (Bipartite,
-	// Beam) leave it 0 — the trivial bound.
+	// distance itself for exact results; for a limit-stopped search the
+	// smallest pruned f-value; for a capped search the minimum of the
+	// best goal found and of every f-value left unexpanded (the f-value
+	// of a node lower-bounds all of its completions, so no mapping can
+	// cost less). Engines that do not search (Bipartite, Beam) leave it
+	// 0 — the trivial bound.
 	LowerBound float64
-	// Nodes is the number of A* expansions performed.
+	// Nodes is the number of search nodes expanded.
 	Nodes int64
 }
 
@@ -58,22 +61,24 @@ func Distance(g1, g2 *graph.Graph) float64 {
 	return Exact(g1, g2, Options{}).Distance
 }
 
-// Exact computes the edit distance by A* over vertex assignments.
+// Exact computes the edit distance by depth-first branch and bound over
+// vertex assignments (see search).
 func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	s := newSearch(g1, g2)
 	if opts.Limit != nil {
-		s.limit = pathLimit(*opts.Limit)
+		s.ub = pathLimit(*opts.Limit)
 	}
 	res := s.run(opts.MaxNodes)
 	if !res.Exact && !res.AboveLimit {
-		// Graceful degradation: bipartite approximation upper bound,
-		// on the pair form the search already holds. An AboveLimit
-		// result is left alone — its Distance is a proven lower bound,
-		// which an upper bound cannot replace.
-		ub := s.bipartite()
-		if ub.Distance < res.Distance || res.Mapping == nil {
-			res.Distance = ub.Distance
-			res.Mapping = ub.Mapping
+		// Graceful degradation: the bipartite approximation upper
+		// bound, on the pair form the search already holds, unless the
+		// best goal the capped search reached is no dearer. An
+		// AboveLimit result is left alone — its Distance is a proven
+		// lower bound, which an upper bound cannot replace.
+		if ub := s.bipartite(); ub.Distance < res.Distance {
+			res.Distance, res.Mapping = ub.Distance, ub.Mapping
+		} else {
+			res.Mapping = s.bestMapping()
 		}
 	}
 	s.release()
@@ -94,62 +99,79 @@ func pathLimit(l float64) int32 {
 	return int32(math.Floor(l))
 }
 
-// node is one partial assignment in the search slab: the first depth
-// vertices of the processing order are decided, the last of them as v.
-type node struct {
-	g      int32
-	parent int32 // slab index
-	v      int32 // g2 vertex assigned to order[depth-1], or -1 for deletion
-	depth  int32 // number of g1 vertices assigned
-}
+// child is one candidate decision for a node's next vertex: assign it
+// to g2 vertex v (-1: delete it) at step cost c, reaching f = g + c + h.
+type child struct{ f, c, v int32 }
 
-// openItem is an open-list entry: a slab index keyed by f = g + h.
-type openItem struct {
-	f int32
-	n int32
-}
-
-// astar is the search state of one pair, shared by Exact and Beam;
-// Bipartite and LowerBound borrow its form and counters.
-// Everything here is scratch recycled through searchPool, so a warm
-// search allocates only the mapping it returns.
-type astar struct {
+// search is the state of one pair's depth-first branch and bound,
+// shared by Exact and Beam; Bipartite and LowerBound borrow its form and
+// counters. Everything here is scratch recycled through searchPool, so
+// a warm search allocates only the mapping it returns.
+//
+// The search decides the g1 vertices in a fixed order, high degree
+// first, each one assigned to an unused g2 vertex or deleted. The
+// children of a node are tried cheapest f = g + h first; a complete
+// assignment cheaper than the incumbent becomes the incumbent, and any
+// node whose f reaches the incumbent is pruned. State is applied on
+// descent and undone on return (decide, assign), so no node is ever
+// stored.
+//
+// h is the anchor-aware histogram bound, kept incrementally by decide
+// and assign:
+// the label-histogram distance between undecided g1 vertices and
+// unused g2 vertices, plus one edge-label histogram distance per class
+// of the edges not yet charged. An edge between two undecided g1
+// vertices can only be matched to one between two unused g2 vertices
+// (class a); an edge from a decided g1 vertex w toward an undecided one
+// can only be matched to one from m(w) toward an unused g2 vertex — or
+// is deleted with w (class b, one per decided vertex). Every uncharged
+// edge lies in exactly one class and no edit crosses classes, so the
+// sum is admissible, and it is never below the one histogram distance
+// over the pooled edges. Once every g1 vertex is decided, h is exactly
+// the cost of inserting what is left of g2.
+type search struct {
 	pairform.Form
 
 	order []int32 // g1 vertices, high degree first
-	limit int32   // decision threshold (MaxInt32 = plain optimization)
 
-	// Assignment state of the node being expanded, rebuilt by loadState.
-	mapping []int32 // g1 vertex -> g2 vertex, -1 deleted, -2 unassigned
+	// Assignment state of the node being visited.
+	mapping []int32 // g1 vertex -> g2 vertex, -1 deleted, -2 undecided
 	used    []bool  // g2 vertex used
+	inv     []int32 // g2 vertex -> the g1 vertex using it; mappingCost scratch
 
-	// Signed label counters of the open part, indexed by label id: +1
-	// per open g1 vertex (edge), -1 per open g2 vertex (edge). Filled by
-	// openCounts once per expansion, together with their surplus and
-	// deficit sums; childBound adjusts the sums per child.
-	cv, ce     []int32
-	vsum, esum histSum
+	// Signed label counters behind h, indexed by label id: +1 per g1
+	// element, -1 per g2 element, with their surplus and deficit sums.
+	// cv counts undecided g1 against unused g2 vertices, ca class (a)
+	// edges, cb[w*NE()+l] class (b) edges of decided g1 vertex w, whose
+	// sums are cbs[w]; cbBound is the sum of those classes' bounds.
+	cv, ca, cb []int32
+	vs, as     histSum
+	cbs        []histSum
+	cbBound    int32
 
-	slab []node     // every generated node; parents are indices
-	open []openItem // binary heap on f
-
-	inv []int32 // mappingCost scratch: g2 vertex -> g1 vertex
+	ub       int32   // largest path cost still worth reaching
+	low      int32   // smallest f-value left unexpanded
+	found    bool    // best holds a goal of cost ub+1
+	best     []int32 // incumbent mapping
+	kids     []child // kids[d*(N2+1):] are the children being tried at depth d
+	nodes    int64
+	maxNodes int64
 }
 
-var searchPool = sync.Pool{New: func() any { return new(astar) }}
+var searchPool = sync.Pool{New: func() any { return new(search) }}
 
 // loadPair takes scratch from the pool and loads the pair's compact,
 // densified form into it.
-func loadPair(g1, g2 *graph.Graph) *astar {
-	s := searchPool.Get().(*astar)
+func loadPair(g1, g2 *graph.Graph) *search {
+	s := searchPool.Get().(*search)
 	s.Load(g1, g2)
 	s.Densify()
 	return s
 }
 
 // newSearch loads the pair (loadPair) and readies a search over it:
-// processing order, blank assignment state.
-func newSearch(g1, g2 *graph.Graph) *astar {
+// processing order, root assignment state and counters, no incumbent.
+func newSearch(g1, g2 *graph.Graph) *search {
 	s := loadPair(g1, g2)
 	s.order = s.order[:0]
 	for u := 0; u < s.N1; u++ {
@@ -164,292 +186,247 @@ func newSearch(g1, g2 *graph.Graph) *astar {
 		}
 	}
 	s.resetState()
-	s.slab, s.open = s.slab[:0], s.open[:0]
-	s.limit = math.MaxInt32
+	s.ub, s.low, s.found = math.MaxInt32, math.MaxInt32, false
 	return s
 }
 
 // release hands the scratch back to the pool unless it grew past
-// pairform.MaxPooledCells nodes or cells (a large uncapped pair).
-func (s *astar) release() {
-	if cap(s.slab) > pairform.MaxPooledCells || s.Oversized() {
+// pairform.MaxPooledCells cells (a large pair).
+func (s *search) release() {
+	if s.Oversized() {
 		return
 	}
 	searchPool.Put(s)
 }
 
-// push and pop perform container/heap's exact sift sequence on the same
-// strict f comparison, so equal-f nodes leave the open list in the order
-// the interface-based heap released them. Every path cost is an integer,
-// exact in the float64 keys that heap compared, so int32 keys make the
-// same comparisons.
-func (s *astar) push(it openItem) {
-	s.open = append(s.open, it)
-	h := s.open
-	for j := len(h) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].f < h[i].f) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (s *astar) pop() openItem {
-	h := s.open
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h[j2].f < h[j].f {
-			j = j2
-		}
-		if !(h[j].f < h[i].f) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	s.open = h[:n]
-	return h[n]
-}
-
-// openNode appends a node to the slab and puts it on the open list.
-func (s *astar) openNode(nd node, h int32) {
-	s.slab = append(s.slab, nd)
-	s.push(openItem{f: nd.g + h, n: int32(len(s.slab) - 1)})
-}
-
-// openChild opens the child of slab node parent that decides the next
-// vertex as v at path cost g. A child that completes the assignment
-// pays the completion cost; any other carries the heuristic (openCounts
-// must have run for this expansion).
-func (s *astar) openChild(parent int32, v int, g int32) {
-	depth := s.slab[parent].depth + 1
-	var h int32
-	if int(depth) == s.N1 {
-		g += s.completionCostAfter(v)
-	} else {
-		h = s.childBound(v)
-	}
-	s.openNode(node{g: g, parent: parent, v: int32(v), depth: depth}, h)
-}
-
-func (s *astar) run(maxNodes int64) Result {
-	n1, n2 := s.N1, s.N2
-	if n1 == 0 {
-		// Pure insertion of g2.
-		d := float64(s.completionCostAfter(-1))
-		return Result{Distance: d, Mapping: []int{}, Exact: true, LowerBound: d}
-	}
-
-	s.openNode(node{}, s.heuristicAfter(-1, -1))
-
-	var nodes int64
-	for len(s.open) > 0 {
-		if maxNodes > 0 && nodes >= maxNodes {
-			// The cheapest open f-value lower-bounds every completion
-			// still reachable, so it is a certified floor of the true
-			// distance even though the search gives up on exactness.
-			return Result{Distance: math.Inf(1), Exact: false, LowerBound: float64(s.open[0].f), Nodes: nodes}
-		}
-		top := s.pop()
-		if top.f > s.limit {
-			// top is the cheapest open node and its f-value lower-bounds
-			// every completion still reachable, so no mapping fits under
-			// the limit: the decision "distance > limit" is proven.
-			f := float64(top.f)
-			return Result{Distance: f, AboveLimit: true, LowerBound: f, Nodes: nodes}
-		}
-		nodes++
-		cur := s.slab[top.n]
-		if int(cur.depth) == n1 {
-			// Complete assignment: the completion cost for unused g2
-			// vertices and untouched g2 edges is already included in g
-			// via the final expansion step.
-			g := float64(cur.g)
-			return Result{Distance: g, Mapping: s.extractMapping(top.n), Exact: true, LowerBound: g, Nodes: nodes}
-		}
-		s.loadState(top.n)
-		depth := int(cur.depth)
-		u := int(s.order[depth])
-		if depth+1 < n1 {
-			s.openCounts(u)
-		}
-		// Try assigning u to every unused g2 vertex.
-		for v := 0; v < n2; v++ {
-			if !s.used[v] {
-				s.openChild(top.n, v, cur.g+s.assignCost(depth, u, v))
-			}
-		}
-		// Or delete u.
-		s.openChild(top.n, -1, cur.g+s.deleteCost(depth, u))
-	}
-	// Unreachable: the search space always contains the all-delete mapping.
-	return Result{Distance: math.Inf(1), Nodes: nodes}
-}
-
-// resetState blanks the assignment state: nothing processed, nothing used.
-func (s *astar) resetState() {
+// resetState puts the search at its root: nothing decided, nothing
+// used, the counters holding both whole graphs.
+func (s *search) resetState() {
 	s.mapping, s.used = pairform.Resize(s.mapping, s.N1), pairform.Resize(s.used, s.N2)
+	s.inv = pairform.Resize(s.inv, s.N2)
 	for i := range s.mapping {
 		s.mapping[i] = -2
 	}
+	for i := range s.inv {
+		s.inv[i] = -1
+	}
+	s.rootCounts()
+	s.cb, s.cbs = pairform.Resize(s.cb, s.N1*s.NE()), pairform.Resize(s.cbs, s.N1)
+	s.cbBound = 0
 }
 
-// loadState rebuilds the assignment state of slab node n by walking its
-// parent chain.
-func (s *astar) loadState(n int32) {
-	s.resetState()
-	for nd := s.slab[n]; nd.depth > 0; nd = s.slab[nd.parent] {
-		s.mapping[s.order[nd.depth-1]] = nd.v
-		if nd.v >= 0 {
-			s.used[nd.v] = true
+// rootCounts fills the vertex and class (a) counters for a blank
+// assignment: every vertex and edge of both graphs.
+func (s *search) rootCounts() {
+	s.cv, s.ca = pairform.Resize(s.cv, s.NV()), pairform.Resize(s.ca, s.NE())
+	for _, l := range s.VL1 {
+		s.cv[l]++
+	}
+	for _, l := range s.VL2 {
+		s.cv[l]--
+	}
+	for _, e := range s.Edges1 {
+		s.ca[e.L]++
+	}
+	for _, e := range s.Edges2 {
+		s.ca[e.L]--
+	}
+	s.vs, s.as = histSums(s.cv), histSums(s.ca)
+}
+
+// h is the bound on the cost still to pay from the current state.
+func (s *search) h() int32 { return s.vs.bound() + s.as.bound() + s.cbBound }
+
+// decide takes the undecided g1 vertex u out of the open part when d is
+// +1 and undoes exactly that when d is -1, keeping the counters behind
+// h current in O(deg u). It is the half of deciding u that does not
+// depend on u's image, so an expansion runs it once for all of u's
+// children; assign completes the decision.
+func (s *search) decide(u int, d int32) {
+	s.vs.add(s.cv, s.VL1[u], -d)
+	for _, x := range s.Nbrs1(u) {
+		if s.mapping[x.W] == -2 {
+			// An open g1 edge moves from class (a) to u's class.
+			s.as.add(s.ca, x.L, -d)
+			s.classAdd(u, x.L, d)
+		} else {
+			// The edge to decided w is charged by assign and leaves
+			// w's class.
+			s.classAdd(int(x.W), x.L, -d)
 		}
 	}
 }
 
-func (s *astar) extractMapping(n int32) []int {
-	s.loadState(n)
-	return s.currentMapping()
+// assign maps the decided g1 vertex u to g2 vertex v (-1: deletes it)
+// when d is +1 and undoes exactly that when d is -1, keeping the
+// counters behind h current in O(deg u + deg v). Applying, it returns
+// the cost the decision adds to the path: the vertex substitution or
+// deletion, and every edge it completes between u and a decided vertex
+// on either side — substituted when both exist, deleted or inserted
+// when one does. Absent edges read as id 0, so one mismatch covers all
+// three.
+func (s *search) assign(u, v int, d int32) int32 {
+	if v < 0 {
+		if d < 0 {
+			s.mapping[u] = -2
+			return 0
+		}
+		s.mapping[u] = -1
+		cost := int32(1)
+		for _, x := range s.Nbrs1(u) {
+			if s.mapping[x.W] != -2 {
+				cost++
+			}
+		}
+		return cost
+	}
+	if d > 0 {
+		s.mapping[u], s.used[v], s.inv[v] = int32(v), true, int32(u)
+	}
+	cost := mismatch(s.VL1[u], s.VL2[v])
+	s.vs.add(s.cv, s.VL2[v], d)
+	row2 := s.Adj2[v*s.N2 : (v+1)*s.N2]
+	for _, x := range s.Nbrs1(u) {
+		switch mw := s.mapping[x.W]; {
+		case mw >= 0:
+			cost += mismatch(x.L, row2[mw])
+		case mw == -1:
+			cost++
+		}
+	}
+	row1 := s.Adj1[u*s.N1 : (u+1)*s.N1]
+	for _, x := range s.Nbrs2(v) {
+		w := s.inv[x.W]
+		if w < 0 {
+			// An open g2 edge moves from class (a) to u's class.
+			s.as.add(s.ca, x.L, d)
+			s.classAdd(u, x.L, -d)
+			continue
+		}
+		// The edge to used x is charged now and leaves the class of
+		// x's preimage; a g1 counterpart was charged above.
+		if row1[w] == 0 {
+			cost++
+		}
+		s.classAdd(int(w), x.L, d)
+	}
+	if d < 0 {
+		s.mapping[u], s.used[v], s.inv[v] = -2, false, -1
+	}
+	return cost
 }
 
-// currentMapping copies the assignment state out as a Result mapping,
-// unassigned vertices counting as deleted.
-func (s *astar) currentMapping() []int {
-	out := make([]int, len(s.mapping))
-	for i, v := range s.mapping {
-		out[i] = int(max(v, -1))
+// classAdd moves counter l of decided vertex w's class by d, keeping
+// cbBound current.
+func (s *search) classAdd(w int, l, d int32) {
+	h := &s.cbs[w]
+	s.cbBound -= h.bound()
+	h.add(s.cb, int32(w*s.NE())+l, d)
+	s.cbBound += h.bound()
+}
+
+// run searches from the root and reports the result. When the node cap
+// stopped it, Exact=false, Distance is the incumbent's cost (+Inf for
+// none) and Mapping is left to the caller.
+func (s *search) run(maxNodes int64) Result {
+	if s.N1 == 0 {
+		// Nothing to decide: the distance is the insertion of g2,
+		// returned exact whatever the limit.
+		d := float64(s.h())
+		return Result{Distance: d, Mapping: []int{}, Exact: true, LowerBound: d}
+	}
+	s.nodes, s.maxNodes = 0, maxNodes
+	s.kids = pairform.Resize(s.kids, s.N1*(s.N2+1))
+	s.best = pairform.Resize(s.best, s.N1)
+	if f := s.h(); f > s.ub {
+		s.low = f
+	} else if !s.expand(0, 0, f) {
+		// Capped: Exact picks the mapping, the incumbent's or the
+		// bipartite one.
+		res := Result{Distance: math.Inf(1), LowerBound: float64(s.low), Nodes: s.nodes}
+		if s.found {
+			res.Distance, res.LowerBound = float64(s.ub+1), float64(min(s.low, s.ub+1))
+		}
+		return res
+	}
+	if !s.found {
+		// Every node was pruned above the limit: the smallest pruned
+		// f-value lower-bounds every completion, so the decision
+		// "distance > limit" is proven.
+		f := float64(s.low)
+		return Result{Distance: f, AboveLimit: true, LowerBound: f, Nodes: s.nodes}
+	}
+	d := float64(s.ub + 1)
+	return Result{Distance: d, Mapping: s.bestMapping(), Exact: true, LowerBound: d, Nodes: s.nodes}
+}
+
+// expand visits the node at depth (its first depth vertices decided,
+// path cost g, f-value f ≤ ub): it generates the children deciding the
+// next vertex, sorts them by f and descends into each in turn while its
+// f stays within the incumbent; a child that completes the assignment
+// is a goal and becomes the incumbent. It returns false when the node
+// cap stopped the search, having folded the f-values left unexpanded
+// into low.
+func (s *search) expand(depth int, g, f int32) bool {
+	if s.maxNodes > 0 && s.nodes >= s.maxNodes {
+		s.low = min(s.low, f)
+		return false
+	}
+	s.nodes++
+	u := int(s.order[depth])
+	s.decide(u, 1)
+	kids := s.kids[depth*(s.N2+1) : depth*(s.N2+1)]
+	add := func(v int) {
+		c := s.assign(u, v, 1)
+		k := child{f: g + c + s.h(), c: c, v: int32(v)}
+		s.assign(u, v, -1)
+		// Insertion keeps equal f-values in generation order.
+		kids = append(kids, k)
+		for j := len(kids) - 1; j > 0 && kids[j-1].f > k.f; j-- {
+			kids[j], kids[j-1] = kids[j-1], k
+		}
+	}
+	for v := 0; v < s.N2; v++ {
+		if !s.used[v] {
+			add(v)
+		}
+	}
+	add(-1)
+	ok, last := true, depth+1 == s.N1
+	for i, k := range kids {
+		if k.f > s.ub {
+			// Sorted: this child and every later one are pruned.
+			s.low = min(s.low, k.f)
+			break
+		}
+		if last {
+			// A goal: its f is its exact cost, and no later sibling
+			// costs less.
+			copy(s.best, s.mapping)
+			s.best[u] = k.v
+			s.ub, s.found = k.f-1, true
+			break
+		}
+		v := int(k.v)
+		s.assign(u, v, 1)
+		ok = s.expand(depth+1, g+k.c, k.f)
+		s.assign(u, v, -1)
+		if !ok {
+			if i+1 < len(kids) {
+				s.low = min(s.low, kids[i+1].f)
+			}
+			break
+		}
+	}
+	s.decide(u, -1)
+	return ok
+}
+
+// bestMapping copies the incumbent out as a Result mapping.
+func (s *search) bestMapping() []int {
+	out := make([]int, len(s.best))
+	for i, v := range s.best {
+		out[i] = int(v)
 	}
 	return out
 }
-
-// assignCost is the incremental cost of mapping u -> v when the first
-// depth vertices of the order are decided: the vertex substitution plus,
-// for every decided g1 vertex w, the edge pair ({u,w}, {v,m(w)}) —
-// substituted when both exist, deleted or inserted when only one does.
-// Absent edges read as id 0, so one mismatch covers all three.
-func (s *astar) assignCost(depth, u, v int) int32 {
-	cost := mismatch(s.VL1[u], s.VL2[v])
-	row1, row2 := s.Adj1[u*s.N1:], s.Adj2[v*s.N2:]
-	for _, w := range s.order[:depth] {
-		l2 := int32(0)
-		if mw := s.mapping[w]; mw >= 0 {
-			l2 = row2[mw]
-		}
-		cost += mismatch(row1[w], l2)
-	}
-	return cost
-}
-
-// deleteCost charges the deletion of u and of its edges toward decided
-// vertices.
-func (s *astar) deleteCost(depth, u int) int32 {
-	cost := int32(1)
-	row1 := s.Adj1[u*s.N1:]
-	for _, w := range s.order[:depth] {
-		if row1[w] != 0 {
-			cost++
-		}
-	}
-	return cost
-}
-
-// completionCostAfter charges, once all g1 vertices are processed, the
-// insertion of every g2 vertex left unused and of every g2 edge with at
-// least one unused endpoint. (g2 edges between two used vertices were
-// charged during assignment.) The assignment state corresponds to the
-// parent; v is the g2 vertex the final step consumes (-1 when the final
-// g1 vertex was deleted).
-func (s *astar) completionCostAfter(v int) int32 {
-	var cost int32
-	for x := range s.N2 {
-		if s.open2(x, v) {
-			cost++
-		}
-	}
-	for _, e := range s.Edges2 {
-		if s.open2(int(e.U), v) || s.open2(int(e.V), v) {
-			cost++
-		}
-	}
-	return cost
-}
-
-// openCounts fills the label counters for the children of the node
-// whose assignment state is loaded and whose next vertex is u: what
-// stays open on the g1 side once u is decided, against everything still
-// open on the g2 side. On a blank state, u = -1 counts both whole graphs.
-// It also records the counters' surplus and deficit sums, which
-// childBound adjusts per child.
-func (s *astar) openCounts(u int) {
-	s.cv, s.ce = pairform.Resize(s.cv, s.NV()), pairform.Resize(s.ce, s.NE())
-	for w, l := range s.VL1 {
-		if s.open1(w, u) {
-			s.cv[l]++
-		}
-	}
-	for x, l := range s.VL2 {
-		if !s.used[x] {
-			s.cv[l]--
-		}
-	}
-	for _, e := range s.Edges1 {
-		if s.open1(int(e.U), u) || s.open1(int(e.V), u) {
-			s.ce[e.L]++
-		}
-	}
-	for _, e := range s.Edges2 {
-		if !s.used[e.U] || !s.used[e.V] {
-			s.ce[e.L]--
-		}
-	}
-	s.vsum, s.esum = histSums(s.cv), histSums(s.ce)
-}
-
-// childBound is the admissible histogram bound on what remains after
-// the child additionally consumes g2 vertex v (-1: deletion, nothing
-// consumed): the histogram distance between the labels of undecided g1
-// vertices and unused g2 vertices, plus the same over edges with at
-// least one open endpoint. v leaves the open side and takes with it the
-// edges whose only open endpoint it was — those toward used vertices.
-// Each of those is one counter increment, applied to openCounts' sums:
-// O(degree of v), and the same integer as histBound(cv)+histBound(ce)
-// recounted. ce is restored before returning; cv is not touched.
-func (s *astar) childBound(v int) int32 {
-	vs, es := s.vsum, s.esum
-	if v >= 0 {
-		vs.inc(s.cv[s.VL2[v]])
-		nbrs := s.Nbrs2(v)
-		for _, x := range nbrs {
-			if s.used[x.W] {
-				es.inc(s.ce[x.L])
-				s.ce[x.L]++
-			}
-		}
-		for _, x := range nbrs {
-			if s.used[x.W] {
-				s.ce[x.L]--
-			}
-		}
-	}
-	return vs.bound() + es.bound()
-}
-
-// heuristicAfter is openCounts and childBound in one step, for callers
-// that bound a single child.
-func (s *astar) heuristicAfter(u, v int) int32 {
-	s.openCounts(u)
-	return s.childBound(v)
-}
-
-// open1 reports whether g1 vertex w is still undecided after u is
-// decided.
-func (s *astar) open1(w, u int) bool { return w != u && s.mapping[w] == -2 }
-
-// open2 reports whether g2 vertex x is still unused after v is used.
-func (s *astar) open2(x, v int) bool { return x != v && !s.used[x] }

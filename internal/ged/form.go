@@ -32,22 +32,26 @@ func histSums(c []int32) (h histSum) {
 }
 
 // histSum is a counter array's surplus and deficit, kept up to date
-// across single increments so the bound needs no recount.
+// across unit moves so the bound needs no recount.
 type histSum struct{ surplus, deficit int32 }
 
-// inc records the increment of a counter that held d.
-func (h *histSum) inc(d int32) {
-	if d >= 0 {
-		h.surplus++
+// add moves counter l of c by d (+1 or -1), keeping the sums current:
+// the move changes the surplus when the counter is positive before or
+// after it, and the deficit otherwise.
+func (h *histSum) add(c []int32, l, d int32) {
+	x := c[l]
+	c[l] = x + d
+	if x+x+d > 0 {
+		h.surplus += d
 	} else {
-		h.deficit--
+		h.deficit -= d
 	}
 }
 
 func (h histSum) bound() int32 { return max(h.surplus, h.deficit) }
 
 // mappingCost is EditCostOfMapping on the pair form.
-func (s *astar) mappingCost(m []int) int32 {
+func (s *search) mappingCost(m []int) int32 {
 	n1, n2 := s.N1, s.N2
 	var cost int32
 	s.inv = pairform.Resize(s.inv, n2)

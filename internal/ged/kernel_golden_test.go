@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
@@ -17,10 +18,11 @@ import (
 
 // The kernel golden pins every observable of Exact and Bipartite —
 // distance, exactness, limit verdict, lower bound, expansion count and
-// the mapping itself — on a seeded grid of pairs, caps and limits. The
-// file was generated by the map-and-string A* this kernel replaced, so
+// the mapping itself — on a seeded grid of pairs, caps and limits, so
 // passing it means the search expands the same nodes in the same order,
-// not merely that it finds the same optimum.
+// not merely that it finds the same optimum. TestKernelContract checks
+// the same grid against the true distances, so a re-recorded file
+// cannot carry a wrong answer.
 //
 //	go test ./internal/ged -run TestKernelGolden -update-golden
 //
@@ -263,4 +265,41 @@ func TestKernelGoldenConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestKernelContract checks every run of the golden grid against the
+// pair's true distance — brute force up to order 6, the uncapped search
+// beyond — rather than against recorded output: an exact run returns
+// the distance; a run is AboveLimit exactly when the distance exceeds
+// floor(limit) (capped runs may prove nothing), with a proven floor in
+// (limit, distance]; every other run returns a mapping whose cost is
+// its Distance and a LowerBound, the two bracketing the distance. The
+// one exception is a pair with an empty g1, whose distance — the
+// insertion of g2 — is returned exactly without a search.
+func TestKernelContract(t *testing.T) {
+	for i, p := range goldenGraphs() {
+		g1, g2 := p[0], p[1]
+		d := Distance(g1, g2)
+		if g1.Order() <= 6 && g2.Order() <= 6 {
+			d = bruteDistance(g1, g2)
+		}
+		for _, run := range goldenRuns(g1, g2) {
+			r := Exact(g1, g2, run.opts)
+			above := run.opts.Limit != nil && d > math.Floor(*run.opts.Limit) && g1.Order() > 0
+			switch {
+			case r.AboveLimit:
+				if !above || !(*run.opts.Limit < r.Distance && r.Distance <= d) || r.LowerBound != r.Distance || r.Mapping != nil {
+					t.Errorf("pair %d (%s | %s) %s: false or loose proof %+v, distance %v", i, g1, g2, run.label, r, d)
+				}
+			case above && run.opts.MaxNodes == 0:
+				t.Errorf("pair %d (%s | %s) %s: no proof of distance %v above the limit: %+v", i, g1, g2, run.label, d, r)
+			case r.Exact && (r.Distance != d || r.LowerBound != d):
+				t.Errorf("pair %d (%s | %s) %s: exact %+v, distance %v", i, g1, g2, run.label, r, d)
+			case !r.Exact && (run.opts.MaxNodes == 0 || !(r.LowerBound <= d && d <= r.Distance)):
+				t.Errorf("pair %d (%s | %s) %s: inexact %+v does not bracket distance %v", i, g1, g2, run.label, r, d)
+			case EditCostOfMapping(g1, g2, r.Mapping) != r.Distance:
+				t.Errorf("pair %d (%s | %s) %s: mapping %v does not cost %v", i, g1, g2, run.label, r.Mapping, r.Distance)
+			}
+		}
+	}
 }

@@ -1,8 +1,8 @@
 package ged
 
 import (
+	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"skygraph/internal/graph"
@@ -50,23 +50,34 @@ func TestExactAllocs(t *testing.T) {
 
 var sinkResult Result
 
-func benchPairs(b *testing.B, pairs [][2]*graph.Graph, run func(g1, g2 *graph.Graph) Result) {
+// benchPairs runs run over pairs round robin and returns the total of
+// the results' expansion counts.
+func benchPairs(b *testing.B, pairs [][2]*graph.Graph, run func(g1, g2 *graph.Graph) Result) (nodes int64) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		sinkResult = run(p[0], p[1])
+		nodes += sinkResult.Nodes
 	}
+	return nodes
+}
+
+// benchExact runs Exact under opts over pairs and reports its mean
+// expansion count as nodes/op beside ns/op.
+func benchExact(b *testing.B, pairs [][2]*graph.Graph, opts Options) {
+	nodes := benchPairs(b, pairs, func(g1, g2 *graph.Graph) Result { return Exact(g1, g2, opts) })
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
 func BenchmarkExactNear(b *testing.B) {
 	near, _ := harnessPairs(64, 43)
-	benchPairs(b, near, func(g1, g2 *graph.Graph) Result { return Exact(g1, g2, Options{}) })
+	benchExact(b, near, Options{})
 }
 
 func BenchmarkExactFar(b *testing.B) {
 	_, far := harnessPairs(64, 43)
-	benchPairs(b, far, func(g1, g2 *graph.Graph) Result { return Exact(g1, g2, Options{}) })
+	benchExact(b, far, Options{})
 }
 
 // BenchmarkExactFarLimit is the ranked scan's decision run: a candidate
@@ -74,7 +85,20 @@ func BenchmarkExactFar(b *testing.B) {
 func BenchmarkExactFarLimit(b *testing.B) {
 	_, far := harnessPairs(64, 43)
 	limit := 2.0
-	benchPairs(b, far, func(g1, g2 *graph.Graph) Result { return Exact(g1, g2, Options{Limit: &limit}) })
+	benchExact(b, far, Options{Limit: &limit})
+}
+
+// BenchmarkExactCapped is a budgeted run (measure.Options.GEDMaxNodes)
+// that runs out: unrelated order-7/8 molecules under a 5-expansion
+// cap, which stops the search on every one of them (nodes/op reads 5),
+// so every op pays the capped search and the bipartite fallback.
+func BenchmarkExactCapped(b *testing.B) {
+	rng := rand.New(rand.NewSource(43))
+	var pairs [][2]*graph.Graph
+	for range 32 {
+		pairs = append(pairs, [2]*graph.Graph{graph.Molecule(7+rng.Intn(2), rng), graph.Molecule(7+rng.Intn(2), rng)})
+	}
+	benchExact(b, pairs, Options{MaxNodes: 5})
 }
 
 func BenchmarkBipartite(b *testing.B) {
@@ -82,14 +106,31 @@ func BenchmarkBipartite(b *testing.B) {
 	benchPairs(b, far, Bipartite)
 }
 
-// recountBound is childBound's definition, counted from scratch: the
-// histogram distance between the labels of the g1 vertices still
-// undecided once u is decided and of the g2 vertices still unused once v
-// is used (-1: none), plus the same over edges with an open endpoint.
-func recountBound(s *astar, u, v int) int32 {
-	cv, ce := make([]int32, s.NV()), make([]int32, s.NE())
-	open1 := func(w int32) bool { return int(w) != u && s.mapping[w] == -2 }
-	open2 := func(x int32) bool { return int(x) != v && !s.used[x] }
+// recountBound is h's definition, counted from scratch off the
+// assignment state: the histogram distance between the labels of
+// undecided g1 vertices and unused g2 vertices, plus one edge-label
+// histogram distance for the edges among undecided g1 vertices against
+// those among unused g2 vertices, and one per decided g1 vertex w for
+// its edges toward undecided vertices against m(w)'s toward unused
+// ones. pooled is the single edge histogram distance over every edge
+// with an open endpoint, which the classes refine.
+func recountBound(s *search) (h, pooled int32) {
+	open1 := func(w int32) bool { return s.mapping[w] == -2 }
+	open2 := func(x int32) bool { return !s.used[x] }
+	inv := make([]int32, s.N2)
+	for x := range inv {
+		inv[x] = -1
+	}
+	for w, x := range s.mapping {
+		if x >= 0 {
+			inv[x] = int32(w)
+		}
+	}
+	cv, ca, all := make([]int32, s.NV()), make([]int32, s.NE()), make([]int32, s.NE())
+	cls := make([][]int32, s.N1)
+	for w := range cls {
+		cls[w] = make([]int32, s.NE())
+	}
 	for w, l := range s.VL1 {
 		if open1(int32(w)) {
 			cv[l]++
@@ -101,24 +142,78 @@ func recountBound(s *astar, u, v int) int32 {
 		}
 	}
 	for _, e := range s.Edges1 {
-		if open1(e.U) || open1(e.V) {
-			ce[e.L]++
+		switch {
+		case open1(e.U) && open1(e.V):
+			ca[e.L]++
+		case open1(e.U):
+			cls[e.V][e.L]++
+		case open1(e.V):
+			cls[e.U][e.L]++
+		default:
+			continue
 		}
+		all[e.L]++
 	}
 	for _, e := range s.Edges2 {
-		if open2(e.U) || open2(e.V) {
-			ce[e.L]--
+		switch {
+		case open2(e.U) && open2(e.V):
+			ca[e.L]--
+		case open2(e.U):
+			cls[inv[e.V]][e.L]--
+		case open2(e.V):
+			cls[inv[e.U]][e.L]--
+		default:
+			continue
 		}
+		all[e.L]--
 	}
-	return histBound(cv) + histBound(ce)
+	h = histBound(cv) + histBound(ca)
+	for _, c := range cls {
+		h += histBound(c)
+	}
+	return h, histBound(cv) + histBound(all)
 }
 
-// TestChildBoundMatchesRecount runs Exact's expansion loop on seeded
-// pairs and, at every expansion, checks childBound for every child and
-// for the deletion against the bound recounted from scratch, and that
-// the counters openCounts filled are left as they were. The kernel
-// goldens pin the searches' outcomes; this pins the heuristic behind
-// them.
+// stepCostRecount is the cost assign charges for deciding u as v, read off
+// the dense adjacency: the vertex substitution (or deletion) plus, for
+// every decided g1 vertex w, the edge pair ({u,w}, {v,m(w)}).
+func stepCostRecount(s *search, u, v int) int32 {
+	if v < 0 {
+		cost := int32(1)
+		for _, w := range s.order {
+			if s.mapping[w] != -2 && s.Adj1[u*s.N1+int(w)] != 0 {
+				cost++
+			}
+		}
+		return cost
+	}
+	cost := mismatch(s.VL1[u], s.VL2[v])
+	for _, w := range s.order {
+		if mw := s.mapping[w]; mw != -2 {
+			l2 := int32(0)
+			if mw >= 0 {
+				l2 = s.Adj2[v*s.N2+int(mw)]
+			}
+			cost += mismatch(s.Adj1[u*s.N1+int(w)], l2)
+		}
+	}
+	return cost
+}
+
+// searchSnapshot copies every piece of state decide and assign
+// maintain.
+func searchSnapshot(s *search) string {
+	return fmt.Sprint(s.mapping, s.used, s.inv, s.cv, s.ca, s.cb, s.vs, s.as, s.cbs, s.cbBound)
+}
+
+// TestChildBoundMatchesRecount walks the search tree of seeded pairs the
+// way the search does, applying each child's step and undoing it, and
+// checks at every child that the incrementally kept h equals the bound
+// recounted from scratch and is never below the pooled histogram bound,
+// that the step cost matches the adjacency recount, that a complete
+// assignment's g + h is its edit cost, and that undoing a decision restores
+// every counter. The kernel goldens pin the searches' outcomes; this
+// pins the bound behind them.
 func TestChildBoundMatchesRecount(t *testing.T) {
 	near, far := harnessPairs(12, 47)
 	pairs := append(near, far...)
@@ -133,40 +228,56 @@ func TestChildBoundMatchesRecount(t *testing.T) {
 	checked := 0
 	for _, p := range pairs {
 		s := newSearch(p[0], p[1])
-		if s.N1 > 0 {
-			s.openNode(node{}, s.heuristicAfter(-1, -1))
+		if h, _ := recountBound(s); h != s.h() {
+			t.Fatalf("%v / %v: root h %d, recounted %d", p[0], p[1], s.h(), h)
 		}
-		for len(s.open) > 0 {
-			top := s.pop()
-			cur := s.slab[top.n]
-			depth := int(cur.depth)
-			if depth == s.N1 {
-				break
-			}
-			s.loadState(top.n)
+		var walk func(depth int, g int32)
+		walk = func(depth int, g int32) {
 			u := int(s.order[depth])
-			if depth+1 < s.N1 {
-				s.openCounts(u)
-				cv, ce := append([]int32(nil), s.cv...), append([]int32(nil), s.ce...)
-				for v := -1; v < s.N2; v++ {
-					if v >= 0 && s.used[v] {
-						continue
+			var descend []int
+			for v := -1; v < s.N2; v++ {
+				if v >= 0 && s.used[v] {
+					continue
+				}
+				before := searchSnapshot(s)
+				want := stepCostRecount(s, u, v)
+				s.decide(u, 1)
+				c := s.assign(u, v, 1)
+				if c != want {
+					t.Fatalf("%v / %v: step %d->%d at depth %d costs %d, recounted %d", p[0], p[1], u, v, depth, c, want)
+				}
+				h, pooled := recountBound(s)
+				if got := s.h(); got != h || got < pooled {
+					t.Fatalf("%v / %v: step %d->%d at depth %d: h %d, recounted %d, pooled %d", p[0], p[1], u, v, depth, got, h, pooled)
+				}
+				if depth+1 == s.N1 {
+					m := make([]int, s.N1)
+					for w, x := range s.mapping {
+						m[w] = int(x)
 					}
-					if got, want := s.childBound(v), recountBound(s, u, v); got != want {
-						t.Fatalf("%v / %v: expansion of %d at depth %d, child %d: childBound %v, recounted %v", p[0], p[1], u, depth, v, got, want)
+					if got, want := g+c+s.h(), s.mappingCost(m); got != want {
+						t.Fatalf("%v / %v: goal %v: g+h %d, mapping cost %d", p[0], p[1], m, got, want)
 					}
-					checked++
+				} else if len(descend) < 2 && rng.Intn(3) == 0 {
+					descend = append(descend, v)
 				}
-				if !slices.Equal(cv, s.cv) || !slices.Equal(ce, s.ce) {
-					t.Fatalf("%v / %v: childBound left the counters changed", p[0], p[1])
+				s.assign(u, v, -1)
+				s.decide(u, -1)
+				if after := searchSnapshot(s); after != before {
+					t.Fatalf("%v / %v: undoing step %d->%d changed the state:\n%s\n%s", p[0], p[1], u, v, before, after)
 				}
+				checked++
 			}
-			for v := 0; v < s.N2; v++ {
-				if !s.used[v] {
-					s.openChild(top.n, v, cur.g+s.assignCost(depth, u, v))
-				}
+			for _, v := range descend {
+				s.decide(u, 1)
+				c := s.assign(u, v, 1)
+				walk(depth+1, g+c)
+				s.assign(u, v, -1)
+				s.decide(u, -1)
 			}
-			s.openChild(top.n, -1, cur.g+s.deleteCost(depth, u))
+		}
+		if s.N1 > 0 {
+			walk(0, 0)
 		}
 		s.release()
 	}

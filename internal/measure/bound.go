@@ -13,8 +13,8 @@ import (
 // Compute reports lies inside them:
 //
 //   - GED low:  the label-histogram lower bound (== ged.LowerBound).
-//     Compute's GED is the exact distance or the bipartite upper bound,
-//     both >= the histogram bound.
+//     Compute's GED is the exact distance or a capped search's upper
+//     bound (the cost of a real mapping), both >= the histogram bound.
 //   - GED high: delete-all/insert-all (|V1|+|V2|+|E1|+|E2|), which no
 //     edit path Compute reports can exceed.
 //   - MCS high: the edge-type multiset intersection, capped by the
@@ -84,8 +84,9 @@ func mcsUpper(s1, s2 *Signature, vi int) int {
 }
 
 // Refine tightens tier-0 bounds with the cheap polynomial engines: the
-// bipartite assignment upper bound on GED (the value Compute falls back
-// to under a cap) and the deterministic greedy lower bound on MCS (the
+// bipartite assignment upper bound on GED (which bounds what Compute
+// reports under a cap: the cheaper of it and the capped search's best
+// mapping) and the deterministic greedy lower bound on MCS (the
 // floor mcs.Exact applies under a cap). No query path calls it any
 // more — the ranked scan decides candidates on their tier-0 and branch
 // bounds, which cost less than refining them did. It is kept only for

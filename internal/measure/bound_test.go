@@ -24,8 +24,8 @@ func requireContains(t *testing.T, label string, lo, vec, hi []float64) {
 // TestBoundGCSAdmissible: the tier-0 signature intervals and the tier-1
 // refined intervals must both contain the GCS vector Compute reports —
 // for unbounded exact evaluation and for capped evaluation (where
-// Compute returns the bipartite GED upper bound and the greedy-floored
-// MCS the bounds are built around).
+// Compute returns a GED upper bound no dearer than the bipartite one and
+// the greedy-floored MCS the bounds are built around).
 func TestBoundGCSAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	bases := [][]Measure{Default(), Extended(), DiversityBasis()}

@@ -51,8 +51,10 @@ type PairStats struct {
 // computation. The struct is wire- and cache-friendly: it serializes to
 // JSON and is comparable, so it can sit in a map key as it is.
 type Options struct {
-	// GEDMaxNodes caps A* expansions (0 = unlimited). On cap the bipartite
-	// upper bound is used and GEDExact is false.
+	// GEDMaxNodes caps the exact GED search's node expansions (0 =
+	// unlimited). On cap GED is an upper bound — the cheaper of the best
+	// mapping the depth-first search reached and the bipartite one — and
+	// GEDExact is false.
 	GEDMaxNodes int64 `json:"ged_max_nodes,omitempty"`
 	// MCSMaxNodes caps the MCS branch and bound (0 = unlimited).
 	MCSMaxNodes int64 `json:"mcs_max_nodes,omitempty"`
@@ -97,7 +99,7 @@ func ComputeHinted(g1, g2 *graph.Graph, opts Options, h PairHints) PairStats {
 // one orientation: what a scan's engine runs reported, before the
 // cheap statistics are assembled around them (PairStatsFrom).
 type EngineResults struct {
-	// GED and GEDExact mirror PairStats (value or bipartite bound);
+	// GED and GEDExact mirror PairStats (value or capped upper bound);
 	// MCS and MCSExact are the MCS engine analogues.
 	GED float64
 	MCS int

@@ -132,13 +132,30 @@ func HistogramRanked(m Measure) bool {
 // interval at a GED bound.
 func AtGED(m Measure, v float64) float64 { return m.FromStats(PairStats{GED: v}) }
 
-// GEDLimitAt is GEDLimit for a measure that reads GED alone: the
-// largest integer GED v in [lo, hi] whose distance AtGED(m, v) fits
-// under t, +Inf when even hi fits, lo−1 when not even lo does. The
+// GEDFit returns, for a measure that reads GED alone, the largest
+// integer GED v >= 0 whose distance AtGED(m, v) fits under t: −1 when
+// not even 0 fits, +Inf when every v up to math.MaxInt32 does. Such a
+// measure is non-decreasing in GED, so the answer depends on (m, t)
+// alone: a scan computes it once per threshold value and clamps it to
+// each candidate's GED interval with GEDLimitAt.
+func GEDFit(m Measure, t float64) float64 {
+	return lastFit(0, math.MaxInt32, func(v int) bool { return AtGED(m, float64(v)) <= t })
+}
+
+// GEDLimitAt is GEDLimit for a measure that reads GED alone, from its
+// GEDFit at the threshold: the largest integer GED v in [lo, hi]
+// (0 <= lo <= hi <= math.MaxInt32) whose distance fits under the
+// threshold, +Inf when even hi fits, lo−1 when not even lo does. The
 // ranked scan hands it to tier 1 (BranchTable.Exceeds): a branch bound
 // above it proves the candidate out.
-func GEDLimitAt(m Measure, t float64, lo, hi int) float64 {
-	return lastFit(lo, hi, func(v int) bool { return AtGED(m, float64(v)) <= t })
+func GEDLimitAt(fit float64, lo, hi int) float64 {
+	switch {
+	case fit >= float64(hi):
+		return math.Inf(1)
+	case fit < float64(lo):
+		return float64(lo) - 1
+	}
+	return fit
 }
 
 // RankPlan tells the exact engines how to decide "distance under m

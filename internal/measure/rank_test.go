@@ -181,3 +181,39 @@ func TestRankIntervalMatchesBoundPair(t *testing.T) {
 		}
 	}
 }
+
+// TestGEDLimitAtMatchesLastFit: for every measure that reads GED alone,
+// clamping the threshold's GEDFit to [lo, hi] gives exactly the
+// per-candidate binary search over [lo, hi] — +Inf, lo−1 or the fit —
+// for every 0 <= lo <= hi <= 40 and thresholds on and next to each
+// integer GED's distance, plus ±Inf, 0 and negative ones.
+func TestGEDLimitAtMatchesLastFit(t *testing.T) {
+	measures := []Measure{DistEd{}, DistNEd{}, DistMcs{}, DistGu{}, DistVLabel{}, DistELabel{}, DistDegree{}}
+	checked := 0
+	for _, m := range measures {
+		if needGED, needMCS := EngineNeeds(m); !needGED || needMCS {
+			continue
+		}
+		ths := []float64{math.Inf(1), math.Inf(-1), 0, -1, -0.5}
+		for v := 0; v <= 41; v++ {
+			b := AtGED(m, float64(v))
+			ths = append(ths, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+		}
+		for _, th := range ths {
+			fit := GEDFit(m, th)
+			for lo := 0; lo <= 40; lo++ {
+				for hi := lo; hi <= 40; hi++ {
+					want := lastFit(lo, hi, func(v int) bool { return AtGED(m, float64(v)) <= th })
+					if got := GEDLimitAt(fit, lo, hi); got != want {
+						t.Fatalf("%s th=%v [%d, %d]: GEDLimitAt %v, lastFit %v", m.Name(), th, lo, hi, got, want)
+					}
+					checked++
+				}
+			}
+		}
+		t.Logf("%s: %d thresholds", m.Name(), len(ths))
+	}
+	if checked == 0 {
+		t.Fatal("no GED-only measure checked")
+	}
+}

@@ -18,10 +18,9 @@
 //	reqs := reg.CounterVec("http_requests_total", "Requests served.", "endpoint", "code")
 //	reqs.With("/query/skyline", "200").Inc()
 //
-// Callback metrics (GaugeFunc / CounterFunc and the vec WithFunc
-// variants) read their value at render time — the natural fit for
-// occupancy numbers another subsystem already maintains (cache sizes,
-// database occupancy, runtime stats).
+// Callback metrics (GaugeFunc / CounterFunc) read their value at
+// render time — the natural fit for occupancy numbers another subsystem
+// already maintains (cache sizes, database occupancy, runtime stats).
 package obs
 
 import (
@@ -249,19 +248,11 @@ type CounterVec struct{ f *family }
 // first use).
 func (v CounterVec) With(values ...string) Counter { return Counter{v.f.child(values)} }
 
-// WithFunc installs a callback child: its value is read at render time.
-// The callback must be monotone non-decreasing to honor counter
-// semantics.
-func (v CounterVec) WithFunc(fn func() float64, values ...string) { v.f.child(values).fn = fn }
-
 // GaugeVec is a labelled gauge family.
 type GaugeVec struct{ f *family }
 
 // With returns the child gauge for the given label values.
 func (v GaugeVec) With(values ...string) Gauge { return Gauge{v.f.child(values)} }
-
-// WithFunc installs a callback child: its value is read at render time.
-func (v GaugeVec) WithFunc(fn func() float64, values ...string) { v.f.child(values).fn = fn }
 
 // Counter registers and returns an unlabelled counter.
 func (r *Registry) Counter(name, help string) Counter {

@@ -120,8 +120,6 @@ func TestCounterFuncAndVecFunc(t *testing.T) {
 	r := NewRegistry()
 	n := 41.0
 	r.CounterFunc("cb_total", "callback", func() float64 { n++; return n })
-	gv := r.GaugeVec("occ", "occupancy", "shard")
-	gv.WithFunc(func() float64 { return 7 }, "0")
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
 		t.Fatal(err)
@@ -129,8 +127,5 @@ func TestCounterFuncAndVecFunc(t *testing.T) {
 	got := sb.String()
 	if !strings.Contains(got, "cb_total 42") {
 		t.Errorf("callback counter not rendered:\n%s", got)
-	}
-	if !strings.Contains(got, `occ{shard="0"} 7`) {
-		t.Errorf("callback gauge child not rendered:\n%s", got)
 	}
 }

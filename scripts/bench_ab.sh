@@ -8,9 +8,12 @@
 # For each of seeds 21-30 both checkouts run their own
 # `benchmark/run.sh --workload W --seed S --seconds 15 --trace 0`,
 # alternating which side goes first, each appending its records to its
-# own JSONL file; the change's harness then compares the two files and
-# the script exits 1 if any row reads `worse`. workload defaults to all
-# (~35 min; one workload ~9 min). Everything is written under $OUT
+# own JSONL file; the change's harness then compares the two files. The
+# script exits 1 if a row of the workload it ran reads `worse` or
+# `missing`: the comparison lists every workload of BENCHMARK.json, and
+# those a one-workload run never ran read `missing` without saying
+# anything about the change. With workload all (the default, ~35 min;
+# one workload ~9 min) every row is judged. Everything is written under $OUT
 # (default CHANGE_DIR/.bench_build/ab): parent.jsonl and change.jsonl,
 # started afresh on every invocation, and the last run's log.
 set -euo pipefail
@@ -48,4 +51,16 @@ for seed in 21 22 23 24 25 26 27 28 29 30; do
 done
 
 cd "$change"
-bash benchmark/run.sh --compare "$out/parent.jsonl" "$out/change.jsonl"
+code=0
+bash benchmark/run.sh --compare "$out/parent.jsonl" "$out/change.jsonl" >"$out/compare.md" || code=$?
+cat "$out/compare.md"
+if [ "$workload" = all ]; then
+  exit "$code"
+fi
+# Rows read "| workload | metric | ... | verdict |": fail on a worse or
+# missing row of the workload that ran, and on a comparison that
+# printed no row of it at all.
+awk -F'|' -v w="$workload" '
+  { name = $2; verdict = $11; gsub(/ /, "", name); gsub(/ /, "", verdict) }
+  name == w { rows++; if (verdict == "worse" || verdict == "missing") bad++ }
+  END { exit (rows == 0 || bad > 0) }' "$out/compare.md"

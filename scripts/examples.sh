@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the library's callers end to end: the four examples, experiment
-# E10 (exact A* vs beam vs bipartite GED, the one program that runs
+# E10 (exact vs beam vs bipartite GED, the one program that runs
 # ged.Beam; only its exit status is checked), then the gss batch flow
 # paper -> skyline -> diverse -> topk on the paper's database in a temp
 # directory. Fails on any error, and unless the skyline is exactly
