@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test ./internal/measure -run='^$$' -fuzz=FuzzBranchBound -fuzztime=10s
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=10s
 	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzQueryBody -fuzztime=10s
+	$(GO) test ./internal/server -run='^$$' -fuzz=FuzzInsertBody -fuzztime=10s
 
 # bench runs the repo's benchmark contract (BENCHMARK.json): all four
 # workloads of the end-to-end harness, see benchmark/README.md. The

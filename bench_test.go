@@ -167,9 +167,9 @@ func BenchmarkRankedScaling(b *testing.B) {
 					var res gdb.TopKResult
 					var err error
 					if kind == "topk" {
-						res, err = db.TopKQuery(context.Background(), q, measure.DistEd{}, 5, opts)
+						res, err = db.TopKQuery(context.Background(), q, measure.DistEd, 5, opts)
 					} else {
-						res, err = db.RangeQuery(context.Background(), q, measure.DistEd{}, 2, opts)
+						res, err = db.RangeQuery(context.Background(), q, measure.DistEd, 2, opts)
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -309,7 +309,7 @@ func BenchmarkTopKRecall(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 5, opts)
+		res, err := db.TopKQuery(context.Background(), q, measure.DistEd, 5, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

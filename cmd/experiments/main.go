@@ -93,8 +93,8 @@ func e2() {
 	fmt.Printf("%-10s %8s %8s\n", "measure", "paper", "measured")
 	fmt.Printf("%-10s %8v %8v\n", "DistEd", 4, s.GED)
 	fmt.Printf("%-10s %8v %8v\n", "|mcs|", 4, s.MCS)
-	fmt.Printf("%-10s %8v %8v\n", "DistMcs", 0.33, dataset.Round2((measure.DistMcs{}).FromStats(s)))
-	fmt.Printf("%-10s %8v %8v\n", "DistGu", 0.50, dataset.Round2((measure.DistGu{}).FromStats(s)))
+	fmt.Printf("%-10s %8v %8v\n", "DistMcs", 0.33, dataset.Round2(measure.DistMcs.FromStats(&s)))
+	fmt.Printf("%-10s %8v %8v\n", "DistGu", 0.50, dataset.Round2(measure.DistGu.FromStats(&s)))
 }
 
 func e3() {
@@ -201,8 +201,8 @@ func e8() {
 		// copy, so genuine trade-offs between the measures appear.
 		q := dataset.MoleculeDB(1, 7, 8, 999)[0]
 		for _, basis := range [][]measure.Measure{
-			{measure.DistEd{}, measure.DistMcs{}},
-			{measure.DistEd{}, measure.DistMcs{}, measure.DistGu{}},
+			{measure.DistEd, measure.DistMcs},
+			{measure.DistEd, measure.DistMcs, measure.DistGu},
 			measure.Extended(), // d=6: + label and degree feature distances
 		} {
 			res, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{
@@ -284,7 +284,7 @@ func e11() {
 	}
 	fmt.Printf("skyline size: %d of %d\n", len(want), n)
 	fmt.Printf("%-9s %8s %8s %8s\n", "measure", "k=|GSS|", "k=5", "k=10")
-	for _, m := range []measure.Measure{measure.DistEd{}, measure.DistMcs{}, measure.DistGu{}} {
+	for _, m := range []measure.Measure{measure.DistEd, measure.DistMcs, measure.DistGu} {
 		var cells []string
 		for _, k := range []int{len(want), 5, 10} {
 			res, err := db.TopKQuery(context.Background(), q, m, k, opts)

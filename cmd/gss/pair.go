@@ -45,9 +45,9 @@ func cmdPair(args []string) error {
 	}
 	fmt.Printf("|mcs|     %d%s\n", s.MCS, exact)
 	for _, m := range measure.Extended() {
-		fmt.Printf("%-10s %.4f\n", m.Name(), m.FromStats(s))
+		fmt.Printf("%-10s %.4f\n", m.Name(), m.FromStats(&s))
 	}
-	fmt.Printf("%-10s %.4f\n", "DistNEd", (measure.DistNEd{}).FromStats(s))
+	fmt.Printf("%-10s %.4f\n", "DistNEd", measure.DistNEd.FromStats(&s))
 	fmt.Printf("%-10s %.4f  %-10s %.4f\n", "SimMcs", measure.SimMcs(s), "SimGu", measure.SimGu(s))
 	return nil
 }

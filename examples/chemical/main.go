@@ -46,7 +46,7 @@ func main() {
 		fmt.Printf("%-8s %8.2f %8.2f %8.2f\n", p.ID, p.Vec[0], p.Vec[1], p.Vec[2])
 	}
 
-	for _, mm := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+	for _, mm := range []measure.Measure{measure.DistEd, measure.DistGu} {
 		top, err := db.TopKQuery(ctx, q, mm, 3, opts)
 		if err != nil {
 			log.Fatal(err)

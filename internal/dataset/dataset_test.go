@@ -48,11 +48,11 @@ func TestFig1Examples234(t *testing.T) {
 		t.Errorf("|mcs|=%d, want 4", m)
 	}
 	s := measure.Compute(g1, g2, measure.Options{})
-	if got := Round2((measure.DistMcs{}).FromStats(s)); got != 0.33 {
+	if got := Round2(measure.DistMcs.FromStats(&s)); got != 0.33 {
 		t.Errorf("DistMcs=%v, want 0.33", got)
 	}
 	// Example 4: DistGu = 0.50.
-	if got := Round2((measure.DistGu{}).FromStats(s)); got != 0.50 {
+	if got := Round2(measure.DistGu.FromStats(&s)); got != 0.50 {
 		t.Errorf("DistGu=%v, want 0.50", got)
 	}
 }

@@ -65,13 +65,13 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 			t.Fatal(err)
 		}
 		testutil.RequireSameSkyline(t, label, testutil.ReferenceSkyline(gs, q, measure.Options{}), sky.Skyline)
-		scores := testutil.ReferenceScores(gs, q, measure.DistEd{}, measure.Options{})
-		tk, err := db.TopKQuery(ctx, q, measure.DistEd{}, 3, opts)
+		scores := testutil.ReferenceScores(gs, q, measure.DistEd, measure.Options{})
+		tk, err := db.TopKQuery(ctx, q, measure.DistEd, 3, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		testutil.RequireSameItems(t, label+"/topk", testutil.ReferenceTopK(scores, 3), tk.Items)
-		rg, err := db.RangeQuery(ctx, q, measure.DistEd{}, 4, opts)
+		rg, err := db.RangeQuery(ctx, q, measure.DistEd, 4, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 		t.Fatalf("the late insert added %d dictionary entries, want 3", grown)
 	}
 	ps := measure.Compute(late, q, measure.Options{})
-	ref := measure.GCS(ps, measure.Default())
+	ref := measure.GCS(&ps, measure.Default())
 	wantKept := !slices.ContainsFunc(tab.Points, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
 	pt, kept, _, gen, ok := db.DeltaRow(late.Name(), q, qsig, tab.Points, gdb.QueryOptions{})
 	switch {
@@ -114,12 +114,12 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 	case kept != wantKept || kept && !slices.Equal(pt.Vec, ref):
 		t.Fatalf("DeltaRow kept=%v %v, reference kept=%v %v", kept, pt.Vec, wantKept, ref)
 	}
-	score := measure.DistEd{}.FromStats(ps)
+	score := measure.DistEd.FromStats(&ps)
 	if score != 1 {
 		t.Fatalf("the late graph is %v edits from the query, want 1: the fixture lost its shape", score)
 	}
 	for _, th := range []float64{score - 1, score, score + 1, math.Inf(1)} {
-		got, fits, _, _, ok := db.DeltaScore(late.Name(), q, qsig, measure.DistEd{}, th, gdb.QueryOptions{})
+		got, fits, _, _, ok := db.DeltaScore(late.Name(), q, qsig, measure.DistEd, th, gdb.QueryOptions{})
 		if !ok || fits != (score <= th) || fits && got != score {
 			t.Fatalf("DeltaScore th=%v: %v in=%v ok=%v, reference %v", th, got, fits, ok, score)
 		}
@@ -155,7 +155,7 @@ func TestScansWhileInsertsInternBranches(t *testing.T) {
 	wants := make([]want, len(queries))
 	for i, q := range queries {
 		wants[i].sky = testutil.ReferenceSkyline(gs, q, measure.Options{})
-		wants[i].rg = testutil.ReferenceRange(testutil.ReferenceScores(gs, q, measure.DistEd{}, measure.Options{}), radius)
+		wants[i].rg = testutil.ReferenceRange(testutil.ReferenceScores(gs, q, measure.DistEd, measure.Options{}), radius)
 	}
 	// The inserter keeps interning until both readers are done.
 	var readers, inserter sync.WaitGroup
@@ -189,7 +189,7 @@ func TestScansWhileInsertsInternBranches(t *testing.T) {
 						return
 					}
 					testutil.RequireSameSkyline(t, label, wants[i].sky, sky.Skyline)
-					rg, err := db.RangeQuery(ctx, q, measure.DistEd{}, radius, opts)
+					rg, err := db.RangeQuery(ctx, q, measure.DistEd, radius, opts)
 					if err != nil {
 						t.Error(err)
 						return
@@ -212,6 +212,6 @@ func TestScansWhileInsertsInternBranches(t *testing.T) {
 	for i, q := range queries {
 		label := fmt.Sprintf("q%d with %d far graphs", i, len(all)-len(gs))
 		testutil.RequireSameSkyline(t, label, testutil.ReferenceSkyline(all, q, measure.Options{}), wants[i].sky)
-		testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(testutil.ReferenceScores(all, q, measure.DistEd{}, measure.Options{}), radius), wants[i].rg)
+		testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(testutil.ReferenceScores(all, q, measure.DistEd, measure.Options{}), radius), wants[i].rg)
 	}
 }

@@ -48,8 +48,7 @@ func (db *DB) rowSnap(name string) (sn snap, ok bool) {
 // reports whether no row strictly dominates the graph's exact vector;
 // pt is then that vector, byte-identical to the complete table build's
 // row, and inexact whether a capped engine backed it. With no rows the
-// graph is always kept. opts.Basis must be Boundable
-// (measure.Boundable).
+// graph is always kept.
 // gen is the database generation observed while reading the graph —
 // callers patching a table toward generation G must see gen == G, or a
 // later mutation has interleaved and the row may describe a different
@@ -79,8 +78,7 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, row
 // or +Inf for a top-k answer holding fewer than k items. in reports
 // whether its score is at most th; score is then exact, byte-identical
 // to the ranked scan's, and inexact reports whether a capped engine
-// backed it. m must be a built-in (measure.Rankable), as it is for
-// every ranked query. gen and ok behave as in DeltaRow.
+// backed it. gen and ok behave as in DeltaRow.
 func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, th float64, opts QueryOptions) (score float64, in, inexact bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
 	sn, ok := db.rowSnap(name)

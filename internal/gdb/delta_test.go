@@ -137,7 +137,7 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := ack.Gen
-	for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+	for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
 		score, in, _, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, math.Inf(1), gdb.QueryOptions{})
 		if !ok || !in || got != gen {
 			t.Fatalf("m=%s: DeltaScore ok=%v in=%v gen=%d, want true/true/%d", m.Name(), ok, in, got, gen)
@@ -183,8 +183,8 @@ func mustNamed(t *testing.T, seed int64, name string) *graph.Graph {
 // settle that left state behind would answer the repeat differently.
 func TestDeltaSettleMatchesReference(t *testing.T) {
 	ctx := context.Background()
-	measures := []measure.Measure{measure.DistEd{}, measure.DistNEd{}, measure.DistMcs{}, measure.DistGu{},
-		measure.DistVLabel{}, measure.DistELabel{}, measure.DistDegree{}}
+	measures := []measure.Measure{measure.DistEd, measure.DistNEd, measure.DistMcs, measure.DistGu,
+		measure.DistVLabel, measure.DistELabel, measure.DistDegree}
 	var kept, dropped, in, out int
 	for _, seed := range []int64{61, 62} {
 		gs := testutil.SeededGraphs(seed, 8)
@@ -226,7 +226,7 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 					ps := measure.Compute(late, q, eval)
 					label := fmt.Sprintf("seed %d %s q%d caps %v", seed, late.Name(), i, eval)
 					for b, basis := range bases {
-						ref := measure.GCS(ps, basis)
+						ref := measure.GCS(&ps, basis)
 						rows := colds[i].rows[b].Points
 						wantKept := !slices.ContainsFunc(rows, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
 						for range 2 {
@@ -247,7 +247,7 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 						}
 					}
 					for _, m := range measures {
-						score := m.FromStats(ps)
+						score := m.FromStats(&ps)
 						needGED, needMCS := measure.EngineNeeds(m)
 						capped := needGED && !ps.GEDExact || needMCS && !ps.MCSExact
 						kth := colds[i].kth[m.Name()]
@@ -280,7 +280,7 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 	t.Logf("rows kept %d dropped %d; scores in %d out %d", kept, dropped, in, out)
 	db := testutil.NewDB(t, testutil.SeededGraphs(61, 4))
 	q := testutil.SeededQueries(161, db.Graphs(), 1)[0]
-	if _, _, _, _, ok := db.DeltaScore("missing", q, measure.NewSignature(q), measure.DistEd{}, math.Inf(1), gdb.QueryOptions{}); ok {
+	if _, _, _, _, ok := db.DeltaScore("missing", q, measure.NewSignature(q), measure.DistEd, math.Inf(1), gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaScore of an absent name claimed success")
 	}
 }

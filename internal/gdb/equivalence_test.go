@@ -48,7 +48,7 @@ func TestRankedRerunsMatchReference(t *testing.T) {
 	qs := testutil.SeededQueries(131, gs, 2)
 	eval := measure.Options{GEDMaxNodes: 500, MCSMaxNodes: 500}
 	ctx := context.Background()
-	for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+	for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
 		for _, q := range qs {
 			scores := testutil.ReferenceScores(gs, q, m, eval)
 			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
@@ -89,7 +89,7 @@ func TestRankedMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range cases {
 		for _, eval := range evals {
-			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+			for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
 				for _, q := range tc.qs {
 					scores := testutil.ReferenceScores(tc.gs, q, m, eval)
 					refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
@@ -181,11 +181,11 @@ func TestAnswersSurviveMutations(t *testing.T) {
 	}
 
 	ref := testutil.NewDB(t, db.Graphs())
-	wantTK, err := ref.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
+	wantTK, err := ref.TopKQuery(context.Background(), q, measure.DistEd, 4, gdb.QueryOptions{Eval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 4, gdb.QueryOptions{Eval: eval})
+	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd, 4, gdb.QueryOptions{Eval: eval})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func ExampleNew() {
 	if err := db.InsertAll([]*graph.Graph{tri, p4}); err != nil {
 		panic(err)
 	}
-	basis := []measure.Measure{measure.DistEd{}, measure.DistGu{}}
+	basis := []measure.Measure{measure.DistEd, measure.DistGu}
 	res, err := db.SkylineQuery(context.Background(), graph.Path(3, "A", "x"), gdb.QueryOptions{Basis: basis})
 	if err != nil {
 		panic(err)
@@ -77,7 +77,7 @@ func ExampleDB_TopKQuery() {
 	if err := db.InsertAll(dataset.PaperDB()); err != nil {
 		panic(err)
 	}
-	res, err := db.TopKQuery(context.Background(), dataset.PaperQuery(), measure.DistEd{}, 1, gdb.QueryOptions{})
+	res, err := db.TopKQuery(context.Background(), dataset.PaperQuery(), measure.DistEd, 1, gdb.QueryOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -187,20 +187,18 @@ func (sc *skyScan) settle(i int) {
 	mres := mcs.Exact(g, sc.q, mcs.Options{MaxNodes: sc.opts.Eval.MCSMaxNodes})
 	mcsv := mres.Mapping.Edges
 	bs.MCSLo, bs.MCSHi = mcsv, mcsv
-	limit := bs.GEDLimit(mcsv, func(ps measure.PairStats) bool {
-		return !sc.front.dominates(measure.GCS(ps, sc.opts.Basis))
-	})
+	limit := bs.GEDLimit(mcsv, sc.opts.Basis, func(vec []float64) bool { return !sc.front.dominates(vec) })
 	// A limit below GEDLo (outcome 2) excludes before any engine runs; a
 	// capped decision run that proves nothing falls through to the plain
 	// run inside, so got is exactly what measure.Compute's GED engine
 	// call reports.
-	_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd{}, limit, bs, sc.opts.Eval)
+	_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd, limit, bs, sc.opts.Eval)
 	if excluded {
 		return
 	}
 	got.MCS, got.MCSExact = mcsv, mres.Exhausted
 	ps := measure.PairStatsFrom(sig, sc.qsig, got)
-	vec := measure.GCS(ps, sc.opts.Basis)
+	vec := measure.GCS(&ps, sc.opts.Basis)
 	if sc.front.dominates(vec) {
 		return // outcome 3 on a report no decision run decided
 	}
@@ -212,8 +210,7 @@ func (sc *skyScan) settle(i int) {
 // evalPruned runs the pipeline for q against the snapshot. It returns
 // the exact points of the kept graphs in snapshot order, the number of
 // graphs excluded without a full exact evaluation, and the inexact pair
-// count among the kept. The caller has already checked
-// measure.Boundable(opts.Basis). With opts.Workers > 1 the workers
+// count among the kept. With opts.Workers > 1 the workers
 // share the front, so which candidates a proof spares — not the
 // skyline — depends on their interleaving.
 func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pts []skyline.Point, pruned, inexact int, err error) {

@@ -204,26 +204,3 @@ func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
 		t.Fatalf("All holds %d rows, Evaluated=%d", len(res.All), res.Stats.Evaluated)
 	}
 }
-
-// TestPruneIgnoredForForeignBasis: a basis with a measure outside the
-// built-ins must fall back to full evaluation (Pruned = 0, every graph
-// evaluated) rather than prune on unknown monotonicity.
-func TestPruneIgnoredForForeignBasis(t *testing.T) {
-	db := testutil.NewDB(t, dataset.PaperDB())
-	opts := prunedOpts(true)
-	opts.Basis = []measure.Measure{measure.DistEd{}, oppositeMeasure{}}
-	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Pruned != 0 || res.Stats.Evaluated != db.Len() {
-		t.Fatalf("foreign basis pruned anyway: %+v", res.Stats)
-	}
-}
-
-// oppositeMeasure is deliberately anti-monotone in GED: a similarity,
-// not a distance. Pruning with corner bounds would be wrong for it.
-type oppositeMeasure struct{}
-
-func (oppositeMeasure) Name() string                          { return "Opposite" }
-func (oppositeMeasure) FromStats(s measure.PairStats) float64 { return -s.GED }

@@ -29,9 +29,9 @@ type QueryOptions struct {
 	// (prune.go) — prove them dominated are never evaluated exactly. The
 	// skyline is identical to an unpruned run, but SkylineResult.All (and
 	// VectorTable.Points) then holds only the candidates the scan scored,
-	// so leave Prune off when the full table is needed. Ignored for bases
-	// outside this package's built-ins, by diversity queries, and by
-	// top-k and range queries, which always run the best-first scan.
+	// so leave Prune off when the full table is needed. Ignored by
+	// diversity queries, and by top-k and range queries, which always
+	// run the best-first scan.
 	Prune bool
 	// Trace, when non-nil, accumulates per-cascade-stage work counters
 	// and durations for this query (see trace.go). Recording is
@@ -155,9 +155,8 @@ type TopKResult struct {
 // graphs with the smallest distance under one measure, in ascending
 // (score, ID) order. It runs the best-first bound-index scan of
 // ranked.go against one collector, so the k-th best score seen so far
-// prunes every remaining candidate — no table is built. m must be one
-// of the built-in measures (measure.Rankable): the scan needs its
-// bounds. opts.Basis and opts.Prune do not apply.
+// prunes every remaining candidate — no table is built. opts.Basis and
+// opts.Prune do not apply.
 func (db *DB) TopKQuery(ctx context.Context, q *graph.Graph, m measure.Measure, k int, opts QueryOptions) (TopKResult, error) {
 	if k < 1 {
 		return TopKResult{}, fmt.Errorf("gdb: k must be >= 1")
@@ -176,9 +175,6 @@ func (db *DB) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Measure,
 // the collected answer: top-k in ascending (score, ID) order, range in
 // insertion order. Reading the answer out is the merge stage.
 func (db *DB) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (TopKResult, error) {
-	if !measure.Rankable(m) {
-		return TopKResult{}, fmt.Errorf("gdb: measure %s has no bounds to rank by (not a built-in)", m.Name())
-	}
 	start := time.Now()
 	opts = opts.withDefaults()
 	stats, err := evalRanked(ctx, db.snapshot(), measure.NewSignature(q), q, m, opts, coll)
@@ -284,7 +280,7 @@ func pairwiseMatrix(ctx context.Context, gs []*graph.Graph, opts QueryOptions) (
 		p := pairs[k]
 		ps := measure.Compute(gs[p.i], gs[p.j], opts.Eval)
 		for d, m := range basis {
-			mat.Set(d, p.i, p.j, m.FromStats(ps))
+			mat.Set(d, p.i, p.j, m.FromStats(&ps))
 		}
 		return true
 	})

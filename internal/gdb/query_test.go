@@ -58,7 +58,7 @@ func TestSkylineQueryAlgorithmsAgree(t *testing.T) {
 // are the front: g5 dominates g3 (3, .56), and g5 or g7 dominate
 // g1 (4, .50), g2 (4, .56) and g6 (4, .50). BNL, SFS and D&C agree.
 func TestSkylineQueryTwoMeasureBasis(t *testing.T) {
-	requireAlgorithmsAgree(t, []measure.Measure{measure.DistEd{}, measure.DistGu{}}, []string{"g4", "g5", "g7"})
+	requireAlgorithmsAgree(t, []measure.Measure{measure.DistEd, measure.DistGu}, []string{"g4", "g5", "g7"})
 }
 
 // requireAlgorithmsAgree runs the paper query under basis (nil: the
@@ -144,7 +144,7 @@ func TestSkylineQueryEmptyDB(t *testing.T) {
 func TestTopKQueryPaper(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
+	res, err := db.TopKQuery(context.Background(), q, measure.DistEd, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,19 +175,19 @@ func TestTopKPruningConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 2, QueryOptions{})
+	res, err := db.TopKQuery(context.Background(), q, measure.DistEd, 2, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Evaluated+res.Stats.Pruned != db.Len() {
 		t.Errorf("evaluated %d + pruned %d != %d", res.Stats.Evaluated, res.Stats.Pruned, db.Len())
 	}
-	requireSameItems(t, "pruned-topk", topk.Select(tableColumn(t, tab, measure.DistEd{}), 2), res.Items)
+	requireSameItems(t, "pruned-topk", topk.Select(tableColumn(t, tab, measure.DistEd), 2), res.Items)
 }
 
 func TestTopKErrors(t *testing.T) {
 	db := paperDB(t)
-	if _, err := db.TopKQuery(context.Background(), dataset.PaperQuery(), measure.DistEd{}, 0, QueryOptions{}); err == nil {
+	if _, err := db.TopKQuery(context.Background(), dataset.PaperQuery(), measure.DistEd, 0, QueryOptions{}); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -195,7 +195,7 @@ func TestTopKErrors(t *testing.T) {
 func TestRangeQuery(t *testing.T) {
 	db := paperDB(t)
 	q := dataset.PaperQuery()
-	res, err := db.RangeQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
+	res, err := db.RangeQuery(context.Background(), q, measure.DistEd, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestRangeQuery(t *testing.T) {
 func TestRangeQueryRadiusZero(t *testing.T) {
 	db := paperDB(t)
 	g1, _ := db.Get("g1")
-	res, err := db.RangeQuery(context.Background(), g1, measure.DistEd{}, 0, QueryOptions{})
+	res, err := db.RangeQuery(context.Background(), g1, measure.DistEd, 0, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestClassClaimOrderMatchesSort(t *testing.T) {
 		if 2*twins < len(sn.graphs) {
 			t.Fatalf("%s: %d of %d graphs have a histogram twin; the fixture lost its shape", label, twins, len(sn.graphs))
 		}
-		for _, m := range []measure.Measure{measure.DistEd{}, measure.DistNEd{}, measure.DistMcs{}} {
+		for _, m := range []measure.Measure{measure.DistEd, measure.DistNEd, measure.DistMcs} {
 			for _, q := range qs {
 				qsig := measure.NewSignature(q)
 				n := len(sn.graphs)

@@ -38,11 +38,11 @@ func TestRankedFatesPinned(t *testing.T) {
 		radius float64
 		want   map[string][4]int
 	}{
-		{measure.DistEd{}, 2, map[string][4]int{
+		{measure.DistEd, 2, map[string][4]int{
 			"topk":  {411, 1072, 400, 7717},
 			"range": {183, 1323, 197, 7897},
 		}},
-		{measure.DistNEd{}, 2.0 / 3, map[string][4]int{
+		{measure.DistNEd, 2.0 / 3, map[string][4]int{
 			"topk":  {411, 1072, 400, 7717},
 			"range": {183, 1323, 197, 7897},
 		}},

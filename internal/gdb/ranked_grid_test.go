@@ -46,7 +46,7 @@ func TestRankedEquivalenceGrid(t *testing.T) {
 		n := len(tc.gs)
 		sh := testutil.NewDB(t, tc.gs)
 		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}} {
-			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+			for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
 				for _, q := range tc.qs {
 					scores := testutil.ReferenceScores(tc.gs, q, m, eval)
 					for _, workers := range []int{1, 4} {
@@ -134,7 +134,7 @@ func TestRankedScanOrderIndependent(t *testing.T) {
 	for _, tc := range cases {
 		db := testutil.NewDB(t, tc.gs)
 		for qi, q := range tc.qs {
-			for _, m := range []measure.Measure{measure.DistEd{}, measure.DistGu{}} {
+			for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
 				scores := testutil.ReferenceScores(tc.gs, q, m, opts.Eval)
 				var queries []query
 				for _, k := range []int{1, 5} {

@@ -32,10 +32,10 @@ func TestRankedCanceled(t *testing.T) {
 	db := paperDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.TopKQuery(ctx, dataset.PaperQuery(), measure.DistEd{}, 2, QueryOptions{}); err == nil {
+	if _, err := db.TopKQuery(ctx, dataset.PaperQuery(), measure.DistEd, 2, QueryOptions{}); err == nil {
 		t.Error("canceled top-k succeeded")
 	}
-	if _, err := db.RangeQuery(ctx, dataset.PaperQuery(), measure.DistEd{}, 2, QueryOptions{}); err == nil {
+	if _, err := db.RangeQuery(ctx, dataset.PaperQuery(), measure.DistEd, 2, QueryOptions{}); err == nil {
 		t.Error("canceled range succeeded")
 	}
 }

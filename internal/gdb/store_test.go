@@ -89,7 +89,7 @@ func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase,
 	t.Helper()
 	ctx := context.Background()
 	opts := gdb.QueryOptions{Eval: eval, Workers: 4}
-	m := measure.DistEd{}
+	m := measure.DistEd
 	for ci, c := range cases {
 		refPoints := testutil.ReferenceTable(gs, c.q, eval)
 		refSky := testutil.ReferenceSkyline(gs, c.q, eval)

@@ -35,7 +35,7 @@ func seededHistory(seed int64) (initial []*graph.Graph, ops []historyOp, want []
 	pool := testutil.SeededGraphs(seed, 28)
 	queries := testutil.SeededQueries(seed+100, pool, 4)
 	eval := measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}
-	m := measure.DistEd{}
+	m := measure.DistEd
 
 	initial = pool[:10]
 	live := append([]*graph.Graph(nil), initial...)
@@ -117,7 +117,7 @@ func renderMutation(existed, failed bool, live []*graph.Graph) string {
 func TestMutationHistoryMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	initial, ops, want := seededHistory(17)
-	m := measure.DistEd{}
+	m := measure.DistEd
 	sh := testutil.NewDB(t, initial)
 	for i, op := range ops {
 		label := fmt.Sprintf("step %d (%s)", i, op.kind)

@@ -81,20 +81,18 @@ func (db *DB) snapshot() snap {
 // skyline answers both run it, and derive their answers from the table
 // with zero new pair evaluations.
 //
-// With opts.Prune set (and a Boundable basis), evaluation runs the
-// bound-and-scan pipeline of prune.go instead of the full scan:
-// signature bounds for every graph, then a best-first scan of all of
-// them against one running front, which scores exactly only the ones
-// no cheaper proof discards. The resulting table's skyline is identical
-// to the complete table's. For a foreign basis the full scan runs
-// either way.
+// With opts.Prune set, evaluation runs the bound-and-scan pipeline of
+// prune.go instead of the full scan: signature bounds for every graph,
+// then a best-first scan of all of them against one running front,
+// which scores exactly only the ones no cheaper proof discards. The
+// resulting table's skyline is identical to the complete table's.
 func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	sn := db.snapshot()
 	qsig := measure.NewSignature(q)
 	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
 	var err error
-	if opts.Prune && measure.Boundable(opts.Basis) {
+	if opts.Prune {
 		t.Points, t.Pruned, t.Inexact, err = evalPruned(ctx, sn, q, qsig, opts)
 	} else {
 		t.Points, t.Inexact, err = evalComplete(ctx, sn, q, qsig, opts)
@@ -117,7 +115,7 @@ func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Si
 	err := forEachClaim(ctx, len(sn.graphs), opts.Workers, func(i int) bool {
 		h := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}
 		ps := measure.ComputeHinted(sn.graphs[i], q, opts.Eval, h)
-		pts[i] = skyline.Point{ID: sn.graphs[i].Name(), Vec: measure.GCS(ps, opts.Basis)}
+		pts[i] = skyline.Point{ID: sn.graphs[i].Name(), Vec: measure.GCS(&ps, opts.Basis)}
 		if !ps.GEDExact || !ps.MCSExact {
 			inexact.Add(1)
 		}

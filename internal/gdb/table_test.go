@@ -85,11 +85,11 @@ func TestSaveLoadQueryDeterminism(t *testing.T) {
 		t.Fatalf("skyline drifted across save/load:\n before %v\n  after %v", r1.Skyline, r2.Skyline)
 	}
 
-	k1, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
+	k1, err := db.TopKQuery(context.Background(), q, measure.DistEd, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := reloaded.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
+	k2, err := reloaded.TopKQuery(context.Background(), q, measure.DistEd, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestSaveLoadQueryDeterminism(t *testing.T) {
 		t.Fatalf("topk drifted: %v vs %v", k1.Items, k2.Items)
 	}
 
-	g1, err := db.RangeQuery(context.Background(), q, measure.DistGu{}, 0.9, QueryOptions{})
+	g1, err := db.RangeQuery(context.Background(), q, measure.DistGu, 0.9, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := reloaded.RangeQuery(context.Background(), q, measure.DistGu{}, 0.9, QueryOptions{})
+	g2, err := reloaded.RangeQuery(context.Background(), q, measure.DistGu, 0.9, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +164,8 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 		t.Fatalf("table skyline differs from direct query")
 	}
 
-	items := topk.Select(tableColumn(t, tab, measure.DistEd{}), 3)
-	directK, err := db.TopKQuery(context.Background(), q, measure.DistEd{}, 3, QueryOptions{})
+	items := topk.Select(tableColumn(t, tab, measure.DistEd), 3)
+	directK, err := db.TopKQuery(context.Background(), q, measure.DistEd, 3, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +174,12 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	}
 
 	var rItems []topk.Item
-	for _, it := range tableColumn(t, tab, measure.DistMcs{}) {
+	for _, it := range tableColumn(t, tab, measure.DistMcs) {
 		if it.Score <= 0.8 {
 			rItems = append(rItems, it)
 		}
 	}
-	directR, err := db.RangeQuery(context.Background(), q, measure.DistMcs{}, 0.8, QueryOptions{})
+	directR, err := db.RangeQuery(context.Background(), q, measure.DistMcs, 0.8, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestVectorTableMatchesDirectQueries(t *testing.T) {
 	}
 
 	// Range with an infinite radius returns every graph.
-	all, err := db.RangeQuery(context.Background(), q, measure.DistEd{}, math.Inf(1), QueryOptions{})
+	all, err := db.RangeQuery(context.Background(), q, measure.DistEd, math.Inf(1), QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestTraceRankedConsistent(t *testing.T) {
 	seeded := testutil.SeededGraphs(9, 30)
 	family25, familyQueries := testutil.NoisyFamily(25)
 	family12, _ := testutil.NoisyFamily(12)
-	m := measure.DistEd{}
+	m := measure.DistEd
 	for _, tc := range []struct {
 		name    string
 		gs      []*graph.Graph
@@ -183,7 +183,7 @@ func TestBranchBoundSparesDecisionRuns(t *testing.T) {
 		g.SetName(fmt.Sprintf("g%05d", i))
 	}
 	sh := testutil.NewDB(t, gs)
-	m := measure.DistEd{}
+	m := measure.DistEd
 	exactPairs, evaluated := 0, 0
 	for qi, q := range dataset.NoisyQueries(gs, 12, 1, 3505) {
 		for _, kind := range []string{"topk", "range"} {

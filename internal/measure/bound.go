@@ -102,7 +102,7 @@ func Refine(g1, g2 *graph.Graph, bs BoundStats) BoundStats {
 }
 
 // corners returns the optimistic and pessimistic PairStats corners of
-// the interval: every basis measure is non-decreasing in GED and
+// the interval: every measure is non-decreasing in GED and
 // non-increasing in MCS (distances shrink as similarity grows), so the
 // (GEDLo, MCSHi) corner minimizes and the (GEDHi, MCSLo) corner
 // maximizes each measure simultaneously.
@@ -119,31 +119,15 @@ func (bs BoundStats) corners() (opt, pes PairStats) {
 }
 
 // IntervalGCS evaluates the GCS interval vector of the bounds under
-// basis: lo[i] <= exact GCS[i] <= hi[i] for every basis measure. Only
-// valid for Boundable bases.
+// basis: lo[i] <= exact GCS[i] <= hi[i] for every basis measure.
 func (bs BoundStats) IntervalGCS(basis []Measure) (lo, hi []float64) {
 	opt, pes := bs.corners()
-	return GCS(opt, basis), GCS(pes, basis)
+	return GCS(&opt, basis), GCS(&pes, basis)
 }
 
 // OptimisticGCS is IntervalGCS's lo alone: the corner the skyline
 // scan's front tests once the branch bound has raised GEDLo.
 func (bs BoundStats) OptimisticGCS(basis []Measure) []float64 {
 	opt, _ := bs.corners()
-	return GCS(opt, basis)
-}
-
-// Boundable reports whether every basis measure is one of the built-in
-// measures, all of which are monotone in (GED, MCS) as corners()
-// requires. Pruning layers must fall back to full evaluation for bases
-// containing foreign measures.
-func Boundable(basis []Measure) bool {
-	for _, m := range basis {
-		switch m.(type) {
-		case DistEd, DistNEd, DistMcs, DistGu, DistVLabel, DistELabel, DistDegree:
-		default:
-			return false
-		}
-	}
-	return true
+	return GCS(&opt, basis)
 }

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestBoundGCSAdmissible(t *testing.T) {
 				t.Fatalf("hint reuse changed Compute: %+v vs %+v", hinted, plain)
 			}
 			for _, basis := range bases {
-				vec := GCS(plain, basis)
+				vec := GCS(&plain, basis)
 				lo0, hi0 := bs0.IntervalGCS(basis)
 				requireContains(t, "tier0", lo0, vec, hi0)
 				lo1, hi1 := bs1.IntervalGCS(basis)
@@ -73,7 +74,8 @@ func TestBoundGCSEmptyGraphs(t *testing.T) {
 	for _, p := range pairs {
 		g, q := p[0], p[1]
 		sg, sq := NewSignature(g), NewSignature(q)
-		vec := GCS(Compute(g, q, Options{}), Default())
+		ps := Compute(g, q, Options{})
+		vec := GCS(&ps, Default())
 		lo, hi := BoundPair(sg, sq).IntervalGCS(Default())
 		requireContains(t, g.Name()+"/"+q.Name(), lo, vec, hi)
 		bs := Refine(g, q, BoundPair(sg, sq))
@@ -82,36 +84,65 @@ func TestBoundGCSEmptyGraphs(t *testing.T) {
 	}
 }
 
-// TestBoundableRejectsForeignMeasures: pruning must not engage for a
-// basis containing a measure whose monotonicity is unknown.
-func TestBoundableRejectsForeignMeasures(t *testing.T) {
-	if !Boundable(Default()) || !Boundable(Extended()) || !Boundable(DiversityBasis()) {
-		t.Fatal("built-in bases must be boundable")
-	}
-	if Boundable([]Measure{DistEd{}, fakeMeasure{}}) {
-		t.Fatal("foreign measure must make the basis unboundable")
-	}
-}
-
-// TestEveryNamedMeasureIsBoundable: every measure a request can name
-// resolves through ByName to a Rankable, Boundable built-in. The server
-// prunes every request on that guarantee and keeps no table fallback.
+// TestEveryNamedMeasureIsBoundable: each of the seven measures keeps
+// its wire name and resolves through ByName, an unknown name keeps
+// ByName's error text, a basis naming a measure twice is refused, and
+// each measure is non-decreasing in GED and non-increasing in MCS over
+// an integer grid of pair statistics (MCS <= min(Size1, Size2)): the
+// monotonicity corners() and BoundStats.GEDLimit's binary search rely
+// on to bound every basis a request can name.
 func TestEveryNamedMeasureIsBoundable(t *testing.T) {
-	if len(builtins) != 7 {
-		t.Fatalf("ByName resolves %d measures; want the 7 built-ins", len(builtins))
+	table := []struct {
+		m    Measure
+		name string
+	}{
+		{DistEd, "DistEd"},
+		{DistNEd, "DistNEd"},
+		{DistMcs, "DistMcs"},
+		{DistGu, "DistGu"},
+		{DistVLabel, "DistVLabel"},
+		{DistELabel, "DistELabel"},
+		{DistDegree, "DistDegree"},
 	}
-	for _, want := range builtins {
-		m, err := ByName(want.Name())
-		if err != nil || m != want {
-			t.Fatalf("ByName(%s) = %v, %v", want.Name(), m, err)
+	if len(wireNames) != len(table) {
+		t.Fatalf("%d measures; want the 7 of the table", len(wireNames))
+	}
+	for _, tc := range table {
+		if got := tc.m.Name(); got != tc.name {
+			t.Errorf("measure %d is named %q; want %q", tc.m, got, tc.name)
 		}
-		if !Rankable(m) || !Boundable([]Measure{m}) {
-			t.Errorf("%s resolves by name but is not Rankable and Boundable", m.Name())
+		if m, err := ByName(tc.name); err != nil || m != tc.m {
+			t.Errorf("ByName(%q) = %d, %v; want %d", tc.name, m, err, tc.m)
 		}
+		at := func(ged, mcs, s1, s2 int) float64 {
+			ps := PairStats{
+				GED: float64(ged), MCS: mcs, Size1: s1, Size2: s2,
+				Order1: s1 + 1, Order2: s2, VHistDist: s2, EHistDist: s1, DegL1: s1 + s2,
+			}
+			return tc.m.FromStats(&ps)
+		}
+		for s1 := 0; s1 <= 4; s1++ {
+			for s2 := 0; s2 <= 4; s2++ {
+				for mcs := 0; mcs <= min(s1, s2); mcs++ {
+					for ged := 0; ged <= 10; ged++ {
+						v := at(ged, mcs, s1, s2)
+						if up := at(ged+1, mcs, s1, s2); up < v {
+							t.Fatalf("%s falls with GED at sizes (%d, %d), mcs %d: %v at GED %d, %v at %d", tc.name, s1, s2, mcs, v, ged, up, ged+1)
+						}
+						if mcs < min(s1, s2) {
+							if up := at(ged, mcs+1, s1, s2); up > v {
+								t.Fatalf("%s rises with MCS at sizes (%d, %d), GED %d: %v at mcs %d, %v at %d", tc.name, s1, s2, ged, v, mcs, up, mcs+1)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if _, err := ByName("DistBogus"); err == nil || err.Error() != `measure: unknown measure "DistBogus"` {
+		t.Errorf("ByName(DistBogus) error = %v", err)
+	}
+	if _, err := BasisByNames([]string{"DistEd", "DistMcs", "DistEd"}); !errors.Is(err, ErrRepeatedMeasure) {
+		t.Errorf("BasisByNames with a repeated name: error = %v; want ErrRepeatedMeasure", err)
 	}
 }
-
-type fakeMeasure struct{}
-
-func (fakeMeasure) Name() string                { return "Fake" }
-func (fakeMeasure) FromStats(PairStats) float64 { return 0 }

@@ -5,71 +5,26 @@ package measure
 // aspect in the graph structure" (Section IV); these measures extend the
 // GCS basis to higher dimensions for the d-sweep experiments (E8) at
 // negligible cost: all derive from label histograms and degree sequences
-// already computed by Compute.
-
-// DistVLabel is the normalized vertex-label histogram distance: the
-// minimum number of vertex relabel/insert/delete operations implied by the
-// label multisets alone, divided by max(|V1|, |V2|). It lower-bounds the
-// vertex-related fraction of the edit distance and reacts only to label
-// composition, not structure.
-type DistVLabel struct{}
-
-func (DistVLabel) Name() string { return "DistVLabel" }
-
-// FromStats returns VHistDist / max(order1, order2), or 0 for two empty
-// graphs.
-func (DistVLabel) FromStats(s PairStats) float64 {
-	m := s.Order1
-	if s.Order2 > m {
-		m = s.Order2
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(s.VHistDist) / float64(m)
-}
-
-// DistELabel is the normalized edge-label histogram distance, the edge
-// analogue of DistVLabel.
-type DistELabel struct{}
-
-func (DistELabel) Name() string { return "DistELabel" }
-
-// FromStats returns EHistDist / max(|g1|, |g2|), or 0 when both graphs
-// are edgeless.
-func (DistELabel) FromStats(s PairStats) float64 {
-	m := s.Size1
-	if s.Size2 > m {
-		m = s.Size2
-	}
-	if m == 0 {
-		return 0
-	}
-	return float64(s.EHistDist) / float64(m)
-}
-
-// DistDegree compares connectivity profiles: the L1 distance between the
-// sorted degree sequences (shorter padded with zeros) normalized by the
-// total degree mass 2(|E1|+|E2|). Two graphs with identical degree
-// sequences score 0 regardless of labels.
-type DistDegree struct{}
-
-func (DistDegree) Name() string { return "DistDegree" }
-
-// FromStats returns DegL1 / (2(|g1|+|g2|)), or 0 when both graphs are
-// edgeless.
-func (DistDegree) FromStats(s PairStats) float64 {
-	total := 2 * (s.Size1 + s.Size2)
-	if total == 0 {
-		return 0
-	}
-	return float64(s.DegL1) / float64(total)
-}
+// already computed by Compute. The three measures (constants in
+// measure.go, formulas in Measure.FromStats):
+//
+//   - DistVLabel is the normalized vertex-label histogram distance: the
+//     minimum number of vertex relabel/insert/delete operations implied
+//     by the label multisets alone, VHistDist, divided by max(|V1|,
+//     |V2|). It lower-bounds the vertex-related fraction of the edit
+//     distance and reacts only to label composition, not structure.
+//   - DistELabel is its edge analogue: EHistDist / max(|g1|, |g2|).
+//   - DistDegree compares connectivity profiles: the L1 distance between
+//     the sorted degree sequences (shorter padded with zeros), DegL1,
+//     normalized by the total degree mass 2(|E1|+|E2|). Two graphs with
+//     identical degree sequences score 0 regardless of labels.
+//
+// Each is 0 when its denominator is (two empty or two edgeless graphs).
 
 // Extended returns the paper basis extended with the feature measures:
 // (DistEd, DistMcs, DistGu, DistVLabel, DistELabel, DistDegree).
 func Extended() []Measure {
-	return []Measure{DistEd{}, DistMcs{}, DistGu{}, DistVLabel{}, DistELabel{}, DistDegree{}}
+	return []Measure{DistEd, DistMcs, DistGu, DistVLabel, DistELabel, DistDegree}
 }
 
 // degreeL1 is the L1 distance of two descending degree sequences, the

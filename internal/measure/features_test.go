@@ -11,8 +11,8 @@ import (
 func TestFeatureMeasuresIdenticalZero(t *testing.T) {
 	g := graph.Cycle(5, "A", "x")
 	s := Compute(g, g.Clone(), Options{})
-	for _, m := range []Measure{DistVLabel{}, DistELabel{}, DistDegree{}} {
-		if v := m.FromStats(s); v != 0 {
+	for _, m := range []Measure{DistVLabel, DistELabel, DistDegree} {
+		if v := m.FromStats(&s); v != 0 {
 			t.Errorf("%s=%v on identical graphs", m.Name(), v)
 		}
 	}
@@ -25,8 +25,8 @@ func TestFeatureMeasuresRange(t *testing.T) {
 		g1 := graph.ErdosRenyi(1+r.Intn(7), 0.4, []string{"A", "B"}, []string{"x", "y"}, r)
 		g2 := graph.ErdosRenyi(1+r.Intn(7), 0.4, []string{"A", "B"}, []string{"x", "y"}, r)
 		s := Compute(g1, g2, Options{})
-		for _, m := range []Measure{DistVLabel{}, DistELabel{}, DistDegree{}} {
-			v := m.FromStats(s)
+		for _, m := range []Measure{DistVLabel, DistELabel, DistDegree} {
+			v := m.FromStats(&s)
 			if v < 0 || v > 1 {
 				return false
 			}
@@ -42,13 +42,13 @@ func TestDistVLabelValues(t *testing.T) {
 	g1 := graph.Path(4, "A", "x") // 4x A
 	g2 := graph.Path(4, "B", "x") // 4x B
 	s := Compute(g1, g2, Options{})
-	if v := (DistVLabel{}).FromStats(s); v != 1 {
+	if v := DistVLabel.FromStats(&s); v != 1 {
 		t.Errorf("DistVLabel=%v, want 1 (fully disjoint labels)", v)
 	}
 	g3 := graph.Path(4, "A", "x")
 	g3.RelabelVertex(0, "B")
 	s2 := Compute(g1, g3, Options{})
-	if v := (DistVLabel{}).FromStats(s2); v != 0.25 {
+	if v := DistVLabel.FromStats(&s2); v != 0.25 {
 		t.Errorf("DistVLabel=%v, want 0.25 (1 of 4 differs)", v)
 	}
 }
@@ -57,7 +57,7 @@ func TestDistELabelValues(t *testing.T) {
 	g1 := graph.Path(3, "A", "x")
 	g2 := graph.Path(3, "A", "y")
 	s := Compute(g1, g2, Options{})
-	if v := (DistELabel{}).FromStats(s); v != 1 {
+	if v := DistELabel.FromStats(&s); v != 1 {
 		t.Errorf("DistELabel=%v, want 1", v)
 	}
 }
@@ -69,13 +69,13 @@ func TestDistDegreeStructureOnly(t *testing.T) {
 	s := graph.Star(4, "A", "x")
 	st := Compute(p, s, Options{})
 	want := 2.0 / 12.0
-	if v := (DistDegree{}).FromStats(st); v != want {
+	if v := DistDegree.FromStats(&st); v != want {
 		t.Errorf("DistDegree=%v, want %v", v, want)
 	}
 	// Same structure, different labels: degree distance must be 0.
 	q := graph.Path(4, "B", "y")
 	st2 := Compute(p, q, Options{})
-	if v := (DistDegree{}).FromStats(st2); v != 0 {
+	if v := DistDegree.FromStats(&st2); v != 0 {
 		t.Errorf("DistDegree=%v, want 0 (labels must not matter)", v)
 	}
 }

@@ -8,12 +8,16 @@
 //   - DistMcs: 1 − |mcs|/max(|g1|,|g2|) (Definition 9 / Eq. 2).
 //   - DistGu: 1 − |mcs|/(|g1|+|g2|−|mcs|) (Definition 10 / Eq. 3).
 //
-// Because DistMcs and DistGu share the mcs computation and DistEd is
-// expensive, measures are evaluated from a PairStats value computed once
-// per graph pair.
+// features.go adds three cheap feature measures (DistVLabel, DistELabel,
+// DistDegree). The set is closed: Measure is a small value with one
+// constant per measure, and ByName is the only conversion from outside
+// input. Because DistMcs and DistGu share the mcs computation and DistEd
+// is expensive, measures are evaluated from a PairStats value computed
+// once per graph pair.
 package measure
 
 import (
+	"errors"
 	"fmt"
 
 	"skygraph/internal/ged"
@@ -139,94 +143,113 @@ func histsOf(g *graph.Graph, sig *Signature) (vh, eh Histogram, deg []int) {
 	return vh, eh, g.DegreeSequence()
 }
 
-// Measure is a local graph distance derived from PairStats. Smaller is more
-// similar, matching the paper's "the smaller the better" convention
-// (Definition 1 and 12).
-type Measure interface {
-	// Name returns the measure identifier, e.g. "DistEd".
-	Name() string
-	// FromStats derives the distance value from shared pair statistics.
-	FromStats(PairStats) float64
+// Measure is one of the local graph distances of the closed set below,
+// derived from PairStats. Smaller is more similar, matching the paper's
+// "the smaller the better" convention (Definition 1 and 12). Every
+// measure is non-decreasing in GED and non-increasing in MCS, which the
+// interval bounds (bound.go) and the ranked cutoffs (rank.go) rely on.
+type Measure uint8
+
+const (
+	// DistEd is the graph edit distance (unnormalized, as used in Table
+	// III of the paper).
+	DistEd Measure = iota
+	// DistNEd is the normalized edit distance f(x) = x/(1+x) used by the
+	// diversity refinement (Section VII). It maps [0,∞) into [0,1).
+	DistNEd
+	// DistMcs is the Bunke–Shearer mcs distance (Eq. 2).
+	DistMcs
+	// DistGu is the Wallis graph-union distance (Eq. 3), the graph
+	// analogue of the Jaccard distance.
+	DistGu
+	// DistVLabel, DistELabel and DistDegree are the feature measures of
+	// features.go.
+	DistVLabel
+	DistELabel
+	DistDegree
+)
+
+// wireNames holds each measure's wire name, indexed by the measure.
+var wireNames = [...]string{
+	DistEd:     "DistEd",
+	DistNEd:    "DistNEd",
+	DistMcs:    "DistMcs",
+	DistGu:     "DistGu",
+	DistVLabel: "DistVLabel",
+	DistELabel: "DistELabel",
+	DistDegree: "DistDegree",
 }
 
-// DistEd is the graph edit distance measure (unnormalized, as used in
-// Table III of the paper).
-type DistEd struct{}
+// Name returns the measure identifier, e.g. "DistEd".
+func (m Measure) Name() string { return wireNames[m] }
 
-func (DistEd) Name() string { return "DistEd" }
-
-// FromStats returns the edit distance.
-func (DistEd) FromStats(s PairStats) float64 { return s.GED }
-
-// DistNEd is the normalized edit distance f(x) = x/(1+x) used by the
-// diversity refinement (Section VII). It maps [0,∞) into [0,1).
-type DistNEd struct{}
-
-func (DistNEd) Name() string { return "DistNEd" }
-
-// FromStats returns GED/(1+GED).
-func (DistNEd) FromStats(s PairStats) float64 { return s.GED / (1 + s.GED) }
-
-// DistMcs is the Bunke–Shearer mcs distance (Eq. 2).
-type DistMcs struct{}
-
-func (DistMcs) Name() string { return "DistMcs" }
-
-// FromStats returns 1 − |mcs|/max(|g1|,|g2|); by convention two empty
-// graphs have distance 0.
-func (DistMcs) FromStats(s PairStats) float64 {
-	m := s.Size1
-	if s.Size2 > m {
-		m = s.Size2
+// FromStats derives the distance value from shared pair statistics:
+//
+//   - DistEd: the edit distance;
+//   - DistNEd: GED/(1+GED);
+//   - DistMcs: 1 − |mcs|/max(|g1|,|g2|);
+//   - DistGu: 1 − |mcs|/(|g1|+|g2|−|mcs|);
+//   - the feature measures: see features.go.
+//
+// By convention two empty graphs have DistMcs and DistGu distance 0.
+func (m Measure) FromStats(s *PairStats) float64 {
+	switch m {
+	case DistEd:
+		return s.GED
+	case DistNEd:
+		return s.GED / (1 + s.GED)
+	case DistMcs:
+		return ratioDist(s.MCS, max(s.Size1, s.Size2))
+	case DistGu:
+		return ratioDist(s.MCS, s.Size1+s.Size2-s.MCS)
+	case DistVLabel:
+		return ratio(s.VHistDist, max(s.Order1, s.Order2))
+	case DistELabel:
+		return ratio(s.EHistDist, max(s.Size1, s.Size2))
+	case DistDegree:
+		return ratio(s.DegL1, 2*(s.Size1+s.Size2))
 	}
-	if m == 0 {
-		return 0
-	}
-	return 1 - float64(s.MCS)/float64(m)
+	panic(fmt.Sprintf("measure: no measure %d", m))
 }
 
-// DistGu is the Wallis graph-union distance (Eq. 3), the graph analogue of
-// the Jaccard distance.
-type DistGu struct{}
-
-func (DistGu) Name() string { return "DistGu" }
-
-// FromStats returns 1 − |mcs|/(|g1|+|g2|−|mcs|); two empty graphs have
-// distance 0.
-func (DistGu) FromStats(s PairStats) float64 {
-	union := s.Size1 + s.Size2 - s.MCS
-	if union == 0 {
+// ratio returns a/b, or 0 when b is 0.
+func ratio(a, b int) float64 {
+	if b == 0 {
 		return 0
 	}
-	return 1 - float64(s.MCS)/float64(union)
+	return float64(a) / float64(b)
+}
+
+// ratioDist returns 1 − a/b, or 0 when b is 0.
+func ratioDist(a, b int) float64 {
+	if b == 0 {
+		return 0
+	}
+	return 1 - float64(a)/float64(b)
 }
 
 // SimMcs returns the Bunke–Shearer similarity |mcs|/max (Definition 9).
-func SimMcs(s PairStats) float64 { return 1 - (DistMcs{}).FromStats(s) }
+func SimMcs(s PairStats) float64 { return 1 - DistMcs.FromStats(&s) }
 
 // SimGu returns the graph-union similarity (Definition 10).
-func SimGu(s PairStats) float64 { return 1 - (DistGu{}).FromStats(s) }
+func SimGu(s PairStats) float64 { return 1 - DistGu.FromStats(&s) }
 
 // Default is the paper's three-measure GCS basis (Section V):
 // (DistEd, DistMcs, DistGu).
-func Default() []Measure { return []Measure{DistEd{}, DistMcs{}, DistGu{}} }
+func Default() []Measure { return []Measure{DistEd, DistMcs, DistGu} }
 
 // DiversityBasis is the basis of the Section VII refinement:
 // (DistNEd, DistMcs, DistGu).
-func DiversityBasis() []Measure { return []Measure{DistNEd{}, DistMcs{}, DistGu{}} }
+func DiversityBasis() []Measure { return []Measure{DistNEd, DistMcs, DistGu} }
 
-// builtins is every measure ByName resolves. Each one is Boundable (and
-// so Rankable), which the server relies on to always prune.
-var builtins = []Measure{DistEd{}, DistNEd{}, DistMcs{}, DistGu{}, DistVLabel{}, DistELabel{}, DistDegree{}}
-
-// ByName returns the built-in measure with the given name.
+// ByName returns the measure with the given name.
 func ByName(name string) (Measure, error) {
-	for _, m := range builtins {
-		if m.Name() == name {
-			return m, nil
+	for m, n := range wireNames {
+		if n == name {
+			return Measure(m), nil
 		}
 	}
-	return nil, fmt.Errorf("measure: unknown measure %q", name)
+	return 0, fmt.Errorf("measure: unknown measure %q", name)
 }
 
 // BasisNames returns the measure names of a basis, in order — the
@@ -239,26 +262,35 @@ func BasisNames(basis []Measure) []string {
 	return out
 }
 
+// ErrRepeatedMeasure reports a basis that names one measure twice.
+var ErrRepeatedMeasure = errors.New("measure: basis names a measure twice")
+
 // BasisByNames resolves measure names back into a basis; an empty list
-// yields the paper's default basis.
+// yields the paper's default basis. A basis names each measure at most
+// once (ErrRepeatedMeasure otherwise), so it holds at most seven.
 func BasisByNames(names []string) ([]Measure, error) {
 	if len(names) == 0 {
 		return Default(), nil
 	}
-	out := make([]Measure, len(names))
-	for i, n := range names {
+	out := make([]Measure, 0, len(wireNames))
+	var seen uint8
+	for _, n := range names {
 		m, err := ByName(n)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = m
+		if seen&(1<<m) != 0 {
+			return nil, fmt.Errorf("%w: %s", ErrRepeatedMeasure, n)
+		}
+		seen |= 1 << m
+		out = append(out, m)
 	}
 	return out, nil
 }
 
 // GCS evaluates the compound similarity vector (Definition 11) of the pair
 // statistics under the given measure basis.
-func GCS(s PairStats, basis []Measure) []float64 {
+func GCS(s *PairStats, basis []Measure) []float64 {
 	out := make([]float64, len(basis))
 	for i, m := range basis {
 		out[i] = m.FromStats(s)
@@ -268,5 +300,6 @@ func GCS(s PairStats, basis []Measure) []float64 {
 
 // ComputeGCS is Compute followed by GCS on the default basis.
 func ComputeGCS(g, q *graph.Graph, opts Options) []float64 {
-	return GCS(Compute(g, q, opts), Default())
+	s := Compute(g, q, opts)
+	return GCS(&s, Default())
 }

@@ -22,7 +22,7 @@ func TestIdenticalGraphsAllZero(t *testing.T) {
 	g := graph.Cycle(5, "A", "x")
 	s := statsFor(t, g, g.Clone())
 	for _, m := range Default() {
-		if v := m.FromStats(s); v != 0 {
+		if v := m.FromStats(&s); v != 0 {
 			t.Errorf("%s=%v on identical graphs", m.Name(), v)
 		}
 	}
@@ -31,10 +31,10 @@ func TestIdenticalGraphsAllZero(t *testing.T) {
 func TestEmptyGraphConventions(t *testing.T) {
 	e := graph.New("e")
 	s := statsFor(t, e, e.Clone())
-	if (DistMcs{}).FromStats(s) != 0 || (DistGu{}).FromStats(s) != 0 {
+	if DistMcs.FromStats(&s) != 0 || DistGu.FromStats(&s) != 0 {
 		t.Error("empty-vs-empty mcs distances should be 0")
 	}
-	if (DistNEd{}).FromStats(s) != 0 {
+	if DistNEd.FromStats(&s) != 0 {
 		t.Error("empty-vs-empty normalized GED should be 0")
 	}
 }
@@ -45,13 +45,13 @@ func TestDistancesInRange(t *testing.T) {
 		g1 := graph.Molecule(5+rng.Intn(3), rng)
 		g2 := graph.Molecule(5+rng.Intn(3), rng)
 		s := statsFor(t, g1, g2)
-		for _, m := range []Measure{DistMcs{}, DistGu{}, DistNEd{}} {
-			v := m.FromStats(s)
+		for _, m := range []Measure{DistMcs, DistGu, DistNEd} {
+			v := m.FromStats(&s)
 			if v < 0 || v > 1 {
 				t.Fatalf("%s=%v out of [0,1]", m.Name(), v)
 			}
 		}
-		if (DistEd{}).FromStats(s) < 0 {
+		if DistEd.FromStats(&s) < 0 {
 			t.Fatal("negative edit distance")
 		}
 	}
@@ -82,10 +82,10 @@ func TestDistGuIsJaccardLike(t *testing.T) {
 	}
 	wantMcs := 1 - 3.0/5.0
 	wantGu := 1 - 3.0/(3+5-3.0)
-	if v := (DistMcs{}).FromStats(s); math.Abs(v-wantMcs) > 1e-12 {
+	if v := DistMcs.FromStats(&s); math.Abs(v-wantMcs) > 1e-12 {
 		t.Errorf("DistMcs=%v, want %v", v, wantMcs)
 	}
-	if v := (DistGu{}).FromStats(s); math.Abs(v-wantGu) > 1e-12 {
+	if v := DistGu.FromStats(&s); math.Abs(v-wantGu) > 1e-12 {
 		t.Errorf("DistGu=%v, want %v", v, wantGu)
 	}
 }
@@ -94,20 +94,20 @@ func TestNormalizedEdMonotone(t *testing.T) {
 	vals := []float64{0, 1, 2, 5, 100}
 	prev := -1.0
 	for _, x := range vals {
-		v := (DistNEd{}).FromStats(PairStats{GED: x})
+		v := DistNEd.FromStats(&PairStats{GED: x})
 		if v <= prev || v >= 1 {
 			t.Errorf("f(%v)=%v not in (prev,1)", x, v)
 		}
 		prev = v
 	}
-	if v := (DistNEd{}).FromStats(PairStats{GED: 6}); math.Abs(v-6.0/7.0) > 1e-12 {
+	if v := DistNEd.FromStats(&PairStats{GED: 6}); math.Abs(v-6.0/7.0) > 1e-12 {
 		t.Errorf("f(6)=%v", v)
 	}
 }
 
 func TestGCSVectorOrder(t *testing.T) {
 	s := PairStats{GED: 4, MCS: 4, Size1: 6, Size2: 6}
-	vec := GCS(s, Default())
+	vec := GCS(&s, Default())
 	if len(vec) != 3 {
 		t.Fatalf("len=%d", len(vec))
 	}

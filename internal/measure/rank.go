@@ -25,18 +25,13 @@ import (
 //   - ComputeRankResults: the threshold-fed pair evaluation — decision
 //     runs first, full exactness only for candidates the engines cannot
 //     discard. Scores of surviving candidates are byte-identical to
-//     m.FromStats(ComputeHinted(...)) on the same pair.
-
-// Rankable reports whether m is a built-in measure the ranked
-// filter-and-refine path can bound and decide. Foreign measures must
-// fall back to full evaluation.
-func Rankable(m Measure) bool { return Boundable([]Measure{m}) }
+//     m.FromStats on ComputeHinted(...) of the same pair.
 
 // EngineNeeds reports which exact engines m consumes: the feature
 // measures (DistVLabel, DistELabel, DistDegree) derive entirely from
-// signatures and need neither. Only meaningful for Rankable measures.
+// signatures and need neither.
 func EngineNeeds(m Measure) (needGED, needMCS bool) {
-	switch m.(type) {
+	switch m {
 	case DistEd, DistNEd:
 		return true, false
 	case DistMcs, DistGu:
@@ -58,11 +53,11 @@ func (bs BoundStats) statsAt(gedv float64, mcsv int) PairStats {
 }
 
 // Interval returns the scalar [lo, hi] bracket of a single measure
-// under bs: lo <= m.FromStats(Compute(...)) <= hi, by the same corner
-// monotonicity IntervalGCS relies on. Only valid for Rankable measures.
+// under bs: lo <= m.FromStats on Compute(...) <= hi, by the same corner
+// monotonicity IntervalGCS relies on.
 func (bs BoundStats) Interval(m Measure) (lo, hi float64) {
 	opt, pes := bs.corners()
-	return m.FromStats(opt), m.FromStats(pes)
+	return m.FromStats(&opt), m.FromStats(&pes)
 }
 
 // RankInterval writes the optimistic corner of the pair's tier-0 GCS
@@ -75,11 +70,11 @@ func (bs BoundStats) Interval(m Measure) (lo, hi float64) {
 // is. The vertex-label intersection the MCS bound needs comes out of
 // the vertex-histogram merge that the GED bound walks anyway. The
 // skyline scan calls it with the query basis, the ranked scan with its
-// one measure. Only valid for Boundable bases.
+// one measure.
 func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo float64) {
 	needMCS, needDeg := false, false
 	for _, m := range basis {
-		switch m.(type) {
+		switch m {
 		case DistMcs, DistGu:
 			needMCS = true
 		case DistDegree:
@@ -101,16 +96,15 @@ func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo f
 		opt.DegL1 = degreeL1(s1.Degrees, s2.Degrees)
 	}
 	for k, m := range basis {
-		lo[k] = m.FromStats(opt)
+		lo[k] = m.FromStats(&opt)
 	}
 	if hi != nil {
-		pes := opt
-		pes.GED, pes.MCS = float64(s1.Order+s2.Order+s1.Size+s2.Size), 0
+		opt.GED, opt.MCS = float64(s1.Order+s2.Order+s1.Size+s2.Size), 0
 		for k, m := range basis {
-			hi[k] = m.FromStats(pes)
+			hi[k] = m.FromStats(&opt)
 		}
 	}
-	return opt.GED
+	return float64(vd + ed)
 }
 
 // HistogramRanked reports whether m's tier-0 interval (RankInterval
@@ -120,7 +114,7 @@ func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo f
 // interval against a given query, bit for bit, and the ranked scan
 // bounds each class once.
 func HistogramRanked(m Measure) bool {
-	switch m.(type) {
+	switch m {
 	case DistEd, DistNEd, DistVLabel, DistELabel:
 		return true
 	}
@@ -130,7 +124,7 @@ func HistogramRanked(m Measure) bool {
 // AtGED is the distance of a measure that reads GED alone (one for
 // which EngineNeeds reports needGED) at GED value v: the end of its
 // interval at a GED bound.
-func AtGED(m Measure, v float64) float64 { return m.FromStats(PairStats{GED: v}) }
+func AtGED(m Measure, v float64) float64 { return m.FromStats(&PairStats{GED: v}) }
 
 // GEDFit returns, for a measure that reads GED alone, the largest
 // integer GED v >= 0 whose distance AtGED(m, v) fits under t: −1 when
@@ -198,25 +192,33 @@ func PlanRank(m Measure, bs BoundStats, t float64) RankPlan {
 		// optimistic end exceeds it (any proof of GED > GEDLo−1 excludes,
 		// and that one is immediate: the histogram bound is the root
 		// f-value).
-		p.GEDLimit = bs.GEDLimit(bs.MCSHi, func(ps PairStats) bool { return m.FromStats(ps) <= t })
+		ps := bs.statsAt(0, bs.MCSHi)
+		p.GEDLimit = lastFit(int(bs.GEDLo), int(bs.GEDHi), func(v int) bool {
+			ps.GED = float64(v)
+			return m.FromStats(&ps) <= t
+		})
 	}
 	if p.NeedMCS {
 		// m-distance is non-increasing in |mcs| and the reported |mcs|
 		// lies in [MCSLo, MCSHi]; find the smallest integer in that
 		// range whose distance fits.
 		lo, hi := bs.MCSLo, bs.MCSHi
+		fits := func(mcsv int) bool {
+			ps := bs.statsAt(bs.GEDLo, mcsv)
+			return m.FromStats(&ps) <= t
+		}
 		switch {
-		case m.FromStats(bs.statsAt(bs.GEDLo, lo)) <= t:
+		case fits(lo):
 			// Even the pessimistic end fits: exclusion impossible.
 			p.MCSNeed = 0
-		case m.FromStats(bs.statsAt(bs.GEDLo, hi)) > t:
+		case !fits(hi):
 			// Even the optimistic end exceeds: |mcs| <= MCSHi always
 			// holds, so proving |mcs| < MCSHi + 1 excludes.
 			p.MCSNeed = hi + 1
 		default:
 			for lo < hi {
 				mid := (lo + hi) / 2
-				if m.FromStats(bs.statsAt(bs.GEDLo, mid)) <= t {
+				if fits(mid) {
 					hi = mid
 				} else {
 					lo = mid + 1
@@ -229,17 +231,21 @@ func PlanRank(m Measure, bs BoundStats, t float64) RankPlan {
 }
 
 // GEDLimit returns the largest integer GED in [bs.GEDLo, bs.GEDHi] whose
-// hypothetical statistics — that GED beside |mcs| = mcsv — still fit:
+// GCS vector under basis — that GED beside |mcs| = mcsv — still fits:
 // +Inf when even GEDHi fits, GEDLo−1 when not even GEDLo does. fits must
 // be monotone in GED (once it fails it fails for every larger value),
 // which any test that only gets harder as the measures grow is; it sees
-// the very PairStats the scoring path would, so the cutoff cannot
-// disagree with a score by a rounding error. Binary search on
-// monotonicity: O(log(GEDHi−GEDLo)) calls. PlanRank decides one
-// measure against a scalar threshold with it, the progressive skyline
-// scan a whole GCS vector against its running front.
-func (bs BoundStats) GEDLimit(mcsv int, fits func(PairStats) bool) float64 {
-	return lastFit(int(bs.GEDLo), int(bs.GEDHi), func(v int) bool { return fits(bs.statsAt(float64(v), mcsv)) })
+// the very vector the scoring path would, so the cutoff cannot disagree
+// with a score by a rounding error. Binary search on monotonicity:
+// O(log(GEDHi−GEDLo)) calls. The progressive skyline scan decides a
+// candidate's vector against its running front with it; PlanRank runs
+// the same search for one measure against a scalar threshold.
+func (bs BoundStats) GEDLimit(mcsv int, basis []Measure, fits func(vec []float64) bool) float64 {
+	ps := bs.statsAt(0, mcsv)
+	return lastFit(int(bs.GEDLo), int(bs.GEDHi), func(v int) bool {
+		ps.GED = float64(v)
+		return fits(GCS(&ps, basis))
+	})
 }
 
 // lastFit returns the largest integer v in [lo, hi] with fits(v): +Inf
@@ -265,8 +271,8 @@ func lastFit(lo, hi int, fits func(int) bool) float64 {
 
 // ComputeRankResults is the threshold-fed pair evaluation: it either
 // proves the pair's m-distance exceeds t (excluded=true, no score) or
-// returns the exact score, byte-identical to m.FromStats(Compute(g1,
-// g2, opts)), with the plain engine results that back it — exactly the
+// returns the exact score, byte-identical to m.FromStats on Compute(g1,
+// g2, opts), with the plain engine results that back it — exactly the
 // engines m consumes, from which the skyline scan assembles its vector
 // (PairStatsFrom). bs must bound the
 // pair (tier-0 BoundPair, optionally with GEDLo raised by the branch
@@ -332,5 +338,5 @@ func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats
 		}
 		got.MCS, got.MCSExact = ps.MCS, ps.MCSExact
 	}
-	return m.FromStats(ps), got, false, inexact
+	return m.FromStats(&ps), got, false, inexact
 }

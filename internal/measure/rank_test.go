@@ -10,10 +10,10 @@ import (
 )
 
 func rankSweep() []Measure {
-	return []Measure{DistEd{}, DistNEd{}, DistMcs{}, DistGu{}, DistVLabel{}, DistELabel{}, DistDegree{}}
+	return []Measure{DistEd, DistNEd, DistMcs, DistGu, DistVLabel, DistELabel, DistDegree}
 }
 
-// TestIntervalAdmissible: for every built-in measure, the scalar
+// TestIntervalAdmissible: for every measure, the scalar
 // interval brackets the value Compute reports — from tier-0 signatures
 // alone, after refinement, and under engine caps.
 func TestIntervalAdmissible(t *testing.T) {
@@ -27,7 +27,7 @@ func TestIntervalAdmissible(t *testing.T) {
 		for _, opts := range []Options{{}, {GEDMaxNodes: 15, MCSMaxNodes: 15}} {
 			ps := Compute(g, q, opts)
 			for _, m := range rankSweep() {
-				v := m.FromStats(ps)
+				v := m.FromStats(&ps)
 				for _, bs := range []BoundStats{bs0, bs1} {
 					lo, hi := bs.Interval(m)
 					if v < lo || v > hi {
@@ -55,7 +55,8 @@ func TestPlanRankCutoffs(t *testing.T) {
 				p := PlanRank(m, bs, t0)
 				if p.NeedGED {
 					for gv := int(bs.GEDLo); gv <= int(bs.GEDHi); gv++ {
-						fits := m.FromStats(bs.statsAt(float64(gv), bs.MCSHi)) <= t0
+						ps := bs.statsAt(float64(gv), bs.MCSHi)
+						fits := m.FromStats(&ps) <= t0
 						if fits != (float64(gv) <= p.GEDLimit) {
 							t.Fatalf("%s t=%v: GED=%d fits=%v but limit=%v", m.Name(), t0, gv, fits, p.GEDLimit)
 						}
@@ -63,7 +64,8 @@ func TestPlanRankCutoffs(t *testing.T) {
 				}
 				if p.NeedMCS {
 					for mv := bs.MCSLo; mv <= bs.MCSHi; mv++ {
-						fits := m.FromStats(bs.statsAt(bs.GEDLo, mv)) <= t0
+						ps := bs.statsAt(bs.GEDLo, mv)
+						fits := m.FromStats(&ps) <= t0
 						if fits != (mv >= p.MCSNeed) {
 							t.Fatalf("%s t=%v: MCS=%d fits=%v but need=%d", m.Name(), t0, mv, fits, p.MCSNeed)
 						}
@@ -90,8 +92,9 @@ func TestComputeRankMatchesComputeHinted(t *testing.T) {
 		h := PairHints{Sig1: sg, Sig2: sq}
 		for _, opts := range []Options{{}, {GEDMaxNodes: 15, MCSMaxNodes: 15}} {
 			for _, m := range rankSweep() {
-				truth := m.FromStats(Compute(g, q, opts))
-				if got := m.FromStats(ComputeHinted(g, q, opts, h)); got != truth {
+				plain, hinted := Compute(g, q, opts), ComputeHinted(g, q, opts, h)
+				truth := m.FromStats(&plain)
+				if got := m.FromStats(&hinted); got != truth {
 					t.Fatalf("%s: ComputeHinted %v != truth %v (caps %+v)", m.Name(), got, truth, opts)
 				}
 				for tier, bs := range []BoundStats{bs0, Refine(g, q, bs0)} {
@@ -118,7 +121,7 @@ func TestComputeRankMatchesComputeHinted(t *testing.T) {
 // empty and one-vertex graphs among them, RankInterval writes exactly
 // BoundPair's optimistic and pessimistic GCS corners and returns its
 // GEDLo, bit for bit, for the paper, diversity and extended bases and
-// for every built-in measure alone (the ranked scan's basis). With no
+// for every measure alone (the ranked scan's basis). With no
 // pessimistic slice it writes the same optimistic corner. For the
 // measures that read GED alone, AtGED at a raised GED lower bound is
 // exactly the optimistic end of the interval with GEDLo raised to it —
@@ -140,10 +143,7 @@ func TestRankIntervalMatchesBoundPair(t *testing.T) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	sameVec := func(a, b []float64) bool { return slices.EqualFunc(a, b, same) }
 	bases := [][]Measure{Default(), DiversityBasis(), Extended()}
-	for _, m := range builtins {
-		if !Rankable(m) {
-			t.Fatalf("%s is not Rankable", m.Name())
-		}
+	for _, m := range rankSweep() {
 		bases = append(bases, []Measure{m})
 	}
 	for trial := range 400 {
@@ -188,7 +188,7 @@ func TestRankIntervalMatchesBoundPair(t *testing.T) {
 // for every 0 <= lo <= hi <= 40 and thresholds on and next to each
 // integer GED's distance, plus ±Inf, 0 and negative ones.
 func TestGEDLimitAtMatchesLastFit(t *testing.T) {
-	measures := []Measure{DistEd{}, DistNEd{}, DistMcs{}, DistGu{}, DistVLabel{}, DistELabel{}, DistDegree{}}
+	measures := []Measure{DistEd, DistNEd, DistMcs, DistGu, DistVLabel, DistELabel, DistDegree}
 	checked := 0
 	for _, m := range measures {
 		if needGED, needMCS := EngineNeeds(m); !needGED || needMCS {

@@ -55,7 +55,8 @@ type QueryRequest struct {
 	// Measure names the ranking measure for topk/range (default DistEd).
 	Measure string `json:"measure,omitempty"`
 	// Basis names the GCS basis of a skyline request (default: DistEd,
-	// DistMcs, DistGu). Topk/range validate it but rank by Measure alone.
+	// DistMcs, DistGu), each measure at most once. Topk/range validate
+	// it but rank by Measure alone.
 	Basis []string `json:"basis,omitempty"`
 	// Eval bounds the exact GED/MCS engines, merged per field over the
 	// server defaults: zero (or omitted) keeps the server default, a

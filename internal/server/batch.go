@@ -2,11 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"skygraph/internal/measure"
 )
 
 // DefaultMaxBatch is the /query/batch size limit when Config.MaxBatch
@@ -28,7 +31,8 @@ func (s *Server) maxBatch() int {
 // first via the in-flight leader, then via the cache. Once the item
 // count passes the limit check, item graphs resolve by their bytes
 // through the graph map before any item runs, so a graph that fails to
-// decode fails the whole body. The whole batch shares one
+// decode, or a basis that names a measure twice, fails the whole body.
+// The whole batch shares one
 // time budget; an item that fails (bad request, timeout) reports its
 // error in place without failing the rest.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -57,6 +61,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	qgs := make([]queryGraph, len(req.Queries))
 	for i := range req.Queries {
+		if err := repeatedBasis(req.Queries[i].Basis); err != nil {
+			s.writeError(w, http.StatusBadRequest, "queries[%d]: %v", i, err)
+			return
+		}
 		if qgs[i], err = s.graphFor(req.Queries[i].Graph); err != nil {
 			s.badBody(w, body, &BatchRequest{}, err)
 			return
@@ -100,6 +108,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		stats.DeltaPatched += qs.DeltaPatched
 	}
 	writeJSON(w, http.StatusOK, BatchResponse{Results: results, Stats: stats})
+}
+
+// repeatedBasis returns measure.BasisByNames' error for a basis that
+// names a measure twice, and nil otherwise. A batch or warm body with
+// such an item fails whole with 400 before any item runs, as one over
+// the item limit does; an item with an unknown name fails in place.
+func repeatedBasis(names []string) error {
+	if _, err := measure.BasisByNames(names); errors.Is(err, measure.ErrRepeatedMeasure) {
+		return err
+	}
+	return nil
 }
 
 // runBatchQuery resolves and executes one batch item over its query

@@ -134,7 +134,6 @@ func (s *Server) upgradeTable(cand deltaCandidate, gen uint64, inserted *graph.G
 // proof holds.
 func (s *Server) tableInsert(cand deltaCandidate, gen uint64, name string) *gdb.VectorTable {
 	t, lin := cand.e.table, cand.e.lin
-	// Every server basis is a set of built-ins (Boundable).
 	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval}
 	pt, kept, inexact, got, ok := s.db.DeltaRow(name, lin.q, lin.qsig, t.Points, opts)
 	if !ok || got != gen {
@@ -198,7 +197,6 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 				th = items[len(items)-1].Score
 			}
 		}
-		// Every measure a request can name is Rankable.
 		opts := gdb.QueryOptions{Eval: key.eval}
 		score, in, inex, got, ok := s.db.DeltaScore(name, lin.q, lin.qsig, lin.m, th, opts)
 		switch {

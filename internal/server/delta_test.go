@@ -140,7 +140,7 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 						var sky SkylineResponse
 						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: all}, &sky)
 						testutil.RequireSameSkyline(t, label+"/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
-						scores := testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{})
+						scores := testutil.ReferenceScores(live, q, measure.DistEd, measure.Options{})
 
 						var tk TopKResponse
 						postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &tk)
@@ -692,7 +692,7 @@ func TestRankedInsertDecidedByBound(t *testing.T) {
 
 	g := extraGraph("extra")
 	bs := measure.BoundPair(measure.NewSignature(g), measure.NewSignature(q))
-	if lo, _ := bs.Interval(measure.DistEd{}); lo <= tk.Items[2].Score || lo <= radius {
+	if lo, _ := bs.Interval(measure.DistEd); lo <= tk.Items[2].Score || lo <= radius {
 		t.Fatalf("fixture: bound %v does not exceed k-th %v and radius %v", lo, tk.Items[2].Score, radius)
 	}
 	withholdQuery(t, s, "topk", &QueryRequest{Graph: q, K: 3})
@@ -701,7 +701,7 @@ func TestRankedInsertDecidedByBound(t *testing.T) {
 		t.Fatalf("insert status %d", r.StatusCode)
 	}
 	live := append(dataset.PaperDB(), g)
-	scores := testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{})
+	scores := testutil.ReferenceScores(live, q, measure.DistEd, measure.Options{})
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &tk)
 	postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius}, &rr)
 	if !tk.Stats.CacheHit || tk.Stats.DeltaPatched != 1 || !rr.Stats.CacheHit || rr.Stats.DeltaPatched != 1 {
@@ -732,7 +732,7 @@ func TestRankedInsertAtBoundTies(t *testing.T) {
 	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d", r.StatusCode)
 	}
-	scores := testutil.ReferenceScores(append(gs, g), q, measure.DistEd{}, measure.Options{})
+	scores := testutil.ReferenceScores(append(gs, g), q, measure.DistEd, measure.Options{})
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 1}, &tk)
 	var rr RangeResponse

@@ -355,9 +355,8 @@ type resolved struct {
 // hashed by graphFor (the zero qg when the request carries none), and
 // resolves it. A request that resolves stores a freshly decoded qg in
 // the graph map (keepGraph); one that fails stores nothing. Every
-// measure a request can name is a built-in (measure.Rankable and
-// measure.Boundable), so every basis can be pruned and every ranking
-// measure can run the ranked scan.
+// measure a request can name has bounds, so every basis can be pruned
+// and every ranking measure can run the ranked scan.
 func (s *Server) resolve(kind string, req *QueryRequest, qg queryGraph) (resolved, error) {
 	var res resolved
 	switch kind {
@@ -574,7 +573,7 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gen uint64, build f
 func (s *Server) entry(ctx context.Context, res resolved) (e *cacheEntry, hit bool, err error) {
 	gen := s.db.Generation()
 	return s.coalesce(ctx, res.key, gen, func() (*cacheEntry, bool, error) {
-		if res.m != nil {
+		if res.key.path == "topk" || res.key.path == "range" {
 			return s.buildRanked(ctx, res, gen)
 		}
 		return s.buildTable(ctx, res)
@@ -935,6 +934,12 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "graph has no name")
 			return
 		}
+		// A path segment of "." or ".." is cleaned away before routing,
+		// so GET and DELETE /graphs/{name} could never reach the graph.
+		if g.Name() == "." || g.Name() == ".." {
+			s.writeError(w, http.StatusBadRequest, "graph name %q is not addressable as /graphs/{name}", g.Name())
+			return
+		}
 		if err := g.Validate(); err != nil {
 			s.writeError(w, http.StatusBadRequest, "invalid graph %q: %v", g.Name(), err)
 			return
@@ -1139,7 +1144,8 @@ func runtimeStats() RuntimeStats {
 // parallel like a normal cold query. Item graphs resolve by their bytes
 // through the graph map, as query and batch items do, so a warm item
 // and a later request sending the same bytes share one decode. Every
-// failed item counts as a request error, as a failed batch item does.
+// failed item counts as a request error, as a failed batch item does;
+// an item whose basis names a measure twice fails the whole body.
 func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	if !s.admitQuery(w) {
 		return
@@ -1168,6 +1174,10 @@ func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
 	}
 	qgs := make([]queryGraph, len(req.Queries))
 	for i := range req.Queries {
+		if err := repeatedBasis(req.Queries[i].Basis); err != nil {
+			s.writeError(w, http.StatusBadRequest, "queries[%d]: %v", i, err)
+			return
+		}
 		if qgs[i], err = s.graphFor(req.Queries[i].Graph); err != nil {
 			s.badBody(w, body, &WarmRequest{}, err)
 			return

@@ -253,9 +253,12 @@ func TestBadRequests(t *testing.T) {
 		{"missing k", "/query/topk", QueryRequest{Graph: dataset.PaperQuery()}},
 		{"missing radius", "/query/range", QueryRequest{Graph: dataset.PaperQuery()}},
 		{"bad basis", "/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Basis: []string{"DistBogus"}}},
+		{"repeated basis", "/query/skyline", QueryRequest{Graph: dataset.PaperQuery(), Basis: []string{"DistEd", "DistMcs", "DistEd"}}},
 		{"empty insert", "/graphs", InsertRequest{}},
 		{"null graph element", "/graphs", InsertRequest{Graphs: []*graph.Graph{nil}}},
 		{"null graph mid-insert", "/graphs", InsertRequest{Graphs: []*graph.Graph{fresh("n1"), nil, fresh("n2")}}},
+		{"dot name", "/graphs", InsertRequest{Graph: fresh(".")}},
+		{"dot-dot name", "/graphs", InsertRequest{Graphs: []*graph.Graph{fresh("n1"), fresh("..")}}},
 	}
 	for _, tc := range cases {
 		if r := postJSON(t, ts.URL+tc.url, tc.body, nil); r.StatusCode != http.StatusBadRequest {
@@ -299,6 +302,50 @@ func TestBadRequests(t *testing.T) {
 
 	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: dataset.PaperDB()[0]}, nil); r.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate insert: status = %d; want 409", r.StatusCode)
+	}
+}
+
+// TestRepeatedBasisRejected: a basis naming one measure 10 000 times
+// would ask a pruned scan for a corner column per name. The skyline
+// endpoint, a batch item and a warm item carrying it each answer 400
+// bad_request before any pair is evaluated.
+func TestRepeatedBasisRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheSize: 4})
+	basis := make([]string, 10_000)
+	for i := range basis {
+		basis[i] = "DistEd"
+	}
+	item := QueryRequest{Graph: dataset.PaperQuery(), Basis: basis}
+	for _, c := range []struct {
+		url  string
+		body any
+	}{
+		{"/query/skyline", item},
+		{"/query/batch", BatchRequest{Queries: []BatchQuery{{QueryRequest: item}}}},
+		{"/cache/warm", WarmRequest{Queries: []QueryRequest{item}}},
+	} {
+		var before, after StatsResponse
+		getJSON(t, ts.URL+"/stats", &before)
+		data, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+c.url, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Class != ClassBadRequest {
+			t.Errorf("%s: status = %d class = %q; want 400 %s", c.url, resp.StatusCode, e.Class, ClassBadRequest)
+		}
+		getJSON(t, ts.URL+"/stats", &after)
+		if after.Requests.PairEvals != before.Requests.PairEvals {
+			t.Errorf("%s: pair_evals %d -> %d; want no evaluation", c.url, before.Requests.PairEvals, after.Requests.PairEvals)
+		}
 	}
 }
 

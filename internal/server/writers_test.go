@@ -123,7 +123,7 @@ func TestConcurrentWritersMatchColdRecompute(t *testing.T) {
 		}
 		for qi, q := range queries {
 			label := fmt.Sprintf("round %d q%d", round, qi)
-			scores := testutil.ReferenceScores(live, q, measure.DistEd{}, measure.Options{})
+			scores := testutil.ReferenceScores(live, q, measure.DistEd, measure.Options{})
 			var sky SkylineResponse
 			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
 			if want := testutil.ReferenceSkyline(live, q, measure.Options{}); !reflect.DeepEqual(wirePoints(sky.Skyline), want) {

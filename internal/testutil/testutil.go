@@ -99,7 +99,8 @@ func ReferenceSkyline(gs []*graph.Graph, q *graph.Graph, eval measure.Options) [
 func ReferenceScores(gs []*graph.Graph, q *graph.Graph, m measure.Measure, eval measure.Options) []topk.Item {
 	items := make([]topk.Item, len(gs))
 	for i, g := range gs {
-		items[i] = topk.Item{ID: g.Name(), Score: m.FromStats(measure.Compute(g, q, eval))}
+		ps := measure.Compute(g, q, eval)
+		items[i] = topk.Item{ID: g.Name(), Score: m.FromStats(&ps)}
 	}
 	return items
 }
