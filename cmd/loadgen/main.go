@@ -452,8 +452,10 @@ func doInsert(cl *client.Client, wl *workload, rng *rand.Rand, acks *ackLog) err
 	acks.note("insert-attempt", g.Name())
 	_, err := cl.Insert(context.Background(), server.InsertRequest{Graph: g})
 	if err == nil {
-		wl.noteInserted(g.Name())
+		// Log the ack before another worker can pick the name to delete:
+		// the checker reads the last line per name as its final state.
 		acks.note("insert", g.Name())
+		wl.noteInserted(g.Name())
 	}
 	return err
 }

@@ -28,8 +28,8 @@ import (
 // The surface: Insert / Delete / InsertAll; SkylineQuery, TopKQuery,
 // RangeQuery and DiverseSkylineQuery; the table primitive a caching
 // layer composes instead (VectorTable) and the single-row settles
-// delta maintenance runs (DeltaRow / DeltaScore); and persistence
-// (Save, WriteTo, Load, OpenDurable).
+// delta maintenance runs (DeltaRow / DeltaScore); the idempotency-key
+// evidence (Keyed); and persistence (Save, WriteTo, Load, OpenDurable).
 type DB struct {
 	mu sync.RWMutex
 	// graphs, sigs, seqs and cls are the store's columns in insertion
@@ -45,6 +45,9 @@ type DB struct {
 	classes histClasses
 	byName  map[string]*entry
 	gen     uint64 // bumped on every successful insert/delete
+	// keys is the idempotency-key evidence: the names each keyed
+	// mutation applied (storage.go).
+	keys keyTable
 
 	// store, when set, receives every mutation BEFORE it is applied
 	// (and before the caller is told it succeeded): the write-ahead
@@ -170,9 +173,10 @@ type Ack struct {
 
 // Insert adds g. The graph must be non-nil, validate and carry a
 // non-empty, unused name. key is the client's idempotency key ("" =
-// unkeyed), threaded into the write-ahead record as durable evidence it
-// was accepted. The database stores g itself; callers must not mutate
-// a graph after insertion (Clone first if needed).
+// unkeyed): the insert notes it in the key table (Keyed) and threads it
+// into the write-ahead record as durable evidence it was accepted. The
+// database stores g itself; callers must not mutate a graph after
+// insertion (Clone first if needed).
 func (db *DB) Insert(g *graph.Graph, key string) (Ack, error) {
 	return db.insert(g, 0, key)
 }
@@ -218,6 +222,7 @@ func (db *DB) insert(g *graph.Graph, seq uint64, key string) (Ack, error) {
 	db.sigs = append(db.sigs, e.sig)
 	db.seqs = append(db.seqs, e.seq)
 	db.cls = append(db.cls, db.classes.add(e.sig.HistogramClass()))
+	db.keys.noteInsert(key, g.Name())
 	db.gen++
 	return Ack{Gen: db.gen}, nil
 }
@@ -244,9 +249,9 @@ func (db *DB) Get(name string) (*graph.Graph, bool) {
 }
 
 // Delete removes the named graph; Ack.Existed reports whether it was
-// there. key rides into the write-ahead record like Insert's. err is
-// non-nil only when the write-ahead append failed, in which case the
-// graph remains.
+// there. key is noted and logged like Insert's, when a graph was
+// removed. err is non-nil only when the write-ahead append failed, in
+// which case the graph remains.
 func (db *DB) Delete(name, key string) (Ack, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -267,8 +272,23 @@ func (db *DB) Delete(name, key string) (Ack, error) {
 	db.sigs = slices.Concat(db.sigs[:i], db.sigs[i+1:])
 	db.seqs = slices.Concat(db.seqs[:i], db.seqs[i+1:])
 	db.cls = db.classes.remove(slices.Concat(db.cls[:i], db.cls[i+1:]), db.cls[i])
+	db.keys.noteDelete(key, name)
 	db.gen++
 	return Ack{Gen: db.gen, Existed: true}, nil
+}
+
+// Keyed reports what the mutations under idempotency key already
+// applied: the names inserted under it, in insertion order, and the name
+// a delete under it removed ("" when none). An unknown key, or one the
+// table has since forgotten (it keeps the last 4 096 keys of each verb),
+// reports nothing.
+func (db *DB) Keyed(key string) (inserted []string, deleted string) {
+	if key == "" {
+		return nil, ""
+	}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return slices.Clone(db.keys.inserts[key]), db.keys.deletes[key]
 }
 
 // setStore attaches the write-ahead store. db.mu is held across every

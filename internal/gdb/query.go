@@ -149,6 +149,9 @@ func (db *DB) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryOption
 type TopKResult struct {
 	Items []topk.Item
 	Stats QueryStats
+	// Generation is the generation of the snapshot the scan read: the
+	// answer is exact at it, as VectorTable.Generation is for a table.
+	Generation uint64
 }
 
 // TopKQuery is the single-measure baseline (Section VI): the k database
@@ -177,7 +180,8 @@ func (db *DB) RangeQuery(ctx context.Context, q *graph.Graph, m measure.Measure,
 func (db *DB) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (TopKResult, error) {
 	start := time.Now()
 	opts = opts.withDefaults()
-	stats, err := evalRanked(ctx, db.snapshot(), measure.NewSignature(q), q, m, opts, coll)
+	sn := db.snapshot()
+	stats, err := evalRanked(ctx, sn, measure.NewSignature(q), q, m, opts, coll)
 	if err != nil {
 		return TopKResult{}, err
 	}
@@ -185,7 +189,7 @@ func (db *DB) rankedQuery(ctx context.Context, q *graph.Graph, m measure.Measure
 	items := coll.items()
 	opts.Trace.Observe(StageMerge, time.Since(mstart), len(items), 0)
 	stats.Duration = time.Since(start)
-	return TopKResult{Items: items, Stats: stats}, nil
+	return TopKResult{Items: items, Stats: stats, Generation: sn.gen}, nil
 }
 
 // DiverseResult is the answer to a diversity-refined skyline query

@@ -3,6 +3,7 @@ package gdb
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,10 +22,8 @@ import (
 // Inserts carry the LGF-encoded graph as their payload, deletes just
 // the name. The idempotency key ("" = unkeyed) rides along in the
 // record, so an accepted keyed mutation leaves durable evidence of its
-// key — recovery rebuilds the key table from it instead of guessing
-// from surviving state. Each successful keyed append is also noted in
-// the live key table, which snapshots persist into the manifest so the
-// evidence outlives log reclaim.
+// key: recovery replays it into the database's key table (see
+// keyTable) instead of guessing from surviving state.
 //
 // Each method first fires its store-level failpoint (fault.StoreInsert,
 // fault.StoreDelete): chaos runs fail mutations there before they reach
@@ -33,8 +32,7 @@ import (
 // database is injectable; a disarmed failpoint costs one atomic load
 // per mutation.
 type walStore struct {
-	log  *wal.Log
-	keys *keyTable
+	log *wal.Log
 }
 
 func (s *walStore) LogInsert(g *graph.Graph, seq uint64, key string) error {
@@ -48,9 +46,6 @@ func (s *walStore) LogInsert(g *graph.Graph, seq uint64, key string) error {
 		Key:  key,
 		Data: []byte(graph.MarshalLGF(g)),
 	})
-	if err == nil {
-		s.keys.noteInsert(key, g.Name())
-	}
 	return err
 }
 
@@ -59,9 +54,6 @@ func (s *walStore) LogDelete(name, key string) error {
 		return err
 	}
 	_, err := s.log.Append(wal.Record{Op: wal.OpDelete, Name: name, Key: key})
-	if err == nil {
-		s.keys.noteDelete(key, name)
-	}
 	return err
 }
 
@@ -120,7 +112,6 @@ type Durable struct {
 	log      *wal.Log
 	opts     DurableOptions
 	recovery RecoveryInfo
-	keys     keyTable
 
 	mu            sync.Mutex // serializes Snapshot against Close
 	closed        bool
@@ -151,7 +142,7 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 		d.recovery.ManifestLSN = m.LSN
 		d.lastSnapLSN = m.LSN
 		d.lastSnapCount = m.Graphs
-		d.keys.seed(m.InsertKeys, m.DeleteKeys)
+		d.DB.keys.seed(m.InsertKeys, m.DeleteKeys)
 		if m.Snapshot != "" {
 			err := wal.ReadSnapshot(filepath.Join(opts.Dir, m.Snapshot), func(rec wal.Record) error {
 				return d.applyRecord(rec, &maxSeq)
@@ -190,13 +181,14 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	d.log = log
 	// From here on, mutations are logged (past the store failpoints, so
 	// chaos tests can fail them at will; disarmed they are no-ops).
-	d.DB.setStore(&walStore{log: log, keys: &d.keys})
+	d.DB.setStore(&walStore{log: log})
 	return d, nil
 }
 
 // applyRecord applies one recovered record (snapshot entry or replayed
 // WAL record) to the in-memory database, tracking the largest insert
-// sequence seen and collecting idempotency-key evidence. No store is
+// sequence seen. The record's own idempotency key goes through with it,
+// so the database notes it as a live mutation would. No store is
 // attached yet, so nothing is re-logged.
 func (d *Durable) applyRecord(rec wal.Record, maxSeq *uint64) error {
 	switch rec.Op {
@@ -208,15 +200,13 @@ func (d *Durable) applyRecord(rec wal.Record, maxSeq *uint64) error {
 		if rec.Seq > *maxSeq {
 			*maxSeq = rec.Seq
 		}
-		d.keys.noteInsert(rec.Key, rec.Name)
-		_, err = d.DB.insert(g, rec.Seq, "")
+		_, err = d.DB.insert(g, rec.Seq, rec.Key)
 		return err
 	case wal.OpDelete:
 		// A delete of an absent name is possible only for a mutation that
 		// was logged but never acked (crash in between); dropping it is
 		// exactly right.
-		d.keys.noteDelete(rec.Key, rec.Name)
-		_, err := d.DB.Delete(rec.Name, "")
+		_, err := d.DB.Delete(rec.Name, rec.Key)
 		return err
 	case wal.OpNoop:
 		// Health-probe records carry no state.
@@ -226,36 +216,23 @@ func (d *Durable) applyRecord(rec wal.Record, maxSeq *uint64) error {
 	}
 }
 
-// RecoveredKeys is the idempotency-key evidence recovery found on
-// disk: every keyed mutation whose append completed, with the names it
-// covered. The serving layer seeds its replay bookkeeping from it, so
-// a keyed retry whose ack died with the previous process is answered
-// from proof the key was accepted — never reconstructed from the mere
-// existence (or absence) of similarly named graphs.
-type RecoveredKeys struct {
-	// Inserts maps each insert key to the names logged under it, in
-	// log order (a multi-graph insert logs one record per graph).
-	Inserts map[string][]string
-	// Deletes maps each delete key to the name it removed.
-	Deletes map[string]string
-}
-
 // keyCap bounds each side of the key table (and so the manifest's key
 // section): past it the oldest key is forgotten, which turns its next
 // retry into an honest 409/404 instead of growing the root without
-// bound. Matches the serving layer's default replay-table capacity.
+// bound.
 const keyCap = 4096
 
-// keyTable is the durable idempotency-key evidence, maintained live:
-// seeded from the manifest at open, extended by recovery's WAL replay
-// and by every successful keyed append, and persisted back into the
-// manifest at each snapshot — which is what lets the evidence outlive
-// the reclaimed log segments that carried it. Insertion order is kept
-// for FIFO capping and stable manifests. noteInsert dedups names per
-// key, so the overlap between the manifest table and the un-reclaimed
-// log suffix (both are replayed at open) is harmless.
+// keyTable is the database's idempotency-key evidence: which keyed
+// mutations it already holds. It lives in DB under db.mu and is filled
+// where a keyed mutation applies (insert and Delete), live and during
+// recovery's replay alike, so an in-memory database and a durable one
+// keep the same evidence. A durable one also seeds it from the manifest
+// at open and writes it back at each snapshot cut, which is what lets
+// the evidence outlive the reclaimed log segments that carried it.
+// Insertion order is kept for FIFO capping and stable manifests.
+// noteInsert dedups names per key, so the overlap between the manifest
+// table and the un-reclaimed log suffix is harmless.
 type keyTable struct {
-	mu       sync.Mutex
 	inserts  map[string][]string
 	insOrder []string
 	deletes  map[string]string
@@ -266,16 +243,12 @@ func (t *keyTable) noteInsert(key, name string) {
 	if key == "" {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.inserts == nil {
 		t.inserts = make(map[string][]string)
 	}
 	names, known := t.inserts[key]
-	for _, n := range names {
-		if n == name {
-			return
-		}
+	if slices.Contains(names, name) {
+		return
 	}
 	t.inserts[key] = append(names, name)
 	if !known {
@@ -291,8 +264,6 @@ func (t *keyTable) noteDelete(key, name string) {
 	if key == "" {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.deletes == nil {
 		t.deletes = make(map[string]string)
 	}
@@ -307,7 +278,7 @@ func (t *keyTable) noteDelete(key, name string) {
 }
 
 // seed loads the manifest's key section (oldest first, called before
-// any concurrent use).
+// the database is shared).
 func (t *keyTable) seed(ins []wal.ManifestInsertKey, del []wal.ManifestDeleteKey) {
 	for _, k := range ins {
 		for _, n := range k.Names {
@@ -319,33 +290,11 @@ func (t *keyTable) seed(ins []wal.ManifestInsertKey, del []wal.ManifestDeleteKey
 	}
 }
 
-// view returns a copy in the exported shape.
-func (t *keyTable) view() RecoveredKeys {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var rk RecoveredKeys
-	if len(t.inserts) > 0 {
-		rk.Inserts = make(map[string][]string, len(t.inserts))
-		for k, names := range t.inserts {
-			rk.Inserts[k] = append([]string(nil), names...)
-		}
-	}
-	if len(t.deletes) > 0 {
-		rk.Deletes = make(map[string]string, len(t.deletes))
-		for k, n := range t.deletes {
-			rk.Deletes[k] = n
-		}
-	}
-	return rk
-}
-
 // manifest returns the table in manifest form, oldest key first.
 func (t *keyTable) manifest() ([]wal.ManifestInsertKey, []wal.ManifestDeleteKey) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var ins []wal.ManifestInsertKey
 	for _, k := range t.insOrder {
-		ins = append(ins, wal.ManifestInsertKey{Key: k, Names: append([]string(nil), t.inserts[k]...)})
+		ins = append(ins, wal.ManifestInsertKey{Key: k, Names: slices.Clone(t.inserts[k])})
 	}
 	var del []wal.ManifestDeleteKey
 	for _, k := range t.delOrder {
@@ -353,11 +302,6 @@ func (t *keyTable) manifest() ([]wal.ManifestInsertKey, []wal.ManifestDeleteKey)
 	}
 	return ins, del
 }
-
-// RecoveredKeys returns the idempotency keys recovery found (maps may
-// be nil). The snapshot is taken at call time; the serving layer reads
-// it once at startup.
-func (d *Durable) RecoveredKeys() RecoveredKeys { return d.keys.view() }
 
 // Snapshot cuts a point-in-time copy of the database, commits it with
 // an atomic manifest replace, prunes superseded snapshot files and
@@ -389,7 +333,7 @@ func (d *Durable) Snapshot() error {
 	// The key table is cut inside the same mutation-exclusion window:
 	// every keyed record at or below lsn has already been noted, so the
 	// manifest's evidence covers exactly the log it lets be reclaimed.
-	insKeys, delKeys := d.keys.manifest()
+	insKeys, delKeys := d.DB.keys.manifest()
 	d.DB.mu.RUnlock()
 
 	if lsn == d.lastSnapLSN {

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"skygraph/internal/graph"
@@ -476,8 +478,9 @@ func TestDurableStoreErrorFailsMutation(t *testing.T) {
 
 // TestKeyTableSurvivesSnapshot pins the manifest-side key persistence:
 // idempotency-key evidence must outlive the WAL segments that carried
-// it (a snapshot reclaims them), and recovery must present the union of
-// manifest keys and keys found in the remaining log suffix.
+// it (a snapshot reclaims them), and the reopened database's key table
+// must hold the union of manifest keys and keys found in the remaining
+// log suffix.
 func TestKeyTableSurvivesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	gs := storageGraphs(13, 4)
@@ -513,14 +516,14 @@ func TestKeyTableSurvivesSnapshot(t *testing.T) {
 
 	r := reopen(t, dir)
 	defer r.Close()
-	rk := r.RecoveredKeys()
-	if got := rk.Inserts["ik-snap"]; len(got) != 2 || got[0] != gs[0].Name() || got[1] != gs[1].Name() {
+	rk := r.DB.keys
+	if got := rk.inserts["ik-snap"]; len(got) != 2 || got[0] != gs[0].Name() || got[1] != gs[1].Name() {
 		t.Fatalf("manifest insert key: %v", got)
 	}
-	if got := rk.Inserts["ik-log"]; len(got) != 1 || got[0] != gs[3].Name() {
+	if got := rk.inserts["ik-log"]; len(got) != 1 || got[0] != gs[3].Name() {
 		t.Fatalf("log insert key: %v", got)
 	}
-	if got := rk.Deletes["dk-snap"]; got != gs[2].Name() {
+	if got := rk.deletes["dk-snap"]; got != gs[2].Name() {
 		t.Fatalf("manifest delete key: %q", got)
 	}
 	// A second generation: snapshot again (folding the log key into the
@@ -533,11 +536,11 @@ func TestKeyTableSurvivesSnapshot(t *testing.T) {
 	}
 	r2 := reopen(t, dir)
 	defer r2.Close()
-	rk2 := r2.RecoveredKeys()
-	if got := rk2.Inserts["ik-snap"]; len(got) != 2 {
+	rk2 := r2.DB.keys
+	if got := rk2.inserts["ik-snap"]; len(got) != 2 {
 		t.Fatalf("second-generation insert key duplicated or lost: %v", got)
 	}
-	if len(rk2.Inserts) != 2 || len(rk2.Deletes) != 1 {
+	if len(rk2.inserts) != 2 || len(rk2.deletes) != 1 {
 		t.Fatalf("second-generation key table: %+v", rk2)
 	}
 }
@@ -550,22 +553,21 @@ func TestKeyTableCap(t *testing.T) {
 		kt.noteInsert(fmt.Sprintf("k%05d", i), fmt.Sprintf("g%05d", i))
 		kt.noteDelete(fmt.Sprintf("k%05d", i), fmt.Sprintf("g%05d", i))
 	}
-	rk := kt.view()
-	if len(rk.Inserts) != keyCap || len(rk.Deletes) != keyCap {
-		t.Fatalf("table over cap: %d inserts, %d deletes", len(rk.Inserts), len(rk.Deletes))
+	if len(kt.inserts) != keyCap || len(kt.deletes) != keyCap {
+		t.Fatalf("table over cap: %d inserts, %d deletes", len(kt.inserts), len(kt.deletes))
 	}
-	if _, ok := rk.Inserts["k00000"]; ok {
+	if _, ok := kt.inserts["k00000"]; ok {
 		t.Fatal("oldest insert key not evicted")
 	}
-	if _, ok := rk.Inserts[fmt.Sprintf("k%05d", keyCap+9)]; !ok {
+	if _, ok := kt.inserts[fmt.Sprintf("k%05d", keyCap+9)]; !ok {
 		t.Fatal("newest insert key missing")
 	}
-	if _, ok := rk.Deletes["k00000"]; ok {
+	if _, ok := kt.deletes["k00000"]; ok {
 		t.Fatal("oldest delete key not evicted")
 	}
 	// Re-noting an existing key's name is a no-op, not a duplicate.
 	kt.noteInsert(fmt.Sprintf("k%05d", keyCap+9), fmt.Sprintf("g%05d", keyCap+9))
-	if got := kt.view().Inserts[fmt.Sprintf("k%05d", keyCap+9)]; len(got) != 1 {
+	if got := kt.inserts[fmt.Sprintf("k%05d", keyCap+9)]; len(got) != 1 {
 		t.Fatalf("dedup failed: %v", got)
 	}
 	ins, del := kt.manifest()
@@ -574,5 +576,96 @@ func TestKeyTableCap(t *testing.T) {
 	}
 	if ins[0].Key != fmt.Sprintf("k%05d", 10) || ins[len(ins)-1].Key != fmt.Sprintf("k%05d", keyCap+9) {
 		t.Fatalf("manifest order: first %s last %s", ins[0].Key, ins[len(ins)-1].Key)
+	}
+}
+
+// TestKeyedMutationsRaceSnapshots: four writers make keyed inserts (two
+// graphs per key) and keyed deletes on a durable store while another
+// goroutine cuts snapshots in a loop, each reclaiming the log the
+// manifest now covers. The key table lives under the database's lock
+// and a snapshot copies it in the same cut as the graphs, so after
+// Close and a reopen every key whose mutation returned without error
+// is in the table with exactly its names, and no other key is. Under
+// -race it is also the detector for a key noted outside that lock.
+func TestKeyedMutationsRaceSnapshots(t *testing.T) {
+	const writers, rounds = 4, 12
+	dir := t.TempDir()
+	d, err := OpenDurable(DurableOptions{Dir: dir, Sync: wal.SyncNever, SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatalf("OpenDurable: %v", err)
+	}
+	gs := storageGraphs(17, writers*rounds*2)
+
+	wantIns := make([]map[string][]string, writers)
+	wantDel := make([]map[string]string, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		wantIns[w], wantDel[w] = map[string][]string{}, map[string]string{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				key := fmt.Sprintf("w%d-ins%02d", w, r)
+				for _, g := range gs[(w*rounds+r)*2:][:2] {
+					if _, err := d.DB.Insert(g, key); err != nil {
+						t.Errorf("keyed insert %s: %v", g.Name(), err)
+						continue
+					}
+					wantIns[w][key] = append(wantIns[w][key], g.Name())
+				}
+				name := gs[(w*rounds+r)*2].Name()
+				dkey := fmt.Sprintf("w%d-del%02d", w, r)
+				if ack, err := d.DB.Delete(name, dkey); err != nil || !ack.Existed {
+					t.Errorf("keyed delete %s: ack %+v err %v", name, ack, err)
+					continue
+				}
+				wantDel[w][dkey] = name
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	snapped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				snapped <- n
+				return
+			default:
+			}
+			if err := d.Snapshot(); err != nil {
+				t.Errorf("Snapshot: %v", err)
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if n := <-snapped; n == 0 {
+		t.Fatal("no snapshot ran beside the writers")
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	r := reopen(t, dir)
+	defer r.Close()
+	keys := 0
+	for w := range writers {
+		for key, names := range wantIns[w] {
+			if got, _ := r.DB.Keyed(key); !slices.Equal(got, names) {
+				t.Errorf("insert key %s: reopened table holds %v, want %v", key, got, names)
+			}
+		}
+		for key, name := range wantDel[w] {
+			if _, got := r.DB.Keyed(key); got != name {
+				t.Errorf("delete key %s: reopened table holds %q, want %q", key, got, name)
+			}
+		}
+		keys += len(wantIns[w]) + len(wantDel[w])
+	}
+	if got := len(r.DB.keys.inserts) + len(r.DB.keys.deletes); got != keys {
+		t.Errorf("reopened table holds %d keys, want %d", got, keys)
 	}
 }

@@ -189,6 +189,8 @@ func TestEngineSurfacePinned(t *testing.T) {
 		"DeltaRow", "DeltaScore",
 		// no-op shims the benchmark harness still calls (shims.go)
 		"EnablePivots", "EnableScoreMemo", "EnableVector", "WaitPivots", "WaitVector",
+		// the idempotency-key evidence of keyed mutations
+		"Keyed",
 		// persistence
 		"Save", "WriteTo",
 		// reads

@@ -1,6 +1,6 @@
 // Package lru provides the bounded least-recently-used map underneath
-// the serving layer's caches: the answer cache and the idempotency
-// tables each wrap one Cache. The core is deliberately
+// the serving layer's caches: the answer cache and the query-graph map
+// each wrap one Cache. The core is deliberately
 // policy-free — no TTLs, no counters, no key semantics — so each wrapper
 // keeps its own validity rules (the answer cache's entries record the
 // generations they are exact at) and its own hit/miss accounting on
@@ -56,28 +56,17 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 // most recently used), evicting least-recently-used entries while the
 // cache is over capacity. It returns the number of evictions.
 func (c *Cache[K, V]) Put(key K, val V) int {
-	return c.Update(key, func(V, bool) V { return val })
-}
-
-// Update atomically merges a value under key: merge receives the
-// current value (zero when absent) and returns the value to store. The
-// entry becomes most recently used. Returns evictions like Put. Used
-// where two writers of one key must not overwrite each other's part of
-// the value.
-func (c *Cache[K, V]) Update(key K, merge func(old V, ok bool) V) int {
 	if c.capacity < 1 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry[K, V])
-		e.val = merge(e.val, true)
+		el.Value.(*entry[K, V]).val = val
 		c.ll.MoveToFront(el)
 		return 0
 	}
-	var zero V
-	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: merge(zero, false)})
+	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
 	evicted := 0
 	for c.ll.Len() > c.capacity {
 		oldest := c.ll.Back()

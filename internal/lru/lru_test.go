@@ -50,25 +50,6 @@ func peek(c *Cache[string, int], key string) (v int, ok bool) {
 	return v, ok
 }
 
-func TestUpdateMerges(t *testing.T) {
-	c := New[string, int](2)
-	c.Update("a", func(old int, ok bool) int {
-		if ok {
-			t.Fatal("merge saw a value in an empty cache")
-		}
-		return 1
-	})
-	c.Update("a", func(old int, ok bool) int {
-		if !ok || old != 1 {
-			t.Fatalf("merge old = %d, %v", old, ok)
-		}
-		return old + 10
-	})
-	if v, _ := c.Get("a"); v != 11 {
-		t.Fatalf("merged value = %d", v)
-	}
-}
-
 // TestReplaceOnlyWhatWasRead: Replace acts only on the value its caller
 // read — replacing it in place or dropping it — and leaves an absent
 // key or a value someone else stored since alone.
@@ -118,7 +99,6 @@ func TestPruneFunc(t *testing.T) {
 func TestDisabled(t *testing.T) {
 	c := New[string, int](0)
 	c.Put("a", 1)
-	c.Update("a", func(int, bool) int { return 2 })
 	if _, ok := c.Get("a"); ok || c.Len() != 0 {
 		t.Fatal("disabled cache stored an entry")
 	}

@@ -83,12 +83,14 @@ func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo f
 	}
 	vSurplus, vDeficit := s1.VHist.merge(s2.VHist)
 	vd, ed := max(vSurplus, vDeficit), s1.EHist.distance(s2.EHist)
-	opt := PairStats{
-		GED:   float64(vd + ed),
-		Size1: s1.Size, Size2: s2.Size,
-		Order1: s1.Order, Order2: s2.Order,
-		VHistDist: vd, EHistDist: ed,
-	}
+	// Fields are set in place: opt's address is taken, so a composite
+	// literal would be built in a temporary and copied over
+	// (runtime.duffcopy) on every call.
+	var opt PairStats
+	opt.GED = float64(vd + ed)
+	opt.Size1, opt.Size2 = s1.Size, s2.Size
+	opt.Order1, opt.Order2 = s1.Order, s2.Order
+	opt.VHistDist, opt.EHistDist = vd, ed
 	if needMCS {
 		opt.MCS = mcsUpper(s1, s2, s1.Order-vSurplus)
 	}

@@ -216,12 +216,14 @@ type BatchResponse struct {
 type InsertRequest struct {
 	Graph  *graph.Graph   `json:"graph,omitempty"`
 	Graphs []*graph.Graph `json:"graphs,omitempty"`
-	// IdempotencyKey makes the insert safely retryable. The key is
-	// persisted with each WAL record it inserts, so the server has
-	// durable evidence of which names this key applied — in-process and
-	// across restarts. A retry replays the recorded ack, or skips the
-	// names proven applied under the key and inserts only the
-	// remainder (completing a partially applied multi-graph insert).
+	// IdempotencyKey makes the insert safely retryable. The database
+	// notes the key in its one key table as each graph under it
+	// applies, and persists it with each WAL record (and each snapshot's
+	// manifest), so the server knows which names this key applied — the
+	// same in process and across restarts. A retry whose names all
+	// applied is a replay; otherwise it skips the names proven applied
+	// under the key and inserts only the remainder (completing a
+	// partially applied multi-graph insert).
 	// Names the key never inserted get no benefit of the doubt: a keyed
 	// insert of a name someone else created is a genuine 409 conflict.
 	// Keys are client-chosen; reuse across different payloads is the
@@ -237,11 +239,11 @@ type InsertResponse struct {
 	Inserted   []string `json:"inserted"`
 	Generation uint64   `json:"generation"`
 	// Skipped lists the subset of Inserted that was not re-applied: the
-	// WAL already showed them inserted under this key.
+	// key table already showed them inserted under this key.
 	Skipped []string `json:"skipped,omitempty"`
-	// Replayed reports that nothing was newly inserted — the whole
-	// response answers an earlier attempt with the same key, either
-	// from the replay table or from keys recovered out of the WAL.
+	// Replayed reports that nothing was newly inserted: every name was
+	// already applied under the key, so Skipped equals Inserted, and
+	// Generation is the current one, not the first attempt's.
 	Replayed bool `json:"replayed,omitempty"`
 }
 
@@ -251,7 +253,8 @@ type DeleteResponse struct {
 	Generation uint64 `json:"generation"`
 	// Replayed mirrors InsertResponse.Replayed for keyed deletes (the
 	// key travels in the X-Skygraph-Idempotency-Key header, DELETE
-	// having no body).
+	// having no body): the key already removed Deleted, and Generation
+	// is the current one.
 	Replayed bool `json:"replayed,omitempty"`
 }
 

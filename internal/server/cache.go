@@ -12,7 +12,7 @@ import (
 )
 
 // Cache is a bounded LRU of query answers, layered on the shared
-// internal/lru core (the same machinery behind the idempotency tables).
+// internal/lru core (the same machinery behind the query-graph map).
 // Every entry is one whole answer: a skyline answer's vector table or a
 // ranked answer's items. Entries live under a typed
 // cacheKey naming the request path that builds them — complete tables

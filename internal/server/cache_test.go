@@ -144,9 +144,9 @@ func TestCacheServesOnlyTheGenerationRead(t *testing.T) {
 		close(leader.done)
 	}()
 	builds := 0
-	e, hit, err := s.coalesce(context.Background(), key, 5, func() (*cacheEntry, bool, error) {
+	e, hit, err := s.coalesce(context.Background(), key, 5, func() (*cacheEntry, error) {
 		builds++
-		return entryAt(5), true, nil
+		return entryAt(5), nil
 	})
 	if err != nil || hit || builds != 1 || e.gen != 5 {
 		t.Fatalf("follower took (gen %d, hit %v, builds %d, err %v); want its own build at 5",

@@ -15,9 +15,10 @@ import (
 // path ("topk" or "range"); it never populates, shadows, or satisfies a
 // skyline key.
 
-// buildRanked runs the ranked scan of a topk/range request that read
-// generation gen.
-func (s *Server) buildRanked(ctx context.Context, res resolved, gen uint64) (*cacheEntry, bool, error) {
+// buildRanked runs the ranked scan of a topk/range request. The entry
+// records the generation of the snapshot the scan read, as a table
+// does.
+func (s *Server) buildRanked(ctx context.Context, res resolved) (*cacheEntry, error) {
 	opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace}
 	var r gdb.TopKResult
 	var err error
@@ -27,20 +28,16 @@ func (s *Server) buildRanked(ctx context.Context, res resolved, gen uint64) (*ca
 		r, err = s.db.RangeQuery(ctx, res.q, res.m, res.key.arg, opts)
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// The lineage makes the answer delta-maintainable: a later single
 	// mutation can splice, append or prove it unchanged instead of
 	// invalidating it (see delta.go).
-	e := &cacheEntry{
-		gen:     gen,
+	return &cacheEntry{
+		gen:     r.Generation,
 		items:   r.Items,
 		inexact: r.Stats.Inexact,
 		work:    r.Stats.Work,
 		lin:     &lineage{q: res.q, qsig: measure.NewSignature(res.q), m: res.m},
-	}
-	// Cache only when no mutation raced the evaluation: the generation
-	// is monotone, so unchanged before/after means the snapshot the scan
-	// used is the recorded generation's.
-	return e, gen == s.db.Generation(), nil
+	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"syscall"
 	"testing"
@@ -316,15 +317,25 @@ func TestLoadShed(t *testing.T) {
 	s.inflightQ.Add(-2)
 }
 
-// TestIdempotentMutations covers the replay table end to end: a keyed
-// insert retried after a success replays the recorded ack instead of
-// 409ing; the same works for deletes (key in the header) retried after
-// the graph is gone; and a key the server has no evidence for gets no
-// benefit of the doubt — a keyed insert of an existing name is a real
-// 409 and a keyed delete of a never-existing graph a real 404.
+// TestIdempotentMutations covers the key table end to end, on a durable
+// server and on an in-memory one: a keyed insert retried after a
+// success replays its ack instead of 409ing; the same works for deletes
+// (key in the header) retried after the graph is gone; and a key the
+// server has no evidence for gets no benefit of the doubt — a keyed
+// insert of an existing name is a real 409 and a keyed delete of a
+// never-existing graph a real 404.
 func TestIdempotentMutations(t *testing.T) {
-	_, _, ts := newResilientServer(t, t.TempDir())
+	t.Run("durable", func(t *testing.T) {
+		_, _, ts := newResilientServer(t, t.TempDir())
+		checkIdempotentMutations(t, ts)
+	})
+	t.Run("memory", func(t *testing.T) {
+		_, ts := newTestServerWith(t, Config{CacheSize: 16}, nil)
+		checkIdempotentMutations(t, ts)
+	})
+}
 
+func checkIdempotentMutations(t *testing.T, ts *httptest.Server) {
 	ireq := InsertRequest{Graph: namedGraph(t, "idem-a"), IdempotencyKey: "k1"}
 	var first InsertResponse
 	if resp := postAny(t, ts.URL+"/graphs", ireq, &first); resp.StatusCode != http.StatusOK {
@@ -433,6 +444,78 @@ func TestIdempotencySurvivesRestart(t *testing.T) {
 	}
 	if resp := doDelete(t, ts2.URL+"/graphs/dur-b", map[string]string{IdempotencyHeader: "never-logged"}, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("fresh-key delete after restart: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestKeyedRetryAckSurvivesRestart: a keyed retry gets one ack whether
+// or not the daemon restarted in between. After a keyed insert, a keyed
+// delete and one unkeyed mutation, each retry is a replay carrying the
+// generation GET /graphs reports at that moment; in process and after a
+// restart with a snapshot the two acks agree in every other field.
+func TestKeyedRetryAckSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	d, s, ts := newResilientServer(t, dir)
+	ireq := InsertRequest{Graph: namedGraph(t, "ack-a"), IdempotencyKey: "ack-ins"}
+	delKey := map[string]string{IdempotencyHeader: "ack-del"}
+	if resp := postAny(t, ts.URL+"/graphs", ireq, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("keyed insert: status %d", resp.StatusCode)
+	}
+	if resp := postAny(t, ts.URL+"/graphs", InsertRequest{Graph: namedGraph(t, "ack-b")}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("setup insert: status %d", resp.StatusCode)
+	}
+	if resp := doDelete(t, ts.URL+"/graphs/ack-b", delKey, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("keyed delete: status %d", resp.StatusCode)
+	}
+	if resp := postAny(t, ts.URL+"/graphs", InsertRequest{Graph: namedGraph(t, "ack-c")}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("unkeyed insert: status %d", resp.StatusCode)
+	}
+
+	// retry replays both keyed mutations against url and checks each
+	// ack's generation is the one GET /graphs reports.
+	retry := func(url string) (InsertResponse, DeleteResponse) {
+		t.Helper()
+		var ins InsertResponse
+		if resp := postAny(t, url+"/graphs", ireq, &ins); resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert retry: status %d", resp.StatusCode)
+		}
+		var del DeleteResponse
+		if resp := doDelete(t, url+"/graphs/ack-b", delKey, &del); resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete retry: status %d", resp.StatusCode)
+		}
+		var list ListResponse
+		getJSON(t, url+"/graphs", &list)
+		if ins.Generation != list.Generation || del.Generation != list.Generation {
+			t.Fatalf("replay generations insert %d, delete %d; GET /graphs reports %d",
+				ins.Generation, del.Generation, list.Generation)
+		}
+		return ins, del
+	}
+	ins1, del1 := retry(ts.URL)
+
+	ts.Close()
+	s.Close()
+	if err := d.Snapshot(); err != nil {
+		t.Fatalf("final snapshot: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("close durable: %v", err)
+	}
+	_, _, ts2 := newResilientServer(t, dir)
+	ins2, del2 := retry(ts2.URL)
+
+	want := InsertResponse{Inserted: []string{"ack-a"}, Skipped: []string{"ack-a"}, Replayed: true}
+	for _, got := range []InsertResponse{ins1, ins2} {
+		got.Generation = 0
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("insert replay %+v; want %+v", got, want)
+		}
+	}
+	wantDel := DeleteResponse{Deleted: "ack-b", Replayed: true}
+	for _, got := range []DeleteResponse{del1, del2} {
+		got.Generation = 0
+		if got != wantDel {
+			t.Errorf("delete replay %+v; want %+v", got, wantDel)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,10 +81,6 @@ type Config struct {
 	FaultAdmin bool
 }
 
-// idemCapacity is the number of recently acknowledged mutation keys
-// remembered for replay.
-const idemCapacity = 4096
-
 // Server serves similarity queries over a graph database with an
 // answer cache in front of pair evaluation. Create with New, mount via
 // Handler.
@@ -104,17 +101,6 @@ type Server struct {
 
 	flightMu sync.Mutex
 	flight   map[cacheKey]*flightCall
-
-	idemMu sync.Mutex
-	idem   *lru.Cache[string, idemRecord]
-	// idemProg tracks, per insert key, the names proven applied under
-	// that key — noted live as each graph commits and seeded from the
-	// WAL's recovered keys at startup. It is the evidence that lets a
-	// keyed retry skip its own earlier work (including completing a
-	// partially applied multi-graph insert) without ever masking a
-	// genuine name conflict. Values are copy-on-write: readers get a
-	// snapshot map that is never mutated.
-	idemProg *lru.Cache[string, map[string]bool]
 
 	inflightQ       atomic.Int64
 	queries         atomic.Uint64
@@ -164,39 +150,9 @@ func New(db *gdb.DB, cfg Config) *Server {
 	if s.slowW == nil {
 		s.slowW = os.Stderr
 	}
-	s.idem = lru.New[string, idemRecord](idemCapacity)
-	s.idemProg = lru.New[string, map[string]bool](idemCapacity)
-	s.seedIdempotency()
 	s.health = newHealth(cfg.Durable, cfg.DegradeAfter, cfg.ProbeEvery)
 	s.met = newMetrics(s)
 	return s
-}
-
-// seedIdempotency loads the WAL's recovered idempotency keys into the
-// replay bookkeeping, so keyed retries whose acks died with the
-// previous process are answered from durable evidence: recovered
-// delete keys become replayable acks outright (a delete is complete by
-// construction), recovered insert keys become per-name progress (a
-// multi-graph insert may have been cut short mid-batch, so the retry
-// must be able to complete the remainder, not just replay). Keys the
-// WAL does not know — reclaimed by a snapshot, or never accepted —
-// get no special treatment, which is the point.
-func (s *Server) seedIdempotency() {
-	if s.cfg.Durable == nil {
-		return
-	}
-	rk := s.cfg.Durable.RecoveredKeys()
-	gen := s.db.Generation()
-	for key, name := range rk.Deletes {
-		s.idemRemember("delete", key, idemRecord{del: &DeleteResponse{Deleted: name, Generation: gen}})
-	}
-	for key, names := range rk.Inserts {
-		done := make(map[string]bool, len(names))
-		for _, n := range names {
-			done[n] = true
-		}
-		s.idemProg.Put(key, done)
-	}
 }
 
 // Close stops the server's background work (the health probe loop).
@@ -509,12 +465,15 @@ type flightCall struct {
 // cache when it is servable at gen. Otherwise concurrent identical
 // requests coalesce on one flight leader, which re-checks the cache,
 // runs build, adds the build's work to the server totals and publishes
-// the entry under key when build says to store it. Followers report a
+// the entry under key. Every build records the generation of the
+// snapshot it read, whatever the request read, so storing it is always
+// sound: servable compares that generation, and the next mutation's
+// sweep upgrades or drops an entry left behind. Followers report a
 // hit: they caused no evaluation. A follower takes the leader's entry
 // only when it too is servable at the follower's gen; one whose leader
 // built at another generation, or failed — e.g. the leader's own
 // shorter timeout fired — retries under its own deadline instead.
-func (s *Server) coalesce(ctx context.Context, key cacheKey, gen uint64, build func() (*cacheEntry, bool, error)) (e *cacheEntry, hit bool, err error) {
+func (s *Server) coalesce(ctx context.Context, key cacheKey, gen uint64, build func() (*cacheEntry, error)) (e *cacheEntry, hit bool, err error) {
 	var c *flightCall
 	for {
 		if e, ok := s.cache.lookup(key, gen, false); ok {
@@ -554,14 +513,12 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gen uint64, build f
 	if e, ok := s.cache.lookup(key, gen, true); ok {
 		return e, true, nil
 	}
-	e, store, err := build()
+	e, err = build()
 	if err != nil {
 		return nil, false, err
 	}
 	s.work.add(e.work)
-	if store {
-		s.cache.put(key, e)
-	}
+	s.cache.put(key, e)
 	return e, false, nil
 }
 
@@ -572,33 +529,31 @@ func (s *Server) coalesce(ctx context.Context, key cacheKey, gen uint64, build f
 // the request caused no evaluation.
 func (s *Server) entry(ctx context.Context, res resolved) (e *cacheEntry, hit bool, err error) {
 	gen := s.db.Generation()
-	return s.coalesce(ctx, res.key, gen, func() (*cacheEntry, bool, error) {
+	return s.coalesce(ctx, res.key, gen, func() (*cacheEntry, error) {
 		if res.key.path == "topk" || res.key.path == "range" {
-			return s.buildRanked(ctx, res, gen)
+			return s.buildRanked(ctx, res)
 		}
 		return s.buildTable(ctx, res)
 	})
 }
 
 // buildTable evaluates a skyline request: one scan of the database.
-func (s *Server) buildTable(ctx context.Context, res resolved) (*cacheEntry, bool, error) {
+func (s *Server) buildTable(ctx context.Context, res resolved) (*cacheEntry, error) {
 	opts := res.opts
 	opts.Prune = res.key.path == "pruned"
 	t, err := s.db.VectorTable(ctx, res.q, opts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	// The table records the generation of the snapshot it was built
-	// from, whatever the request read, so storing the entry is
-	// always sound. A pruned table carries its maintenance lineage, so a
-	// later mutation can upgrade the entry in place (delta.go) instead of
+	// A pruned table carries its maintenance lineage, so a later
+	// mutation can upgrade the entry in place (delta.go) instead of
 	// invalidating it; a complete table carries none, and the next
 	// mutation drops it.
 	var lin *lineage
 	if opts.Prune {
 		lin = &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis}
 	}
-	return tableEntry(t, lin), true, nil
+	return tableEntry(t, lin), nil
 }
 
 // classifyQueryErr maps an evaluation error to an HTTP status, error
@@ -814,61 +769,6 @@ func toItemJSON(items []topk.Item) []ItemJSON {
 	return out
 }
 
-// idemRecord remembers one acknowledged keyed mutation for replay;
-// exactly one field is set.
-type idemRecord struct {
-	insert *InsertResponse
-	del    *DeleteResponse
-}
-
-// idemLookup fetches the recorded ack of a keyed mutation. Keys are
-// namespaced by verb so an insert key can never replay a delete.
-func (s *Server) idemLookup(verb, key string) (idemRecord, bool) {
-	if key == "" {
-		return idemRecord{}, false
-	}
-	s.idemMu.Lock()
-	defer s.idemMu.Unlock()
-	return s.idem.Get(verb + ":" + key)
-}
-
-func (s *Server) idemRemember(verb, key string, rec idemRecord) {
-	if key == "" {
-		return
-	}
-	s.idemMu.Lock()
-	defer s.idemMu.Unlock()
-	s.idem.Put(verb+":"+key, rec)
-}
-
-// insertProgress returns the names proven applied under the given
-// insert key (nil for unkeyed or unknown keys). The returned map is an
-// immutable snapshot — noteInsertProgress replaces rather than mutates
-// it, so readers race with nothing.
-func (s *Server) insertProgress(key string) map[string]bool {
-	if key == "" {
-		return nil
-	}
-	done, _ := s.idemProg.Get(key)
-	return done
-}
-
-// noteInsertProgress records that name committed under the given
-// insert key (copy-on-write, see insertProgress).
-func (s *Server) noteInsertProgress(key, name string) {
-	if key == "" {
-		return
-	}
-	s.idemProg.Update(key, func(old map[string]bool, _ bool) map[string]bool {
-		next := make(map[string]bool, len(old)+1)
-		for n := range old {
-			next[n] = true
-		}
-		next[name] = true
-		return next
-	})
-}
-
 // rejectDegraded refuses a mutation up front while the write path is
 // degraded-readonly (it could only fail), with the class and
 // Retry-After hint the retrying client keys on. Reports whether the
@@ -949,45 +849,49 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if key == "" {
 		key = req.IdempotencyKey
 	}
-	// Replay before anything else — even degraded, serving the recorded
-	// ack of an already-persisted mutation is a read.
-	if rec, ok := s.idemLookup("insert", key); ok && rec.insert != nil {
-		resp := *rec.insert
-		resp.Replayed = true
-		writeJSON(w, http.StatusOK, resp)
+	names := make([]string, len(gs))
+	for i, g := range gs {
+		names[i] = g.Name()
+	}
+	// done is the database's evidence that this key was accepted before:
+	// the names its earlier attempts applied, noted by the store as each
+	// committed, live or replayed from the WAL after a restart. Those
+	// names are skipped rather than re-inserted, which both replays lost
+	// acks and lets a retry of a partially applied multi-graph insert
+	// complete the remainder instead of 409-ing on its own earlier work.
+	// Without evidence nothing is skipped: a keyed insert of a name
+	// someone else created is a genuine 409 conflict.
+	done, _ := s.db.Keyed(key)
+	var skipped []string
+	for _, n := range names {
+		if slices.Contains(done, n) {
+			skipped = append(skipped, n)
+		}
+	}
+	// A pure replay goes before anything else: even degraded, acking an
+	// already-persisted mutation is a read.
+	if len(skipped) == len(names) {
+		writeJSON(w, http.StatusOK, InsertResponse{Inserted: names, Skipped: skipped, Generation: s.db.Generation(), Replayed: true})
 		return
 	}
 	if s.rejectDegraded(w) {
 		return
 	}
-	// done is the evidence this key was accepted before: names noted by
-	// this process on commit, or recovered from the WAL (keys ride
-	// along in the records) after a restart ate the ack. Those names
-	// are skipped rather than re-inserted, which both replays lost
-	// acks and lets a retry of a partially applied multi-graph insert
-	// complete the remainder instead of 409-ing on its own earlier
-	// work. Without evidence nothing is skipped: a keyed insert of a
-	// name someone else created is a genuine 409 conflict.
-	done := s.insertProgress(key)
 	inserted := make([]string, 0, len(gs))
-	var skipped []string
 	for _, g := range gs {
-		if done[g.Name()] {
-			skipped = append(skipped, g.Name())
+		if slices.Contains(done, g.Name()) {
 			continue
 		}
 		ack, err := s.db.Insert(g, key)
 		if err != nil {
 			// Partial inserts stand (each bumped the generation, and each
-			// already routed its cache delta) and are reported;
-			// the request is not recorded for replay, but the applied
-			// names are noted under the key, so a keyed retry re-attempts
-			// exactly the remainder.
+			// already routed its cache delta) and are reported; the store
+			// noted each applied name under the key, so a keyed retry
+			// re-attempts exactly the remainder.
 			s.mutationError(w, err, &PartialInsert{Inserted: inserted, Generation: s.db.Generation()})
 			return
 		}
 		s.health.NoteSuccess()
-		s.noteInsertProgress(key, g.Name())
 		inserted = append(inserted, g.Name())
 		// Route the delta per applied insert, not per request: each
 		// mutation advances the database by exactly one generation, which
@@ -996,30 +900,17 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	// Inserted reports every name the request asked for that is now
 	// applied under this key — freshly inserted or skipped as already
-	// done — so a completed retry acks the whole request; Replayed
-	// marks the pure-replay case (nothing newly applied).
-	names := make([]string, len(gs))
-	for i, g := range gs {
-		names[i] = g.Name()
-	}
-	resp := InsertResponse{
-		Inserted:   names,
-		Skipped:    skipped,
-		Generation: s.db.Generation(),
-		Replayed:   len(inserted) == 0 && len(skipped) > 0,
-	}
-	s.idemRemember("insert", key, idemRecord{insert: &resp})
-	writeJSON(w, http.StatusOK, resp)
+	// done — so a completed retry acks the whole request.
+	writeJSON(w, http.StatusOK, InsertResponse{Inserted: names, Skipped: skipped, Generation: s.db.Generation()})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.deletes.Add(1)
 	name := r.PathValue("name")
 	key := r.Header.Get(IdempotencyHeader)
-	if rec, ok := s.idemLookup("delete", key); ok && rec.del != nil {
-		resp := *rec.del
-		resp.Replayed = true
-		writeJSON(w, http.StatusOK, resp)
+	// A key that already removed a graph replays, degraded or not.
+	if _, deleted := s.db.Keyed(key); deleted != "" {
+		writeJSON(w, http.StatusOK, DeleteResponse{Deleted: deleted, Generation: s.db.Generation(), Replayed: true})
 		return
 	}
 	if s.rejectDegraded(w) {
@@ -1033,18 +924,15 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ack.Existed {
-		// A keyed delete whose ack was lost is answered by the replay
-		// table above — recovery seeds it from the keys in the WAL — so
-		// an absent graph here means this key never deleted anything:
-		// 404, keyed or not.
+		// A keyed delete whose ack was lost is answered from the key table
+		// above, so an absent graph here means this key never deleted
+		// anything: 404, keyed or not.
 		s.writeError(w, http.StatusNotFound, "no graph named %q", name)
 		return
 	}
 	s.health.NoteSuccess()
 	s.deltaDelete(name, ack.Gen)
-	resp := DeleteResponse{Deleted: name, Generation: s.db.Generation()}
-	s.idemRemember("delete", key, idemRecord{del: &resp})
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: name, Generation: s.db.Generation()})
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -5,8 +5,8 @@
 // outage, Retry-After honoring on 429/503, and strict retry-safety
 // rules — queries are always retryable (they have no side effects),
 // mutations only under an idempotency key (generated automatically),
-// which the server checks against its insert-sequence high-water and
-// replay table so a retried mutation is applied at most once.
+// which the server checks against the database's key table so a
+// retried mutation is applied at most once.
 package client
 
 import (

@@ -107,7 +107,10 @@ if [ "$QCODE" != 200 ]; then
   echo "smoke-chaos: query while degraded answered $QCODE, want 200" >&2
   exit 1
 fi
-if ! curl -fsS "http://$ADDR/metrics" | grep -q '^skygraph_health_degradations_total [1-9]'; then
+# Read the whole body before matching: with pipefail, grep -q exiting on
+# its first match makes curl fail writing the rest (exit 23).
+METRICS="$(curl -fsS "http://$ADDR/metrics")"
+if ! grep -q '^skygraph_health_degradations_total [1-9]' <<<"$METRICS"; then
   echo "smoke-chaos: /metrics did not record the degradation" >&2
   exit 1
 fi
