@@ -131,11 +131,13 @@ func BenchmarkTable5Ranking(b *testing.B) {
 // families with isomorphic twins kept, built as the harness builds it.
 // Each is queried with a 1-edit query, DistEd top-5 and a radius-2
 // range. evaluated/op counts the candidates scored exactly, pruned/op
-// the rest (tier 0, tier 1 and decision runs together) and classes/op
-// the histogram classes tier 0 bounds, one interval each. Workers is
-// pinned to 1 so the counters are deterministic. Allocations are
-// reported: the scan's per-class and per-candidate columns are most of
-// them.
+// the rest (tier 0, tier 1 and decision runs together), engine/op the
+// candidates that reached the exact engines, scored or excluded by a
+// decision run (the trace's exact-stage pairs, read from one untimed
+// traced query), and classes/op the histogram classes tier 0 bounds,
+// one interval each. Workers is pinned to 1 so the counters are
+// deterministic. Allocations are reported: the scan's per-class and
+// per-candidate columns are most of them.
 func BenchmarkRankedScaling(b *testing.B) {
 	clustered := dataset.NoisyQueries(dataset.MoleculeDB(3000/25, 5, 5, 1), 3000, 2, 3)
 	for i, g := range clustered {
@@ -158,26 +160,38 @@ func BenchmarkRankedScaling(b *testing.B) {
 		for _, g := range c.gs {
 			classes[measure.NewSignature(g).HistogramClass()] = true
 		}
-		opts := gdb.QueryOptions{Workers: 1}
 		for _, kind := range []string{"topk", "range"} {
+			query := func(opts gdb.QueryOptions) gdb.QueryStats {
+				var res gdb.TopKResult
+				var err error
+				if kind == "topk" {
+					res, err = db.TopKQuery(context.Background(), q, measure.DistEd, 5, opts)
+				} else {
+					res, err = db.RangeQuery(context.Background(), q, measure.DistEd, 2, opts)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res.Stats
+			}
 			b.Run(c.name+"/"+kind, func(b *testing.B) {
 				b.ReportAllocs()
 				var last gdb.QueryStats
 				for i := 0; i < b.N; i++ {
-					var res gdb.TopKResult
-					var err error
-					if kind == "topk" {
-						res, err = db.TopKQuery(context.Background(), q, measure.DistEd, 5, opts)
-					} else {
-						res, err = db.RangeQuery(context.Background(), q, measure.DistEd, 2, opts)
+					last = query(gdb.QueryOptions{Workers: 1})
+				}
+				b.StopTimer()
+				trace := gdb.NewQueryTrace()
+				query(gdb.QueryOptions{Workers: 1, Trace: trace})
+				engine := 0
+				for _, st := range trace.Stages() {
+					if st.Stage == gdb.StageExact.String() {
+						engine = st.Pairs
 					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res.Stats
 				}
 				b.ReportMetric(float64(last.Evaluated), "evaluated/op")
 				b.ReportMetric(float64(last.Pruned), "pruned/op")
+				b.ReportMetric(float64(engine), "engine/op")
 				b.ReportMetric(float64(len(classes)), "classes/op")
 			})
 		}

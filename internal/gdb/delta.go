@@ -87,8 +87,8 @@ func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m
 	}
 	coll := newRangeCollector(th)
 	rs, claims := newRankScan(sn, q, qsig, m, opts, coll)
-	if i, claimed := claims.pop(); claimed {
-		rs.settle(i, coll)
+	if cl, claimed := claims.pop(); claimed {
+		rs.settle(int(cl.i), coll)
 	}
 	items := coll.items()
 	if len(items) == 0 {

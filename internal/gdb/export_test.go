@@ -40,8 +40,8 @@ func RankedItemsInOrder(sh *DB, q *graph.Graph, m measure.Measure, k int, radius
 	}
 	rs, claims := newRankScan(sh.snapshot(), q, measure.NewSignature(q), m, opts, coll)
 	var order []int
-	for i, ok := claims.pop(); ok; i, ok = claims.pop() {
-		order = append(order, i)
+	for cl, ok := claims.pop(); ok; cl, ok = claims.pop() {
+		order = append(order, int(cl.i))
 	}
 	permute(order)
 	for _, i := range order {

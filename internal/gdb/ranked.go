@@ -16,38 +16,47 @@ import (
 
 // Best-first ranked-query evaluation. A top-k or range query does not
 // need the exact score of every database graph: candidates are ordered
-// by the optimistic (lower) end of their signature-derived score
-// interval and evaluated most-promising-first against a live threshold
-// — the current k-th best score, or the radius. The moment the next
-// candidate's optimistic bound exceeds the threshold, every remaining
-// candidate is provably out and the scan stops. Tier 0 computes only
-// the ranking measure's interval (measure.RankInterval) into plain
-// columns, once per histogram class when the measure reads only the
-// label histograms there (measure.HistogramRanked) — the members of a
-// class share their interval bit for bit — and once per candidate
-// otherwise. The classes come off a heap in claim order, each handing
-// out its members in sequence order, so a scan that stops early pays
-// neither for statistics its measure never reads nor for ordering
-// candidates it never reaches; the full interval statistics
-// (measure.BoundPair) are built only for a candidate that reaches the
-// engines. A candidate the bound cannot settle meets tier 1 when the
-// measure reads GED: the branch lower bound, read from the query's
-// branch table (measure.BranchTable), decides whether the candidate's
-// GED can fit under the threshold at all, and proves most claimed
-// candidates out with no engine run, most of them without solving an
-// assignment (BranchTable.Exceeds); a survivor's bound raises the
-// optimistic end of its GED interval. The rest go to a threshold-fed
-// decision run of the exact engines (ged.Options.Limit /
-// mcs.Options.Need), which discards most survivors without paying for
-// exactness, and a plain exact evaluation only for candidates that
-// might make the answer. Tier 1 narrows the optimistic end because that
-// is the end every cutoff reads; a refinement of the pessimistic end
-// (bipartite GED, greedy MCS) never prunes against a best-first
-// threshold and cost more than the decision runs it spared, so there is
-// none. Included scores are byte-identical
-// to a complete table's column, so the answer — scores and tie-order —
-// matches ranking every graph exactly. It is the one evaluation path of
-// TopKQuery and RangeQuery.
+// by the optimistic (lower) end of their score interval and evaluated
+// most-promising-first against a live threshold — the current k-th best
+// score, or the radius. The moment the least optimistic end left
+// exceeds the threshold, every remaining candidate is provably out and
+// the scan stops. Tier 0 computes only the ranking measure's
+// signature-derived interval (measure.RankInterval) into plain columns,
+// once per histogram class when the measure reads only the label
+// histograms there (measure.HistogramRanked) — the members of a class
+// share their interval bit for bit — and once per candidate otherwise.
+// The classes come off a heap in claim order, each handing out its
+// members in sequence order, so a scan that stops early pays neither
+// for statistics its measure never reads nor for ordering candidates
+// it never reaches; the full interval statistics (measure.BoundPair)
+// are built only for a candidate that reaches the engines. A candidate
+// the bound cannot settle meets tier 1 when the measure reads GED: the
+// branch lower bound, read from the query's branch table
+// (measure.BranchTable), decides whether the candidate's GED can fit
+// under the threshold at all, and proves most claimed candidates out
+// with no engine run, most of them without solving an assignment
+// (BranchTable.Exceeds); a survivor's bound raises the optimistic end
+// of its GED interval. The survivor does not go straight to the
+// engines: it goes back into the claim heap under its raised optimistic
+// end, so there is one best-first order over tier-0 classes and tier-1
+// survivors, and the engines refine candidates in ascending order of
+// their best lower bound — the order that makes fewest exact
+// evaluations for a top-k query (Seidl and Kriegel, "Optimal
+// Multi-Step k-Nearest Neighbor Search", SIGMOD 1998), as the threshold
+// tightens before the candidates it cuts off are reached. A range
+// threshold is fixed, so there the order cannot change which
+// candidates are evaluated, and a range survivor goes straight on.
+// A survivor meets a threshold-fed decision run of the exact engines
+// (ged.Options.Limit / mcs.Options.Need), which discards most
+// survivors without paying for exactness, and a plain exact evaluation
+// only for candidates that might make the answer. Tier 1 narrows the
+// optimistic end because that is the end every cutoff reads; a
+// refinement of the pessimistic end (bipartite GED, greedy MCS) never
+// prunes against a best-first threshold and cost more than the
+// decision runs it spared, so there is none. Included scores are
+// byte-identical to a complete table's column, so the answer — scores
+// and tie-order — matches ranking every graph exactly. It is the one
+// evaluation path of TopKQuery and RangeQuery.
 
 // atomicFloat is a lock-free float64 cell (stored as bits).
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -272,26 +281,44 @@ func groupByClass(cls []int32, nc int, seqs []uint64) classGroups {
 }
 
 // claimRun is one admitted class in the claim heap: members[next:end]
-// are its unclaimed candidates, which all bound as lo and hi.
+// are its unclaimed candidates, which all bound as lo and hi, and seq
+// is the insert sequence of members[next]. The run carries its whole
+// key, so ordering runs reads no other memory.
 type claimRun struct {
 	lo, hi    float64
+	seq       uint64
 	next, end int32
+}
+
+// claim is one candidate as the claim heap hands it out: candidate i
+// under its optimistic end lo and pessimistic end hi. A survivor is a
+// candidate tier 1 has claimed already and could not prove out, queued
+// again under the optimistic end its branch bound raised; gedLo is that
+// raised GED lower bound, which the engines plan from.
+type claim struct {
+	lo, hi, gedLo float64
+	i             int32
+	survivor      bool
 }
 
 // claimHeap hands the admitted candidates to the scan's workers in
 // claim order, one pop at a time under its mutex: ascending optimistic
 // end (lo), lo ties by pessimistic end (hi), remaining ties by insert
-// sequence. Sequences are unique, so the order is total and popping the
-// whole heap yields exactly the sorted order. The heap holds classes,
-// not candidates: the members of a class share (lo, hi) bit for bit and
-// come off it in sequence order, so a class is keyed by (lo, hi, the
-// sequence of its next member), and merging the classes by that key is
-// the candidates' sorted order. Heapifying is O(classes), and the scan
-// usually stops after popping a small share of the candidates, where a
-// full sort paid O(n log n) for all of them.
+// sequence. It holds two queues under that one order. The first holds
+// the tier-0 classes, not candidates: the members of a class share
+// (lo, hi) bit for bit and come off it in sequence order, so a class is
+// keyed by (lo, hi, the sequence of its next member), and merging the
+// classes by that key is the candidates' sorted order. Heapifying is
+// O(classes), and the scan usually stops after popping a small share
+// of the candidates, where a full sort paid O(n log n) for all of them.
+// The second holds the survivors tier 1 queues back (push), keyed by
+// their raised lo; a survivor comes off before a class whose lo ties
+// its own. Sequences are unique, so each order is total, and popping a
+// heap nobody pushes to yields exactly the sorted order.
 type claimHeap struct {
 	mu      sync.Mutex
 	runs    []claimRun // a binary min-heap under compare
+	queued  []claim    // a binary min-heap under compareQueued
 	members []int32
 	seqs    []uint64
 	n       int // candidates in the admitted classes
@@ -302,7 +329,7 @@ type claimHeap struct {
 func newClaimHeap(admitted []int, lo, hi []float64, g classGroups, seqs []uint64) *claimHeap {
 	h := &claimHeap{runs: make([]claimRun, len(admitted)), members: g.members, seqs: seqs}
 	for k, c := range admitted {
-		h.runs[k] = claimRun{lo: lo[c], hi: hi[c], next: g.start[c], end: g.start[c+1]}
+		h.runs[k] = claimRun{lo: lo[c], hi: hi[c], seq: seqs[g.members[g.start[c]]], next: g.start[c], end: g.start[c+1]}
 		h.n += int(g.start[c+1] - g.start[c])
 	}
 	for i := len(h.runs)/2 - 1; i >= 0; i-- {
@@ -319,10 +346,21 @@ func (h *claimHeap) compare(a, b *claimRun) int {
 	if c := cmp.Compare(a.hi, b.hi); c != 0 {
 		return c
 	}
-	return cmp.Compare(h.seqs[h.members[a.next]], h.seqs[h.members[b.next]])
+	return cmp.Compare(a.seq, b.seq)
 }
 
-// down restores the heap property below position i.
+// compareQueued orders survivors a and b.
+func (h *claimHeap) compareQueued(a, b *claim) int {
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(h.seqs[a.i], h.seqs[b.i])
+}
+
+// down restores the heap property of runs below position i.
 func (h *claimHeap) down(i int) {
 	runs := h.runs
 	for {
@@ -341,28 +379,72 @@ func (h *claimHeap) down(i int) {
 	}
 }
 
-// pop removes and returns the first candidate in claim order; ok is
-// false once the heap is empty.
-func (h *claimHeap) pop() (i int, ok bool) {
+// downQueued restores the heap property of queued below position i.
+func (h *claimHeap) downQueued(i int) {
+	q := h.queued
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			return
+		}
+		if c+1 < len(q) && h.compareQueued(&q[c+1], &q[c]) < 0 {
+			c++
+		}
+		if h.compareQueued(&q[c], &q[i]) >= 0 {
+			return
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+}
+
+// pop removes and returns the first claim in claim order over both
+// queues; ok is false once both are empty.
+func (h *claimHeap) pop() (cl claim, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if q := h.queued; len(q) > 0 && (len(h.runs) == 0 || q[0].lo <= h.runs[0].lo) {
+		cl = q[0]
+		last := len(q) - 1
+		q[0] = q[last]
+		h.queued = q[:last]
+		h.downQueued(0)
+		return cl, true
+	}
 	if len(h.runs) == 0 {
-		return 0, false
+		return claim{}, false
 	}
 	r := &h.runs[0]
-	i = int(h.members[r.next])
-	if r.next++; r.next == r.end {
+	cl = claim{lo: r.lo, hi: r.hi, i: h.members[r.next]}
+	if r.next++; r.next < r.end {
+		r.seq = h.seqs[h.members[r.next]]
+	} else {
 		last := len(h.runs) - 1
 		h.runs[0] = h.runs[last]
 		h.runs = h.runs[:last]
 	}
 	h.down(0)
-	return i, true
+	return cl, true
+}
+
+// push queues survivor cl back into claim order.
+func (h *claimHeap) push(cl claim) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.queued = append(h.queued, cl)
+	for i := len(h.queued) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h.compareQueued(&h.queued[i], &h.queued[p]) >= 0 {
+			break
+		}
+		h.queued[i], h.queued[p] = h.queued[p], h.queued[i]
+		i = p
+	}
 }
 
 // How a candidate left the ranked scan.
 const (
-	fateOpen     uint8 = iota // never settled: cut off by the threshold
+	fateOpen     uint8 = iota // not evaluated nor proved out by tier 1: cut off by the threshold
 	fateScored                // exact score computed
 	fateInexact               // scored, from a capped engine's bound
 	fateExcluded              // an engine decision run proved it out
@@ -371,8 +453,10 @@ const (
 
 // rankScan is the ranked scan over one snapshot. The tier-0 columns are
 // indexed by class and read-only once built; an element of fate is
-// indexed like the snapshot, written only by the one settle call of its
-// candidate and read after the scan.
+// indexed like the snapshot, written by its candidate's tier-1 step
+// (branch) and then by its engines step (evaluate), which the claim
+// heap's mutex orders when a survivor changes workers, and read after
+// the scan.
 type rankScan struct {
 	sn   snap
 	q    *graph.Graph
@@ -384,8 +468,8 @@ type rankScan struct {
 	// otherwise, when candidate i is class i.
 	cls []int32
 	// lo and hi bracket a class's scores under m; gedLo is its tier-0
-	// GED lower bound, which tier 1 may raise per candidate at settle
-	// time.
+	// GED lower bound, which tier 1 may raise per candidate (a
+	// survivor's claim carries the raised one).
 	lo, hi, gedLo []float64
 	fate          []uint8
 	needGED       bool
@@ -474,67 +558,83 @@ func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Mea
 	return rs, claims
 }
 
-// settle takes candidate i through its claim against coll's threshold
-// as it stands: the threshold check, tier 1, then the engines,
-// offering an exact score to coll. It returns false, settling nothing,
-// when i's optimistic end already exceeds the threshold: in claim
-// order everything after it is at least as hopeless, so the scan
-// stops. Exclusion always carries a proof against a threshold no lower
-// than the final one, so settle is a plain function of (candidate,
-// collector): any call order, sequential or concurrent, collects the
-// same answer.
-func (rs *rankScan) settle(i int, coll rankedCollector) bool {
-	// One threshold reading serves the cutoff and the engines below, so
-	// a candidate the interval already condemns is always the cutoff's,
-	// never an "exact" exclusion that ran no engine.
+// settle takes candidate i through both steps of its claim against
+// coll's threshold as it stands: the cutoff, tier 1 (branch), then
+// the engines (evaluate) at the same threshold, with no queue between
+// them. DeltaScore and RankedItemsInOrder settle candidates this way;
+// the scan's workers run the same two steps with the claim heap
+// between them (run). Exclusion always carries a proof against a
+// threshold no lower than the final one, so settling is a plain
+// function of (candidate, collector): any call order, sequential or
+// concurrent, collects the same answer.
+func (rs *rankScan) settle(i int, coll rankedCollector) {
 	th := coll.threshold()
+	if rs.lo[rs.class(i)] > th {
+		return
+	}
+	if cl, ok := rs.branch(i, th); ok {
+		rs.evaluate(cl, th, coll)
+	}
+}
+
+// branch is the tier-1 step of candidate i's tier-0 claim against the
+// threshold th, which i's optimistic end fits. The branch bound decides
+// whether it proves the candidate out: above the largest GED the
+// threshold admits, it is out with no engine run, and branch reports
+// false. Otherwise i survives, and branch returns its survivor claim,
+// whose optimistic end the bound raised, for the engines step. A
+// candidate whose pessimistic end already fits is certainly in, and one
+// whose measure reads no GED has no branch bound: either survives
+// unraised. The fate of a survivor tier 1 ran on reads fateBounded
+// until its engines step runs: if the scan never comes back to it, or
+// comes back to it above the threshold, its bound proved it out.
+func (rs *rankScan) branch(i int, th float64) (claim, bool) {
 	c := rs.class(i)
-	if rs.lo[c] > th {
-		return false
+	cl := claim{lo: rs.lo[c], hi: rs.hi[c], gedLo: rs.gedLo[c], i: int32(i), survivor: true}
+	if !rs.needGED || cl.hi <= th {
+		return cl, true
 	}
 	trace := rs.opts.Trace
 	var t0 time.Time
 	if trace != nil {
 		t0 = time.Now()
 	}
-	g, sig := rs.sn.graphs[i], rs.sn.sigs[i]
-	// Tier 1: the branch bound decides whether it proves the candidate
-	// out: above the largest GED the threshold admits, it is out with
-	// no engine run. Otherwise the bound raises the optimistic end of
-	// the GED interval, which narrows the decision run's plan. A
-	// candidate whose pessimistic end already fits is certainly in, so
-	// there is nothing to prove.
-	gedLo := rs.gedLo[c]
-	if rs.needGED && rs.hi[c] > th {
-		gedHi := sig.Order + rs.qsig.Order + sig.Size + rs.qsig.Size
-		limit := measure.GEDLimitAt(rs.gedFit(th), int(gedLo), gedHi)
-		lb, above := rs.qsig.BranchTable().Exceeds(sig, limit)
-		if above {
-			rs.fate[i] = fateBounded
-			if trace != nil {
-				trace.Observe(StageBound, time.Since(t0), 0, 0)
-			}
-			return true
-		}
-		gedLo = max(gedLo, lb)
-		if trace != nil {
-			t1 := time.Now()
-			trace.Observe(StageBound, t1.Sub(t0), 0, 0)
-			t0 = t1
-		}
+	sig := rs.sn.sigs[i]
+	gedHi := sig.Order + rs.qsig.Order + sig.Size + rs.qsig.Size
+	limit := measure.GEDLimitAt(rs.gedFit(th), int(cl.gedLo), gedHi)
+	lb, above := rs.qsig.BranchTable().Exceeds(sig, limit)
+	rs.fate[i] = fateBounded
+	if lb > cl.gedLo && !above {
+		cl.gedLo, cl.lo = lb, measure.AtGED(rs.m, lb)
 	}
-	// Threshold-fed evaluation: an engine decision run excludes, or a
-	// plain exact run scores. Only here does the candidate need the full
-	// interval statistics the engines plan from.
+	if trace != nil {
+		trace.Observe(StageBound, time.Since(t0), 0, 0)
+	}
+	return cl, !above
+}
+
+// evaluate is the engines step of survivor cl against the threshold
+// th, which cl's optimistic end fits: an engine decision run excludes
+// it, or a plain exact run scores it and offers the score to coll.
+// Only here does the candidate need the full interval statistics the
+// engines plan from.
+func (rs *rankScan) evaluate(cl claim, th float64, coll rankedCollector) {
+	trace := rs.opts.Trace
+	var t0 time.Time
+	if trace != nil {
+		t0 = time.Now()
+	}
+	i := int(cl.i)
+	g, sig := rs.sn.graphs[i], rs.sn.sigs[i]
 	bs := measure.BoundPair(sig, rs.qsig)
-	bs.GEDLo = gedLo
+	bs.GEDLo = cl.gedLo
 	score, _, excluded, capped := measure.ComputeRankResults(g, rs.q, rs.m, th, bs, rs.opts.Eval)
 	if excluded {
 		rs.fate[i] = fateExcluded
 		if trace != nil {
 			trace.Observe(StageExact, time.Since(t0), 1, 1)
 		}
-		return true
+		return
 	}
 	rs.fate[i] = fateScored
 	if capped {
@@ -544,7 +644,56 @@ func (rs *rankScan) settle(i int, coll rankedCollector) bool {
 	if trace != nil {
 		trace.Observe(StageExact, time.Since(t0), 1, 0)
 	}
-	return true
+}
+
+// run is the scan's worker pool: opts.Workers workers pop the claim
+// heap in claim order against coll's live threshold, one threshold
+// reading per pop, until the least key left exceeds it. A tier-0 claim
+// runs tier 1 (branch) and queues its survivor back into the heap
+// under the raised key; a survivor popped again runs the engines
+// (evaluate). Candidates are thus refined by exact runs in ascending
+// order of their best lower bound, so the top-k threshold tightens
+// before the candidates it will cut off are reached. A collector that
+// takes no floor has a fixed threshold (a range query's radius), which
+// no order tightens: there the survivor runs the engines at once, and
+// the heap sees no second pop.
+//
+// A worker stops when the claims run out or the least key exceeds the
+// threshold: everything after it in claim order is at least as
+// hopeless. Only that worker stops. Another may still be in a tier-1
+// step and queue a survivor with a lower key, and it asks for work
+// again after queuing, so it pops what it queued or something before
+// it: the scan ends only when nothing under the threshold is left. Each
+// candidate is claimed at most twice and each worker stops once, which
+// is the pool's budget.
+func (rs *rankScan) run(ctx context.Context, claims *claimHeap, coll rankedCollector) error {
+	workers := min(max(rs.opts.Workers, 1), claims.n)
+	fixed := coll.floorK() == 0 // the threshold never moves
+	return forEachClaim(ctx, 2*claims.n+workers, workers, func(int) bool {
+		cl, ok := claims.pop()
+		if !ok {
+			return false
+		}
+		// One threshold reading serves the cutoff and the step below,
+		// so a candidate its key already condemns is always a bound's,
+		// never an "exact" exclusion that ran no engine.
+		th := coll.threshold()
+		switch {
+		case cl.lo > th:
+			return false
+		case cl.survivor:
+			rs.evaluate(cl, th, coll)
+		default:
+			if cl, ok = rs.branch(int(cl.i), th); ok {
+				if fixed {
+					rs.evaluate(cl, th, coll)
+				} else {
+					claims.push(cl)
+				}
+			}
+		}
+		return true
+	})
 }
 
 // stats attributes the scan by counting: every candidate has exactly
@@ -577,9 +726,8 @@ func (rs *rankScan) stats() QueryStats {
 
 // evalRanked is the scan itself: tier 0 bounds every candidate and
 // seeds the threshold (newRankScan), then one pool of opts.Workers
-// workers pops the admitted candidates in claim order and settles each
-// — tier 1, then the engines — until one's optimistic end exceeds the
-// threshold.
+// workers pops the admitted candidates in claim order and takes each
+// through tier 1 and, as a survivor claimed again, the engines (run).
 //
 // The returned stats carry the scan's Work and Inexact; Duration is the
 // caller's to stamp.
@@ -591,15 +739,7 @@ func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.
 		return QueryStats{}, ctx.Err()
 	}
 	rs, claims := newRankScan(sn, q, qsig, m, opts, coll)
-	// A settle returning false stops the pool. A candidate another
-	// worker already popped bounds lower than the one that stopped it
-	// and still gets its own threshold check — dropping it unchecked
-	// would lose a possible answer.
-	err := forEachClaim(ctx, claims.n, opts.Workers, func(int) bool {
-		i, ok := claims.pop()
-		return ok && rs.settle(i, coll)
-	})
-	if err != nil {
+	if err := rs.run(ctx, claims, coll); err != nil {
 		return QueryStats{}, err
 	}
 	return rs.stats(), nil

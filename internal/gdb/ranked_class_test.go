@@ -99,8 +99,8 @@ func TestClassClaimOrderMatchesSort(t *testing.T) {
 						t.Fatalf("%s %s k=%d: heap counts %d candidates, want %d", label, m.Name(), k, claims.n, len(want))
 					}
 					var got []int
-					for i, ok := claims.pop(); ok; i, ok = claims.pop() {
-						got = append(got, i)
+					for cl, ok := claims.pop(); ok; cl, ok = claims.pop() {
+						got = append(got, int(cl.i))
 					}
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s %s k=%d: heap pops %v, sort order %v", label, m.Name(), k, got, want)

@@ -135,8 +135,8 @@ func TestClaimHeapMatchesSortOrder(t *testing.T) {
 		})
 		h := newClaimHeap(idx, lo, hi, groupByClass(nil, n, seqs), seqs)
 		var got []int
-		for i, ok := h.pop(); ok; i, ok = h.pop() {
-			got = append(got, i)
+		for cl, ok := h.pop(); ok; cl, ok = h.pop() {
+			got = append(got, int(cl.i))
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("trial %d: heap pops %v, sort order %v", trial, got, want)

@@ -132,24 +132,21 @@ func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Si
 
 // forEachClaim is the one worker pool of every scan: up to workers
 // goroutines claim k = 0, 1, ..., n-1 from one atomic cursor, in order,
-// and run claim(k). Claiming stops for every worker once ctx is done or
-// some claim returns false; claims already running finish. It returns
-// ctx.Err().
+// and run claim(k). A worker stops once ctx is done, the cursor passes
+// n, or its own claim returns false; the other workers go on, and
+// claims already running finish. It returns ctx.Err().
 func forEachClaim(ctx context.Context, n, workers int, claim func(k int) bool) error {
 	workers = min(max(workers, 1), n)
 	var (
-		wg      sync.WaitGroup
-		cursor  atomic.Int64
-		stopped atomic.Bool
+		wg     sync.WaitGroup
+		cursor atomic.Int64
 	)
 	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stopped.Load() && ctx.Err() == nil {
-				k := int(cursor.Add(1)) - 1
-				if k >= n || !claim(k) {
-					stopped.Store(true)
+			for ctx.Err() == nil {
+				if k := int(cursor.Add(1)) - 1; k >= n || !claim(k) {
 					return
 				}
 			}

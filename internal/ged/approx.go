@@ -155,7 +155,9 @@ func incidentHists(buf, adj []int32, n, ne int) []int32 {
 type beamNode struct{ g, parent, v, depth int32 }
 
 // Beam runs the exact search's assignment steps breadth-first,
-// restricted to the `width` cheapest nodes per depth level. It returns
+// restricted to the `width` cheapest nodes per depth level: each kept
+// node's state is rebuilt by replaying its decisions (replay), and its
+// children are scored from there without being applied (score). It returns
 // an upper bound on the edit distance (exact when the optimal path
 // survives the beam; guaranteed only for width >= the full branching).
 func Beam(g1, g2 *graph.Graph, width int) Result {
@@ -177,11 +179,11 @@ func Beam(g1, g2 *graph.Graph, width int) Result {
 		var next []int32
 		u := int(s.order[depth])
 		add := func(parent int32, v int) {
-			g := slab[parent].g + s.assign(u, v, 1)
+			c, h := s.score(u, v)
+			g := slab[parent].g + c
 			if depth+1 == n1 {
-				g += s.h() // the insertion of what is left of g2
+				g += h // the insertion of what is left of g2
 			}
-			s.assign(u, v, -1)
 			slab = append(slab, beamNode{g: g, parent: parent, v: int32(v), depth: int32(depth + 1)})
 			next = append(next, int32(len(slab)-1))
 		}

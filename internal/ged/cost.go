@@ -10,9 +10,12 @@
 //     an admissible anchor-aware label-histogram bound, trying each
 //     node's children cheapest first and pruning against the best
 //     complete mapping found (optimal, exponential worst case; fine at
-//     paper scale).
+//     paper scale). A child's step cost and bound are read off the
+//     counters without applying it; only the child descended into is
+//     applied.
 //   - Beam: the same assignment steps run breadth-first, truncated to a
-//     beam width (suboptimal, returns an upper bound).
+//     beam width (suboptimal, returns an upper bound), scoring children
+//     the same way.
 //   - Bipartite: Riesen–Bunke style assignment approximation via the
 //     Hungarian algorithm (fast upper bound).
 //   - LowerBound: the histogram lower bound itself (cheap, used for index

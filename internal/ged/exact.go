@@ -112,12 +112,13 @@ type child struct{ f, c, v int32 }
 // first, each one assigned to an unused g2 vertex or deleted. The
 // children of a node are tried cheapest f = g + h first; a complete
 // assignment cheaper than the incumbent becomes the incumbent, and any
-// node whose f reaches the incumbent is pruned. State is applied on
-// descent and undone on return (decide, assign), so no node is ever
-// stored.
+// node whose f reaches the incumbent is pruned. A node's children are
+// scored without being applied (score); the one descended into is
+// applied on descent and undone on return (decide, assign), so no node
+// is ever stored.
 //
 // h is the anchor-aware histogram bound, kept incrementally by decide
-// and assign:
+// and assign, and read one step ahead by score:
 // the label-histogram distance between undecided g1 vertices and
 // unused g2 vertices, plus one edge-label histogram distance per class
 // of the edges not yet charged. An edge between two undecided g1
@@ -148,6 +149,7 @@ type search struct {
 	vs, as     histSum
 	cbs        []histSum
 	cbBound    int32
+	pend       []int32 // score's scratch, zero between calls
 
 	ub       int32   // largest path cost still worth reaching
 	low      int32   // smallest f-value left unexpanded
@@ -213,6 +215,7 @@ func (s *search) resetState() {
 	s.rootCounts()
 	s.cb, s.cbs = pairform.Resize(s.cb, s.N1*s.NE()), pairform.Resize(s.cbs, s.N1)
 	s.cbBound = 0
+	s.pend = pairform.Resize(s.pend, s.NE())
 }
 
 // rootCounts fills the vertex and class (a) counters for a blank
@@ -250,8 +253,8 @@ func (s *search) decide(u int, d int32) {
 			s.as.add(s.ca, x.L, -d)
 			s.classAdd(u, x.L, d)
 		} else {
-			// The edge to decided w is charged by assign and leaves
-			// w's class.
+			// The edge to decided w is charged by the step (score)
+			// and leaves w's class.
 			s.classAdd(int(x.W), x.L, -d)
 		}
 	}
@@ -259,61 +262,98 @@ func (s *search) decide(u int, d int32) {
 
 // assign maps the decided g1 vertex u to g2 vertex v (-1: deletes it)
 // when d is +1 and undoes exactly that when d is -1, keeping the
-// counters behind h current in O(deg u + deg v). Applying, it returns
-// the cost the decision adds to the path: the vertex substitution or
-// deletion, and every edge it completes between u and a decided vertex
-// on either side — substituted when both exist, deleted or inserted
-// when one does. Absent edges read as id 0, so one mismatch covers all
-// three.
-func (s *search) assign(u, v int, d int32) int32 {
+// counters behind h current in O(deg v). What the step adds to the
+// path is score's to compute: the search scores a child before it
+// applies it.
+func (s *search) assign(u, v int, d int32) {
 	if v < 0 {
-		if d < 0 {
+		if d > 0 {
+			s.mapping[u] = -1
+		} else {
 			s.mapping[u] = -2
-			return 0
 		}
-		s.mapping[u] = -1
-		cost := int32(1)
-		for _, x := range s.Nbrs1(u) {
-			if s.mapping[x.W] != -2 {
-				cost++
-			}
-		}
-		return cost
+		return
 	}
 	if d > 0 {
 		s.mapping[u], s.used[v], s.inv[v] = int32(v), true, int32(u)
 	}
-	cost := mismatch(s.VL1[u], s.VL2[v])
 	s.vs.add(s.cv, s.VL2[v], d)
-	row2 := s.Adj2[v*s.N2 : (v+1)*s.N2]
-	for _, x := range s.Nbrs1(u) {
-		switch mw := s.mapping[x.W]; {
-		case mw >= 0:
-			cost += mismatch(x.L, row2[mw])
-		case mw == -1:
-			cost++
-		}
-	}
-	row1 := s.Adj1[u*s.N1 : (u+1)*s.N1]
 	for _, x := range s.Nbrs2(v) {
-		w := s.inv[x.W]
-		if w < 0 {
+		if w := s.inv[x.W]; w >= 0 {
+			// The edge to used x is charged by the step and leaves the
+			// class of x's preimage.
+			s.classAdd(int(w), x.L, d)
+		} else {
 			// An open g2 edge moves from class (a) to u's class.
 			s.as.add(s.ca, x.L, d)
 			s.classAdd(u, x.L, -d)
-			continue
 		}
-		// The edge to used x is charged now and leaves the class of
-		// x's preimage; a g1 counterpart was charged above.
-		if row1[w] == 0 {
-			cost++
-		}
-		s.classAdd(int(w), x.L, d)
 	}
 	if d < 0 {
 		s.mapping[u], s.used[v], s.inv[v] = -2, false, -1
 	}
-	return cost
+}
+
+// score returns the cost deciding u as v (-1: deleting it) adds to the
+// path, and h after that step, reading the counters without writing
+// them: the decided g1 vertex u's children are scored with it, and
+// only the one descended into is applied (assign). The cost is the
+// vertex substitution or deletion, and every edge the step completes
+// between u and a decided vertex on either side — substituted when
+// both exist, deleted or inserted when one does. Absent edges read as
+// id 0, so one mismatch covers all three. The step moves one vertex
+// counter; one counter of class (a) and of u's own class per unused g2
+// neighbour of v, where neighbours sharing an edge label move the same
+// counters again (pend counts the moves made so far per label); and
+// one counter in the class of each used neighbour's preimage, a
+// different class for each.
+func (s *search) score(u, v int) (c, h int32) {
+	if v < 0 {
+		c = 1
+		for _, x := range s.Nbrs1(u) {
+			if s.mapping[x.W] != -2 {
+				c++
+			}
+		}
+		return c, s.h()
+	}
+	vs, as, cu := s.vs, s.as, s.cbs[u]
+	cbBound := s.cbBound - cu.bound()
+	c = mismatch(s.VL1[u], s.VL2[v])
+	vs.move(s.cv[s.VL2[v]], 1)
+	row2 := s.Adj2[v*s.N2 : (v+1)*s.N2]
+	for _, x := range s.Nbrs1(u) {
+		switch mw := s.mapping[x.W]; {
+		case mw >= 0:
+			c += mismatch(x.L, row2[mw])
+		case mw == -1:
+			c++
+		}
+	}
+	ne := int32(s.NE())
+	row1, cbu := s.Adj1[u*s.N1:(u+1)*s.N1], s.cb[int32(u)*ne:int32(u+1)*ne]
+	nbrs := s.Nbrs2(v)
+	for _, x := range nbrs {
+		w := s.inv[x.W]
+		if w < 0 {
+			p := s.pend[x.L]
+			s.pend[x.L] = p + 1
+			as.move(s.ca[x.L]+p, 1)
+			cu.move(cbu[x.L]-p, -1)
+			continue
+		}
+		if row1[w] == 0 {
+			c++
+		}
+		hw := s.cbs[w]
+		cbBound -= hw.bound()
+		hw.move(s.cb[w*ne+x.L], 1)
+		cbBound += hw.bound()
+	}
+	for _, x := range nbrs {
+		s.pend[x.L] = 0
+	}
+	return c, vs.bound() + as.bound() + cbBound + cu.bound()
 }
 
 // classAdd moves counter l of decided vertex w's class by d, keeping
@@ -361,9 +401,10 @@ func (s *search) run(maxNodes int64) Result {
 }
 
 // expand visits the node at depth (its first depth vertices decided,
-// path cost g, f-value f ≤ ub): it generates the children deciding the
-// next vertex, sorts them by f and descends into each in turn while its
-// f stays within the incumbent; a child that completes the assignment
+// path cost g, f-value f ≤ ub): it scores the children deciding the
+// next vertex (score, which applies none of them), sorts them by f and
+// descends into each in turn, applying it, while its f stays within
+// the incumbent; a child that completes the assignment
 // is a goal and becomes the incumbent. It returns false when the node
 // cap stopped the search, having folded the f-values left unexpanded
 // into low.
@@ -377,9 +418,8 @@ func (s *search) expand(depth int, g, f int32) bool {
 	s.decide(u, 1)
 	kids := s.kids[depth*(s.N2+1) : depth*(s.N2+1)]
 	add := func(v int) {
-		c := s.assign(u, v, 1)
-		k := child{f: g + c + s.h(), c: c, v: int32(v)}
-		s.assign(u, v, -1)
+		c, h := s.score(u, v)
+		k := child{f: g + c + h, c: c, v: int32(v)}
 		// Insertion keeps equal f-values in generation order.
 		kids = append(kids, k)
 		for j := len(kids) - 1; j > 0 && kids[j-1].f > k.f; j-- {

@@ -41,6 +41,12 @@ type histSum struct{ surplus, deficit int32 }
 func (h *histSum) add(c []int32, l, d int32) {
 	x := c[l]
 	c[l] = x + d
+	h.move(x, d)
+}
+
+// move is add's change to the sums for a counter at x moving by d,
+// with the counter itself left as it is.
+func (h *histSum) move(x, d int32) {
 	if x+x+d > 0 {
 		h.surplus += d
 	} else {

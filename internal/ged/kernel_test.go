@@ -174,7 +174,7 @@ func recountBound(s *search) (h, pooled int32) {
 	return h, histBound(cv) + histBound(all)
 }
 
-// stepCostRecount is the cost assign charges for deciding u as v, read off
+// stepCostRecount is the cost score charges for deciding u as v, read off
 // the dense adjacency: the vertex substitution (or deletion) plus, for
 // every decided g1 vertex w, the edge pair ({u,w}, {v,m(w)}).
 func stepCostRecount(s *search, u, v int) int32 {
@@ -206,13 +206,34 @@ func searchSnapshot(s *search) string {
 	return fmt.Sprint(s.mapping, s.used, s.inv, s.cv, s.ca, s.cb, s.vs, s.as, s.cbs, s.cbBound)
 }
 
+// sharesUnusedLabel reports whether two unused g2 neighbours of v reach
+// it over the same edge label: the step onto v then moves one class (a)
+// counter, and one of the decided vertex's class, more than once.
+func sharesUnusedLabel(s *search, v int) bool {
+	seen := map[int32]bool{}
+	for _, x := range s.Nbrs2(v) {
+		if !s.used[x.W] {
+			if seen[x.L] {
+				return true
+			}
+			seen[x.L] = true
+		}
+	}
+	return false
+}
+
 // TestChildBoundMatchesRecount walks the search tree of seeded pairs the
 // way the search does, applying each child's step and undoing it, and
 // checks at every child that the incrementally kept h equals the bound
 // recounted from scratch and is never below the pooled histogram bound,
 // that the step cost matches the adjacency recount, that a complete
 // assignment's g + h is its edit cost, and that undoing a decision restores
-// every counter. The kernel goldens pin the searches' outcomes; this
+// every counter. The step cost and the bound after it are read with
+// score, as the search reads them, without applying the child: score
+// must return the h the applied step (assign) leaves, and change no
+// state. Children reached over two unused neighbours sharing an edge
+// label, where score must accumulate one counter's moves, have a floor
+// of their own. The kernel goldens pin the searches' outcomes; this
 // pins the bound behind them.
 func TestChildBoundMatchesRecount(t *testing.T) {
 	near, far := harnessPairs(12, 47)
@@ -225,7 +246,7 @@ func TestChildBoundMatchesRecount(t *testing.T) {
 			graph.ErdosRenyi(rng.Intn(7), 0.5, labels, bonds, rng),
 		})
 	}
-	checked := 0
+	checked, shared := 0, 0
 	for _, p := range pairs {
 		s := newSearch(p[0], p[1])
 		if h, _ := recountBound(s); h != s.h() {
@@ -241,14 +262,25 @@ func TestChildBoundMatchesRecount(t *testing.T) {
 				}
 				before := searchSnapshot(s)
 				want := stepCostRecount(s, u, v)
+				if v >= 0 && sharesUnusedLabel(s, v) {
+					shared++
+				}
 				s.decide(u, 1)
-				c := s.assign(u, v, 1)
+				decided := searchSnapshot(s)
+				c, sh := s.score(u, v)
+				if after := searchSnapshot(s); after != decided {
+					t.Fatalf("%v / %v: scoring step %d->%d changed the state:\n%s\n%s", p[0], p[1], u, v, decided, after)
+				}
 				if c != want {
 					t.Fatalf("%v / %v: step %d->%d at depth %d costs %d, recounted %d", p[0], p[1], u, v, depth, c, want)
 				}
+				s.assign(u, v, 1)
 				h, pooled := recountBound(s)
 				if got := s.h(); got != h || got < pooled {
 					t.Fatalf("%v / %v: step %d->%d at depth %d: h %d, recounted %d, pooled %d", p[0], p[1], u, v, depth, got, h, pooled)
+				}
+				if sh != h {
+					t.Fatalf("%v / %v: step %d->%d at depth %d scores h %d, applied %d", p[0], p[1], u, v, depth, sh, h)
 				}
 				if depth+1 == s.N1 {
 					m := make([]int, s.N1)
@@ -270,7 +302,8 @@ func TestChildBoundMatchesRecount(t *testing.T) {
 			}
 			for _, v := range descend {
 				s.decide(u, 1)
-				c := s.assign(u, v, 1)
+				c, _ := s.score(u, v)
+				s.assign(u, v, 1)
 				walk(depth+1, g+c)
 				s.assign(u, v, -1)
 				s.decide(u, -1)
@@ -283,5 +316,9 @@ func TestChildBoundMatchesRecount(t *testing.T) {
 	}
 	if checked < 1000 {
 		t.Fatalf("only %d child bounds checked", checked)
+	}
+	t.Logf("%d children checked, %d over two unused neighbours sharing an edge label", checked, shared)
+	if shared < 100 {
+		t.Fatalf("only %d children over two unused neighbours sharing an edge label", shared)
 	}
 }
