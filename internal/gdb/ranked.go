@@ -43,20 +43,20 @@ import (
 // their best lower bound — the order that makes fewest exact
 // evaluations for a top-k query (Seidl and Kriegel, "Optimal
 // Multi-Step k-Nearest Neighbor Search", SIGMOD 1998), as the threshold
-// tightens before the candidates it cuts off are reached. A range
-// threshold is fixed, so there the order cannot change which
-// candidates are evaluated, and a range survivor goes straight on.
-// A survivor meets a threshold-fed decision run of the exact engines
-// (ged.Options.Limit / mcs.Options.Need), which discards most
-// survivors without paying for exactness, and a plain exact evaluation
-// only for candidates that might make the answer. Tier 1 narrows the
-// optimistic end because that is the end every cutoff reads; a
-// refinement of the pessimistic end (bipartite GED, greedy MCS) never
-// prunes against a best-first threshold and cost more than the
-// decision runs it spared, so there is none. Included scores are
-// byte-identical to a complete table's column, so the answer — scores
-// and tie-order — matches ranking every graph exactly. It is the one
-// evaluation path of TopKQuery and RangeQuery.
+// tightens before the candidates it cuts off are reached (a range
+// threshold is fixed, so there the order changes no evaluation). A
+// survivor whose bound did not raise its key is still the least, and
+// goes straight on. A survivor meets a threshold-fed decision run of
+// the exact engines (ged.Options.Limit / mcs.Options.Need), which
+// discards most survivors without paying for exactness, and a plain
+// exact evaluation only for candidates that might make the answer.
+// Tier 1 narrows the optimistic end because that is the end every
+// cutoff reads; a refinement of the pessimistic end (bipartite GED,
+// greedy MCS) never prunes against a best-first threshold and cost more
+// than the decision runs it spared, so there is none. Included scores
+// are byte-identical to a complete table's column, so the answer —
+// scores and tie-order — matches ranking every graph exactly. It is the
+// one evaluation path of TopKQuery and RangeQuery.
 
 // atomicFloat is a lock-free float64 cell (stored as bits).
 type atomicFloat struct{ bits atomic.Uint64 }
@@ -653,10 +653,10 @@ func (rs *rankScan) evaluate(cl claim, th float64, coll rankedCollector) {
 // under the raised key; a survivor popped again runs the engines
 // (evaluate). Candidates are thus refined by exact runs in ascending
 // order of their best lower bound, so the top-k threshold tightens
-// before the candidates it will cut off are reached. A collector that
-// takes no floor has a fixed threshold (a range query's radius), which
-// no order tightens: there the survivor runs the engines at once, and
-// the heap sees no second pop.
+// before the candidates it will cut off are reached. A survivor whose
+// key tier 1 did not raise (one certainly in, or one whose measure
+// reads no GED) is still the least key, so it runs the engines at once
+// and the heap sees no second pop.
 //
 // A worker stops when the claims run out or the least key exceeds the
 // threshold: everything after it in claim order is at least as
@@ -668,7 +668,6 @@ func (rs *rankScan) evaluate(cl claim, th float64, coll rankedCollector) {
 // is the pool's budget.
 func (rs *rankScan) run(ctx context.Context, claims *claimHeap, coll rankedCollector) error {
 	workers := min(max(rs.opts.Workers, 1), claims.n)
-	fixed := coll.floorK() == 0 // the threshold never moves
 	return forEachClaim(ctx, 2*claims.n+workers, workers, func(int) bool {
 		cl, ok := claims.pop()
 		if !ok {
@@ -684,12 +683,14 @@ func (rs *rankScan) run(ctx context.Context, claims *claimHeap, coll rankedColle
 		case cl.survivor:
 			rs.evaluate(cl, th, coll)
 		default:
-			if cl, ok = rs.branch(int(cl.i), th); ok {
-				if fixed {
-					rs.evaluate(cl, th, coll)
-				} else {
-					claims.push(cl)
-				}
+			lo := cl.lo
+			if cl, ok = rs.branch(int(cl.i), th); !ok {
+				break
+			}
+			if cl.lo > lo {
+				claims.push(cl)
+			} else {
+				rs.evaluate(cl, th, coll) // still the least key
 			}
 		}
 		return true
