@@ -43,8 +43,8 @@ bench-ab:
 # harness's graph shapes, one layer at a time: the pair form built from
 # two warm flat forms (0 allocs/op expected), GED on order-5 clustered
 # molecules (near and far pairs, the ranked scan's decision run, the
-# bipartite bound; every BenchmarkExact* reports the search's nodes/op)
-# and a capped run on order-7/8 molecules that hits its cap, MCS on order-6 skyline pairs (near, far, and a Need
+# bipartite bound; every BenchmarkExact* reports the search's nodes/op),
+# MCS on order-6 skyline pairs (near, far, and a Need
 # decision run), and the branch GED lower bound on both shapes: the
 # */warm cases read filled table rows (0 allocs/op expected), the
 # */first cases build a query's table and its rows, so they allocate.

@@ -312,7 +312,7 @@ func BenchmarkTopKRecall(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := dataset.MoleculeDB(1, 7, 8, 998)[0]
-	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000}}
+	var opts gdb.QueryOptions
 	sky, err := db.SkylineQuery(context.Background(), q, opts)
 	if err != nil {
 		b.Fatal(err)

@@ -205,10 +205,7 @@ func e8() {
 			{measure.DistEd, measure.DistMcs, measure.DistGu},
 			measure.Extended(), // d=6: + label and degree feature distances
 		} {
-			res, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{
-				Basis: basis,
-				Eval:  measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000},
-			})
+			res, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{Basis: basis})
 			if err != nil {
 				panic(err)
 			}
@@ -273,8 +270,7 @@ func e11() {
 	}
 	// Independent query so the skyline is non-trivial (see E8).
 	q := dataset.MoleculeDB(1, 7, 8, 998)[0]
-	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 3000, MCSMaxNodes: 3000}}
-	sky, err := db.SkylineQuery(context.Background(), q, opts)
+	sky, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -287,7 +283,7 @@ func e11() {
 	for _, m := range []measure.Measure{measure.DistEd, measure.DistMcs, measure.DistGu} {
 		var cells []string
 		for _, k := range []int{len(want), 5, 10} {
-			res, err := db.TopKQuery(context.Background(), q, m, k, opts)
+			res, err := db.TopKQuery(context.Background(), q, m, k, gdb.QueryOptions{})
 			if err != nil {
 				panic(err)
 			}

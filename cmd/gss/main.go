@@ -160,27 +160,21 @@ func loadDBAndQuery(dbPath, queryPath string) (*gdb.DB, *graph.Graph, error) {
 	return db, qs[0], nil
 }
 
-// budgetOpts caps each GED/MCS search at budget nodes (0 = exact).
-func budgetOpts(budget int64) gdb.QueryOptions {
-	return gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: budget, MCSMaxNodes: budget}}
-}
-
 func cmdSkyline(args []string) error {
 	fs := flag.NewFlagSet("skyline", flag.ExitOnError)
 	dbPath := fs.String("db", "db.lgf", "database LGF file")
 	queryPath := fs.String("query", "q.lgf", "query LGF file (one graph)")
-	budget := fs.Int64("budget", 0, "max search nodes per GED/MCS (0 = exact)")
 	all := fs.Bool("all", false, "also print dominated graphs")
 	fs.Parse(args)
 	db, q, err := loadDBAndQuery(*dbPath, *queryPath)
 	if err != nil {
 		return err
 	}
-	res, err := db.SkylineQuery(context.Background(), q, budgetOpts(*budget))
+	res, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("skyline (%d of %d graphs; %d inexact evaluations):\n", len(res.Skyline), res.Stats.Evaluated, res.Stats.Inexact)
+	fmt.Printf("skyline (%d of %d graphs):\n", len(res.Skyline), res.Stats.Evaluated)
 	fmt.Printf("%-12s %10s %10s %10s\n", "graph", "DistEd", "DistMcs", "DistGu")
 	for _, p := range res.Skyline {
 		fmt.Printf("%-12s %10.2f %10.2f %10.2f\n", p.ID, p.Vec[0], p.Vec[1], p.Vec[2])
@@ -202,13 +196,12 @@ func cmdDiverse(args []string) error {
 	dbPath := fs.String("db", "db.lgf", "database LGF file")
 	queryPath := fs.String("query", "q.lgf", "query LGF file (one graph)")
 	k := fs.Int("k", 2, "result size")
-	budget := fs.Int64("budget", 0, "max search nodes per GED/MCS (0 = exact)")
 	fs.Parse(args)
 	db, q, err := loadDBAndQuery(*dbPath, *queryPath)
 	if err != nil {
 		return err
 	}
-	res, err := db.DiverseSkylineQuery(context.Background(), q, *k, budgetOpts(*budget))
+	res, err := db.DiverseSkylineQuery(context.Background(), q, *k, gdb.QueryOptions{})
 	if err != nil {
 		return err
 	}
@@ -226,7 +219,6 @@ func cmdTopK(args []string) error {
 	queryPath := fs.String("query", "q.lgf", "query LGF file (one graph)")
 	k := fs.Int("k", 3, "result size")
 	name := fs.String("measure", "DistEd", "measure: DistEd|DistNEd|DistMcs|DistGu")
-	budget := fs.Int64("budget", 0, "max search nodes per GED/MCS (0 = exact)")
 	fs.Parse(args)
 	m, err := measure.ByName(*name)
 	if err != nil {
@@ -236,7 +228,7 @@ func cmdTopK(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := db.TopKQuery(context.Background(), q, m, *k, budgetOpts(*budget))
+	res, err := db.TopKQuery(context.Background(), q, m, *k, gdb.QueryOptions{})
 	if err != nil {
 		return err
 	}

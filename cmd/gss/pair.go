@@ -18,7 +18,6 @@ func cmdPair(args []string) error {
 	fs := flag.NewFlagSet("pair", flag.ExitOnError)
 	aPath := fs.String("a", "", "first graph (LGF, one graph)")
 	bPath := fs.String("b", "", "second graph (LGF, one graph)")
-	budget := fs.Int64("budget", 0, "max search nodes per GED/MCS (0 = exact)")
 	fs.Parse(args)
 	if *aPath == "" || *bPath == "" {
 		return fmt.Errorf("pair: both -a and -b are required")
@@ -31,19 +30,11 @@ func cmdPair(args []string) error {
 	if err != nil {
 		return err
 	}
-	s := measure.Compute(a, b, measure.Options{GEDMaxNodes: *budget, MCSMaxNodes: *budget})
+	s := measure.Compute(a, b, measure.Options{})
 	fmt.Printf("%s: |V|=%d |E|=%d\n", a.Name(), a.Order(), a.Size())
 	fmt.Printf("%s: |V|=%d |E|=%d\n", b.Name(), b.Order(), b.Size())
-	exact := ""
-	if !s.GEDExact {
-		exact = " (upper bound)"
-	}
-	fmt.Printf("GED       %g%s\n", s.GED, exact)
-	exact = ""
-	if !s.MCSExact {
-		exact = " (lower bound)"
-	}
-	fmt.Printf("|mcs|     %d%s\n", s.MCS, exact)
+	fmt.Printf("GED       %g\n", s.GED)
+	fmt.Printf("|mcs|     %d\n", s.MCS)
 	for _, m := range measure.Extended() {
 		fmt.Printf("%-10s %.4f\n", m.Name(), m.FromStats(&s))
 	}

@@ -70,7 +70,6 @@ import (
 
 	"skygraph/internal/fault"
 	"skygraph/internal/gdb"
-	"skygraph/internal/measure"
 	"skygraph/internal/server"
 	"skygraph/internal/wal"
 )
@@ -112,11 +111,9 @@ func main() {
 	addr := flag.String("addr", ":8091", "listen address")
 	dbPath := flag.String("db", "", "database LGF file (empty = start with an empty database)")
 	cacheSize := flag.Int("cache", 128, "vector-table cache capacity (entries, one per query; 0 disables)")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout (0 = none)")
+	timeout := flag.Duration("timeout", 30*time.Second, "default per-query timeout: a query's deadline stops its exact engines and answers 504 (0 = none)")
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "hard cap on request-supplied timeouts (0 = none)")
 	maxBatch := flag.Int("max-batch", 0, "max queries per /query/batch request (0 = default)")
-	gedBudget := flag.Int64("ged-budget", 0, "default cap on the exact GED search's node expansions; a capped pair reports the cheaper of its best mapping so far and the bipartite one (0 = exact)")
-	mcsBudget := flag.Int64("mcs-budget", 0, "default MCS search-node cap (0 = exact)")
 	slowQueryMS := flag.Int("slow-query-ms", 0, "log queries at or above this server-side duration as JSON lines to stderr (0 = disabled)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled; keep it private)")
 	dataDir := flag.String("data-dir", "", "durable data directory: WAL + snapshots; a restart with the same directory recovers the database (empty = in-memory only)")
@@ -198,7 +195,6 @@ func main() {
 		DefaultTimeout:     *timeout,
 		MaxTimeout:         *maxTimeout,
 		MaxBatch:           *maxBatch,
-		DefaultEval:        measure.Options{GEDMaxNodes: *gedBudget, MCSMaxNodes: *mcsBudget},
 		SlowQueryThreshold: time.Duration(*slowQueryMS) * time.Millisecond,
 		Durable:            durable,
 		DegradeAfter:       *degradeAfter,

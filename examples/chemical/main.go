@@ -24,30 +24,26 @@ func main() {
 	// a controlled-noise query, so m000 should score very well.
 	q := dataset.NoisyQueries(graphs[:1], 1, 3, 7)[0]
 
-	// Cap the exact engines so worst-case pairs degrade gracefully to
-	// bounds instead of stalling; caps this size are rarely hit at n<=12
-	// vertices.
-	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 200_000, MCSMaxNodes: 200_000}}
 	db := gdb.New()
 	if err := db.InsertAll(graphs); err != nil {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
 
-	res, err := db.SkylineQuery(ctx, q, opts)
+	res, err := db.SkylineQuery(ctx, q, gdb.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("database: %d molecules (8-12 atoms)\n", n)
 	fmt.Printf("query:    %s = %s with 3 random edits\n\n", q.Name(), graphs[0].Name())
-	fmt.Printf("similarity skyline (%d members, %d inexact evaluations):\n", len(res.Skyline), res.Stats.Inexact)
+	fmt.Printf("similarity skyline (%d members):\n", len(res.Skyline))
 	fmt.Printf("%-8s %8s %8s %8s\n", "graph", "DistEd", "DistMcs", "DistGu")
 	for _, p := range res.Skyline {
 		fmt.Printf("%-8s %8.2f %8.2f %8.2f\n", p.ID, p.Vec[0], p.Vec[1], p.Vec[2])
 	}
 
 	for _, mm := range []measure.Measure{measure.DistEd, measure.DistGu} {
-		top, err := db.TopKQuery(ctx, q, mm, 3, opts)
+		top, err := db.TopKQuery(ctx, q, mm, 3, gdb.QueryOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,8 +64,8 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testutil.RequireSameSkyline(t, label, testutil.ReferenceSkyline(gs, q, measure.Options{}), sky.Skyline)
-		scores := testutil.ReferenceScores(gs, q, measure.DistEd, measure.Options{})
+		testutil.RequireSameSkyline(t, label, testutil.ReferenceSkyline(gs, q), sky.Skyline)
+		scores := testutil.ReferenceScores(gs, q, measure.DistEd)
 		tk, err := db.TopKQuery(ctx, q, measure.DistEd, 3, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 	ps := measure.Compute(late, q, measure.Options{})
 	ref := measure.GCS(&ps, measure.Default())
 	wantKept := !slices.ContainsFunc(tab.Points, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
-	pt, kept, _, gen, ok := db.DeltaRow(late.Name(), q, qsig, tab.Points, gdb.QueryOptions{})
+	pt, kept, gen, ok := db.DeltaRow(late.Name(), q, qsig, tab.Points, gdb.QueryOptions{})
 	switch {
 	case !ok || gen != ack.Gen:
 		t.Fatalf("DeltaRow ok=%v gen=%d, want true/%d", ok, gen, ack.Gen)
@@ -119,7 +119,7 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 		t.Fatalf("the late graph is %v edits from the query, want 1: the fixture lost its shape", score)
 	}
 	for _, th := range []float64{score - 1, score, score + 1, math.Inf(1)} {
-		got, fits, _, _, ok := db.DeltaScore(late.Name(), q, qsig, measure.DistEd, th, gdb.QueryOptions{})
+		got, fits, _, ok := db.DeltaScore(late.Name(), q, qsig, measure.DistEd, th, gdb.QueryOptions{})
 		if !ok || fits != (score <= th) || fits && got != score {
 			t.Fatalf("DeltaScore th=%v: %v in=%v ok=%v, reference %v", th, got, fits, ok, score)
 		}
@@ -154,8 +154,8 @@ func TestScansWhileInsertsInternBranches(t *testing.T) {
 	}
 	wants := make([]want, len(queries))
 	for i, q := range queries {
-		wants[i].sky = testutil.ReferenceSkyline(gs, q, measure.Options{})
-		wants[i].rg = testutil.ReferenceRange(testutil.ReferenceScores(gs, q, measure.DistEd, measure.Options{}), radius)
+		wants[i].sky = testutil.ReferenceSkyline(gs, q)
+		wants[i].rg = testutil.ReferenceRange(testutil.ReferenceScores(gs, q, measure.DistEd), radius)
 	}
 	// The inserter keeps interning until both readers are done.
 	var readers, inserter sync.WaitGroup
@@ -211,7 +211,7 @@ func TestScansWhileInsertsInternBranches(t *testing.T) {
 	t.Logf("%d far graphs inserted beside the scans", len(all)-len(gs))
 	for i, q := range queries {
 		label := fmt.Sprintf("q%d with %d far graphs", i, len(all)-len(gs))
-		testutil.RequireSameSkyline(t, label, testutil.ReferenceSkyline(all, q, measure.Options{}), wants[i].sky)
-		testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(testutil.ReferenceScores(all, q, measure.DistEd, measure.Options{}), radius), wants[i].rg)
+		testutil.RequireSameSkyline(t, label, testutil.ReferenceSkyline(all, q), wants[i].sky)
+		testutil.RequireSameItems(t, label+"/range", testutil.ReferenceRange(testutil.ReferenceScores(all, q, measure.DistEd), radius), wants[i].rg)
 	}
 }

@@ -1,6 +1,7 @@
 package gdb
 
 import (
+	"context"
 	"slices"
 
 	"skygraph/internal/graph"
@@ -16,9 +17,10 @@ import (
 // with a pruned table's rows, and the ranked scan's settle step against
 // a range collector at the answer's threshold. A candidate is therefore
 // discarded only on the proofs the cold scans use, and a kept vector or
-// an included score comes from the same engine calls — stored
-// signatures, opts.Eval caps — so a spliced row is byte-identical to
-// the row a cold recompute would produce. The serving layer owns the provability argument (which
+// an included score comes from the same engine calls on the same stored
+// signatures, so a spliced row is byte-identical to the row a cold
+// recompute would produce. Neither takes a context: a delta row is
+// never stopped. The serving layer owns the provability argument (which
 // cached entries a given mutation may patch); these primitives only
 // guarantee row fidelity and report the generation they observed so
 // the caller can detect interleaved mutations. Both take the query's
@@ -47,18 +49,17 @@ func (db *DB) rowSnap(name string) (sn snap, ok bool) {
 // the scan's front seeded by rows — a pruned table's kept points. kept
 // reports whether no row strictly dominates the graph's exact vector;
 // pt is then that vector, byte-identical to the complete table build's
-// row, and inexact whether a capped engine backed it. With no rows the
-// graph is always kept.
+// row. With no rows the graph is always kept.
 // gen is the database generation observed while reading the graph —
 // callers patching a table toward generation G must see gen == G, or a
 // later mutation has interleaved and the row may describe a different
 // graph value (delete + re-insert of the same name). ok is false when
 // the name is not present.
-func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, rows []skyline.Point, opts QueryOptions) (pt skyline.Point, kept, inexact bool, gen uint64, ok bool) {
+func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, rows []skyline.Point, opts QueryOptions) (pt skyline.Point, kept bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
 	sn, ok := db.rowSnap(name)
 	if !ok {
-		return skyline.Point{}, false, false, sn.gen, false
+		return skyline.Point{}, false, sn.gen, false
 	}
 	sc, _ := newSkyScan(sn, q, qsig, opts)
 	sc.front.vecs = make([][]float64, len(rows), len(rows)+1)
@@ -67,9 +68,9 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, row
 	}
 	sc.settle(0)
 	if sc.vecs[0] == nil {
-		return skyline.Point{}, false, false, sn.gen, true
+		return skyline.Point{}, false, sn.gen, true
 	}
-	return skyline.Point{ID: name, Vec: sc.vecs[0]}, true, sc.capped[0], sn.gen, true
+	return skyline.Point{ID: name, Vec: sc.vecs[0]}, true, sn.gen, true
 }
 
 // DeltaScore settles the single named graph against q under m the way
@@ -77,24 +78,24 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, row
 // th: the k-th score of a full top-k answer, a range answer's radius,
 // or +Inf for a top-k answer holding fewer than k items. in reports
 // whether its score is at most th; score is then exact, byte-identical
-// to the ranked scan's, and inexact reports whether a capped engine
-// backed it. gen and ok behave as in DeltaRow.
-func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, th float64, opts QueryOptions) (score float64, in, inexact bool, gen uint64, ok bool) {
+// to the ranked scan's. gen and ok behave as in DeltaRow.
+func (db *DB) DeltaScore(name string, q *graph.Graph, qsig *measure.Signature, m measure.Measure, th float64, opts QueryOptions) (score float64, in bool, gen uint64, ok bool) {
 	opts = opts.withDefaults()
 	sn, ok := db.rowSnap(name)
 	if !ok {
-		return 0, false, false, sn.gen, false
+		return 0, false, sn.gen, false
 	}
 	coll := newRangeCollector(th)
-	rs, claims := newRankScan(sn, q, qsig, m, opts, coll)
+	// A context that is never done: tier 0 cannot fail.
+	rs, claims, _ := newRankScan(context.Background(), sn, q, qsig, m, opts, coll)
 	if cl, claimed := claims.pop(); claimed {
 		rs.settle(int(cl.i), coll)
 	}
 	items := coll.items()
 	if len(items) == 0 {
-		return 0, false, false, sn.gen, true
+		return 0, false, sn.gen, true
 	}
-	return items[0].Score, true, rs.fate[0] == fateInexact, sn.gen, true
+	return items[0].Score, true, sn.gen, true
 }
 
 // WithGeneration returns a copy of t advanced to generation gen with
@@ -117,12 +118,9 @@ func (t *VectorTable) WithGeneration(gen uint64) *VectorTable {
 // proven admissibility: gen == t.Generation+1, the row was evaluated at
 // exactly gen (DeltaRow's returned generation), and — for a pruned
 // table — the row belongs to the kept set.
-func (t *VectorTable) WithInsert(pt skyline.Point, inexact bool, gen uint64) *VectorTable {
+func (t *VectorTable) WithInsert(pt skyline.Point, gen uint64) *VectorTable {
 	nt := t.WithGeneration(gen)
 	nt.Points = append(slices.Clip(t.Points), pt)
-	if inexact {
-		nt.Inexact++
-	}
 	return nt
 }
 

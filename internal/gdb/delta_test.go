@@ -47,11 +47,11 @@ func TestDeltaPatchedTableMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := ack.Gen
-	pt, kept, inexact, got, ok := db.DeltaRow("late", q, measure.NewSignature(q), nil, gdb.QueryOptions{})
+	pt, kept, got, ok := db.DeltaRow("late", q, measure.NewSignature(q), nil, gdb.QueryOptions{})
 	if !ok || !kept || got != gen {
 		t.Fatalf("DeltaRow ok=%v kept=%v gen=%d, want true/true/%d", ok, kept, got, gen)
 	}
-	t1 := t0.WithInsert(pt, inexact, gen)
+	t1 := t0.WithInsert(pt, gen)
 	want := coldTable(t, append(append([]*graph.Graph(nil), gs...), late), q)
 	if !reflect.DeepEqual(want.Points, t1.Points) {
 		t.Fatalf("patched insert table differs from cold build:\ncold  %v\ndelta %v", want.Points, t1.Points)
@@ -111,14 +111,14 @@ func TestDeltaRowObservesInterleavedMutation(t *testing.T) {
 	if _, err := db.Insert(mustNamed(t, 242, "b"), ""); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, got, ok := db.DeltaRow("a", q, measure.NewSignature(q), nil, gdb.QueryOptions{})
+	_, _, got, ok := db.DeltaRow("a", q, measure.NewSignature(q), nil, gdb.QueryOptions{})
 	if !ok {
 		t.Fatal("DeltaRow did not find the inserted graph")
 	}
 	if got == gen {
 		t.Fatalf("DeltaRow observed generation %d despite a later mutation", got)
 	}
-	if _, _, _, _, ok := db.DeltaRow("missing", q, measure.NewSignature(q), nil, gdb.QueryOptions{}); ok {
+	if _, _, _, ok := db.DeltaRow("missing", q, measure.NewSignature(q), nil, gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaRow of an absent name claimed success")
 	}
 }
@@ -138,7 +138,7 @@ func TestDeltaScoreMatchesRankedScan(t *testing.T) {
 	}
 	gen := ack.Gen
 	for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
-		score, in, _, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, math.Inf(1), gdb.QueryOptions{})
+		score, in, got, ok := db.DeltaScore("late", q, measure.NewSignature(q), m, math.Inf(1), gdb.QueryOptions{})
 		if !ok || !in || got != gen {
 			t.Fatalf("m=%s: DeltaScore ok=%v in=%v gen=%d, want true/true/%d", m.Name(), ok, in, got, gen)
 		}
@@ -172,8 +172,8 @@ func mustNamed(t *testing.T, seed int64, name string) *graph.Graph {
 
 // TestDeltaSettleMatchesReference: DeltaRow and DeltaScore settle an
 // inserted graph exactly as Definition 12 and the ranked baselines
-// decide it, over seeded collections × inserted graphs × queries,
-// uncapped and capped, for the paper and the extended bases. Given a
+// decide it, over seeded collections × inserted graphs × queries, for
+// the paper and the extended bases. Given a
 // cold pruned table's rows, DeltaRow keeps the graph exactly when no
 // row strictly dominates its reference vector, and a kept row is that
 // vector bit for bit. At five thresholds — below the reference score,
@@ -191,83 +191,79 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 		lates := []*graph.Graph{mustNamed(t, seed+200, "late0"), testutil.SeededQueries(seed+300, gs, 1)[0]}
 		lates[1].SetName("late1")
 		queries := testutil.SeededQueries(seed+100, gs, 3)
-		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 20, MCSMaxNodes: 20}} {
-			for _, late := range lates {
-				db := testutil.NewDB(t, gs)
-				type cold struct {
-					rows []*gdb.VectorTable
-					kth  map[string]float64
-				}
-				colds := make([]cold, len(queries))
-				bases := [][]measure.Measure{measure.Default(), measure.Extended()}
-				for i, q := range queries {
-					colds[i].kth = map[string]float64{}
-					for _, basis := range bases {
-						tab, err := db.VectorTable(ctx, q, gdb.QueryOptions{Basis: basis, Eval: eval, Prune: true})
-						if err != nil {
-							t.Fatal(err)
-						}
-						colds[i].rows = append(colds[i].rows, tab)
+		for _, late := range lates {
+			db := testutil.NewDB(t, gs)
+			type cold struct {
+				rows []*gdb.VectorTable
+				kth  map[string]float64
+			}
+			colds := make([]cold, len(queries))
+			bases := [][]measure.Measure{measure.Default(), measure.Extended()}
+			for i, q := range queries {
+				colds[i].kth = map[string]float64{}
+				for _, basis := range bases {
+					tab, err := db.VectorTable(ctx, q, gdb.QueryOptions{Basis: basis, Prune: true})
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, m := range measures {
-						res, err := db.TopKQuery(ctx, q, m, 3, gdb.QueryOptions{Eval: eval})
-						if err != nil {
-							t.Fatal(err)
+					colds[i].rows = append(colds[i].rows, tab)
+				}
+				for _, m := range measures {
+					res, err := db.TopKQuery(ctx, q, m, 3, gdb.QueryOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					colds[i].kth[m.Name()] = res.Items[2].Score
+				}
+			}
+			ack, err := db.Insert(late, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range queries {
+				qsig := measure.NewSignature(q)
+				ps := measure.Compute(late, q, measure.Options{})
+				label := fmt.Sprintf("seed %d %s q%d", seed, late.Name(), i)
+				for b, basis := range bases {
+					ref := measure.GCS(&ps, basis)
+					rows := colds[i].rows[b].Points
+					wantKept := !slices.ContainsFunc(rows, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
+					for range 2 {
+						pt, k, gen, ok := db.DeltaRow(late.Name(), q, qsig, rows, gdb.QueryOptions{Basis: basis})
+						switch {
+						case !ok || gen != ack.Gen:
+							t.Fatalf("%s basis %d: DeltaRow ok=%v gen=%d, want true/%d", label, b, ok, gen, ack.Gen)
+						case k != wantKept:
+							t.Fatalf("%s basis %d: DeltaRow kept=%v, want %v (reference %v)", label, b, k, wantKept, ref)
+						case k && (pt.ID != late.Name() || !slices.Equal(pt.Vec, ref)):
+							t.Fatalf("%s basis %d: DeltaRow %v, reference %v", label, b, pt, ref)
 						}
-						colds[i].kth[m.Name()] = res.Items[2].Score
+					}
+					if wantKept {
+						kept++
+					} else {
+						dropped++
 					}
 				}
-				ack, err := db.Insert(late, "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, q := range queries {
-					qsig := measure.NewSignature(q)
-					ps := measure.Compute(late, q, eval)
-					label := fmt.Sprintf("seed %d %s q%d caps %v", seed, late.Name(), i, eval)
-					for b, basis := range bases {
-						ref := measure.GCS(&ps, basis)
-						rows := colds[i].rows[b].Points
-						wantKept := !slices.ContainsFunc(rows, func(p skyline.Point) bool { return skyline.Dominates(p.Vec, ref) })
+				for _, m := range measures {
+					score := m.FromStats(&ps)
+					kth := colds[i].kth[m.Name()]
+					for _, th := range []float64{score - 1, score, kth, (score + kth) / 2, math.Inf(1)} {
 						for range 2 {
-							pt, k, inexact, gen, ok := db.DeltaRow(late.Name(), q, qsig, rows, gdb.QueryOptions{Basis: basis, Eval: eval})
+							got, fits, gen, ok := db.DeltaScore(late.Name(), q, qsig, m, th, gdb.QueryOptions{})
 							switch {
 							case !ok || gen != ack.Gen:
-								t.Fatalf("%s basis %d: DeltaRow ok=%v gen=%d, want true/%d", label, b, ok, gen, ack.Gen)
-							case k != wantKept:
-								t.Fatalf("%s basis %d: DeltaRow kept=%v, want %v (reference %v)", label, b, k, wantKept, ref)
-							case k && (pt.ID != late.Name() || !slices.Equal(pt.Vec, ref) || inexact != (!ps.GEDExact || !ps.MCSExact)):
-								t.Fatalf("%s basis %d: DeltaRow %v inexact=%v, reference %v", label, b, pt, inexact, ref)
+								t.Fatalf("%s %s: DeltaScore ok=%v gen=%d, want true/%d", label, m.Name(), ok, gen, ack.Gen)
+							case fits != (score <= th):
+								t.Fatalf("%s %s th=%v: DeltaScore in=%v, reference score %v", label, m.Name(), th, fits, score)
+							case fits && got != score:
+								t.Fatalf("%s %s th=%v: DeltaScore %v, reference %v", label, m.Name(), th, got, score)
 							}
 						}
-						if wantKept {
-							kept++
+						if score <= th {
+							in++
 						} else {
-							dropped++
-						}
-					}
-					for _, m := range measures {
-						score := m.FromStats(&ps)
-						needGED, needMCS := measure.EngineNeeds(m)
-						capped := needGED && !ps.GEDExact || needMCS && !ps.MCSExact
-						kth := colds[i].kth[m.Name()]
-						for _, th := range []float64{score - 1, score, kth, (score + kth) / 2, math.Inf(1)} {
-							for range 2 {
-								got, fits, inexact, gen, ok := db.DeltaScore(late.Name(), q, qsig, m, th, gdb.QueryOptions{Eval: eval})
-								switch {
-								case !ok || gen != ack.Gen:
-									t.Fatalf("%s %s: DeltaScore ok=%v gen=%d, want true/%d", label, m.Name(), ok, gen, ack.Gen)
-								case fits != (score <= th):
-									t.Fatalf("%s %s th=%v: DeltaScore in=%v, reference score %v", label, m.Name(), th, fits, score)
-								case fits && (got != score || inexact != capped):
-									t.Fatalf("%s %s th=%v: DeltaScore %v inexact=%v, reference %v inexact=%v", label, m.Name(), th, got, inexact, score, capped)
-								}
-							}
-							if score <= th {
-								in++
-							} else {
-								out++
-							}
+							out++
 						}
 					}
 				}
@@ -280,7 +276,7 @@ func TestDeltaSettleMatchesReference(t *testing.T) {
 	t.Logf("rows kept %d dropped %d; scores in %d out %d", kept, dropped, in, out)
 	db := testutil.NewDB(t, testutil.SeededGraphs(61, 4))
 	q := testutil.SeededQueries(161, db.Graphs(), 1)[0]
-	if _, _, _, _, ok := db.DeltaScore("missing", q, measure.NewSignature(q), measure.DistEd, math.Inf(1), gdb.QueryOptions{}); ok {
+	if _, _, _, ok := db.DeltaScore("missing", q, measure.NewSignature(q), measure.DistEd, math.Inf(1), gdb.QueryOptions{}); ok {
 		t.Fatal("DeltaScore of an absent name claimed success")
 	}
 }

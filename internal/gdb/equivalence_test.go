@@ -22,7 +22,7 @@ func TestPrunedSkylineRerunsMatchUnpruned(t *testing.T) {
 		db := testutil.NewDB(t, gs)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 3) {
 			label := fmt.Sprintf("seed=%d q=%d", seed, qi)
-			opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
+			opts := gdb.QueryOptions{}
 			want, err := ref.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -46,13 +46,12 @@ func TestPrunedSkylineRerunsMatchUnpruned(t *testing.T) {
 func TestRankedRerunsMatchReference(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 18)
 	qs := testutil.SeededQueries(131, gs, 2)
-	eval := measure.Options{GEDMaxNodes: 500, MCSMaxNodes: 500}
 	ctx := context.Background()
 	for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
 		for _, q := range qs {
-			scores := testutil.ReferenceScores(gs, q, m, eval)
+			scores := testutil.ReferenceScores(gs, q, m)
 			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
-			opts := gdb.QueryOptions{Eval: eval, Workers: 4}
+			opts := gdb.QueryOptions{Workers: 4}
 			db := testutil.NewDB(t, gs)
 			label := fmt.Sprintf("%s/%s", q.Name(), m.Name())
 			for round := 0; round < 2; round++ {
@@ -72,9 +71,8 @@ func TestRankedRerunsMatchReference(t *testing.T) {
 }
 
 // TestRankedMatchesReference: top-k and range answers on the paper and
-// seeded collections equal the independent reference, with capped and
-// uncapped engines, and a four-worker scan answers exactly as a
-// one-worker scan.
+// seeded collections equal the independent reference, and a
+// four-worker scan answers exactly as a one-worker scan.
 func TestRankedMatchesReference(t *testing.T) {
 	seeded := testutil.SeededGraphs(61, 18)
 	cases := []struct {
@@ -85,29 +83,26 @@ func TestRankedMatchesReference(t *testing.T) {
 		{"paper", dataset.PaperDB(), []*graph.Graph{dataset.PaperQuery()}},
 		{"seeded", seeded, testutil.SeededQueries(161, seeded, 2)},
 	}
-	evals := []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}}
 	ctx := context.Background()
 	for _, tc := range cases {
-		for _, eval := range evals {
-			for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
-				for _, q := range tc.qs {
-					scores := testutil.ReferenceScores(tc.gs, q, m, eval)
-					refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
-					db := testutil.NewDB(t, tc.gs)
-					label := fmt.Sprintf("%s/%s/%s eval=%v", tc.label, q.Name(), m.Name(), eval.GEDMaxNodes)
-					for _, workers := range []int{4, 1} {
-						opts := gdb.QueryOptions{Eval: eval, Workers: workers}
-						tk, err := db.TopKQuery(ctx, q, m, 4, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
-						rg, err := db.RangeQuery(ctx, q, m, 4, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
+		for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
+			for _, q := range tc.qs {
+				scores := testutil.ReferenceScores(tc.gs, q, m)
+				refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
+				db := testutil.NewDB(t, tc.gs)
+				label := fmt.Sprintf("%s/%s/%s", tc.label, q.Name(), m.Name())
+				for _, workers := range []int{4, 1} {
+					opts := gdb.QueryOptions{Workers: workers}
+					tk, err := db.TopKQuery(ctx, q, m, 4, opts)
+					if err != nil {
+						t.Fatal(err)
 					}
+					testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
+					rg, err := db.RangeQuery(ctx, q, m, 4, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
 				}
 			}
 		}
@@ -122,7 +117,7 @@ func TestPrunedSkylineScoresOrPrunesEveryGraph(t *testing.T) {
 		gs := testutil.SeededGraphs(seed, 20)
 		ref := testutil.NewDB(t, gs)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
-			opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}}
+			opts := gdb.QueryOptions{}
 			want, err := ref.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -148,7 +143,7 @@ func TestPrunedSkylineSurvivesMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(51, 16)
 	db := testutil.NewDB(t, gs)
 	q := testutil.SeededQueries(151, gs, 1)[0]
-	opts := gdb.QueryOptions{Eval: measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}}
+	opts := gdb.QueryOptions{}
 
 	mutate(t, db, []string{gs[0].Name(), gs[7].Name()}, testutil.SeededGraphs(251, 4))
 
@@ -173,7 +168,6 @@ func TestAnswersSurviveMutations(t *testing.T) {
 	gs := testutil.SeededGraphs(81, 16)
 	db := testutil.NewDB(t, gs)
 	q := testutil.SeededQueries(181, gs, 1)[0]
-	eval := measure.Options{GEDMaxNodes: 1000, MCSMaxNodes: 1000}
 
 	mutate(t, db, []string{gs[0].Name(), gs[9].Name()}, testutil.SeededGraphs(281, 6))
 	if db.Len() != len(gs)-2+6 {
@@ -181,20 +175,20 @@ func TestAnswersSurviveMutations(t *testing.T) {
 	}
 
 	ref := testutil.NewDB(t, db.Graphs())
-	wantTK, err := ref.TopKQuery(context.Background(), q, measure.DistEd, 4, gdb.QueryOptions{Eval: eval})
+	wantTK, err := ref.TopKQuery(context.Background(), q, measure.DistEd, 4, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd, 4, gdb.QueryOptions{Eval: eval})
+	gotTK, err := db.TopKQuery(context.Background(), q, measure.DistEd, 4, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	testutil.RequireSameItems(t, "after-mutations/topk", wantTK.Items, gotTK.Items)
-	want, err := ref.SkylineQuery(context.Background(), q, gdb.QueryOptions{Eval: eval})
+	want, err := ref.SkylineQuery(context.Background(), q, gdb.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{Eval: eval, Prune: true})
+	got, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package gdb
 
 import (
+	"context"
 	_ "unsafe" // for go:linkname
 
 	"skygraph/internal/graph"
@@ -22,8 +23,7 @@ func PrunedPointsInOrder(sh *DB, q *graph.Graph, opts QueryOptions, permute func
 	for _, i := range order {
 		sc.settle(i)
 	}
-	pts, _ := sc.points()
-	return pts
+	return sc.points()
 }
 
 // RankedItemsInOrder answers q's top-k query under m (k >= 1) or, with
@@ -38,7 +38,7 @@ func RankedItemsInOrder(sh *DB, q *graph.Graph, m measure.Measure, k int, radius
 	if k > 0 {
 		coll = newTopkCollector(k)
 	}
-	rs, claims := newRankScan(sh.snapshot(), q, measure.NewSignature(q), m, opts, coll)
+	rs, claims, _ := newRankScan(context.Background(), sh.snapshot(), q, measure.NewSignature(q), m, opts, coll)
 	var order []int
 	for cl, ok := claims.pop(); ok; cl, ok = claims.pop() {
 		order = append(order, int(cl.i))

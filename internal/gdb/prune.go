@@ -39,16 +39,17 @@ import (
 //	        3. a GED decision run at the dominance limit — the largest
 //	           GED at which no front point dominates the vector — stops
 //	           AboveLimit: the reported GED exceeds the limit, so the
-//	           reported vector is dominated: discarded. A report the run
-//	           could not decide (a capped search) meets the front test
-//	           itself, and a dominated one is discarded likewise
+//	           reported vector is dominated: discarded. A report no
+//	           decision run decided (none ran, or the front grew since
+//	           the limit was read) meets the front test itself, and a
+//	           dominated one is discarded likewise
 //	        4. otherwise the two engines' results ARE the pair's exact
 //	           statistics and no front point dominates them: the vector
 //	           joins the front and the table
 //
 // Dominance is always strict (Definition 1), so twins and equal vectors
 // all survive. Every interval contains the value measure.Compute would
-// report (capped or not — see internal/measure/bound.go), a decision
+// report (see internal/measure/bound.go), a decision
 // run proves a floor of the true distance, which the reported one never
 // undercuts, and kept vectors come from the same engine calls as the
 // full evaluation — so the skyline over the kept points is
@@ -80,21 +81,23 @@ func (f *skyFront) add(v []float64) {
 	f.mu.Unlock()
 }
 
-// skyScan is the scan over one snapshot. The per-candidate columns are
-// indexed like the snapshot; vecs and capped are written only by the
-// one settle call of their candidate and read after the scan.
+// skyScan is the scan over one snapshot. The per-candidate column vecs
+// is indexed like the snapshot, written only by the one settle call of
+// its candidate and read after the scan.
 type skyScan struct {
 	sn   snap
 	q    *graph.Graph
 	qsig *measure.Signature
 	opts QueryOptions
+	// stop stops the exact engines (measure.Options.Stop): the query's
+	// Done channel, or nil for a delta row, which is never stopped.
+	stop <-chan struct{}
 	// los holds every candidate's tier-0 optimistic corner, one row of
 	// d = len(opts.Basis) coordinates per candidate, back to back.
-	los    []float64
-	d      int
-	front  skyFront
-	vecs   [][]float64 // exact vector of every kept candidate
-	capped []bool      // kept on a capped engine's bound
+	los   []float64
+	d     int
+	front skyFront
+	vecs  [][]float64 // exact vector of every kept candidate
 	// readsGED reports whether some basis measure reads GED, the only
 	// case in which outcome 1b's branch bound can move the corner.
 	readsGED bool
@@ -118,10 +121,9 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOpti
 			needGED, _ := measure.EngineNeeds(m)
 			return needGED
 		}),
-		los:    make([]float64, n*d),
-		d:      d,
-		vecs:   make([][]float64, n),
-		capped: make([]bool, n),
+		los:  make([]float64, n*d),
+		d:    d,
+		vecs: make([][]float64, n),
 	}
 	order := make([]int, n)
 	for i, sig := range sn.sigs {
@@ -183,70 +185,63 @@ func (sc *skyScan) settle(i int) {
 			}
 		}
 	}
-	// The plain MCS run, with the options measure.Compute uses.
-	mres := mcs.Exact(g, sc.q, mcs.Options{MaxNodes: sc.opts.Eval.MCSMaxNodes})
-	mcsv := mres.Mapping.Edges
+	// The plain MCS run, as measure.Compute runs it.
+	mcsv := mcs.Exact(g, sc.q, mcs.Options{Stop: sc.stop}).Mapping.Edges
 	bs.MCSLo, bs.MCSHi = mcsv, mcsv
 	limit := bs.GEDLimit(mcsv, sc.opts.Basis, func(vec []float64) bool { return !sc.front.dominates(vec) })
-	// A limit below GEDLo (outcome 2) excludes before any engine runs; a
-	// capped decision run that proves nothing falls through to the plain
-	// run inside, so got is exactly what measure.Compute's GED engine
-	// call reports.
-	_, got, excluded, _ := measure.ComputeRankResults(g, sc.q, measure.DistEd, limit, bs, sc.opts.Eval)
+	// A limit below GEDLo (outcome 2) excludes before any engine runs;
+	// otherwise got is exactly what measure.Compute's GED engine call
+	// reports.
+	_, got, excluded := measure.ComputeRankResults(g, sc.q, measure.DistEd, limit, bs, measure.Options{Stop: sc.stop})
 	if excluded {
 		return
 	}
-	got.MCS, got.MCSExact = mcsv, mres.Exhausted
+	got.MCS = mcsv
 	ps := measure.PairStatsFrom(sig, sc.qsig, got)
 	vec := measure.GCS(&ps, sc.opts.Basis)
 	if sc.front.dominates(vec) {
 		return // outcome 3 on a report no decision run decided
 	}
 	sc.vecs[i] = vec
-	sc.capped[i] = !ps.GEDExact || !ps.MCSExact
 	sc.front.add(vec)
 }
 
 // evalPruned runs the pipeline for q against the snapshot. It returns
-// the exact points of the kept graphs in snapshot order, the number of
-// graphs excluded without a full exact evaluation, and the inexact pair
-// count among the kept. With opts.Workers > 1 the workers
-// share the front, so which candidates a proof spares — not the
-// skyline — depends on their interleaving.
-func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pts []skyline.Point, pruned, inexact int, err error) {
+// the exact points of the kept graphs in snapshot order and the number
+// of graphs excluded without a full exact evaluation. With
+// opts.Workers > 1 the workers share the front, so which candidates a
+// proof spares — not the skyline — depends on their interleaving. Once
+// ctx is done the engines stop and it returns ctx.Err().
+func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pts []skyline.Point, pruned int, err error) {
 	n := len(sn.graphs)
 	if n == 0 {
-		return []skyline.Point{}, 0, 0, nil
+		return []skyline.Point{}, 0, nil
 	}
 	sc, order := newSkyScan(sn, q, qsig, opts)
+	sc.stop = ctx.Done()
 	start := time.Now()
 	err = forEachClaim(ctx, n, opts.Workers, func(k int) bool {
 		sc.settle(order[k])
 		return true
 	})
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	pts, inexact = sc.points()
+	pts = sc.points()
 	// Every candidate entering the scan is exact-stage work (engine runs,
 	// decision runs, or a front test that spared them all);
 	// the ones it discarded are the stage's exclusions.
 	opts.Trace.Observe(StageExact, time.Since(start), n, n-len(pts))
-	return pts, n - len(pts), inexact, nil
+	return pts, n - len(pts), nil
 }
 
-// points returns the kept candidates in snapshot order and how many of
-// them rest on a capped engine's bound.
-func (sc *skyScan) points() (pts []skyline.Point, inexact int) {
-	pts = make([]skyline.Point, 0, len(sc.front.vecs))
+// points returns the kept candidates in snapshot order.
+func (sc *skyScan) points() []skyline.Point {
+	pts := make([]skyline.Point, 0, len(sc.front.vecs))
 	for i, vec := range sc.vecs {
-		if vec == nil {
-			continue
-		}
-		pts = append(pts, skyline.Point{ID: sc.sn.graphs[i].Name(), Vec: vec})
-		if sc.capped[i] {
-			inexact++
+		if vec != nil {
+			pts = append(pts, skyline.Point{ID: sc.sn.graphs[i].Name(), Vec: vec})
 		}
 	}
-	return pts, inexact
+	return pts
 }

@@ -9,21 +9,9 @@ import (
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
-	"skygraph/internal/measure"
 	"skygraph/internal/skyline"
 	"skygraph/internal/testutil"
 )
-
-// prunedOpts are the evaluation options of the equivalence runs: capped
-// engines (the realistic serving configuration, and the regime where
-// the bound/fallback interplay is subtlest) with pruning toggled per
-// run.
-func prunedOpts(prune bool) gdb.QueryOptions {
-	return gdb.QueryOptions{
-		Eval:  measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000},
-		Prune: prune,
-	}
-}
 
 // requireEquivalent runs the same skyline query pruned and unpruned
 // against db and fails unless the skylines agree exactly. It also
@@ -57,7 +45,6 @@ func requireEquivalent(t *testing.T, label string, db *gdb.DB, q *graph.Graph, o
 func TestPrunedSkylineMatchesUnprunedPaperDB(t *testing.T) {
 	db := testutil.NewDB(t, dataset.PaperDB())
 	requireEquivalent(t, "paper", db, dataset.PaperQuery(), gdb.QueryOptions{})
-	requireEquivalent(t, "paper/capped", db, dataset.PaperQuery(), prunedOpts(false))
 }
 
 // TestPrunedSkylineMatchesUnprunedSeeded: property test over seeded
@@ -67,7 +54,7 @@ func TestPrunedSkylineMatchesUnprunedSeeded(t *testing.T) {
 		gs := testutil.SeededGraphs(seed, 24)
 		db := testutil.NewDB(t, gs)
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 4) {
-			requireEquivalent(t, fmt.Sprintf("seed=%d q=%d", seed, qi), db, q, prunedOpts(false))
+			requireEquivalent(t, fmt.Sprintf("seed=%d q=%d", seed, qi), db, q, gdb.QueryOptions{})
 		}
 	}
 }
@@ -104,7 +91,7 @@ func requirePrunedEquivalent(t *testing.T, name string, gs, queries []*graph.Gra
 // TestPrunedSkylineSeededGrid: the grid over a seeded database.
 func TestPrunedSkylineSeededGrid(t *testing.T) {
 	gs := testutil.SeededGraphs(11, 30)
-	requirePrunedEquivalent(t, "seeded", gs, testutil.SeededQueries(211, gs, 3), prunedOpts(false))
+	requirePrunedEquivalent(t, "seeded", gs, testutil.SeededQueries(211, gs, 3), gdb.QueryOptions{})
 }
 
 // twinned returns gs with every graph also stored as a renamed clone.
@@ -123,17 +110,14 @@ func twinned(gs []*graph.Graph) []*graph.Graph {
 // twin pair at distance zero). Twins have equal vectors, and equal
 // vectors do not dominate each other: a non-strict comparison anywhere
 // in the scan — the front test, the dominance-limit search — drops one
-// of a pair. Capped and uncapped engines, one scan worker and four.
+// of a pair. One scan worker and four.
 func TestPrunedSkylineTwins(t *testing.T) {
 	base := testutil.SeededGraphs(5, 20)
 	gs := twinned(base)
 	queries := append(testutil.SeededQueries(105, base, 3), base[3], base[14])
-	for _, opts := range []gdb.QueryOptions{prunedOpts(false), {}} {
-		for _, workers := range []int{1, 4} {
-			opts.Workers = workers
-			name := fmt.Sprintf("twins eval=ged=%d,mcs=%d workers=%d", opts.Eval.GEDMaxNodes, opts.Eval.MCSMaxNodes, workers)
-			requirePrunedEquivalent(t, name, gs, queries, opts)
-		}
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("twins workers=%d", workers)
+		requirePrunedEquivalent(t, name, gs, queries, gdb.QueryOptions{Workers: workers})
 	}
 }
 
@@ -152,12 +136,12 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 		db := testutil.NewDB(t, gs)
 		rng := rand.New(rand.NewSource(seed))
 		for qi, q := range testutil.SeededQueries(seed+100, gs, 2) {
-			want, err := db.SkylineQuery(context.Background(), q, prunedOpts(false))
+			want, err := db.SkylineQuery(context.Background(), q, gdb.QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for perm := 0; perm <= 20; perm++ {
-				pts := gdb.PrunedPointsInOrder(db, q, prunedOpts(true), func(order []int) {
+				pts := gdb.PrunedPointsInOrder(db, q, gdb.QueryOptions{Prune: true}, func(order []int) {
 					if perm == 0 {
 						for a, b := 0, len(order)-1; a < b; a, b = a+1, b-1 {
 							order[a], order[b] = order[b], order[a]
@@ -169,7 +153,7 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 				label := fmt.Sprintf("seed=%d q=%d perm=%d", seed, qi, perm)
 				testutil.RequireSameSkyline(t, label, want.Skyline, skyline.SFS(pts))
 			}
-			opts := prunedOpts(true)
+			opts := gdb.QueryOptions{Prune: true}
 			opts.Workers = 1
 			first, err := db.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
@@ -193,7 +177,7 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 // real, not vacuously.
 func TestPrunedPaperDBActuallyPrunes(t *testing.T) {
 	db := testutil.NewDB(t, dataset.PaperDB())
-	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), prunedOpts(true))
+	res, err := db.SkylineQuery(context.Background(), dataset.PaperQuery(), gdb.QueryOptions{Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}

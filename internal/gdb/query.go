@@ -18,8 +18,6 @@ type QueryOptions struct {
 	// Basis is the measure vector defining the GCS (Definition 11); nil
 	// means the paper's default (DistEd, DistMcs, DistGu).
 	Basis []measure.Measure
-	// Eval bounds the exact GED/MCS engines (zero = exact, unbounded).
-	Eval measure.Options
 	// Workers is the width of a query's one scan: how many goroutines
 	// evaluate pairs. 0 means GOMAXPROCS.
 	Workers int
@@ -81,9 +79,6 @@ func (w *Work) Add(o Work) {
 // QueryStats reports work done by a query.
 type QueryStats struct {
 	Work
-	// Inexact counts pairs where a capped engine returned a bound rather
-	// than the exact value.
-	Inexact int
 	// Duration is the wall-clock query time.
 	Duration time.Duration
 }
@@ -126,8 +121,8 @@ func (r SkylineResult) DominatedBy(name string) (dominator string, ok bool) {
 // Definition 12/Eq. 4: one scan evaluates the GCS vector of every
 // graph against q — all of them, or just the candidates no cheaper
 // proof discards under QueryOptions.Prune (see prune.go) — and the
-// table's Pareto-optimal rows are the answer. Evaluation checks ctx
-// between pairs and aborts early with ctx.Err().
+// table's Pareto-optimal rows are the answer. Once ctx is done the
+// exact engines stop, and the query returns ctx.Err().
 func (db *DB) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryOptions) (SkylineResult, error) {
 	start := time.Now()
 	t, err := db.VectorTable(ctx, q, opts)
@@ -138,7 +133,7 @@ func (db *DB) SkylineQuery(ctx context.Context, q *graph.Graph, opts QueryOption
 	res := SkylineResult{
 		Skyline: t.Skyline(),
 		All:     t.Points,
-		Stats:   QueryStats{Work: t.Work, Inexact: t.Inexact, Duration: time.Since(start)},
+		Stats:   QueryStats{Work: t.Work, Duration: time.Since(start)},
 	}
 	opts.Trace.Observe(StageMerge, time.Since(mstart), len(res.All), 0)
 	return res, nil
@@ -268,7 +263,7 @@ func (db *DB) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k int, op
 
 // pairwiseMatrix evaluates the diversity-basis distances between all
 // pairs of the skyline members gs, claiming pairs from one cursor like
-// the scans do. It stops claiming once ctx is done and returns
+// the scans do. Once ctx is done the engines stop, and it returns
 // ctx.Err().
 func pairwiseMatrix(ctx context.Context, gs []*graph.Graph, opts QueryOptions) (*diversity.Matrix, error) {
 	basis := measure.DiversityBasis()
@@ -280,9 +275,10 @@ func pairwiseMatrix(ctx context.Context, gs []*graph.Graph, opts QueryOptions) (
 			pairs = append(pairs, pair{i, j})
 		}
 	}
+	eval := measure.Options{Stop: ctx.Done()}
 	err := forEachClaim(ctx, len(pairs), opts.Workers, func(k int) bool {
 		p := pairs[k]
-		ps := measure.Compute(gs[p.i], gs[p.j], opts.Eval)
+		ps := measure.Compute(gs[p.i], gs[p.j], eval)
 		for d, m := range basis {
 			mat.Set(d, p.i, p.j, m.FromStats(&ps))
 		}

@@ -446,7 +446,6 @@ func (h *claimHeap) push(cl claim) {
 const (
 	fateOpen     uint8 = iota // not evaluated nor proved out by tier 1: cut off by the threshold
 	fateScored                // exact score computed
-	fateInexact               // scored, from a capped engine's bound
 	fateExcluded              // an engine decision run proved it out
 	fateBounded               // the branch bound proved it out (tier 1)
 )
@@ -463,6 +462,9 @@ type rankScan struct {
 	qsig *measure.Signature
 	m    measure.Measure
 	opts QueryOptions
+	// stop stops the exact engines (measure.Options.Stop): the query's
+	// Done channel, nil for a delta score, which is never stopped.
+	stop <-chan struct{}
 	// cls[i] is candidate i's class: its histogram class when m's tier-0
 	// interval reads only the histograms (measure.HistogramRanked); nil
 	// otherwise, when candidate i is class i.
@@ -507,20 +509,21 @@ func (rs *rankScan) class(i int) int {
 // histogram class when m reads only the histograms and once per
 // candidate otherwise. It seeds coll's threshold from the pessimistic
 // ends, each class's counted once per member — the k best reported
-// scores each sit under one of the k smallest uppers (tier-0 uppers
-// bracket what the capped engines report), so the scan runs against a
-// real bar instead of +Inf — and returns the scan state with the claim
-// heap of every class whose optimistic end fits that seeded threshold.
-// The threshold never rises, so the rest could never be claimed: they
-// stay open and are attributed after the scan like any other cut-off
-// candidate.
-func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (*rankScan, *claimHeap) {
+// scores each sit under one of the k smallest uppers, so the scan runs
+// against a real bar instead of +Inf — and returns the scan state with
+// the claim heap of every class whose optimistic end fits that seeded
+// threshold. The threshold never rises, so the rest could never be
+// claimed: they stay open and are attributed after the scan like any
+// other cut-off candidate. It polls ctx once every pollClasses classes
+// and returns ctx.Err() once it is done, before any claim; the scan's
+// engines stop on ctx's Done channel.
+func newRankScan(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Measure, opts QueryOptions, coll rankedCollector) (*rankScan, *claimHeap, error) {
 	var start time.Time
 	if opts.Trace != nil {
 		start = time.Now()
 	}
 	n := len(sn.graphs)
-	rs := &rankScan{sn: sn, q: q, qsig: qsig, m: m, opts: opts, fate: make([]uint8, n)}
+	rs := &rankScan{sn: sn, q: q, qsig: qsig, m: m, opts: opts, stop: ctx.Done(), fate: make([]uint8, n)}
 	nc := n
 	if measure.HistogramRanked(m) {
 		rs.cls, nc = sn.cls, sn.classes
@@ -532,6 +535,9 @@ func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Mea
 	uppers := kSmallest{k: coll.floorK()}
 	basis := []measure.Measure{m}
 	for c := range nc {
+		if c%pollClasses == 0 && ctx.Err() != nil {
+			return nil, nil, ctx.Err()
+		}
 		from, to := groups.start[c], groups.start[c+1]
 		rs.gedLo[c] = measure.RankInterval(sn.sigs[groups.members[from]], qsig, basis, rs.lo[c:c+1], rs.hi[c:c+1])
 		for range min(int(to-from), uppers.k) {
@@ -555,8 +561,14 @@ func newRankScan(sn snap, q *graph.Graph, qsig *measure.Signature, m measure.Mea
 		// plus the threshold cutoff) is counted after the scan.
 		opts.Trace.Observe(StageBound, time.Since(start), n, 0)
 	}
-	return rs, claims
+	return rs, claims, nil
 }
+
+// pollClasses is how many classes tier 0 bounds between two polls of
+// the query's context: often enough that a cancel stops tier 0 long
+// before it would end on a large store, rarely enough that the polls
+// cost nothing next to the bounding.
+const pollClasses = 256
 
 // settle takes candidate i through both steps of its claim against
 // coll's threshold as it stands: the cutoff, tier 1 (branch), then
@@ -628,7 +640,7 @@ func (rs *rankScan) evaluate(cl claim, th float64, coll rankedCollector) {
 	g, sig := rs.sn.graphs[i], rs.sn.sigs[i]
 	bs := measure.BoundPair(sig, rs.qsig)
 	bs.GEDLo = cl.gedLo
-	score, _, excluded, capped := measure.ComputeRankResults(g, rs.q, rs.m, th, bs, rs.opts.Eval)
+	score, _, excluded := measure.ComputeRankResults(g, rs.q, rs.m, th, bs, measure.Options{Stop: rs.stop})
 	if excluded {
 		rs.fate[i] = fateExcluded
 		if trace != nil {
@@ -637,9 +649,6 @@ func (rs *rankScan) evaluate(cl claim, th float64, coll rankedCollector) {
 		return
 	}
 	rs.fate[i] = fateScored
-	if capped {
-		rs.fate[i] = fateInexact
-	}
 	coll.offer(i, topk.Item{ID: g.Name(), Score: score})
 	if trace != nil {
 		trace.Observe(StageExact, time.Since(t0), 1, 0)
@@ -709,11 +718,8 @@ func (rs *rankScan) stats() QueryStats {
 	boundPruned := 0
 	for _, f := range rs.fate {
 		switch f {
-		case fateScored, fateInexact:
+		case fateScored:
 			stats.Evaluated++
-			if f == fateInexact {
-				stats.Inexact++
-			}
 		case fateExcluded:
 			stats.Pruned++
 		default:
@@ -729,17 +735,19 @@ func (rs *rankScan) stats() QueryStats {
 // seeds the threshold (newRankScan), then one pool of opts.Workers
 // workers pops the admitted candidates in claim order and takes each
 // through tier 1 and, as a survivor claimed again, the engines (run).
+// Once ctx is done, tier 0 stops bounding, the engines stop and the
+// scan returns ctx.Err().
 //
-// The returned stats carry the scan's Work and Inexact; Duration is the
-// caller's to stamp.
+// The returned stats carry the scan's Work; Duration is the caller's to
+// stamp.
 func evalRanked(ctx context.Context, sn snap, qsig *measure.Signature, q *graph.Graph, m measure.Measure, opts QueryOptions, coll rankedCollector) (QueryStats, error) {
 	if len(sn.graphs) == 0 {
 		return QueryStats{}, nil
 	}
-	if ctx.Err() != nil {
-		return QueryStats{}, ctx.Err()
+	rs, claims, err := newRankScan(ctx, sn, q, qsig, m, opts, coll)
+	if err != nil {
+		return QueryStats{}, err
 	}
-	rs, claims := newRankScan(sn, q, qsig, m, opts, coll)
 	if err := rs.run(ctx, claims, coll); err != nil {
 		return QueryStats{}, err
 	}

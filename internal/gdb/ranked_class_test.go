@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -91,7 +92,7 @@ func TestClassClaimOrderMatchesSort(t *testing.T) {
 						}
 						return cmp.Compare(sn.seqs[a], sn.seqs[b])
 					})
-					_, claims := newRankScan(sn, q, qsig, m, QueryOptions{Workers: 1}.withDefaults(), coll)
+					_, claims, _ := newRankScan(context.Background(), sn, q, qsig, m, QueryOptions{Workers: 1}.withDefaults(), coll)
 					if got := coll.threshold(); got != th {
 						t.Fatalf("%s %s k=%d: seeded threshold %v, want %v", label, m.Name(), k, got, th)
 					}

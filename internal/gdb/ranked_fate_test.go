@@ -61,14 +61,14 @@ func TestRankedFatesPinned(t *testing.T) {
 				kind, coll = "range", newRangeCollector(tc.radius)
 			}
 			opts := QueryOptions{Workers: 1}.withDefaults()
-			rs, claims := newRankScan(sh.snapshot(), q, measure.NewSignature(q), tc.m, opts, coll)
+			rs, claims, _ := newRankScan(context.Background(), sh.snapshot(), q, measure.NewSignature(q), tc.m, opts, coll)
 			if err := rs.run(context.Background(), claims, coll); err != nil {
 				t.Fatal(err)
 			}
 			c := got[kind]
 			for _, f := range rs.fate {
 				switch f {
-				case fateScored, fateInexact:
+				case fateScored:
 					c[0]++
 				case fateBounded:
 					c[1]++

@@ -18,7 +18,7 @@ import (
 // TestRankedEquivalenceGrid: best-first top-k and range answers are
 // byte-identical — scores and tie-order — to the independent reference
 // across the ranked scan's whole configuration matrix: one worker and
-// four, capped and uncapped engines, k of 1, 5 and the whole collection, and
+// four, k of 1, 5 and the whole collection, and
 // radii read off the reference scores so that some graphs sit exactly
 // on the radius. The collections are the harness's cold-ranked shape
 // (order-5 families of 2-edit mutations, 1-edit queries) and rewired
@@ -45,30 +45,27 @@ func TestRankedEquivalenceGrid(t *testing.T) {
 	for _, tc := range cases {
 		n := len(tc.gs)
 		sh := testutil.NewDB(t, tc.gs)
-		for _, eval := range []measure.Options{{}, {GEDMaxNodes: 200, MCSMaxNodes: 200}} {
-			for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
-				for _, q := range tc.qs {
-					scores := testutil.ReferenceScores(tc.gs, q, m, eval)
-					for _, workers := range []int{1, 4} {
-						label := fmt.Sprintf("%s/%s/%s eval=%d workers=%d",
-							tc.label, q.Name(), m.Name(), eval.GEDMaxNodes, workers)
-						opts := gdb.QueryOptions{Eval: eval, Workers: workers}
-						for _, k := range []int{1, 5, n} {
-							got, err := sh.TopKQuery(ctx, q, m, k, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							testutil.RequireSameItems(t, fmt.Sprintf("%s topk k=%d", label, k), testutil.ReferenceTopK(scores, k), got.Items)
-							requireCovers(t, label, got.Stats, n)
+		for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
+			for _, q := range tc.qs {
+				scores := testutil.ReferenceScores(tc.gs, q, m)
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s/%s/%s workers=%d", tc.label, q.Name(), m.Name(), workers)
+					opts := gdb.QueryOptions{Workers: workers}
+					for _, k := range []int{1, 5, n} {
+						got, err := sh.TopKQuery(ctx, q, m, k, opts)
+						if err != nil {
+							t.Fatal(err)
 						}
-						for _, radius := range tieRadii(scores) {
-							got, err := sh.RangeQuery(ctx, q, m, radius, opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							testutil.RequireSameItems(t, fmt.Sprintf("%s range r=%g", label, radius), testutil.ReferenceRange(scores, radius), got.Items)
-							requireCovers(t, label, got.Stats, n)
+						testutil.RequireSameItems(t, fmt.Sprintf("%s topk k=%d", label, k), testutil.ReferenceTopK(scores, k), got.Items)
+						requireCovers(t, label, got.Stats, n)
+					}
+					for _, radius := range tieRadii(scores) {
+						got, err := sh.RangeQuery(ctx, q, m, radius, opts)
+						if err != nil {
+							t.Fatal(err)
 						}
+						testutil.RequireSameItems(t, fmt.Sprintf("%s range r=%g", label, radius), testutil.ReferenceRange(scores, radius), got.Items)
+						requireCovers(t, label, got.Stats, n)
 					}
 				}
 			}
@@ -135,7 +132,7 @@ func TestRankedScanOrderIndependent(t *testing.T) {
 		db := testutil.NewDB(t, tc.gs)
 		for qi, q := range tc.qs {
 			for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
-				scores := testutil.ReferenceScores(tc.gs, q, m, opts.Eval)
+				scores := testutil.ReferenceScores(tc.gs, q, m)
 				var queries []query
 				for _, k := range []int{1, 5} {
 					res, err := db.TopKQuery(ctx, q, m, k, opts)

@@ -15,15 +15,15 @@ import (
 // requirePrunedRankedMatches asserts that the best-first top-k and range
 // answers over gs are byte-identical — scores and tie-order — to the
 // independent reference scores, for every sweep measure.
-func requirePrunedRankedMatches(t *testing.T, gs []*graph.Graph, qs []*graph.Graph, k int, radius float64, eval measure.Options) {
+func requirePrunedRankedMatches(t *testing.T, gs []*graph.Graph, qs []*graph.Graph, k int, radius float64) {
 	t.Helper()
 	ctx := context.Background()
 	measures := []measure.Measure{measure.DistEd, measure.DistMcs, measure.DistGu}
-	popts := gdb.QueryOptions{Eval: eval, Workers: 4}
+	popts := gdb.QueryOptions{Workers: 4}
 	sh := testutil.NewDB(t, gs)
 	for _, q := range qs {
 		for _, m := range measures {
-			scores := testutil.ReferenceScores(gs, q, m, eval)
+			scores := testutil.ReferenceScores(gs, q, m)
 			refTK, refRG := testutil.ReferenceTopK(scores, k), testutil.ReferenceRange(scores, radius)
 			label := q.Name() + "/" + m.Name()
 			tk, err := sh.TopKQuery(ctx, q, m, k, popts)
@@ -52,27 +52,25 @@ var rankedMeasures = []measure.Measure{
 
 // TestRankedTopKMatchesUnpruned asserts the best-first top-k scan
 // returns the reference's items — ranking every graph — byte for byte
-// (scores and tie-order), across measures, k values and engine caps, on
-// the paper database.
+// (scores and tie-order), across measures and k values, on the paper
+// database.
 func TestRankedTopKMatchesUnpruned(t *testing.T) {
 	gs, q := dataset.PaperDB(), dataset.PaperQuery()
 	ctx := context.Background()
 	db := testutil.NewDB(t, gs)
-	for _, eval := range []measure.Options{{}, {GEDMaxNodes: 40, MCSMaxNodes: 40}} {
-		for _, m := range rankedMeasures {
-			scores := testutil.ReferenceScores(gs, q, m, eval)
-			for _, k := range []int{1, 2, 3, 7, 10} {
-				want := testutil.ReferenceTopK(scores, k)
-				label := fmt.Sprintf("%s k=%d", m.Name(), k)
-				got, err := db.TopKQuery(ctx, q, m, k, gdb.QueryOptions{Eval: eval})
-				if err != nil {
-					t.Fatal(err)
-				}
-				testutil.RequireSameItems(t, label, want, got.Items)
-				if got.Stats.Evaluated+got.Stats.Pruned != db.Len() {
-					t.Errorf("%s: evaluated %d + pruned %d != %d",
-						label, got.Stats.Evaluated, got.Stats.Pruned, db.Len())
-				}
+	for _, m := range rankedMeasures {
+		scores := testutil.ReferenceScores(gs, q, m)
+		for _, k := range []int{1, 2, 3, 7, 10} {
+			want := testutil.ReferenceTopK(scores, k)
+			label := fmt.Sprintf("%s k=%d", m.Name(), k)
+			got, err := db.TopKQuery(ctx, q, m, k, gdb.QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.RequireSameItems(t, label, want, got.Items)
+			if got.Stats.Evaluated+got.Stats.Pruned != db.Len() {
+				t.Errorf("%s: evaluated %d + pruned %d != %d",
+					label, got.Stats.Evaluated, got.Stats.Pruned, db.Len())
 			}
 		}
 	}
@@ -85,7 +83,7 @@ func TestRankedRangeMatchesUnpruned(t *testing.T) {
 	ctx := context.Background()
 	db := testutil.NewDB(t, gs)
 	for _, m := range rankedMeasures {
-		scores := testutil.ReferenceScores(gs, q, m, measure.Options{})
+		scores := testutil.ReferenceScores(gs, q, m)
 		for _, radius := range []float64{0, 0.2, 0.5, 3, 10} {
 			want := testutil.ReferenceRange(scores, radius)
 			label := fmt.Sprintf("%s radius=%g", m.Name(), radius)
@@ -102,17 +100,15 @@ func TestRankedRangeMatchesUnpruned(t *testing.T) {
 // the reference on the paper database.
 func TestPrunedRankedPaper(t *testing.T) {
 	requirePrunedRankedMatches(t, dataset.PaperDB(),
-		[]*graph.Graph{dataset.PaperQuery()}, 3, 3, measure.Options{})
+		[]*graph.Graph{dataset.PaperQuery()}, 3, 3)
 }
 
 // TestPrunedRankedSeeded is the property test over seeded random
-// databases and mutated queries, with budgeted engines so capped-engine
-// admissibility is exercised too.
+// databases and mutated queries.
 func TestPrunedRankedSeeded(t *testing.T) {
 	for _, seed := range []int64{7, 23} {
 		gs := testutil.SeededGraphs(seed, 14)
 		qs := testutil.SeededQueries(seed+100, gs, 2)
-		requirePrunedRankedMatches(t, gs, qs, 4, 4,
-			measure.Options{GEDMaxNodes: 500, MCSMaxNodes: 500})
+		requirePrunedRankedMatches(t, gs, qs, 4, 4)
 	}
 }

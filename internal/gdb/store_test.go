@@ -85,15 +85,15 @@ type equivCase struct {
 // computed straight from Definitions 11–12. Top-k and range come from
 // the ranked scan, the skyline and table from both the table reads and
 // SkylineQuery.
-func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase, eval measure.Options) {
+func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase) {
 	t.Helper()
 	ctx := context.Background()
-	opts := gdb.QueryOptions{Eval: eval, Workers: 4}
+	opts := gdb.QueryOptions{Workers: 4}
 	m := measure.DistEd
 	for ci, c := range cases {
-		refPoints := testutil.ReferenceTable(gs, c.q, eval)
-		refSky := testutil.ReferenceSkyline(gs, c.q, eval)
-		scores := testutil.ReferenceScores(gs, c.q, m, eval)
+		refPoints := testutil.ReferenceTable(gs, c.q)
+		refSky := testutil.ReferenceSkyline(gs, c.q)
+		scores := testutil.ReferenceScores(gs, c.q, m)
 		refTopK, refRange := testutil.ReferenceTopK(scores, c.k), testutil.ReferenceRange(scores, c.radius)
 		sh := testutil.NewDB(t, gs)
 		tab, err := sh.VectorTable(ctx, c.q, opts)
@@ -139,15 +139,12 @@ func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase,
 // reference's.
 func TestMatchesReferencePaper(t *testing.T) {
 	requireMatchesReference(t, dataset.PaperDB(),
-		[]equivCase{{q: dataset.PaperQuery(), k: 3, radius: 3}},
-		measure.Options{})
+		[]equivCase{{q: dataset.PaperQuery(), k: 3, radius: 3}})
 }
 
 // TestMatchesReferenceSeeded is the property test: seeded random
 // databases and mutated queries — results must be identical to the
-// reference, including order. Budgeted engines keep the worst pairs
-// cheap; both sides run the identical computation, so equivalence is
-// unaffected.
+// reference, including order.
 func TestMatchesReferenceSeeded(t *testing.T) {
 	for _, seed := range []int64{11, 42} {
 		gs := testutil.SeededGraphs(seed, 12)
@@ -156,7 +153,6 @@ func TestMatchesReferenceSeeded(t *testing.T) {
 		for i, q := range qs {
 			cases[i] = equivCase{q: q, k: 4, radius: 5}
 		}
-		requireMatchesReference(t, gs, cases,
-			measure.Options{GEDMaxNodes: 20000, MCSMaxNodes: 20000})
+		requireMatchesReference(t, gs, cases)
 	}
 }

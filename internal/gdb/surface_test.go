@@ -34,7 +34,6 @@ func seededHistory(seed int64) (initial []*graph.Graph, ops []historyOp, want []
 	rng := rand.New(rand.NewSource(seed))
 	pool := testutil.SeededGraphs(seed, 28)
 	queries := testutil.SeededQueries(seed+100, pool, 4)
-	eval := measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000}
 	m := measure.DistEd
 
 	initial = pool[:10]
@@ -66,7 +65,7 @@ func seededHistory(seed int64) (initial []*graph.Graph, ops []historyOp, want []
 	}
 	for len(ops) < 60 {
 		q := queries[rng.Intn(len(queries))]
-		opts := gdb.QueryOptions{Eval: eval, Prune: rng.Intn(2) == 0}
+		opts := gdb.QueryOptions{Prune: rng.Intn(2) == 0}
 		switch r := rng.Intn(10); {
 		case r < 2 && next < len(pool):
 			insert(pool[next])
@@ -88,13 +87,13 @@ func seededHistory(seed int64) (initial []*graph.Graph, ops []historyOp, want []
 			insert(again)
 		case r < 8:
 			ops = append(ops, historyOp{kind: "skyline", q: q, opts: opts})
-			want = append(want, fmt.Sprint(testutil.ReferenceSkyline(live, q, eval)))
+			want = append(want, fmt.Sprint(testutil.ReferenceSkyline(live, q)))
 		case r == 8:
 			ops = append(ops, historyOp{kind: "topk", q: q, opts: opts})
-			want = append(want, fmt.Sprint(testutil.ReferenceTopK(testutil.ReferenceScores(live, q, m, eval), 4)))
+			want = append(want, fmt.Sprint(testutil.ReferenceTopK(testutil.ReferenceScores(live, q, m), 4)))
 		default:
 			ops = append(ops, historyOp{kind: "range", q: q, opts: opts})
-			want = append(want, fmt.Sprint(testutil.ReferenceRange(testutil.ReferenceScores(live, q, m, eval), 4)))
+			want = append(want, fmt.Sprint(testutil.ReferenceRange(testutil.ReferenceScores(live, q, m), 4)))
 		}
 	}
 	return initial, ops, want

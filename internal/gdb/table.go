@@ -15,7 +15,7 @@ import (
 // snapshot of the database: one point per database graph for a complete
 // table, only the candidates a pruned scan scored otherwise. It is the
 // unit of caching for a query-serving layer — skyline answers for the
-// same (query, basis, eval options) derive from it (Skyline, Points)
+// same (query, basis) derive from it (Skyline, Points)
 // without touching the GED/MCS engines again. Top-k and
 // range answers never do: they run their own best-first scan
 // (TopKQuery).
@@ -36,8 +36,6 @@ type VectorTable struct {
 	// Pruned counts the graphs the scan excluded (0 for complete
 	// tables). Delta patches leave it untouched — Deltas counts those.
 	Work
-	// Inexact counts pairs where a capped engine returned a bound.
-	Inexact int
 	// Deltas counts the incremental patches applied since the table was
 	// cold-built (see DeltaRow / WithInsert / WithDelete): each one
 	// advanced the generation by exactly one mutation without
@@ -76,7 +74,8 @@ func (db *DB) snapshot() snap {
 
 // VectorTable evaluates the GCS vector of every database graph against
 // q as ONE scan over one snapshot of the database, with one pool of
-// opts.Workers workers, honoring ctx cancellation between pairs. It is
+// opts.Workers workers. Once ctx is done the exact engines stop, and it
+// returns ctx.Err() with no table. It is
 // the one table build: SkylineQuery and the serving layer's cached
 // skyline answers both run it, and derive their answers from the table
 // with zero new pair evaluations.
@@ -93,9 +92,9 @@ func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 	t := &VectorTable{Generation: sn.gen, Basis: opts.Basis}
 	var err error
 	if opts.Prune {
-		t.Points, t.Pruned, t.Inexact, err = evalPruned(ctx, sn, q, qsig, opts)
+		t.Points, t.Pruned, err = evalPruned(ctx, sn, q, qsig, opts)
 	} else {
-		t.Points, t.Inexact, err = evalComplete(ctx, sn, q, qsig, opts)
+		t.Points, err = evalComplete(ctx, sn, q, qsig, opts)
 	}
 	if err != nil {
 		return nil, err
@@ -105,36 +104,34 @@ func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions
 }
 
 // evalComplete scores every graph of the snapshot, returning the points
-// in snapshot order and how many rest on a capped engine's bound.
-// Stored signatures spare the per-pair histogram/degree rebuild; the
-// query's is computed once.
-func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) ([]skyline.Point, int, error) {
+// in snapshot order. Stored signatures spare the per-pair
+// histogram/degree rebuild; the query's is computed once.
+func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) ([]skyline.Point, error) {
 	start := time.Now()
 	pts := make([]skyline.Point, len(sn.graphs))
-	var inexact atomic.Int64
+	eval := measure.Options{Stop: ctx.Done()}
 	err := forEachClaim(ctx, len(sn.graphs), opts.Workers, func(i int) bool {
 		h := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}
-		ps := measure.ComputeHinted(sn.graphs[i], q, opts.Eval, h)
+		ps := measure.ComputeHinted(sn.graphs[i], q, eval, h)
 		pts[i] = skyline.Point{ID: sn.graphs[i].Name(), Vec: measure.GCS(&ps, opts.Basis)}
-		if !ps.GEDExact || !ps.MCSExact {
-			inexact.Add(1)
-		}
 		return true
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// The whole unpruned scan is exact-stage work: every pair runs the
 	// engines, nothing is bounded away.
 	opts.Trace.Observe(StageExact, time.Since(start), len(sn.graphs), 0)
-	return pts, int(inexact.Load()), nil
+	return pts, nil
 }
 
 // forEachClaim is the one worker pool of every scan: up to workers
 // goroutines claim k = 0, 1, ..., n-1 from one atomic cursor, in order,
 // and run claim(k). A worker stops once ctx is done, the cursor passes
 // n, or its own claim returns false; the other workers go on, and
-// claims already running finish. It returns ctx.Err().
+// claims already running finish. It returns ctx.Err(): a scan whose
+// engines ctx's Done channel stopped reports an error, so nothing a
+// stopped engine computed reaches an answer.
 func forEachClaim(ctx context.Context, n, workers int, claim func(k int) bool) error {
 	workers = min(max(workers, 1), n)
 	var (

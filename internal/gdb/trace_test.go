@@ -61,7 +61,7 @@ func TestTraceSkylineConsistent(t *testing.T) {
 	sh := testutil.NewDB(t, gs)
 	for qi, q := range queries {
 		tr := gdb.NewQueryTrace()
-		opts := prunedOpts(true)
+		opts := gdb.QueryOptions{Prune: true}
 		opts.Trace = tr
 		res, err := sh.SkylineQuery(context.Background(), q, opts)
 		if err != nil {
@@ -92,7 +92,7 @@ func TestTraceRankedConsistent(t *testing.T) {
 		queries []*graph.Graph
 		opts    gdb.QueryOptions
 	}{
-		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), prunedOpts(false)},
+		{"seeded", seeded, testutil.SeededQueries(109, seeded, 3), gdb.QueryOptions{}},
 		{"family25", family25, familyQueries, gdb.QueryOptions{}},
 		{"family12", family12, familyQueries, gdb.QueryOptions{}},
 	} {
@@ -144,7 +144,7 @@ func TestTraceUnprunedExactOnly(t *testing.T) {
 	q := testutil.SeededQueries(113, gs, 1)[0]
 
 	tr := gdb.NewQueryTrace()
-	opts := prunedOpts(false)
+	opts := gdb.QueryOptions{}
 	opts.Trace = tr
 	res, err := sh.SkylineQuery(context.Background(), q, opts)
 	if err != nil {

@@ -17,8 +17,7 @@ const bigCost = 1e12
 // costBuf is a reusable square cost matrix: one flat backing array with
 // row views sliced out of it, plus the per-vertex incident edge-label
 // histograms the substitution block is built from and the assignment
-// solver's working memory. Bipartite runs on every capped exact
-// fallback, so this allocation is hot.
+// solver's working memory, recycled across calls through costPool.
 type costBuf struct {
 	flat []float64
 	rows [][]float64
@@ -62,13 +61,6 @@ func Bipartite(g1, g2 *graph.Graph) Result {
 	}
 	s := loadPair(g1, g2)
 	defer s.release()
-	return s.bipartite()
-}
-
-// bipartite is Bipartite on the loaded pair form of a non-empty pair.
-// It reads the form only, so a search over the same pair may run
-// before it.
-func (s *search) bipartite() Result {
 	n1, n2 := s.N1, s.N2
 	n := n1 + n2
 	buf := costPool.Get().(*costBuf)

@@ -10,11 +10,6 @@ import (
 
 // Options tunes the exact search.
 type Options struct {
-	// MaxNodes caps the search's node expansions; 0 means unlimited.
-	// When the cap is hit, Exact reports Exact=false with the cheaper of
-	// the best complete mapping found so far and the bipartite upper
-	// bound.
-	MaxNodes int64
 	// Limit, when non-nil, turns the search into a decision procedure
 	// for "distance > *Limit": the search starts with its incumbent
 	// just above the limit, so every node whose f-value exceeds the
@@ -28,12 +23,22 @@ type Options struct {
 	// Path costs are integers, so the search compares them with
 	// floor(*Limit); nil, +Inf and NaN never stop it.
 	Limit *float64
+	// Stop, when closed, stops the search: it is polled at the first
+	// expansion and then once every pollEvery expansions, and a stopped
+	// run reports Exact=false and AboveLimit=false, proving nothing.
+	// Queries pass their context's Done channel; nil never stops.
+	Stop <-chan struct{}
 }
+
+// pollEvery is how many expansions pass between two polls of
+// Options.Stop: a power of two, so the test is a mask.
+const pollEvery = 1024
 
 // Result reports a distance computation. Uniform edit costs are
 // integers, reported as float64.
 type Result struct {
-	// Distance is the edit distance (exact) or an upper bound (inexact).
+	// Distance is the edit distance, or the proven floor of an
+	// AboveLimit result; +Inf for a stopped run.
 	Distance float64
 	// Mapping is the vertex mapping realizing Distance: Mapping[u] is the
 	// g2 vertex assigned to g1 vertex u, or -1 for deletion.
@@ -45,12 +50,9 @@ type Result struct {
 	// bound and Mapping is nil. Only possible when Options.Limit is set.
 	AboveLimit bool
 	// LowerBound is a proven lower bound on the true distance: the
-	// distance itself for exact results; for a limit-stopped search the
-	// smallest pruned f-value; for a capped search the minimum of the
-	// best goal found and of every f-value left unexpanded (the f-value
-	// of a node lower-bounds all of its completions, so no mapping can
-	// cost less). Engines that do not search (Bipartite, Beam) leave it
-	// 0 — the trivial bound.
+	// distance itself for exact results and, for a limit-stopped search,
+	// the smallest pruned f-value. A stopped run and the engines that do
+	// not search (Bipartite, Beam) leave it 0 — the trivial bound.
 	LowerBound float64
 	// Nodes is the number of search nodes expanded.
 	Nodes int64
@@ -68,19 +70,7 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	if opts.Limit != nil {
 		s.ub = pathLimit(*opts.Limit)
 	}
-	res := s.run(opts.MaxNodes)
-	if !res.Exact && !res.AboveLimit {
-		// Graceful degradation: the bipartite approximation upper
-		// bound, on the pair form the search already holds, unless the
-		// best goal the capped search reached is no dearer. An
-		// AboveLimit result is left alone — its Distance is a proven
-		// lower bound, which an upper bound cannot replace.
-		if ub := s.bipartite(); ub.Distance < res.Distance {
-			res.Distance, res.Mapping = ub.Distance, ub.Mapping
-		} else {
-			res.Mapping = s.bestMapping()
-		}
-	}
+	res := s.run(opts.Stop)
 	s.release()
 	return res
 }
@@ -151,13 +141,12 @@ type search struct {
 	cbBound    int32
 	pend       []int32 // score's scratch, zero between calls
 
-	ub       int32   // largest path cost still worth reaching
-	low      int32   // smallest f-value left unexpanded
-	found    bool    // best holds a goal of cost ub+1
-	best     []int32 // incumbent mapping
-	kids     []child // kids[d*(N2+1):] are the children being tried at depth d
-	nodes    int64
-	maxNodes int64
+	ub    int32   // largest path cost still worth reaching
+	low   int32   // smallest f-value left unexpanded
+	found bool    // best holds a goal of cost ub+1
+	best  []int32 // incumbent mapping
+	kids  []child // kids[d*(N2+1):] are the children being tried at depth d
+	nodes int64
 }
 
 var searchPool = sync.Pool{New: func() any { return new(search) }}
@@ -365,29 +354,22 @@ func (s *search) classAdd(w int, l, d int32) {
 	s.cbBound += h.bound()
 }
 
-// run searches from the root and reports the result. When the node cap
-// stopped it, Exact=false, Distance is the incumbent's cost (+Inf for
-// none) and Mapping is left to the caller.
-func (s *search) run(maxNodes int64) Result {
+// run searches from the root and reports the result, stopping once
+// stop is closed (Options.Stop).
+func (s *search) run(stop <-chan struct{}) Result {
 	if s.N1 == 0 {
 		// Nothing to decide: the distance is the insertion of g2,
 		// returned exact whatever the limit.
 		d := float64(s.h())
 		return Result{Distance: d, Mapping: []int{}, Exact: true, LowerBound: d}
 	}
-	s.nodes, s.maxNodes = 0, maxNodes
+	s.nodes = 0
 	s.kids = pairform.Resize(s.kids, s.N1*(s.N2+1))
 	s.best = pairform.Resize(s.best, s.N1)
 	if f := s.h(); f > s.ub {
 		s.low = f
-	} else if !s.expand(0, 0, f) {
-		// Capped: Exact picks the mapping, the incumbent's or the
-		// bipartite one.
-		res := Result{Distance: math.Inf(1), LowerBound: float64(s.low), Nodes: s.nodes}
-		if s.found {
-			res.Distance, res.LowerBound = float64(s.ub+1), float64(min(s.low, s.ub+1))
-		}
-		return res
+	} else if !s.expand(0, 0, f, stop) {
+		return Result{Distance: math.Inf(1), Nodes: s.nodes}
 	}
 	if !s.found {
 		// Every node was pruned above the limit: the smallest pruned
@@ -400,17 +382,27 @@ func (s *search) run(maxNodes int64) Result {
 	return Result{Distance: d, Mapping: s.bestMapping(), Exact: true, LowerBound: d, Nodes: s.nodes}
 }
 
+// stopped polls the stop signal. The search passes it down expand's
+// calls rather than keeping it in its pooled state: a stored channel
+// would make the whole Options value escape, Limit's target included.
+func stopped(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // expand visits the node at depth (its first depth vertices decided,
 // path cost g, f-value f ≤ ub): it scores the children deciding the
 // next vertex (score, which applies none of them), sorts them by f and
 // descends into each in turn, applying it, while its f stays within
 // the incumbent; a child that completes the assignment
-// is a goal and becomes the incumbent. It returns false when the node
-// cap stopped the search, having folded the f-values left unexpanded
-// into low.
-func (s *search) expand(depth int, g, f int32) bool {
-	if s.maxNodes > 0 && s.nodes >= s.maxNodes {
-		s.low = min(s.low, f)
+// is a goal and becomes the incumbent. It returns false when the stop
+// signal stopped the search.
+func (s *search) expand(depth int, g, f int32, stop <-chan struct{}) bool {
+	if s.nodes&(pollEvery-1) == 0 && stopped(stop) {
 		return false
 	}
 	s.nodes++
@@ -433,7 +425,7 @@ func (s *search) expand(depth int, g, f int32) bool {
 	}
 	add(-1)
 	ok, last := true, depth+1 == s.N1
-	for i, k := range kids {
+	for _, k := range kids {
 		if k.f > s.ub {
 			// Sorted: this child and every later one are pruned.
 			s.low = min(s.low, k.f)
@@ -449,12 +441,9 @@ func (s *search) expand(depth int, g, f int32) bool {
 		}
 		v := int(k.v)
 		s.assign(u, v, 1)
-		ok = s.expand(depth+1, g+k.c, k.f)
+		ok = s.expand(depth+1, g+k.c, k.f, stop)
 		s.assign(u, v, -1)
 		if !ok {
-			if i+1 < len(kids) {
-				s.low = min(s.low, kids[i+1].f)
-			}
 			break
 		}
 	}

@@ -41,9 +41,7 @@ func fuzzGraph(data *[]byte) *graph.Graph {
 // arbitrary small pairs: Exact equals the minimum mapping cost, the
 // histogram bound and the bipartite cost bracket it, a decision run
 // either returns that same distance or proves it above the limit — never
-// for a limit the distance does not exceed, never with a bound above it
-// — and a capped run brackets the distance between its certified lower
-// bound and the cost of the mapping it returns.
+// for a limit the distance does not exceed, never with a bound above it.
 func FuzzExactVsBruteForce(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 1, 3, 0, 5, 3, 1, 1, 2, 7, 1, 4})
@@ -74,15 +72,6 @@ func FuzzExactVsBruteForce(f *testing.F) {
 				t.Fatalf("limit %v: false proof %+v, distance %v\n%s\n%s", limit, dec, want, g1, g2)
 			case !dec.AboveLimit && (!dec.Exact || dec.Distance != want):
 				t.Fatalf("limit %v: %+v, distance %v\n%s\n%s", limit, dec, want, g1, g2)
-			}
-		}
-		for _, cap := range []int64{1, 3, 10} {
-			c := Exact(g1, g2, Options{MaxNodes: cap})
-			if !(c.LowerBound <= want && want <= c.Distance) || (c.Exact && c.Distance != want) {
-				t.Fatalf("cap %d: %+v does not bracket distance %v\n%s\n%s", cap, c, want, g1, g2)
-			}
-			if got := EditCostOfMapping(g1, g2, c.Mapping); got != c.Distance {
-				t.Fatalf("cap %d: mapping %v costs %v, reported %v\n%s\n%s", cap, c.Mapping, got, c.Distance, g1, g2)
 			}
 		}
 	})

@@ -3,10 +3,12 @@ package ged
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"skygraph/internal/graph"
+	"skygraph/internal/pairform"
 )
 
 func TestDistanceIdentical(t *testing.T) {
@@ -155,7 +157,7 @@ func TestExactMappingRealizesDistance(t *testing.T) {
 		g2 := graph.Molecule(6, rng)
 		res := Exact(g1, g2, Options{})
 		if !res.Exact {
-			t.Fatal("uncapped exact not exact")
+			t.Fatal("exact search not exact")
 		}
 		realized := EditCostOfMapping(g1, g2, res.Mapping)
 		if math.Abs(realized-res.Distance) > 1e-9 {
@@ -228,19 +230,53 @@ func TestBeamUpperBoundAndConvergence(t *testing.T) {
 	}
 }
 
-func TestExactNodeCapFallsBack(t *testing.T) {
+// TestExactStopSignal: a closed stop signal stops the search at its
+// first expansion and proves nothing, limit or not — only a verdict the
+// root settles without expanding stands; an open one changes nothing,
+// expansion count included.
+func TestExactStopSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	g1 := graph.Molecule(10, rng)
-	g2 := graph.Molecule(10, rng)
-	res := Exact(g1, g2, Options{MaxNodes: 5})
-	if res.Exact {
-		t.Error("capped search claims exactness")
+	closed, open := make(chan struct{}), make(chan struct{})
+	close(closed)
+	for i := 0; i < 20; i++ {
+		g1, g2 := graph.Molecule(3+rng.Intn(6), rng), graph.Molecule(3+rng.Intn(6), rng)
+		want := Exact(g1, g2, Options{})
+		limit := want.Distance - 1
+		for _, lim := range []*float64{nil, &limit} {
+			plain := Exact(g1, g2, Options{Limit: lim})
+			if got := Exact(g1, g2, Options{Limit: lim, Stop: open}); !reflect.DeepEqual(got, plain) {
+				t.Fatalf("pair %d limit %v: open signal changed %+v to %+v", i, lim, plain, got)
+			}
+			got := Exact(g1, g2, Options{Limit: lim, Stop: closed})
+			switch {
+			case plain.Nodes == 0:
+				if !reflect.DeepEqual(got, plain) {
+					t.Fatalf("pair %d limit %v: root verdict %+v became %+v", i, lim, plain, got)
+				}
+			case got.Exact || got.AboveLimit || got.Nodes != 0 || got.Mapping != nil:
+				t.Fatalf("pair %d limit %v: closed signal gave %+v", i, lim, got)
+			}
+		}
 	}
-	if math.IsInf(res.Distance, 1) || res.Mapping == nil {
-		t.Error("capped search did not fall back to an upper bound")
+}
+
+// TestExactStopPolledEvery: a signal that closes after the poll at the
+// first expansion stops the search at the next poll, pollEvery
+// expansions in.
+func TestExactStopPolledEvery(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g1, g2 := graph.Molecule(12, rng), graph.Molecule(12, rng)
+	if n := Exact(g1, g2, Options{}).Nodes; n <= pollEvery {
+		t.Fatalf("the pair expands %d nodes, want more than %d", n, pollEvery)
 	}
-	if d := Distance(g1, g2); res.Distance < d-1e-9 {
-		t.Errorf("fallback %v below exact %v", res.Distance, d)
+	stop := make(chan struct{})
+	close(stop)
+	s := newSearch(g1, g2)
+	defer s.release()
+	s.kids, s.best = pairform.Resize(s.kids, s.N1*(s.N2+1)), pairform.Resize(s.best, s.N1)
+	s.nodes = 1 // the poll at the first expansion found it open
+	if s.expand(0, 0, s.h(), stop) || s.nodes != pollEvery {
+		t.Fatalf("search ran on past the signal: %d expansions, want %d", s.nodes, pollEvery)
 	}
 }
 

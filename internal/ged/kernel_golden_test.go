@@ -18,7 +18,7 @@ import (
 
 // The kernel golden pins every observable of Exact and Bipartite —
 // distance, exactness, limit verdict, lower bound, expansion count and
-// the mapping itself — on a seeded grid of pairs, caps and limits, so
+// the mapping itself — on a seeded grid of pairs and limits, so
 // passing it means the search expands the same nodes in the same order,
 // not merely that it finds the same optimum. TestKernelContract checks
 // the same grid against the true distances, so a re-recorded file
@@ -42,8 +42,6 @@ type goldenPair struct {
 	Exact []string
 }
 
-var goldenMaxNodes = []int64{0, 5, 50}
-
 // goldenLimits returns the limit grid for one pair: none, just below and
 // at the histogram bound, at the true distance, and one above it.
 func goldenLimits(lb, dist float64) []*float64 {
@@ -62,7 +60,7 @@ func goldenLimits(lb, dist float64) []*float64 {
 func goldenGraphs() [][2]*graph.Graph {
 	rng := rand.New(rand.NewSource(20231))
 	var out [][2]*graph.Graph
-	// Orders 7-8 are kept to a handful: uncapped searches on them are
+	// Orders 7-8 are kept to a handful: searches on them are
 	// the slowest of the grid.
 	for i := 0; i < 120; i++ {
 		hi := 4
@@ -142,14 +140,12 @@ type goldenRun struct {
 func goldenRuns(g1, g2 *graph.Graph) []goldenRun {
 	lb, dist := LowerBound(g1, g2), Distance(g1, g2)
 	var runs []goldenRun
-	for _, cap := range goldenMaxNodes {
-		for _, limit := range goldenLimits(lb, dist) {
-			label := fmt.Sprintf("cap=%d/limit=nil", cap)
-			if limit != nil {
-				label = fmt.Sprintf("cap=%d/limit=%v", cap, *limit)
-			}
-			runs = append(runs, goldenRun{label, Options{MaxNodes: cap, Limit: limit}})
+	for _, limit := range goldenLimits(lb, dist) {
+		label := "limit=nil"
+		if limit != nil {
+			label = fmt.Sprintf("limit=%v", *limit)
 		}
+		runs = append(runs, goldenRun{label, Options{Limit: limit}})
 	}
 	return runs
 }
@@ -268,14 +264,13 @@ func TestKernelGoldenConcurrent(t *testing.T) {
 }
 
 // TestKernelContract checks every run of the golden grid against the
-// pair's true distance — brute force up to order 6, the uncapped search
-// beyond — rather than against recorded output: an exact run returns
-// the distance; a run is AboveLimit exactly when the distance exceeds
-// floor(limit) (capped runs may prove nothing), with a proven floor in
-// (limit, distance]; every other run returns a mapping whose cost is
-// its Distance and a LowerBound, the two bracketing the distance. The
-// one exception is a pair with an empty g1, whose distance — the
-// insertion of g2 — is returned exactly without a search.
+// pair's true distance — brute force up to order 6, the search itself
+// beyond — rather than against recorded output: a run is AboveLimit
+// exactly when the distance exceeds floor(limit), with a proven floor
+// in (limit, distance]; every other run is exact and returns the
+// distance with a mapping that costs it. The one exception is a pair
+// with an empty g1, whose distance — the insertion of g2 — is returned
+// exactly without a search.
 func TestKernelContract(t *testing.T) {
 	for i, p := range goldenGraphs() {
 		g1, g2 := p[0], p[1]
@@ -291,12 +286,10 @@ func TestKernelContract(t *testing.T) {
 				if !above || !(*run.opts.Limit < r.Distance && r.Distance <= d) || r.LowerBound != r.Distance || r.Mapping != nil {
 					t.Errorf("pair %d (%s | %s) %s: false or loose proof %+v, distance %v", i, g1, g2, run.label, r, d)
 				}
-			case above && run.opts.MaxNodes == 0:
+			case above:
 				t.Errorf("pair %d (%s | %s) %s: no proof of distance %v above the limit: %+v", i, g1, g2, run.label, d, r)
-			case r.Exact && (r.Distance != d || r.LowerBound != d):
-				t.Errorf("pair %d (%s | %s) %s: exact %+v, distance %v", i, g1, g2, run.label, r, d)
-			case !r.Exact && (run.opts.MaxNodes == 0 || !(r.LowerBound <= d && d <= r.Distance)):
-				t.Errorf("pair %d (%s | %s) %s: inexact %+v does not bracket distance %v", i, g1, g2, run.label, r, d)
+			case !r.Exact || r.Distance != d || r.LowerBound != d:
+				t.Errorf("pair %d (%s | %s) %s: %+v, distance %v", i, g1, g2, run.label, r, d)
 			case EditCostOfMapping(g1, g2, r.Mapping) != r.Distance:
 				t.Errorf("pair %d (%s | %s) %s: mapping %v does not cost %v", i, g1, g2, run.label, r.Mapping, r.Distance)
 			}

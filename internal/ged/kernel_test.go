@@ -88,19 +88,6 @@ func BenchmarkExactFarLimit(b *testing.B) {
 	benchExact(b, far, Options{Limit: &limit})
 }
 
-// BenchmarkExactCapped is a budgeted run (measure.Options.GEDMaxNodes)
-// that runs out: unrelated order-7/8 molecules under a 5-expansion
-// cap, which stops the search on every one of them (nodes/op reads 5),
-// so every op pays the capped search and the bipartite fallback.
-func BenchmarkExactCapped(b *testing.B) {
-	rng := rand.New(rand.NewSource(43))
-	var pairs [][2]*graph.Graph
-	for range 32 {
-		pairs = append(pairs, [2]*graph.Graph{graph.Molecule(7+rng.Intn(2), rng), graph.Molecule(7+rng.Intn(2), rng)})
-	}
-	benchExact(b, pairs, Options{MaxNodes: 5})
-}
-
 func BenchmarkBipartite(b *testing.B) {
 	_, far := harnessPairs(64, 43)
 	benchPairs(b, far, Bipartite)

@@ -35,26 +35,3 @@ func TestLimitDecision(t *testing.T) {
 		}
 	}
 }
-
-// TestLimitCappedNoFalseProof: a node cap firing during a limit-fed
-// search must never fabricate an AboveLimit proof, and the capped
-// fallback still reports a valid upper bound.
-func TestLimitCappedNoFalseProof(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 15; trial++ {
-		g1 := graph.Molecule(6, rng)
-		g2 := graph.Molecule(6, rng)
-		truth := Exact(g1, g2, Options{})
-		limit := truth.Distance // never exceedable: AboveLimit must stay false...
-		res := Exact(g1, g2, Options{Limit: &limit, MaxNodes: 3})
-		if res.AboveLimit {
-			t.Fatalf("trial %d: capped search proved distance > %v but exact is %v", trial, limit, truth.Distance)
-		}
-		if res.Exact && res.Distance != truth.Distance {
-			t.Fatalf("trial %d: capped search claims exact %v != %v", trial, res.Distance, truth.Distance)
-		}
-		if !res.Exact && res.Distance < truth.Distance {
-			t.Fatalf("trial %d: capped upper bound %v below exact %v", trial, res.Distance, truth.Distance)
-		}
-	}
-}

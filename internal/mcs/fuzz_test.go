@@ -38,7 +38,7 @@ func fuzzGraph(data *[]byte) *graph.Graph {
 }
 
 // FuzzExactVsBruteForce checks the kernel against the definition on
-// arbitrary small pairs: an uncapped Exact equals the brute-force
+// arbitrary small pairs: Exact equals the brute-force
 // maximum, is exhausted and realizes its witness; GreedyLB never claims
 // more; and a decision run at the maximum never proves it below, while
 // one just above always does.

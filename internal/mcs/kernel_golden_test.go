@@ -17,8 +17,8 @@ import (
 
 // The kernel golden pins every observable of Exact — the returned pairs
 // in order, the edge count, Exhausted, ProvedBelowNeed and the expansion
-// count — on a seeded grid of pairs, argument orders, node caps and
-// decision thresholds, plus the GreedyLB and seeded Greedy mappings. The
+// count — on a seeded grid of pairs, argument orders and decision
+// thresholds, plus the GreedyLB and seeded Greedy mappings. The
 // file was generated by the map-and-string searcher this kernel
 // replaced, so passing it means the search visits the same tree in the
 // same order, not merely that it finds the same maximum.
@@ -41,8 +41,6 @@ type goldenPair struct {
 	// Greedy(g1, g2) as "pairs edges".
 	Greedy []string
 }
-
-var goldenMaxNodes = []int64{0, 3, 40}
 
 // goldenNeeds is the decision grid for a pair whose |mcs| is truth:
 // plain maximization, the weakest decision, and the threshold at and
@@ -138,16 +136,14 @@ type goldenRun struct {
 
 // goldenRuns lists the Exact grid for one pair in file order: both
 // argument orders (the second crosses the swap when the orders differ),
-// every node cap, every threshold.
+// every threshold.
 func goldenRuns(g1, g2 *graph.Graph) []goldenRun {
 	truth := Exact(g1, g2, Options{}).Mapping.Edges
 	var runs []goldenRun
 	for _, side := range [][2]*graph.Graph{{g1, g2}, {g2, g1}} {
-		for _, cap := range goldenMaxNodes {
-			for _, need := range goldenNeeds(truth) {
-				label := fmt.Sprintf("order=%d,%d/cap=%d/need=%d", side[0].Order(), side[1].Order(), cap, need)
-				runs = append(runs, goldenRun{label, side[0], side[1], Options{MaxNodes: cap, Need: need}})
-			}
+		for _, need := range goldenNeeds(truth) {
+			label := fmt.Sprintf("order=%d,%d/need=%d", side[0].Order(), side[1].Order(), need)
+			runs = append(runs, goldenRun{label, side[0], side[1], Options{Need: need}})
 		}
 	}
 	return runs

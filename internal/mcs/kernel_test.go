@@ -52,9 +52,10 @@ func TestExactAllocs(t *testing.T) {
 func TestPooledScratchBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	g1, g2 := graph.Molecule(300, rng), graph.Molecule(300, rng)
-	// A capped decision run: no GreedyLB floor, which on this pair would
-	// grow eight 300-vertex subgraphs.
-	Exact(g1, g2, Options{MaxNodes: 50, Need: 1000})
+	// A stopped run loads the form and expands nothing.
+	stop := make(chan struct{})
+	close(stop)
+	Exact(g1, g2, Options{Stop: stop})
 	s := searcherPool.Get().(*searcher)
 	defer searcherPool.Put(s)
 	if s.Oversized() {

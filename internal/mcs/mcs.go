@@ -10,8 +10,7 @@
 //     that grows a connected common edge subgraph (the default for the
 //     paper-scale graphs).
 //   - Greedy: a randomized best-first heuristic with restarts, for large
-//     inputs; GreedyLB is its deterministic form, the floor of a capped
-//     Exact.
+//     inputs; GreedyLB is its deterministic form.
 //
 // Every engine runs on the compact pair form of package pairform, the
 // one the GED kernel uses: labels are int32 ids, a vertex's neighbours a
@@ -40,25 +39,29 @@ type Pair struct{ U, V int }
 
 // Options tunes the exact search.
 type Options struct {
-	// MaxNodes caps the number of branch-and-bound node expansions; 0 means
-	// unlimited. When the cap is hit the search degrades gracefully into an
-	// anytime algorithm and returns the best mapping found so far together
-	// with Exhausted=false.
-	MaxNodes int64
 	// Need, when > 0, turns the search into a decision procedure for
 	// "|mcs| >= Need": branches that cannot reach Need common edges are
 	// pruned regardless of the incumbent, and the search stops the
 	// moment any mapping reaches Need edges. If the pruned space is
-	// exhausted without the cap firing and without reaching Need, the
-	// result reports ProvedBelowNeed — a certificate that |mcs| < Need.
-	// The returned Mapping is then only decision-grade (the aggressive
-	// pruning may have skipped the true maximum, and no GreedyLB floor
-	// is applied), so Exhausted is never set when Need > 0; ranked
-	// queries use this to discard candidates whose distance provably
-	// exceeds the current threshold, re-running a plain search for
-	// candidates that survive.
+	// exhausted without reaching Need, the result reports
+	// ProvedBelowNeed — a certificate that |mcs| < Need. The returned
+	// Mapping is then only decision-grade (the aggressive pruning may
+	// have skipped the true maximum), so Exhausted is never set when
+	// Need > 0; ranked queries use this to discard candidates whose
+	// distance provably exceeds the current threshold, re-running a
+	// plain search for candidates that survive.
 	Need int
+	// Stop, when closed, stops the search: it is polled at the first
+	// expansion and then once every pollEvery expansions, and a stopped
+	// run reports Exhausted=false and ProvedBelowNeed=false, proving
+	// nothing. Queries pass their context's Done channel; nil never
+	// stops.
+	Stop <-chan struct{}
 }
+
+// pollEvery is how many expansions pass between two polls of
+// Options.Stop: a power of two, so the test is a mask.
+const pollEvery = 1024
 
 // Result reports the outcome of an exact search.
 type Result struct {
@@ -70,35 +73,28 @@ type Result struct {
 	// ProvedBelowNeed is true when the Need-pruned search space was
 	// fully explored without any mapping reaching Options.Need common
 	// edges: a certificate that |mcs| < Need. Only possible when
-	// Options.Need > 0 and the node cap did not fire.
+	// Options.Need > 0.
 	ProvedBelowNeed bool
 	// Nodes is the number of search-tree expansions performed.
 	Nodes int64
 }
 
 // Size returns |mcs(g1,g2)| — the number of edges of a maximum common
-// connected subgraph — using the exact engine with no node cap.
+// connected subgraph — using the exact engine.
 func Size(g1, g2 *graph.Graph) int {
 	return Exact(g1, g2, Options{}).Mapping.Edges
 }
 
 // Exact runs the branch-and-bound search and returns the best mapping.
-// When the node cap truncates a plain search (Need == 0), the result is
-// additionally floored by the deterministic GreedyLB mapping — like
-// ged.Exact degrading to its bipartite upper bound, the capped search
-// never returns a worse witness than the cheap greedy one, so GreedyLB
-// is a valid lower bound on the value Exact reports, capped or not. A
-// decision run (Need > 0) skips the floor: its only output is the
-// ProvedBelowNeed verdict, which the floor cannot change.
 func Exact(g1, g2 *graph.Graph, opts Options) Result {
 	// Search from the smaller graph for a smaller branching factor.
 	swapped := g1.Order() > g2.Order()
 	s := newSearcher(g1, g2, swapped)
-	s.maxNodes, s.need = opts.MaxNodes, opts.Need
+	s.need, s.stop = opts.Need, opts.Stop
 	s.run()
-	res := Result{Exhausted: !s.capped && opts.Need == 0, Nodes: s.nodes}
+	res := Result{Exhausted: !s.halted && opts.Need == 0, Nodes: s.nodes}
 	if opts.Need > 0 {
-		res.ProvedBelowNeed = !s.capped && !s.decided
+		res.ProvedBelowNeed = !s.halted
 	}
 	if s.N1 > 0 && s.N2 > 0 {
 		// An empty graph leaves the mapping nil; a pair without one
@@ -106,11 +102,6 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 		res.Mapping = s.bestMapping(swapped)
 	}
 	s.release()
-	if !res.Exhausted && opts.Need == 0 {
-		if lb := GreedyLB(g1, g2); lb.Edges > res.Mapping.Edges {
-			res.Mapping = lb
-		}
-	}
 	return res
 }
 
@@ -119,11 +110,12 @@ func Exact(g1, g2 *graph.Graph, opts Options) Result {
 type searcher struct {
 	pairform.Form
 
-	maxNodes int64
-	nodes    int64
-	capped   bool
-	need     int  // decision threshold (0 = plain maximization)
-	decided  bool // a mapping with >= need edges was found
+	nodes int64
+	need  int             // decision threshold (0 = plain maximization)
+	stop  <-chan struct{} // Options.Stop
+	// halted is set when the search ends early: a mapping reached need
+	// edges, or the stop signal was closed.
+	halted bool
 
 	m1 []int32 // g1 vertex -> g2 vertex or -1
 	m2 []int32 // g2 vertex -> g1 vertex or -1
@@ -160,8 +152,7 @@ func newSearcher(g1, g2 *graph.Graph, swapped bool) *searcher {
 	s.Load(g1, g2)
 	s.Densify()
 	s.bucketLabels()
-	s.maxNodes, s.nodes, s.capped = 0, 0, false
-	s.need, s.decided = 0, false
+	s.nodes, s.need, s.stop, s.halted = 0, 0, nil, false
 	s.best, s.bestEdges, s.haveBest = s.best[:0], 0, false
 	return s
 }
@@ -270,9 +261,9 @@ func (s *searcher) run() {
 	// later seed's search forbids earlier seed u-vertices as members:
 	// any connected common subgraph has a minimal g1-vertex, so rooting the
 	// enumeration at that vertex covers all candidates exactly once.
-	for u := 0; u < s.N1 && !s.capped && !s.decided; u++ {
+	for u := 0; u < s.N1 && !s.halted; u++ {
 		for _, v := range s.candidates(u) {
-			if s.capped || s.decided {
+			if s.halted {
 				break
 			}
 			s.mapPair(u, int(v), 0)
@@ -286,15 +277,15 @@ func (s *searcher) run() {
 // vertex of the seed pair; extensions only use g1 vertices greater than
 // the root to break symmetry across seeds.
 func (s *searcher) extend(root int) {
-	if s.maxNodes > 0 && s.nodes >= s.maxNodes {
-		s.capped = true
+	if s.nodes&(pollEvery-1) == 0 && s.stopped() {
+		s.halted = true
 		return
 	}
 	s.nodes++
 	s.record()
 	if s.need > 0 && s.bestEdges >= s.need {
 		// Decision reached: a common subgraph with Need edges exists.
-		s.decided = true
+		s.halted = true
 		return
 	}
 	// Decision-grade pruning: with a Need threshold, branches that
@@ -326,10 +317,20 @@ func (s *searcher) extend(root int) {
 			s.mapPair(u, int(v), gain)
 			s.extend(root)
 			s.unmapPair(u, int(v), gain)
-			if s.capped || s.decided {
+			if s.halted {
 				return
 			}
 		}
+	}
+}
+
+// stopped polls the stop signal.
+func (s *searcher) stopped() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -380,8 +381,7 @@ const greedyLBSeedsPerVertex = 2
 // label-compatible vertex pairs — taken in lexicographic order, at
 // most greedyLBSeedsPerVertex per g1 root — and keeps the best. Unlike
 // Greedy it takes no randomness, so repeated calls on the same pair
-// agree — the property the filter-and-refine pipeline needs to use the
-// value as a certified floor of Exact's capped results.
+// agree.
 func GreedyLB(g1, g2 *graph.Graph) Mapping {
 	s := newSearcher(g1, g2, false)
 	defer s.release()

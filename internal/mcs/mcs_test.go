@@ -2,6 +2,7 @@ package mcs
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -73,7 +74,7 @@ func TestExactWitnessConsistency(t *testing.T) {
 		g2 := graph.Molecule(8, rng)
 		res := Exact(g1, g2, Options{})
 		if !res.Exhausted {
-			t.Fatal("uncapped search reported capped")
+			t.Fatal("search not exhausted")
 		}
 		checkWitness(t, g1, g2, res.Mapping)
 	}
@@ -209,16 +210,47 @@ func bruteMCS(g1, g2 *graph.Graph) int {
 	return best
 }
 
-func TestExactNodeCap(t *testing.T) {
+// TestExactStopSignal: a closed stop signal stops the search at its
+// first expansion and proves nothing, decision or not; an open one
+// changes nothing, expansion count included.
+func TestExactStopSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	g1 := graph.Molecule(14, rng)
-	g2 := graph.Molecule(14, rng)
-	res := Exact(g1, g2, Options{MaxNodes: 10})
-	if res.Exhausted {
-		t.Error("tiny node cap reported exhausted")
+	closed, open := make(chan struct{}), make(chan struct{})
+	close(closed)
+	for i := 0; i < 20; i++ {
+		g1, g2 := graph.Molecule(3+rng.Intn(8), rng), graph.Molecule(3+rng.Intn(8), rng)
+		truth := Size(g1, g2)
+		for _, need := range []int{0, truth, truth + 1} {
+			plain := Exact(g1, g2, Options{Need: need})
+			if got := Exact(g1, g2, Options{Need: need, Stop: open}); !reflect.DeepEqual(got, plain) {
+				t.Fatalf("pair %d need %d: open signal changed %+v to %+v", i, need, plain, got)
+			}
+			if got := Exact(g1, g2, Options{Need: need, Stop: closed}); got.Exhausted || got.ProvedBelowNeed || got.Nodes != 0 {
+				t.Fatalf("pair %d need %d: closed signal gave %+v", i, need, got)
+			}
+		}
 	}
-	if res.Nodes > 10+1 {
-		t.Errorf("node cap not respected: %d", res.Nodes)
+}
+
+// TestExactStopPolledEvery: a signal that closes after the poll at the
+// first expansion stops the search at the next poll, pollEvery
+// expansions in.
+func TestExactStopPolledEvery(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	// One label: every pair is compatible, so the search branches wide.
+	g1 := graph.ErdosRenyi(8, 0.5, []string{"A"}, []string{"x"}, rng)
+	g2 := graph.ErdosRenyi(8, 0.5, []string{"A"}, []string{"x"}, rng)
+	if n := Exact(g1, g2, Options{}).Nodes; n <= pollEvery {
+		t.Fatalf("the pair expands %d nodes, want more than %d", n, pollEvery)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	s := newSearcher(g1, g2, false)
+	defer s.release()
+	s.stop, s.nodes = stop, 1 // the poll at the first expansion found it open
+	s.run()
+	if !s.halted || s.nodes != pollEvery {
+		t.Fatalf("search ran on past the signal: %d expansions, want %d", s.nodes, pollEvery)
 	}
 }
 

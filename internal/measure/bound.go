@@ -9,18 +9,17 @@ import (
 // This file implements the bound side of the filter-and-refine
 // pipeline: interval versions of the pair statistics, derived from
 // stored signatures alone (BoundPair, no graph access). The intervals are
-// admissible with respect to Compute — for any engine caps, the value
-// Compute reports lies inside them:
+// admissible with respect to Compute — the value Compute reports lies
+// inside them:
 //
-//   - GED low:  the label-histogram lower bound (== ged.LowerBound).
-//     Compute's GED is the exact distance or a capped search's upper
-//     bound (the cost of a real mapping), both >= the histogram bound.
-//   - GED high: delete-all/insert-all (|V1|+|V2|+|E1|+|E2|), which no
-//     edit path Compute reports can exceed.
-//   - MCS high: the edge-type multiset intersection, capped by the
-//     densest simple graph on the common vertex labels. Every common
-//     subgraph's edges match labels on both sides, so no witness —
-//     exact or partial — can exceed it.
+//   - GED low:  the label-histogram lower bound (== ged.LowerBound),
+//     which no edit path costs less than.
+//   - GED high: delete-all/insert-all (|V1|+|V2|+|E1|+|E2|), which the
+//     cheapest edit path never exceeds.
+//   - MCS high: the edge-type multiset intersection, at most the edge
+//     count of the densest simple graph on the common vertex labels.
+//     Every common subgraph's edges match labels on both sides, so no
+//     witness can exceed it.
 //   - MCS low:  0.
 //
 // Edit costs are uniform throughout: package ged implements only the
@@ -84,10 +83,10 @@ func mcsUpper(s1, s2 *Signature, vi int) int {
 }
 
 // Refine tightens tier-0 bounds with the cheap polynomial engines: the
-// bipartite assignment upper bound on GED (which bounds what Compute
-// reports under a cap: the cheaper of it and the capped search's best
-// mapping) and the deterministic greedy lower bound on MCS (the
-// floor mcs.Exact applies under a cap). No query path calls it any
+// bipartite assignment upper bound on GED (the cost of a real mapping,
+// so never below the distance Compute reports) and the deterministic
+// greedy lower bound on MCS (the edge count of a real common subgraph,
+// so never above the maximum Compute reports). No query path calls it any
 // more — the ranked scan decides candidates on their tier-0 and branch
 // bounds, which cost less than refining them did. It is kept only for
 // the benchmark harness's measure.refine_us probe.

@@ -30,9 +30,8 @@ import (
 // assignment, and under it a vertex edit changes one branch by 1 while
 // an edge edit changes the branches of its two endpoints by at most ½
 // each, so the assignment costs at most the path. GED is integral, hence
-// the ceiling. Capped engines report a GED at or above the true one (the
-// bipartite fallback), so the bound floors what measure.Compute reports
-// too. It is never below the label-histogram bound: summed over the
+// the ceiling, and the bound floors the GED measure.Compute reports. It
+// is never below the label-histogram bound: summed over the
 // assignment, the label mismatches are at least the vertex-histogram
 // distance and the halved multiset distances at least the edge-histogram
 // distance.
@@ -460,7 +459,7 @@ func (t *BranchTable) costs(b *boundBuf, o *Signature) [][]float64 {
 // between o's graph and the query's (see the top of this file). It is
 // symmetric — o.BranchTable().LB(q) is the same bound — at least the
 // label-histogram bound, and never above the GED measure.Compute
-// reports, capped or not.
+// reports.
 func (t *BranchTable) LB(o *Signature) float64 {
 	buf := branchPool.Get().(*boundBuf)
 	defer branchPool.Put(buf)

@@ -28,16 +28,11 @@ import (
 // PairStats carries the expensive quantities shared by all measures for one
 // graph pair.
 type PairStats struct {
-	// GED is the (uniform-cost) graph edit distance, or an upper bound when
-	// GEDExact is false.
+	// GED is the (uniform-cost) graph edit distance.
 	GED float64
-	// GEDExact reports whether GED is provably minimal.
-	GEDExact bool
 	// MCS is |mcs(g1,g2)|: the edge count of a maximum common connected
-	// subgraph, or a lower bound when MCSExact is false.
+	// subgraph.
 	MCS int
-	// MCSExact reports whether MCS is provably maximal.
-	MCSExact bool
 	// Size1, Size2 are |g1| and |g2| (edge counts).
 	Size1, Size2 int
 	// Order1, Order2 are the vertex counts.
@@ -51,17 +46,15 @@ type PairStats struct {
 	DegL1 int
 }
 
-// Options bounds the exact engines; zero values mean exact, unbounded
-// computation. The struct is wire- and cache-friendly: it serializes to
-// JSON and is comparable, so it can sit in a map key as it is.
+// Options tunes how the exact engines run, never what they report: a
+// run that is not stopped reports the pair's exact statistics whatever
+// the options hold, so they belong in no cache key.
 type Options struct {
-	// GEDMaxNodes caps the exact GED search's node expansions (0 =
-	// unlimited). On cap GED is an upper bound — the cheaper of the best
-	// mapping the depth-first search reached and the bipartite one — and
-	// GEDExact is false.
-	GEDMaxNodes int64 `json:"ged_max_nodes,omitempty"`
-	// MCSMaxNodes caps the MCS branch and bound (0 = unlimited).
-	MCSMaxNodes int64 `json:"mcs_max_nodes,omitempty"`
+	// Stop, when closed, stops the exact engines (ged.Options.Stop,
+	// mcs.Options.Stop); what a stopped evaluation reports is not the
+	// pair's value, and the caller must discard it. Queries pass their
+	// context's Done channel; nil never stops.
+	Stop <-chan struct{}
 }
 
 // Compute evaluates the shared statistics for the pair (g1, g2).
@@ -80,15 +73,13 @@ type PairHints struct {
 // ComputeHinted is Compute reusing whatever hints the caller has. The
 // returned statistics are identical to plain Compute's either way.
 func ComputeHinted(g1, g2 *graph.Graph, opts Options, h PairHints) PairStats {
-	gres := ged.Exact(g1, g2, ged.Options{MaxNodes: opts.GEDMaxNodes})
-	mres := mcs.Exact(g1, g2, mcs.Options{MaxNodes: opts.MCSMaxNodes})
+	gres := ged.Exact(g1, g2, ged.Options{Stop: opts.Stop})
+	mres := mcs.Exact(g1, g2, mcs.Options{Stop: opts.Stop})
 	v1, e1, d1 := histsOf(g1, h.Sig1)
 	v2, e2, d2 := histsOf(g2, h.Sig2)
 	return PairStats{
 		GED:       gres.Distance,
-		GEDExact:  gres.Exact,
 		MCS:       mres.Mapping.Edges,
-		MCSExact:  mres.Exhausted,
 		Size1:     g1.Size(),
 		Size2:     g2.Size(),
 		Order1:    g1.Order(),
@@ -103,12 +94,8 @@ func ComputeHinted(g1, g2 *graph.Graph, opts Options, h PairHints) PairStats {
 // one orientation: what a scan's engine runs reported, before the
 // cheap statistics are assembled around them (PairStatsFrom).
 type EngineResults struct {
-	// GED and GEDExact mirror PairStats (value or capped upper bound);
-	// MCS and MCSExact are the MCS engine analogues.
 	GED float64
 	MCS int
-
-	GEDExact, MCSExact bool
 }
 
 // PairStatsFrom assembles the pair statistics of a graph pair known by
@@ -120,9 +107,7 @@ type EngineResults struct {
 func PairStatsFrom(s1, s2 *Signature, r EngineResults) PairStats {
 	return PairStats{
 		GED:       r.GED,
-		GEDExact:  r.GEDExact,
 		MCS:       r.MCS,
-		MCSExact:  r.MCSExact,
 		Size1:     s1.Size,
 		Size2:     s2.Size,
 		Order1:    s1.Order,

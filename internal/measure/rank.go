@@ -84,8 +84,10 @@ func RankInterval(s1, s2 *Signature, basis []Measure, lo, hi []float64) (gedLo f
 	vSurplus, vDeficit := s1.VHist.merge(s2.VHist)
 	vd, ed := max(vSurplus, vDeficit), s1.EHist.distance(s2.EHist)
 	// Fields are set in place: opt's address is taken, so a composite
-	// literal would be built in a temporary and copied over
-	// (runtime.duffcopy) on every call.
+	// literal would be built in a temporary and copied over on every
+	// call. PairStats is 72 bytes, too small for the amd64 compiler to
+	// zero or copy it through runtime.duffzero or runtime.duffcopy
+	// (from 80 bytes on), so declaring opt zeroes it inline.
 	var opt PairStats
 	opt.GED = float64(vd + ed)
 	opt.Size1, opt.Size2 = s1.Size, s2.Size
@@ -278,67 +280,51 @@ func lastFit(lo, hi int, fits func(int) bool) float64 {
 // engines m consumes, from which the skyline scan assembles its vector
 // (PairStatsFrom). bs must bound the
 // pair (tier-0 BoundPair, optionally with GEDLo raised by the branch
-// bound); its exact fields supply the cheap statistics. inexact
-// reports whether a capped engine backed the returned score.
-// Decision-run outcomes are never returned: a search truncated at the
-// decision threshold is not the plain engine's answer (except the
-// uncapped goal case, whose value is provably identical and is
-// returned). Excluded candidates return empty results.
-func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options) (score float64, got EngineResults, excluded, inexact bool) {
+// bound); its exact fields supply the cheap statistics. Decision-run
+// outcomes are never returned: a search truncated at the decision
+// threshold is not the plain engine's answer (except a GED goal within
+// the limit, whose value is provably identical and is returned).
+// Excluded candidates return empty results. Once opts.Stop is closed
+// the results mean nothing, and the caller must discard them.
+func ComputeRankResults(g1, g2 *graph.Graph, m Measure, t float64, bs BoundStats, opts Options) (score float64, got EngineResults, excluded bool) {
 	lo, hi := bs.Interval(m)
 	if lo > t {
 		// The whole interval sits above the threshold: the reported
 		// distance cannot fit. (The best-first scan normally stops
 		// before such candidates; this catches a threshold that
 		// tightened after the candidate was claimed.)
-		return 0, EngineResults{}, true, false
+		return 0, EngineResults{}, true
 	}
 	plan := PlanRank(m, bs, t)
 	ps := bs.statsAt(0, 0)
 	certain := hi <= t // interval proves inclusion: skip decision runs
 	if plan.NeedGED {
-		gopts := ged.Options{MaxNodes: opts.GEDMaxNodes}
+		var res ged.Result
 		if !certain && !math.IsInf(plan.GEDLimit, 1) {
-			dopts := gopts
-			dopts.Limit = &plan.GEDLimit
-			dres := ged.Exact(g1, g2, dopts)
-			switch {
-			case dres.AboveLimit:
-				return 0, EngineResults{}, true, false
-			case opts.GEDMaxNodes == 0 && dres.Exact:
-				// Uncapped decision searches that reach a goal are the
-				// plain search truncated at nothing: the goal is the
-				// true minimum, exactly what the full run would report.
-				ps.GED, ps.GEDExact = dres.Distance, true
+			res = ged.Exact(g1, g2, ged.Options{Limit: &plan.GEDLimit, Stop: opts.Stop})
+			if res.AboveLimit {
+				return 0, EngineResults{}, true
 			}
+			// A decision search that reaches a goal is the plain search
+			// truncated at nothing: the goal is the true minimum, exactly
+			// what the full run would report.
 		}
-		if !ps.GEDExact {
-			gres := ged.Exact(g1, g2, gopts)
-			ps.GED, ps.GEDExact = gres.Distance, gres.Exact
+		if !res.Exact {
+			res = ged.Exact(g1, g2, ged.Options{Stop: opts.Stop})
 		}
-		if !ps.GEDExact {
-			inexact = true
-		}
-		got.GED, got.GEDExact = ps.GED, ps.GEDExact
+		ps.GED, got.GED = res.Distance, res.Distance
 	}
 	if plan.NeedMCS {
-		mopts := mcs.Options{MaxNodes: opts.MCSMaxNodes}
 		if !certain && plan.MCSNeed > 0 {
-			dopts := mopts
-			dopts.Need = plan.MCSNeed
-			if dres := mcs.Exact(g1, g2, dopts); dres.ProvedBelowNeed {
-				return 0, EngineResults{}, true, false
+			if dres := mcs.Exact(g1, g2, mcs.Options{Need: plan.MCSNeed, Stop: opts.Stop}); dres.ProvedBelowNeed {
+				return 0, EngineResults{}, true
 			}
 			// A decision run that reached Need stopped early; its
 			// mapping is decision-grade only, so the survivor pays the
 			// plain search below for the byte-identical score.
 		}
-		mres := mcs.Exact(g1, g2, mopts)
-		ps.MCS, ps.MCSExact = mres.Mapping.Edges, mres.Exhausted
-		if !mres.Exhausted {
-			inexact = true
-		}
-		got.MCS, got.MCSExact = ps.MCS, ps.MCSExact
+		ps.MCS = mcs.Exact(g1, g2, mcs.Options{Stop: opts.Stop}).Mapping.Edges
+		got.MCS = ps.MCS
 	}
-	return m.FromStats(&ps), got, false, inexact
+	return m.FromStats(&ps), got, false
 }

@@ -15,7 +15,7 @@ func rankSweep() []Measure {
 
 // TestIntervalAdmissible: for every measure, the scalar
 // interval brackets the value Compute reports — from tier-0 signatures
-// alone, after refinement, and under engine caps.
+// alone and after refinement.
 func TestIntervalAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -24,15 +24,13 @@ func TestIntervalAdmissible(t *testing.T) {
 		sg, sq := NewSignature(g), NewSignature(q)
 		bs0 := BoundPair(sg, sq)
 		bs1 := Refine(g, q, bs0)
-		for _, opts := range []Options{{}, {GEDMaxNodes: 15, MCSMaxNodes: 15}} {
-			ps := Compute(g, q, opts)
-			for _, m := range rankSweep() {
-				v := m.FromStats(&ps)
-				for _, bs := range []BoundStats{bs0, bs1} {
-					lo, hi := bs.Interval(m)
-					if v < lo || v > hi {
-						t.Fatalf("trial %d %s: value %v outside [%v, %v] (caps %+v)", trial, m.Name(), v, lo, hi, opts)
-					}
+		ps := Compute(g, q, Options{})
+		for _, m := range rankSweep() {
+			v := m.FromStats(&ps)
+			for _, bs := range []BoundStats{bs0, bs1} {
+				lo, hi := bs.Interval(m)
+				if v < lo || v > hi {
+					t.Fatalf("trial %d %s: value %v outside [%v, %v]", trial, m.Name(), v, lo, hi)
 				}
 			}
 		}
@@ -79,8 +77,7 @@ func TestPlanRankCutoffs(t *testing.T) {
 // TestComputeRankMatchesComputeHinted: ComputeRankResults either excludes a
 // pair — and then the true reported distance really exceeds the
 // threshold — or returns the bit-identical score of the full
-// evaluation, with and without engine caps, on tier-0 bounds and on
-// Refine'd ones (a tighter interval skips decision runs, never changes
+// evaluation, on tier-0 bounds and on Refine'd ones (a tighter interval skips decision runs, never changes
 // a score).
 func TestComputeRankMatchesComputeHinted(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -90,26 +87,24 @@ func TestComputeRankMatchesComputeHinted(t *testing.T) {
 		sg, sq := NewSignature(g), NewSignature(q)
 		bs0 := BoundPair(sg, sq)
 		h := PairHints{Sig1: sg, Sig2: sq}
-		for _, opts := range []Options{{}, {GEDMaxNodes: 15, MCSMaxNodes: 15}} {
-			for _, m := range rankSweep() {
-				plain, hinted := Compute(g, q, opts), ComputeHinted(g, q, opts, h)
-				truth := m.FromStats(&plain)
-				if got := m.FromStats(&hinted); got != truth {
-					t.Fatalf("%s: ComputeHinted %v != truth %v (caps %+v)", m.Name(), got, truth, opts)
-				}
-				for tier, bs := range []BoundStats{bs0, Refine(g, q, bs0)} {
-					lo, hi := bs.Interval(m)
-					for _, t0 := range []float64{lo - 1, lo, truth, (lo + hi) / 2, hi, math.Inf(1)} {
-						score, _, excluded, _ := ComputeRankResults(g, q, m, t0, bs, opts)
-						if excluded {
-							if truth <= t0 {
-								t.Fatalf("%s tier %d t=%v: excluded but truth %v fits (caps %+v)", m.Name(), tier, t0, truth, opts)
-							}
-							continue
+		for _, m := range rankSweep() {
+			plain, hinted := Compute(g, q, Options{}), ComputeHinted(g, q, Options{}, h)
+			truth := m.FromStats(&plain)
+			if got := m.FromStats(&hinted); got != truth {
+				t.Fatalf("%s: ComputeHinted %v != truth %v", m.Name(), got, truth)
+			}
+			for tier, bs := range []BoundStats{bs0, Refine(g, q, bs0)} {
+				lo, hi := bs.Interval(m)
+				for _, t0 := range []float64{lo - 1, lo, truth, (lo + hi) / 2, hi, math.Inf(1)} {
+					score, _, excluded := ComputeRankResults(g, q, m, t0, bs, Options{})
+					if excluded {
+						if truth <= t0 {
+							t.Fatalf("%s tier %d t=%v: excluded but truth %v fits", m.Name(), tier, t0, truth)
 						}
-						if score != truth {
-							t.Fatalf("%s tier %d t=%v: score %v != truth %v (caps %+v)", m.Name(), tier, t0, score, truth, opts)
-						}
+						continue
+					}
+					if score != truth {
+						t.Fatalf("%s tier %d t=%v: score %v != truth %v", m.Name(), tier, t0, score, truth)
 					}
 				}
 			}

@@ -38,7 +38,6 @@ import (
 	"skygraph/internal/fault"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
-	"skygraph/internal/measure"
 )
 
 // QueryRequest is the shared body of the three query endpoints
@@ -58,12 +57,9 @@ type QueryRequest struct {
 	// DistMcs, DistGu), each measure at most once. Topk/range validate
 	// it but rank by Measure alone.
 	Basis []string `json:"basis,omitempty"`
-	// Eval bounds the exact GED/MCS engines, merged per field over the
-	// server defaults: zero (or omitted) keeps the server default, a
-	// negative value explicitly requests unbounded exact computation.
-	Eval *measure.Options `json:"eval,omitempty"`
 	// TimeoutMS caps this request's evaluation time (0 = server default;
-	// values above the server maximum are clamped).
+	// values above the server maximum are clamped). The deadline stops
+	// the exact engines, and the request answers 504.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// All requests the full vector table in the skyline response. It is
 	// the one way to build (and cache) complete tables, on a query or a
@@ -85,9 +81,6 @@ type QueryStats struct {
 	// when the answer came from the cache, and Evaluated + Pruned is the
 	// database size on a fresh build.
 	gdb.Work
-	// Inexact counts table pairs where a capped engine returned a bound
-	// (a property of the answer, whether cached or fresh).
-	Inexact int `json:"inexact"`
 	// DeltaPatched counts the in-place delta upgrades the cached state
 	// serving this answer has absorbed since it was cold-built (0 for
 	// fresh evaluations and for caches maintained only by invalidation).

@@ -56,8 +56,7 @@ type cacheKey struct {
 	// ranking measure of a ranked answer.
 	measures string
 	// arg is k for top-k, the radius for range, 0 for skyline answers.
-	arg  float64
-	eval measure.Options
+	arg float64
 }
 
 // cacheEntry is one cached answer, exact at generation gen. A skyline
@@ -69,10 +68,8 @@ type cacheEntry struct {
 	table   *gdb.VectorTable
 	skyline []skyline.Point
 	items   []topk.Item
-	// inexact counts the answer's pairs where a capped engine returned a
-	// bound; deltas counts the in-place upgrades since the cold build.
-	inexact int
-	deltas  int
+	// deltas counts the in-place upgrades since the cold build.
+	deltas int
 	// work is what the cold build cost, reported by the request that ran
 	// it.
 	work gdb.Work
@@ -85,10 +82,10 @@ type cacheEntry struct {
 
 // tableEntry is the skyline answer t, maintainable through lin when lin
 // is set. Everything but the lineage derives from t, so an entry's
-// generation, skyline, inexact count and deltas never drift from its
-// table's. The skyline is merged here, once per table, not per hit.
+// generation, skyline and deltas never drift from its table's. The
+// skyline is merged here, once per table, not per hit.
 func tableEntry(t *gdb.VectorTable, lin *lineage) *cacheEntry {
-	return &cacheEntry{gen: t.Generation, table: t, skyline: t.Skyline(), inexact: t.Inexact, deltas: t.Deltas, work: t.Work, lin: lin}
+	return &cacheEntry{gen: t.Generation, table: t, skyline: t.Skyline(), deltas: t.Deltas, work: t.Work, lin: lin}
 }
 
 // lineage is what an upgrade needs beyond the entry's key to evaluate
@@ -201,9 +198,8 @@ type CacheStats struct {
 	// DeltaApplied counts cache entries upgraded in place across a
 	// mutation; DeltaFallbacks counts entries dropped because no delta
 	// proof existed (complete tables, a pruned skyline answer losing a
-	// front member, a top-k answer losing a member, capped rows on a
-	// delete, interleaved mutations, entries more than one generation
-	// behind).
+	// front member, a top-k answer losing a member, interleaved
+	// mutations, entries more than one generation behind).
 	DeltaApplied   uint64 `json:"delta_applied"`
 	DeltaFallbacks uint64 `json:"delta_fallbacks"`
 }

@@ -267,7 +267,6 @@ func TestCacheKeyDistinguishesInputs(t *testing.T) {
 		key("skyline", QueryRequest{All: true}),
 		key("skyline", QueryRequest{Graph: otherGraph}),
 		key("skyline", QueryRequest{Basis: []string{"DistEd"}}),
-		key("skyline", QueryRequest{Eval: &measure.Options{GEDMaxNodes: 10}}),
 		key("topk", QueryRequest{K: 3}),
 		key("topk", QueryRequest{K: 4}),
 		key("topk", QueryRequest{K: 3, Measure: "DistGu"}),

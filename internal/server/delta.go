@@ -48,10 +48,7 @@ import (
 //     generation: the front point that discarded it is in K. A delete
 //     of a kept row that another kept row strictly dominates drops the
 //     row (removing a non-maximal element leaves the maximal set
-//     unchanged; it requires Inexact == 0 across the whole answer,
-//     since per-row inexactness is not recorded and the surviving count
-//     would otherwise be underivable). A delete of a front member falls
-//     back.
+//     unchanged). A delete of a front member falls back.
 //   - A ranked answer settles the inserted graph by the ranked scan's
 //     own settle step at the answer's threshold (DeltaScore): the k-th
 //     score of a full top-k answer, the radius of a range answer, +Inf
@@ -134,15 +131,15 @@ func (s *Server) upgradeTable(cand deltaCandidate, gen uint64, inserted *graph.G
 // proof holds.
 func (s *Server) tableInsert(cand deltaCandidate, gen uint64, name string) *gdb.VectorTable {
 	t, lin := cand.e.table, cand.e.lin
-	opts := gdb.QueryOptions{Basis: lin.basis, Eval: cand.key.eval}
-	pt, kept, inexact, got, ok := s.db.DeltaRow(name, lin.q, lin.qsig, t.Points, opts)
+	opts := gdb.QueryOptions{Basis: lin.basis}
+	pt, kept, got, ok := s.db.DeltaRow(name, lin.q, lin.qsig, t.Points, opts)
 	if !ok || got != gen {
 		return nil // a later mutation interleaved; the row is not provably gen's
 	}
 	if !kept {
 		return t.WithGeneration(gen)
 	}
-	return t.WithInsert(pt, inexact, gen)
+	return t.WithInsert(pt, gen)
 }
 
 // tableDelete derives pruned table t's successor across the delete of
@@ -159,8 +156,8 @@ func tableDelete(t *gdb.VectorTable, gen uint64, name string) *gdb.VectorTable {
 	switch {
 	case victim == nil:
 		return t.WithGeneration(gen) // never kept: not on the skyline
-	case t.Inexact > 0 || !dominated(t.Points, victim):
-		return nil // capped rows, or a front member whose successors were never kept
+	case !dominated(t.Points, victim):
+		return nil // a front member, whose successors were never kept
 	}
 	nt, _ := t.WithDelete(name, gen)
 	return nt
@@ -187,7 +184,7 @@ func dominated(rows []skyline.Point, v []float64) bool {
 // unchanged (top-k, victim absent).
 func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.Graph, deleted string) *cacheEntry {
 	e, key, lin := cand.e, cand.key, cand.e.lin
-	items, inexact := e.items, e.inexact
+	items := e.items
 	if inserted != nil {
 		name := inserted.Name()
 		th := key.arg // a range answer's radius
@@ -197,8 +194,7 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 				th = items[len(items)-1].Score
 			}
 		}
-		opts := gdb.QueryOptions{Eval: key.eval}
-		score, in, inex, got, ok := s.db.DeltaScore(name, lin.q, lin.qsig, lin.m, th, opts)
+		score, in, got, ok := s.db.DeltaScore(name, lin.q, lin.qsig, lin.m, th, gdb.QueryOptions{})
 		switch {
 		case !ok || got != gen:
 			return nil
@@ -219,9 +215,6 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 					next = next[:k]
 				}
 				items = next
-				if inex {
-					inexact++
-				}
 			}
 			// pos == len(items) with a full answer: a tie with the
 			// stored k-th that loses on ID, provably unchanged.
@@ -230,9 +223,6 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 			next = append(next, items...)
 			next = append(next, topk.Item{ID: name, Score: score})
 			items = next
-			if inex {
-				inexact++
-			}
 		}
 	} else {
 		idx := -1
@@ -257,6 +247,6 @@ func (s *Server) upgradeRanked(cand deltaCandidate, gen uint64, inserted *graph.
 		}
 	}
 	next := e.advanced(gen)
-	next.items, next.inexact = items, inexact
+	next.items = items
 	return next
 }

@@ -139,8 +139,8 @@ func runDeltaSchedules(t *testing.T, all bool, rounds int) {
 						label := fmt.Sprintf("seed=%d all=%v round=%d q=%d", seed, all, round, qi)
 						var sky SkylineResponse
 						postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: all}, &sky)
-						testutil.RequireSameSkyline(t, label+"/skyline", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(sky.Skyline))
-						scores := testutil.ReferenceScores(live, q, measure.DistEd, measure.Options{})
+						testutil.RequireSameSkyline(t, label+"/skyline", testutil.ReferenceSkyline(live, q), wirePoints(sky.Skyline))
+						scores := testutil.ReferenceScores(live, q, measure.DistEd)
 
 						var tk TopKResponse
 						postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &tk)
@@ -194,7 +194,7 @@ type prunedFixture struct {
 	res resolved
 }
 
-func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []skyline.Point, inexact int) *prunedFixture {
+func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []skyline.Point) *prunedFixture {
 	t.Helper()
 	db := testutil.NewDB(t, gs)
 	s := New(db, Config{CacheSize: 16})
@@ -202,7 +202,7 @@ func newPrunedFixture(t *testing.T, gs []*graph.Graph, q *graph.Graph, rows []sk
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := &gdb.VectorTable{Generation: db.Generation(), Basis: res.basis, Points: rows, Inexact: inexact}
+	tab := &gdb.VectorTable{Generation: db.Generation(), Basis: res.basis, Points: rows}
 	s.cache.put(res.key, tableEntry(tab, &lineage{q: res.q, qsig: measure.NewSignature(res.q), basis: res.basis}))
 	return &prunedFixture{s: s, res: res}
 }
@@ -282,7 +282,7 @@ func extraGraph(name string) *graph.Graph {
 func TestPrunedInsertDominatedAtTier0RunsNoEngine(t *testing.T) {
 	gs := testutil.SeededGraphs(501, 6)
 	q := testutil.SeededQueries(502, gs, 1)[0]
-	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: []float64{0, 0, 0}}}, 0)
+	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: []float64{0, 0, 0}}})
 	withholdQuery(t, f.s, "skyline", &QueryRequest{Graph: q})
 	gen := func() uint64 {
 		defer func() {
@@ -308,39 +308,16 @@ func TestPrunedInsertScoresUndominated(t *testing.T) {
 	gs := testutil.SeededGraphs(511, 6)
 	q := testutil.SeededQueries(512, gs, 1)[0]
 	far := []float64{100, 100, 100}
-	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: far}}, 0)
+	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: far}})
 	late := mustSeeded(513, "late")
 	gen := f.insert(t, late)
 	nt := f.table(gen)
 	if nt == nil {
 		t.Fatal("the undominated insert fell back")
 	}
-	want := testutil.ReferenceTable([]*graph.Graph{late}, q, measure.Options{})[0]
+	want := testutil.ReferenceTable([]*graph.Graph{late}, q)[0]
 	if len(nt.Points) != 2 || nt.Points[1].ID != "late" || !slices.Equal(nt.Points[1].Vec, want.Vec) {
 		t.Fatalf("rows %v; want the kept row then late=%v", nt.Points, want.Vec)
-	}
-}
-
-// TestPrunedInsertCountsCappedRow: a scored row whose engines hit their
-// budget is inexact, and the answer's inexact count moves with its
-// table's.
-func TestPrunedInsertCountsCappedRow(t *testing.T) {
-	gs := testutil.SeededGraphs(511, 6)
-	q := testutil.SeededQueries(512, gs, 1)[0]
-	f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: []float64{100, 100, 100}}}, 0)
-	// Store the fixture's answer under engine budgets no pair fits in, so
-	// the upgrade scores the new row capped.
-	e, _ := f.s.cache.lookup(f.res.key, f.s.db.Generation(), true)
-	f.res.key.eval = measure.Options{GEDMaxNodes: 1, MCSMaxNodes: 1}
-	f.s.cache.put(f.res.key, e)
-	gen := f.insert(t, mustSeeded(513, "late"))
-	up, ok := f.s.cache.lookup(f.res.key, gen, true)
-	if !ok {
-		t.Fatal("the undominated insert fell back")
-	}
-	if nt := up.table; len(nt.Points) != 2 || nt.Inexact != 1 || up.inexact != 1 {
-		t.Fatalf("rows %v, table inexact %d, answer inexact %d; want the capped row appended and counted once on each",
-			nt.Points, nt.Inexact, up.inexact)
 	}
 }
 
@@ -354,7 +331,7 @@ func TestPrunedInsertDominatedExactlyNotKept(t *testing.T) {
 	late := mustSeeded(523, "late")
 	for i, q := range testutil.SeededQueries(522, gs, 8) {
 		basis := measure.Default()
-		exact := testutil.ReferenceTable([]*graph.Graph{late}, q, measure.Options{})[0].Vec
+		exact := testutil.ReferenceTable([]*graph.Graph{late}, q)[0].Vec
 		lo, _ := measure.BoundPair(measure.NewSignature(late), measure.NewSignature(q)).IntervalGCS(basis)
 		// A row between the corner and the exact row in one dimension and
 		// equal to the exact row elsewhere dominates the exact row but not
@@ -374,7 +351,7 @@ func TestPrunedInsertDominatedExactlyNotKept(t *testing.T) {
 		if skyline.Dominates(row, lo) || !skyline.Dominates(row, exact) {
 			t.Fatalf("q%d: fixture row %v must dominate the exact row %v and not the corner %v", i, row, exact, lo)
 		}
-		f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: row}}, 0)
+		f := newPrunedFixture(t, gs, q, []skyline.Point{{ID: gs[0].Name(), Vec: row}})
 		gen := f.insert(t, late)
 		nt := f.table(gen)
 		if nt == nil {
@@ -390,9 +367,8 @@ func TestPrunedInsertDominatedExactlyNotKept(t *testing.T) {
 
 // TestPrunedDeleteRules covers the three delete outcomes on a pruned
 // table: a kept row another kept row strictly dominates is dropped, a
-// graph the table never kept only advances the generation (capped rows
-// or not), and a front member — or any kept row while capped rows exist
-// — falls back to invalidation.
+// graph the table never kept only advances the generation, and a front
+// member falls back to invalidation.
 func TestPrunedDeleteRules(t *testing.T) {
 	gs := testutil.SeededGraphs(531, 6)
 	q := testutil.SeededQueries(532, gs, 1)[0]
@@ -400,19 +376,16 @@ func TestPrunedDeleteRules(t *testing.T) {
 	rows := []skyline.Point{{ID: a, Vec: []float64{1, 0.1, 0.1}}, {ID: b, Vec: []float64{2, 0.2, 0.2}}}
 	cases := []struct {
 		name     string
-		inexact  int
 		victim   string
 		wantRows []string // nil: fallback
 	}{
-		{"dominated kept row is dropped", 0, b, []string{a}},
-		{"never-kept graph advances the generation", 0, c, []string{a, b}},
-		{"never-kept graph with capped rows advances the generation", 1, c, []string{a, b}},
-		{"front member falls back", 0, a, nil},
-		{"dominated kept row with capped rows falls back", 1, b, nil},
+		{"dominated kept row is dropped", b, []string{a}},
+		{"never-kept graph advances the generation", c, []string{a, b}},
+		{"front member falls back", a, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newPrunedFixture(t, gs, q, rows, tc.inexact)
+			f := newPrunedFixture(t, gs, q, rows)
 			fallbacks := f.s.cache.Stats().DeltaFallbacks
 			gen := f.delete(t, tc.victim)
 			nt := f.table(gen)
@@ -428,8 +401,8 @@ func TestPrunedDeleteRules(t *testing.T) {
 			if nt == nil {
 				t.Fatal("the delete fell back")
 			}
-			if got := rowIDs(nt); !slices.Equal(got, tc.wantRows) || nt.Deltas != 1 || nt.Inexact != tc.inexact {
-				t.Fatalf("rows %v deltas %d inexact %d; want %v, 1, %d", got, nt.Deltas, nt.Inexact, tc.wantRows, tc.inexact)
+			if got := rowIDs(nt); !slices.Equal(got, tc.wantRows) || nt.Deltas != 1 {
+				t.Fatalf("rows %v deltas %d; want %v, 1", got, nt.Deltas, tc.wantRows)
 			}
 		})
 	}
@@ -457,7 +430,7 @@ func TestUnwarmedDaemonKeepsSkylineAcrossInsert(t *testing.T) {
 		t.Fatalf("repeat after insert stats = %+v; want a hit with delta_patched > 0", again.Stats)
 	}
 	live := append(dataset.PaperDB(), g)
-	testutil.RequireSameSkyline(t, "repeat", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(again.Skyline))
+	testutil.RequireSameSkyline(t, "repeat", testutil.ReferenceSkyline(live, q), wirePoints(again.Skyline))
 }
 
 // TestMutationDropsAllTablePatchesPrunedTable: with both an "all" and a
@@ -494,13 +467,13 @@ func TestMutationDropsAllTablePatchesPrunedTable(t *testing.T) {
 	if full.Stats.CacheHit || full.Stats.Evaluated != len(live) || full.Stats.DeltaPatched != 0 {
 		t.Fatalf("all repeat stats = %+v; want all %d graphs rebuilt", full.Stats, len(live))
 	}
-	testutil.RequireSameSkyline(t, "all", testutil.ReferenceTable(live, q, measure.Options{}), wirePoints(full.All))
+	testutil.RequireSameSkyline(t, "all", testutil.ReferenceTable(live, q), wirePoints(full.All))
 	var plain SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &plain)
 	if !plain.Stats.CacheHit || plain.Stats.Evaluated != 0 || plain.Stats.DeltaPatched != 1 {
 		t.Fatalf("plain repeat stats = %+v; want a hit on the patched pruned table", plain.Stats)
 	}
-	testutil.RequireSameSkyline(t, "plain", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(plain.Skyline))
+	testutil.RequireSameSkyline(t, "plain", testutil.ReferenceSkyline(live, q), wirePoints(plain.Skyline))
 }
 
 // TestPrunedDeltaUnderConcurrentReads races pruned skyline hits against
@@ -544,7 +517,7 @@ func TestPrunedDeltaUnderConcurrentReads(t *testing.T) {
 			refs := make([][][]skyline.Point, len(queries))
 			for qi, q := range queries {
 				for _, st := range states {
-					refs[qi] = append(refs[qi], testutil.ReferenceSkyline(st, q, measure.Options{}))
+					refs[qi] = append(refs[qi], testutil.ReferenceSkyline(st, q))
 				}
 			}
 			for _, q := range queries {
@@ -701,7 +674,7 @@ func TestRankedInsertDecidedByBound(t *testing.T) {
 		t.Fatalf("insert status %d", r.StatusCode)
 	}
 	live := append(dataset.PaperDB(), g)
-	scores := testutil.ReferenceScores(live, q, measure.DistEd, measure.Options{})
+	scores := testutil.ReferenceScores(live, q, measure.DistEd)
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 3}, &tk)
 	postJSON(t, ts.URL+"/query/range", QueryRequest{Graph: q, Radius: &radius}, &rr)
 	if !tk.Stats.CacheHit || tk.Stats.DeltaPatched != 1 || !rr.Stats.CacheHit || rr.Stats.DeltaPatched != 1 {
@@ -732,7 +705,7 @@ func TestRankedInsertAtBoundTies(t *testing.T) {
 	if r := postJSON(t, ts.URL+"/graphs", InsertRequest{Graph: g}, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d", r.StatusCode)
 	}
-	scores := testutil.ReferenceScores(append(gs, g), q, measure.DistEd, measure.Options{})
+	scores := testutil.ReferenceScores(append(gs, g), q, measure.DistEd)
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 1}, &tk)
 	var rr RangeResponse

@@ -8,7 +8,6 @@ import (
 
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
-	"skygraph/internal/measure"
 	"skygraph/internal/testutil"
 )
 
@@ -57,7 +56,7 @@ func TestSkylineAnswerIsOneEntry(t *testing.T) {
 	if third.Stats.CacheHit || third.Stats.Evaluated+third.Stats.Pruned != db.Len() {
 		t.Fatalf("post-delete stats = %+v; want all %d graphs rebuilt", third.Stats, db.Len())
 	}
-	testutil.RequireSameSkyline(t, "rebuild", testutil.ReferenceSkyline(db.Graphs(), q, measure.Options{}), wirePoints(third.Skyline))
+	testutil.RequireSameSkyline(t, "rebuild", testutil.ReferenceSkyline(db.Graphs(), q), wirePoints(third.Skyline))
 }
 
 // TestIsomorphicRequeryIsFullCacheHit: an isomorphic re-encoding of a

@@ -9,7 +9,6 @@ import (
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
-	"skygraph/internal/measure"
 	"skygraph/internal/testutil"
 )
 
@@ -36,13 +35,13 @@ func TestSkylinePrunesByDefaultAndMatchesFull(t *testing.T) {
 	_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
 	for qi, q := range append(testutil.SeededQueries(77, gs, 2), dataset.PaperQuery()) {
 		label := fmt.Sprintf("q=%d", qi)
-		want := testutil.ReferenceSkyline(gs, q, measure.Options{})
+		want := testutil.ReferenceSkyline(gs, q)
 		var full SkylineResponse
 		if r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q, All: true}, &full); r.StatusCode != http.StatusOK {
 			t.Fatalf("%s: all status %d", label, r.StatusCode)
 		}
 		testutil.RequireSameSkyline(t, label+"/all", want, wirePoints(full.Skyline))
-		testutil.RequireSameSkyline(t, label+"/table", testutil.ReferenceTable(gs, q, measure.Options{}), wirePoints(full.All))
+		testutil.RequireSameSkyline(t, label+"/table", testutil.ReferenceTable(gs, q), wirePoints(full.All))
 		var pruned SkylineResponse
 		if r := postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &pruned); r.StatusCode != http.StatusOK {
 			t.Fatalf("%s: pruned status %d", label, r.StatusCode)
@@ -60,7 +59,7 @@ func TestSkylinePrunesByDefaultAndMatchesFull(t *testing.T) {
 func TestSkylinePrunedColdPathMatchesFull(t *testing.T) {
 	gs := testutil.SeededGraphs(9, 20)
 	q := testutil.SeededQueries(99, gs, 1)[0]
-	want := testutil.ReferenceSkyline(gs, q, measure.Options{})
+	want := testutil.ReferenceSkyline(gs, q)
 	_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
 	var pruned SkylineResponse
 	postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &pruned)

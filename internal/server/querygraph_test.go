@@ -14,7 +14,6 @@ import (
 
 	"skygraph/internal/dataset"
 	"skygraph/internal/gdb"
-	"skygraph/internal/measure"
 )
 
 // resolveQuery resolves a request whose Graph field carries the query
@@ -388,11 +387,10 @@ func FuzzQueryBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	// Engine budgets keep a large fuzzed graph from running unbounded;
-	// the timeout is a backstop, and an answer it cut short is skipped.
+	// The timeout stops a large fuzzed graph's engines, and an answer it
+	// cut short is skipped.
 	cfg := Config{
 		CacheSize:      64,
-		DefaultEval:    measure.Options{GEDMaxNodes: 2000, MCSMaxNodes: 2000},
 		DefaultTimeout: 10 * time.Second,
 		MaxTimeout:     10 * time.Second,
 	}

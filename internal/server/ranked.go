@@ -19,7 +19,7 @@ import (
 // records the generation of the snapshot the scan read, as a table
 // does.
 func (s *Server) buildRanked(ctx context.Context, res resolved) (*cacheEntry, error) {
-	opts := gdb.QueryOptions{Eval: res.opts.Eval, Trace: res.opts.Trace}
+	opts := gdb.QueryOptions{Trace: res.opts.Trace}
 	var r gdb.TopKResult
 	var err error
 	if res.key.path == "topk" {
@@ -34,10 +34,9 @@ func (s *Server) buildRanked(ctx context.Context, res resolved) (*cacheEntry, er
 	// mutation can splice, append or prove it unchanged instead of
 	// invalidating it (see delta.go).
 	return &cacheEntry{
-		gen:     r.Generation,
-		items:   r.Items,
-		inexact: r.Stats.Inexact,
-		work:    r.Stats.Work,
-		lin:     &lineage{q: res.q, qsig: measure.NewSignature(res.q), m: res.m},
+		gen:   r.Generation,
+		items: r.Items,
+		work:  r.Stats.Work,
+		lin:   &lineage{q: res.q, qsig: measure.NewSignature(res.q), m: res.m},
 	}, nil
 }

@@ -28,7 +28,7 @@ func TestRankedPrunesByDefaultAndMatchesFull(t *testing.T) {
 		_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
 		for qi, q := range append(testutil.SeededQueries(88, gs, 2), dataset.PaperQuery()) {
 			label := fmt.Sprintf("m=%s q=%d", name, qi)
-			scores := testutil.ReferenceScores(gs, q, m, measure.Options{})
+			scores := testutil.ReferenceScores(gs, q, m)
 			var tk TopKResponse
 			if r := postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 4, Measure: name}, &tk); r.StatusCode != http.StatusOK {
 				t.Fatalf("%s: topk status %d", label, r.StatusCode)
@@ -54,7 +54,7 @@ func TestRankedPrunesByDefaultAndMatchesFull(t *testing.T) {
 func TestRankedColdPathMatchesFull(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(9, 12)...)
 	q := dataset.PaperQuery()
-	want := testutil.ReferenceTopK(testutil.ReferenceScores(gs, q, measure.DistEd, measure.Options{}), 5)
+	want := testutil.ReferenceTopK(testutil.ReferenceScores(gs, q, measure.DistEd), 5)
 	_, ts := newTestServerWith(t, Config{CacheSize: 64}, gs)
 	var tk TopKResponse
 	postJSON(t, ts.URL+"/query/topk", QueryRequest{Graph: q, K: 5}, &tk)
@@ -170,7 +170,7 @@ func TestRankedFallsBackWhenMemberDeleted(t *testing.T) {
 			live = append(live, g)
 		}
 	}
-	want := testutil.ReferenceTopK(testutil.ReferenceScores(live, q, measure.DistEd, measure.Options{}), 3)
+	want := testutil.ReferenceTopK(testutil.ReferenceScores(live, q, measure.DistEd), 3)
 	testutil.RequireSameItems(t, "post-delete topk", want, wireItems(second.Items))
 }
 
@@ -193,7 +193,7 @@ func TestBatchRankedMixedKinds(t *testing.T) {
 		t.Fatalf("pure-ranked batch did no work: %+v", resp.Stats)
 	}
 	// Cross-check against the independent reference.
-	ref := testutil.ReferenceTopK(testutil.ReferenceScores(gs, dataset.PaperQuery(), measure.DistEd, measure.Options{}), 3)
+	ref := testutil.ReferenceTopK(testutil.ReferenceScores(gs, dataset.PaperQuery(), measure.DistEd), 3)
 	got := resp.Results[0].TopK
 	if got == nil || len(got.Items) != len(ref) {
 		t.Fatalf("batch topk = %+v, want %d items", got, len(ref))

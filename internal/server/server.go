@@ -39,9 +39,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request-supplied timeouts (0 = no clamp).
 	MaxTimeout time.Duration
-	// DefaultEval bounds the exact engines when the request does not
-	// carry its own options.
-	DefaultEval measure.Options
 	// MaxBatch caps the number of queries in one /query/batch request
 	// (0 = DefaultMaxBatch).
 	MaxBatch int
@@ -354,8 +351,8 @@ func (s *Server) resolve(kind string, req *QueryRequest, qg queryGraph) (resolve
 	res.basis = basis
 
 	// Workers stays 0: every query is one scan, GOMAXPROCS wide.
-	res.opts = gdb.QueryOptions{Basis: basis, Eval: s.mergeEval(req.Eval)}
-	res.key = cacheKey{path: kind, qh: res.qh, eval: res.opts.Eval}
+	res.opts = gdb.QueryOptions{Basis: basis}
+	res.key = cacheKey{path: kind, qh: res.qh}
 	switch kind {
 	case "skyline":
 		res.key.path = "pruned"
@@ -374,27 +371,6 @@ func (s *Server) resolve(kind string, req *QueryRequest, qg queryGraph) (resolve
 	res.opts.Trace = gdb.NewQueryTrace()
 	s.keepGraph(qg)
 	return res, nil
-}
-
-// mergeEval overlays request engine budgets on the server defaults,
-// per field: zero keeps the server default, a negative value explicitly
-// requests unbounded exact computation.
-func (s *Server) mergeEval(req *measure.Options) measure.Options {
-	eval := s.cfg.DefaultEval
-	if req == nil {
-		return eval
-	}
-	merge := func(dst *int64, v int64) {
-		switch {
-		case v < 0:
-			*dst = 0
-		case v > 0:
-			*dst = v
-		}
-	}
-	merge(&eval.GEDMaxNodes, req.GEDMaxNodes)
-	merge(&eval.MCSMaxNodes, req.MCSMaxNodes)
-	return eval
 }
 
 // timeout picks the effective deadline for a request: the request's own
@@ -578,7 +554,6 @@ func (s *Server) classifyQueryErr(err error) (int, string, string) {
 func queryStats(e *cacheEntry, hit bool, start time.Time) QueryStats {
 	qs := QueryStats{
 		Work:         e.work,
-		Inexact:      e.inexact,
 		DeltaPatched: e.deltas,
 		DurationMS:   float64(time.Since(start).Microseconds()) / 1000,
 	}

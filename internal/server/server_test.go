@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"skygraph/internal/dataset"
-	"skygraph/internal/gdb"
 	"skygraph/internal/graph"
-	"skygraph/internal/measure"
 	"skygraph/internal/testutil"
 )
 
@@ -144,7 +142,7 @@ func TestMutationInvalidatesCache(t *testing.T) {
 		t.Fatalf("query after insert stats = %+v; want a hit on the patched table", second.Stats)
 	}
 	live := append(dataset.PaperDB(), g)
-	testutil.RequireSameSkyline(t, "after insert", testutil.ReferenceSkyline(live, q, measure.Options{}), wirePoints(second.Skyline))
+	testutil.RequireSameSkyline(t, "after insert", testutil.ReferenceSkyline(live, q), wirePoints(second.Skyline))
 
 	// Deleting a skyline member leaves no proof: the table is dropped and
 	// the next query re-evaluates the 7 remaining graphs.
@@ -491,29 +489,6 @@ func TestInsertInvalidGraphIs400(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid edge: status = %d; want 400", resp.StatusCode)
-	}
-}
-
-func TestEvalMergesOverServerDefaults(t *testing.T) {
-	db := gdb.New()
-	if err := db.InsertAll(dataset.PaperDB()); err != nil {
-		t.Fatal(err)
-	}
-	s := New(db, Config{DefaultEval: measure.Options{GEDMaxNodes: 1234, MCSMaxNodes: 99}})
-	cases := []struct {
-		name string
-		req  *measure.Options
-		want measure.Options
-	}{
-		{"nil keeps defaults", nil, measure.Options{GEDMaxNodes: 1234, MCSMaxNodes: 99}},
-		{"empty keeps defaults", &measure.Options{}, measure.Options{GEDMaxNodes: 1234, MCSMaxNodes: 99}},
-		{"nonzero overrides", &measure.Options{GEDMaxNodes: 7}, measure.Options{GEDMaxNodes: 7, MCSMaxNodes: 99}},
-		{"negative lifts cap", &measure.Options{GEDMaxNodes: -1}, measure.Options{GEDMaxNodes: 0, MCSMaxNodes: 99}},
-	}
-	for _, tc := range cases {
-		if got := s.mergeEval(tc.req); got != tc.want {
-			t.Errorf("%s: merged %+v; want %+v", tc.name, got, tc.want)
-		}
 	}
 }
 

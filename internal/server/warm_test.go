@@ -125,7 +125,7 @@ func TestWarmEndpoint(t *testing.T) {
 	if tk.Stats.CacheHit || tk.Stats.Evaluated+tk.Stats.Pruned != 7 {
 		t.Fatalf("topk after all warm was served from tables: %+v", tk.Stats)
 	}
-	scores := testutil.ReferenceScores(dataset.PaperDB(), q, measure.DistEd, measure.Options{})
+	scores := testutil.ReferenceScores(dataset.PaperDB(), q, measure.DistEd)
 	testutil.RequireSameItems(t, "topk after all warm", testutil.ReferenceTopK(scores, 3), wireItems(tk.Items))
 	postJSON(t, ts.URL+"/query/skyline", map[string]any{"graph": q}, &sky)
 	if sky.Stats.CacheHit {

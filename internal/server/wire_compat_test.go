@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"sort"
 	"strings"
@@ -17,10 +18,12 @@ import (
 // silently. Responses are decoded as plain maps: the assertion is on
 // what is on the wire, not on this package's types. It also pins the
 // absence of the keys and families retired with the partitioned store
-// and the cross-query score memo, which only ever read constants.
+// and the cross-query score memo, which only ever read constants, and
+// of the engine budgets: query stats carry no "inexact" count, and a
+// body carrying the "eval" object answers 400.
 func TestWireCompat(t *testing.T) {
 	gs := append(dataset.PaperDB(), testutil.SeededGraphs(5, 17)...)
-	_, ts := newTestServerWith(t, Config{CacheSize: 16}, gs)
+	s, ts := newTestServerWith(t, Config{CacheSize: 16}, gs)
 	q := dataset.PaperQuery()
 	radius := 6.0
 
@@ -51,7 +54,7 @@ func TestWireCompat(t *testing.T) {
 	}
 
 	queryStats := []string{
-		"evaluated", "pruned", "inexact", "delta_patched", "cache_hit", "duration_ms",
+		"evaluated", "pruned", "delta_patched", "cache_hit", "duration_ms",
 	}
 	for _, tc := range []struct {
 		name string
@@ -85,7 +88,7 @@ func TestWireCompat(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("%s keys:\n got  %v\n want %v", tc.name, got, want)
 		}
-		for _, retired := range []string{"shards", "shard_hits", "memo_hits", "memo_misses"} {
+		for _, retired := range []string{"shards", "shard_hits", "memo_hits", "memo_misses", "inexact"} {
 			if _, ok := obj[retired]; ok {
 				t.Errorf("%s still carries %q", tc.name, retired)
 			}
@@ -94,6 +97,15 @@ func TestWireCompat(t *testing.T) {
 	for _, retired := range []string{"shards", "memo"} {
 		if _, ok := stats[retired]; ok {
 			t.Errorf("/stats still carries %q", retired)
+		}
+	}
+
+	for _, path := range []string{"/query/skyline", "/query/topk", "/query/range"} {
+		body := `{"graph":` + paperQueryJSON(t) + `,"k":3,"radius":6,"eval":{}}`
+		rec := serveBody(s.Handler(), path, body)
+		var e ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusBadRequest || e.Class != ClassBadRequest {
+			t.Errorf("%s with eval: %d %s (%v); want 400 %s", path, rec.Code, e.Class, err, ClassBadRequest)
 		}
 	}
 

@@ -123,10 +123,10 @@ func TestConcurrentWritersMatchColdRecompute(t *testing.T) {
 		}
 		for qi, q := range queries {
 			label := fmt.Sprintf("round %d q%d", round, qi)
-			scores := testutil.ReferenceScores(live, q, measure.DistEd, measure.Options{})
+			scores := testutil.ReferenceScores(live, q, measure.DistEd)
 			var sky SkylineResponse
 			postJSON(t, ts.URL+"/query/skyline", QueryRequest{Graph: q}, &sky)
-			if want := testutil.ReferenceSkyline(live, q, measure.Options{}); !reflect.DeepEqual(wirePoints(sky.Skyline), want) {
+			if want := testutil.ReferenceSkyline(live, q); !reflect.DeepEqual(wirePoints(sky.Skyline), want) {
 				t.Fatalf("%s skyline:\n got %v\nwant %v", label, wirePoints(sky.Skyline), want)
 			}
 			var tk TopKResponse

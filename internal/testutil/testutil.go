@@ -79,27 +79,27 @@ func NewDB(tb testing.TB, gs []*graph.Graph) *gdb.DB {
 // with it (and with the Reference* answers derived the same way) is
 // evidence about the engine and not about two of its paths agreeing
 // with each other.
-func ReferenceTable(gs []*graph.Graph, q *graph.Graph, eval measure.Options) []skyline.Point {
+func ReferenceTable(gs []*graph.Graph, q *graph.Graph) []skyline.Point {
 	pts := make([]skyline.Point, len(gs))
 	for i, g := range gs {
-		pts[i] = skyline.Point{ID: g.Name(), Vec: measure.ComputeGCS(g, q, eval)}
+		pts[i] = skyline.Point{ID: g.Name(), Vec: measure.ComputeGCS(g, q, measure.Options{})}
 	}
 	return pts
 }
 
 // ReferenceSkyline computes GSS(gs, q) per Definition 12: a
 // block-nested-loop skyline over ReferenceTable, in gs order.
-func ReferenceSkyline(gs []*graph.Graph, q *graph.Graph, eval measure.Options) []skyline.Point {
-	return skyline.BNL(ReferenceTable(gs, q, eval))
+func ReferenceSkyline(gs []*graph.Graph, q *graph.Graph) []skyline.Point {
+	return skyline.BNL(ReferenceTable(gs, q))
 }
 
 // ReferenceScores returns the exact score of every graph under m, in gs
 // (insertion) order, each from a full pair evaluation. ReferenceTopK and
 // ReferenceRange derive the two ranked answers from it.
-func ReferenceScores(gs []*graph.Graph, q *graph.Graph, m measure.Measure, eval measure.Options) []topk.Item {
+func ReferenceScores(gs []*graph.Graph, q *graph.Graph, m measure.Measure) []topk.Item {
 	items := make([]topk.Item, len(gs))
 	for i, g := range gs {
-		ps := measure.Compute(g, q, eval)
+		ps := measure.Compute(g, q, measure.Options{})
 		items[i] = topk.Item{ID: g.Name(), Score: m.FromStats(&ps)}
 	}
 	return items
