@@ -135,8 +135,7 @@ func BenchmarkTable5Ranking(b *testing.B) {
 // candidates that reached the exact engines, scored or excluded by a
 // decision run (the trace's exact-stage pairs, read from one untimed
 // traced query), and classes/op the histogram classes tier 0 bounds,
-// one interval each. Workers is pinned to 1 so the counters are
-// deterministic. Allocations are reported: the scan's per-class and
+// one interval each. Allocations are reported: the scan's per-class and
 // per-candidate columns are most of them.
 func BenchmarkRankedScaling(b *testing.B) {
 	clustered := dataset.NoisyQueries(dataset.MoleculeDB(3000/25, 5, 5, 1), 3000, 2, 3)
@@ -178,11 +177,11 @@ func BenchmarkRankedScaling(b *testing.B) {
 				b.ReportAllocs()
 				var last gdb.QueryStats
 				for i := 0; i < b.N; i++ {
-					last = query(gdb.QueryOptions{Workers: 1})
+					last = query(gdb.QueryOptions{})
 				}
 				b.StopTimer()
 				trace := gdb.NewQueryTrace()
-				query(gdb.QueryOptions{Workers: 1, Trace: trace})
+				query(gdb.QueryOptions{Trace: trace})
 				engine := 0
 				for _, st := range trace.Stages() {
 					if st.Stage == gdb.StageExact.String() {
@@ -202,9 +201,9 @@ func BenchmarkRankedScaling(b *testing.B) {
 // pruned skyline scan on the cold-skyline workload's shape, 400 order-6
 // molecules and unique 2-edit queries under the default basis. Each op
 // is one query. The queries cycle through a pool of 64 distinct graphs,
-// and nothing is kept between queries, so every query is cold. Workers is pinned to 1 so the counters are
-// deterministic: evaluated/op and pruned/op are means over one pass of
-// the pool, which finishes untimed when b.N is smaller.
+// and nothing is kept between queries, so every query is cold.
+// evaluated/op and pruned/op are means over one pass of the pool, which
+// finishes untimed when b.N is smaller.
 func BenchmarkSkylineScan(b *testing.B) {
 	gs := dataset.MoleculeDB(400, 6, 6, 1)
 	db := gdb.New()
@@ -220,7 +219,7 @@ func BenchmarkSkylineScan(b *testing.B) {
 			qs = append(qs, q)
 		}
 	}
-	opts := gdb.QueryOptions{Prune: true, Workers: 1}
+	opts := gdb.QueryOptions{Prune: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var evaluated, pruned int

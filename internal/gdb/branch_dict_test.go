@@ -53,14 +53,14 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 	gs = append(gs, star("leaves", "C"))
 	db := testutil.NewDB(t, gs)
 	before := gdb.BranchDictLen()
-	opts := gdb.QueryOptions{Workers: 2}
+	opts := gdb.QueryOptions{}
 	for i, q := range testutil.SeededQueries(181, gs[:10], 8) {
 		q.RelabelVertex(0, freshLabel())
 		if i%2 == 1 {
 			q.MustAddEdge(0, q.AddVertex(freshLabel()), freshLabel())
 		}
 		label := fmt.Sprintf("q%d", i)
-		sky, err := db.SkylineQuery(ctx, q, gdb.QueryOptions{Prune: true, Workers: 2})
+		sky, err := db.SkylineQuery(ctx, q, gdb.QueryOptions{Prune: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,9 +126,9 @@ func TestQueriesNeverGrowBranchDictionary(t *testing.T) {
 	}
 }
 
-// TestScansWhileInsertsInternBranches runs two-worker skyline and range
-// scans while inserts intern new branches into the dictionary their
-// tables read. The inserted graphs share no label with the queries, so
+// TestScansWhileInsertsInternBranches runs skyline and range scans on
+// two reader goroutines while inserts intern new branches into the
+// dictionary their tables read. The inserted graphs share no label with the queries, so
 // they can join no answer: every answer is the reference's over the
 // first graphs. Under -race it checks the tables' row fills and the
 // dictionary's growth.
@@ -179,11 +179,11 @@ func TestScansWhileInsertsInternBranches(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			opts := gdb.QueryOptions{Workers: 2}
+			opts := gdb.QueryOptions{}
 			for round := 0; round < 3; round++ {
 				for i, q := range queries {
 					label := fmt.Sprintf("reader %d round %d q%d", r, round, i)
-					sky, err := db.SkylineQuery(ctx, q, gdb.QueryOptions{Prune: true, Workers: 2})
+					sky, err := db.SkylineQuery(ctx, q, gdb.QueryOptions{Prune: true})
 					if err != nil {
 						t.Error(err)
 						return

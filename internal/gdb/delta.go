@@ -61,10 +61,12 @@ func (db *DB) DeltaRow(name string, q *graph.Graph, qsig *measure.Signature, row
 	if !ok {
 		return skyline.Point{}, false, sn.gen, false
 	}
-	sc, _ := newSkyScan(sn, q, qsig, opts)
-	sc.front.vecs = make([][]float64, len(rows), len(rows)+1)
+	// A context that is never done: tier 0 cannot fail, and the engines
+	// are never stopped.
+	sc, _, _ := newSkyScan(context.Background(), sn, q, qsig, opts)
+	sc.front = make(skyFront, len(rows), len(rows)+1)
 	for i, p := range rows {
-		sc.front.vecs[i] = p.Vec
+		sc.front[i] = p.Vec
 	}
 	sc.settle(0)
 	if sc.vecs[0] == nil {

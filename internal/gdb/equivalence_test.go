@@ -40,9 +40,9 @@ func TestPrunedSkylineRerunsMatchUnpruned(t *testing.T) {
 	}
 }
 
-// TestRankedRerunsMatchReference: top-k and range answers with four
-// workers equal the independent reference, on the first run and on a
-// rerun over the same database.
+// TestRankedRerunsMatchReference: top-k and range answers equal the
+// independent reference, on the first run and on a rerun over the same
+// database.
 func TestRankedRerunsMatchReference(t *testing.T) {
 	gs := testutil.SeededGraphs(31, 18)
 	qs := testutil.SeededQueries(131, gs, 2)
@@ -51,16 +51,15 @@ func TestRankedRerunsMatchReference(t *testing.T) {
 		for _, q := range qs {
 			scores := testutil.ReferenceScores(gs, q, m)
 			refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
-			opts := gdb.QueryOptions{Workers: 4}
 			db := testutil.NewDB(t, gs)
 			label := fmt.Sprintf("%s/%s", q.Name(), m.Name())
 			for round := 0; round < 2; round++ {
-				tk, err := db.TopKQuery(ctx, q, m, 4, opts)
+				tk, err := db.TopKQuery(ctx, q, m, 4, gdb.QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
-				rg, err := db.RangeQuery(ctx, q, m, 4, opts)
+				rg, err := db.RangeQuery(ctx, q, m, 4, gdb.QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,8 +70,7 @@ func TestRankedRerunsMatchReference(t *testing.T) {
 }
 
 // TestRankedMatchesReference: top-k and range answers on the paper and
-// seeded collections equal the independent reference, and a
-// four-worker scan answers exactly as a one-worker scan.
+// seeded collections equal the independent reference.
 func TestRankedMatchesReference(t *testing.T) {
 	seeded := testutil.SeededGraphs(61, 18)
 	cases := []struct {
@@ -91,19 +89,16 @@ func TestRankedMatchesReference(t *testing.T) {
 				refTK, refRG := testutil.ReferenceTopK(scores, 4), testutil.ReferenceRange(scores, 4)
 				db := testutil.NewDB(t, tc.gs)
 				label := fmt.Sprintf("%s/%s/%s", tc.label, q.Name(), m.Name())
-				for _, workers := range []int{4, 1} {
-					opts := gdb.QueryOptions{Workers: workers}
-					tk, err := db.TopKQuery(ctx, q, m, 4, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/topk", label, workers), refTK, tk.Items)
-					rg, err := db.RangeQuery(ctx, q, m, 4, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					testutil.RequireSameItems(t, fmt.Sprintf("%s workers=%d/range", label, workers), refRG, rg.Items)
+				tk, err := db.TopKQuery(ctx, q, m, 4, gdb.QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
+				testutil.RequireSameItems(t, label+"/topk", refTK, tk.Items)
+				rg, err := db.RangeQuery(ctx, q, m, 4, gdb.QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				testutil.RequireSameItems(t, label+"/range", refRG, rg.Items)
 			}
 		}
 	}

@@ -18,7 +18,7 @@ func PrunedPointsInOrder(sh *DB, q *graph.Graph, opts QueryOptions, permute func
 	opts = opts.withDefaults()
 	sn := sh.snapshot()
 	qsig := measure.NewSignature(q)
-	sc, order := newSkyScan(sn, q, qsig, opts)
+	sc, order, _ := newSkyScan(context.Background(), sn, q, qsig, opts)
 	permute(order)
 	for _, i := range order {
 		sc.settle(i)

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"slices"
-	"sync"
 	"time"
 
 	"skygraph/internal/graph"
@@ -54,31 +53,18 @@ import (
 // undercuts, and kept vectors come from the same engine calls as the
 // full evaluation — so the skyline over the kept points is
 // byte-identical to the skyline of the full evaluation, whatever order
-// the scan runs in.
+// the scan runs in. The scan is one loop on the calling goroutine: each
+// kept vector prunes everything after it, and a second goroutine would
+// settle candidates against a front that misses the vectors still in
+// flight, so which candidates the proofs spare is a fixed function of
+// (snapshot, query, basis).
 
-// skyFront is the scan's running set of reported exact vectors, shared
-// by its workers.
-type skyFront struct {
-	mu   sync.Mutex
-	vecs [][]float64
-}
+// skyFront is the scan's running set of reported exact vectors.
+type skyFront [][]float64
 
 // dominates reports whether some front point strictly dominates v.
-func (f *skyFront) dominates(v []float64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, fv := range f.vecs {
-		if skyline.Dominates(fv, v) {
-			return true
-		}
-	}
-	return false
-}
-
-func (f *skyFront) add(v []float64) {
-	f.mu.Lock()
-	f.vecs = append(f.vecs, v)
-	f.mu.Unlock()
+func (f skyFront) dominates(v []float64) bool {
+	return slices.ContainsFunc(f, func(fv []float64) bool { return skyline.Dominates(fv, v) })
 }
 
 // skyScan is the scan over one snapshot. The per-candidate column vecs
@@ -111,12 +97,14 @@ type skyScan struct {
 // first and everything behind them meets a front; ties go by insert
 // sequence. Tier 0 excludes nothing itself: pessimistic corners
 // (delete-all GED, zero MCS) almost never dominate, so it never
-// computes them.
-func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (*skyScan, []int) {
+// computes them. It polls ctx once every pollClasses candidates and
+// returns ctx.Err() once it is done, before any settle; the scan's
+// engines stop on ctx's Done channel.
+func newSkyScan(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (*skyScan, []int, error) {
 	n, d := len(sn.graphs), len(opts.Basis)
 	start := time.Now()
 	sc := &skyScan{
-		sn: sn, q: q, qsig: qsig, opts: opts,
+		sn: sn, q: q, qsig: qsig, opts: opts, stop: ctx.Done(),
 		readsGED: slices.ContainsFunc(opts.Basis, func(m measure.Measure) bool {
 			needGED, _ := measure.EngineNeeds(m)
 			return needGED
@@ -127,12 +115,15 @@ func newSkyScan(sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOpti
 	}
 	order := make([]int, n)
 	for i, sig := range sn.sigs {
+		if i%pollClasses == 0 && ctx.Err() != nil {
+			return nil, nil, ctx.Err()
+		}
 		order[i] = i
 		measure.RankInterval(sig, qsig, opts.Basis, sc.corner(i), nil)
 	}
 	sortScanOrder(order, sc.los, d, sn.seqs)
 	opts.Trace.Observe(StageBound, time.Since(start), n, 0)
-	return sc, order
+	return sc, order, nil
 }
 
 // corner is candidate i's tier-0 optimistic corner, a row of los.
@@ -163,8 +154,9 @@ func sortScanOrder(order []int, los []float64, d int, seqs []uint64) {
 // settle takes candidate i through outcomes 1–4 above against the
 // front as it stands, recording its exact vector when it is kept: it
 // keeps i exactly when no front point strictly dominates that vector.
-// It is a plain function of (candidate, front): any call order,
-// sequential or concurrent, yields a table with the same skyline.
+// It is a plain function of (candidate, front): any call order yields a
+// table with the same skyline, and the scan order (evalPruned) is the
+// one that spares the most engine runs.
 func (sc *skyScan) settle(i int) {
 	if sc.front.dominates(sc.corner(i)) {
 		return
@@ -203,28 +195,33 @@ func (sc *skyScan) settle(i int) {
 		return // outcome 3 on a report no decision run decided
 	}
 	sc.vecs[i] = vec
-	sc.front.add(vec)
+	sc.front = append(sc.front, vec)
 }
 
-// evalPruned runs the pipeline for q against the snapshot. It returns
-// the exact points of the kept graphs in snapshot order and the number
-// of graphs excluded without a full exact evaluation. With
-// opts.Workers > 1 the workers share the front, so which candidates a
-// proof spares — not the skyline — depends on their interleaving. Once
-// ctx is done the engines stop and it returns ctx.Err().
+// evalPruned runs the pipeline for q against the snapshot: tier 0,
+// then one loop that settles every candidate in scan order on the
+// calling goroutine. It returns the exact points of the kept graphs in
+// snapshot order and the number of graphs excluded without a full
+// exact evaluation; both are the same on every run over one snapshot.
+// Once ctx is done tier 0 stops bounding, the engines stop, and it
+// returns ctx.Err().
 func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Signature, opts QueryOptions) (pts []skyline.Point, pruned int, err error) {
 	n := len(sn.graphs)
 	if n == 0 {
 		return []skyline.Point{}, 0, nil
 	}
-	sc, order := newSkyScan(sn, q, qsig, opts)
-	sc.stop = ctx.Done()
-	start := time.Now()
-	err = forEachClaim(ctx, n, opts.Workers, func(k int) bool {
-		sc.settle(order[k])
-		return true
-	})
+	sc, order, err := newSkyScan(ctx, sn, q, qsig, opts)
 	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	for _, i := range order {
+		if ctx.Err() != nil {
+			break
+		}
+		sc.settle(i)
+	}
+	if err = ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	pts = sc.points()
@@ -237,7 +234,7 @@ func evalPruned(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Sign
 
 // points returns the kept candidates in snapshot order.
 func (sc *skyScan) points() []skyline.Point {
-	pts := make([]skyline.Point, 0, len(sc.front.vecs))
+	pts := make([]skyline.Point, 0, len(sc.front))
 	for i, vec := range sc.vecs {
 		if vec != nil {
 			pts = append(pts, skyline.Point{ID: sc.sn.graphs[i].Name(), Vec: vec})

@@ -110,23 +110,20 @@ func twinned(gs []*graph.Graph) []*graph.Graph {
 // twin pair at distance zero). Twins have equal vectors, and equal
 // vectors do not dominate each other: a non-strict comparison anywhere
 // in the scan — the front test, the dominance-limit search — drops one
-// of a pair. One scan worker and four.
+// of a pair.
 func TestPrunedSkylineTwins(t *testing.T) {
 	base := testutil.SeededGraphs(5, 20)
 	gs := twinned(base)
 	queries := append(testutil.SeededQueries(105, base, 3), base[3], base[14])
-	for _, workers := range []int{1, 4} {
-		name := fmt.Sprintf("twins workers=%d", workers)
-		requirePrunedEquivalent(t, name, gs, queries, gdb.QueryOptions{Workers: workers})
-	}
+	requirePrunedEquivalent(t, "twins", gs, queries, gdb.QueryOptions{})
 }
 
 // TestSkylineScanOrderIndependent drives the scan's per-candidate step
 // directly, over seeded random permutations of the survivor order (and
 // the exact reverse of the best-first order, the most adversarial one):
 // exclusion always carries a proof against an exact vector, so whatever
-// the order, the table's skyline is the unpruned one. With one worker
-// the scan itself is deterministic, counters included.
+// the order, the table's skyline is the unpruned one. The scan itself
+// is deterministic, counters included.
 func TestSkylineScanOrderIndependent(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		gs := testutil.SeededGraphs(seed, 24)
@@ -154,7 +151,6 @@ func TestSkylineScanOrderIndependent(t *testing.T) {
 				testutil.RequireSameSkyline(t, label, want.Skyline, skyline.SFS(pts))
 			}
 			opts := gdb.QueryOptions{Prune: true}
-			opts.Workers = 1
 			first, err := db.SkylineQuery(context.Background(), q, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -3,7 +3,6 @@ package gdb
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"skygraph/internal/diversity"
@@ -13,14 +12,15 @@ import (
 	"skygraph/internal/topk"
 )
 
-// QueryOptions configures similarity queries.
+// QueryOptions configures similarity queries. A pruned skyline scan
+// and a ranked scan run on the calling goroutine, so their counters
+// (Work, Trace) are a fixed function of the snapshot, the query and the
+// options; only a complete table and the diversity matrix, whose pairs
+// do not depend on each other, are spread over GOMAXPROCS goroutines.
 type QueryOptions struct {
 	// Basis is the measure vector defining the GCS (Definition 11); nil
 	// means the paper's default (DistEd, DistMcs, DistGu).
 	Basis []measure.Measure
-	// Workers is the width of a query's one scan: how many goroutines
-	// evaluate pairs. 0 means GOMAXPROCS.
-	Workers int
 	// Prune enables filter-and-refine evaluation of skyline queries,
 	// driven by the signature/bound index: graphs whose bound intervals —
 	// or a progressive scan against the exact vectors found so far
@@ -32,8 +32,7 @@ type QueryOptions struct {
 	// run the best-first scan.
 	Prune bool
 	// Trace, when non-nil, accumulates per-cascade-stage work counters
-	// and durations for this query (see trace.go). Recording is
-	// concurrency-safe, so the scan's workers share it. Nil (the default)
+	// and durations for this query (see trace.go). Nil (the default)
 	// records nothing and costs nothing.
 	Trace *QueryTrace
 }
@@ -41,9 +40,6 @@ type QueryOptions struct {
 func (o QueryOptions) withDefaults() QueryOptions {
 	if o.Basis == nil {
 		o.Basis = measure.Default()
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -90,7 +86,9 @@ type SkylineResult struct {
 	Skyline []skyline.Point
 	// All holds every evaluated (graph, vector) pair, in insertion order —
 	// the full Table III analogue. Under QueryOptions.Prune it holds only
-	// the candidates the scan scored (the others have no exact vector).
+	// the candidates the scan scored (the others have no exact vector):
+	// the scan is one sequential pass, so two runs over one snapshot
+	// score the same candidates.
 	All   []skyline.Point
 	Stats QueryStats
 }
@@ -238,7 +236,7 @@ func (db *DB) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k int, op
 		}
 		gs[i] = g
 	}
-	mat, err := pairwiseMatrix(ctx, gs, opts.withDefaults())
+	mat, err := pairwiseMatrix(ctx, gs)
 	if err != nil {
 		return DiverseResult{}, err
 	}
@@ -262,10 +260,10 @@ func (db *DB) DiverseSkylineQuery(ctx context.Context, q *graph.Graph, k int, op
 }
 
 // pairwiseMatrix evaluates the diversity-basis distances between all
-// pairs of the skyline members gs, claiming pairs from one cursor like
-// the scans do. Once ctx is done the engines stop, and it returns
-// ctx.Err().
-func pairwiseMatrix(ctx context.Context, gs []*graph.Graph, opts QueryOptions) (*diversity.Matrix, error) {
+// pairs of the skyline members gs. The pairs do not depend on each
+// other, so they run on forEachClaim's pool. Once ctx is done the
+// engines stop, and it returns ctx.Err().
+func pairwiseMatrix(ctx context.Context, gs []*graph.Graph) (*diversity.Matrix, error) {
 	basis := measure.DiversityBasis()
 	mat := diversity.NewMatrix(len(gs), len(basis))
 	type pair struct{ i, j int }
@@ -276,13 +274,12 @@ func pairwiseMatrix(ctx context.Context, gs []*graph.Graph, opts QueryOptions) (
 		}
 	}
 	eval := measure.Options{Stop: ctx.Done()}
-	err := forEachClaim(ctx, len(pairs), opts.Workers, func(k int) bool {
+	err := forEachClaim(ctx, len(pairs), func(k int) {
 		p := pairs[k]
 		ps := measure.Compute(gs[p.i], gs[p.j], eval)
 		for d, m := range basis {
 			mat.Set(d, p.i, p.j, m.FromStats(&ps))
 		}
-		return true
 	})
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 func TestPairwiseMatrixStopsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mat, err := pairwiseMatrix(ctx, make([]*graph.Graph, 5), QueryOptions{Workers: 2})
+	mat, err := pairwiseMatrix(ctx, make([]*graph.Graph, 5))
 	if !errors.Is(err, context.Canceled) || mat != nil {
 		t.Fatalf("cancelled build: matrix %v, err %v; want nil, context.Canceled", mat, err)
 	}

@@ -3,6 +3,7 @@ package gdb
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -106,25 +107,39 @@ func TestDominatedBy(t *testing.T) {
 	}
 }
 
-func TestSkylineQuerySingleWorker(t *testing.T) {
-	db := paperDB(t)
-	q := dataset.PaperQuery()
-	seq, err := db.SkylineQuery(context.Background(), q, QueryOptions{Workers: 1})
-	if err != nil {
+// TestPrunedSkylineRunsIdentically: the pruned skyline scan is one
+// sequential pass, so two runs of one query over one snapshot score the
+// same candidates: the same All rows, the same Work, and the same
+// per-stage trace pairs and pruned counts.
+func TestPrunedSkylineRunsIdentically(t *testing.T) {
+	db := New()
+	gs := dataset.MoleculeDB(200, 6, 6, 4801)
+	if err := db.InsertAll(gs); err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.SkylineQuery(context.Background(), q, QueryOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Skyline) != len(par.Skyline) {
-		t.Error("worker count changed the result")
-	}
-	for i := range seq.All {
-		for d := range seq.All[i].Vec {
-			if seq.All[i].Vec[d] != par.All[i].Vec[d] {
-				t.Fatal("parallel evaluation nondeterministic")
+	for qi, q := range dataset.NoisyQueries(gs, 4, 2, 4802) {
+		var runs [2]SkylineResult
+		var stages [2][]TraceStage
+		for r := range runs {
+			trace := NewQueryTrace()
+			res, err := db.SkylineQuery(context.Background(), q, QueryOptions{Prune: true, Trace: trace})
+			if err != nil {
+				t.Fatal(err)
 			}
+			runs[r] = res
+			for _, s := range trace.Stages() {
+				s.DurationMS = 0
+				stages[r] = append(stages[r], s)
+			}
+		}
+		if !reflect.DeepEqual(runs[0].All, runs[1].All) {
+			t.Errorf("q%d: All rows differ between runs:\n%v\n%v", qi, runs[0].All, runs[1].All)
+		}
+		if runs[0].Stats.Work != runs[1].Stats.Work {
+			t.Errorf("q%d: Work differs between runs: %+v vs %+v", qi, runs[0].Stats.Work, runs[1].Stats.Work)
+		}
+		if !reflect.DeepEqual(stages[0], stages[1]) {
+			t.Errorf("q%d: trace stages differ between runs: %+v vs %+v", qi, stages[0], stages[1])
 		}
 	}
 }
@@ -341,7 +356,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if _, err := db.SkylineQuery(context.Background(), q, QueryOptions{Workers: 2}); err != nil {
+				if _, err := db.SkylineQuery(context.Background(), q, QueryOptions{}); err != nil {
 					t.Error(err)
 					return
 				}

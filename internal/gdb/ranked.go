@@ -5,8 +5,6 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"skygraph/internal/graph"
@@ -56,17 +54,14 @@ import (
 // than the decision runs it spared, so there is none. Included scores
 // are byte-identical to a complete table's column, so the answer —
 // scores and tie-order — matches ranking every graph exactly. It is the
-// one evaluation path of TopKQuery and RangeQuery.
+// one evaluation path of TopKQuery and RangeQuery. The scan is one loop
+// on the calling goroutine: a second one would refine candidates out of
+// bound order against a threshold that misses the scores still in
+// flight, which costs exact evaluations, so what every candidate's fate
+// is stays a fixed function of (snapshot, query, measure, threshold).
 
-// atomicFloat is a lock-free float64 cell (stored as bits).
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
-
-// rankedCollector accumulates exact scores behind a mutex and exposes
-// the live pruning threshold lock-free: the scan's workers read it
-// before every candidate. Safe for concurrent use.
+// rankedCollector accumulates exact scores and exposes the live pruning
+// threshold, which the scan reads before every candidate.
 type rankedCollector interface {
 	// offer records one exactly-scored item, the snapshot's pos-th
 	// graph, tightening the threshold.
@@ -94,49 +89,39 @@ type rankedCollector interface {
 // threshold starts at the seeded floor (+Inf without one) and drops to
 // the k-th best score once k items are held and that is lower.
 type topkCollector struct {
-	mu sync.Mutex
 	k  int
 	b  *topk.Bounded
-	th atomicFloat
+	th float64
 }
 
 func newTopkCollector(k int) *topkCollector {
-	c := &topkCollector{k: k, b: topk.NewBounded(k)}
-	c.th.store(math.Inf(1))
-	return c
+	return &topkCollector{k: k, b: topk.NewBounded(k), th: math.Inf(1)}
 }
 
 func (c *topkCollector) offer(_ int, it topk.Item) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.b.Offer(it)
 	if c.b.Full() {
-		if w, ok := c.b.Worst(); ok && w.Score < c.th.load() {
-			c.th.store(w.Score)
+		if w, ok := c.b.Worst(); ok && w.Score < c.th {
+			c.th = w.Score
 		}
 	}
 }
 
 func (c *topkCollector) floorK() int { return c.k }
 
-func (c *topkCollector) seedFloor(v float64) { c.th.store(v) }
+func (c *topkCollector) seedFloor(v float64) { c.th = v }
 
-func (c *topkCollector) threshold() float64 { return c.th.load() }
+func (c *topkCollector) threshold() float64 { return c.th }
 
 // items returns the k best in ascending (score, ID) order — exactly
 // topk.Select's order.
-func (c *topkCollector) items() []topk.Item {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.b.Items()
-}
+func (c *topkCollector) items() []topk.Item { return c.b.Items() }
 
 // rangeCollector keeps every item within the radius with its snapshot
 // position; the threshold is the radius itself, fixed for the whole
 // query.
 type rangeCollector struct {
 	radius float64
-	mu     sync.Mutex
 	list   []rangeHit
 }
 
@@ -153,9 +138,7 @@ func (c *rangeCollector) offer(pos int, it topk.Item) {
 	if it.Score > c.radius {
 		return // evaluated, but outside the radius
 	}
-	c.mu.Lock()
 	c.list = append(c.list, rangeHit{pos, it})
-	c.mu.Unlock()
 }
 
 func (c *rangeCollector) threshold() float64 { return c.radius }
@@ -167,8 +150,6 @@ func (c *rangeCollector) seedFloor(float64) {}
 // items returns the in-radius items in snapshot (insertion) order,
 // whatever order the scan evaluated them in.
 func (c *rangeCollector) items() []topk.Item {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	slices.SortFunc(c.list, func(a, b rangeHit) int { return cmp.Compare(a.pos, b.pos) })
 	out := make([]topk.Item, len(c.list))
 	for i, h := range c.list {
@@ -301,10 +282,10 @@ type claim struct {
 	survivor      bool
 }
 
-// claimHeap hands the admitted candidates to the scan's workers in
-// claim order, one pop at a time under its mutex: ascending optimistic
-// end (lo), lo ties by pessimistic end (hi), remaining ties by insert
-// sequence. It holds two queues under that one order. The first holds
+// claimHeap hands the admitted candidates to the scan in claim order:
+// ascending optimistic end (lo), lo ties by pessimistic end (hi),
+// remaining ties by insert sequence. It holds two queues under that one
+// order. The first holds
 // the tier-0 classes, not candidates: the members of a class share
 // (lo, hi) bit for bit and come off it in sequence order, so a class is
 // keyed by (lo, hi, the sequence of its next member), and merging the
@@ -316,12 +297,10 @@ type claim struct {
 // its own. Sequences are unique, so each order is total, and popping a
 // heap nobody pushes to yields exactly the sorted order.
 type claimHeap struct {
-	mu      sync.Mutex
 	runs    []claimRun // a binary min-heap under compare
 	queued  []claim    // a binary min-heap under compareQueued
 	members []int32
 	seqs    []uint64
-	n       int // candidates in the admitted classes
 }
 
 // newClaimHeap heapifies the admitted classes of g, whose bounds are
@@ -330,7 +309,6 @@ func newClaimHeap(admitted []int, lo, hi []float64, g classGroups, seqs []uint64
 	h := &claimHeap{runs: make([]claimRun, len(admitted)), members: g.members, seqs: seqs}
 	for k, c := range admitted {
 		h.runs[k] = claimRun{lo: lo[c], hi: hi[c], seq: seqs[g.members[g.start[c]]], next: g.start[c], end: g.start[c+1]}
-		h.n += int(g.start[c+1] - g.start[c])
 	}
 	for i := len(h.runs)/2 - 1; i >= 0; i-- {
 		h.down(i)
@@ -401,8 +379,6 @@ func (h *claimHeap) downQueued(i int) {
 // pop removes and returns the first claim in claim order over both
 // queues; ok is false once both are empty.
 func (h *claimHeap) pop() (cl claim, ok bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if q := h.queued; len(q) > 0 && (len(h.runs) == 0 || q[0].lo <= h.runs[0].lo) {
 		cl = q[0]
 		last := len(q) - 1
@@ -429,8 +405,6 @@ func (h *claimHeap) pop() (cl claim, ok bool) {
 
 // push queues survivor cl back into claim order.
 func (h *claimHeap) push(cl claim) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.queued = append(h.queued, cl)
 	for i := len(h.queued) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -453,9 +427,8 @@ const (
 // rankScan is the ranked scan over one snapshot. The tier-0 columns are
 // indexed by class and read-only once built; an element of fate is
 // indexed like the snapshot, written by its candidate's tier-1 step
-// (branch) and then by its engines step (evaluate), which the claim
-// heap's mutex orders when a survivor changes workers, and read after
-// the scan.
+// (branch) and then by its engines step (evaluate), and read after the
+// scan.
 type rankScan struct {
 	sn   snap
 	q    *graph.Graph
@@ -475,24 +448,19 @@ type rankScan struct {
 	lo, hi, gedLo []float64
 	fate          []uint8
 	needGED       bool
-	// fit is measure.GEDFit of m at the last threshold a settle read,
-	// shared by the workers: the threshold changes far less often than
-	// candidates are settled.
-	fit atomic.Pointer[thresholdFit]
+	// fit is measure.GEDFit of m at fitTh, the last threshold a tier-1
+	// step read (NaN before the first): the threshold changes far less
+	// often than candidates are settled.
+	fitTh, fit float64
 }
-
-// thresholdFit pairs a threshold with measure.GEDFit at it.
-type thresholdFit struct{ th, fit float64 }
 
 // gedFit returns measure.GEDFit(rs.m, th), computed once per threshold
 // value.
 func (rs *rankScan) gedFit(th float64) float64 {
-	if c := rs.fit.Load(); c != nil && c.th == th {
-		return c.fit
+	if th != rs.fitTh {
+		rs.fitTh, rs.fit = th, measure.GEDFit(rs.m, th)
 	}
-	c := &thresholdFit{th: th, fit: measure.GEDFit(rs.m, th)}
-	rs.fit.Store(c)
-	return c.fit
+	return rs.fit
 }
 
 // class returns candidate i's class.
@@ -523,7 +491,7 @@ func newRankScan(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Sig
 		start = time.Now()
 	}
 	n := len(sn.graphs)
-	rs := &rankScan{sn: sn, q: q, qsig: qsig, m: m, opts: opts, stop: ctx.Done(), fate: make([]uint8, n)}
+	rs := &rankScan{sn: sn, q: q, qsig: qsig, m: m, opts: opts, stop: ctx.Done(), fate: make([]uint8, n), fitTh: math.NaN()}
 	nc := n
 	if measure.HistogramRanked(m) {
 		rs.cls, nc = sn.cls, sn.classes
@@ -564,21 +532,20 @@ func newRankScan(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Sig
 	return rs, claims, nil
 }
 
-// pollClasses is how many classes tier 0 bounds between two polls of
-// the query's context: often enough that a cancel stops tier 0 long
-// before it would end on a large store, rarely enough that the polls
-// cost nothing next to the bounding.
+// pollClasses is how many classes (on a skyline scan, candidates) tier
+// 0 bounds between two polls of the query's context: often enough that
+// a cancel stops tier 0 long before it would end on a large store,
+// rarely enough that the polls cost nothing next to the bounding.
 const pollClasses = 256
 
 // settle takes candidate i through both steps of its claim against
 // coll's threshold as it stands: the cutoff, tier 1 (branch), then
 // the engines (evaluate) at the same threshold, with no queue between
 // them. DeltaScore and RankedItemsInOrder settle candidates this way;
-// the scan's workers run the same two steps with the claim heap
-// between them (run). Exclusion always carries a proof against a
-// threshold no lower than the final one, so settling is a plain
-// function of (candidate, collector): any call order, sequential or
-// concurrent, collects the same answer.
+// the scan runs the same two steps with the claim heap between them
+// (run). Exclusion always carries a proof against a threshold no lower
+// than the final one, so settling is a plain function of (candidate,
+// collector): any call order collects the same answer.
 func (rs *rankScan) settle(i int, coll rankedCollector) {
 	th := coll.threshold()
 	if rs.lo[rs.class(i)] > th {
@@ -655,55 +622,44 @@ func (rs *rankScan) evaluate(cl claim, th float64, coll rankedCollector) {
 	}
 }
 
-// run is the scan's worker pool: opts.Workers workers pop the claim
-// heap in claim order against coll's live threshold, one threshold
-// reading per pop, until the least key left exceeds it. A tier-0 claim
-// runs tier 1 (branch) and queues its survivor back into the heap
-// under the raised key; a survivor popped again runs the engines
-// (evaluate). Candidates are thus refined by exact runs in ascending
-// order of their best lower bound, so the top-k threshold tightens
-// before the candidates it will cut off are reached. A survivor whose
-// key tier 1 did not raise (one certainly in, or one whose measure
-// reads no GED) is still the least key, so it runs the engines at once
-// and the heap sees no second pop.
-//
-// A worker stops when the claims run out or the least key exceeds the
-// threshold: everything after it in claim order is at least as
-// hopeless. Only that worker stops. Another may still be in a tier-1
-// step and queue a survivor with a lower key, and it asks for work
-// again after queuing, so it pops what it queued or something before
-// it: the scan ends only when nothing under the threshold is left. Each
-// candidate is claimed at most twice and each worker stops once, which
-// is the pool's budget.
+// run is the scan: one loop pops the claim heap in claim order against
+// coll's live threshold, one threshold reading per pop, until the claims
+// run out or the least key left exceeds the threshold — everything
+// after it in claim order is at least as hopeless. A tier-0 claim runs
+// tier 1 (branch) and queues its survivor back into the heap under the
+// raised key; a survivor popped again runs the engines (evaluate).
+// Candidates are thus refined by exact runs in ascending order of their
+// best lower bound, so the top-k threshold tightens before the
+// candidates it will cut off are reached. A survivor whose key tier 1
+// did not raise (one certainly in, or one whose measure reads no GED)
+// is still the least key, so it runs the engines at once and the heap
+// sees no second pop. It polls ctx before every pop and returns
+// ctx.Err().
 func (rs *rankScan) run(ctx context.Context, claims *claimHeap, coll rankedCollector) error {
-	workers := min(max(rs.opts.Workers, 1), claims.n)
-	return forEachClaim(ctx, 2*claims.n+workers, workers, func(int) bool {
+	for ctx.Err() == nil {
 		cl, ok := claims.pop()
-		if !ok {
-			return false
-		}
 		// One threshold reading serves the cutoff and the step below,
 		// so a candidate its key already condemns is always a bound's,
 		// never an "exact" exclusion that ran no engine.
 		th := coll.threshold()
-		switch {
-		case cl.lo > th:
-			return false
-		case cl.survivor:
-			rs.evaluate(cl, th, coll)
-		default:
-			lo := cl.lo
-			if cl, ok = rs.branch(int(cl.i), th); !ok {
-				break
-			}
-			if cl.lo > lo {
-				claims.push(cl)
-			} else {
-				rs.evaluate(cl, th, coll) // still the least key
-			}
+		if !ok || cl.lo > th {
+			break
 		}
-		return true
-	})
+		if cl.survivor {
+			rs.evaluate(cl, th, coll)
+			continue
+		}
+		lo := cl.lo
+		if cl, ok = rs.branch(int(cl.i), th); !ok {
+			continue
+		}
+		if cl.lo > lo {
+			claims.push(cl)
+		} else {
+			rs.evaluate(cl, th, coll) // still the least key
+		}
+	}
+	return ctx.Err()
 }
 
 // stats attributes the scan by counting: every candidate has exactly
@@ -732,9 +688,9 @@ func (rs *rankScan) stats() QueryStats {
 }
 
 // evalRanked is the scan itself: tier 0 bounds every candidate and
-// seeds the threshold (newRankScan), then one pool of opts.Workers
-// workers pops the admitted candidates in claim order and takes each
-// through tier 1 and, as a survivor claimed again, the engines (run).
+// seeds the threshold (newRankScan), then one loop pops the admitted
+// candidates in claim order and takes each through tier 1 and, as a
+// survivor claimed again, the engines (run).
 // Once ctx is done, tier 0 stops bounding, the engines stop and the
 // scan returns ctx.Err().
 //

@@ -42,7 +42,31 @@ func TestRankedTierZeroStopsOnCancel(t *testing.T) {
 	q := dataset.MoleculeDB(1, 6, 6, 4702)[0]
 	trace := NewQueryTrace()
 	ctx := &flipCtx{Context: context.Background(), done: make(chan struct{})}
-	_, err := db.TopKQuery(ctx, q, measure.DistGu, 5, QueryOptions{Workers: 1, Trace: trace})
+	_, err := db.TopKQuery(ctx, q, measure.DistGu, 5, QueryOptions{Trace: trace})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
+	}
+	for _, s := range trace.Stages() {
+		if s.Stage == StageBound.String() && s.Pairs >= n {
+			t.Fatalf("tier 0 bounded all %d candidates after the cancel", s.Pairs)
+		}
+	}
+}
+
+// TestSkylineTierZeroStopsOnCancel is TestRankedTierZeroStopsOnCancel's
+// skyline twin: the pruned skyline scan's tier 0 polls the query's
+// context once every pollClasses candidates, so a query cancelled early
+// in it returns context.Canceled without bounding every graph.
+func TestSkylineTierZeroStopsOnCancel(t *testing.T) {
+	const n = 4 * pollClasses
+	db := New()
+	if err := db.InsertAll(dataset.MoleculeDB(n, 5, 7, 4701)); err != nil {
+		t.Fatal(err)
+	}
+	q := dataset.MoleculeDB(1, 6, 6, 4702)[0]
+	trace := NewQueryTrace()
+	ctx := &flipCtx{Context: context.Background(), done: make(chan struct{})}
+	_, err := db.SkylineQuery(ctx, q, QueryOptions{Prune: true, Trace: trace})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled scan returned %v, want context.Canceled", err)
 	}

@@ -92,12 +92,9 @@ func TestClassClaimOrderMatchesSort(t *testing.T) {
 						}
 						return cmp.Compare(sn.seqs[a], sn.seqs[b])
 					})
-					_, claims, _ := newRankScan(context.Background(), sn, q, qsig, m, QueryOptions{Workers: 1}.withDefaults(), coll)
+					_, claims, _ := newRankScan(context.Background(), sn, q, qsig, m, QueryOptions{}.withDefaults(), coll)
 					if got := coll.threshold(); got != th {
 						t.Fatalf("%s %s k=%d: seeded threshold %v, want %v", label, m.Name(), k, got, th)
-					}
-					if claims.n != len(want) {
-						t.Fatalf("%s %s k=%d: heap counts %d candidates, want %d", label, m.Name(), k, claims.n, len(want))
 					}
 					var got []int
 					for cl, ok := claims.pop(); ok; cl, ok = claims.pop() {

@@ -17,16 +17,13 @@ import (
 
 // TestRankedEquivalenceGrid: best-first top-k and range answers are
 // byte-identical — scores and tie-order — to the independent reference
-// across the ranked scan's whole configuration matrix: one worker and
-// four, k of 1, 5 and the whole collection, and
-// radii read off the reference scores so that some graphs sit exactly
-// on the radius. The collections are the harness's cold-ranked shape
-// (order-5 families of 2-edit mutations, 1-edit queries) and rewired
-// clusters at orders where a rewire really moves edges, so label
-// histograms cannot tell cluster mates apart and tier 1 and the engines
-// decide. With four workers the claim loop runs concurrently against a
-// threshold every worker shares, so under -race this grid is the
-// detector of a race there.
+// across the ranked scan's whole configuration matrix: k of 1, 5 and
+// the whole collection, and radii read off the reference scores so that
+// some graphs sit exactly on the radius. The collections are the
+// harness's cold-ranked shape (order-5 families of 2-edit mutations,
+// 1-edit queries) and rewired clusters at orders where a rewire really
+// moves edges, so label histograms cannot tell cluster mates apart and
+// tier 1 and the engines decide.
 func TestRankedEquivalenceGrid(t *testing.T) {
 	clustered := dataset.NoisyQueries(dataset.MoleculeDB(3, 5, 5, 41), 60, 2, 43)
 	for i, g := range clustered {
@@ -48,25 +45,22 @@ func TestRankedEquivalenceGrid(t *testing.T) {
 		for _, m := range []measure.Measure{measure.DistEd, measure.DistGu} {
 			for _, q := range tc.qs {
 				scores := testutil.ReferenceScores(tc.gs, q, m)
-				for _, workers := range []int{1, 4} {
-					label := fmt.Sprintf("%s/%s/%s workers=%d", tc.label, q.Name(), m.Name(), workers)
-					opts := gdb.QueryOptions{Workers: workers}
-					for _, k := range []int{1, 5, n} {
-						got, err := sh.TopKQuery(ctx, q, m, k, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						testutil.RequireSameItems(t, fmt.Sprintf("%s topk k=%d", label, k), testutil.ReferenceTopK(scores, k), got.Items)
-						requireCovers(t, label, got.Stats, n)
+				label := fmt.Sprintf("%s/%s/%s", tc.label, q.Name(), m.Name())
+				for _, k := range []int{1, 5, n} {
+					got, err := sh.TopKQuery(ctx, q, m, k, gdb.QueryOptions{})
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, radius := range tieRadii(scores) {
-						got, err := sh.RangeQuery(ctx, q, m, radius, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						testutil.RequireSameItems(t, fmt.Sprintf("%s range r=%g", label, radius), testutil.ReferenceRange(scores, radius), got.Items)
-						requireCovers(t, label, got.Stats, n)
+					testutil.RequireSameItems(t, fmt.Sprintf("%s topk k=%d", label, k), testutil.ReferenceTopK(scores, k), got.Items)
+					requireCovers(t, label, got.Stats, n)
+				}
+				for _, radius := range tieRadii(scores) {
+					got, err := sh.RangeQuery(ctx, q, m, radius, gdb.QueryOptions{})
+					if err != nil {
+						t.Fatal(err)
 					}
+					testutil.RequireSameItems(t, fmt.Sprintf("%s range r=%g", label, radius), testutil.ReferenceRange(scores, radius), got.Items)
+					requireCovers(t, label, got.Stats, n)
 				}
 			}
 		}
@@ -126,7 +120,7 @@ func TestRankedScanOrderIndependent(t *testing.T) {
 		want   []topk.Item
 	}
 	ctx := context.Background()
-	opts := gdb.QueryOptions{Workers: 1}
+	opts := gdb.QueryOptions{}
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range cases {
 		db := testutil.NewDB(t, tc.gs)

@@ -19,7 +19,7 @@ func requirePrunedRankedMatches(t *testing.T, gs []*graph.Graph, qs []*graph.Gra
 	t.Helper()
 	ctx := context.Background()
 	measures := []measure.Measure{measure.DistEd, measure.DistMcs, measure.DistGu}
-	popts := gdb.QueryOptions{Workers: 4}
+	popts := gdb.QueryOptions{}
 	sh := testutil.NewDB(t, gs)
 	for _, q := range qs {
 		for _, m := range measures {

@@ -88,7 +88,7 @@ type equivCase struct {
 func requireMatchesReference(t *testing.T, gs []*graph.Graph, cases []equivCase) {
 	t.Helper()
 	ctx := context.Background()
-	opts := gdb.QueryOptions{Workers: 4}
+	opts := gdb.QueryOptions{}
 	m := measure.DistEd
 	for ci, c := range cases {
 		refPoints := testutil.ReferenceTable(gs, c.q)

@@ -2,6 +2,7 @@ package gdb
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,9 +74,8 @@ func (db *DB) snapshot() snap {
 }
 
 // VectorTable evaluates the GCS vector of every database graph against
-// q as ONE scan over one snapshot of the database, with one pool of
-// opts.Workers workers. Once ctx is done the exact engines stop, and it
-// returns ctx.Err() with no table. It is
+// q as ONE scan over one snapshot of the database. Once ctx is done the
+// exact engines stop, and it returns ctx.Err() with no table. It is
 // the one table build: SkylineQuery and the serving layer's cached
 // skyline answers both run it, and derive their answers from the table
 // with zero new pair evaluations.
@@ -83,8 +83,11 @@ func (db *DB) snapshot() snap {
 // With opts.Prune set, evaluation runs the bound-and-scan pipeline of
 // prune.go instead of the full scan: signature bounds for every graph,
 // then a best-first scan of all of them against one running front,
-// which scores exactly only the ones no cheaper proof discards. The
-// resulting table's skyline is identical to the complete table's.
+// which scores exactly only the ones no cheaper proof discards. That
+// scan runs on the calling goroutine, since each kept vector prunes
+// what comes after it; a complete table's pairs do not depend on each
+// other and run on forEachClaim's pool. The resulting table's skyline
+// is identical to the complete table's.
 func (db *DB) VectorTable(ctx context.Context, q *graph.Graph, opts QueryOptions) (*VectorTable, error) {
 	opts = opts.withDefaults()
 	sn := db.snapshot()
@@ -110,11 +113,10 @@ func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Si
 	start := time.Now()
 	pts := make([]skyline.Point, len(sn.graphs))
 	eval := measure.Options{Stop: ctx.Done()}
-	err := forEachClaim(ctx, len(sn.graphs), opts.Workers, func(i int) bool {
+	err := forEachClaim(ctx, len(sn.graphs), func(i int) {
 		h := measure.PairHints{Sig1: sn.sigs[i], Sig2: qsig}
 		ps := measure.ComputeHinted(sn.graphs[i], q, eval, h)
 		pts[i] = skyline.Point{ID: sn.graphs[i].Name(), Vec: measure.GCS(&ps, opts.Basis)}
-		return true
 	})
 	if err != nil {
 		return nil, err
@@ -125,27 +127,29 @@ func evalComplete(ctx context.Context, sn snap, q *graph.Graph, qsig *measure.Si
 	return pts, nil
 }
 
-// forEachClaim is the one worker pool of every scan: up to workers
-// goroutines claim k = 0, 1, ..., n-1 from one atomic cursor, in order,
-// and run claim(k). A worker stops once ctx is done, the cursor passes
-// n, or its own claim returns false; the other workers go on, and
-// claims already running finish. It returns ctx.Err(): a scan whose
-// engines ctx's Done channel stopped reports an error, so nothing a
-// stopped engine computed reaches an answer.
-func forEachClaim(ctx context.Context, n, workers int, claim func(k int) bool) error {
-	workers = min(max(workers, 1), n)
+// forEachClaim runs claim(k) for k = 0, 1, ..., n-1 on up to
+// GOMAXPROCS goroutines, which claim k from one atomic cursor in order.
+// It serves only evaluations whose pairs do not depend on each other:
+// the complete table and the diversity matrix. A goroutine stops once
+// ctx is done or the cursor passes n; claims already running finish.
+// It returns ctx.Err(): an evaluation whose engines ctx's Done channel
+// stopped reports an error, so nothing a stopped engine computed
+// reaches an answer.
+func forEachClaim(ctx context.Context, n int, claim func(k int)) error {
 	var (
 		wg     sync.WaitGroup
 		cursor atomic.Int64
 	)
-	for range workers {
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				if k := int(cursor.Add(1)) - 1; k >= n || !claim(k) {
+				k := int(cursor.Add(1)) - 1
+				if k >= n {
 					return
 				}
+				claim(k)
 			}
 		}()
 	}

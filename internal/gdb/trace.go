@@ -1,9 +1,6 @@
 package gdb
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Per-query cascade tracing. A QueryTrace attached to
 // QueryOptions.Trace records, per cascade stage, how much wall-clock
@@ -34,13 +31,13 @@ import (
 // (exact); the bound stage orders the scan and prunes nothing. Hence,
 // summed over stages, Pruned equals the query's Work.Pruned, and the
 // exact stage's Pairs minus its Pruned equals Work.Evaluated. No count
-// is ever negative. On ranked scans durations are summed across
-// workers, so on a parallel evaluation they can exceed the request's
-// wall-clock time — they answer "where did the work go",
-// not "what was the critical path".
+// is ever negative. A ranked scan observes each tier-1 and engines step
+// on its own, and the stage's duration is their sum — it answers
+// "where did the work go", not "what was the critical path".
 //
-// All methods are nil-safe and concurrency-safe: one QueryTrace is
-// shared by every evaluation worker of one query.
+// All methods are nil-safe. A QueryTrace is not safe for concurrent
+// use: one query records on one goroutine — the scans run on the
+// caller's, and a complete table observes once, after its pool is done.
 
 // Stage identifies one cascade stage of a traced query.
 type Stage int
@@ -57,13 +54,12 @@ var stageNames = [numStages]string{"bound", "exact", "merge"}
 // String returns the stage's wire name.
 func (s Stage) String() string { return stageNames[s] }
 
-// stageAcc accumulates one stage's counters (atomics: workers record
-// concurrently).
+// stageAcc accumulates one stage's counters.
 type stageAcc struct {
-	ns     atomic.Int64
-	pairs  atomic.Int64
-	pruned atomic.Int64
-	events atomic.Int64 // observation count; stages never touched render nothing
+	dur    time.Duration
+	pairs  int
+	pruned int
+	events int // observation count; stages never touched render nothing
 }
 
 // QueryTrace records per-stage work for one query. Create with
@@ -83,17 +79,17 @@ func (t *QueryTrace) Observe(s Stage, d time.Duration, pairs, pruned int) {
 		return
 	}
 	a := &t.stages[s]
-	a.ns.Add(int64(d))
-	a.pairs.Add(int64(pairs))
-	a.pruned.Add(int64(pruned))
-	a.events.Add(1)
+	a.dur += d
+	a.pairs += pairs
+	a.pruned += pruned
+	a.events++
 }
 
 // TraceStage is one stage's totals in wire form.
 type TraceStage struct {
 	// Stage is the cascade stage name: bound, exact, merge.
 	Stage string `json:"stage"`
-	// DurationMS is the stage's work time, summed across workers.
+	// DurationMS is the stage's work time, summed over its observations.
 	DurationMS float64 `json:"duration_ms"`
 	// Pairs counts candidate pairs the stage processed.
 	Pairs int `json:"pairs"`
@@ -111,14 +107,14 @@ func (t *QueryTrace) Stages() []TraceStage {
 	out := make([]TraceStage, 0, numStages)
 	for s := Stage(0); s < numStages; s++ {
 		a := &t.stages[s]
-		if a.events.Load() == 0 {
+		if a.events == 0 {
 			continue
 		}
 		out = append(out, TraceStage{
 			Stage:      s.String(),
-			DurationMS: float64(a.ns.Load()) / 1e6,
-			Pairs:      int(a.pairs.Load()),
-			Pruned:     int(a.pruned.Load()),
+			DurationMS: float64(a.dur) / 1e6,
+			Pairs:      a.pairs,
+			Pruned:     a.pruned,
 		})
 	}
 	return out

@@ -174,8 +174,7 @@ func TestTraceNilIsFree(t *testing.T) {
 // branch bound proves most claimed candidates out before any engine
 // runs, so the exact stage looks at a small multiple of the candidates
 // it scores. Without tier 1 the decision runs handled about twelve
-// candidates per scored one here. One worker keeps the claim sequence
-// deterministic.
+// candidates per scored one here.
 func TestBranchBoundSparesDecisionRuns(t *testing.T) {
 	roots := dataset.MoleculeDB(80, 5, 5, 3501)
 	gs := dataset.NoisyQueries(roots, 2000, 2, 3503)
@@ -188,7 +187,7 @@ func TestBranchBoundSparesDecisionRuns(t *testing.T) {
 	for qi, q := range dataset.NoisyQueries(gs, 12, 1, 3505) {
 		for _, kind := range []string{"topk", "range"} {
 			tr := gdb.NewQueryTrace()
-			opts := gdb.QueryOptions{Workers: 1, Trace: tr}
+			opts := gdb.QueryOptions{Trace: tr}
 			var (
 				res gdb.TopKResult
 				err error

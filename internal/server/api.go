@@ -107,8 +107,9 @@ type SkylineResponse struct {
 	All   []PointJSON `json:"all,omitempty"`
 	Stats QueryStats  `json:"stats"`
 	// Trace is the per-stage cascade breakdown (present when the request
-	// set "trace": true). Stage durations are summed across workers, so
-	// they can exceed the request's wall-clock duration.
+	// set "trace": true). Stage durations are work time on the query's
+	// own goroutine, so together they stay within the request's
+	// wall-clock duration.
 	Trace []gdb.TraceStage `json:"trace,omitempty"`
 }
 

@@ -78,7 +78,7 @@ func newMetrics(s *Server) *metrics {
 		"Queries answered entirely from the table or ranked cache, by query kind.", "kind")
 
 	m.stageSeconds = reg.CounterVec("skygraph_stage_seconds_total",
-		"Cascade-stage work time summed across workers, by stage.", "stage")
+		"Cascade-stage work time summed over queries, by stage.", "stage")
 	m.stagePairs = reg.CounterVec("skygraph_stage_pairs_total",
 		"Candidate pairs processed per cascade stage.", "stage")
 	m.stagePruned = reg.CounterVec("skygraph_stage_pruned_total",

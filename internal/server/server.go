@@ -350,7 +350,6 @@ func (s *Server) resolve(kind string, req *QueryRequest, qg queryGraph) (resolve
 	}
 	res.basis = basis
 
-	// Workers stays 0: every query is one scan, GOMAXPROCS wide.
 	res.opts = gdb.QueryOptions{Basis: basis}
 	res.key = cacheKey{path: kind, qh: res.qh}
 	switch kind {
